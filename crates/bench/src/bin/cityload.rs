@@ -8,8 +8,8 @@
 //! wheel through dial storms, listen/accept churn, and per-conversation
 //! 9P traffic across 1k → 10k simulated machines, with the service
 //! side of every conversation running pool-serviced (no parked thread
-//! per connection: readiness hooks plus [`NineService`] inline
-//! dispatch).
+//! per connection: [`serve_on_shard`]'s readiness hook plus
+//! `NineService` inline dispatch).
 //!
 //! Machines come in pairs on private Ethernet segments — the scaling
 //! cost under test is conversations and timers, not broadcast-domain
@@ -24,16 +24,14 @@
 //!
 //! Usage: `cargo run -p plan9-bench --release --bin cityload`
 
-use plan9_inet::il::{IlConn, TryRecv};
+use plan9_inet::il::{serve_on_shard, IlIo};
 use plan9_inet::ip::{IpConfig, IpStack};
 use plan9_netsim::ether::EtherSegment;
 use plan9_netsim::profile::Profiles;
 use plan9_ninep::client::NineClient;
 use plan9_ninep::procfs::{MemFs, OpenMode, ProcFs};
-use plan9_ninep::server::NineService;
-use plan9_ninep::transport::{MsgSink, MsgSource};
 use plan9_support::{pool, time, vtime};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Concurrent dial-storm drivers. Together with the pool's fixed
@@ -45,22 +43,6 @@ const DRIVERS: usize = 8;
 const SIZES: [usize; 3] = [64, 512, 4096];
 
 const PORT: u16 = 17008;
-
-/// An IL conversation as a delimited 9P transport.
-#[derive(Clone)]
-struct IlIo(Arc<IlConn>);
-
-impl MsgSink for IlIo {
-    fn sendmsg(&mut self, msg: &[u8]) -> plan9_ninep::Result<()> {
-        self.0.send(msg)
-    }
-}
-
-impl MsgSource for IlIo {
-    fn recvmsg(&mut self) -> plan9_ninep::Result<Option<Vec<u8>>> {
-        self.0.recv()
-    }
-}
 
 /// One machine pair: a dialing client stack and a serving stack, both
 /// pool-serviced, on a private segment that stays alive for the whole
@@ -93,36 +75,6 @@ fn build_pair(idx: usize) -> Pair {
     Pair { client, server, fs }
 }
 
-/// Drains everything queued on a pool-serviced conversation into the
-/// 9P service. Runs as a pool job on the conversation's shard, so
-/// drains for one conversation serialize; weak handles keep the
-/// readiness hook from pinning the conversation alive.
-fn drain(svc: &Weak<NineService>, conn: &Weak<IlConn>) {
-    let (Some(svc), Some(conn)) = (svc.upgrade(), conn.upgrade()) else {
-        return;
-    };
-    loop {
-        match conn.try_recv() {
-            Ok(TryRecv::Msg(m)) => {
-                // blocking-ok: this service wraps a MemFs, whose ProcFs
-                // ops answer from memory; relay-backed services run on
-                // dedicated kprocs, never on pool shards
-                if svc.input(&m).is_err() {
-                    conn.close();
-                    return;
-                }
-            }
-            Ok(TryRecv::Empty) => return,
-            Ok(TryRecv::Eof) | Err(_) => {
-                // blocking-ok: MemFs-backed service, as above — clunks
-                // answer from memory
-                svc.hangup();
-                return;
-            }
-        }
-    }
-}
-
 /// One full conversation: listen, dial, accept, serve 9P from the
 /// pool, read one payload, hang up. Returns the read's latency.
 fn converse(pair: &Pair, size: usize) -> Duration {
@@ -141,22 +93,9 @@ fn converse(pair: &Pair, size: usize) -> Duration {
         .expect("accept");
     drop(listener); // listener churn: every conversation re-announces
 
-    // The service side: no thread. Readiness submits a drain job onto
-    // the conversation's pool shard. The hook may fire from under the
-    // connection lock, so it must only enqueue, never drain inline.
-    let svc = Arc::new(NineService::new(
-        Arc::clone(&pair.fs),
-        Box::new(IlIo(Arc::clone(&srv))),
-    ));
-    let wsvc = Arc::downgrade(&svc);
-    let wconn = Arc::downgrade(&srv);
-    let key = srv.conv_id();
-    srv.set_rx_notify(move || {
-        let (wsvc, wconn) = (wsvc.clone(), wconn.clone());
-        let _ = pool::submit(key, move || drain(&wsvc, &wconn));
-    });
-    // Catch anything that landed before the hook was registered.
-    drain(&Arc::downgrade(&svc), &Arc::downgrade(&srv));
+    // The service side: no thread, a job on the conversation's shard
+    // whenever something arrives.
+    let _svc = serve_on_shard(&srv, Arc::clone(&pair.fs));
 
     let io = IlIo(Arc::clone(&conn));
     let client = NineClient::new(Box::new(io.clone()), Box::new(io));

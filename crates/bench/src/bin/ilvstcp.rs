@@ -1,6 +1,5 @@
 //! The §3 design argument, measured: IL's query-based recovery against
-//! TCP's blind retransmission, under increasing loss — plus a 9P RPC
-//! loop over IL that prices the nettrace instrumentation.
+//! TCP's blind retransmission, under increasing loss.
 //!
 //! "In contrast to other protocols, IL does not do blind retransmission.
 //! If a message is lost and a timeout occurs, a query message is sent.
@@ -13,24 +12,17 @@
 //! acknowledged byte; IL's State replies let it resend only what was
 //! actually lost.
 //!
-//! The RPC loop serves a file tree over an IL conversation and reads
-//! one file as fast as 9P will go: twice with tracing off (the A/B
-//! noise gauge — the recorder must cost nothing when disabled) and once
-//! with tracing on, from which the per-layer span totals come.
+//! The sweep runs twice, on the real clock and then on the virtual one.
+//! What a 9P RPC over IL costs, traced and untraced, is `perf/`'s
+//! business (`bash perf/run.sh --workload rpc64_il --trace 1`).
 //!
 //! Results land in `BENCH_ilvstcp.json` at the repository root.
 //!
 //! Usage: `cargo run -p plan9-bench --release --bin ilvstcp`
 
-use plan9_inet::il::IlConn;
 use plan9_inet::ip::{IpConfig, IpStack};
-use plan9_netlog::trace;
 use plan9_netsim::ether::EtherSegment;
 use plan9_netsim::profile::Profiles;
-use plan9_ninep::client::NineClient;
-use plan9_ninep::procfs::{MemFs, OpenMode, ProcFs};
-use plan9_ninep::transport::{MsgSink, MsgSource};
-use plan9_support::json::quote;
 use plan9_support::{time, vtime};
 use std::sync::Arc;
 
@@ -39,11 +31,11 @@ const MSG: usize = 1400; // one ether frame per message
 
 fn hosts(loss: f64, salt: u8) -> (Arc<IpStack>, Arc<IpStack>) {
     let seg = EtherSegment::new(Profiles::ether_fast().with_loss(loss));
-    let a = IpStack::new(
+    let a = IpStack::new_pooled(
         seg.attach([8, 0, 0, 0xc, salt, 1]),
         IpConfig::local(&format!("10.{}.0.1", 100 + salt)),
     );
-    let b = IpStack::new(
+    let b = IpStack::new_pooled(
         seg.attach([8, 0, 0, 0xc, salt, 2]),
         IpConfig::local(&format!("10.{}.0.2", 100 + salt)),
     );
@@ -126,65 +118,6 @@ fn run_tcp(loss: f64, salt: u8) -> (f64, u64, u64) {
     cell.join().expect("tcp cell")
 }
 
-/// An IL conversation as a delimited 9P transport.
-#[derive(Clone)]
-struct IlIo(Arc<IlConn>);
-
-impl MsgSink for IlIo {
-    fn sendmsg(&mut self, msg: &[u8]) -> plan9_ninep::Result<()> {
-        self.0.send(msg)
-    }
-}
-
-impl MsgSource for IlIo {
-    fn recvmsg(&mut self) -> plan9_ninep::Result<Option<Vec<u8>>> {
-        self.0.recv()
-    }
-}
-
-/// Runs `rpcs` 9P read RPCs over a clean IL conversation; returns
-/// RPCs per second.
-fn run_rpc_loop(salt: u8, rpcs: usize) -> f64 {
-    let (a, b) = hosts(0.0, salt);
-    let listener = b.il_module().listen(&b, 17010).expect("listen");
-    let server = vtime::kproc("rpc-server", move || {
-        let conn = listener.accept().expect("accept");
-        let fs = MemFs::new("ram", "bootes");
-        fs.put_file("/blob", &[0x42u8; 512]).expect("seed");
-        let fs: Arc<dyn ProcFs> = fs;
-        let io = IlIo(conn);
-        let _ = plan9_ninep::server::serve(fs, Box::new(io.clone()), Box::new(io));
-    })
-    // checked: spawn fails only on OS thread exhaustion
-    .expect("spawn rpc server");
-    let conn = a.il_module().connect(&a, b.addr(), 17010).expect("connect");
-    let io = IlIo(Arc::clone(&conn));
-    let client = NineClient::new(Box::new(io.clone()), Box::new(io));
-    let (fid, _) = client.attach("bench", "").expect("attach");
-    client.walk(fid, "blob").expect("walk");
-    client.open(fid, OpenMode::READ).expect("open");
-    // Warm the path (thread scheduling, lazy allocations) before timing.
-    for _ in 0..500 {
-        client.read(fid, 0, 512).expect("warmup read");
-    }
-    let start = time::now();
-    for _ in 0..rpcs {
-        let d = client.read(fid, 0, 512).expect("read");
-        assert_eq!(d.len(), 512);
-    }
-    let rps = rpcs as f64 / time::now().saturating_duration_since(start).as_secs_f64();
-    let _ = client.clunk(fid);
-    conn.close();
-    let _ = server.join();
-    rps
-}
-
-fn layer_of(name: &str) -> Option<&'static str> {
-    ["marshal", "txwait", "devwrite", "il send", "ip tx", "wire tx", "queue", "reply", "handle"]
-        .into_iter()
-        .find(|l| name.starts_with(l))
-}
-
 const LOSSES: [f64; 5] = [0.0, 0.01, 0.03, 0.05, 0.10];
 
 /// One full IL-vs-TCP loss sweep starting at `salt0`; returns the JSON
@@ -252,82 +185,13 @@ fn main() {
     );
     let speedup = real_sweep_wall_s / virtual_sweep_wall_s.max(1e-9);
 
-    // The 9P-over-IL RPC loop: off, off again (A/B), then on.
-    let tracer = trace::global();
-    assert!(!tracer.enabled(), "tracing must default to off");
-    println!();
-    println!("9P RPC loop over IL (512-byte reads):");
-    let rpcs_off = 3000;
-    let rps_off_a = run_rpc_loop(20, rpcs_off);
-    let rps_off_b = run_rpc_loop(21, rpcs_off);
-    let ab_delta_pct = 100.0 * (rps_off_a - rps_off_b).abs() / rps_off_a.max(rps_off_b);
-    println!("  trace off: {rps_off_a:>8.0} rpc/s (A) {rps_off_b:>8.0} rpc/s (B), |A-B| {ab_delta_pct:.2}%");
-
-    // The on leg is sized to fit the span ring so the totals cover it.
-    let rpcs_on = 1000;
-    tracer.ctl("clear").expect("clear");
-    tracer.ctl("trace on").expect("trace on");
-    let rps_on = run_rpc_loop(22, rpcs_on);
-    tracer.ctl("trace off").expect("trace off");
-    let roots = tracer.roots();
-    tracer.ctl("clear").expect("clear");
-    let on_overhead_pct =
-        100.0 * (rps_off_a.max(rps_off_b) - rps_on) / rps_off_a.max(rps_off_b);
-    println!("  trace on:  {rps_on:>8.0} rpc/s ({on_overhead_pct:.1}% slower, {} roots recorded)", roots.len());
-
-    // The sampled leg: 1-in-16 statistical tracing should price close
-    // to off — only every 16th RPC pays for span recording, the rest
-    // pay one relaxed counter bump at the gate.
-    let sample_n = 16u64;
-    tracer.ctl(&format!("sample {sample_n}")).expect("sample on");
-    tracer.ctl("trace on").expect("trace on");
-    let rps_sampled = run_rpc_loop(23, rpcs_off);
-    tracer.ctl("trace off").expect("trace off");
-    let sampled_roots = tracer.roots().len();
-    tracer.ctl("sample 1").expect("sample off");
-    tracer.ctl("clear").expect("clear");
-    let sampled_overhead_pct =
-        100.0 * (rps_off_a.max(rps_off_b) - rps_sampled) / rps_off_a.max(rps_off_b);
-    println!(
-        "  trace 1/{sample_n}: {rps_sampled:>8.0} rpc/s ({sampled_overhead_pct:.1}% slower, \
-         {sampled_roots} roots recorded)"
-    );
-
-    // Per-layer span totals across every recorded root.
-    let mut layer_rows = Vec::new();
-    println!("  {:<10} {:>7} {:>12}", "layer", "spans", "total(us)");
-    for layer in ["marshal", "txwait", "devwrite", "il send", "ip tx", "wire tx", "queue", "reply", "handle"] {
-        let (count, total_us) = roots
-            .iter()
-            .flat_map(|r| r.spans.iter())
-            .filter(|s| layer_of(&s.name) == Some(layer))
-            .fold((0u64, 0u64), |(c, t), s| {
-                (c + 1, t + s.end_ns.saturating_sub(s.start_ns) / 1_000)
-            });
-        if count == 0 {
-            continue;
-        }
-        println!("  {layer:<10} {count:>7} {total_us:>12}");
-        layer_rows.push(format!(
-            "{{\"layer\": {}, \"spans\": {count}, \"total_us\": {total_us}}}",
-            quote(layer)
-        ));
-    }
-
     let json = format!(
         "{{\n  \"bench\": \"ilvstcp\",\n  \"vtime\": true,\n  \
          \"real_sweep_wall_s\": {real_sweep_wall_s:.3}, \
          \"virtual_sweep_wall_s\": {virtual_sweep_wall_s:.3}, \"speedup\": {speedup:.1},\n  \
-         \"sweep\": [\n    {}\n  ],\n  \"vsweep\": [\n    {}\n  ],\n  \"rpc\": {{\n    \
-         \"rpcs_off\": {rpcs_off}, \"rpcs_on\": {rpcs_on},\n    \
-         \"rps_off_a\": {rps_off_a:.1}, \"rps_off_b\": {rps_off_b:.1}, \"rps_on\": {rps_on:.1},\n    \
-         \"off_ab_delta_pct\": {ab_delta_pct:.3}, \"on_overhead_pct\": {on_overhead_pct:.3},\n    \
-         \"sample_n\": {sample_n}, \"rps_sampled\": {rps_sampled:.1}, \
-         \"sampled_overhead_pct\": {sampled_overhead_pct:.3},\n    \
-         \"layers\": [{}]\n  }}\n}}\n",
+         \"sweep\": [\n    {}\n  ],\n  \"vsweep\": [\n    {}\n  ]\n}}\n",
         sweep_rows.join(",\n    "),
         vsweep_rows.join(",\n    "),
-        layer_rows.join(", "),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ilvstcp.json");
     std::fs::write(path, json).expect("write BENCH_ilvstcp.json");

@@ -15,34 +15,37 @@ use std::path::Path;
 
 fn main() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let crates = [
-        ("ninep", true),
-        ("streams", true),
-        ("netsim", true),
-        ("inet", true),
-        ("datakit", true),
-        ("ndb", true),
-        ("cs", true),
-        ("netlog", true),
-        ("core", true),
-        ("exportfs", true),
-        ("bench", false),
+    // Every directory under crates/, so a new crate cannot go
+    // uncounted. These few are not network or protocol code.
+    let other = [
+        ("support", "no (kernel support)"),
+        ("check", "no (tooling)"),
+        ("scenario", "no (harness)"),
+        ("bench", "no (harness)"),
     ];
+    let mut crates: Vec<String> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/")
+        .flatten()
+        .filter(|e| e.path().is_dir())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    crates.sort();
     println!("{:<12} {:>8} {:>8} {:>10}  network?", "crate", "total", "code", "non-test");
     println!("{}", "-".repeat(52));
     let mut all = Counts::default();
     let mut net = Counts::default();
-    for (name, is_net) in crates {
+    for name in &crates {
         let c = count_dir(&root.join("crates").join(name).join("src"));
+        let label = other.iter().find(|(n, _)| n == name).map(|(_, l)| *l);
         println!(
             "{name:<12} {:>8} {:>8} {:>10}  {}",
             c.total,
             c.code,
             c.non_test_code,
-            if is_net { "yes" } else { "no (harness)" }
+            label.unwrap_or("yes")
         );
         all += c;
-        if is_net {
+        if label.is_none() {
             net += c;
         }
     }

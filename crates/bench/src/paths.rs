@@ -121,8 +121,8 @@ pub fn raw_pipe_path() -> (PipeEnd, PipeEnd) {
 /// Ethernet.
 pub fn il_ether_path(c: Calibration) -> (Arc<IlConn>, Arc<IlConn>) {
     let seg = EtherSegment::new(ether_profile(c));
-    let a = IpStack::new(seg.attach([8, 0, 0, 0xb, 0, 1]), IpConfig::local("10.11.0.1"));
-    let b = IpStack::new(seg.attach([8, 0, 0, 0xb, 0, 2]), IpConfig::local("10.11.0.2"));
+    let a = IpStack::new_pooled(seg.attach([8, 0, 0, 0xb, 0, 1]), IpConfig::local("10.11.0.1"));
+    let b = IpStack::new_pooled(seg.attach([8, 0, 0, 0xb, 0, 2]), IpConfig::local("10.11.0.2"));
     let listener = b.il_module().listen(&b, 17008).expect("listen");
     // checked: spawn fails only on OS thread exhaustion at setup
     let t = vtime::kproc("il-accept", move || listener.accept().expect("accept")).expect("spawn");

@@ -29,10 +29,8 @@
 //! enough to make the five rules precise without a syntax tree, and
 //! with zero dependencies so it builds before anything else.
 //!
-//! Enforcement ratchets via a baseline (`scripts/check-baseline.txt`):
-//! per `(rule, file)` violation counts may shrink but never grow.
+//! There is no tolerated count: any violation fails the gate.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -608,95 +606,6 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     Ok(out)
 }
 
-// ---------------------------------------------------------------------------
-// Baseline: the "no new violations" ratchet.
-
-/// Violation counts keyed by `(rule code, file)`.
-pub type Baseline = BTreeMap<(String, String), usize>;
-
-/// Aggregates raw violations into baseline form.
-pub fn tally(violations: &[Violation]) -> Baseline {
-    let mut b = Baseline::new();
-    for v in violations {
-        *b.entry((v.rule.code().to_string(), v.file.clone())).or_default() += 1;
-    }
-    b
-}
-
-/// Parses `scripts/check-baseline.txt`: `<rule> <file> <count>` lines,
-/// `#` comments.
-pub fn parse_baseline(text: &str) -> Baseline {
-    let mut b = Baseline::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        if let (Some(rule), Some(file), Some(count)) = (parts.next(), parts.next(), parts.next()) {
-            if let Ok(n) = count.parse() {
-                b.insert((rule.to_string(), file.to_string()), n);
-            }
-        }
-    }
-    b
-}
-
-/// Renders a baseline back to file form.
-pub fn format_baseline(b: &Baseline) -> String {
-    let mut s = String::from(
-        "# netcheck baseline: per (rule, file) violation counts that are\n\
-         # tolerated today. The gate is \"no new violations\": counts may\n\
-         # shrink but never grow. Regenerate after a burn-down with:\n\
-         #   cargo run -p plan9-check -- --update-baseline\n",
-    );
-    for ((rule, file), count) in b {
-        s.push_str(&format!("{rule} {file} {count}\n"));
-    }
-    s
-}
-
-/// The verdict of comparing a scan against the baseline.
-pub struct Comparison {
-    /// `(rule, file, baseline, current)` where current > baseline.
-    pub regressions: Vec<(String, String, usize, usize)>,
-    /// Entries that improved or vanished (burn-down progress).
-    pub improvements: Vec<(String, String, usize, usize)>,
-    pub total_current: usize,
-    pub total_baseline: usize,
-}
-
-impl Comparison {
-    pub fn ok(&self) -> bool {
-        self.regressions.is_empty()
-    }
-}
-
-/// Compares current violations against the baseline ratchet.
-pub fn compare(current: &Baseline, baseline: &Baseline) -> Comparison {
-    let mut regressions = Vec::new();
-    let mut improvements = Vec::new();
-    for (key, &n) in current {
-        let base = baseline.get(key).copied().unwrap_or(0);
-        if n > base {
-            regressions.push((key.0.clone(), key.1.clone(), base, n));
-        } else if n < base {
-            improvements.push((key.0.clone(), key.1.clone(), base, n));
-        }
-    }
-    for (key, &base) in baseline {
-        if !current.contains_key(key) && base > 0 {
-            improvements.push((key.0.clone(), key.1.clone(), base, 0));
-        }
-    }
-    Comparison {
-        regressions,
-        improvements,
-        total_current: current.values().sum(),
-        total_baseline: baseline.values().sum(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -806,29 +715,5 @@ mod tests {
         let v = scan_manifest("Cargo.toml", toml);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].excerpt.contains("rand"));
-    }
-
-    #[test]
-    fn baseline_roundtrip_and_compare() {
-        let violations = vec![
-            Violation { rule: Rule::PanicPath, file: "a.rs".into(), line: 1, excerpt: "x".into() },
-            Violation { rule: Rule::PanicPath, file: "a.rs".into(), line: 9, excerpt: "y".into() },
-            Violation { rule: Rule::RawSync, file: "b.rs".into(), line: 2, excerpt: "z".into() },
-        ];
-        let current = tally(&violations);
-        let parsed = parse_baseline(&format_baseline(&current));
-        assert_eq!(parsed, current);
-
-        let mut baseline = current.clone();
-        // Ratchet: one more panic-path in a.rs than baseline fails…
-        baseline.insert(("panic-path".into(), "a.rs".into()), 1);
-        let c = compare(&current, &baseline);
-        assert!(!c.ok());
-        assert_eq!(c.regressions, vec![("panic-path".into(), "a.rs".into(), 1, 2)]);
-        // …and fewer than baseline is an improvement, still ok.
-        baseline.insert(("panic-path".into(), "a.rs".into()), 5);
-        let c = compare(&current, &baseline);
-        assert!(c.ok());
-        assert_eq!(c.improvements.len(), 1);
     }
 }

@@ -1,10 +1,10 @@
 //! `plan9-check`: run the netcheck lint pass — and, with `--flow`, the
-//! checkflow interprocedural passes — against a workspace and gate on
-//! the baseline ratchet.
+//! checkflow interprocedural passes — against a workspace. Any
+//! violation fails.
 //!
 //! ```text
-//! plan9-check [--root DIR] [--baseline FILE] [--list] [--update-baseline]
-//!             [--flow] [--report FILE] [--observed FILE] [--budget-ms N]
+//! plan9-check [--root DIR] [--list] [--flow] [--report FILE]
+//!             [--observed FILE] [--budget-ms N]
 //! ```
 //!
 //! `--flow` builds the whole-workspace call graph and adds three rule
@@ -17,24 +17,18 @@
 //! its own wall budget: verify.sh runs this before every build, so a
 //! slow analysis is itself a regression.
 //!
-//! Exit status: 0 when no rule has more violations than the baseline
-//! tolerates (and, under `--flow`, the budget holds), 1 on regression,
-//! 2 on usage or I/O errors.
+//! Exit status: 0 when no rule is violated (and, under `--flow`, the
+//! budget holds), 1 otherwise, 2 on usage or I/O errors.
 
-use plan9_check::{
-    compare, flow, format_baseline, graph, lockgraph, parse_baseline, report, scan_workspace,
-    tally,
-};
+use plan9_check::{flow, graph, lockgraph, report, scan_workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut baseline_path: Option<PathBuf> = None;
     let mut report_path: Option<PathBuf> = None;
     let mut observed_path: Option<PathBuf> = None;
     let mut list = false;
-    let mut update = false;
     let mut flow_mode = false;
     let mut budget_ms: u128 = 10_000;
 
@@ -44,10 +38,6 @@ fn main() -> ExitCode {
             "--root" => match args.next() {
                 Some(v) => root = PathBuf::from(v),
                 None => return usage("--root needs a directory"),
-            },
-            "--baseline" => match args.next() {
-                Some(v) => baseline_path = Some(PathBuf::from(v)),
-                None => return usage("--baseline needs a file"),
             },
             "--report" => match args.next() {
                 Some(v) => report_path = Some(PathBuf::from(v)),
@@ -62,12 +52,10 @@ fn main() -> ExitCode {
                 None => return usage("--budget-ms needs a number"),
             },
             "--list" => list = true,
-            "--update-baseline" => update = true,
             "--flow" => flow_mode = true,
             other => return usage(&format!("unknown argument {other:?}")),
         }
     }
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("scripts/check-baseline.txt"));
     // checked: lint wall budget; the host clock is the measurand here
     let started = std::time::Instant::now();
 
@@ -129,61 +117,23 @@ fn main() -> ExitCode {
         );
     }
 
-    let current = tally(&violations);
-
     if list {
         for v in &violations {
             println!("{v}");
         }
     }
 
-    if update {
-        if let Err(e) = std::fs::write(&baseline_path, format_baseline(&current)) {
-            eprintln!("plan9-check: writing {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "plan9-check: baseline updated: {} violations across {} (rule, file) entries",
-            current.values().sum::<usize>(),
-            current.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => parse_baseline(&text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Default::default(),
-        Err(e) => {
-            eprintln!("plan9-check: reading {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-    };
-
-    let cmp = compare(&current, &baseline);
-    if !cmp.ok() {
-        eprintln!("plan9-check: NEW violations beyond the baseline:");
-        for (rule, file, base, now) in &cmp.regressions {
-            eprintln!("  {rule} in {file}: {now} (baseline {base})");
-            for v in violations.iter().filter(|v| v.rule.code() == rule && &v.file == file) {
-                eprintln!("    {v}");
-            }
+    if !violations.is_empty() {
+        eprintln!("plan9-check: {} violations:", violations.len());
+        for v in &violations {
+            eprintln!("  {v}");
         }
         eprintln!(
-            "plan9-check: FAIL: fix the new violations (or, for a justified \
-             infallible call, annotate it `// checked: <reason>`; for a \
-             bounded wait in a non-blocking context, `// blocking-ok: <reason>`)"
+            "plan9-check: FAIL: fix them (or, for a justified infallible \
+             call, annotate it `// checked: <reason>`; for a bounded wait in \
+             a non-blocking context, `// blocking-ok: <reason>`)"
         );
         return ExitCode::from(1);
-    }
-
-    for (rule, file, base, now) in &cmp.improvements {
-        println!("plan9-check: burn-down: {rule} in {file}: {base} -> {now}");
-    }
-    if !cmp.improvements.is_empty() {
-        println!(
-            "plan9-check: baseline is stale high; ratchet it down with \
-             `cargo run -p plan9-check -- --update-baseline`"
-        );
     }
     if !flow_summary.is_empty() {
         println!("{flow_summary}");
@@ -196,9 +146,7 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     }
     println!(
-        "plan9-check: OK: {} violations (baseline {}) across {} in {wall_ms}ms",
-        cmp.total_current,
-        cmp.total_baseline,
+        "plan9-check: OK: no violations across {} in {wall_ms}ms",
         if flow_mode {
             "panic-path/raw-sync/wall-clock/mono-clock/registry-dep/blocking-context/panic-reach/lock-cycle"
         } else {
@@ -210,8 +158,8 @@ fn main() -> ExitCode {
 
 fn usage(err: &str) -> ExitCode {
     eprintln!(
-        "plan9-check: {err}\nusage: plan9-check [--root DIR] [--baseline FILE] [--list] \
-         [--update-baseline] [--flow] [--report FILE] [--observed FILE] [--budget-ms N]"
+        "plan9-check: {err}\nusage: plan9-check [--root DIR] [--list] [--flow] [--report FILE] \
+         [--observed FILE] [--budget-ms N]"
     );
     ExitCode::from(2)
 }

@@ -96,7 +96,6 @@ fn binary_flow_run_reports_all_three_bugs_and_fails() {
         .arg("--flow")
         .arg("--root")
         .arg(fixture_root())
-        .args(["--baseline", "/nonexistent/netcheck-baseline.txt"])
         .arg("--report")
         .arg(&report)
         .output()

@@ -123,7 +123,7 @@ impl MachineBuilder {
         let mut ip = None;
         let mut ether_dev = None;
         if let Some((seg, mac, cfg)) = &self.ether {
-            let stack = IpStack::new(seg.attach(*mac), cfg.clone());
+            let stack = IpStack::new_pooled(seg.attach(*mac), cfg.clone());
             // A second station with the same address gives the ether
             // device its own view of the wire (Figure 1) without
             // stealing frames from IP.
@@ -285,16 +285,6 @@ impl Machine {
     /// Starts a process with a copy of the machine's default name space.
     pub fn proc(&self) -> Proc {
         Proc::new(self.base_ns.fork(), "glenda")
-    }
-
-    /// Starts a process for a specific user.
-    pub fn proc_as(&self, user: &str) -> Proc {
-        Proc::new(self.base_ns.fork(), user)
-    }
-
-    /// The machine's IP address, if any.
-    pub fn ip_addr(&self) -> Option<IpAddr> {
-        self.ip.as_ref().map(|s| s.addr())
     }
 }
 

@@ -204,30 +204,6 @@ impl ProcFs for MountDriver {
     }
 }
 
-/// Serves a [`ProcFs`] over a message transport in a background thread —
-/// the other half of the loop, used to export a local tree (tests,
-/// exportfs, srv).
-pub fn serve_in_thread<T>(fs: Arc<dyn ProcFs>, transport: T)
-where
-    T: MsgSink + MsgSource + Clone + Send + 'static,
-{
-    let sink = transport.clone();
-    plan9_support::vtime::kproc("9p-serve", move || {
-        let _ = plan9_ninep::server::serve(fs, Box::new(transport), Box::new(sink));
-    })
-    // checked: spawn fails only on OS thread exhaustion at setup, not on a data path
-    .expect("spawn 9p server");
-}
-
-/// A guard against accidentally using the driver after hangup.
-impl Drop for MountDriver {
-    fn drop(&mut self) {
-        // Fids die with the connection; nothing to do, but keep the
-        // hook for future resource accounting.
-        let _ = &self.client;
-    }
-}
-
 impl std::fmt::Debug for MountDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "MountDriver({})", if self.client.hungup() { "hungup" } else { "up" })

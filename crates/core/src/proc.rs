@@ -25,7 +25,6 @@ enum FdKind {
 struct Fd {
     kind: FdKind,
     offset: u64,
-    path: String,
 }
 
 /// A process: name space + fd table + identity.
@@ -84,7 +83,6 @@ impl Proc {
             return Ok(self.install(Fd {
                 kind: FdKind::Dir(entries),
                 offset: 0,
-                path: path.to_string(),
             }));
         }
         match src.fs.open(&src.node, mode) {
@@ -94,7 +92,6 @@ impl Proc {
                     node,
                 }),
                 offset: 0,
-                path: path.to_string(),
             })),
             Err(e) => {
                 src.clunk();
@@ -118,7 +115,6 @@ impl Proc {
                     node,
                 }),
                 offset: 0,
-                path: clean.clone(),
             })),
             Err(e) => {
                 src.clunk();
@@ -218,14 +214,6 @@ impl Proc {
         }
     }
 
-    /// The path a descriptor was opened with.
-    pub fn fd_path(&self, fd: i32) -> Result<String> {
-        let fds = self.fds.lock();
-        fds.get(&fd)
-            .map(|f| f.path.clone())
-            .ok_or_else(|| NineError::new("bad fd"))
-    }
-
     fn fd_source(&self, fd: i32) -> Result<Source> {
         let fds = self.fds.lock();
         match fds.get(&fd) {
@@ -244,12 +232,6 @@ impl Proc {
         let d = src.fs.stat(&src.node);
         src.clunk();
         d
-    }
-
-    /// Stats an open descriptor.
-    pub fn fstat(&self, fd: i32) -> Result<Dir> {
-        let src = self.fd_source(fd)?;
-        src.fs.stat(&src.node)
     }
 
     /// Removes the file at `path`.
@@ -351,12 +333,10 @@ impl Proc {
                 node: a,
             }),
             offset: 0,
-            path: "#|/data".to_string(),
         });
         let fd_b = self.install(Fd {
             kind: FdKind::File(Source { fs, node: b }),
             offset: 0,
-            path: "#|/data1".to_string(),
         });
         Ok((fd_a, fd_b))
     }

@@ -17,11 +17,10 @@
 //! 4. The job does its terminal I/O through `/mnt/term/...`, exactly as
 //!    Plan 9's cpu does with `/mnt/term/dev/cons`.
 
-use crate::exportfs::NsFs;
+use crate::exportfs::serve_ns;
 use plan9_core::dial::{accept, announce, dial, listen};
 use plan9_core::namespace::MREPL;
 use plan9_core::proc::Proc;
-use plan9_ninep::procfs::ProcFs;
 use plan9_ninep::{NineError, Result};
 use std::sync::Arc;
 
@@ -90,15 +89,7 @@ pub fn cpu(p: &Proc, dest: &str, served_base: &str) -> Result<()> {
         return Err(NineError::new("cpu: refused"));
     }
     // Serve our name space over the connection (the exportfs role).
-    let fs: Arc<dyn ProcFs> = NsFs::new(p.ns.fork(), served_base, &p.user);
-    let io = p.io(conn.data_fd)?;
-    let r = if framed {
-        let source = plan9_ninep::marshal::FramedSource::new(io.clone());
-        let sink = plan9_ninep::marshal::FramedSink::new(io);
-        plan9_ninep::server::serve(fs, Box::new(source), Box::new(sink))
-    } else {
-        plan9_ninep::server::serve(fs, Box::new(io.clone()), Box::new(io))
-    };
+    let r = serve_ns(p, conn.data_fd, served_base, framed);
     p.close(conn.data_fd);
     p.close(conn.ctl_fd);
     r

@@ -240,6 +240,14 @@ pub fn serve_export(p: &Proc, data_fd: i32, framed: bool) -> Result<()> {
             return Err(e);
         }
     }
+    serve_ns(p, data_fd, base, framed)
+}
+
+/// Relays 9P for the subtree at `base` of `p`'s name space over an open
+/// data descriptor until the peer hangs up. A byte-stream transport
+/// (`framed`, i.e. TCP) gets the marshaling layer; IL, URP and pipes
+/// keep delimiters themselves.
+pub(crate) fn serve_ns(p: &Proc, data_fd: i32, base: &str, framed: bool) -> Result<()> {
     let fs: Arc<dyn ProcFs> = NsFs::new(p.ns.fork(), base, &p.user);
     let io = p.io(data_fd)?;
     if framed {
@@ -270,8 +278,13 @@ pub fn exportfs_listener(
             let Ok((lcfd, ldir)) = plan9_core::dial::listen(&p, &adir) else {
                 return;
             };
-            let Ok(dfd) = plan9_core::dial::accept(&p, lcfd, &ldir) else {
-                p.close(lcfd);
+            let accepted = plan9_core::dial::accept(&p, lcfd, &ldir);
+            // The call's ctl file has done its job. A protocol device
+            // keeps a conversation while any file in its directory is
+            // open, so holding this one would leave a TCP call in
+            // Close_wait for good after the peer hangs up.
+            p.close(lcfd);
+            let Ok(dfd) = accepted else {
                 continue;
             };
             // "The listener runs the profile of the user requesting

@@ -36,6 +36,9 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
+mod nine;
+pub use nine::{serve_on_shard, IlIo};
+
 /// The IP protocol number for IL.
 pub const IL_PROTO: u8 = 40;
 
@@ -1405,8 +1408,8 @@ mod tests {
 
     fn lossy_hosts(loss: f64) -> (std::sync::Arc<IpStack>, std::sync::Arc<IpStack>) {
         let seg = EtherSegment::new(Profiles::ether_fast().with_loss(loss));
-        let a = IpStack::new(seg.attach([8, 0, 0, 0, 1, 1]), IpConfig::local("10.2.0.1"));
-        let b = IpStack::new(seg.attach([8, 0, 0, 0, 1, 2]), IpConfig::local("10.2.0.2"));
+        let a = IpStack::new_pooled(seg.attach([8, 0, 0, 0, 1, 1]), IpConfig::local("10.2.0.1"));
+        let b = IpStack::new_pooled(seg.attach([8, 0, 0, 0, 1, 2]), IpConfig::local("10.2.0.2"));
         (a, b)
     }
 
@@ -1445,8 +1448,8 @@ mod tests {
         let seg = EtherSegment::new(
             Profiles::ether_fast().with_dup(0.1).with_reorder(0.1),
         );
-        let a = IpStack::new(seg.attach([8, 0, 0, 0, 2, 1]), IpConfig::local("10.3.0.1"));
-        let b = IpStack::new(seg.attach([8, 0, 0, 0, 2, 2]), IpConfig::local("10.3.0.2"));
+        let a = IpStack::new_pooled(seg.attach([8, 0, 0, 0, 2, 1]), IpConfig::local("10.3.0.1"));
+        let b = IpStack::new_pooled(seg.attach([8, 0, 0, 0, 2, 2]), IpConfig::local("10.3.0.2"));
         let listener = b.il_module().listen(&b, 17008).unwrap();
         let server = std::thread::spawn(move || {
             let conn = listener.accept().unwrap();

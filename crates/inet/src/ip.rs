@@ -2,18 +2,18 @@
 //! fragmentation and reassembly, and dispatch to the transport modules.
 //!
 //! One [`IpStack`] represents one host's IP interface on one Ethernet
-//! segment. A receiver kernel process (thread) drains the station and a
-//! loopback queue and dispatches inbound packets to UDP, TCP or IL.
+//! segment. The station runs in push mode: every inbound frame, and
+//! every packet the host sends itself, is a job on the stack's
+//! worker-pool shard that dispatches to UDP, TCP or IL.
 
 use crate::addr::IpAddr;
 use crate::arp::{ArpCache, ArpPacket, ARP_ETHERTYPE, ARP_REPLY, ARP_REQUEST, IP_ETHERTYPE};
 use crate::checksum::internet_checksum;
 use crate::{il, tcp, udp};
 use plan9_netlog::{Counter, NetLog, Registry};
-use plan9_support::chan::{unbounded, Receiver, Sender};
 use plan9_support::copysite::Site;
 use plan9_support::sync::Mutex;
-use plan9_support::{pool, time, vtime};
+use plan9_support::{pool, time};
 
 static ENCODE_SITE: Site = Site::new("ip.encode");
 static FRAGMENT_SITE: Site = Site::new("ip.fragment");
@@ -130,13 +130,10 @@ pub struct IpHeader {
 pub struct IpStack {
     cfg: IpConfig,
     station: EtherStation,
-    /// Self-reference for requeueing work onto the pool (pooled mode).
+    /// Self-reference for requeueing loopback packets onto the pool.
     me: Weak<IpStack>,
-    /// Thread-mode loopback queue; `None` in pooled mode, where
-    /// loopback packets ride the stack's own pool shard instead.
-    loop_tx: Option<Sender<Vec<u8>>>,
-    /// Pool/wheel shard key when the stack runs in pooled (push) mode.
-    pooled: Option<u64>,
+    /// The pool/wheel shard key that serializes this station's frames.
+    shard: u64,
     /// The ARP cache (public for diagnostics and tests).
     pub arp: ArpCache,
     frag: Mutex<HashMap<(u32, u16), FragBuf>>,
@@ -165,35 +162,10 @@ fn station_key(mac: &plan9_netsim::ether::MacAddr, addr: IpAddr) -> u64 {
 }
 
 impl IpStack {
-    /// Brings up an interface and starts its receiver processes.
-    pub fn new(station: EtherStation, cfg: IpConfig) -> Arc<IpStack> {
-        let (loop_tx, loop_rx) = unbounded();
-        // An IP host only consumes its own unicasts and broadcasts;
-        // let the controller filter the rest off the bus.
-        station.set_address_filter(true);
-        let stack = Self::build(station, cfg, Some(loop_tx), None);
-        // The wire receiver: the "kernel process" the paper's device
-        // interfaces wake from their interrupt routines.
-        let rx_stack = Arc::clone(&stack);
-        vtime::kproc(&format!("ip-rx-{}", rx_stack.cfg.addr), move || {
-            rx_stack.wire_loop()
-        })
-        // checked: spawn fails only on OS thread exhaustion at setup, not on a data path
-        .expect("spawn ip-rx");
-        // The loopback receiver: packets a host sends to itself.
-        let lo_stack = Arc::clone(&stack);
-        vtime::kproc(&format!("ip-lo-{}", lo_stack.cfg.addr), move || {
-            lo_stack.loop_loop(loop_rx)
-        })
-        // checked: spawn fails only on OS thread exhaustion at setup, not on a data path
-        .expect("spawn ip-lo");
-        stack
-    }
-
-    /// Brings up an interface with *no* receiver threads: the station
-    /// is switched to push mode and every inbound frame is serviced on
-    /// this stack's worker-pool shard. A fabric of thousands of hosts
-    /// then runs on O(cores) threads instead of two per host.
+    /// Brings up an interface. There are no receiver threads: the
+    /// station is switched to push mode and every inbound frame is
+    /// serviced on this stack's worker-pool shard, so a fabric of
+    /// thousands of hosts runs on O(cores) threads.
     ///
     /// Service jobs must not block on virtual time, and the transmit
     /// path never does: an ARP miss parks the packet on the cache's
@@ -201,11 +173,28 @@ impl IpStack {
     /// learned, so even a first-contact transmit from an ack or a
     /// retransmission timer is safe on a shard.
     pub fn new_pooled(station: EtherStation, cfg: IpConfig) -> Arc<IpStack> {
-        let key = station_key(&station.addr, cfg.addr);
+        let shard = station_key(&station.addr, cfg.addr);
+        // An IP host only consumes its own unicasts and broadcasts;
+        // let the controller filter the rest off the bus.
         station.set_address_filter(true);
-        let stack = Self::build(station, cfg, None, Some(key));
+        let netlog = NetLog::new();
+        let stack = Arc::new_cyclic(|me| IpStack {
+            cfg,
+            station,
+            me: me.clone(),
+            shard,
+            arp: ArpCache::new(),
+            frag: Mutex::named(HashMap::new(), "inet.ip.frag"),
+            ip_id: AtomicU16::new(1),
+            closed: AtomicBool::new(false),
+            stats: IpStats::new(&netlog.registry),
+            udp: udp::UdpModule::new(&netlog),
+            tcp: tcp::TcpModule::new(&netlog),
+            il: il::IlModule::new(&netlog),
+            netlog,
+        });
         let me = Arc::downgrade(&stack);
-        stack.station.set_rx_handler(key, move |frame| {
+        stack.station.set_rx_handler(shard, move |frame| {
             let Some(stack) = me.upgrade() else { return };
             if stack.is_shutdown() {
                 return;
@@ -217,31 +206,6 @@ impl IpStack {
             }
         });
         stack
-    }
-
-    fn build(
-        station: EtherStation,
-        cfg: IpConfig,
-        loop_tx: Option<Sender<Vec<u8>>>,
-        pooled: Option<u64>,
-    ) -> Arc<IpStack> {
-        let netlog = NetLog::new();
-        Arc::new_cyclic(|me| IpStack {
-            cfg,
-            station,
-            me: me.clone(),
-            loop_tx,
-            pooled,
-            arp: ArpCache::new(),
-            frag: Mutex::named(HashMap::new(), "inet.ip.frag"),
-            ip_id: AtomicU16::new(1),
-            closed: AtomicBool::new(false),
-            stats: IpStats::new(&netlog.registry),
-            udp: udp::UdpModule::new(&netlog),
-            tcp: tcp::TcpModule::new(&netlog),
-            il: il::IlModule::new(&netlog),
-            netlog,
-        })
     }
 
     /// This interface's address.
@@ -260,7 +224,7 @@ impl IpStack {
         self.station.payload_mtu() - IP_HDR
     }
 
-    /// Stops the receiver processes. Existing connections will fail.
+    /// Stops servicing frames. Existing connections will fail.
     pub fn shutdown(&self) {
         self.closed.store(true, Ordering::SeqCst);
     }
@@ -288,28 +252,6 @@ impl IpStack {
     /// The stack's instrumentation block (metrics + event log).
     pub fn netlog(&self) -> &Arc<NetLog> {
         &self.netlog
-    }
-
-    fn wire_loop(self: Arc<Self>) {
-        while !self.is_shutdown() {
-            let Some(frame) = self.station.recv_timeout(Duration::from_millis(50)) else {
-                continue;
-            };
-            match frame.ethertype {
-                ARP_ETHERTYPE => self.handle_arp(&frame.payload),
-                IP_ETHERTYPE => self.handle_ip(Some(frame.src), &frame.payload),
-                _ => {}
-            }
-        }
-    }
-
-    fn loop_loop(self: Arc<Self>, rx: Receiver<Vec<u8>>) {
-        while !self.is_shutdown() {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(pkt) => self.handle_ip(None, &pkt),
-                Err(_) => continue,
-            }
-        }
     }
 
     fn handle_arp(&self, payload: &[u8]) {
@@ -466,14 +408,10 @@ impl IpStack {
         let packet = encode_ip(&hdr, payload);
         self.stats.tx_packets.inc();
         if dst == self.cfg.addr {
-            // Loopback: delivered by the loopback kernel process, or —
-            // in pooled mode — serviced on this stack's own shard.
-            if let Some(tx) = &self.loop_tx {
-                // blocking-ok: unbounded channel send never waits
-                return tx.send(packet).map_err(|_| NineError::new("stack is down"));
-            }
+            // Loopback: serviced on this stack's own shard, like a
+            // frame off the wire.
             let me = self.me.clone();
-            pool::submit_or_run(self.pooled.unwrap_or_default(), move || {
+            pool::submit_or_run(self.shard, move || {
                 if let Some(stack) = me.upgrade() {
                     if !stack.is_shutdown() {
                         stack.handle_ip(None, &packet);
@@ -604,8 +542,8 @@ pub(crate) mod tests {
 
     pub(crate) fn two_hosts() -> (Arc<IpStack>, Arc<IpStack>) {
         let seg = EtherSegment::new(Profiles::ether_fast());
-        let a = IpStack::new(seg.attach(mac(1)), IpConfig::local("10.0.0.1"));
-        let b = IpStack::new(seg.attach(mac(2)), IpConfig::local("10.0.0.2"));
+        let a = IpStack::new_pooled(seg.attach(mac(1)), IpConfig::local("10.0.0.1"));
+        let b = IpStack::new_pooled(seg.attach(mac(2)), IpConfig::local("10.0.0.2"));
         (a, b)
     }
 

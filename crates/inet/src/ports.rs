@@ -57,11 +57,6 @@ impl PortSpace {
     pub fn release(&self, port: u16) {
         self.used.lock().0.remove(&port);
     }
-
-    /// Whether the port is currently claimed.
-    pub fn in_use(&self, port: u16) -> bool {
-        self.used.lock().0.contains(&port)
-    }
 }
 
 #[cfg(test)]

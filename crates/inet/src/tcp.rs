@@ -1426,11 +1426,11 @@ mod tests {
         use plan9_netsim::ether::EtherSegment;
         use plan9_netsim::profile::Profiles;
         let seg = EtherSegment::new(Profiles::ether_fast().with_loss(0.15));
-        let a = IpStack::new(
+        let a = IpStack::new_pooled(
             seg.attach([8, 0, 0, 0, 0, 1]),
             crate::ip::IpConfig::local("10.1.0.1"),
         );
-        let b = IpStack::new(
+        let b = IpStack::new_pooled(
             seg.attach([8, 0, 0, 0, 0, 2]),
             crate::ip::IpConfig::local("10.1.0.2"),
         );

@@ -303,21 +303,6 @@ impl Registry {
         }
     }
 
-    /// Adopts an externally created counter under its own name, so
-    /// modules that keep a field handle still appear in the table.
-    pub fn register_counter(&self, c: &Counter) {
-        self.metrics
-            .lock()
-            .insert(c.name().to_string(), Metric::Counter(c.clone()));
-    }
-
-    /// Adopts an externally created histogram under its own name.
-    pub fn register_histogram(&self, h: &Histogram) {
-        self.metrics
-            .lock()
-            .insert(h.name().to_string(), Metric::Histogram(h.clone()));
-    }
-
     /// Reads every metric's current value, kind-tagged and sorted by
     /// name — the raw material for the time-series sampler, which
     /// diffs successive samples (see [`series`]).

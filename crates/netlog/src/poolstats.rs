@@ -89,11 +89,6 @@ impl PoolSnapshot {
             .map(|i| now.submitted[i] - self.pool.submitted[i])
             .sum()
     }
-
-    /// Timers fired since this snapshot.
-    pub fn fired_since(&self) -> u64 {
-        wheel::stats().fired - self.wheel.fired
-    }
 }
 
 #[cfg(test)]

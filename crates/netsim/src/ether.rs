@@ -12,7 +12,7 @@ use crate::profile::LinkProfile;
 use crate::wire::Medium;
 use plan9_support::chan::{unbounded, Receiver, RecvTimeoutError, Sender};
 use plan9_support::sync::Mutex;
-use plan9_support::wheel;
+use plan9_support::{pool, wheel};
 use std::sync::Arc;
 use plan9_support::time;
 use std::time::{Duration, Instant};
@@ -137,11 +137,6 @@ impl EtherSegment {
         }
     }
 
-    /// Number of attached stations.
-    pub fn station_count(&self) -> usize {
-        self.stations.lock().len()
-    }
-
     /// The MTU of this segment.
     pub fn mtu(&self) -> usize {
         self.medium.profile().mtu
@@ -206,18 +201,21 @@ impl EtherSegment {
                     // Push mode: arrival is a timer-wheel event at the
                     // propagation deadline; the wheel dispatches the
                     // decoded frame to the station's pool shard, which
-                    // serializes per-station deliveries. A failed
-                    // schedule (thread exhaustion at worker spawn)
-                    // drops the frame — something this lossy medium is
+                    // serializes per-station deliveries. A frame that
+                    // is already due (an unpaced medium) skips the
+                    // wheel and goes straight to the shard: one thread
+                    // handoff per frame, not two. A failed schedule or
+                    // submit (thread exhaustion at worker spawn) drops
+                    // the frame — something this lossy medium is
                     // allowed to do anyway.
                     for _ in 0..copies {
                         let h = Arc::clone(h);
                         let frame = Arc::clone(&shared);
-                        let _ = wheel::schedule(*key, deliver_at, move || {
-                            if let Some(fr) = EtherFrame::decode(&frame) {
-                                h(fr);
-                            }
-                        });
+                        if deliver_at <= time::now() {
+                            let _ = pool::submit(*key, move || deliver(&h, &frame));
+                        } else {
+                            let _ = wheel::schedule(*key, deliver_at, move || deliver(&h, &frame));
+                        }
                     }
                 }
                 None => {
@@ -235,6 +233,13 @@ impl EtherSegment {
 
     fn medium_impair(&self, f: &mut [u8]) -> (usize, Duration) {
         self.medium.impair(f)
+    }
+}
+
+/// One push-mode arrival: decodes the shared wire bytes for `h`.
+fn deliver(h: &RxHandler, frame: &[u8]) {
+    if let Some(fr) = EtherFrame::decode(frame) {
+        h(fr);
     }
 }
 
@@ -285,14 +290,6 @@ impl EtherStation {
         EtherFrame::decode(&inflight.frame)
     }
 
-    /// Switches the station to push mode: instead of queueing frames
-    /// for [`recv`](EtherStation::recv), each arrival becomes a timer
-    /// event at its propagation deadline, dispatched (decoded) to
-    /// `handler` on the worker-pool shard for `key`. No receiver
-    /// thread is needed, so a fabric of thousands of stations runs on
-    /// O(cores) threads. Deliveries to one station are serialized by
-    /// the shared shard key; the handler must not block on virtual
-    /// time (it runs on a pool worker).
     /// Engages (or releases) the controller's hardware address filter:
     /// when on, only frames for this station's address or the broadcast
     /// address are accepted. Off by default — a bridge must stay
@@ -306,6 +303,15 @@ impl EtherStation {
         }
     }
 
+    /// Switches the station to push mode: instead of queueing frames
+    /// for [`recv`](EtherStation::recv), each arrival becomes a timer
+    /// event at its propagation deadline — or, when that has already
+    /// passed, a job right away — dispatched (decoded) to `handler` on
+    /// the worker-pool shard for `key`. No receiver thread is needed,
+    /// so a fabric of thousands of stations runs on O(cores) threads.
+    /// Deliveries to one station are serialized by the shared shard
+    /// key; the handler must not block on virtual time (it runs on a
+    /// pool worker).
     pub fn set_rx_handler(
         &self,
         key: u64,

@@ -90,11 +90,6 @@ impl NineClient {
         self.shared.hungup.load(Ordering::SeqCst)
     }
 
-    /// Completed RPC round trips on this connection.
-    pub fn rpc_count(&self) -> u64 {
-        self.shared.rpcs.get()
-    }
-
     /// Renders the RPC counter and latency histogram as `key: value`
     /// lines for a `stats` file.
     pub fn stats_text(&self) -> String {

@@ -1,14 +1,19 @@
 //! The RPC side of a 9P file server.
 //!
-//! [`serve`] reads T-messages from a transport, applies them to a
-//! [`ProcFs`], and writes R-messages back. This is the glue that lets a
-//! kernel-resident device (procedural 9P) be exported to a remote machine
-//! (RPC 9P) — the reverse of the mount driver.
+//! A [`NineService`] applies T-messages to a [`ProcFs`] and writes
+//! R-messages back. This is the glue that lets a kernel-resident device
+//! (procedural 9P) be exported to a remote machine (RPC 9P) — the
+//! reverse of the mount driver. There is one dispatch and two ways to
+//! run a file operation under it:
 //!
-//! The server is multithreaded, as the paper requires of `exportfs`
-//! (§6.1): `open`, `read` and `write` may block (a `listen` file blocks
-//! until a call arrives), so each request runs in its own worker thread
-//! and replies are serialized onto the transport by a lock.
+//! * [`serve`] reads a transport until the peer hangs up and gives each
+//!   file operation a worker kproc. The paper requires this of
+//!   `exportfs` (§6.1): `open`, `read` and `write` may block (a `listen`
+//!   file blocks until a call arrives), so replies are serialized onto
+//!   the transport by a lock.
+//! * [`NineService::input`] runs the operation on the caller's thread
+//!   (typically a worker-pool shard), for file systems that answer from
+//!   memory and connections counted in tens of thousands.
 
 use crate::codec::{decode_tmsg, encode_rmsg};
 use crate::fcall::{Fid, Rmsg, Tag, Tmsg, CHAL_LEN, MAX_FDATA};
@@ -18,26 +23,9 @@ use crate::{errstr, NineError, Result};
 use plan9_netlog::trace;
 use plan9_netlog::Facility;
 use plan9_support::sync::Mutex;
-use std::collections::{HashMap, HashSet};
+use plan9_support::{time, vtime};
+use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Identity the server reports in `Rsession`.
-#[derive(Debug, Clone)]
-pub struct ServerIdentity {
-    /// Authentication id (a user name).
-    pub authid: String,
-    /// Authentication domain.
-    pub authdom: String,
-}
-
-impl Default for ServerIdentity {
-    fn default() -> Self {
-        ServerIdentity {
-            authid: "bootes".to_string(),
-            authdom: "plan9.sim".to_string(),
-        }
-    }
-}
 
 struct FidState {
     node: ServeNode,
@@ -47,21 +35,31 @@ struct FidState {
 struct ServerShared {
     fs: Arc<dyn ProcFs>,
     fids: Mutex<HashMap<Fid, FidState>>,
-    /// Tags flushed while their worker was still running; the worker's
-    /// reply is suppressed when it eventually completes.
-    flushed: Mutex<HashSet<Tag>>,
+    /// File operations still running, by tag; the value turns true when
+    /// a Tflush names the tag, and the reply is then suppressed. An
+    /// answered tag is not in the map, so flushing it marks nothing.
+    inflight: Mutex<HashMap<Tag, bool>>,
     sink: Mutex<Box<dyn MsgSink>>,
-    identity: ServerIdentity,
 }
 
 impl ServerShared {
     fn reply(&self, tag: Tag, r: &Rmsg) {
-        // Drop the reply if the request was flushed (§ Tflush semantics).
-        if self.flushed.lock().remove(&tag) {
-            return;
-        }
         let buf = encode_rmsg(tag, r);
         let _ = self.sink.lock().sendmsg(&buf);
+    }
+
+    /// Runs one file operation; errors are replies too.
+    fn run(&self, t: &Tmsg) -> Rmsg {
+        handle(self, t).unwrap_or_else(|e| Rmsg::Error { ename: e.0 })
+    }
+
+    /// Answers a file operation, unless it was flushed while it ran
+    /// (§ Tflush semantics).
+    fn finish(&self, tag: Tag, r: &Rmsg) {
+        let flushed = self.inflight.lock().remove(&tag) == Some(true);
+        if !flushed {
+            self.reply(tag, r);
+        }
     }
 }
 
@@ -73,44 +71,107 @@ pub fn serve(
     mut source: Box<dyn MsgSource>,
     sink: Box<dyn MsgSink>,
 ) -> Result<()> {
-    serve_with_identity(fs, &mut *source, sink, ServerIdentity::default())
-}
-
-/// Serves `fs`, reporting `identity` in `Rsession` replies.
-pub fn serve_with_identity(
-    fs: Arc<dyn ProcFs>,
-    source: &mut dyn MsgSource,
-    sink: Box<dyn MsgSink>,
-    identity: ServerIdentity,
-) -> Result<()> {
-    let shared = Arc::new(ServerShared {
-        fs,
-        fids: Mutex::named(HashMap::new(), "ninep.server.fids"),
-        flushed: Mutex::named(HashSet::new(), "ninep.server.flushed"),
-        sink: Mutex::named(sink, "ninep.server.sink"),
-        identity,
-    });
+    let svc = NineService::new(fs, sink);
     let mut workers = Vec::new();
     loop {
         let raw = match source.recvmsg() {
             Ok(Some(raw)) => raw,
             Ok(None) => break,
             Err(e) => {
-                cleanup(&shared);
+                svc.hangup();
                 return Err(e);
             }
         };
-        let (tag, t) = match decode_tmsg(&raw) {
-            Ok(x) => x,
-            Err(_) => {
-                // A malformed message poisons the link; hang up, as the
-                // kernel does.
-                cleanup(&shared);
-                return Err(NineError::new(errstr::EBADMSG));
+        let Some((tag, t)) = svc.dispatch(&raw)? else {
+            continue;
+        };
+        // Potentially-blocking file operations get a worker each. The
+        // server opens its own root span per request: the reply
+        // direction (including its IL sends and rexmits) has no client
+        // handle to inherit across the wire, so it is attributed to
+        // this `serve` root instead.
+        let shared = Arc::clone(&svc.shared);
+        let tracer = trace::global();
+        let root = if tracer.enabled() {
+            tracer.begin(&format!("serve {:?} tag {tag}", t.msg_type()))
+        } else {
+            None
+        };
+        let worker = vtime::kproc("9p-worker", move || {
+            let _cur = root.as_ref().map(|h| h.set_current());
+            let h0 = time::now();
+            let r = shared.run(&t);
+            if let Some(h) = &root {
+                h.span(Facility::NineP, "handle", h0, time::now());
             }
+            shared.finish(tag, &r);
+            if let Some(h) = &root {
+                h.finish();
+            }
+        })
+        // checked: spawn fails only on OS thread exhaustion
+        .expect("spawn 9p worker");
+        workers.push(worker);
+        workers.retain(|w| !w.is_finished());
+    }
+    // Kproc joins are virtual events: each parks on the clock until
+    // the worker signals completion, so no census escape is needed.
+    for w in workers {
+        let _ = w.join();
+    }
+    svc.hangup();
+    Ok(())
+}
+
+/// One connection's 9P server state: the fid table, the operations in
+/// flight and the reply sink.
+///
+/// Feed it each raw T-message with [`NineService::input`] (typically
+/// from a transport readiness callback running on a worker-pool shard)
+/// and it answers before returning, with no thread of its own. The
+/// trade is that the [`ProcFs`] behind it must not block — a `MemFs`
+/// or any data-at-hand filesystem qualifies; a `listen` file does not,
+/// and wants [`serve`].
+pub struct NineService {
+    shared: Arc<ServerShared>,
+}
+
+impl NineService {
+    /// Wraps `fs` for service, replying on `sink`.
+    pub fn new(fs: Arc<dyn ProcFs>, sink: Box<dyn MsgSink>) -> NineService {
+        NineService {
+            shared: Arc::new(ServerShared {
+                fs,
+                fids: Mutex::named(HashMap::new(), "ninep.server.fids"),
+                inflight: Mutex::named(HashMap::new(), "ninep.server.inflight"),
+                sink: Mutex::named(sink, "ninep.server.sink"),
+            }),
+        }
+    }
+
+    /// Processes one raw T-message inline and writes the reply.
+    /// Returns an error on a malformed message, which poisons the
+    /// link: the caller should hang up, as the kernel does.
+    pub fn input(&self, raw: &[u8]) -> Result<()> {
+        if let Some((tag, t)) = self.dispatch(raw)? {
+            let r = self.shared.run(&t);
+            self.shared.finish(tag, &r);
+        }
+        Ok(())
+    }
+
+    /// The one dispatch: answers the cheap control messages itself and
+    /// hands back a file operation, already marked in flight, for the
+    /// caller to run where it sees fit.
+    fn dispatch(&self, raw: &[u8]) -> Result<Option<(Tag, Tmsg)>> {
+        let shared = &self.shared;
+        let Ok((tag, t)) = decode_tmsg(raw) else {
+            // A malformed message poisons the link; hang up, as the
+            // kernel does.
+            cleanup(shared);
+            return Err(NineError::new(errstr::EBADMSG));
         };
         match t {
-            // Cheap control messages are handled inline.
             Tmsg::Nop => shared.reply(tag, &Rmsg::Nop),
             Tmsg::Osession { .. } => shared.reply(
                 tag,
@@ -120,153 +181,30 @@ pub fn serve_with_identity(
             ),
             Tmsg::Session { .. } => {
                 // A session resets the fid space.
-                let old: Vec<FidState> = {
-                    let mut fids = shared.fids.lock();
-                    fids.drain().map(|(_, s)| s).collect()
-                };
-                for s in old {
-                    shared.fs.clunk(&s.node);
-                }
+                cleanup(shared);
                 shared.reply(
                     tag,
                     &Rmsg::Session {
                         chal: [0u8; CHAL_LEN],
-                        authid: shared.identity.authid.clone(),
-                        authdom: shared.identity.authdom.clone(),
+                        authid: "bootes".to_string(),
+                        authdom: "plan9.sim".to_string(),
                     },
                 );
             }
             Tmsg::Flush { old_tag } => {
-                shared.flushed.lock().insert(old_tag);
+                // Only an operation still running can be flushed. Run
+                // inline, none ever is by the time a Tflush is read.
+                if let Some(flushed) = shared.inflight.lock().get_mut(&old_tag) {
+                    *flushed = true;
+                }
                 shared.reply(tag, &Rmsg::Flush);
             }
             other => {
-                // Potentially-blocking file operations get a worker each.
-                // The server opens its own root span per request: the
-                // reply direction (including its IL sends and rexmits)
-                // has no client handle to inherit across the wire, so
-                // it is attributed to this `serve` root instead.
-                let shared = Arc::clone(&shared);
-                let tracer = trace::global();
-                let root = if tracer.enabled() {
-                    tracer.begin(&format!("serve {:?} tag {tag}", other.msg_type()))
-                } else {
-                    None
-                };
-                let worker = plan9_support::vtime::kproc("9p-worker", move || {
-                    let _cur = root.as_ref().map(|h| h.set_current());
-                    let h0 = plan9_support::time::now();
-                    let r = handle(&shared, &other)
-                        .unwrap_or_else(|e| Rmsg::Error { ename: e.0 });
-                    if let Some(h) = &root {
-                        h.span(Facility::NineP, "handle", h0, plan9_support::time::now());
-                    }
-                    shared.reply(tag, &r);
-                    if let Some(h) = &root {
-                        h.finish();
-                    }
-                })
-                // checked: spawn fails only on OS thread exhaustion
-                .expect("spawn 9p worker");
-                workers.push(worker);
-                workers.retain(|w| !w.is_finished());
+                shared.inflight.lock().insert(tag, false);
+                return Ok(Some((tag, other)));
             }
         }
-    }
-    // Kproc joins are virtual events: each parks on the clock until
-    // the worker signals completion, so no census escape is needed.
-    for w in workers {
-        let _ = w.join();
-    }
-    cleanup(&shared);
-    Ok(())
-}
-
-/// An event-driven per-connection 9P server: the connection-scale
-/// variant of [`serve`].
-///
-/// [`serve`] costs a reader thread per connection plus a worker thread
-/// per blocking request — fine for tens of connections, fatal for tens
-/// of thousands. A `NineService` has no threads at all: feed it each
-/// raw T-message as it arrives (typically from a transport readiness
-/// callback running on a worker-pool shard) and it dispatches inline
-/// and writes the R-message to the sink before returning. The trade is
-/// that the [`ProcFs`] behind it must not block — a `MemFs` or any
-/// data-at-hand filesystem qualifies; a `listen` file does not.
-pub struct NineService {
-    shared: Arc<ServerShared>,
-}
-
-impl NineService {
-    /// Wraps `fs` for event-driven service, replying on `sink`.
-    pub fn new(fs: Arc<dyn ProcFs>, sink: Box<dyn MsgSink>) -> NineService {
-        Self::with_identity(fs, sink, ServerIdentity::default())
-    }
-
-    /// Like [`NineService::new`] with an explicit [`ServerIdentity`].
-    pub fn with_identity(
-        fs: Arc<dyn ProcFs>,
-        sink: Box<dyn MsgSink>,
-        identity: ServerIdentity,
-    ) -> NineService {
-        NineService {
-            shared: Arc::new(ServerShared {
-                fs,
-                fids: Mutex::named(HashMap::new(), "ninep.server.fids"),
-                flushed: Mutex::named(HashSet::new(), "ninep.server.flushed"),
-                sink: Mutex::named(sink, "ninep.server.sink"),
-                identity,
-            }),
-        }
-    }
-
-    /// Processes one raw T-message inline and writes the reply.
-    /// Returns an error on a malformed message, which poisons the
-    /// link: the caller should hang up, as the kernel does.
-    pub fn input(&self, raw: &[u8]) -> Result<()> {
-        let shared = &self.shared;
-        let (tag, t) = match decode_tmsg(raw) {
-            Ok(x) => x,
-            Err(_) => {
-                cleanup(shared);
-                return Err(NineError::new(errstr::EBADMSG));
-            }
-        };
-        match t {
-            Tmsg::Nop => shared.reply(tag, &Rmsg::Nop),
-            Tmsg::Osession { .. } => shared.reply(
-                tag,
-                &Rmsg::Error {
-                    ename: errstr::EOBSOLETE.to_string(),
-                },
-            ),
-            Tmsg::Session { .. } => {
-                let old: Vec<FidState> = {
-                    let mut fids = shared.fids.lock();
-                    fids.drain().map(|(_, s)| s).collect()
-                };
-                for s in old {
-                    shared.fs.clunk(&s.node);
-                }
-                shared.reply(
-                    tag,
-                    &Rmsg::Session {
-                        chal: [0u8; CHAL_LEN],
-                        authid: shared.identity.authid.clone(),
-                        authdom: shared.identity.authdom.clone(),
-                    },
-                );
-            }
-            // Nothing runs long enough to flush: requests complete
-            // inline, so by the time a Tflush could arrive its target
-            // has already been answered.
-            Tmsg::Flush { .. } => shared.reply(tag, &Rmsg::Flush),
-            other => {
-                let r = handle(shared, &other).unwrap_or_else(|e| Rmsg::Error { ename: e.0 });
-                shared.reply(tag, &r);
-            }
-        }
-        Ok(())
+        Ok(None)
     }
 
     /// Connection teardown: clunks every live fid.
@@ -275,7 +213,7 @@ impl NineService {
     }
 }
 
-fn cleanup(shared: &Arc<ServerShared>) {
+fn cleanup(shared: &ServerShared) {
     let old: Vec<FidState> = {
         let mut fids = shared.fids.lock();
         fids.drain().map(|(_, s)| s).collect()
@@ -577,6 +515,23 @@ mod tests {
         svc.hangup();
         // Malformed input poisons the link.
         assert!(svc.input(&[0xff, 0xff, 0xff]).is_err());
+    }
+
+    #[test]
+    fn flushing_an_answered_tag_leaves_it_reusable() {
+        let fs = MemFs::new("ram", "bootes");
+        let mut c = start_server(fs);
+        let attach = |fid| Tmsg::Attach {
+            fid,
+            uname: "u".into(),
+            aname: "".into(),
+            ticket: vec![],
+        };
+        assert!(matches!(rpc(&mut c, 1, &attach(0)), Rmsg::Attach { .. }));
+        // Tag 1 has been answered: the flush must not mark it, or the
+        // next request to carry tag 1 would lose its reply.
+        assert!(matches!(rpc(&mut c, 2, &Tmsg::Flush { old_tag: 1 }), Rmsg::Flush));
+        assert!(matches!(rpc(&mut c, 1, &attach(1)), Rmsg::Attach { .. }));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::topology::{Topology, EXPORT_PORT, SERVE_PORT};
 use plan9_core::machine::Machine;
 use plan9_core::namespace::MAFTER;
 use plan9_exportfs::{exportfs_service, import, ExportService};
-use plan9_inet::il::{IlConn, TryRecv};
+use plan9_inet::il::{serve_on_shard, IlIo};
 use plan9_inet::ip::IpStack;
 use plan9_inet::IpAddr;
 use plan9_core::proc::Proc;
@@ -31,12 +31,11 @@ use plan9_netlog::{poolstats, series};
 use plan9_ninep::client::NineClient;
 use plan9_ninep::procfs::{MemFs, OpenMode, ProcFs};
 use plan9_ninep::server::NineService;
-use plan9_ninep::transport::{MsgSink, MsgSource};
 use plan9_support::chan::unbounded;
 use plan9_support::rng::SmallRng;
 use plan9_support::{pool, time, vtime, wheel};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Flash-crowd driver kprocs per event, cityload's storm shape.
@@ -86,51 +85,6 @@ impl Report {
     }
 }
 
-/// An IL conversation as a delimited 9P transport.
-#[derive(Clone)]
-struct IlIo(Arc<IlConn>);
-
-impl MsgSink for IlIo {
-    fn sendmsg(&mut self, msg: &[u8]) -> plan9_ninep::Result<()> {
-        self.0.send(msg)
-    }
-}
-
-impl MsgSource for IlIo {
-    fn recvmsg(&mut self) -> plan9_ninep::Result<Option<Vec<u8>>> {
-        self.0.recv()
-    }
-}
-
-/// Drains everything queued on a pool-serviced conversation into its
-/// 9P service (cityload's readiness shape: the rx hook only enqueues,
-/// this runs on the conversation's shard).
-fn drain(svc: &Weak<NineService>, conn: &Weak<IlConn>) {
-    let (Some(svc), Some(conn)) = (svc.upgrade(), conn.upgrade()) else {
-        return;
-    };
-    loop {
-        match conn.try_recv() {
-            Ok(TryRecv::Msg(m)) => {
-                // blocking-ok: this service wraps a MemFs, whose ProcFs
-                // ops answer from memory; relay-backed services run on
-                // dedicated kprocs, never on pool shards
-                if svc.input(&m).is_err() {
-                    conn.close();
-                    return;
-                }
-            }
-            Ok(TryRecv::Empty) => return,
-            Ok(TryRecv::Eof) | Err(_) => {
-                // blocking-ok: MemFs-backed service, as above — clunks
-                // answer from memory
-                svc.hangup();
-                return;
-            }
-        }
-    }
-}
-
 /// Runs a scenario to completion and reports. Call under
 /// [`vtime::enter`] for the deterministic clock; the engine itself is
 /// clock-agnostic (the runner's smoke mode uses real time).
@@ -175,19 +129,7 @@ fn spawn_city_server(stack: &Arc<IpStack>) -> CityServer {
                 Ok(c) => c,
                 Err(_) => return kept.len(),
             };
-            let svc = Arc::new(NineService::new(
-                Arc::clone(&fs),
-                Box::new(IlIo(Arc::clone(&conn))),
-            ));
-            let wsvc = Arc::downgrade(&svc);
-            let wconn = Arc::downgrade(&conn);
-            let key = conn.conv_id();
-            conn.set_rx_notify(move || {
-                let (wsvc, wconn) = (wsvc.clone(), wconn.clone());
-                let _ = pool::submit(key, move || drain(&wsvc, &wconn));
-            });
-            drain(&Arc::downgrade(&svc), &Arc::downgrade(&conn));
-            kept.push(svc);
+            kept.push(serve_on_shard(&conn, Arc::clone(&fs)));
         }
     })
     .expect("spawn city server");
@@ -663,62 +605,5 @@ fn event_name(ev: &Event) -> String {
             "partition {left:?}|{right:?} heal={heal:?}"
         ),
         Event::KillGateway { city } => format!("kill gateway city={city}"),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::dsl;
-
-    /// A tiny scenario, run twice under the virtual clock: the whole
-    /// determinism contract at unit scale.
-    #[test]
-    fn tiny_scenario_is_clean_and_deterministic() {
-        let sc = dsl::parse(
-            "seed 9\n\
-             topology grid cities=2 hosts=3 ndb-lines=200\n\
-             at 100ms flashcrowd city=1 dials=6 size=64 window=200ms\n\
-             at 400ms flap trunk=0-1 for 50ms\n\
-             netmon 100ms\n\
-             end 800ms\n",
-        )
-        .expect("parse");
-        let guard = vtime::enter();
-        let a = run(&sc);
-        let b = run(&sc);
-        drop(guard);
-        assert!(a.clean(), "run not clean:\n{}", a.text);
-        assert_eq!(a.dials_ok + a.dials_failed, 6);
-        // Both gateways' series made it across the fabric, non-empty,
-        // and identical between the two same-seed runs.
-        assert_eq!(a.series.len(), 2, "{}", a.text);
-        for ((sys, body), (_, body_b)) in a.series.iter().zip(&b.series) {
-            assert!(!body.is_empty(), "empty series for {sys}:\n{}", a.text);
-            assert!(body.starts_with("series interval=100000us"), "{body}");
-            assert_eq!(body, body_b, "series for {sys} diverged");
-        }
-        for (la, lb) in a.text.lines().zip(b.text.lines()) {
-            assert_eq!(la, lb, "first divergent report line");
-        }
-        assert_eq!(a.text, b.text, "same-seed runs must render identically");
-    }
-
-    /// Killing a gateway mid-scenario leaves no leaked conversations.
-    #[test]
-    fn gateway_kill_leaves_no_conversations() {
-        let sc = dsl::parse(
-            "seed 5\n\
-             topology grid cities=2 hosts=1 ndb-lines=150\n\
-             at 600ms kill gateway city=1\n\
-             end 1200ms\n",
-        )
-        .expect("parse");
-        let guard = vtime::enter();
-        let r = run(&sc);
-        drop(guard);
-        assert_eq!(r.residual_conns, 0, "leaked conversations:\n{}", r.text);
-        assert_eq!(r.conservation_violations, 0, "{}", r.text);
-        assert!(r.text.contains("kill gateway city=1"), "{}", r.text);
     }
 }

@@ -62,26 +62,6 @@ impl ModuleCtx {
     pub fn is_closed(&self) -> bool {
         self.inner.is_closed()
     }
-
-    /// Spawns a helper kernel process for asynchronous events (timers,
-    /// device interrupts). The helper runs until its closure returns; it
-    /// should watch [`ModuleCtx::is_closed`] or block on queues that are
-    /// closed when the stream dies.
-    ///
-    /// A failed spawn is the caller's problem: a module push that
-    /// silently loses its helper leaves the stream wedged with no
-    /// diagnostic, so the error must propagate to the pusher.
-    pub fn spawn_helper<F>(&self, name: &str, f: F) -> Result<()>
-    where
-        F: FnOnce(ModuleCtx) + Send + 'static,
-    {
-        let ctx = self.clone();
-        plan9_support::vtime::kproc(&format!("helper-{name}"), move || f(ctx))
-            .map(|_| ())
-            .map_err(|e| {
-                plan9_ninep::NineError::new(format!("spawn helper-{name}: {e}"))
-            })
-    }
 }
 
 /// Direction of travel for a block.

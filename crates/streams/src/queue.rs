@@ -14,7 +14,6 @@ use plan9_netlog::Counter;
 use plan9_support::copysite::Site;
 use plan9_support::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Bytes entering stream queues. Not a memcpy itself, but every block
@@ -26,21 +25,11 @@ static QPUT_SITE: Site = Site::new("streams.qput");
 /// stream queues.
 pub const DEFAULT_LIMIT: usize = 128 * 1024;
 
-/// A writable-readiness service: instead of parking a thread in
-/// [`Queue::put`], a producer registers a closure that the queue
-/// enqueues on the worker-pool shard for its conversation key whenever
-/// a dequeue crosses the queue back below its limit.
-struct WritableService {
-    key: u64,
-    f: Arc<dyn Fn() + Send + Sync>,
-}
-
 struct QueueInner {
     blocks: VecDeque<Block>,
     bytes: usize,
     closed: bool,
     hungup: bool,
-    service: Option<WritableService>,
 }
 
 /// A bounded, blocking FIFO of blocks.
@@ -72,7 +61,6 @@ impl Queue {
                 bytes: 0,
                 closed: false,
                 hungup: false,
-                service: None,
             }, "streams.queue"),
             readable: Condvar::new(),
             writable: Condvar::new(),
@@ -138,66 +126,15 @@ impl Queue {
         Ok(())
     }
 
-    /// Non-blocking [`Queue::put`]: `Ok(None)` means queued,
-    /// `Ok(Some(b))` hands the block back because flow control would
-    /// have parked the caller. Pair with
-    /// [`Queue::set_writable_service`] to be called back (on the
-    /// worker pool, not a dedicated thread) when the queue drains
-    /// below its limit.
-    pub fn try_put(&self, mut b: Block) -> crate::Result<Option<Block>> {
-        let mut inner = self.inner.lock();
-        if inner.closed {
-            return Err(plan9_ninep::NineError::new(plan9_ninep::errstr::EHUNGUP));
-        }
-        if b.kind == BlockKind::Data && inner.bytes >= self.limit {
-            return Ok(Some(b));
-        }
-        if let Some(t) = b.trace.as_mut() {
-            t.note_enqueued();
-        }
-        if b.kind == BlockKind::Hangup {
-            inner.hungup = true;
-        }
-        self.puts.inc();
-        QPUT_SITE.record(b.len());
-        inner.bytes += b.len();
-        inner.blocks.push_back(b);
-        self.readable.notify_all();
-        Ok(None)
-    }
-
-    /// Registers the queue's writable-readiness service: whenever a
-    /// dequeue crosses the buffered bytes back below the limit (and on
-    /// close), `f` is enqueued on the worker-pool shard for `key` —
-    /// the conversation id, so one conversation's service jobs
-    /// serialize. The closure should [`Queue::try_put`] until it gets
-    /// the block back, then wait for the next callback.
-    pub fn set_writable_service(&self, key: u64, f: impl Fn() + Send + Sync + 'static) {
-        self.inner.lock().service = Some(WritableService { key, f: Arc::new(f) });
-    }
-
-    /// Unregisters the writable-readiness service.
-    pub fn clear_writable_service(&self) {
-        self.inner.lock().service = None;
-    }
-
     /// Writer wake-up policy, shared by every dequeue path: only a
     /// dequeue that crosses the buffered byte count from at-or-over
     /// the limit to under it can admit a flow-controlled putter, so
     /// only that crossing notifies — and it notifies *one* writer
-    /// (admission chains through `put`), not all of them. Returns the
-    /// readiness service for the caller to fire after the queue lock
-    /// is released (the service may re-enter the queue).
-    fn admit_writers(
-        &self,
-        inner: &QueueInner,
-        was: usize,
-    ) -> Option<(u64, Arc<dyn Fn() + Send + Sync>)> {
-        if was < self.limit || inner.bytes >= self.limit {
-            return None;
+    /// (admission chains through `put`), not all of them.
+    fn admit_writers(&self, inner: &QueueInner, was: usize) {
+        if was >= self.limit && inner.bytes < self.limit {
+            self.writable.notify_one();
         }
-        self.writable.notify_one();
-        inner.service.as_ref().map(|s| (s.key, Arc::clone(&s.f)))
     }
 
     /// Puts a block back at the *front* of the queue (a partially
@@ -219,13 +156,9 @@ impl Queue {
             if let Some(mut b) = inner.blocks.pop_front() {
                 let was = inner.bytes;
                 inner.bytes -= b.len();
-                let svc = self.admit_writers(&inner, was);
+                self.admit_writers(&inner, was);
                 if let Some(t) = b.trace.as_mut() {
                     t.note_dequeued();
-                }
-                drop(inner);
-                if let Some((key, f)) = svc {
-                    plan9_support::pool::submit_or_run(key, move || f());
                 }
                 return Some(b);
             }
@@ -246,13 +179,9 @@ impl Queue {
             if let Some(mut b) = inner.blocks.pop_front() {
                 let was = inner.bytes;
                 inner.bytes -= b.len();
-                let svc = self.admit_writers(&inner, was);
+                self.admit_writers(&inner, was);
                 if let Some(t) = b.trace.as_mut() {
                     t.note_dequeued();
-                }
-                drop(inner);
-                if let Some((key, f)) = svc {
-                    plan9_support::pool::submit_or_run(key, move || f());
                 }
                 return Ok(Some(b));
             }
@@ -275,13 +204,9 @@ impl Queue {
         let mut b = inner.blocks.pop_front()?;
         let was = inner.bytes;
         inner.bytes -= b.len();
-        let svc = self.admit_writers(&inner, was);
+        self.admit_writers(&inner, was);
         if let Some(t) = b.trace.as_mut() {
             t.note_dequeued();
-        }
-        drop(inner);
-        if let Some((key, f)) = svc {
-            plan9_support::pool::submit_or_run(key, move || f());
         }
         Some(b)
     }
@@ -293,13 +218,6 @@ impl Queue {
         inner.closed = true;
         self.readable.notify_all();
         self.writable.notify_all();
-        // A readiness-serviced producer has no parked thread to wake;
-        // call it back one last time so it observes the close.
-        let svc = inner.service.as_ref().map(|s| (s.key, Arc::clone(&s.f)));
-        drop(inner);
-        if let Some((key, f)) = svc {
-            plan9_support::pool::submit_or_run(key, move || f());
-        }
     }
 
     /// Marks the queue hung up (reads drain then see end-of-file) while
@@ -325,11 +243,6 @@ impl Queue {
     /// Bytes currently buffered.
     pub fn buffered_bytes(&self) -> usize {
         self.inner.lock().bytes
-    }
-
-    /// Number of blocks currently buffered.
-    pub fn buffered_blocks(&self) -> usize {
-        self.inner.lock().blocks.len()
     }
 }
 
@@ -484,37 +397,6 @@ mod tests {
             "wakes ({}) must not exceed admissions ({PUTTERS})",
             q.writer_wake_count()
         );
-    }
-
-    #[test]
-    fn writable_service_fires_on_crossing_not_every_dequeue() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let q = Arc::new(Queue::new(10));
-        let fired = Arc::new(AtomicUsize::new(0));
-        let f2 = Arc::clone(&fired);
-        q.set_writable_service(3, move || {
-            f2.fetch_add(1, Ordering::SeqCst);
-        });
-        // Two small blocks under the limit, then one that tops it off.
-        q.put(Block::data(vec![0; 4])).unwrap();
-        q.put(Block::data(vec![0; 4])).unwrap();
-        q.put(Block::data(vec![0; 4])).unwrap();
-        // try_put at the limit hands the block back.
-        let back = q.try_put(Block::data(vec![9; 2])).unwrap();
-        assert_eq!(back.map(|b| b.data), Some(vec![9; 2]));
-        // First dequeue crosses 12 → 8: service fires once. The next
-        // two dequeues stay under the limit: no further callbacks.
-        q.get().unwrap();
-        while fired.load(Ordering::SeqCst) < 1 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        q.get().unwrap();
-        q.get().unwrap();
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "only the crossing fires");
-        // Once writable again, try_put queues.
-        assert!(q.try_put(Block::data(vec![7; 2])).unwrap().is_none());
-        assert_eq!(q.get().unwrap().data, vec![7; 2]);
     }
 
     #[test]

@@ -382,12 +382,6 @@ impl Stream {
         }
     }
 
-    /// Reads exactly one delimited message (up to `max` bytes), the way
-    /// protocol code consumes datagram streams.
-    pub fn read_message(&self, max: usize) -> Result<Vec<u8>> {
-        self.read(max)
-    }
-
     /// Whether the stream has seen a hangup.
     pub fn is_hungup(&self) -> bool {
         self.inner.read_q.is_hungup() || self.inner.is_closed()

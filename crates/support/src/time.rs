@@ -92,6 +92,16 @@ mod tests {
         assert!(now.abs_diff(direct) <= 1);
     }
 
+    /// This binary never installs a virtual clock, so `now`/`sleep`
+    /// are the real ones.
+    #[test]
+    fn real_mode_sleep_takes_real_time() {
+        assert!(!crate::vtime::is_virtual());
+        let t0 = now();
+        sleep(Duration::from_millis(5));
+        assert!(now() - t0 >= Duration::from_millis(5));
+    }
+
     #[test]
     fn subsec_nanos_in_range() {
         assert!(unix_subsec_nanos() < 1_000_000_000);

@@ -96,6 +96,12 @@ fn retire_services() {
 /// clone.
 static CLOCK: StdMutex<Option<Arc<VirtualClock>>> = StdMutex::new(None);
 
+/// Serializes virtual runs: true from [`enter`] until the end of the
+/// [`VtGuard`]'s drop. Waited on in real time — a second `enter` (two
+/// tests of one binary, say) queues here instead of trampling the
+/// installed clock.
+static BUSY: (StdMutex<bool>, StdCondvar) = (StdMutex::new(false), StdCondvar::new());
+
 fn plock<T>(m: &StdMutex<T>) -> StdMutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -690,24 +696,30 @@ impl VtGuard {
 }
 
 /// Installs a fresh virtual clock process-wide and registers the
-/// calling thread with its census (holding the CPU grant). Panics if
-/// one is already installed: virtual runs are process-global and must
-/// not overlap (keep them in dedicated test binaries, serialized).
+/// calling thread with its census (holding the CPU grant). Virtual
+/// runs are process-global and must not overlap: while another
+/// thread's clock is installed this waits, in real time, for its guard
+/// to drop. Panics when called from inside a virtual run, which would
+/// wait for itself.
 pub fn enter() -> VtGuard {
+    assert!(
+        REG.with(|r| r.borrow().is_none()),
+        "vtime: enter() from a thread already inside a virtual run"
+    );
+    {
+        let mut busy = plock(&BUSY.0);
+        while *busy {
+            busy = BUSY.1.wait(busy).unwrap_or_else(PoisonError::into_inner);
+        }
+        *busy = true;
+    }
     // Retire real-mode pool/wheel service threads first: they were
     // spawned outside any census and would keep draining work (as
     // invisible aliens) once the clock is live. Fresh workers respawn
     // lazily inside the census on the next submit/schedule.
     retire_services();
     let clock = Arc::new(VirtualClock::new());
-    {
-        let mut cur = plock(&CLOCK);
-        assert!(
-            cur.is_none(),
-            "vtime: a virtual clock is already installed"
-        );
-        *cur = Some(Arc::clone(&clock));
-    }
+    *plock(&CLOCK) = Some(Arc::clone(&clock));
     ACTIVE.store(true, Ordering::Release);
     {
         let mut st = plock(&clock.state);
@@ -768,6 +780,8 @@ impl Drop for VtGuard {
         // loops exit, and the joins below run in real time (the clock
         // is already uninstalled).
         retire_services();
+        *plock(&BUSY.0) = false;
+        BUSY.1.notify_one();
     }
 }
 

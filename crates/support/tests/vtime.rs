@@ -1,23 +1,16 @@
 //! Integration tests for the discrete-event virtual clock.
 //!
-//! The clock is process-global, so these live in their own test binary
-//! and serialize on `serial()`: two tests installing clocks
-//! concurrently would trample each other.
+//! The clock is process-global: `vtime::enter` serializes the tests,
+//! and nothing here may assume the real clock outside a guard.
 
-use std::sync::{Arc, Mutex as StdMutex, MutexGuard as StdMutexGuard, PoisonError};
+use std::sync::{Arc, Mutex as StdMutex};
 use std::time::Duration;
 
 use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::{chan, time, vtime};
 
-fn serial() -> StdMutexGuard<'static, ()> {
-    static GATE: StdMutex<()> = StdMutex::new(());
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 #[test]
 fn sleep_advances_virtual_time_instantly() {
-    let _g = serial();
     let wall = time::real_now();
     let vt = vtime::enter();
     time::sleep(Duration::from_secs(3600));
@@ -30,7 +23,6 @@ fn sleep_advances_virtual_time_instantly() {
 
 #[test]
 fn sleepers_wake_in_deadline_order() {
-    let _g = serial();
     let vt = vtime::enter();
     let order = Arc::new(StdMutex::new(Vec::new()));
     let mut handles = Vec::new();
@@ -56,7 +48,6 @@ fn sleepers_wake_in_deadline_order() {
 
 #[test]
 fn equal_deadlines_break_ties_by_registration_order() {
-    let _g = serial();
     let vt = vtime::enter();
     let order = Arc::new(StdMutex::new(Vec::new()));
     // Spawned back to back: the scheduler admits kprocs in spawn
@@ -81,7 +72,6 @@ fn equal_deadlines_break_ties_by_registration_order() {
 
 #[test]
 fn condvar_timed_wait_becomes_virtual_timer() {
-    let _g = serial();
     let vt = vtime::enter();
     let m = Mutex::new(false);
     let cv = Condvar::new();
@@ -96,7 +86,6 @@ fn condvar_timed_wait_becomes_virtual_timer() {
 
 #[test]
 fn condvar_past_deadline_returns_immediately() {
-    let _g = serial();
     let vt = vtime::enter();
     let m = Mutex::new(());
     let cv = Condvar::new();
@@ -110,7 +99,6 @@ fn condvar_past_deadline_returns_immediately() {
 
 #[test]
 fn notify_beats_timer_and_leaves_time_still() {
-    let _g = serial();
     let vt = vtime::enter();
     let pair = Arc::new((Mutex::new(false), Condvar::new()));
     let (started_tx, started_rx) = chan::unbounded::<u8>();
@@ -151,7 +139,6 @@ fn notify_beats_timer_and_leaves_time_still() {
 
 #[test]
 fn chan_recv_timeout_rides_the_virtual_clock() {
-    let _g = serial();
     let vt = vtime::enter();
     let (tx, rx) = chan::unbounded::<u8>();
     let before = time::now();
@@ -171,7 +158,6 @@ fn chan_recv_timeout_rides_the_virtual_clock() {
 
 #[test]
 fn ticker_and_worker_interleave_deterministically() {
-    let _g = serial();
     let vt = vtime::enter();
     // A 5ms ticker (like IL's timer thread) and a 12ms sleeper: the
     // clock must interleave their wakeups in deadline order.
@@ -202,7 +188,6 @@ fn ticker_and_worker_interleave_deterministically() {
 
 #[test]
 fn census_counts_registered_threads() {
-    let _g = serial();
     let vt = vtime::enter();
     let (registered, parked) = vt.clock().census();
     assert_eq!((registered, parked), (1, 0)); // just the installer
@@ -226,7 +211,6 @@ fn census_counts_registered_threads() {
 
 #[test]
 fn teardown_wakes_stranded_waiters() {
-    let _g = serial();
     let vt = vtime::enter();
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     // An *unregistered* thread (plain spawn) waits on a virtual timer;
@@ -243,13 +227,4 @@ fn teardown_wakes_stranded_waiters() {
         .expect("waiter stranded after clock teardown");
     assert!(matches!(r, Err(chan::RecvTimeoutError::Timeout)));
     h.join().unwrap();
-}
-
-#[test]
-fn real_mode_untouched_by_module_presence() {
-    let _g = serial();
-    assert!(!vtime::is_virtual());
-    let t0 = time::now();
-    time::sleep(Duration::from_millis(5));
-    assert!(time::now() - t0 >= Duration::from_millis(5));
 }

@@ -153,3 +153,36 @@ fn import_missing_tree_reports_error() {
     .unwrap_err();
     assert!(err.0.contains("NO"), "{err}");
 }
+
+/// A TCP call `exportfs_listener` served must leave no conversation
+/// behind on either machine once the importer unmounts: the listener
+/// closes the call's ctl file, so nothing pins the serving end in
+/// Close_wait.
+#[test]
+fn tcp_import_leaves_no_conversation_after_unmount() {
+    let (helix, musca, _gnot) = world();
+    let tcp_convs = |m: &Arc<Machine>| m.ip.as_ref().unwrap().tcp_module().conn_count();
+    let before = (tcp_convs(&helix), tcp_convs(&musca));
+    exportfs_listener(helix.proc(), "tcp!*!exportfs", usize::MAX).unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let p = musca.proc();
+    import(
+        &p,
+        "tcp!helix!exportfs",
+        "/lib/ndb",
+        "/n/helixndb",
+        plan9::core::namespace::MREPL,
+    )
+    .expect("import over tcp");
+    assert!(!p.ls("/n/helixndb").unwrap().is_empty());
+    assert!(tcp_convs(&helix) > before.0 && tcp_convs(&musca) > before.1);
+    p.ns.unmount("/n/helixndb").expect("unmount");
+    // `import` leaves the data file open in the importing process; the
+    // conversation ends with it.
+    drop(p);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while (tcp_convs(&helix), tcp_convs(&musca)) != before && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert_eq!((tcp_convs(&helix), tcp_convs(&musca)), before);
+}

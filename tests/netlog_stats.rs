@@ -58,9 +58,30 @@ plan9_support::props! {
             p.write(conn.data_fd, m).expect("write");
         }
         server.join().unwrap();
+        // An ack timer may be inside the medium right now, `sent`
+        // bumped and `delivered` not yet. Hang up, wait for both ends
+        // to forget the conversation (its timers go with it), and read
+        // the counters once two reads agree.
+        p.close(conn.data_fd);
+        p.close(conn.ctl_fd);
+        let convs = || [&a, &b].map(|m| m.ip.as_ref().unwrap().il_module().conn_count());
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(15);
+        while convs() != [0, 0] && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        assert_eq!(convs(), [0, 0], "conversation outlived its hangup");
         let stats = seg.medium().stats();
-        let (sent, delivered) = (stats.sent.get(), stats.delivered.get());
-        let (dropped, duplicated) = (stats.dropped.get(), stats.duplicated.get());
+        let read = || [&stats.sent, &stats.delivered, &stats.dropped, &stats.duplicated].map(|c| c.get());
+        let mut settled = read();
+        loop {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            let again = read();
+            if again == settled {
+                break;
+            }
+            settled = again;
+        }
+        let [sent, delivered, dropped, duplicated] = settled;
         assert!(sent > 0, "no traffic reached the wire");
         assert_eq!(
             delivered,

@@ -8,14 +8,13 @@ use plan9::core::machine::{Machine, MachineBuilder};
 use plan9::core::namespace::MREPL;
 use plan9::exportfs::exportfs::exportfs_listener;
 use plan9::exportfs::import::import;
-use plan9::inet::il::IlConn;
+use plan9::inet::il::IlIo;
 use plan9::inet::ip::{IpConfig, IpStack};
 use plan9::netlog::trace::{self, RootSpan, Tracer};
 use plan9::netsim::ether::EtherSegment;
 use plan9::netsim::profile::Profiles;
 use plan9::ninep::client::NineClient;
 use plan9::ninep::procfs::{MemFs, OpenMode, ProcFs};
-use plan9::ninep::transport::{MsgSink, MsgSource};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -32,29 +31,13 @@ fn reset(tracer: &Arc<Tracer>) {
     tracer.ctl("filter").unwrap();
 }
 
-/// An IL conversation as a delimited 9P transport.
-#[derive(Clone)]
-struct IlIo(Arc<IlConn>);
-
-impl MsgSink for IlIo {
-    fn sendmsg(&mut self, msg: &[u8]) -> plan9::ninep::Result<()> {
-        self.0.send(msg)
-    }
-}
-
-impl MsgSource for IlIo {
-    fn recvmsg(&mut self) -> plan9::ninep::Result<Option<Vec<u8>>> {
-        self.0.recv()
-    }
-}
-
 fn lossy_stacks(salt: u8) -> (Arc<IpStack>, Arc<IpStack>) {
     let seg = EtherSegment::new(Profiles::ether_fast().with_loss(0.06).with_dup(0.03));
-    let a = IpStack::new(
+    let a = IpStack::new_pooled(
         seg.attach([8, 0, 0, 0xd, salt, 1]),
         IpConfig::local(&format!("10.{}.0.1", 200u16.saturating_add(salt as u16).min(254))),
     );
-    let b = IpStack::new(
+    let b = IpStack::new_pooled(
         seg.attach([8, 0, 0, 0xd, salt, 2]),
         IpConfig::local(&format!("10.{}.0.2", 200u16.saturating_add(salt as u16).min(254))),
     );

@@ -4,33 +4,16 @@
 //! the nanosecond. This is the property that makes a failure seed a
 //! bug report: whatever happened, it happens again.
 
-use plan9_inet::il::IlConn;
+use plan9_inet::il::IlIo;
 use plan9_inet::ip::{IpConfig, IpStack};
 use plan9_netlog::trace;
 use plan9_netsim::ether::EtherSegment;
 use plan9_netsim::profile::Profiles;
 use plan9_ninep::client::NineClient;
 use plan9_ninep::procfs::{MemFs, OpenMode, ProcFs};
-use plan9_ninep::transport::{MsgSink, MsgSource};
 use plan9_support::vtime;
 use std::fmt::Write as _;
 use std::sync::Arc;
-
-/// An IL conversation as a delimited 9P transport.
-#[derive(Clone)]
-struct IlIo(Arc<IlConn>);
-
-impl MsgSink for IlIo {
-    fn sendmsg(&mut self, msg: &[u8]) -> plan9_ninep::Result<()> {
-        self.0.send(msg)
-    }
-}
-
-impl MsgSource for IlIo {
-    fn recvmsg(&mut self) -> plan9_ninep::Result<Option<Vec<u8>>> {
-        self.0.recv()
-    }
-}
 
 const RPCS: usize = 200;
 const LOSS: f64 = 0.10;
@@ -40,8 +23,8 @@ const LOSS: f64 = 0.10;
 /// sees every actor. Returns the IL stats render.
 fn scenario(seed: u64) -> String {
     let seg = EtherSegment::new(Profiles::ether_fast().with_loss(LOSS).with_seed(seed));
-    let a = IpStack::new(seg.attach([8, 0, 0, 0xd, 0, 1]), IpConfig::local("10.50.0.1"));
-    let b = IpStack::new(seg.attach([8, 0, 0, 0xd, 0, 2]), IpConfig::local("10.50.0.2"));
+    let a = IpStack::new_pooled(seg.attach([8, 0, 0, 0xd, 0, 1]), IpConfig::local("10.50.0.1"));
+    let b = IpStack::new_pooled(seg.attach([8, 0, 0, 0xd, 0, 2]), IpConfig::local("10.50.0.2"));
     let listener = b.il_module().listen(&b, 17012).expect("listen");
     let server = vtime::kproc("det-server", move || {
         let conn = listener.accept().expect("accept");
