@@ -217,8 +217,8 @@ mod tests {
     use plan9_ninep::transport::MsgPipeEnd;
 
     /// A cloneable wrapper over split pipe halves. The halves get
-    /// independent locks: the demux thread blocks in `recvmsg` while
-    /// senders use `sendmsg` concurrently.
+    /// independent locks: whichever caller is reading for the client
+    /// blocks in `recvmsg` while the others use `sendmsg`.
     #[derive(Clone)]
     struct SharedPipe {
         tx: std::sync::Arc<plan9_support::sync::Mutex<plan9_ninep::transport::MsgPipeSink>>,

@@ -42,10 +42,11 @@ pub fn cpu_listener(
         let _keep = afd;
         for _ in 0..max_sessions {
             let Ok((lcfd, ldir)) = listen(&p, &adir) else { return };
-            let Ok(dfd) = accept(&p, lcfd, &ldir) else {
-                p.close(lcfd);
-                continue;
-            };
+            let accepted = accept(&p, lcfd, &ldir);
+            // As in `exportfs_listener`: a call's ctl file held past
+            // the accept keeps its conversation after both ends hang up.
+            p.close(lcfd);
+            let Ok(dfd) = accepted else { continue };
             let (worker, wdfd) = p.fork_with_fd(dfd);
             let job = Arc::clone(&job);
             plan9_support::vtime::kproc("cpu-session", move || {
@@ -82,7 +83,9 @@ pub fn cpu(p: &Proc, dest: &str, served_base: &str) -> Result<()> {
     let conn = dial(p, dest)?;
     let framed = conn.dir.contains("/tcp/");
     p.write(conn.data_fd, served_base.as_bytes())?;
-    let reply = p.read(conn.data_fd, 256)?;
+    // No more than the two bytes: TCP keeps no delimiters, and the
+    // server's first 9P message may already be queued behind them.
+    let reply = p.read(conn.data_fd, 2)?;
     if reply != b"OK" {
         p.close(conn.data_fd);
         p.close(conn.ctl_fd);

@@ -541,7 +541,11 @@ pub(crate) mod tests {
     }
 
     pub(crate) fn two_hosts() -> (Arc<IpStack>, Arc<IpStack>) {
-        let seg = EtherSegment::new(Profiles::ether_fast());
+        two_hosts_on(&EtherSegment::new(Profiles::ether_fast()))
+    }
+
+    /// Two hosts on `seg`, for a test that means to cut the wire.
+    pub(crate) fn two_hosts_on(seg: &Arc<EtherSegment>) -> (Arc<IpStack>, Arc<IpStack>) {
         let a = IpStack::new_pooled(seg.attach(mac(1)), IpConfig::local("10.0.0.1"));
         let b = IpStack::new_pooled(seg.attach(mac(2)), IpConfig::local("10.0.0.2"));
         (a, b)

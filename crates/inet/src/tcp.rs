@@ -1299,7 +1299,9 @@ impl TcpConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ip::tests::two_hosts;
+    use crate::ip::tests::{two_hosts, two_hosts_on};
+    use plan9_netsim::ether::EtherSegment;
+    use plan9_netsim::profile::Profiles;
 
     #[test]
     fn segment_codec_round_trip() {
@@ -1491,11 +1493,14 @@ mod tests {
 
     #[test]
     fn triple_dup_ack_triggers_fast_retransmit() {
-        let (a, b) = two_hosts();
+        let seg = EtherSegment::new(Profiles::ether_fast());
+        let (a, b) = two_hosts_on(&seg);
         let listener = b.tcp_module().listen(&b, 7011).unwrap();
         let conn = a.tcp_module().connect(&a, b.addr(), 7011).unwrap();
         let _srv = listener.accept().unwrap();
-        // Put unacked data in flight.
+        // Put unacked data in flight, on a cut wire: the peer's own ack
+        // must not come in among the forged ones and move `snd_una`.
+        seg.medium().set_up(false);
         conn.write(b"0123456789").unwrap();
         let (una, rcv) = {
             let inner = conn.inner.lock();
@@ -1521,6 +1526,7 @@ mod tests {
         let inner = conn.inner.lock();
         assert!(inner.cwnd <= inner.ssthresh + 3 * inner.mss as u32 + 1);
         drop(inner);
+        seg.medium().set_up(true);
         conn.close();
     }
 

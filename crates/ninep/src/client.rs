@@ -2,9 +2,11 @@
 //!
 //! Many processes share one connection to a file server; the mount driver
 //! "demultiplexes among processes using the file server" (§2.1). The
-//! client assigns each outstanding request a distinct tag, a demux thread
-//! routes replies back by tag, and any number of threads may issue RPCs
-//! concurrently.
+//! client assigns each outstanding request a distinct tag and a reply
+//! slot, and any number of threads may issue RPCs concurrently. There
+//! is no service thread between a caller and its reply: one of the
+//! waiting callers reads the transport, for itself and for the others,
+//! and the rest sleep until it fills their slots.
 
 use crate::codec::{decode_rmsg, encode_tmsg};
 use crate::fcall::{Fid, Rmsg, Tag, Tmsg, CHAL_LEN, MAX_FDATA, NOTAG};
@@ -14,15 +16,38 @@ use crate::transport::{MsgSink, MsgSource};
 use crate::{errstr, Dir, NineError, Result};
 use plan9_netlog::trace;
 use plan9_netlog::{Counter, Facility, Histogram};
-use plan9_support::chan::{bounded, Sender};
-use plan9_support::sync::Mutex;
-use plan9_support::{time, vtime};
+use plan9_support::sync::{Condvar, Mutex};
+use plan9_support::time;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
 use std::sync::Arc;
 
+/// An outstanding request's place for its reply.
+struct Slot {
+    reply: Option<Rmsg>,
+    /// For a Tflush, the tag it aborts.
+    flushes: Option<Tag>,
+}
+
+fn failed(ename: &str) -> Rmsg {
+    Rmsg::Error {
+        ename: ename.to_string(),
+    }
+}
+
+#[derive(Default)]
+struct Pending {
+    slots: HashMap<Tag, Slot>,
+    /// One of the waiting callers is in `recvmsg`, reading for all.
+    reading: bool,
+}
+
 struct ClientShared {
-    pending: Mutex<HashMap<Tag, Sender<Rmsg>>>,
+    pending: Mutex<Pending>,
+    /// Signalled when a slot is filled or the reading role falls free.
+    arrived: Condvar,
+    /// Locked only by the caller that holds the reading role.
+    source: Mutex<Box<dyn MsgSource>>,
     sink: Mutex<Box<dyn MsgSink>>,
     next_tag: AtomicU16,
     next_fid: AtomicU16,
@@ -43,46 +68,21 @@ pub struct NineClient {
 }
 
 impl NineClient {
-    /// Creates a client over the given transport halves and starts the
-    /// reply-demultiplexing thread.
-    pub fn new(sink: Box<dyn MsgSink>, mut source: Box<dyn MsgSource>) -> NineClient {
-        let shared = Arc::new(ClientShared {
-            pending: Mutex::named(HashMap::new(), "ninep.client.pending"),
-            sink: Mutex::named(sink, "ninep.client.sink"),
-            next_tag: AtomicU16::new(0),
-            next_fid: AtomicU16::new(0),
-            hungup: AtomicBool::new(false),
-            rpcs: Counter::new("9p.rpc"),
-            rpc_time: Histogram::new("9p.rpctime"),
-        });
-        let demux = Arc::clone(&shared);
-        vtime::kproc("9p-demux", move || loop {
-            match source.recvmsg() {
-                Ok(Some(raw)) => {
-                    if let Ok((tag, r)) = decode_rmsg(&raw) {
-                        if let Some(tx) = demux.pending.lock().remove(&tag) {
-                            let _ = tx.send(r);
-                        }
-                        // Replies to flushed/unknown tags are dropped.
-                    }
-                }
-                Ok(None) | Err(_) => {
-                    demux.hungup.store(true, Ordering::SeqCst);
-                    // Fail every outstanding request.
-                    let pending: Vec<Sender<Rmsg>> =
-                        demux.pending.lock().drain().map(|(_, tx)| tx).collect();
-                    for tx in pending {
-                        let _ = tx.send(Rmsg::Error {
-                            ename: errstr::EHUNGUP.to_string(),
-                        });
-                    }
-                    return;
-                }
-            }
-        })
-        // checked: spawn fails only on OS thread exhaustion at mount time
-        .expect("spawn 9p demux");
-        NineClient { shared }
+    /// Creates a client over the given transport halves.
+    pub fn new(sink: Box<dyn MsgSink>, source: Box<dyn MsgSource>) -> NineClient {
+        NineClient {
+            shared: Arc::new(ClientShared {
+                pending: Mutex::named(Pending::default(), "ninep.client.pending"),
+                arrived: Condvar::new(),
+                source: Mutex::named(source, "ninep.client.source"),
+                sink: Mutex::named(sink, "ninep.client.sink"),
+                next_tag: AtomicU16::new(0),
+                next_fid: AtomicU16::new(0),
+                hungup: AtomicBool::new(false),
+                rpcs: Counter::new("9p.rpc"),
+                rpc_time: Histogram::new("9p.rpctime"),
+            }),
+        }
     }
 
     /// Reports whether the connection has hung up.
@@ -138,12 +138,16 @@ impl NineClient {
         } else {
             None
         };
-        let _cur = root.as_ref().map(|h| h.set_current());
         // The three child spans share their boundary timestamps so they
         // tile the root: nothing the RPC waits on falls in a gap.
         let m0 = time::now();
-        let (tx, rx) = bounded(1);
-        self.shared.pending.lock().insert(tag, tx);
+        let _cur = root.as_ref().map(|h| h.set_current());
+        let flushes = match t {
+            Tmsg::Flush { old_tag } => Some(*old_tag),
+            _ => None,
+        };
+        let slot = Slot { reply: None, flushes };
+        self.shared.pending.lock().slots.insert(tag, slot);
         let buf = encode_tmsg(tag, t);
         let started = time::now();
         if let Some(h) = &root {
@@ -154,7 +158,10 @@ impl NineClient {
         // the pending cleanup below must not run with sink held.
         let sent = self.shared.sink.lock().sendmsg(&buf);
         if let Err(e) = sent {
-            self.shared.pending.lock().remove(&tag);
+            // `remove_entry` here and below: checkflow takes a `.remove(`
+            // in this file for `NineClient::remove`, an RPC, and would
+            // report sink and source as locked under `pending`.
+            self.shared.pending.lock().slots.remove_entry(&tag);
             if let Some(h) = &root {
                 h.finish();
             }
@@ -164,13 +171,12 @@ impl NineClient {
         if let Some(h) = &root {
             h.span(Facility::NineP, "txwait", started, r0);
         }
-        let r = rx.recv();
+        let r = self.await_reply(tag);
         if let Some(h) = &root {
             let t_end = time::now();
             h.span(Facility::NineP, "reply", r0, t_end);
             h.finish_at(t_end);
         }
-        let r = r.map_err(|_| NineError::new(errstr::EHUNGUP))?;
         self.shared.rpcs.inc();
         self.shared.rpc_time.record(time::now().saturating_duration_since(started));
         match r {
@@ -180,38 +186,63 @@ impl NineClient {
         }
     }
 
-    /// Aborts the outstanding request with `old_tag`: sends `Tflush`,
-    /// and once the server acknowledges, fails the aborted caller with
-    /// [`errstr::EFLUSHED`] — the flushed request will never be answered
-    /// (§ Tflush semantics).
-    pub fn flush(&self, old_tag: Tag) -> Result<()> {
-        self.rpc(&Tmsg::Flush { old_tag })?;
-        if let Some(tx) = self.shared.pending.lock().remove(&old_tag) {
-            let _ = tx.send(Rmsg::Error {
-                ename: errstr::EFLUSHED.to_string(),
-            });
+    /// Waits for the reply to `tag`, whose slot is registered and whose
+    /// T-message is sent. The first caller to find nobody reading takes
+    /// the transport and fills slots, other callers' as well as its
+    /// own, until its own is full; the role then falls to whichever
+    /// parked caller wakes first. A hangup is whatever the reader sees,
+    /// and fails every slot.
+    fn await_reply(&self, tag: Tag) -> Rmsg {
+        let sh = &*self.shared;
+        let mut p = sh.pending.lock();
+        loop {
+            if let Some(r) = p.slots.get_mut(&tag).and_then(|s| s.reply.take()) {
+                p.slots.remove_entry(&tag);
+                return r;
+            }
+            if p.reading {
+                sh.arrived.wait(&mut p);
+                continue;
+            }
+            if sh.hungup.load(Ordering::SeqCst) {
+                p.slots.remove_entry(&tag);
+                return failed(errstr::EHUNGUP);
+            }
+            p.reading = true;
+            drop(p);
+            let msg = sh.source.lock().recvmsg();
+            p = sh.pending.lock();
+            p.reading = false;
+            match msg {
+                Ok(Some(raw)) => {
+                    // Replies to flushed or unknown tags are dropped.
+                    let Ok((rtag, r)) = decode_rmsg(&raw) else { continue };
+                    let Some(slot) = p.slots.get_mut(&rtag) else { continue };
+                    // An acknowledged Tflush fails the request it
+                    // aborted, which will not be answered now
+                    // (§ Tflush semantics).
+                    let flushed = slot.flushes.filter(|_| matches!(r, Rmsg::Flush));
+                    slot.reply = Some(r);
+                    if let Some(old) = flushed.and_then(|old| p.slots.get_mut(&old)) {
+                        old.reply.get_or_insert_with(|| failed(errstr::EFLUSHED));
+                    }
+                }
+                Ok(None) | Err(_) => {
+                    sh.hungup.store(true, Ordering::SeqCst);
+                    for slot in p.slots.values_mut() {
+                        slot.reply.get_or_insert_with(|| failed(errstr::EHUNGUP));
+                    }
+                }
+            }
+            sh.arrived.notify_all();
         }
-        Ok(())
     }
 
-    /// The tag most recently allocated minus pending bookkeeping is not
-    /// exposed; callers that need to flush use [`NineClient::rpc_tagged`]
-    /// to learn the tag up front.
-    pub fn rpc_tagged(&self, t: &Tmsg) -> (Tag, plan9_support::chan::Receiver<Rmsg>) {
-        let tag = self.alloc_tag();
-        let (tx, rx) = bounded(1);
-        self.shared.pending.lock().insert(tag, tx);
-        let buf = encode_tmsg(tag, t);
-        let sent = self.shared.sink.lock().sendmsg(&buf);
-        if sent.is_err() {
-            self.shared.pending.lock().remove(&tag);
-            let (etx, erx) = bounded(1);
-            let _ = etx.send(Rmsg::Error {
-                ename: errstr::EHUNGUP.to_string(),
-            });
-            return (tag, erx);
-        }
-        (tag, rx)
+    /// Aborts the outstanding request with `old_tag`: sends `Tflush`,
+    /// and once the server acknowledges, the aborted caller fails with
+    /// [`errstr::EFLUSHED`].
+    pub fn flush(&self, old_tag: Tag) -> Result<()> {
+        self.rpc(&Tmsg::Flush { old_tag }).map(|_| ())
     }
 
     /// Starts a session, resetting the fid space.
@@ -355,12 +386,15 @@ impl NineClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::procfs::MemFs;
+    use crate::codec::{decode_tmsg, encode_rmsg};
+    use crate::procfs::{MemFs, ProcFs};
     use crate::server::serve;
+    use crate::server::tests::GateFs;
     use crate::transport::MsgPipeEnd;
     use std::sync::Arc;
+    use std::thread::JoinHandle;
 
-    fn client_for(fs: Arc<MemFs>) -> NineClient {
+    fn client_for(fs: Arc<dyn ProcFs>) -> NineClient {
         let (client_end, server_end) = MsgPipeEnd::pair();
         let (ssink, ssource) = server_end.split();
         std::thread::spawn(move || {
@@ -448,28 +482,120 @@ mod tests {
 
     #[test]
     fn flush_releases_a_blocked_request() {
-        // A server that never answers reads: a MemFs wrapped so Tread
-        // blocks forever. Simpler: use rpc_tagged against a tag that the
-        // server will answer, flush it first, and observe EFLUSHED.
-        let fs = MemFs::new("ram", "bootes");
-        fs.put_file("/slow", b"data").unwrap();
-        let c = client_for(fs);
+        let fs = GateFs::new();
+        let c = client_for(fs.clone());
         let (fid, _) = c.attach("u", "").unwrap();
-        // Issue a request the server will answer, but race the flush:
-        // after the flush completes, the pending rpc is failed locally
-        // even if the reply was dropped server-side.
-        let (tag, rx) = c.rpc_tagged(&Tmsg::Walk {
-            fid,
-            name: "slow".into(),
-        });
+        c.walk(fid, "gate").unwrap();
+        c.open(fid, OpenMode::READ).unwrap();
+        let blocked = {
+            let c = c.clone();
+            std::thread::spawn(move || c.read(fid, 0, 8))
+        };
+        // The read is the only request outstanding once the server is
+        // blocked in it, and its caller is the one reading the transport:
+        // the Rflush it reads for the flusher is what fails it.
+        fs.wait_parked(1);
+        let tag = *c.shared.pending.lock().slots.keys().next().unwrap();
         c.flush(tag).unwrap();
-        let r = rx.recv().unwrap();
-        match r {
-            // Either the real reply won the race or the flush failed it.
-            Rmsg::Error { ename } => assert_eq!(ename, errstr::EFLUSHED),
-            Rmsg::Walk { .. } => {}
-            other => panic!("unexpected: {other:?}"),
+        assert_eq!(blocked.join().unwrap().unwrap_err().0, errstr::EFLUSHED);
+        // The server's late reply is suppressed; the connection goes on.
+        fs.release();
+        assert_eq!(c.stat(fid).unwrap().name, "gate");
+    }
+
+    /// A client whose server is the test itself: T-messages come off
+    /// `peer` in the order sent, and replies go back in any order.
+    struct Scripted {
+        c: NineClient,
+        peer: MsgPipeEnd,
+    }
+
+    impl Scripted {
+        fn new() -> Scripted {
+            let (client_end, peer) = MsgPipeEnd::pair();
+            let (csink, csource) = client_end.split();
+            let c = NineClient::new(Box::new(csink), Box::new(csource));
+            Scripted { c, peer }
         }
+
+        /// Starts a caller reading fid 0 and returns it with its tag,
+        /// once its T-message has arrived.
+        fn caller(&mut self) -> (Tag, JoinHandle<Result<Vec<u8>>>) {
+            let c = self.c.clone();
+            let h = std::thread::spawn(move || c.read(0, 0, 8));
+            let (tag, _) = decode_tmsg(&self.peer.recvmsg().unwrap().unwrap()).unwrap();
+            (tag, h)
+        }
+
+        /// Starts the caller that reads the transport, and a second one
+        /// that finds the role taken.
+        fn two_callers(&mut self) -> [(Tag, JoinHandle<Result<Vec<u8>>>); 2] {
+            let reader = self.caller();
+            while !self.c.shared.pending.lock().reading {
+                std::thread::yield_now();
+            }
+            [reader, self.caller()]
+        }
+
+        fn reply(&mut self, tag: Tag, data: &[u8]) {
+            let r = Rmsg::Read {
+                fid: 0,
+                data: data.to_vec(),
+            };
+            self.peer.sendmsg(&encode_rmsg(tag, &r)).unwrap();
+        }
+    }
+
+    #[test]
+    fn the_reader_delivers_another_callers_reply() {
+        let mut s = Scripted::new();
+        let [(rtag, reader), (otag, other)] = s.two_callers();
+        // Answered in the opposite order: only the reader can have read
+        // the other caller's reply, and it is still waiting for its own.
+        s.reply(otag, b"other");
+        assert_eq!(other.join().unwrap().unwrap(), b"other");
+        assert!(s.c.shared.pending.lock().reading);
+        s.reply(rtag, b"reader");
+        assert_eq!(reader.join().unwrap().unwrap(), b"reader");
+    }
+
+    #[test]
+    fn the_reading_role_passes_on_when_the_reader_leaves() {
+        let mut s = Scripted::new();
+        let [(rtag, reader), (otag, other)] = s.two_callers();
+        s.reply(rtag, b"reader");
+        assert_eq!(reader.join().unwrap().unwrap(), b"reader");
+        // Nobody is left to read for the other caller but itself.
+        s.reply(otag, b"other");
+        assert_eq!(other.join().unwrap().unwrap(), b"other");
+        assert!(!s.c.shared.pending.lock().reading);
+    }
+
+    #[test]
+    fn hangup_fails_every_waiting_caller() {
+        let mut s = Scripted::new();
+        let [(_, reader), (_, other)] = s.two_callers();
+        drop(s.peer);
+        assert_eq!(reader.join().unwrap().unwrap_err().0, errstr::EHUNGUP);
+        assert_eq!(other.join().unwrap().unwrap_err().0, errstr::EHUNGUP);
+        // Later callers fail without touching the transport.
+        assert!(s.c.hungup());
+        assert_eq!(s.c.read(0, 0, 8).unwrap_err().0, errstr::EHUNGUP);
+        assert!(s.c.shared.pending.lock().slots.is_empty());
+    }
+
+    #[test]
+    fn a_reply_nobody_waits_for_is_dropped() {
+        let mut s = Scripted::new();
+        let [(rtag, reader), (otag, other)] = s.two_callers();
+        // An unknown tag, then bytes that are no R-message: neither
+        // caller takes either for its own.
+        s.reply(rtag.wrapping_add(1000), b"stray");
+        s.peer.sendmsg(&[0xff, 0xff, 0xff]).unwrap();
+        s.reply(otag, b"other");
+        s.reply(rtag, b"reader");
+        assert_eq!(other.join().unwrap().unwrap(), b"other");
+        assert_eq!(reader.join().unwrap().unwrap(), b"reader");
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! reverse of the mount driver. There is one dispatch and two ways to
 //! run a file operation under it:
 //!
-//! * [`serve`] reads a transport until the peer hangs up and gives each
-//!   file operation a worker kproc. The paper requires this of
-//!   `exportfs` (§6.1): `open`, `read` and `write` may block (a `listen`
-//!   file blocks until a call arrives), so replies are serialized onto
-//!   the transport by a lock.
+//! * [`serve`] reads a transport until the peer hangs up and hands
+//!   each file operation to a worker kproc: an idle one if there is
+//!   one, a new one if not, and all of them kept until the hangup. The
+//!   paper requires this of `exportfs` (§6.1): `open`, `read` and
+//!   `write` may block (a `listen` file blocks until a call arrives),
+//!   so replies are serialized onto the transport by a lock.
 //! * [`NineService::input`] runs the operation on the caller's thread
 //!   (typically a worker-pool shard), for file systems that answer from
 //!   memory and connections counted in tens of thousands.
@@ -20,11 +21,13 @@ use crate::fcall::{Fid, Rmsg, Tag, Tmsg, CHAL_LEN, MAX_FDATA};
 use crate::procfs::{OpenMode, ProcFs, ServeNode};
 use crate::transport::{MsgSink, MsgSource};
 use crate::{errstr, NineError, Result};
-use plan9_netlog::trace;
+use plan9_netlog::trace::{self, TraceHandle};
 use plan9_netlog::Facility;
+use plan9_support::chan::unbounded;
 use plan9_support::sync::Mutex;
 use plan9_support::{time, vtime};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 struct FidState {
@@ -32,14 +35,28 @@ struct FidState {
     open: bool,
 }
 
+/// A file operation taken off the transport, marked in flight.
+struct Op {
+    tag: Tag,
+    serial: u64,
+    t: Tmsg,
+}
+
 struct ServerShared {
     fs: Arc<dyn ProcFs>,
     fids: Mutex<HashMap<Fid, FidState>>,
-    /// File operations still running, by tag; the value turns true when
-    /// a Tflush names the tag, and the reply is then suppressed. An
-    /// answered tag is not in the map, so flushing it marks nothing.
-    inflight: Mutex<HashMap<Tag, bool>>,
+    /// File operations still running: each tag's current operation, by
+    /// the serial number it was started under. A Tflush removes the
+    /// entry, so the operation finds on finishing that the tag is no
+    /// longer its own and does not answer, whether or not the tag has
+    /// been used again. An answered tag is not in the map, so flushing
+    /// it changes nothing.
+    inflight: Mutex<HashMap<Tag, u64>>,
+    /// File operations started; the next one's serial.
+    started: AtomicU64,
     sink: Mutex<Box<dyn MsgSink>>,
+    /// [`serve`]'s workers with no operation to run and none coming.
+    idle: AtomicUsize,
 }
 
 impl ServerShared {
@@ -55,10 +72,15 @@ impl ServerShared {
 
     /// Answers a file operation, unless it was flushed while it ran
     /// (§ Tflush semantics).
-    fn finish(&self, tag: Tag, r: &Rmsg) {
-        let flushed = self.inflight.lock().remove(&tag) == Some(true);
-        if !flushed {
-            self.reply(tag, r);
+    fn finish(&self, op: &Op, r: &Rmsg) {
+        let mut inflight = self.inflight.lock();
+        let live = inflight.get(&op.tag) == Some(&op.serial);
+        if live {
+            inflight.remove(&op.tag);
+        }
+        drop(inflight);
+        if live {
+            self.reply(op.tag, r);
         }
     }
 }
@@ -68,59 +90,79 @@ impl ServerShared {
 /// Blocks the calling thread; most callers run it in a dedicated thread.
 pub fn serve(
     fs: Arc<dyn ProcFs>,
-    mut source: Box<dyn MsgSource>,
+    source: Box<dyn MsgSource>,
     sink: Box<dyn MsgSink>,
 ) -> Result<()> {
-    let svc = NineService::new(fs, sink);
+    serve_on(&NineService::new(fs, sink), source)
+}
+
+/// [`serve`]'s reader loop, apart so that a test can watch the service.
+fn serve_on(svc: &NineService, mut source: Box<dyn MsgSource>) -> Result<()> {
+    // One job channel feeds every worker. The reader takes a worker
+    // off the idle count *before* it sends, so every job in the channel
+    // has a worker that will come for it.
+    let (jobs, job_rx) = unbounded::<(Op, Option<TraceHandle>)>();
     let mut workers = Vec::new();
-    loop {
-        let raw = match source.recvmsg() {
-            Ok(Some(raw)) => raw,
-            Ok(None) => break,
-            Err(e) => {
-                svc.hangup();
-                return Err(e);
+    // A closure, so that `?` leaves the loop and not the hangup below.
+    let mut read = || -> Result<()> {
+        loop {
+            let Some(raw) = source.recvmsg()? else { return Ok(()) };
+            let Some(op) = svc.dispatch(&raw)? else { continue };
+            // The server opens its own root span per request: the reply
+            // direction (including its IL sends and rexmits) has no client
+            // handle to inherit across the wire, so it is attributed to
+            // this `serve` root instead.
+            let tracer = trace::global();
+            let root = if tracer.enabled() {
+                tracer.begin(&format!("serve {:?} tag {}", op.t.msg_type(), op.tag))
+            } else {
+                None
+            };
+            // A file operation may block (a `listen` file does until a call
+            // arrives), so each one in progress holds a worker; a worker is
+            // made only when none is idle, and kept. Only this loop takes
+            // from the count, so it cannot fall between the two lines.
+            if svc.shared.idle.load(Ordering::SeqCst) > 0 {
+                svc.shared.idle.fetch_sub(1, Ordering::SeqCst);
+            } else {
+                let (shared, job_rx) = (Arc::clone(&svc.shared), job_rx.clone());
+                let worker = vtime::kproc("9p-worker", move || {
+                    while let Ok((op, root)) = job_rx.recv() {
+                        let _cur = root.as_ref().map(|h| h.set_current());
+                        let h0 = time::now();
+                        let r = shared.run(&op.t);
+                        if let Some(h) = &root {
+                            h.span(Facility::NineP, "handle", h0, time::now());
+                        }
+                        // Idle before the reply is out: a peer that waits
+                        // for one answer before it asks again then finds
+                        // this worker, and none is made.
+                        shared.idle.fetch_add(1, Ordering::SeqCst);
+                        shared.finish(&op, &r);
+                        if let Some(h) = &root {
+                            h.finish();
+                        }
+                    }
+                })
+                // checked: spawn fails only on OS thread exhaustion
+                .expect("spawn 9p worker");
+                workers.push(worker);
             }
-        };
-        let Some((tag, t)) = svc.dispatch(&raw)? else {
-            continue;
-        };
-        // Potentially-blocking file operations get a worker each. The
-        // server opens its own root span per request: the reply
-        // direction (including its IL sends and rexmits) has no client
-        // handle to inherit across the wire, so it is attributed to
-        // this `serve` root instead.
-        let shared = Arc::clone(&svc.shared);
-        let tracer = trace::global();
-        let root = if tracer.enabled() {
-            tracer.begin(&format!("serve {:?} tag {tag}", t.msg_type()))
-        } else {
-            None
-        };
-        let worker = vtime::kproc("9p-worker", move || {
-            let _cur = root.as_ref().map(|h| h.set_current());
-            let h0 = time::now();
-            let r = shared.run(&t);
-            if let Some(h) = &root {
-                h.span(Facility::NineP, "handle", h0, time::now());
-            }
-            shared.finish(tag, &r);
-            if let Some(h) = &root {
-                h.finish();
-            }
-        })
-        // checked: spawn fails only on OS thread exhaustion
-        .expect("spawn 9p worker");
-        workers.push(worker);
-        workers.retain(|w| !w.is_finished());
-    }
-    // Kproc joins are virtual events: each parks on the clock until
-    // the worker signals completion, so no census escape is needed.
+            // Cannot fail: this loop's own `job_rx` keeps the channel open.
+            let _ = jobs.send((op, root));
+        }
+    };
+    let res = read();
+    // Hangup, on every path: the closed channel ends each worker once
+    // its operation is done. Kproc joins are virtual events (each parks
+    // on the clock until the worker signals completion), so no census
+    // escape is needed.
+    drop(jobs);
     for w in workers {
         let _ = w.join();
     }
     svc.hangup();
-    Ok(())
+    res
 }
 
 /// One connection's 9P server state: the fid table, the operations in
@@ -144,7 +186,9 @@ impl NineService {
                 fs,
                 fids: Mutex::named(HashMap::new(), "ninep.server.fids"),
                 inflight: Mutex::named(HashMap::new(), "ninep.server.inflight"),
+                started: AtomicU64::new(0),
                 sink: Mutex::named(sink, "ninep.server.sink"),
+                idle: AtomicUsize::new(0),
             }),
         }
     }
@@ -153,9 +197,9 @@ impl NineService {
     /// Returns an error on a malformed message, which poisons the
     /// link: the caller should hang up, as the kernel does.
     pub fn input(&self, raw: &[u8]) -> Result<()> {
-        if let Some((tag, t)) = self.dispatch(raw)? {
-            let r = self.shared.run(&t);
-            self.shared.finish(tag, &r);
+        if let Some(op) = self.dispatch(raw)? {
+            let r = self.shared.run(&op.t);
+            self.shared.finish(&op, &r);
         }
         Ok(())
     }
@@ -163,7 +207,7 @@ impl NineService {
     /// The one dispatch: answers the cheap control messages itself and
     /// hands back a file operation, already marked in flight, for the
     /// caller to run where it sees fit.
-    fn dispatch(&self, raw: &[u8]) -> Result<Option<(Tag, Tmsg)>> {
+    fn dispatch(&self, raw: &[u8]) -> Result<Option<Op>> {
         let shared = &self.shared;
         let Ok((tag, t)) = decode_tmsg(raw) else {
             // A malformed message poisons the link; hang up, as the
@@ -194,14 +238,13 @@ impl NineService {
             Tmsg::Flush { old_tag } => {
                 // Only an operation still running can be flushed. Run
                 // inline, none ever is by the time a Tflush is read.
-                if let Some(flushed) = shared.inflight.lock().get_mut(&old_tag) {
-                    *flushed = true;
-                }
+                shared.inflight.lock().remove(&old_tag);
                 shared.reply(tag, &Rmsg::Flush);
             }
-            other => {
-                shared.inflight.lock().insert(tag, false);
-                return Ok(Some((tag, other)));
+            t => {
+                let serial = shared.started.fetch_add(1, Ordering::Relaxed);
+                shared.inflight.lock().insert(tag, serial);
+                return Ok(Some(Op { tag, serial, t }));
             }
         }
         Ok(None)
@@ -401,11 +444,15 @@ fn handle(shared: &ServerShared, t: &Tmsg) -> Result<Rmsg> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::codec::encode_tmsg;
+    use crate::codec::{decode_rmsg, encode_tmsg};
     use crate::procfs::MemFs;
     use crate::transport::MsgPipeEnd;
+    use plan9_support::sync::Condvar;
+    use std::cell::RefCell;
+    use std::collections::HashSet;
+    use std::thread::{JoinHandle, ThreadId};
 
     fn start_server(fs: Arc<dyn ProcFs>) -> MsgPipeEnd {
         let (client_end, server_end) = MsgPipeEnd::pair();
@@ -419,9 +466,274 @@ mod tests {
     fn rpc(end: &mut MsgPipeEnd, tag: Tag, t: &Tmsg) -> Rmsg {
         end.sendmsg(&encode_tmsg(tag, t)).unwrap();
         let raw = end.recvmsg().unwrap().unwrap();
-        let (rtag, r) = crate::codec::decode_rmsg(&raw).unwrap();
+        let (rtag, r) = decode_rmsg(&raw).unwrap();
         assert_eq!(rtag, tag);
         r
+    }
+
+    /// Counts a thread out as it exits.
+    struct ExitNote(Arc<AtomicUsize>);
+
+    impl Drop for ExitNote {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    thread_local! {
+        static EXIT_NOTE: RefCell<Option<ExitNote>> = const { RefCell::new(None) };
+    }
+
+    #[derive(Default)]
+    struct GateState {
+        parked: usize,
+        permits: usize,
+        /// Each read so far: whether of `/gate`, and the thread it ran on.
+        reads: Vec<(bool, ThreadId)>,
+    }
+
+    /// A `MemFs` holding `/f` ("data") and `/gate` ("late"). A read of
+    /// `/gate` blocks, as a read of a `listen` file does, until the
+    /// test lets one through; every read notes the thread it ran on.
+    pub(crate) struct GateFs {
+        mem: Arc<MemFs>,
+        state: Mutex<GateState>,
+        changed: Condvar,
+        exited: Arc<AtomicUsize>,
+    }
+
+    impl GateFs {
+        pub(crate) fn new() -> Arc<GateFs> {
+            let mem = MemFs::new("ram", "bootes");
+            mem.put_file("/f", b"data").unwrap();
+            mem.put_file("/gate", b"late").unwrap();
+            Arc::new(GateFs {
+                mem,
+                state: Mutex::new(GateState::default()),
+                changed: Condvar::new(),
+                exited: Arc::new(AtomicUsize::new(0)),
+            })
+        }
+
+        /// Returns once `n` reads are blocked on the gate.
+        pub(crate) fn wait_parked(&self, n: usize) {
+            let mut st = self.state.lock();
+            while st.parked != n {
+                self.changed.wait(&mut st);
+            }
+        }
+
+        /// Lets one read of `/gate` through.
+        pub(crate) fn release(&self) {
+            self.state.lock().permits += 1;
+            self.changed.notify_all();
+        }
+
+        /// The threads that have run a read of `/gate`, or of `/f`.
+        fn threads(&self, gate: bool) -> HashSet<ThreadId> {
+            let st = self.state.lock();
+            st.reads.iter().filter(|r| r.0 == gate).map(|r| r.1).collect()
+        }
+
+        /// How many of the threads that ran a read have exited.
+        fn exited(&self) -> usize {
+            self.exited.load(Ordering::SeqCst)
+        }
+    }
+
+    impl ProcFs for GateFs {
+        fn fsname(&self) -> String {
+            self.mem.fsname()
+        }
+        fn attach(&self, uname: &str, aname: &str) -> Result<ServeNode> {
+            self.mem.attach(uname, aname)
+        }
+        fn clone_node(&self, n: &ServeNode) -> Result<ServeNode> {
+            self.mem.clone_node(n)
+        }
+        fn walk(&self, n: &ServeNode, name: &str) -> Result<ServeNode> {
+            self.mem.walk(n, name)
+        }
+        fn open(&self, n: &ServeNode, mode: OpenMode) -> Result<ServeNode> {
+            self.mem.open(n, mode)
+        }
+        fn read(&self, n: &ServeNode, offset: u64, count: usize) -> Result<Vec<u8>> {
+            let gate = self.mem.stat(n)?.name == "gate";
+            EXIT_NOTE.with(|note| {
+                let mut note = note.borrow_mut();
+                note.get_or_insert_with(|| ExitNote(Arc::clone(&self.exited)));
+            });
+            let mut st = self.state.lock();
+            st.reads.push((gate, std::thread::current().id()));
+            if gate {
+                st.parked += 1;
+                self.changed.notify_all();
+                while st.permits == 0 {
+                    self.changed.wait(&mut st);
+                }
+                st.permits -= 1;
+                st.parked -= 1;
+            }
+            drop(st);
+            self.mem.read(n, offset, count)
+        }
+        fn write(&self, n: &ServeNode, offset: u64, data: &[u8]) -> Result<usize> {
+            self.mem.write(n, offset, data)
+        }
+        fn clunk(&self, n: &ServeNode) {
+            self.mem.clunk(n)
+        }
+        fn stat(&self, n: &ServeNode) -> Result<crate::Dir> {
+            self.mem.stat(n)
+        }
+    }
+
+    const GATE: Fid = 0;
+    const F: Fid = 1;
+
+    /// `serve_on` over a `GateFs`, with [`GATE`] and [`F`] open on its
+    /// two files.
+    struct Served {
+        fs: Arc<GateFs>,
+        svc: Arc<NineService>,
+        end: MsgPipeEnd,
+        server: JoinHandle<Result<()>>,
+    }
+
+    impl Served {
+        fn start() -> Served {
+            let fs = GateFs::new();
+            let (end, server_end) = MsgPipeEnd::pair();
+            let (ssink, ssource) = server_end.split();
+            let svc = Arc::new(NineService::new(fs.clone(), Box::new(ssink)));
+            let svc2 = Arc::clone(&svc);
+            let server = std::thread::spawn(move || serve_on(&svc2, Box::new(ssource)));
+            let mut s = Served { fs, svc, end, server };
+            let attach = Tmsg::Attach {
+                fid: GATE,
+                uname: "u".into(),
+                aname: "".into(),
+                ticket: vec![],
+            };
+            assert!(matches!(s.rpc(1, &attach), Rmsg::Attach { .. }));
+            let clone = Tmsg::Clone { fid: GATE, new_fid: F };
+            assert!(matches!(s.rpc(1, &clone), Rmsg::Clone { .. }));
+            for (fid, name) in [(GATE, "gate"), (F, "f")] {
+                let name = name.to_string();
+                assert!(matches!(s.rpc(1, &Tmsg::Walk { fid, name }), Rmsg::Walk { .. }));
+                assert!(matches!(s.rpc(1, &Tmsg::Open { fid, mode: 0 }), Rmsg::Open { .. }));
+            }
+            s
+        }
+
+        fn rpc(&mut self, tag: Tag, t: &Tmsg) -> Rmsg {
+            rpc(&mut self.end, tag, t)
+        }
+
+        /// Reads `fid` under `tag` and returns the data.
+        fn read(&mut self, tag: Tag, fid: Fid) -> Vec<u8> {
+            match self.rpc(tag, &Self::tread(fid)) {
+                Rmsg::Read { data, .. } => data,
+                other => panic!("got {other:?}"),
+            }
+        }
+
+        fn tread(fid: Fid) -> Tmsg {
+            Tmsg::Read {
+                fid,
+                offset: 0,
+                count: 8,
+            }
+        }
+
+        /// Sends a read of the gate under `tag` and returns once its
+        /// worker is blocked in it.
+        fn park(&mut self, tag: Tag) {
+            self.end.sendmsg(&encode_tmsg(tag, &Self::tread(GATE))).unwrap();
+            self.fs.wait_parked(1);
+        }
+
+        /// Returns once `n` workers are idle.
+        fn wait_idle(&self, n: usize) {
+            while self.svc.shared.idle.load(Ordering::SeqCst) != n {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    #[test]
+    fn sequential_reads_stay_on_one_worker() {
+        let mut s = Served::start();
+        for _ in 0..1000 {
+            assert_eq!(s.read(2, F), b"data");
+        }
+        assert_eq!(s.fs.threads(false).len(), 1);
+        assert_eq!(s.svc.shared.idle.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_blocked_read_holds_only_its_own_worker() {
+        let mut s = Served::start();
+        s.park(100);
+        // Each of these is answered while the gate is shut: none waits
+        // for the blocked read.
+        for _ in 0..100 {
+            assert_eq!(s.read(2, F), b"data");
+        }
+        let (blocked, others) = (s.fs.threads(true), s.fs.threads(false));
+        assert_eq!((blocked.len(), others.len()), (1, 1));
+        assert!(blocked.is_disjoint(&others));
+        s.fs.release();
+        let (tag, r) = decode_rmsg(&s.end.recvmsg().unwrap().unwrap()).unwrap();
+        assert_eq!(tag, 100);
+        assert!(matches!(r, Rmsg::Read { data, .. } if data == b"late"));
+    }
+
+    #[test]
+    fn hangup_joins_every_worker() {
+        let mut s = Served::start();
+        s.park(100);
+        assert_eq!(s.read(2, F), b"data");
+        // The peer goes with a read still blocked: `serve` returns only
+        // when that worker has finished too.
+        drop(s.end);
+        s.fs.release();
+        assert!(s.server.join().unwrap().is_ok());
+        assert_eq!(s.fs.threads(true).union(&s.fs.threads(false)).count(), 2);
+        assert_eq!(s.fs.exited(), 2);
+    }
+
+    #[test]
+    fn a_malformed_message_leaves_no_worker_behind() {
+        let mut s = Served::start();
+        assert_eq!(s.read(2, F), b"data");
+        s.end.sendmsg(&[0xff, 0xff, 0xff]).unwrap();
+        let err = s.server.join().unwrap().unwrap_err();
+        assert_eq!(err.0, errstr::EBADMSG);
+        assert_eq!(s.fs.exited(), 1);
+    }
+
+    #[test]
+    fn flushing_a_blocked_read_frees_its_tag_and_its_worker() {
+        let mut s = Served::start();
+        s.park(7);
+        assert!(matches!(s.rpc(8, &Tmsg::Flush { old_tag: 7 }), Rmsg::Flush));
+        // Tag 7 is free from the Rflush on, though the flushed read is
+        // still running: this answer is the new request's.
+        assert_eq!(s.read(7, F), b"data");
+        s.fs.release();
+        // The flushed read's worker goes back to the idle count, so the
+        // next operation makes no third.
+        s.wait_idle(2);
+        assert_eq!(s.read(9, F), b"data");
+        assert_eq!(s.fs.threads(true).union(&s.fs.threads(false)).count(), 2);
+        // Hang up and let `serve` join the workers: the late reply was
+        // never sent.
+        let (sink, mut source) = s.end.split();
+        drop(sink);
+        assert!(s.server.join().unwrap().is_ok());
+        drop(s.svc);
+        assert_eq!(source.recvmsg().unwrap(), None);
     }
 
     #[test]
@@ -477,7 +789,7 @@ mod tests {
             client.sendmsg(&encode_tmsg(tag, t)).unwrap();
             let raw = ssource.recvmsg().unwrap().unwrap();
             svc.input(&raw).unwrap();
-            let (rtag, r) = crate::codec::decode_rmsg(&client.recvmsg().unwrap().unwrap()).unwrap();
+            let (rtag, r) = decode_rmsg(&client.recvmsg().unwrap().unwrap()).unwrap();
             assert_eq!(rtag, tag);
             r
         };

@@ -70,7 +70,9 @@ else
 fi
 
 cargo build --release --offline --workspace
-cargo test -q --offline
+# --workspace: the root manifest is a package as well as the workspace,
+# so without it only tests/*.rs run and no crate's own tests do.
+cargo test -q --offline --workspace
 
 # The paper's flagship listings must run end to end, still offline.
 for ex in quickstart csquery netstat tracerpc; do

@@ -3,6 +3,7 @@
 use plan9::core::dial::{accept, announce, dial, listen};
 use plan9::core::machine::{Machine, MachineBuilder};
 use plan9::core::namespace::MAFTER;
+use plan9::exportfs::cpu::{cpu, cpu_listener, CpuJob};
 use plan9::exportfs::exportfs::exportfs_listener;
 use plan9::exportfs::import::import;
 use plan9::inet::ip::IpConfig;
@@ -15,6 +16,7 @@ const NDB: &str = "\
 sys=helix ip=10.21.0.1 dk=nj/astro/helix proto=il proto=tcp
 sys=musca ip=10.21.0.9 proto=tcp
 sys=gnot dk=nj/astro/gnot
+tcp=cpu port=17013
 ";
 
 /// helix has ether+dk; musca is ether-only; gnot is dk-only.
@@ -154,6 +156,21 @@ fn import_missing_tree_reports_error() {
     assert!(err.0.contains("NO"), "{err}");
 }
 
+/// Both machines' TCP conversation counts.
+fn tcp_convs(a: &Arc<Machine>, b: &Arc<Machine>) -> (usize, usize) {
+    let convs = |m: &Arc<Machine>| m.ip.as_ref().unwrap().tcp_module().conn_count();
+    (convs(a), convs(b))
+}
+
+/// Waits for the counts to come back to `before`, and reports them.
+fn settled_tcp_convs(a: &Arc<Machine>, b: &Arc<Machine>, before: (usize, usize)) -> (usize, usize) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while tcp_convs(a, b) != before && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    tcp_convs(a, b)
+}
+
 /// A TCP call `exportfs_listener` served must leave no conversation
 /// behind on either machine once the importer unmounts: the listener
 /// closes the call's ctl file, so nothing pins the serving end in
@@ -161,8 +178,7 @@ fn import_missing_tree_reports_error() {
 #[test]
 fn tcp_import_leaves_no_conversation_after_unmount() {
     let (helix, musca, _gnot) = world();
-    let tcp_convs = |m: &Arc<Machine>| m.ip.as_ref().unwrap().tcp_module().conn_count();
-    let before = (tcp_convs(&helix), tcp_convs(&musca));
+    let before = tcp_convs(&helix, &musca);
     exportfs_listener(helix.proc(), "tcp!*!exportfs", usize::MAX).unwrap();
     std::thread::sleep(std::time::Duration::from_millis(100));
     let p = musca.proc();
@@ -175,14 +191,28 @@ fn tcp_import_leaves_no_conversation_after_unmount() {
     )
     .expect("import over tcp");
     assert!(!p.ls("/n/helixndb").unwrap().is_empty());
-    assert!(tcp_convs(&helix) > before.0 && tcp_convs(&musca) > before.1);
+    let during = tcp_convs(&helix, &musca);
+    assert!(during.0 > before.0 && during.1 > before.1);
     p.ns.unmount("/n/helixndb").expect("unmount");
     // `import` leaves the data file open in the importing process; the
     // conversation ends with it.
     drop(p);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while (tcp_convs(&helix), tcp_convs(&musca)) != before && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert_eq!((tcp_convs(&helix), tcp_convs(&musca)), before);
+    assert_eq!(settled_tcp_convs(&helix, &musca, before), before);
+}
+
+/// The same of a call `cpu_listener` served, once the job has run and
+/// the terminal's `cpu` has returned.
+#[test]
+fn tcp_cpu_session_leaves_no_conversation() {
+    let (helix, musca, _gnot) = world();
+    let before = tcp_convs(&helix, &musca);
+    let job: CpuJob = Arc::new(|p| {
+        assert!(!p.ls("/mnt/term/lib/ndb").unwrap().is_empty());
+    });
+    cpu_listener(helix.proc(), "tcp!*!cpu", job, usize::MAX).unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let p = musca.proc();
+    cpu(&p, "tcp!helix!cpu", "/").expect("cpu session");
+    drop(p);
+    assert_eq!(settled_tcp_convs(&helix, &musca, before), before);
 }
