@@ -21,8 +21,9 @@
 //!   (for panic sinks) but never resolved.
 //! - **Closures** are attributed to their enclosing item, *except* the
 //!   closure argument of a non-blocking-context registration —
-//!   `pool::submit`, `pool::submit_or_run`, `wheel::schedule`,
-//!   `.set_rx_handler(..)` — which becomes its own synthetic root node
+//!   `pool::submit`, `pool::submit_or_run`, `wheel::schedule` (or
+//!   `conv::rearm`, which passes its closure to it), `.set_rx_handler(..)`
+//!   and `.set_rx_tap(..)` — which becomes its own synthetic root node
 //!   so the flow passes can start exactly at the code that runs on a
 //!   shard, wheel, or rx path.
 //! - **Locks**: `Mutex::named`/`RwLock::named` construction sites yield
@@ -1158,7 +1159,7 @@ impl<'a> Parser<'a> {
             if let Some(op) = op {
                 self.record_acquire(op, call_line);
             }
-            if name == "set_rx_handler" {
+            if name == "set_rx_handler" || name == "set_rx_tap" {
                 self.advance_raw(); // (
                 self.pending_root = Some((RootKind::RxHandler, self.paren_depth));
                 return true;
@@ -1205,7 +1206,8 @@ impl<'a> Parser<'a> {
             let q = segs[segs.len() - 2].as_str();
             match (q, name.as_str()) {
                 ("pool", "submit") | ("pool", "submit_or_run") => Some(RootKind::PoolJob),
-                ("wheel", "schedule") => Some(RootKind::WheelCallback),
+                // `conv::rearm` hands its closure on to `wheel::schedule`.
+                ("wheel", "schedule") | ("conv", "rearm") => Some(RootKind::WheelCallback),
                 _ => None,
             }
         } else {
@@ -1596,7 +1598,7 @@ impl<'a> Parser<'a> {
             checked: ann.checked,
         }));
         self.advance_raw(); // (
-        if name == "set_rx_handler" {
+        if name == "set_rx_handler" || name == "set_rx_tap" {
             self.pending_root = Some((RootKind::RxHandler, self.paren_depth));
         }
         true
@@ -1850,10 +1852,11 @@ mod tests {
     #[test]
     fn wheel_schedule_and_rx_handler_roots() {
         let g = graph_of(
-            "fn arm(at: Instant) {\n    wheel::schedule(1, at, move || fire())?;\n    station.set_rx_handler(key, move |frame| handle(frame));\n}\nfn fire() {}\nfn handle(_f: u8) {}\n",
+            "fn arm(at: Instant) {\n    wheel::schedule(1, at, move || fire())?;\n    station.set_rx_handler(key, move |frame| handle(frame));\n    conv::rearm(&mut t, 1, Some(at), move || fire())?;\n    stack.set_rx_tap(move |frame| handle(frame));\n}\nfn fire() {}\nfn handle(_f: u8) {}\n",
         );
         let kinds: Vec<RootKind> = g.roots().map(|(_, f)| f.root.unwrap()).collect();
-        assert_eq!(kinds, vec![RootKind::WheelCallback, RootKind::RxHandler]);
+        use RootKind::{RxHandler, WheelCallback};
+        assert_eq!(kinds, vec![WheelCallback, RxHandler, WheelCallback, RxHandler]);
     }
 
     #[test]

@@ -19,18 +19,25 @@
 //! appending a packet header containing the source address and packet
 //! type": the written bytes are the six-byte destination followed by the
 //! payload; the driver supplies source and type.
+//!
+//! The interface has one station, the IP stack's; IP and ARP are the
+//! kernel's conversations on it. This device sends through that station
+//! and reads its receive path through [`IpStack::set_rx_tap`], so a
+//! frame is delivered to the machine once, on the station's shard, and
+//! no process waits on the wire on the device's behalf.
 
+use plan9_inet::arp::{ARP_ETHERTYPE, IP_ETHERTYPE};
+use plan9_inet::ip::IpStack;
 use plan9_netlog::Counter;
 use plan9_support::chan::{bounded, Receiver, Sender};
 use plan9_support::sync::Mutex;
-use plan9_netsim::ether::{mac_to_string, EtherFrame, EtherStation, BROADCAST};
+use plan9_netsim::ether::{mac_to_string, EtherFrame, BROADCAST};
 use plan9_ninep::procfs::{read_dir_slice, OpenMode, ProcFs, ServeNode};
 use plan9_ninep::qid::Qid;
 use plan9_ninep::{errstr, Dir, NineError, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 const Q_TOP: u32 = 0;
 const Q_CLONE: u32 = 1;
@@ -70,27 +77,27 @@ struct EtherConv {
 
 /// The LANCE-style Ethernet device.
 pub struct EtherDev {
-    station: Arc<EtherStation>,
+    stack: Arc<IpStack>,
     convs: Mutex<HashMap<usize, Arc<EtherConv>>>,
     next_conn: Mutex<usize>,
     handles: AtomicU64,
     open_refs: Mutex<HashMap<u64, usize>>,
-    /// Frames received from the wire.
+    /// Frames the controller accepted from the wire.
     pub in_packets: Counter,
     /// Frames transmitted.
     pub out_packets: Counter,
-    /// Frames that matched no conversation.
+    /// Accepted frames that neither ARP/IP nor a conversation took.
     pub unrouted: Counter,
-    closed: AtomicBool,
 }
 
 impl EtherDev {
-    /// Wraps a station and starts the receiver kernel process.
+    /// The device for `stack`'s interface, registered as the second
+    /// reader of its receive path.
     ///
     /// Connection directories are numbered from 1, matching Figure 1.
-    pub fn new(station: EtherStation) -> Arc<EtherDev> {
+    pub fn new(stack: &Arc<IpStack>) -> Arc<EtherDev> {
         let dev = Arc::new(EtherDev {
-            station: Arc::new(station),
+            stack: Arc::clone(stack),
             convs: Mutex::named(HashMap::new(), "core.ether.convs"),
             next_conn: Mutex::named(1, "core.ether.nextconn"),
             handles: AtomicU64::new(1),
@@ -98,50 +105,45 @@ impl EtherDev {
             in_packets: Counter::new("ether.in"),
             out_packets: Counter::new("ether.out"),
             unrouted: Counter::new("ether.unrouted"),
-            closed: AtomicBool::new(false),
         });
-        let rx_dev = Arc::clone(&dev);
-        plan9_support::vtime::kproc("ether-rx", move || rx_dev.rx_loop())
-            // checked: spawn fails only on OS thread exhaustion at setup, not on a data path
-            .expect("spawn ether rx");
+        // Weak: the stack owns the tap, and the device the stack.
+        let tap = Arc::downgrade(&dev);
+        stack.set_rx_tap(move |frame| {
+            if let Some(dev) = tap.upgrade() {
+                dev.route(frame);
+            }
+        });
         dev
-    }
-
-    /// Stops the receiver process.
-    pub fn shutdown(&self) {
-        self.closed.store(true, Ordering::SeqCst);
     }
 
     /// The interface's station address.
     pub fn addr_string(&self) -> String {
-        mac_to_string(&self.station.addr)
+        mac_to_string(&self.stack.station().addr)
     }
 
-    fn rx_loop(self: Arc<Self>) {
-        while !self.closed.load(Ordering::SeqCst) {
-            let Some(frame) = self.station.recv_timeout(Duration::from_millis(50)) else {
-                continue;
-            };
-            self.in_packets.inc();
-            let encoded = frame.encode();
-            let mut routed = false;
-            let convs: Vec<Arc<EtherConv>> = self.convs.lock().values().cloned().collect();
-            for conv in convs {
-                let ptype = conv.ptype.load(Ordering::Relaxed);
-                let type_ok = ptype == -1 || ptype == frame.ethertype as i64;
-                let addr_ok = conv.promiscuous.load(Ordering::Relaxed)
-                    || frame.dst == self.station.addr
-                    || frame.dst == BROADCAST;
-                if type_ok && addr_ok && ptype != -2 {
-                    // Each matching conversation receives a copy; full
-                    // queues drop, as hardware input rings do.
-                    let _ = conv.rx_tx.try_send(encoded.clone());
-                    routed = true;
-                }
+    /// One accepted frame, on the station's shard: nothing here may
+    /// block. With no conversation open the frame is only counted.
+    fn route(&self, frame: &EtherFrame) {
+        self.in_packets.inc();
+        // ARP and IP are the kernel's conversations; they take theirs.
+        let mut routed = matches!(frame.ethertype, ARP_ETHERTYPE | IP_ETHERTYPE);
+        let mut encoded = None;
+        for conv in self.convs.lock().values() {
+            let ptype = conv.ptype.load(Ordering::Relaxed);
+            let type_ok = ptype == -1 || ptype == frame.ethertype as i64;
+            let addr_ok = conv.promiscuous.load(Ordering::Relaxed)
+                || frame.dst == self.stack.station().addr
+                || frame.dst == BROADCAST;
+            if type_ok && addr_ok && ptype != -2 {
+                // Each matching conversation receives a copy; full
+                // queues drop, as hardware input rings do.
+                let bytes = encoded.get_or_insert_with(|| frame.encode());
+                let _ = conv.rx_tx.try_send(bytes.clone());
+                routed = true;
             }
-            if !routed {
-                self.unrouted.inc();
-            }
+        }
+        if !routed {
+            self.unrouted.inc();
         }
     }
 
@@ -216,8 +218,8 @@ impl EtherDev {
             self.out_packets.get(),
             self.unrouted.get(),
             self.convs.lock().len(),
-            self.station.payload_mtu(),
-            self.station.medium().stats().render(),
+            self.stack.station().payload_mtu(),
+            self.stack.station().medium().stats().render(),
         )
     }
 }
@@ -314,7 +316,7 @@ impl ProcFs for EtherDev {
                 // type."
                 match conv.rx.recv() {
                     Ok(mut frame) => {
-                        frame.truncate(count.max(frame.len().min(count)));
+                        frame.truncate(count);
                         Ok(frame)
                     }
                     Err(_) => Ok(Vec::new()),
@@ -341,7 +343,14 @@ impl ProcFs for EtherDev {
                         Ok(data.len())
                     }
                     ["promiscuous"] => {
+                        // As on a LANCE, the controller stops filtering
+                        // by address while any conversation wants every
+                        // frame; IP drops what is not for this host.
+                        // Under the table lock, so a clunk restoring
+                        // the filter cannot pass this.
+                        let _convs = self.convs.lock();
                         conv.promiscuous.store(true, Ordering::Relaxed);
+                        self.stack.station().set_address_filter(false);
                         Ok(data.len())
                     }
                     _ => Err(NineError::new(format!("unknown control request: {cmd}"))),
@@ -357,7 +366,8 @@ impl ProcFs for EtherDev {
                 if ptype < 0 {
                     return Err(NineError::new("packet type not set"));
                 }
-                self.station
+                self.stack
+                    .station()
                     .send(dst, ptype as u16, &data[6..])
                     .map_err(NineError::new)?;
                 self.out_packets.inc();
@@ -376,7 +386,12 @@ impl ProcFs for EtherDev {
                 *refs = refs.saturating_sub(1);
                 if *refs == 0 {
                     drop(refs);
-                    self.convs.lock().remove(&id);
+                    let mut convs = self.convs.lock();
+                    convs.remove(&id);
+                    let promiscuous = |c: &Arc<EtherConv>| c.promiscuous.load(Ordering::Relaxed);
+                    if promiscuous(&conv) && !convs.values().any(promiscuous) {
+                        self.stack.station().set_address_filter(true);
+                    }
                 }
             }
         }
@@ -418,6 +433,7 @@ pub fn parse_frame(bytes: &[u8]) -> Option<EtherFrame> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plan9_inet::ip::IpConfig;
     use plan9_netsim::ether::EtherSegment;
     use plan9_netsim::profile::Profiles;
 
@@ -425,12 +441,15 @@ mod tests {
         [8, 0, 0x69, 2, 0x22, n]
     }
 
+    /// The device of host `n`'s one interface on `seg`.
+    fn dev_on(seg: &Arc<EtherSegment>, n: u8) -> Arc<EtherDev> {
+        let cfg = IpConfig::local(&format!("10.0.0.{n}"));
+        EtherDev::new(&IpStack::new_pooled(seg.attach(mac(n)), cfg))
+    }
+
     fn two_devs() -> (Arc<EtherDev>, Arc<EtherDev>) {
         let seg = EtherSegment::new(Profiles::ether_fast());
-        (
-            EtherDev::new(seg.attach(mac(1))),
-            EtherDev::new(seg.attach(mac(2))),
-        )
+        (dev_on(&seg, 1), dev_on(&seg, 2))
     }
 
     /// Opens the clone file, sets the packet type, returns (ctl, data).
@@ -517,9 +536,7 @@ mod tests {
     #[test]
     fn promiscuous_minus_one_sees_everything() {
         let seg = EtherSegment::new(Profiles::ether_fast());
-        let a = EtherDev::new(seg.attach(mac(1)));
-        let b = EtherDev::new(seg.attach(mac(2)));
-        let c = EtherDev::new(seg.attach(mac(3)));
+        let (a, b, c) = (dev_on(&seg, 1), dev_on(&seg, 2), dev_on(&seg, 3));
         // The snooper on c: promiscuous + connect -1 (§2.2).
         let (_cc, cd) = conversation(&c, &["promiscuous", "connect -1"]);
         // b sends to a, type 7 — nothing to do with c.
@@ -536,9 +553,7 @@ mod tests {
     #[test]
     fn non_promiscuous_filters_foreign_addresses() {
         let seg = EtherSegment::new(Profiles::ether_fast());
-        let a = EtherDev::new(seg.attach(mac(1)));
-        let b = EtherDev::new(seg.attach(mac(2)));
-        let c = EtherDev::new(seg.attach(mac(3)));
+        let (a, b, c) = (dev_on(&seg, 1), dev_on(&seg, 2), dev_on(&seg, 3));
         let (_cc, _cd) = conversation(&c, &["connect 7"]);
         let (_bc, bd) = conversation(&b, &["connect 7"]);
         let (_ac, ad) = conversation(&a, &["connect 7"]);
@@ -547,10 +562,10 @@ mod tests {
         b.write(&bd, 0, &pkt).unwrap();
         // a sees it...
         assert_eq!(parse_frame(&a.read(&ad, 0, 2048).unwrap()).unwrap().payload, b"private");
-        // ...c never routed it (it was addressed to a).
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(c.in_packets.get(), 1);
-        assert_eq!(c.unrouted.get(), 1);
+        // ...c's controller never showed it to c (it was addressed to
+        // a): the bus offered it to both in one pass, and a has read it.
+        assert_eq!(c.in_packets.get(), 0);
+        assert_eq!(c.unrouted.get(), 0);
     }
 
     #[test]

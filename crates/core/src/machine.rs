@@ -124,10 +124,7 @@ impl MachineBuilder {
         let mut ether_dev = None;
         if let Some((seg, mac, cfg)) = &self.ether {
             let stack = IpStack::new_pooled(seg.attach(*mac), cfg.clone());
-            // A second station with the same address gives the ether
-            // device its own view of the wire (Figure 1) without
-            // stealing frames from IP.
-            let dev = EtherDev::new(seg.attach(*mac));
+            let dev = EtherDev::new(&stack);
             rootfs.put_dir("/net/ether0")?;
             let dev_dyn: Arc<dyn ProcFs> = dev.clone();
             ns.mount(Source::attach(&dev_dyn, "bootes", "")?, "/net/ether0", MREPL)?;
@@ -357,18 +354,20 @@ impl ConnOps for TcpConnOps {
     }
 }
 
-struct TcpAnnounceOps {
-    listener: plan9_inet::tcp::TcpListener,
-    stack: Arc<IpStack>,
+/// An announced IL or TCP port. Their listeners are one type (the
+/// conversation table's); `accept` takes the next call off one and
+/// dresses it in its protocol's [`ConnOps`].
+struct IpAnnounceOps {
+    accept: Box<dyn Fn() -> Result<Arc<dyn ConnOps>> + Send + Sync>,
+    local: String,
 }
 
-impl AnnounceOps for TcpAnnounceOps {
+impl AnnounceOps for IpAnnounceOps {
     fn listen(&self) -> Result<Arc<dyn ConnOps>> {
-        let conn = self.listener.accept()?;
-        Ok(Arc::new(TcpConnOps { conn }))
+        (self.accept)()
     }
     fn local(&self) -> String {
-        format!("{} {}", self.stack.addr(), self.listener.port())
+        self.local.clone()
     }
 }
 
@@ -384,9 +383,9 @@ impl ProtoOps for TcpProto {
     fn announce(&self, addr: &str) -> Result<Box<dyn AnnounceOps>> {
         let port = parse_announce_port(&self.db, "tcp", addr)?;
         let listener = self.stack.tcp_module().listen(&self.stack, port)?;
-        Ok(Box::new(TcpAnnounceOps {
-            listener,
-            stack: Arc::clone(&self.stack),
+        Ok(Box::new(IpAnnounceOps {
+            local: format!("{} {}", self.stack.addr(), listener.port()),
+            accept: Box::new(move || Ok(Arc::new(TcpConnOps { conn: listener.accept()? }))),
         }))
     }
     fn stats_text(&self) -> String {
@@ -428,21 +427,6 @@ impl ConnOps for IlConnOps {
     }
 }
 
-struct IlAnnounceOps {
-    listener: plan9_inet::il::IlListener,
-    stack: Arc<IpStack>,
-}
-
-impl AnnounceOps for IlAnnounceOps {
-    fn listen(&self) -> Result<Arc<dyn ConnOps>> {
-        let conn = self.listener.accept()?;
-        Ok(Arc::new(IlConnOps { conn }))
-    }
-    fn local(&self) -> String {
-        format!("{} {}", self.stack.addr(), self.listener.port())
-    }
-}
-
 impl ProtoOps for IlProto {
     fn proto(&self) -> String {
         "il".to_string()
@@ -455,9 +439,9 @@ impl ProtoOps for IlProto {
     fn announce(&self, addr: &str) -> Result<Box<dyn AnnounceOps>> {
         let port = parse_announce_port(&self.db, "il", addr)?;
         let listener = self.stack.il_module().listen(&self.stack, port)?;
-        Ok(Box::new(IlAnnounceOps {
-            listener,
-            stack: Arc::clone(&self.stack),
+        Ok(Box::new(IpAnnounceOps {
+            local: format!("{} {}", self.stack.addr(), listener.port()),
+            accept: Box::new(move || Ok(Arc::new(IlConnOps { conn: listener.accept()? }))),
         }))
     }
     fn stats_text(&self) -> String {
@@ -663,7 +647,9 @@ impl ProtoOps for DkProto {
 mod tests {
     use super::*;
     use crate::dial::{accept, announce, dial, listen};
+    use plan9_netsim::ether::EtherFrame;
     use plan9_netsim::profile::Profiles;
+    use plan9_ninep::procfs::OpenMode;
 
     fn mac(n: u8) -> MacAddr {
         [0x08, 0x00, 0x69, 0x02, 0x22, n]
@@ -741,6 +727,145 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/philw-gnot proto=il proto=tcp
         let log = gp.read_string(fd).unwrap();
         assert!(log.lines().all(|l| l.starts_with("il: ")), "{log}");
         assert!(log.contains("sync id"), "{log}");
+    }
+
+    /// Three machines with nothing but an Ethernet between them.
+    fn alice_bob_and_monitor() -> [Arc<Machine>; 3] {
+        let seg = EtherSegment::new(Profiles::ether_fast());
+        [("alice", 1), ("bob", 2), ("monitor", 3)].map(|(name, n)| {
+            MachineBuilder::new(name)
+                .ether(&seg, mac(n), IpConfig::local(&format!("10.0.0.{n}")))
+                .ndb("sys=alice ip=10.0.0.1\nsys=bob ip=10.0.0.2\nsys=monitor ip=10.0.0.3\n")
+                .build()
+                .unwrap()
+        })
+    }
+
+    /// Answers IL echo calls on `m`, one at a time, for as long as the
+    /// test runs.
+    fn il_echo_service(m: &Machine) {
+        let p = m.proc();
+        let (_afd, adir) = announce(&p, "il!*!echo").unwrap();
+        std::thread::spawn(move || loop {
+            let (lcfd, ldir) = listen(&p, &adir).unwrap();
+            let dfd = accept(&p, lcfd, &ldir).unwrap();
+            while let Ok(msg) = p.read(dfd, 8192) {
+                if msg.is_empty() || p.write(dfd, &msg).is_err() {
+                    break;
+                }
+            }
+        });
+    }
+
+    /// Opens a conversation on `p`'s Ethernet device and configures it
+    /// with `cmds`; returns its ctl and data fds.
+    fn ether_conversation(p: &Proc, cmds: &[&str]) -> (i32, i32) {
+        let ctl = p.open("/net/ether0/clone", OpenMode::RDWR).unwrap();
+        let n = String::from_utf8(p.read(ctl, 16).unwrap()).unwrap();
+        for cmd in cmds {
+            p.write_str(ctl, cmd).unwrap();
+        }
+        let data = p.open(&format!("/net/ether0/{n}/data"), OpenMode::RDWR).unwrap();
+        (ctl, data)
+    }
+
+    /// Reads frames from an ether conversation on a thread of its own;
+    /// the receiver yields each one as it arrives.
+    fn frames_of(p: Proc, data: i32) -> std::sync::mpsc::Receiver<EtherFrame> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            while let Some(f) = p.read(data, 4096).ok().and_then(|raw| EtherFrame::decode(&raw)) {
+                if tx.send(f).is_err() {
+                    return;
+                }
+            }
+        });
+        rx
+    }
+
+    fn echo_once(p: &Proc, fd: i32, msg: &[u8]) {
+        p.write(fd, msg).unwrap();
+        assert_eq!(p.read(fd, 8192).unwrap(), msg);
+    }
+
+    #[test]
+    fn an_ip_typed_ether_conversation_gets_copies_and_ip_keeps_its_own() {
+        let [alice, bob, _] = alice_bob_and_monitor();
+        let bp = bob.proc();
+        let (_ctl, data) = ether_conversation(&bp, &["connect 2048"]);
+        let copies = frames_of(bp, data);
+        il_echo_service(&bob);
+        // The kernel's conversation of type 2048 still gets the dial...
+        let ap = alice.proc();
+        let conn = dial(&ap, "il!10.0.0.2!echo").unwrap();
+        echo_once(&ap, conn.data_fd, b"both of us");
+        ap.close(conn.data_fd);
+        ap.close(conn.ctl_fd);
+        // ...and the device's gets a copy of every IP frame of it:
+        // IL's Sync first, then as many as IP took off the wire.
+        let mut got = Vec::new();
+        while let Ok(f) = copies.recv_timeout(Duration::from_millis(300)) {
+            got.push(f);
+        }
+        let ip = bob.ip.as_ref().unwrap();
+        assert_eq!(got.len() as u64, ip.stats.rx_packets.get());
+        assert!(got.iter().all(|f| f.ethertype == 2048 && f.src == mac(1)), "{got:?}");
+        let (hdr, il) = plan9_inet::ip::decode_ip(&got[0].payload).unwrap();
+        assert_eq!(hdr.proto, plan9_inet::IL_PROTO);
+        assert_eq!(plan9_inet::il::decode_il(il).unwrap().typ, plan9_inet::il::IlType::Sync);
+    }
+
+    #[test]
+    fn promiscuous_opens_the_address_filter_until_the_last_clunk() {
+        let [alice, bob, monitor] = alice_bob_and_monitor();
+        let mp = monitor.proc();
+        let (ctl, data) = ether_conversation(&mp, &["promiscuous", "connect -1"]);
+        il_echo_service(&bob);
+        let ap = alice.proc();
+        let conn = dial(&ap, "il!10.0.0.2!echo").unwrap();
+        echo_once(&ap, conn.data_fd, b"overheard");
+        // The monitor sees unicasts in both directions of an exchange
+        // it has no part in: among the six frames at least (ARP both
+        // ways, Sync both ways, a message and its echo) it has queued.
+        let sniffed: Vec<EtherFrame> = (0..6)
+            .map(|_| EtherFrame::decode(&mp.read(data, 4096).unwrap()).unwrap())
+            .collect();
+        for pair in [(mac(1), mac(2)), (mac(2), mac(1))] {
+            assert!(sniffed.iter().any(|f| (f.src, f.dst) == pair), "{sniffed:?}");
+        }
+        // Clunking the only promiscuous conversation restores the
+        // controller's filter: the next exchange never reaches it.
+        mp.close(data);
+        mp.close(ctl);
+        let dev = monitor.ether_dev.as_ref().unwrap();
+        let before = dev.in_packets.get();
+        echo_once(&ap, conn.data_fd, b"in private");
+        assert_eq!(dev.in_packets.get(), before);
+    }
+
+    #[test]
+    fn unrouted_counts_only_frames_nobody_took() {
+        let [alice, bob, _] = alice_bob_and_monitor();
+        il_echo_service(&bob);
+        let ap = alice.proc();
+        let conn = dial(&ap, "il!10.0.0.2!echo").unwrap();
+        echo_once(&ap, conn.data_fd, b"taken by ip");
+        // ARP and IP are conversations too: what they took is routed.
+        let dev = bob.ether_dev.as_ref().unwrap();
+        assert!(dev.in_packets.get() >= 2, "{}", dev.stats_text());
+        assert_eq!(dev.unrouted.get(), 0);
+        assert_eq!(alice.ether_dev.as_ref().unwrap().unrouted.get(), 0);
+        // A type nobody on bob listens for is not.
+        let (_ctl, data) = ether_conversation(&ap, &["connect 7"]);
+        let mut frame = mac(2).to_vec();
+        frame.extend_from_slice(b"anyone?");
+        ap.write(data, &frame).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while dev.unrouted.get() == 0 {
+            assert!(std::time::Instant::now() < deadline, "frame never counted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(dev.unrouted.get(), 1);
     }
 
     #[test]

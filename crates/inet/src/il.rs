@@ -23,16 +23,15 @@
 
 use crate::addr::IpAddr;
 use crate::checksum::internet_checksum;
+use crate::conv::{self, initial_seq, seq_le, seq_lt, ConnKey, ConvTable, Rtt};
 use crate::ip::IpStack;
-use crate::ports::PortSpace;
 use plan9_netlog::trace;
 use plan9_netlog::{Counter, Facility, Histogram, NetLog};
-use plan9_support::chan::{bounded, Receiver, Sender};
 use plan9_support::copysite::Site;
 use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::{time, wheel};
 use plan9_ninep::NineError;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -163,20 +162,6 @@ pub fn decode_il(b: &[u8]) -> Option<IlPacket> {
     })
 }
 
-fn initial_seq() -> u32 {
-    // Clock-derived initial id, like the TCP side. The wall clock is a
-    // support-layer privilege (see `plan9_support::time`).
-    plan9_support::time::unix_subsec_nanos().wrapping_mul(2246822519)
-}
-
-fn seq_lt(a: u32, b: u32) -> bool {
-    (a.wrapping_sub(b) as i32) < 0
-}
-
-fn seq_le(a: u32, b: u32) -> bool {
-    a == b || seq_lt(a, b)
-}
-
 /// Connection states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IlState {
@@ -203,33 +188,6 @@ impl IlState {
             IlState::Closed => "Closed",
         }
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct ConnKey {
-    pub(crate) lport: u16,
-    pub(crate) raddr: IpAddr,
-    pub(crate) rport: u16,
-}
-
-/// The conversation id that keys this connection's timer-wheel fires
-/// onto a worker-pool shard. An FNV-style mix of the 4-tuple rather
-/// than a global counter so a seeded vtime replay shards identically
-/// run after run.
-fn conv_of(key: &ConnKey) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in key
-        .raddr
-        .0
-        .to_be_bytes()
-        .into_iter()
-        .chain(key.lport.to_be_bytes())
-        .chain(key.rport.to_be_bytes())
-    {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Aggregate IL counters, compared against TCP's in the §3 experiment.
@@ -282,23 +240,15 @@ impl IlStats {
 
 /// The per-stack IL state.
 pub struct IlModule {
-    conns: Mutex<HashMap<ConnKey, Arc<IlConn>>>,
-    listeners: Mutex<HashMap<u16, Arc<ListenerShared>>>,
-    ports: PortSpace,
+    table: Arc<ConvTable<IlConn>>,
     /// Aggregate counters.
     pub stats: IlStats,
     /// The stack's instrumentation block, for query/repair events.
     netlog: Arc<NetLog>,
 }
 
-struct ListenerShared {
-    /// `None` once [`IlModule::unlisten`] poisons the listener: the
-    /// sender drop disconnects the channel, so a blocked `accept()`
-    /// (and the protocol-device open parked inside it) errors out
-    /// instead of waiting forever.
-    backlog_tx: Mutex<Option<Sender<Arc<IlConn>>>>,
-    backlog_rx: Receiver<Arc<IlConn>>,
-}
+/// A passive IL listener.
+pub type IlListener = conv::Listener<IlConn>;
 
 struct Sent {
     payload: Vec<u8>,
@@ -332,31 +282,11 @@ struct Inner {
     last_rexmit: Option<Instant>,
     rtx_deadline: Option<Instant>,
     retries: u32,
-    srtt: Option<Duration>,
-    rttvar: Duration,
-    rto: Duration,
+    rtt: Rtt,
     err: Option<String>,
     /// The armed timer-wheel entry covering the earliest of `ack_due`
     /// and `rtx_deadline`, if any.
     timer: Option<wheel::TimerId>,
-}
-
-impl Inner {
-    fn record_rtt(&mut self, sample: Duration) {
-        let srtt = match self.srtt {
-            None => {
-                self.rttvar = sample / 2;
-                sample
-            }
-            Some(srtt) => {
-                let diff = srtt.abs_diff(sample);
-                self.rttvar = (self.rttvar * 3 + diff) / 4;
-                (srtt * 7 + sample) / 8
-            }
-        };
-        self.srtt = Some(srtt);
-        self.rto = (srtt + 4 * self.rttvar).clamp(RTO_MIN, RTO_MAX);
-    }
 }
 
 /// One IL connection.
@@ -369,7 +299,6 @@ pub struct IlConn {
     inner: Mutex<Inner>,
     readable: Condvar,
     window_open: Condvar,
-    pending_listener: Mutex<Option<Arc<ListenerShared>>>,
     /// Readable-readiness hook for pool-serviced conversations.
     rx_notify: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
@@ -388,9 +317,7 @@ pub enum TryRecv {
 impl IlModule {
     pub(crate) fn new(netlog: &Arc<NetLog>) -> IlModule {
         IlModule {
-            conns: Mutex::named(HashMap::new(), "inet.il.conns"),
-            listeners: Mutex::named(HashMap::new(), "inet.il.listeners"),
-            ports: PortSpace::new(),
+            table: ConvTable::new(),
             stats: IlStats::new(netlog),
             netlog: Arc::clone(netlog),
         }
@@ -409,19 +336,10 @@ impl IlModule {
         dst: IpAddr,
         dport: u16,
     ) -> crate::Result<Arc<IlConn>> {
-        let lport = if lport == 0 {
-            self.ports.alloc()?
-        } else {
-            self.ports.claim(lport)?
-        };
-        let key = ConnKey {
-            lport,
-            raddr: dst,
-            rport: dport,
-        };
         let iss = initial_seq();
-        let conn = IlConn::fresh(stack, key, IlState::Syncer, iss);
-        self.conns.lock().insert(key, Arc::clone(&conn));
+        let conn = self.table.open(lport, dst, dport, |key| {
+            IlConn::fresh(stack, key, IlState::Syncer, iss)
+        })?;
         self.netlog.events.log(Facility::Il, || {
             format!("sync id {iss} to {dst}!{dport}")
         });
@@ -431,7 +349,7 @@ impl IlModule {
         // release the port, not leak the table slot or panic.
         let setup = conn.transmit(IlType::Sync, iss, 0, &[]).and_then(|()| {
             let mut inner = conn.inner.lock();
-            inner.rtx_deadline = Some(time::now() + inner.rto);
+            inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
             conn.rearm(&mut inner)
                 .map_err(|e| NineError::new(format!("il timer: {e}")))
         });
@@ -465,27 +383,12 @@ impl IlModule {
 
     /// Live conversations in the conns table (diagnostics and tests).
     pub fn conn_count(&self) -> usize {
-        self.conns.lock().len()
+        self.table.len()
     }
 
     /// Passively opens a listening port (17008 is the 9fs convention).
-    pub fn listen(&self, stack: &Arc<IpStack>, port: u16) -> crate::Result<IlListener> {
-        let port = if port == 0 {
-            self.ports.alloc()?
-        } else {
-            self.ports.claim(port)?
-        };
-        let (tx, rx) = bounded(64);
-        let shared = Arc::new(ListenerShared {
-            backlog_tx: Mutex::named(Some(tx), "inet.il.backlog"),
-            backlog_rx: rx,
-        });
-        self.listeners.lock().insert(port, Arc::clone(&shared));
-        Ok(IlListener {
-            stack: Arc::downgrade(stack),
-            port,
-            shared,
-        })
+    pub fn listen(&self, _stack: &Arc<IpStack>, port: u16) -> crate::Result<IlListener> {
+        self.table.listen(port)
     }
 
     pub(crate) fn input(stack: &Arc<IpStack>, src: IpAddr, data: &[u8]) {
@@ -497,23 +400,22 @@ impl IlModule {
             raddr: src,
             rport: pkt.src,
         };
-        let conn = stack.il.conns.lock().get(&key).cloned();
-        if let Some(conn) = conn {
+        if let Some(conn) = stack.il.table.lookup(&key) {
             conn.handle(&pkt);
             return;
         }
         if pkt.typ == IlType::Sync {
-            let listener = stack.il.listeners.lock().get(&pkt.dst).cloned();
-            if let Some(listener) = listener {
-                let iss = initial_seq();
+            let iss = initial_seq();
+            let answered = stack.il.table.answer(key, || {
                 let conn = IlConn::fresh(stack, key, IlState::Syncee, iss);
                 {
                     let mut inner = conn.inner.lock();
                     inner.rcv_id = pkt.id; // Sync consumes one id
-                    inner.rtx_deadline = Some(time::now() + inner.rto);
+                    inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
                 }
-                stack.il.conns.lock().insert(key, Arc::clone(&conn));
-                *conn.pending_listener.lock() = Some(listener);
+                conn
+            });
+            if let Some(conn) = answered {
                 stack.il.netlog.events.log(Facility::Il, || {
                     format!("sync id {iss} from {src} port {}", pkt.src)
                 });
@@ -524,8 +426,8 @@ impl IlModule {
                 };
                 if armed.is_err() {
                     // No timer means a wedged half-open conversation:
-                    // drop it (freeing the table slot and port) and
-                    // let the peer's re-Sync try again.
+                    // drop it (freeing the table slot) and let the
+                    // peer's re-Sync try again.
                     conn.teardown();
                 }
                 return;
@@ -546,28 +448,13 @@ impl IlModule {
         }
     }
 
-    pub(crate) fn remove_conn(&self, key: &ConnKey) {
-        if self.conns.lock().remove(key).is_some() {
-            self.ports.release(key.lport);
-        }
-    }
-
     /// Closes the listener on `port` out from under its owner (a
-    /// gateway being killed). The map entry goes, so new Syncs get
-    /// Reset; the backlog sender is dropped, so a blocked `accept()` —
-    /// and the protocol-device listen open parked inside it — errors
-    /// with "listener closed" instead of waiting forever. The port
-    /// itself is released by the [`IlListener`]'s own drop, as usual.
-    /// Returns false if no listener was on `port`.
+    /// gateway being killed): new Syncs get a Close, and a blocked
+    /// `accept()` — with the protocol-device listen open parked inside
+    /// it — errors with "listener closed". Returns false if no listener
+    /// was on `port`.
     pub fn unlisten(&self, port: u16) -> bool {
-        let shared = self.listeners.lock().remove(&port);
-        match shared {
-            Some(s) => {
-                s.backlog_tx.lock().take();
-                true
-            }
-            None => false,
-        }
+        self.table.unlisten(port)
     }
 
     /// Starts a close on every live conversation. The close handshake
@@ -576,51 +463,12 @@ impl IlModule {
     /// drain happens in virtual milliseconds. Returns how many closes
     /// were initiated.
     pub fn hangup_all(&self) -> usize {
-        let conns: Vec<Arc<IlConn>> = self.conns.lock().values().cloned().collect();
+        let conns = self.table.conns();
         let n = conns.len();
         for c in &conns {
             c.close();
         }
         n
-    }
-}
-
-/// A passive IL listener.
-pub struct IlListener {
-    stack: Weak<IpStack>,
-    port: u16,
-    shared: Arc<ListenerShared>,
-}
-
-impl IlListener {
-    /// The listening port.
-    pub fn port(&self) -> u16 {
-        self.port
-    }
-
-    /// Blocks for the next established connection.
-    pub fn accept(&self) -> crate::Result<Arc<IlConn>> {
-        self.shared
-            .backlog_rx
-            .recv()
-            .map_err(|_| NineError::new("listener closed"))
-    }
-
-    /// Waits for a connection until the timeout elapses.
-    pub fn accept_timeout(&self, d: Duration) -> crate::Result<Arc<IlConn>> {
-        self.shared
-            .backlog_rx
-            .recv_timeout(d)
-            .map_err(|_| NineError::new("timed out"))
-    }
-}
-
-impl Drop for IlListener {
-    fn drop(&mut self) {
-        if let Some(stack) = self.stack.upgrade() {
-            stack.il.listeners.lock().remove(&self.port);
-            stack.il.ports.release(self.port);
-        }
     }
 }
 
@@ -635,7 +483,7 @@ impl IlConn {
         Arc::new(IlConn {
             stack: Arc::downgrade(stack),
             key,
-            conv: conv_of(&key),
+            conv: key.conv_id(&[]),
             inner: Mutex::named(Inner {
                 state,
                 snd_id: iss,
@@ -649,25 +497,19 @@ impl IlConn {
                 last_rexmit: None,
                 rtx_deadline: None,
                 retries: 0,
-                srtt: None,
-                rttvar: Duration::ZERO,
-                rto: RTO_INITIAL,
+                rtt: Rtt::new(RTO_INITIAL, RTO_MIN, RTO_MAX),
                 err: None,
                 timer: None,
             }, "inet.il.conn"),
             readable: Condvar::new(),
             window_open: Condvar::new(),
-            pending_listener: Mutex::named(None, "inet.il.accept"),
             rx_notify: Mutex::named(None, "inet.il.rxnotify"),
         })
     }
 
     /// The `local` file string.
     pub fn local_string(&self) -> String {
-        match self.stack.upgrade() {
-            Some(s) => format!("{} {}", s.addr(), self.key.lport),
-            None => format!("? {}", self.key.lport),
-        }
+        self.key.local_string(&self.stack)
     }
 
     /// The `remote` file string.
@@ -686,10 +528,7 @@ impl IlConn {
         format!(
             "{} rtt {} unacked {} window {}",
             inner.state.name(),
-            inner
-                .srtt
-                .map(|d| format!("{}us", d.as_micros()))
-                .unwrap_or_else(|| "-".to_string()),
+            inner.rtt.srtt_string(),
             inner.unacked.len(),
             IL_WINDOW,
         )
@@ -748,7 +587,7 @@ impl IlConn {
                 },
             );
             if inner.rtx_deadline.is_none() {
-                inner.rtx_deadline = Some(time::now() + inner.rto);
+                inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
             }
             inner.ack_due = None; // the data message carries our ack
             inner.rx_since_ack = 0;
@@ -806,7 +645,7 @@ impl IlConn {
             match inner.state {
                 IlState::Established | IlState::Syncee | IlState::Syncer => {
                     inner.state = IlState::Closing;
-                    inner.rtx_deadline = Some(time::now() + inner.rto);
+                    inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
                     let _ = self.rearm(&mut inner);
                     (inner.snd_id, inner.rcv_id, true)
                 }
@@ -825,7 +664,7 @@ impl IlConn {
             wheel::cancel(id);
         }
         if let Some(stack) = self.stack.upgrade() {
-            stack.il.remove_conn(&self.key);
+            stack.il.table.retire(&self.key);
         }
     }
 
@@ -871,15 +710,8 @@ impl IlConn {
         Ok(TryRecv::Empty)
     }
 
-    /// Re-arms the conversation's entry on the shared timer wheel to
-    /// the earliest of the delayed-ack and retransmit deadlines ("a
-    /// helper kernel process awakens periodically to perform any
-    /// necessary retransmissions" — §2.4, now one wheel for every
-    /// conversation instead of a thread each). Never extends an armed
-    /// timer: an early fire just re-evaluates and re-arms, while a
-    /// missing one would wedge the conversation. The spawn error (the
-    /// wheel or pool thread could not start) propagates so dial and
-    /// announce fail loudly instead of panicking the kernel.
+    /// Re-aims the conversation's wheel timer at the earliest of the
+    /// delayed-ack and retransmit deadlines; see [`conv::rearm`].
     fn rearm(self: &Arc<Self>, inner: &mut Inner) -> std::io::Result<()> {
         let want = if inner.state == IlState::Closed {
             None
@@ -889,23 +721,8 @@ impl IlConn {
                 (a, r) => a.or(r),
             }
         };
-        let Some(want) = want else {
-            if let Some(id) = inner.timer.take() {
-                wheel::cancel(id);
-            }
-            return Ok(());
-        };
-        if let Some(id) = inner.timer {
-            if id.deadline() <= want {
-                return Ok(());
-            }
-            wheel::cancel(id);
-            inner.timer = None;
-        }
         let conn = Arc::clone(self);
-        let id = wheel::schedule(self.conv, want, move || conn.timer_fire())?;
-        inner.timer = Some(id);
-        Ok(())
+        conv::rearm(&mut inner.timer, self.conv, want, move || conn.timer_fire())
     }
 
     /// One timer expiry, dispatched from the wheel onto this
@@ -944,8 +761,8 @@ impl IlConn {
                     self.window_open.notify_all();
                     Action::Die
                 } else {
-                    inner.rto = (inner.rto * 3 / 2).min(RTO_MAX);
-                    inner.rtx_deadline = Some(time::now() + inner.rto);
+                    inner.rtt.backoff(3, 2);
+                    inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
                     match inner.state {
                         IlState::Syncer => Action::Resync(inner.snd_id, 0, true),
                         IlState::Syncee => {
@@ -1104,11 +921,8 @@ impl IlConn {
                                 // the exponential backoff applies to
                                 // silence, not to repair rounds.
                                 inner.retries = 0;
-                                if let Some(srtt) = inner.srtt {
-                                    inner.rto =
-                                        (srtt + 4 * inner.rttvar).clamp(RTO_MIN, RTO_MAX);
-                                }
-                                inner.rtx_deadline = Some(time::now() + inner.rto);
+                                inner.rtt.settle();
+                                inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
                             }
                         }
                         IlType::Sync => {
@@ -1213,10 +1027,8 @@ impl IlConn {
             self.teardown();
         }
         if deliver_to_listener {
-            if let Some(listener) = self.pending_listener.lock().take() {
-                if let Some(tx) = listener.backlog_tx.lock().as_ref() {
-                    let _ = tx.try_send(Arc::clone(self));
-                }
+            if let Some(stack) = self.stack.upgrade() {
+                stack.il.table.established(&self.key);
             }
         }
         // Every branch above may have moved ack_due/rtx_deadline; one
@@ -1262,7 +1074,7 @@ impl IlConn {
                     && inner.last_rexmit.map(|t| sent.at > t).unwrap_or(true);
                 if *id == ack && karn_clean {
                     let sample = time::now().saturating_duration_since(sent.at);
-                    inner.record_rtt(sample);
+                    inner.rtt.sample(sample);
                     // The same sample feeds the adaptive-RTT histogram
                     // shown in the protocol's stats file.
                     if let Some(stack) = self.stack.upgrade() {
@@ -1275,7 +1087,7 @@ impl IlConn {
         inner.rtx_deadline = if inner.unacked.is_empty() {
             None
         } else {
-            Some(time::now() + inner.rto)
+            Some(time::now() + inner.rtt.rto)
         };
         self.window_open.notify_all();
     }
@@ -1494,6 +1306,40 @@ mod tests {
         std::thread::sleep(Duration::from_millis(100));
         conn.close();
         assert_eq!(server.join().unwrap(), 100);
+    }
+
+    #[test]
+    fn an_accepted_conversations_teardown_leaves_the_listener_its_port() {
+        let (a, b) = two_hosts();
+        let listener = b.il_module().listen(&b, 17008).unwrap();
+        let conn = a.il_module().connect(&a, b.addr(), 17008).unwrap();
+        let srv = listener.accept().unwrap();
+        conn.close();
+        srv.close();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while b.il_module().conn_count() > 0 {
+            assert!(Instant::now() < deadline, "conversation never torn down");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // The port is still the listener's...
+        let err = b.il_module().listen(&b, 17008).err().expect("port is held");
+        assert!(err.0.contains("in use"), "{err}");
+        // ...and the listener still takes calls on it.
+        let _again = a.il_module().connect(&a, b.addr(), 17008).unwrap();
+        listener.accept_timeout(Duration::from_secs(2)).unwrap();
+    }
+
+    #[test]
+    fn unlisten_fails_a_blocked_accept() {
+        let (_a, b) = two_hosts();
+        let listener = b.il_module().listen(&b, 17008).unwrap();
+        // Whether `accept` parks before or after the poisoning, it must
+        // come back with the same error.
+        let blocked = std::thread::spawn(move || listener.accept().unwrap_err());
+        assert!(b.il_module().unlisten(17008));
+        let err = blocked.join().unwrap();
+        assert!(err.0.contains("listener closed"), "{err}");
+        assert!(!b.il_module().unlisten(17008), "nothing left to close");
     }
 
     #[test]

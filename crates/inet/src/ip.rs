@@ -2,13 +2,17 @@
 //! fragmentation and reassembly, and dispatch to the transport modules.
 //!
 //! One [`IpStack`] represents one host's IP interface on one Ethernet
-//! segment. The station runs in push mode: every inbound frame, and
-//! every packet the host sends itself, is a job on the stack's
-//! worker-pool shard that dispatches to UDP, TCP or IL.
+//! segment, and owns the interface's one station. The station runs in
+//! push mode: every inbound frame, and every packet the host sends
+//! itself, is a job on the stack's worker-pool shard that dispatches to
+//! UDP, TCP or IL. ARP and IP are the kernel's own conversations on the
+//! interface (packet types 2054 and 2048, §2.2); the Ethernet device's
+//! conversations read the same frames through [`IpStack::set_rx_tap`].
 
 use crate::addr::IpAddr;
 use crate::arp::{ArpCache, ArpPacket, ARP_ETHERTYPE, ARP_REPLY, ARP_REQUEST, IP_ETHERTYPE};
 use crate::checksum::internet_checksum;
+use crate::conv::shard_key;
 use crate::{il, tcp, udp};
 use plan9_netlog::{Counter, NetLog, Registry};
 use plan9_support::copysite::Site;
@@ -19,11 +23,11 @@ static ENCODE_SITE: Site = Site::new("ip.encode");
 static FRAGMENT_SITE: Site = Site::new("ip.fragment");
 static REASSEMBLE_SITE: Site = Site::new("ip.reassemble");
 static RX_SITE: Site = Site::new("ip.rxcopy");
-use plan9_netsim::ether::{EtherStation, BROADCAST};
+use plan9_netsim::ether::{EtherFrame, EtherStation, BROADCAST};
 use plan9_ninep::NineError;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// Bytes of IP header (no options).
@@ -126,6 +130,8 @@ pub struct IpHeader {
     pub more_frags: bool,
 }
 
+type RxTap = Box<dyn Fn(&EtherFrame) + Send + Sync>;
+
 /// One host interface: IP over a simulated Ethernet station.
 pub struct IpStack {
     cfg: IpConfig,
@@ -134,6 +140,8 @@ pub struct IpStack {
     me: Weak<IpStack>,
     /// The pool/wheel shard key that serializes this station's frames.
     shard: u64,
+    /// The Ethernet device's view of the receive path.
+    tap: OnceLock<RxTap>,
     /// The ARP cache (public for diagnostics and tests).
     pub arp: ArpCache,
     frag: Mutex<HashMap<(u32, u16), FragBuf>>,
@@ -150,17 +158,6 @@ pub struct IpStack {
     pub(crate) il: il::IlModule,
 }
 
-/// Deterministic pool/wheel shard key for a station: an FNV-1a hash of
-/// the MAC plus the interface address, stable across same-seed runs.
-fn station_key(mac: &plan9_netsim::ether::MacAddr, addr: IpAddr) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in mac.iter().copied().chain(addr.0.to_be_bytes()) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 impl IpStack {
     /// Brings up an interface. There are no receiver threads: the
     /// station is switched to push mode and every inbound frame is
@@ -173,7 +170,8 @@ impl IpStack {
     /// learned, so even a first-contact transmit from an ack or a
     /// retransmission timer is safe on a shard.
     pub fn new_pooled(station: EtherStation, cfg: IpConfig) -> Arc<IpStack> {
-        let shard = station_key(&station.addr, cfg.addr);
+        // Named by the MAC plus the interface address.
+        let shard = shard_key(station.addr.into_iter().chain(cfg.addr.0.to_be_bytes()));
         // An IP host only consumes its own unicasts and broadcasts;
         // let the controller filter the rest off the bus.
         station.set_address_filter(true);
@@ -183,6 +181,7 @@ impl IpStack {
             station,
             me: me.clone(),
             shard,
+            tap: OnceLock::new(),
             arp: ArpCache::new(),
             frag: Mutex::named(HashMap::new(), "inet.ip.frag"),
             ip_id: AtomicU16::new(1),
@@ -199,6 +198,9 @@ impl IpStack {
             if stack.is_shutdown() {
                 return;
             }
+            if let Some(tap) = stack.tap.get() {
+                tap(&frame);
+            }
             match frame.ethertype {
                 ARP_ETHERTYPE => stack.handle_arp(&frame.payload),
                 IP_ETHERTYPE => stack.handle_ip(Some(frame.src), &frame.payload),
@@ -206,6 +208,23 @@ impl IpStack {
             }
         });
         stack
+    }
+
+    /// Registers the interface's second reader: `tap` is called on the
+    /// station's shard for every frame the controller accepts, before
+    /// ARP and IP see it — "if several connections on an interface are
+    /// configured for a particular packet type, each receives a copy"
+    /// (§2.2), and this is where the Ethernet device takes its copies.
+    /// Like the handler it rides in, `tap` must not block. An interface
+    /// has one device, so a second registration is a bug.
+    pub fn set_rx_tap(&self, tap: impl Fn(&EtherFrame) + Send + Sync + 'static) {
+        assert!(self.tap.set(Box::new(tap)).is_ok(), "rx tap already registered");
+    }
+
+    /// The interface's station, for the Ethernet device to send on and
+    /// to release the address filter of.
+    pub fn station(&self) -> &EtherStation {
+        &self.station
     }
 
     /// This interface's address.
@@ -282,7 +301,10 @@ impl IpStack {
             return;
         };
         if hdr.dst != self.cfg.addr && hdr.dst != IpAddr::BROADCAST {
-            return; // not ours; the bus shows us everything
+            // Not ours: hosts do not forward, and a promiscuous ether
+            // conversation lets other hosts' unicasts past the
+            // controller's address filter.
+            return;
         }
         // In-band ARP: a frame from a peer *is* its address mapping.
         // Without this, a host that learned our address passively (from

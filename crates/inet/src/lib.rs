@@ -27,9 +27,9 @@
 pub mod addr;
 pub mod arp;
 pub mod checksum;
+mod conv;
 pub mod il;
 pub mod ip;
-pub mod ports;
 pub mod tcp;
 pub mod udp;
 

@@ -12,16 +12,15 @@
 
 use crate::addr::IpAddr;
 use crate::checksum::internet_checksum;
+use crate::conv::{self, initial_seq, seq_le, seq_lt, ConnKey, ConvTable, Rtt};
 use crate::ip::IpStack;
-use crate::ports::PortSpace;
 use plan9_netlog::trace;
 use plan9_netlog::{Counter, Facility, NetLog};
-use plan9_support::chan::{bounded, Receiver, Sender};
 use plan9_support::copysite::Site;
 use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::{time, wheel};
 use plan9_ninep::NineError;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -170,41 +169,6 @@ pub fn decode_segment(b: &[u8]) -> Option<Segment> {
     })
 }
 
-/// Wrapping sequence comparison: is `a` strictly before `b`?
-fn seq_lt(a: u32, b: u32) -> bool {
-    (a.wrapping_sub(b) as i32) < 0
-}
-
-fn seq_le(a: u32, b: u32) -> bool {
-    a == b || seq_lt(a, b)
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct ConnKey {
-    pub(crate) lport: u16,
-    pub(crate) raddr: IpAddr,
-    pub(crate) rport: u16,
-}
-
-/// Conversation id for the shared timer wheel / worker pool: an FNV-1a
-/// hash of the connection key (salted with the protocol number so a
-/// TCP and an IL conversation on the same ports land on different
-/// shards). A hash — not a global counter — so the id is identical
-/// across same-seed replay runs and the shard assignment stays
-/// deterministic.
-fn conv_of(key: &ConnKey) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in std::iter::once(TCP_PROTO)
-        .chain(key.raddr.0.to_be_bytes())
-        .chain(key.lport.to_be_bytes())
-        .chain(key.rport.to_be_bytes())
-    {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Aggregate TCP counters; the blind-retransmission numbers feed the
 /// IL-vs-TCP experiment. All live in the stack's netlog registry under
 /// `tcp.*` names.
@@ -248,19 +212,15 @@ impl TcpStats {
 
 /// The per-stack TCP state.
 pub struct TcpModule {
-    conns: Mutex<HashMap<ConnKey, Arc<TcpConn>>>,
-    listeners: Mutex<HashMap<u16, Arc<ListenerShared>>>,
-    ports: PortSpace,
+    table: Arc<ConvTable<TcpConn>>,
     /// Aggregate counters.
     pub stats: TcpStats,
     /// The stack's instrumentation block, for retransmission events.
     netlog: Arc<NetLog>,
 }
 
-struct ListenerShared {
-    backlog_tx: Sender<Arc<TcpConn>>,
-    backlog_rx: Receiver<Arc<TcpConn>>,
-}
+/// A passive listener.
+pub type TcpListener = conv::Listener<TcpConn>;
 
 struct Inner {
     state: TcpState,
@@ -279,9 +239,7 @@ struct Inner {
     peer_fin: Option<u32>,
     fin_taken: bool,
     // Timing.
-    srtt: Option<Duration>,
-    rttvar: Duration,
-    rto: Duration,
+    rtt: Rtt,
     rtt_probe: Option<(u32, Instant)>,
     rtx_deadline: Option<Instant>,
     retries: u32,
@@ -329,22 +287,6 @@ impl Inner {
     fn window_avail(&self) -> u16 {
         (RCV_BUF_MAX.saturating_sub(self.recv_buf.len())).min(u16::MAX as usize) as u16
     }
-
-    fn record_rtt(&mut self, sample: Duration) {
-        let srtt = match self.srtt {
-            None => {
-                self.rttvar = sample / 2;
-                sample
-            }
-            Some(srtt) => {
-                let diff = srtt.abs_diff(sample);
-                self.rttvar = (self.rttvar * 3 + diff) / 4;
-                (srtt * 7 + sample) / 8
-            }
-        };
-        self.srtt = Some(srtt);
-        self.rto = (srtt + 4 * self.rttvar).clamp(RTO_MIN, RTO_MAX);
-    }
 }
 
 /// One TCP connection.
@@ -358,17 +300,12 @@ pub struct TcpConn {
     readable: Condvar,
     /// Signaled when send-buffer space opens.
     writable: Condvar,
-    /// Set on passively opened connections until the handshake
-    /// completes, then used to hand the connection to `accept`.
-    pending_listener: Mutex<Option<Arc<ListenerShared>>>,
 }
 
 impl TcpModule {
     pub(crate) fn new(netlog: &Arc<NetLog>) -> TcpModule {
         TcpModule {
-            conns: Mutex::named(HashMap::new(), "inet.tcp.conns"),
-            listeners: Mutex::named(HashMap::new(), "inet.tcp.listeners"),
-            ports: PortSpace::new(),
+            table: ConvTable::new(),
             stats: TcpStats::new(netlog),
             netlog: Arc::clone(netlog),
         }
@@ -392,33 +329,17 @@ impl TcpModule {
         dst: IpAddr,
         dport: u16,
     ) -> crate::Result<Arc<TcpConn>> {
-        let lport = if lport == 0 {
-            self.ports.alloc()?
-        } else {
-            self.ports.claim(lport)?
-        };
-        let key = ConnKey {
-            lport,
-            raddr: dst,
-            rport: dport,
-        };
         let iss = initial_seq();
-        let conn = TcpConn::fresh(stack, key, TcpState::SynSent, iss, 0);
-        {
-            let mut conns = self.conns.lock();
-            if conns.contains_key(&key) {
-                self.ports.release(lport);
-                return Err(NineError::new("connection already exists"));
-            }
-            conns.insert(key, Arc::clone(&conn));
-        }
+        let conn = self.table.open(lport, dst, dport, |key| {
+            TcpConn::fresh(stack, key, TcpState::SynSent, iss, 0)
+        })?;
         // A failed transmit or timer arm must not leak the conn in the
         // conns table: tear it down and surface the error to the
         // dialer.
         let setup = conn.transmit_flags(SYN, iss, 0, &[]).and_then(|()| {
             let mut inner = conn.inner.lock();
             inner.snd_nxt = iss.wrapping_add(1);
-            inner.rtx_deadline = Some(time::now() + inner.rto);
+            inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
             conn.rearm(&mut inner)
                 .map_err(|e| NineError::new(format!("tcp timer: {e}")))
         });
@@ -451,23 +372,8 @@ impl TcpModule {
     }
 
     /// Passively opens a listening port.
-    pub fn listen(&self, stack: &Arc<IpStack>, port: u16) -> crate::Result<TcpListener> {
-        let port = if port == 0 {
-            self.ports.alloc()?
-        } else {
-            self.ports.claim(port)?
-        };
-        let (tx, rx) = bounded(64);
-        let shared = Arc::new(ListenerShared {
-            backlog_tx: tx,
-            backlog_rx: rx,
-        });
-        self.listeners.lock().insert(port, Arc::clone(&shared));
-        Ok(TcpListener {
-            stack: Arc::downgrade(stack),
-            port,
-            shared,
-        })
+    pub fn listen(&self, _stack: &Arc<IpStack>, port: u16) -> crate::Result<TcpListener> {
+        self.table.listen(port)
     }
 
     pub(crate) fn input(stack: &Arc<IpStack>, src: IpAddr, data: &[u8]) {
@@ -480,31 +386,25 @@ impl TcpModule {
             raddr: src,
             rport: seg.sport,
         };
-        let conn = stack.tcp.conns.lock().get(&key).cloned();
-        if let Some(conn) = conn {
+        if let Some(conn) = stack.tcp.table.lookup(&key) {
             conn.handle(&seg);
             return;
         }
         // No connection: maybe a listener?
         if seg.flags & SYN != 0 && seg.flags & ACK == 0 {
-            let listener = stack.tcp.listeners.lock().get(&seg.dport).cloned();
-            if let Some(listener) = listener {
-                let iss = initial_seq();
-                let conn = TcpConn::fresh(
-                    stack,
-                    key,
-                    TcpState::SynRcvd,
-                    iss,
-                    seg.seq.wrapping_add(1),
-                );
+            let iss = initial_seq();
+            let ack = seg.seq.wrapping_add(1);
+            let answered = stack.tcp.table.answer(key, || {
+                let conn = TcpConn::fresh(stack, key, TcpState::SynRcvd, iss, ack);
                 {
                     let mut inner = conn.inner.lock();
                     inner.snd_wnd = seg.window as u32;
                     inner.snd_nxt = iss.wrapping_add(1);
-                    inner.rtx_deadline = Some(time::now() + inner.rto);
+                    inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
                 }
-                stack.tcp.conns.lock().insert(key, Arc::clone(&conn));
-                let ack = seg.seq.wrapping_add(1);
+                conn
+            });
+            if let Some(conn) = answered {
                 let _ = conn.transmit_flags(SYN | ACK, iss, ack, &[]);
                 let armed = {
                     let mut inner = conn.inner.lock();
@@ -515,11 +415,7 @@ impl TcpModule {
                     // retried; drop the embryonic conn rather than
                     // leak it. The peer will retransmit its SYN.
                     conn.teardown();
-                    return;
                 }
-                // Queued for accept() once the handshake completes; the
-                // pending listener reference rides in the conn.
-                *conn.pending_listener.lock() = Some(listener);
                 return;
             }
         }
@@ -538,61 +434,10 @@ impl TcpModule {
         }
     }
 
-    pub(crate) fn remove_conn(&self, key: &ConnKey) {
-        if self.conns.lock().remove(key).is_some() {
-            self.ports.release(key.lport);
-        }
-    }
-
     /// Number of live connections (diagnostics).
     pub fn conn_count(&self) -> usize {
-        self.conns.lock().len()
+        self.table.len()
     }
-}
-
-/// A passive listener.
-pub struct TcpListener {
-    stack: Weak<IpStack>,
-    port: u16,
-    shared: Arc<ListenerShared>,
-}
-
-impl TcpListener {
-    /// The listening port.
-    pub fn port(&self) -> u16 {
-        self.port
-    }
-
-    /// Blocks for the next established connection.
-    pub fn accept(&self) -> crate::Result<Arc<TcpConn>> {
-        self.shared
-            .backlog_rx
-            .recv()
-            .map_err(|_| NineError::new("listener closed"))
-    }
-
-    /// Waits for a connection until the timeout elapses.
-    pub fn accept_timeout(&self, d: Duration) -> crate::Result<Arc<TcpConn>> {
-        self.shared
-            .backlog_rx
-            .recv_timeout(d)
-            .map_err(|_| NineError::new("timed out"))
-    }
-}
-
-impl Drop for TcpListener {
-    fn drop(&mut self) {
-        if let Some(stack) = self.stack.upgrade() {
-            stack.tcp.listeners.lock().remove(&self.port);
-            stack.tcp.ports.release(self.port);
-        }
-    }
-}
-
-fn initial_seq() -> u32 {
-    // Clock-derived ISS, like 4.4BSD; fine for a simulator. The wall
-    // clock is a support-layer privilege (see `plan9_support::time`).
-    plan9_support::time::unix_subsec_nanos().wrapping_mul(2654435761)
 }
 
 impl std::fmt::Debug for TcpConn {
@@ -613,7 +458,7 @@ impl TcpConn {
         Arc::new(TcpConn {
             stack: Arc::downgrade(stack),
             key,
-            conv: conv_of(&key),
+            conv: key.conv_id(&[TCP_PROTO]),
             inner: Mutex::named(Inner {
                 state,
                 snd_una: iss,
@@ -627,9 +472,7 @@ impl TcpConn {
                 ooo: BTreeMap::new(),
                 peer_fin: None,
                 fin_taken: false,
-                srtt: None,
-                rttvar: Duration::ZERO,
-                rto: RTO_INITIAL,
+                rtt: Rtt::new(RTO_INITIAL, RTO_MIN, RTO_MAX),
                 rtt_probe: None,
                 rtx_deadline: None,
                 retries: 0,
@@ -645,16 +488,12 @@ impl TcpConn {
             }, "inet.tcp.conn"),
             readable: Condvar::new(),
             writable: Condvar::new(),
-            pending_listener: Mutex::named(None, "inet.tcp.accept"),
         })
     }
 
     /// The local address string for the `local` file: `ip port`.
     pub fn local_string(&self) -> String {
-        match self.stack.upgrade() {
-            Some(s) => format!("{} {}", s.addr(), self.key.lport),
-            None => format!("? {}", self.key.lport),
-        }
+        self.key.local_string(&self.stack)
     }
 
     /// The remote address string for the `remote` file.
@@ -673,10 +512,7 @@ impl TcpConn {
         format!(
             "{} srtt {} unacked {} cwnd {} ssthresh {}",
             inner.state.name(),
-            inner
-                .srtt
-                .map(|d| format!("{}us", d.as_micros()))
-                .unwrap_or_else(|| "-".to_string()),
+            inner.rtt.srtt_string(),
             inner.snd_nxt.wrapping_sub(inner.snd_una),
             inner.cwnd,
             inner.ssthresh,
@@ -777,7 +613,7 @@ impl TcpConn {
                         inner.snd_nxt = seq.wrapping_add(1);
                         let ack = inner.rcv_nxt;
                         if inner.rtx_deadline.is_none() {
-                            inner.rtx_deadline = Some(time::now() + inner.rto);
+                            inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
                         }
                         let _ = self.rearm(&mut inner);
                         drop(inner);
@@ -806,7 +642,7 @@ impl TcpConn {
                 let seq = inner.snd_nxt;
                 inner.snd_nxt = seq.wrapping_add(n as u32);
                 if inner.rtx_deadline.is_none() {
-                    inner.rtx_deadline = Some(time::now() + inner.rto);
+                    inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
                 }
                 let _ = self.rearm(&mut inner);
                 let set_probe = inner.rtt_probe.is_none();
@@ -899,38 +735,21 @@ impl TcpConn {
             wheel::cancel(id);
         }
         if let Some(stack) = self.stack.upgrade() {
-            stack.tcp.remove_conn(&self.key);
+            stack.tcp.table.retire(&self.key);
         }
     }
 
-    /// (Re-)arms the wheel timer at the earliest pending deadline:
-    /// the retransmission deadline, or TIME-WAIT expiry. Must be
-    /// called whenever either deadline changes. Never *extends* an
-    /// armed timer — an early fire just re-evaluates and re-arms —
-    /// because the armed [`wheel::TimerId`] may already be in flight.
+    /// Re-aims the wheel timer at the pending deadline — retransmission,
+    /// or TIME-WAIT expiry; see [`conv::rearm`]. Must be called whenever
+    /// either deadline changes.
     fn rearm(self: &Arc<Self>, inner: &mut Inner) -> std::io::Result<()> {
         let want = match inner.state {
             TcpState::Closed => None,
             TcpState::TimeWait => inner.time_wait_until,
             _ => inner.rtx_deadline,
         };
-        let Some(want) = want else {
-            if let Some(id) = inner.timer.take() {
-                wheel::cancel(id);
-            }
-            return Ok(());
-        };
-        if let Some(id) = inner.timer {
-            if id.deadline() <= want {
-                return Ok(());
-            }
-            wheel::cancel(id);
-            inner.timer = None;
-        }
         let conn = Arc::clone(self);
-        let id = wheel::schedule(self.conv, want, move || conn.timer_fire())?;
-        inner.timer = Some(id);
-        Ok(())
+        conv::rearm(&mut inner.timer, self.conv, want, move || conn.timer_fire())
     }
 
     /// The wheel callback: one timer expiry, run on this
@@ -971,8 +790,8 @@ impl TcpConn {
                             self.writable.notify_all();
                             dead = true;
                         } else {
-                            inner.rto = (inner.rto * 2).min(RTO_MAX);
-                            inner.rtx_deadline = Some(time::now() + inner.rto);
+                            inner.rtt.backoff(2, 1);
+                            inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
                             inner.rtt_probe = None; // Karn's rule
                             // A timeout collapses the congestion window
                             // (Tahoe).
@@ -1169,14 +988,14 @@ impl TcpConn {
                         if let Some((probe_seq, at)) = inner.rtt_probe {
                             if seq_le(probe_seq, seg.ack) {
                                 let sample = time::now().saturating_duration_since(at);
-                                inner.record_rtt(sample);
+                                inner.rtt.sample(sample);
                                 inner.rtt_probe = None;
                             }
                         }
                         if inner.snd_una == inner.snd_nxt {
                             inner.rtx_deadline = None;
                         } else {
-                            inner.rtx_deadline = Some(time::now() + inner.rto);
+                            inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
                         }
                         notify_write = true;
                         // FIN-related transitions on our side.
@@ -1208,8 +1027,8 @@ impl TcpConn {
             let _ = self.transmit_flags(ACK, seq, ack, &[]);
         }
         if deliver_to_listener {
-            if let Some(listener) = self.pending_listener.lock().take() {
-                let _ = listener.backlog_tx.try_send(Arc::clone(self));
+            if let Some(stack) = self.stack.upgrade() {
+                stack.tcp.table.established(&self.key);
             }
         }
         if notify_read {
@@ -1545,6 +1364,28 @@ mod tests {
         let inner = conn.inner.lock();
         assert_eq!(inner.cwnd, inner.mss as u32, "timeout resets to 1 MSS");
         assert!(a.tcp_module().stats.retransmit_segments.get() > 0);
+    }
+
+    #[test]
+    fn an_accepted_connections_teardown_leaves_the_listener_its_port() {
+        let (a, b) = two_hosts();
+        let listener = b.tcp_module().listen(&b, 564).unwrap();
+        let conn = a.tcp_module().connect(&a, b.addr(), 564).unwrap();
+        let srv = listener.accept().unwrap();
+        conn.close();
+        srv.close();
+        // Past FIN/ACK both ways and the closer's TIME-WAIT.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while b.tcp_module().conn_count() > 0 {
+            assert!(Instant::now() < deadline, "connection never torn down");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // The port is still the listener's...
+        let err = b.tcp_module().listen(&b, 564).err().expect("port is held");
+        assert!(err.0.contains("in use"), "{err}");
+        // ...and the listener still takes calls on it.
+        let _again = a.tcp_module().connect(&a, b.addr(), 564).unwrap();
+        listener.accept_timeout(Duration::from_secs(2)).unwrap();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use crate::addr::IpAddr;
 use crate::checksum::internet_checksum;
 use crate::ip::IpStack;
-use crate::ports::PortSpace;
+use crate::conv::PortSpace;
 use plan9_netlog::{Counter, Facility, NetLog};
 use plan9_support::chan::{bounded, Receiver, Sender};
 use plan9_support::sync::Mutex;
@@ -64,11 +64,7 @@ impl UdpModule {
 
     /// Binds a socket on `port` (0 = ephemeral).
     pub fn bind(&self, stack: &Arc<IpStack>, port: u16) -> crate::Result<UdpSocket> {
-        let port = if port == 0 {
-            self.ports.alloc()?
-        } else {
-            self.ports.claim(port)?
-        };
+        let port = self.ports.claim(port)?;
         let (tx, rx) = bounded(SOCK_QUEUE);
         self.binds.lock().insert(port, tx);
         Ok(UdpSocket {

@@ -3,14 +3,16 @@
 //! "Connections from the servers fan out to local terminals using medium
 //! speed networks such as Ethernet." The segment is a true bus: every
 //! transmission serializes all stations on one medium, and every station
-//! receives a copy of every frame. Address and packet-type filtering is
-//! done *above*, in the Ethernet device driver, because Plan 9's driver
-//! supports per-conversation packet types, the `-1` receive-everything
-//! type, and promiscuous mode (§2.2) — all of which need the raw feed.
+//! is offered a copy of every frame. A station's controller filters by
+//! address only when asked to ([`EtherStation::set_address_filter`]);
+//! packet-type filtering is done *above*, in the Ethernet device driver,
+//! because Plan 9's driver supports per-conversation packet types, the
+//! `-1` receive-everything type, and promiscuous mode (§2.2), for which
+//! it releases the address filter again.
 
 use crate::profile::LinkProfile;
 use crate::wire::Medium;
-use plan9_support::chan::{unbounded, Receiver, RecvTimeoutError, Sender};
+use plan9_support::chan::{unbounded, Receiver, Sender};
 use plan9_support::sync::Mutex;
 use plan9_support::{pool, wheel};
 use std::sync::Arc;
@@ -278,14 +280,9 @@ impl EtherStation {
 
     /// Waits for a frame until the timeout elapses.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<EtherFrame> {
-        let deadline = time::now() + timeout;
-        let inflight = match self.rx.recv_timeout(timeout) {
-            Ok(f) => f,
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => return None,
-        };
-        // Honor propagation, but never past the caller's deadline by much:
+        let inflight = self.rx.recv_timeout(timeout).ok()?;
+        // Honor propagation, even a little past the caller's timeout:
         // frames are small and the delay is tens of microseconds.
-        let _ = deadline;
         wait_until(inflight.deliver_at);
         EtherFrame::decode(&inflight.frame)
     }

@@ -74,8 +74,9 @@ cargo build --release --offline --workspace
 # so without it only tests/*.rs run and no crate's own tests do.
 cargo test -q --offline --workspace
 
-# The paper's flagship listings must run end to end, still offline.
-for ex in quickstart csquery netstat tracerpc; do
+# The paper's flagship listings must run end to end, still offline
+# (snoop is the one end-to-end user of /net/ether0's promiscuous mode).
+for ex in quickstart csquery netstat tracerpc snoop; do
     cargo run --release --offline --example "$ex" >/dev/null
 done
 
@@ -214,4 +215,25 @@ EOF
 # against the contract. Numbers are not gated here; see perf/README.md.
 bash perf/run.sh --quick >/dev/null
 
-echo "verify: OK (checkflow + clippy + hermetic build + tests + examples + trace-off ring + LoC gate + bench JSON + vtime sweep gate + cityload scale gate + scenario adversity gate + netmon telemetry gate + perf --quick)"
+# One traced run, gated on counts only: perf/README.md says these
+# repeat exactly from run to run, so noise cannot trip the gate. A
+# machine has one Ethernet station and no thread waiting on the wire
+# for /net/ether0, so a 64-byte RPC over IL costs two frames and about
+# five context switches; a second reader thread showed as seven.
+bash perf/run.sh --workload rpc64_il --seed 1 --seconds 2 --trace 1 | tail -n 1 | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+if r["failed"] or not r["correct"]:
+    sys.exit("verify: traced rpc64_il: %d failed operations, correct=%s" % (r["failed"], r["correct"]))
+m = {k: v["value"] for k, v in r["metrics"].items()}
+for name, ok in (
+    ("os.ctxsw_per_op", m["os.ctxsw_per_op"] < 6),
+    ("os.threads", m["os.threads"] <= 9),
+    ("inet.il.pkts_per_op", m["inet.il.pkts_per_op"] == 2),
+    ("netsim.ether.frames_per_op", m["netsim.ether.frames_per_op"] == 2),
+):
+    if not ok:
+        sys.exit("verify: traced rpc64_il: %s = %s" % (name, m[name]))
+'
+
+echo "verify: OK (checkflow + clippy + hermetic build + tests + examples + trace-off ring + LoC gate + bench JSON + vtime sweep gate + cityload scale gate + scenario adversity gate + netmon telemetry gate + perf --quick + traced count gate)"

@@ -138,7 +138,10 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/gnot proto=il proto=tcp
     p.close(udp.data_fd);
     p.close(udp.ctl_fd);
 
+    // An ether conversation, promiscuous so that opening and clunking
+    // it reach the controller's address filter under the table lock.
     let eclone = p.open("/net/ether0/clone", OpenMode::RDWR).expect("ether clone");
+    p.write_str(eclone, "promiscuous").expect("promiscuous");
     p.close(eclone);
     let (r, w) = p.pipe().expect("pipe");
     p.close(w);
