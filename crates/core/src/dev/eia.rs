@@ -15,11 +15,10 @@
 
 use plan9_support::sync::Mutex;
 use plan9_netsim::uart::UartEnd;
-use plan9_ninep::procfs::{read_dir_slice, OpenMode, ProcFs, ServeNode};
+use plan9_ninep::procfs::{conv_of, conv_path, readstr, Dev, ServeNode, ROOT};
 use plan9_ninep::qid::Qid;
 use plan9_ninep::{errstr, Dir, NineError, Result};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 struct Line {
@@ -32,18 +31,11 @@ struct Line {
 /// one like the paper's listing.
 pub struct EiaDev {
     lines: Vec<Line>,
-    handles: AtomicU64,
 }
 
-const Q_TOP: u32 = 0;
-
-fn data_qid(i: usize) -> Qid {
-    Qid::file(((i as u32 + 1) << 4) | 1, 0)
-}
-
-fn ctl_qid(i: usize) -> Qid {
-    Qid::file(((i as u32 + 1) << 4) | 2, 0)
-}
+// A line's two files, as the file types of `conv_path(line, _)`.
+const T_DATA: u32 = 1;
+const T_CTL: u32 = 2;
 
 impl EiaDev {
     /// Builds the device over a set of serial lines.
@@ -56,94 +48,41 @@ impl EiaDev {
                     pending: Mutex::named(VecDeque::new(), "core.eia.pending"),
                 })
                 .collect(),
-            handles: AtomicU64::new(1),
         })
     }
 
-    fn entries(&self) -> Vec<Dir> {
-        let mut out = Vec::new();
-        for i in 0..self.lines.len() {
-            let mut d = Dir::file(&format!("eia{}", i + 1), data_qid(i), 0o666, "bootes", 0);
-            d.dev_type = b't' as u16;
-            out.push(d);
-            let mut d = Dir::file(
-                &format!("eia{}ctl", i + 1),
-                ctl_qid(i),
-                0o666,
-                "bootes",
-                0,
-            );
-            d.dev_type = b't' as u16;
-            out.push(d);
-        }
-        out
-    }
-
-    fn line_of(&self, q: Qid) -> Result<(usize, bool)> {
-        let p = q.path_bits();
-        if p < 16 {
-            return Err(NineError::new(errstr::EBADUSE));
-        }
-        let idx = (p >> 4) as usize - 1;
-        if idx >= self.lines.len() {
-            return Err(NineError::new(errstr::ENOTEXIST));
-        }
-        Ok((idx, p & 0xf == 2))
+    fn line_of(&self, q: Qid) -> Result<(&Line, bool)> {
+        let (idx, typ) = conv_of(q).ok_or_else(|| NineError::new(errstr::EBADUSE))?;
+        let line = self.lines.get(idx).ok_or_else(|| NineError::new(errstr::ENOTEXIST))?;
+        Ok((line, typ == T_CTL))
     }
 }
 
-impl ProcFs for EiaDev {
-    fn fsname(&self) -> String {
+impl Dev for EiaDev {
+    fn name(&self) -> String {
         "eia".to_string()
     }
 
-    fn attach(&self, _uname: &str, _aname: &str) -> Result<ServeNode> {
-        Ok(ServeNode::new(
-            Qid::dir(Q_TOP, 0),
-            self.handles.fetch_add(1, Ordering::Relaxed),
-        ))
+    fn root(&self) -> Dir {
+        Dir::directory("eia", ROOT, 0o555, "bootes")
     }
 
-    fn clone_node(&self, n: &ServeNode) -> Result<ServeNode> {
-        Ok(ServeNode::new(
-            n.qid,
-            self.handles.fetch_add(1, Ordering::Relaxed),
-        ))
+    fn rows(&self, _dir: Qid) -> Vec<Dir> {
+        let row = |line: usize, suffix: &str, typ: u32| {
+            let name = format!("eia{}{suffix}", line + 1);
+            let mut d = Dir::file(&name, Qid::file(conv_path(line, typ), 0), 0o666, "bootes", 0);
+            d.dev_type = b't' as u16;
+            d
+        };
+        (0..self.lines.len())
+            .flat_map(|line| [row(line, "", T_DATA), row(line, "ctl", T_CTL)])
+            .collect()
     }
 
-    fn walk(&self, n: &ServeNode, name: &str) -> Result<ServeNode> {
-        if !n.qid.is_dir() {
-            return Err(NineError::new(errstr::ENOTDIR));
-        }
-        if name == ".." {
-            return Ok(*n);
-        }
-        self.entries()
-            .into_iter()
-            .find(|d| d.name == name)
-            .map(|d| ServeNode::new(d.qid, n.handle))
-            .ok_or_else(|| NineError::new(errstr::ENOTEXIST))
-    }
-
-    fn open(&self, n: &ServeNode, mode: OpenMode) -> Result<ServeNode> {
-        if n.qid.is_dir() && mode.access() != 0 {
-            return Err(NineError::new(errstr::EISDIR));
-        }
-        Ok(*n)
-    }
-
-    fn read(&self, n: &ServeNode, offset: u64, count: usize) -> Result<Vec<u8>> {
-        if n.qid.is_dir() {
-            return read_dir_slice(&self.entries(), offset, count);
-        }
-        let (idx, is_ctl) = self.line_of(n.qid)?;
-        let line = &self.lines[idx];
+    fn read_file(&self, n: &ServeNode, offset: u64, count: usize) -> Result<Vec<u8>> {
+        let (line, is_ctl) = self.line_of(n.qid)?;
         if is_ctl {
-            let s = format!("b{}\n", line.uart.baud());
-            let bytes = s.into_bytes();
-            let off = (offset as usize).min(bytes.len());
-            let end = (off + count).min(bytes.len());
-            return Ok(bytes[off..end].to_vec());
+            return Ok(readstr(&format!("b{}\n", line.uart.baud()), offset, count));
         }
         // Data: drain pending bytes, else block for more from the line.
         {
@@ -164,9 +103,8 @@ impl ProcFs for EiaDev {
         }
     }
 
-    fn write(&self, n: &ServeNode, _offset: u64, data: &[u8]) -> Result<usize> {
-        let (idx, is_ctl) = self.line_of(n.qid)?;
-        let line = &self.lines[idx];
+    fn write_file(&self, n: &ServeNode, _offset: u64, data: &[u8]) -> Result<usize> {
+        let (line, is_ctl) = self.line_of(n.qid)?;
         if is_ctl {
             let cmd = std::str::from_utf8(data)
                 .map_err(|_| NineError::new("control request is not text"))?
@@ -183,24 +121,13 @@ impl ProcFs for EiaDev {
         line.uart.send(data).map_err(NineError::new)?;
         Ok(data.len())
     }
-
-    fn clunk(&self, _n: &ServeNode) {}
-
-    fn stat(&self, n: &ServeNode) -> Result<Dir> {
-        if n.qid.is_dir() {
-            return Ok(Dir::directory("eia", Qid::dir(Q_TOP, 0), 0o555, "bootes"));
-        }
-        self.entries()
-            .into_iter()
-            .find(|d| d.qid == n.qid)
-            .ok_or_else(|| NineError::new(errstr::ENOTEXIST))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use plan9_netsim::uart::uart_pair;
+    use plan9_ninep::procfs::{OpenMode, ProcFs};
 
     fn dev_and_peer() -> (Arc<EiaDev>, UartEnd) {
         let (a, b) = uart_pair(1_000_000);

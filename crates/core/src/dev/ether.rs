@@ -32,56 +32,46 @@ use plan9_netlog::Counter;
 use plan9_support::chan::{bounded, Receiver, Sender};
 use plan9_support::sync::Mutex;
 use plan9_netsim::ether::{mac_to_string, EtherFrame, BROADCAST};
-use plan9_ninep::procfs::{read_dir_slice, OpenMode, ProcFs, ServeNode};
+use plan9_ninep::procfs::{
+    conv_of, conv_parent, conv_path, readstr, ConvFile, ConvTable, Dev, OpenMode, ServeNode,
+    ROOT,
+};
 use plan9_ninep::qid::Qid;
 use plan9_ninep::{errstr, Dir, NineError, Result};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 
-const Q_TOP: u32 = 0;
+// The top-level file, then the file types of a conversation's files.
 const Q_CLONE: u32 = 1;
-const T_DIR: u32 = 1;
 const T_CTL: u32 = 2;
 const T_DATA: u32 = 3;
 const T_STATS: u32 = 4;
 const T_TYPE: u32 = 5;
 
-fn conn_qid(conn: usize, typ: u32) -> Qid {
-    let path = ((conn as u32 + 1) << 4) | typ;
-    if typ == T_DIR {
-        Qid::dir(path, 0)
-    } else {
-        Qid::file(path, 0)
-    }
-}
-
-fn split_qid(q: Qid) -> Option<(usize, u32)> {
-    let p = q.path_bits();
-    if p < 16 {
-        return None;
-    }
-    Some(((p >> 4) as usize - 1, p & 0xf))
-}
+const TOP_FILES: [ConvFile; 1] = [("clone", Q_CLONE, 0o666)];
+const CONV_FILES: [ConvFile; 4] = [
+    ("ctl", T_CTL, 0o660),
+    ("data", T_DATA, 0o660),
+    ("stats", T_STATS, 0o444),
+    ("type", T_TYPE, 0o444),
+];
 
 struct EtherConv {
-    id: usize,
     /// The selected packet type; `-1` selects all; `-2` means not yet
     /// configured.
     ptype: AtomicI64,
     promiscuous: AtomicBool,
     rx_tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
-    refs: Mutex<usize>,
 }
 
 /// The LANCE-style Ethernet device.
 pub struct EtherDev {
     stack: Arc<IpStack>,
-    convs: Mutex<HashMap<usize, Arc<EtherConv>>>,
-    next_conn: Mutex<usize>,
-    handles: AtomicU64,
-    open_refs: Mutex<HashMap<u64, usize>>,
+    convs: ConvTable<EtherConv>,
+    /// How many live conversations are promiscuous; while any is, the
+    /// controller does not filter by address.
+    promiscuous: Mutex<usize>,
     /// Frames the controller accepted from the wire.
     pub in_packets: Counter,
     /// Frames transmitted.
@@ -98,10 +88,8 @@ impl EtherDev {
     pub fn new(stack: &Arc<IpStack>) -> Arc<EtherDev> {
         let dev = Arc::new(EtherDev {
             stack: Arc::clone(stack),
-            convs: Mutex::named(HashMap::new(), "core.ether.convs"),
-            next_conn: Mutex::named(1, "core.ether.nextconn"),
-            handles: AtomicU64::new(1),
-            open_refs: Mutex::named(HashMap::new(), "core.ether.openrefs"),
+            convs: ConvTable::new(1, &TOP_FILES, &CONV_FILES),
+            promiscuous: Mutex::named(0, "core.ether.promiscuous"),
             in_packets: Counter::new("ether.in"),
             out_packets: Counter::new("ether.out"),
             unrouted: Counter::new("ether.unrouted"),
@@ -128,7 +116,7 @@ impl EtherDev {
         // ARP and IP are the kernel's conversations; they take theirs.
         let mut routed = matches!(frame.ethertype, ARP_ETHERTYPE | IP_ETHERTYPE);
         let mut encoded = None;
-        for conv in self.convs.lock().values() {
+        self.convs.for_each(|conv| {
             let ptype = conv.ptype.load(Ordering::Relaxed);
             let type_ok = ptype == -1 || ptype == frame.ethertype as i64;
             let addr_ok = conv.promiscuous.load(Ordering::Relaxed)
@@ -141,69 +129,10 @@ impl EtherDev {
                 let _ = conv.rx_tx.try_send(bytes.clone());
                 routed = true;
             }
-        }
+        });
         if !routed {
             self.unrouted.inc();
         }
-    }
-
-    fn fresh_handle(&self) -> u64 {
-        self.handles.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn alloc_conv(&self) -> Arc<EtherConv> {
-        let mut next = self.next_conn.lock();
-        let id = *next;
-        *next += 1;
-        let (tx, rx) = bounded(256);
-        let conv = Arc::new(EtherConv {
-            id,
-            ptype: AtomicI64::new(-2),
-            promiscuous: AtomicBool::new(false),
-            rx_tx: tx,
-            rx,
-            refs: Mutex::named(0, "core.ether.connrefs"),
-        });
-        self.convs.lock().insert(id, Arc::clone(&conv));
-        conv
-    }
-
-    fn conv(&self, id: usize) -> Result<Arc<EtherConv>> {
-        self.convs
-            .lock()
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| NineError::new(errstr::ENOTEXIST))
-    }
-
-    fn take_ref(&self, handle: u64, conv: &Arc<EtherConv>) {
-        *conv.refs.lock() += 1;
-        self.open_refs.lock().insert(handle, conv.id);
-    }
-
-    fn conv_entries(&self, id: usize) -> Vec<Dir> {
-        vec![
-            Dir::file("ctl", conn_qid(id, T_CTL), 0o660, "network", 0),
-            Dir::file("data", conn_qid(id, T_DATA), 0o660, "network", 0),
-            Dir::file("stats", conn_qid(id, T_STATS), 0o444, "network", 0),
-            Dir::file("type", conn_qid(id, T_TYPE), 0o444, "network", 0),
-        ]
-    }
-
-    fn top_entries(&self) -> Vec<Dir> {
-        let mut out = vec![Dir::file("clone", Qid::file(Q_CLONE, 0), 0o666, "network", 0)];
-        let convs = self.convs.lock();
-        let mut ids: Vec<usize> = convs.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            out.push(Dir::directory(
-                &id.to_string(),
-                conn_qid(id, T_DIR),
-                0o555,
-                "network",
-            ));
-        }
-        out
     }
 
     /// The `stats` text: "the interface address, packet input/output
@@ -217,118 +146,82 @@ impl EtherDev {
             self.in_packets.get(),
             self.out_packets.get(),
             self.unrouted.get(),
-            self.convs.lock().len(),
+            self.convs.conn_count(),
             self.stack.station().payload_mtu(),
             self.stack.station().medium().stats().render(),
         )
     }
 }
 
-impl ProcFs for EtherDev {
-    fn fsname(&self) -> String {
+impl Dev for EtherDev {
+    fn name(&self) -> String {
         "ether".to_string()
     }
 
-    fn attach(&self, _uname: &str, _aname: &str) -> Result<ServeNode> {
-        Ok(ServeNode::new(Qid::dir(Q_TOP, 0), self.fresh_handle()))
+    fn root(&self) -> Dir {
+        Dir::directory("ether", ROOT, 0o555, "network")
     }
 
-    fn clone_node(&self, n: &ServeNode) -> Result<ServeNode> {
-        Ok(ServeNode::new(n.qid, self.fresh_handle()))
+    fn parent(&self, q: Qid) -> Qid {
+        conv_parent(q)
     }
 
-    fn walk(&self, n: &ServeNode, name: &str) -> Result<ServeNode> {
-        let q = n.qid;
-        if q.path_bits() == Q_TOP && q.is_dir() {
-            if name == ".." {
+    fn rows(&self, dir: Qid) -> Vec<Dir> {
+        self.convs.rows(dir)
+    }
+
+    fn lookup(&self, dir: Qid, name: &str) -> Option<Dir> {
+        self.convs.lookup(dir, name)
+    }
+
+    fn entry(&self, q: Qid) -> Option<Dir> {
+        self.convs.entry(q)
+    }
+
+    fn open_node(&self, n: &ServeNode, _mode: OpenMode) -> Result<ServeNode> {
+        let Some((id, _)) = conv_of(n.qid) else {
+            if n.qid.path_bits() != Q_CLONE {
                 return Ok(*n);
             }
-            if name == "clone" {
-                return Ok(ServeNode::new(Qid::file(Q_CLONE, 0), n.handle));
-            }
-            if let Ok(id) = name.parse::<usize>() {
-                self.conv(id)?;
-                return Ok(ServeNode::new(conn_qid(id, T_DIR), n.handle));
-            }
-            return Err(NineError::new(errstr::ENOTEXIST));
-        }
-        if let Some((id, T_DIR)) = split_qid(q) {
-            if name == ".." {
-                return Ok(ServeNode::new(Qid::dir(Q_TOP, 0), n.handle));
-            }
-            let typ = match name {
-                "ctl" => T_CTL,
-                "data" => T_DATA,
-                "stats" => T_STATS,
-                "type" => T_TYPE,
-                _ => return Err(NineError::new(errstr::ENOTEXIST)),
-            };
-            self.conv(id)?;
-            return Ok(ServeNode::new(conn_qid(id, typ), n.handle));
-        }
-        Err(NineError::new(errstr::ENOTDIR))
-    }
-
-    fn open(&self, n: &ServeNode, mode: OpenMode) -> Result<ServeNode> {
-        let q = n.qid;
-        if q.is_dir() {
-            if mode.access() != 0 {
-                return Err(NineError::new(errstr::EISDIR));
-            }
-            return Ok(*n);
-        }
-        if q.path_bits() == Q_CLONE {
             // "Opening the clone file finds an unused connection
             // directory and opens its ctl file."
-            let conv = self.alloc_conv();
-            self.take_ref(n.handle, &conv);
-            return Ok(ServeNode::new(conn_qid(conv.id, T_CTL), n.handle));
-        }
-        let (id, _typ) = split_qid(q).ok_or_else(|| NineError::new(errstr::EBADUSE))?;
-        let conv = self.conv(id)?;
-        self.take_ref(n.handle, &conv);
+            let (rx_tx, rx) = bounded(256);
+            let conv = EtherConv {
+                ptype: AtomicI64::new(-2),
+                promiscuous: AtomicBool::new(false),
+                rx_tx,
+                rx,
+            };
+            let id = self.convs.alloc(n.handle, conv);
+            return Ok(ServeNode::new(Qid::file(conv_path(id, T_CTL), 0), n.handle));
+        };
+        self.convs.hold(n.handle, id)?;
         Ok(*n)
     }
 
-    fn read(&self, n: &ServeNode, offset: u64, count: usize) -> Result<Vec<u8>> {
-        let q = n.qid;
-        if q.is_dir() && q.path_bits() == Q_TOP {
-            return read_dir_slice(&self.top_entries(), offset, count);
-        }
-        let (id, typ) = split_qid(q).ok_or_else(|| NineError::new(errstr::EBADUSE))?;
-        let conv = self.conv(id)?;
-        if q.is_dir() {
-            return read_dir_slice(&self.conv_entries(id), offset, count);
-        }
-        let text = |s: String| -> Vec<u8> {
-            let bytes = s.into_bytes();
-            let off = (offset as usize).min(bytes.len());
-            let end = (off + count).min(bytes.len());
-            bytes[off..end].to_vec()
-        };
-        match typ {
-            T_CTL => Ok(text(conv.id.to_string())),
+    fn read_file(&self, n: &ServeNode, offset: u64, count: usize) -> Result<Vec<u8>> {
+        let (id, typ) = conv_of(n.qid).ok_or_else(|| NineError::new(errstr::EBADUSE))?;
+        let conv = self.convs.get(id)?;
+        let text = match typ {
+            T_CTL => id.to_string(),
             // "Subsequent reads of the file type yield the string 2048."
-            T_TYPE => Ok(text(conv.ptype.load(Ordering::Relaxed).to_string())),
-            T_STATS => Ok(text(self.stats_text())),
+            T_TYPE => conv.ptype.load(Ordering::Relaxed).to_string(),
+            T_STATS => self.stats_text(),
+            // "Reading it returns the next packet of the selected
+            // type."
             T_DATA => {
-                // "Reading it returns the next packet of the selected
-                // type."
-                match conv.rx.recv() {
-                    Ok(mut frame) => {
-                        frame.truncate(count);
-                        Ok(frame)
-                    }
-                    Err(_) => Ok(Vec::new()),
-                }
+                let mut frame = conv.rx.recv().unwrap_or_default();
+                frame.truncate(count);
+                return Ok(frame);
             }
-            _ => Err(NineError::new(errstr::EBADUSE)),
-        }
+            _ => return Err(NineError::new(errstr::EBADUSE)),
+        };
+        Ok(readstr(&text, offset, count))
     }
 
-    fn write(&self, n: &ServeNode, _offset: u64, data: &[u8]) -> Result<usize> {
-        let (id, typ) = split_qid(n.qid).ok_or_else(|| NineError::new(errstr::EBADUSE))?;
-        let conv = self.conv(id)?;
+    fn write_file(&self, n: &ServeNode, _offset: u64, data: &[u8]) -> Result<usize> {
+        let (id, typ) = conv_of(n.qid).ok_or_else(|| NineError::new(errstr::EBADUSE))?;
+        let conv = self.convs.get(id)?;
         match typ {
             T_CTL => {
                 let cmd = std::str::from_utf8(data)
@@ -346,10 +239,12 @@ impl ProcFs for EtherDev {
                         // As on a LANCE, the controller stops filtering
                         // by address while any conversation wants every
                         // frame; IP drops what is not for this host.
-                        // Under the table lock, so a clunk restoring
+                        // Under the count's lock, so a clunk restoring
                         // the filter cannot pass this.
-                        let _convs = self.convs.lock();
-                        conv.promiscuous.store(true, Ordering::Relaxed);
+                        let mut promiscuous = self.promiscuous.lock();
+                        if !conv.promiscuous.swap(true, Ordering::Relaxed) {
+                            *promiscuous += 1;
+                        }
                         self.stack.station().set_address_filter(false);
                         Ok(data.len())
                     }
@@ -377,48 +272,15 @@ impl ProcFs for EtherDev {
         }
     }
 
-    fn clunk(&self, n: &ServeNode) {
-        let conv_id = self.open_refs.lock().remove(&n.handle);
-        if let Some(id) = conv_id {
-            let conv = { self.convs.lock().get(&id).cloned() };
-            if let Some(conv) = conv {
-                let mut refs = conv.refs.lock();
-                *refs = refs.saturating_sub(1);
-                if *refs == 0 {
-                    drop(refs);
-                    let mut convs = self.convs.lock();
-                    convs.remove(&id);
-                    let promiscuous = |c: &Arc<EtherConv>| c.promiscuous.load(Ordering::Relaxed);
-                    if promiscuous(&conv) && !convs.values().any(promiscuous) {
-                        self.stack.station().set_address_filter(true);
-                    }
-                }
+    fn clunk_node(&self, n: &ServeNode) {
+        let Some(conv) = self.convs.clunk(n.handle) else { return };
+        if conv.promiscuous.load(Ordering::Relaxed) {
+            let mut promiscuous = self.promiscuous.lock();
+            *promiscuous -= 1;
+            if *promiscuous == 0 {
+                self.stack.station().set_address_filter(true);
             }
         }
-    }
-
-    fn stat(&self, n: &ServeNode) -> Result<Dir> {
-        let q = n.qid;
-        if q.path_bits() == Q_TOP {
-            return Ok(Dir::directory("ether", Qid::dir(Q_TOP, 0), 0o555, "network"));
-        }
-        if q.path_bits() == Q_CLONE {
-            return Ok(Dir::file("clone", Qid::file(Q_CLONE, 0), 0o666, "network", 0));
-        }
-        let (id, typ) = split_qid(q).ok_or_else(|| NineError::new(errstr::EBADUSE))?;
-        self.conv(id)?;
-        if typ == T_DIR {
-            return Ok(Dir::directory(
-                &id.to_string(),
-                conn_qid(id, T_DIR),
-                0o555,
-                "network",
-            ));
-        }
-        self.conv_entries(id)
-            .into_iter()
-            .find(|d| d.qid == q)
-            .ok_or_else(|| NineError::new(errstr::ENOTEXIST))
     }
 }
 
@@ -434,6 +296,7 @@ pub fn parse_frame(bytes: &[u8]) -> Option<EtherFrame> {
 mod tests {
     use super::*;
     use plan9_inet::ip::IpConfig;
+    use plan9_ninep::procfs::ProcFs;
     use plan9_netsim::ether::EtherSegment;
     use plan9_netsim::profile::Profiles;
 

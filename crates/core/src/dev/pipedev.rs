@@ -7,22 +7,16 @@
 //! stream pair lives exactly as long as open references to it.
 
 use plan9_support::sync::Mutex;
-use plan9_ninep::procfs::{read_dir_slice, OpenMode, ProcFs, ServeNode};
+use plan9_ninep::procfs::{Dev, OpenMode, ServeNode, ROOT};
 use plan9_ninep::qid::Qid;
 use plan9_ninep::{errstr, Dir, NineError, Result};
 use plan9_streams::{stream_pipe, Stream};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-const Q_ROOT: u32 = 0;
-const Q_DATA0: u32 = 1;
-const Q_DATA1: u32 = 2;
 
 /// One pipe as a file server.
 pub struct PipeFs {
-    ends: (Arc<Stream>, Arc<Stream>),
-    handles: AtomicU64,
+    ends: [Arc<Stream>; 2],
     /// Open references per end, for last-close destruction.
     refs: Mutex<HashMap<u64, usize>>,
     open_count: Mutex<[usize; 2]>,
@@ -31,131 +25,70 @@ pub struct PipeFs {
 impl PipeFs {
     /// Creates a fresh pipe.
     pub fn new() -> Arc<PipeFs> {
+        let (a, b) = stream_pipe();
         Arc::new(PipeFs {
-            ends: stream_pipe(),
-            handles: AtomicU64::new(1),
+            ends: [a, b],
             refs: Mutex::named(HashMap::new(), "core.pipedev.refs"),
             open_count: Mutex::named([0, 0], "core.pipedev.open"),
         })
     }
 
-    fn entries(&self) -> Vec<Dir> {
-        vec![
-            Dir::file("data", Qid::file(Q_DATA0, 0), 0o660, "pipe", 0),
-            Dir::file("data1", Qid::file(Q_DATA1, 0), 0o660, "pipe", 0),
-        ]
-    }
-
+    /// The end behind `data` (qid path 1) or `data1` (2).
     fn end_of(&self, q: Qid) -> Result<usize> {
         match q.path_bits() {
-            Q_DATA0 => Ok(0),
-            Q_DATA1 => Ok(1),
+            p @ 1..=2 => Ok(p as usize - 1),
             _ => Err(NineError::new(errstr::EBADUSE)),
         }
     }
-
-    fn stream(&self, end: usize) -> &Arc<Stream> {
-        if end == 0 {
-            &self.ends.0
-        } else {
-            &self.ends.1
-        }
-    }
 }
 
-impl Default for PipeFs {
-    fn default() -> Self {
-        PipeFs {
-            ends: stream_pipe(),
-            handles: AtomicU64::new(1),
-            refs: Mutex::named(HashMap::new(), "core.pipedev.refs"),
-            open_count: Mutex::named([0, 0], "core.pipedev.open"),
-        }
-    }
-}
-
-impl ProcFs for PipeFs {
-    fn fsname(&self) -> String {
+impl Dev for PipeFs {
+    fn name(&self) -> String {
         "pipe".to_string()
     }
 
-    fn attach(&self, _uname: &str, _aname: &str) -> Result<ServeNode> {
-        Ok(ServeNode::new(
-            Qid::dir(Q_ROOT, 0),
-            self.handles.fetch_add(1, Ordering::Relaxed),
-        ))
+    fn root(&self) -> Dir {
+        Dir::directory("pipe", ROOT, 0o555, "pipe")
     }
 
-    fn clone_node(&self, n: &ServeNode) -> Result<ServeNode> {
-        Ok(ServeNode::new(
-            n.qid,
-            self.handles.fetch_add(1, Ordering::Relaxed),
-        ))
+    fn rows(&self, _dir: Qid) -> Vec<Dir> {
+        let row = |(name, path)| Dir::file(name, Qid::file(path, 0), 0o660, "pipe", 0);
+        [("data", 1), ("data1", 2)].map(row).to_vec()
     }
 
-    fn walk(&self, n: &ServeNode, name: &str) -> Result<ServeNode> {
+    fn open_node(&self, n: &ServeNode, _mode: OpenMode) -> Result<ServeNode> {
         if !n.qid.is_dir() {
-            return Err(NineError::new(errstr::ENOTDIR));
+            let end = self.end_of(n.qid)?;
+            self.refs.lock().insert(n.handle, end);
+            self.open_count.lock()[end] += 1;
         }
-        match name {
-            ".." => Ok(*n),
-            "data" => Ok(ServeNode::new(Qid::file(Q_DATA0, 0), n.handle)),
-            "data1" => Ok(ServeNode::new(Qid::file(Q_DATA1, 0), n.handle)),
-            _ => Err(NineError::new(errstr::ENOTEXIST)),
-        }
-    }
-
-    fn open(&self, n: &ServeNode, mode: OpenMode) -> Result<ServeNode> {
-        if n.qid.is_dir() {
-            if mode.access() != 0 {
-                return Err(NineError::new(errstr::EISDIR));
-            }
-            return Ok(*n);
-        }
-        let end = self.end_of(n.qid)?;
-        self.refs.lock().insert(n.handle, end);
-        self.open_count.lock()[end] += 1;
         Ok(*n)
     }
 
-    fn read(&self, n: &ServeNode, offset: u64, count: usize) -> Result<Vec<u8>> {
-        if n.qid.is_dir() {
-            return read_dir_slice(&self.entries(), offset, count);
-        }
-        let end = self.end_of(n.qid)?;
-        self.stream(end).read(count)
+    fn read_file(&self, n: &ServeNode, _offset: u64, count: usize) -> Result<Vec<u8>> {
+        self.ends[self.end_of(n.qid)?].read(count)
     }
 
-    fn write(&self, n: &ServeNode, _offset: u64, data: &[u8]) -> Result<usize> {
-        let end = self.end_of(n.qid)?;
-        self.stream(end).write(data)
+    fn write_file(&self, n: &ServeNode, _offset: u64, data: &[u8]) -> Result<usize> {
+        self.ends[self.end_of(n.qid)?].write(data)
     }
 
-    fn clunk(&self, n: &ServeNode) {
+    fn clunk_node(&self, n: &ServeNode) {
         if let Some(end) = self.refs.lock().remove(&n.handle) {
             let mut counts = self.open_count.lock();
             counts[end] = counts[end].saturating_sub(1);
             if counts[end] == 0 {
                 // The last close of this end hangs up the peer.
-                self.stream(end).destroy();
+                self.ends[end].destroy();
             }
         }
-    }
-
-    fn stat(&self, n: &ServeNode) -> Result<Dir> {
-        if n.qid.is_dir() {
-            return Ok(Dir::directory("pipe", Qid::dir(Q_ROOT, 0), 0o555, "pipe"));
-        }
-        self.entries()
-            .into_iter()
-            .find(|d| d.qid == n.qid)
-            .ok_or_else(|| NineError::new(errstr::ENOTEXIST))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plan9_ninep::procfs::ProcFs;
 
     #[test]
     fn two_ends_converse() {

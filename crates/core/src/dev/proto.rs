@@ -20,11 +20,12 @@
 //! Datakit/URP implementations live in [`crate::machine`].
 
 use plan9_support::sync::Mutex;
-use plan9_ninep::procfs::{read_dir_slice, OpenMode, ProcFs, ServeNode};
+use plan9_ninep::procfs::{
+    conv_of, conv_parent, conv_path, readstr, ConvFile, ConvTable, Dev, OpenMode, ServeNode,
+    ROOT,
+};
 use plan9_ninep::qid::Qid;
 use plan9_ninep::{errstr, Dir, NineError, Result};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One established conversation, however the protocol implements it.
@@ -58,7 +59,7 @@ pub trait ProtoOps: Send + Sync {
     /// Dials `addr` (protocol-specific ASCII, e.g. `135.104.9.31!564`).
     fn connect(&self, addr: &str) -> Result<Arc<dyn ConnOps>>;
     /// Announces a service (`*!564`, `nj/astro/helix!9fs`).
-    fn announce(&self, addr: &str) -> Result<Box<dyn AnnounceOps>>;
+    fn announce(&self, addr: &str) -> Result<Arc<dyn AnnounceOps>>;
     /// The protocol-wide `stats` file contents: ASCII `key: value`
     /// lines, re-evaluated on every read.
     fn stats_text(&self) -> String {
@@ -69,39 +70,44 @@ pub trait ProtoOps: Send + Sync {
 enum ConnState {
     Idle,
     Connected(Arc<dyn ConnOps>),
-    Announced(Box<dyn AnnounceOps>),
+    Announced(Arc<dyn AnnounceOps>),
 }
 
 struct Conn {
-    id: usize,
     state: Mutex<ConnState>,
-    /// Open channels referencing files in this connection directory.
-    refs: Mutex<usize>,
     /// Remainder of a message only partially consumed by a short read.
     pending: Mutex<Vec<u8>>,
 }
 
 impl Conn {
-    fn status_line(&self, proto: &str) -> String {
-        let state = self.state.lock();
-        match &*state {
-            ConnState::Idle => format!("{}/{} 0 Closed\n", proto, self.id),
-            ConnState::Connected(c) => {
-                format!("{}/{} 1 {} connect\n", proto, self.id, c.status())
-            }
-            ConnState::Announced(a) => {
-                format!("{}/{} 1 Announced {}\n", proto, self.id, a.local())
-            }
+    fn new(state: ConnState) -> Conn {
+        Conn {
+            state: Mutex::named(state, "core.proto.connstate"),
+            pending: Mutex::named(Vec::new(), "core.proto.pending"),
         }
+    }
+
+    /// The established conversation, for `data`.
+    fn connected(&self) -> Result<Arc<dyn ConnOps>> {
+        match &*self.state.lock() {
+            ConnState::Connected(c) => Ok(Arc::clone(c)),
+            _ => Err(NineError::new("not connected")),
+        }
+    }
+
+    /// Back to `Idle`, hanging up an established conversation.
+    fn hangup(&self) {
+        let mut state = self.state.lock();
+        if let ConnState::Connected(c) = &*state {
+            c.close();
+        }
+        *state = ConnState::Idle;
     }
 }
 
-// Qid layout: top dir = 0; clone = 1; stats = 2; connection c uses
-// ((c + 1) << 4) | file-type.
-const Q_TOP: u32 = 0;
+// Top-level files, then the file types of a conversation's files.
 const Q_CLONE: u32 = 1;
 const Q_STATS: u32 = 2;
-const T_DIR: u32 = 1;
 const T_CTL: u32 = 2;
 const T_DATA: u32 = 3;
 const T_LISTEN: u32 = 4;
@@ -109,121 +115,49 @@ const T_LOCAL: u32 = 5;
 const T_REMOTE: u32 = 6;
 const T_STATUS: u32 = 7;
 
-fn conn_qid(conn: usize, typ: u32) -> Qid {
-    let path = ((conn as u32 + 1) << 4) | typ;
-    if typ == T_DIR {
-        Qid::dir(path, 0)
-    } else {
-        Qid::file(path, 0)
+const TOP_FILES: [ConvFile; 2] = [("clone", Q_CLONE, 0o666), ("stats", Q_STATS, 0o444)];
+const CONV_FILES: [ConvFile; 6] = [
+    ("ctl", T_CTL, 0o660),
+    ("data", T_DATA, 0o660),
+    ("listen", T_LISTEN, 0o660),
+    ("local", T_LOCAL, 0o444),
+    ("remote", T_REMOTE, 0o444),
+    ("status", T_STATUS, 0o444),
+];
+
+/// A conversation's files are of device type `I`, as the IP device's.
+fn typed(mut d: Dir) -> Dir {
+    if !d.is_dir() && conv_of(d.qid).is_some() {
+        d.dev_type = b'I' as u16;
     }
+    d
 }
 
-fn split_qid(q: Qid) -> Option<(usize, u32)> {
-    let p = q.path_bits();
-    if p < 16 {
-        return None;
-    }
-    Some(((p >> 4) as usize - 1, p & 0xf))
-}
-
-/// The device: a [`ProcFs`] exposing one protocol's conversations.
+/// The device: a [`Dev`] exposing one protocol's conversations.
 pub struct ProtoDev {
     ops: Box<dyn ProtoOps>,
-    conns: Mutex<HashMap<usize, Arc<Conn>>>,
-    next_conn: Mutex<usize>,
-    handles: AtomicU64,
-    /// handle → connection whose refcount it holds.
-    open_refs: Mutex<HashMap<u64, usize>>,
+    convs: ConvTable<Conn>,
 }
 
 impl ProtoDev {
     /// Wraps a protocol in the standard device tree.
     pub fn new(ops: Box<dyn ProtoOps>) -> Arc<ProtoDev> {
-        Arc::new(ProtoDev {
-            ops,
-            conns: Mutex::named(HashMap::new(), "core.proto.conns"),
-            next_conn: Mutex::named(0, "core.proto.nextconn"),
-            handles: AtomicU64::new(1),
-            open_refs: Mutex::named(HashMap::new(), "core.proto.openrefs"),
-        })
+        Arc::new(ProtoDev { ops, convs: ConvTable::new(0, &TOP_FILES, &CONV_FILES) })
     }
 
     /// The number of live connection directories (diagnostics).
     pub fn conn_count(&self) -> usize {
-        self.conns.lock().len()
+        self.convs.conn_count()
     }
 
-    fn fresh_handle(&self) -> u64 {
-        self.handles.fetch_add(1, Ordering::Relaxed)
+    /// A new conversation in `state` held by `n`'s channel, which now
+    /// points at its ctl file.
+    fn clone_conv(&self, n: &ServeNode, state: ConnState) -> ServeNode {
+        let id = self.convs.alloc(n.handle, Conn::new(state));
+        ServeNode::new(Qid::file(conv_path(id, T_CTL), 0), n.handle)
     }
 
-    fn alloc_conn(&self) -> Arc<Conn> {
-        let mut next = self.next_conn.lock();
-        let id = *next;
-        *next += 1;
-        let conn = Arc::new(Conn {
-            id,
-            state: Mutex::named(ConnState::Idle, "core.proto.connstate"),
-            refs: Mutex::named(0, "core.proto.connrefs"),
-            pending: Mutex::named(Vec::new(), "core.proto.pending"),
-        });
-        self.conns.lock().insert(id, Arc::clone(&conn));
-        conn
-    }
-
-    fn conn(&self, id: usize) -> Result<Arc<Conn>> {
-        self.conns
-            .lock()
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| NineError::new(errstr::ENOTEXIST))
-    }
-
-    /// Takes an open reference on `conn` for `handle`.
-    fn take_ref(&self, handle: u64, conn: &Arc<Conn>) {
-        *conn.refs.lock() += 1;
-        self.open_refs.lock().insert(handle, conn.id);
-    }
-
-    fn conn_dir_entries(&self, conn: &Conn) -> Vec<Dir> {
-        let owner = "network";
-        let c = conn.id;
-        vec![
-            Dir::file("ctl", conn_qid(c, T_CTL), 0o660, owner, 0),
-            Dir::file("data", conn_qid(c, T_DATA), 0o660, owner, 0),
-            Dir::file("listen", conn_qid(c, T_LISTEN), 0o660, owner, 0),
-            Dir::file("local", conn_qid(c, T_LOCAL), 0o444, owner, 0),
-            Dir::file("remote", conn_qid(c, T_REMOTE), 0o444, owner, 0),
-            Dir::file("status", conn_qid(c, T_STATUS), 0o444, owner, 0),
-        ]
-        .into_iter()
-        .map(|mut d| {
-            d.dev_type = b'I' as u16;
-            d
-        })
-        .collect()
-    }
-
-    fn top_entries(&self) -> Vec<Dir> {
-        let mut out = vec![
-            Dir::file("clone", Qid::file(Q_CLONE, 0), 0o666, "network", 0),
-            Dir::file("stats", Qid::file(Q_STATS, 0), 0o444, "network", 0),
-        ];
-        let conns = self.conns.lock();
-        let mut ids: Vec<usize> = conns.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            out.push(Dir::directory(
-                &id.to_string(),
-                conn_qid(id, T_DIR),
-                0o555,
-                "network",
-            ));
-        }
-        out
-    }
-
-    fn ctl_command(&self, conn: &Arc<Conn>, cmd: &str) -> Result<()> {
+    fn ctl_command(&self, conn: &Conn, cmd: &str) -> Result<()> {
         let fields: Vec<&str> = cmd.split_whitespace().collect();
         match fields.as_slice() {
             ["connect", addr, ..] => {
@@ -236,23 +170,11 @@ impl ProtoDev {
                 *conn.state.lock() = ConnState::Announced(a);
                 Ok(())
             }
-            ["hangup"] | ["close"] => {
-                let mut state = conn.state.lock();
-                if let ConnState::Connected(c) = &*state {
-                    c.close();
-                }
-                *state = ConnState::Idle;
-                Ok(())
-            }
             // "Networks such as IP ignore the third argument" (§5.2):
             // reject is a close with a reason we note but cannot always
             // deliver.
-            ["reject", ..] => {
-                let mut state = conn.state.lock();
-                if let ConnState::Connected(c) = &*state {
-                    c.close();
-                }
-                *state = ConnState::Idle;
+            ["hangup"] | ["close"] | ["reject", ..] => {
+                conn.hangup();
                 Ok(())
             }
             _ => Err(NineError::new(format!("unknown control request: {cmd}"))),
@@ -260,168 +182,76 @@ impl ProtoDev {
     }
 }
 
-impl ProcFs for ProtoDev {
-    fn fsname(&self) -> String {
+impl Dev for ProtoDev {
+    fn name(&self) -> String {
         self.ops.proto()
     }
 
-    fn attach(&self, _uname: &str, _aname: &str) -> Result<ServeNode> {
-        Ok(ServeNode::new(Qid::dir(Q_TOP, 0), self.fresh_handle()))
+    fn root(&self) -> Dir {
+        Dir::directory(&self.ops.proto(), ROOT, 0o555, "network")
     }
 
-    fn clone_node(&self, n: &ServeNode) -> Result<ServeNode> {
-        // Open references stay with the original handle.
-        Ok(ServeNode::new(n.qid, self.fresh_handle()))
+    fn parent(&self, q: Qid) -> Qid {
+        conv_parent(q)
     }
 
-    fn walk(&self, n: &ServeNode, name: &str) -> Result<ServeNode> {
-        let q = n.qid;
-        if q.path_bits() == Q_TOP && q.is_dir() {
-            if name == ".." {
-                return Ok(*n);
-            }
-            if name == "clone" {
-                return Ok(ServeNode::new(Qid::file(Q_CLONE, 0), n.handle));
-            }
-            if name == "stats" {
-                return Ok(ServeNode::new(Qid::file(Q_STATS, 0), n.handle));
-            }
-            if let Ok(id) = name.parse::<usize>() {
-                self.conn(id)?;
-                return Ok(ServeNode::new(conn_qid(id, T_DIR), n.handle));
-            }
-            return Err(NineError::new(errstr::ENOTEXIST));
-        }
-        if let Some((id, T_DIR)) = split_qid(q) {
-            if name == ".." {
-                return Ok(ServeNode::new(Qid::dir(Q_TOP, 0), n.handle));
-            }
-            let typ = match name {
-                "ctl" => T_CTL,
-                "data" => T_DATA,
-                "listen" => T_LISTEN,
-                "local" => T_LOCAL,
-                "remote" => T_REMOTE,
-                "status" => T_STATUS,
-                _ => return Err(NineError::new(errstr::ENOTEXIST)),
-            };
-            self.conn(id)?;
-            return Ok(ServeNode::new(conn_qid(id, typ), n.handle));
-        }
-        Err(NineError::new(errstr::ENOTDIR))
+    fn rows(&self, dir: Qid) -> Vec<Dir> {
+        self.convs.rows(dir).into_iter().map(typed).collect()
     }
 
-    fn open(&self, n: &ServeNode, mode: OpenMode) -> Result<ServeNode> {
-        let q = n.qid;
-        if q.is_dir() {
-            if mode.access() != 0 {
-                return Err(NineError::new(errstr::EISDIR));
-            }
-            if let Some((id, T_DIR)) = split_qid(q) {
-                let conn = self.conn(id)?;
-                self.take_ref(n.handle, &conn);
-            }
-            return Ok(*n);
-        }
-        if q.path_bits() == Q_STATS {
-            if mode.writable() {
-                return Err(NineError::new(errstr::EPERM));
-            }
-            return Ok(*n);
-        }
-        if q.path_bits() == Q_CLONE {
-            // Reserve an unused connection; the channel now points at
-            // its ctl file.
-            let conn = self.alloc_conn();
-            self.take_ref(n.handle, &conn);
-            return Ok(ServeNode::new(conn_qid(conn.id, T_CTL), n.handle));
-        }
-        let (id, typ) = split_qid(q).ok_or_else(|| NineError::new(errstr::EBADUSE))?;
-        let conn = self.conn(id)?;
+    fn lookup(&self, dir: Qid, name: &str) -> Option<Dir> {
+        self.convs.lookup(dir, name).map(typed)
+    }
+
+    fn entry(&self, q: Qid) -> Option<Dir> {
+        self.convs.entry(q).map(typed)
+    }
+
+    fn open_node(&self, n: &ServeNode, _mode: OpenMode) -> Result<ServeNode> {
+        let Some((id, typ)) = conv_of(n.qid) else {
+            // Opening clone reserves an unused connection.
+            return Ok(match n.qid.path_bits() {
+                Q_CLONE => self.clone_conv(n, ConnState::Idle),
+                _ => *n,
+            });
+        };
+        let conn = self.convs.get(id)?;
         match typ {
             T_LISTEN => {
-                // Block for an incoming call; the channel ends up at the
-                // new connection's ctl file.
-                let listener = {
-                    let state = conn.state.lock();
-                    match &*state {
-                        ConnState::Announced(_) => {}
-                        _ => return Err(NineError::new("not announced")),
-                    }
-                    drop(state);
-                    conn
+                // Block for an incoming call, with the conversation
+                // unlocked: its status stays readable and it can be
+                // hung up while the server waits. The channel ends up
+                // at the new connection's ctl file.
+                let announced = match &*conn.state.lock() {
+                    ConnState::Announced(a) => Arc::clone(a),
+                    _ => return Err(NineError::new("not announced")),
                 };
-                // Call listen without holding the state lock; we need to
-                // re-enter the state to reach the AnnounceOps. Keep the
-                // lock during the blocking call is unacceptable; instead
-                // the AnnounceOps is used through a raw pointer-free
-                // trick: a second lock acquisition per call.
-                let accepted = {
-                    let state = listener.state.lock();
-                    match &*state {
-                        ConnState::Announced(a) => {
-                            // The announce objects are internally
-                            // synchronized and listen() blocks; support
-                            // locks are not reentrant, so hold only what we
-                            // must. We temporarily move the call out via
-                            // the trait object reference. Blocking while
-                            // holding this conn's state lock is acceptable:
-                            // only this connection's files contend on it.
-                            a.listen()?
-                        }
-                        _ => return Err(NineError::new("not announced")),
-                    }
-                };
-                let newc = self.alloc_conn();
-                *newc.state.lock() = ConnState::Connected(accepted);
-                self.take_ref(n.handle, &newc);
-                Ok(ServeNode::new(conn_qid(newc.id, T_CTL), n.handle))
+                let accepted = announced.listen()?;
+                return Ok(self.clone_conv(n, ConnState::Connected(accepted)));
             }
+            // "When the data file is opened the connection is
+            // established."
             T_DATA => {
-                // "When the data file is opened the connection is
-                // established."
-                let state = conn.state.lock();
-                match &*state {
-                    ConnState::Connected(_) => {}
-                    _ => return Err(NineError::new("not connected")),
-                }
-                drop(state);
-                self.take_ref(n.handle, &conn);
-                Ok(*n)
+                conn.connected()?;
             }
-            _ => {
-                self.take_ref(n.handle, &conn);
-                Ok(*n)
-            }
+            _ => {}
         }
+        self.convs.hold(n.handle, id)?;
+        Ok(*n)
     }
 
-    fn read(&self, n: &ServeNode, offset: u64, count: usize) -> Result<Vec<u8>> {
-        let q = n.qid;
-        if q.is_dir() && q.path_bits() == Q_TOP {
-            return read_dir_slice(&self.top_entries(), offset, count);
-        }
-        if q.path_bits() == Q_STATS {
-            let bytes = self.ops.stats_text().into_bytes();
-            let off = (offset as usize).min(bytes.len());
-            let end = (off + count).min(bytes.len());
-            return Ok(bytes[off..end].to_vec());
-        }
-        let (id, typ) = split_qid(q).ok_or_else(|| NineError::new(errstr::EBADUSE))?;
-        let conn = self.conn(id)?;
-        if q.is_dir() {
-            return read_dir_slice(&self.conn_dir_entries(&conn), offset, count);
-        }
-        let text = |s: String| -> Result<Vec<u8>> {
-            let bytes = s.into_bytes();
-            let off = (offset as usize).min(bytes.len());
-            let end = (off + count).min(bytes.len());
-            Ok(bytes[off..end].to_vec())
+    fn read_file(&self, n: &ServeNode, offset: u64, count: usize) -> Result<Vec<u8>> {
+        let Some((id, typ)) = conv_of(n.qid) else {
+            return match n.qid.path_bits() {
+                Q_STATS => Ok(readstr(&self.ops.stats_text(), offset, count)),
+                _ => Err(NineError::new(errstr::EBADUSE)),
+            };
         };
-        match typ {
+        let conn = self.convs.get(id)?;
+        let text = match typ {
             // "Reading the control file returns the ASCII connection
             // number."
-            T_CTL => text(conn.id.to_string()),
+            T_CTL => id.to_string(),
             T_DATA => {
                 // Serve any remainder of a previous short read first so
                 // no bytes are lost (stream read semantics, §2.4.1).
@@ -432,146 +262,67 @@ impl ProcFs for ProtoDev {
                         return Ok(pending.drain(..n).collect());
                     }
                 }
-                let ops = {
-                    let state = conn.state.lock();
-                    match &*state {
-                        ConnState::Connected(c) => Arc::clone(c),
-                        _ => return Err(NineError::new("not connected")),
+                return match conn.connected()?.recv()? {
+                    Some(msg) if msg.len() > count => {
+                        conn.pending.lock().extend_from_slice(&msg[count..]);
+                        Ok(msg[..count].to_vec())
                     }
-                };
-                match ops.recv()? {
-                    Some(msg) => {
-                        if msg.len() > count {
-                            let mut pending = conn.pending.lock();
-                            pending.extend_from_slice(&msg[count..]);
-                            Ok(msg[..count].to_vec())
-                        } else {
-                            Ok(msg)
-                        }
-                    }
+                    Some(msg) => Ok(msg),
                     None => Ok(Vec::new()),
+                };
+            }
+            T_LOCAL => match &*conn.state.lock() {
+                ConnState::Connected(c) => format!("{}\n", c.local()),
+                ConnState::Announced(a) => format!("{}\n", a.local()),
+                ConnState::Idle => "::\n".to_string(),
+            },
+            T_REMOTE => match &*conn.state.lock() {
+                ConnState::Connected(c) => format!("{}\n", c.remote()),
+                _ => "::\n".to_string(),
+            },
+            T_STATUS => {
+                let proto = self.ops.proto();
+                match &*conn.state.lock() {
+                    ConnState::Idle => format!("{proto}/{id} 0 Closed\n"),
+                    ConnState::Connected(c) => format!("{proto}/{id} 1 {} connect\n", c.status()),
+                    ConnState::Announced(a) => format!("{proto}/{id} 1 Announced {}\n", a.local()),
                 }
             }
-            T_LOCAL => {
-                let state = conn.state.lock();
-                match &*state {
-                    ConnState::Connected(c) => {
-                        let s = format!("{}\n", c.local());
-                        drop(state);
-                        text(s)
-                    }
-                    ConnState::Announced(a) => {
-                        let s = format!("{}\n", a.local());
-                        drop(state);
-                        text(s)
-                    }
-                    _ => text("::\n".to_string()),
-                }
-            }
-            T_REMOTE => {
-                let state = conn.state.lock();
-                match &*state {
-                    ConnState::Connected(c) => {
-                        let s = format!("{}\n", c.remote());
-                        drop(state);
-                        text(s)
-                    }
-                    _ => text("::\n".to_string()),
-                }
-            }
-            T_STATUS => text(conn.status_line(&self.ops.proto())),
-            T_LISTEN => Err(NineError::new(errstr::EBADUSE)),
-            _ => Err(NineError::new(errstr::EBADUSE)),
-        }
+            _ => return Err(NineError::new(errstr::EBADUSE)),
+        };
+        Ok(readstr(&text, offset, count))
     }
 
-    fn write(&self, n: &ServeNode, _offset: u64, data: &[u8]) -> Result<usize> {
-        let q = n.qid;
-        let (id, typ) = split_qid(q).ok_or_else(|| NineError::new(errstr::EBADUSE))?;
-        let conn = self.conn(id)?;
+    fn write_file(&self, n: &ServeNode, _offset: u64, data: &[u8]) -> Result<usize> {
+        let (id, typ) = conv_of(n.qid).ok_or_else(|| NineError::new(errstr::EBADUSE))?;
+        let conn = self.convs.get(id)?;
         match typ {
             T_CTL => {
                 let cmd = std::str::from_utf8(data)
                     .map_err(|_| NineError::new("control request is not text"))?;
                 self.ctl_command(&conn, cmd.trim())?;
-                Ok(data.len())
             }
-            T_DATA => {
-                let ops = {
-                    let state = conn.state.lock();
-                    match &*state {
-                        ConnState::Connected(c) => Arc::clone(c),
-                        _ => return Err(NineError::new("not connected")),
-                    }
-                };
-                ops.send(data)?;
-                Ok(data.len())
-            }
-            _ => Err(NineError::new(errstr::EPERM)),
+            T_DATA => conn.connected()?.send(data)?,
+            _ => return Err(NineError::new(errstr::EPERM)),
         }
+        Ok(data.len())
     }
 
-    fn clunk(&self, n: &ServeNode) {
-        let conn_id = self.open_refs.lock().remove(&n.handle);
-        if let Some(id) = conn_id {
-            let conn = { self.conns.lock().get(&id).cloned() };
-            if let Some(conn) = conn {
-                let mut refs = conn.refs.lock();
-                *refs = refs.saturating_sub(1);
-                if *refs == 0 {
-                    // "A connection remains established while any of the
-                    // files in the connection directory are referenced."
-                    let mut state = conn.state.lock();
-                    if let ConnState::Connected(c) = &*state {
-                        c.close();
-                    }
-                    *state = ConnState::Idle;
-                    drop(state);
-                    drop(refs);
-                    self.conns.lock().remove(&id);
-                }
-            }
+    fn clunk_node(&self, n: &ServeNode) {
+        // "A connection remains established while any of the files in
+        // the connection directory are referenced."
+        if let Some(conn) = self.convs.clunk(n.handle) {
+            conn.hangup();
         }
-    }
-
-    fn stat(&self, n: &ServeNode) -> Result<Dir> {
-        let q = n.qid;
-        if q.path_bits() == Q_TOP {
-            return Ok(Dir::directory(
-                &self.ops.proto(),
-                Qid::dir(Q_TOP, 0),
-                0o555,
-                "network",
-            ));
-        }
-        if q.path_bits() == Q_CLONE {
-            return Ok(Dir::file("clone", Qid::file(Q_CLONE, 0), 0o666, "network", 0));
-        }
-        if q.path_bits() == Q_STATS {
-            return Ok(Dir::file("stats", Qid::file(Q_STATS, 0), 0o444, "network", 0));
-        }
-        let (id, typ) = split_qid(q).ok_or_else(|| NineError::new(errstr::EBADUSE))?;
-        let conn = self.conn(id)?;
-        if typ == T_DIR {
-            return Ok(Dir::directory(
-                &id.to_string(),
-                conn_qid(id, T_DIR),
-                0o555,
-                "network",
-            ));
-        }
-        let entries = self.conn_dir_entries(&conn);
-        entries
-            .into_iter()
-            .find(|d| d.qid == q)
-            .ok_or_else(|| NineError::new(errstr::ENOTEXIST))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plan9_ninep::procfs::ProcFs;
     use plan9_support::chan::{unbounded, Receiver, Sender};
+    use std::collections::HashMap;
 
     /// A toy in-memory protocol: "addresses" name rendezvous queues.
     struct Rendezvous {
@@ -649,10 +400,10 @@ mod tests {
                 addr: addr.to_string(),
             }))
         }
-        fn announce(&self, addr: &str) -> Result<Box<dyn AnnounceOps>> {
+        fn announce(&self, addr: &str) -> Result<Arc<dyn AnnounceOps>> {
             let (tx, rx) = unbounded();
             self.rdv.boards.lock().insert(addr.to_string(), tx);
-            Ok(Box::new(ToyAnnounce {
+            Ok(Arc::new(ToyAnnounce {
                 rx,
                 addr: addr.to_string(),
             }))
@@ -764,6 +515,41 @@ mod tests {
         let status = dev_a.open(&status, OpenMode::READ).unwrap();
         let text = String::from_utf8(dev_a.read(&status, 0, 100).unwrap()).unwrap();
         assert!(text.starts_with("toy/0 1 Established connect"), "{text}");
+    }
+
+    #[test]
+    fn status_reads_while_a_listener_waits() {
+        let (dev_a, dev_b) = toy_dev();
+        let root = dev_b.attach("srv", "").unwrap();
+        let actl = dev_b.open(&dev_b.walk(&root, "clone").unwrap(), OpenMode::RDWR).unwrap();
+        dev_b.write(&actl, 0, b"announce here").unwrap();
+        let file = |name: &str| {
+            let dir = dev_b.walk(&dev_b.attach("srv", "").unwrap(), "0").unwrap();
+            dev_b.walk(&dir, name).unwrap()
+        };
+        let listen = file("listen");
+        let listener = {
+            let dev_b = Arc::clone(&dev_b);
+            std::thread::spawn(move || dev_b.open(&listen, OpenMode::RDWR).unwrap())
+        };
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        // The server is blocked in listen; the conversation's other
+        // files must not wait for its call.
+        let status = dev_b.open(&file("status"), OpenMode::READ).unwrap();
+        let (tx, rx) = unbounded();
+        {
+            let dev_b = Arc::clone(&dev_b);
+            std::thread::spawn(move || tx.send(dev_b.read(&status, 0, 100).unwrap()))
+        };
+        let text = rx.recv_timeout(std::time::Duration::from_secs(2));
+        // Place the call either way, so a failure leaves no thread stuck.
+        let ctl = dev_a.walk(&dev_a.attach("cli", "").unwrap(), "clone").unwrap();
+        let ctl = dev_a.open(&ctl, OpenMode::RDWR).unwrap();
+        dev_a.write(&ctl, 0, b"connect here").unwrap();
+        let newctl = listener.join().unwrap();
+        assert_eq!(dev_b.read(&newctl, 0, 16).unwrap(), b"1");
+        let text = text.expect("status blocked behind the listener");
+        assert_eq!(text, b"toy/0 1 Announced here\n");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `eia` lines in `/dev`, the database under `/lib/ndb`.
 
 use crate::dev::proto::{AnnounceOps, ConnOps, ProtoDev, ProtoOps};
-use crate::dev::{EiaDev, EtherDev};
+use crate::dev::{EiaDev, EtherDev, TextDev, TextFile};
 use crate::namespace::{Namespace, Source, MAFTER, MREPL};
 use crate::proc::Proc;
 use plan9_support::sync::Mutex;
@@ -17,6 +17,8 @@ use plan9_datakit::urp::{urp_dial, UrpConn};
 use plan9_inet::ip::{IpConfig, IpStack};
 use plan9_inet::IpAddr;
 use plan9_ndb::Db;
+use plan9_netlog::trace::Tracer;
+use plan9_netlog::NetLog;
 use plan9_netsim::ether::{EtherSegment, MacAddr};
 use plan9_netsim::fabric::{DatakitLine, DatakitSwitch};
 use plan9_netsim::uart::UartEnd;
@@ -25,6 +27,43 @@ use plan9_ninep::{NineError, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// `/net/log`: netlog's facility mask on `ctl` (which also takes the
+/// sampler's `series ...` requests), the event text on `data`, the
+/// metric time series, the process-wide copy-site table and the
+/// runtime lock-order graph. lockdep is a process singleton, so every
+/// machine serves the same `lockgraph`: the fabric's lock discipline is
+/// one artifact.
+pub(crate) fn log_files(netlog: &Arc<NetLog>) -> Vec<TextFile> {
+    let [mask, ctl, events, series] = [(); 4].map(|()| Arc::clone(netlog));
+    vec![
+        TextFile::new("copy", 5, 0o444, plan9_support::copysite::render),
+        // Reading ctl shows the enabled facilities as a replayable
+        // `set` request.
+        TextFile::new("ctl", 2, 0o660, move || mask.events.mask_line()).on_write(move |req| {
+            if req.split_whitespace().next() == Some("series") {
+                plan9_netlog::series::ctl(&ctl, req).map_err(NineError::new)
+            } else {
+                ctl.events.ctl(req).map_err(NineError::new)
+            }
+        }),
+        TextFile::new("data", 3, 0o444, move || events.events.render()),
+        TextFile::new("lockgraph", 6, 0o444, plan9_support::lockgraph_dump),
+        TextFile::new("series", 4, 0o444, move || series.series.render()),
+    ]
+}
+
+/// `/net/trace`: the flight recorder. `ctl` takes `trace on`, `filter
+/// il 9p`, `dump`, `clear` and reads back as replayable requests;
+/// `data` is the completed root spans with their trees.
+pub(crate) fn trace_files(tracer: &Arc<Tracer>) -> Vec<TextFile> {
+    let [status, ctl, data] = [(); 3].map(|()| Arc::clone(tracer));
+    vec![
+        TextFile::new("ctl", 2, 0o660, move || status.status_line())
+            .on_write(move |req| ctl.ctl(req).map_err(NineError::new)),
+        TextFile::new("data", 3, 0o444, move || data.render()),
+    ]
+}
 
 /// Default ndb service map, matching the paper's §4.1 listing plus the
 /// conventional Plan 9 ports.
@@ -178,51 +217,38 @@ impl MachineBuilder {
         }
         // Synthesized information files: /dev/sysname, and /net/arp for
         // interface diagnostics (the ARP the LANCE driver exposes, §2.2).
-        {
-            let sysname = self.name.clone();
-            let mut dev_files: Vec<(String, crate::dev::InfoGen)> = vec![(
-                "sysname".to_string(),
-                Box::new(move || sysname.clone()),
-            )];
-            let user = "glenda".to_string();
-            dev_files.push(("user".to_string(), Box::new(move || user.clone())));
-            let dev_info = crate::dev::InfoFs::new("devinfo", dev_files);
-            let dev_dyn: Arc<dyn ProcFs> = dev_info;
-            ns.mount(Source::attach(&dev_dyn, "bootes", "")?, "/dev", MAFTER)?;
-        }
+        let mount_text = |fs: Arc<TextDev>, at: &str| -> Result<()> {
+            let fs: Arc<dyn ProcFs> = fs;
+            ns.mount(Source::attach(&fs, "bootes", "")?, at, MAFTER)
+        };
+        let sysname = self.name.clone();
+        let dev_files = vec![
+            TextFile::new("sysname", 1, 0o444, move || sysname.clone()),
+            TextFile::new("user", 2, 0o444, || "glenda".to_string()),
+        ];
+        mount_text(TextDev::new("devinfo", "info", None, dev_files), "/dev")?;
         if let Some(stack) = &ip {
             let arp_stack = Arc::clone(stack);
-            let net_info = crate::dev::InfoFs::new(
-                "netinfo",
-                vec![(
-                    "arp".to_string(),
-                    Box::new(move || {
-                        let mut out = String::new();
-                        for (ip, mac) in arp_stack.arp.entries() {
-                            out.push_str(&format!(
-                                "{} {}\n",
-                                ip,
-                                plan9_netsim::ether::mac_to_string(&mac)
-                            ));
-                        }
-                        out
-                    }) as crate::dev::InfoGen,
-                )],
-            );
-            let net_dyn: Arc<dyn ProcFs> = net_info;
-            ns.mount(Source::attach(&net_dyn, "bootes", "")?, "/net", MAFTER)?;
-            // The netlog device: /net/log/{ctl,data} over this stack's
-            // event ring.
-            let log_fs = crate::dev::LogFs::new(Arc::clone(stack.netlog()));
-            let log_dyn: Arc<dyn ProcFs> = log_fs;
-            ns.mount(Source::attach(&log_dyn, "bootes", "")?, "/net", MAFTER)?;
-            // The nettrace device: /net/trace/{ctl,data} over the
-            // process-wide flight recorder, so a trace that crosses
-            // machines reads the same from any of them.
-            let trace_fs =
-                crate::dev::TraceFs::new(Arc::clone(plan9_netlog::trace::global()));
-            let trace_dyn: Arc<dyn ProcFs> = trace_fs;
-            ns.mount(Source::attach(&trace_dyn, "bootes", "")?, "/net", MAFTER)?;
+            let arp = TextFile::new("arp", 1, 0o444, move || {
+                let mut out = String::new();
+                for (ip, mac) in arp_stack.arp.entries() {
+                    out.push_str(&format!(
+                        "{} {}\n",
+                        ip,
+                        plan9_netsim::ether::mac_to_string(&mac)
+                    ));
+                }
+                out
+            });
+            mount_text(TextDev::new("netinfo", "info", None, vec![arp]), "/net")?;
+            // The netlog device, /net/log, over this stack's event ring,
+            // and the nettrace device, /net/trace, over the process-wide
+            // flight recorder, so a trace that crosses machines reads
+            // the same from any of them.
+            let log = log_files(stack.netlog());
+            mount_text(TextDev::new("netlog", "network", Some("log"), log), "/net")?;
+            let trace = trace_files(plan9_netlog::trace::global());
+            mount_text(TextDev::new("nettrace", "network", Some("trace"), trace), "/net")?;
         }
         // DNS, then CS over it.
         let dns = self.internet.as_ref().map(|net| DnsServer::new(Arc::clone(net)));
@@ -380,10 +406,10 @@ impl ProtoOps for TcpProto {
         let conn = self.stack.tcp_module().connect(&self.stack, ip, port)?;
         Ok(Arc::new(TcpConnOps { conn }))
     }
-    fn announce(&self, addr: &str) -> Result<Box<dyn AnnounceOps>> {
+    fn announce(&self, addr: &str) -> Result<Arc<dyn AnnounceOps>> {
         let port = parse_announce_port(&self.db, "tcp", addr)?;
         let listener = self.stack.tcp_module().listen(&self.stack, port)?;
-        Ok(Box::new(IpAnnounceOps {
+        Ok(Arc::new(IpAnnounceOps {
             local: format!("{} {}", self.stack.addr(), listener.port()),
             accept: Box::new(move || Ok(Arc::new(TcpConnOps { conn: listener.accept()? }))),
         }))
@@ -436,10 +462,10 @@ impl ProtoOps for IlProto {
         let conn = self.stack.il_module().connect(&self.stack, ip, port)?;
         Ok(Arc::new(IlConnOps { conn }))
     }
-    fn announce(&self, addr: &str) -> Result<Box<dyn AnnounceOps>> {
+    fn announce(&self, addr: &str) -> Result<Arc<dyn AnnounceOps>> {
         let port = parse_announce_port(&self.db, "il", addr)?;
         let listener = self.stack.il_module().listen(&self.stack, port)?;
-        Ok(Box::new(IpAnnounceOps {
+        Ok(Arc::new(IpAnnounceOps {
             local: format!("{} {}", self.stack.addr(), listener.port()),
             accept: Box::new(move || Ok(Arc::new(IlConnOps { conn: listener.accept()? }))),
         }))
@@ -497,7 +523,7 @@ impl ProtoOps for UdpProto {
             remote: (ip, port),
         }))
     }
-    fn announce(&self, _addr: &str) -> Result<Box<dyn AnnounceOps>> {
+    fn announce(&self, _addr: &str) -> Result<Arc<dyn AnnounceOps>> {
         // UDP is connectionless; the paper's protocol devices announce
         // only stream-like protocols.
         Err(NineError::new("udp: announce not supported"))
@@ -626,7 +652,7 @@ impl ProtoOps for DkProto {
         // failures are left to the caller, as on real hardware.
         Ok(Arc::new(DkConnOps { conn }))
     }
-    fn announce(&self, addr: &str) -> Result<Box<dyn AnnounceOps>> {
+    fn announce(&self, addr: &str) -> Result<Arc<dyn AnnounceOps>> {
         // `*!9fs` or `9fs`.
         let service = addr.rsplit_once('!').map(|(_, s)| s).unwrap_or(addr);
         let (tx, rx) = plan9_support::chan::bounded(32);
@@ -635,7 +661,7 @@ impl ProtoOps for DkProto {
             return Err(NineError::new(format!("service in use: {service}")));
         }
         services.insert(service.to_string(), tx);
-        Ok(Box::new(DkAnnounceOps {
+        Ok(Arc::new(DkAnnounceOps {
             service: service.to_string(),
             local: self.dispatcher.addr.clone(),
             rx,

@@ -7,11 +7,10 @@
 //! CS and DNS plug in their translation functions.
 
 use plan9_support::sync::Mutex;
-use plan9_ninep::procfs::{read_dir_slice, OpenMode, ProcFs, ServeNode};
+use plan9_ninep::procfs::{Dev, OpenMode, ServeNode, ROOT};
 use plan9_ninep::qid::Qid;
 use plan9_ninep::{errstr, Dir, NineError, Result};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Translates one written query into reply lines.
 pub type QueryHandler = Box<dyn Fn(&str) -> Result<Vec<String>> + Send + Sync>;
@@ -28,11 +27,7 @@ pub struct QueryFs {
     fname: String,
     handler: QueryHandler,
     convs: Mutex<HashMap<u64, Conversation>>,
-    handles: AtomicU64,
 }
-
-const QROOT: u32 = 0;
-const QFILE: u32 = 1;
 
 impl QueryFs {
     /// Creates a query server whose single file is named `fname`.
@@ -42,66 +37,34 @@ impl QueryFs {
             fname: fname.to_string(),
             handler,
             convs: Mutex::new(HashMap::new()),
-            handles: AtomicU64::new(1),
         })
-    }
-
-    fn fresh(&self, qid: Qid) -> ServeNode {
-        ServeNode::new(qid, self.handles.fetch_add(1, Ordering::Relaxed))
-    }
-
-    fn file_dir(&self) -> Dir {
-        let mut d = Dir::file(&self.fname, Qid::file(QFILE, 0), 0o666, "network", 0);
-        d.dev_type = b'x' as u16;
-        d
     }
 }
 
-impl ProcFs for QueryFs {
-    fn fsname(&self) -> String {
+impl Dev for QueryFs {
+    fn name(&self) -> String {
         self.name.clone()
     }
 
-    fn attach(&self, _uname: &str, _aname: &str) -> Result<ServeNode> {
-        Ok(self.fresh(Qid::dir(QROOT, 0)))
+    fn root(&self) -> Dir {
+        Dir::directory("/", ROOT, 0o555, "network")
     }
 
-    fn clone_node(&self, n: &ServeNode) -> Result<ServeNode> {
-        Ok(self.fresh(n.qid))
+    fn rows(&self, _dir: Qid) -> Vec<Dir> {
+        let mut d = Dir::file(&self.fname, Qid::file(1, 0), 0o666, "network", 0);
+        d.dev_type = b'x' as u16;
+        vec![d]
     }
 
-    fn walk(&self, n: &ServeNode, name: &str) -> Result<ServeNode> {
+    fn open_node(&self, n: &ServeNode, _mode: OpenMode) -> Result<ServeNode> {
         if !n.qid.is_dir() {
-            return Err(NineError::new(errstr::ENOTDIR));
+            let fresh = Conversation { lines: Vec::new(), next: 0 };
+            self.convs.lock().insert(n.handle, fresh);
         }
-        match name {
-            ".." => Ok(*n),
-            x if x == self.fname => Ok(ServeNode::new(Qid::file(QFILE, 0), n.handle)),
-            _ => Err(NineError::new(errstr::ENOTEXIST)),
-        }
-    }
-
-    fn open(&self, n: &ServeNode, mode: OpenMode) -> Result<ServeNode> {
-        if n.qid.is_dir() {
-            if mode.access() != 0 {
-                return Err(NineError::new(errstr::EISDIR));
-            }
-            return Ok(*n);
-        }
-        self.convs.lock().insert(
-            n.handle,
-            Conversation {
-                lines: Vec::new(),
-                next: 0,
-            },
-        );
         Ok(*n)
     }
 
-    fn read(&self, n: &ServeNode, offset: u64, count: usize) -> Result<Vec<u8>> {
-        if n.qid.is_dir() {
-            return read_dir_slice(&[self.file_dir()], offset, count);
-        }
+    fn read_file(&self, n: &ServeNode, _offset: u64, count: usize) -> Result<Vec<u8>> {
         let mut convs = self.convs.lock();
         let conv = convs
             .get_mut(&n.handle)
@@ -115,10 +78,7 @@ impl ProcFs for QueryFs {
         Ok(line.as_bytes().iter().copied().take(count).collect())
     }
 
-    fn write(&self, n: &ServeNode, _offset: u64, data: &[u8]) -> Result<usize> {
-        if n.qid.is_dir() {
-            return Err(NineError::new(errstr::EISDIR));
-        }
+    fn write_file(&self, n: &ServeNode, _offset: u64, data: &[u8]) -> Result<usize> {
         let query = std::str::from_utf8(data)
             .map_err(|_| NineError::new("query is not text"))?
             .trim()
@@ -133,22 +93,15 @@ impl ProcFs for QueryFs {
         Ok(data.len())
     }
 
-    fn clunk(&self, n: &ServeNode) {
+    fn clunk_node(&self, n: &ServeNode) {
         self.convs.lock().remove(&n.handle);
-    }
-
-    fn stat(&self, n: &ServeNode) -> Result<Dir> {
-        if n.qid.is_dir() {
-            Ok(Dir::directory("/", Qid::dir(QROOT, 0), 0o555, "network"))
-        } else {
-            Ok(self.file_dir())
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plan9_ninep::procfs::ProcFs;
 
     fn echo_fs() -> std::sync::Arc<QueryFs> {
         QueryFs::new(

@@ -12,8 +12,12 @@ use crate::qid::Qid;
 use crate::{errstr, NineError, Result};
 use plan9_support::sync::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+mod dev;
+pub use dev::{
+    conv_of, conv_parent, conv_path, fresh_handle, readstr, ConvFile, ConvTable, Dev, ROOT,
+};
 
 /// Open for reading.
 pub const OREAD: u8 = 0;
@@ -200,7 +204,6 @@ pub struct MemFs {
     name: String,
     owner: String,
     inner: Mutex<MemInner>,
-    handles: AtomicU64,
 }
 
 impl MemFs {
@@ -224,7 +227,6 @@ impl MemFs {
                 nodes,
                 next_path: 1,
             }, "ninep.procfs"),
-            handles: AtomicU64::new(1),
         })
     }
 
@@ -305,10 +307,6 @@ impl MemFs {
             _ => Err(NineError::new(errstr::ENOTEXIST)),
         }
     }
-
-    fn fresh_handle(&self) -> u64 {
-        self.handles.fetch_add(1, Ordering::Relaxed)
-    }
 }
 
 impl ProcFs for MemFs {
@@ -318,12 +316,12 @@ impl ProcFs for MemFs {
 
     fn attach(&self, _uname: &str, _aname: &str) -> Result<ServeNode> {
         let inner = self.inner.lock();
-        Ok(ServeNode::new(inner.nodes[&0].dir.qid, self.fresh_handle()))
+        Ok(ServeNode::new(inner.nodes[&0].dir.qid, fresh_handle()))
     }
 
     fn clone_node(&self, n: &ServeNode) -> Result<ServeNode> {
         self.node_for(n)?;
-        Ok(ServeNode::new(n.qid, self.fresh_handle()))
+        Ok(ServeNode::new(n.qid, fresh_handle()))
     }
 
     fn walk(&self, n: &ServeNode, name: &str) -> Result<ServeNode> {

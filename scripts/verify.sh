@@ -75,8 +75,10 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
 # The paper's flagship listings must run end to end, still offline
-# (snoop is the one end-to-end user of /net/ether0's promiscuous mode).
-for ex in quickstart csquery netstat tracerpc snoop; do
+# (snoop is the one end-to-end user of /net/ether0's promiscuous mode;
+# echo_server, import_gateway and ftpfs_demo are the §5.2 and §6.1
+# listings, which walk, stat and list the devices through exportfs).
+for ex in quickstart csquery netstat tracerpc snoop echo_server import_gateway ftpfs_demo; do
     cargo run --release --offline --example "$ex" >/dev/null
 done
 

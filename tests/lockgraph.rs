@@ -191,8 +191,8 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/gnot proto=il proto=tcp
     let dump = plan9_support::lockgraph_dump();
     for must in [
         "edge core.proc.nextfd -> core.proc.fds",
-        "edge core.proto.nextconn -> core.proto.conns",
-        "edge core.ether.nextconn -> core.ether.convs",
+        "edge core.proc.fds -> ninep.convtable",
+        "edge core.ether.promiscuous -> netsim.ether.stations",
         "class support.wheel acquires=",
     ] {
         assert!(dump.contains(must), "runtime graph missing `{must}`:\n{dump}");
