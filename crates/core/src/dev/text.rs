@@ -244,12 +244,10 @@ mod tests {
     fn log_copy_file_serves_site_table() {
         let (fs, _netlog) = netlog_dev();
         // Touch a site so the table is guaranteed non-empty.
-        let mut b = plan9_support::buf::BytesMut::new();
-        b.put_slice(b"copied");
-        let _ = b.freeze();
+        let _ = plan9_support::buf::Bytes::copy_from_slice(b"copied");
         let copy = walk_open(&fs, &["log", "copy"], OpenMode::READ);
         let text = text(&fs, &copy);
-        assert!(text.contains("copy buf.freeze bytes="), "{text}");
+        assert!(text.contains("copy buf.from_slice bytes="), "{text}");
         assert!(text.contains("copy total sites="), "{text}");
     }
 

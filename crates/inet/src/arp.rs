@@ -113,14 +113,15 @@ impl ArpCache {
         }
     }
 
-    /// Parks an encoded IP packet until `ip` resolves. Returns `false`
+    /// Parks a built frame — complete but for the station address it
+    /// is waiting to learn — until `ip` resolves. Returns `false`
     /// when a packet was lost to make room: either the host table is
     /// full (the new packet is dropped) or the per-host queue is full
     /// (the oldest parked packet is evicted — the newest is the live
     /// one). Senders count that, they don't retry here. Bounded in
     /// both dimensions ([`HOLD_PER_HOST`], [`HOLD_HOSTS`]) so a flood
     /// of sends to a silent host cannot grow memory.
-    pub fn hold(&self, ip: IpAddr, packet: Vec<u8>) -> bool {
+    pub fn hold(&self, ip: IpAddr, frame: Vec<u8>) -> bool {
         let mut pending = self.pending.lock();
         if !pending.contains_key(&ip) && pending.len() >= HOLD_HOSTS {
             return false;
@@ -130,11 +131,11 @@ impl ArpCache {
         if evicted {
             q.remove(0);
         }
-        q.push(packet);
+        q.push(frame);
         !evicted
     }
 
-    /// Takes every packet parked for `ip`, in arrival order.
+    /// Takes every frame parked for `ip`, in arrival order.
     pub fn take_held(&self, ip: IpAddr) -> Vec<Vec<u8>> {
         self.pending.lock().remove(&ip).unwrap_or_default()
     }

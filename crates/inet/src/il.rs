@@ -22,11 +22,12 @@
 //!   retransmission times track the network speed.
 
 use crate::addr::IpAddr;
-use crate::checksum::internet_checksum;
+use crate::checksum::{internet_checksum, internet_checksum_gather};
 use crate::conv::{self, initial_seq, seq_le, seq_lt, ConnKey, ConvTable, Rtt};
 use crate::ip::IpStack;
 use plan9_netlog::trace;
 use plan9_netlog::{Counter, Facility, Histogram, NetLog};
+use plan9_support::buf::Bytes;
 use plan9_support::copysite::Site;
 use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::{time, wheel};
@@ -96,7 +97,7 @@ impl IlType {
     }
 }
 
-/// A parsed IL packet.
+/// A parsed IL packet, payload and all, in memory of its own.
 #[derive(Debug, Clone)]
 pub struct IlPacket {
     /// Message type.
@@ -113,53 +114,71 @@ pub struct IlPacket {
     pub payload: Vec<u8>,
 }
 
+/// An IL header: a packet but for its payload, which the conversations
+/// leave where it lies — in the sender's retained message on the way
+/// out, in the received frame on the way in.
+#[derive(Debug, Clone, Copy)]
+struct IlHeader {
+    typ: IlType,
+    src: u16,
+    dst: u16,
+    id: u32,
+    ack: u32,
+}
+
+impl IlHeader {
+    /// The wire form to go in front of `payload`, with the checksum of
+    /// both. `payload` is at most [`IL_MAX_MSG`] bytes.
+    fn encode(&self, payload: &[u8]) -> [u8; IL_HDR] {
+        let mut b = [0u8; IL_HDR]; // sum, then spec at [5], stay zero
+        b[2..4].copy_from_slice(&((IL_HDR + payload.len()) as u16).to_be_bytes());
+        b[4] = self.typ as u8;
+        b[6..8].copy_from_slice(&self.src.to_be_bytes());
+        b[8..10].copy_from_slice(&self.dst.to_be_bytes());
+        b[10..14].copy_from_slice(&self.id.to_be_bytes());
+        b[14..18].copy_from_slice(&self.ack.to_be_bytes());
+        let sum = internet_checksum_gather(&[&b, payload]);
+        b[0..2].copy_from_slice(&sum.to_be_bytes());
+        b
+    }
+
+    /// Parses and checksum-verifies the packet at the front of `b`:
+    /// its header, and its length, where its payload ends.
+    fn decode(b: &[u8]) -> Option<(IlHeader, usize)> {
+        let hdr: &[u8; IL_HDR] = b.first_chunk()?;
+        let len = u16::from_be_bytes([hdr[2], hdr[3]]) as usize;
+        if len < IL_HDR || internet_checksum(b.get(..len)?) != 0 {
+            return None;
+        }
+        let hdr = IlHeader {
+            typ: IlType::from_u8(hdr[4])?,
+            src: u16::from_be_bytes([hdr[6], hdr[7]]),
+            dst: u16::from_be_bytes([hdr[8], hdr[9]]),
+            id: u32::from_be_bytes([hdr[10], hdr[11], hdr[12], hdr[13]]),
+            ack: u32::from_be_bytes([hdr[14], hdr[15], hdr[16], hdr[17]]),
+        };
+        Some((hdr, len))
+    }
+}
+
 static ENCODE_SITE: Site = Site::new("il.encode");
 static DECODE_SITE: Site = Site::new("il.decode");
 static SEGMENT_SITE: Site = Site::new("il.segment");
 static RX_SITE: Site = Site::new("il.rxcopy");
 
-/// Serializes an IL packet with checksum.
+/// Serializes an IL packet with checksum: the owning form of the
+/// header the conversations send beside their payload.
 pub fn encode_il(p: &IlPacket) -> Vec<u8> {
-    let len = (IL_HDR + p.payload.len()) as u16;
-    ENCODE_SITE.record(len as usize);
-    let mut b = Vec::with_capacity(len as usize);
-    b.extend_from_slice(&[0, 0]); // sum
-    b.extend_from_slice(&len.to_be_bytes());
-    b.push(p.typ as u8);
-    b.push(0); // spec
-    b.extend_from_slice(&p.src.to_be_bytes());
-    b.extend_from_slice(&p.dst.to_be_bytes());
-    b.extend_from_slice(&p.id.to_be_bytes());
-    b.extend_from_slice(&p.ack.to_be_bytes());
-    b.extend_from_slice(&p.payload);
-    let sum = internet_checksum(&b);
-    b[0..2].copy_from_slice(&sum.to_be_bytes());
-    b
+    let hdr = IlHeader { typ: p.typ, src: p.src, dst: p.dst, id: p.id, ack: p.ack };
+    ENCODE_SITE.record(IL_HDR + p.payload.len());
+    [&hdr.encode(&p.payload)[..], &p.payload].concat()
 }
 
-/// Parses and checksum-verifies an IL packet.
+/// Parses and checksum-verifies an IL packet, copying its payload out.
 pub fn decode_il(b: &[u8]) -> Option<IlPacket> {
-    if b.len() < IL_HDR {
-        return None;
-    }
-    let len = u16::from_be_bytes([b[2], b[3]]) as usize;
-    if len < IL_HDR || len > b.len() {
-        return None;
-    }
-    if internet_checksum(&b[..len]) != 0 {
-        return None;
-    }
-    Some(IlPacket {
-        typ: IlType::from_u8(b[4])?,
-        src: u16::from_be_bytes([b[6], b[7]]),
-        dst: u16::from_be_bytes([b[8], b[9]]),
-        id: u32::from_be_bytes(b.get(10..14)?.try_into().ok()?),
-        ack: u32::from_be_bytes(b.get(14..18)?.try_into().ok()?),
-        payload: {
-            DECODE_SITE.record(len - IL_HDR);
-            b[IL_HDR..len].to_vec()
-        },
-    })
+    let (IlHeader { typ, src, dst, id, ack }, len) = IlHeader::decode(b)?;
+    DECODE_SITE.record(len - IL_HDR);
+    Some(IlPacket { typ, src, dst, id, ack, payload: b[IL_HDR..len].to_vec() })
 }
 
 /// Connection states.
@@ -251,7 +270,9 @@ pub struct IlModule {
 pub type IlListener = conv::Listener<IlConn>;
 
 struct Sent {
-    payload: Vec<u8>,
+    /// The message: the one copy of it this end holds, from which it
+    /// is first sent and, if the peer asks, sent again.
+    payload: Bytes,
     at: Instant,
     /// Set once the message has been retransmitted (Karn's rule: no RTT
     /// sample from it).
@@ -271,9 +292,10 @@ struct Inner {
     /// Last in-sequence id received from the peer.
     rcv_id: u32,
     /// Out-of-window... within-window out-of-order messages.
-    ooo: BTreeMap<u32, Vec<u8>>,
-    /// In-sequence messages awaiting the reader.
-    rcv_q: VecDeque<Vec<u8>>,
+    ooo: BTreeMap<u32, Bytes>,
+    /// In-sequence messages awaiting the reader: views of the frames
+    /// (or reassembled datagrams) they arrived in.
+    rcv_q: VecDeque<Bytes>,
     peer_closed: bool,
     ack_due: Option<Instant>,
     /// Data messages received since our last ack left.
@@ -391,8 +413,8 @@ impl IlModule {
         self.table.listen(port)
     }
 
-    pub(crate) fn input(stack: &Arc<IpStack>, src: IpAddr, data: &[u8]) {
-        let Some(pkt) = decode_il(data) else {
+    pub(crate) fn input(stack: &Arc<IpStack>, src: IpAddr, data: Bytes) {
+        let Some((pkt, len)) = IlHeader::decode(&data) else {
             return;
         };
         let key = ConnKey {
@@ -401,7 +423,7 @@ impl IlModule {
             rport: pkt.src,
         };
         if let Some(conn) = stack.il.table.lookup(&key) {
-            conn.handle(&pkt);
+            conn.handle(&pkt, data.slice(IL_HDR..len));
             return;
         }
         if pkt.typ == IlType::Sync {
@@ -436,15 +458,14 @@ impl IlModule {
         // No home for this packet: a Close is polite, silence is fine for
         // anything else.
         if pkt.typ != IlType::Close {
-            let reply = IlPacket {
+            let reply = IlHeader {
                 typ: IlType::Close,
                 src: pkt.dst,
                 dst: pkt.src,
                 id: 0,
                 ack: pkt.id,
-                payload: Vec::new(),
             };
-            let _ = stack.send(src, IL_PROTO, &encode_il(&reply));
+            let _ = stack.send(src, IL_PROTO, &[&reply.encode(&[])]);
         }
     }
 
@@ -539,18 +560,14 @@ impl IlConn {
             .stack
             .upgrade()
             .ok_or_else(|| NineError::new("stack is down"))?;
-        let pkt = IlPacket {
+        let hdr = IlHeader {
             typ,
             src: self.key.lport,
             dst: self.key.rport,
             id,
             ack,
-            payload: {
-                SEGMENT_SITE.record(payload.len());
-                payload.to_vec()
-            },
         };
-        stack.send(self.key.raddr, IL_PROTO, &encode_il(&pkt))
+        stack.send(self.key.raddr, IL_PROTO, &[&hdr.encode(payload), payload])
     }
 
     /// Sends one message, blocking while the outstanding window is full.
@@ -558,6 +575,10 @@ impl IlConn {
         if msg.len() > IL_MAX_MSG {
             return Err(NineError::new("message too large for il"));
         }
+        // The copy in from the writer: kept until acknowledged, and the
+        // source of every transmission till then.
+        SEGMENT_SITE.record(msg.len());
+        let msg = Bytes::from(msg.to_vec());
         let (id, ack) = {
             let mut inner = self.inner.lock();
             loop {
@@ -576,11 +597,10 @@ impl IlConn {
             }
             inner.snd_id = inner.snd_id.wrapping_add(1);
             let id = inner.snd_id;
-            SEGMENT_SITE.record(msg.len());
             inner.unacked.insert(
                 id,
                 Sent {
-                    payload: msg.to_vec(),
+                    payload: msg.clone(),
                     at: time::now(),
                     rexmit: false,
                     trace: trace::current(),
@@ -598,7 +618,7 @@ impl IlConn {
         if let Some(stack) = self.stack.upgrade() {
             stack.il.stats.tx_msgs.inc();
         }
-        self.transmit(IlType::Data, id, ack, msg)
+        self.transmit(IlType::Data, id, ack, &msg)
     }
 
     /// Blocks for the next message; `None` is orderly EOF.
@@ -606,7 +626,8 @@ impl IlConn {
         let mut inner = self.inner.lock();
         loop {
             if let Some(msg) = inner.rcv_q.pop_front() {
-                return Ok(Some(msg));
+                drop(inner);
+                return Ok(Some(copy_out(&msg)));
             }
             if inner.peer_closed || inner.state == IlState::Closed {
                 return Ok(None);
@@ -624,7 +645,8 @@ impl IlConn {
         let mut inner = self.inner.lock();
         loop {
             if let Some(msg) = inner.rcv_q.pop_front() {
-                return Ok(Some(msg));
+                drop(inner);
+                return Ok(Some(copy_out(&msg)));
             }
             if inner.peer_closed || inner.state == IlState::Closed {
                 return Ok(None);
@@ -699,7 +721,8 @@ impl IlConn {
     pub fn try_recv(&self) -> crate::Result<TryRecv> {
         let mut inner = self.inner.lock();
         if let Some(msg) = inner.rcv_q.pop_front() {
-            return Ok(TryRecv::Msg(msg));
+            drop(inner);
+            return Ok(TryRecv::Msg(copy_out(&msg)));
         }
         if inner.peer_closed || inner.state == IlState::Closed {
             return Ok(TryRecv::Eof);
@@ -827,10 +850,10 @@ impl IlConn {
         let _ = self.rearm(&mut inner);
     }
 
-    fn handle(self: &Arc<Self>, pkt: &IlPacket) {
+    fn handle(self: &Arc<Self>, pkt: &IlHeader, payload: Bytes) {
         let mut send_ack = false;
         let mut send_state = false;
-        let mut retransmit: Vec<(u32, Vec<u8>, Option<trace::TraceHandle>)> = Vec::new();
+        let mut retransmit: Vec<(u32, Bytes, Option<trace::TraceHandle>)> = Vec::new();
         let mut deliver_to_listener = false;
         let mut reply_close = false;
         {
@@ -860,7 +883,9 @@ impl IlConn {
                     inner.retries = 0;
                     deliver_to_listener = true;
                     match pkt.typ {
-                        IlType::Data => self.accept_data(&mut inner, pkt, &mut send_ack),
+                        IlType::Data => {
+                            self.accept_data(&mut inner, pkt.id, payload, &mut send_ack)
+                        }
                         IlType::Query => send_state = true,
                         _ => {}
                     }
@@ -891,7 +916,7 @@ impl IlConn {
                     self.accept_ack(&mut inner, pkt.ack);
                     match typ {
                         IlType::Data => {
-                            self.accept_data(&mut inner, pkt, &mut send_ack);
+                            self.accept_data(&mut inner, pkt.id, payload, &mut send_ack);
                         }
                         IlType::Query => {
                             // "The receiver responds to a query" with its
@@ -1092,13 +1117,12 @@ impl IlConn {
         self.window_open.notify_all();
     }
 
-    fn accept_data(&self, inner: &mut Inner, pkt: &IlPacket, send_ack: &mut bool) {
+    fn accept_data(&self, inner: &mut Inner, id: u32, payload: Bytes, send_ack: &mut bool) {
         *send_ack = true;
         let expected = inner.rcv_id.wrapping_add(1);
-        if pkt.id == expected {
-            inner.rcv_id = pkt.id;
-            RX_SITE.record(pkt.payload.len());
-            inner.rcv_q.push_back(pkt.payload.clone());
+        if id == expected {
+            inner.rcv_id = id;
+            inner.rcv_q.push_back(payload);
             // Resequence: drain consecutive out-of-order messages.
             loop {
                 let next = inner.rcv_id.wrapping_add(1);
@@ -1114,16 +1138,21 @@ impl IlConn {
                 stack.il.stats.rx_msgs.inc();
             }
             self.rx_wake();
-        } else if seq_lt(inner.rcv_id, pkt.id) {
+        } else if seq_lt(inner.rcv_id, id) {
             // Ahead of us: keep it only if within the window; "messages
             // outside the window are discarded and must be retransmitted."
-            if pkt.id.wrapping_sub(inner.rcv_id) <= IL_WINDOW {
-                RX_SITE.record(pkt.payload.len());
-                inner.ooo.insert(pkt.id, pkt.payload.clone());
+            if id.wrapping_sub(inner.rcv_id) <= IL_WINDOW {
+                inner.ooo.insert(id, payload);
             }
         }
         // Behind us: duplicate; the ack we send repairs the peer.
     }
+}
+
+/// The copy out to the reader, the only one a received message gets.
+fn copy_out(msg: &Bytes) -> Vec<u8> {
+    RX_SITE.record(msg.len());
+    msg.to_vec()
 }
 
 #[cfg(test)]
@@ -1228,6 +1257,7 @@ mod tests {
     #[test]
     fn recovers_from_loss_via_query() {
         let (a, b) = lossy_hosts(0.15);
+        a.netlog().events.ctl("set il").unwrap();
         let listener = b.il_module().listen(&b, 17008).unwrap();
         let n_msgs = 200;
         let server = std::thread::spawn(move || {
@@ -1252,6 +1282,23 @@ mod tests {
             a.il_module().stats.queries.get() > 0,
             "expected queries under loss"
         );
+        // What was sent again is what was sent: a repair is read from
+        // the bytes `send` retained, the first transmission's own.
+        let first_id = conn.inner.lock().snd_id.wrapping_sub(n_msgs as u32 - 1);
+        let events = a.netlog().events.events();
+        let repaired: Vec<(usize, usize)> = events
+            .iter()
+            .filter_map(|e| {
+                let mut words = e.msg.strip_prefix("rexmit id ")?.split(" len ");
+                let id: u32 = words.next()?.parse().ok()?;
+                Some((id.wrapping_sub(first_id) as usize, words.next()?.parse().ok()?))
+            })
+            .collect();
+        assert!(!repaired.is_empty(), "nothing was ever retransmitted");
+        for (i, len) in repaired {
+            assert_eq!(len, format!("msg {i}").len(), "message {i} was repaired at another length");
+            assert_eq!(got[i], format!("msg {i}").as_bytes());
+        }
         conn.close();
     }
 

@@ -15,15 +15,16 @@ use crate::checksum::internet_checksum;
 use crate::conv::shard_key;
 use crate::{il, tcp, udp};
 use plan9_netlog::{Counter, NetLog, Registry};
+use plan9_support::buf::Bytes;
 use plan9_support::copysite::Site;
 use plan9_support::sync::Mutex;
 use plan9_support::{pool, time};
 
 static ENCODE_SITE: Site = Site::new("ip.encode");
-static FRAGMENT_SITE: Site = Site::new("ip.fragment");
 static REASSEMBLE_SITE: Site = Site::new("ip.reassemble");
-static RX_SITE: Site = Site::new("ip.rxcopy");
-use plan9_netsim::ether::{EtherFrame, EtherStation, BROADCAST};
+use plan9_netsim::ether::{
+    frame_with_header, EtherFrame, EtherStation, MacAddr, BROADCAST, ETHER_HDR,
+};
 use plan9_ninep::NineError;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
@@ -33,8 +34,13 @@ use std::time::{Duration, Instant};
 /// Bytes of IP header (no options).
 pub const IP_HDR: usize = 20;
 
+/// The largest transport datagram: what the header's 16-bit total
+/// length can say, less the header. Its last fragment then starts at
+/// most 8189 eight-byte units in, inside the 13-bit offset field.
+pub const IP_MAX_DATAGRAM: usize = u16::MAX as usize - IP_HDR;
+
 /// How long a partially reassembled datagram is kept.
-const FRAG_TTL: Duration = Duration::from_secs(5);
+pub const FRAG_TTL: Duration = Duration::from_secs(5);
 
 /// Interface configuration, as it would come from the ndb entry for the
 /// system (`ip=135.104.9.31 ipmask=255.255.255.0 ipgw=135.104.9.1`).
@@ -108,7 +114,8 @@ impl IpStats {
 }
 
 struct FragBuf {
-    parts: BTreeMap<u16, Vec<u8>>,
+    /// Views of the frames the fragments arrived in, by offset.
+    parts: BTreeMap<u16, Bytes>,
     total: Option<usize>,
     created: Instant,
 }
@@ -203,7 +210,7 @@ impl IpStack {
             }
             match frame.ethertype {
                 ARP_ETHERTYPE => stack.handle_arp(&frame.payload),
-                IP_ETHERTYPE => stack.handle_ip(Some(frame.src), &frame.payload),
+                IP_ETHERTYPE => stack.handle_ip(Some(frame.src), frame.payload),
                 _ => {}
             }
         });
@@ -295,11 +302,13 @@ impl IpStack {
         }
     }
 
-    fn handle_ip(self: &Arc<Self>, src_mac: Option<plan9_netsim::ether::MacAddr>, packet: &[u8]) {
-        let Some((hdr, payload)) = decode_ip(packet) else {
+    fn handle_ip(self: &Arc<Self>, src_mac: Option<MacAddr>, packet: Bytes) {
+        let Some((hdr, payload)) = decode_ip(&packet) else {
             self.stats.rx_errors.inc();
             return;
         };
+        // The transports get a view of the frame, not a copy.
+        let payload = packet.slice(IP_HDR..IP_HDR + payload.len());
         if hdr.dst != self.cfg.addr && hdr.dst != IpAddr::BROADCAST {
             // Not ours: hosts do not forward, and a promiscuous ether
             // conversation lets other hosts' unicasts past the
@@ -319,8 +328,7 @@ impl IpStack {
             self.flush_held(hdr.src, mac);
         }
         let assembled = if hdr.frag_offset == 0 && !hdr.more_frags {
-            RX_SITE.record(payload.len());
-            Some(payload.to_vec())
+            Some(payload)
         } else {
             self.reassemble(&hdr, payload)
         };
@@ -330,13 +338,15 @@ impl IpStack {
         self.stats.rx_packets.inc();
         match hdr.proto {
             udp::UDP_PROTO => udp::UdpModule::input(self, hdr.src, &data),
-            tcp::TCP_PROTO => tcp::TcpModule::input(self, hdr.src, &data),
-            il::IL_PROTO => il::IlModule::input(self, hdr.src, &data),
+            tcp::TCP_PROTO => tcp::TcpModule::input(self, hdr.src, data),
+            il::IL_PROTO => il::IlModule::input(self, hdr.src, data),
             _ => {}
         }
     }
 
-    fn reassemble(&self, hdr: &IpHeader, payload: &[u8]) -> Option<Vec<u8>> {
+    /// Holds a fragment; the one that completes its datagram gets the
+    /// whole, which is the only time the fragments' bytes are copied.
+    fn reassemble(&self, hdr: &IpHeader, payload: Bytes) -> Option<Bytes> {
         let mut frags = self.frag.lock();
         // Purge stale entries while we are here.
         let now = time::now();
@@ -347,11 +357,10 @@ impl IpStack {
             total: None,
             created: time::now(),
         });
-        REASSEMBLE_SITE.record(payload.len());
-        buf.parts.insert(hdr.frag_offset, payload.to_vec());
         if !hdr.more_frags {
             buf.total = Some(hdr.frag_offset as usize * 8 + payload.len());
         }
+        buf.parts.insert(hdr.frag_offset, payload);
         let total = buf.total?;
         // Check contiguity from offset zero.
         let mut have = 0usize;
@@ -371,18 +380,27 @@ impl IpStack {
         }
         frags.remove(&key);
         self.stats.reassembled.inc();
-        Some(out)
+        Some(Bytes::from(out))
     }
 
-    /// Sends a transport payload to `dst`, fragmenting as needed.
-    pub fn send(&self, dst: IpAddr, proto: u8, payload: &[u8]) -> crate::Result<()> {
+    /// Sends a transport datagram to `dst`, fragmenting as needed. The
+    /// datagram is the concatenation of `parts` (a transport's header,
+    /// then its payload): each is copied from where it lies into the
+    /// frames that carry it, and nowhere else on the way to the wire.
+    pub fn send(&self, dst: IpAddr, proto: u8, parts: &[&[u8]]) -> crate::Result<()> {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        if len > IP_MAX_DATAGRAM {
+            return Err(NineError::new(format!(
+                "datagram of {len} bytes exceeds the {IP_MAX_DATAGRAM} ip can carry"
+            )));
+        }
         let cur = plan9_netlog::trace::current();
         let t0 = cur.as_ref().map(|_| time::now());
-        let r = self.send_inner(dst, proto, payload);
+        let r = self.send_inner(dst, proto, parts, len);
         if let (Some(h), Some(t0)) = (cur, t0) {
             h.span(
                 plan9_netlog::Facility::Ip,
-                &format!("ip tx {}B", payload.len()),
+                &format!("ip tx {len}B"),
                 t0,
                 time::now(),
             );
@@ -390,70 +408,80 @@ impl IpStack {
         r
     }
 
-    fn send_inner(&self, dst: IpAddr, proto: u8, payload: &[u8]) -> crate::Result<()> {
+    fn send_inner(&self, dst: IpAddr, proto: u8, parts: &[&[u8]], len: usize) -> crate::Result<()> {
         let id = self.ip_id.fetch_add(1, Ordering::Relaxed);
         let mtu_payload = self.mtu();
-        if payload.len() <= mtu_payload {
-            return self.send_one(dst, proto, id, 0, false, payload);
+        if len <= mtu_payload {
+            return self.send_one(dst, proto, id, parts, 0..len, false);
         }
         // Fragment on 8-byte boundaries.
         let chunk = mtu_payload & !7;
         let mut off = 0usize;
-        while off < payload.len() {
-            let end = (off + chunk).min(payload.len());
-            let more = end < payload.len();
-            FRAGMENT_SITE.record(end - off);
-            self.send_one(dst, proto, id, (off / 8) as u16, more, &payload[off..end])?;
+        while off < len {
+            let end = (off + chunk).min(len);
+            self.send_one(dst, proto, id, parts, off..end, end < len)?;
             self.stats.fragments_out.inc();
             off = end;
         }
         Ok(())
     }
 
+    /// Builds and transmits the frame carrying bytes `range` of the
+    /// datagram `parts` — the one copy between a transport's buffers
+    /// and the controller.
     fn send_one(
         &self,
         dst: IpAddr,
         proto: u8,
         id: u16,
-        frag_offset: u16,
+        parts: &[&[u8]],
+        range: std::ops::Range<usize>,
         more_frags: bool,
-        payload: &[u8],
     ) -> crate::Result<()> {
         let hdr = IpHeader {
             src: self.cfg.addr,
             dst,
             proto,
             id,
-            frag_offset,
+            // In range: `send` bounds the datagram by IP_MAX_DATAGRAM.
+            frag_offset: (range.start / 8) as u16,
             more_frags,
         };
-        let packet = encode_ip(&hdr, payload);
+        // The station address to send to is filled in below, or when
+        // ARP learns it.
+        let mut frame =
+            frame_with_header([0; 6], self.station.addr, IP_ETHERTYPE, IP_HDR + range.len());
+        put_header(&mut frame, &hdr, (IP_HDR + range.len()) as u16);
+        let (mut skip, mut want) = (range.start, range.len());
+        for part in parts {
+            let from = skip.min(part.len());
+            let upto = part.len().min(from + want);
+            frame.extend_from_slice(&part[from..upto]);
+            skip -= from;
+            want -= upto - from;
+        }
+        ENCODE_SITE.record(frame.len());
         self.stats.tx_packets.inc();
         if dst == self.cfg.addr {
             // Loopback: serviced on this stack's own shard, like a
             // frame off the wire.
             let me = self.me.clone();
+            let packet = Bytes::from(frame);
             pool::submit_or_run(self.shard, move || {
                 if let Some(stack) = me.upgrade() {
                     if !stack.is_shutdown() {
-                        stack.handle_ip(None, &packet);
+                        stack.handle_ip(None, packet.slice(ETHER_HDR..packet.len()));
                     }
                 }
             });
             return Ok(());
         }
         if dst == IpAddr::BROADCAST {
-            return self
-                .station
-                .send(BROADCAST, IP_ETHERTYPE, &packet)
-                .map_err(NineError::new);
+            return self.transmit(BROADCAST, frame);
         }
         let next_hop = self.next_hop(dst)?;
         if let Some(mac) = self.arp.lookup(next_hop) {
-            return self
-                .station
-                .send(mac, IP_ETHERTYPE, &packet)
-                .map_err(NineError::new);
+            return self.transmit(mac, frame);
         }
         // ARP miss. The transmit path runs on pool shards and wheel
         // callbacks where sleeping on virtual time deadlocks the
@@ -462,7 +490,7 @@ impl IpStack {
         // flush it when the reply (or any frame from the peer) teaches
         // us the mapping. An unreachable host costs a bounded hold
         // queue, not a stalled shard.
-        if self.arp.hold(next_hop, packet) {
+        if self.arp.hold(next_hop, frame) {
             self.stats.arp_held.inc();
         } else {
             self.stats.arp_dropped.inc();
@@ -496,19 +524,23 @@ impl IpStack {
         }
     }
 
-    /// Sends every packet parked for `ip` now that its MAC is known.
-    fn flush_held(&self, ip: IpAddr, mac: plan9_netsim::ether::MacAddr) {
-        for pkt in self.arp.take_held(ip) {
-            let _ = self.station.send(mac, IP_ETHERTYPE, &pkt);
+    /// Addresses a built frame to `mac` and gives it to the wire.
+    fn transmit(&self, mac: MacAddr, mut frame: Vec<u8>) -> crate::Result<()> {
+        frame[..6].copy_from_slice(&mac);
+        self.station.send_frame(frame).map_err(NineError::new)
+    }
+
+    /// Sends every frame parked for `ip` now that its MAC is known.
+    fn flush_held(&self, ip: IpAddr, mac: MacAddr) {
+        for frame in self.arp.take_held(ip) {
+            let _ = self.transmit(mac, frame);
         }
     }
 }
 
-/// Serializes an IP header + payload.
-pub fn encode_ip(hdr: &IpHeader, payload: &[u8]) -> Vec<u8> {
-    let total = (IP_HDR + payload.len()) as u16;
-    ENCODE_SITE.record(total as usize);
-    let mut b = Vec::with_capacity(total as usize);
+/// Appends the IP header of a packet `total` bytes long, all told.
+fn put_header(b: &mut Vec<u8>, hdr: &IpHeader, total: u16) {
+    let at = b.len();
     b.push(0x45); // version 4, ihl 5
     b.push(0); // tos
     b.extend_from_slice(&total.to_be_bytes());
@@ -520,8 +552,19 @@ pub fn encode_ip(hdr: &IpHeader, payload: &[u8]) -> Vec<u8> {
     b.extend_from_slice(&[0, 0]); // checksum placeholder
     b.extend_from_slice(&hdr.src.octets());
     b.extend_from_slice(&hdr.dst.octets());
-    let sum = internet_checksum(&b[..IP_HDR]);
-    b[10..12].copy_from_slice(&sum.to_be_bytes());
+    let sum = internet_checksum(&b[at..]);
+    b[at + 10..at + 12].copy_from_slice(&sum.to_be_bytes());
+}
+
+/// Serializes an IP header + payload into a packet of its own: the
+/// owning form of the header [`IpStack::send`] writes into its frames.
+/// `payload` is at most [`IP_MAX_DATAGRAM`] bytes, as `send` ensures of
+/// its own: the length field is 16 bits.
+pub fn encode_ip(hdr: &IpHeader, payload: &[u8]) -> Vec<u8> {
+    let total = (IP_HDR + payload.len()) as u16;
+    ENCODE_SITE.record(total as usize);
+    let mut b = Vec::with_capacity(total as usize);
+    put_header(&mut b, hdr, total);
     b.extend_from_slice(payload);
     b
 }
@@ -624,7 +667,7 @@ pub(crate) mod tests {
     #[test]
     fn off_subnet_without_gateway_fails() {
         let (a, _b) = two_hosts();
-        let err = a.send(IpAddr::new(192, 168, 1, 1), 17, b"x").unwrap_err();
+        let err = a.send(IpAddr::new(192, 168, 1, 1), 17, &[b"x"]).unwrap_err();
         assert!(err.0.contains("no route"), "{err}");
     }
 
@@ -638,7 +681,7 @@ pub(crate) mod tests {
         let ghost = IpAddr::new(10, 0, 0, 99);
         let t0 = std::time::Instant::now();
         for _ in 0..(crate::arp::HOLD_PER_HOST + 3) {
-            a.send(ghost, 17, b"x").unwrap();
+            a.send(ghost, 17, &[b"x"]).unwrap();
         }
         assert!(
             t0.elapsed() < Duration::from_millis(200),

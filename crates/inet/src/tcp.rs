@@ -11,11 +11,12 @@
 //! adaptive RTO from an RTT estimator, FIN/RST teardown, TIME-WAIT.
 
 use crate::addr::IpAddr;
-use crate::checksum::internet_checksum;
+use crate::checksum::{internet_checksum, internet_checksum_gather};
 use crate::conv::{self, initial_seq, seq_le, seq_lt, ConnKey, ConvTable, Rtt};
 use crate::ip::IpStack;
 use plan9_netlog::trace;
 use plan9_netlog::{Counter, Facility, NetLog};
+use plan9_support::buf::Bytes;
 use plan9_support::copysite::Site;
 use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::{time, wheel};
@@ -118,39 +119,47 @@ pub struct Segment {
     pub flags: u16,
     /// Advertised receive window.
     pub window: u16,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
+    /// Payload bytes: for a received segment, a view of its frame.
+    pub payload: Bytes,
 }
 
-static ENCODE_SITE: Site = Site::new("tcp.encode");
-static SEGMENT_SITE: Site = Site::new("tcp.segment");
+/// A segment's header: what a connection writes in front of payload it
+/// leaves where it lies.
+struct TcpHeader {
+    sport: u16,
+    dport: u16,
+    seq: u32,
+    ack: u32,
+    flags: u16,
+    window: u16,
+}
+
+impl TcpHeader {
+    /// The wire form to go in front of `payload`, with the checksum of
+    /// both.
+    fn encode(&self, payload: &[u8]) -> [u8; TCP_HDR] {
+        let mut b = [0u8; TCP_HDR]; // checksum and urgent stay zero
+        b[0..2].copy_from_slice(&self.sport.to_be_bytes());
+        b[2..4].copy_from_slice(&self.dport.to_be_bytes());
+        b[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        b[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        let offset_flags = ((5u16) << 12) | (self.flags & 0x3f);
+        b[12..14].copy_from_slice(&offset_flags.to_be_bytes());
+        b[14..16].copy_from_slice(&self.window.to_be_bytes());
+        let sum = internet_checksum_gather(&[&b, payload]);
+        b[16..18].copy_from_slice(&sum.to_be_bytes());
+        b
+    }
+}
+
 static RX_SITE: Site = Site::new("tcp.rxcopy");
 
-/// Serializes a segment with checksum.
-pub fn encode_segment(s: &Segment) -> Vec<u8> {
-    ENCODE_SITE.record(TCP_HDR + s.payload.len());
-    let mut b = Vec::with_capacity(TCP_HDR + s.payload.len());
-    b.extend_from_slice(&s.sport.to_be_bytes());
-    b.extend_from_slice(&s.dport.to_be_bytes());
-    b.extend_from_slice(&s.seq.to_be_bytes());
-    b.extend_from_slice(&s.ack.to_be_bytes());
-    let offset_flags = ((5u16) << 12) | (s.flags & 0x3f);
-    b.extend_from_slice(&offset_flags.to_be_bytes());
-    b.extend_from_slice(&s.window.to_be_bytes());
-    b.extend_from_slice(&[0, 0]); // checksum
-    b.extend_from_slice(&[0, 0]); // urgent
-    b.extend_from_slice(&s.payload);
-    let sum = internet_checksum(&b);
-    b[16..18].copy_from_slice(&sum.to_be_bytes());
-    b
-}
-
-/// Parses and checksum-verifies a segment.
-pub fn decode_segment(b: &[u8]) -> Option<Segment> {
+/// Parses and checksum-verifies a segment; its payload is a view of `b`.
+pub fn decode_segment(b: Bytes) -> Option<Segment> {
     if b.len() < TCP_HDR {
         return None;
     }
-    if internet_checksum(b) != 0 {
+    if internet_checksum(&b) != 0 {
         return None;
     }
     let offset_flags = u16::from_be_bytes([b[12], b[13]]);
@@ -165,7 +174,7 @@ pub fn decode_segment(b: &[u8]) -> Option<Segment> {
         ack: u32::from_be_bytes(b.get(8..12)?.try_into().ok()?),
         flags: offset_flags & 0x3f,
         window: u16::from_be_bytes([b[14], b[15]]),
-        payload: b[data_off..].to_vec(),
+        payload: b.slice(data_off..b.len()),
     })
 }
 
@@ -235,7 +244,7 @@ struct Inner {
     // Receive side.
     rcv_nxt: u32,
     recv_buf: VecDeque<u8>,
-    ooo: BTreeMap<u32, Vec<u8>>,
+    ooo: BTreeMap<u32, Bytes>,
     peer_fin: Option<u32>,
     fin_taken: bool,
     // Timing.
@@ -376,7 +385,7 @@ impl TcpModule {
         self.table.listen(port)
     }
 
-    pub(crate) fn input(stack: &Arc<IpStack>, src: IpAddr, data: &[u8]) {
+    pub(crate) fn input(stack: &Arc<IpStack>, src: IpAddr, data: Bytes) {
         let Some(seg) = decode_segment(data) else {
             return;
         };
@@ -421,16 +430,15 @@ impl TcpModule {
         }
         // Neither connection nor listener: refuse.
         if seg.flags & RST == 0 {
-            let rst = Segment {
+            let rst = TcpHeader {
                 sport: seg.dport,
                 dport: seg.sport,
                 seq: seg.ack,
                 ack: seg.seq.wrapping_add(seg.payload.len() as u32),
                 flags: RST | ACK,
                 window: 0,
-                payload: Vec::new(),
             };
-            let _ = stack.send(src, TCP_PROTO, &encode_segment(&rst));
+            let _ = stack.send(src, TCP_PROTO, &[&rst.encode(&[])]);
         }
     }
 
@@ -532,20 +540,16 @@ impl TcpConn {
             .upgrade()
             .ok_or_else(|| NineError::new("stack is down"))?;
         let window = self.inner.lock().window_avail();
-        let seg = Segment {
+        let hdr = TcpHeader {
             sport: self.key.lport,
             dport: self.key.rport,
             seq,
             ack,
             flags,
             window,
-            payload: {
-                SEGMENT_SITE.record(payload.len());
-                payload.to_vec()
-            },
         };
         stack.tcp.stats.tx_segments.inc();
-        stack.send(self.key.raddr, TCP_PROTO, &encode_segment(&seg))
+        stack.send(self.key.raddr, TCP_PROTO, &[&hdr.encode(payload), payload])
     }
 
     /// Writes bytes into the stream; blocks while the send buffer is
@@ -1080,7 +1084,8 @@ impl TcpConn {
                         break; // key observed under this same lock
                     };
                     inner.rcv_nxt = inner.rcv_nxt.wrapping_add(data.len() as u32);
-                    inner.recv_buf.extend(data);
+                    RX_SITE.record(data.len());
+                    inner.recv_buf.extend(data.iter().copied());
                 }
                 *notify_read = true;
             } else if seq_lt(inner.rcv_nxt, seg.seq) {
@@ -1088,7 +1093,6 @@ impl TcpConn {
                 // about to send act as a duplicate ack, cueing the
                 // sender's fast retransmit.
                 if inner.ooo.len() < 256 {
-                    RX_SITE.record(seg.payload.len());
                     inner.ooo.insert(seg.seq, seg.payload.clone());
                 }
             }
@@ -1122,38 +1126,41 @@ mod tests {
     use plan9_netsim::ether::EtherSegment;
     use plan9_netsim::profile::Profiles;
 
+    /// A segment as it crosses the wire: header, then payload.
+    fn encoded(hdr: &TcpHeader, payload: &[u8]) -> Vec<u8> {
+        [&hdr.encode(payload)[..], payload].concat()
+    }
+
     #[test]
     fn segment_codec_round_trip() {
-        let s = Segment {
+        let s = TcpHeader {
             sport: 5012,
             dport: 564,
             seq: 0xdead_beef,
             ack: 0x0102_0304,
             flags: ACK | PSH,
             window: 8192,
-            payload: b"Tattach".to_vec(),
         };
-        let d = decode_segment(&encode_segment(&s)).unwrap();
-        assert_eq!(d.sport, s.sport);
-        assert_eq!(d.seq, s.seq);
-        assert_eq!(d.flags, s.flags);
-        assert_eq!(d.payload, s.payload);
+        let d = decode_segment(encoded(&s, b"Tattach").into()).unwrap();
+        assert_eq!((d.sport, d.dport), (s.sport, s.dport));
+        assert_eq!((d.seq, d.ack), (s.seq, s.ack));
+        assert_eq!((d.flags, d.window), (s.flags, s.window));
+        assert_eq!(d.payload, b"Tattach");
     }
 
     #[test]
     fn corrupted_segment_rejected() {
-        let s = Segment {
+        let s = TcpHeader {
             sport: 1,
             dport: 2,
             seq: 3,
             ack: 4,
             flags: ACK,
             window: 100,
-            payload: b"x".to_vec(),
         };
-        let mut b = encode_segment(&s);
+        let mut b = encoded(&s, b"x");
         b[4] ^= 1;
-        assert!(decode_segment(&b).is_none());
+        assert!(decode_segment(b.into()).is_none());
     }
 
     #[test]
@@ -1334,7 +1341,7 @@ mod tests {
                 ack: una,
                 flags: ACK,
                 window: 65000,
-                payload: Vec::new(),
+                payload: Bytes::default(),
             });
         }
         assert_eq!(

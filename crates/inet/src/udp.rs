@@ -3,7 +3,7 @@
 //! baseline and as the carrier for DNS queries.
 
 use crate::addr::IpAddr;
-use crate::checksum::internet_checksum;
+use crate::checksum::{internet_checksum, internet_checksum_gather};
 use crate::ip::IpStack;
 use crate::conv::PortSpace;
 use plan9_netlog::{Counter, Facility, NetLog};
@@ -126,8 +126,9 @@ impl UdpSocket {
             .stack
             .upgrade()
             .ok_or_else(|| NineError::new("stack is down"))?;
-        let datagram = encode_udp(self.port, dport, payload);
-        stack.send(dst, UDP_PROTO, &datagram)
+        let len = u16::try_from(UDP_HDR + payload.len())
+            .map_err(|_| NineError::new("datagram too large for udp"))?;
+        stack.send(dst, UDP_PROTO, &[&header(self.port, dport, len, payload), payload])
     }
 
     /// Blocks for the next datagram.
@@ -153,17 +154,27 @@ impl Drop for UdpSocket {
     }
 }
 
-/// Serializes a UDP datagram.
+/// The header of a datagram `len` bytes long carrying `payload`, its
+/// checksum taken across both where they lie.
+fn header(sport: u16, dport: u16, len: u16, payload: &[u8]) -> [u8; UDP_HDR] {
+    let mut h = [0u8; UDP_HDR];
+    h[0..2].copy_from_slice(&sport.to_be_bytes());
+    h[2..4].copy_from_slice(&dport.to_be_bytes());
+    h[4..6].copy_from_slice(&len.to_be_bytes());
+    let sum = internet_checksum_gather(&[&h, payload]);
+    h[6..8].copy_from_slice(&sum.to_be_bytes());
+    h
+}
+
+/// Serializes a UDP datagram into a buffer of its own: the owning form
+/// of the header [`UdpSocket::send_to`] hands to IP beside its payload.
+/// A payload too long for the 16-bit length field has no encoding, and
+/// `send_to` refuses it.
 pub fn encode_udp(sport: u16, dport: u16, payload: &[u8]) -> Vec<u8> {
     let len = (UDP_HDR + payload.len()) as u16;
     let mut b = Vec::with_capacity(len as usize);
-    b.extend_from_slice(&sport.to_be_bytes());
-    b.extend_from_slice(&dport.to_be_bytes());
-    b.extend_from_slice(&len.to_be_bytes());
-    b.extend_from_slice(&[0, 0]);
+    b.extend_from_slice(&header(sport, dport, len, payload));
     b.extend_from_slice(payload);
-    let sum = internet_checksum(&b);
-    b[6..8].copy_from_slice(&sum.to_be_bytes());
     b
 }
 

@@ -12,6 +12,7 @@
 
 use crate::profile::LinkProfile;
 use crate::wire::Medium;
+use plan9_support::buf::Bytes;
 use plan9_support::chan::{unbounded, Receiver, Sender};
 use plan9_support::sync::Mutex;
 use plan9_support::{pool, wheel};
@@ -57,38 +58,56 @@ pub struct EtherFrame {
     pub src: MacAddr,
     /// Packet type (0x0800 = IP, 0x0806 = ARP, ...).
     pub ethertype: u16,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
+    /// Payload bytes: for a received frame, a view of the wire bytes
+    /// every station on the segment shares.
+    pub payload: Bytes,
+}
+
+/// Starts a frame: a buffer with room for `payload_len` more bytes,
+/// holding the header. The caller appends the payload, so the wire
+/// bytes are written once, where they are produced. The destination
+/// is the frame's first six bytes, for a sender that learns it later
+/// than it builds the frame (ARP's hold queue) to fill in then.
+pub fn frame_with_header(
+    dst: MacAddr,
+    src: MacAddr,
+    ethertype: u16,
+    payload_len: usize,
+) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(ETHER_HDR + payload_len);
+    buf.extend_from_slice(&dst);
+    buf.extend_from_slice(&src);
+    buf.extend_from_slice(&ethertype.to_be_bytes());
+    buf
 }
 
 impl EtherFrame {
     /// Serializes the frame for the wire.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(ETHER_HDR + self.payload.len());
-        buf.extend_from_slice(&self.dst);
-        buf.extend_from_slice(&self.src);
-        buf.extend_from_slice(&self.ethertype.to_be_bytes());
+        let mut buf = frame_with_header(self.dst, self.src, self.ethertype, self.payload.len());
         buf.extend_from_slice(&self.payload);
         buf
     }
 
-    /// Parses a frame from wire bytes.
+    /// Parses a frame from a copy of `buf`.
     pub fn decode(buf: &[u8]) -> Option<EtherFrame> {
-        if buf.len() < ETHER_HDR {
-            return None;
-        }
+        EtherFrame::from_wire(Bytes::from(buf.to_vec()))
+    }
+
+    /// Parses a frame off the wire; the payload is a view of `wire`.
+    pub fn from_wire(wire: Bytes) -> Option<EtherFrame> {
         Some(EtherFrame {
-            dst: buf.get(0..6)?.try_into().ok()?,
-            src: buf.get(6..12)?.try_into().ok()?,
-            ethertype: u16::from_be_bytes([buf[12], buf[13]]),
-            payload: buf[ETHER_HDR..].to_vec(),
+            dst: wire.get(0..6)?.try_into().ok()?,
+            src: wire.get(6..12)?.try_into().ok()?,
+            ethertype: u16::from_be_bytes(wire.get(12..ETHER_HDR)?.try_into().ok()?),
+            payload: wire.slice(ETHER_HDR..wire.len()),
         })
     }
 }
 
 struct InFlight {
     deliver_at: Instant,
-    frame: Arc<Vec<u8>>,
+    frame: Bytes,
 }
 
 /// A push-mode receive callback; see [`EtherStation::set_rx_handler`].
@@ -149,10 +168,17 @@ impl EtherSegment {
         &self.medium
     }
 
-    /// Transmits raw frame bytes from `from`, delivering a copy to every
+    /// Transmits raw frame bytes from `from`, offering them to every
     /// *other* station (bus semantics; controllers do not hear their own
-    /// transmissions).
-    fn broadcast(&self, from: MacAddr, frame: &[u8]) -> crate::Result<()> {
+    /// transmissions). The segment takes the frame: what the medium
+    /// leaves of it is shared, not copied, among the receivers.
+    fn broadcast(&self, from: MacAddr, mut frame: Vec<u8>) -> crate::Result<()> {
+        if frame.len() < ETHER_HDR {
+            return Err(format!(
+                "runt ether frame of {} bytes has no header",
+                frame.len()
+            ));
+        }
         if frame.len() > self.medium.profile().mtu {
             return Err(format!(
                 "ether frame of {} bytes exceeds mtu {}",
@@ -165,6 +191,9 @@ impl EtherSegment {
         let cur = plan9_netlog::trace::current();
         let t0 = cur.as_ref().map(|_| time::now());
         // Seize the bus for the transmission time.
+        // blocking-ok: the transmitter is busy while its frame is on
+        // the line: one frame's serialization time, bounded by the MTU,
+        // and none at all on an unpaced medium
         let done = self.medium.transmit(frame.len());
         if let (Some(h), Some(t0)) = (&cur, t0) {
             h.span(
@@ -174,21 +203,18 @@ impl EtherSegment {
                 time::now(),
             );
         }
-        let mut f = frame.to_vec();
-        let (copies, extra) = self.medium_impair(&mut f);
+        let (copies, extra) = self.medium.impair(&mut frame);
         if copies == 0 {
             return Ok(());
         }
         let deliver_at = done + self.medium.profile().propagation + extra;
-        // One shared copy of the wire bytes feeds every station's timer
-        // event: a broadcast on a 250-host city segment costs one
-        // allocation, not 250 memcpys. Decoding still happens per
-        // delivery (each handler owns its frame), but from shared bytes.
-        let shared: Arc<Vec<u8>> = Arc::new(f);
+        // The one buffer the sender filled feeds every station's timer
+        // event: a broadcast on a 250-host city segment costs no
+        // memcpy at all, and each handler's frame is a view of it.
+        let shared = Bytes::from(frame);
         // The destination address straight off the wire, for the
         // controllers' hardware filters.
-        let mut dst = [0u8; 6];
-        dst.copy_from_slice(&shared[..6]);
+        let dst: MacAddr = std::array::from_fn(|i| shared[i]);
         let bcast = dst == BROADCAST;
         let stations = self.stations.lock();
         for s in stations.iter() {
@@ -212,19 +238,22 @@ impl EtherSegment {
                     // allowed to do anyway.
                     for _ in 0..copies {
                         let h = Arc::clone(h);
-                        let frame = Arc::clone(&shared);
+                        let frame = shared.clone();
                         if deliver_at <= time::now() {
-                            let _ = pool::submit(*key, move || deliver(&h, &frame));
+                            let _ = pool::submit(*key, move || deliver(&h, frame));
                         } else {
-                            let _ = wheel::schedule(*key, deliver_at, move || deliver(&h, &frame));
+                            let _ = wheel::schedule(*key, deliver_at, move || deliver(&h, frame));
                         }
                     }
                 }
                 None => {
+                    // try_send: transmitters run on pool shards and
+                    // must not wait; the queue is unbounded and won't
+                    // make them.
                     for _ in 0..copies {
-                        let _ = s.tx.send(InFlight {
+                        let _ = s.tx.try_send(InFlight {
                             deliver_at,
-                            frame: Arc::clone(&shared),
+                            frame: shared.clone(),
                         });
                     }
                 }
@@ -232,15 +261,11 @@ impl EtherSegment {
         }
         Ok(())
     }
-
-    fn medium_impair(&self, f: &mut [u8]) -> (usize, Duration) {
-        self.medium.impair(f)
-    }
 }
 
-/// One push-mode arrival: decodes the shared wire bytes for `h`.
-fn deliver(h: &RxHandler, frame: &[u8]) {
-    if let Some(fr) = EtherFrame::decode(frame) {
+/// One push-mode arrival: hands `h` its view of the shared wire bytes.
+fn deliver(h: &RxHandler, wire: Bytes) {
+    if let Some(fr) = EtherFrame::from_wire(wire) {
         h(fr);
     }
 }
@@ -257,25 +282,27 @@ pub struct EtherStation {
 impl EtherStation {
     /// Transmits a frame; the source address is stamped from the station.
     pub fn send(&self, dst: MacAddr, ethertype: u16, payload: &[u8]) -> crate::Result<()> {
-        let frame = EtherFrame {
-            dst,
-            src: self.addr,
-            ethertype,
-            payload: payload.to_vec(),
-        };
-        self.segment.broadcast(self.addr, &frame.encode())
+        let mut frame = frame_with_header(dst, self.addr, ethertype, payload.len());
+        frame.extend_from_slice(payload);
+        self.send_frame(frame)
     }
 
-    /// Transmits pre-encoded frame bytes (the driver's `data` file path).
-    pub fn send_raw(&self, frame: &[u8]) -> crate::Result<()> {
+    /// Transmits a frame its sender built, header and all (see
+    /// [`frame_with_header`]); the wire takes the buffer as it is.
+    pub fn send_frame(&self, frame: Vec<u8>) -> crate::Result<()> {
         self.segment.broadcast(self.addr, frame)
+    }
+
+    /// Transmits a copy of pre-encoded frame bytes (a bridge's path).
+    pub fn send_raw(&self, frame: &[u8]) -> crate::Result<()> {
+        self.send_frame(frame.to_vec())
     }
 
     /// Blocks for the next frame on the wire (unfiltered).
     pub fn recv(&self) -> Option<EtherFrame> {
         let inflight = self.rx.recv().ok()?;
         wait_until(inflight.deliver_at);
-        EtherFrame::decode(&inflight.frame)
+        EtherFrame::from_wire(inflight.frame)
     }
 
     /// Waits for a frame until the timeout elapses.
@@ -284,7 +311,7 @@ impl EtherStation {
         // Honor propagation, even a little past the caller's timeout:
         // frames are small and the delay is tens of microseconds.
         wait_until(inflight.deliver_at);
-        EtherFrame::decode(&inflight.frame)
+        EtherFrame::from_wire(inflight.frame)
     }
 
     /// Engages (or releases) the controller's hardware address filter:
@@ -353,7 +380,7 @@ mod tests {
             dst: BROADCAST,
             src: mac(1),
             ethertype: 0x0800,
-            payload: b"payload".to_vec(),
+            payload: b"payload".to_vec().into(),
         };
         assert_eq!(EtherFrame::decode(&f.encode()).unwrap(), f);
         assert!(EtherFrame::decode(&[0u8; 5]).is_none());
@@ -414,6 +441,23 @@ mod tests {
         }
         assert_eq!(got, 8);
         assert!(start.elapsed() >= Duration::from_millis(75));
+    }
+
+    #[test]
+    fn a_runt_frame_is_refused() {
+        let seg = EtherSegment::new(Profiles::ether_fast());
+        let a = seg.attach(mac(1));
+        let b = seg.attach(mac(2));
+        // Too short to hold the addresses the segment routes by.
+        for len in [0, 5, ETHER_HDR - 1] {
+            let err = a.send_raw(&vec![0xff; len]).unwrap_err();
+            assert!(err.contains("runt"), "{err}");
+        }
+        assert_eq!(seg.medium().stats().sent.get(), 0, "a runt reached the medium");
+        // A header and nothing else is a frame.
+        a.send_raw(&[0xff; ETHER_HDR]).unwrap();
+        let f = b.recv().unwrap();
+        assert_eq!((f.dst, f.ethertype, f.payload.len()), (BROADCAST, 0xffff, 0));
     }
 
     #[test]

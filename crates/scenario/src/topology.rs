@@ -494,7 +494,7 @@ mod tests {
             dst: [0x08, 0x00, 0x09, dst_city, 0, 2],
             src: [0x08, 0x00, 0x09, src_city, 0, 2],
             ethertype: 0x0800,
-            payload: vec![],
+            payload: vec![].into(),
         };
         // A frame from 0 to 3 is forwarded up by every Higher bridge
         // it meets and by no Lower bridge.

@@ -2,6 +2,12 @@
 //! protocol codecs want — append-only integer/slice writers on
 //! [`BytesMut`], cursor-style readers, cheap splitting, and frozen
 //! shared [`Bytes`] views backed by one allocation.
+//!
+//! [`Bytes`] is the datapath's one shared-bytes type: a frame on the
+//! wire, the slices of it that IP and the transports pass up, and the
+//! message an IL sender retains until it is acknowledged are all views
+//! of a `Vec<u8>` that was filled once and then frozen — taking
+//! ownership of a `Vec` never copies it.
 
 use crate::copysite::Site;
 use std::fmt;
@@ -9,7 +15,6 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 static SPLIT_SITE: Site = Site::new("buf.split");
-static FREEZE_SITE: Site = Site::new("buf.freeze");
 static FROM_SLICE_SITE: Site = Site::new("buf.from_slice");
 
 /// A growable byte buffer with a read cursor.
@@ -89,14 +94,12 @@ impl BytesMut {
     }
 
     /// Freezes the unread remainder into an immutable, cheaply
-    /// cloneable [`Bytes`].
+    /// cloneable [`Bytes`]; the storage moves, nothing is copied.
     pub fn freeze(self) -> Bytes {
-        FREEZE_SITE.record(self.remaining());
-        let slice: Arc<[u8]> = self.as_slice().into();
-        let end = slice.len();
+        let end = self.data.len();
         Bytes {
-            data: slice,
-            start: 0,
+            data: Arc::new(self.data),
+            start: self.read,
             end,
         }
     }
@@ -177,10 +180,11 @@ impl fmt::Debug for BytesMut {
 }
 
 /// An immutable view into shared byte storage. Cloning and slicing are
-/// O(1): every view holds the same `Arc` allocation.
-#[derive(Clone)]
+/// O(1): every view holds the same `Arc` allocation, which is freed
+/// when the last view of it is dropped.
+#[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -212,6 +216,13 @@ impl Bytes {
     }
 }
 
+impl From<Vec<u8>> for Bytes {
+    /// Takes ownership of `data` without copying it.
+    fn from(data: Vec<u8>) -> Bytes {
+        BytesMut::from(data).freeze()
+    }
+}
+
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
@@ -236,6 +247,12 @@ impl Eq for Bytes {}
 impl PartialEq<[u8]> for Bytes {
     fn eq(&self, other: &[u8]) -> bool {
         **self == *other
+    }
+}
+
+impl<const N: usize> PartialEq<&[u8; N]> for Bytes {
+    fn eq(&self, other: &&[u8; N]) -> bool {
+        **self == other[..]
     }
 }
 
@@ -284,5 +301,24 @@ mod tests {
         assert_eq!(&*mid, b"cd");
         assert_eq!(frozen.len(), 6);
         assert!(mid == *b"cd".as_slice());
+        assert_eq!(mid, b"cd");
+    }
+
+    #[test]
+    fn freezing_moves_the_storage() {
+        // The datapath's premise: a filled `Vec` becomes shared bytes,
+        // and a view of them a sub-view, without its bytes moving.
+        let v = b"header|payload".to_vec();
+        let at = v.as_ptr();
+        let wire = Bytes::from(v);
+        assert_eq!(wire.as_ptr(), at);
+        let payload = wire.slice(7..14).slice(0..3);
+        assert_eq!(payload, b"pay");
+        assert_eq!(payload.as_ptr(), at.wrapping_add(7));
+        // A consumed prefix stays behind the view.
+        let mut b = BytesMut::from(b"xxbody".to_vec());
+        b.advance(2);
+        assert_eq!(b.freeze(), b"body");
+        assert!(Bytes::default().is_empty());
     }
 }

@@ -1,6 +1,8 @@
 //! Copy-site accounting: attributes every data-path memcpy/alloc to a
-//! named site so the zero-copy work (ROADMAP item 3) burns down a
-//! measured table instead of folklore.
+//! named site so the zero-copy work (ROADMAP item 1) burns down a
+//! measured table instead of folklore. A site records where bytes are
+//! copied and nowhere else: handing on a view of a buffer, or building
+//! a header in front of one, moves no payload and records nothing.
 //!
 //! A [`Site`] is a `static` cell declared next to the copy it measures
 //! (`static ENC: Site = Site::new("il.encode");`). Recording is two

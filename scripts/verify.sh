@@ -217,25 +217,37 @@ EOF
 # against the contract. Numbers are not gated here; see perf/README.md.
 bash perf/run.sh --quick >/dev/null
 
-# One traced run, gated on counts only: perf/README.md says these
+# Two traced runs, gated on counts only: perf/README.md says these
 # repeat exactly from run to run, so noise cannot trip the gate. A
 # machine has one Ethernet station and no thread waiting on the wire
 # for /net/ether0, so a 64-byte RPC over IL costs two frames and about
-# five context switches; a second reader thread showed as seven.
-bash perf/run.sh --workload rpc64_il --seed 1 --seconds 2 --trace 1 | tail -n 1 | python3 -c '
+# five context switches; a second reader thread showed as seven. A
+# message is copied in from its writer, into the frames that carry it,
+# once more if those were fragments, and out to its reader, and nowhere
+# else between IlConn::send and IlConn::recv: a copy or a buffer put
+# back on that path shows in the bytes copied and allocated per byte
+# delivered, on the small RPC and on the 8 KiB read that fragments.
+traced_gate() {
+    bash perf/run.sh --workload "$1" --seed 1 --seconds 2 --trace 1 | tail -n 1 | python3 -c '
 import json, sys
+workload, gates = sys.argv[1], sys.argv[2:]
 r = json.load(sys.stdin)
 if r["failed"] or not r["correct"]:
-    sys.exit("verify: traced rpc64_il: %d failed operations, correct=%s" % (r["failed"], r["correct"]))
+    sys.exit("verify: traced %s: %d failed operations, correct=%s" % (workload, r["failed"], r["correct"]))
 m = {k: v["value"] for k, v in r["metrics"].items()}
-for name, ok in (
-    ("os.ctxsw_per_op", m["os.ctxsw_per_op"] < 6),
-    ("os.threads", m["os.threads"] <= 9),
-    ("inet.il.pkts_per_op", m["inet.il.pkts_per_op"] == 2),
-    ("netsim.ether.frames_per_op", m["netsim.ether.frames_per_op"] == 2),
-):
+for gate in gates:
+    name, op, bound = gate.split()
+    ok = {"<": m[name] < float(bound), "<=": m[name] <= float(bound), "==": m[name] == float(bound)}[op]
     if not ok:
-        sys.exit("verify: traced rpc64_il: %s = %s" % (name, m[name]))
-'
+        sys.exit("verify: traced %s: %s = %s, want %s %s" % (workload, name, m[name], op, bound))
+' "$@"
+}
+traced_gate rpc64_il \
+    "os.ctxsw_per_op < 6" "os.threads <= 9" \
+    "inet.il.pkts_per_op == 2" "netsim.ether.frames_per_op == 2" \
+    "copy.bytes_per_payload_byte <= 6.0" "alloc.calls_per_op <= 22"
+traced_gate read8k_il \
+    "copy.bytes_per_payload_byte <= 4.2" "alloc.bytes_per_op <= 64000" \
+    "netsim.ether.frames_per_op == 7" "inet.ip.frags_per_op == 6"
 
-echo "verify: OK (checkflow + clippy + hermetic build + tests + examples + trace-off ring + LoC gate + bench JSON + vtime sweep gate + cityload scale gate + scenario adversity gate + netmon telemetry gate + perf --quick + traced count gate)"
+echo "verify: OK (checkflow + clippy + hermetic build + tests + examples + trace-off ring + LoC gate + bench JSON + vtime sweep gate + cityload scale gate + scenario adversity gate + netmon telemetry gate + perf --quick + traced count gates)"
