@@ -8,9 +8,11 @@
 //!
 //! [`NsFs`] serves a *name space* subtree — crossing mount points as it
 //! walks, so exporting `/net` really exports the union of devices and
-//! servers mounted there. It is multithreaded by construction: the 9P
-//! server layer runs each request in its own worker, because `open`,
-//! `read` and `write` may block (§6.1).
+//! servers mounted there. It is multithreaded where the paper needs it
+//! to be: `open`, `read` and `write` may block (§6.1), so the 9P server
+//! layer runs a request in a worker of its own unless the file it names
+//! is data at hand ([`ProcFs::may_block`], which `NsFs` answers from
+//! the server the channel resolved to).
 
 use plan9_support::sync::Mutex;
 use plan9_core::namespace::{clean_path, Namespace, Source};
@@ -182,13 +184,14 @@ impl ProcFs for NsFs {
     }
 
     fn read(&self, n: &ServeNode, offset: u64, count: usize) -> Result<Vec<u8>> {
-        let (src, path) = self.with_chan(n, |c| (c.src.clone(), c.path.clone()))?;
-        if src.node.qid.is_dir() {
-            // Union semantics for exported directories.
-            let entries = self.union_entries(&path);
-            return read_dir_slice(&entries, offset, count);
+        // Only a directory read needs the path, for its union semantics.
+        let (src, dir) = self.with_chan(n, |c| {
+            (c.src.clone(), c.src.node.qid.is_dir().then(|| c.path.clone()))
+        })?;
+        match dir {
+            Some(path) => read_dir_slice(&self.union_entries(&path), offset, count),
+            None => src.fs.read(&src.node, offset, count),
         }
-        src.fs.read(&src.node, offset, count)
     }
 
     fn write(&self, n: &ServeNode, offset: u64, data: &[u8]) -> Result<usize> {
@@ -217,6 +220,13 @@ impl ProcFs for NsFs {
     fn wstat(&self, n: &ServeNode, d: &Dir) -> Result<()> {
         let src = self.with_chan(n, |c| c.src.clone())?;
         src.fs.wstat(&src.node, d)
+    }
+
+    /// A directory's union read crosses mounts; a file is whatever the
+    /// server it resolved to says.
+    fn may_block(&self, n: &ServeNode) -> bool {
+        let src = self.with_chan(n, |c| c.src.clone());
+        src.map_or(true, |src| src.node.qid.is_dir() || src.fs.may_block(&src.node))
     }
 }
 

@@ -18,7 +18,7 @@ use plan9_netlog::trace;
 use plan9_netlog::{Counter, Facility, Histogram};
 use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::time;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
 use std::sync::Arc;
 
@@ -38,6 +38,8 @@ fn failed(ename: &str) -> Rmsg {
 #[derive(Default)]
 struct Pending {
     slots: HashMap<Tag, Slot>,
+    /// Where the search for the next request's tag starts.
+    next_tag: Tag,
     /// One of the waiting callers is in `recvmsg`, reading for all.
     reading: bool,
 }
@@ -49,7 +51,6 @@ struct ClientShared {
     /// Locked only by the caller that holds the reading role.
     source: Mutex<Box<dyn MsgSource>>,
     sink: Mutex<Box<dyn MsgSink>>,
-    next_tag: AtomicU16,
     next_fid: AtomicU16,
     hungup: AtomicBool,
     /// Completed RPC round trips.
@@ -76,7 +77,6 @@ impl NineClient {
                 arrived: Condvar::new(),
                 source: Mutex::named(source, "ninep.client.source"),
                 sink: Mutex::named(sink, "ninep.client.sink"),
-                next_tag: AtomicU16::new(0),
                 next_fid: AtomicU16::new(0),
                 hungup: AtomicBool::new(false),
                 rpcs: Counter::new("9p.rpc"),
@@ -108,10 +108,19 @@ impl NineClient {
         }
     }
 
-    fn alloc_tag(&self) -> Tag {
+    /// Registers a request's slot under a tag no outstanding request
+    /// holds: a caller parked on a blocked read keeps its tag however
+    /// many RPCs go by.
+    fn register(&self, slot: Slot) -> Tag {
+        let mut p = self.shared.pending.lock();
         loop {
-            let t = self.shared.next_tag.fetch_add(1, Ordering::Relaxed);
-            if t != NOTAG {
+            let t = p.next_tag;
+            p.next_tag = t.wrapping_add(1);
+            if t == NOTAG {
+                continue;
+            }
+            if let Entry::Vacant(free) = p.slots.entry(t) {
+                free.insert(slot);
                 return t;
             }
         }
@@ -131,7 +140,11 @@ impl NineClient {
         if self.hungup() {
             return Err(NineError::new(errstr::EHUNGUP));
         }
-        let tag = self.alloc_tag();
+        let flushes = match t {
+            Tmsg::Flush { old_tag } => Some(*old_tag),
+            _ => None,
+        };
+        let tag = self.register(Slot { reply: None, flushes });
         let tracer = trace::global();
         let root = if tracer.enabled() {
             tracer.begin(&format!("{:?} tag {tag}", t.msg_type()))
@@ -142,12 +155,6 @@ impl NineClient {
         // tile the root: nothing the RPC waits on falls in a gap.
         let m0 = time::now();
         let _cur = root.as_ref().map(|h| h.set_current());
-        let flushes = match t {
-            Tmsg::Flush { old_tag } => Some(*old_tag),
-            _ => None,
-        };
-        let slot = Slot { reply: None, flushes };
-        self.shared.pending.lock().slots.insert(tag, slot);
         let buf = encode_tmsg(tag, t);
         let started = time::now();
         if let Some(h) = &root {
@@ -501,6 +508,45 @@ mod tests {
         // The server's late reply is suppressed; the connection goes on.
         fs.release();
         assert_eq!(c.stat(fid).unwrap().name, "gate");
+    }
+
+    #[test]
+    fn a_parked_callers_tag_is_not_handed_out_again() {
+        let fs = GateFs::new();
+        let c = client_for(fs.clone());
+        let open = |name| {
+            let (fid, _) = c.attach("u", "").unwrap();
+            c.walk(fid, name).unwrap();
+            c.open(fid, OpenMode::READ).unwrap();
+            fid
+        };
+        let (gate, f) = (open("gate"), open("f"));
+        let parked = {
+            let c = c.clone();
+            std::thread::spawn(move || c.read(gate, 0, 8))
+        };
+        fs.wait_parked(1);
+        // Had the parked caller's slot gone to another request, one of
+        // the two would take the other's reply and one wait for good.
+        fn settled<T>(h: &JoinHandle<T>) {
+            let deadline = time::now() + std::time::Duration::from_secs(60);
+            while !h.is_finished() {
+                assert!(time::now() < deadline, "a reply went to the wrong caller");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        // More RPCs than there are tags: the tag counter comes round to
+        // the parked caller's, which is still taken.
+        let reads = {
+            let c = c.clone();
+            std::thread::spawn(move || (0..=u16::MAX).all(|_| c.read(f, 0, 8).unwrap() == b"data"))
+        };
+        settled(&reads);
+        assert!(reads.join().unwrap());
+        fs.release();
+        settled(&parked);
+        assert_eq!(parked.join().unwrap().unwrap(), b"late");
+        assert!(c.shared.pending.lock().slots.is_empty());
     }
 
     /// A client whose server is the test itself: T-messages come off

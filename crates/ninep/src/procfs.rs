@@ -99,7 +99,10 @@ impl ServeNode {
 ///
 /// Blocking is allowed and expected: `read` on a network `data` file
 /// blocks until a message arrives, `open` on a `listen` file blocks until
-/// an incoming call, exactly as in Plan 9.
+/// an incoming call, exactly as in Plan 9. A server whose files are
+/// data at hand says so through [`ProcFs::may_block`], and
+/// [`crate::server::serve`] then answers for them without a process of
+/// their own.
 pub trait ProcFs: Send + Sync {
     /// A short device name (`ether`, `tcp`, `cs`, ...), used in paths and
     /// diagnostics.
@@ -146,6 +149,13 @@ pub trait ProcFs: Send + Sync {
     /// Writes the attributes of the file.
     fn wstat(&self, _n: &ServeNode, _d: &Dir) -> Result<()> {
         Err(NineError::new(errstr::EPERM))
+    }
+
+    /// Whether `read`, `write`, `stat` or `clunk` of the node can wait
+    /// on anything but a lock: a call, a message, another server. It
+    /// can, unless the server says otherwise.
+    fn may_block(&self, _n: &ServeNode) -> bool {
+        true
     }
 }
 
@@ -486,6 +496,10 @@ impl ProcFs for MemFs {
         node.dir.mode = (node.dir.mode & crate::qid::CHDIR) | (d.mode & 0o777);
         node.dir.mtime = d.mtime;
         Ok(())
+    }
+
+    fn may_block(&self, _n: &ServeNode) -> bool {
+        false
     }
 }
 

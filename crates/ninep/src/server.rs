@@ -6,13 +6,17 @@
 //! reverse of the mount driver. There is one dispatch and two ways to
 //! run a file operation under it:
 //!
-//! * [`serve`] reads a transport until the peer hangs up and hands
-//!   each file operation to a worker kproc: an idle one if there is
-//!   one, a new one if not, and all of them kept until the hangup. The
-//!   paper requires this of `exportfs` (§6.1): `open`, `read` and
-//!   `write` may block (a `listen` file blocks until a call arrives),
-//!   so replies are serialized onto the transport by a lock.
-//! * [`NineService::input`] runs the operation on the caller's thread
+//! * [`serve`] reads a transport until the peer hangs up. The paper
+//!   gives `exportfs` slave processes (§6.1) because `open`, `read` and
+//!   `write` *may* block — a `listen` file blocks until a call arrives
+//!   — not because every operation does. So the reader asks the file
+//!   server ([`ProcFs::may_block`]) about each Tread, Twrite, Tstat and
+//!   Tclunk: an operation on data at hand runs and is answered on the
+//!   reader's own thread, in the context that already holds the
+//!   message; every other operation goes to a worker kproc — an idle
+//!   one if there is one, a new one if not, all of them kept until the
+//!   hangup — and replies are serialized onto the transport by a lock.
+//! * [`NineService::input`] runs every operation on the caller's thread
 //!   (typically a worker-pool shard), for file systems that answer from
 //!   memory and connections counted in tens of thousands.
 
@@ -27,7 +31,7 @@ use plan9_support::chan::unbounded;
 use plan9_support::sync::Mutex;
 use plan9_support::{time, vtime};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 struct FidState {
@@ -35,7 +39,7 @@ struct FidState {
     open: bool,
 }
 
-/// A file operation taken off the transport, marked in flight.
+/// A file operation that may block, marked in flight for a worker.
 struct Op {
     tag: Tag,
     serial: u64,
@@ -45,15 +49,15 @@ struct Op {
 struct ServerShared {
     fs: Arc<dyn ProcFs>,
     fids: Mutex<HashMap<Fid, FidState>>,
-    /// File operations still running: each tag's current operation, by
-    /// the serial number it was started under. A Tflush removes the
-    /// entry, so the operation finds on finishing that the tag is no
-    /// longer its own and does not answer, whether or not the tag has
-    /// been used again. An answered tag is not in the map, so flushing
-    /// it changes nothing.
+    /// File operations running on [`serve`]'s workers: each tag's
+    /// current operation, by the serial number it was started under. A
+    /// Tflush removes the entry, so the operation finds on finishing
+    /// that the tag is no longer its own and does not answer, whether
+    /// or not the tag has been used again. An answered tag is not in
+    /// the map, so flushing it changes nothing; nor is an operation run
+    /// where its message was read, since no Tflush can be read while
+    /// it runs.
     inflight: Mutex<HashMap<Tag, u64>>,
-    /// File operations started; the next one's serial.
-    started: AtomicU64,
     sink: Mutex<Box<dyn MsgSink>>,
     /// [`serve`]'s workers with no operation to run and none coming.
     idle: AtomicUsize,
@@ -65,14 +69,41 @@ impl ServerShared {
         let _ = self.sink.lock().sendmsg(&buf);
     }
 
-    /// Runs one file operation; errors are replies too.
-    fn run(&self, t: &Tmsg) -> Rmsg {
-        handle(self, t).unwrap_or_else(|e| Rmsg::Error { ename: e.0 })
+    /// Runs one file operation and hands the reply (errors are replies
+    /// too) to `answer`, all under the request's `serve` span when the
+    /// run is traced.
+    fn perform(&self, t: &Tmsg, root: Option<TraceHandle>, answer: impl FnOnce(&Rmsg)) {
+        let run = || handle(self, t).unwrap_or_else(|e| Rmsg::Error { ename: e.0 });
+        let Some(h) = root else { return answer(&run()) };
+        let _cur = h.set_current();
+        let h0 = time::now();
+        let r = run();
+        h.span(Facility::NineP, "handle", h0, time::now());
+        answer(&r);
+        h.finish();
     }
 
-    /// Answers a file operation, unless it was flushed while it ran
-    /// (§ Tflush semantics).
+    /// Whether the operation can be run where its message was read: a
+    /// read, write, stat or clunk of a file that is data at hand. A fid
+    /// nobody holds is an error at hand.
+    fn cannot_block(&self, t: &Tmsg) -> bool {
+        let (Tmsg::Read { fid, .. }
+        | Tmsg::Write { fid, .. }
+        | Tmsg::Stat { fid }
+        | Tmsg::Clunk { fid }) = t
+        else {
+            return false;
+        };
+        get_node(self, *fid).map_or(true, |node| !self.fs.may_block(&node))
+    }
+
+    /// Answers a worker's operation, unless it was flushed while it ran
+    /// (§ Tflush semantics). The sink is taken first: a Tflush that
+    /// comes too late to stop the reply then cannot have its Rflush
+    /// overtake it.
     fn finish(&self, op: &Op, r: &Rmsg) {
+        let buf = encode_rmsg(op.tag, r);
+        let mut sink = self.sink.lock();
         let mut inflight = self.inflight.lock();
         let live = inflight.get(&op.tag) == Some(&op.serial);
         if live {
@@ -80,7 +111,7 @@ impl ServerShared {
         }
         drop(inflight);
         if live {
-            self.reply(op.tag, r);
+            let _ = sink.sendmsg(&buf);
         }
     }
 }
@@ -98,50 +129,55 @@ pub fn serve(
 
 /// [`serve`]'s reader loop, apart so that a test can watch the service.
 fn serve_on(svc: &NineService, mut source: Box<dyn MsgSource>) -> Result<()> {
+    let shared = &svc.shared;
     // One job channel feeds every worker. The reader takes a worker
     // off the idle count *before* it sends, so every job in the channel
     // has a worker that will come for it.
     let (jobs, job_rx) = unbounded::<(Op, Option<TraceHandle>)>();
     let mut workers = Vec::new();
+    // Operations handed to a worker so far; the next one's serial.
+    let mut started = 0u64;
     // A closure, so that `?` leaves the loop and not the hangup below.
     let mut read = || -> Result<()> {
         loop {
             let Some(raw) = source.recvmsg()? else { return Ok(()) };
-            let Some(op) = svc.dispatch(&raw)? else { continue };
+            let Some((tag, t)) = svc.dispatch(&raw)? else { continue };
             // The server opens its own root span per request: the reply
             // direction (including its IL sends and rexmits) has no client
             // handle to inherit across the wire, so it is attributed to
             // this `serve` root instead.
             let tracer = trace::global();
             let root = if tracer.enabled() {
-                tracer.begin(&format!("serve {:?} tag {}", op.t.msg_type(), op.tag))
+                tracer.begin(&format!("serve {:?} tag {tag}", t.msg_type()))
             } else {
                 None
             };
-            // A file operation may block (a `listen` file does until a call
+            // Data at hand is answered here, by the thread that already
+            // holds the message: a served RPC is one job.
+            if shared.cannot_block(&t) {
+                shared.perform(&t, root, |r| shared.reply(tag, r));
+                continue;
+            }
+            // Anything else may block (a `listen` file does until a call
             // arrives), so each one in progress holds a worker; a worker is
             // made only when none is idle, and kept. Only this loop takes
             // from the count, so it cannot fall between the two lines.
-            if svc.shared.idle.load(Ordering::SeqCst) > 0 {
-                svc.shared.idle.fetch_sub(1, Ordering::SeqCst);
+            shared.inflight.lock().insert(tag, started);
+            let op = Op { tag, serial: started, t };
+            started += 1;
+            if shared.idle.load(Ordering::SeqCst) > 0 {
+                shared.idle.fetch_sub(1, Ordering::SeqCst);
             } else {
-                let (shared, job_rx) = (Arc::clone(&svc.shared), job_rx.clone());
+                let (shared, job_rx) = (Arc::clone(shared), job_rx.clone());
                 let worker = vtime::kproc("9p-worker", move || {
                     while let Ok((op, root)) = job_rx.recv() {
-                        let _cur = root.as_ref().map(|h| h.set_current());
-                        let h0 = time::now();
-                        let r = shared.run(&op.t);
-                        if let Some(h) = &root {
-                            h.span(Facility::NineP, "handle", h0, time::now());
-                        }
-                        // Idle before the reply is out: a peer that waits
-                        // for one answer before it asks again then finds
-                        // this worker, and none is made.
-                        shared.idle.fetch_add(1, Ordering::SeqCst);
-                        shared.finish(&op, &r);
-                        if let Some(h) = &root {
-                            h.finish();
-                        }
+                        shared.perform(&op.t, root, |r| {
+                            // Idle before the reply is out: a peer that
+                            // waits for one answer before it asks again
+                            // then finds this worker, and none is made.
+                            shared.idle.fetch_add(1, Ordering::SeqCst);
+                            shared.finish(&op, r);
+                        });
                     }
                 })
                 // checked: spawn fails only on OS thread exhaustion
@@ -186,7 +222,6 @@ impl NineService {
                 fs,
                 fids: Mutex::named(HashMap::new(), "ninep.server.fids"),
                 inflight: Mutex::named(HashMap::new(), "ninep.server.inflight"),
-                started: AtomicU64::new(0),
                 sink: Mutex::named(sink, "ninep.server.sink"),
                 idle: AtomicUsize::new(0),
             }),
@@ -197,17 +232,16 @@ impl NineService {
     /// Returns an error on a malformed message, which poisons the
     /// link: the caller should hang up, as the kernel does.
     pub fn input(&self, raw: &[u8]) -> Result<()> {
-        if let Some(op) = self.dispatch(raw)? {
-            let r = self.shared.run(&op.t);
-            self.shared.finish(&op, &r);
+        if let Some((tag, t)) = self.dispatch(raw)? {
+            self.shared.perform(&t, None, |r| self.shared.reply(tag, r));
         }
         Ok(())
     }
 
     /// The one dispatch: answers the cheap control messages itself and
-    /// hands back a file operation, already marked in flight, for the
-    /// caller to run where it sees fit.
-    fn dispatch(&self, raw: &[u8]) -> Result<Option<Op>> {
+    /// hands back a file operation for the caller to run where it sees
+    /// fit.
+    fn dispatch(&self, raw: &[u8]) -> Result<Option<(Tag, Tmsg)>> {
         let shared = &self.shared;
         let Ok((tag, t)) = decode_tmsg(raw) else {
             // A malformed message poisons the link; hang up, as the
@@ -236,16 +270,12 @@ impl NineService {
                 );
             }
             Tmsg::Flush { old_tag } => {
-                // Only an operation still running can be flushed. Run
-                // inline, none ever is by the time a Tflush is read.
+                // Only an operation still running on a worker can be
+                // flushed.
                 shared.inflight.lock().remove(&old_tag);
                 shared.reply(tag, &Rmsg::Flush);
             }
-            t => {
-                let serial = shared.started.fetch_add(1, Ordering::Relaxed);
-                shared.inflight.lock().insert(tag, serial);
-                return Ok(Some(Op { tag, serial, t }));
-            }
+            t => return Ok(Some((tag, t))),
         }
         Ok(None)
     }
@@ -494,7 +524,8 @@ pub(crate) mod tests {
 
     /// A `MemFs` holding `/f` ("data") and `/gate` ("late"). A read of
     /// `/gate` blocks, as a read of a `listen` file does, until the
-    /// test lets one through; every read notes the thread it ran on.
+    /// test lets one through, and `/gate` alone is declared as a file
+    /// that may block; every read notes the thread it ran on.
     pub(crate) struct GateFs {
         mem: Arc<MemFs>,
         state: Mutex<GateState>,
@@ -573,6 +604,7 @@ pub(crate) mod tests {
                 }
                 st.permits -= 1;
                 st.parked -= 1;
+                self.changed.notify_all();
             }
             drop(st);
             self.mem.read(n, offset, count)
@@ -585,6 +617,9 @@ pub(crate) mod tests {
         }
         fn stat(&self, n: &ServeNode) -> Result<crate::Dir> {
             self.mem.stat(n)
+        }
+        fn may_block(&self, n: &ServeNode) -> bool {
+            self.mem.stat(n).map_or(true, |d| d.name == "gate")
         }
     }
 
@@ -632,16 +667,16 @@ pub(crate) mod tests {
 
         /// Reads `fid` under `tag` and returns the data.
         fn read(&mut self, tag: Tag, fid: Fid) -> Vec<u8> {
-            match self.rpc(tag, &Self::tread(fid)) {
+            match self.rpc(tag, &Self::tread(fid, 0)) {
                 Rmsg::Read { data, .. } => data,
                 other => panic!("got {other:?}"),
             }
         }
 
-        fn tread(fid: Fid) -> Tmsg {
+        fn tread(fid: Fid, offset: u64) -> Tmsg {
             Tmsg::Read {
                 fid,
-                offset: 0,
+                offset,
                 count: 8,
             }
         }
@@ -649,7 +684,7 @@ pub(crate) mod tests {
         /// Sends a read of the gate under `tag` and returns once its
         /// worker is blocked in it.
         fn park(&mut self, tag: Tag) {
-            self.end.sendmsg(&encode_tmsg(tag, &Self::tread(GATE))).unwrap();
+            self.end.sendmsg(&encode_tmsg(tag, &Self::tread(GATE, 0))).unwrap();
             self.fs.wait_parked(1);
         }
 
@@ -659,29 +694,52 @@ pub(crate) mod tests {
                 std::thread::yield_now();
             }
         }
+
+        /// The thread `serve_on` reads the transport on.
+        fn reader(&self) -> HashSet<ThreadId> {
+            HashSet::from([self.server.thread().id()])
+        }
+
+        /// Hangs up, waits for `serve_on` to return and hands back what
+        /// the server had still sent. No worker is left: each holds the
+        /// service's state while it lives.
+        fn hangup(self) -> Vec<Vec<u8>> {
+            let (sink, mut source) = self.end.split();
+            drop(sink);
+            assert!(self.server.join().unwrap().is_ok());
+            assert_eq!(Arc::strong_count(&self.svc.shared), 1);
+            drop(self.svc);
+            std::iter::from_fn(|| source.recvmsg().unwrap()).collect()
+        }
     }
 
     #[test]
-    fn sequential_reads_stay_on_one_worker() {
+    fn reads_of_data_at_hand_run_on_the_reader_and_make_no_worker() {
         let mut s = Served::start();
         for _ in 0..1000 {
             assert_eq!(s.read(2, F), b"data");
         }
-        assert_eq!(s.fs.threads(false).len(), 1);
+        assert_eq!(s.fs.threads(false), s.reader());
+        // The one worker is the one that ran the walks and the opens.
         assert_eq!(s.svc.shared.idle.load(Ordering::SeqCst), 1);
+        assert!(s.svc.shared.inflight.lock().is_empty());
+        let fs = Arc::clone(&s.fs);
+        assert!(s.hangup().is_empty());
+        assert_eq!(fs.exited(), 1);
     }
 
     #[test]
-    fn a_blocked_read_holds_only_its_own_worker() {
+    fn a_read_that_may_block_takes_a_worker_and_delays_nothing() {
         let mut s = Served::start();
         s.park(100);
-        // Each of these is answered while the gate is shut: none waits
-        // for the blocked read.
+        // Each of these is answered while the gate is shut, by the
+        // reader itself: none waits for the blocked read.
         for _ in 0..100 {
             assert_eq!(s.read(2, F), b"data");
         }
         let (blocked, others) = (s.fs.threads(true), s.fs.threads(false));
-        assert_eq!((blocked.len(), others.len()), (1, 1));
+        assert_eq!(blocked.len(), 1);
+        assert_eq!(others, s.reader());
         assert!(blocked.is_disjoint(&others));
         s.fs.release();
         let (tag, r) = decode_rmsg(&s.end.recvmsg().unwrap().unwrap()).unwrap();
@@ -693,7 +751,9 @@ pub(crate) mod tests {
     fn hangup_joins_every_worker() {
         let mut s = Served::start();
         s.park(100);
-        assert_eq!(s.read(2, F), b"data");
+        for _ in 0..100 {
+            assert_eq!(s.read(2, F), b"data");
+        }
         // The peer goes with a read still blocked: `serve` returns only
         // when that worker has finished too.
         drop(s.end);
@@ -701,16 +761,19 @@ pub(crate) mod tests {
         assert!(s.server.join().unwrap().is_ok());
         assert_eq!(s.fs.threads(true).union(&s.fs.threads(false)).count(), 2);
         assert_eq!(s.fs.exited(), 2);
+        assert_eq!(Arc::strong_count(&s.svc.shared), 1);
     }
 
     #[test]
     fn a_malformed_message_leaves_no_worker_behind() {
         let mut s = Served::start();
-        assert_eq!(s.read(2, F), b"data");
+        s.fs.release();
+        assert_eq!(s.read(2, GATE), b"late");
         s.end.sendmsg(&[0xff, 0xff, 0xff]).unwrap();
         let err = s.server.join().unwrap().unwrap_err();
         assert_eq!(err.0, errstr::EBADMSG);
         assert_eq!(s.fs.exited(), 1);
+        assert_eq!(Arc::strong_count(&s.svc.shared), 1);
     }
 
     #[test]
@@ -723,17 +786,113 @@ pub(crate) mod tests {
         assert_eq!(s.read(7, F), b"data");
         s.fs.release();
         // The flushed read's worker goes back to the idle count, so the
-        // next operation makes no third.
-        s.wait_idle(2);
-        assert_eq!(s.read(9, F), b"data");
-        assert_eq!(s.fs.threads(true).union(&s.fs.threads(false)).count(), 2);
+        // next operation that may block makes no second.
+        s.wait_idle(1);
+        s.fs.release();
+        assert_eq!(s.read(9, GATE), b"late");
+        assert_eq!(s.fs.threads(true).len(), 1);
         // Hang up and let `serve` join the workers: the late reply was
         // never sent.
-        let (sink, mut source) = s.end.split();
-        drop(sink);
-        assert!(s.server.join().unwrap().is_ok());
-        drop(s.svc);
-        assert_eq!(source.recvmsg().unwrap(), None);
+        assert!(s.hangup().is_empty());
+    }
+
+    /// What the tag-space model expects of the server.
+    struct TagModel {
+        s: Served,
+        /// Unflushed, unanswered operations: the bytes each is owed.
+        live: HashMap<Tag, Vec<u8>>,
+        /// Reads inside the gate, flushed ones among them.
+        parked: usize,
+        /// The offset of each tag's last read, so that the next read
+        /// under the tag is owed other bytes.
+        last: HashMap<Tag, u64>,
+    }
+
+    /// A reply belongs to the live operation on its tag.
+    fn settle(live: &mut HashMap<Tag, Vec<u8>>, raw: &[u8]) -> Tag {
+        let (tag, r) = decode_rmsg(raw).unwrap();
+        if let Rmsg::Read { data, .. } = r {
+            assert_eq!(Some(data), live.remove(&tag), "reply under tag {tag}");
+        }
+        tag
+    }
+
+    impl TagModel {
+        /// Takes replies until the one under `tag`.
+        fn await_tag(&mut self, tag: Tag) {
+            while settle(&mut self.live, &self.s.end.recvmsg().unwrap().unwrap()) != tag {}
+        }
+
+        fn read(&mut self, tag: Tag, gate: bool) {
+            let (fid, contents) = if gate { (GATE, b"late") } else { (F, b"data") };
+            let offset = self.last.get(&tag).map_or(0, |o| o + 1) % 4;
+            self.last.insert(tag, offset);
+            self.live.insert(tag, contents[offset as usize..].to_vec());
+            self.s.end.sendmsg(&encode_tmsg(tag, &Served::tread(fid, offset))).unwrap();
+            if gate {
+                self.parked += 1;
+                self.s.fs.wait_parked(self.parked);
+            } else {
+                self.await_tag(tag);
+            }
+        }
+
+        fn flush(&mut self, tag: Tag, old_tag: Tag) {
+            self.s.end.sendmsg(&encode_tmsg(tag, &Tmsg::Flush { old_tag })).unwrap();
+            self.await_tag(tag);
+            // Unanswered by now, the old operation never will be.
+            self.live.remove(&old_tag);
+        }
+
+        fn release(&mut self, n: usize) {
+            for _ in 0..n {
+                self.s.fs.release();
+            }
+            self.parked -= n;
+            self.s.fs.wait_parked(self.parked);
+        }
+    }
+
+    plan9_support::props! {
+        /// The server's tag space against a sequential model, over a
+        /// few tags so that they are reused: reads that run on the
+        /// reader, reads that park on a worker, flushes of live,
+        /// answered and never-used tags, a tag used again straight
+        /// after its Rflush, and gate releases. Every unflushed
+        /// operation is answered once with its own bytes, nothing
+        /// follows an Rflush under the flushed operation's tag but the
+        /// next operation's reply, and no worker outlives `serve`.
+        fn prop_tag_space_matches_sequential_model(g, cases = 60) {
+            let mut m = TagModel {
+                s: Served::start(),
+                live: HashMap::new(),
+                parked: 0,
+                last: HashMap::new(),
+            };
+            for _ in 0..g.usize_in(0..40) {
+                let tag = g.u16_in(0..6);
+                let free = !m.live.contains_key(&tag);
+                match g.usize_in(0..4) {
+                    0 | 1 if free => m.read(tag, g.bool()),
+                    2 if free => {
+                        let old_tag = g.u16_in(0..8);
+                        let was_live = m.live.contains_key(&old_tag);
+                        m.flush(tag, old_tag);
+                        if was_live && g.bool() {
+                            m.read(old_tag, g.bool());
+                        }
+                    }
+                    _ if m.parked > 0 => m.release(1),
+                    _ => {}
+                }
+            }
+            m.release(m.parked);
+            let TagModel { s, mut live, .. } = m;
+            for raw in s.hangup() {
+                settle(&mut live, &raw);
+            }
+            assert!(live.is_empty(), "never answered: {live:?}");
+        }
     }
 
     #[test]

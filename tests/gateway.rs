@@ -2,7 +2,7 @@
 
 use plan9::core::dial::{accept, announce, dial, listen};
 use plan9::core::machine::{Machine, MachineBuilder};
-use plan9::core::namespace::MAFTER;
+use plan9::core::namespace::{MAFTER, MREPL};
 use plan9::exportfs::cpu::{cpu, cpu_listener, CpuJob};
 use plan9::exportfs::exportfs::exportfs_listener;
 use plan9::exportfs::import::import;
@@ -10,7 +10,10 @@ use plan9::inet::ip::IpConfig;
 use plan9::netsim::ether::EtherSegment;
 use plan9::netsim::fabric::DatakitSwitch;
 use plan9::netsim::profile::Profiles;
-use std::sync::Arc;
+use plan9::ninep::procfs::{MemFs, OpenMode, ProcFs, ServeNode};
+use plan9::ninep::{Dir, Result};
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 const NDB: &str = "\
 sys=helix ip=10.21.0.1 dk=nj/astro/helix proto=il proto=tcp
@@ -215,4 +218,115 @@ fn tcp_cpu_session_leaves_no_conversation() {
     cpu(&p, "tcp!helix!cpu", "/").expect("cpu session");
     drop(p);
     assert_eq!(settled_tcp_convs(&helix, &musca, before), before);
+}
+
+/// A file server of data at hand (it says so) that notes the thread
+/// each read ran on, and whether the read was of a directory.
+struct Probe {
+    mem: Arc<MemFs>,
+    reads: Mutex<Vec<(bool, String)>>,
+}
+
+impl Probe {
+    /// The names of the threads that read a directory, or a file.
+    fn readers(&self, dir: bool) -> HashSet<String> {
+        let reads = self.reads.lock().unwrap();
+        reads.iter().filter(|r| r.0 == dir).map(|r| r.1.clone()).collect()
+    }
+}
+
+impl ProcFs for Probe {
+    fn fsname(&self) -> String {
+        self.mem.fsname()
+    }
+    fn attach(&self, uname: &str, aname: &str) -> Result<ServeNode> {
+        self.mem.attach(uname, aname)
+    }
+    fn clone_node(&self, n: &ServeNode) -> Result<ServeNode> {
+        self.mem.clone_node(n)
+    }
+    fn walk(&self, n: &ServeNode, name: &str) -> Result<ServeNode> {
+        self.mem.walk(n, name)
+    }
+    fn open(&self, n: &ServeNode, mode: OpenMode) -> Result<ServeNode> {
+        self.mem.open(n, mode)
+    }
+    fn read(&self, n: &ServeNode, offset: u64, count: usize) -> Result<Vec<u8>> {
+        let thread = std::thread::current().name().unwrap_or("").to_string();
+        self.reads.lock().unwrap().push((n.qid.is_dir(), thread));
+        self.mem.read(n, offset, count)
+    }
+    fn write(&self, n: &ServeNode, offset: u64, data: &[u8]) -> Result<usize> {
+        self.mem.write(n, offset, data)
+    }
+    fn clunk(&self, n: &ServeNode) {
+        self.mem.clunk(n)
+    }
+    fn stat(&self, n: &ServeNode) -> Result<Dir> {
+        self.mem.stat(n)
+    }
+    fn may_block(&self, n: &ServeNode) -> bool {
+        self.mem.may_block(n)
+    }
+}
+
+/// Waits for a thread that must not be stuck.
+fn finished_within<T>(h: std::thread::ScopedJoinHandle<'_, T>, secs: u64, what: &str) -> T {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
+    while !h.is_finished() {
+        assert!(std::time::Instant::now() < deadline, "{what}");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    h.join().unwrap()
+}
+
+/// §6.1 gives exportfs slave processes because a read may block. Over
+/// one export conversation: a read parked in a `data` file of the
+/// exported `/net` holds a slave and delays nobody; a file in memory
+/// is read by the process that reads the conversation; a directory,
+/// whose union read crosses mounts, still gets a slave.
+#[test]
+fn exportfs_keeps_its_slaves_for_the_files_that_may_block() {
+    let (helix, musca, gnot) = world();
+    let mem = MemFs::new("probe", "bootes");
+    mem.put_file("/f", b"data at hand").unwrap();
+    let probe = Arc::new(Probe { mem, reads: Mutex::new(Vec::new()) });
+    let hp = helix.proc();
+    let fs: Arc<dyn ProcFs> = probe.clone();
+    hp.mount_fs(&fs, "", "/n/probe", MREPL).unwrap();
+    exportfs_listener(hp, "dk!*!exportfs", usize::MAX).unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let p = gnot.proc();
+    import(&p, "dk!nj/astro/helix!exportfs", "/", "/n/helix", MREPL).expect("import /");
+
+    // A UDP conversation on helix, made through the import: its `data`
+    // file has nothing to read until musca sends.
+    let ctl = p.open("/n/helix/net/udp/clone", OpenMode::RDWR).expect("clone");
+    let n = String::from_utf8(p.read(ctl, 16).unwrap()).unwrap();
+    p.write_str(ctl, "connect 10.21.0.9!4000").expect("connect");
+    let data = p.open(&format!("/n/helix/net/udp/{n}/data"), OpenMode::RDWR).expect("data");
+    let local = p.open(&format!("/n/helix/net/udp/{n}/local"), OpenMode::READ).expect("local");
+    let local = p.read_string(local).unwrap();
+    let port = local.split_whitespace().nth(1).expect("local port");
+    let f = p.open("/n/helix/n/probe/f", OpenMode::READ).expect("open f");
+
+    std::thread::scope(|s| {
+        let parked = s.spawn(|| p.read(data, 64));
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        assert!(!parked.is_finished());
+        // Answered one after another while that read waits.
+        let reads = s.spawn(|| (0..100).all(|_| p.pread(f, 0, 64).unwrap() == b"data at hand"));
+        assert!(finished_within(reads, 20, "reads of a file in memory waited for the parked read"));
+        let names: Vec<String> = p.ls("/n/helix/n/probe").unwrap().into_iter().map(|d| d.name).collect();
+        assert_eq!(names, ["f"]);
+        assert!(!parked.is_finished());
+        let mp = musca.proc();
+        let conn = dial(&mp, &format!("udp!10.21.0.1!{port}")).expect("udp dial");
+        mp.write(conn.data_fd, b"late").unwrap();
+        assert_eq!(finished_within(parked, 20, "the parked read never returned").unwrap(), b"late");
+    });
+    // The conversation's reader is the `exportfs` kproc; its slaves
+    // are `9p-worker`s.
+    assert_eq!(probe.readers(false), HashSet::from(["exportfs".to_string()]));
+    assert_eq!(probe.readers(true), HashSet::from(["9p-worker".to_string()]));
 }

@@ -18,8 +18,9 @@ fn hangup_leaves_an_empty_kproc_census() {
     let server = vtime::kproc("serve", move || serve(fs, Box::new(ssource), Box::new(ssink))).unwrap();
     let (csink, csource) = client_end.split();
     let c = NineClient::new(Box::new(csink), Box::new(csource));
-    // Two callers at once, so `serve` makes a second worker and one
-    // caller reads the other's replies.
+    // Two callers at once, so `serve` makes a second worker for their
+    // walks and opens (it answers their reads itself) and one caller
+    // reads the other's replies.
     let callers: Vec<_> = (0..2)
         .map(|_| {
             let c = c.clone();
