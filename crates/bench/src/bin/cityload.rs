@@ -8,8 +8,11 @@
 //! wheel through dial storms, listen/accept churn, and per-conversation
 //! 9P traffic across 1k → 10k simulated machines, with the service
 //! side of every conversation running pool-serviced (no parked thread
-//! per connection: [`serve_on_shard`]'s readiness hook plus
-//! `NineService` inline dispatch).
+//! per connection: [`serve_on_shard`]'s readiness hook feeds
+//! `NineService::input`, which runs a `MemFs` operation where it
+//! stands). Each row records the most kernel processes the virtual
+//! clock ever counted (`peak_kprocs`), so a service model that made a
+//! worker per conversation would show.
 //!
 //! Machines come in pairs on private Ethernet segments — the scaling
 //! cost under test is conversations and timers, not broadcast-domain
@@ -31,6 +34,7 @@ use plan9_netsim::profile::Profiles;
 use plan9_ninep::client::NineClient;
 use plan9_ninep::procfs::{MemFs, OpenMode, ProcFs};
 use plan9_support::{pool, time, vtime};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,6 +47,12 @@ const DRIVERS: usize = 8;
 const SIZES: [usize; 3] = [64, 512, 4096];
 
 const PORT: u16 = 17008;
+
+/// The most kernel processes the virtual clock has counted in this
+/// row, sampled while each conversation is still being served (a worker
+/// made for it would be alive then). Stays 0 under the real clock,
+/// which keeps no census.
+static PEAK_KPROCS: AtomicUsize = AtomicUsize::new(0);
 
 /// One machine pair: a dialing client stack and a serving stack, both
 /// pool-serviced, on a private segment that stays alive for the whole
@@ -106,6 +116,9 @@ fn converse(pair: &Pair, size: usize) -> Duration {
     let d = client.read(fid, 0, size).expect("read");
     let lat = time::now().saturating_duration_since(t0);
     assert_eq!(d.len(), size, "short read");
+    if let Some(clock) = vtime::active() {
+        PEAK_KPROCS.fetch_max(clock.census().0, Ordering::Relaxed);
+    }
     conn.close();
     lat
 }
@@ -119,6 +132,7 @@ struct Row {
     rpcs: usize,
     virtual_s: f64,
     wall_s: f64,
+    peak_kprocs: usize,
     lat_us: Vec<(usize, Vec<u64>)>,
 }
 
@@ -126,6 +140,7 @@ struct Row {
 /// `convs_per_pair` conversations each by the storm drivers.
 fn run_row(machines: usize, convs_per_pair: usize) -> Row {
     let wall0 = time::real_now();
+    PEAK_KPROCS.store(0, Ordering::Relaxed);
     let row = vtime::kproc("city-row", move || {
         let pairs_total = machines / 2;
         let t0 = time::now();
@@ -185,6 +200,7 @@ fn run_row(machines: usize, convs_per_pair: usize) -> Row {
         rpcs: conversations * 4,
         virtual_s,
         wall_s: wall0.elapsed().as_secs_f64(),
+        peak_kprocs: PEAK_KPROCS.load(Ordering::Relaxed),
         lat_us,
     }
 }
@@ -206,21 +222,22 @@ fn row_json(r: &mut Row) -> String {
     format!(
         "{{\"machines\": {}, \"conversations\": {}, \"rpcs\": {}, \
          \"virtual_s\": {:.4}, \"wall_s\": {:.2}, \"rpc_per_virtual_s\": {:.0}, \
-         \"p99_us\": {{{}}}}}",
+         \"peak_kprocs\": {}, \"p99_us\": {{{}}}}}",
         r.machines,
         r.conversations,
         r.rpcs,
         r.virtual_s,
         r.wall_s,
         r.rpcs as f64 / r.virtual_s.max(1e-9),
+        r.peak_kprocs,
         p99s.join(", "),
     )
 }
 
 fn print_row(r: &Row, clock: &str) {
     println!(
-        "{clock:>7} | {:>7} machines {:>7} convs {:>8} rpcs | virtual {:>8.3}s wall {:>6.2}s",
-        r.machines, r.conversations, r.rpcs, r.virtual_s, r.wall_s
+        "{clock:>7} | {:>7} machines {:>7} convs {:>8} rpcs | virtual {:>8.3}s wall {:>6.2}s | peak {} kprocs",
+        r.machines, r.conversations, r.rpcs, r.virtual_s, r.wall_s, r.peak_kprocs
     );
 }
 

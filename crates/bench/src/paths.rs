@@ -13,7 +13,6 @@ use plan9_inet::ip::{IpConfig, IpStack};
 use plan9_netsim::cyclone::{cyclone_link, CycloneEnd};
 use plan9_netsim::ether::EtherSegment;
 use plan9_netsim::fabric::DatakitSwitch;
-use plan9_netsim::pipe::{pipe_pair, PipeEnd};
 use plan9_streams::stream_pipe;
 use plan9_streams::Stream;
 use plan9_netsim::profile::{LinkProfile, Profiles};
@@ -36,15 +35,6 @@ impl BenchChan for Arc<Stream> {
     }
     fn recv(&self) -> Vec<u8> {
         self.read(1 << 16).expect("stream read")
-    }
-}
-
-impl BenchChan for PipeEnd {
-    fn send(&self, msg: &[u8]) {
-        PipeEnd::send(self, msg).expect("pipe send");
-    }
-    fn recv(&self) -> Vec<u8> {
-        PipeEnd::recv(self).expect("pipe recv")
     }
 }
 
@@ -110,11 +100,6 @@ fn cyclone_profile(c: Calibration) -> LinkProfile {
 /// and queue machinery.
 pub fn pipes_path() -> (Arc<Stream>, Arc<Stream>) {
     stream_pipe()
-}
-
-/// A raw channel pipe without the stream layer, for the ablation bench.
-pub fn raw_pipe_path() -> (PipeEnd, PipeEnd) {
-    pipe_pair()
 }
 
 /// Builds the `IL/ether` path: real IL code over the (possibly paced)
@@ -224,9 +209,6 @@ mod tests {
         let (a, b) = pipes_path();
         BenchChan::send(&a, b"x");
         assert_eq!(BenchChan::recv(&b), b"x");
-        let (a, b) = raw_pipe_path();
-        a.send(b"r").unwrap();
-        assert_eq!(BenchChan::recv(&b), b"r");
         let (a, b) = il_ether_path(Calibration::Fast);
         BenchChan::send(&a, b"y");
         assert_eq!(BenchChan::recv(&b), b"y");

@@ -105,7 +105,7 @@ impl EtherDev {
     }
 
     /// The interface's station address.
-    pub fn addr_string(&self) -> String {
+    fn addr_string(&self) -> String {
         mac_to_string(&self.stack.station().addr)
     }
 
@@ -287,11 +287,6 @@ impl Dev for EtherDev {
 /// Re-export for callers that parse data-file reads.
 pub use plan9_netsim::ether::ETHER_HDR;
 
-/// Decodes a frame read from a `data` file.
-pub fn parse_frame(bytes: &[u8]) -> Option<EtherFrame> {
-    EtherFrame::decode(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,7 +358,7 @@ mod tests {
         let mut pkt = mac(1).to_vec();
         pkt.extend_from_slice(b"an ip packet");
         b.write(&bdata, 0, &pkt).unwrap();
-        let frame = parse_frame(&a.read(&adata, 0, 2048).unwrap()).unwrap();
+        let frame = EtherFrame::decode(&a.read(&adata, 0, 2048).unwrap()).unwrap();
         assert_eq!(frame.ethertype, 2048);
         assert_eq!(frame.payload, b"an ip packet");
         assert_eq!(frame.src, mac(2));
@@ -392,8 +387,8 @@ mod tests {
         pkt.extend_from_slice(b"copied");
         b.write(&bd, 0, &pkt).unwrap();
         // Both conversations on a receive a copy.
-        assert_eq!(parse_frame(&a.read(&d1, 0, 2048).unwrap()).unwrap().payload, b"copied");
-        assert_eq!(parse_frame(&a.read(&d2, 0, 2048).unwrap()).unwrap().payload, b"copied");
+        assert_eq!(EtherFrame::decode(&a.read(&d1, 0, 2048).unwrap()).unwrap().payload, b"copied");
+        assert_eq!(EtherFrame::decode(&a.read(&d2, 0, 2048).unwrap()).unwrap().payload, b"copied");
     }
 
     #[test]
@@ -408,7 +403,7 @@ mod tests {
         let mut pkt = mac(1).to_vec();
         pkt.extend_from_slice(b"sniffed");
         b.write(&bd, 0, &pkt).unwrap();
-        let frame = parse_frame(&c.read(&cd, 0, 2048).unwrap()).unwrap();
+        let frame = EtherFrame::decode(&c.read(&cd, 0, 2048).unwrap()).unwrap();
         assert_eq!(frame.payload, b"sniffed");
         assert_eq!(frame.dst, mac(1));
     }
@@ -424,7 +419,7 @@ mod tests {
         pkt.extend_from_slice(b"private");
         b.write(&bd, 0, &pkt).unwrap();
         // a sees it...
-        assert_eq!(parse_frame(&a.read(&ad, 0, 2048).unwrap()).unwrap().payload, b"private");
+        assert_eq!(EtherFrame::decode(&a.read(&ad, 0, 2048).unwrap()).unwrap().payload, b"private");
         // ...c's controller never showed it to c (it was addressed to
         // a): the bus offered it to both in one pass, and a has read it.
         assert_eq!(c.in_packets.get(), 0);

@@ -1,5 +1,6 @@
 //! The §5 library routines: `dial`, `announce`, `listen`, `accept`,
-//! `reject`.
+//! `reject`, and the §5.2 loop that strings the last four together
+//! under every service ([`serve_calls`]).
 //!
 //! "The dance is straightforward but tedious. Library routines are
 //! provided to relieve the programmer of the details." Each routine is a
@@ -10,6 +11,8 @@ use crate::namespace::clean_path;
 use crate::proc::Proc;
 use plan9_ninep::procfs::OpenMode;
 use plan9_ninep::{NineError, Result};
+use plan9_support::vtime::{self, KprocHandle};
+use std::sync::Arc;
 
 /// The result of a successful [`dial`].
 pub struct DialResult {
@@ -208,4 +211,53 @@ pub fn accept(p: &Proc, _lcfd: i32, ldir: &str) -> Result<i32> {
 /// argument."
 pub fn reject(p: &Proc, lcfd: i32, _ldir: &str, reason: &str) -> Result<()> {
     p.write_str(lcfd, &format!("reject {reason}")).map(|_| ())
+}
+
+/// Whether the conversation in protocol directory `dir` is a byte
+/// stream (TCP): 9P over one wants the marshaling layer, while IL, URP
+/// and pipes keep delimiters themselves.
+pub fn framed(dir: &str) -> bool {
+    dir.contains("/tcp/")
+}
+
+/// The §5.2 listing, written once for every service (the Plan 9
+/// equivalent of `inetd`): announces `addr` and, in a kproc named
+/// `{name}-listener`, takes `max_calls` calls, each served by
+/// `serve(process, data fd, framed)` in a kproc named `name`.
+///
+/// The listener returns after `max_calls` conversations have been
+/// *accepted* (so tests can bound it); pass `usize::MAX` to serve
+/// forever. The announcement lasts as long as the listener.
+pub fn serve_calls(
+    p: Proc,
+    addr: &str,
+    max_calls: usize,
+    name: &str,
+    serve: impl Fn(Proc, i32, bool) + Send + Sync + 'static,
+) -> Result<KprocHandle<()>> {
+    let (_afd, adir) = announce(&p, addr)?;
+    let framed = framed(&adir);
+    let (name, serve) = (name.to_string(), Arc::new(serve));
+    vtime::kproc(&format!("{name}-listener"), move || {
+        for _ in 0..max_calls {
+            let Ok((lcfd, ldir)) = listen(&p, &adir) else { return };
+            let accepted = accept(&p, lcfd, &ldir);
+            // The call's ctl file has done its job. A protocol device
+            // keeps a conversation while any file in its directory is
+            // open, so holding this one would leave a TCP call in
+            // Close_wait for good after the peer hangs up.
+            p.close(lcfd);
+            let Ok(dfd) = accepted else { continue };
+            // "The listener runs the profile of the user requesting
+            // the service to construct a name space before starting
+            // exportfs": each conversation gets a forked process, and
+            // the call's descriptor goes with it.
+            let (wp, wfd) = p.fork_with_fd(dfd);
+            let serve = Arc::clone(&serve);
+            vtime::kproc(&name, move || serve(wp, wfd, framed))
+                // checked: spawn fails only on OS thread exhaustion
+                .expect("spawn service process");
+        }
+    })
+    .map_err(|e| NineError::new(format!("spawn {addr} listener: {e}")))
 }

@@ -26,7 +26,6 @@ use plan9_ninep::procfs::{MemFs, ProcFs};
 use plan9_ninep::{NineError, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// `/net/log`: netlog's facility mask on `ctl` (which also takes the
 /// sampler's `series ...` requests), the event text on `data`, the
@@ -507,7 +506,9 @@ impl ConnOps for UdpConnOps {
     fn status(&self) -> String {
         "Datagram".to_string()
     }
-    fn close(&self) {}
+    fn close(&self) {
+        self.sock.close();
+    }
 }
 
 impl ProtoOps for UdpProto {
@@ -555,15 +556,34 @@ type IncomingCallTx = plan9_support::chan::Sender<(Arc<UrpConn>, String)>;
 
 impl DkDispatcher {
     fn start(line: DatakitLine) -> Arc<DkDispatcher> {
+        let line = Arc::new(line);
         let d = Arc::new(DkDispatcher {
             addr: line.addr().to_string(),
-            line: Arc::new(line),
+            line: Arc::clone(&line),
             services: Mutex::named(HashMap::new(), "core.machine.services"),
         });
-        let disp = Arc::clone(&d);
-        plan9_support::vtime::kproc("dk-listener", move || disp.accept_loop())
-            // checked: spawn fails only on OS thread exhaustion at setup, not on a data path
-            .expect("spawn dk listener");
+        // Held weakly: the listener ends with the dispatcher, whose
+        // drop unplugs the line it is parked in.
+        let disp = Arc::downgrade(&d);
+        plan9_support::vtime::kproc("dk-listener", move || {
+            while let Some(call) = line.listen() {
+                let Some(disp) = disp.upgrade() else { return };
+                let tx = disp.services.lock().get(&call.service).cloned();
+                match tx {
+                    Some(tx) => {
+                        let conn = UrpConn::new(call.circuit);
+                        let _ = tx.send((conn, call.from));
+                    }
+                    None => {
+                        // "Some networks such as Datakit accept a reason for
+                        // a rejection."
+                        call.circuit.reject(&format!("unknown service: {}", call.service));
+                    }
+                }
+            }
+        })
+        // checked: spawn fails only on OS thread exhaustion at setup, not on a data path
+        .expect("spawn dk listener");
         d
     }
 
@@ -571,26 +591,11 @@ impl DkDispatcher {
     pub fn addr(&self) -> &str {
         &self.addr
     }
+}
 
-    fn accept_loop(self: Arc<Self>) {
-        loop {
-            let Some(call) = self.line.listen_timeout(Duration::from_millis(100)) else {
-                continue;
-            };
-            let service = call.service.clone();
-            let tx = self.services.lock().get(&service).cloned();
-            match tx {
-                Some(tx) => {
-                    let conn = UrpConn::new(call.circuit);
-                    let _ = tx.send((conn, call.from));
-                }
-                None => {
-                    // "Some networks such as Datakit accept a reason for
-                    // a rejection."
-                    call.circuit.reject(&format!("unknown service: {service}"));
-                }
-            }
-        }
+impl Drop for DkDispatcher {
+    fn drop(&mut self) {
+        self.line.unplug();
     }
 }
 
@@ -676,6 +681,7 @@ mod tests {
     use plan9_netsim::ether::EtherFrame;
     use plan9_netsim::profile::Profiles;
     use plan9_ninep::procfs::OpenMode;
+    use std::time::Duration;
 
     fn mac(n: u8) -> MacAddr {
         [0x08, 0x00, 0x69, 0x02, 0x22, n]

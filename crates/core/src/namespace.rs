@@ -45,14 +45,6 @@ impl Source {
         })
     }
 
-    /// Clones the underlying channel (both evolve independently).
-    pub fn clone_chan(&self) -> Result<Source> {
-        Ok(Source {
-            fs: Arc::clone(&self.fs),
-            node: self.fs.clone_node(&self.node)?,
-        })
-    }
-
     /// Releases the channel.
     pub fn clunk(&self) {
         self.fs.clunk(&self.node);
@@ -243,7 +235,10 @@ impl Namespace {
 
 /// Clones a union member's channel and walks it down the components.
 fn walk_all(member: &Source, comps: &[String]) -> Result<Source> {
-    let mut cur = member.clone_chan()?;
+    let mut cur = Source {
+        fs: Arc::clone(&member.fs),
+        node: member.fs.clone_node(&member.node)?,
+    };
     for c in comps {
         match cur.fs.walk(&cur.node, c) {
             Ok(next) => cur.node = next,

@@ -541,18 +541,6 @@ impl UrpListener {
         } = self.line.listen_timeout(d)?;
         Some((UrpConn::new(circuit), from, service))
     }
-
-    /// Rejects the next incoming call with a reason (Datakit supports
-    /// rejection reasons, §5.2).
-    pub fn reject_next(&self, d: Duration, reason: &str) -> bool {
-        match self.line.listen_timeout(d) {
-            Some(call) => {
-                call.circuit.reject(reason);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -645,14 +633,14 @@ mod tests {
         let sw = DatakitSwitch::new(Profiles::datakit_fast());
         let srv = sw.attach("nj/astro/srv").unwrap();
         let cli = sw.attach("nj/astro/cli").unwrap();
-        let listener = UrpListener::new(srv);
         let t = std::thread::spawn(move || {
-            listener.reject_next(Duration::from_secs(2), "no such service")
+            let call = srv.listen_timeout(Duration::from_secs(2)).expect("a call");
+            call.circuit.reject("no such service");
         });
         let circuit = cli.dial("nj/astro/srv!bogus").unwrap();
         assert_eq!(circuit.recv(), None);
         assert_eq!(circuit.reject_reason().unwrap(), "no such service");
-        assert!(t.join().unwrap());
+        t.join().unwrap();
     }
 
     #[test]

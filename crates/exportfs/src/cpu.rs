@@ -18,7 +18,7 @@
 //!    Plan 9's cpu does with `/mnt/term/dev/cons`.
 
 use crate::exportfs::serve_ns;
-use plan9_core::dial::{accept, announce, dial, listen};
+use plan9_core::dial::{dial, framed, serve_calls};
 use plan9_core::namespace::MREPL;
 use plan9_core::proc::Proc;
 use plan9_ninep::{NineError, Result};
@@ -36,31 +36,13 @@ pub fn cpu_listener(
     job: CpuJob,
     max_sessions: usize,
 ) -> Result<plan9_support::vtime::KprocHandle<()>> {
-    let (afd, adir) = announce(&p, addr)?;
-    let framed = adir.contains("/tcp/");
-    plan9_support::vtime::kproc("cpu-listener", move || {
-        let _keep = afd;
-        for _ in 0..max_sessions {
-            let Ok((lcfd, ldir)) = listen(&p, &adir) else { return };
-            let accepted = accept(&p, lcfd, &ldir);
-            // As in `exportfs_listener`: a call's ctl file held past
-            // the accept keeps its conversation after both ends hang up.
-            p.close(lcfd);
-            let Ok(dfd) = accepted else { continue };
-            let (worker, wdfd) = p.fork_with_fd(dfd);
-            let job = Arc::clone(&job);
-            plan9_support::vtime::kproc("cpu-session", move || {
-                let _ = cpu_session(&worker, wdfd, framed, job);
-            })
-            // checked: spawn fails only on OS thread exhaustion
-            .expect("spawn cpu session");
-        }
+    serve_calls(p, addr, max_sessions, "cpu", move |p, fd, framed| {
+        let _ = cpu_session(&p, fd, framed, &job);
     })
-    .map_err(|e| NineError::new(format!("spawn cpu listener: {e}")))
 }
 
 /// One CPU-server session on an accepted descriptor.
-fn cpu_session(p: &Proc, dfd: i32, framed: bool, job: CpuJob) -> Result<()> {
+fn cpu_session(p: &Proc, dfd: i32, framed: bool, job: &CpuJob) -> Result<()> {
     // Step 2 of the protocol: the terminal names the tree it serves.
     let offered = p.read(dfd, 256)?;
     let offered =
@@ -81,7 +63,7 @@ fn cpu_session(p: &Proc, dfd: i32, framed: bool, job: CpuJob) -> Result<()> {
 /// Blocks for the life of the session, like running `cpu` in a window.
 pub fn cpu(p: &Proc, dest: &str, served_base: &str) -> Result<()> {
     let conn = dial(p, dest)?;
-    let framed = conn.dir.contains("/tcp/");
+    let framed = framed(&conn.dir);
     p.write(conn.data_fd, served_base.as_bytes())?;
     // No more than the two bytes: TCP keeps no delimiters, and the
     // server's first 9P message may already be queued behind them.

@@ -14,13 +14,14 @@
 //! is data at hand ([`ProcFs::may_block`], which `NsFs` answers from
 //! the server the channel resolved to).
 
-use plan9_support::sync::Mutex;
+use plan9_core::dial::serve_calls;
 use plan9_core::namespace::{clean_path, Namespace, Source};
 use plan9_core::proc::Proc;
-use plan9_ninep::procfs::{read_dir_slice, OpenMode, Perm, ProcFs, ServeNode};
+use plan9_support::sync::Mutex;
+use plan9_support::vtime::KprocHandle;
+use plan9_ninep::procfs::{fresh_handle, read_dir_slice, OpenMode, Perm, ProcFs, ServeNode};
 use plan9_ninep::{errstr, Dir, NineError, Result};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A channel into the exported name space: the path (for mount-point
@@ -28,42 +29,29 @@ use std::sync::Arc;
 struct NsChan {
     path: String,
     src: Source,
-    opened: bool,
 }
 
 /// A file server over a name-space subtree.
 pub struct NsFs {
     ns: Arc<Namespace>,
     base: String,
-    #[allow(dead_code)]
-    user: String,
     chans: Mutex<HashMap<u64, NsChan>>,
-    handles: AtomicU64,
 }
 
 impl NsFs {
     /// Exports the subtree at `base` of `ns`.
-    pub fn new(ns: Arc<Namespace>, base: &str, user: &str) -> Arc<NsFs> {
+    pub fn new(ns: Arc<Namespace>, base: &str) -> Arc<NsFs> {
         Arc::new(NsFs {
             ns,
             base: clean_path(base),
-            user: user.to_string(),
             chans: Mutex::new(HashMap::new()),
-            handles: AtomicU64::new(1),
         })
     }
 
-    fn install(&self, path: String, src: Source, opened: bool) -> ServeNode {
-        let handle = self.handles.fetch_add(1, Ordering::Relaxed);
+    fn install(&self, path: String, src: Source) -> ServeNode {
+        let handle = fresh_handle();
         let qid = src.node.qid;
-        self.chans.lock().insert(
-            handle,
-            NsChan {
-                path,
-                src,
-                opened,
-            },
-        );
+        self.chans.lock().insert(handle, NsChan { path, src });
         ServeNode::new(qid, handle)
     }
 
@@ -115,7 +103,7 @@ impl ProcFs for NsFs {
 
     fn attach(&self, _uname: &str, _aname: &str) -> Result<ServeNode> {
         let src = self.ns.resolve(&self.base)?;
-        Ok(self.install(self.base.clone(), src, false))
+        Ok(self.install(self.base.clone(), src))
     }
 
     fn clone_node(&self, n: &ServeNode) -> Result<ServeNode> {
@@ -124,7 +112,7 @@ impl ProcFs for NsFs {
             fs: src.fs.clone(),
             node: src.fs.clone_node(&src.node)?,
         };
-        Ok(self.install(path, src, false))
+        Ok(self.install(path, src))
     }
 
     fn walk(&self, n: &ServeNode, name: &str) -> Result<ServeNode> {
@@ -159,14 +147,13 @@ impl ProcFs for NsFs {
     }
 
     fn open(&self, n: &ServeNode, mode: OpenMode) -> Result<ServeNode> {
-        let (src, _path) = self.with_chan(n, |c| (c.src.clone(), c.path.clone()))?;
+        let src = self.with_chan(n, |c| c.src.clone())?;
         let node = src.fs.open(&src.node, mode)?;
         let mut chans = self.chans.lock();
         let chan = chans
             .get_mut(&n.handle)
             .ok_or_else(|| NineError::new(errstr::EUNKNOWNFID))?;
         chan.src.node = node;
-        chan.opened = true;
         Ok(ServeNode::new(node.qid, n.handle))
     }
 
@@ -179,7 +166,6 @@ impl ProcFs for NsFs {
             .ok_or_else(|| NineError::new(errstr::EUNKNOWNFID))?;
         chan.src.node = node;
         chan.path = clean_path(&format!("{path}/{name}"));
-        chan.opened = true;
         Ok(ServeNode::new(node.qid, n.handle))
     }
 
@@ -222,11 +208,12 @@ impl ProcFs for NsFs {
         src.fs.wstat(&src.node, d)
     }
 
-    /// A directory's union read crosses mounts; a file is whatever the
-    /// server it resolved to says.
-    fn may_block(&self, n: &ServeNode) -> bool {
-        let src = self.with_chan(n, |c| c.src.clone());
-        src.map_or(true, |src| src.node.qid.is_dir() || src.fs.may_block(&src.node))
+    /// An attach resolves the export root, and a directory's walk or
+    /// union read crosses mounts; a file is whatever the server it
+    /// resolved to says.
+    fn may_block(&self, n: Option<&ServeNode>) -> bool {
+        let src = n.and_then(|n| self.with_chan(n, |c| c.src.clone()).ok());
+        src.is_none_or(|src| src.node.qid.is_dir() || src.fs.may_block(Some(&src.node)))
     }
 }
 
@@ -258,7 +245,7 @@ pub fn serve_export(p: &Proc, data_fd: i32, framed: bool) -> Result<()> {
 /// (`framed`, i.e. TCP) gets the marshaling layer; IL, URP and pipes
 /// keep delimiters themselves.
 pub(crate) fn serve_ns(p: &Proc, data_fd: i32, base: &str, framed: bool) -> Result<()> {
-    let fs: Arc<dyn ProcFs> = NsFs::new(p.ns.fork(), base, &p.user);
+    let fs: Arc<dyn ProcFs> = NsFs::new(p.ns.fork(), base);
     let io = p.io(data_fd)?;
     if framed {
         let source = plan9_ninep::marshal::FramedSource::new(io.clone());
@@ -270,47 +257,15 @@ pub(crate) fn serve_ns(p: &Proc, data_fd: i32, base: &str, framed: bool) -> Resu
 }
 
 /// The listener side (the Plan 9 equivalent of `inetd` running
-/// `exportfs` for each incoming call): announces `addr` and serves each
-/// call in its own thread.
+/// `exportfs` for each incoming call): [`serve_calls`] with
+/// [`serve_export`] as the service.
 ///
 /// Returns after `max_calls` conversations have been *accepted* (so
 /// tests can bound it); pass `usize::MAX` to serve forever.
-pub fn exportfs_listener(
-    p: Proc,
-    addr: &str,
-    max_calls: usize,
-) -> Result<plan9_support::vtime::KprocHandle<()>> {
-    let (afd, adir) = plan9_core::dial::announce(&p, addr)?;
-    let framed = adir.contains("/tcp/");
-    let handle = plan9_support::vtime::kproc("exportfs-listener", move || {
-        let _keep_announce = afd;
-        for _ in 0..max_calls {
-            let Ok((lcfd, ldir)) = plan9_core::dial::listen(&p, &adir) else {
-                return;
-            };
-            let accepted = plan9_core::dial::accept(&p, lcfd, &ldir);
-            // The call's ctl file has done its job. A protocol device
-            // keeps a conversation while any file in its directory is
-            // open, so holding this one would leave a TCP call in
-            // Close_wait for good after the peer hangs up.
-            p.close(lcfd);
-            let Ok(dfd) = accepted else {
-                continue;
-            };
-            // "The listener runs the profile of the user requesting
-            // the service to construct a name space before starting
-            // exportfs": each conversation gets a forked process.
-            let worker = p.fork_with_fd(dfd);
-            plan9_support::vtime::kproc("exportfs", move || {
-                let (wp, wfd) = worker;
-                let _ = serve_export(&wp, wfd, framed);
-            })
-            // checked: spawn fails only on OS thread exhaustion
-            .expect("spawn exportfs worker");
-        }
+pub fn exportfs_listener(p: Proc, addr: &str, max_calls: usize) -> Result<KprocHandle<()>> {
+    serve_calls(p, addr, max_calls, "exportfs", |p, fd, framed| {
+        let _ = serve_export(&p, fd, framed);
     })
-    .map_err(|e| NineError::new(format!("spawn listener: {e}")))?;
-    Ok(handle)
 }
 
 /// A running exportfs listener that can be torn down from outside —
@@ -320,7 +275,7 @@ pub fn exportfs_listener(
 /// `IlModule::unlisten`), which errors the open, which returns the
 /// loop. exportfs itself stays transport-agnostic.
 pub struct ExportService {
-    handle: plan9_support::vtime::KprocHandle<()>,
+    handle: KprocHandle<()>,
     unlisten: Box<dyn FnOnce() + Send>,
 }
 

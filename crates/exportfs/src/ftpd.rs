@@ -8,7 +8,7 @@
 //! but keeps the command/response shape: `USER`/`PASS` login, `TYPE I`
 //! image mode, `LIST`, `RETR`, `STOR`, `DELE`, `QUIT`.
 
-use plan9_core::dial::{accept, announce, listen};
+use plan9_core::dial::serve_calls;
 use plan9_core::proc::Proc;
 use plan9_ninep::procfs::{MemFs, OpenMode, ProcFs};
 use plan9_ninep::{NineError, Result};
@@ -106,23 +106,9 @@ impl FtpServer {
         p: Proc,
         max_sessions: usize,
     ) -> Result<plan9_support::vtime::KprocHandle<()>> {
-        let (afd, adir) = announce(&p, "tcp!*!ftp")?;
-        let handle = plan9_support::vtime::kproc("ftpd", move || {
-            let _keep = afd;
-            for _ in 0..max_sessions {
-                let Ok((lcfd, ldir)) = listen(&p, &adir) else { return };
-                let Ok(dfd) = accept(&p, lcfd, &ldir) else { continue };
-                let (worker, wfd) = p.fork_with_fd(dfd);
-                let srv = Arc::clone(&self);
-                plan9_support::vtime::kproc("ftpd-session", move || {
-                    let _ = srv.session(&worker, wfd);
-                })
-                // checked: spawn fails only on OS thread exhaustion
-                .expect("spawn ftp session");
-            }
+        serve_calls(p, "tcp!*!ftp", max_sessions, "ftpd", move |p, fd, _framed| {
+            let _ = self.session(&p, fd);
         })
-        .map_err(|e| NineError::new(format!("spawn ftpd: {e}")))?;
-        Ok(handle)
     }
 
     fn session(&self, p: &Proc, fd: i32) -> Result<()> {

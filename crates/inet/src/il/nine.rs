@@ -30,9 +30,10 @@ impl MsgSource for IlIo {
 
 /// Serves `fs` to the peer of `conn` on the conversation's worker-pool
 /// shard: no thread is parked in [`IlConn::recv`]; the readiness hook
-/// submits a job that feeds what has arrived to a [`NineService`]. The
-/// caller keeps the returned service for as long as the conversation
-/// should be answered. `fs` must not block (see [`NineService`]).
+/// submits a job that feeds what has arrived to a [`NineService`],
+/// which runs on the shard what `fs` says is data at hand and gives a
+/// kproc to what may block. The caller keeps the returned service for
+/// as long as the conversation should be answered.
 pub fn serve_on_shard(conn: &Arc<IlConn>, fs: Arc<dyn ProcFs>) -> Arc<NineService> {
     let svc = Arc::new(NineService::new(fs, Box::new(IlIo(Arc::clone(conn)))));
     // Weak both ways: the service's sink holds the conversation, and
@@ -60,9 +61,8 @@ fn drain(svc: &Weak<NineService>, conn: &Weak<IlConn>) {
     loop {
         match conn.try_recv() {
             Ok(TryRecv::Msg(m)) => {
-                // blocking-ok: `serve_on_shard` is for file systems
-                // that answer from memory; ones that block are served
-                // by `ninep::server::serve` on kprocs of their own
+                // blocking-ok: placed by `may_block` — only data at
+                // hand runs here, the rest on a kproc of its own
                 if svc.input(&m).is_err() {
                     conn.close();
                     return;
@@ -70,7 +70,8 @@ fn drain(svc: &Weak<NineService>, conn: &Weak<IlConn>) {
             }
             Ok(TryRecv::Empty) => return,
             Ok(TryRecv::Eof) | Err(_) => {
-                // blocking-ok: as above — clunks answer from memory
+                // blocking-ok: placed by `may_block` — no worker is
+                // waited for here, and the clunks are what wake them
                 svc.hangup();
                 return;
             }

@@ -171,7 +171,7 @@ impl IpStack {
     /// serviced on this stack's worker-pool shard, so a fabric of
     /// thousands of hosts runs on O(cores) threads.
     ///
-    /// Service jobs must not block on virtual time, and the transmit
+    /// Service jobs may not wait on virtual time, and the transmit
     /// path never does: an ARP miss parks the packet on the cache's
     /// hold queue and the receive path flushes it once the mapping is
     /// learned, so even a first-contact transmit from an ack or a
@@ -222,7 +222,7 @@ impl IpStack {
     /// ARP and IP see it — "if several connections on an interface are
     /// configured for a particular packet type, each receives a copy"
     /// (§2.2), and this is where the Ethernet device takes its copies.
-    /// Like the handler it rides in, `tap` must not block. An interface
+    /// Like the handler it rides in, `tap` may not wait. An interface
     /// has one device, so a second registration is a bug.
     pub fn set_rx_tap(&self, tap: impl Fn(&EtherFrame) + Send + Sync + 'static) {
         assert!(self.tap.set(Box::new(tap)).is_ok(), "rx tap already registered");
@@ -239,11 +239,6 @@ impl IpStack {
         self.cfg.addr
     }
 
-    /// The configuration the stack was brought up with.
-    pub fn config(&self) -> &IpConfig {
-        &self.cfg
-    }
-
     /// The largest transport payload that fits in one IP packet on this
     /// medium without fragmentation.
     pub fn mtu(&self) -> usize {
@@ -256,7 +251,7 @@ impl IpStack {
     }
 
     /// Whether the stack has been shut down.
-    pub fn is_shutdown(&self) -> bool {
+    fn is_shutdown(&self) -> bool {
         self.closed.load(Ordering::SeqCst)
     }
 

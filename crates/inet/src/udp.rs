@@ -11,6 +11,7 @@ use plan9_support::chan::{bounded, Receiver, Sender};
 use plan9_support::sync::Mutex;
 use plan9_ninep::NineError;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -71,6 +72,7 @@ impl UdpModule {
             stack: Arc::downgrade(stack),
             port,
             rx,
+            closed: AtomicBool::new(false),
         })
     }
 
@@ -101,7 +103,7 @@ impl UdpModule {
         }
     }
 
-    pub(crate) fn unbind(&self, port: u16) {
+    fn unbind(&self, port: u16) {
         self.binds.lock().remove(&port);
         self.ports.release(port);
     }
@@ -112,6 +114,7 @@ pub struct UdpSocket {
     stack: Weak<IpStack>,
     port: u16,
     rx: Receiver<Datagram>,
+    closed: AtomicBool,
 }
 
 impl UdpSocket {
@@ -144,13 +147,23 @@ impl UdpSocket {
             .recv_timeout(d)
             .map_err(|_| NineError::new("timed out"))
     }
+
+    /// Gives the port back, once. The binding held the queue's only
+    /// sender, so a reader parked in [`UdpSocket::recv`] wakes with
+    /// "socket closed" when what was queued has been read.
+    pub fn close(&self) {
+        if self.closed.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Some(stack) = self.stack.upgrade() {
+            stack.udp.unbind(self.port);
+        }
+    }
 }
 
 impl Drop for UdpSocket {
     fn drop(&mut self) {
-        if let Some(stack) = self.stack.upgrade() {
-            stack.udp.unbind(self.port);
-        }
+        self.close();
     }
 }
 

@@ -81,14 +81,6 @@ impl PoolSnapshot {
         ));
         out
     }
-
-    /// Total jobs submitted (all shards) since this snapshot.
-    pub fn submitted_since(&self) -> u64 {
-        let now = pool::stats();
-        (0..pool::NSHARDS)
-            .map(|i| now.submitted[i] - self.pool.submitted[i])
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -140,6 +132,8 @@ mod tests {
             cv.wait(&mut g);
         }
         drop(g);
-        assert!(snap.submitted_since() >= 5);
+        let delta = snap.render_delta();
+        let submitted = delta.lines().filter_map(|l| l.split_once(".submitted "));
+        assert!(submitted.map(|(_, n)| n.parse::<u64>().unwrap()).sum::<u64>() >= 5, "{delta}");
     }
 }

@@ -138,9 +138,16 @@ impl DatakitLine {
         Ok(near)
     }
 
-    /// Blocks for the next incoming call.
+    /// Blocks for the next incoming call; `None` once the line is
+    /// unplugged and the calls already placed have been taken.
     pub fn listen(&self) -> Option<IncomingCall> {
         self.incoming.recv().ok()
+    }
+
+    /// Takes the line out of the switch: its address is free again and
+    /// no further call reaches it.
+    pub fn unplug(&self) {
+        self.inner.lines.lock().remove(&self.addr);
     }
 
     /// Waits for an incoming call with a timeout.

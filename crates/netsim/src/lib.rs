@@ -29,7 +29,6 @@
 pub mod cyclone;
 pub mod ether;
 pub mod fabric;
-pub mod pipe;
 pub mod profile;
 pub mod uart;
 pub mod wire;
@@ -37,7 +36,6 @@ pub mod wire;
 pub use cyclone::cyclone_link;
 pub use ether::{EtherSegment, EtherStation, MacAddr, ETHER_HDR, ETHER_MTU};
 pub use fabric::{Circuit, DatakitLine, DatakitSwitch, IncomingCall};
-pub use pipe::{pipe_pair, PipeEnd};
 pub use profile::{LinkProfile, Profiles};
 pub use uart::{uart_pair, UartEnd};
 pub use wire::{wire_pair, Medium, RecvOutcome, WireRx, WireStats, WireTx};

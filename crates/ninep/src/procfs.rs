@@ -101,8 +101,8 @@ impl ServeNode {
 /// blocks until a message arrives, `open` on a `listen` file blocks until
 /// an incoming call, exactly as in Plan 9. A server whose files are
 /// data at hand says so through [`ProcFs::may_block`], and
-/// [`crate::server::serve`] then answers for them without a process of
-/// their own.
+/// [`crate::server::NineService::input`] then answers for them without
+/// a process of their own.
 pub trait ProcFs: Send + Sync {
     /// A short device name (`ether`, `tcp`, `cs`, ...), used in paths and
     /// diagnostics.
@@ -151,10 +151,11 @@ pub trait ProcFs: Send + Sync {
         Err(NineError::new(errstr::EPERM))
     }
 
-    /// Whether `read`, `write`, `stat` or `clunk` of the node can wait
-    /// on anything but a lock: a call, a message, another server. It
+    /// Whether an operation on the node — any of them, a walk or an
+    /// open as much as a read — can wait on anything but a lock: a
+    /// call, a message, another server. `None` asks about `attach`. It
     /// can, unless the server says otherwise.
-    fn may_block(&self, _n: &ServeNode) -> bool {
+    fn may_block(&self, _n: Option<&ServeNode>) -> bool {
         true
     }
 }
@@ -498,7 +499,7 @@ impl ProcFs for MemFs {
         Ok(())
     }
 
-    fn may_block(&self, _n: &ServeNode) -> bool {
+    fn may_block(&self, _n: Option<&ServeNode>) -> bool {
         false
     }
 }

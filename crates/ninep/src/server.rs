@@ -3,22 +3,24 @@
 //! A [`NineService`] applies T-messages to a [`ProcFs`] and writes
 //! R-messages back. This is the glue that lets a kernel-resident device
 //! (procedural 9P) be exported to a remote machine (RPC 9P) — the
-//! reverse of the mount driver. There is one dispatch and two ways to
-//! run a file operation under it:
+//! reverse of the mount driver. There is one way to run a file
+//! operation under it, and two ways to feed it:
 //!
-//! * [`serve`] reads a transport until the peer hangs up. The paper
-//!   gives `exportfs` slave processes (§6.1) because `open`, `read` and
+//! * [`NineService::input`] places every T-message. The paper gives
+//!   `exportfs` slave processes (§6.1) because `open`, `read` and
 //!   `write` *may* block — a `listen` file blocks until a call arrives
-//!   — not because every operation does. So the reader asks the file
-//!   server ([`ProcFs::may_block`]) about each Tread, Twrite, Tstat and
-//!   Tclunk: an operation on data at hand runs and is answered on the
-//!   reader's own thread, in the context that already holds the
-//!   message; every other operation goes to a worker kproc — an idle
-//!   one if there is one, a new one if not, all of them kept until the
-//!   hangup — and replies are serialized onto the transport by a lock.
-//! * [`NineService::input`] runs every operation on the caller's thread
-//!   (typically a worker-pool shard), for file systems that answer from
-//!   memory and connections counted in tens of thousands.
+//!   — not because every operation does. So `input` asks the file
+//!   server ([`ProcFs::may_block`]) about the file each operation
+//!   names: an operation on data at hand runs and is answered on the
+//!   calling thread, in the context that already holds the message;
+//!   any other goes to a worker kproc — an idle one if there is one, a
+//!   new one if not, all of them kept until the hangup — and replies
+//!   are serialized onto the transport by a lock.
+//! * [`serve`] feeds it from a thread that reads a transport until the
+//!   peer hangs up, then hangs up and joins the workers. A readiness
+//!   callback on a worker-pool shard (`inet::il::serve_on_shard`) feeds
+//!   it with no thread at all: a `MemFs` served that way never makes a
+//!   worker, so its conversations can be counted in tens of thousands.
 
 use crate::codec::{decode_tmsg, encode_rmsg};
 use crate::fcall::{Fid, Rmsg, Tag, Tmsg, CHAL_LEN, MAX_FDATA};
@@ -27,9 +29,10 @@ use crate::transport::{MsgSink, MsgSource};
 use crate::{errstr, NineError, Result};
 use plan9_netlog::trace::{self, TraceHandle};
 use plan9_netlog::Facility;
-use plan9_support::chan::unbounded;
+use plan9_support::chan::{unbounded, Receiver, Sender};
 use plan9_support::sync::Mutex;
-use plan9_support::{time, vtime};
+use plan9_support::vtime::{self, KprocHandle};
+use plan9_support::time;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -39,27 +42,40 @@ struct FidState {
     open: bool,
 }
 
-/// A file operation that may block, marked in flight for a worker.
+/// A file operation that may block, marked in flight for a worker, and
+/// the `serve` span it runs under.
 struct Op {
     tag: Tag,
     serial: u64,
     t: Tmsg,
+    root: Option<TraceHandle>,
+}
+
+/// The worker kprocs and the one job channel that feeds them all.
+struct Workers {
+    /// `None` from the hangup on: each worker ends once its operation
+    /// is done.
+    jobs: Option<Sender<Op>>,
+    job_rx: Receiver<Op>,
+    handles: Vec<KprocHandle<()>>,
+    /// Operations handed to a worker so far; the next one's serial.
+    started: u64,
 }
 
 struct ServerShared {
     fs: Arc<dyn ProcFs>,
     fids: Mutex<HashMap<Fid, FidState>>,
-    /// File operations running on [`serve`]'s workers: each tag's
-    /// current operation, by the serial number it was started under. A
-    /// Tflush removes the entry, so the operation finds on finishing
-    /// that the tag is no longer its own and does not answer, whether
-    /// or not the tag has been used again. An answered tag is not in
-    /// the map, so flushing it changes nothing; nor is an operation run
-    /// where its message was read, since no Tflush can be read while
-    /// it runs.
+    /// File operations running on workers: each tag's current
+    /// operation, by the serial number it was started under. A Tflush
+    /// removes the entry, so the operation finds on finishing that the
+    /// tag is no longer its own and does not answer, whether or not the
+    /// tag has been used again. An answered tag is not in the map, so
+    /// flushing it changes nothing; nor is an operation run where its
+    /// message was read, since no Tflush can be read while it runs.
     inflight: Mutex<HashMap<Tag, u64>>,
     sink: Mutex<Box<dyn MsgSink>>,
-    /// [`serve`]'s workers with no operation to run and none coming.
+    workers: Mutex<Workers>,
+    /// Workers with no operation to run and none coming.
     idle: AtomicUsize,
 }
 
@@ -83,18 +99,55 @@ impl ServerShared {
         h.finish();
     }
 
-    /// Whether the operation can be run where its message was read: a
-    /// read, write, stat or clunk of a file that is data at hand. A fid
-    /// nobody holds is an error at hand.
+    /// Whether the operation can be run where its message was read: the
+    /// file it names is data at hand (an attach names none, so the
+    /// server answers for itself). A fid nobody holds is an error at
+    /// hand.
     fn cannot_block(&self, t: &Tmsg) -> bool {
-        let (Tmsg::Read { fid, .. }
-        | Tmsg::Write { fid, .. }
-        | Tmsg::Stat { fid }
-        | Tmsg::Clunk { fid }) = t
-        else {
-            return false;
+        if let Tmsg::Attach { .. } = t {
+            return !self.fs.may_block(None);
+        }
+        let node = t.fid().and_then(|fid| get_node(self, fid).ok());
+        node.is_none_or(|node| !self.fs.may_block(Some(&node)))
+    }
+
+    /// Hands an operation that may block (a `listen` file does until a
+    /// call arrives) to a worker: each one in progress holds a worker,
+    /// and a worker is made only when none is idle, and kept.
+    fn hand_to_worker(self: &Arc<Self>, tag: Tag, t: Tmsg, root: Option<TraceHandle>) {
+        // Held throughout: only here is a worker taken off the idle
+        // count, *before* the send, so every job in the channel has a
+        // worker that will come for it.
+        let mut w = self.workers.lock();
+        let Some(jobs) = w.jobs.clone() else {
+            drop(w);
+            let ename = errstr::EHUNGUP.to_string();
+            return self.reply(tag, &Rmsg::Error { ename });
         };
-        get_node(self, *fid).map_or(true, |node| !self.fs.may_block(&node))
+        self.inflight.lock().insert(tag, w.started);
+        let op = Op { tag, serial: w.started, t, root };
+        w.started += 1;
+        if self.idle.load(Ordering::SeqCst) > 0 {
+            self.idle.fetch_sub(1, Ordering::SeqCst);
+        } else {
+            let (shared, job_rx) = (Arc::clone(self), w.job_rx.clone());
+            let worker = vtime::kproc("9p-worker", move || {
+                while let Ok(mut op) = job_rx.recv() {
+                    shared.perform(&op.t, op.root.take(), |r| {
+                        // Idle before the reply is out: a peer that
+                        // waits for one answer before it asks again
+                        // then finds this worker, and none is made.
+                        shared.idle.fetch_add(1, Ordering::SeqCst);
+                        shared.finish(&op, r);
+                    });
+                }
+            })
+            // checked: spawn fails only on OS thread exhaustion
+            .expect("spawn 9p worker");
+            w.handles.push(worker);
+        }
+        // Cannot fail: `job_rx` keeps the channel open.
+        let _ = jobs.send(op);
     }
 
     /// Answers a worker's operation, unless it was flushed while it ran
@@ -127,89 +180,37 @@ pub fn serve(
     serve_on(&NineService::new(fs, sink), source)
 }
 
-/// [`serve`]'s reader loop, apart so that a test can watch the service.
+/// [`serve`]'s reader loop, apart so that a test can watch the service:
+/// the transport into [`NineService::input`], then the hangup, then —
+/// this being a thread that can wait — the workers' ends. Kproc joins
+/// are virtual events (each parks on the clock until the worker signals
+/// completion), so no census escape is needed.
 fn serve_on(svc: &NineService, mut source: Box<dyn MsgSource>) -> Result<()> {
-    let shared = &svc.shared;
-    // One job channel feeds every worker. The reader takes a worker
-    // off the idle count *before* it sends, so every job in the channel
-    // has a worker that will come for it.
-    let (jobs, job_rx) = unbounded::<(Op, Option<TraceHandle>)>();
-    let mut workers = Vec::new();
-    // Operations handed to a worker so far; the next one's serial.
-    let mut started = 0u64;
     // A closure, so that `?` leaves the loop and not the hangup below.
-    let mut read = || -> Result<()> {
-        loop {
-            let Some(raw) = source.recvmsg()? else { return Ok(()) };
-            let Some((tag, t)) = svc.dispatch(&raw)? else { continue };
-            // The server opens its own root span per request: the reply
-            // direction (including its IL sends and rexmits) has no client
-            // handle to inherit across the wire, so it is attributed to
-            // this `serve` root instead.
-            let tracer = trace::global();
-            let root = if tracer.enabled() {
-                tracer.begin(&format!("serve {:?} tag {tag}", t.msg_type()))
-            } else {
-                None
-            };
-            // Data at hand is answered here, by the thread that already
-            // holds the message: a served RPC is one job.
-            if shared.cannot_block(&t) {
-                shared.perform(&t, root, |r| shared.reply(tag, r));
-                continue;
-            }
-            // Anything else may block (a `listen` file does until a call
-            // arrives), so each one in progress holds a worker; a worker is
-            // made only when none is idle, and kept. Only this loop takes
-            // from the count, so it cannot fall between the two lines.
-            shared.inflight.lock().insert(tag, started);
-            let op = Op { tag, serial: started, t };
-            started += 1;
-            if shared.idle.load(Ordering::SeqCst) > 0 {
-                shared.idle.fetch_sub(1, Ordering::SeqCst);
-            } else {
-                let (shared, job_rx) = (Arc::clone(shared), job_rx.clone());
-                let worker = vtime::kproc("9p-worker", move || {
-                    while let Ok((op, root)) = job_rx.recv() {
-                        shared.perform(&op.t, root, |r| {
-                            // Idle before the reply is out: a peer that
-                            // waits for one answer before it asks again
-                            // then finds this worker, and none is made.
-                            shared.idle.fetch_add(1, Ordering::SeqCst);
-                            shared.finish(&op, r);
-                        });
-                    }
-                })
-                // checked: spawn fails only on OS thread exhaustion
-                .expect("spawn 9p worker");
-                workers.push(worker);
-            }
-            // Cannot fail: this loop's own `job_rx` keeps the channel open.
-            let _ = jobs.send((op, root));
+    let res = (|| {
+        while let Some(raw) = source.recvmsg()? {
+            svc.input(&raw)?;
         }
-    };
-    let res = read();
-    // Hangup, on every path: the closed channel ends each worker once
-    // its operation is done. Kproc joins are virtual events (each parks
-    // on the clock until the worker signals completion), so no census
-    // escape is needed.
-    drop(jobs);
+        Ok(())
+    })();
+    svc.hangup();
+    let workers = std::mem::take(&mut svc.shared.workers.lock().handles);
     for w in workers {
         let _ = w.join();
     }
-    svc.hangup();
     res
 }
 
 /// One connection's 9P server state: the fid table, the operations in
-/// flight and the reply sink.
+/// flight, the workers and the reply sink.
 ///
-/// Feed it each raw T-message with [`NineService::input`] (typically
-/// from a transport readiness callback running on a worker-pool shard)
-/// and it answers before returning, with no thread of its own. The
-/// trade is that the [`ProcFs`] behind it must not block — a `MemFs`
-/// or any data-at-hand filesystem qualifies; a `listen` file does not,
-/// and wants [`serve`].
+/// Feed it each raw T-message with [`NineService::input`] — from a
+/// thread that reads the transport ([`serve`]) or from a transport
+/// readiness callback running on a worker-pool shard — and it places
+/// the operation: one that cannot block is answered before `input`
+/// returns, with no thread of its own; one that may is handed to a
+/// worker and `input` returns at once. What may block is the file
+/// server's to say ([`ProcFs::may_block`]), not the feeder's.
 pub struct NineService {
     shared: Arc<ServerShared>,
 }
@@ -217,36 +218,58 @@ pub struct NineService {
 impl NineService {
     /// Wraps `fs` for service, replying on `sink`.
     pub fn new(fs: Arc<dyn ProcFs>, sink: Box<dyn MsgSink>) -> NineService {
+        let (jobs, job_rx) = unbounded();
+        let workers = Workers {
+            jobs: Some(jobs),
+            job_rx,
+            handles: Vec::new(),
+            started: 0,
+        };
         NineService {
             shared: Arc::new(ServerShared {
                 fs,
                 fids: Mutex::named(HashMap::new(), "ninep.server.fids"),
                 inflight: Mutex::named(HashMap::new(), "ninep.server.inflight"),
                 sink: Mutex::named(sink, "ninep.server.sink"),
+                workers: Mutex::named(workers, "ninep.server.workers"),
                 idle: AtomicUsize::new(0),
             }),
         }
     }
 
-    /// Processes one raw T-message inline and writes the reply.
-    /// Returns an error on a malformed message, which poisons the
-    /// link: the caller should hang up, as the kernel does.
+    /// Processes one raw T-message: the one place a file operation is
+    /// placed. Returns an error on a malformed message, which poisons
+    /// the link: the service has hung up, as the kernel does, and the
+    /// caller should close the transport.
     pub fn input(&self, raw: &[u8]) -> Result<()> {
-        if let Some((tag, t)) = self.dispatch(raw)? {
-            self.shared.perform(&t, None, |r| self.shared.reply(tag, r));
+        let shared = &self.shared;
+        let Some((tag, t)) = self.dispatch(raw)? else { return Ok(()) };
+        // The server opens its own root span per request: the reply
+        // direction (including its IL sends and rexmits) has no client
+        // handle to inherit across the wire, so it is attributed to
+        // this `serve` root instead.
+        let tracer = trace::global();
+        let root = if tracer.enabled() {
+            tracer.begin(&format!("serve {:?} tag {tag}", t.msg_type()))
+        } else {
+            None
+        };
+        // Data at hand is answered here, by the thread that already
+        // holds the message: a served RPC is one job.
+        if shared.cannot_block(&t) {
+            shared.perform(&t, root, |r| shared.reply(tag, r));
+        } else {
+            shared.hand_to_worker(tag, t, root);
         }
         Ok(())
     }
 
-    /// The one dispatch: answers the cheap control messages itself and
-    /// hands back a file operation for the caller to run where it sees
-    /// fit.
+    /// Answers the cheap control messages itself and hands back a file
+    /// operation for [`NineService::input`] to place.
     fn dispatch(&self, raw: &[u8]) -> Result<Option<(Tag, Tmsg)>> {
         let shared = &self.shared;
         let Ok((tag, t)) = decode_tmsg(raw) else {
-            // A malformed message poisons the link; hang up, as the
-            // kernel does.
-            cleanup(shared);
+            self.hangup();
             return Err(NineError::new(errstr::EBADMSG));
         };
         match t {
@@ -280,9 +303,21 @@ impl NineService {
         Ok(None)
     }
 
-    /// Connection teardown: clunks every live fid.
+    /// Connection teardown, in the one order that ends every worker:
+    /// the job channel closes, so that a worker ends when its operation
+    /// does; then every live fid is clunked, which is what wakes an
+    /// operation parked in one's file. Waiting for the workers is for a
+    /// caller with a thread of its own ([`serve`]), afterwards.
     pub fn hangup(&self) {
+        self.shared.workers.lock().jobs = None;
         cleanup(&self.shared);
+    }
+}
+
+/// A service nobody holds answers nobody: no worker outlives it.
+impl Drop for NineService {
+    fn drop(&mut self) {
+        self.hangup();
     }
 }
 
@@ -312,80 +347,71 @@ fn get_open_node(shared: &ServerShared, fid: Fid) -> Result<ServeNode> {
     }
 }
 
+/// Enters a new fid on the node `make` comes back with, which is asked
+/// for only once the number is known to be free.
+fn enter_fid(
+    shared: &ServerShared,
+    fid: Fid,
+    make: impl FnOnce() -> Result<ServeNode>,
+) -> Result<ServeNode> {
+    if shared.fids.lock().contains_key(&fid) {
+        return Err(NineError::new(errstr::EFIDINUSE));
+    }
+    let node = make()?;
+    shared.fids.lock().insert(fid, FidState { node, open: false });
+    Ok(node)
+}
+
+/// Moves a fid to the node its walk, open or create came back with. A
+/// fid that a hangup or a session took while the operation ran is not
+/// coming back, so its node is clunked here.
+fn move_fid(shared: &ServerShared, fid: Fid, node: ServeNode, open: bool) {
+    let held = shared.fids.lock().get_mut(&fid).map(|s| {
+        s.node = node;
+        s.open |= open;
+    });
+    if held.is_none() {
+        shared.fs.clunk(&node);
+    }
+}
+
+fn take_fid(shared: &ServerShared, fid: Fid) -> Result<ServeNode> {
+    let state = shared.fids.lock().remove(&fid);
+    state.map(|s| s.node).ok_or_else(|| NineError::new(errstr::EUNKNOWNFID))
+}
+
 fn handle(shared: &ServerShared, t: &Tmsg) -> Result<Rmsg> {
     let fs = &shared.fs;
     match t {
         Tmsg::Attach {
             fid, uname, aname, ..
         } => {
-            {
-                let fids = shared.fids.lock();
-                if fids.contains_key(fid) {
-                    return Err(NineError::new(errstr::EFIDINUSE));
-                }
-            }
-            let node = fs.attach(uname, aname)?;
-            let qid = node.qid;
-            shared
-                .fids
-                .lock()
-                .insert(*fid, FidState { node, open: false });
+            let qid = enter_fid(shared, *fid, || fs.attach(uname, aname))?.qid;
             Ok(Rmsg::Attach { fid: *fid, qid })
         }
         Tmsg::Clone { fid, new_fid } => {
             let node = get_node(shared, *fid)?;
-            {
-                let fids = shared.fids.lock();
-                if fids.contains_key(new_fid) {
-                    return Err(NineError::new(errstr::EFIDINUSE));
-                }
-            }
-            let node = fs.clone_node(&node)?;
-            shared
-                .fids
-                .lock()
-                .insert(*new_fid, FidState { node, open: false });
+            enter_fid(shared, *new_fid, || fs.clone_node(&node))?;
             Ok(Rmsg::Clone { fid: *fid })
         }
         Tmsg::Walk { fid, name } => {
             let node = get_node(shared, *fid)?;
             let next = fs.walk(&node, name)?;
-            let qid = next.qid;
-            if let Some(s) = shared.fids.lock().get_mut(fid) {
-                s.node = next;
-            }
-            Ok(Rmsg::Walk { fid: *fid, qid })
+            move_fid(shared, *fid, next, false);
+            Ok(Rmsg::Walk { fid: *fid, qid: next.qid })
         }
         Tmsg::Clwalk { fid, new_fid, name } => {
             let node = get_node(shared, *fid)?;
-            {
-                let fids = shared.fids.lock();
-                if fids.contains_key(new_fid) {
-                    return Err(NineError::new(errstr::EFIDINUSE));
-                }
-            }
-            let cloned = fs.clone_node(&node)?;
-            match fs.walk(&cloned, name) {
-                Ok(next) => {
-                    let qid = next.qid;
-                    if next.handle != cloned.handle {
-                        fs.clunk(&cloned);
-                    }
-                    shared.fids.lock().insert(
-                        *new_fid,
-                        FidState {
-                            node: next,
-                            open: false,
-                        },
-                    );
-                    Ok(Rmsg::Clwalk { fid: *fid, qid })
-                }
-                Err(e) => {
-                    // On failure the new fid is not allocated.
+            let next = enter_fid(shared, *new_fid, || {
+                let cloned = fs.clone_node(&node)?;
+                let walked = fs.walk(&cloned, name);
+                // On failure the new fid is not allocated.
+                if walked.as_ref().map_or(true, |next| next.handle != cloned.handle) {
                     fs.clunk(&cloned);
-                    Err(e)
                 }
-            }
+                walked
+            })?;
+            Ok(Rmsg::Clwalk { fid: *fid, qid: next.qid })
         }
         Tmsg::Open { fid, mode } => {
             let node = {
@@ -397,12 +423,8 @@ fn handle(shared: &ServerShared, t: &Tmsg) -> Result<Rmsg> {
                 }
             };
             let opened = fs.open(&node, OpenMode(*mode))?;
-            let qid = opened.qid;
-            if let Some(s) = shared.fids.lock().get_mut(fid) {
-                s.node = opened;
-                s.open = true;
-            }
-            Ok(Rmsg::Open { fid: *fid, qid })
+            move_fid(shared, *fid, opened, true);
+            Ok(Rmsg::Open { fid: *fid, qid: opened.qid })
         }
         Tmsg::Create {
             fid,
@@ -412,15 +434,11 @@ fn handle(shared: &ServerShared, t: &Tmsg) -> Result<Rmsg> {
         } => {
             let node = get_node(shared, *fid)?;
             let created = fs.create(&node, name, *perm, OpenMode(*mode))?;
-            let qid = created.qid;
             if created.handle != node.handle {
                 fs.clunk(&node);
             }
-            if let Some(s) = shared.fids.lock().get_mut(fid) {
-                s.node = created;
-                s.open = true;
-            }
-            Ok(Rmsg::Create { fid: *fid, qid })
+            move_fid(shared, *fid, created, true);
+            Ok(Rmsg::Create { fid: *fid, qid: created.qid })
         }
         Tmsg::Read { fid, offset, count } => {
             let node = get_open_node(shared, *fid)?;
@@ -437,23 +455,12 @@ fn handle(shared: &ServerShared, t: &Tmsg) -> Result<Rmsg> {
             })
         }
         Tmsg::Clunk { fid } => {
-            let state = shared
-                .fids
-                .lock()
-                .remove(fid)
-                .ok_or_else(|| NineError::new(errstr::EUNKNOWNFID))?;
-            fs.clunk(&state.node);
+            fs.clunk(&take_fid(shared, *fid)?);
             Ok(Rmsg::Clunk { fid: *fid })
         }
         Tmsg::Remove { fid } => {
-            let state = shared
-                .fids
-                .lock()
-                .remove(fid)
-                .ok_or_else(|| NineError::new(errstr::EUNKNOWNFID))?;
             // Remove always clunks, even on failure.
-            let res = fs.remove(&state.node);
-            res?;
+            fs.remove(&take_fid(shared, *fid)?)?;
             Ok(Rmsg::Remove { fid: *fid })
         }
         Tmsg::Stat { fid } => {
@@ -618,31 +625,40 @@ pub(crate) mod tests {
         fn stat(&self, n: &ServeNode) -> Result<crate::Dir> {
             self.mem.stat(n)
         }
-        fn may_block(&self, n: &ServeNode) -> bool {
-            self.mem.stat(n).map_or(true, |d| d.name == "gate")
+        fn may_block(&self, n: Option<&ServeNode>) -> bool {
+            n.is_some_and(|n| self.mem.stat(n).map_or(true, |d| d.name == "gate"))
         }
     }
 
     const GATE: Fid = 0;
     const F: Fid = 1;
+    const ROOT: Fid = 2;
 
-    /// `serve_on` over a `GateFs`, with [`GATE`] and [`F`] open on its
-    /// two files.
+    /// A `NineService` over a `GateFs`, with [`GATE`] and [`F`] open on
+    /// its two files and [`ROOT`] left at the root. It is fed by
+    /// `serve_on` from the other end of a pipe, or by the test's own
+    /// calls of `input`; either way the replies come down the pipe.
     struct Served {
         fs: Arc<GateFs>,
         svc: Arc<NineService>,
         end: MsgPipeEnd,
-        server: JoinHandle<Result<()>>,
+        /// `None`: nothing reads a transport, the test calls `input`.
+        server: Option<JoinHandle<Result<()>>>,
     }
 
     impl Served {
         fn start() -> Served {
+            Served::start_fed(true)
+        }
+
+        fn start_fed(by_serve: bool) -> Served {
             let fs = GateFs::new();
             let (end, server_end) = MsgPipeEnd::pair();
             let (ssink, ssource) = server_end.split();
             let svc = Arc::new(NineService::new(fs.clone(), Box::new(ssink)));
             let svc2 = Arc::clone(&svc);
-            let server = std::thread::spawn(move || serve_on(&svc2, Box::new(ssource)));
+            let server = by_serve
+                .then(|| std::thread::spawn(move || serve_on(&svc2, Box::new(ssource))));
             let mut s = Served { fs, svc, end, server };
             let attach = Tmsg::Attach {
                 fid: GATE,
@@ -651,8 +667,10 @@ pub(crate) mod tests {
                 ticket: vec![],
             };
             assert!(matches!(s.rpc(1, &attach), Rmsg::Attach { .. }));
-            let clone = Tmsg::Clone { fid: GATE, new_fid: F };
-            assert!(matches!(s.rpc(1, &clone), Rmsg::Clone { .. }));
+            for new_fid in [F, ROOT] {
+                let clone = Tmsg::Clone { fid: GATE, new_fid };
+                assert!(matches!(s.rpc(1, &clone), Rmsg::Clone { .. }));
+            }
             for (fid, name) in [(GATE, "gate"), (F, "f")] {
                 let name = name.to_string();
                 assert!(matches!(s.rpc(1, &Tmsg::Walk { fid, name }), Rmsg::Walk { .. }));
@@ -661,8 +679,20 @@ pub(crate) mod tests {
             s
         }
 
+        /// Puts a T-message to the service, down the pipe or by hand.
+        fn send(&mut self, tag: Tag, t: &Tmsg) {
+            let raw = encode_tmsg(tag, t);
+            match self.server {
+                Some(_) => self.end.sendmsg(&raw).unwrap(),
+                None => self.svc.input(&raw).unwrap(),
+            }
+        }
+
         fn rpc(&mut self, tag: Tag, t: &Tmsg) -> Rmsg {
-            rpc(&mut self.end, tag, t)
+            self.send(tag, t);
+            let (rtag, r) = decode_rmsg(&self.end.recvmsg().unwrap().unwrap()).unwrap();
+            assert_eq!(rtag, tag);
+            r
         }
 
         /// Reads `fid` under `tag` and returns the data.
@@ -684,7 +714,7 @@ pub(crate) mod tests {
         /// Sends a read of the gate under `tag` and returns once its
         /// worker is blocked in it.
         fn park(&mut self, tag: Tag) {
-            self.end.sendmsg(&encode_tmsg(tag, &Self::tread(GATE, 0))).unwrap();
+            self.send(tag, &Self::tread(GATE, 0));
             self.fs.wait_parked(1);
         }
 
@@ -697,17 +727,42 @@ pub(crate) mod tests {
 
         /// The thread `serve_on` reads the transport on.
         fn reader(&self) -> HashSet<ThreadId> {
-            HashSet::from([self.server.thread().id()])
+            HashSet::from([self.server.as_ref().unwrap().thread().id()])
         }
 
-        /// Hangs up, waits for `serve_on` to return and hands back what
-        /// the server had still sent. No worker is left: each holds the
-        /// service's state while it lives.
+        /// Hangs up with nothing parked; see [`Served::hangup_parked`].
         fn hangup(self) -> Vec<Vec<u8>> {
+            self.hangup_parked(0)
+        }
+
+        /// Hangs up with `parked` reads inside the gate and lets them
+        /// through only once the service has hung up: a hangup waits
+        /// for nothing. Then waits for `serve_on`, if that is the
+        /// feeder, to return, and hands back what the server had still
+        /// sent. No worker is left, joined or not: each holds the
+        /// service's state while it lives.
+        fn hangup_parked(mut self, parked: usize) -> Vec<Vec<u8>> {
             let (sink, mut source) = self.end.split();
             drop(sink);
-            assert!(self.server.join().unwrap().is_ok());
-            assert_eq!(Arc::strong_count(&self.svc.shared), 1);
+            if self.server.is_none() {
+                self.svc.hangup();
+            }
+            while self.svc.shared.workers.lock().jobs.is_some() {
+                std::thread::yield_now();
+            }
+            for _ in 0..parked {
+                self.fs.release();
+            }
+            match self.server.take() {
+                Some(server) => {
+                    assert!(server.join().unwrap().is_ok());
+                    assert_eq!(Arc::strong_count(&self.svc.shared), 1);
+                }
+                // Nobody waits for the workers; each still ends.
+                None => while Arc::strong_count(&self.svc.shared) != 1 {
+                    std::thread::yield_now();
+                },
+            }
             drop(self.svc);
             std::iter::from_fn(|| source.recvmsg().unwrap()).collect()
         }
@@ -758,7 +813,7 @@ pub(crate) mod tests {
         // when that worker has finished too.
         drop(s.end);
         s.fs.release();
-        assert!(s.server.join().unwrap().is_ok());
+        assert!(s.server.take().unwrap().join().unwrap().is_ok());
         assert_eq!(s.fs.threads(true).union(&s.fs.threads(false)).count(), 2);
         assert_eq!(s.fs.exited(), 2);
         assert_eq!(Arc::strong_count(&s.svc.shared), 1);
@@ -770,7 +825,7 @@ pub(crate) mod tests {
         s.fs.release();
         assert_eq!(s.read(2, GATE), b"late");
         s.end.sendmsg(&[0xff, 0xff, 0xff]).unwrap();
-        let err = s.server.join().unwrap().unwrap_err();
+        let err = s.server.take().unwrap().join().unwrap().unwrap_err();
         assert_eq!(err.0, errstr::EBADMSG);
         assert_eq!(s.fs.exited(), 1);
         assert_eq!(Arc::strong_count(&s.svc.shared), 1);
@@ -808,11 +863,16 @@ pub(crate) mod tests {
         last: HashMap<Tag, u64>,
     }
 
-    /// A reply belongs to the live operation on its tag.
+    /// A reply belongs to the live operation on its tag, and none of
+    /// the model's operations fails.
     fn settle(live: &mut HashMap<Tag, Vec<u8>>, raw: &[u8]) -> Tag {
         let (tag, r) = decode_rmsg(raw).unwrap();
-        if let Rmsg::Read { data, .. } = r {
-            assert_eq!(Some(data), live.remove(&tag), "reply under tag {tag}");
+        match r {
+            Rmsg::Read { data, .. } => {
+                assert_eq!(Some(data), live.remove(&tag), "reply under tag {tag}")
+            }
+            Rmsg::Error { ename } => panic!("tag {tag}: {ename}"),
+            _ => {}
         }
         tag
     }
@@ -828,7 +888,7 @@ pub(crate) mod tests {
             let offset = self.last.get(&tag).map_or(0, |o| o + 1) % 4;
             self.last.insert(tag, offset);
             self.live.insert(tag, contents[offset as usize..].to_vec());
-            self.s.end.sendmsg(&encode_tmsg(tag, &Served::tread(fid, offset))).unwrap();
+            self.s.send(tag, &Served::tread(fid, offset));
             if gate {
                 self.parked += 1;
                 self.s.fs.wait_parked(self.parked);
@@ -838,10 +898,26 @@ pub(crate) mod tests {
         }
 
         fn flush(&mut self, tag: Tag, old_tag: Tag) {
-            self.s.end.sendmsg(&encode_tmsg(tag, &Tmsg::Flush { old_tag })).unwrap();
+            self.s.send(tag, &Tmsg::Flush { old_tag });
             self.await_tag(tag);
             // Unanswered by now, the old operation never will be.
             self.live.remove(&old_tag);
+        }
+
+        /// Walks a new fid from the root to one of the files, opens it
+        /// and clunks it: for `/gate` each of the three takes a worker,
+        /// whatever is parked in the others.
+        fn open_and_clunk(&mut self, tag: Tag, gate: bool) {
+            let (fid, name) = (ROOT + 1, if gate { "gate" } else { "f" }.to_string());
+            let ops = [
+                Tmsg::Clwalk { fid: ROOT, new_fid: fid, name },
+                Tmsg::Open { fid, mode: 0 },
+                Tmsg::Clunk { fid },
+            ];
+            for t in ops {
+                self.s.send(tag, &t);
+                self.await_tag(tag);
+            }
         }
 
         fn release(&mut self, n: usize) {
@@ -855,16 +931,19 @@ pub(crate) mod tests {
 
     plan9_support::props! {
         /// The server's tag space against a sequential model, over a
-        /// few tags so that they are reused: reads that run on the
-        /// reader, reads that park on a worker, flushes of live,
-        /// answered and never-used tags, a tag used again straight
-        /// after its Rflush, and gate releases. Every unflushed
+        /// few tags so that they are reused, fed through `serve` or by
+        /// calls of `input`: reads that run where they are read, reads
+        /// that park on a worker, walks and opens of both kinds of
+        /// file, flushes of live, answered and never-used tags, a tag
+        /// used again straight after its Rflush, gate releases, and a
+        /// hangup with or without reads still parked. Every unflushed
         /// operation is answered once with its own bytes, nothing
         /// follows an Rflush under the flushed operation's tag but the
-        /// next operation's reply, and no worker outlives `serve`.
+        /// next operation's reply, and no worker outlives the hangup
+        /// by more than its operation.
         fn prop_tag_space_matches_sequential_model(g, cases = 60) {
             let mut m = TagModel {
-                s: Served::start(),
+                s: Served::start_fed(g.bool()),
                 live: HashMap::new(),
                 parked: 0,
                 last: HashMap::new(),
@@ -872,7 +951,7 @@ pub(crate) mod tests {
             for _ in 0..g.usize_in(0..40) {
                 let tag = g.u16_in(0..6);
                 let free = !m.live.contains_key(&tag);
-                match g.usize_in(0..4) {
+                match g.usize_in(0..5) {
                     0 | 1 if free => m.read(tag, g.bool()),
                     2 if free => {
                         let old_tag = g.u16_in(0..8);
@@ -882,13 +961,16 @@ pub(crate) mod tests {
                             m.read(old_tag, g.bool());
                         }
                     }
+                    3 if free => m.open_and_clunk(tag, g.bool()),
                     _ if m.parked > 0 => m.release(1),
                     _ => {}
                 }
             }
-            m.release(m.parked);
-            let TagModel { s, mut live, .. } = m;
-            for raw in s.hangup() {
+            if g.bool() {
+                m.release(m.parked);
+            }
+            let TagModel { s, mut live, parked, .. } = m;
+            for raw in s.hangup_parked(parked) {
                 settle(&mut live, &raw);
             }
             assert!(live.is_empty(), "never answered: {live:?}");

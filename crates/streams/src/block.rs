@@ -154,17 +154,6 @@ impl Block {
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
-
-    /// Interprets a control block's buffer as a command string.
-    ///
-    /// Returns the command split into whitespace-separated fields, the way
-    /// processing modules parse directives.
-    pub fn ctl_fields(&self) -> Vec<String> {
-        String::from_utf8_lossy(&self.data)
-            .split_whitespace()
-            .map(|s| s.to_string())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -178,12 +167,6 @@ mod tests {
         assert!(Block::delim(vec![1]).delim);
         assert_eq!(Block::control("push urp").kind, BlockKind::Control);
         assert_eq!(Block::hangup().kind, BlockKind::Hangup);
-    }
-
-    #[test]
-    fn ctl_fields_splits_command() {
-        let b = Block::control("connect 2048  now");
-        assert_eq!(b.ctl_fields(), vec!["connect", "2048", "now"]);
     }
 
     #[test]

@@ -14,7 +14,6 @@ use plan9_netlog::Counter;
 use plan9_support::copysite::Site;
 use plan9_support::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::time::Duration;
 
 /// Bytes entering stream queues. Not a memcpy itself, but every block
 /// queued here was allocated to cross the queue — the figure the
@@ -137,15 +136,6 @@ impl Queue {
         }
     }
 
-    /// Puts a block back at the *front* of the queue (a partially
-    /// consumed read).
-    pub fn put_back(&self, b: Block) {
-        let mut inner = self.inner.lock();
-        inner.bytes += b.len();
-        inner.blocks.push_front(b);
-        self.readable.notify_all();
-    }
-
     /// Removes the next block, blocking until one is available.
     ///
     /// Returns `None` once the queue is drained *and* has been hung up or
@@ -166,35 +156,6 @@ impl Queue {
                 return None;
             }
             self.readable.wait(&mut inner);
-        }
-    }
-
-    /// Like [`Queue::get`] with a timeout; `Ok(None)` is end-of-file,
-    /// `Err(())` is a timeout with the queue still live.
-    #[allow(clippy::result_unit_err)] // the unit error *is* the timeout; no detail to carry
-    pub fn get_timeout(&self, d: Duration) -> Result<Option<Block>, ()> {
-        let deadline = plan9_support::time::now() + d;
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(mut b) = inner.blocks.pop_front() {
-                let was = inner.bytes;
-                inner.bytes -= b.len();
-                self.admit_writers(&inner, was);
-                if let Some(t) = b.trace.as_mut() {
-                    t.note_dequeued();
-                }
-                return Ok(Some(b));
-            }
-            if inner.closed || inner.hungup {
-                return Ok(None);
-            }
-            if self
-                .readable
-                .wait_until(&mut inner, deadline)
-                .timed_out()
-            {
-                return Err(());
-            }
         }
     }
 
@@ -250,7 +211,7 @@ impl Queue {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn fifo_order() {
@@ -328,15 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn put_back_is_lifo_at_front() {
-        let q = Queue::default();
-        q.put(Block::data(vec![2])).unwrap();
-        q.put_back(Block::data(vec![1]));
-        assert_eq!(q.get().unwrap().data, vec![1]);
-        assert_eq!(q.get().unwrap().data, vec![2]);
-    }
-
-    #[test]
     fn dequeue_records_residency_span() {
         let t = plan9_netlog::trace::Tracer::new(4);
         t.ctl("trace on").unwrap();
@@ -397,13 +349,5 @@ mod tests {
             "wakes ({}) must not exceed admissions ({PUTTERS})",
             q.writer_wake_count()
         );
-    }
-
-    #[test]
-    fn timeout_reports_distinctly() {
-        let q = Queue::default();
-        assert_eq!(q.get_timeout(Duration::from_millis(10)), Err(()));
-        q.close();
-        assert_eq!(q.get_timeout(Duration::from_millis(10)), Ok(None));
     }
 }

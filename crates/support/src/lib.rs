@@ -12,9 +12,8 @@
 //! | [`sync`]  | `parking_lot`     | no-poison `Mutex`/`RwLock`/`Condvar`     |
 //! | [`chan`]  | `crossbeam`       | bounded/unbounded mpmc channels          |
 //! | [`rng`]   | `rand`            | seedable `SmallRng` (splitmix64)         |
-//! | [`buf`]   | `bytes`           | `BytesMut`/`Bytes` byte-buffer surface   |
+//! | [`buf`]   | `bytes`           | shared `Bytes` views of one allocation   |
 //! | [`check`] | `proptest`        | property-test runner + [`props!`] macro  |
-//! | [`bench`] | `criterion`       | micro-bench harness, no-op-able          |
 //! | [`json`]  | `serde_json`      | string quoting for hand-rolled emitters  |
 //!
 //! Three modules are boundaries rather than replacements: [`time`] is
@@ -26,7 +25,6 @@
 //!
 //! Everything here sits on `std` alone.
 
-pub mod bench;
 pub mod buf;
 pub mod chan;
 pub mod check;

@@ -132,8 +132,15 @@ top = max(rows, key=lambda r: r["machines"])
 if top["machines"] < 10_000 or top["conversations"] < 50_000:
     sys.exit(f"verify: top cityload row is {top['machines']} machines / "
              f"{top['conversations']} conversations (need 10k / 50k)")
+# O(cores) service threads, counted: the storm drivers, the pool's
+# shards, the wheel, the row's own kproc and the main thread. One
+# 9p-worker for a conversation of a MemFs would be one too many.
+budget = b["drivers"] + b["pool_shards"] + 1 + 2
+if not 0 < top.get("peak_kprocs", 0) <= budget:
+    sys.exit(f"verify: top cityload row counted {top.get('peak_kprocs')} kprocs at its peak "
+             f"(need 1..{budget}: a service model that makes a thread per conversation?)")
 for r in rows:
-    for field in ("machines", "conversations", "rpcs", "virtual_s", "rpc_per_virtual_s"):
+    for field in ("machines", "conversations", "rpcs", "virtual_s", "rpc_per_virtual_s", "peak_kprocs"):
         if field not in r:
             sys.exit(f"verify: cityload row missing {field}")
     p99 = r.get("p99_us")

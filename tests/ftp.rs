@@ -108,3 +108,26 @@ fn wrong_password_refused() {
         FtpFs::dial_and_login(term.proc(), "tcp!site!ftp", "philw", "wrong").unwrap_err();
     assert!(err.0.contains("530") || err.0.contains("unexpected"), "{err}");
 }
+
+/// A login that ends leaves no TCP conversation behind on either
+/// machine: ftpd's calls come through the one listener, which closes
+/// each call's ctl file once the call is accepted, so nothing pins the
+/// serving end in Close_wait after the client goes.
+#[test]
+fn an_ended_login_leaves_no_conversation() {
+    let (site, term, _ftpd) = world();
+    let convs = || {
+        let count = |m: &Arc<Machine>| m.ip.as_ref().unwrap().tcp_module().conn_count();
+        (count(&site), count(&term))
+    };
+    let before = convs();
+    let fs = FtpFs::dial_and_login(term.proc(), "tcp!site!ftp", "philw", "guest").expect("login");
+    let during = convs();
+    assert!(during.0 > before.0 && during.1 > before.1);
+    drop(fs);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while convs() != before && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert_eq!(convs(), before);
+}

@@ -3,6 +3,7 @@
 use plan9::core::dial::{accept, announce, dial, listen};
 use plan9::core::machine::{Machine, MachineBuilder};
 use plan9::core::namespace::{MAFTER, MREPL};
+use plan9::core::proc::Proc;
 use plan9::exportfs::cpu::{cpu, cpu_listener, CpuJob};
 use plan9::exportfs::exportfs::exportfs_listener;
 use plan9::exportfs::import::import;
@@ -165,12 +166,18 @@ fn tcp_convs(a: &Arc<Machine>, b: &Arc<Machine>) -> (usize, usize) {
     (convs(a), convs(b))
 }
 
-/// Waits for the counts to come back to `before`, and reports them.
-fn settled_tcp_convs(a: &Arc<Machine>, b: &Arc<Machine>, before: (usize, usize)) -> (usize, usize) {
+/// Polls until `done`, or five seconds have gone.
+fn settled(done: impl Fn() -> bool) -> bool {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while tcp_convs(a, b) != before && std::time::Instant::now() < deadline {
+    while !done() && std::time::Instant::now() < deadline {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
+    done()
+}
+
+/// Waits for the counts to come back to `before`, and reports them.
+fn settled_tcp_convs(a: &Arc<Machine>, b: &Arc<Machine>, before: (usize, usize)) -> (usize, usize) {
+    settled(|| tcp_convs(a, b) == before);
     tcp_convs(a, b)
 }
 
@@ -265,9 +272,20 @@ impl ProcFs for Probe {
     fn stat(&self, n: &ServeNode) -> Result<Dir> {
         self.mem.stat(n)
     }
-    fn may_block(&self, n: &ServeNode) -> bool {
+    fn may_block(&self, n: Option<&ServeNode>) -> bool {
         self.mem.may_block(n)
     }
+}
+
+/// A UDP conversation on helix, made through an import of its `/` at
+/// `/n/helix`: the conversation's number and its open `data` file,
+/// which has nothing to read until musca sends.
+fn imported_udp_conv(p: &Proc) -> (String, i32) {
+    let ctl = p.open("/n/helix/net/udp/clone", OpenMode::RDWR).expect("clone");
+    let n = String::from_utf8(p.read(ctl, 16).unwrap()).unwrap();
+    p.write_str(ctl, "connect 10.21.0.9!4000").expect("connect");
+    let data = p.open(&format!("/n/helix/net/udp/{n}/data"), OpenMode::RDWR).expect("data");
+    (n, data)
 }
 
 /// Waits for a thread that must not be stuck.
@@ -299,12 +317,7 @@ fn exportfs_keeps_its_slaves_for_the_files_that_may_block() {
     let p = gnot.proc();
     import(&p, "dk!nj/astro/helix!exportfs", "/", "/n/helix", MREPL).expect("import /");
 
-    // A UDP conversation on helix, made through the import: its `data`
-    // file has nothing to read until musca sends.
-    let ctl = p.open("/n/helix/net/udp/clone", OpenMode::RDWR).expect("clone");
-    let n = String::from_utf8(p.read(ctl, 16).unwrap()).unwrap();
-    p.write_str(ctl, "connect 10.21.0.9!4000").expect("connect");
-    let data = p.open(&format!("/n/helix/net/udp/{n}/data"), OpenMode::RDWR).expect("data");
+    let (n, data) = imported_udp_conv(&p);
     let local = p.open(&format!("/n/helix/net/udp/{n}/local"), OpenMode::READ).expect("local");
     let local = p.read_string(local).unwrap();
     let port = local.split_whitespace().nth(1).expect("local port");
@@ -329,4 +342,46 @@ fn exportfs_keeps_its_slaves_for_the_files_that_may_block() {
     // are `9p-worker`s.
     assert_eq!(probe.readers(false), HashSet::from(["exportfs".to_string()]));
     assert_eq!(probe.readers(true), HashSet::from(["9p-worker".to_string()]));
+}
+
+/// An importer that goes away with a read parked in an exported `data`
+/// file must take everything it held on the gateway with it: the
+/// hangup clunks the conversation's fids *before* it waits for the
+/// slaves, since the clunk of the `data` file is what wakes the slave
+/// parked in it. Every process serving the conversation (the `exportfs`
+/// kproc, its `9p-worker`) holds a fork of the gateway's name space,
+/// and so a reference on each server mounted in it.
+#[test]
+fn a_hangup_with_a_read_parked_leaves_nothing_on_the_gateway() {
+    let (helix, musca, _gnot) = world();
+    let probe: Arc<dyn ProcFs> = MemFs::new("probe", "bootes");
+    let hp = helix.proc();
+    hp.mount_fs(&probe, "", "/n/probe", MREPL).unwrap();
+    exportfs_listener(hp, "il!*!exportfs", usize::MAX).unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let held = Arc::strong_count(&probe);
+    let udp_convs = || -> Vec<String> {
+        let convs = helix.proc().ls("/net/udp").unwrap();
+        convs.into_iter().map(|d| d.name).filter(|n| n.parse::<u32>().is_ok()).collect()
+    };
+    assert_eq!(udp_convs(), [""; 0]);
+
+    let p = musca.proc();
+    import(&p, "il!helix!exportfs", "/", "/n/helix", MREPL).expect("import /");
+    assert!(Arc::strong_count(&probe) > held);
+    let (n, data) = imported_udp_conv(&p);
+    assert_eq!(udp_convs(), std::slice::from_ref(&n));
+
+    std::thread::scope(|s| {
+        let parked = s.spawn(|| p.read(data, 64));
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        assert!(!parked.is_finished());
+        assert!(musca.ip.as_ref().unwrap().il_module().hangup_all() > 0);
+        assert!(finished_within(parked, 20, "the importer's read outlived its conversation").is_err());
+    });
+    assert!(settled(|| udp_convs().is_empty()), "/net/udp/{n} is still on the gateway");
+    assert!(
+        settled(|| Arc::strong_count(&probe) == held),
+        "a process serving the dead conversation still holds the gateway's name space"
+    );
 }
