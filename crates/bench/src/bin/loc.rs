@@ -8,9 +8,14 @@
 //!   2200 lines for TCP" — the relative sizes of our `il.rs` and
 //!   `tcp.rs`.
 //!
-//! Usage: `cargo run -p plan9-bench --bin loc`
+//! It is also the ratchet on the north star's "non-test LoC per crate
+//! is a tracked number": `scripts/loc-ratchet.txt` holds each crate's
+//! count and the workspace's, and a count above its line exits nonzero.
+//!
+//! Usage: `cargo run -p plan9-bench --bin loc [-- --update]`
+//! (`--update` rewrites the ratchet file from the tree as it stands).
 
-use plan9_bench::loc::{count_dir, count_file, Counts};
+use plan9_bench::loc::{count_dir, count_file, over_ratchet, render_ratchet, Counts};
 use std::path::Path;
 
 fn main() {
@@ -34,6 +39,7 @@ fn main() {
     println!("{}", "-".repeat(52));
     let mut all = Counts::default();
     let mut net = Counts::default();
+    let mut rows = Vec::new();
     for name in &crates {
         let c = count_dir(&root.join("crates").join(name).join("src"));
         let label = other.iter().find(|(n, _)| n == name).map(|(_, l)| *l);
@@ -44,6 +50,7 @@ fn main() {
             c.non_test_code,
             label.unwrap_or("yes")
         );
+        rows.push((name.clone(), c.non_test_code));
         all += c;
         if label.is_none() {
             net += c;
@@ -76,4 +83,19 @@ fn main() {
         il.non_test_code < tcp.non_test_code,
         "IL must stay smaller than TCP, as in the paper"
     );
+
+    rows.push(("workspace".to_string(), all.non_test_code));
+    let ratchet = root.join("scripts/loc-ratchet.txt");
+    if std::env::args().any(|a| a == "--update") {
+        std::fs::write(&ratchet, render_ratchet(&rows)).expect("write scripts/loc-ratchet.txt");
+        return;
+    }
+    let over = over_ratchet(&std::fs::read_to_string(&ratchet).expect("scripts/loc-ratchet.txt"), &rows);
+    if !over.is_empty() {
+        for line in &over {
+            eprintln!("loc: {line}");
+        }
+        eprintln!("loc: shrink it, or raise the ceiling on purpose with `loc --update`");
+        std::process::exit(1);
+    }
 }

@@ -120,9 +120,53 @@ pub fn count_dir(dir: &Path) -> Counts {
     total
 }
 
+/// Renders `scripts/loc-ratchet.txt`: one `name count` line per row.
+pub fn render_ratchet(rows: &[(String, usize)]) -> String {
+    let mut out = String::from(
+        "# Non-test code lines per crate, as `cargo run -p plan9-bench --bin loc` counts them.\n\
+         # `loc` fails when a count exceeds its line; `loc --update` rewrites this file.\n",
+    );
+    for (name, n) in rows {
+        out.push_str(&format!("{name} {n}\n"));
+    }
+    out
+}
+
+/// The rows whose count exceeds the ceiling `ratchet` gives them, as
+/// messages. A row the file does not name has a ceiling of zero, so a
+/// new crate fails until the file is updated.
+pub fn over_ratchet(ratchet: &str, rows: &[(String, usize)]) -> Vec<String> {
+    let ceiling = |name: &str| {
+        ratchet
+            .lines()
+            .filter_map(|l| l.split_once(' '))
+            .find(|(n, _)| *n == name)
+            .and_then(|(_, c)| c.trim().parse::<usize>().ok())
+            .unwrap_or(0)
+    };
+    rows.iter()
+        .map(|(name, n)| (name, *n, ceiling(name)))
+        .filter(|(_, n, max)| n > max)
+        .map(|(name, n, max)| format!("{name}: {n} non-test lines, ratchet {max}"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ratchet_names_the_crate_that_grew() {
+        let rows = |a, b| vec![("inet".to_string(), a), ("workspace".to_string(), b)];
+        let file = render_ratchet(&rows(10, 30));
+        assert!(over_ratchet(&file, &rows(10, 30)).is_empty());
+        assert!(over_ratchet(&file, &rows(9, 29)).is_empty(), "shrinking passes");
+        let over = over_ratchet(&file, &rows(11, 30));
+        assert_eq!(over.len(), 1, "{over:?}");
+        assert!(over[0].starts_with("inet: 11 "), "{over:?}");
+        let unlisted = over_ratchet(&file, &[("newcrate".to_string(), 1)]);
+        assert_eq!(unlisted.len(), 1, "a crate the file does not name fails");
+    }
 
     #[test]
     fn blank_and_comment_lines_excluded_from_code() {

@@ -29,6 +29,12 @@ use plan9_ninep::{errstr, Dir, NineError, Result};
 use std::sync::Arc;
 
 /// One established conversation, however the protocol implements it.
+///
+/// This is the kernel's conversation interface: where the paper has a
+/// stream head under `data` (§2.4), the device calls the protocol and
+/// the protocol's own receive queue is the only one. A stream blocks
+/// its reader and parks its writer, and IL's conversations are read
+/// from pool shards that may do neither (DESIGN.md §10).
 pub trait ConnOps: Send + Sync {
     /// Sends one message (delimited protocols) or chunk (TCP).
     fn send(&self, msg: &[u8]) -> Result<()>;

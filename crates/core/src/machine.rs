@@ -13,7 +13,7 @@ use crate::namespace::{Namespace, Source, MAFTER, MREPL};
 use crate::proc::Proc;
 use plan9_support::sync::Mutex;
 use plan9_cs::{CsConfig, CsServer, DnsServer, NetworkDecl, SimInternet};
-use plan9_datakit::urp::{urp_dial, UrpConn};
+use plan9_datakit::urp::{UrpConn, UrpStats};
 use plan9_inet::ip::{IpConfig, IpStack};
 use plan9_inet::IpAddr;
 use plan9_ndb::Db;
@@ -548,6 +548,8 @@ pub struct DkDispatcher {
     addr: String,
     line: Arc<DatakitLine>,
     services: Mutex<HashMap<String, IncomingCallTx>>,
+    /// Counted into by every conversation dialed or accepted on the line.
+    stats: Arc<UrpStats>,
 }
 
 /// Hands an accepted call (its connection and calling address) to the
@@ -561,6 +563,7 @@ impl DkDispatcher {
             addr: line.addr().to_string(),
             line: Arc::clone(&line),
             services: Mutex::named(HashMap::new(), "core.machine.services"),
+            stats: Arc::default(),
         });
         // Held weakly: the listener ends with the dispatcher, whose
         // drop unplugs the line it is parked in.
@@ -571,7 +574,7 @@ impl DkDispatcher {
                 let tx = disp.services.lock().get(&call.service).cloned();
                 match tx {
                     Some(tx) => {
-                        let conn = UrpConn::new(call.circuit);
+                        let conn = UrpConn::with_stats(call.circuit, Arc::clone(&disp.stats));
                         let _ = tx.send((conn, call.from));
                     }
                     None => {
@@ -652,7 +655,8 @@ impl ProtoOps for DkProto {
         "dk".to_string()
     }
     fn connect(&self, addr: &str) -> Result<Arc<dyn ConnOps>> {
-        let conn = urp_dial(&self.dispatcher.line, addr)?;
+        let circuit = self.dispatcher.line.dial(addr).map_err(NineError::new)?;
+        let conn = UrpConn::with_stats(circuit, Arc::clone(&self.dispatcher.stats));
         // Datakit rejections surface on the first receive; probe early
         // failures are left to the caller, as on real hardware.
         Ok(Arc::new(DkConnOps { conn }))
@@ -671,6 +675,9 @@ impl ProtoOps for DkProto {
             local: self.dispatcher.addr.clone(),
             rx,
         }))
+    }
+    fn stats_text(&self) -> String {
+        self.dispatcher.stats.render()
     }
 }
 

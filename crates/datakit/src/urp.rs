@@ -40,7 +40,8 @@ const MAX_PROBES: u32 = 200;
 /// without an ENQ, so the sender's window drains during bulk transfers.
 const ECHO_EVERY: u8 = 4;
 
-/// Counters for the Datakit row of the benchmarks.
+/// Traffic counters: a conversation's own, or one set shared by every
+/// conversation of a Datakit line (`/net/dk/stats`).
 #[derive(Default)]
 pub struct UrpStats {
     /// Data cells sent (first transmissions).
@@ -51,6 +52,19 @@ pub struct UrpStats {
     pub enqs: AtomicU64,
     /// REJ cells sent for out-of-sequence arrivals.
     pub rejs: AtomicU64,
+}
+
+impl UrpStats {
+    /// Renders the counters for a `stats` file.
+    pub fn render(&self) -> String {
+        format!(
+            "urpTx: {}\nurpRexmit: {}\nurpEnq: {}\nurpRej: {}\n",
+            self.tx_cells.load(Ordering::Relaxed),
+            self.retransmit_cells.load(Ordering::Relaxed),
+            self.enqs.load(Ordering::Relaxed),
+            self.rejs.load(Ordering::Relaxed)
+        )
+    }
 }
 
 struct SendState {
@@ -99,7 +113,7 @@ pub struct UrpConn {
     recv: Mutex<RecvState>,
     recv_cv: Condvar,
     /// Traffic counters.
-    pub stats: UrpStats,
+    pub stats: Arc<UrpStats>,
     /// Per-cell payload capacity on this circuit.
     cell_payload: usize,
 }
@@ -108,6 +122,12 @@ impl UrpConn {
     /// Wraps an established circuit in URP and starts the receive
     /// process.
     pub fn new(circuit: Circuit) -> Arc<UrpConn> {
+        UrpConn::with_stats(circuit, Arc::default())
+    }
+
+    /// As [`UrpConn::new`], counting into `stats`, which the caller
+    /// shares among the conversations of one line.
+    pub fn with_stats(circuit: Circuit, stats: Arc<UrpStats>) -> Arc<UrpConn> {
         let cell_payload = circuit.mtu().saturating_sub(1).max(16);
         let conn = Arc::new(UrpConn {
             circuit: Arc::new(circuit),
@@ -130,7 +150,7 @@ impl UrpConn {
                 last_rej: None,
             }),
             recv_cv: Condvar::new(),
-            stats: UrpStats::default(),
+            stats,
             cell_payload,
         });
         let rx = Arc::clone(&conn);

@@ -28,9 +28,8 @@ pub enum BlockKind {
 /// block's bytes belong to, and — while the block sits in a queue —
 /// when it was enqueued, so the dequeue can record the residency span.
 ///
-/// The annotation survives fragmentation (each fragment carries a clone
-/// of the handle) and coalescing (the merged block keeps the handle of
-/// the block that completed it).
+/// The annotation survives fragmentation: each block of a write
+/// carries a clone of the handle.
 #[derive(Debug, Clone)]
 pub struct BlockTrace {
     /// The root span these bytes belong to.
@@ -138,13 +137,6 @@ impl Block {
         self
     }
 
-    /// Carries `from`'s annotation onto this block, as when a module
-    /// reframes or coalesces payloads.
-    pub fn with_trace_of(mut self, from: &Block) -> Block {
-        self.trace = from.trace.clone();
-        self
-    }
-
     /// The buffer length in bytes.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -185,12 +177,6 @@ mod tests {
         let annotated = Block::data(vec![1, 2]).annotate();
         assert!(annotated.trace.is_some());
         assert_eq!(annotated, Block::data(vec![1, 2]));
-        // The handle survives reframing.
-        let reframed = Block::delim(vec![9]).with_trace_of(&annotated);
-        assert_eq!(
-            reframed.trace.as_ref().unwrap().handle.id(),
-            annotated.trace.as_ref().unwrap().handle.id()
-        );
     }
 
     #[test]

@@ -27,15 +27,12 @@
 
 pub mod block;
 pub mod module;
-pub mod modules;
-pub mod mux;
 pub mod queue;
 pub mod spipe;
 pub mod stream;
 
 pub use block::{Block, BlockKind};
 pub use module::{ModuleCtx, StreamModule};
-pub use mux::{Mux, MuxPort};
 pub use queue::Queue;
 pub use spipe::stream_pipe;
 pub use stream::{ModuleRegistry, Stream, MAX_ATOMIC_WRITE};

@@ -71,6 +71,7 @@ pub fn stream_pipe() -> (Arc<Stream>, Arc<Stream>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn write_one_end_read_other() {
@@ -100,18 +101,43 @@ mod tests {
         assert!(b.write(b"x").is_err() || b.is_hungup());
     }
 
+    /// A module that counts the data blocks passing it each way.
+    #[derive(Default)]
+    struct Counting {
+        down: AtomicUsize,
+        up: AtomicUsize,
+    }
+
+    impl StreamModule for Counting {
+        fn name(&self) -> &str {
+            "counting"
+        }
+        fn put_down(&self, ctx: &ModuleCtx, b: Block) -> Result<()> {
+            if b.kind == BlockKind::Data {
+                self.down.fetch_add(1, Ordering::Relaxed);
+            }
+            ctx.send_down(b)
+        }
+        fn put_up(&self, ctx: &ModuleCtx, b: Block) -> Result<()> {
+            if b.kind == BlockKind::Data {
+                self.up.fetch_add(1, Ordering::Relaxed);
+            }
+            ctx.send_up(b)
+        }
+    }
+
     #[test]
     fn modules_apply_per_side() {
-        // A snoop pushed on one side counts only that side's traffic.
+        // A module pushed on one side sees only that side's traffic.
         let (a, b) = stream_pipe();
-        let snoop = crate::modules::Snoop::new();
-        a.push_module(Arc::clone(&snoop) as Arc<dyn StreamModule>);
+        let counting = Arc::new(Counting::default());
+        a.push_module(Arc::clone(&counting) as Arc<dyn StreamModule>);
         a.write(b"counted").unwrap();
         let _ = b.read(100).unwrap();
         b.write(b"also counted upstream").unwrap();
         let _ = a.read(100).unwrap();
-        assert_eq!(snoop.down_blocks.get(), 1);
-        assert_eq!(snoop.up_blocks.get(), 1);
+        assert_eq!(counting.down.load(Ordering::Relaxed), 1);
+        assert_eq!(counting.up.load(Ordering::Relaxed), 1);
     }
 
     #[test]

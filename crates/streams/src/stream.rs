@@ -129,11 +129,12 @@ impl StreamInner {
     }
 }
 
-/// Leftover bytes from a partially-consumed block, kept under the read
-/// lock so a subsequent read continues where the last one stopped.
+/// A partially-consumed block and how far into it the last read got,
+/// kept under the read lock so a subsequent read continues where that
+/// one stopped.
 #[derive(Default)]
 struct ReadState {
-    partial: Option<Block>,
+    partial: Option<(Block, usize)>,
 }
 
 /// A bidirectional channel connecting a device to user processes.
@@ -330,19 +331,19 @@ impl Stream {
         let mut out = Vec::new();
         loop {
             // Continue a partially-consumed block first.
-            let block = match state.partial.take() {
-                Some(b) => b,
+            let (block, off) = match state.partial.take() {
+                Some(p) => p,
                 None => {
                     if !out.is_empty() {
                         // Only block for *more* data when nothing has been
                         // collected yet; otherwise return what we have.
                         match self.inner.read_q.try_get() {
-                            Some(b) => b,
+                            Some(b) => (b, 0),
                             None => return Ok(out),
                         }
                     } else {
                         match self.inner.read_q.get() {
-                            Some(b) => b,
+                            Some(b) => (b, 0),
                             None => return Ok(out), // EOF
                         }
                     }
@@ -360,21 +361,15 @@ impl Stream {
                 }
                 BlockKind::Data => {
                     let want = count - out.len();
-                    if block.len() <= want {
-                        let delim = block.delim;
-                        out.extend_from_slice(&block.data);
-                        if delim || out.len() == count {
+                    let rest = &block.data[off..];
+                    if rest.len() <= want {
+                        out.extend_from_slice(rest);
+                        if block.delim || out.len() == count {
                             return Ok(out);
                         }
                     } else {
-                        out.extend_from_slice(&block.data[..want]);
-                        let rest = Block {
-                            kind: BlockKind::Data,
-                            delim: block.delim,
-                            data: block.data[want..].to_vec(),
-                            trace: block.trace.clone(),
-                        };
-                        state.partial = Some(rest);
+                        out.extend_from_slice(&rest[..want]);
+                        state.partial = Some((block, off + want));
                         return Ok(out);
                     }
                 }
@@ -489,6 +484,16 @@ mod tests {
         s.write(b"abcdef").unwrap();
         assert_eq!(s.read(2).unwrap(), b"ab");
         assert_eq!(s.read(100).unwrap(), b"cdef");
+        // The largest block there is, drained a byte at a time; the
+        // last read asks for more than is left and the delimiter ends it
+        // short of the next write.
+        let big: Vec<u8> = (0..MAX_ATOMIC_WRITE).map(|i| (i % 251) as u8).collect();
+        s.write(&big).unwrap();
+        s.write(b"next").unwrap();
+        let mut got: Vec<u8> = (1..big.len()).map(|_| s.read(1).unwrap()[0]).collect();
+        got.extend(s.read(100).unwrap());
+        assert_eq!(got, big);
+        assert_eq!(s.read(100).unwrap(), b"next");
     }
 
     #[test]

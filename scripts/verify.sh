@@ -91,6 +91,8 @@ cargo run --release --offline --example netstat -- --json | python3 -m json.tool
 
 # §3 size claim: IL must stay smaller than TCP (the binary asserts
 # il.rs non-test LoC < tcp.rs non-test LoC and exits nonzero if not).
+# And the ratchet: no crate's non-test LoC, nor the workspace's, above
+# its line in scripts/loc-ratchet.txt (`loc --update` rewrites it).
 cargo run --release --offline -p plan9-bench --bin loc >/dev/null
 
 # Benchmark JSON artifacts: regenerate and validate both.
@@ -261,4 +263,4 @@ traced_gate read8k_il \
 traced_gate rpc64_pipe \
     "os.ctxsw_per_op < 3" "os.threads <= 3" "alloc.calls_per_op <= 10"
 
-echo "verify: OK (checkflow + clippy + hermetic build + tests + examples + trace-off ring + LoC gate + bench JSON + vtime sweep gate + cityload scale gate + scenario adversity gate + netmon telemetry gate + perf --quick + traced count gates)"
+echo "verify: OK (checkflow + clippy + hermetic build + tests + examples + trace-off ring + LoC ratchet + bench JSON + vtime sweep gate + cityload scale gate + scenario adversity gate + netmon telemetry gate + perf --quick + traced count gates)"

@@ -104,6 +104,21 @@ fn every_mounted_device_is_the_same_kind_of_tree() {
     for dir in tables {
         p.open(&format!("{dir}/clone"), OpenMode::RDWR).expect("clone");
     }
+    // Every protocol device lists `stats`, so every protocol fills it:
+    // ASCII `key: count` lines, and under them the rows of a histogram
+    // (`il.rtt count 0 avg 0us`), which start with its dotted name.
+    for dir in &tables[..4] {
+        let fd = p.open(&format!("{dir}/stats"), OpenMode::READ).expect("stats");
+        let text = p.read_string(fd).expect("read stats");
+        p.close(fd);
+        assert!(text.contains(": "), "{dir}/stats has no counter: {text:?}");
+        for line in text.lines() {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            let counter = fields.len() == 2 && fields[0].ends_with(':') && fields[1].parse::<u64>().is_ok();
+            let histogram = fields.len() > 2 && fields[0].contains('.');
+            assert!(counter || histogram, "{dir}/stats: {line:?}");
+        }
+    }
 
     // (where it is mounted, the device names expected there, the files
     // and directories in all of them).

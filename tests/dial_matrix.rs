@@ -7,6 +7,7 @@ use plan9::inet::ip::IpConfig;
 use plan9::netsim::ether::EtherSegment;
 use plan9::netsim::fabric::DatakitSwitch;
 use plan9::netsim::profile::Profiles;
+use plan9::ninep::procfs::OpenMode;
 use std::sync::Arc;
 
 fn machines() -> (Arc<Machine>, Arc<Machine>) {
@@ -70,6 +71,12 @@ fn dial_each_protocol_explicitly() {
         p.close(conn.data_fd);
         p.close(conn.ctl_fd);
     }
+    // The Datakit call was counted on the caller's line.
+    let p = gnot.proc();
+    let fd = p.open("/net/dk/stats", OpenMode::READ).expect("dk stats");
+    let stats = p.read_string(fd).expect("read dk stats");
+    let tx = stats.lines().find_map(|l| l.strip_prefix("urpTx: "));
+    assert!(tx.is_some_and(|n| n.parse::<u64>().expect("urpTx") > 0), "{stats}");
 }
 
 #[test]

@@ -23,9 +23,7 @@ use plan9::netsim::fabric::DatakitSwitch;
 use plan9::netsim::profile::Profiles;
 use plan9::netsim::uart_pair;
 use plan9::ninep::procfs::OpenMode;
-use plan9::streams::StreamModule;
 use plan9_support::vtime;
-use std::sync::Arc;
 use std::time::Duration;
 
 const SCRIPT: &str = "\
@@ -76,11 +74,11 @@ fn capture_runtime_lock_order_graph() {
 
     // 2. A two-machine segment on the real clock: IL and TCP dials
     // (conversation alloc + clunk on both protocol directories), a
-    // Datakit line through the switch (dispatcher, fabric circuits,
-    // stream modules), a UDP send big enough to fragment, an ether
-    // clone open/close, a serial line, and a pipe — the device and
-    // protocol classes the scenario's gateways don't touch. The wire
-    // is slightly lossy so the loss lottery (and its lock) runs.
+    // Datakit line through the switch (dispatcher, fabric circuits), a
+    // UDP send big enough to fragment, an ether clone open/close, a
+    // serial line, and a pipe — the device and protocol classes the
+    // scenario's gateways don't touch. The wire is slightly lossy so
+    // the loss lottery (and its lock) runs.
     let seg = EtherSegment::new(Profiles::ether_fast().with_loss(0.01));
     let switch = DatakitSwitch::new(Profiles::datakit_fast());
     let (uart_a, uart_b) = uart_pair(1_000_000);
@@ -143,7 +141,11 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/gnot proto=il proto=tcp
     let eclone = p.open("/net/ether0/clone", OpenMode::RDWR).expect("ether clone");
     p.write_str(eclone, "promiscuous").expect("promiscuous");
     p.close(eclone);
+    // A pipe, the one device built on streams: a write, a read, and the
+    // hangup its last close sends.
     let (r, w) = p.pipe().expect("pipe");
+    p.write(w, b"piped").expect("pipe write");
+    assert_eq!(p.read(r, 64).expect("pipe read"), b"piped");
     p.close(w);
     p.close(r);
 
@@ -157,35 +159,6 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/gnot proto=il proto=tcp
     }
     assert_eq!(got, b"ok");
     p.close(eia);
-
-    // Stream modules with no fabric consumer yet — the snoop tap, the
-    // delimiter reconstructor, the byte stuffer, the multiplexer:
-    // exercise each as the library feature it is, so its lock class
-    // shows up as alive rather than dead.
-    let (sa, sb) = plan9::streams::spipe::stream_pipe();
-    let snoop = plan9::streams::modules::Snoop::new();
-    sa.push_module(Arc::clone(&snoop) as Arc<dyn StreamModule>);
-    sa.write(b"tapped").expect("spipe write");
-    assert_eq!(sb.read(64).expect("spipe read"), b"tapped");
-
-    let (da, db) = plan9::streams::spipe::stream_pipe();
-    da.push_module(plan9::streams::modules::DelimMod::new() as Arc<dyn StreamModule>);
-    db.write(&[2, 0, 0, 0, b'h', b'i']).expect("framed write");
-    assert_eq!(da.read(64).expect("delim read"), b"hi");
-
-    let (ba, bb) = plan9::streams::spipe::stream_pipe();
-    let stuff = plan9::streams::modules::ByteStuff::new();
-    let flag = stuff.flag;
-    ba.push_module(stuff as Arc<dyn StreamModule>);
-    bb.write(&[b'h', b'i', flag]).expect("stuffed write");
-    assert_eq!(ba.read(64).expect("stuffed read"), b"hi");
-
-    let mux = plan9::streams::Mux::new("lockgraph", |b| {
-        b.data.first().map(|&k| (k as i64, 1))
-    });
-    let port = mux.attach(4, |_| {});
-    assert_eq!(mux.conversations(), 1);
-    mux.detach(&port);
 
     // 3. Snapshot and check.
     let dump = plan9_support::lockgraph_dump();
