@@ -22,6 +22,12 @@ use std::time::{Duration, Instant};
 /// First ephemeral port handed out to unbound local ends.
 pub(crate) const EPHEMERAL_BASE: u16 = 5000;
 
+/// How long an acknowledgment waits for a message or segment going the
+/// other way to carry it, before it is sent by itself: long enough for
+/// an RPC's reply, and well under either protocol's shortest
+/// retransmission timeout.
+pub(crate) const ACK_DELAY: Duration = Duration::from_millis(5);
+
 /// Established calls a listener holds for `accept`; later ones are
 /// dropped and the caller's handshake retransmission tries again.
 const BACKLOG: usize = 64;

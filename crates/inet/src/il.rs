@@ -23,7 +23,7 @@
 
 use crate::addr::IpAddr;
 use crate::checksum::{internet_checksum, internet_checksum_gather};
-use crate::conv::{self, initial_seq, seq_le, seq_lt, ConnKey, ConvTable, Rtt};
+use crate::conv::{self, initial_seq, seq_le, seq_lt, ConnKey, ConvTable, Rtt, ACK_DELAY};
 use crate::ip::IpStack;
 use plan9_netlog::trace;
 use plan9_netlog::{Counter, Facility, Histogram, NetLog};
@@ -55,7 +55,6 @@ pub const IL_MAX_MSG: usize = 60_000;
 const RTO_INITIAL: Duration = Duration::from_millis(50);
 const RTO_MIN: Duration = Duration::from_millis(20);
 const RTO_MAX: Duration = Duration::from_millis(1000);
-const ACK_DELAY: Duration = Duration::from_millis(5);
 /// Send an immediate ack after this many unacknowledged data messages,
 /// so bulk transfers are not throttled by the delayed-ack timer.
 const ACK_BATCH: u32 = 8;

@@ -12,7 +12,7 @@
 
 use crate::addr::IpAddr;
 use crate::checksum::{internet_checksum, internet_checksum_gather};
-use crate::conv::{self, initial_seq, seq_le, seq_lt, ConnKey, ConvTable, Rtt};
+use crate::conv::{self, initial_seq, seq_le, seq_lt, ConnKey, ConvTable, Rtt, ACK_DELAY};
 use crate::ip::IpStack;
 use plan9_netlog::trace;
 use plan9_netlog::{Counter, Facility, NetLog};
@@ -137,7 +137,7 @@ struct TcpHeader {
 impl TcpHeader {
     /// The wire form to go in front of `payload`, with the checksum of
     /// both.
-    fn encode(&self, payload: &[u8]) -> [u8; TCP_HDR] {
+    fn encode(&self, payload: [&[u8]; 2]) -> [u8; TCP_HDR] {
         let mut b = [0u8; TCP_HDR]; // checksum and urgent stay zero
         b[0..2].copy_from_slice(&self.sport.to_be_bytes());
         b[2..4].copy_from_slice(&self.dport.to_be_bytes());
@@ -146,13 +146,78 @@ impl TcpHeader {
         let offset_flags = ((5u16) << 12) | (self.flags & 0x3f);
         b[12..14].copy_from_slice(&offset_flags.to_be_bytes());
         b[14..16].copy_from_slice(&self.window.to_be_bytes());
-        let sum = internet_checksum_gather(&[&b, payload]);
+        let sum = internet_checksum_gather(&[&b, payload[0], payload[1]]);
         b[16..18].copy_from_slice(&sum.to_be_bytes());
         b
     }
 }
 
+static SEGMENT_SITE: Site = Site::new("tcp.segment");
 static RX_SITE: Site = Site::new("tcp.rxcopy");
+
+/// What a segment carries: views of at most two of the buffers in the
+/// send queue, or nothing.
+type Payload = Option<[Bytes; 2]>;
+
+/// A segment ready to leave: made under the conversation lock,
+/// transmitted after it is dropped.
+type Outgoing = (TcpHeader, Payload);
+
+fn payload_len(p: &Payload) -> usize {
+    p.as_ref().map_or(0, |[a, b]| a.len() + b.len())
+}
+
+/// A byte queue that holds the buffers put in it, not copies of their
+/// bytes: the writers' retained buffers on the way out, the payload
+/// views of the frames that arrived on the way in.
+#[derive(Default)]
+struct ByteQueue {
+    bufs: VecDeque<Bytes>,
+    len: usize,
+}
+
+impl ByteQueue {
+    fn push(&mut self, b: Bytes) {
+        self.len += b.len();
+        self.bufs.push_back(b);
+    }
+
+    /// Takes `n` bytes, at most `len`, off the front and shows each run
+    /// of them to `each`: buffers used up are dropped, the last one
+    /// touched is advanced.
+    fn consume(&mut self, mut n: usize, mut each: impl FnMut(&[u8])) {
+        self.len -= n;
+        while let Some(front) = self.bufs.front_mut().filter(|_| n > 0) {
+            let take = n.min(front.len());
+            each(&front[..take]);
+            n -= take;
+            if take == front.len() {
+                self.bufs.pop_front();
+            } else {
+                *front = front.slice(take..front.len());
+            }
+        }
+    }
+
+    /// Views of the bytes from `off`: up to `n` of them, fewer where
+    /// they would reach into a third buffer. `None` past the end.
+    fn views(&self, mut off: usize, n: usize) -> Payload {
+        let mut bufs = self.bufs.iter();
+        let first = loop {
+            let b = bufs.next()?;
+            if off < b.len() {
+                break b;
+            }
+            off -= b.len();
+        };
+        let a = first.slice(off..first.len().min(off + n));
+        let b = match bufs.next() {
+            Some(next) if a.len() < n => next.slice(0..next.len().min(n - a.len())),
+            _ => a.slice(0..0),
+        };
+        Some([a, b])
+    }
+}
 
 /// Parses and checksum-verifies a segment; its payload is a view of `b`.
 pub fn decode_segment(b: Bytes) -> Option<Segment> {
@@ -192,6 +257,8 @@ pub struct TcpStats {
     pub retransmit_bytes: Counter,
     /// Fast retransmits triggered by triple duplicate acks.
     pub fast_retransmits: Counter,
+    /// Segments that arrived beyond the next byte expected.
+    pub ooo: Counter,
 }
 
 impl TcpStats {
@@ -203,18 +270,20 @@ impl TcpStats {
             retransmit_segments: reg.counter("tcp.rexmit"),
             retransmit_bytes: reg.counter("tcp.rexmitbytes"),
             fast_retransmits: reg.counter("tcp.fastrexmit"),
+            ooo: reg.counter("tcp.ooo"),
         }
     }
 
     /// Renders the counters as `key: value` lines for a `stats` file.
     pub fn render(&self) -> String {
         format!(
-            "tcpTx: {}\ntcpRx: {}\ntcpRexmit: {}\ntcpRexmitBytes: {}\ntcpFastRexmit: {}\n",
+            "tcpTx: {}\ntcpRx: {}\ntcpRexmit: {}\ntcpRexmitBytes: {}\ntcpFastRexmit: {}\ntcpOoo: {}\n",
             self.tx_segments.get(),
             self.rx_segments.get(),
             self.retransmit_segments.get(),
             self.retransmit_bytes.get(),
-            self.fast_retransmits.get()
+            self.fast_retransmits.get(),
+            self.ooo.get()
         )
     }
 }
@@ -237,13 +306,18 @@ struct Inner {
     snd_una: u32,
     snd_nxt: u32,
     snd_wnd: u32,
-    /// Bytes from `snd_una` onward: unacknowledged plus unsent.
-    send_buf: VecDeque<u8>,
+    /// Bytes from `snd_una` onward: unacknowledged, then unsent.
+    send_q: ByteQueue,
+    /// A thread is in `pump`'s loop: segments leave in sequence order
+    /// because no second thread sends new ones beside it.
+    pumping: bool,
     fin_queued: bool,
     fin_seq: Option<u32>,
     // Receive side.
     rcv_nxt: u32,
-    recv_buf: VecDeque<u8>,
+    /// `rcv_nxt` as the last segment that carried ACK told it.
+    rcv_acked: u32,
+    recv_q: ByteQueue,
     ooo: BTreeMap<u32, Bytes>,
     peer_fin: Option<u32>,
     fin_taken: bool,
@@ -251,10 +325,13 @@ struct Inner {
     rtt: Rtt,
     rtt_probe: Option<(u32, Instant)>,
     rtx_deadline: Option<Instant>,
+    /// When a delayed acknowledgment must leave by itself, if no
+    /// segment of ours has carried it by then.
+    ack_due: Option<Instant>,
     retries: u32,
     time_wait_until: Option<Instant>,
-    /// The wheel timer armed at the earliest pending deadline
-    /// (retransmission or TIME-WAIT expiry), if any.
+    /// The wheel timer armed at the earliest pending deadline (delayed
+    /// ack, retransmission or TIME-WAIT expiry), if any.
     timer: Option<wheel::TimerId>,
     err: Option<String>,
     // Congestion control (Tahoe/Reno-style; §3's "TCP has a high
@@ -294,7 +371,12 @@ impl Inner {
     }
 
     fn window_avail(&self) -> u16 {
-        (RCV_BUF_MAX.saturating_sub(self.recv_buf.len())).min(u16::MAX as usize) as u16
+        (RCV_BUF_MAX.saturating_sub(self.recv_q.len)).min(u16::MAX as usize) as u16
+    }
+
+    /// Whether `pump` has data or a FIN it has not sent once yet.
+    fn unsent(&self) -> bool {
+        (self.inflight() as usize) < self.send_q.len || (self.fin_queued && self.fin_seq.is_none())
     }
 }
 
@@ -342,17 +424,18 @@ impl TcpModule {
         let conn = self.table.open(lport, dst, dport, |key| {
             TcpConn::fresh(stack, key, TcpState::SynSent, iss, 0)
         })?;
-        // A failed transmit or timer arm must not leak the conn in the
+        // A failed timer arm or transmit must not leak the conn in the
         // conns table: tear it down and surface the error to the
         // dialer.
-        let setup = conn.transmit_flags(SYN, iss, 0, &[]).and_then(|()| {
+        let syn = {
             let mut inner = conn.inner.lock();
             inner.snd_nxt = iss.wrapping_add(1);
             inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
             conn.rearm(&mut inner)
+                .map(|()| conn.header(&mut inner, SYN, iss))
                 .map_err(|e| NineError::new(format!("tcp timer: {e}")))
-        });
-        if let Err(e) = setup {
+        };
+        if let Err(e) = syn.and_then(|syn| conn.transmit(syn, &None)) {
             conn.teardown();
             return Err(e);
         }
@@ -414,11 +497,11 @@ impl TcpModule {
                 conn
             });
             if let Some(conn) = answered {
-                let _ = conn.transmit_flags(SYN | ACK, iss, ack, &[]);
-                let armed = {
+                let (synack, armed) = {
                     let mut inner = conn.inner.lock();
-                    conn.rearm(&mut inner)
+                    (conn.header(&mut inner, SYN | ACK, iss), conn.rearm(&mut inner))
                 };
+                let _ = conn.transmit(synack, &None);
                 if armed.is_err() {
                     // No timer means the handshake can never be
                     // retried; drop the embryonic conn rather than
@@ -438,7 +521,7 @@ impl TcpModule {
                 flags: RST | ACK,
                 window: 0,
             };
-            let _ = stack.send(src, TCP_PROTO, &[&rst.encode(&[])]);
+            let _ = stack.send(src, TCP_PROTO, &[&rst.encode([&[], &[]])]);
         }
     }
 
@@ -472,17 +555,20 @@ impl TcpConn {
                 snd_una: iss,
                 snd_nxt: iss,
                 snd_wnd: RCV_BUF_MAX as u32,
-                send_buf: VecDeque::new(),
+                send_q: ByteQueue::default(),
+                pumping: false,
                 fin_queued: false,
                 fin_seq: None,
                 rcv_nxt,
-                recv_buf: VecDeque::new(),
+                rcv_acked: rcv_nxt,
+                recv_q: ByteQueue::default(),
                 ooo: BTreeMap::new(),
                 peer_fin: None,
                 fin_taken: false,
                 rtt: Rtt::new(RTO_INITIAL, RTO_MIN, RTO_MAX),
                 rtt_probe: None,
                 rtx_deadline: None,
+                ack_due: None,
                 retries: 0,
                 time_wait_until: None,
                 timer: None,
@@ -527,29 +613,44 @@ impl TcpConn {
         )
     }
 
-    fn mss(&self) -> usize {
-        self.stack
-            .upgrade()
-            .map(|s| s.mtu() - TCP_HDR)
-            .unwrap_or(512)
+    /// The header of a segment that leaves now, made under the
+    /// conversation lock: its ack and window are the receive side as it
+    /// stands, and one that carries ACK settles the delayed one.
+    fn header(&self, inner: &mut Inner, flags: u16, seq: u32) -> TcpHeader {
+        if flags & ACK != 0 {
+            inner.ack_due = None;
+            inner.rcv_acked = inner.rcv_nxt;
+        }
+        TcpHeader {
+            sport: self.key.lport,
+            dport: self.key.rport,
+            seq,
+            ack: inner.rcv_nxt,
+            flags,
+            window: inner.window_avail(),
+        }
     }
 
-    fn transmit_flags(&self, flags: u16, seq: u32, ack: u32, payload: &[u8]) -> crate::Result<()> {
+    /// The data segment that starts `off` bytes past `snd_una`, of up
+    /// to `max` bytes and one MSS: views of the writers' buffers, for
+    /// first transmission and every retransmission alike.
+    fn segment(&self, inner: &mut Inner, off: usize, max: usize) -> Option<Outgoing> {
+        let payload = inner.send_q.views(off, max.min(inner.mss))?;
+        let seq = inner.snd_una.wrapping_add(off as u32);
+        Some((self.header(inner, ACK | PSH, seq), Some(payload)))
+    }
+
+    fn transmit(&self, hdr: TcpHeader, payload: &Payload) -> crate::Result<()> {
         let stack = self
             .stack
             .upgrade()
             .ok_or_else(|| NineError::new("stack is down"))?;
-        let window = self.inner.lock().window_avail();
-        let hdr = TcpHeader {
-            sport: self.key.lport,
-            dport: self.key.rport,
-            seq,
-            ack,
-            flags,
-            window,
+        let [a, b]: [&[u8]; 2] = match payload {
+            Some([a, b]) => [a, b],
+            None => [&[], &[]],
         };
         stack.tcp.stats.tx_segments.inc();
-        stack.send(self.key.raddr, TCP_PROTO, &[&hdr.encode(payload), payload])
+        stack.send(self.key.raddr, TCP_PROTO, &[&hdr.encode([a, b]), a, b])
     }
 
     /// Writes bytes into the stream; blocks while the send buffer is
@@ -573,16 +674,16 @@ impl TcpConn {
                             ))
                         }
                     }
-                    if inner.send_buf.len() < SND_BUF_MAX {
+                    if inner.send_q.len < SND_BUF_MAX {
                         break;
                     }
                     self.writable.wait(&mut inner);
                 }
-                let room = SND_BUF_MAX - inner.send_buf.len();
-                let take = room.min(data.len() - offered);
-                inner
-                    .send_buf
-                    .extend(data[offered..offered + take].iter().copied());
+                let take = (SND_BUF_MAX - inner.send_q.len).min(data.len() - offered);
+                // The copy in from the writer: kept until acknowledged,
+                // and the source of every transmission till then.
+                SEGMENT_SITE.record(take);
+                inner.send_q.push(Bytes::from(data[offered..offered + take].to_vec()));
                 offered += take;
             }
             self.pump();
@@ -593,71 +694,71 @@ impl TcpConn {
         Ok(data.len())
     }
 
-    /// Pushes out as many segments as the windows allow.
+    /// Pushes out as many segments as the windows allow. One thread at
+    /// a time: a writer and the shard that took an ack would otherwise
+    /// each take a segment under the lock and transmit it after, in
+    /// either order. A second caller returns at once — what it queued
+    /// or opened is in `inner`, which the first looks at again, under
+    /// the lock, before it gives `pumping` up.
     fn pump(self: &Arc<Self>) {
+        let mut mine = false;
         loop {
-            let (seq, ack, chunk, set_probe) = {
+            let next = {
                 let mut inner = self.inner.lock();
-                if !matches!(
-                    inner.state,
-                    TcpState::Established
-                        | TcpState::CloseWait
-                        | TcpState::FinWait1
-                        | TcpState::LastAck
-                ) {
+                if inner.pumping != mine {
                     return;
                 }
-                let in_flight = inner.snd_nxt.wrapping_sub(inner.snd_una) as usize;
-                let unsent_off = in_flight;
-                if unsent_off >= inner.send_buf.len() {
-                    // Data is fully in flight; maybe a FIN is pending.
-                    if inner.fin_queued && inner.fin_seq.is_none() {
-                        let seq = inner.snd_nxt;
-                        inner.fin_seq = Some(seq);
-                        inner.snd_nxt = seq.wrapping_add(1);
-                        let ack = inner.rcv_nxt;
-                        if inner.rtx_deadline.is_none() {
-                            inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
-                        }
-                        let _ = self.rearm(&mut inner);
-                        drop(inner);
-                        let _ = self.transmit_flags(FIN | ACK, seq, ack, &[]);
-                        continue;
-                    }
-                    return;
-                }
-                // Effective window: the receiver's advertisement capped
-                // by the congestion window.
-                let wnd = inner.snd_wnd.min(inner.cwnd).max(1) as usize;
-                if in_flight >= wnd {
-                    return;
-                }
-                let mss = self.mss();
-                let n = (inner.send_buf.len() - unsent_off)
-                    .min(mss)
-                    .min(wnd - in_flight);
-                let chunk: Vec<u8> = inner
-                    .send_buf
-                    .iter()
-                    .skip(unsent_off)
-                    .take(n)
-                    .copied()
-                    .collect();
-                let seq = inner.snd_nxt;
-                inner.snd_nxt = seq.wrapping_add(n as u32);
-                if inner.rtx_deadline.is_none() {
-                    inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
-                }
-                let _ = self.rearm(&mut inner);
-                let set_probe = inner.rtt_probe.is_none();
-                if set_probe {
-                    inner.rtt_probe = Some((seq.wrapping_add(n as u32), time::now()));
-                }
-                (seq, inner.rcv_nxt, chunk, set_probe)
+                let next = self.next_segment(&mut inner);
+                mine = next.is_some();
+                inner.pumping = mine;
+                next
             };
-            let _ = set_probe;
-            let _ = self.transmit_flags(ACK | PSH, seq, ack, &chunk);
+            let Some((hdr, payload)) = next else { return };
+            let _ = self.transmit(hdr, &payload);
         }
+    }
+
+    /// Takes the next unsent segment — data while the windows allow,
+    /// then the FIN — and accounts for it as sent.
+    fn next_segment(self: &Arc<Self>, inner: &mut Inner) -> Option<Outgoing> {
+        if !matches!(
+            inner.state,
+            TcpState::Established
+                | TcpState::CloseWait
+                | TcpState::FinWait1
+                | TcpState::Closing
+                | TcpState::LastAck
+        ) {
+            return None;
+        }
+        let in_flight = inner.inflight() as usize;
+        let out = if in_flight < inner.send_q.len {
+            // Effective window: the receiver's advertisement capped by
+            // the congestion window. A closed one is probed a byte at
+            // a time, at the pace of the receiver's delayed ack.
+            let wnd = inner.snd_wnd.min(inner.cwnd).max(1) as usize;
+            if in_flight >= wnd {
+                return None;
+            }
+            let out = self.segment(inner, in_flight, wnd - in_flight)?;
+            inner.snd_nxt = inner.snd_nxt.wrapping_add(payload_len(&out.1) as u32);
+            if inner.rtt_probe.is_none() {
+                inner.rtt_probe = Some((inner.snd_nxt, time::now()));
+            }
+            out
+        } else if inner.fin_queued && inner.fin_seq.is_none() {
+            let seq = inner.snd_nxt;
+            inner.fin_seq = Some(seq);
+            inner.snd_nxt = seq.wrapping_add(1);
+            (self.header(inner, FIN | ACK, seq), None)
+        } else {
+            return None;
+        };
+        if inner.rtx_deadline.is_none() {
+            inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
+        }
+        let _ = self.rearm(inner);
+        Some(out)
     }
 
     /// Reads up to `max` bytes; blocks until data, EOF (`Ok(empty)`) or
@@ -665,11 +766,27 @@ impl TcpConn {
     pub fn read(&self, max: usize) -> crate::Result<Vec<u8>> {
         let mut inner = self.inner.lock();
         loop {
-            if !inner.recv_buf.is_empty() {
-                let n = inner.recv_buf.len().min(max);
-                let out: Vec<u8> = inner.recv_buf.drain(..n).collect();
-                // The window may have been closed; let the peer know it
-                // reopened by acking from the timer thread eventually.
+            if inner.recv_q.len > 0 {
+                let n = inner.recv_q.len.min(max);
+                let two_mss = 2 * inner.mss;
+                let was_shut = (inner.window_avail() as usize) < two_mss;
+                // The copy out to the reader, the only one the bytes
+                // get on this side of the wire.
+                let mut out = Vec::with_capacity(n);
+                inner.recv_q.consume(n, |run| out.extend_from_slice(run));
+                RX_SITE.record(n);
+                // A sender stopped by the window hears that it opened.
+                let update = (was_shut
+                    && inner.window_avail() as usize >= two_mss
+                    && inner.peer_fin.is_none())
+                .then(|| {
+                    let seq = inner.snd_nxt;
+                    self.header(&mut inner, ACK, seq)
+                });
+                drop(inner);
+                if let Some(hdr) = update {
+                    let _ = self.transmit(hdr, &None);
+                }
                 return Ok(out);
             }
             if inner.peer_fin.is_some() && inner.fin_taken {
@@ -721,13 +838,14 @@ impl TcpConn {
 
     /// Aborts the connection with a RST.
     pub fn abort(&self) {
-        let (seq, ack) = {
+        let rst = {
             let mut inner = self.inner.lock();
             inner.state = TcpState::Closed;
             inner.err = Some("connection aborted".to_string());
-            (inner.snd_nxt, inner.rcv_nxt)
+            let seq = inner.snd_nxt;
+            self.header(&mut inner, RST | ACK, seq)
         };
-        let _ = self.transmit_flags(RST | ACK, seq, ack, &[]);
+        let _ = self.transmit(rst, &None);
         self.teardown();
         self.readable.notify_all();
         self.writable.notify_all();
@@ -743,131 +861,108 @@ impl TcpConn {
         }
     }
 
-    /// Re-aims the wheel timer at the pending deadline — retransmission,
-    /// or TIME-WAIT expiry; see [`conv::rearm`]. Must be called whenever
-    /// either deadline changes.
+    /// Re-aims the wheel timer at the earliest pending deadline — the
+    /// delayed ack, and retransmission or TIME-WAIT expiry; see
+    /// [`conv::rearm`]. Must be called whenever one of them changes.
     fn rearm(self: &Arc<Self>, inner: &mut Inner) -> std::io::Result<()> {
-        let want = match inner.state {
-            TcpState::Closed => None,
+        let deadline = match inner.state {
             TcpState::TimeWait => inner.time_wait_until,
             _ => inner.rtx_deadline,
+        };
+        let want = match (inner.ack_due, deadline) {
+            _ if inner.state == TcpState::Closed => None,
+            (Some(a), Some(d)) => Some(a.min(d)),
+            (a, d) => a.or(d),
         };
         let conn = Arc::clone(self);
         conv::rearm(&mut inner.timer, self.conv, want, move || conn.timer_fire())
     }
 
     /// The wheel callback: one timer expiry, run on this
-    /// conversation's pool shard. Handles TIME-WAIT expiry and the
-    /// retransmission timeout (blind go-back-N from `snd_una`), then
-    /// re-arms for the next deadline.
+    /// conversation's pool shard. Sends the delayed ack if it is due,
+    /// handles TIME-WAIT expiry and the retransmission timeout (blind
+    /// go-back-N from `snd_una`), then re-arms for the next deadline.
     fn timer_fire(self: Arc<Self>) {
-        let mut actions: Vec<(u16, u32, u32, Vec<u8>)> = Vec::new();
+        let mut ack = None;
+        let mut actions: Vec<Outgoing> = Vec::new();
         let mut rexmit_trace: Option<trace::TraceHandle> = None;
-        let mut dead = false;
-        {
+        let dead = {
             let mut inner = self.inner.lock();
             inner.timer = None;
+            let now = time::now();
+            if inner.state != TcpState::Closed && inner.ack_due.is_some_and(|d| now >= d) {
+                let seq = inner.snd_nxt;
+                ack = Some(self.header(&mut inner, ACK, seq));
+            }
             match inner.state {
-                TcpState::Closed => dead = true,
+                TcpState::Closed => {}
                 TcpState::TimeWait => {
-                    if inner.time_wait_until.is_some_and(|until| time::now() >= until) {
+                    if inner.time_wait_until.is_some_and(|until| now >= until) {
                         inner.state = TcpState::Closed;
-                        dead = true;
-                    } else {
-                        let _ = self.rearm(&mut inner);
                     }
                 }
+                // A deadline that moved later since this timer was
+                // armed is aimed at again below.
+                _ if inner.rtx_deadline.is_none_or(|d| now < d) => {}
+                _ if inner.retries >= MAX_RETRIES => {
+                    inner.err = Some("connection timed out".to_string());
+                    inner.state = TcpState::Closed;
+                    self.readable.notify_all();
+                    self.writable.notify_all();
+                }
                 _ => {
-                    let due = inner.rtx_deadline.is_some_and(|d| time::now() >= d);
-                    if !due {
-                        // A deadline moved later since this timer was
-                        // armed; aim again.
-                        let _ = self.rearm(&mut inner);
-                    } else {
-                        // Timeout: retransmit blindly from snd_una
-                        // (go-back-N).
-                        inner.retries += 1;
-                        if inner.retries > MAX_RETRIES {
-                            inner.err = Some("connection timed out".to_string());
-                            inner.state = TcpState::Closed;
-                            self.readable.notify_all();
-                            self.writable.notify_all();
-                            dead = true;
-                        } else {
-                            inner.rtt.backoff(2, 1);
-                            inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
-                            inner.rtt_probe = None; // Karn's rule
-                            // A timeout collapses the congestion window
-                            // (Tahoe).
-                            inner.enter_recovery();
-                            inner.cwnd = inner.mss as u32;
-                            inner.dup_acks = 0;
-                            rexmit_trace = inner.trace.clone();
-                            match inner.state {
-                                TcpState::SynSent => {
-                                    actions.push((SYN, inner.snd_una, 0, Vec::new()));
-                                }
-                                TcpState::SynRcvd => {
-                                    actions.push((
-                                        SYN | ACK,
-                                        inner.snd_una,
-                                        inner.rcv_nxt,
-                                        Vec::new(),
-                                    ));
-                                }
-                                _ => {
-                                    let mss = self.mss();
-                                    let unacked =
-                                        inner.snd_nxt.wrapping_sub(inner.snd_una) as usize;
-                                    let fin_in_flight =
-                                        inner.fin_seq.is_some() && unacked > 0;
-                                    let data_len =
-                                        if fin_in_flight { unacked - 1 } else { unacked }
-                                            .min(inner.send_buf.len());
-                                    let mut off = 0usize;
-                                    while off < data_len {
-                                        let n = (data_len - off).min(mss);
-                                        let chunk: Vec<u8> = inner
-                                            .send_buf
-                                            .iter()
-                                            .skip(off)
-                                            .take(n)
-                                            .copied()
-                                            .collect();
-                                        actions.push((
-                                            ACK | PSH,
-                                            inner.snd_una.wrapping_add(off as u32),
-                                            inner.rcv_nxt,
-                                            chunk,
-                                        ));
-                                        off += n;
-                                    }
-                                    if let Some(fin_seq) = inner.fin_seq {
-                                        if seq_le(inner.snd_una, fin_seq) {
-                                            actions.push((
-                                                FIN | ACK,
-                                                fin_seq,
-                                                inner.rcv_nxt,
-                                                Vec::new(),
-                                            ));
-                                        }
-                                    }
-                                    if actions.is_empty() {
-                                        // Nothing outstanding after all.
-                                        inner.rtx_deadline = None;
-                                        inner.retries = 0;
-                                    }
-                                }
+                    // Timeout: retransmit blindly from snd_una
+                    // (go-back-N).
+                    inner.retries += 1;
+                    inner.rtt.backoff(2, 1);
+                    inner.rtx_deadline = Some(now + inner.rtt.rto);
+                    inner.rtt_probe = None; // Karn's rule
+                    // A timeout collapses the congestion window
+                    // (Tahoe).
+                    inner.enter_recovery();
+                    inner.cwnd = inner.mss as u32;
+                    inner.dup_acks = 0;
+                    rexmit_trace = inner.trace.clone();
+                    let una = inner.snd_una;
+                    match inner.state {
+                        TcpState::SynSent => actions.push((self.header(&mut inner, SYN, una), None)),
+                        TcpState::SynRcvd => {
+                            actions.push((self.header(&mut inner, SYN | ACK, una), None))
+                        }
+                        _ => {
+                            let unacked = inner.inflight() as usize;
+                            let fin_in_flight = inner.fin_seq.is_some() && unacked > 0;
+                            let data_len = (unacked - fin_in_flight as usize).min(inner.send_q.len);
+                            let mut off = 0usize;
+                            while off < data_len {
+                                let Some(seg) = self.segment(&mut inner, off, data_len - off)
+                                else {
+                                    break;
+                                };
+                                off += payload_len(&seg.1);
+                                actions.push(seg);
                             }
-                            let _ = self.rearm(&mut inner);
+                            if let Some(fin_seq) = inner.fin_seq.filter(|&f| seq_le(una, f)) {
+                                actions.push((self.header(&mut inner, FIN | ACK, fin_seq), None));
+                            }
+                            if actions.is_empty() {
+                                // Nothing outstanding after all.
+                                inner.rtx_deadline = None;
+                                inner.retries = 0;
+                            }
                         }
                     }
                 }
             }
+            let _ = self.rearm(&mut inner);
+            inner.state == TcpState::Closed
+        };
+        if let Some(hdr) = ack {
+            let _ = self.transmit(hdr, &None);
         }
         if !actions.is_empty() {
             if let Some(stack) = self.stack.upgrade() {
-                let bytes: usize = actions.iter().map(|a| a.3.len()).sum();
+                let bytes: usize = actions.iter().map(|a| payload_len(&a.1)).sum();
                 stack.tcp.stats.retransmit_segments.add(actions.len() as u64);
                 stack.tcp.stats.retransmit_bytes.add(bytes as u64);
                 let n = actions.len();
@@ -879,11 +974,9 @@ impl TcpConn {
                         format!("timeout rexmit {n} segments {bytes} bytes")
                     });
                 }
-                for (flags, seq, ack, payload) in actions {
-                    let _ = self.transmit_flags(flags, seq, ack, &payload);
-                }
-            } else {
-                dead = true;
+            }
+            for (hdr, payload) in actions {
+                let _ = self.transmit(hdr, &payload);
             }
         }
         if dead {
@@ -896,7 +989,10 @@ impl TcpConn {
         let mut notify_read = false;
         let mut notify_write = false;
         let mut deliver_to_listener = false;
-        {
+        let mut rexmit = None;
+        // The one hold of the conversation lock a segment costs: what
+        // leaves in answer is made in it and transmitted after it.
+        let (ack, pump, closed) = {
             let mut inner = self.inner.lock();
             if seg.flags & RST != 0 {
                 inner.err = Some("connection refused".to_string());
@@ -949,27 +1045,9 @@ impl TcpConn {
                         if inner.dup_acks == 3 {
                             inner.enter_recovery();
                             inner.cwnd = inner.ssthresh + 3 * inner.mss as u32;
-                            let n = (inner.snd_nxt.wrapping_sub(inner.snd_una) as usize)
-                                .min(inner.mss)
-                                .min(inner.send_buf.len());
-                            let chunk: Vec<u8> =
-                                inner.send_buf.iter().take(n).copied().collect();
-                            let (seq, ack) = (inner.snd_una, inner.rcv_nxt);
                             inner.rtt_probe = None;
-                            drop(inner);
-                            if let Some(stack) = self.stack.upgrade() {
-                                stack.tcp.stats.fast_retransmits.inc();
-                                stack.tcp.stats.retransmit_segments.inc();
-                                stack.tcp.stats.retransmit_bytes.add(chunk.len() as u64);
-                                let len = chunk.len();
-                                stack.tcp.netlog.events.log(Facility::Tcp, || {
-                                    format!("fast rexmit seq {seq} len {len}")
-                                });
-                            }
-                            if !chunk.is_empty() {
-                                let _ = self.transmit_flags(ACK | PSH, seq, ack, &chunk);
-                            }
-                            return;
+                            let in_flight = inner.inflight() as usize;
+                            rexmit = self.segment(&mut inner, 0, in_flight);
                         }
                     }
                     if seg.flags & ACK != 0 && seq_lt(inner.snd_una, seg.ack)
@@ -978,15 +1056,15 @@ impl TcpConn {
                         let acked = seg.ack.wrapping_sub(inner.snd_una) as usize;
                         inner.dup_acks = 0;
                         inner.grow_cwnd(acked as u32);
-                        // Remove acked payload bytes (the FIN octet is not
-                        // in the buffer).
+                        // Drop acked payload bytes (the FIN octet is not
+                        // in the queue).
                         let fin_acked = inner
                             .fin_seq
                             .map(|f| seq_lt(f, seg.ack))
                             .unwrap_or(false);
                         let data_acked = if fin_acked { acked - 1 } else { acked };
-                        let drain = data_acked.min(inner.send_buf.len());
-                        inner.send_buf.drain(..drain);
+                        let gone = data_acked.min(inner.send_q.len);
+                        inner.send_q.consume(gone, |_| ());
                         inner.snd_una = seg.ack;
                         inner.retries = 0;
                         if let Some((probe_seq, at)) = inner.rtt_probe {
@@ -1022,13 +1100,28 @@ impl TcpConn {
                     self.process_data(&mut inner, seg, &mut ack_now, &mut notify_read);
                 }
             }
+            let ack = ack_now.then(|| {
+                let seq = inner.snd_nxt;
+                self.header(&mut inner, ACK, seq)
+            });
+            // Deadlines may have moved (acks clear or reset the rtx
+            // deadline, data sets the delayed ack's, FIN transitions
+            // start TIME-WAIT): re-aim the wheel timer.
+            let _ = self.rearm(&mut inner);
+            (ack, inner.unsent(), inner.state == TcpState::Closed)
+        };
+        if let (Some((hdr, payload)), Some(stack)) = (rexmit, self.stack.upgrade()) {
+            let (seq, len) = (hdr.seq, payload_len(&payload));
+            stack.tcp.stats.fast_retransmits.inc();
+            stack.tcp.stats.retransmit_segments.inc();
+            stack.tcp.stats.retransmit_bytes.add(len as u64);
+            stack.tcp.netlog.events.log(Facility::Tcp, || {
+                format!("fast rexmit seq {seq} len {len}")
+            });
+            let _ = self.transmit(hdr, &payload);
         }
-        if ack_now {
-            let (seq, ack) = {
-                let inner = self.inner.lock();
-                (inner.snd_nxt, inner.rcv_nxt)
-            };
-            let _ = self.transmit_flags(ACK, seq, ack, &[]);
+        if let Some(hdr) = ack {
+            let _ = self.transmit(hdr, &None);
         }
         if deliver_to_listener {
             if let Some(stack) = self.stack.upgrade() {
@@ -1040,16 +1133,12 @@ impl TcpConn {
         }
         if notify_write {
             self.writable.notify_all();
+        }
+        // An ack made room in the windows, or the peer opened its own.
+        if pump {
             self.pump();
         }
-        // Deadlines may have moved (acks clear or reset the rtx
-        // deadline; FIN transitions start TIME-WAIT): re-aim the
-        // wheel timer, and remove fully closed connections.
-        let closed = {
-            let mut inner = self.inner.lock();
-            let _ = self.rearm(&mut inner);
-            inner.state == TcpState::Closed
-        };
+        // Remove fully closed connections.
         if closed {
             self.teardown();
         }
@@ -1062,43 +1151,53 @@ impl TcpConn {
         ack_now: &mut bool,
         notify_read: &mut bool,
     ) {
-        let has_fin = seg.flags & FIN != 0;
-        if !seg.payload.is_empty() || has_fin {
-            *ack_now = true;
-        }
         if !seg.payload.is_empty() {
             if seg.seq == inner.rcv_nxt {
-                RX_SITE.record(seg.payload.len());
-                inner.recv_buf.extend(seg.payload.iter().copied());
                 inner.rcv_nxt = inner.rcv_nxt.wrapping_add(seg.payload.len() as u32);
+                inner.recv_q.push(seg.payload.clone());
                 // Drain any out-of-order segments that now fit.
+                let mut filled_a_gap = false;
                 while let Some((&s, _)) = inner.ooo.iter().next() {
-                    if s != inner.rcv_nxt {
-                        if seq_lt(s, inner.rcv_nxt) {
-                            inner.ooo.remove(&s);
-                            continue;
-                        }
+                    if s != inner.rcv_nxt && !seq_lt(s, inner.rcv_nxt) {
                         break;
                     }
                     let Some(data) = inner.ooo.remove(&s) else {
                         break; // key observed under this same lock
                     };
-                    inner.rcv_nxt = inner.rcv_nxt.wrapping_add(data.len() as u32);
-                    RX_SITE.record(data.len());
-                    inner.recv_buf.extend(data.iter().copied());
+                    if s == inner.rcv_nxt {
+                        inner.rcv_nxt = inner.rcv_nxt.wrapping_add(data.len() as u32);
+                        inner.recv_q.push(data);
+                        filled_a_gap = true;
+                    }
+                }
+                // The ack waits for a segment of ours to carry it, for
+                // two segments' worth to tell of, or for the timer; a
+                // sender repairing a loss hears at once.
+                let unacked = inner.rcv_nxt.wrapping_sub(inner.rcv_acked) as usize;
+                if filled_a_gap || unacked >= 2 * inner.mss {
+                    *ack_now = true;
+                } else if inner.ack_due.is_none() {
+                    inner.ack_due = Some(time::now() + ACK_DELAY);
                 }
                 *notify_read = true;
-            } else if seq_lt(inner.rcv_nxt, seg.seq) {
-                // Out of order: hold it (bounded) and let the ack we are
-                // about to send act as a duplicate ack, cueing the
-                // sender's fast retransmit.
-                if inner.ooo.len() < 256 {
-                    inner.ooo.insert(seg.seq, seg.payload.clone());
+            } else {
+                // An old duplicate is acknowledged again; a segment
+                // beyond `rcv_nxt` is held (bounded) and the ack acts
+                // as a duplicate ack, cueing the sender's fast
+                // retransmit.
+                *ack_now = true;
+                if seq_lt(inner.rcv_nxt, seg.seq) {
+                    if let Some(stack) = self.stack.upgrade() {
+                        stack.tcp.stats.ooo.inc();
+                    }
+                    if inner.ooo.len() < 256 {
+                        inner.ooo.insert(seg.seq, seg.payload.clone());
+                    }
                 }
             }
-            // Old duplicate: just re-ack.
         }
-        if has_fin {
+        if seg.flags & FIN != 0 {
+            *ack_now = true;
             let fin_seq = seg.seq.wrapping_add(seg.payload.len() as u32);
             if fin_seq == inner.rcv_nxt {
                 inner.peer_fin = Some(fin_seq);
@@ -1128,7 +1227,7 @@ mod tests {
 
     /// A segment as it crosses the wire: header, then payload.
     fn encoded(hdr: &TcpHeader, payload: &[u8]) -> Vec<u8> {
-        [&hdr.encode(payload)[..], payload].concat()
+        [&hdr.encode([payload, &[]])[..], payload].concat()
     }
 
     #[test]
@@ -1287,6 +1386,66 @@ mod tests {
             a.tcp_module().stats.retransmit_segments.get() > 0,
             "expected retransmissions under 15% loss"
         );
+    }
+
+    /// Reads until `total` bytes have come.
+    fn read_exactly(conn: &TcpConn, total: usize) {
+        let mut got = 0;
+        while got < total {
+            let d = conn.read(65536).unwrap();
+            assert!(!d.is_empty(), "end of file at {got} of {total}");
+            got += d.len();
+        }
+    }
+
+    /// The writer's thread and the shard that takes the acks both want
+    /// to send: a segment must not overtake the one before it. Counted
+    /// where it shows — at the receiver, as segments beyond `rcv_nxt` —
+    /// because a stalled host can fire a retransmission timeout on the
+    /// real clock, which re-sends old segments but never early ones.
+    #[test]
+    fn segments_leave_in_sequence_order() {
+        const TOTAL: usize = 16 << 20;
+        let (a, b) = two_hosts();
+        let listener = b.tcp_module().listen(&b, 7020).unwrap();
+        let server = std::thread::spawn(move || read_exactly(&listener.accept().unwrap(), TOTAL));
+        let conn = a.tcp_module().connect(&a, b.addr(), 7020).unwrap();
+        let chunk = vec![0x5au8; 64 * 1024];
+        for _ in 0..TOTAL / chunk.len() {
+            conn.write(&chunk).unwrap();
+        }
+        server.join().unwrap();
+        for stack in [&a, &b] {
+            let stats = &stack.tcp_module().stats;
+            assert_eq!((stats.ooo.get(), stats.fast_retransmits.get()), (0, 0), "{}", stats.render());
+        }
+        conn.close();
+    }
+
+    /// A reader that is not reading closes the window. The writer may
+    /// probe it, at the pace of the delayed ack and not of the wire,
+    /// and hears from `read` when it opens — not from its own
+    /// retransmission timer.
+    #[test]
+    fn a_closed_window_is_probed_slowly_and_reopens_at_once() {
+        const TOTAL: usize = 1 << 20;
+        let (a, b) = two_hosts();
+        let listener = b.tcp_module().listen(&b, 7021).unwrap();
+        let server = std::thread::spawn(move || {
+            let conn = listener.accept().unwrap();
+            std::thread::sleep(Duration::from_millis(300));
+            let first_read = Instant::now();
+            read_exactly(&conn, TOTAL);
+            first_read.elapsed()
+        });
+        let conn = a.tcp_module().connect(&a, b.addr(), 7021).unwrap();
+        conn.write(&vec![7u8; TOTAL]).unwrap();
+        let draining = server.join().unwrap();
+        let sent = a.tcp_module().stats.tx_segments.get() as usize;
+        let needed = TOTAL.div_ceil(conn.inner.lock().mss);
+        assert!(sent < 2 * needed, "{sent} segments sent for {needed} of data");
+        assert!(draining < Duration::from_millis(200), "took {draining:?} once the reader read");
+        conn.close();
     }
 
     #[test]

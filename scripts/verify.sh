@@ -226,7 +226,7 @@ EOF
 # against the contract. Numbers are not gated here; see perf/README.md.
 bash perf/run.sh --quick >/dev/null
 
-# Three traced runs, gated on counts only: perf/README.md says these
+# Four traced runs, gated on counts only: perf/README.md says these
 # repeat exactly from run to run, so noise cannot trip the gate. A
 # machine has one Ethernet station and no thread waiting on the wire
 # for /net/ether0, and the process that reads an export conversation
@@ -238,6 +238,11 @@ bash perf/run.sh --quick >/dev/null
 # else between IlConn::send and IlConn::recv: a copy or a buffer put
 # back on that path shows in the bytes copied and allocated per byte
 # delivered, on the small RPC and on the 8 KiB read that fragments.
+# Over TCP the same read is a request, six segments and two
+# acknowledgments — one for every second segment, the last one's riding
+# on the next request — copied in from the writer, into the frames and
+# out to the reader: an ack per segment again shows as 14 frames and 7
+# context switches, a byte queue that copies again in the bytes.
 traced_gate() {
     bash perf/run.sh --workload "$1" --seed 1 --seconds 2 --trace 1 | tail -n 1 | python3 -c '
 import json, sys
@@ -260,7 +265,11 @@ traced_gate rpc64_il \
 traced_gate read8k_il \
     "copy.bytes_per_payload_byte <= 4.2" "alloc.bytes_per_op <= 64000" \
     "netsim.ether.frames_per_op == 7" "inet.ip.frags_per_op == 6"
+traced_gate read8k_tcp \
+    "netsim.ether.frames_per_op <= 10" "inet.tcp.segs_per_op <= 10" \
+    "inet.tcp.rexmit_per_kop == 0" "os.ctxsw_per_op < 6" \
+    "alloc.calls_per_op <= 50" "copy.bytes_per_payload_byte <= 3.3"
 traced_gate rpc64_pipe \
     "os.ctxsw_per_op < 3" "os.threads <= 3" "alloc.calls_per_op <= 10"
 
-echo "verify: OK (checkflow + clippy + hermetic build + tests + examples + trace-off ring + LoC ratchet + bench JSON + vtime sweep gate + cityload scale gate + scenario adversity gate + netmon telemetry gate + perf --quick + traced count gates)"
+echo "verify: OK (checkflow + clippy + hermetic build + tests + examples + trace-off ring + LoC ratchet + bench JSON + vtime sweep gate + cityload scale gate + scenario adversity gate + netmon telemetry gate + perf --quick + traced count gates on rpc64_il, read8k_il, read8k_tcp and rpc64_pipe)"
