@@ -279,6 +279,10 @@ pub enum RootKind {
     WheelCallback,
     /// An ether `set_rx_handler` frame handler.
     RxHandler,
+    /// The body of a `vtime::kproc`: a thread of its own, which may
+    /// block. A root only in that it runs elsewhere: the locks its
+    /// spawner holds are not held around it.
+    Kproc,
 }
 
 impl RootKind {
@@ -287,6 +291,7 @@ impl RootKind {
             RootKind::PoolJob => "pool-job",
             RootKind::WheelCallback => "wheel-callback",
             RootKind::RxHandler => "rx-handler",
+            RootKind::Kproc => "kproc",
         }
     }
 }
@@ -562,7 +567,7 @@ impl CallGraph {
 
     /// All synthetic root nodes.
     pub fn roots(&self) -> impl Iterator<Item = (usize, &FnNode)> {
-        self.fns.iter().enumerate().filter(|(_, f)| f.root.is_some())
+        self.fns.iter().enumerate().filter(|(_, f)| f.root.is_some_and(|r| r != RootKind::Kproc))
     }
 
     /// Total call sites across all nodes.
@@ -1208,6 +1213,7 @@ impl<'a> Parser<'a> {
                 ("pool", "submit") | ("pool", "submit_or_run") => Some(RootKind::PoolJob),
                 // `conv::rearm` hands its closure on to `wheel::schedule`.
                 ("wheel", "schedule") | ("conv", "rearm") => Some(RootKind::WheelCallback),
+                ("vtime", "kproc") => Some(RootKind::Kproc),
                 _ => None,
             }
         } else {

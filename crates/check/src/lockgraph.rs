@@ -616,6 +616,22 @@ mod tests {
     }
 
     #[test]
+    fn a_kproc_body_is_not_under_its_spawners_locks() {
+        // The spawner holds `a` across the spawn; the worker takes `b`
+        // on a thread of its own, with nothing held.
+        let src = "struct S { a: Mutex<u8>, b: Mutex<u8> }\n\
+            impl S {\n\
+            fn spawn(&self) {\n    let ga = self.a.lock();\n    vtime::kproc(\"w\", move || self.work());\n}\n\
+            fn work(&self) {\n    let gb = self.b.lock();\n}\n\
+            }\n\
+            fn mk() -> S { S { a: Mutex::named(0, \"demo.a\"), b: Mutex::named(0, \"demo.b\") } }\n";
+        let g = graph_of(&[("demo/src/lib.rs", src)]);
+        assert!(analyze(&g, None).edges.is_empty());
+        // And a kproc may block: its body is no root to check for that.
+        assert_eq!(g.roots().count(), 0);
+    }
+
+    #[test]
     fn try_lock_is_edge_free() {
         let src = "struct S { a: Mutex<u8>, b: Mutex<u8> }\n\
             impl S {\n\

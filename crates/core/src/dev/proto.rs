@@ -21,10 +21,11 @@
 
 use plan9_support::sync::Mutex;
 use plan9_ninep::procfs::{
-    conv_of, conv_parent, conv_path, readstr, ConvFile, ConvTable, Dev, OpenMode, ServeNode,
-    ROOT,
+    conv_of, conv_parent, conv_path, readstr, ConvFile, ConvTable, Dev, OpenMode, ProcFs,
+    ServeNode, ROOT,
 };
 use plan9_ninep::qid::Qid;
+use plan9_ninep::server::NineService;
 use plan9_ninep::{errstr, Dir, NineError, Result};
 use std::sync::Arc;
 
@@ -48,6 +49,13 @@ pub trait ConnOps: Send + Sync {
     fn status(&self) -> String;
     /// Hang up.
     fn close(&self);
+    /// [`ProcFs::serve_nine`] of the conversation's `data` file: the
+    /// protocol serves `fs` to the peer as 9P from its own input path.
+    /// Only one that can run an operation where the request arrives
+    /// (IL, on the conversation's pool shard) takes it up.
+    fn serve_nine(&self, _fs: &Arc<dyn ProcFs>) -> Option<Arc<NineService>> {
+        None
+    }
 }
 
 /// An announcement: a service listening for calls.
@@ -320,6 +328,14 @@ impl Dev for ProtoDev {
         if let Some(conn) = self.convs.clunk(n.handle) {
             conn.hangup();
         }
+    }
+
+    fn serve_nine_file(&self, n: &ServeNode, fs: &Arc<dyn ProcFs>) -> Option<Arc<NineService>> {
+        let (id, T_DATA) = conv_of(n.qid)? else { return None };
+        let conn = self.convs.get(id).ok()?;
+        // The rest of a message a short read left is the reader's.
+        let whole = conn.pending.lock().is_empty();
+        whole.then(|| conn.connected().ok()?.serve_nine(fs)).flatten()
     }
 }
 

@@ -450,6 +450,9 @@ impl ConnOps for IlConnOps {
     fn close(&self) {
         self.conn.close();
     }
+    fn serve_nine(&self, fs: &Arc<dyn ProcFs>) -> Option<Arc<plan9_ninep::server::NineService>> {
+        Some(plan9_inet::il::serve_on_shard(&self.conn, Arc::clone(fs)))
+    }
 }
 
 impl ProtoOps for IlProto {

@@ -19,6 +19,7 @@ use plan9_ninep::client::NineClient;
 use plan9_ninep::marshal::{FramedSink, FramedSource};
 use plan9_ninep::procfs::{OpenMode, Perm, ProcFs, ServeNode};
 use plan9_ninep::qid::Qid;
+use plan9_ninep::server::NineService;
 use plan9_ninep::transport::{ByteSink, ByteSource, MsgSink, MsgSource};
 use plan9_ninep::{Dir, Result};
 use std::sync::Arc;
@@ -35,6 +36,11 @@ impl ChanIo {
     /// Wraps an open channel.
     pub fn new(src: Source) -> ChanIo {
         ChanIo { src }
+    }
+
+    /// [`ProcFs::serve_nine`] of the channel.
+    pub fn serve_nine(&self, fs: &Arc<dyn ProcFs>) -> Option<Arc<NineService>> {
+        self.src.fs.serve_nine(&self.src.node, fs)
     }
 }
 

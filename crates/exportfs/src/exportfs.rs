@@ -243,10 +243,19 @@ pub fn serve_export(p: &Proc, data_fd: i32, framed: bool) -> Result<()> {
 /// Relays 9P for the subtree at `base` of `p`'s name space over an open
 /// data descriptor until the peer hangs up. A byte-stream transport
 /// (`framed`, i.e. TCP) gets the marshaling layer; IL, URP and pipes
-/// keep delimiters themselves.
+/// keep delimiters themselves. Which process reads the descriptor is
+/// the transport's to say ([`ProcFs::serve_nine`]), not the caller's.
 pub(crate) fn serve_ns(p: &Proc, data_fd: i32, base: &str, framed: bool) -> Result<()> {
     let fs: Arc<dyn ProcFs> = NsFs::new(p.ns.fork(), base);
     let io = p.io(data_fd)?;
+    // An IL conversation is served by the kernel under its `data` file,
+    // by the pool worker that receives each request; this process
+    // waits for the hangup, makes the clunks that may block, and — the
+    // slaves being its own (§6.1) — waits for their ends.
+    if let Some(svc) = io.serve_nine(&fs) {
+        svc.wait();
+        return Ok(());
+    }
     if framed {
         let source = plan9_ninep::marshal::FramedSource::new(io.clone());
         let sink = plan9_ninep::marshal::FramedSink::new(io);

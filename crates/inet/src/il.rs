@@ -620,41 +620,48 @@ impl IlConn {
         self.transmit(IlType::Data, id, ack, &msg)
     }
 
+    /// Whether [`IlConn::send`] would go ahead at once: the window has
+    /// room, or the conversation is over and it would fail.
+    pub fn can_send(&self) -> bool {
+        let inner = self.inner.lock();
+        inner.state != IlState::Established || (inner.unacked.len() as u32) < IL_WINDOW
+    }
+
     /// Blocks for the next message; `None` is orderly EOF.
     pub fn recv(&self) -> crate::Result<Option<Vec<u8>>> {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(msg) = inner.rcv_q.pop_front() {
-                drop(inner);
-                return Ok(Some(copy_out(&msg)));
-            }
-            if inner.peer_closed || inner.state == IlState::Closed {
-                return Ok(None);
-            }
-            if let Some(e) = &inner.err {
-                return Err(NineError::new(e.clone()));
-            }
-            self.readable.wait(&mut inner);
-        }
+        self.recv_until(None)
     }
 
     /// Waits for a message until the timeout elapses; `Err("timed out")`.
     pub fn recv_timeout(&self, d: Duration) -> crate::Result<Option<Vec<u8>>> {
-        let deadline = time::now() + d;
+        self.recv_until(Some(time::now() + d))
+    }
+
+    /// What a reader can have without waiting: a message, or `None` at
+    /// the orderly end of the conversation; else nothing yet.
+    fn poll(inner: &mut Inner) -> crate::Result<Option<Option<Bytes>>> {
+        if let Some(msg) = inner.rcv_q.pop_front() {
+            return Ok(Some(Some(msg)));
+        }
+        if inner.peer_closed || inner.state == IlState::Closed {
+            return Ok(Some(None));
+        }
+        inner.err.as_ref().map_or(Ok(None), |e| Err(NineError::new(e.clone())))
+    }
+
+    fn recv_until(&self, deadline: Option<Instant>) -> crate::Result<Option<Vec<u8>>> {
         let mut inner = self.inner.lock();
         loop {
-            if let Some(msg) = inner.rcv_q.pop_front() {
+            if let Some(got) = Self::poll(&mut inner)? {
                 drop(inner);
-                return Ok(Some(copy_out(&msg)));
+                return Ok(got.map(|msg| copy_out(&msg)));
             }
-            if inner.peer_closed || inner.state == IlState::Closed {
-                return Ok(None);
-            }
-            if let Some(e) = &inner.err {
-                return Err(NineError::new(e.clone()));
-            }
-            if self.readable.wait_until(&mut inner, deadline).timed_out() {
-                return Err(NineError::new("timed out"));
+            match deadline {
+                None => self.readable.wait(&mut inner),
+                Some(d) if self.readable.wait_until(&mut inner, d).timed_out() => {
+                    return Err(NineError::new("timed out"));
+                }
+                Some(_) => {}
             }
         }
     }
@@ -701,10 +708,12 @@ impl IlConn {
     }
 
     /// Registers a readable-readiness hook, called whenever a message,
-    /// EOF, or error becomes available. With [`IlConn::try_recv`] this
-    /// lets a server drain thousands of conversations from the worker
-    /// pool instead of parking a thread per conversation in
-    /// [`IlConn::recv`]. The hook must be cheap and non-blocking (the
+    /// EOF, or error becomes available, or a full window reopens. With
+    /// [`IlConn::try_recv`] this lets a server drain thousands of
+    /// conversations from the worker pool instead of parking a thread
+    /// per conversation in [`IlConn::recv`], and with
+    /// [`IlConn::can_send`] never park one in [`IlConn::send`] either.
+    /// The hook must be cheap and non-blocking (the
     /// usual move is `pool::submit` of a drain job).
     pub fn set_rx_notify(&self, f: impl Fn() + Send + Sync + 'static) {
         *self.rx_notify.lock() = Some(Arc::new(f));
@@ -718,18 +727,12 @@ impl IlConn {
 
     /// Non-blocking receive, for pool-serviced conversations.
     pub fn try_recv(&self) -> crate::Result<TryRecv> {
-        let mut inner = self.inner.lock();
-        if let Some(msg) = inner.rcv_q.pop_front() {
-            drop(inner);
-            return Ok(TryRecv::Msg(copy_out(&msg)));
-        }
-        if inner.peer_closed || inner.state == IlState::Closed {
-            return Ok(TryRecv::Eof);
-        }
-        if let Some(e) = &inner.err {
-            return Err(NineError::new(e.clone()));
-        }
-        Ok(TryRecv::Empty)
+        let got = Self::poll(&mut self.inner.lock())?;
+        Ok(match got {
+            Some(Some(msg)) => TryRecv::Msg(copy_out(&msg)),
+            Some(None) => TryRecv::Eof,
+            None => TryRecv::Empty,
+        })
     }
 
     /// Re-aims the conversation's wheel timer at the earliest of the
@@ -1077,6 +1080,7 @@ impl IlConn {
         if acked.is_empty() {
             return;
         }
+        let was_full = inner.unacked.len() as u32 >= IL_WINDOW;
         for id in &acked {
             if let Some(sent) = inner.unacked.remove(id) {
                 // The send→ack interval, on the root span of the RPC
@@ -1108,12 +1112,19 @@ impl IlConn {
             }
         }
         inner.retries = 0;
-        inner.rtx_deadline = if inner.unacked.is_empty() {
+        // A Close has no acknowledgment but the peer's own: the timer
+        // that sends it again stays armed until that comes.
+        inner.rtx_deadline = if inner.unacked.is_empty() && inner.state != IlState::Closing {
             None
         } else {
             Some(time::now() + inner.rtt.rto)
         };
         self.window_open.notify_all();
+        if was_full {
+            // A service that stopped reading for want of room for its
+            // replies has no thread in `send` to wake.
+            self.rx_wake();
+        }
     }
 
     fn accept_data(&self, inner: &mut Inner, id: u32, payload: Bytes, send_ack: &mut bool) {

@@ -645,7 +645,10 @@ mod tests {
         h.finish();
         let text = t.render();
         assert!(text.contains("trace 1 Tread tag 7 "), "{text}");
-        assert!(text.contains("  span 9p marshal 0+0us"), "{text}");
+        // `<offset from the root's start>+<duration>`: the offset is
+        // however long `begin` took, a microsecond on a slow day.
+        let span = text.lines().find(|l| l.starts_with("  span 9p marshal ")).expect(&text);
+        assert!(span.ends_with("+0us"), "{text}");
         assert!(text.contains("  event il rexmit id 2 len 61 @"), "{text}");
     }
 

@@ -9,6 +9,7 @@
 
 use crate::dir::{Dir, DIR_LEN};
 use crate::qid::Qid;
+use crate::server::NineService;
 use crate::{errstr, NineError, Result};
 use plan9_support::sync::Mutex;
 use std::collections::HashMap;
@@ -154,9 +155,21 @@ pub trait ProcFs: Send + Sync {
     /// Whether an operation on the node — any of them, a walk or an
     /// open as much as a read — can wait on anything but a lock: a
     /// call, a message, another server. `None` asks about `attach`. It
-    /// can, unless the server says otherwise.
+    /// can, unless the server says otherwise. The answer is the node's:
+    /// the server layer asks when a fid comes to a node and goes by
+    /// that for every operation until the fid moves.
     fn may_block(&self, _n: Option<&ServeNode>) -> bool {
         true
+    }
+
+    /// Asks the server under the node — an open conversation's `data`
+    /// file — to serve `fs` to the conversation's peer as 9P itself,
+    /// with no process reading the file: `mount`'s dual. `None`
+    /// declines, and the caller reads and serves the file as any other;
+    /// only a server whose input path can run a file operation to
+    /// completion where the request arrives takes it up.
+    fn serve_nine(&self, _n: &ServeNode, _fs: &Arc<dyn ProcFs>) -> Option<Arc<NineService>> {
+        None
     }
 }
 

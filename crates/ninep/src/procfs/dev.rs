@@ -19,6 +19,7 @@
 use super::{read_dir_slice, OpenMode, ProcFs, ServeNode, OREAD};
 use crate::dir::Dir;
 use crate::qid::Qid;
+use crate::server::NineService;
 use crate::{errstr, NineError, Result};
 use plan9_support::sync::Mutex;
 use std::collections::HashMap;
@@ -87,6 +88,12 @@ pub trait Dev: Send + Sync {
 
     /// The node is being discarded.
     fn clunk_node(&self, _n: &ServeNode) {}
+
+    /// [`ProcFs::serve_nine`] of a file; no device but a protocol's
+    /// takes it up.
+    fn serve_nine_file(&self, _n: &ServeNode, _fs: &Arc<dyn ProcFs>) -> Option<Arc<NineService>> {
+        None
+    }
 }
 
 impl<T: Dev> ProcFs for T {
@@ -148,6 +155,10 @@ impl<T: Dev> ProcFs for T {
             return Ok(self.root());
         }
         self.entry(n.qid).ok_or_else(|| NineError::new(errstr::ENOTEXIST))
+    }
+
+    fn serve_nine(&self, n: &ServeNode, fs: &Arc<dyn ProcFs>) -> Option<Arc<NineService>> {
+        self.serve_nine_file(n, fs)
     }
 }
 

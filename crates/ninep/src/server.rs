@@ -10,8 +10,9 @@
 //!   `exportfs` slave processes (§6.1) because `open`, `read` and
 //!   `write` *may* block — a `listen` file blocks until a call arrives
 //!   — not because every operation does. So `input` asks the file
-//!   server ([`ProcFs::may_block`]) about the file each operation
-//!   names: an operation on data at hand runs and is answered on the
+//!   server ([`ProcFs::may_block`]) about the file each fid comes
+//!   to, and goes by that for the operations that name the fid: an
+//!   operation on data at hand runs and is answered on the
 //!   calling thread, in the context that already holds the message;
 //!   any other goes to a worker kproc — an idle one if there is one, a
 //!   new one if not, all of them kept until the hangup — and replies
@@ -21,6 +22,8 @@
 //!   callback on a worker-pool shard (`inet::il::serve_on_shard`) feeds
 //!   it with no thread at all: a `MemFs` served that way never makes a
 //!   worker, so its conversations can be counted in tens of thousands.
+//!   A server with workers to wait for — exportfs over IL — parks its
+//!   process in [`NineService::wait`] instead of in the transport.
 
 use crate::codec::{decode_tmsg, encode_rmsg};
 use crate::fcall::{Fid, Rmsg, Tag, Tmsg, CHAL_LEN, MAX_FDATA};
@@ -30,17 +33,25 @@ use crate::{errstr, NineError, Result};
 use plan9_netlog::trace::{self, TraceHandle};
 use plan9_netlog::Facility;
 use plan9_support::chan::{unbounded, Receiver, Sender};
-use plan9_support::sync::Mutex;
+use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::vtime::{self, KprocHandle};
 use plan9_support::time;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+#[derive(Clone, Copy)]
 struct FidState {
     node: ServeNode,
     open: bool,
+    /// What the file server said of the node when the fid came to it
+    /// ([`ProcFs::may_block`]): asked once a move, not once a message.
+    blocks: bool,
 }
+
+/// A fid's state as one lookup found it: placement and the operation
+/// itself go by the same one.
+type Held = Option<FidState>;
 
 /// A file operation that may block, marked in flight for a worker, and
 /// the `serve` span it runs under.
@@ -60,6 +71,9 @@ struct Workers {
     handles: Vec<KprocHandle<()>>,
     /// Operations handed to a worker so far; the next one's serial.
     started: u64,
+    /// A thread is parked in [`NineService::wait`]: the hangup's clunks
+    /// are left to it, which can afford one that waits.
+    waiter: bool,
 }
 
 struct ServerShared {
@@ -75,6 +89,8 @@ struct ServerShared {
     inflight: Mutex<HashMap<Tag, u64>>,
     sink: Mutex<Box<dyn MsgSink>>,
     workers: Mutex<Workers>,
+    /// The job channel has closed.
+    hungup: Condvar,
     /// Workers with no operation to run and none coming.
     idle: AtomicUsize,
 }
@@ -88,8 +104,8 @@ impl ServerShared {
     /// Runs one file operation and hands the reply (errors are replies
     /// too) to `answer`, all under the request's `serve` span when the
     /// run is traced.
-    fn perform(&self, t: &Tmsg, root: Option<TraceHandle>, answer: impl FnOnce(&Rmsg)) {
-        let run = || handle(self, t).unwrap_or_else(|e| Rmsg::Error { ename: e.0 });
+    fn perform(&self, t: &Tmsg, held: Held, root: Option<TraceHandle>, answer: impl FnOnce(&Rmsg)) {
+        let run = || handle(self, t, held).unwrap_or_else(|e| Rmsg::Error { ename: e.0 });
         let Some(h) = root else { return answer(&run()) };
         let _cur = h.set_current();
         let h0 = time::now();
@@ -101,14 +117,22 @@ impl ServerShared {
 
     /// Whether the operation can be run where its message was read: the
     /// file it names is data at hand (an attach names none, so the
-    /// server answers for itself). A fid nobody holds is an error at
-    /// hand.
-    fn cannot_block(&self, t: &Tmsg) -> bool {
-        if let Tmsg::Attach { .. } = t {
-            return !self.fs.may_block(None);
-        }
-        let node = t.fid().and_then(|fid| get_node(self, fid).ok());
-        node.is_none_or(|node| !self.fs.may_block(Some(&node)))
+    /// server answers for itself; a fid nobody holds is an error at
+    /// hand), and the reply can go out at once — a sink with the peer
+    /// to wait for is a file that may block.
+    fn cannot_block(&self, t: &Tmsg, held: Held) -> bool {
+        let at_hand = match (t, held) {
+            (Tmsg::Attach { .. }, _) => !self.fs.may_block(None),
+            (_, Some(s)) => !s.blocks,
+            (_, None) => true,
+        };
+        // A sink busy with a worker's reply is free again in a moment.
+        at_hand && self.sink.try_lock().is_none_or(|s| s.ready())
+    }
+
+    /// What the fid table holds for the fid the operation names.
+    fn held(&self, t: &Tmsg) -> Held {
+        t.fid().and_then(|fid| self.fids.lock().get(&fid).copied())
     }
 
     /// Hands an operation that may block (a `listen` file does until a
@@ -133,7 +157,7 @@ impl ServerShared {
             let (shared, job_rx) = (Arc::clone(self), w.job_rx.clone());
             let worker = vtime::kproc("9p-worker", move || {
                 while let Ok(mut op) = job_rx.recv() {
-                    shared.perform(&op.t, op.root.take(), |r| {
+                    shared.perform(&op.t, shared.held(&op.t), op.root.take(), |r| {
                         // Idle before the reply is out: a peer that
                         // waits for one answer before it asks again
                         // then finds this worker, and none is made.
@@ -182,9 +206,7 @@ pub fn serve(
 
 /// [`serve`]'s reader loop, apart so that a test can watch the service:
 /// the transport into [`NineService::input`], then the hangup, then —
-/// this being a thread that can wait — the workers' ends. Kproc joins
-/// are virtual events (each parks on the clock until the worker signals
-/// completion), so no census escape is needed.
+/// this being a thread that can wait — the workers' ends.
 fn serve_on(svc: &NineService, mut source: Box<dyn MsgSource>) -> Result<()> {
     // A closure, so that `?` leaves the loop and not the hangup below.
     let res = (|| {
@@ -194,10 +216,7 @@ fn serve_on(svc: &NineService, mut source: Box<dyn MsgSource>) -> Result<()> {
         Ok(())
     })();
     svc.hangup();
-    let workers = std::mem::take(&mut svc.shared.workers.lock().handles);
-    for w in workers {
-        let _ = w.join();
-    }
+    svc.wait();
     res
 }
 
@@ -224,6 +243,7 @@ impl NineService {
             job_rx,
             handles: Vec::new(),
             started: 0,
+            waiter: false,
         };
         NineService {
             shared: Arc::new(ServerShared {
@@ -232,6 +252,7 @@ impl NineService {
                 inflight: Mutex::named(HashMap::new(), "ninep.server.inflight"),
                 sink: Mutex::named(sink, "ninep.server.sink"),
                 workers: Mutex::named(workers, "ninep.server.workers"),
+                hungup: Condvar::new(),
                 idle: AtomicUsize::new(0),
             }),
         }
@@ -256,8 +277,9 @@ impl NineService {
         };
         // Data at hand is answered here, by the thread that already
         // holds the message: a served RPC is one job.
-        if shared.cannot_block(&t) {
-            shared.perform(&t, root, |r| shared.reply(tag, r));
+        let held = shared.held(&t);
+        if shared.cannot_block(&t, held) {
+            shared.perform(&t, held, root, |r| shared.reply(tag, r));
         } else {
             shared.hand_to_worker(tag, t, root);
         }
@@ -309,8 +331,35 @@ impl NineService {
     /// operation parked in one's file. Waiting for the workers is for a
     /// caller with a thread of its own ([`serve`]), afterwards.
     pub fn hangup(&self) {
-        self.shared.workers.lock().jobs = None;
+        let waiter = {
+            let mut w = self.shared.workers.lock();
+            w.jobs = None;
+            w.waiter
+        };
+        self.shared.hungup.notify_all();
+        if !waiter {
+            cleanup(&self.shared);
+        }
+    }
+
+    /// Parks until the service hangs up, then finishes the hangup as
+    /// [`serve`] does: the clunks, if whoever hung up left them to this
+    /// thread, and the workers' ends. For the process whose transport
+    /// feeds the service itself ([`ProcFs::serve_nine`]). Kproc joins
+    /// are virtual events (each parks on the clock until the worker
+    /// signals completion), so no census escape is needed.
+    pub fn wait(&self) {
+        let mut w = self.shared.workers.lock();
+        w.waiter = true;
+        while w.jobs.is_some() {
+            self.shared.hungup.wait(&mut w);
+        }
+        let workers = std::mem::take(&mut w.handles);
+        drop(w);
         cleanup(&self.shared);
+        for w in workers {
+            let _ = w.join();
+        }
     }
 }
 
@@ -331,22 +380,6 @@ fn cleanup(shared: &ServerShared) {
     }
 }
 
-fn get_node(shared: &ServerShared, fid: Fid) -> Result<ServeNode> {
-    let fids = shared.fids.lock();
-    fids.get(&fid)
-        .map(|s| s.node)
-        .ok_or_else(|| NineError::new(errstr::EUNKNOWNFID))
-}
-
-fn get_open_node(shared: &ServerShared, fid: Fid) -> Result<ServeNode> {
-    let fids = shared.fids.lock();
-    match fids.get(&fid) {
-        Some(s) if s.open => Ok(s.node),
-        Some(_) => Err(NineError::new(errstr::ENOTOPEN)),
-        None => Err(NineError::new(errstr::EUNKNOWNFID)),
-    }
-}
-
 /// Enters a new fid on the node `make` comes back with, which is asked
 /// for only once the number is known to be free.
 fn enter_fid(
@@ -358,7 +391,8 @@ fn enter_fid(
         return Err(NineError::new(errstr::EFIDINUSE));
     }
     let node = make()?;
-    shared.fids.lock().insert(fid, FidState { node, open: false });
+    let blocks = shared.fs.may_block(Some(&node));
+    shared.fids.lock().insert(fid, FidState { node, open: false, blocks });
     Ok(node)
 }
 
@@ -366,9 +400,9 @@ fn enter_fid(
 /// fid that a hangup or a session took while the operation ran is not
 /// coming back, so its node is clunked here.
 fn move_fid(shared: &ServerShared, fid: Fid, node: ServeNode, open: bool) {
+    let blocks = shared.fs.may_block(Some(&node));
     let held = shared.fids.lock().get_mut(&fid).map(|s| {
-        s.node = node;
-        s.open |= open;
+        *s = FidState { node, open: s.open | open, blocks };
     });
     if held.is_none() {
         shared.fs.clunk(&node);
@@ -380,8 +414,13 @@ fn take_fid(shared: &ServerShared, fid: Fid) -> Result<ServeNode> {
     state.map(|s| s.node).ok_or_else(|| NineError::new(errstr::EUNKNOWNFID))
 }
 
-fn handle(shared: &ServerShared, t: &Tmsg) -> Result<Rmsg> {
+fn handle(shared: &ServerShared, t: &Tmsg, held: Held) -> Result<Rmsg> {
     let fs = &shared.fs;
+    let node = || held.map(|s| s.node).ok_or_else(|| NineError::new(errstr::EUNKNOWNFID));
+    let open_node = || match held {
+        Some(s) if !s.open => Err(NineError::new(errstr::ENOTOPEN)),
+        _ => node(),
+    };
     match t {
         Tmsg::Attach {
             fid, uname, aname, ..
@@ -390,18 +429,18 @@ fn handle(shared: &ServerShared, t: &Tmsg) -> Result<Rmsg> {
             Ok(Rmsg::Attach { fid: *fid, qid })
         }
         Tmsg::Clone { fid, new_fid } => {
-            let node = get_node(shared, *fid)?;
+            let node = node()?;
             enter_fid(shared, *new_fid, || fs.clone_node(&node))?;
             Ok(Rmsg::Clone { fid: *fid })
         }
         Tmsg::Walk { fid, name } => {
-            let node = get_node(shared, *fid)?;
+            let node = node()?;
             let next = fs.walk(&node, name)?;
             move_fid(shared, *fid, next, false);
             Ok(Rmsg::Walk { fid: *fid, qid: next.qid })
         }
         Tmsg::Clwalk { fid, new_fid, name } => {
-            let node = get_node(shared, *fid)?;
+            let node = node()?;
             let next = enter_fid(shared, *new_fid, || {
                 let cloned = fs.clone_node(&node)?;
                 let walked = fs.walk(&cloned, name);
@@ -414,14 +453,10 @@ fn handle(shared: &ServerShared, t: &Tmsg) -> Result<Rmsg> {
             Ok(Rmsg::Clwalk { fid: *fid, qid: next.qid })
         }
         Tmsg::Open { fid, mode } => {
-            let node = {
-                let fids = shared.fids.lock();
-                match fids.get(fid) {
-                    Some(s) if s.open => return Err(NineError::new(errstr::EISOPEN)),
-                    Some(s) => s.node,
-                    None => return Err(NineError::new(errstr::EUNKNOWNFID)),
-                }
-            };
+            if held.is_some_and(|s| s.open) {
+                return Err(NineError::new(errstr::EISOPEN));
+            }
+            let node = node()?;
             let opened = fs.open(&node, OpenMode(*mode))?;
             move_fid(shared, *fid, opened, true);
             Ok(Rmsg::Open { fid: *fid, qid: opened.qid })
@@ -432,7 +467,7 @@ fn handle(shared: &ServerShared, t: &Tmsg) -> Result<Rmsg> {
             perm,
             mode,
         } => {
-            let node = get_node(shared, *fid)?;
+            let node = node()?;
             let created = fs.create(&node, name, *perm, OpenMode(*mode))?;
             if created.handle != node.handle {
                 fs.clunk(&node);
@@ -441,13 +476,13 @@ fn handle(shared: &ServerShared, t: &Tmsg) -> Result<Rmsg> {
             Ok(Rmsg::Create { fid: *fid, qid: created.qid })
         }
         Tmsg::Read { fid, offset, count } => {
-            let node = get_open_node(shared, *fid)?;
+            let node = open_node()?;
             let count = (*count as usize).min(MAX_FDATA);
             let data = fs.read(&node, *offset, count)?;
             Ok(Rmsg::Read { fid: *fid, data })
         }
         Tmsg::Write { fid, offset, data } => {
-            let node = get_open_node(shared, *fid)?;
+            let node = open_node()?;
             let n = fs.write(&node, *offset, data)?;
             Ok(Rmsg::Write {
                 fid: *fid,
@@ -464,12 +499,12 @@ fn handle(shared: &ServerShared, t: &Tmsg) -> Result<Rmsg> {
             Ok(Rmsg::Remove { fid: *fid })
         }
         Tmsg::Stat { fid } => {
-            let node = get_node(shared, *fid)?;
+            let node = node()?;
             let stat = fs.stat(&node)?;
             Ok(Rmsg::Stat { fid: *fid, stat })
         }
         Tmsg::Wstat { fid, stat } => {
-            let node = get_node(shared, *fid)?;
+            let node = node()?;
             fs.wstat(&node, stat)?;
             Ok(Rmsg::Wstat { fid: *fid })
         }

@@ -14,6 +14,13 @@ pub trait MsgSink: Send {
     /// Sends one message; the receiver will see exactly these bytes as one
     /// unit.
     fn sendmsg(&mut self, msg: &[u8]) -> Result<()>;
+
+    /// Whether a message would go out at once: `sendmsg` would not
+    /// wait for the peer to make room. A sink that never waits keeps
+    /// the default.
+    fn ready(&self) -> bool {
+        true
+    }
 }
 
 /// The receiving half of a delimited, reliable, sequenced message

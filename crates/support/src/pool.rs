@@ -4,77 +4,118 @@
 //! conversation, one rx loop per machine) cap a simulated fabric at a
 //! few hundred machines. This pool replaces them with a fixed set of
 //! shards; producers [`submit`] short service closures keyed by
-//! conversation (or station) id, and the shard's single worker drains
-//! them FIFO. Worker-thread count is O(shards) = O(cores), never
-//! O(conversations), and same-key jobs are serialized for free because
-//! a key always maps to the same shard.
+//! conversation (or station) id. A shard is a FIFO and a `running`
+//! flag, not a thread: up to [`NSHARDS`] interchangeable workers take
+//! ready shards off one ready list and drain them. Worker-thread count
+//! is O(shards) = O(cores), never O(conversations), and same-key jobs
+//! are serialized for free because a key always maps to the same shard
+//! and a shard is drained by one worker at a time.
+//!
+//! # Run to completion
+//!
+//! A `submit` from outside the pool that readies an idle shard wakes a
+//! parked worker (or makes one). A `submit` made *from inside a pool
+//! job* to an idle shard wakes nobody: the submitting worker keeps that
+//! one shard as its next and drains it as soon as its current shard is
+//! empty, so a frame's delivery, the conversation service it readies
+//! and the reply frame's delivery run back to back on one thread, as
+//! protocol input runs behind one software interrupt. A second shard
+//! readied by the same job goes on the ready list and wakes a worker,
+//! so a broadcast still fans out. This is a rule, not a setting: the
+//! worker is about to go idle, and waking another to do what it can do
+//! next is a context switch that buys nothing.
 //!
 //! # Clock eras
 //!
 //! Workers are spawned lazily through [`vtime::kproc`](crate::vtime::kproc)
-//! on first submit, stamped with the current [`vtime::era`](crate::vtime::era).
-//! At every clock transition ([`vtime::enter`](crate::vtime::enter) and
-//! guard drop) the era bumps and [`retire`] joins the old era's
-//! workers, so a real-mode worker never services jobs inside a
-//! deterministic run (it would be an alien thread the single-runner
-//! census cannot serialize) and a census worker never outlives its
-//! clock. Jobs queued across a transition stay queued and are drained
-//! by the next era's worker, in order.
+//! when a shard is readied and none is idle, stamped with the current
+//! [`vtime::era`](crate::vtime::era). At every clock transition
+//! ([`vtime::enter`](crate::vtime::enter) and guard drop) the era bumps
+//! and [`retire`] joins the old era's workers, so a real-mode worker
+//! never services jobs inside a deterministic run (it would be an alien
+//! thread the single-runner census cannot serialize) and a census
+//! worker never outlives its clock. Jobs queued across a transition
+//! stay queued and are drained by the next era's workers, in order.
 //!
 //! # Lock order
 //!
-//! The shard lock (`support.pool.shard`) is a leaf: it is never held
-//! while a job runs, so `inet.il.conn → support.pool.shard` (a conn
-//! submitting its own service) and `job takes inet.il.conn` (the
-//! worker, lock released) cannot form a cycle. Lockdep checks this in
-//! debug builds like any other named class.
+//! The shard lock (`support.pool.shard`) is never held while a job
+//! runs, so `inet.il.conn → support.pool.shard` (a conn submitting its
+//! own service) and `job takes inet.il.conn` (the worker, lock
+//! released) cannot form a cycle. Below it is only the ready list's
+//! lock (`support.pool.ready`), a leaf, taken by the submit that
+//! readies a shard. Lockdep checks this in debug builds like any other
+//! named class.
 //!
 //! # Job discipline
 //!
 //! Jobs must be short and must not block on virtual time: [`retire`]
 //! joins workers during clock transitions, so a job parked on the
-//! (defunct or not-yet-installed) clock would wedge the transition.
-//! Protocol service routines — drain a queue, send an ack, retransmit
-//! — all fit.
+//! (defunct or not-yet-installed) clock would wedge the transition —
+//! and a parked worker holds up its shard and the one it kept as its
+//! next. Protocol service routines — drain a queue, send an ack,
+//! retransmit — all fit.
 
 use crate::sync::{Condvar, Mutex};
 use crate::vtime;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::Arc;
 
-/// Shard count: fixed so a key's shard never changes across clock
-/// eras (a remap would let two workers interleave one conversation's
-/// jobs). Eight matches the small-multiprocessor regime the paper's
-/// CPU servers ran.
+/// Shard count, and the most workers there will be: fixed so a key's
+/// shard never changes across clock eras (a remap would let two
+/// workers interleave one conversation's jobs). Eight matches the
+/// small-multiprocessor regime the paper's CPU servers ran.
 pub const NSHARDS: usize = 8;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A job that is run once, or one its owner queues again and again (a
+/// conversation's service routine) and so does not allocate anew.
+enum Job {
+    Once(Box<dyn FnOnce() + Send + 'static>),
+    Shared(Arc<dyn Fn() + Send + Sync + 'static>),
+}
 
 struct ShardState {
     jobs: VecDeque<Job>,
-    /// The worker draining this shard, if one is live: its spawn era
-    /// and the handle [`retire`] joins.
-    worker: Option<(u64, vtime::KprocHandle<()>)>,
+    /// On the ready list, kept by a worker as its next, or being
+    /// drained: whoever queues the first job of a shard that is none
+    /// of these readies it.
+    running: bool,
 }
 
 struct Shard {
     state: Mutex<ShardState>,
-    cv: Condvar,
 }
 
-fn shards() -> &'static [Shard; NSHARDS] {
-    static SHARDS: OnceLock<[Shard; NSHARDS]> = OnceLock::new();
-    SHARDS.get_or_init(|| {
-        std::array::from_fn(|_| Shard {
-            state: Mutex::named(
-                ShardState { jobs: VecDeque::new(), worker: None },
-                "support.pool.shard",
-            ),
-            cv: Condvar::new(),
-        })
-    })
+static SHARDS: [Shard; NSHARDS] = [const {
+    let idle = ShardState { jobs: VecDeque::new(), running: false };
+    Shard { state: Mutex::named(idle, "support.pool.shard") }
+}; NSHARDS];
+
+struct Ready {
+    list: VecDeque<usize>,
+    /// Workers parked with nothing to take.
+    idle: usize,
+    /// Each worker's spawn era and the handle [`retire`] joins.
+    workers: Vec<(u64, vtime::KprocHandle<()>)>,
+}
+
+struct Sched {
+    ready: Mutex<Ready>,
+    wake: Condvar,
+}
+
+const EMPTY: Ready = Ready { list: VecDeque::new(), idle: 0, workers: Vec::new() };
+
+static SCHED: Sched =
+    Sched { ready: Mutex::named(EMPTY, "support.pool.ready"), wake: Condvar::new() };
+
+thread_local! {
+    /// On a worker: the shard it readied from inside a job and keeps
+    /// to drain next, if any. `None` off the pool.
+    static NEXT: Cell<Option<Option<usize>>> = const { Cell::new(None) };
 }
 
 /// Map a conversation/station key to its shard index.
@@ -96,7 +137,7 @@ static INLINE_RUN: [AtomicU64; NSHARDS] = [const { AtomicU64::new(0) }; NSHARDS]
 pub struct PoolStats {
     /// Jobs enqueued to each shard, cumulative.
     pub submitted: [u64; NSHARDS],
-    /// Jobs run inline because the shard worker could not spawn.
+    /// Jobs run inline because no worker could be spawned.
     pub inline_run: [u64; NSHARDS],
     /// Jobs currently queued on each shard.
     pub depth: [u64; NSHARDS],
@@ -109,26 +150,23 @@ pub fn stats() -> PoolStats {
     for i in 0..NSHARDS {
         s.submitted[i] = SUBMITTED[i].load(Ordering::Relaxed);
         s.inline_run[i] = INLINE_RUN[i].load(Ordering::Relaxed);
-        s.depth[i] = shards()[i].state.lock().jobs.len() as u64;
+        s.depth[i] = SHARDS[i].state.lock().jobs.len() as u64;
     }
     s
 }
 
-/// Enqueues `job` on the shard for `key` and wakes its worker,
-/// spawning the worker first if this era has none yet. Jobs with the
-/// same key run FIFO, one at a time. Fails only if the worker thread
-/// cannot be spawned — the caller (e.g. a dial path) should surface
-/// that as an error rather than panic.
+/// Enqueues `job` on the shard for `key`, readying the shard if it was
+/// idle. Jobs with the same key run FIFO, one at a time. Fails only if
+/// there is no worker and none can be spawned — the caller (e.g. a dial
+/// path) should surface that as an error rather than panic.
 pub fn submit(key: u64, job: impl FnOnce() + Send + 'static) -> io::Result<()> {
-    let idx = shard_of(key);
-    let shard = &shards()[idx];
-    let mut st = shard.state.lock();
-    ensure_worker(idx, &mut st)?;
-    st.jobs.push_back(Box::new(job));
-    drop(st);
-    SUBMITTED[idx].fetch_add(1, Ordering::Relaxed);
-    shard.cv.notify_one();
-    Ok(())
+    enqueue(shard_of(key), Job::Once(Box::new(job))).map_err(|(e, _)| e)
+}
+
+/// [`submit`] for a job its owner submits over and over: queueing it
+/// costs no allocation.
+pub fn submit_shared(key: u64, job: Arc<dyn Fn() + Send + Sync>) -> io::Result<()> {
+    enqueue(shard_of(key), Job::Shared(job)).map_err(|(e, _)| e)
 }
 
 /// Like [`submit`], but on worker-spawn failure runs `job` inline on
@@ -136,87 +174,129 @@ pub fn submit(key: u64, job: impl FnOnce() + Send + 'static) -> io::Result<()> {
 /// wheel) where a late callback beats a lost one.
 pub fn submit_or_run(key: u64, job: impl FnOnce() + Send + 'static) {
     let idx = shard_of(key);
-    let shard = &shards()[idx];
-    let mut st = shard.state.lock();
-    if ensure_worker(idx, &mut st).is_err() {
-        drop(st);
+    if let Err((_, job)) = enqueue(idx, Job::Once(Box::new(job))) {
         INLINE_RUN[idx].fetch_add(1, Ordering::Relaxed);
-        job();
-        return;
+        run(job);
     }
-    st.jobs.push_back(Box::new(job));
-    drop(st);
+}
+
+fn run(job: Job) {
+    match job {
+        Job::Once(f) => f(),
+        Job::Shared(f) => f(),
+    }
+}
+
+fn enqueue(idx: usize, job: Job) -> Result<(), (io::Error, Job)> {
+    let mut sh = SHARDS[idx].state.lock();
+    if !sh.running {
+        if let Err(e) = ready(idx) {
+            return Err((e, job));
+        }
+        sh.running = true;
+    }
+    sh.jobs.push_back(job);
+    drop(sh);
     SUBMITTED[idx].fetch_add(1, Ordering::Relaxed);
-    shard.cv.notify_one();
+    Ok(())
 }
 
 /// Number of jobs currently queued across all shards (diagnostics).
 pub fn backlog() -> usize {
-    shards().iter().map(|s| s.state.lock().jobs.len()).sum()
+    SHARDS.iter().map(|s| s.state.lock().jobs.len()).sum()
 }
 
-/// Spawns the shard's worker if none from the current era is live.
-/// Holding the shard lock across the spawn is safe: under vtime the
-/// child gates until the spawner parks, by which point the lock is
-/// free; in real mode the child just blocks briefly on it.
-fn ensure_worker(idx: usize, st: &mut ShardState) -> io::Result<()> {
+/// Finds shard `idx`, idle until now, a worker. A worker readying it
+/// from inside a job keeps it for itself, once; any other caller puts
+/// it on the ready list and wakes a parked worker, or if none is parked
+/// and fewer than [`NSHARDS`] of this era are live, may spawn one.
+/// Called under the shard's lock, which is safe across the spawn:
+/// under vtime the child gates until the spawner parks, by which point
+/// the lock is free; in real mode the child just blocks briefly on it.
+fn ready(idx: usize) -> io::Result<()> {
+    if NEXT.get() == Some(None) {
+        NEXT.set(Some(Some(idx)));
+        return Ok(());
+    }
     let era = vtime::era();
-    match &st.worker {
-        Some((e, _)) if *e == era => Ok(()),
-        _ => {
-            // A stale handle here means retire() hasn't run for this
-            // shard yet this era — it will join the old worker; we
-            // must not lose the handle. retire() always runs at the
-            // era bump, so by submit time the slot is clear.
-            // blocking-ok: the closure runs on the spawned shard
-            // kproc, not in the caller's context; checked: likewise,
-            // a panic there unwinds the worker, not the caller
-            let handle = vtime::kproc(&format!("pool-{idx}"), move || worker_loop(idx, era))?;
-            st.worker = Some((era, handle));
-            Ok(())
+    let mut s = SCHED.ready.lock();
+    let live = s.workers.iter().filter(|w| w.0 == era).count();
+    // With none parked, each worker at work comes to the list as its
+    // shard empties. Another is made only to have two — one that is
+    // held up must not hold up the pool — or when as many shards are
+    // already waiting as there are workers to come for them: a caller
+    // that is quicker to ask again than its worker was to park does not
+    // make a thread.
+    if s.idle == 0 && live < NSHARDS && (live < 2 || s.list.len() >= live) {
+        // blocking-ok: the closure runs on the spawned worker kproc,
+        // not in the caller's context; checked: likewise, a panic
+        // there unwinds the worker, not the caller
+        match vtime::kproc("pool-worker", move || worker_loop(era)) {
+            Ok(h) => s.workers.push((era, h)),
+            // A live worker will come to it.
+            Err(e) if live == 0 => return Err(e),
+            Err(_) => {}
         }
+    }
+    s.list.push_back(idx);
+    drop(s);
+    SCHED.wake.notify_one();
+    Ok(())
+}
+
+fn worker_loop(my_era: u64) {
+    NEXT.set(Some(None));
+    while let Some(idx) = take(my_era) {
+        let mut sh = SHARDS[idx].state.lock();
+        // Once the era has changed, what is queued is the next era's.
+        while vtime::era() == my_era {
+            let Some(job) = sh.jobs.pop_front() else { break };
+            drop(sh);
+            run(job);
+            sh = SHARDS[idx].state.lock();
+        }
+        sh.running = false;
     }
 }
 
-fn worker_loop(idx: usize, my_era: u64) {
-    let shard = &shards()[idx];
-    let mut st = shard.state.lock();
+/// The next shard for a worker to drain: the one it kept, else the
+/// ready list's first, parking until there is one. `None` once the era
+/// has changed and nothing is left that counts on this worker.
+fn take(my_era: u64) -> Option<usize> {
+    if let Some(idx) = NEXT.replace(Some(None)).flatten() {
+        return Some(idx);
+    }
+    let mut s = SCHED.ready.lock();
     loop {
+        if let Some(idx) = s.list.pop_front() {
+            return Some(idx);
+        }
         if vtime::era() != my_era {
-            return;
+            return None;
         }
-        if let Some(job) = st.jobs.pop_front() {
-            drop(st);
-            job();
-            st = shard.state.lock();
-            continue;
-        }
-        shard.cv.wait(&mut st);
+        s.idle += 1;
+        SCHED.wake.wait(&mut s);
+        s.idle -= 1;
     }
 }
 
-/// Joins every worker from a previous era. Called by
-/// [`vtime`](crate::vtime) at clock transitions, after the era bump;
-/// the join always runs in real-time mode (the clock is either not
-/// yet installed or already uninstalled), so it cannot park on a
-/// virtual clock.
+/// Joins every worker from a previous era, then readies again the
+/// shards they left jobs on. Called by [`vtime`](crate::vtime) at clock
+/// transitions, after the era bump; the join always runs in real-time
+/// mode (the clock is either not yet installed or already uninstalled),
+/// so it cannot park on a virtual clock.
 pub(crate) fn retire() {
     let era = vtime::era();
-    let mut handles = Vec::new();
-    for shard in shards() {
-        let mut st = shard.state.lock();
-        if let Some((e, _)) = &st.worker {
-            if *e != era {
-                if let Some((_, h)) = st.worker.take() {
-                    handles.push(h);
-                }
-            }
-        }
-        drop(st);
-        shard.cv.notify_all();
-    }
-    for h in handles {
+    let old: Vec<_> = SCHED.ready.lock().workers.extract_if(.., |w| w.0 != era).collect();
+    SCHED.wake.notify_all();
+    for (_, h) in old {
         let _ = h.join();
+    }
+    for (idx, shard) in SHARDS.iter().enumerate() {
+        let mut sh = shard.state.lock();
+        if !sh.running && !sh.jobs.is_empty() {
+            sh.running = ready(idx).is_ok();
+        }
     }
 }
 

@@ -229,15 +229,21 @@ bash perf/run.sh --quick >/dev/null
 # Four traced runs, gated on counts only: perf/README.md says these
 # repeat exactly from run to run, so noise cannot trip the gate. A
 # machine has one Ethernet station and no thread waiting on the wire
-# for /net/ether0, and the process that reads an export conversation
-# answers for a file in memory itself, so a 64-byte RPC over IL costs
-# two frames and four context switches, and over a pipe two; a second
-# reader thread showed as seven, a worker per read as five and three. A
-# message is copied in from its writer, into the frames that carry it,
+# for /net/ether0; a pool shard is a queue, not a thread, and the
+# worker that delivers a request frame over IL runs the file operation
+# (exportfs's IL conversation is fed by il::serve_on_shard) and
+# delivers the reply frame too. So a 64-byte RPC over IL costs two
+# frames and two context switches, caller to pool worker and back, as
+# it does over a pipe, on seven threads at most: a thread per shard or
+# an exportfs kproc reading the conversation again shows as four
+# switches and nine threads, a second reader thread as seven, a worker
+# per read as five and three. A message is copied in from its writer,
+# into the frames that carry it,
 # once more if those were fragments, and out to its reader, and nowhere
 # else between IlConn::send and IlConn::recv: a copy or a buffer put
 # back on that path shows in the bytes copied and allocated per byte
-# delivered, on the small RPC and on the 8 KiB read that fragments.
+# delivered, on the small RPC and on the 8 KiB read that fragments; a
+# drain job boxed per message shows as a 21st allocation.
 # Over TCP the same read is a request, six segments and two
 # acknowledgments — one for every second segment, the last one's riding
 # on the next request — copied in from the writer, into the frames and
@@ -259,10 +265,11 @@ for gate in gates:
 ' "$@"
 }
 traced_gate rpc64_il \
-    "os.ctxsw_per_op < 5" "os.threads <= 9" \
+    "os.ctxsw_per_op < 3" "os.threads <= 7" \
     "inet.il.pkts_per_op == 2" "netsim.ether.frames_per_op == 2" \
     "copy.bytes_per_payload_byte <= 6.0" "alloc.calls_per_op <= 20"
 traced_gate read8k_il \
+    "os.ctxsw_per_op < 3" \
     "copy.bytes_per_payload_byte <= 4.2" "alloc.bytes_per_op <= 64000" \
     "netsim.ether.frames_per_op == 7" "inet.ip.frags_per_op == 6"
 traced_gate read8k_tcp \

@@ -5,7 +5,7 @@ use plan9::core::machine::{Machine, MachineBuilder};
 use plan9::core::namespace::{MAFTER, MREPL};
 use plan9::core::proc::Proc;
 use plan9::exportfs::cpu::{cpu, cpu_listener, CpuJob};
-use plan9::exportfs::exportfs::exportfs_listener;
+use plan9::exportfs::exportfs::{exportfs_listener, serve_export};
 use plan9::exportfs::import::import;
 use plan9::inet::ip::IpConfig;
 use plan9::netsim::ether::EtherSegment;
@@ -342,6 +342,62 @@ fn exportfs_keeps_its_slaves_for_the_files_that_may_block() {
     // are `9p-worker`s.
     assert_eq!(probe.readers(false), HashSet::from(["exportfs".to_string()]));
     assert_eq!(probe.readers(true), HashSet::from(["9p-worker".to_string()]));
+}
+
+/// Which process runs an importer's read of a file in memory is the
+/// transport's to say, never a setting. Only the IL device takes up
+/// `serve_nine` and runs it on the pool worker that received the
+/// request; a TCP or Datakit conversation, a pipe, and an IL
+/// conversation whose `data` file is itself imported (gnot has no IL but
+/// helix's) are read and served by the parked `exportfs` kproc, as
+/// every export conversation was.
+#[test]
+fn only_an_il_conversation_is_served_where_its_requests_arrive() {
+    let (helix, musca, gnot) = world();
+    let mem = MemFs::new("probe", "bootes");
+    mem.put_file("/f", b"data at hand").unwrap();
+    let probe = Arc::new(Probe { mem, reads: Mutex::new(Vec::new()) });
+    let fs: Arc<dyn ProcFs> = probe.clone();
+    let with_probe = |p: Proc| {
+        p.mount_fs(&fs, "", "/n/probe", MREPL).unwrap();
+        p
+    };
+    for addr in ["il!*!exportfs", "tcp!*!exportfs", "dk!*!exportfs"] {
+        exportfs_listener(with_probe(helix.proc()), addr, usize::MAX).unwrap();
+    }
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    // The threads that ran ten reads of `/n/x/f`.
+    let readers = |p: &Proc| -> Vec<String> {
+        probe.reads.lock().unwrap().clear();
+        let f = p.open("/n/x/f", OpenMode::READ).expect("open f");
+        assert!((0..10).all(|_| p.pread(f, 0, 64).unwrap() == b"data at hand"));
+        probe.readers(false).into_iter().collect()
+    };
+    let imported = |m: &Arc<Machine>, addr: &str| {
+        let p = m.proc();
+        import(&p, addr, "/n/probe", "/n/x", MREPL).expect(addr);
+        readers(&p)
+    };
+    assert_eq!(imported(&musca, "il!helix!exportfs"), ["pool-worker"]);
+    assert_eq!(imported(&musca, "tcp!helix!exportfs"), ["exportfs"]);
+    assert_eq!(imported(&gnot, "dk!nj/astro/helix!exportfs"), ["exportfs"]);
+
+    // The import command's initial protocol, spoken over a pipe.
+    let p = with_probe(helix.proc());
+    let (srv_fd, mnt_fd) = p.pipe().unwrap();
+    let (srv, srv_fd) = p.fork_with_fd(srv_fd);
+    plan9_support::vtime::kproc("exportfs", move || serve_export(&srv, srv_fd, false)).unwrap();
+    p.write(mnt_fd, b"/n/probe").unwrap();
+    assert_eq!(p.read(mnt_fd, 64).unwrap(), b"OK");
+    p.mount_fd(mnt_fd, "", "/n/x", MREPL, false).unwrap();
+    assert_eq!(readers(&p), ["exportfs"]);
+
+    // gnot announces on helix's IL, through its import of helix's /net.
+    let gp = with_probe(gnot.proc());
+    import(&gp, "dk!nj/astro/helix!exportfs", "/net", "/net", MAFTER).expect("import /net");
+    exportfs_listener(gp, "il!*!17099", usize::MAX).unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    assert_eq!(imported(&musca, "il!helix!17099"), ["exportfs"]);
 }
 
 /// An importer that goes away with a read parked in an exported `data`
