@@ -276,7 +276,7 @@ mod tests {
 
     fn graph_of(src: &str) -> CallGraph {
         let mut g = CallGraph::default();
-        scan_file(&mut g, "demo", "demo/src/lib.rs", &[], src);
+        scan_file(&mut g, &crate::SourceFile::new("demo", "demo/src/lib.rs", &[], src));
         g.index();
         g
     }

@@ -35,14 +35,14 @@
 //! Escape hatches ride on comments, like netcheck's: a call site on a
 //! line annotated `// blocking-ok: <reason>` is exempt from the
 //! blocking-context pass, and `// checked: <reason>` (netcheck's
-//! existing grammar) exempts a panic sink from panic-reachability. A
-//! bare annotation line blesses the following line.
+//! existing grammar) exempts a panic sink from panic-reachability. An
+//! annotation in the comment block directly above a line blesses it
+//! (`SourceFile::ann_at`, the one waiver parser for every rule).
 
-use crate::{lex_lines, TestRegion};
+use crate::{SourceFile, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 // ---------------------------------------------------------------------------
 // Tokens.
@@ -82,17 +82,18 @@ fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Tokenizes lexed code lines. `raw_lines` supplies true string-literal
-/// contents (the lexer blanks them, column-preserving), and
-/// `skip_line[i]` drops test-region lines wholesale.
-fn tokenize(code_lines: &[String], raw_lines: &[&str], skip_line: &[bool]) -> Vec<SpannedTok> {
+/// Tokenizes a file's lexed code lines. The raw text supplies true
+/// string-literal contents (the lexer blanks them, column-preserving),
+/// and test-region lines are dropped wholesale.
+fn tokenize(src: &SourceFile) -> Vec<SpannedTok> {
+    let raw_lines: Vec<&str> = src.text.lines().collect();
     let mut out = Vec::new();
-    for (idx, code) in code_lines.iter().enumerate() {
-        if skip_line.get(idx).copied().unwrap_or(false) {
+    for (idx, line) in src.lines.iter().enumerate() {
+        if src.test[idx] {
             continue;
         }
         let lineno = idx + 1;
-        let b: Vec<char> = code.chars().collect();
+        let b: Vec<char> = line.code.chars().collect();
         let mut i = 0;
         while i < b.len() {
             let c = b[i];
@@ -602,44 +603,6 @@ impl CallGraph {
 }
 
 // ---------------------------------------------------------------------------
-// Per-line annotations.
-
-/// The flow-pass escape hatches found on one line.
-#[derive(Debug, Clone, Default)]
-struct LineAnn {
-    blocking_ok: Option<String>,
-    checked: bool,
-    /// The line holds only a comment — an annotation block above a
-    /// call may span several such lines.
-    bare_comment: bool,
-}
-
-fn annotations(code: &[String], comments: &[String]) -> Vec<LineAnn> {
-    comments
-        .iter()
-        .zip(code)
-        .map(|(c, code)| {
-            let blocking_ok = c.split_once("blocking-ok:").and_then(|(_, r)| {
-                let r = r.trim();
-                if r.is_empty() {
-                    None
-                } else {
-                    Some(r.to_string())
-                }
-            });
-            let checked = c
-                .split_once("checked:")
-                .is_some_and(|(_, r)| !r.trim().is_empty());
-            LineAnn {
-                blocking_ok,
-                checked,
-                bare_comment: code.trim().is_empty() && !c.trim().is_empty(),
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
 // The parser.
 
 const KEYWORDS: &[&str] = &[
@@ -684,10 +647,7 @@ struct Parser<'a> {
     /// Tokens of the current statement, for `let` guard binding lookup.
     stmt_start: usize,
     graph: &'a mut CallGraph,
-    crate_name: &'a str,
-    file: &'a str,
-    file_module: &'a [String],
-    ann: &'a [LineAnn],
+    src: &'a SourceFile,
 }
 
 impl<'a> Parser<'a> {
@@ -702,28 +662,8 @@ impl<'a> Parser<'a> {
             .unwrap_or(0)
     }
 
-    fn ann_at(&self, line: usize) -> LineAnn {
-        // Same line, else anywhere in the contiguous comment block
-        // directly above (annotations often wrap onto a second line).
-        let mut here = self.ann.get(line.saturating_sub(1)).cloned().unwrap_or_default();
-        let mut k = line.saturating_sub(1); // 0-based index of the line above
-        while !(here.blocking_ok.is_some() && here.checked) && k > 0 {
-            k -= 1;
-            match self.ann.get(k) {
-                Some(a) if a.bare_comment => {
-                    if here.blocking_ok.is_none() {
-                        here.blocking_ok = a.blocking_ok.clone();
-                    }
-                    here.checked |= a.checked;
-                }
-                _ => break,
-            }
-        }
-        here
-    }
-
     fn module_path(&self) -> Vec<String> {
-        let mut m: Vec<String> = self.file_module.to_vec();
+        let mut m: Vec<String> = self.src.module.clone();
         for s in &self.scopes {
             if let ScopeKind::Module(name) = &s.kind {
                 m.push(name.clone());
@@ -988,11 +928,11 @@ impl<'a> Parser<'a> {
         }
         let node = self.graph.fns.len();
         self.graph.fns.push(FnNode {
-            crate_name: self.crate_name.to_string(),
+            crate_name: self.src.crate_name.clone(),
             module: self.module_path(),
             impl_type: self.impl_type(),
             name,
-            file: self.file.to_string(),
+            file: self.src.file.clone(),
             line,
             has_self,
             params,
@@ -1051,10 +991,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// At an ident that may start a call: gathers a `::`-separated path
-    /// and, if it ends in `(…`, records the call. Returns true if it
-    /// consumed tokens.
-    fn parse_path_or_call(&mut self, after_dot: bool) -> bool {
+    /// At an ident that does not follow a `.` and may start a call:
+    /// gathers a `::`-separated path and, if it ends in `(…`, records
+    /// the call. Returns true if it consumed tokens.
+    fn parse_path_or_call(&mut self) -> bool {
         let first = match self.peek(0) {
             Some(Tok::Ident(id)) => id.clone(),
             _ => return false,
@@ -1132,7 +1072,7 @@ impl<'a> Parser<'a> {
         // Macro invocation?
         if self.peek(0) == Some(&Tok::P('!')) {
             if matches!(self.peek(1), Some(Tok::P('(')) | Some(Tok::P('[')) | Some(Tok::P('{'))) {
-                let ann = self.ann_at(call_line);
+                let ann = self.src.ann_at(call_line);
                 self.push_event(BodyEvent::Call(CallSite {
                     callee: Callee::Macro(segs.last().cloned().unwrap_or_default()),
                     line: call_line,
@@ -1152,27 +1092,8 @@ impl<'a> Parser<'a> {
         let args = self.call_arity(self.pos);
         let name = segs.last().cloned().unwrap_or_default();
 
-        // Lock-acquisition sites.
-        if after_dot {
-            let op = match name.as_str() {
-                "lock" => Some(AcqOp::Lock),
-                "read" => Some(AcqOp::Read),
-                "write" => Some(AcqOp::Write),
-                "try_lock" => Some(AcqOp::TryLock),
-                _ => None,
-            };
-            if let Some(op) = op {
-                self.record_acquire(op, call_line);
-            }
-            if name == "set_rx_handler" || name == "set_rx_tap" {
-                self.advance_raw(); // (
-                self.pending_root = Some((RootKind::RxHandler, self.paren_depth));
-                return true;
-            }
-        }
-
         // `drop(g)` of a named guard.
-        if !after_dot && segs.len() == 1 && name == "drop" {
+        if segs.len() == 1 && name == "drop" {
             if let (Some(Tok::Ident(g)), Some(Tok::P(')'))) = (self.peek(1), self.peek(2)) {
                 let g = g.clone();
                 self.push_event(BodyEvent::DropGuard { name: g, line: call_line });
@@ -1187,10 +1108,8 @@ impl<'a> Parser<'a> {
             self.record_named_class(call_line);
         }
 
-        let ann = self.ann_at(call_line);
-        let callee = if after_dot {
-            Callee::Method(name.clone())
-        } else if segs.len() > 1 {
+        let ann = self.src.ann_at(call_line);
+        let callee = if segs.len() > 1 {
             Callee::Path(segs.clone())
         } else {
             Callee::Bare(name.clone())
@@ -1257,11 +1176,11 @@ impl<'a> Parser<'a> {
         };
         let node = self.graph.fns.len();
         self.graph.fns.push(FnNode {
-            crate_name: self.crate_name.to_string(),
+            crate_name: self.src.crate_name.clone(),
             module: self.module_path(),
             impl_type: self.impl_type(),
             name: "{closure}".to_string(),
-            file: self.file.to_string(),
+            file: self.src.file.clone(),
             line,
             has_self: false,
             params: None,
@@ -1498,8 +1417,8 @@ impl<'a> Parser<'a> {
             class,
             binding,
             impl_type: self.impl_type(),
-            crate_name: self.crate_name.to_string(),
-            file: self.file.to_string(),
+            crate_name: self.src.crate_name.clone(),
+            file: self.src.file.clone(),
             line,
         });
     }
@@ -1530,7 +1449,7 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(Tok::Ident(_)) => {
-                    if !self.parse_path_or_call(false) {
+                    if !self.parse_path_or_call() {
                         self.advance_raw();
                     }
                 }
@@ -1575,8 +1494,8 @@ impl<'a> Parser<'a> {
             self.advance_raw();
             return true;
         }
-        // It's a method call; delegate to the shared path-call logic by
-        // consuming here (the path is a single segment).
+        // It's a method call: lock acquisitions and rx-handler roots
+        // are recognized here and nowhere else.
         let call_line = self.line(0);
         let zero_args = self.peek(k + 1) == Some(&Tok::P(')'));
         let args = self.call_arity(self.pos + k);
@@ -1594,7 +1513,7 @@ impl<'a> Parser<'a> {
         if let Some(op) = op {
             self.record_acquire(op, call_line);
         }
-        let ann = self.ann_at(call_line);
+        let ann = self.src.ann_at(call_line);
         self.push_event(BodyEvent::Call(CallSite {
             callee: Callee::Method(name.clone()),
             line: call_line,
@@ -1614,38 +1533,10 @@ impl<'a> Parser<'a> {
 // ---------------------------------------------------------------------------
 // Workspace walking.
 
-/// Module path derived from a file's location under `src/`.
-fn file_module(rel_in_src: &Path) -> Vec<String> {
-    let mut parts: Vec<String> = rel_in_src
-        .components()
-        .map(|c| c.as_os_str().to_string_lossy().into_owned())
-        .collect();
-    if let Some(last) = parts.last_mut() {
-        *last = last.trim_end_matches(".rs").to_string();
-    }
-    match parts.last().map(String::as_str) {
-        Some("lib") | Some("main") | Some("mod") => {
-            parts.pop();
-        }
-        _ => {}
-    }
-    parts
-}
-
 /// Parses one source file into graph nodes.
-pub fn scan_file(graph: &mut CallGraph, crate_name: &str, file: &str, module: &[String], source: &str) {
-    let lexed = lex_lines(source);
-    let raw_lines: Vec<&str> = source.lines().collect();
-    let mut region = TestRegion::new();
-    let mut skip = Vec::with_capacity(lexed.len());
-    let code_lines: Vec<String> = lexed.iter().map(|l| l.code.clone()).collect();
-    for l in &lexed {
-        skip.push(region.feed(&l.code));
-    }
-    let comments: Vec<String> = lexed.into_iter().map(|l| l.comment).collect();
-    let ann = annotations(&code_lines, &comments);
-    let toks = tokenize(&code_lines, &raw_lines, &skip);
-    let idents = graph.file_idents.entry(file.to_string()).or_default();
+pub fn scan_file(graph: &mut CallGraph, src: &SourceFile) {
+    let toks = tokenize(src);
+    let idents = graph.file_idents.entry(src.file.clone()).or_default();
     for t in &toks {
         if let Tok::Ident(id) = &t.tok {
             idents.insert(id.clone());
@@ -1661,26 +1552,9 @@ pub fn scan_file(graph: &mut CallGraph, crate_name: &str, file: &str, module: &[
         pending_root: None,
         stmt_start: 0,
         graph,
-        crate_name,
-        file,
-        file_module: module,
-        ann: &ann,
+        src,
     };
     p.run();
-}
-
-fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    let mut entries: Vec<_> = fs::read_dir(dir)?.collect::<io::Result<_>>()?;
-    entries.sort_by_key(|e| e.path());
-    for e in entries {
-        let p = e.path();
-        if p.is_dir() {
-            walk_rs(&p, out)?;
-        } else if p.extension().is_some_and(|x| x == "rs") {
-            out.push(p);
-        }
-    }
-    Ok(())
 }
 
 /// Reads the workspace-internal dependencies (`plan9-foo = …`) out of
@@ -1726,46 +1600,22 @@ fn close_deps(direct: &BTreeMap<String, BTreeSet<String>>) -> BTreeMap<String, B
     closed
 }
 
+/// Builds the call graph of a workspace already read.
+pub fn graph_of(ws: &Workspace) -> CallGraph {
+    let mut graph = CallGraph::default();
+    for src in &ws.files {
+        scan_file(&mut graph, src);
+    }
+    let crates = ws.manifests.iter().filter(|(name, ..)| !name.is_empty());
+    graph.deps = close_deps(&crates.map(|(name, _, text)| (name.clone(), direct_deps(text))).collect());
+    graph.index();
+    graph
+}
+
 /// Builds the call graph for a workspace rooted at `root`: every
 /// `crates/*/src/**/*.rs`.
 pub fn build_graph(root: &Path) -> io::Result<CallGraph> {
-    let mut graph = CallGraph::default();
-    let mut direct: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<_> = fs::read_dir(&crates_dir)?
-        .collect::<io::Result<Vec<_>>>()?
-        .into_iter()
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    for dir in crate_dirs {
-        let crate_name = dir
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let src = dir.join("src");
-        if !src.is_dir() {
-            continue;
-        }
-        let manifest = fs::read_to_string(dir.join("Cargo.toml")).unwrap_or_default();
-        direct.insert(crate_name.clone(), direct_deps(&manifest));
-        let mut files = Vec::new();
-        walk_rs(&src, &mut files)?;
-        for f in files {
-            let rel = f
-                .strip_prefix(root)
-                .unwrap_or(&f)
-                .to_string_lossy()
-                .replace('\\', "/");
-            let in_src = f.strip_prefix(&src).unwrap_or(&f).to_path_buf();
-            let module = file_module(&in_src);
-            scan_file(&mut graph, &crate_name, &rel, &module, &fs::read_to_string(&f)?);
-        }
-    }
-    graph.deps = close_deps(&direct);
-    graph.index();
-    Ok(graph)
+    Ok(graph_of(&Workspace::read(root)?))
 }
 
 #[cfg(test)]
@@ -1774,7 +1624,7 @@ mod tests {
 
     fn graph_of(src: &str) -> CallGraph {
         let mut g = CallGraph::default();
-        scan_file(&mut g, "demo", "demo/src/lib.rs", &[], src);
+        scan_file(&mut g, &SourceFile::new("demo", "demo/src/lib.rs", &[], src));
         g.index();
         g
     }
@@ -1933,8 +1783,8 @@ mod tests {
     #[test]
     fn path_resolution_prefers_module_suffix() {
         let mut g = CallGraph::default();
-        scan_file(&mut g, "support", "support/src/pool.rs", &[&"pool".to_string()].iter().map(|s| s.to_string()).collect::<Vec<_>>(), "pub fn submit() {}\n");
-        scan_file(&mut g, "inet", "inet/src/il.rs", &["il".to_string()], "fn service() { pool::submit(); plan9_support::pool::submit(); }\n");
+        scan_file(&mut g, &SourceFile::new("support", "support/src/pool.rs", &["pool".to_string()], "pub fn submit() {}\n"));
+        scan_file(&mut g, &SourceFile::new("inet", "inet/src/il.rs", &["il".to_string()], "fn service() { pool::submit(); plan9_support::pool::submit(); }\n"));
         g.index();
         let caller = g.fns.iter().position(|f| f.name == "service").unwrap();
         for call in g.fns[caller].calls().map(|c| c.callee.clone()).collect::<Vec<_>>() {

@@ -7,7 +7,8 @@
 //!   `ninep`, `netsim`) must not call `.unwrap()`/`.expect()` outside
 //!   test code: a panic inside a `put` routine takes down the whole
 //!   stream. A call that is genuinely infallible may stay if annotated
-//!   `// checked: <reason>` on the same or preceding line.
+//!   `// checked: <reason>` on the same line or in the comment block
+//!   directly above it.
 //! - **raw-sync** — only `plan9-support` may touch
 //!   `std::sync::{Mutex, RwLock, Condvar}`; everyone else uses the
 //!   no-poison, lockdep-aware wrappers in `plan9_support::sync`.
@@ -29,12 +30,17 @@
 //! enough to make the five rules precise without a syntax tree, and
 //! with zero dependencies so it builds before anything else.
 //!
+//! There is one front end: [`Workspace::read`] walks `crates/*` once
+//! and [`SourceFile::new`] lexes each file once, marks its test-only
+//! lines and parses its waivers; the line rules here and [`graph`]'s
+//! call-graph parser both read that.
+//!
 //! There is no tolerated count: any violation fails the gate.
 
 use std::fmt;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 pub mod flow;
 pub mod graph;
@@ -143,12 +149,8 @@ enum LexState {
 
 /// Lexes full source text into per-line code/comment views. The state
 /// machine carries block comments and multi-line strings across lines.
-/// Also the front door for [`graph`]'s tokenizer: string contents are
-/// blanked column-preserving, so spans survive into the raw line.
-pub(crate) fn lex_lines(source: &str) -> Vec<LexedLine> {
-    lex(source)
-}
-
+/// String contents are blanked column-preserving, so [`graph`]'s
+/// tokenizer finds them again at the same span of the raw line.
 fn lex(source: &str) -> Vec<LexedLine> {
     let mut out = Vec::new();
     let mut state = LexState::Code;
@@ -364,44 +366,108 @@ impl TestRegion {
     }
 }
 
-fn has_checked_annotation(comment: &str) -> bool {
-    comment
-        .split_once("checked:")
-        .is_some_and(|(_, reason)| !reason.trim().is_empty())
+/// The waivers found on one line.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LineAnn {
+    pub(crate) blocking_ok: Option<String>,
+    pub(crate) checked: bool,
+    /// The line holds only a comment — an annotation block above a
+    /// call may span several such lines.
+    bare_comment: bool,
+}
+
+fn annotations(lines: &[LexedLine]) -> Vec<LineAnn> {
+    let reason = |c: &str, key: &str| {
+        let (_, r) = c.split_once(key)?;
+        Some(r.trim().to_string()).filter(|r| !r.is_empty())
+    };
+    lines
+        .iter()
+        .map(|l| LineAnn {
+            blocking_ok: reason(&l.comment, "blocking-ok:"),
+            checked: reason(&l.comment, "checked:").is_some(),
+            bare_comment: l.code.trim().is_empty() && !l.comment.trim().is_empty(),
+        })
+        .collect()
+}
+
+/// One source file through the front end every pass shares: lexed
+/// once, its test-only lines marked, its waivers parsed.
+pub struct SourceFile {
+    /// The directory name under `crates/`.
+    pub(crate) crate_name: String,
+    /// Root-relative path with `/` separators, as diagnostics print it.
+    pub(crate) file: String,
+    /// Module path, from the file's place under `src/`.
+    pub(crate) module: Vec<String>,
+    pub(crate) text: String,
+    pub(crate) lines: Vec<LexedLine>,
+    /// Per line: inside a `#[cfg(test)]`/`#[test]` item.
+    pub(crate) test: Vec<bool>,
+    ann: Vec<LineAnn>,
+}
+
+impl SourceFile {
+    pub fn new(crate_name: &str, file: &str, module: &[String], text: &str) -> SourceFile {
+        let lines = lex(text);
+        let mut region = TestRegion::new();
+        SourceFile {
+            crate_name: crate_name.to_string(),
+            file: file.to_string(),
+            module: module.to_vec(),
+            text: text.to_string(),
+            test: lines.iter().map(|l| region.feed(&l.code)).collect(),
+            ann: annotations(&lines),
+            lines,
+        }
+    }
+
+    /// The waivers in force on `line` (1-based): its own, else any in
+    /// the contiguous comment block directly above (annotations often
+    /// wrap onto a second line).
+    pub(crate) fn ann_at(&self, line: usize) -> LineAnn {
+        let mut here = self.ann.get(line.saturating_sub(1)).cloned().unwrap_or_default();
+        let mut k = line.saturating_sub(1); // 0-based index of the line above
+        while !(here.blocking_ok.is_some() && here.checked) && k > 0 {
+            k -= 1;
+            match self.ann.get(k) {
+                Some(a) if a.bare_comment => {
+                    if here.blocking_ok.is_none() {
+                        here.blocking_ok = a.blocking_ok.clone();
+                    }
+                    here.checked |= a.checked;
+                }
+                _ => break,
+            }
+        }
+        here
+    }
 }
 
 /// The `std::sync` primitives that must stay behind `plan9_support`.
 const RAW_SYNC: &[&str] = &["Mutex", "RwLock", "Condvar"];
 
-/// Scans one Rust source file. `crate_name` is the directory name under
-/// `crates/`; `file` is the root-relative path used in diagnostics.
-pub fn scan_source(crate_name: &str, file: &str, source: &str) -> Vec<Violation> {
+/// Runs the line rules over one source file.
+pub fn scan_source(src: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
-    let lexed = lex(source);
-    let mut region = TestRegion::new();
-    let mut prev_comment_checked = false;
     let mut in_sync_use = false;
-    let kernel = KERNEL_CRATES.contains(&crate_name);
-    let boundary = crate_name == BOUNDARY_CRATE;
+    let kernel = KERNEL_CRATES.contains(&src.crate_name.as_str());
+    let boundary = src.crate_name == BOUNDARY_CRATE;
 
-    for (idx, line) in lexed.iter().enumerate() {
+    for (idx, line) in src.lines.iter().enumerate() {
         let lineno = idx + 1;
-        let in_test = region.feed(&line.code);
-        let checked = has_checked_annotation(&line.comment) || prev_comment_checked;
-        // A standalone `// checked: reason` line blesses the next line.
-        prev_comment_checked =
-            line.code.trim().is_empty() && has_checked_annotation(&line.comment);
-        if in_test {
+        if src.test[idx] {
             in_sync_use = false;
             continue;
         }
+        let checked = src.ann_at(lineno).checked;
         let code = &line.code;
         let mut report = |rule: Rule| {
             out.push(Violation {
                 rule,
-                file: file.to_string(),
+                file: src.file.clone(),
                 line: lineno,
-                excerpt: source.lines().nth(idx).unwrap_or("").trim().to_string(),
+                excerpt: src.text.lines().nth(idx).unwrap_or("").trim().to_string(),
             });
         };
 
@@ -543,67 +609,87 @@ pub fn scan_manifest(file: &str, source: &str) -> Vec<Violation> {
 // ---------------------------------------------------------------------------
 // Workspace walking.
 
-fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// Every `.rs` file under `dir`, in path order, as `visit` wants it.
+fn walk_rs(dir: &Path, visit: &mut dyn FnMut(&Path) -> io::Result<()>) -> io::Result<()> {
     let mut entries: Vec<_> = fs::read_dir(dir)?.collect::<io::Result<_>>()?;
     entries.sort_by_key(|e| e.path());
     for e in entries {
         let p = e.path();
         if p.is_dir() {
-            walk_rs(&p, out)?;
+            walk_rs(&p, visit)?;
         } else if p.extension().is_some_and(|x| x == "rs") {
-            out.push(p);
+            visit(&p)?;
         }
     }
     Ok(())
 }
 
+/// Module path derived from a file's location under `src/`.
+fn file_module(rel_in_src: &Path) -> Vec<String> {
+    let mut parts: Vec<String> = rel_in_src
+        .components()
+        .map(|c| c.as_os_str().to_string_lossy().into_owned())
+        .collect();
+    if let Some(last) = parts.last_mut() {
+        *last = last.trim_end_matches(".rs").to_string();
+    }
+    if matches!(parts.last().map(String::as_str), Some("lib" | "main" | "mod")) {
+        parts.pop();
+    }
+    parts
+}
+
+/// A workspace as every pass reads it, read once: the root
+/// `Cargo.toml` and every `crates/*/Cargo.toml`, and every
+/// `crates/*/src/**/*.rs` through the front end.
+pub struct Workspace {
+    /// `(crate, path, text)`; the root manifest's crate is `""`.
+    pub(crate) manifests: Vec<(String, String, String)>,
+    pub(crate) files: Vec<SourceFile>,
+}
+
+impl Workspace {
+    pub fn read(root: &Path) -> io::Result<Workspace> {
+        let rel = |p: &Path| p.strip_prefix(root).unwrap_or(p).to_string_lossy().replace('\\', "/");
+        let mut ws = Workspace { manifests: Vec::new(), files: Vec::new() };
+        let manifest = |ws: &mut Workspace, name: &str, dir: &Path| -> io::Result<()> {
+            let path = dir.join("Cargo.toml");
+            if path.is_file() {
+                ws.manifests.push((name.to_string(), rel(&path), fs::read_to_string(&path)?));
+            }
+            Ok(())
+        };
+        manifest(&mut ws, "", root)?;
+        let mut crate_dirs: Vec<_> = fs::read_dir(root.join("crates"))?
+            .map(|e| e.map(|e| e.path()))
+            .collect::<io::Result<_>>()?;
+        crate_dirs.sort();
+        for dir in crate_dirs.iter().filter(|p| p.is_dir()) {
+            let name = dir.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
+            manifest(&mut ws, &name, dir)?;
+            let src = dir.join("src");
+            if src.is_dir() {
+                walk_rs(&src, &mut |f| {
+                    let module = file_module(f.strip_prefix(&src).unwrap_or(f));
+                    ws.files.push(SourceFile::new(&name, &rel(f), &module, &fs::read_to_string(f)?));
+                    Ok(())
+                })?;
+            }
+        }
+        Ok(ws)
+    }
+
+    /// The line and manifest rules over the whole workspace.
+    pub fn lint(&self) -> Vec<Violation> {
+        let manifests = self.manifests.iter().flat_map(|(_, file, text)| scan_manifest(file, text));
+        manifests.chain(self.files.iter().flat_map(scan_source)).collect()
+    }
+}
+
 /// Scans a workspace rooted at `root`: every `crates/*/src/**/*.rs`,
 /// every `crates/*/Cargo.toml`, and the root `Cargo.toml`.
 pub fn scan_workspace(root: &Path) -> io::Result<Vec<Violation>> {
-    let mut out = Vec::new();
-    let rel = |p: &Path| {
-        p.strip_prefix(root)
-            .unwrap_or(p)
-            .to_string_lossy()
-            .replace('\\', "/")
-    };
-
-    let root_manifest = root.join("Cargo.toml");
-    if root_manifest.is_file() {
-        out.extend(scan_manifest(
-            &rel(&root_manifest),
-            &fs::read_to_string(&root_manifest)?,
-        ));
-    }
-
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<_> = fs::read_dir(&crates_dir)?
-        .collect::<io::Result<Vec<_>>>()?
-        .into_iter()
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-
-    for dir in crate_dirs {
-        let crate_name = dir
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let manifest = dir.join("Cargo.toml");
-        if manifest.is_file() {
-            out.extend(scan_manifest(&rel(&manifest), &fs::read_to_string(&manifest)?));
-        }
-        let src = dir.join("src");
-        if src.is_dir() {
-            let mut files = Vec::new();
-            walk_rs(&src, &mut files)?;
-            for f in files {
-                out.extend(scan_source(&crate_name, &rel(&f), &fs::read_to_string(&f)?));
-            }
-        }
-    }
-    Ok(out)
+    Ok(Workspace::read(root)?.lint())
 }
 
 #[cfg(test)]
@@ -612,6 +698,10 @@ mod tests {
 
     fn lines(violations: &[Violation]) -> Vec<(Rule, usize)> {
         violations.iter().map(|v| (v.rule, v.line)).collect()
+    }
+
+    fn scan_source(crate_name: &str, file: &str, source: &str) -> Vec<Violation> {
+        super::scan_source(&SourceFile::new(crate_name, file, &[], source))
     }
 
     #[test]

@@ -531,8 +531,7 @@ mod tests {
 
     fn g_scan(g: &mut CallGraph, file: &str, src: &str) {
         let crate_name = file.split('/').next().unwrap_or("demo");
-        let module: Vec<String> = Vec::new();
-        scan_file(g, crate_name, file, &module, src);
+        scan_file(g, &crate::SourceFile::new(crate_name, file, &[], src));
     }
 
     const TWO_LOCKS: &str = "struct S { a: Mutex<u8>, b: Mutex<u8> }\n\

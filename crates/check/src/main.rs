@@ -20,7 +20,7 @@
 //! Exit status: 0 when no rule is violated (and, under `--flow`, the
 //! budget holds), 1 otherwise, 2 on usage or I/O errors.
 
-use plan9_check::{flow, graph, lockgraph, report, scan_workspace};
+use plan9_check::{flow, graph, lockgraph, report, Workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -59,23 +59,19 @@ fn main() -> ExitCode {
     // checked: lint wall budget; the host clock is the measurand here
     let started = std::time::Instant::now();
 
-    let mut violations = match scan_workspace(&root) {
-        Ok(v) => v,
+    // Read and lexed once, for the line rules and the call graph both.
+    let ws = match Workspace::read(&root) {
+        Ok(ws) => ws,
         Err(e) => {
             eprintln!("plan9-check: scanning {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
+    let mut violations = ws.lint();
 
     let mut flow_summary = String::new();
     if flow_mode {
-        let g = match graph::build_graph(&root) {
-            Ok(g) => g,
-            Err(e) => {
-                eprintln!("plan9-check: building call graph under {}: {e}", root.display());
-                return ExitCode::from(2);
-            }
-        };
+        let g = graph::graph_of(&ws);
         let blocking = flow::blocking_findings(&g);
         let panics = flow::panic_findings(&g);
         let observed_path =

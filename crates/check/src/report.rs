@@ -174,8 +174,7 @@ mod tests {
     #[test]
     fn report_renders_valid_shape() {
         let mut g = CallGraph::default();
-        scan_file(
-            &mut g,
+        let src = crate::SourceFile::new(
             "demo",
             "demo/src/lib.rs",
             &[],
@@ -187,6 +186,7 @@ mod tests {
              fn service(key: u64) {\n    pool::submit(key, move || nap());\n}\n\
              fn nap() { time::sleep(d); }\n",
         );
+        scan_file(&mut g, &src);
         g.index();
         let blocking = blocking_findings(&g);
         let panics = panic_findings(&g);

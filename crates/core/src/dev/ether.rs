@@ -86,13 +86,14 @@ impl EtherDev {
     ///
     /// Connection directories are numbered from 1, matching Figure 1.
     pub fn new(stack: &Arc<IpStack>) -> Arc<EtherDev> {
+        let reg = &stack.netlog().registry;
         let dev = Arc::new(EtherDev {
             stack: Arc::clone(stack),
             convs: ConvTable::new(1, &TOP_FILES, &CONV_FILES),
             promiscuous: Mutex::named(0, "core.ether.promiscuous"),
-            in_packets: Counter::new("ether.in"),
-            out_packets: Counter::new("ether.out"),
-            unrouted: Counter::new("ether.unrouted"),
+            in_packets: reg.counter("ether.in"),
+            out_packets: reg.counter("ether.out"),
+            unrouted: reg.counter("ether.unrouted"),
         });
         // Weak: the stack owns the tap, and the device the stack.
         let tap = Arc::downgrade(&dev);
@@ -137,18 +138,16 @@ impl EtherDev {
 
     /// The `stats` text: "the interface address, packet input/output
     /// counts, error statistics, and general information about the state
-    /// of the interface." The trailing block is the shared wire's own
-    /// frame accounting.
+    /// of the interface." The state is a header of `key: value` lines;
+    /// the counts are the machine registry's `ether.*`, and `wire.*`
+    /// for the shared wire's own frame accounting.
     pub fn stats_text(&self) -> String {
         format!(
-            "addr: {}\nin: {}\nout: {}\nunrouted: {}\nconversations: {}\nmtu: {}\n{}",
+            "addr: {}\nconversations: {}\nmtu: {}\n{}",
             self.addr_string(),
-            self.in_packets.get(),
-            self.out_packets.get(),
-            self.unrouted.get(),
             self.convs.conn_count(),
             self.stack.station().payload_mtu(),
-            self.stack.station().medium().stats().render(),
+            self.stack.netlog().registry.render(&["ether.", "wire."]),
         )
     }
 }
@@ -438,7 +437,7 @@ mod tests {
         let s = dev.open(&s, OpenMode::READ).unwrap();
         let text = String::from_utf8(dev.read(&s, 0, 4096).unwrap()).unwrap();
         assert!(text.contains("addr: 080069022201"), "{text}");
-        assert!(text.contains("out:"), "{text}");
+        assert!(text.contains("ether.out 0\n") && text.contains("wire.sent 0\n"), "{text}");
     }
 
     #[test]

@@ -74,8 +74,9 @@ pub trait ProtoOps: Send + Sync {
     fn connect(&self, addr: &str) -> Result<Arc<dyn ConnOps>>;
     /// Announces a service (`*!564`, `nj/astro/helix!9fs`).
     fn announce(&self, addr: &str) -> Result<Arc<dyn AnnounceOps>>;
-    /// The protocol-wide `stats` file contents: ASCII `key: value`
-    /// lines, re-evaluated on every read.
+    /// The protocol-wide `stats` file contents: the protocol's rows of
+    /// the machine's metric registry, `name value` lines rendered on
+    /// every read.
     fn stats_text(&self) -> String {
         String::new()
     }
@@ -431,7 +432,7 @@ mod tests {
             }))
         }
         fn stats_text(&self) -> String {
-            format!("toyCalls: {}\n", self.rdv.boards.lock().len())
+            format!("toy.calls {}\n", self.rdv.boards.lock().len())
         }
     }
 
@@ -634,6 +635,6 @@ mod tests {
         let stats = dev.walk(&root, "stats").unwrap();
         assert!(dev.open(&stats, OpenMode::WRITE).is_err());
         let stats = dev.open(&stats, OpenMode::READ).unwrap();
-        assert_eq!(dev.read(&stats, 0, 4096).unwrap(), b"toyCalls: 0\n");
+        assert_eq!(dev.read(&stats, 0, 4096).unwrap(), b"toy.calls 0\n");
     }
 }

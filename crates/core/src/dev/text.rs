@@ -180,7 +180,7 @@ mod tests {
         let row = |(name, path): (&str, u32)| (name.to_string(), path);
         let (log, _netlog) = netlog_dev();
         assert_eq!(listing(&log, &[]), [row(("log", 1))]);
-        let want = [("copy", 5), ("ctl", 2), ("data", 3), ("lockgraph", 6), ("series", 4)];
+        let want = [("copy", 5), ("ctl", 2), ("data", 3), ("lockgraph", 6), ("series", 4), ("stats", 7)];
         assert_eq!(listing(&log, &["log"]), want.map(row));
         let (trace, _tracer) = trace_dev();
         assert_eq!(listing(&trace, &[]), [row(("trace", 1))]);
@@ -241,14 +241,18 @@ mod tests {
     }
 
     #[test]
-    fn log_copy_file_serves_site_table() {
-        let (fs, _netlog) = netlog_dev();
+    fn log_copy_is_the_copy_rows_of_log_stats() {
+        let (fs, netlog) = netlog_dev();
+        netlog.registry.counter("il.tx").add(3);
         // Touch a site so the table is guaranteed non-empty.
         let _ = plan9_support::buf::Bytes::copy_from_slice(b"copied");
-        let copy = walk_open(&fs, &["log", "copy"], OpenMode::READ);
-        let text = text(&fs, &copy);
-        assert!(text.contains("copy buf.from_slice bytes="), "{text}");
-        assert!(text.contains("copy total sites="), "{text}");
+        let copy = text(&fs, &walk_open(&fs, &["log", "copy"], OpenMode::READ));
+        assert!(copy.contains("copy.buf.from_slice.bytes "), "{copy}");
+        assert!(copy.lines().all(|l| l.starts_with("copy.")), "{copy}");
+        let stats = text(&fs, &walk_open(&fs, &["log", "stats"], OpenMode::READ));
+        assert!(stats.contains("il.tx 3\n") && stats.contains("pool.wheel.armed "), "{stats}");
+        let names = |t: &str| t.lines().filter_map(|l| l.split(' ').next().map(str::to_string)).collect::<Vec<_>>();
+        assert!(names(&copy).iter().all(|n| names(&stats).contains(n)), "{copy}\n{stats}");
     }
 
     #[test]

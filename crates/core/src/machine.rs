@@ -29,14 +29,20 @@ use std::sync::Arc;
 
 /// `/net/log`: netlog's facility mask on `ctl` (which also takes the
 /// sampler's `series ...` requests), the event text on `data`, the
-/// metric time series, the process-wide copy-site table and the
-/// runtime lock-order graph. lockdep is a process singleton, so every
+/// metric time series, the whole metric table on `stats` (its
+/// process-wide copy-site rows alone on `copy`) and the runtime
+/// lock-order graph. lockdep is a process singleton, so every
 /// machine serves the same `lockgraph`: the fabric's lock discipline is
 /// one artifact.
 pub(crate) fn log_files(netlog: &Arc<NetLog>) -> Vec<TextFile> {
     let [mask, ctl, events, series] = [(); 4].map(|()| Arc::clone(netlog));
+    // The table as it stands once the process-wide cells are mirrored.
+    let table = |prefixes: &'static [&'static str]| {
+        let netlog = Arc::clone(netlog);
+        move || netlog.registry.refresh().render(prefixes)
+    };
     vec![
-        TextFile::new("copy", 5, 0o444, plan9_support::copysite::render),
+        TextFile::new("copy", 5, 0o444, table(&["copy."])),
         // Reading ctl shows the enabled facilities as a replayable
         // `set` request.
         TextFile::new("ctl", 2, 0o660, move || mask.events.mask_line()).on_write(move |req| {
@@ -49,6 +55,7 @@ pub(crate) fn log_files(netlog: &Arc<NetLog>) -> Vec<TextFile> {
         TextFile::new("data", 3, 0o444, move || events.events.render()),
         TextFile::new("lockgraph", 6, 0o444, plan9_support::lockgraph_dump),
         TextFile::new("series", 4, 0o444, move || series.series.render()),
+        TextFile::new("stats", 7, 0o444, table(&[])),
     ]
 }
 
@@ -194,11 +201,15 @@ impl MachineBuilder {
             ip = Some(stack);
             ether_dev = Some(dev);
         }
+        // One instrumentation block a machine: its IP stack's when it
+        // has one (the stack is built with it), its own when Datakit
+        // is all there is.
+        let netlog = ip.as_ref().map_or_else(NetLog::new, |stack| Arc::clone(stack.netlog()));
         // Datakit + URP.
         let mut dk = None;
         if let Some((switch, addr)) = &self.datakit {
             let line = switch.attach(addr).map_err(NineError::new)?;
-            let dispatcher = DkDispatcher::start(line);
+            let dispatcher = DkDispatcher::start(line, &netlog);
             let dev = ProtoDev::new(Box::new(DkProto {
                 dispatcher: Arc::clone(&dispatcher),
             }));
@@ -240,15 +251,15 @@ impl MachineBuilder {
                 out
             });
             mount_text(TextDev::new("netinfo", "info", None, vec![arp]), "/net")?;
-            // The netlog device, /net/log, over this stack's event ring,
-            // and the nettrace device, /net/trace, over the process-wide
-            // flight recorder, so a trace that crosses machines reads
-            // the same from any of them.
-            let log = log_files(stack.netlog());
-            mount_text(TextDev::new("netlog", "network", Some("log"), log), "/net")?;
-            let trace = trace_files(plan9_netlog::trace::global());
-            mount_text(TextDev::new("nettrace", "network", Some("trace"), trace), "/net")?;
         }
+        // The netlog device, /net/log, over the machine's metric table
+        // and event ring, and the nettrace device, /net/trace, over the
+        // process-wide flight recorder, so a trace that crosses
+        // machines reads the same from any of them.
+        let log = log_files(&netlog);
+        mount_text(TextDev::new("netlog", "network", Some("log"), log), "/net")?;
+        let trace = trace_files(plan9_netlog::trace::global());
+        mount_text(TextDev::new("nettrace", "network", Some("trace"), trace), "/net")?;
         // DNS, then CS over it.
         let dns = self.internet.as_ref().map(|net| DnsServer::new(Arc::clone(net)));
         if let Some(dns) = &dns {
@@ -275,6 +286,7 @@ impl MachineBuilder {
             ip,
             ether_dev,
             dk,
+            netlog,
             db,
             dns,
             cs,
@@ -295,6 +307,9 @@ pub struct Machine {
     pub ether_dev: Option<Arc<EtherDev>>,
     /// The Datakit dispatcher, if the machine has a line.
     pub dk: Option<Arc<DkDispatcher>>,
+    /// The machine's instrumentation block: every counter a file under
+    /// `/net` shows is in its registry, and `/net/log` serves it.
+    pub netlog: Arc<NetLog>,
     /// The network database.
     pub db: Arc<Db>,
     /// The DNS resolver, if connected to an internet.
@@ -414,11 +429,7 @@ impl ProtoOps for TcpProto {
         }))
     }
     fn stats_text(&self) -> String {
-        format!(
-            "{}{}",
-            self.stack.tcp_module().stats.render(),
-            self.stack.stats.render()
-        )
+        self.stack.netlog().registry.render(&["tcp.", "ip."])
     }
 }
 
@@ -473,11 +484,7 @@ impl ProtoOps for IlProto {
         }))
     }
     fn stats_text(&self) -> String {
-        format!(
-            "{}{}",
-            self.stack.il_module().stats.render(),
-            self.stack.stats.render()
-        )
+        self.stack.netlog().registry.render(&["il.", "ip."])
     }
 }
 
@@ -533,11 +540,7 @@ impl ProtoOps for UdpProto {
         Err(NineError::new("udp: announce not supported"))
     }
     fn stats_text(&self) -> String {
-        format!(
-            "{}{}",
-            self.stack.udp_module().render_stats(),
-            self.stack.stats.render()
-        )
+        self.stack.netlog().registry.render(&["udp.", "ip."])
     }
 }
 
@@ -551,8 +554,10 @@ pub struct DkDispatcher {
     addr: String,
     line: Arc<DatakitLine>,
     services: Mutex<HashMap<String, IncomingCallTx>>,
-    /// Counted into by every conversation dialed or accepted on the line.
+    /// Counted into by every conversation dialed or accepted on the
+    /// line: the `urp.*` cells of the machine's registry.
     stats: Arc<UrpStats>,
+    netlog: Arc<NetLog>,
 }
 
 /// Hands an accepted call (its connection and calling address) to the
@@ -560,13 +565,14 @@ pub struct DkDispatcher {
 type IncomingCallTx = plan9_support::chan::Sender<(Arc<UrpConn>, String)>;
 
 impl DkDispatcher {
-    fn start(line: DatakitLine) -> Arc<DkDispatcher> {
+    fn start(line: DatakitLine, netlog: &Arc<NetLog>) -> Arc<DkDispatcher> {
         let line = Arc::new(line);
         let d = Arc::new(DkDispatcher {
             addr: line.addr().to_string(),
             line: Arc::clone(&line),
             services: Mutex::named(HashMap::new(), "core.machine.services"),
-            stats: Arc::default(),
+            stats: Arc::new(UrpStats::new(&netlog.registry)),
+            netlog: Arc::clone(netlog),
         });
         // Held weakly: the listener ends with the dispatcher, whose
         // drop unplugs the line it is parked in.
@@ -680,7 +686,7 @@ impl ProtoOps for DkProto {
         }))
     }
     fn stats_text(&self) -> String {
-        self.dispatcher.stats.render()
+        self.dispatcher.netlog.registry.render(&["urp."])
     }
 }
 
@@ -760,8 +766,9 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/philw-gnot proto=il proto=tcp
             .open("/net/il/stats", plan9_ninep::procfs::OpenMode::READ)
             .unwrap();
         let text = gp.read_string(fd).unwrap();
-        assert!(text.contains("ilTx:"), "{text}");
-        assert!(text.contains("ipRx:"), "{text}");
+        let count = |name: &str| text.lines().find_map(|l| l.strip_prefix(name)?.trim().parse::<u64>().ok());
+        assert!(count("il.tx ").is_some_and(|n| n > 0), "{text}");
+        assert!(count("ip.rx ").is_some_and(|n| n > 0), "{text}");
         // The netlog data file holds only il-facility events.
         let fd = gp
             .open("/net/log/data", plan9_ninep::procfs::OpenMode::READ)

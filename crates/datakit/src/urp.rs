@@ -13,9 +13,9 @@ use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::{time, vtime};
 use plan9_netsim::fabric::{Circuit, DatakitLine, IncomingCall};
 use plan9_netsim::wire::RecvOutcome;
+use plan9_netlog::{Counter, Registry};
 use plan9_ninep::NineError;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -42,28 +42,26 @@ const ECHO_EVERY: u8 = 4;
 
 /// Traffic counters: a conversation's own, or one set shared by every
 /// conversation of a Datakit line (`/net/dk/stats`).
-#[derive(Default)]
 pub struct UrpStats {
     /// Data cells sent (first transmissions).
-    pub tx_cells: AtomicU64,
+    pub tx_cells: Counter,
     /// Data cells retransmitted after a rewind.
-    pub retransmit_cells: AtomicU64,
+    pub retransmit_cells: Counter,
     /// ENQ probes sent.
-    pub enqs: AtomicU64,
+    pub enqs: Counter,
     /// REJ cells sent for out-of-sequence arrivals.
-    pub rejs: AtomicU64,
+    pub rejs: Counter,
 }
 
 impl UrpStats {
-    /// Renders the counters for a `stats` file.
-    pub fn render(&self) -> String {
-        format!(
-            "urpTx: {}\nurpRexmit: {}\nurpEnq: {}\nurpRej: {}\n",
-            self.tx_cells.load(Ordering::Relaxed),
-            self.retransmit_cells.load(Ordering::Relaxed),
-            self.enqs.load(Ordering::Relaxed),
-            self.rejs.load(Ordering::Relaxed)
-        )
+    /// The `urp.*` cells of `reg`, the table that shows them.
+    pub fn new(reg: &Registry) -> UrpStats {
+        UrpStats {
+            tx_cells: reg.counter("urp.tx"),
+            retransmit_cells: reg.counter("urp.rexmit"),
+            enqs: reg.counter("urp.enq"),
+            rejs: reg.counter("urp.rej"),
+        }
     }
 }
 
@@ -122,7 +120,7 @@ impl UrpConn {
     /// Wraps an established circuit in URP and starts the receive
     /// process.
     pub fn new(circuit: Circuit) -> Arc<UrpConn> {
-        UrpConn::with_stats(circuit, Arc::default())
+        UrpConn::with_stats(circuit, Arc::new(UrpStats::new(&Registry::new())))
     }
 
     /// As [`UrpConn::new`], counting into `stats`, which the caller
@@ -180,7 +178,7 @@ impl UrpConn {
             idle += Duration::from_millis(10);
             if idle >= ENQ_TIMEOUT {
                 idle = Duration::ZERO;
-                self.stats.enqs.fetch_add(1, Ordering::Relaxed);
+                self.stats.enqs.inc();
                 let _ = self.circuit.send(&[T_ENQ | next]);
             }
         }
@@ -297,7 +295,7 @@ impl UrpConn {
                 .unwrap_or(false);
             if !damped {
                 recv.last_rej = Some(time::now());
-                self.stats.rejs.fetch_add(1, Ordering::Relaxed);
+                self.stats.rejs.inc();
                 let expected = recv.expected;
                 drop(recv);
                 let _ = self.circuit.send(&[T_REJ | expected]);
@@ -351,9 +349,7 @@ impl UrpConn {
             .skip_while(|(s, _)| *s != seq)
             .map(|(_, c)| c.clone())
             .collect();
-        self.stats
-            .retransmit_cells
-            .fetch_add(cells.len() as u64, Ordering::Relaxed);
+        self.stats.retransmit_cells.add(cells.len() as u64);
         drop(send);
         for c in cells {
             let _ = self.circuit.send(&c);
@@ -392,7 +388,7 @@ impl UrpConn {
                 cell.push(if eom { T_DATA_EOM } else { T_DATA } | seq);
                 cell.extend_from_slice(chunk);
                 send.unacked.push_back((seq, cell.clone()));
-                self.stats.tx_cells.fetch_add(1, Ordering::Relaxed);
+                self.stats.tx_cells.inc();
                 drop(send);
                 self.circuit.send(&cell).map_err(NineError::new)?;
             }
@@ -443,7 +439,7 @@ impl UrpConn {
                     return Ok(());
                 }
             }
-            self.stats.enqs.fetch_add(1, Ordering::Relaxed);
+            self.stats.enqs.inc();
             let next = self.send.lock().next_seq;
             self.circuit.send(&[T_ENQ | next]).map_err(NineError::new)?;
             let deadline = time::now() + ENQ_TIMEOUT * (1 + silent_rounds / 8);
@@ -612,7 +608,7 @@ mod tests {
         let t = std::thread::spawn(move || b.recv().unwrap());
         a.send(&msg).unwrap();
         assert_eq!(t.join().unwrap(), expect);
-        assert!(a.stats.tx_cells.load(Ordering::Relaxed) > URP_WINDOW as u64);
+        assert!(a.stats.tx_cells.get() > URP_WINDOW as u64);
     }
 
     #[test]
@@ -632,8 +628,8 @@ mod tests {
         }
         assert_eq!(t.join().unwrap(), expect);
         assert!(
-            a.stats.retransmit_cells.load(Ordering::Relaxed) > 0
-                || a.stats.enqs.load(Ordering::Relaxed) > 0
+            a.stats.retransmit_cells.get() > 0
+                || a.stats.enqs.get() > 0
         );
     }
 

@@ -209,7 +209,8 @@ impl IlState {
 }
 
 /// Aggregate IL counters, compared against TCP's in the §3 experiment.
-/// All live in the stack's netlog registry under `il.*` names.
+/// All live in the stack's netlog registry under `il.*` names, which is
+/// what `/net/il/stats` renders.
 pub struct IlStats {
     /// Data messages sent (first transmissions).
     pub tx_msgs: Counter,
@@ -239,20 +240,6 @@ impl IlStats {
             retransmit_bytes: reg.counter("il.rexmitbytes"),
             rtt: reg.histogram("il.rtt"),
         }
-    }
-
-    /// Renders the counters plus the RTT histogram for a `stats` file.
-    pub fn render(&self) -> String {
-        format!(
-            "ilTx: {}\nilRx: {}\nilQueries: {}\nilAcks: {}\nilRexmit: {}\nilRexmitBytes: {}\n{}",
-            self.tx_msgs.get(),
-            self.rx_msgs.get(),
-            self.queries.get(),
-            self.acks.get(),
-            self.retransmit_msgs.get(),
-            self.retransmit_bytes.get(),
-            self.rtt.render()
-        )
     }
 }
 

@@ -97,20 +97,6 @@ impl IpStats {
             arp_dropped: reg.counter("ip.arpdrop"),
         }
     }
-
-    /// Renders the counters as `key: value` lines for a `stats` file.
-    pub fn render(&self) -> String {
-        format!(
-            "ipRx: {}\nipTx: {}\nipRxErr: {}\nipReassembled: {}\nipFragOut: {}\narpHeld: {}\narpDropped: {}\n",
-            self.rx_packets.get(),
-            self.tx_packets.get(),
-            self.rx_errors.get(),
-            self.reassembled.get(),
-            self.fragments_out.get(),
-            self.arp_held.get(),
-            self.arp_dropped.get()
-        )
-    }
 }
 
 struct FragBuf {
@@ -183,6 +169,10 @@ impl IpStack {
         // let the controller filter the rest off the bus.
         station.set_address_filter(true);
         let netlog = NetLog::new();
+        // The wire's own frame accounting is every station's to show.
+        for cell in station.medium().stats().cells() {
+            netlog.registry.adopt(cell);
+        }
         let stack = Arc::new_cyclic(|me| IpStack {
             cfg,
             station,

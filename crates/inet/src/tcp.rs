@@ -273,19 +273,6 @@ impl TcpStats {
             ooo: reg.counter("tcp.ooo"),
         }
     }
-
-    /// Renders the counters as `key: value` lines for a `stats` file.
-    pub fn render(&self) -> String {
-        format!(
-            "tcpTx: {}\ntcpRx: {}\ntcpRexmit: {}\ntcpRexmitBytes: {}\ntcpFastRexmit: {}\ntcpOoo: {}\n",
-            self.tx_segments.get(),
-            self.rx_segments.get(),
-            self.retransmit_segments.get(),
-            self.retransmit_bytes.get(),
-            self.fast_retransmits.get(),
-            self.ooo.get()
-        )
-    }
 }
 
 /// The per-stack TCP state.
@@ -1417,7 +1404,8 @@ mod tests {
         server.join().unwrap();
         for stack in [&a, &b] {
             let stats = &stack.tcp_module().stats;
-            assert_eq!((stats.ooo.get(), stats.fast_retransmits.get()), (0, 0), "{}", stats.render());
+            let shown = stack.netlog().registry.render(&["tcp."]);
+            assert_eq!((stats.ooo.get(), stats.fast_retransmits.get()), (0, 0), "{shown}");
         }
         conn.close();
     }

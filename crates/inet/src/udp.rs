@@ -53,16 +53,6 @@ impl UdpModule {
         }
     }
 
-    /// Renders the counters as `key: value` lines for a `stats` file.
-    pub fn render_stats(&self) -> String {
-        format!(
-            "udpUnreachable: {}\nudpCsumErr: {}\nudpQueueDrops: {}\n",
-            self.unreachable.get(),
-            self.csum_errors.get(),
-            self.queue_drops.get()
-        )
-    }
-
     /// Binds a socket on `port` (0 = ephemeral).
     pub fn bind(&self, stack: &Arc<IpStack>, port: u16) -> crate::Result<UdpSocket> {
         let port = self.ports.claim(port)?;

@@ -13,8 +13,10 @@
 //!   handles, zero allocation on the hot path.
 //! * [`Histogram`] — fixed log2-bucket latency histograms (one atomic
 //!   per bucket) for RTTs and RPC round trips.
-//! * [`Registry`] — a get-or-create name → metric table that renders
-//!   the whole set as the paper's `key value` ASCII lines.
+//! * [`Registry`] — the one name → metric table of a machine, and
+//!   [`Registry::render`] the one renderer: every `stats` file under
+//!   `/net`, `/net/log/{stats,copy}`, each series sample and the
+//!   scenario report's pool block is `name value` lines of it.
 //! * [`Facility`] / [`EventLog`] — a bounded ring of protocol events
 //!   guarded by an atomic per-facility enable mask; disabled facilities
 //!   cost one relaxed load per event site.
@@ -23,11 +25,12 @@
 //! `stats` files) lives in `plan9-core`, which simply renders these
 //! types on demand.
 
-pub mod poolstats;
 pub mod series;
 pub mod trace;
 
+use plan9_support::copysite::CopySnapshot;
 use plan9_support::sync::Mutex;
+use plan9_support::{pool, wheel};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,6 +71,14 @@ impl Counter {
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.inner.value.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Raises the value to a total counted elsewhere
+    /// ([`Registry::refresh`]'s mirrors of the process-wide cells):
+    /// never lowers it, so two refreshes that race cannot make a
+    /// sample read less than the one before.
+    fn set(&self, total: u64) {
+        self.inner.value.fetch_max(total, Ordering::Relaxed);
     }
 
     /// Reads the current value.
@@ -250,7 +261,7 @@ enum Metric {
 
 /// A name → metric table. `counter("il.tx")` hands every caller the
 /// same cell, so independent modules can share counts by name, and
-/// [`Registry::render`] reports everything as sorted `key value` lines.
+/// [`Registry::render`] reports them as sorted `name value` lines.
 #[derive(Default)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<String, Metric>>,
@@ -273,6 +284,8 @@ impl Registry {
             .or_insert_with(|| Metric::Counter(Counter::new(name)))
         {
             Metric::Counter(c) => c.clone(),
+            // checked: as for a gauge below; `refresh` asks on a timer
+            // for the names it alone registers
             _ => panic!("netlog: {name} is not a counter"),
         }
     }
@@ -303,6 +316,38 @@ impl Registry {
         }
     }
 
+    /// Enters a counter made elsewhere, under its own name: a cell
+    /// several tables share (a wire counts once, and every machine on
+    /// it shows the count).
+    pub fn adopt(&self, c: &Counter) {
+        self.metrics.lock().insert(c.name().to_string(), Metric::Counter(c.clone()));
+    }
+
+    /// Mirrors the process-wide cells into this table: each pool
+    /// shard's depth (a gauge) and jobs, the timer wheel's armed count
+    /// (a gauge) and churn, and every copy site's bytes and calls.
+    /// Whoever samples or renders the whole table does it through
+    /// this, so a machine's series and `/net/log/stats` carry scheduler
+    /// pressure and copies beside its protocol counters.
+    pub fn refresh(&self) -> &Registry {
+        let p = pool::stats();
+        for i in 0..pool::NSHARDS {
+            self.gauge(&format!("pool.shard{i}.depth")).set(p.depth[i]);
+            self.counter(&format!("pool.shard{i}.inline")).set(p.inline_run[i]);
+            self.counter(&format!("pool.shard{i}.submitted")).set(p.submitted[i]);
+        }
+        let w = wheel::stats();
+        self.gauge("pool.wheel.armed").set(w.armed);
+        self.counter("pool.wheel.cancelled").set(w.cancelled);
+        self.counter("pool.wheel.fired").set(w.fired);
+        self.counter("pool.wheel.scheduled").set(w.scheduled);
+        for site in CopySnapshot::default().delta() {
+            self.counter(&format!("copy.{}.bytes", site.name)).set(site.bytes);
+            self.counter(&format!("copy.{}.calls", site.name)).set(site.calls);
+        }
+        self
+    }
+
     /// Reads every metric's current value, kind-tagged and sorted by
     /// name — the raw material for the time-series sampler, which
     /// diffs successive samples (see [`series`]).
@@ -323,13 +368,15 @@ impl Registry {
             .collect()
     }
 
-    /// Renders every metric as ASCII, sorted by name: `name value` for
-    /// counters and gauges, the multi-line bucket listing for
-    /// histograms.
-    pub fn render(&self) -> String {
+    /// Renders the metrics whose names start with one of `prefixes`
+    /// (all of them, given none) as ASCII, sorted by name: `name value`
+    /// for counters and gauges, the multi-line bucket listing for
+    /// histograms. What every `stats` file serves.
+    pub fn render(&self, prefixes: &[&str]) -> String {
         let m = self.metrics.lock();
         let mut out = String::new();
-        for (name, metric) in m.iter() {
+        let shown = |name: &str| prefixes.is_empty() || prefixes.iter().any(|p| name.starts_with(p));
+        for (name, metric) in m.iter().filter(|(name, _)| shown(name)) {
             match metric {
                 Metric::Counter(c) => out.push_str(&format!("{} {}\n", name, c.get())),
                 Metric::Gauge(g) => out.push_str(&format!("{} {}\n", name, g.get())),
@@ -353,7 +400,7 @@ pub enum Facility {
     Ip,
     /// The worker pool and timer wheel (shard saturation, inline
     /// fallbacks, wheel churn) — the soft-interrupt layer's own
-    /// commentary; see [`poolstats`].
+    /// commentary; see [`Registry::refresh`].
     Pool,
 }
 
@@ -626,10 +673,42 @@ mod tests {
         assert_eq!(b.get(), 1);
         r.gauge("q.depth").set(3);
         r.histogram("rtt").record_us(5);
-        let text = r.render();
+        let text = r.render(&[]);
         assert!(text.contains("il.tx 1\n"), "{text}");
         assert!(text.contains("q.depth 3\n"), "{text}");
         assert!(text.contains("rtt count 1"), "{text}");
+        assert_eq!(r.render(&["il.", "q."]), "il.tx 1\nq.depth 3\n");
+    }
+
+    #[test]
+    fn an_adopted_counter_is_the_cell_its_maker_counts_in() {
+        let wire = Counter::new("wire.sent");
+        let (a, b) = (Registry::new(), Registry::new());
+        a.adopt(&wire);
+        b.adopt(&wire);
+        wire.add(3);
+        assert_eq!(a.render(&["wire."]), "wire.sent 3\n");
+        assert_eq!(b.counter("wire.sent").get(), 3);
+    }
+
+    #[test]
+    fn refresh_mirrors_pool_wheel_and_copy_sites() {
+        let _ = plan9_support::buf::Bytes::copy_from_slice(b"copied");
+        let r = Registry::new();
+        let names: Vec<String> = r.refresh().sample().into_iter().map(|(n, _)| n).collect();
+        for i in 0..pool::NSHARDS {
+            for what in ["depth", "inline", "submitted"] {
+                assert!(names.contains(&format!("pool.shard{i}.{what}")), "{names:?}");
+            }
+        }
+        for name in ["pool.wheel.armed", "pool.wheel.scheduled", "copy.buf.from_slice.bytes"] {
+            assert!(names.iter().any(|n| n == name), "{names:?}");
+        }
+        // Mirrored totals are counters: a series shows what was added.
+        let before = r.sample();
+        let _ = plan9_support::buf::Bytes::copy_from_slice(b"again");
+        let lines = series::delta_lines(&before, &r.refresh().sample());
+        assert!(lines.iter().any(|l| l.starts_with("copy.buf.from_slice.calls +")), "{lines:?}");
     }
 
     #[test]
@@ -637,7 +716,7 @@ mod tests {
         let r = Registry::new();
         r.counter("zeta").inc();
         r.counter("alpha").add(2);
-        let text = r.render();
+        let text = r.render(&[]);
         let za = text.find("zeta").unwrap();
         let al = text.find("alpha").unwrap();
         assert!(al < za, "{text}");

@@ -11,10 +11,10 @@
 //! which is what lets a fabric-wide dashboard diff cities instead of
 //! eyeballing them.
 //!
-//! Before each sample the sampler refreshes the process-global
-//! scheduler-pressure gauges ([`crate::poolstats::update_gauges`]), so
-//! a series captures pool-shard occupancy and armed-timer counts
-//! alongside the protocol counters.
+//! Before each sample the sampler mirrors the process-wide cells into
+//! the registry ([`crate::Registry::refresh`]), so a series captures
+//! pool-shard occupancy, timer churn and copies alongside the protocol
+//! counters.
 //!
 //! Configuration rides the `/net/log/ctl` file (see
 //! [`ctl`]): `series interval 250ms`, `series retention 512`,
@@ -94,7 +94,7 @@ impl Default for Series {
 /// Starts sampling `nl`'s registry. The base instant is now; the first
 /// sample lands exactly one interval later. No-op if already running.
 pub fn start(nl: &Arc<NetLog>) -> Result<(), String> {
-    crate::poolstats::update_gauges(&nl.registry);
+    nl.registry.refresh();
     let mut st = nl.series.state.lock();
     if st.running {
         return Ok(());
@@ -123,9 +123,8 @@ fn arm(nl: &Arc<NetLog>, at: Instant, epoch: u64) -> Result<wheel::TimerId, Stri
 }
 
 fn tick(nl: &Arc<NetLog>, epoch: u64) {
-    crate::poolstats::update_gauges(&nl.registry);
     let now = time::now();
-    let cur = nl.registry.sample();
+    let cur = nl.registry.refresh().sample();
     let mut st = nl.series.state.lock();
     if !st.running || st.epoch != epoch {
         return;
@@ -159,8 +158,10 @@ fn tick(nl: &Arc<NetLog>, epoch: u64) {
 
 /// Renders what changed between two registry samples, name-sorted
 /// (both inputs are). Counters and histogram count/sum render as
-/// `+delta`, gauges as `=value`; unchanged metrics emit nothing.
-fn delta_lines(prev: &[(String, SampledValue)], cur: &[(String, SampledValue)]) -> Vec<String> {
+/// `+delta`, gauges as `=value`; unchanged metrics emit nothing. The
+/// one delta: a series sample is this, and so is any report of what a
+/// run added to cells that outlive it.
+pub fn delta_lines(prev: &[(String, SampledValue)], cur: &[(String, SampledValue)]) -> Vec<String> {
     let mut out = Vec::new();
     for (name, v) in cur {
         let old = prev

@@ -43,26 +43,20 @@ pub struct WireStats {
 impl WireStats {
     fn new() -> WireStats {
         WireStats {
-            sent: Counter::new("sent"),
-            delivered: Counter::new("delivered"),
-            dropped: Counter::new("dropped"),
-            duplicated: Counter::new("duplicated"),
-            corrupted: Counter::new("corrupted"),
-            reordered: Counter::new("reordered"),
+            sent: Counter::new("wire.sent"),
+            delivered: Counter::new("wire.delivered"),
+            dropped: Counter::new("wire.dropped"),
+            duplicated: Counter::new("wire.duplicated"),
+            corrupted: Counter::new("wire.corrupted"),
+            reordered: Counter::new("wire.reordered"),
         }
     }
 
-    /// Renders the counters as the paper's `key: value` ASCII lines.
-    pub fn render(&self) -> String {
-        format!(
-            "sent: {}\ndelivered: {}\ndropped: {}\nduplicated: {}\ncorrupted: {}\nreordered: {}\n",
-            self.sent.get(),
-            self.delivered.get(),
-            self.dropped.get(),
-            self.duplicated.get(),
-            self.corrupted.get(),
-            self.reordered.get()
-        )
+    /// The six cells, for each machine on the medium to adopt into its
+    /// registry (`plan9_netlog::Registry::adopt`): the wire counts
+    /// once, and every `stats` file over it shows the count.
+    pub fn cells(&self) -> [&Counter; 6] {
+        [&self.sent, &self.delivered, &self.dropped, &self.duplicated, &self.corrupted, &self.reordered]
     }
 }
 

@@ -15,7 +15,7 @@ use crate::qid::Qid;
 use crate::transport::{MsgSink, MsgSource};
 use crate::{errstr, Dir, NineError, Result};
 use plan9_netlog::trace;
-use plan9_netlog::{Counter, Facility, Histogram};
+use plan9_netlog::Facility;
 use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::time;
 use std::collections::hash_map::{Entry, HashMap};
@@ -53,10 +53,6 @@ struct ClientShared {
     sink: Mutex<Box<dyn MsgSink>>,
     next_fid: AtomicU16,
     hungup: AtomicBool,
-    /// Completed RPC round trips.
-    rpcs: Counter,
-    /// Round-trip latency, send to matched reply.
-    rpc_time: Histogram,
 }
 
 /// A 9P RPC client over a delimited transport.
@@ -79,8 +75,6 @@ impl NineClient {
                 sink: Mutex::named(sink, "ninep.client.sink"),
                 next_fid: AtomicU16::new(0),
                 hungup: AtomicBool::new(false),
-                rpcs: Counter::new("9p.rpc"),
-                rpc_time: Histogram::new("9p.rpctime"),
             }),
         }
     }
@@ -88,14 +82,6 @@ impl NineClient {
     /// Reports whether the connection has hung up.
     pub fn hungup(&self) -> bool {
         self.shared.hungup.load(Ordering::SeqCst)
-    }
-
-    /// Renders the RPC counter and latency histogram as `key: value`
-    /// lines for a `stats` file.
-    pub fn stats_text(&self) -> String {
-        let mut s = format!("rpc: {}\n", self.shared.rpcs.get());
-        s.push_str(&self.shared.rpc_time.render());
-        s
     }
 
     /// Allocates a fresh fid. The caller owns it until clunked.
@@ -151,15 +137,21 @@ impl NineClient {
         } else {
             None
         };
-        // The three child spans share their boundary timestamps so they
-        // tile the root: nothing the RPC waits on falls in a gap.
-        let m0 = time::now();
         let _cur = root.as_ref().map(|h| h.set_current());
+        // The three child spans share their boundary timestamps so they
+        // tile the root: nothing the RPC waits on falls in a gap. The
+        // clock is read for a span and for nothing else: an untraced
+        // RPC does not read it.
+        let mut edge = root.as_ref().map(|h| (h, time::now()));
+        let mut span = |name: &str| {
+            if let Some((h, from)) = edge {
+                let now = time::now();
+                h.span(Facility::NineP, name, from, now);
+                edge = Some((h, now));
+            }
+        };
         let buf = encode_tmsg(tag, t);
-        let started = time::now();
-        if let Some(h) = &root {
-            h.span(Facility::NineP, "marshal", m0, started);
-        }
+        span("marshal");
         // Bind the send result first: an `if let` on the guard-chained
         // call keeps the sink locked through the whole error arm, and
         // the pending cleanup below must not run with sink held.
@@ -174,18 +166,12 @@ impl NineClient {
             }
             return Err(e);
         }
-        let r0 = time::now();
-        if let Some(h) = &root {
-            h.span(Facility::NineP, "txwait", started, r0);
-        }
+        span("txwait");
         let r = self.await_reply(tag);
-        if let Some(h) = &root {
-            let t_end = time::now();
-            h.span(Facility::NineP, "reply", r0, t_end);
-            h.finish_at(t_end);
+        span("reply");
+        if let Some((h, end)) = edge {
+            h.finish_at(end);
         }
-        self.shared.rpcs.inc();
-        self.shared.rpc_time.record(time::now().saturating_duration_since(started));
         match r {
             Rmsg::Error { ename } => Err(NineError(ename)),
             ok if ok.answers(t) => Ok(ok),

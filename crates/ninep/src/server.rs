@@ -16,7 +16,8 @@
 //!   calling thread, in the context that already holds the message;
 //!   any other goes to a worker kproc — an idle one if there is one, a
 //!   new one if not, all of them kept until the hangup — and replies
-//!   are serialized onto the transport by a lock.
+//!   go onto the transport one at a time, each sent by the thread that
+//!   made it.
 //! * [`serve`] feeds it from a thread that reads a transport until the
 //!   peer hangs up, then hangs up and joins the workers. A readiness
 //!   callback on a worker-pool shard (`inet::il::serve_on_shard`) feeds
@@ -87,7 +88,13 @@ struct ServerShared {
     /// flushing it changes nothing; nor is an operation run where its
     /// message was read, since no Tflush can be read while it runs.
     inflight: Mutex<HashMap<Tag, u64>>,
-    sink: Mutex<Box<dyn MsgSink>>,
+    /// `None` while a reply is being sent. The sender has the sink
+    /// out and holds no lock, since a send may wait for the peer (a
+    /// full IL window): whoever has the next reply parks in
+    /// `sink_free`, where the virtual clock can see it, and not on a
+    /// mutex, where it would stop the one thread the clock lets run.
+    sink: Mutex<Option<Box<dyn MsgSink>>>,
+    sink_free: Condvar,
     workers: Mutex<Workers>,
     /// The job channel has closed.
     hungup: Condvar,
@@ -96,9 +103,26 @@ struct ServerShared {
 }
 
 impl ServerShared {
+    /// Sends the reply `make` comes back with, if any, having the sink
+    /// to itself from before `make` decides until the message is out.
+    fn send(&self, make: impl FnOnce() -> Option<Vec<u8>>) {
+        let mut slot = self.sink.lock();
+        let mut sink = loop {
+            match slot.take() {
+                Some(sink) => break sink,
+                None => self.sink_free.wait(&mut slot),
+            }
+        };
+        drop(slot);
+        if let Some(buf) = make() {
+            let _ = sink.sendmsg(&buf);
+        }
+        *self.sink.lock() = Some(sink);
+        self.sink_free.notify_one();
+    }
+
     fn reply(&self, tag: Tag, r: &Rmsg) {
-        let buf = encode_rmsg(tag, r);
-        let _ = self.sink.lock().sendmsg(&buf);
+        self.send(|| Some(encode_rmsg(tag, r)));
     }
 
     /// Runs one file operation and hands the reply (errors are replies
@@ -127,7 +151,7 @@ impl ServerShared {
             (_, None) => true,
         };
         // A sink busy with a worker's reply is free again in a moment.
-        at_hand && self.sink.try_lock().is_none_or(|s| s.ready())
+        at_hand && self.sink.lock().as_ref().is_none_or(|s| s.ready())
     }
 
     /// What the fid table holds for the fid the operation names.
@@ -179,17 +203,14 @@ impl ServerShared {
     /// comes too late to stop the reply then cannot have its Rflush
     /// overtake it.
     fn finish(&self, op: &Op, r: &Rmsg) {
-        let buf = encode_rmsg(op.tag, r);
-        let mut sink = self.sink.lock();
-        let mut inflight = self.inflight.lock();
-        let live = inflight.get(&op.tag) == Some(&op.serial);
-        if live {
-            inflight.remove(&op.tag);
-        }
-        drop(inflight);
-        if live {
-            let _ = sink.sendmsg(&buf);
-        }
+        self.send(|| {
+            // Still this operation's tag: take it back, and answer.
+            let mut inflight = self.inflight.lock();
+            (inflight.get(&op.tag) == Some(&op.serial)).then(|| {
+                inflight.remove(&op.tag);
+                encode_rmsg(op.tag, r)
+            })
+        });
     }
 }
 
@@ -250,7 +271,8 @@ impl NineService {
                 fs,
                 fids: Mutex::named(HashMap::new(), "ninep.server.fids"),
                 inflight: Mutex::named(HashMap::new(), "ninep.server.inflight"),
-                sink: Mutex::named(sink, "ninep.server.sink"),
+                sink: Mutex::named(Some(sink), "ninep.server.sink"),
+                sink_free: Condvar::new(),
                 workers: Mutex::named(workers, "ninep.server.workers"),
                 hungup: Condvar::new(),
                 idle: AtomicUsize::new(0),

@@ -27,7 +27,7 @@ use plan9_inet::il::{serve_on_shard, IlIo};
 use plan9_inet::ip::IpStack;
 use plan9_inet::IpAddr;
 use plan9_core::proc::Proc;
-use plan9_netlog::{poolstats, series};
+use plan9_netlog::{series, Registry};
 use plan9_ninep::client::NineClient;
 use plan9_ninep::procfs::{MemFs, OpenMode, ProcFs};
 use plan9_ninep::server::NineService;
@@ -287,7 +287,10 @@ fn p99(v: &mut [u64]) -> u64 {
 // ---------------------------------------------------------------------------
 
 fn direct(sc: Scenario) -> Report {
-    let pool0 = poolstats::snapshot();
+    // The pool and the wheel outlive the run: the report shows what
+    // this run added to them, as a series sample would.
+    let process = Registry::new();
+    let pool0 = process.refresh().sample();
     let mut topo = Topology::grid_with(sc.cities, sc.hosts_per_city, sc.ndb_lines, sc.seed);
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -332,9 +335,8 @@ fn direct(sc: Scenario) -> Report {
     // the sample count is a function of the script, not of teardown.
     if let Some(interval) = sc.netmon {
         for c in &topo.cities {
-            let nl = c.gateway.ip.as_ref().expect("gateway has a stack").netlog();
-            nl.series.set_interval(interval).expect("netmon interval");
-            series::start(nl).expect("netmon start");
+            c.gateway.netlog.series.set_interval(interval).expect("netmon interval");
+            series::start(&c.gateway.netlog).expect("netmon start");
         }
     }
 
@@ -426,8 +428,7 @@ fn direct(sc: Scenario) -> Report {
     // the series it is about to read.
     if sc.netmon.is_some() {
         for c in &topo.cities {
-            let nl = c.gateway.ip.as_ref().expect("gateway has a stack").netlog();
-            nl.series.stop();
+            c.gateway.netlog.series.stop();
         }
     }
 
@@ -568,7 +569,8 @@ fn direct(sc: Scenario) -> Report {
     text.push_str(&format!(
         "il tx_msgs={tx} rx_msgs={rx} queries={q} acks={a} retransmits={r}\n"
     ));
-    text.push_str(&pool0.render_delta());
+    let added = series::delta_lines(&pool0, &process.refresh().sample());
+    text.extend(added.iter().filter(|l| l.starts_with("pool.")).map(|l| format!("{l}\n")));
     text.push_str(&format!("virtual_s={virtual_s:.6}\n"));
 
     topo.shutdown();

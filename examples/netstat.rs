@@ -59,6 +59,34 @@ fn read_path(p: &Proc, path: &str) -> String {
     text
 }
 
+/// A `stats` file as a JSON object, a member a line: `name value`
+/// rows of the registry as they stand, a histogram's header as
+/// `name.count` and `name.avg_us` and its buckets as `name.LO-HIus`,
+/// and the Ethernet header's `key: value` lines under their keys.
+fn stats_object(text: &str) -> String {
+    let mut members: Vec<(String, &str)> = Vec::new();
+    for line in text.lines() {
+        match line.split(' ').collect::<Vec<_>>()[..] {
+            [name, "count", n, "avg", avg] => {
+                members.push((format!("{name}.count"), n));
+                members.push((format!("{name}.avg_us"), avg.trim_end_matches("us")));
+            }
+            [name, bucket, n] => members.push((format!("{name}.{bucket}"), n)),
+            [name, value] => members.push((name.trim_end_matches(':').to_string(), value)),
+            _ => panic!("stats line {line:?}"),
+        }
+    }
+    let members: Vec<String> = members
+        .iter()
+        .map(|(k, v)| match v.parse::<u64>() {
+            // A station address is digits too, and keeps its zeros.
+            Ok(n) if n.to_string() == *v => format!("{}: {n}", quote(k)),
+            _ => format!("{}: {}", quote(k), quote(v)),
+        })
+        .collect();
+    format!("{{{}}}", members.join(", "))
+}
+
 fn cat(p: &Proc, path: &str) {
     println!("\ngnot% cat {path}");
     print!("{}", read_path(p, path));
@@ -153,8 +181,8 @@ sys=gnot ip=135.104.9.40 proto=il proto=tcp
         println!("  \"conns\": [{}],", conns.join(", "));
         println!(
             "  \"stats\": {{\"il\": {}, \"ether0\": {}}},",
-            quote(&read_path(&p, "/net/il/stats")),
-            quote(&read_path(&p, "/net/ether0/1/stats"))
+            stats_object(&read_path(&p, "/net/il/stats")),
+            stats_object(&read_path(&p, "/net/ether0/1/stats"))
         );
         println!("  \"log\": [{}],", log_lines.join(", "));
         println!("  \"lockgraph\": [{}]", lock_lines.join(", "));
@@ -167,9 +195,11 @@ sys=gnot ip=135.104.9.40 proto=il proto=tcp
         }
 
         // The protocol counters: IL with its adaptive-RTT histogram,
-        // then the interface and the wire under it.
+        // then the interface and the wire under it, then the whole
+        // table they are rows of.
         cat(&p, "/net/il/stats");
         cat(&p, "/net/ether0/1/stats");
+        cat(&p, "/net/log/stats");
 
         // The IL event trace collected since `set il`.
         cat(&p, "/net/log/data");

@@ -10,8 +10,10 @@
 //! writing, nor can a file whose entry has no write bits.
 
 use plan9::core::dev::PipeFs;
-use plan9::core::machine::MachineBuilder;
+use plan9::core::dial::{accept, announce, dial, listen};
+use plan9::core::machine::{Machine, MachineBuilder};
 use plan9::core::namespace::Source;
+use plan9::core::proc::Proc;
 use plan9::inet::ip::IpConfig;
 use plan9::netsim::ether::EtherSegment;
 use plan9::netsim::fabric::DatakitSwitch;
@@ -84,6 +86,135 @@ fn check_dir(fs: &Fs, dir: &ServeNode, parent: Qid, at: &str) -> usize {
     seen
 }
 
+fn cat(p: &Proc, path: &str) -> String {
+    let fd = p.open(path, OpenMode::READ).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let text = p.read_string(fd).unwrap_or_else(|e| panic!("{path}: {e}"));
+    p.close(fd);
+    text
+}
+
+/// The metric each line of a `stats` file names, having checked the
+/// line's shape: `name value`, or for a histogram the rows
+/// `Histogram::render` prints (`name count N avg Nus`, `name LO-HIus
+/// N`). A line whose first field ends in `:` is header, not metric.
+fn metrics_shown(p: &Proc, path: &str) -> Vec<String> {
+    let number = |f: &str| f.parse::<u64>().is_ok();
+    let us = |f: &str| f.strip_suffix("us").is_some_and(|n| n.split('-').all(number));
+    let text = cat(p, path);
+    let rows = text.lines().filter(|l| !l.split(' ').next().is_some_and(|f| f.ends_with(':')));
+    rows.map(|line| {
+        let ok = match line.split(' ').collect::<Vec<_>>()[..] {
+            [_, value] => number(value),
+            [_, "count", n, "avg", avg] => number(n) && us(avg),
+            [_, bucket, n] => us(bucket) && number(n),
+            _ => false,
+        };
+        assert!(ok, "{path}: {line:?}");
+        line.split(' ').next().expect("a name").to_string()
+    })
+    .collect()
+}
+
+/// Answers one call to `addr` on `m`, echoing until the caller hangs up.
+fn echo_once(m: &Arc<Machine>, addr: &'static str) {
+    let p = m.proc();
+    std::thread::spawn(move || {
+        let (_afd, adir) = announce(&p, addr).expect("announce");
+        let (lcfd, ldir) = listen(&p, &adir).expect("listen");
+        let dfd = accept(&p, lcfd, &ldir).expect("accept");
+        while let Ok(msg) = p.read(dfd, 65536) {
+            if msg.is_empty() || p.write(dfd, &msg).is_err() {
+                break;
+            }
+        }
+    });
+}
+
+/// Every counter a file under `/net` shows is a row of the machine's
+/// registry, printed by its one renderer, and every row is sampled:
+/// what the Ethernet device, the wire and URP count reaches
+/// `/net/log/series` like what IL counts.
+#[test]
+fn the_stats_tree_conforms_to_the_registry() {
+    let seg = EtherSegment::new(Profiles::ether_fast());
+    let switch = DatakitSwitch::new(Profiles::datakit_fast());
+    let ndb = "sys=helix ip=10.17.0.1 dk=nj/astro/helix\nsys=gnot ip=10.17.0.2 dk=nj/astro/gnot\n";
+    let [helix, gnot] = [("helix", 1u8), ("gnot", 2)].map(|(name, n)| {
+        MachineBuilder::new(name)
+            .ether(&seg, [8, 0, 0, 17, 0, n], IpConfig::local(&format!("10.17.0.{n}")))
+            .datakit(&switch, &format!("nj/astro/{name}"))
+            .ndb(ndb)
+            .build()
+            .expect("boot")
+    });
+    let p = gnot.proc();
+    let ctl = p.open("/net/log/ctl", OpenMode::RDWR).expect("log ctl");
+    p.write_str(ctl, "series interval 20ms").expect("interval");
+    p.write_str(ctl, "series start").expect("start");
+    let calls = [
+        ("il!*!echo", "il!helix!echo"),
+        ("tcp!*!echo", "tcp!helix!echo"),
+        ("dk!*!echo", "dk!nj/astro/helix!echo"),
+    ];
+    for (served, called) in calls {
+        echo_once(&helix, served);
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let conn = dial(&p, called).unwrap_or_else(|e| panic!("{called}: {e}"));
+        p.write(conn.data_fd, b"ping").expect("write");
+        assert_eq!(p.read(conn.data_fd, 4096).expect("read"), b"ping", "{called}");
+        p.close(conn.data_fd);
+        p.close(conn.ctl_fd);
+    }
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    p.write_str(ctl, "series stop").expect("stop");
+
+    // An Ethernet conversation, so that its `stats` exists.
+    let eclone = p.open("/net/ether0/clone", OpenMode::RDWR).expect("ether clone");
+    let n = String::from_utf8(p.read(eclone, 16).expect("ether N")).expect("text");
+    let ether = format!("/net/ether0/{n}/stats");
+    let files = ["/net/il/stats", "/net/tcp/stats", "/net/udp/stats", "/net/dk/stats", &ether, "/net/log/copy"];
+    let shown = files.map(|path| (path, metrics_shown(&p, path)));
+    // Sampled after the reads: a table only grows.
+    let registered: Vec<String> = gnot.netlog.registry.sample().into_iter().map(|(name, _)| name).collect();
+    for (path, shown) in shown {
+        assert!(!shown.is_empty(), "{path} shows nothing");
+        for name in shown {
+            assert!(registered.contains(&name), "{path} shows {name}, which no registry holds");
+        }
+    }
+    // ...and every row of the table is in `/net/log/stats`.
+    let all = metrics_shown(&p, "/net/log/stats");
+    for name in &registered {
+        assert!(all.contains(name), "/net/log/stats lacks {name}");
+    }
+
+    // The series counted what the device, the wire and URP counted.
+    let series = cat(&p, "/net/log/series");
+    for name in ["ether.in", "wire.sent", "urp.tx", "il.tx"] {
+        let added: u64 = series
+            .lines()
+            .filter_map(|l| l.strip_prefix(name)?.strip_prefix(" +")?.parse::<u64>().ok())
+            .sum();
+        assert!(added > 0, "{name} never sampled:\n{series}");
+    }
+}
+
+/// The `NetLog` is the machine's, not its IP stack's.
+#[test]
+fn a_datakit_only_machine_has_its_net_log() {
+    let switch = DatakitSwitch::new(Profiles::datakit_fast());
+    let lone = MachineBuilder::new("lone")
+        .datakit(&switch, "nj/astro/lone")
+        .ndb("sys=lone dk=nj/astro/lone\n")
+        .build()
+        .expect("boot");
+    let p = lone.proc();
+    let names: Vec<String> = p.ls("/net/log").expect("ls /net/log").into_iter().map(|d| d.name).collect();
+    assert_eq!(names, ["copy", "ctl", "data", "lockgraph", "series", "stats"]);
+    assert_eq!(metrics_shown(&p, "/net/dk/stats"), ["urp.enq", "urp.rej", "urp.rexmit", "urp.tx"]);
+    assert!(metrics_shown(&p, "/net/log/stats").contains(&"urp.tx".to_string()));
+}
+
 #[test]
 fn every_mounted_device_is_the_same_kind_of_tree() {
     let seg = EtherSegment::new(Profiles::ether_fast());
@@ -104,20 +235,11 @@ fn every_mounted_device_is_the_same_kind_of_tree() {
     for dir in tables {
         p.open(&format!("{dir}/clone"), OpenMode::RDWR).expect("clone");
     }
-    // Every protocol device lists `stats`, so every protocol fills it:
-    // ASCII `key: count` lines, and under them the rows of a histogram
-    // (`il.rtt count 0 avg 0us`), which start with its dotted name.
+    // Every protocol device lists `stats`, so every protocol fills it,
+    // with rows of the machine's one metric table.
     for dir in &tables[..4] {
-        let fd = p.open(&format!("{dir}/stats"), OpenMode::READ).expect("stats");
-        let text = p.read_string(fd).expect("read stats");
-        p.close(fd);
-        assert!(text.contains(": "), "{dir}/stats has no counter: {text:?}");
-        for line in text.lines() {
-            let fields: Vec<&str> = line.split_whitespace().collect();
-            let counter = fields.len() == 2 && fields[0].ends_with(':') && fields[1].parse::<u64>().is_ok();
-            let histogram = fields.len() > 2 && fields[0].contains('.');
-            assert!(counter || histogram, "{dir}/stats: {line:?}");
-        }
+        let shown = metrics_shown(&p, &format!("{dir}/stats"));
+        assert!(!shown.is_empty(), "{dir}/stats has no counter");
     }
 
     // (where it is mounted, the device names expected there, the files
@@ -128,7 +250,7 @@ fn every_mounted_device_is_the_same_kind_of_tree() {
         ("/net/udp", &["udp"], 10),
         ("/net/dk", &["dk"], 10),
         ("/net/ether0", &["ether"], 7),
-        ("/net", &["netinfo", "netlog", "nettrace", "dns", "cs"], 2 + 7 + 4 + 2 + 2),
+        ("/net", &["netinfo", "netlog", "nettrace", "dns", "cs"], 2 + 8 + 4 + 2 + 2),
         ("/dev", &["eia", "devinfo"], 3 + 3),
         ("pipe", &["pipe"], 3),
     ];

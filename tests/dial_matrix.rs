@@ -75,8 +75,8 @@ fn dial_each_protocol_explicitly() {
     let p = gnot.proc();
     let fd = p.open("/net/dk/stats", OpenMode::READ).expect("dk stats");
     let stats = p.read_string(fd).expect("read dk stats");
-    let tx = stats.lines().find_map(|l| l.strip_prefix("urpTx: "));
-    assert!(tx.is_some_and(|n| n.parse::<u64>().expect("urpTx") > 0), "{stats}");
+    let tx = stats.lines().find_map(|l| l.strip_prefix("urp.tx "));
+    assert!(tx.is_some_and(|n| n.parse::<u64>().expect("urp.tx") > 0), "{stats}");
 }
 
 #[test]
