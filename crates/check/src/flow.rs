@@ -11,8 +11,9 @@
 //!   contexts PR 7 documents as "must be short and must not block".
 //!   `// blocking-ok: <reason>` waives a call site.
 //! - **panic-reach**: sinks are `panic!`-family macros and
-//!   `unwrap`/`expect` methods, from the same roots. netcheck's
-//!   existing `// checked: <reason>` grammar waives a site. (The
+//!   `unwrap`/`expect` methods, from the same roots — and in a kernel
+//!   crate ([`KERNEL_CRATES`]) every sink is a finding of its own,
+//!   reached or not. `// checked: <reason>` waives a site. (The
 //!   `assert!` family is deliberately *not* a sink: an assertion firing
 //!   means the kernel is already in an undefined state, and making
 //!   every debug assertion a finding would drown the signal.)
@@ -24,9 +25,9 @@
 //! annotation suppresses both the sink itself and any traversal
 //! through the annotated call.
 
-use crate::graph::{CallGraph, CallSite, Callee};
-use crate::{Rule, Violation};
-use std::collections::VecDeque;
+use crate::graph::{CallGraph, CallSite, Callee, FnNode};
+use crate::{Rule, Violation, KERNEL_CRATES};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Pass name for blocking-context findings.
 pub const BLOCKING: &str = "blocking-context";
@@ -44,6 +45,12 @@ pub struct PathStep {
     /// Line of the call to the next step (or of the sink itself, on
     /// the terminal step).
     pub call_line: usize,
+}
+
+impl PathStep {
+    fn at(f: &FnNode, call_line: usize) -> PathStep {
+        PathStep { qualified: f.qualified(), file: f.file.clone(), line: f.line, call_line }
+    }
 }
 
 /// One root → sink reachability finding.
@@ -108,47 +115,50 @@ fn panic_sink(c: &CallSite) -> Option<&'static str> {
     }
 }
 
-struct PassSpec {
-    name: &'static str,
-    sink: fn(&CallSite) -> Option<&'static str>,
-    waived: fn(&CallSite) -> bool,
-}
-
 /// Runs the blocking-context pass.
 pub fn blocking_findings(g: &CallGraph) -> Vec<Finding> {
-    run_pass(
-        g,
-        &PassSpec {
-            name: BLOCKING,
-            sink: blocking_sink,
-            waived: |c| c.blocking_ok.is_some(),
-        },
-    )
+    run_pass(g, BLOCKING, blocking_sink, |c| c.blocking_ok.is_some())
 }
 
-/// Runs the panic-reachability pass.
+/// Runs the panic-reachability pass: each root that reaches a panic
+/// site, then each kernel-crate panic site no root's witness ends at
+/// (a finding whose "root" is the function holding it).
 pub fn panic_findings(g: &CallGraph) -> Vec<Finding> {
-    run_pass(
-        g,
-        &PassSpec {
-            name: PANIC,
-            sink: panic_sink,
-            waived: |c| c.checked,
-        },
-    )
+    let mut out = run_pass(g, PANIC, panic_sink, |c| c.checked);
+    let mut seen: BTreeSet<(String, usize)> = out.iter().map(|f| (f.sink_file.clone(), f.sink_line)).collect();
+    for f in g.fns.iter().filter(|f| KERNEL_CRATES.contains(&f.crate_name.as_str())) {
+        let sinks = f.calls().filter(|c| !c.checked).filter_map(|c| Some((panic_sink(c)?, c.line)));
+        for (sink_kind, line) in sinks {
+            if seen.insert((f.file.clone(), line)) {
+                out.push(Finding {
+                    pass: PANIC,
+                    root_kind: "fn",
+                    root_file: f.file.clone(),
+                    root_line: line,
+                    sink_kind,
+                    sink_file: f.file.clone(),
+                    sink_line: line,
+                    path: vec![PathStep::at(f, line)],
+                });
+            }
+        }
+    }
+    out
 }
 
-fn run_pass(g: &CallGraph, spec: &PassSpec) -> Vec<Finding> {
+type Sink = fn(&CallSite) -> Option<&'static str>;
+
+fn run_pass(g: &CallGraph, pass: &'static str, sink: Sink, waived: fn(&CallSite) -> bool) -> Vec<Finding> {
     let n = g.fns.len();
 
     // Earliest unwaived sink per node, in body (source) order.
     let mut direct: Vec<Option<(&'static str, usize)>> = vec![None; n];
     for (i, f) in g.fns.iter().enumerate() {
         for c in f.calls() {
-            if (spec.waived)(c) {
+            if waived(c) {
                 continue;
             }
-            if let Some(kind) = (spec.sink)(c) {
+            if let Some(kind) = sink(c) {
                 direct[i] = Some((kind, c.line));
                 break;
             }
@@ -160,10 +170,10 @@ fn run_pass(g: &CallGraph, spec: &PassSpec) -> Vec<Finding> {
     let mut rev: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
     for (i, f) in g.fns.iter().enumerate() {
         for c in f.calls() {
-            if (spec.waived)(c) || matches!(c.callee, Callee::Macro(_)) {
+            if waived(c) || matches!(c.callee, Callee::Macro(_)) {
                 continue;
             }
-            for t in g.resolve_with_args(i, &c.callee, c.args) {
+            for &t in &c.targets {
                 rev[t].push((i, c.line));
             }
         }
@@ -203,39 +213,21 @@ fn run_pass(g: &CallGraph, spec: &PassSpec) -> Vec<Finding> {
         }
         let mut path = Vec::new();
         let mut cur = i;
-        let (sink_kind, sink_file, sink_line) = loop {
-            let node = &g.fns[cur];
-            match next[cur] {
-                Some((t, line)) => {
-                    path.push(PathStep {
-                        qualified: node.qualified(),
-                        file: node.file.clone(),
-                        line: node.line,
-                        call_line: line,
-                    });
-                    cur = t;
-                }
-                None => {
-                    // BFS invariant: a terminal node was seeded from
-                    // `direct`, so the sink is always present.
-                    let (kind, line) = direct[cur].unwrap_or(("sink", node.line));
-                    path.push(PathStep {
-                        qualified: node.qualified(),
-                        file: node.file.clone(),
-                        line: node.line,
-                        call_line: line,
-                    });
-                    break (kind, node.file.clone(), line);
-                }
-            }
-        };
+        while let Some((t, line)) = next[cur] {
+            path.push(PathStep::at(&g.fns[cur], line));
+            cur = t;
+        }
+        // BFS invariant: a terminal node was seeded from `direct`, so
+        // the sink is always present.
+        let (sink_kind, sink_line) = direct[cur].unwrap_or(("sink", g.fns[cur].line));
+        path.push(PathStep::at(&g.fns[cur], sink_line));
         out.push(Finding {
-            pass: spec.name,
+            pass,
             root_kind: f.root.map(|r| r.label()).unwrap_or("fn"),
             root_file: f.file.clone(),
             root_line: f.line,
             sink_kind,
-            sink_file,
+            sink_file: g.fns[cur].file.clone(),
             sink_line,
             path,
         });
@@ -275,10 +267,45 @@ mod tests {
     use crate::graph::{scan_file, CallGraph};
 
     fn graph_of(src: &str) -> CallGraph {
+        graph_in("demo", src)
+    }
+
+    fn graph_in(krate: &str, src: &str) -> CallGraph {
         let mut g = CallGraph::default();
-        scan_file(&mut g, &crate::SourceFile::new("demo", "demo/src/lib.rs", &[], src));
+        scan_file(&mut g, &crate::SourceFile::new(krate, "f.rs", &[], src));
         g.index();
         g
+    }
+
+    fn panic_lines(krate: &str, src: &str) -> Vec<usize> {
+        panic_findings(&graph_in(krate, src)).iter().map(|f| f.sink_line).collect()
+    }
+
+    #[test]
+    fn a_kernel_panic_site_is_a_finding_unreached() {
+        let src = "fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n";
+        assert_eq!(panic_lines("streams", src), vec![2]);
+        let v = to_violations(&panic_findings(&graph_in("streams", src)));
+        assert_eq!((v[0].rule, v[0].line), (Rule::PanicReach, 2));
+        // Not a kernel crate: only a root's reach counts there.
+        assert!(panic_lines("bench", src).is_empty());
+        // Strings, comments and test code are no code.
+        let src = "fn f() {\n    let s = \".unwrap()\";\n    // calling .unwrap() here would be bad\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn helper(x: Option<u8>) -> u8 { x.unwrap() }\n}\n";
+        assert!(panic_lines("inet", src).is_empty());
+    }
+
+    #[test]
+    fn checked_waives_a_kernel_panic_site() {
+        let src = "fn f(x: Option<u8>) -> u8 {\n    x.unwrap() // checked: caller guarantees Some\n}\n";
+        assert!(panic_lines("streams", src).is_empty());
+        // …but an empty reason does not, and a standalone annotation
+        // blesses the next line only.
+        let src = "fn f(x: Option<u8>) -> u8 {\n    x.unwrap() // checked:\n}\n";
+        assert_eq!(panic_lines("streams", src), vec![2]);
+        let src = "fn f(x: Option<u8>) -> u8 {\n    // checked: length verified above\n    x.unwrap()\n}\n\
+                   fn g(y: Option<u8>) -> u8 { y.expect(\"y\") }\n";
+        assert_eq!(panic_lines("streams", src), vec![5]);
     }
 
     #[test]

@@ -1,45 +1,58 @@
-//! The checkflow front end: an approximate whole-workspace call graph.
+//! The checkflow front end: an approximate whole-workspace call graph,
+//! resolved by the types the source declares.
 //!
-//! `netcheck`'s line lexer answers "does this line contain a forbidden
-//! token"; the flow passes need a deeper question answered — "can this
-//! closure, transitively, reach a blocking primitive" — which takes a
-//! call graph. This module parses every `crates/*/src/**/*.rs` file
-//! into function nodes and call edges with *no dependencies and no
-//! type information*, accepting approximation where rustc would demand
-//! a full type system:
+//! The flow passes ask "can this closure, transitively, reach a
+//! blocking primitive", which takes a call graph. This module parses
+//! every `crates/*/src/**/*.rs` file into function nodes and call
+//! edges with no dependencies and no type checker, reading only the
+//! types the source writes down:
 //!
-//! - **Items**: `fn` items are discovered with their crate, module path
-//!   (file path + inline `mod`), enclosing `impl`/`trait` type, and
-//!   whether they take `self`. `#[cfg(test)]`/`#[test]` regions are
-//!   skipped entirely (test code may block and panic at will).
-//! - **Calls**: `path::to::f(..)` resolves against module-path and
-//!   impl-type suffixes; bare `f(..)` resolves same-module, then
-//!   same-crate, then workspace-wide; `.m(..)` resolves by name to any
-//!   workspace method called `m` — restricted to the caller's own crate
-//!   when that crate defines one — the "conservative fan-out" that
-//!   makes the analysis sound-ish without types. Macro calls are kept
-//!   (for panic sinks) but never resolved.
+//! - **Items**: `fn` items with their crate, module path (file path +
+//!   inline `mod`), enclosing `impl`/`trait`, parameters and return
+//!   type; `struct` fields, `enum`s, `trait`s and `static`s.
+//!   `#[cfg(test)]`/`#[test]` regions are skipped entirely (test code
+//!   may block and panic at will).
+//! - **Receivers**: a method call's receiver is kept as the chain the
+//!   source writes (`self.station`, `conn.inner.lock()`) and typed once
+//!   every file is in: `self` is the impl type; a local is its
+//!   parameter's type, its `let x: T`, or its initializer's
+//!   (`T::new(..)`, `T { .. }`, looking through `&`, `Arc`, `Box` and
+//!   `Weak`), or what the value it is bound from holds (`Some(x) = e`,
+//!   `for x in e`, `(a, b) = e`, `e.map(|x| ..)`); a field is its
+//!   declared type, a call its return type, a `Mutex<T>` or `RwLock<T>`
+//!   guard stands for its `T`, and a `std` method hands back what it
+//!   does (`get` an `Option` of the element, `iter` its elements, …).
+//! - **Calls**: `.m(..)` on a receiver of known type `T` goes to `T`'s
+//!   own `m`, to every impl's `m` (and the trait's default body) when
+//!   `T` is a trait object, and to nothing when `T` is no workspace type
+//!   (`HashMap`, `Vec`, `Option`, a generic parameter, …). Only a
+//!   receiver the parser cannot type fans out to every workspace method
+//!   named `m`. Every candidate lies in a crate the caller's depends on.
+//!   `path::to::f(..)` resolves against module-path and impl-type
+//!   suffixes; bare `f(..)` same-module, then same-crate, then
+//!   workspace-wide. Macro calls are kept (for panic sinks) but never
+//!   resolved.
 //! - **Closures** are attributed to their enclosing item, *except* the
 //!   closure argument of a non-blocking-context registration —
 //!   `pool::submit`, `pool::submit_or_run`, `wheel::schedule` (or
 //!   `conv::rearm`, which passes its closure to it), `.set_rx_handler(..)`
 //!   and `.set_rx_tap(..)` — which becomes its own synthetic root node
 //!   so the flow passes can start exactly at the code that runs on a
-//!   shard, wheel, or rx path.
-//! - **Locks**: `Mutex::named`/`RwLock::named` construction sites yield
-//!   (binding-ident, impl-type) → class-name associations, and
-//!   `.lock()`/`.read()`/`.write()`/`.try_lock()` sites record the
-//!   receiver ident, so `lockgraph` can rebuild the acquired-while-held
-//!   graph without a type checker.
+//!   shard, wheel, or rx path; a `vtime::kproc` body is a node of its
+//!   own too, code on a thread of its own.
+//! - **Locks**: a `Mutex::named(_, "c")`/`RwLock::named` initializing
+//!   field `f` in `T { f: .. }` (or `Self { .. }`, or a `static`) names
+//!   the class of `T`'s `f`, and each `.lock()`/`.read()`/`.write()`/
+//!   `.try_lock()` keeps its receiver, so `lockgraph` rebuilds the
+//!   acquired-while-held graph by the same types.
 //!
-//! Escape hatches ride on comments, like netcheck's: a call site on a
-//! line annotated `// blocking-ok: <reason>` is exempt from the
-//! blocking-context pass, and `// checked: <reason>` (netcheck's
-//! existing grammar) exempts a panic sink from panic-reachability. An
+//! Escape hatches ride on comments: a call site on a line annotated
+//! `// blocking-ok: <reason>` is exempt from the blocking-context pass,
+//! and `// checked: <reason>` exempts a panic sink from panic-reach. An
 //! annotation in the comment block directly above a line blesses it
 //! (`SourceFile::ann_at`, the one waiver parser for every rule).
 
-use crate::{SourceFile, Workspace};
+use crate::{transitive, LineAnn, SourceFile, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
@@ -153,9 +166,7 @@ fn tokenize(src: &SourceFile) -> Vec<SpannedTok> {
                 }
             } else if c == '\'' {
                 // Lifetime (`'a`) or a blanked char literal (`' '`).
-                if b.get(i + 1).copied().is_some_and(is_ident_start)
-                    && b.get(i + 2) != Some(&'\'')
-                {
+                if b.get(i + 1).copied().is_some_and(is_ident_start) && b.get(i + 2) != Some(&'\'') {
                     i += 1;
                     while i < b.len() && is_ident_char(b[i]) {
                         i += 1;
@@ -213,6 +224,52 @@ impl Callee {
     }
 }
 
+/// A type as the source spells it: the last segment of its path and
+/// its generic arguments, with references, lifetimes, `dyn` and `impl`
+/// dropped (`&'a dyn ProcFs` is `ProcFs`). `_` is a type the parser
+/// could not read.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ty {
+    pub name: String,
+    pub args: Vec<Ty>,
+}
+
+impl Ty {
+    fn named(name: &str) -> Ty {
+        Ty { name: name.to_string(), args: Vec::new() }
+    }
+}
+
+/// The pointers and guards a method call looks through to the type it
+/// lands on.
+const WRAPPERS: &[&str] =
+    &["Arc", "Rc", "Box", "Weak", "MutexGuard", "RwLockReadGuard", "RwLockWriteGuard", "Ref", "RefMut"];
+
+/// A receiver as the source writes it, kept unevaluated until every
+/// file's declarations are in: `self.station` is
+/// `Field(Ty(IpStack), "station")`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Expr {
+    /// Nothing the parser can type: an untyped closure parameter, a
+    /// tuple, the value of an `if`.
+    Unknown,
+    /// A declared type: `self`, a parameter, `let x: T`, `T { .. }`.
+    Ty(Ty),
+    /// A `static` or `const`, by name.
+    Global(String),
+    Field(Box<Expr>, String),
+    /// The value of `.m(..)` on the base.
+    Method(Box<Expr>, String),
+    /// The value of a path or bare call: its callee's return type.
+    Call(Callee),
+    /// What the base holds: `e?`, `e[i]`, `Some(x) = e`, `for x in e`.
+    Inner(Box<Expr>),
+    /// `(a, b)`.
+    Tuple(Vec<Expr>),
+    /// The `n`th element of a tuple.
+    Nth(Box<Expr>, usize),
+}
+
 /// A lock-related operation at a call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AcqOp {
@@ -229,11 +286,9 @@ pub enum AcqOp {
 #[derive(Debug, Clone)]
 pub enum BodyEvent {
     Call(CallSite),
-    /// `recv.lock()` etc: `receiver` is the last path ident before the
-    /// method (`self.state.lock()` → `state`; plain `self.lock()` falls
-    /// back to the enclosing impl type).
+    /// `recv.lock()` etc.
     Acquire {
-        receiver: String,
+        recv: Expr,
         op: AcqOp,
         line: usize,
         /// `let g = …` binding name, when the guard is named.
@@ -242,11 +297,18 @@ pub enum BodyEvent {
         /// closes back below it). Statement-temporary guards die at the
         /// next `EndStmt`.
         depth: usize,
+        /// The lockdep class of the field `recv` names, once indexed.
+        class: Option<String>,
     },
     /// `drop(g)` of a named guard.
-    DropGuard { name: String, line: usize },
+    DropGuard {
+        name: String,
+        line: usize,
+    },
     /// A `}` closed; `depth` is the brace depth after closing.
-    CloseBlock { depth: usize },
+    CloseBlock {
+        depth: usize,
+    },
     /// A `;` at statement level: temporaries die here.
     EndStmt,
 }
@@ -255,20 +317,21 @@ pub enum BodyEvent {
 #[derive(Debug, Clone)]
 pub struct CallSite {
     pub callee: Callee,
+    /// A method call's receiver.
+    pub recv: Option<Expr>,
     pub line: usize,
     /// Empty-argument call (`h.join()`), used to tell thread joins from
     /// `Path::join("…")`.
     pub zero_args: bool,
-    /// Argument count when it can be read confidently off the tokens;
-    /// `None` when the list contains closures, comparisons, or anything
-    /// else that defeats comma counting. Used to prune method fan-out:
-    /// a three-argument `station.send(mac, ethertype, payload)` can
-    /// never be the one-argument `IlConn::send(&self, msg)`.
-    pub args: Option<usize>,
-    /// `// blocking-ok: <reason>` on this or the preceding line.
+    /// `// blocking-ok: <reason>` on this line or the comment block above.
     pub blocking_ok: Option<String>,
-    /// `// checked: <reason>` on this or the preceding line.
+    /// `// checked: <reason>` on this line or the comment block above.
     pub checked: bool,
+    /// The nodes the call may reach, once indexed.
+    pub targets: Vec<usize>,
+    /// `targets` is every method so named: the receiver's type was not
+    /// inferred.
+    pub by_name: bool,
 }
 
 /// Which non-blocking execution context a synthetic root node models.
@@ -304,18 +367,22 @@ pub struct FnNode {
     /// Module path within the crate, file-derived plus inline `mod`s.
     pub module: Vec<String>,
     /// Enclosing `impl`/`trait` type, when inside one.
-    pub impl_type: Option<String>,
+    pub impl_ty: Option<Ty>,
+    /// The trait of the enclosing `impl Trait for` or `trait` block.
+    pub impl_trait: Option<String>,
     /// Item name; synthetic roots are named `{closure}`.
     pub name: String,
     pub file: String,
     pub line: usize,
     pub has_self: bool,
-    /// Declared parameter count excluding `self`, when the signature
-    /// was countable.
-    pub params: Option<usize>,
+    /// Declared return type.
+    pub ret: Option<Ty>,
     /// `Some` iff this is a synthetic root-closure node.
     pub root: Option<RootKind>,
     pub body: Vec<BodyEvent>,
+    /// `impl_ty` and `impl_trait` as workspace types, once indexed.
+    self_ids: Vec<usize>,
+    trait_ids: Vec<usize>,
 }
 
 impl FnNode {
@@ -323,8 +390,8 @@ impl FnNode {
     pub fn qualified(&self) -> String {
         let mut parts = vec![self.crate_name.clone()];
         parts.extend(self.module.iter().cloned());
-        if let Some(t) = &self.impl_type {
-            parts.push(t.clone());
+        if let Some(t) = &self.impl_ty {
+            parts.push(t.name.clone());
         }
         parts.push(self.name.clone());
         parts.join("::")
@@ -338,18 +405,66 @@ impl FnNode {
     }
 }
 
-/// A `Mutex::named`/`RwLock::named` construction site.
+/// A `Mutex::named`/`RwLock::named` construction site: the class of
+/// field `field` of `owner`, or of the `static` named `field`.
 #[derive(Debug, Clone)]
 pub struct NamedClassSite {
     /// The lockdep class string.
     pub class: String,
-    /// The `let`/field ident the lock is bound to, when recognizable.
-    pub binding: Option<String>,
-    /// The enclosing impl type, if any.
-    pub impl_type: Option<String>,
+    /// `T` of the struct literal `T { field: Mutex::named(..) }`;
+    /// `None` for a `static field: Mutex<_> = Mutex::named(..)`.
+    pub owner: Option<String>,
+    pub field: String,
     pub crate_name: String,
+    pub module: Vec<String>,
     pub file: String,
     pub line: usize,
+}
+
+/// A `struct`, `enum` or `trait` the workspace declares.
+#[derive(Debug)]
+struct TypeDef {
+    name: String,
+    crate_name: String,
+    module: Vec<String>,
+    fields: Vec<(String, Ty)>,
+    is_trait: bool,
+}
+
+/// A `static`/`const` item, with the scope its type is written in.
+#[derive(Debug)]
+struct Decl {
+    name: String,
+    ty: Ty,
+    crate_name: String,
+    module: Vec<String>,
+}
+
+/// A type resolved to the workspace definitions its name may denote
+/// (`ids` is empty for `std`'s and for generic parameters).
+#[derive(Debug, Clone)]
+pub struct RTy {
+    name: String,
+    ids: Vec<usize>,
+    args: Vec<RTy>,
+}
+
+impl RTy {
+    fn std(name: &str, args: Vec<RTy>) -> RTy {
+        RTy { name: name.to_string(), ids: Vec::new(), args }
+    }
+
+    /// What a `std` container holds: a map's value, an `Option`'s,
+    /// `Result`'s, `Vec`'s or iterator's first argument.
+    fn inner(&self) -> Option<RTy> {
+        match (self.ids.is_empty(), self.args.is_empty()) {
+            (false, _) => None,
+            // What a `str` splits into is `std`'s too.
+            (true, true) => Some(RTy::std("std", Vec::new())).filter(|_| self.name != "_"),
+            (true, false) if self.name.ends_with("Map") => self.args.last().cloned(),
+            (true, false) => self.args.first().cloned(),
+        }
+    }
 }
 
 /// The workspace call graph plus the lock-class table.
@@ -357,212 +472,266 @@ pub struct NamedClassSite {
 pub struct CallGraph {
     pub fns: Vec<FnNode>,
     pub classes: Vec<NamedClassSite>,
-    /// fn-name → node indices, for resolution.
+    types: Vec<TypeDef>,
+    globals: Vec<Decl>,
     by_name: BTreeMap<String, Vec<usize>>,
-    /// Count of call sites that resolved to at least one node.
+    types_by_name: BTreeMap<String, Vec<usize>>,
+    /// Call sites that resolved to at least one node.
     pub resolved_calls: usize,
     /// Call sites naming something outside the workspace (std, field
     /// inits that look like calls, …).
     pub unresolved_calls: usize,
+    /// Method call sites whose receiver's type was inferred, and so
+    /// resolved by it rather than by name.
+    pub typed_calls: usize,
+    /// Acquisitions of a field some lock class is named for, on a
+    /// receiver whose type was not inferred: they contribute nothing.
+    pub ambiguous_receivers: usize,
     /// crate → transitive workspace dependencies (not including the
-    /// crate itself), from Cargo.toml. Resolution uses the build DAG to
-    /// reject candidates the caller cannot link against — a method call
-    /// in `support` can never land in `streams`, whatever the name says.
-    /// An absent entry (unit-test graphs built via [`scan_file`])
-    /// disables the filter for that crate.
+    /// crate itself), from Cargo.toml: a call in `support` can never
+    /// land in `streams`, whatever the name says. An absent entry
+    /// (unit-test graphs built via [`scan_file`]) disables the filter.
     pub deps: BTreeMap<String, BTreeSet<String>>,
-    /// file → every identifier appearing in it. A file that never
-    /// names a type cannot call its inherent methods, so cross-crate
-    /// method candidates are pruned unless the caller's file mentions
-    /// the impl type somewhere (import, field type, constructor, …).
-    pub file_idents: BTreeMap<String, BTreeSet<String>>,
+}
+
+/// Of `cands`, those in `module` of `krate` if any, else those in
+/// `krate` if any, else all: how a name resolves without its `use`s.
+fn nearest<'a>(
+    cands: Vec<usize>,
+    krate: &str,
+    module: &[String],
+    at: impl Fn(usize) -> (&'a str, &'a [String]),
+) -> Vec<usize> {
+    let here: Vec<usize> = cands.iter().copied().filter(|&i| at(i) == (krate, module)).collect();
+    let same: Vec<usize> = cands.iter().copied().filter(|&i| at(i).0 == krate).collect();
+    [here, same].into_iter().find(|c| !c.is_empty()).unwrap_or(cands)
 }
 
 impl CallGraph {
-    /// Node indices a call from `caller` may reach. The "conservative
-    /// fan-out": method calls resolve by bare name (same-crate
-    /// candidates preferred); bare calls resolve same-module, then
-    /// same-crate, then workspace; path calls match module-path or
-    /// impl-type suffixes. Macros never resolve.
-    pub fn resolve(&self, caller: usize, call: &Callee) -> Vec<usize> {
-        self.resolve_with_args(caller, call, None)
+    /// Whether the build DAG lets crate `from` name crate `to`.
+    fn sees(&self, from: &str, to: &str) -> bool {
+        from == to || self.deps.get(from).is_none_or(|d| d.contains(to))
     }
 
-    /// For a cross-crate method candidate, requires the caller's file
-    /// to mention the candidate's impl type by name: `q.remove(0)` in
-    /// `inet` cannot be ninep's `NineClient::remove` when the word
-    /// `NineClient` never occurs in the file. Same-crate candidates are
-    /// exempt so intra-crate trait dispatch keeps resolving, and files
-    /// without an ident table (unit-test graphs) skip the filter.
-    fn type_mentioned(&self, caller: usize, target: usize) -> bool {
-        let (me, f) = (&self.fns[caller], &self.fns[target]);
-        if f.crate_name == me.crate_name {
-            return true;
+    fn may_call(&self, caller: usize, target: usize) -> bool {
+        self.sees(&self.fns[caller].crate_name, &self.fns[target].crate_name)
+    }
+
+    /// The workspace types `name` may denote where `krate::module`
+    /// writes it.
+    fn type_ids(&self, name: &str, krate: &str, module: &[String]) -> Vec<usize> {
+        let cands = self.types_by_name.get(name).into_iter().flatten();
+        let cands = cands.copied().filter(|&t| self.sees(krate, &self.types[t].crate_name)).collect();
+        nearest(cands, krate, module, |t| (self.types[t].crate_name.as_str(), self.types[t].module.as_slice()))
+    }
+
+    /// Resolves a written type in its scope, looking through
+    /// [`WRAPPERS`]. A generic parameter is no workspace type.
+    fn resolve_ty(&self, ty: &Ty, krate: &str, module: &[String]) -> RTy {
+        let ids = self.type_ids(&ty.name, krate, module);
+        let args = ty.args.iter().map(|a| self.resolve_ty(a, krate, module)).collect();
+        let mut t = RTy { name: ty.name.clone(), ids, args };
+        while WRAPPERS.contains(&t.name.as_str()) && !t.args.is_empty() {
+            t = t.args.swap_remove(0);
         }
-        let Some(ty) = &f.impl_type else { return true };
-        match self.file_idents.get(&me.file) {
-            Some(ids) => ids.contains(ty),
-            None => true,
+        t
+    }
+
+    /// The type of `e` as written in node `at`, or `None` when it
+    /// cannot be inferred.
+    pub fn ty_of(&self, e: &Expr, at: usize) -> Option<RTy> {
+        let f = &self.fns[at];
+        let t = match e {
+            Expr::Unknown => return None,
+            Expr::Ty(ty) => self.resolve_ty(ty, &f.crate_name, &f.module),
+            Expr::Global(name) => {
+                let cands = (0..self.globals.len()).filter(|&g| {
+                    self.globals[g].name == *name && self.sees(&f.crate_name, &self.globals[g].crate_name)
+                });
+                let g = &self.globals[*nearest(cands.collect(), &f.crate_name, &f.module, |g| {
+                    (self.globals[g].crate_name.as_str(), self.globals[g].module.as_slice())
+                })
+                .first()?];
+                self.resolve_ty(&g.ty, &g.crate_name, &g.module)
+            }
+            Expr::Field(base, name) => {
+                let b = self.ty_of(base, at)?;
+                b.ids.iter().find_map(|&id| {
+                    let d = &self.types[id];
+                    let (_, ty) = d.fields.iter().find(|(n, _)| n == name)?;
+                    Some(self.resolve_ty(ty, &d.crate_name, &d.module))
+                })?
+            }
+            Expr::Method(base, m) => self.method_value(at, self.ty_of(base, at)?, m)?,
+            Expr::Call(c) => match (self.resolve_path(at, c).as_slice(), c) {
+                // `std::thread::current()` returns a `std` type,
+                // `Vec::new()` a `Vec`, `IlIo(c)` an `IlIo`.
+                ([], Callee::Path(segs)) if ["std", "core", "alloc"].contains(&segs[0].as_str()) => {
+                    RTy::std("std", Vec::new())
+                }
+                ([], Callee::Path(segs)) if upper(&segs[segs.len() - 2]) => {
+                    self.resolve_ty(&Ty::named(&segs[segs.len() - 2]), &f.crate_name, &f.module)
+                }
+                // A tuple struct's constructor.
+                ([], Callee::Bare(name)) if upper(name) => self.resolve_ty(&Ty::named(name), &f.crate_name, &f.module),
+                (targets, _) => self.ret_of(targets)?,
+            },
+            Expr::Inner(base) => self.ty_of(base, at)?.inner()?,
+            Expr::Tuple(es) => {
+                let unknown = || RTy::std("_", Vec::new());
+                RTy::std("()", es.iter().map(|e| self.ty_of(e, at).unwrap_or_else(unknown)).collect())
+            }
+            Expr::Nth(base, n) => Some(self.ty_of(base, at)?).filter(|t| t.name == "()")?.args.get(*n)?.clone(),
+        };
+        Some(t).filter(|t| t.name != "_")
+    }
+
+    /// The value of `b.m(..)`: a workspace method's return type, a
+    /// lock's guard standing for what it guards, or what the `std`
+    /// method of that name hands back.
+    fn method_value(&self, at: usize, b: RTy, m: &str) -> Option<RTy> {
+        if matches!(b.name.as_str(), "Mutex" | "RwLock") {
+            match m {
+                "lock" | "read" | "write" => return b.args.first().cloned(),
+                "try_lock" => return Some(RTy::std("Option", b.args)),
+                _ => {}
+            }
+        }
+        let targets = self.methods(at, Some(&b), m);
+        if !targets.is_empty() {
+            return self.ret_of(&targets);
+        }
+        match m {
+            "clone" | "as_ref" | "as_mut" | "as_deref" | "borrow" | "borrow_mut" | "to_owned" | "cloned" | "copied"
+            | "take" | "by_ref" | "ok" | "ok_or" | "ok_or_else" | "map_err" | "rev" | "skip" | "step_by" | "filter"
+            | "peekable" | "skip_while" | "take_while" | "chain" | "inspect" => Some(b),
+            "enumerate" => {
+                Some(RTy::std("Iter", vec![RTy::std("()", vec![RTy::std("usize", Vec::new()), b.inner()?])]))
+            }
+            "upgrade" => Some(RTy::std("Option", vec![b])),
+            "unwrap" | "expect" | "unwrap_or_default" | "unwrap_or" | "unwrap_or_else" | "or_default" | "or_insert"
+            | "or_insert_with" => b.inner(),
+            "entry" => Some(RTy::std("Entry", vec![b.inner()?])),
+            "iter" | "iter_mut" | "into_iter" | "drain" | "values" | "values_mut" => {
+                Some(RTy::std("Iter", vec![b.inner()?]))
+            }
+            // A `str`'s or a number's methods make `std` values, but for
+            // the ones that convert or run a closure.
+            "parse" | "into" | "try_into" | "map" | "and_then" | "then" | "then_some" | "fold" => None,
+            _ if b.ids.is_empty() && b.args.is_empty() => Some(RTy::std("std", Vec::new())),
+            "get" | "get_mut" | "remove" | "first" | "last" | "pop" | "pop_front" | "pop_back" | "front" | "back"
+            | "next" | "find" | "peek" => Some(RTy::std("Option", vec![b.inner()?])),
+            _ => None,
         }
     }
 
-    /// [`resolve`] with the call site's argument count, when known:
-    /// method candidates whose declared parameter count provably
-    /// mismatches are pruned before the fan-out preference.
-    pub fn resolve_with_args(
-        &self,
-        caller: usize,
-        call: &Callee,
-        args: Option<usize>,
-    ) -> Vec<usize> {
+    /// The return type `targets` agree on.
+    fn ret_of(&self, targets: &[usize]) -> Option<RTy> {
+        let mut out: Option<RTy> = None;
+        for &t in targets {
+            let f = &self.fns[t];
+            let r = self.resolve_ty(f.ret.as_ref()?, &f.crate_name, &f.module);
+            match &out {
+                Some(o) if o.name != r.name || o.ids != r.ids => return None,
+                _ => out = Some(r),
+            }
+        }
+        out.filter(|t| t.name != "_")
+    }
+
+    /// The methods named `m` a call from `at` reaches on a receiver of
+    /// type `recv`: that type's own, or — for a trait — every impl's and
+    /// the trait's default bodies. A receiver of unknown type fans out
+    /// to every method so named.
+    fn methods(&self, at: usize, recv: Option<&RTy>, m: &str) -> Vec<usize> {
+        let named = self.by_name.get(m).into_iter().flatten().copied();
+        let named = named.filter(|&i| self.fns[i].has_self && self.may_call(at, i));
+        let Some(t) = recv else { return named.collect() };
+        let on = |f: &FnNode, id: &usize| {
+            if self.types[*id].is_trait {
+                f.trait_ids.contains(id)
+            } else {
+                f.self_ids.contains(id)
+            }
+        };
+        named.filter(|&i| t.ids.iter().any(|id| on(&self.fns[i], id))).collect()
+    }
+
+    /// Node indices a path or bare call from `caller` may reach: bare
+    /// calls resolve same-module, then same-crate, then workspace; path
+    /// calls match module-path or impl-type suffixes. Macros and
+    /// methods never resolve here.
+    fn resolve_path(&self, caller: usize, call: &Callee) -> Vec<usize> {
         let me = &self.fns[caller];
         match call {
-            Callee::Macro(_) => Vec::new(),
-            Callee::Method(name) => {
-                let all: Vec<usize> = self
-                    .by_name
-                    .get(name)
-                    .map(|v| {
-                        v.iter()
-                            .copied()
-                            .filter(|&i| {
-                                let f = &self.fns[i];
-                                f.has_self
-                                    && self.may_call(caller, i)
-                                    && self.type_mentioned(caller, i)
-                                    && match (args, f.params) {
-                                        (Some(a), Some(p)) => a == p,
-                                        _ => true,
-                                    }
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let same_crate: Vec<usize> = all
-                    .iter()
-                    .copied()
-                    .filter(|&i| self.fns[i].crate_name == me.crate_name)
-                    .collect();
-                if same_crate.is_empty() {
-                    all
-                } else {
-                    same_crate
-                }
-            }
+            Callee::Macro(_) | Callee::Method(_) => Vec::new(),
+            // `drop(x)` is always `std::mem::drop`: calling a
+            // `Drop::drop` impl explicitly is a compile error, so edges
+            // into workspace `fn drop`s cannot be real.
+            Callee::Bare(name) if name == "drop" => Vec::new(),
             Callee::Bare(name) => {
-                // `drop(x)` is always `std::mem::drop`: calling a
-                // `Drop::drop` impl explicitly is a compile error, so
-                // edges into workspace `fn drop`s cannot be real.
-                if name == "drop" {
-                    return Vec::new();
-                }
-                let all: Vec<usize> = match self.by_name.get(name) {
-                    Some(v) => {
-                        v.iter()
-                            .copied()
-                            .filter(|&i| {
-                                self.may_call(caller, i)
-                                    && match (args, self.fns[i].params) {
-                                        (Some(a), Some(p)) => a == p,
-                                        _ => true,
-                                    }
-                            })
-                            .collect()
-                    }
-                    None => return Vec::new(),
-                };
-                let same_module: Vec<usize> = all
-                    .iter()
-                    .copied()
-                    .filter(|&i| {
-                        self.fns[i].crate_name == me.crate_name && self.fns[i].module == me.module
-                    })
-                    .collect();
-                if !same_module.is_empty() {
-                    return same_module;
-                }
-                let same_crate: Vec<usize> = all
-                    .iter()
-                    .copied()
-                    .filter(|&i| self.fns[i].crate_name == me.crate_name)
-                    .collect();
-                if same_crate.is_empty() {
-                    all
-                } else {
-                    same_crate
-                }
+                let all = self.by_name.get(name).into_iter().flatten().copied().filter(|&i| self.may_call(caller, i));
+                nearest(all.collect(), &me.crate_name, &me.module, |i| {
+                    (self.fns[i].crate_name.as_str(), self.fns[i].module.as_slice())
+                })
             }
             Callee::Path(segs) => {
-                let (name, mut qual) = match segs.split_last() {
-                    Some((n, q)) => (n.clone(), q.to_vec()),
-                    None => return Vec::new(),
-                };
+                let [first, .., name] = segs.as_slice() else { return Vec::new() };
                 // `plan9_foo::…` names workspace crate `foo`; `crate`,
                 // `self`, `super` qualifiers are softened to
                 // same-crate matching.
-                let mut want_crate: Option<String> = None;
-                if let Some(first) = qual.first().cloned() {
-                    if let Some(c) = first.strip_prefix("plan9_") {
-                        want_crate = Some(c.to_string());
-                        qual.remove(0);
-                    } else if first == "crate" || first == "self" || first == "super" {
-                        want_crate = Some(me.crate_name.clone());
-                        qual.remove(0);
-                    } else if first == "std" || first == "core" || first == "alloc" {
-                        return Vec::new();
-                    }
-                }
-                let all = match self.by_name.get(&name) {
-                    Some(v) => v.clone(),
-                    None => return Vec::new(),
+                let (krate, qual) = match first.as_str() {
+                    "std" | "core" | "alloc" => return Vec::new(),
+                    "crate" | "self" | "super" => (Some(me.crate_name.as_str()), &segs[1..segs.len() - 1]),
+                    q => match q.strip_prefix("plan9_") {
+                        Some(c) => (Some(c), &segs[1..segs.len() - 1]),
+                        None => (None, &segs[..segs.len() - 1]),
+                    },
                 };
-                all.into_iter()
-                    .filter(|&i| {
-                        if !self.may_call(caller, i) {
-                            return false;
-                        }
-                        let f = &self.fns[i];
-                        if let Some(c) = &want_crate {
-                            if &f.crate_name != c {
-                                return false;
-                            }
-                        }
-                        if qual.is_empty() {
-                            return true;
-                        }
-                        // Qualifier must suffix-match the node's module
-                        // path, optionally ending on the impl type:
-                        // `pool::submit`, `Queue::get`, `arp::Cache::wait_for`.
-                        let mut full: Vec<&str> = Vec::new();
-                        full.push(f.crate_name.as_str());
-                        full.extend(f.module.iter().map(String::as_str));
-                        if let Some(t) = &f.impl_type {
-                            full.push(t.as_str());
-                        }
-                        if qual.len() > full.len() {
-                            return false;
-                        }
-                        full[full.len() - qual.len()..]
-                            .iter()
-                            .zip(qual.iter())
-                            .all(|(a, b)| *a == b)
-                    })
-                    .collect()
+                let all = self.by_name.get(name).into_iter().flatten().copied();
+                all.filter(|&i| {
+                    let f = &self.fns[i];
+                    // Qualifier must suffix-match the node's module
+                    // path, optionally ending on the impl type:
+                    // `pool::submit`, `Queue::get`, `arp::Cache::wait_for`.
+                    let full = [&f.crate_name].into_iter().chain(&f.module).chain(f.impl_ty.iter().map(|t| &t.name));
+                    let full: Vec<&String> = full.collect();
+                    self.may_call(caller, i)
+                        && krate.is_none_or(|c| f.crate_name == c)
+                        && full.ends_with(&qual.iter().collect::<Vec<_>>())
+                })
+                .collect()
             }
         }
     }
 
-    /// Whether the build DAG lets code in `caller`'s crate name the
-    /// target node at all.
-    fn may_call(&self, caller: usize, target: usize) -> bool {
-        let from = &self.fns[caller].crate_name;
-        let to = &self.fns[target].crate_name;
-        if from == to {
-            return true;
-        }
-        match self.deps.get(from) {
-            Some(d) => d.contains(to),
-            None => true,
+    /// The class a lock receiver denotes: field `f` of a type a class
+    /// is named for, or a `static`. `Err` when a class is named for a
+    /// field so called but the receiver's type is not known.
+    fn class_of(
+        &self,
+        at: usize,
+        recv: &Expr,
+        fields: &BTreeMap<(usize, &str), BTreeSet<&str>>,
+    ) -> Result<Option<String>, ()> {
+        let one = |s: BTreeSet<&str>| if s.len() > 1 { Err(()) } else { Ok(s.into_iter().next().map(String::from)) };
+        match recv {
+            Expr::Field(base, f) => {
+                if !self.classes.iter().any(|c| c.owner.is_some() && c.field == *f) {
+                    return Ok(None);
+                }
+                let b = self.ty_of(base, at).ok_or(())?;
+                one(b.ids.iter().flat_map(|&id| fields.get(&(id, f.as_str())).into_iter().flatten().copied()).collect())
+            }
+            Expr::Global(name) => {
+                let me = &self.fns[at].crate_name;
+                let c = self
+                    .classes
+                    .iter()
+                    .filter(|c| c.owner.is_none() && c.field == *name && self.sees(me, &c.crate_name));
+                one(c.map(|c| c.class.as_str()).collect())
+            }
+            _ => Ok(None),
         }
     }
 
@@ -576,29 +745,64 @@ impl CallGraph {
         self.fns.iter().map(|f| f.calls().count()).sum()
     }
 
+    /// Resolves every call site and lock acquisition, once every file
+    /// is scanned.
     pub(crate) fn index(&mut self) {
         self.by_name.clear();
         for (i, f) in self.fns.iter().enumerate() {
             self.by_name.entry(f.name.clone()).or_default().push(i);
         }
-        let mut resolved = 0usize;
-        let mut unresolved = 0usize;
-        for i in 0..self.fns.len() {
-            let calls: Vec<(Callee, Option<usize>)> =
-                self.fns[i].calls().map(|c| (c.callee.clone(), c.args)).collect();
-            for (c, args) in &calls {
-                if matches!(c, Callee::Macro(_)) {
-                    continue;
-                }
-                if self.resolve_with_args(i, c, *args).is_empty() {
-                    unresolved += 1;
-                } else {
-                    resolved += 1;
-                }
+        self.types_by_name.clear();
+        for (i, t) in self.types.iter().enumerate() {
+            self.types_by_name.entry(t.name.clone()).or_default().push(i);
+        }
+        let ids = |g: &CallGraph, t: Option<&str>, f: &FnNode| {
+            t.map(|t| g.type_ids(t, &f.crate_name, &f.module)).unwrap_or_default()
+        };
+        let node_ids: Vec<_> = (self.fns.iter())
+            .map(|f| (ids(self, f.impl_ty.as_ref().map(|t| t.name.as_str()), f), ids(self, f.impl_trait.as_deref(), f)))
+            .collect();
+        for (f, (s, t)) in self.fns.iter_mut().zip(node_ids) {
+            (f.self_ids, f.trait_ids) = (s, t);
+        }
+
+        let mut fields: BTreeMap<(usize, &str), BTreeSet<&str>> = BTreeMap::new();
+        for c in &self.classes {
+            for id in c.owner.iter().flat_map(|o| self.type_ids(o, &c.crate_name, &c.module)) {
+                fields.entry((id, c.field.as_str())).or_default().insert(c.class.as_str());
             }
         }
-        self.resolved_calls = resolved;
-        self.unresolved_calls = unresolved;
+        let (mut resolved, mut unresolved, mut typed, mut ambiguous) = (0, 0, 0, 0);
+        for i in 0..self.fns.len() {
+            let mut body = std::mem::take(&mut self.fns[i].body);
+            for ev in &mut body {
+                match ev {
+                    BodyEvent::Call(c) => {
+                        (c.targets, c.by_name) = match (&c.callee, &c.recv) {
+                            (Callee::Method(m), Some(recv)) => {
+                                let t = self.ty_of(recv, i);
+                                typed += usize::from(t.is_some());
+                                (self.methods(i, t.as_ref(), m), t.is_none())
+                            }
+                            (callee, _) => (self.resolve_path(i, callee), false),
+                        };
+                        if !matches!(c.callee, Callee::Macro(_)) {
+                            *if c.targets.is_empty() { &mut unresolved } else { &mut resolved } += 1;
+                        }
+                    }
+                    BodyEvent::Acquire { recv, class, .. } => {
+                        *class = self.class_of(i, recv, &fields).unwrap_or_else(|()| {
+                            ambiguous += 1;
+                            None
+                        });
+                    }
+                    _ => {}
+                }
+            }
+            self.fns[i].body = body;
+        }
+        (self.resolved_calls, self.unresolved_calls) = (resolved, unresolved);
+        (self.typed_calls, self.ambiguous_receivers) = (typed, ambiguous);
     }
 }
 
@@ -606,11 +810,21 @@ impl CallGraph {
 // The parser.
 
 const KEYWORDS: &[&str] = &[
-    "if", "else", "while", "for", "loop", "match", "return", "break", "continue", "as", "in",
-    "move", "let", "mut", "ref", "dyn", "where", "unsafe", "async", "await", "const", "static",
-    "pub", "use", "mod", "struct", "enum", "union", "type", "trait", "impl", "fn", "extern",
-    "crate", "super", "box", "yield", "true", "false",
+    "if", "else", "while", "for", "loop", "match", "return", "break", "continue", "as", "in", "move", "let", "mut",
+    "ref", "dyn", "where", "unsafe", "async", "await", "const", "static", "pub", "use", "mod", "struct", "enum",
+    "type", "trait", "impl", "fn", "extern", "crate", "super", "box", "yield", "true", "false",
 ];
+
+/// Methods whose closure argument takes what their receiver holds.
+const CLOSURE_ADAPTERS: &[&str] = &[
+    "map", "and_then", "filter", "for_each", "find", "any", "all", "filter_map", "flat_map", "position", "retain",
+    "map_or", "map_or_else", "is_some_and", "is_none_or", "inspect", "take_while", "skip_while", "find_map",
+    "max_by_key", "min_by_key", "sort_by_key",
+];
+
+fn upper(s: &str) -> bool {
+    s.starts_with(|c: char| c.is_uppercase())
+}
 
 struct ScopeFrame {
     kind: ScopeKind,
@@ -621,45 +835,73 @@ struct ScopeFrame {
 
 enum ScopeKind {
     Module(String),
-    Impl(Option<String>),
-    Fn { node: usize },
-    /// A root closure with a braced body.
-    RootClosure { node: usize },
+    /// An `impl` or `trait` block: its type and trait.
+    Impl(Ty, Option<String>),
+    /// The braced body of node `n`: a fn, or a root closure.
+    Body(usize),
 }
 
-/// A root closure with an expression body, terminated by `,`/`)` at
-/// `paren_depth`.
-struct ExprClosure {
-    node: usize,
-    paren_depth: usize,
+/// A name bound in the body being parsed, and what it holds. It is
+/// seen from token `from` on — a `let`'s after its statement — until the
+/// walk closes back below `depth`, or, for the parameter of a closure
+/// with an expression body, until that argument ends.
+struct Local {
+    name: String,
+    expr: Expr,
+    from: usize,
+    depth: usize,
+    paren: Option<usize>,
 }
 
 struct Parser<'a> {
     toks: &'a [SpannedTok],
+    /// Per bracket token: the index of its partner.
+    pair: Vec<usize>,
     pos: usize,
     brace_depth: usize,
     paren_depth: usize,
+    /// Open `[`s: a `;` inside `[u8; 4]` ends no statement.
+    bracket_depth: usize,
+    /// Each open `{`: its token index and the paren and bracket depths
+    /// it opened at (a `;` ends a statement only at those).
+    braces: Vec<(usize, usize, usize)>,
     scopes: Vec<ScopeFrame>,
-    expr_closures: Vec<ExprClosure>,
+    /// Root closures with an expression body: (node, paren depth), each
+    /// ended by a `,` or `)` at that depth.
+    expr_closures: Vec<(usize, usize)>,
     /// Armed by a root-registration call until its closure argument (if
     /// any) is found: (kind, paren depth inside the call).
     pending_root: Option<(RootKind, usize)>,
     /// Tokens of the current statement, for `let` guard binding lookup.
     stmt_start: usize,
+    locals: Vec<Local>,
+    /// The method calls whose argument lists are open: paren depth
+    /// inside, receiver, name — a closure argument's parameter is what
+    /// the receiver holds.
+    args_of: Vec<(usize, Expr, String)>,
     graph: &'a mut CallGraph,
     src: &'a SourceFile,
 }
 
 impl<'a> Parser<'a> {
+    fn tok(&self, i: usize) -> Option<&Tok> {
+        self.toks.get(i).map(|t| &t.tok)
+    }
+
     fn peek(&self, k: usize) -> Option<&Tok> {
-        self.toks.get(self.pos + k).map(|t| &t.tok)
+        self.tok(self.pos + k)
+    }
+
+    fn is(&self, i: usize, t: Tok) -> bool {
+        self.tok(i) == Some(&t)
+    }
+
+    fn is_ident(&self, i: usize, s: &str) -> bool {
+        matches!(self.tok(i), Some(Tok::Ident(id)) if id == s)
     }
 
     fn line(&self, k: usize) -> usize {
-        self.toks
-            .get((self.pos + k).min(self.toks.len().saturating_sub(1)))
-            .map(|t| t.line)
-            .unwrap_or(0)
+        self.toks.get((self.pos + k).min(self.toks.len().saturating_sub(1))).map(|t| t.line).unwrap_or(0)
     }
 
     fn module_path(&self) -> Vec<String> {
@@ -672,21 +914,27 @@ impl<'a> Parser<'a> {
         m
     }
 
-    fn impl_type(&self) -> Option<String> {
+    /// The enclosing `impl`'s type and trait.
+    fn impl_scope(&self) -> Option<(&Ty, &Option<String>)> {
         self.scopes.iter().rev().find_map(|s| match &s.kind {
-            ScopeKind::Impl(t) => t.clone(),
+            ScopeKind::Impl(ty, tr) => Some((ty, tr)),
             _ => None,
         })
+    }
+
+    /// The type `self` and `Self` denote here.
+    fn self_ty(&self) -> Option<Ty> {
+        self.impl_scope().map(|(t, _)| t.clone())
     }
 
     /// The innermost node body to attribute events to (root closure
     /// wins over enclosing fn).
     fn current_node(&self) -> Option<usize> {
-        if let Some(ec) = self.expr_closures.last() {
-            return Some(ec.node);
+        if let Some(&(node, _)) = self.expr_closures.last() {
+            return Some(node);
         }
         self.scopes.iter().rev().find_map(|s| match &s.kind {
-            ScopeKind::Fn { node } | ScopeKind::RootClosure { node } => Some(*node),
+            ScopeKind::Body(node) => Some(*node),
             _ => None,
         })
     }
@@ -697,33 +945,155 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Skips a balanced `<…>` generic-argument list starting at the
-    /// current `<`. Gives up (consuming nothing) if no balanced close
-    /// is found nearby — then it was a comparison, not generics.
-    fn try_skip_generics(&mut self) -> bool {
+    fn push_node(
+        &mut self,
+        name: String,
+        line: usize,
+        has_self: bool,
+        ret: Option<Ty>,
+        root: Option<RootKind>,
+    ) -> usize {
+        let (impl_ty, impl_trait) = self.impl_scope().map(|(t, tr)| (Some(t.clone()), tr.clone())).unwrap_or_default();
+        self.graph.fns.push(FnNode {
+            crate_name: self.src.crate_name.clone(),
+            module: self.module_path(),
+            impl_ty,
+            impl_trait,
+            name,
+            file: self.src.file.clone(),
+            line,
+            has_self,
+            ret,
+            root,
+            body: Vec::new(),
+            self_ids: Vec::new(),
+            trait_ids: Vec::new(),
+        });
+        self.graph.fns.len() - 1
+    }
+
+    /// The `>` closing the `<` at `i` (or `i` itself, if none does
+    /// before the statement ends).
+    fn angle_close(&self, i: usize) -> usize {
         let mut depth = 0i32;
-        let mut k = 0usize;
-        while let Some(t) = self.peek(k) {
-            match t {
-                Tok::P('<') => depth += 1,
-                Tok::P('>') => {
+        for k in i..self.toks.len() {
+            match self.tok(k) {
+                Some(Tok::P('<')) => depth += 1,
+                Some(Tok::P('>')) => {
                     depth -= 1;
                     if depth == 0 {
-                        for _ in 0..=k {
-                            self.advance_raw();
-                        }
-                        return true;
+                        return k;
                     }
                 }
-                Tok::P(';') | Tok::P('{') => return false,
+                Some(Tok::P(';')) | Some(Tok::P('{')) => break,
+                _ => {}
+            }
+        }
+        i
+    }
+
+    /// Splits tokens `a..b` of a type-level list at top-level commas.
+    fn split_top(&self, a: usize, b: usize) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        let (mut start, mut angle, mut k) = (a, 0i32, a);
+        while k < b {
+            match self.tok(k) {
+                Some(Tok::P('(' | '[' | '{')) => k = self.pair[k],
+                Some(Tok::P('<')) => angle += 1,
+                Some(Tok::P('>')) => angle -= 1,
+                Some(Tok::P(',')) if angle == 0 => {
+                    out.push((start, k));
+                    start = k + 1;
+                }
                 _ => {}
             }
             k += 1;
-            if k > 120 {
-                return false; // not a generics list
-            }
         }
-        false
+        out.push((start, b));
+        out.retain(|(s, e)| s < e);
+        out
+    }
+
+    /// Reads the type spelled by tokens `a..b`.
+    fn parse_ty(&self, mut a: usize, b: usize) -> Ty {
+        while a < b
+            && (matches!(self.tok(a), Some(Tok::P('&' | '*')) | Some(Tok::Lifetime))
+                || matches!(self.tok(a), Some(Tok::Ident(k)) if ["mut", "dyn", "impl", "const"].contains(&k.as_str())))
+        {
+            a += 1;
+        }
+        match self.tok(a) {
+            _ if a >= b => Ty::named("_"),
+            Some(Tok::P('[')) => {
+                let close = self.pair[a].min(b);
+                let end = (a + 1..close).find(|&k| self.is(k, Tok::P(';'))).unwrap_or(close);
+                Ty { name: "[]".to_string(), args: vec![self.parse_ty(a + 1, end)] }
+            }
+            Some(Tok::Ident(_)) => {
+                while self.is(a + 1, Tok::PathSep) && matches!(self.tok(a + 2), Some(Tok::Ident(_))) {
+                    a += 2;
+                }
+                let Some(Tok::Ident(name)) = self.tok(a) else { unreachable!() };
+                let mut ty = Ty::named(name);
+                if self.is(a + 1, Tok::P('<')) {
+                    let close = self.angle_close(a + 1);
+                    let args = self.split_top(a + 2, close).into_iter().filter(|&(s, _)| !self.is(s, Tok::Lifetime));
+                    ty.args = args.map(|(s, e)| self.parse_ty(s, e)).collect();
+                }
+                ty
+            }
+            Some(Tok::P('(')) => {
+                let args = self.split_top(a + 1, self.pair[a].min(b));
+                Ty { name: "()".to_string(), args: args.into_iter().map(|(s, e)| self.parse_ty(s, e)).collect() }
+            }
+            _ => Ty::named("_"),
+        }
+    }
+
+    /// The type tokens `a..b` spell, `Self` read as the impl type.
+    fn ty(&self, a: usize, b: usize) -> Ty {
+        self.subst(self.parse_ty(a, b))
+    }
+
+    fn subst(&self, ty: Ty) -> Ty {
+        match self.self_ty() {
+            Some(s) if ty.name == "Self" => s,
+            _ => Ty { name: ty.name, args: ty.args.into_iter().map(|a| self.subst(a)).collect() },
+        }
+    }
+
+    /// Where the current statement's own tokens start: past a leading
+    /// `else`, which continues an `if`.
+    fn stmt_head(&self) -> usize {
+        self.stmt_start + usize::from(self.is_ident(self.stmt_start, "else"))
+    }
+
+    fn advance_to(&mut self, i: usize) {
+        while self.pos < i && self.pos < self.toks.len() {
+            self.advance_raw();
+        }
+    }
+
+    /// Skips a balanced `<…>` generic-argument list starting at the
+    /// current `<`. Gives up (consuming nothing) if no balanced close
+    /// is found nearby — then it was a comparison, not generics.
+    fn try_skip_generics(&mut self) {
+        let end = self.angle_close(self.pos);
+        if end > self.pos {
+            self.advance_to(end + 1);
+        }
+    }
+
+    /// The first token from `k` on, outside `(..)` and `[..]`, that
+    /// `stop` accepts.
+    fn find_top(&self, mut k: usize, stop: impl Fn(&Tok) -> bool) -> usize {
+        while let Some(t) = self.tok(k).filter(|t| !stop(t)) {
+            if matches!(t, Tok::P('(' | '[')) {
+                k = self.pair[k];
+            }
+            k += 1;
+        }
+        k
     }
 
     /// Consumes one token, maintaining depths and scope pops. The only
@@ -733,49 +1103,61 @@ impl<'a> Parser<'a> {
             return;
         };
         match &st.tok {
-            Tok::P('{') => self.brace_depth += 1,
+            Tok::P('{') => {
+                // A plain `if`/`while` condition's temporaries die before
+                // its block runs (an `if let`'s live through it).
+                let head = self.stmt_head();
+                if (self.is_ident(head, "if") || self.is_ident(head, "while"))
+                    && !(head..self.pos).any(|k| self.is_ident(k, "let"))
+                {
+                    self.push_event(BodyEvent::EndStmt);
+                }
+                self.braces.push((self.pos, self.paren_depth, self.bracket_depth));
+                self.stmt_start = self.pos + 1;
+                self.brace_depth += 1;
+            }
             Tok::P('}') => {
                 self.brace_depth = self.brace_depth.saturating_sub(1);
+                self.braces.pop();
                 let depth = self.brace_depth;
-                while let Some(top) = self.scopes.last() {
-                    if depth < top.inner_depth {
-                        self.scopes.pop();
-                    } else {
-                        break;
-                    }
+                while self.scopes.last().is_some_and(|top| depth < top.inner_depth) {
+                    self.scopes.pop();
                 }
+                self.locals.retain(|l| l.depth <= depth);
                 self.push_event(BodyEvent::CloseBlock { depth });
+                self.stmt_start = self.pos + 1;
             }
             Tok::P('(') => self.paren_depth += 1,
+            Tok::P('[') => self.bracket_depth += 1,
+            Tok::P(']') => self.bracket_depth = self.bracket_depth.saturating_sub(1),
             Tok::P(')') => {
                 self.paren_depth = self.paren_depth.saturating_sub(1);
                 let depth = self.paren_depth;
-                while let Some(ec) = self.expr_closures.last() {
-                    if depth < ec.paren_depth {
-                        self.expr_closures.pop();
-                    } else {
-                        break;
-                    }
+                while self.expr_closures.last().is_some_and(|ec| depth < ec.1) {
+                    self.expr_closures.pop();
                 }
-                if let Some((_, pd)) = self.pending_root {
-                    if depth < pd {
-                        self.pending_root = None;
-                    }
+                if self.pending_root.is_some_and(|(_, pd)| depth < pd) {
+                    self.pending_root = None;
+                }
+                self.locals.retain(|l| l.paren.is_none_or(|p| depth >= p));
+                while self.args_of.last().is_some_and(|a| depth < a.0) {
+                    self.args_of.pop();
                 }
             }
             Tok::P(',') => {
                 let depth = self.paren_depth;
-                while let Some(ec) = self.expr_closures.last() {
-                    if depth <= ec.paren_depth {
-                        self.expr_closures.pop();
-                    } else {
-                        break;
-                    }
+                while self.expr_closures.last().is_some_and(|ec| depth <= ec.1) {
+                    self.expr_closures.pop();
                 }
+                self.locals.retain(|l| l.paren.is_none_or(|p| depth > p));
             }
-            Tok::P(';') if self.paren_depth == 0 => {
+            Tok::P(';')
+                if (self.paren_depth, self.bracket_depth) == self.braces.last().map_or((0, 0), |b| (b.1, b.2)) =>
+            {
                 self.push_event(BodyEvent::EndStmt);
                 self.stmt_start = self.pos + 1;
+                let d = self.brace_depth;
+                self.locals.retain(|l| l.paren.is_none() || l.depth != d);
             }
             _ => {}
         }
@@ -788,60 +1170,29 @@ impl<'a> Parser<'a> {
         if self.peek(0) == Some(&Tok::P('!')) {
             self.advance_raw();
         }
-        if self.peek(0) != Some(&Tok::P('[')) {
-            return;
-        }
-        let mut depth = 0i32;
-        while let Some(t) = self.peek(0) {
-            match t {
-                Tok::P('[') => depth += 1,
-                Tok::P(']') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        self.advance_raw();
-                        return;
-                    }
-                }
-                _ => {}
-            }
-            self.advance_raw();
+        if self.peek(0) == Some(&Tok::P('[')) {
+            self.advance_to(self.pair[self.pos] + 1);
         }
     }
 
     /// Skips a whole `macro_rules! name { … }` definition.
     fn skip_macro_rules(&mut self) {
         // At `macro_rules`; skip `! name` then the balanced braces.
-        while let Some(t) = self.peek(0) {
-            if matches!(t, Tok::P('{')) {
-                break;
-            }
+        while self.peek(0).is_some_and(|t| !matches!(t, Tok::P('{'))) {
             self.advance_raw();
         }
-        let open_depth = self.brace_depth;
-        if self.peek(0) == Some(&Tok::P('{')) {
-            self.advance_raw();
-            while self.brace_depth > open_depth && self.peek(0).is_some() {
-                // Raw advance only: macro bodies are not Rust code.
-                let t = self.toks[self.pos].tok.clone();
-                match t {
-                    Tok::P('{') => self.brace_depth += 1,
-                    Tok::P('}') => self.brace_depth -= 1,
-                    _ => {}
-                }
-                self.pos += 1;
-            }
+        // Macro bodies are not Rust code: jump, don't parse.
+        if self.peek(0).is_some() {
+            self.pos = self.pair[self.pos] + 1;
         }
     }
 
     /// Parses a `fn` item header at the `fn` keyword; pushes a Fn scope
-    /// if the item has a body.
+    /// with its parameters in scope if the item has a body.
     fn parse_fn(&mut self) {
         let line = self.line(0);
         self.advance_raw(); // fn
-        let name = match self.peek(0) {
-            Some(Tok::Ident(n)) => n.clone(),
-            _ => return,
-        };
+        let Some(Tok::Ident(name)) = self.peek(0).cloned() else { return };
         self.advance_raw();
         if self.peek(0) == Some(&Tok::P('<')) {
             self.try_skip_generics();
@@ -849,145 +1200,401 @@ impl<'a> Parser<'a> {
         if self.peek(0) != Some(&Tok::P('(')) {
             return;
         }
-        // Scan the parameter list for a leading self.
+        let close = self.pair[self.pos];
+        // The return type and any `where` clause sit between the
+        // parameter list and the body (or the `;` of a declaration).
+        let body = self.find_top(close + 1, |t| matches!(t, Tok::P('{' | ';')));
+        let where_at = (close + 1..body).find(|&k| self.is_ident(k, "where")).unwrap_or(body);
+        let ret = self.is(close + 1, Tok::Arrow).then(|| self.ty(close + 2, where_at));
         let mut has_self = false;
-        let mut k = 1usize;
-        while k < 8 {
-            match self.peek(k) {
-                Some(Tok::P('&')) | Some(Tok::Lifetime) | Some(Tok::Ident(_)) => {
-                    if let Some(Tok::Ident(id)) = self.peek(k) {
-                        if id == "self" {
-                            has_self = true;
-                            break;
-                        }
-                        if id != "mut" {
-                            break;
-                        }
-                    }
-                    k += 1;
-                }
-                _ => break,
+        let mut params = Vec::new();
+        for (a, b) in self.split_top(self.pos + 1, close) {
+            match (a..b).find(|&k| self.is(k, Tok::P(':'))) {
+                Some(c) if c > a => match self.tok(c - 1) {
+                    Some(Tok::Ident(p)) if p == "self" => has_self = true,
+                    Some(Tok::Ident(p)) => params.push((p.clone(), self.ty(c + 1, b))),
+                    _ => {}
+                },
+                _ => has_self |= (a..b).any(|k| self.is_ident(k, "self")),
             }
         }
-        // Consume the parameter list, counting top-level parameters.
-        // Commas inside nested brackets or generics (`HashMap<K, V>`)
-        // are not separators; in signature position `<`/`>` are always
-        // generics, so plain depth tracking is enough.
-        let open = self.paren_depth;
-        self.advance_raw(); // (
-        // Rustfmt leaves trailing commas on multi-line lists, so a
-        // parameter is counted when content *follows* a separator, not
-        // per comma.
-        let mut count = 0usize;
-        let mut angle = 0i32;
-        let mut open_param = false;
-        let mut countable = true;
-        while self.paren_depth > open && self.peek(0).is_some() {
-            match self.peek(0) {
-                Some(Tok::P('<')) => angle += 1,
-                Some(Tok::P('>')) => {
-                    if angle == 0 {
-                        countable = false;
-                    } else {
-                        angle -= 1;
-                    }
-                }
-                Some(Tok::P(',')) if self.paren_depth == open + 1 && angle == 0 => {
-                    open_param = false;
-                }
-                // The list's own `)` is not parameter content (it is
-                // what an empty list closes with).
-                Some(Tok::P(')')) if self.paren_depth == open + 1 => {}
-                Some(_) if !open_param => {
-                    count += 1;
-                    open_param = true;
-                }
-                _ => {}
-            }
-            self.advance_raw();
+        self.advance_to(body);
+        if self.peek(0) != Some(&Tok::P('{')) {
+            return;
         }
-        let params = if countable {
-            // `self` is not a caller-supplied argument.
-            Some(count.saturating_sub(usize::from(has_self)))
-        } else {
-            None
-        };
-        // Find the body `{` (or `;` for a trait declaration) at
-        // statement level, skipping `-> T` and `where` clauses.
-        loop {
-            match self.peek(0) {
-                Some(Tok::P('{')) => break,
-                Some(Tok::P(';')) | None => return, // no body
-                Some(Tok::P('<')) => {
-                    if !self.try_skip_generics() {
-                        self.advance_raw();
-                    }
-                }
-                _ => self.advance_raw(),
-            }
-        }
-        let node = self.graph.fns.len();
-        self.graph.fns.push(FnNode {
-            crate_name: self.src.crate_name.clone(),
-            module: self.module_path(),
-            impl_type: self.impl_type(),
-            name,
-            file: self.src.file.clone(),
-            line,
-            has_self,
-            params,
-            root: None,
-            body: Vec::new(),
-        });
+        let node = self.push_node(name, line, has_self, ret, None);
         self.advance_raw(); // {
-        self.scopes.push(ScopeFrame {
-            kind: ScopeKind::Fn { node },
-            inner_depth: self.brace_depth,
-        });
+        let depth = self.brace_depth;
+        self.scopes.push(ScopeFrame { kind: ScopeKind::Body(node), inner_depth: depth });
+        for (name, ty) in params {
+            self.locals.push(Local { name, expr: Expr::Ty(ty), from: 0, depth, paren: None });
+        }
         self.stmt_start = self.pos;
     }
 
-    /// Parses `impl …` / `trait …` headers, pushing an Impl scope.
+    /// Parses `impl …` / `trait …` headers, pushing an Impl scope and
+    /// recording a trait as a type.
     fn parse_impl(&mut self, is_trait: bool) {
         self.advance_raw(); // impl | trait
         if self.peek(0) == Some(&Tok::P('<')) {
             self.try_skip_generics();
         }
-        // Collect idents until `{`; the type is the first path segment
-        // after `for` (trait impls) or the first segment otherwise.
-        let mut first: Option<String> = None;
-        let mut after_for: Option<String> = None;
-        let mut saw_for = false;
-        loop {
-            match self.peek(0) {
-                Some(Tok::P('{')) | Some(Tok::P(';')) | None => break,
-                Some(Tok::Ident(id)) => {
-                    if id == "for" {
-                        saw_for = true;
-                    } else if saw_for {
-                        if after_for.is_none() {
-                            after_for = Some(id.clone());
-                        }
-                    } else if first.is_none() && id != "dyn" {
-                        first = Some(id.clone());
-                    }
-                    self.advance_raw();
-                }
-                Some(Tok::P('<')) => {
-                    if !self.try_skip_generics() {
-                        self.advance_raw();
-                    }
-                }
-                _ => self.advance_raw(),
+        let start = self.pos;
+        let end = self.find_top(start, |t| matches!(t, Tok::P('{' | ';')));
+        let head = (start..end).find(|&k| self.is_ident(k, "where")).unwrap_or(end);
+        let (ty, tr) = if is_trait {
+            let Some(Tok::Ident(name)) = self.tok(start).cloned() else { return };
+            self.push_type(name.clone(), Vec::new(), true);
+            (Ty::named(&name), Some(name))
+        } else {
+            let for_at = (start..head).find(|&k| self.is_ident(k, "for"));
+            let mut ty = self.ty(for_at.map_or(start, |f| f + 1), head);
+            while WRAPPERS.contains(&ty.name.as_str()) && !ty.args.is_empty() {
+                ty = ty.args.swap_remove(0);
             }
-        }
-        let ty = if is_trait { first } else { after_for.or(first) };
+            (ty, for_at.map(|f| self.parse_ty(start, f).name))
+        };
+        self.advance_to(end);
         if self.peek(0) == Some(&Tok::P('{')) {
             self.advance_raw();
-            self.scopes.push(ScopeFrame {
-                kind: ScopeKind::Impl(ty),
-                inner_depth: self.brace_depth,
-            });
+            let kind = ScopeKind::Impl(ty, tr);
+            self.scopes.push(ScopeFrame { kind, inner_depth: self.brace_depth });
+        }
+    }
+
+    fn push_type(&mut self, name: String, fields: Vec<(String, Ty)>, is_trait: bool) {
+        let (crate_name, module) = (self.src.crate_name.clone(), self.module_path());
+        self.graph.types.push(TypeDef { name, crate_name, module, fields, is_trait });
+    }
+
+    /// Records a `struct` and its fields, or an `enum`.
+    fn parse_type_item(&mut self) {
+        let is_struct = self.is_ident(self.pos, "struct");
+        self.advance_raw();
+        let Some(Tok::Ident(name)) = self.peek(0).cloned() else { return };
+        self.advance_raw();
+        if self.peek(0) == Some(&Tok::P('<')) {
+            self.try_skip_generics();
+        }
+        let mut fields = Vec::new();
+        if self.peek(0) == Some(&Tok::P('{')) {
+            let close = self.pair[self.pos];
+            for (a, b) in self.split_top(self.pos + 1, close).into_iter().filter(|_| is_struct) {
+                // `#[attr] pub(crate) name: Type`
+                if let Some(c) = (a..b).find(|&k| self.is(k, Tok::P(':'))) {
+                    if let Some(Tok::Ident(f)) = self.tok(c - 1) {
+                        fields.push((f.clone(), self.ty(c + 1, b)));
+                    }
+                }
+            }
+            self.advance_to(close + 1);
+        }
+        self.push_type(name, fields, false);
+    }
+
+    /// Records `static NAME: T` / `const NAME: T`; `const fn`,
+    /// `const { .. }` and `*const T` are no items.
+    fn parse_global(&mut self) {
+        if let (Some(Tok::Ident(name)), Some(Tok::P(':'))) = (self.peek(1).cloned(), self.peek(2)) {
+            let end = (self.pos + 3..self.toks.len()).find(|&k| matches!(self.tok(k), Some(Tok::P('=' | ';'))));
+            let ty = self.ty(self.pos + 3, end.unwrap_or(self.toks.len()));
+            let (crate_name, module) = (self.src.crate_name.clone(), self.module_path());
+            self.graph.globals.push(Decl { name, ty, crate_name, module });
+        }
+        self.advance_raw();
+    }
+
+    /// What pattern tokens `a..b` bind, each name to the part of `e` it
+    /// matches: `x`, `(a, b)`, `Some(x)`, `[a, b]`, `x @ ..`; what another
+    /// variant's payload binds is unknown.
+    fn bind_pat(&self, mut a: usize, b: usize, e: Expr, out: &mut Vec<(String, Expr)>) {
+        while a < b && (self.is(a, Tok::P('&')) || self.is_ident(a, "mut") || self.is_ident(a, "ref")) {
+            a += 1;
+        }
+        let mut k = a;
+        while self.is(k + 1, Tok::PathSep) {
+            k += 2;
+        }
+        let open = match self.tok(k).filter(|_| k < b) {
+            Some(Tok::Ident(name)) if self.is(k + 1, Tok::P('@')) => {
+                out.push((name.clone(), e.clone()));
+                return self.bind_pat(k + 2, b, e, out);
+            }
+            Some(Tok::Ident(name)) if !self.is(k + 1, Tok::P('(')) => {
+                if k == a && name.starts_with(|c: char| c.is_lowercase()) && !KEYWORDS.contains(&name.as_str()) {
+                    out.push((name.clone(), e));
+                }
+                return;
+            }
+            Some(Tok::Ident(_)) => k + 1,
+            Some(Tok::P('(' | '[')) => a,
+            _ => return,
+        };
+        for (i, (s, t)) in self.split_top(open + 1, self.pair[open].min(b)).into_iter().enumerate() {
+            let part = match self.tok(k) {
+                Some(Tok::Ident(v)) if v == "Some" || v == "Ok" => Expr::Inner(Box::new(e.clone())),
+                Some(Tok::Ident(_)) => Expr::Unknown,
+                Some(Tok::P('(')) => Expr::Nth(Box::new(e.clone()), i),
+                _ => Expr::Inner(Box::new(e.clone())),
+            };
+            self.bind_pat(s, t, part, out);
+        }
+    }
+
+    /// Binds pattern `a..b` to `e` from token `from` on, at this depth —
+    /// or, `block`, for the block about to open.
+    fn bind(&mut self, a: usize, b: usize, e: Expr, from: usize, block: bool) {
+        let mut names = Vec::new();
+        self.bind_pat(a, b, e, &mut names);
+        let depth = self.brace_depth + usize::from(block);
+        self.locals.extend(names.into_iter().map(|(name, expr)| Local { name, expr, from, depth, paren: None }));
+    }
+
+    /// At `let`: binds its pattern from the declared type or the
+    /// initializer, past its statement (or for an `if let`'s or
+    /// `while let`'s block).
+    fn parse_let(&mut self) {
+        let block = self.pos > 0 && (self.is_ident(self.pos - 1, "if") || self.is_ident(self.pos - 1, "while"));
+        let start = self.pos + 1;
+        let pat_end = self.find_top(start, |t| matches!(t, Tok::P(':' | '=' | ';')));
+        let mut k = pat_end;
+        let mut expr = Expr::Unknown;
+        if self.is(k, Tok::P(':')) {
+            k = self.find_top(k, |t| matches!(t, Tok::P('=' | ';')));
+            expr = Expr::Ty(self.ty(pat_end + 1, k));
+        }
+        if self.is(k, Tok::P('=')) && expr == Expr::Unknown {
+            let (init, end) = self.chain(k + 1, self.toks.len());
+            // Only an initializer that is one chain types the binding.
+            if matches!(self.tok(end), Some(Tok::P(';' | '{'))) || self.is_ident(end, "else") {
+                expr = init;
+            }
+        }
+        let from = self.find_top(k, |t| matches!(t, Tok::P(';' | '{')));
+        self.bind(start, pat_end, expr, from, block);
+        self.advance_raw();
+    }
+
+    /// At `for`: binds the loop pattern to what the iterated value holds.
+    fn parse_for(&mut self) {
+        let start = self.pos + 1;
+        let k = self.find_top(start, |t| matches!(t, Tok::P('{' | ';' | '<')) || matches!(t, Tok::Ident(i) if i == "in"));
+        if self.is_ident(k, "in") {
+            let (iter, end) = self.chain(k + 1, self.toks.len());
+            self.bind(start, k, Expr::Inner(Box::new(Expr::Method(Box::new(iter), "into_iter".to_string()))), end, true);
+        }
+        self.advance_raw();
+    }
+
+    /// `|` opens a closure where an expression starts, not where it
+    /// continues (`a | b`, `a || b`, a pattern's `A | B`).
+    fn closure_starts(&self) -> bool {
+        match self.pos.checked_sub(1).and_then(|k| self.tok(k)) {
+            Some(Tok::P('(' | ',' | '=' | '{' | ';' | ':')) | Some(Tok::FatArrow) => true,
+            Some(Tok::Ident(k)) => k == "move" || k == "return",
+            _ => false,
+        }
+    }
+
+    /// At a closure's opening `|`: binds its parameters for its body,
+    /// and, if a root registration is armed at this paren depth, makes
+    /// it a synthetic root node (otherwise its body attributes to the
+    /// enclosing fn).
+    fn parse_closure(&mut self) {
+        let line = self.line(0);
+        let root = match self.pending_root {
+            Some((kind, pd)) if pd == self.paren_depth => {
+                self.pending_root = None;
+                Some(kind)
+            }
+            _ => None,
+        };
+        let open = self.pos;
+        let close = (open + 1..self.toks.len()).find(|&k| self.is(k, Tok::P('|'))).unwrap_or(self.toks.len());
+        let params = self.split_top(open + 1, close);
+        self.advance_to(close + 1);
+        let braced = self.peek(0) == Some(&Tok::P('{'));
+        let (depth, paren) =
+            if braced { (self.brace_depth + 1, None) } else { (self.brace_depth, Some(self.paren_depth)) };
+        // `opt.map(|x| ..)`, `list.iter().for_each(|x| ..)`: the one
+        // parameter is what the receiver holds.
+        let held = match self.args_of.last() {
+            Some((d, recv, m))
+                if *d == self.paren_depth && params.len() == 1 && CLOSURE_ADAPTERS.contains(&m.as_str()) =>
+            {
+                Expr::Inner(Box::new(recv.clone()))
+            }
+            _ => Expr::Unknown,
+        };
+        let mut names = Vec::new();
+        for (a, b) in params {
+            match (a..b).find(|&k| self.is(k, Tok::P(':'))) {
+                Some(c) => self.bind_pat(a, c, Expr::Ty(self.ty(c + 1, b)), &mut names),
+                None => self.bind_pat(a, b, held.clone(), &mut names),
+            }
+        }
+        let from = self.pos;
+        self.locals.extend(names.into_iter().map(|(name, expr)| Local { name, expr, from, depth, paren }));
+        let Some(kind) = root else {
+            return;
+        };
+        let node = self.push_node("{closure}".to_string(), line, false, None, Some(kind));
+        if braced {
+            self.advance_raw();
+            self.scopes.push(ScopeFrame { kind: ScopeKind::Body(node), inner_depth: self.brace_depth });
+        } else {
+            self.expr_closures.push((node, self.paren_depth));
+        }
+    }
+
+    /// The callee a path names, `Self::` read as the impl type.
+    fn callee(&self, mut segs: Vec<String>) -> Callee {
+        if segs[0] == "Self" {
+            if let Some(t) = self.self_ty() {
+                segs[0] = t.name;
+            }
+        }
+        if segs.len() == 1 {
+            Callee::Bare(segs.remove(0))
+        } else {
+            Callee::Path(segs)
+        }
+    }
+
+    /// Reads the value chain starting at token `i` (`&self.conns.lock()
+    /// .get(&id)?`), stopping at `end` or where the chain does.
+    fn chain(&self, mut i: usize, end: usize) -> (Expr, usize) {
+        loop {
+            match self.tok(i) {
+                Some(Tok::P('&' | '*')) => i += 1,
+                Some(Tok::Ident(k)) if k == "mut" || k == "move" => i += 1,
+                // A closure's value is its body's.
+                Some(Tok::P('|')) => i = (i + 1..end).find(|&k| self.is(k, Tok::P('|'))).map_or(end, |k| k + 1),
+                _ => break,
+            }
+        }
+        let mut e = Expr::Unknown;
+        match self.tok(i).cloned() {
+            Some(Tok::Ident(id)) if id == "self" => {
+                e = self.self_ty().map_or(Expr::Unknown, Expr::Ty);
+                i += 1;
+            }
+            Some(Tok::Ident(id)) if !KEYWORDS.contains(&id.as_str()) || id == "crate" || id == "super" => {
+                let mut segs = vec![id];
+                while self.is(i + 1, Tok::PathSep) {
+                    match self.tok(i + 2) {
+                        Some(Tok::Ident(s)) => segs.push(s.clone()),
+                        Some(Tok::P('<')) => i = self.angle_close(i + 2) - 2, // turbofish
+                        _ => break,
+                    }
+                    i += 2;
+                }
+                i += 1;
+                let last = segs[segs.len() - 1].clone();
+                if self.is(i, Tok::P('(')) {
+                    let close = self.pair[i];
+                    let owner = segs.len().checked_sub(2).map(|q| segs[q].as_str());
+                    e = if owner.is_some_and(|q| WRAPPERS.contains(&q) || q == "mem") {
+                        self.chain(i + 1, close).0 // `Arc::new(x)`, `mem::take(x)` are `x`
+                    } else {
+                        Expr::Call(self.callee(segs))
+                    };
+                    i = close + 1;
+                } else if self.is(i, Tok::P('{')) && (upper(&last) && self.struct_literal(i)) {
+                    e = Expr::Ty(self.subst(Ty::named(&last)));
+                    i = self.pair[i] + 1;
+                } else if segs.len() == 1 {
+                    e = match self.locals.iter().rev().find(|l| l.name == last && l.from <= i) {
+                        Some(l) => l.expr.clone(),
+                        None if upper(&last) => Expr::Global(last),
+                        None => Expr::Unknown,
+                    };
+                }
+            }
+            Some(Tok::P('(')) => {
+                let close = self.pair[i];
+                let one = |(s, t)| match self.chain(s, t) {
+                    (e, end) if end == t => e,
+                    _ => Expr::Unknown,
+                };
+                let mut parts: Vec<Expr> = self.split_top(i + 1, close).into_iter().map(one).collect();
+                e = if parts.len() == 1 && !self.is(close - 1, Tok::P(',')) {
+                    parts.remove(0)
+                } else {
+                    Expr::Tuple(parts)
+                };
+                i = close + 1;
+            }
+            Some(Tok::Str(_)) => (e, i) = (Expr::Ty(Ty::named("str")), i + 1),
+            Some(Tok::Num) => (e, i) = (Expr::Ty(Ty::named("num")), i + 1),
+            _ => return (e, i),
+        }
+        while i < end {
+            match (self.tok(i), self.tok(i + 1)) {
+                (Some(Tok::P('?')), _) => (e, i) = (Expr::Inner(Box::new(e)), i + 1),
+                (Some(Tok::P('[')), _) => (e, i) = (Expr::Inner(Box::new(e)), self.pair[i] + 1),
+                (Some(Tok::P('.')), Some(Tok::Ident(m))) if m == "await" => i += 2,
+                (Some(Tok::P('.')), Some(Tok::Ident(m))) => {
+                    let mut k = i + 2;
+                    if self.is(k, Tok::PathSep) && self.is(k + 1, Tok::P('<')) {
+                        k = self.angle_close(k + 1) + 1;
+                    }
+                    if self.is(k, Tok::P('(')) {
+                        (e, i) = (Expr::Method(Box::new(e), m.clone()), self.pair[k] + 1);
+                    } else {
+                        (e, i) = (Expr::Field(Box::new(e), m.clone()), i + 2);
+                    }
+                }
+                _ => break,
+            }
+        }
+        (e, i)
+    }
+
+    /// Whether the `{` at `i` opens a struct literal's fields.
+    fn struct_literal(&self, i: usize) -> bool {
+        matches!(
+            (self.tok(i + 1), self.tok(i + 2)),
+            (Some(Tok::P('}')), _)
+                | (Some(Tok::Ident(_)), Some(Tok::P(':' | ',' | '}')))
+                | (Some(Tok::P('.')), Some(Tok::P('.')))
+        )
+    }
+
+    /// The receiver of the method call whose `.` is at `dot`: walks back
+    /// to the start of its chain and reads it forward.
+    fn recv_before(&self, dot: usize) -> Expr {
+        let mut j = dot;
+        while j > 0 {
+            match &self.toks[j - 1].tok {
+                Tok::P(')' | ']') if self.pair[j - 1] < j => {
+                    j = self.pair[j - 1];
+                    let callee = j.checked_sub(1).and_then(|k| self.tok(k));
+                    if !matches!(callee, Some(Tok::Ident(_)) | Some(Tok::P(')' | ']' | '?'))) {
+                        break;
+                    }
+                }
+                Tok::P('?') => j -= 1,
+                Tok::Ident(id) if id == "self" || !KEYWORDS.contains(&id.as_str()) => {
+                    j -= 1;
+                    // `a..b.len()`: the `.` of a range is no member access.
+                    let range = j >= 2 && self.is(j - 2, Tok::P('.'));
+                    if j == 0 || range || !matches!(self.toks[j - 1].tok, Tok::P('.') | Tok::PathSep) {
+                        break;
+                    }
+                    j -= 1;
+                }
+                Tok::Num if j >= 2 && self.is(j - 2, Tok::P('.')) => j -= 2,
+                Tok::Str(_) | Tok::Num => {
+                    j -= 1;
+                    break;
+                }
+                _ => break,
+            }
+        }
+        match self.chain(j, dot) {
+            (e, end) if end == dot => e,
+            _ => Expr::Unknown,
         }
     }
 
@@ -1000,35 +1607,33 @@ impl<'a> Parser<'a> {
             _ => return false,
         };
         if KEYWORDS.contains(&first.as_str()) {
-            if first == "fn" {
-                self.parse_fn();
-            } else if first == "impl" {
-                self.parse_impl(false);
-            } else if first == "trait" {
-                self.parse_impl(true);
-            } else if first == "mod" {
-                self.advance_raw();
-                if let Some(Tok::Ident(name)) = self.peek(0).cloned() {
+            match first.as_str() {
+                "fn" => self.parse_fn(),
+                "impl" => self.parse_impl(false),
+                "trait" => self.parse_impl(true),
+                "let" => self.parse_let(),
+                "for" => self.parse_for(),
+                "struct" | "enum" => self.parse_type_item(),
+                "static" | "const" => self.parse_global(),
+                "mod" => {
                     self.advance_raw();
-                    if self.peek(0) == Some(&Tok::P('{')) {
+                    if let Some(Tok::Ident(name)) = self.peek(0).cloned() {
                         self.advance_raw();
-                        self.scopes.push(ScopeFrame {
-                            kind: ScopeKind::Module(name),
-                            inner_depth: self.brace_depth,
-                        });
+                        if self.peek(0) == Some(&Tok::P('{')) {
+                            self.advance_raw();
+                            let kind = ScopeKind::Module(name);
+                            self.scopes.push(ScopeFrame { kind, inner_depth: self.brace_depth });
+                        }
                     }
                 }
-            } else if first == "use" {
                 // `use …;` — skip so grouped imports aren't parsed as
                 // blocks/calls.
-                while let Some(t) = self.peek(0) {
-                    if matches!(t, Tok::P(';')) {
-                        break;
+                "use" => {
+                    while self.peek(0).is_some_and(|t| !matches!(t, Tok::P(';'))) {
+                        self.advance_raw();
                     }
-                    self.advance_raw();
                 }
-            } else {
-                self.advance_raw();
+                _ => self.advance_raw(),
             }
             return true;
         }
@@ -1038,32 +1643,17 @@ impl<'a> Parser<'a> {
         }
 
         // Gather the path.
+        let start = self.pos;
         let mut segs = vec![first.clone()];
         let mut k = 1usize;
-        loop {
-            if self.peek(k) == Some(&Tok::PathSep) {
-                match self.peek(k + 1) {
-                    Some(Tok::Ident(id)) => {
-                        segs.push(id.clone());
-                        k += 2;
-                    }
-                    Some(Tok::P('<')) => {
-                        // Turbofish `::<…>`: treat as end of path; the
-                        // generic list is skipped below.
-                        break;
-                    }
-                    _ => break,
-                }
-            } else {
-                break;
-            }
+        while self.peek(k) == Some(&Tok::PathSep) {
+            // A turbofish `::<…>` ends the path; it is skipped below.
+            let Some(Tok::Ident(id)) = self.peek(k + 1) else { break };
+            segs.push(id.clone());
+            k += 2;
         }
         let call_line = self.line(k.saturating_sub(1));
-        // Advance over the path tokens.
-        for _ in 0..k {
-            self.advance_raw();
-        }
-        // Optional turbofish.
+        self.advance_to(self.pos + k);
         if self.peek(0) == Some(&Tok::PathSep) && self.peek(1) == Some(&Tok::P('<')) {
             self.advance_raw();
             self.try_skip_generics();
@@ -1071,25 +1661,18 @@ impl<'a> Parser<'a> {
 
         // Macro invocation?
         if self.peek(0) == Some(&Tok::P('!')) {
-            if matches!(self.peek(1), Some(Tok::P('(')) | Some(Tok::P('[')) | Some(Tok::P('{'))) {
-                let ann = self.src.ann_at(call_line);
-                self.push_event(BodyEvent::Call(CallSite {
-                    callee: Callee::Macro(segs.last().cloned().unwrap_or_default()),
-                    line: call_line,
-                    zero_args: false,
-                    args: None,
-                    blocking_ok: ann.blocking_ok,
-                    checked: ann.checked,
-                }));
+            if matches!(self.peek(1), Some(Tok::P('(' | '[' | '{'))) {
+                let name = segs.last().cloned().unwrap_or_default();
+                self.push_call(Callee::Macro(name), None, call_line, false);
             }
             return true;
         }
 
-        if self.peek(0) != Some(&Tok::P('(')) {
+        // A local closure's body is already the caller's.
+        if self.peek(0) != Some(&Tok::P('(')) || (segs.len() == 1 && self.locals.iter().any(|l| l.name == first)) {
             return true;
         }
         let zero_args = self.peek(1) == Some(&Tok::P(')'));
-        let args = self.call_arity(self.pos);
         let name = segs.last().cloned().unwrap_or_default();
 
         // `drop(g)` of a named guard.
@@ -1101,43 +1684,23 @@ impl<'a> Parser<'a> {
         }
 
         // Named lock classes: `Mutex::named(value, "class")`.
-        if name == "named"
-            && segs.len() >= 2
-            && matches!(segs[segs.len() - 2].as_str(), "Mutex" | "RwLock")
-        {
-            self.record_named_class(call_line);
+        if name == "named" && segs.len() >= 2 && matches!(segs[segs.len() - 2].as_str(), "Mutex" | "RwLock") {
+            self.record_named_class(start, call_line);
         }
-
-        let ann = self.src.ann_at(call_line);
-        let callee = if segs.len() > 1 {
-            Callee::Path(segs.clone())
-        } else {
-            Callee::Bare(name.clone())
-        };
-        self.push_event(BodyEvent::Call(CallSite {
-            callee,
-            line: call_line,
-            zero_args,
-            args,
-            blocking_ok: ann.blocking_ok,
-            checked: ann.checked,
-        }));
 
         // Root registrations: arm closure capture inside the argument
         // list. Recognized only with their module qualifier, matching
         // real call spelling (`pool::submit(…)`, `wheel::schedule(…)`).
-        let root = if segs.len() >= 2 {
-            let q = segs[segs.len() - 2].as_str();
-            match (q, name.as_str()) {
-                ("pool", "submit") | ("pool", "submit_or_run") => Some(RootKind::PoolJob),
-                // `conv::rearm` hands its closure on to `wheel::schedule`.
-                ("wheel", "schedule") | ("conv", "rearm") => Some(RootKind::WheelCallback),
-                ("vtime", "kproc") => Some(RootKind::Kproc),
-                _ => None,
-            }
-        } else {
-            None
+        let root = match (segs.len() >= 2).then(|| segs[segs.len() - 2].as_str()) {
+            Some("pool") if name == "submit" || name == "submit_or_run" => Some(RootKind::PoolJob),
+            // `conv::rearm` hands its closure on to `wheel::schedule`.
+            Some("wheel") if name == "schedule" => Some(RootKind::WheelCallback),
+            Some("conv") if name == "rearm" => Some(RootKind::WheelCallback),
+            Some("vtime") if name == "kproc" => Some(RootKind::Kproc),
+            _ => None,
         };
+        let callee = self.callee(segs);
+        self.push_call(callee, None, call_line, zero_args);
         self.advance_raw(); // (
         if let Some(kind) = root {
             self.pending_root = Some((kind, self.paren_depth));
@@ -1145,146 +1708,15 @@ impl<'a> Parser<'a> {
         true
     }
 
-    /// At the opening `|` of a closure. If a root registration is
-    /// armed at this paren depth, the closure becomes a synthetic root
-    /// node; otherwise its body simply attributes to the enclosing fn.
-    fn parse_closure_start(&mut self) {
-        let line = self.line(0);
-        let root = match self.pending_root {
-            Some((kind, pd)) if pd == self.paren_depth => {
-                self.pending_root = None;
-                Some(kind)
-            }
-            _ => None,
-        };
-        // Skip the parameter list `|…|`.
-        self.advance_raw(); // |
-        let mut guard = 0;
-        while let Some(t) = self.peek(0) {
-            if matches!(t, Tok::P('|')) {
-                self.advance_raw();
-                break;
-            }
-            self.advance_raw();
-            guard += 1;
-            if guard > 64 {
-                break;
-            }
-        }
-        let Some(kind) = root else {
-            return;
-        };
-        let node = self.graph.fns.len();
-        self.graph.fns.push(FnNode {
-            crate_name: self.src.crate_name.clone(),
-            module: self.module_path(),
-            impl_type: self.impl_type(),
-            name: "{closure}".to_string(),
-            file: self.src.file.clone(),
-            line,
-            has_self: false,
-            params: None,
-            root: Some(kind),
-            body: Vec::new(),
-        });
-        if self.peek(0) == Some(&Tok::P('{')) {
-            self.advance_raw();
-            self.scopes.push(ScopeFrame {
-                kind: ScopeKind::RootClosure { node },
-                inner_depth: self.brace_depth,
-            });
-        } else {
-            self.expr_closures.push(ExprClosure {
-                node,
-                paren_depth: self.paren_depth,
-            });
-        }
+    fn push_call(&mut self, callee: Callee, recv: Option<Expr>, line: usize, zero_args: bool) {
+        let LineAnn { blocking_ok, checked, .. } = self.src.ann_at(line);
+        let call = CallSite { callee, recv, line, zero_args, blocking_ok, checked, targets: Vec::new(), by_name: false };
+        self.push_event(BodyEvent::Call(call));
     }
 
-    /// Counts the arguments of a call whose `(` sits at absolute token
-    /// index `open`. Returns `None` when the list contains tokens that
-    /// defeat comma counting in expression position — closures (`|`)
-    /// or comparison/generic angles, where `a < b` and `f::<A, B>` are
-    /// indistinguishable without types.
-    fn call_arity(&self, open: usize) -> Option<usize> {
-        let mut depth = 0i32;
-        let mut count = 0usize;
-        let mut open_arg = false;
-        let mut j = open;
-        while j < self.toks.len() {
-            match &self.toks[j].tok {
-                Tok::P('(') | Tok::P('[') | Tok::P('{') => {
-                    if depth > 0 && !open_arg {
-                        count += 1;
-                        open_arg = true;
-                    }
-                    depth += 1;
-                }
-                Tok::P(')') | Tok::P(']') | Tok::P('}') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(count);
-                    }
-                }
-                Tok::P(',') if depth == 1 => open_arg = false,
-                Tok::P('<') | Tok::P('>') | Tok::P('|') if depth == 1 => return None,
-                _ => {
-                    if !open_arg {
-                        count += 1;
-                        open_arg = true;
-                    }
-                }
-            }
-            j += 1;
-        }
-        None
-    }
-
-    /// Records a `.lock()`-family acquisition. The receiver ident is
-    /// the path component before the final method (`shard.state.lock()`
-    /// → `state`); a bare `self.lock()` falls back to the impl type.
-    fn record_acquire(&mut self, op: AcqOp, line: usize) {
-        // Walk back from the current position (we sit at the method
-        // name's trailing `(` …): tokens before the method ident are
-        // `.`, then the receiver.
-        let mut receiver = String::new();
-        // position of the method ident is pos-1 relative? The caller
-        // sits after consuming the path; reconstruct from the token
-        // stream: find the `.` preceding the method name.
-        let mut k = self.pos as isize - 2; // method ident at pos-1, '.' expected at pos-2
-        if k >= 0 && matches!(self.toks[k as usize].tok, Tok::P('.')) {
-            let mut j = k - 1;
-            // Skip a call's `(...)` to name `f().lock()` by `f`.
-            if j >= 0 && matches!(self.toks[j as usize].tok, Tok::P(')')) {
-                let mut depth = 0i32;
-                while j >= 0 {
-                    match self.toks[j as usize].tok {
-                        Tok::P(')') => depth += 1,
-                        Tok::P('(') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                j -= 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j -= 1;
-                }
-            }
-            if j >= 0 {
-                if let Tok::Ident(id) = &self.toks[j as usize].tok {
-                    receiver = id.clone();
-                }
-            }
-        } else {
-            k += 1; // no dot: bare `lock(` — not a method acquisition
-            let _ = k;
-            return;
-        }
-        if receiver == "self" || receiver.is_empty() {
-            receiver = self.impl_type().unwrap_or_else(|| "self".to_string());
-        }
+    /// Records a `.lock()`-family acquisition of `recv`, with the guard
+    /// binding when the statement names one.
+    fn record_acquire(&mut self, recv: Expr, op: AcqOp, line: usize) {
         // `let g = recv.lock();` — find the binding name: the last
         // ident before the statement's first `=`.
         let mut guard = None;
@@ -1304,120 +1736,69 @@ impl<'a> Parser<'a> {
             }
         }
         // The binding names the guard only when the statement ends at
-        // the acquire call itself (`let g = x.lock();`). A chained
-        // method consumes the guard as a statement temporary —
+        // the acquire call itself (`let g = x.lock();`). Anywhere else
+        // the guard is a temporary of the statement —
         // `let v = x.lock().get(k).cloned();` binds `v` to the clone,
-        // and the lock is gone at the `;`. Mistaking `v` for a guard
-        // holds the class for the rest of the body and manufactures
-        // phantom lock-order edges.
-        if guard.is_some() {
-            let mut j = self.pos; // at the call's `(`
-            let mut depth = 0i32;
-            while j < self.toks.len() {
-                match self.toks[j].tok {
-                    Tok::P('(') => depth += 1,
-                    Tok::P(')') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            j += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            if self.toks.get(j).is_some_and(|t| matches!(t.tok, Tok::P('.'))) {
-                guard = None;
-            }
+        // `let n = f(&x.lock());` and `let v = match *x.lock() { .. };`
+        // drop it at the `;`. Mistaking `v` for a guard holds the class
+        // for the rest of the body and manufactures phantom lock-order
+        // edges.
+        if !self.is(self.pair[self.pos] + 1, Tok::P(';')) {
+            guard = None;
         }
         // Bindings introduced inside `if let`/`while let`/`match` live
         // one block deeper than the current depth.
-        let stmt_head = self.toks[self.stmt_start..self.pos]
-            .iter()
-            .find_map(|t| match &t.tok {
-                Tok::Ident(id) => Some(id.clone()),
-                _ => None,
-            })
-            .unwrap_or_default();
-        let depth = if matches!(stmt_head.as_str(), "if" | "while" | "match") {
-            self.brace_depth + 1
-        } else {
-            self.brace_depth
-        };
-        self.push_event(BodyEvent::Acquire {
-            receiver,
-            op,
-            line,
-            guard,
-            depth,
-        });
+        let head = self.stmt_head();
+        let depth = self.brace_depth + usize::from(["if", "while", "match"].iter().any(|k| self.is_ident(head, k)));
+        self.push_event(BodyEvent::Acquire { recv, op, line, guard, depth, class: None });
     }
 
-    /// Records a `Mutex::named(value, "class")` site: scans forward for
-    /// the last string literal inside the argument list, and backward
-    /// for the binding ident (`let x =`, `field:`).
-    fn record_named_class(&mut self, line: usize) {
-        // Forward: self.pos is at the `(`-to-be (the path was already
-        // consumed by the caller? no — caller calls us *before*
-        // consuming `(`). Scan from the `(` for a balanced close.
-        let mut k = 0usize;
+    /// Records a `Mutex::named(value, "class")` site starting at token
+    /// `start`: the class string is the last literal in the argument
+    /// list, and the lock is field `f` of the struct literal
+    /// `T { f: Mutex::named(..) }` (`Self` read as the impl type), or
+    /// the `static` it initializes.
+    fn record_named_class(&mut self, start: usize, line: usize) {
         if self.peek(0) != Some(&Tok::P('(')) {
             return;
         }
-        let mut depth = 0i32;
-        let mut class: Option<String> = None;
-        while let Some(t) = self.peek(k) {
-            match t {
-                Tok::P('(') => depth += 1,
-                Tok::P(')') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                Tok::Str(s) if depth == 1 && !s.is_empty() => {
-                    class = Some(s.clone());
-                }
-                _ => {}
-            }
-            k += 1;
-            if k > 4096 {
-                break;
-            }
-        }
-        let Some(class) = class else {
+        let close = self.pair[self.pos];
+        let Some(class) = (self.pos + 1..close).rev().find_map(|k| match self.tok(k) {
+            Some(Tok::Str(s)) if !s.is_empty() => Some(s.clone()),
+            _ => None,
+        }) else {
             return;
         };
-        // Backward from the path start: `ident :` (field init) or
-        // `let ident =` (binding). The path is 3 tokens (`Mutex`, `::`,
-        // `named`) plus any leading qualifier; search back a few
-        // tokens for `:` or `=` preceded by an ident.
-        let mut binding = None;
-        let mut j = self.pos as isize - 1;
-        let mut steps = 0;
-        while j > 0 && steps < 10 {
-            match &self.toks[j as usize].tok {
-                Tok::P(':') | Tok::P('=') => {
-                    if let Tok::Ident(id) = &self.toks[j as usize - 1].tok {
-                        if !KEYWORDS.contains(&id.as_str()) {
-                            binding = Some(id.clone());
-                        }
-                    }
-                    break;
+        let before = |n: usize| start.checked_sub(n).and_then(|k| self.tok(k));
+        let (owner, field) = match (before(2), before(1)) {
+            (Some(Tok::Ident(f)), Some(Tok::P(':'))) => {
+                let Some(&(open, ..)) = self.braces.last() else { return };
+                match open.checked_sub(1).and_then(|k| self.tok(k)) {
+                    Some(Tok::Ident(t)) if t == "Self" => match self.self_ty() {
+                        Some(s) => (Some(s.name), f.clone()),
+                        None => return,
+                    },
+                    Some(Tok::Ident(t)) if upper(t) => (Some(t.clone()), f.clone()),
+                    _ => return,
                 }
-                Tok::Ident(_) | Tok::PathSep => {
-                    j -= 1;
-                    steps += 1;
-                }
-                _ => break,
             }
-        }
+            (_, Some(Tok::P('='))) => {
+                let mut item = (0..start).rev().take_while(|&k| !matches!(self.tok(k), Some(Tok::P(';' | '{' | '}'))));
+                let item = item.find_map(|k| match (self.tok(k), self.tok(k + 1)) {
+                    (Some(Tok::Ident(kw)), Some(Tok::Ident(n))) if kw == "static" || kw == "const" => Some(n.clone()),
+                    _ => None,
+                });
+                let Some(name) = item else { return };
+                (None, name)
+            }
+            _ => return,
+        };
         self.graph.classes.push(NamedClassSite {
             class,
-            binding,
-            impl_type: self.impl_type(),
+            owner,
+            field,
             crate_name: self.src.crate_name.clone(),
+            module: self.module_path(),
             file: self.src.file.clone(),
             line,
         });
@@ -1427,16 +1808,7 @@ impl<'a> Parser<'a> {
         while self.pos < self.toks.len() {
             match self.peek(0) {
                 Some(Tok::P('#')) => self.skip_attribute(),
-                // `|` only matters when a root registration is waiting
-                // for its closure argument at this argument depth —
-                // everywhere else it is bitwise-or / a match-arm pipe /
-                // an ordinary closure whose calls attribute to the
-                // enclosing fn anyway.
-                Some(Tok::P('|'))
-                    if matches!(self.pending_root, Some((_, pd)) if pd == self.paren_depth) =>
-                {
-                    self.parse_closure_start()
-                }
+                Some(Tok::P('|')) if self.closure_starts() => self.parse_closure(),
                 Some(Tok::P('.')) => {
                     // `.ident(` → method call; the path parser needs to
                     // know it came after a dot.
@@ -1467,27 +1839,8 @@ impl<'a> Parser<'a> {
             _ => return false,
         };
         let mut k = 1usize;
-        // Turbofish.
         if self.peek(k) == Some(&Tok::PathSep) && self.peek(k + 1) == Some(&Tok::P('<')) {
-            // Conservatively scan to the closing `>` then expect `(`.
-            let mut depth = 0i32;
-            let mut j = k + 1;
-            loop {
-                match self.peek(j) {
-                    Some(Tok::P('<')) => depth += 1,
-                    Some(Tok::P('>')) => {
-                        depth -= 1;
-                        if depth == 0 {
-                            j += 1;
-                            break;
-                        }
-                    }
-                    Some(Tok::P(';')) | None => return false,
-                    _ => {}
-                }
-                j += 1;
-            }
-            k = j;
+            k = self.angle_close(self.pos + k + 1) + 1 - self.pos;
         }
         if self.peek(k) != Some(&Tok::P('(')) {
             // Field access: consume just the ident.
@@ -1498,11 +1851,8 @@ impl<'a> Parser<'a> {
         // are recognized here and nowhere else.
         let call_line = self.line(0);
         let zero_args = self.peek(k + 1) == Some(&Tok::P(')'));
-        let args = self.call_arity(self.pos + k);
-        // Advance over name and any turbofish up to the `(`.
-        for _ in 0..k {
-            self.advance_raw();
-        }
+        let recv = self.recv_before(self.pos - 1);
+        self.advance_to(self.pos + k);
         let op = match name.as_str() {
             "lock" => Some(AcqOp::Lock),
             "read" => Some(AcqOp::Read),
@@ -1511,18 +1861,11 @@ impl<'a> Parser<'a> {
             _ => None,
         };
         if let Some(op) = op {
-            self.record_acquire(op, call_line);
+            self.record_acquire(recv.clone(), op, call_line);
         }
-        let ann = self.src.ann_at(call_line);
-        self.push_event(BodyEvent::Call(CallSite {
-            callee: Callee::Method(name.clone()),
-            line: call_line,
-            zero_args,
-            args,
-            blocking_ok: ann.blocking_ok,
-            checked: ann.checked,
-        }));
+        self.push_call(Callee::Method(name.clone()), Some(recv.clone()), call_line, zero_args);
         self.advance_raw(); // (
+        self.args_of.push((self.paren_depth, recv, name.clone()));
         if name == "set_rx_handler" || name == "set_rx_tap" {
             self.pending_root = Some((RootKind::RxHandler, self.paren_depth));
         }
@@ -1536,68 +1879,49 @@ impl<'a> Parser<'a> {
 /// Parses one source file into graph nodes.
 pub fn scan_file(graph: &mut CallGraph, src: &SourceFile) {
     let toks = tokenize(src);
-    let idents = graph.file_idents.entry(src.file.clone()).or_default();
-    for t in &toks {
-        if let Tok::Ident(id) = &t.tok {
-            idents.insert(id.clone());
+    let mut pair = vec![toks.len(); toks.len()];
+    let mut open = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        match t.tok {
+            Tok::P('(' | '[' | '{') => open.push(i),
+            Tok::P(')' | ']' | '}') => {
+                if let Some(o) = open.pop() {
+                    (pair[o], pair[i]) = (i, o);
+                }
+            }
+            _ => {}
         }
     }
     let mut p = Parser {
         toks: &toks,
+        pair,
         pos: 0,
         brace_depth: 0,
         paren_depth: 0,
+        bracket_depth: 0,
+        braces: Vec::new(),
         scopes: Vec::new(),
         expr_closures: Vec::new(),
         pending_root: None,
         stmt_start: 0,
+        locals: Vec::new(),
+        args_of: Vec::new(),
         graph,
         src,
     };
     p.run();
 }
 
-/// Reads the workspace-internal dependencies (`plan9-foo = …`) out of
-/// one crate's Cargo.toml. Line-oriented on purpose: the manifests here
-/// are flat, and the check crate parses nothing it doesn't have to.
+/// Reads the workspace-internal dependencies (`plan9-foo = …`, or
+/// `plan9-foo.workspace = true`) out of one crate's Cargo.toml.
+/// Line-oriented on purpose: the manifests here are flat, and the check
+/// crate parses nothing it doesn't have to.
 fn direct_deps(manifest: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for line in manifest.lines() {
-        let line = line.trim_start();
-        if let Some(rest) = line.strip_prefix("plan9-") {
-            let name: String = rest
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
-                .collect();
-            // `plan9-foo.workspace = true` leaves `foo.workspace` —
-            // keep only the crate segment.
-            let name = name.split('.').next().unwrap_or("").replace('-', "_");
-            if !name.is_empty() {
-                out.insert(name);
-            }
-        }
-    }
-    out
-}
-
-/// Transitive closure of [`direct_deps`] across the workspace.
-fn close_deps(direct: &BTreeMap<String, BTreeSet<String>>) -> BTreeMap<String, BTreeSet<String>> {
-    let mut closed = direct.clone();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for name in direct.keys() {
-            let reach: Vec<String> = closed[name]
-                .iter()
-                .flat_map(|d| closed.get(d).into_iter().flatten().cloned())
-                .collect();
-            let set = closed.get_mut(name).unwrap();
-            for r in reach {
-                changed |= set.insert(r);
-            }
-        }
-    }
-    closed
+    let deps = manifest.lines().filter_map(|l| l.trim_start().strip_prefix("plan9-"));
+    let name = |rest: &str| {
+        rest.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_').collect::<String>()
+    };
+    deps.map(|rest| name(rest).replace('-', "_")).filter(|n| !n.is_empty()).collect()
 }
 
 /// Builds the call graph of a workspace already read.
@@ -1607,7 +1931,7 @@ pub fn graph_of(ws: &Workspace) -> CallGraph {
         scan_file(&mut graph, src);
     }
     let crates = ws.manifests.iter().filter(|(name, ..)| !name.is_empty());
-    graph.deps = close_deps(&crates.map(|(name, _, text)| (name.clone(), direct_deps(text))).collect());
+    graph.deps = transitive(crates.map(|(name, _, text)| (name.clone(), direct_deps(text))).collect());
     graph.index();
     graph
 }
@@ -1633,11 +1957,13 @@ mod tests {
         g.fns.iter().find(|f| f.name == name).expect(name)
     }
 
+    fn targeted(g: &CallGraph, c: &CallSite) -> Vec<String> {
+        c.targets.iter().map(|&t| g.fns[t].qualified()).collect()
+    }
+
     #[test]
     fn fn_items_and_calls_parse() {
-        let g = graph_of(
-            "fn a() { b(); helper::c(); }\nfn b() {}\nmod helper { pub fn c() { super::b(); } }\n",
-        );
+        let g = graph_of("fn a() { b(); helper::c(); }\nfn b() {}\nmod helper { pub fn c() { super::b(); } }\n");
         assert_eq!(g.fns.len(), 3);
         let a = find(&g, "a");
         let calls: Vec<&str> = a.calls().map(|c| c.callee.name()).collect();
@@ -1652,24 +1978,80 @@ mod tests {
             "struct Q;\nimpl Q {\n    fn get(&self) { self.inner_wait(); }\n    fn inner_wait(&self) {}\n}\nfn user(q: &Q) { q.get(); }\n",
         );
         let get = find(&g, "get");
-        assert_eq!(get.impl_type.as_deref(), Some("Q"));
+        assert_eq!(get.impl_ty.as_ref().map(|t| t.name.as_str()), Some("Q"));
         assert!(get.has_self);
         let user = find(&g, "user");
         let calls: Vec<_> = user.calls().collect();
         assert_eq!(calls.len(), 1);
         assert!(matches!(&calls[0].callee, Callee::Method(m) if m == "get"));
-        // Resolution: the method resolves to Q::get.
-        let user_idx = g.fns.iter().position(|f| f.name == "user").unwrap();
-        let targets = g.resolve(user_idx, &calls[0].callee.clone());
-        assert_eq!(targets.len(), 1);
-        assert_eq!(g.fns[targets[0]].name, "get");
+        // Resolution: the method resolves to Q::get, by `q`'s type.
+        assert_eq!(targeted(&g, calls[0]), ["demo::Q::get"]);
+        assert!(!calls[0].by_name);
+    }
+
+    #[test]
+    fn a_field_call_goes_to_the_fields_type() {
+        // `IpStack` has a `send` of its own, with the same arity; the
+        // call is on the station.
+        let g = graph_of(
+            "struct EtherStation;\nimpl EtherStation {\n    fn send(&self, mac: u8, ty: u16, p: &[u8]) {}\n}\n\
+             struct IpStack { station: EtherStation }\nimpl IpStack {\n\
+             fn send(&self, dst: u32, proto: u8, p: &[u8]) {}\n\
+             fn handle_arp(&self, mac: u8, ty: u16, p: &[u8]) { self.station.send(mac, ty, p); }\n}\n",
+        );
+        let call = find(&g, "handle_arp").calls().next().unwrap();
+        assert_eq!(targeted(&g, call), ["demo::EtherStation::send"]);
+    }
+
+    #[test]
+    fn a_std_receiver_resolves_to_nothing() {
+        let g = graph_of(
+            "struct ArpCache { pending: Mutex<HashMap<u32, Vec<u8>>> }\nimpl ArpCache {\n\
+             fn len(&self) -> usize { 0 }\n\
+             fn hold(&self) -> bool { self.pending.lock().len() < 32 }\n}\n",
+        );
+        let len = find(&g, "hold").calls().find(|c| c.callee.name() == "len").unwrap();
+        assert!(len.targets.is_empty() && !len.by_name, "{:?}", targeted(&g, len));
+    }
+
+    #[test]
+    fn a_receivers_type_keeps_a_call_in_its_own_impl() {
+        let g = graph_of(
+            "struct IlConn;\nimpl IlConn {\n    fn timer_fire(&self) {}\n}\n\
+             struct TcpConn;\nimpl TcpConn {\n    fn timer_fire(&self) {}\n}\n\
+             fn arm(conn: Arc<TcpConn>, at: Instant) {\n    wheel::schedule(1, at, move || conn.timer_fire());\n}\n",
+        );
+        let (_, root) = g.roots().next().unwrap();
+        assert_eq!(targeted(&g, root.calls().next().unwrap()), ["demo::TcpConn::timer_fire"]);
+    }
+
+    #[test]
+    fn a_let_binding_is_seen_after_its_statement() {
+        let g = graph_of(
+            "struct A;\nimpl A {\n    fn b(&self) -> B { B }\n}\nstruct B;\nimpl B {\n    fn b(&self) {}\n}\n\
+             fn f(x: A) {\n    let x = x.b();\n    x.b();\n}\n",
+        );
+        let calls: Vec<Vec<String>> = find(&g, "f").calls().map(|c| targeted(&g, c)).collect();
+        assert_eq!(calls, [["demo::A::b"], ["demo::B::b"]]);
+    }
+
+    #[test]
+    fn an_untyped_receiver_fans_out_by_name() {
+        let g = graph_of(
+            "struct A;\nimpl A {\n    fn go(&self) {}\n}\nstruct B;\nimpl B {\n    fn go(&self) {}\n}\n\
+             trait T {\n    fn go(&self);\n}\nimpl T for B {\n    fn go(&self) {}\n}\n\
+             fn f(x: &dyn T) { x.go(); }\nfn g(v: Vec<u8>) { v.into_iter().map(|(a, b)| a.go()); }\n",
+        );
+        let call = find(&g, "f").calls().next().unwrap();
+        assert_eq!(targeted(&g, call).len(), 1, "a trait object goes to the impls");
+        let call = find(&g, "g").calls().find(|c| c.callee.name() == "go").unwrap();
+        assert!(call.by_name);
+        assert_eq!(targeted(&g, call).len(), 3);
     }
 
     #[test]
     fn cfg_test_regions_are_invisible() {
-        let g = graph_of(
-            "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn helper() { live(); }\n}\n",
-        );
+        let g = graph_of("fn live() {}\n#[cfg(test)]\nmod tests {\n    fn helper() { live(); }\n}\n");
         assert_eq!(g.fns.len(), 1);
         assert_eq!(g.fns[0].name, "live");
     }
@@ -1717,9 +2099,7 @@ mod tests {
 
     #[test]
     fn non_root_closures_attribute_to_enclosing_fn() {
-        let g = graph_of(
-            "fn f(v: Vec<u8>) {\n    v.iter().map(|x| g(*x)).count();\n}\nfn g(_x: u8) {}\n",
-        );
+        let g = graph_of("fn f(v: Vec<u8>) {\n    v.iter().map(|x| g(*x)).count();\n}\nfn g(_x: u8) {}\n");
         let f = find(&g, "f");
         let names: Vec<&str> = f.calls().map(|c| c.callee.name()).collect();
         assert!(names.contains(&"g"), "{names:?}");
@@ -1727,39 +2107,32 @@ mod tests {
     }
 
     #[test]
-    fn named_class_sites_capture_binding_and_string() {
+    fn named_class_sites_capture_field_and_string() {
         let g = graph_of(
-            "struct S { state: Mutex<u8> }\nimpl S {\n    fn new() -> S {\n        S { state: Mutex::named(0, \"demo.state\") }\n    }\n}\nfn free() {\n    let l = RwLock::named((), \"demo.free\");\n    let _ = l;\n}\n",
+            "struct S { state: Mutex<u8> }\nimpl S {\n    fn new() -> Self {\n        Self { state: Mutex::named(0, \"demo.state\") }\n    }\n}\n\
+             static FREE: RwLock<()> = RwLock::named((), \"demo.free\");\n",
         );
-        assert_eq!(g.classes.len(), 2);
-        assert_eq!(g.classes[0].class, "demo.state");
-        assert_eq!(g.classes[0].binding.as_deref(), Some("state"));
-        assert_eq!(g.classes[0].impl_type.as_deref(), Some("S"));
-        assert_eq!(g.classes[1].class, "demo.free");
-        assert_eq!(g.classes[1].binding.as_deref(), Some("l"));
+        let sites: Vec<_> =
+            g.classes.iter().map(|c| (c.class.as_str(), c.owner.as_deref(), c.field.as_str())).collect();
+        assert_eq!(sites, [("demo.state", Some("S"), "state"), ("demo.free", None, "FREE")]);
     }
 
     #[test]
     fn acquisitions_record_receiver_and_guard() {
-        let g = graph_of(
-            "fn f(s: &S) {\n    let mut st = s.state.lock();\n    work();\n    drop(st);\n}\nfn work() {}\n",
-        );
+        let g =
+            graph_of("fn f(s: &S) {\n    let mut st = s.state.lock();\n    work();\n    drop(st);\n}\nfn work() {}\n");
         let f = find(&g, "f");
-        let acquires: Vec<(&str, Option<&str>)> = f
+        let acquires: Vec<(&Expr, Option<&str>)> = f
             .body
             .iter()
             .filter_map(|e| match e {
-                BodyEvent::Acquire { receiver, guard, .. } => {
-                    Some((receiver.as_str(), guard.as_deref()))
-                }
+                BodyEvent::Acquire { recv, guard, .. } => Some((recv, guard.as_deref())),
                 _ => None,
             })
             .collect();
-        assert_eq!(acquires, vec![("state", Some("st"))]);
-        assert!(f
-            .body
-            .iter()
-            .any(|e| matches!(e, BodyEvent::DropGuard { name, .. } if name == "st")));
+        let s = Expr::Field(Box::new(Expr::Ty(Ty::named("S"))), "state".to_string());
+        assert_eq!(acquires, vec![(&s, Some("st"))]);
+        assert!(f.body.iter().any(|e| matches!(e, BodyEvent::DropGuard { name, .. } if name == "st")));
     }
 
     #[test]
@@ -1783,14 +2156,22 @@ mod tests {
     #[test]
     fn path_resolution_prefers_module_suffix() {
         let mut g = CallGraph::default();
-        scan_file(&mut g, &SourceFile::new("support", "support/src/pool.rs", &["pool".to_string()], "pub fn submit() {}\n"));
-        scan_file(&mut g, &SourceFile::new("inet", "inet/src/il.rs", &["il".to_string()], "fn service() { pool::submit(); plan9_support::pool::submit(); }\n"));
+        scan_file(
+            &mut g,
+            &SourceFile::new("support", "support/src/pool.rs", &["pool".to_string()], "pub fn submit() {}\n"),
+        );
+        scan_file(
+            &mut g,
+            &SourceFile::new(
+                "inet",
+                "inet/src/il.rs",
+                &["il".to_string()],
+                "fn service() { pool::submit(); plan9_support::pool::submit(); }\n",
+            ),
+        );
         g.index();
-        let caller = g.fns.iter().position(|f| f.name == "service").unwrap();
-        for call in g.fns[caller].calls().map(|c| c.callee.clone()).collect::<Vec<_>>() {
-            let t = g.resolve(caller, &call);
-            assert_eq!(t.len(), 1, "{call:?}");
-            assert_eq!(g.fns[t[0]].qualified(), "support::pool::submit");
+        for call in find(&g, "service").calls() {
+            assert_eq!(targeted(&g, call), ["support::pool::submit"], "{:?}", call.callee);
         }
     }
 }

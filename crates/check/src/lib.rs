@@ -1,14 +1,8 @@
 //! netcheck: the repository's own static lint pass.
 //!
 //! The streams kernel relies on a handful of invariants that no
-//! general-purpose tool checks:
+//! general-purpose tool checks. Four are line rules, here:
 //!
-//! - **panic-path** — kernel-path crates (`streams`, `inet`, `core`,
-//!   `ninep`, `netsim`) must not call `.unwrap()`/`.expect()` outside
-//!   test code: a panic inside a `put` routine takes down the whole
-//!   stream. A call that is genuinely infallible may stay if annotated
-//!   `// checked: <reason>` on the same line or in the comment block
-//!   directly above it.
 //! - **raw-sync** — only `plan9-support` may touch
 //!   `std::sync::{Mutex, RwLock, Condvar}`; everyone else uses the
 //!   no-poison, lockdep-aware wrappers in `plan9_support::sync`.
@@ -24,10 +18,16 @@
 //!   hermetic, and a registry dependency anywhere breaks the offline
 //!   gate.
 //!
+//! The rest ask the call graph ([`graph`]): **blocking-context** and
+//! **panic-reach** ([`flow`]) and **lock-cycle** ([`lockgraph`]). A
+//! panic in a kernel-path crate (`streams`, `inet`, `core`, `ninep`,
+//! `netsim`) is a panic-reach finding whether or not a root reaches it:
+//! a panic inside a `put` routine takes down the whole stream.
+//!
 //! The scanner is a line-level lexer, not a parser: it understands
 //! strings (including raw strings), `//` and nested `/* */` comments,
 //! char literals vs lifetimes, and `#[cfg(test)]`/`#[test]` regions —
-//! enough to make the five rules precise without a syntax tree, and
+//! enough to make the line rules precise without a syntax tree, and
 //! with zero dependencies so it builds before anything else.
 //!
 //! There is one front end: [`Workspace::read`] walks `crates/*` once
@@ -37,6 +37,7 @@
 //!
 //! There is no tolerated count: any violation fails the gate.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -48,18 +49,29 @@ pub mod lockgraph;
 pub mod report;
 
 /// Crates whose `src` is a kernel path: a panic there is a stream-wide
-/// outage, so the panic-path rule applies.
+/// outage, so every panic site in them is a panic-reach finding.
 pub const KERNEL_CRATES: &[&str] = &["streams", "inet", "core", "ninep", "netsim"];
 
 /// The one crate allowed to use raw `std::sync` locks and the wall
 /// clock: it *implements* the sanctioned wrappers.
 pub const BOUNDARY_CRATE: &str = "support";
 
+/// The transitive closure of a relation: each key maps to everything it
+/// reaches in one step or more.
+pub(crate) fn transitive<K: Ord + Clone>(mut reach: BTreeMap<K, BTreeSet<K>>) -> BTreeMap<K, BTreeSet<K>> {
+    loop {
+        let step = |to: &BTreeSet<K>| to.iter().flat_map(|b| reach.get(b).into_iter().flatten()).cloned().collect();
+        let grown: BTreeMap<K, BTreeSet<K>> = reach.iter().map(|(a, to)| (a.clone(), to | &step(to))).collect();
+        if grown == reach {
+            return reach;
+        }
+        reach = grown;
+    }
+}
+
 /// The rule classes netcheck enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// `.unwrap()`/`.expect(` on a kernel path without `// checked:`.
-    PanicPath,
     /// `std::sync::{Mutex,RwLock,Condvar}` outside plan9-support.
     RawSync,
     /// `SystemTime`/`UNIX_EPOCH` outside plan9-support.
@@ -74,8 +86,9 @@ pub enum Rule {
     /// ARP resolve) reachable from a non-blocking root (pool job,
     /// wheel callback, rx handler) without `// blocking-ok:`.
     BlockingContext,
-    /// A panic site (`panic!`/`unwrap`/`expect`/…) reachable from a
-    /// non-blocking root without `// checked:`.
+    /// A panic site (`panic!`/`unwrap`/`expect`/…) without
+    /// `// checked:`, reachable from a non-blocking root or in a kernel
+    /// crate.
     PanicReach,
     /// A cycle in the static acquired-while-held lock-order graph.
     LockCycle,
@@ -85,7 +98,6 @@ impl Rule {
     /// The stable diagnostic code, used in output and the baseline.
     pub fn code(self) -> &'static str {
         match self {
-            Rule::PanicPath => "panic-path",
             Rule::RawSync => "raw-sync",
             Rule::WallClock => "wall-clock",
             Rule::MonoClock => "mono-clock",
@@ -447,68 +459,45 @@ impl SourceFile {
 /// The `std::sync` primitives that must stay behind `plan9_support`.
 const RAW_SYNC: &[&str] = &["Mutex", "RwLock", "Condvar"];
 
-/// Runs the line rules over one source file.
+/// Runs the line rules over one source file. They guard the boundary
+/// crate's privileges, so they never apply inside it.
 pub fn scan_source(src: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
+    if src.crate_name == BOUNDARY_CRATE {
+        return out;
+    }
     let mut in_sync_use = false;
-    let kernel = KERNEL_CRATES.contains(&src.crate_name.as_str());
-    let boundary = src.crate_name == BOUNDARY_CRATE;
-
     for (idx, line) in src.lines.iter().enumerate() {
-        let lineno = idx + 1;
         if src.test[idx] {
             in_sync_use = false;
             continue;
         }
-        let checked = src.ann_at(lineno).checked;
         let code = &line.code;
-        let mut report = |rule: Rule| {
-            out.push(Violation {
-                rule,
-                file: src.file.clone(),
-                line: lineno,
-                excerpt: src.text.lines().nth(idx).unwrap_or("").trim().to_string(),
-            });
-        };
-
-        if kernel && !checked && (code.contains(".unwrap()") || code.contains(".expect(")) {
-            report(Rule::PanicPath);
+        // Direct paths: std::sync::Mutex etc.
+        let direct = RAW_SYNC.iter().any(|p| code.contains(&format!("std::sync::{p}")));
+        // Grouped imports: `use std::sync::{Arc, Mutex};`, possibly
+        // spanning lines until the closing `;`.
+        in_sync_use |= code.contains("std::sync::{");
+        let grouped = in_sync_use
+            && RAW_SYNC.iter().any(|p| code.split(|c: char| !c.is_alphanumeric() && c != '_').any(|tok| tok == *p));
+        if code.contains(';') {
+            in_sync_use = false;
         }
-
-        if !boundary {
-            // Direct paths: std::sync::Mutex etc.
-            let direct = RAW_SYNC
-                .iter()
-                .any(|p| code.contains(&format!("std::sync::{p}")));
-            // Grouped imports: `use std::sync::{Arc, Mutex};`, possibly
-            // spanning lines until the closing `;`.
-            let mut grouped = false;
-            if code.contains("std::sync::{") {
-                in_sync_use = true;
-            }
-            if in_sync_use {
-                grouped = RAW_SYNC.iter().any(|p| {
-                    code.split(|c: char| !c.is_alphanumeric() && c != '_')
-                        .any(|tok| tok == *p)
-                });
-                if code.contains(';') {
-                    in_sync_use = false;
-                }
-            }
-            if !checked && (direct || grouped) {
-                report(Rule::RawSync);
-            }
-
-            if !checked && (code.contains("SystemTime") || code.contains("UNIX_EPOCH")) {
-                report(Rule::WallClock);
-            }
-
+        let rules = [
+            (Rule::RawSync, direct || grouped),
+            (Rule::WallClock, code.contains("SystemTime") || code.contains("UNIX_EPOCH")),
             // The monotonic clock is a boundary too: a raw read or a
             // raw sleep stalls a virtual-time run on the host clock.
-            if !checked
-                && (code.contains("Instant::now(") || code.contains("thread::sleep("))
-            {
-                report(Rule::MonoClock);
+            (Rule::MonoClock, code.contains("Instant::now(") || code.contains("thread::sleep(")),
+        ];
+        for (rule, _) in rules.into_iter().filter(|&(_, hit)| hit) {
+            if !src.ann_at(idx + 1).checked {
+                out.push(Violation {
+                    rule,
+                    file: src.file.clone(),
+                    line: idx + 1,
+                    excerpt: src.text.lines().nth(idx).unwrap_or("").trim().to_string(),
+                });
             }
         }
     }
@@ -705,44 +694,25 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_in_kernel_crate_flagged() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n";
-        let v = scan_source("streams", "f.rs", src);
-        assert_eq!(lines(&v), vec![(Rule::PanicPath, 2)]);
-    }
-
-    #[test]
-    fn unwrap_in_non_kernel_crate_ignored() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        assert!(scan_source("bench", "f.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unwrap_in_string_and_comment_ignored() {
-        let src = "fn f() {\n    let s = \".unwrap()\";\n    // calling .unwrap() here would be bad\n    let r = r#\"also .expect( nothing\"#;\n}\n";
-        assert!(scan_source("streams", "f.rs", src).is_empty());
-    }
-
-    #[test]
     fn checked_annotation_suppresses() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    x.unwrap() // checked: caller guarantees Some\n}\n";
-        assert!(scan_source("streams", "f.rs", src).is_empty());
+        let src = "fn f() {\n    let t = SystemTime::now(); // checked: a log stamp\n}\n";
+        assert!(scan_source("inet", "f.rs", src).is_empty());
         // …but an empty reason does not.
-        let src = "fn f(x: Option<u8>) -> u8 {\n    x.unwrap() // checked:\n}\n";
-        assert_eq!(scan_source("streams", "f.rs", src).len(), 1);
+        let src = "fn f() {\n    let t = SystemTime::now(); // checked:\n}\n";
+        assert_eq!(scan_source("inet", "f.rs", src).len(), 1);
         // A standalone annotation line blesses the next line only.
-        let src = "fn f(x: Option<u8>) -> u8 {\n    // checked: length verified above\n    x.unwrap()\n}\nfn g(y: Option<u8>) -> u8 { y.unwrap() }\n";
-        assert_eq!(lines(&scan_source("streams", "f.rs", src)), vec![(Rule::PanicPath, 5)]);
+        let src = "fn f() {\n    // checked: a log stamp\n    SystemTime::now();\n}\nfn g() { SystemTime::now(); }\n";
+        assert_eq!(lines(&scan_source("inet", "f.rs", src)), vec![(Rule::WallClock, 5)]);
     }
 
     #[test]
-    fn cfg_test_region_skipped() {
-        let src = "fn live(x: Option<u8>) -> u8 { x.expect(\"x\") }\n\
-                   #[cfg(test)]\nmod tests {\n    fn helper(x: Option<u8>) -> u8 { x.unwrap() }\n}\n\
-                   fn live2(y: Option<u8>) -> u8 { y.unwrap() }\n";
+    fn cfg_test_region_and_literals_skipped() {
+        let src = "fn live() { SystemTime::now(); }\n\
+                   #[cfg(test)]\nmod tests {\n    fn helper() { SystemTime::now(); }\n}\n\
+                   fn live2() {\n    let s = \"SystemTime\"; // SystemTime\n    SystemTime::now();\n}\n";
         assert_eq!(
             lines(&scan_source("inet", "f.rs", src)),
-            vec![(Rule::PanicPath, 1), (Rule::PanicPath, 6)]
+            vec![(Rule::WallClock, 1), (Rule::WallClock, 8)]
         );
     }
 

@@ -16,26 +16,25 @@
 //!   the lock is never taken or no test reaches it;
 //! - a **cycle** in the static graph is an error before any test runs.
 //!
-//! Receivers resolve to lock classes by name: `Mutex::named(v, "c")`
-//! construction sites associate the binding ident (or enclosing impl
-//! type) with class `c`, and `x.state.lock()` looks `state` up with
-//! same-file, then same-crate preference — two crates may both bind a
-//! lock to a field called `state` (pool and wheel both do) without
-//! cross-contaminating each other's edges. A receiver still ambiguous
-//! after narrowing contributes nothing (counted in the report): taking
-//! the cross-product of candidate classes manufactures cycles between
+//! A receiver's class is its field's: `Mutex::named(v, "c")`
+//! initializing field `f` of `T { f: .. }` makes `x.f.lock()` on any
+//! `x` of type `T` an acquisition of `c` (graph.rs types `x`). An
+//! acquisition of a field some class is named for, on a receiver whose
+//! type is not inferred, is *ambiguous*: it contributes nothing and is
+//! counted in the report, because guessing manufactures cycles between
 //! unrelated locks. Held-set tracking replays each function's body
 //! events: named guards die at `drop(g)` or when their block closes,
 //! statement temporaries at the `;`. Calls made while holding a lock
 //! contribute the callee's *transitive* acquire set, computed as a
-//! fixpoint over the call graph — with method calls propagated only to
-//! a unique same-file target and bare calls to a unique same-module
-//! target, because name fan-out invents orderings that do not exist.
-//! Orderings lost to that strictness surface as `dynamic_only` in the
+//! fixpoint over the same call edges the flow passes walk — all but a
+//! method call whose receiver's type is unknown, whose fan-out to every
+//! method of its name would invent orderings (`c.close()` in
+//! `Conn::hangup` alone would add thirteen, through `Proc::close`).
+//! Orderings the static graph misses surface as `dynamic_only` in the
 //! runtime cross-check rather than vanishing.
 
-use crate::graph::{AcqOp, BodyEvent, CallGraph, Callee};
-use crate::{Rule, Violation};
+use crate::graph::{AcqOp, BodyEvent, CallGraph};
+use crate::{transitive, Rule, Violation};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One `A held while acquiring B` edge derived from source.
@@ -67,9 +66,6 @@ pub struct LockReport {
     pub dead_classes: Vec<String>,
     /// Distinct class names found in source.
     pub static_classes: usize,
-    /// Acquire sites skipped because the receiver still mapped to more
-    /// than one class after narrowing.
-    pub ambiguous: usize,
     /// Distinct class names in the runtime dump.
     pub observed_classes: usize,
     /// Whether a runtime dump was available to cross-check against.
@@ -79,113 +75,6 @@ pub struct LockReport {
 impl LockReport {
     pub fn untested(&self) -> impl Iterator<Item = &StaticEdge> {
         self.edges.iter().filter(|e| !e.confirmed)
-    }
-}
-
-/// Maps a receiver ident (or impl-type fallback) to candidate class
-/// names, preferring same-file, then same-crate association sites.
-struct ClassResolver<'a> {
-    /// binding ident → (file, crate, class)
-    by_binding: BTreeMap<&'a str, Vec<(&'a str, &'a str, &'a str)>>,
-    /// impl type → (file, crate, class)
-    by_type: BTreeMap<&'a str, Vec<(&'a str, &'a str, &'a str)>>,
-}
-
-impl<'a> ClassResolver<'a> {
-    fn new(g: &'a CallGraph) -> ClassResolver<'a> {
-        let mut by_binding: BTreeMap<&str, Vec<(&str, &str, &str)>> = BTreeMap::new();
-        let mut by_type: BTreeMap<&str, Vec<(&str, &str, &str)>> = BTreeMap::new();
-        for c in &g.classes {
-            if let Some(b) = &c.binding {
-                by_binding.entry(b.as_str()).or_default().push((
-                    c.file.as_str(),
-                    c.crate_name.as_str(),
-                    c.class.as_str(),
-                ));
-            }
-            if let Some(t) = &c.impl_type {
-                by_type.entry(t.as_str()).or_default().push((
-                    c.file.as_str(),
-                    c.crate_name.as_str(),
-                    c.class.as_str(),
-                ));
-            }
-        }
-        ClassResolver { by_binding, by_type }
-    }
-
-    /// The class `receiver` denotes from `file` in `crate_name`, or
-    /// `None`. A receiver that still maps to several classes after the
-    /// same-file/same-crate narrowing is *ambiguous*: it contributes no
-    /// edges and no held entry (`ambiguous` is bumped so the report
-    /// shows how much was skipped). Taking the cross-product instead
-    /// manufactures cycles out of unrelated locks that merely share a
-    /// binding name — two `rx` fields in different structs must not
-    /// become an ordering between their classes.
-    fn class(&self, receiver: &str, file: &str, crate_name: &str, ambiguous: &mut usize) -> Option<String> {
-        for map in [&self.by_binding, &self.by_type] {
-            let Some(cands) = map.get(receiver) else {
-                continue;
-            };
-            let same_file: BTreeSet<&str> = cands
-                .iter()
-                .filter(|(f, _, _)| *f == file)
-                .map(|(_, _, c)| *c)
-                .collect();
-            let same_crate: BTreeSet<&str> = cands
-                .iter()
-                .filter(|(_, cr, _)| *cr == crate_name)
-                .map(|(_, _, c)| *c)
-                .collect();
-            let all: BTreeSet<&str> = cands.iter().map(|(_, _, c)| *c).collect();
-            let narrowed = if !same_file.is_empty() {
-                same_file
-            } else if !same_crate.is_empty() {
-                same_crate
-            } else {
-                all
-            };
-            if narrowed.len() == 1 {
-                return narrowed.into_iter().next().map(String::from);
-            }
-            *ambiguous += 1;
-            return None;
-        }
-        None
-    }
-}
-
-/// Call resolution for lock propagation. Much stricter than the flow
-/// passes: a spurious edge here doesn't just lengthen a witness path,
-/// it can close a spurious cycle and fail the build. Method calls
-/// propagate only when exactly one same-file candidate exists (keeps
-/// `self.transmit()`-style intra-type chains); bare calls only with
-/// exactly one same-module candidate; fully-qualified path calls
-/// (`pool::submit`, `Queue::get`) keep the normal resolution. Edges
-/// lost to this strictness show up as `dynamic_only` in the
-/// cross-check — reported, not silent.
-fn lock_resolve(g: &CallGraph, caller: usize, callee: &Callee, args: Option<usize>) -> Vec<usize> {
-    let targets = g.resolve_with_args(caller, callee, args);
-    match callee {
-        Callee::Method(_) => {
-            let me = &g.fns[caller];
-            let same_file: Vec<usize> = targets
-                .into_iter()
-                .filter(|&t| g.fns[t].file == me.file)
-                .collect();
-            if same_file.len() == 1 { same_file } else { Vec::new() }
-        }
-        Callee::Bare(_) => {
-            let me = &g.fns[caller];
-            let same_module: Vec<usize> = targets
-                .into_iter()
-                .filter(|&t| {
-                    g.fns[t].crate_name == me.crate_name && g.fns[t].module == me.module
-                })
-                .collect();
-            if same_module.len() == 1 { same_module } else { Vec::new() }
-        }
-        _ => targets,
     }
 }
 
@@ -228,48 +117,27 @@ fn parse_observed(text: &str) -> (BTreeSet<String>, BTreeSet<(String, String)>) 
 /// Runs the static lock-order pass. `observed` is the runtime lockdep
 /// dump text, when available.
 pub fn analyze(g: &CallGraph, observed: Option<&str>) -> LockReport {
-    let resolver = ClassResolver::new(g);
     let n = g.fns.len();
-    let mut ambiguous = 0usize;
 
     // Transitive acquire sets: classes a call to fn `i` may take,
     // directly or through callees, as a fixpoint.
     let mut acq: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
     for (i, f) in g.fns.iter().enumerate() {
         for ev in &f.body {
-            if let BodyEvent::Acquire { receiver, op, .. } = ev {
-                if *op == AcqOp::TryLock {
-                    continue; // edge-free, matching runtime lockdep
-                }
-                if let Some(c) = resolver.class(receiver, &f.file, &f.crate_name, &mut ambiguous) {
-                    acq[i].insert(c);
+            // try_lock is edge-free, matching runtime lockdep.
+            if let BodyEvent::Acquire { class: Some(c), op, .. } = ev {
+                if *op != AcqOp::TryLock {
+                    acq[i].insert(c.clone());
                 }
             }
         }
     }
-    // Pre-resolve lock-relevant call targets once.
-    let callee_targets: Vec<Vec<Vec<usize>>> = g
-        .fns
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
-            f.calls()
-                .map(|c| {
-                    if matches!(c.callee, Callee::Macro(_)) {
-                        Vec::new()
-                    } else {
-                        lock_resolve(g, i, &c.callee, c.args)
-                    }
-                })
-                .collect()
-        })
-        .collect();
     loop {
         let mut changed = false;
         for i in 0..n {
             let mut add: Vec<String> = Vec::new();
-            for targets in &callee_targets[i] {
-                for &t in targets {
+            for c in g.fns[i].calls().filter(|c| !c.by_name) {
+                for &t in &c.targets {
                     if t == i {
                         continue;
                     }
@@ -294,7 +162,6 @@ pub fn analyze(g: &CallGraph, observed: Option<&str>) -> LockReport {
     let mut edges: BTreeMap<(String, String), (String, usize, String)> = BTreeMap::new();
     for (i, f) in g.fns.iter().enumerate() {
         let mut held: Vec<Held> = Vec::new();
-        let mut call_idx = 0usize;
         let mut record = |held: &[Held], to: &BTreeSet<String>, line: usize| {
             for h in held {
                 for hc in &h.classes {
@@ -310,11 +177,8 @@ pub fn analyze(g: &CallGraph, observed: Option<&str>) -> LockReport {
         };
         for ev in &f.body {
             match ev {
-                BodyEvent::Acquire { receiver, op, line, guard, depth } => {
-                    // Ambiguity was already tallied in the seeding pass.
-                    let mut scratch = 0usize;
-                    let class = resolver.class(receiver, &f.file, &f.crate_name, &mut scratch);
-                    if let Some(class) = class {
+                BodyEvent::Acquire { class, op, line, guard, depth, .. } => {
+                    if let Some(class) = class.clone() {
                         if *op != AcqOp::TryLock {
                             let to: BTreeSet<String> = [class.clone()].into_iter().collect();
                             record(&held, &to, *line);
@@ -341,13 +205,11 @@ pub fn analyze(g: &CallGraph, observed: Option<&str>) -> LockReport {
                     held.retain(|h| h.guard.is_some());
                 }
                 BodyEvent::Call(c) => {
-                    let targets = &callee_targets[i][call_idx];
-                    call_idx += 1;
-                    if held.is_empty() {
+                    if held.is_empty() || c.by_name {
                         continue;
                     }
                     let mut to: BTreeSet<String> = BTreeSet::new();
-                    for &t in targets {
+                    for &t in &c.targets {
                         if t != i {
                             to.extend(acq[t].iter().cloned());
                         }
@@ -404,90 +266,32 @@ pub fn analyze(g: &CallGraph, observed: Option<&str>) -> LockReport {
         dynamic_only,
         dead_classes,
         static_classes: source_classes.len(),
-        ambiguous,
         observed_classes: obs_classes.len(),
         cross_checked,
     }
 }
 
-/// Tarjan SCC over the class graph; any component with more than one
-/// class — or a self-loop — is a cycle.
+/// The strongly-connected components of the class graph that hold a
+/// cycle, each as its sorted class list: a class on a cycle reaches
+/// itself, and its component is every class it reaches that reaches it
+/// back. (The graph has a few dozen classes: its transitive closure is
+/// the simplest thing that finds them.)
 fn find_cycles(edges: &[StaticEdge]) -> Vec<Vec<String>> {
-    fn id<'a>(ids: &mut BTreeMap<&'a str, usize>, names: &mut Vec<&'a str>, n: &'a str) -> usize {
-        if let Some(&i) = ids.get(n) {
-            return i;
-        }
-        names.push(n);
-        ids.insert(n, names.len() - 1);
-        names.len() - 1
-    }
-    let mut ids: BTreeMap<&str, usize> = BTreeMap::new();
-    let mut names: Vec<&str> = Vec::new();
-    let mut adj: Vec<Vec<usize>> = Vec::new();
+    let mut step: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for e in edges {
-        let a = id(&mut ids, &mut names, e.from.as_str());
-        let b = id(&mut ids, &mut names, e.to.as_str());
-        adj.resize(names.len(), Vec::new());
-        adj[a].push(b);
+        step.entry(&e.from).or_default().insert(&e.to);
     }
-    adj.resize(names.len(), Vec::new());
-
-    // Iterative Tarjan.
-    let n = names.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut out: Vec<Vec<String>> = Vec::new();
-
-    for start in 0..n {
-        if index[start] != usize::MAX {
-            continue;
-        }
-        // (node, next-child position)
-        let mut work: Vec<(usize, usize)> = vec![(start, 0)];
-        while let Some(&(v, ci)) = work.last() {
-            if ci == 0 && index[v] == usize::MAX {
-                index[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if let Some(&w) = adj[v].get(ci) {
-                if let Some(top) = work.last_mut() {
-                    top.1 += 1;
-                }
-                if index[w] == usize::MAX {
-                    work.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                work.pop();
-                if let Some(&(parent, _)) = work.last() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        on_stack[w] = false;
-                        comp.push(names[w].to_string());
-                        if w == v {
-                            break;
-                        }
-                    }
-                    let self_loop = comp.len() == 1 && adj[ids[comp[0].as_str()]].contains(&ids[comp[0].as_str()]);
-                    if comp.len() > 1 || self_loop {
-                        comp.sort();
-                        out.push(comp);
-                    }
-                }
-            }
-        }
-    }
+    let reach = transitive(step);
+    let mut out: Vec<Vec<String>> = reach
+        .iter()
+        .filter(|(a, to)| to.contains(*a))
+        .map(|(a, to)| {
+            let back = to.iter().filter(|b| reach.get(*b).is_some_and(|r| r.contains(a)));
+            back.map(|b| b.to_string()).collect()
+        })
+        .collect();
     out.sort();
+    out.dedup();
     out
 }
 
@@ -569,6 +373,21 @@ mod tests {
     }
 
     #[test]
+    fn cycles_are_the_components_that_loop() {
+        let edge = |from: &str, to: &str| StaticEdge {
+            from: from.to_string(),
+            to: to.to_string(),
+            file: String::new(),
+            line: 0,
+            via: String::new(),
+            confirmed: false,
+        };
+        let edges = [edge("a", "b"), edge("b", "a"), edge("b", "c"), edge("c", "d"), edge("d", "e"), edge("e", "c"), edge("x", "a")];
+        assert_eq!(find_cycles(&edges), [vec!["a", "b"], vec!["c", "d", "e"]]);
+        assert!(find_cycles(&edges[2..4]).is_empty());
+    }
+
+    #[test]
     fn interprocedural_edge_through_a_call() {
         let src = "struct S { a: Mutex<u8>, b: Mutex<u8> }\n\
             impl S {\n\
@@ -598,20 +417,37 @@ mod tests {
     }
 
     #[test]
-    fn same_binding_name_prefers_same_file() {
-        // Two crates both call their lock field `state`; each crate's
-        // acquisitions must map to its own class.
-        let pool = "struct Shard { state: Mutex<u8> }\n\
+    fn a_lock_field_is_its_own_structs_class() {
+        // Two structs in one file both call their lock field `state`;
+        // each acquisition maps to the class of its receiver's struct.
+        let src = "struct Shard { state: Mutex<u8> }\n\
             impl Shard {\n    fn work(&self) { let st = self.state.lock(); }\n}\n\
-            fn mk() -> Shard { Shard { state: Mutex::named(0, \"support.pool.shard\") } }\n";
-        let wheel = "struct Wheel { state: Mutex<u8>, aux: Mutex<u8> }\n\
+            fn shard() -> Shard { Shard { state: Mutex::named(0, \"support.pool.shard\") } }\n\
+            struct Wheel { state: Mutex<u8>, aux: Mutex<u8> }\n\
             impl Wheel {\n    fn arm(&self) {\n        let st = self.state.lock();\n        let ax = self.aux.lock();\n    }\n}\n\
-            fn mk() -> Wheel { Wheel { state: Mutex::named(0, \"support.wheel\"), aux: Mutex::named(0, \"support.wheel.aux\") } }\n";
-        let g = graph_of(&[("support/src/pool.rs", pool), ("support/src/wheel.rs", wheel)]);
+            fn wheel() -> Wheel { Wheel { state: Mutex::named(0, \"support.wheel\"), aux: Mutex::named(0, \"support.wheel.aux\") } }\n";
+        let g = graph_of(&[("support/src/pool.rs", src)]);
         let r = analyze(&g, None);
         assert_eq!(r.edges.len(), 1, "{:?}", r.edges);
-        assert_eq!(r.edges[0].from, "support.wheel");
-        assert_eq!(r.edges[0].to, "support.wheel.aux");
+        assert_eq!((r.edges[0].from.as_str(), r.edges[0].to.as_str()), ("support.wheel", "support.wheel.aux"));
+        assert_eq!(g.ambiguous_receivers, 0);
+    }
+
+    #[test]
+    fn a_std_method_on_a_guard_takes_no_lock() {
+        // `.len()` of the guarded map is `HashMap`'s, not the file's own
+        // `ArpCache::len`, which takes the other lock.
+        let src = "struct ArpCache { entries: Mutex<HashMap<u32, u64>>, pending: Mutex<HashMap<u32, Vec<u8>>> }\n\
+            impl ArpCache {\n\
+            fn new() -> ArpCache { ArpCache { entries: Mutex::named(HashMap::new(), \"inet.arp\"), pending: Mutex::named(HashMap::new(), \"inet.arp.pending\") } }\n\
+            fn len(&self) -> usize { self.entries.lock().len() }\n\
+            fn hold(&self) -> bool { self.pending.lock().len() < 32 }\n\
+            }\n";
+        let g = graph_of(&[("inet/src/arp.rs", src)]);
+        let hold = g.fns.iter().find(|f| f.name == "hold").unwrap();
+        let len = hold.calls().find(|c| c.callee.name() == "len").unwrap();
+        assert!(len.targets.is_empty() && !len.by_name, "{:?}", len.targets);
+        assert!(analyze(&g, None).edges.is_empty());
     }
 
     #[test]

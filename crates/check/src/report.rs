@@ -80,11 +80,12 @@ pub fn render(
     let _ = writeln!(out, "  \"wall_ms\": {wall_ms},");
     let _ = writeln!(
         out,
-        "  \"graph\": {{\"functions\": {}, \"call_sites\": {}, \"resolved_calls\": {}, \"unresolved_calls\": {}, \"roots\": {}, \"lock_classes\": {}}},",
+        "  \"graph\": {{\"functions\": {}, \"call_sites\": {}, \"resolved_calls\": {}, \"unresolved_calls\": {}, \"typed_calls\": {}, \"roots\": {}, \"lock_classes\": {}}},",
         graph.fns.len(),
         graph.call_sites(),
         graph.resolved_calls,
         graph.unresolved_calls,
+        graph.typed_calls,
         graph.roots().count(),
         locks.static_classes,
     );
@@ -100,7 +101,7 @@ pub fn render(
     out.push_str("  \"lock_order\": {\n");
     let _ = writeln!(out, "    \"cross_checked\": {},", locks.cross_checked);
     let _ = writeln!(out, "    \"observed_classes\": {},", locks.observed_classes);
-    let _ = writeln!(out, "    \"ambiguous_receivers\": {},", locks.ambiguous);
+    let _ = writeln!(out, "    \"ambiguous_receivers\": {},", graph.ambiguous_receivers);
 
     out.push_str("    \"static_edges\": [");
     for (i, e) in locks.edges.iter().enumerate() {
@@ -118,47 +119,15 @@ pub fn render(
     }
     out.push_str(if locks.edges.is_empty() { "],\n" } else { "\n    ],\n" });
 
-    out.push_str("    \"untested\": [");
-    let untested: Vec<_> = locks.untested().collect();
-    for (i, e) in untested.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}[\"{}\", \"{}\"]",
-            if i == 0 { "" } else { ", " },
-            esc(&e.from),
-            esc(&e.to)
-        );
-    }
-    out.push_str("],\n");
-
-    out.push_str("    \"dynamic_only\": [");
-    for (i, (a, b)) in locks.dynamic_only.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}[\"{}\", \"{}\"]",
-            if i == 0 { "" } else { ", " },
-            esc(a),
-            esc(b)
-        );
-    }
-    out.push_str("],\n");
-
-    out.push_str("    \"cycles\": [");
-    for (i, cyc) in locks.cycles.iter().enumerate() {
-        let _ = write!(out, "{}[", if i == 0 { "" } else { ", " });
-        for (j, c) in cyc.iter().enumerate() {
-            let _ = write!(out, "{}\"{}\"", if j == 0 { "" } else { ", " }, esc(c));
-        }
-        out.push(']');
-    }
-    out.push_str("],\n");
-
-    out.push_str("    \"dead_classes\": [");
-    for (i, c) in locks.dead_classes.iter().enumerate() {
-        let _ = write!(out, "{}\"{}\"", if i == 0 { "" } else { ", " }, esc(c));
-    }
-    out.push_str("]\n");
-
+    let pairs = |it: &mut dyn Iterator<Item = (&String, &String)>| {
+        it.map(|(a, b)| format!("[\"{}\", \"{}\"]", esc(a), esc(b))).collect::<Vec<_>>().join(", ")
+    };
+    let strs = |it: &[String]| it.iter().map(|c| format!("\"{}\"", esc(c))).collect::<Vec<_>>().join(", ");
+    let _ = writeln!(out, "    \"untested\": [{}],", pairs(&mut locks.untested().map(|e| (&e.from, &e.to))));
+    let _ = writeln!(out, "    \"dynamic_only\": [{}],", pairs(&mut locks.dynamic_only.iter().map(|(a, b)| (a, b))));
+    let cycles: Vec<String> = locks.cycles.iter().map(|c| format!("[{}]", strs(c))).collect();
+    let _ = writeln!(out, "    \"cycles\": [{}],", cycles.join(", "));
+    let _ = writeln!(out, "    \"dead_classes\": [{}]", strs(&locks.dead_classes));
     out.push_str("  }\n");
     out.push_str("}\n");
     out

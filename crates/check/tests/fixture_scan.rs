@@ -2,11 +2,16 @@
 //!
 //! The fixtures mark every line the scanner must report with a
 //! `V:<rule>` marker comment, so the expected set is read from the
-//! fixtures themselves and the two can never drift apart.
+//! fixtures themselves and the two can never drift apart. The line and
+//! manifest rules report a line; so does the panic-reach pass, for a
+//! panic site in a kernel crate.
 
-use plan9_check::scan_workspace;
+use plan9_check::{flow, graph, scan_workspace};
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+/// The rules the violating fixture seeds.
+const RULES: [&str; 4] = ["panic-reach", "raw-sync", "wall-clock", "registry-dep"];
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -49,8 +54,8 @@ fn expected_markers(root: &Path) -> Vec<(String, String, usize)> {
             if let Some(marker) = line.split("V:").nth(1) {
                 let rule = marker.split_whitespace().next().unwrap_or("");
                 // Prose like "`V:<rule>` marker" is not a seed; only the
-                // four real rule codes count.
-                if ["panic-path", "raw-sync", "wall-clock", "registry-dep"].contains(&rule) {
+                // real rule codes count.
+                if RULES.contains(&rule) {
                     out.push((rule.to_string(), rel.clone(), idx + 1));
                 }
             }
@@ -61,9 +66,11 @@ fn expected_markers(root: &Path) -> Vec<(String, String, usize)> {
 }
 
 fn scanned(root: &Path) -> Vec<(String, String, usize)> {
+    let panics = flow::to_violations(&flow::panic_findings(&graph::build_graph(root).unwrap()));
     let mut got: Vec<_> = scan_workspace(root)
         .unwrap()
         .into_iter()
+        .chain(panics)
         .map(|v| (v.rule.code().to_string(), v.file, v.line))
         .collect();
     got.sort();
@@ -79,7 +86,7 @@ fn violating_fixture_reports_exactly_the_marked_lines() {
         "fixture should seed every rule class, found only {want:?}"
     );
     // Every rule class is represented.
-    for rule in ["panic-path", "raw-sync", "wall-clock", "registry-dep"] {
+    for rule in RULES {
         assert!(
             want.iter().any(|(r, _, _)| r == rule),
             "fixture lost its {rule} seeds"
@@ -95,13 +102,23 @@ fn clean_fixture_reports_nothing() {
     assert_eq!(scanned(&root), vec![]);
 }
 
-#[test]
-fn binary_fails_on_seeded_violations() {
+/// Runs the binary on a fixture, with its report kept out of the tree.
+fn check(name: &str) -> std::process::Output {
+    let report = std::env::temp_dir().join(format!("checkflow-{name}-{}.json", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_plan9-check"))
         .arg("--root")
-        .arg(fixture("violating"))
+        .arg(fixture(name))
+        .arg("--report")
+        .arg(&report)
         .output()
         .unwrap();
+    let _ = std::fs::remove_file(&report);
+    out
+}
+
+#[test]
+fn binary_fails_on_seeded_violations() {
+    let out = check("violating");
     assert_eq!(out.status.code(), Some(1), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8_lossy(&out.stderr);
     // Diagnostics name file and line.
@@ -113,10 +130,6 @@ fn binary_fails_on_seeded_violations() {
 
 #[test]
 fn binary_passes_on_clean_workspace() {
-    let out = Command::new(env!("CARGO_BIN_EXE_plan9-check"))
-        .arg("--root")
-        .arg(fixture("clean"))
-        .output()
-        .unwrap();
+    let out = check("clean");
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 }

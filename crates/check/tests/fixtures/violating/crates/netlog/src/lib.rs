@@ -1,4 +1,4 @@
-//! Non-kernel-crate fixture: the panic-path rule does not apply here,
+//! Non-kernel-crate fixture: a panic no root reaches is tolerated here,
 //! but raw `std::sync` locks are still off limits.
 
 pub fn tool_code() {

@@ -4,7 +4,7 @@
 
 pub fn flagged() {
     let v: Option<u32> = None;
-    v.unwrap(); // V:panic-path
+    v.unwrap(); // V:panic-reach
 }
 
 pub fn blessed_same_line() {
@@ -32,7 +32,7 @@ pub fn in_raw_string() -> &'static str {
 
 pub fn expects() {
     let v: Option<u32> = None;
-    v.expect("boom"); // V:panic-path
+    v.expect("boom"); // V:panic-reach
 }
 
 pub fn wall_clock() -> std::time::SystemTime { // V:wall-clock

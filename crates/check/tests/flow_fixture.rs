@@ -93,7 +93,6 @@ fn binary_flow_run_reports_all_three_bugs_and_fails() {
         std::process::id()
     ));
     let out = Command::new(env!("CARGO_BIN_EXE_plan9-check"))
-        .arg("--flow")
         .arg("--root")
         .arg(fixture_root())
         .arg("--report")

@@ -157,10 +157,7 @@ impl NineClient {
         // the pending cleanup below must not run with sink held.
         let sent = self.shared.sink.lock().sendmsg(&buf);
         if let Err(e) = sent {
-            // `remove_entry` here and below: checkflow takes a `.remove(`
-            // in this file for `NineClient::remove`, an RPC, and would
-            // report sink and source as locked under `pending`.
-            self.shared.pending.lock().slots.remove_entry(&tag);
+            self.shared.pending.lock().slots.remove(&tag);
             if let Some(h) = &root {
                 h.finish();
             }
@@ -190,7 +187,7 @@ impl NineClient {
         let mut p = sh.pending.lock();
         loop {
             if let Some(r) = p.slots.get_mut(&tag).and_then(|s| s.reply.take()) {
-                p.slots.remove_entry(&tag);
+                p.slots.remove(&tag);
                 return r;
             }
             if p.reading {
@@ -198,7 +195,7 @@ impl NineClient {
                 continue;
             }
             if sh.hungup.load(Ordering::SeqCst) {
-                p.slots.remove_entry(&tag);
+                p.slots.remove(&tag);
                 return failed(errstr::EHUNGUP);
             }
             p.reading = true;

@@ -42,7 +42,7 @@ pub mod wheel;
 /// The runtime lock-order graph in the `/net/log/lockgraph` text
 /// format (`class …` / `edge …` lines), or a one-line marker in
 /// release builds, where lockdep is compiled out. This is the dump
-/// `plan9-check --flow` cross-checks its static lock-order edges
+/// `plan9-check` cross-checks its static lock-order edges
 /// against.
 pub fn lockgraph_dump() -> String {
     #[cfg(debug_assertions)]

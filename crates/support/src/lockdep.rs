@@ -249,7 +249,7 @@ pub fn edge_count() -> usize {
 }
 
 /// Renders the whole runtime graph in the `/net/log/lockgraph` format
-/// checkflow's `--observed` cross-check parses:
+/// checkflow's lock-order cross-check parses:
 ///
 /// ```text
 /// class <name> acquires=<n>

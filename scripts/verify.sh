@@ -8,35 +8,33 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# checkflow: the interprocedural pass (blocking-context, panic
+# checkflow: the interprocedural passes (blocking-context, panic
 # reachability, static lock order cross-checked against the runtime
-# lockdep dump) plus the original netcheck lint rules; any violation
-# fails. It runs before the build on purpose: a blocking call on a pool shard should
-# fail the gate before any compile time is spent. Whole-workspace
-# analysis must stay interactive — 10s or it has regressed.
-flow_start=$(date +%s)
-cargo run --release --offline -q -p plan9-check -- --flow
-flow_wall=$(( $(date +%s) - flow_start ))
-if [ "$flow_wall" -gt 10 ]; then
-    echo "verify: plan9-check --flow took ${flow_wall}s (> 10s budget)" >&2
-    exit 1
-fi
+# lockdep dump) plus the netcheck line rules; any violation fails. It
+# runs before the build on purpose: a blocking call on a pool shard
+# should fail the gate before any compile time is spent. The binary
+# holds its own analysis to a 10 s wall budget.
+cargo run --release --offline -q -p plan9-check
 
 # The machine-readable report must keep the checkflow-v1 shape: every
 # consumer field present, zero kernel-wide blocking/panic findings,
-# zero lock-order cycles, and every static lock edge either confirmed
-# by the runtime dump or explicitly listed as untested.
+# zero lock-order cycles, every static lock edge confirmed by the
+# runtime dump, and no lock receiver the resolver cannot type. The
+# method calls resolved by their receiver's type may not fall below
+# PR 25's count: a call that loses its type fans out by name again.
 python3 - <<'EOF'
 import json, sys
 r = json.load(open("REPORT_checkflow.json"))
 if r.get("schema") != "checkflow-v1":
     sys.exit(f"verify: REPORT_checkflow.json schema is {r.get('schema')!r}")
 g = r["graph"]
-for field in ("functions", "call_sites", "resolved_calls", "roots", "lock_classes"):
+for field in ("functions", "call_sites", "resolved_calls", "typed_calls", "roots", "lock_classes"):
     if not isinstance(g.get(field), int):
         sys.exit(f"verify: REPORT graph.{field} missing or non-integer")
 if g["functions"] < 500 or g["roots"] < 5:
     sys.exit(f"verify: call graph implausibly small ({g['functions']} fns, {g['roots']} roots)")
+if g["typed_calls"] < 5413:
+    sys.exit(f"verify: {g['typed_calls']} method calls resolved by receiver type (need >= 5413)")
 for pass_ in ("blocking_context", "panic_reach"):
     p = r[pass_]
     if p["count"] != 0 or p["findings"]:
@@ -46,13 +44,12 @@ if lo["cycles"]:
     sys.exit(f"verify: lock-order cycles: {lo['cycles']}")
 if not lo["cross_checked"]:
     sys.exit("verify: static lock edges never cross-checked against a runtime dump")
-confirmed = [e for e in lo["static_edges"] if e["confirmed"]]
-untested = {tuple(e) for e in lo["untested"]}
-for e in lo["static_edges"]:
-    if not e["confirmed"] and (e["from"], e["to"]) not in untested:
-        sys.exit(f"verify: static edge {e['from']} -> {e['to']} neither confirmed nor listed untested")
-if not confirmed:
-    sys.exit("verify: no static lock edge was runtime-confirmed")
+if lo["ambiguous_receivers"] != 0:
+    sys.exit(f"verify: {lo['ambiguous_receivers']} lock receivers of unknown type")
+if lo["untested"] or not all(e["confirmed"] for e in lo["static_edges"]):
+    sys.exit(f"verify: static lock edges no test takes: {lo['untested']}")
+if not lo["static_edges"]:
+    sys.exit("verify: no static lock edge derived")
 if lo["dead_classes"]:
     sys.exit(f"verify: dead lockdep classes: {lo['dead_classes']}")
 for e in lo["static_edges"]:

@@ -1,11 +1,11 @@
 //! Runtime lock-order capture: drive the kernel across its concurrency
 //! surface — a scenario fabric with a flash crowd and netmon collector,
 //! then a two-machine segment doing IL and TCP dials, ether clone
-//! opens, and a pipe — and snapshot the lock-order graph lockdep
-//! observed along the way.
+//! opens, pipes and an import mounted over an import — and snapshot
+//! the lock-order graph lockdep observed along the way.
 //!
 //! With `LOCKGRAPH_UPDATE=1` the snapshot is written to
-//! `scripts/lockgraph-observed.txt`, the dump `plan9-check --flow`
+//! `scripts/lockgraph-observed.txt`, the dump `plan9-check`
 //! cross-checks its static lock-order edges against (edges the runtime
 //! never saw are reported as untested, not silently trusted). Without
 //! the variable the test only checks the live graph and that the
@@ -17,6 +17,9 @@
 
 use plan9::core::dial::{accept, announce, dial, listen};
 use plan9::core::machine::MachineBuilder;
+use plan9::core::namespace::MREPL;
+use plan9::exportfs::exportfs::exportfs_listener;
+use plan9::exportfs::import::import;
 use plan9::inet::ip::IpConfig;
 use plan9::netsim::ether::EtherSegment;
 use plan9::netsim::fabric::DatakitSwitch;
@@ -102,9 +105,17 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/gnot proto=il proto=tcp
     echo_service(helix.proc(), "il!*!echo");
     echo_service(helix.proc(), "tcp!*!7");
     echo_service(helix.proc(), "dk!*!echo");
+    exportfs_listener(helix.proc(), "dk!*!exportfs", usize::MAX).expect("exportfs");
     std::thread::sleep(Duration::from_millis(100));
 
     let p = gnot.proc();
+    // The first pipe in the process is opened and closed unused: its
+    // hangup is the first block any stream queue takes, so the copy
+    // site that counts queued bytes registers under the pipe device's
+    // and the pipe's locks — the order a first-ever put takes anywhere.
+    let (r, w) = p.pipe().expect("pipe");
+    p.close(w);
+    p.close(r);
     for addr in ["il!helix!echo", "tcp!135.104.9.31!7", "dk!nj/astro/helix!echo"] {
         let conn = dial(&p, addr).expect(addr);
         p.write(conn.data_fd, b"ping").expect("write");
@@ -149,6 +160,13 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/gnot proto=il proto=tcp
     p.close(w);
     p.close(r);
 
+    // An import mounted over an import: replacing the mount point
+    // clunks the old tree's root, a 9P RPC, under the name space lock.
+    for _ in 0..2 {
+        import(&p, "dk!nj/astro/helix!exportfs", "/net", "/n/helix", MREPL).expect("import");
+    }
+    assert!(p.ls("/n/helix").expect("ls /n/helix").iter().any(|d| d.name == "dk"));
+
     // The serial line: bytes both ways through /dev/eia1.
     let eia = p.open("/dev/eia1", OpenMode::RDWR).expect("open eia1");
     p.write(eia, b"at").expect("eia write");
@@ -174,7 +192,7 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/gnot proto=il proto=tcp
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scripts/lockgraph-observed.txt");
     if std::env::var_os("LOCKGRAPH_UPDATE").is_some() {
         let header = "# Runtime lock-order graph captured by `LOCKGRAPH_UPDATE=1 \
-cargo test --test lockgraph`.\n# `plan9-check --flow` cross-checks its static \
+cargo test --test lockgraph`.\n# `plan9-check` cross-checks its static \
 lock-order edges against this dump.\n";
         std::fs::write(path, format!("{header}{dump}")).expect("write observed dump");
         return;
