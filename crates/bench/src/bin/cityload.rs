@@ -21,12 +21,12 @@
 //! the only per-driver threads are the eight storm drivers themselves.
 //!
 //! The sweep runs on the virtual clock (a 10k-machine fabric would
-//! otherwise wait out real ack timers); a small real-clock smoke run
-//! first proves the same code path works with wall-clock timers.
+//! otherwise wait out real ack timers), so every column is modelled.
 //! Results land in `BENCH_cityload.json` at the repository root.
 //!
 //! Usage: `cargo run -p plan9-bench --release --bin cityload`
 
+use plan9_bench::{within_budget, write_artifact};
 use plan9_inet::il::{serve_on_shard, IlIo};
 use plan9_inet::ip::{IpConfig, IpStack};
 use plan9_netsim::ether::EtherSegment;
@@ -48,10 +48,12 @@ const SIZES: [usize; 3] = [64, 512, 4096];
 
 const PORT: u16 = 17008;
 
+/// The wall clock the sweep may take.
+const BUDGET_S: f64 = 120.0;
+
 /// The most kernel processes the virtual clock has counted in this
 /// row, sampled while each conversation is still being served (a worker
-/// made for it would be alive then). Stays 0 under the real clock,
-/// which keeps no census.
+/// made for it would be alive then).
 static PEAK_KPROCS: AtomicUsize = AtomicUsize::new(0);
 
 /// One machine pair: a dialing client stack and a serving stack, both
@@ -131,7 +133,6 @@ struct Row {
     conversations: usize,
     rpcs: usize,
     virtual_s: f64,
-    wall_s: f64,
     peak_kprocs: usize,
     lat_us: Vec<(usize, Vec<u64>)>,
 }
@@ -139,7 +140,6 @@ struct Row {
 /// Runs one fabric row: `machines / 2` live pairs, churned through
 /// `convs_per_pair` conversations each by the storm drivers.
 fn run_row(machines: usize, convs_per_pair: usize) -> Row {
-    let wall0 = time::real_now();
     PEAK_KPROCS.store(0, Ordering::Relaxed);
     let row = vtime::kproc("city-row", move || {
         let pairs_total = machines / 2;
@@ -199,7 +199,6 @@ fn run_row(machines: usize, convs_per_pair: usize) -> Row {
         // attach + walk + open + read per conversation
         rpcs: conversations * 4,
         virtual_s,
-        wall_s: wall0.elapsed().as_secs_f64(),
         peak_kprocs: PEAK_KPROCS.load(Ordering::Relaxed),
         lat_us,
     }
@@ -221,24 +220,16 @@ fn row_json(r: &mut Row) -> String {
         .collect();
     format!(
         "{{\"machines\": {}, \"conversations\": {}, \"rpcs\": {}, \
-         \"virtual_s\": {:.4}, \"wall_s\": {:.2}, \"rpc_per_virtual_s\": {:.0}, \
+         \"virtual_s\": {:.4}, \"rpc_per_virtual_s\": {:.0}, \
          \"peak_kprocs\": {}, \"p99_us\": {{{}}}}}",
         r.machines,
         r.conversations,
         r.rpcs,
         r.virtual_s,
-        r.wall_s,
         r.rpcs as f64 / r.virtual_s.max(1e-9),
         r.peak_kprocs,
         p99s.join(", "),
     )
-}
-
-fn print_row(r: &Row, clock: &str) {
-    println!(
-        "{clock:>7} | {:>7} machines {:>7} convs {:>8} rpcs | virtual {:>8.3}s wall {:>6.2}s | peak {} kprocs",
-        r.machines, r.conversations, r.rpcs, r.virtual_s, r.wall_s, r.peak_kprocs
-    );
 }
 
 fn main() {
@@ -247,32 +238,19 @@ fn main() {
          ({DRIVERS} drivers, {} pool shards)",
         pool::NSHARDS
     );
-
-    // Real-clock smoke: the identical fabric code with wall timers.
-    let mut smoke = run_row(96, 1);
-    print_row(&smoke, "real");
-    assert!(smoke.conversations == 48, "smoke fabric lost conversations");
-
-    // Drain the smoke fabric before switching clocks: close
-    // handshakes still in flight hold armed wheel timers, and a
-    // conversation must not straddle a clock transition.
-    while plan9_support::wheel::armed() > 0 || pool::backlog() > 0 {
-        time::sleep(Duration::from_millis(1));
-    }
-
-    // The scale sweep, on the discrete-event clock.
-    let sweep_plan = [(1000usize, 4usize), (4000, 4), (10_000, 10)];
+    let started = time::real_now();
     let guard = vtime::enter();
-    let wall0 = time::real_now();
-    let mut rows: Vec<Row> = sweep_plan
+    let mut rows: Vec<Row> = [(1000usize, 4usize), (4000, 4), (10_000, 10)]
         .iter()
         .map(|&(machines, convs)| {
             let r = run_row(machines, convs);
-            print_row(&r, "virtual");
+            println!(
+                "{:>7} machines {:>7} convs {:>8} rpcs | virtual {:>8.3}s | peak {} kprocs",
+                r.machines, r.conversations, r.rpcs, r.virtual_s, r.peak_kprocs
+            );
             r
         })
         .collect();
-    let virtual_sweep_wall_s = wall0.elapsed().as_secs_f64();
     drop(guard);
 
     let (top_machines, top_convs) = {
@@ -284,27 +262,19 @@ fn main() {
         "the top row must be a 10k-machine, 50k-conversation fabric"
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"cityload\",\n  \"vtime\": true,\n  \
-         \"drivers\": {DRIVERS}, \"pool_shards\": {},\n  \
-         \"real_smoke\": {},\n  \
-         \"virtual_sweep_wall_s\": {virtual_sweep_wall_s:.2},\n  \
-         \"sweep\": [\n    {}\n  ]\n}}\n",
-        pool::NSHARDS,
-        row_json(&mut smoke),
-        rows.iter_mut()
-            .map(row_json)
-            .collect::<Vec<_>>()
-            .join(",\n    "),
+    write_artifact(
+        "BENCH_cityload.json",
+        &format!(
+            "{{\n  \"bench\": \"cityload\",\n  \"vtime\": true,\n  \
+             \"drivers\": {DRIVERS}, \"pool_shards\": {},\n  \
+             \"sweep\": [\n    {}\n  ]\n}}\n",
+            pool::NSHARDS,
+            rows.iter_mut().map(row_json).collect::<Vec<_>>().join(",\n    "),
+        ),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cityload.json");
-    std::fs::write(path, json).expect("write BENCH_cityload.json");
-    println!();
-    println!("wrote BENCH_cityload.json");
+    within_budget("cityload", started, BUDGET_S);
     println!(
-        "cityload: OK (10k machines, {} conversations, {} service threads, \
-         virtual sweep {virtual_sweep_wall_s:.1}s of wall clock)",
-        top_convs,
+        "cityload: OK (10k machines, {top_convs} conversations, {} service threads)",
         DRIVERS + pool::NSHARDS + 1,
     );
 }

@@ -12,14 +12,17 @@
 //! acknowledged byte; IL's State replies let it resend only what was
 //! actually lost.
 //!
-//! The sweep runs twice, on the real clock and then on the virtual one.
-//! What a 9P RPC over IL costs, traced and untraced, is `perf/`'s
-//! business (`bash perf/run.sh --workload rpc64_il --trace 1`).
+//! The sweep runs on the virtual clock: timers fire by quiescence-advance,
+//! not by waiting, so each cell's seconds are virtual and the whole
+//! file is a function of the tree. What a 9P RPC over IL costs, traced
+//! and untraced, is `perf/`'s business (`bash perf/run.sh --workload
+//! rpc64_il --trace 1`).
 //!
 //! Results land in `BENCH_ilvstcp.json` at the repository root.
 //!
 //! Usage: `cargo run -p plan9-bench --release --bin ilvstcp`
 
+use plan9_bench::{within_budget, write_artifact};
 use plan9_inet::ip::{IpConfig, IpStack};
 use plan9_netsim::ether::EtherSegment;
 use plan9_netsim::profile::Profiles;
@@ -28,6 +31,10 @@ use std::sync::Arc;
 
 const TOTAL: usize = 1 << 20; // 1 MiB per cell of the sweep
 const MSG: usize = 1400; // one ether frame per message
+
+/// The wall clock the virtual sweep may take: it must not wait out
+/// real timers.
+const BUDGET_S: f64 = 5.0;
 
 fn hosts(loss: f64, salt: u8) -> (Arc<IpStack>, Arc<IpStack>) {
     let seg = EtherSegment::new(Profiles::ether_fast().with_loss(loss));
@@ -120,16 +127,19 @@ fn run_tcp(loss: f64, salt: u8) -> (f64, u64, u64) {
 
 const LOSSES: [f64; 5] = [0.0, 0.01, 0.03, 0.05, 0.10];
 
-/// One full IL-vs-TCP loss sweep starting at `salt0`; returns the JSON
-/// rows. Asserts the §3 claim at meaningful loss: blind retransmission
-/// resends far more than query-repair.
-fn sweep(salt0: u8) -> Vec<String> {
+/// The IL-vs-TCP loss sweep; returns the JSON rows. Asserts the §3
+/// claim at meaningful loss: blind retransmission resends more than
+/// query-repair.
+fn sweep() -> Vec<String> {
     println!(
         "{:>6} | {:>10} {:>12} {:>9} | {:>10} {:>12} {:>9}",
         "loss", "IL s", "IL rexmit B", "queries", "TCP s", "TCP rexmit B", "segments"
     );
     println!("{}", "-".repeat(80));
-    let mut salt = salt0;
+    // Each cell's hosts take their own addresses, from salt 30: an
+    // address picks a conversation's pool shard, so it is part of what
+    // the rows model.
+    let mut salt = 30;
     let mut rows = Vec::new();
     for loss in LOSSES {
         let (il_s, il_rexmit, il_q) = run_il(loss, salt);
@@ -162,43 +172,18 @@ fn sweep(salt0: u8) -> Vec<String> {
 }
 
 fn main() {
-    println!("IL vs TCP under loss — 1 MiB transfer, unpaced Ethernet");
-    let wall0 = time::real_now();
-    let sweep_rows = sweep(0);
-    let real_sweep_wall_s = wall0.elapsed().as_secs_f64();
-    println!("real-time sweep wall clock: {real_sweep_wall_s:.2}s");
-
-    // The same sweep on the discrete-event clock: protocol time is
-    // virtual (timers fire by quiescence-advance, not by waiting), so
-    // the whole thing should take well under a second of wall clock.
-    println!();
-    println!("same sweep under the virtual clock:");
+    println!("IL vs TCP under loss — 1 MiB transfer, unpaced Ethernet, virtual clock");
+    let started = time::real_now();
     let guard = vtime::enter();
-    let wall0 = time::real_now();
-    let vsweep_rows = sweep(30);
-    let virtual_sweep_wall_s = wall0.elapsed().as_secs_f64();
+    let rows = sweep();
     drop(guard);
-    println!("virtual sweep wall clock: {virtual_sweep_wall_s:.2}s");
-    assert!(
-        virtual_sweep_wall_s < 5.0,
-        "virtual sweep must not wait out real timers (took {virtual_sweep_wall_s:.2}s)"
+    write_artifact(
+        "BENCH_ilvstcp.json",
+        &format!(
+            "{{\n  \"bench\": \"ilvstcp\",\n  \"vtime\": true,\n  \"vsweep\": [\n    {}\n  ]\n}}\n",
+            rows.join(",\n    ")
+        ),
     );
-    let speedup = real_sweep_wall_s / virtual_sweep_wall_s.max(1e-9);
-
-    let json = format!(
-        "{{\n  \"bench\": \"ilvstcp\",\n  \"vtime\": true,\n  \
-         \"real_sweep_wall_s\": {real_sweep_wall_s:.3}, \
-         \"virtual_sweep_wall_s\": {virtual_sweep_wall_s:.3}, \"speedup\": {speedup:.1},\n  \
-         \"sweep\": [\n    {}\n  ],\n  \"vsweep\": [\n    {}\n  ]\n}}\n",
-        sweep_rows.join(",\n    "),
-        vsweep_rows.join(",\n    "),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ilvstcp.json");
-    std::fs::write(path, json).expect("write BENCH_ilvstcp.json");
-    println!();
-    println!("wrote BENCH_ilvstcp.json");
-    println!(
-        "ilvstcp: OK (IL repairs precisely; TCP goes back and blasts; \
-         virtual sweep {speedup:.0}x faster)"
-    );
+    within_budget("ilvstcp", started, BUDGET_S);
+    println!("ilvstcp: OK (IL repairs precisely; TCP goes back and blasts)");
 }

@@ -1,4 +1,4 @@
-//! The four measured paths of Table 1, each exposed as a uniform
+//! The three paced paths of Table 1, each exposed as a uniform
 //! send/recv pair so the measurement loop is identical.
 //!
 //! "We measured both latency and throughput of reading and writing
@@ -10,15 +10,12 @@
 use plan9_datakit::urp::{urp_dial, UrpConn, UrpListener};
 use plan9_inet::il::IlConn;
 use plan9_inet::ip::{IpConfig, IpStack};
-use plan9_netsim::cyclone::{cyclone_link, CycloneEnd};
+use plan9_netsim::cyclone::CycloneEnd;
 use plan9_netsim::ether::EtherSegment;
 use plan9_netsim::fabric::DatakitSwitch;
-use plan9_streams::stream_pipe;
-use plan9_streams::Stream;
-use plan9_netsim::profile::{LinkProfile, Profiles};
+use plan9_netsim::profile::LinkProfile;
 use plan9_support::{time, vtime};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A uniform message channel endpoint for measurement.
 pub trait BenchChan: Send + 'static {
@@ -27,15 +24,6 @@ pub trait BenchChan: Send + 'static {
     /// Receives one message; panics on hangup (benchmarks own both
     /// ends).
     fn recv(&self) -> Vec<u8>;
-}
-
-impl BenchChan for Arc<Stream> {
-    fn send(&self, msg: &[u8]) {
-        self.write(msg).expect("stream write");
-    }
-    fn recv(&self) -> Vec<u8> {
-        self.read(1 << 16).expect("stream read")
-    }
 }
 
 impl BenchChan for Arc<IlConn> {
@@ -65,47 +53,10 @@ impl BenchChan for CycloneEnd {
     }
 }
 
-/// Which calibration to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Calibration {
-    /// 1993 hardware parameters: reproduces Table 1's numbers.
-    Calibrated,
-    /// No pacing: raw code-path speed on the host machine.
-    Fast,
-}
-
-fn ether_profile(c: Calibration) -> LinkProfile {
-    match c {
-        Calibration::Calibrated => Profiles::ether_calibrated(),
-        Calibration::Fast => Profiles::ether_fast(),
-    }
-}
-
-fn datakit_profile(c: Calibration) -> LinkProfile {
-    match c {
-        Calibration::Calibrated => Profiles::datakit_calibrated(),
-        Calibration::Fast => Profiles::datakit_fast(),
-    }
-}
-
-fn cyclone_profile(c: Calibration) -> LinkProfile {
-    match c {
-        Calibration::Calibrated => Profiles::cyclone_calibrated(),
-        Calibration::Fast => Profiles::cyclone_fast(),
-    }
-}
-
-/// Builds the `pipes` path: a real stream pipe (§2.4 — "pipes ... are
-/// implemented using streams"), so the measurement exercises the block
-/// and queue machinery.
-pub fn pipes_path() -> (Arc<Stream>, Arc<Stream>) {
-    stream_pipe()
-}
-
-/// Builds the `IL/ether` path: real IL code over the (possibly paced)
-/// Ethernet.
-pub fn il_ether_path(c: Calibration) -> (Arc<IlConn>, Arc<IlConn>) {
-    let seg = EtherSegment::new(ether_profile(c));
+/// Builds the `IL/ether` path: real IL code over an Ethernet paced by
+/// `profile`.
+pub fn il_ether_path(profile: LinkProfile) -> (Arc<IlConn>, Arc<IlConn>) {
+    let seg = EtherSegment::new(profile);
     let a = IpStack::new_pooled(seg.attach([8, 0, 0, 0xb, 0, 1]), IpConfig::local("10.11.0.1"));
     let b = IpStack::new_pooled(seg.attach([8, 0, 0, 0xb, 0, 2]), IpConfig::local("10.11.0.2"));
     let listener = b.il_module().listen(&b, 17008).expect("listen");
@@ -122,9 +73,9 @@ pub fn il_ether_path(c: Calibration) -> (Arc<IlConn>, Arc<IlConn>) {
     (ca, cb)
 }
 
-/// Builds the `URP/Datakit` path.
-pub fn urp_datakit_path(c: Calibration) -> (Arc<UrpConn>, Arc<UrpConn>) {
-    let sw = DatakitSwitch::new(datakit_profile(c));
+/// Builds the `URP/Datakit` path over a switch paced by `profile`.
+pub fn urp_datakit_path(profile: LinkProfile) -> (Arc<UrpConn>, Arc<UrpConn>) {
+    let sw = DatakitSwitch::new(profile);
     let a = sw.attach("nj/astro/a").expect("attach a");
     let b = sw.attach("nj/astro/b").expect("attach b");
     let listener = UrpListener::new(b);
@@ -135,19 +86,26 @@ pub fn urp_datakit_path(c: Calibration) -> (Arc<UrpConn>, Arc<UrpConn>) {
     (ca, cb)
 }
 
-/// Builds the `Cyclone` path.
-pub fn cyclone_path(c: Calibration) -> (CycloneEnd, CycloneEnd) {
-    cyclone_link(cyclone_profile(c))
+/// "Throughput is measured using 16k writes."
+const WRITE: usize = 16 * 1024;
+
+/// Measures a path's Table 1 cells on two fresh copies of it: MB/s over
+/// `total` bytes, and the mean of `reps` round trips in milliseconds.
+pub fn measure<A, B>(path: impl Fn() -> (A, B), total: usize, reps: usize) -> (f64, f64)
+where
+    A: BenchChan,
+    B: BenchChan,
+{
+    let (a, b) = path();
+    let mbs = measure_throughput(a, b, total);
+    let (a, b) = path();
+    (mbs, measure_latency(a, b, reps))
 }
 
 /// Measures one-way throughput: `total` bytes in 16 KiB writes from one
 /// process to another; returns MB/s (decimal megabytes, as the paper's
 /// table uses).
-pub fn measure_throughput<A, B>(tx: A, rx: B, total: usize, write_size: usize) -> f64
-where
-    A: BenchChan,
-    B: BenchChan,
-{
+fn measure_throughput<A: BenchChan, B: BenchChan>(tx: A, rx: B, total: usize) -> f64 {
     // checked: spawn fails only on OS thread exhaustion at setup
     let receiver = vtime::kproc("bench-rx", move || {
         let mut got = 0usize;
@@ -157,11 +115,11 @@ where
         time::now()
     })
     .expect("spawn");
-    let msg = vec![0x5au8; write_size];
+    let msg = vec![0x5au8; WRITE];
     let start = time::now();
     let mut sent = 0usize;
     while sent < total {
-        let n = write_size.min(total - sent);
+        let n = WRITE.min(total - sent);
         tx.send(&msg[..n]);
         sent += n;
     }
@@ -172,11 +130,7 @@ where
 
 /// Measures round-trip latency: one byte there and back, `reps` times;
 /// returns the mean in milliseconds.
-pub fn measure_latency<A, B>(near: A, far: B, reps: usize) -> f64
-where
-    A: BenchChan,
-    B: BenchChan,
-{
+fn measure_latency<A: BenchChan, B: BenchChan>(near: A, far: B, reps: usize) -> f64 {
     // checked: spawn fails only on OS thread exhaustion at setup
     let echo = vtime::kproc("bench-echo", move || {
         for _ in 0..reps {
@@ -195,38 +149,29 @@ where
     elapsed.as_secs_f64() * 1000.0 / reps as f64
 }
 
-/// A small settle pause between path setups (ARP, handshakes).
-pub fn settle() {
-    time::sleep(Duration::from_millis(50));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plan9_netsim::cyclone::cyclone_link;
+    use plan9_netsim::profile::Profiles;
 
     #[test]
     fn all_paths_carry_data_unpaced() {
-        let (a, b) = pipes_path();
-        BenchChan::send(&a, b"x");
-        assert_eq!(BenchChan::recv(&b), b"x");
-        let (a, b) = il_ether_path(Calibration::Fast);
+        let (a, b) = il_ether_path(Profiles::ether_fast());
         BenchChan::send(&a, b"y");
         assert_eq!(BenchChan::recv(&b), b"y");
-        let (a, b) = urp_datakit_path(Calibration::Fast);
+        let (a, b) = urp_datakit_path(Profiles::datakit_fast());
         BenchChan::send(&a, b"z");
         assert_eq!(BenchChan::recv(&b), b"z");
-        let (a, b) = cyclone_path(Calibration::Fast);
+        let (a, b) = cyclone_link(Profiles::cyclone_fast());
         BenchChan::send(&a, b"w");
         assert_eq!(BenchChan::recv(&b), b"w");
     }
 
     #[test]
     fn throughput_and_latency_produce_sane_numbers() {
-        let (a, b) = pipes_path();
-        let mbs = measure_throughput(a, b, 1 << 20, 16 * 1024);
-        assert!(mbs > 1.0, "pipes should move >1MB/s, got {mbs}");
-        let (a, b) = pipes_path();
-        let ms = measure_latency(a, b, 100);
-        assert!(ms < 10.0, "pipe RTT should be <10ms, got {ms}");
+        let (mbs, ms) = measure(|| cyclone_link(Profiles::cyclone_fast()), 1 << 20, 100);
+        assert!(mbs > 1.0, "an unpaced Cyclone should move >1MB/s, got {mbs}");
+        assert!(ms < 10.0, "an unpaced Cyclone RTT should be <10ms, got {ms}");
     }
 }

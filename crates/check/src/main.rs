@@ -64,7 +64,7 @@ fn main() -> ExitCode {
     violations.extend(lockgraph::to_violations(&locks));
 
     let report_path = report_path.unwrap_or_else(|| root.join("REPORT_checkflow.json"));
-    let text = report::render(&g, &blocking, &panics, &locks, wall_ms);
+    let text = report::render(&g, &blocking, &panics, &locks);
     if let Err(e) = std::fs::write(&report_path, text) {
         eprintln!("plan9-check: writing {}: {e}", report_path.display());
         return ExitCode::from(2);

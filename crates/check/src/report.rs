@@ -72,12 +72,10 @@ pub fn render(
     blocking: &[Finding],
     panics: &[Finding],
     locks: &LockReport,
-    wall_ms: u128,
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": \"checkflow-v1\",");
-    let _ = writeln!(out, "  \"wall_ms\": {wall_ms},");
     let _ = writeln!(
         out,
         "  \"graph\": {{\"functions\": {}, \"call_sites\": {}, \"resolved_calls\": {}, \"unresolved_calls\": {}, \"typed_calls\": {}, \"roots\": {}, \"lock_classes\": {}}},",
@@ -160,9 +158,10 @@ mod tests {
         let blocking = blocking_findings(&g);
         let panics = panic_findings(&g);
         let locks = analyze(&g, Some("class demo.a acquires=1\nedge demo.a -> demo.b thread=t\n"));
-        let text = render(&g, &blocking, &panics, &locks, 42);
+        let text = render(&g, &blocking, &panics, &locks);
         assert!(text.contains("\"schema\": \"checkflow-v1\""), "{text}");
-        assert!(text.contains("\"wall_ms\": 42"));
+        // A function of the tree alone: the wall clock goes to stdout.
+        assert!(!text.contains("wall_ms"));
         assert!(text.contains("\"blocking_context\": {\"count\": 1"));
         assert!(text.contains("\"sink_kind\": \"sleep\""));
         assert!(text.contains("\"from\": \"demo.a\""));

@@ -110,13 +110,13 @@ impl Conn {
         }
     }
 
-    /// Back to `Idle`, hanging up an established conversation.
+    /// Back to `Idle`, hanging up an established conversation. The
+    /// close runs after the state lock is dropped: a close transmits.
     fn hangup(&self) {
-        let mut state = self.state.lock();
-        if let ConnState::Connected(c) = &*state {
+        let old = std::mem::replace(&mut *self.state.lock(), ConnState::Idle);
+        if let ConnState::Connected(c) = old {
             c.close();
         }
-        *state = ConnState::Idle;
     }
 }
 
@@ -611,6 +611,49 @@ mod tests {
         // The directory is gone.
         let err = dev.walk(&root, "0").unwrap_err();
         assert_eq!(err.0, errstr::ENOTEXIST);
+    }
+
+    /// A conversation whose close checks that its device's state lock
+    /// is free.
+    struct CloseProbe {
+        conn: std::sync::Weak<Conn>,
+        closed: std::sync::atomic::AtomicBool,
+    }
+
+    impl ConnOps for CloseProbe {
+        fn send(&self, _msg: &[u8]) -> Result<()> {
+            Ok(())
+        }
+        fn recv(&self) -> Result<Option<Vec<u8>>> {
+            Ok(None)
+        }
+        fn local(&self) -> String {
+            String::new()
+        }
+        fn remote(&self) -> String {
+            String::new()
+        }
+        fn status(&self) -> String {
+            String::new()
+        }
+        fn close(&self) {
+            let conn = self.conn.upgrade().expect("conversation alive");
+            assert!(conn.state.try_lock().is_some(), "close ran under core.proto.connstate");
+            self.closed.store(true, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn hangup_closes_outside_the_state_lock() {
+        let conn = Arc::new(Conn::new(ConnState::Idle));
+        let probe = Arc::new(CloseProbe {
+            conn: Arc::downgrade(&conn),
+            closed: std::sync::atomic::AtomicBool::new(false),
+        });
+        *conn.state.lock() = ConnState::Connected(Arc::clone(&probe) as Arc<dyn ConnOps>);
+        conn.hangup();
+        assert!(probe.closed.load(std::sync::atomic::Ordering::SeqCst));
+        assert!(matches!(*conn.state.lock(), ConnState::Idle));
     }
 
     #[test]

@@ -3,11 +3,24 @@
 //!
 //! URP moves *cells* over a circuit. Each data cell carries a 3-bit
 //! sequence number; at most [`URP_WINDOW`] cells are outstanding. The
-//! sender probes with **ENQ** cells; the receiver answers with **ECHO**
-//! carrying the sequence number it expects next, and the sender rewinds
-//! and retransmits from there (go-back). Out-of-sequence arrivals elicit
-//! a **REJ**. The last cell of a user message is flagged **EOM**, so
+//! receiver volunteers an **ACK** every few cells. The sender probes
+//! with **ENQ** cells; the receiver answers with **ECHO** carrying the
+//! sequence number it expects next, and the sender rewinds and
+//! retransmits from there (go-back). Out-of-sequence arrivals elicit a
+//! **REJ**. The last cell of a user message is flagged **EOM**, so
 //! message boundaries survive — the property 9P demands.
+//!
+//! A circuit delivers in order, so an ECHO speaks for every cell that
+//! left the line before its ENQ did. Nothing the receiver says can mean
+//! that a cell still queued for or crossing the line was lost. On a
+//! paced Datakit line a full cell is 8 ms of transmission: a rewind on
+//! such news sends a duplicate, the duplicate's REJ names the cell
+//! crossing behind it, and so on, one duplicate per cell for as long as
+//! the transfer runs. So each unacked cell records when it left the
+//! line (`Cell::left`): an ECHO rewinds only to a cell that left
+//! before its ENQ, a REJ only to a cell that has left the line, and an
+//! ACK never. The prober sends what a rewind resends, so the input
+//! process that judges loss never waits on the line.
 
 use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::{time, vtime};
@@ -27,18 +40,20 @@ pub const URP_WINDOW: usize = 7;
 const T_DATA: u8 = 0x00;
 const T_DATA_EOM: u8 = 0x08;
 const T_ENQ: u8 = 0x10;
+const T_ACK: u8 = 0x18;
 const T_ECHO: u8 = 0x20;
 const T_REJ: u8 = 0x30;
 const T_CLOSE: u8 = 0x40;
 const TYPE_MASK: u8 = 0x78;
 const SEQ_MASK: u8 = 0x07;
 
-/// How long the sender waits for an ECHO before re-probing.
+/// How long cells may sit unacknowledged, with no acknowledgment
+/// arriving, before the sender probes.
 const ENQ_TIMEOUT: Duration = Duration::from_millis(40);
 const MAX_PROBES: u32 = 200;
-/// The receiver volunteers an ECHO after this many data cells even
-/// without an ENQ, so the sender's window drains during bulk transfers.
-const ECHO_EVERY: u8 = 4;
+/// The receiver volunteers an ACK after this many data cells, so the
+/// sender's window drains during bulk transfers without an ENQ.
+const ACK_EVERY: u8 = 4;
 
 /// Traffic counters: a conversation's own, or one set shared by every
 /// conversation of a Datakit line (`/net/dk/stats`).
@@ -65,32 +80,51 @@ impl UrpStats {
     }
 }
 
+/// One unacked cell.
+struct Cell {
+    seq: u8,
+    bytes: Vec<u8>,
+    /// How many ENQs had been sent when the cell last left the line;
+    /// `None` while it is queued for or crossing the line.
+    left: Option<u64>,
+}
+
 struct SendState {
     /// Next sequence number to assign.
     next_seq: u8,
-    /// Unacked cells, oldest first: (seq, full cell bytes).
-    unacked: VecDeque<(u8, Vec<u8>)>,
-    /// Set when an ECHO arrives.
+    /// Unacked cells, oldest first.
+    unacked: VecDeque<Cell>,
+    /// Set when an ACK or ECHO arrives.
     echo_seen: Option<u8>,
-    /// The previous probe's echo, for stall detection.
-    prev_echo: Option<u8>,
+    /// ENQs sent: an ECHO answers the last of them.
+    enqs: u64,
+    /// Where the prober is to resend from, until it has.
+    rewind: Option<u8>,
     /// When we last rewound, to damp retransmission storms.
     last_rewind: Option<Instant>,
     closed: bool,
-    err: Option<String>,
 }
 
-/// Applies a cumulative acknowledgment: the receiver expects `e` next,
-/// so every queued cell strictly before `e` (in queue order) is done.
-/// An `e` that is neither in the queue nor equal to the next sequence to
-/// be assigned is stale and ignored.
-fn ack_upto(send: &mut SendState, e: u8) {
-    if let Some(k) = send.unacked.iter().position(|(s, _)| *s == e) {
-        send.unacked.drain(..k);
-    } else if e == send.next_seq {
-        send.unacked.clear();
+impl SendState {
+    /// Applies a cumulative acknowledgment: the receiver expects `e`
+    /// next, so every queued cell strictly before `e` (in queue order) is
+    /// done. An `e` that is neither in the queue nor equal to the next
+    /// sequence to be assigned is stale and ignored.
+    fn ack_upto(&mut self, e: u8) {
+        if let Some(k) = self.unacked.iter().position(|c| c.seq == e) {
+            self.unacked.drain(..k);
+        } else if e == self.next_seq {
+            self.unacked.clear();
+        }
     }
-    // Otherwise: stale echo; leave the queue alone.
+
+    /// Records that cell `seq`, if still unacked, has left the line.
+    fn left_line(&mut self, seq: u8) {
+        let enqs = self.enqs;
+        if let Some(c) = self.unacked.iter_mut().find(|c| c.seq == seq) {
+            c.left = Some(enqs);
+        }
+    }
 }
 
 struct RecvState {
@@ -98,7 +132,7 @@ struct RecvState {
     assembly: Vec<u8>,
     messages: VecDeque<Vec<u8>>,
     hungup: bool,
-    cells_since_echo: u8,
+    cells_since_ack: u8,
     /// When we last rejected, to damp REJ storms.
     last_rej: Option<Instant>,
 }
@@ -133,10 +167,10 @@ impl UrpConn {
                 next_seq: 0,
                 unacked: VecDeque::new(),
                 echo_seen: None,
-                prev_echo: None,
+                enqs: 0,
+                rewind: None,
                 last_rewind: None,
                 closed: false,
-                err: None,
             }),
             echo_cv: Condvar::new(),
             recv: Mutex::new(RecvState {
@@ -144,7 +178,7 @@ impl UrpConn {
                 assembly: Vec::new(),
                 messages: VecDeque::new(),
                 hungup: false,
-                cells_since_echo: 0,
+                cells_since_ack: 0,
                 last_rej: None,
             }),
             recv_cv: Condvar::new(),
@@ -158,30 +192,59 @@ impl UrpConn {
         conn
     }
 
-    /// The enquiry kernel process: if cells sit unacknowledged past the
-    /// timeout, probe with ENQ; the ECHO reply (or REJ) repairs.
+    /// The enquiry kernel process: if cells sit unacknowledged for
+    /// [`ENQ_TIMEOUT`] with no acknowledgment arriving, probe with ENQ;
+    /// the ECHO reply repairs. It is also what resends a rewound window,
+    /// so the input process, which judges loss, never waits on the line
+    /// and judges on news as fresh as the circuit brings it. With nothing
+    /// outstanding it sleeps until a cell is sent.
     fn probe_loop(self: Arc<Self>) {
-        let mut idle = Duration::ZERO;
-        loop {
-            time::sleep(Duration::from_millis(10));
-            let (has_unacked, closed, next) = {
-                let send = self.send.lock();
-                (!send.unacked.is_empty(), send.closed, send.next_seq)
-            };
-            if closed {
-                return;
-            }
-            if !has_unacked {
-                idle = Duration::ZERO;
-                continue;
-            }
-            idle += Duration::from_millis(10);
-            if idle >= ENQ_TIMEOUT {
-                idle = Duration::ZERO;
-                self.stats.enqs.inc();
-                let _ = self.circuit.send(&[T_ENQ | next]);
+        let mut send = self.send.lock();
+        while !send.closed {
+            if let Some(seq) = send.rewind {
+                let cells: Vec<(u8, Vec<u8>)> = send
+                    .unacked
+                    .iter_mut()
+                    .skip_while(|c| c.seq != seq)
+                    .map(|c| {
+                        c.left = None;
+                        (c.seq, c.bytes.clone())
+                    })
+                    .collect();
+                self.stats.retransmit_cells.add(cells.len() as u64);
+                drop(send);
+                for (seq, c) in cells {
+                    let _ = self.circuit.send(&c);
+                    self.send.lock().left_line(seq);
+                }
+                send = self.send.lock();
+                send.rewind = None;
+                self.echo_cv.notify_all();
+            } else if send.unacked.is_empty() {
+                self.echo_cv.wait(&mut send);
+            } else if self
+                .echo_cv
+                .wait_until(&mut send, time::now() + ENQ_TIMEOUT)
+                .timed_out()
+                && !send.unacked.is_empty()
+            {
+                drop(send);
+                let _ = self.enquire();
+                send = self.send.lock();
             }
         }
+    }
+
+    /// Sends an ENQ on behalf of every cell that has left the line: the
+    /// ECHO that answers it rewinds to the first of them still missing.
+    fn enquire(&self) -> crate::Result<()> {
+        let next = {
+            let mut send = self.send.lock();
+            send.enqs += 1;
+            send.next_seq
+        };
+        self.stats.enqs.inc();
+        self.circuit.send(&[T_ENQ | next]).map_err(NineError::new)
     }
 
     /// The local Datakit address.
@@ -217,22 +280,7 @@ impl UrpConn {
                     }
                     continue;
                 }
-                RecvOutcome::Hangup => {
-                    {
-                        let mut recv = self.recv.lock();
-                        recv.hungup = true;
-                    }
-                    {
-                        let mut send = self.send.lock();
-                        send.closed = true;
-                        if send.err.is_none() {
-                            send.err = Some("hungup".to_string());
-                        }
-                    }
-                    self.recv_cv.notify_all();
-                    self.echo_cv.notify_all();
-                    return;
-                }
+                RecvOutcome::Hangup => return self.shut(),
             };
             let Some(&ctl) = cell.first() else { continue };
             let seq = ctl & SEQ_MASK;
@@ -243,21 +291,20 @@ impl UrpConn {
                     let expected = self.recv.lock().expected;
                     let _ = self.circuit.send(&[T_ECHO | expected]);
                 }
-                T_ECHO => {
-                    let stalled_gap = {
+                T_ACK | T_ECHO => {
+                    let lost = {
                         let mut send = self.send.lock();
                         send.echo_seen = Some(seq);
-                        ack_upto(&mut send, seq);
-                        // Two consecutive echoes naming the same
-                        // still-outstanding cell mean it was lost, not
-                        // merely in flight.
-                        let gap = send.unacked.iter().any(|(s, _)| *s == seq);
-                        let stalled = send.prev_echo == Some(seq);
-                        send.prev_echo = Some(seq);
+                        send.ack_upto(seq);
+                        // An ECHO answers the last ENQ: a cell that left
+                        // the line before it and is still missing was
+                        // lost. An ACK only acknowledges.
+                        let enqs = send.enqs;
+                        let before = |c: &Cell| c.seq == seq && c.left.is_some_and(|n| n < enqs);
                         self.echo_cv.notify_all();
-                        gap && stalled
+                        ctl & TYPE_MASK == T_ECHO && send.unacked.front().is_some_and(before)
                     };
-                    if stalled_gap {
+                    if lost {
                         self.rewind_from(seq);
                     }
                 }
@@ -265,19 +312,7 @@ impl UrpConn {
                     // Receiver is missing from `seq`: rewind.
                     self.rewind_from(seq);
                 }
-                T_CLOSE => {
-                    {
-                        let mut recv = self.recv.lock();
-                        recv.hungup = true;
-                    }
-                    {
-                        let mut send = self.send.lock();
-                        send.closed = true;
-                    }
-                    self.recv_cv.notify_all();
-                    self.echo_cv.notify_all();
-                    return;
-                }
+                T_CLOSE => return self.shut(),
                 _ => {}
             }
         }
@@ -304,14 +339,14 @@ impl UrpConn {
         }
         recv.expected = (recv.expected + 1) & SEQ_MASK;
         recv.assembly.extend_from_slice(payload);
-        recv.cells_since_echo += 1;
-        // Volunteer an ECHO every few cells so bulk windows drain, but
-        // not on every message end — a lone ECHO ahead of the reply data
+        recv.cells_since_ack += 1;
+        // Volunteer an ACK every few cells so bulk windows drain, but
+        // not on every message end — a lone ACK ahead of the reply data
         // would serialize on the line and inflate round trips. Straggler
         // acknowledgments are the prober's job.
-        let volunteer = recv.cells_since_echo >= ECHO_EVERY;
+        let volunteer = recv.cells_since_ack >= ACK_EVERY;
         if volunteer {
-            recv.cells_since_echo = 0;
+            recv.cells_since_ack = 0;
         }
         let expected = recv.expected;
         if eom {
@@ -321,18 +356,17 @@ impl UrpConn {
         }
         drop(recv);
         if volunteer {
-            // Volunteer an ECHO so the sender's window keeps moving
-            // without waiting for an enquiry.
-            let _ = self.circuit.send(&[T_ECHO | expected]);
+            let _ = self.circuit.send(&[T_ACK | expected]);
         }
     }
 
     fn rewind_from(&self, seq: u8) {
         let mut send = self.send.lock();
-        // Ignore the request unless `seq` is actually outstanding;
-        // echoes and REJs arrive late when the gap was already repaired,
-        // and mod-8 arithmetic cannot order a stale value.
-        if !send.unacked.iter().any(|(s, _)| *s == seq) {
+        // Ignore the request unless `seq` is outstanding and has left
+        // the line: echoes and REJs arrive late when the gap was already
+        // repaired, mod-8 arithmetic cannot order a stale value, and a
+        // cell still crossing cannot have been lost.
+        if !send.unacked.iter().any(|c| c.seq == seq && c.left.is_some()) {
             return;
         }
         // Damping: one rewind per repair interval. A storm of REJs must
@@ -343,17 +377,8 @@ impl UrpConn {
             }
         }
         send.last_rewind = Some(time::now());
-        let cells: Vec<Vec<u8>> = send
-            .unacked
-            .iter()
-            .skip_while(|(s, _)| *s != seq)
-            .map(|(_, c)| c.clone())
-            .collect();
-        self.stats.retransmit_cells.add(cells.len() as u64);
-        drop(send);
-        for c in cells {
-            let _ = self.circuit.send(&c);
-        }
+        send.rewind = Some(seq);
+        self.echo_cv.notify_all();
     }
 
     /// Sends one message, splitting it into cells and recovering from
@@ -368,33 +393,45 @@ impl UrpConn {
         let n = chunks.len();
         for (i, chunk) in chunks.into_iter().enumerate() {
             let eom = i + 1 == n;
-            // Wait for a window slot.
+            // Wait for a window slot, and for the prober to finish a
+            // rewind: a new cell between resent ones is out of sequence.
             {
                 let mut send = self.send.lock();
-                while send.unacked.len() >= URP_WINDOW && !send.closed {
-                    // Probe and wait: the window opens when an ECHO lands.
-                    drop(send);
-                    self.probe_and_wait(false)?;
-                    send = self.send.lock();
+                loop {
+                    if send.closed {
+                        break;
+                    } else if send.rewind.is_some() {
+                        self.echo_cv.wait(&mut send);
+                    } else if send.unacked.len() >= URP_WINDOW {
+                        // Probe and wait: the window opens when an ACK lands.
+                        drop(send);
+                        self.probe_and_wait(false)?;
+                        send = self.send.lock();
+                    } else {
+                        break;
+                    }
                 }
                 if send.closed {
-                    return Err(NineError::new(
-                        send.err.clone().unwrap_or_else(|| "hungup".to_string()),
-                    ));
+                    return Err(NineError::new("hungup"));
                 }
                 let seq = send.next_seq;
                 send.next_seq = (send.next_seq + 1) & SEQ_MASK;
                 let mut cell = Vec::with_capacity(1 + chunk.len());
                 cell.push(if eom { T_DATA_EOM } else { T_DATA } | seq);
                 cell.extend_from_slice(chunk);
-                send.unacked.push_back((seq, cell.clone()));
+                send.unacked.push_back(Cell { seq, bytes: cell.clone(), left: None });
+                if send.unacked.len() == 1 {
+                    // Wake the prober: something is outstanding.
+                    self.echo_cv.notify_all();
+                }
                 self.stats.tx_cells.inc();
                 drop(send);
                 self.circuit.send(&cell).map_err(NineError::new)?;
+                self.send.lock().left_line(seq);
             }
         }
         // The message is on the wire; the probe process and the
-        // receiver's volunteered ECHOs finish the acknowledgment
+        // receiver's volunteered ACKs finish the acknowledgment
         // asynchronously, so back-to-back sends pipeline.
         Ok(())
     }
@@ -439,9 +476,7 @@ impl UrpConn {
                     return Ok(());
                 }
             }
-            self.stats.enqs.inc();
-            let next = self.send.lock().next_seq;
-            self.circuit.send(&[T_ENQ | next]).map_err(NineError::new)?;
+            self.enquire()?;
             let deadline = time::now() + ENQ_TIMEOUT * (1 + silent_rounds / 8);
             let mut send = self.send.lock();
             send.echo_seen = None;
@@ -451,8 +486,8 @@ impl UrpConn {
                 }
                 if let Some(_echo) = send.echo_seen.take() {
                     // Progress or repair is the input process's business
-                    // (stall-rewind lives in the ECHO handler); any echo
-                    // resets the silence counter.
+                    // (the rewind lives in the ECHO handler); any ACK or
+                    // ECHO resets the silence counter.
                     silent_rounds = 0;
                     break;
                 }
@@ -479,38 +514,19 @@ impl UrpConn {
         }
     }
 
-    /// Waits for a message until the timeout elapses.
-    #[allow(clippy::result_unit_err)] // the unit error *is* the timeout; no detail to carry
-    pub fn recv_timeout(&self, d: Duration) -> Result<Option<Vec<u8>>, ()> {
-        let deadline = time::now() + d;
-        let mut recv = self.recv.lock();
-        loop {
-            if let Some(msg) = recv.messages.pop_front() {
-                return Ok(Some(msg));
-            }
-            if recv.hungup {
-                return Ok(None);
-            }
-            if self.recv_cv.wait_until(&mut recv, deadline).timed_out() {
-                return Err(());
-            }
-        }
-    }
-
     /// Closes the conversation, after draining outstanding cells.
     pub fn close(&self) {
         let _ = self.drain();
         let _ = self.circuit.send(&[T_CLOSE]);
-        {
-            let mut send = self.send.lock();
-            send.closed = true;
-        }
-        {
-            let mut recv = self.recv.lock();
-            recv.hungup = true;
-        }
-        self.echo_cv.notify_all();
+        self.shut();
+    }
+
+    /// Marks both directions closed and wakes every waiter.
+    fn shut(&self) {
+        self.recv.lock().hungup = true;
+        self.send.lock().closed = true;
         self.recv_cv.notify_all();
+        self.echo_cv.notify_all();
     }
 }
 
@@ -532,11 +548,6 @@ impl UrpListener {
         UrpListener { line }
     }
 
-    /// The line's Datakit address.
-    pub fn addr(&self) -> String {
-        self.line.addr().to_string()
-    }
-
     /// Blocks for an incoming call; returns the conversation, caller's
     /// address and requested service.
     pub fn accept(&self) -> Option<(Arc<UrpConn>, String, String)> {
@@ -545,16 +556,6 @@ impl UrpListener {
             service,
             circuit,
         } = self.line.listen()?;
-        Some((UrpConn::new(circuit), from, service))
-    }
-
-    /// Waits for a call until the timeout elapses.
-    pub fn accept_timeout(&self, d: Duration) -> Option<(Arc<UrpConn>, String, String)> {
-        let IncomingCall {
-            from,
-            service,
-            circuit,
-        } = self.line.listen_timeout(d)?;
         Some((UrpConn::new(circuit), from, service))
     }
 }

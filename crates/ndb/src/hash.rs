@@ -147,6 +147,26 @@ sys=helix ip=135.104.9.31\nsys=bootes ip=135.104.9.2\nsys=musca ip=135.104.9.6 a
         assert_eq!(db.scans.load(std::sync::atomic::Ordering::Relaxed), 0);
     }
 
+    /// §4.1 at the paper's scale: "our global file ... has 43,000
+    /// lines". A hashed lookup finds every system without a scan; an
+    /// attribute that is not hashed is still found, by scanning.
+    #[test]
+    fn a_paper_scale_file_answers_hashed_lookups_without_a_scan() {
+        let (text, names) = crate::gen::generate_global(43_000, 1993);
+        // Within one six-line entry of the paper's count.
+        assert!(text.lines().count() > 43_000 - 6);
+        let path = scratch("paper-scale", &text);
+        build_hash(&path, "sys").unwrap();
+        let db = Db::open(&[path]).unwrap();
+        for name in names.iter().step_by(names.len() / 200) {
+            assert_eq!(db.query("sys", name).len(), 1, "{name}");
+        }
+        assert_eq!(db.scans.load(std::sync::atomic::Ordering::Relaxed), 0);
+        let dom = db.query_one("sys", &names[0]).and_then(|e| e.get("dom").map(String::from)).unwrap();
+        assert_eq!(db.query("dom", &dom).len(), 1);
+        assert!(db.scans.load(std::sync::atomic::Ordering::Relaxed) >= 1);
+    }
+
     #[test]
     fn unhashed_attribute_still_works() {
         let path = scratch("unhashed", TEXT);

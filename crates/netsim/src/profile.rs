@@ -13,9 +13,9 @@
 //! * Cyclone: 125 Mbit/s fiber, but end-to-end throughput was 3.2 MB/s —
 //!   limited by VME bus copies, which we model as a reduced effective
 //!   bandwidth plus a small per-frame staging cost.
-//! * Pipes: memory-bound, unpaced (the paper's 8.15 MB/s is simply what
-//!   a 25 MHz MIPS could copy; modern hardware is faster, and the paper's
-//!   *ordering* — pipes fastest — still holds).
+//! * Pipes are not a medium: a pipe is a stream, memory-bound and unpaced
+//!   (the paper's 8.15 MB/s is simply what a 25 MHz MIPS could copy), so
+//!   what it costs is real CPU, not a profile.
 
 use std::time::Duration;
 
@@ -99,20 +99,6 @@ impl LinkProfile {
     /// Returns a copy seeding the impairment RNG with `seed`.
     pub fn with_seed(mut self, seed: u64) -> LinkProfile {
         self.seed = seed;
-        self
-    }
-
-    /// Scales all time costs by `1/factor` (a factor of 10 makes the
-    /// simulated hardware ten times faster), for quick benchmark runs.
-    pub fn speedup(mut self, factor: f64) -> LinkProfile {
-        if factor <= 0.0 {
-            return self;
-        }
-        if self.bandwidth_bps != 0 {
-            self.bandwidth_bps = ((self.bandwidth_bps as f64) * factor) as u64;
-        }
-        self.propagation = self.propagation.div_f64(factor);
-        self.per_frame = self.per_frame.div_f64(factor);
         self
     }
 
@@ -217,11 +203,6 @@ impl Profiles {
             seed: DEFAULT_SEED,
         }
     }
-
-    /// In-memory pipes: unpaced.
-    pub fn pipe() -> LinkProfile {
-        LinkProfile::fast("pipe", 32 * 1024)
-    }
 }
 
 #[cfg(test)]
@@ -244,14 +225,6 @@ mod tests {
         let expect = p.per_frame + Duration::from_micros((1438 * 8) / 10);
         let diff = t2.abs_diff(expect);
         assert!(diff < Duration::from_micros(5), "t2={t2:?} expect={expect:?}");
-    }
-
-    #[test]
-    fn speedup_divides_costs() {
-        let base = Profiles::ether_calibrated();
-        let p = base.clone().speedup(10.0);
-        assert_eq!(p.bandwidth_bps, base.bandwidth_bps * 10);
-        assert_eq!(p.per_frame, base.per_frame / 10);
     }
 
     #[test]

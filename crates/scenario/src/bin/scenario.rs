@@ -4,7 +4,6 @@
 //! Usage:
 //!   scenario <script-file>    run a script under the virtual clock
 //!   scenario --demo           run the built-in walkthrough (small)
-//!   scenario --real <file>    run under the real clock (smoke)
 //!
 //! Exits nonzero if the script fails to parse or the run violates the
 //! fabric invariants (frame conservation, no leaked conversations).
@@ -26,16 +25,11 @@ end 2s
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (real, source) = match args.first().map(String::as_str) {
-        Some("--demo") => (false, ("demo".to_string(), DEMO.to_string())),
-        Some("--real") => {
-            let path = args.get(1).unwrap_or_else(|| usage());
-            (true, (path.clone(), read_script(path)))
-        }
-        Some(path) => (false, (path.to_string(), read_script(path))),
+    let (name, text) = match args.first().map(String::as_str) {
+        Some("--demo") => ("demo".to_string(), DEMO.to_string()),
+        Some(path) => (path.to_string(), read_script(path)),
         None => usage(),
     };
-    let (name, text) = source;
     let sc = match plan9_scenario::dsl::parse(&text) {
         Ok(sc) => sc,
         Err(e) => {
@@ -44,21 +38,15 @@ fn main() {
         }
     };
     println!(
-        "scenario {name}: {} cities x {} hosts, {} events, seed {} ({})",
+        "scenario {name}: {} cities x {} hosts, {} events, seed {} (virtual clock)",
         sc.cities,
         sc.hosts_per_city,
         sc.events.len(),
         sc.seed,
-        if real { "real clock" } else { "virtual clock" },
     );
-    let report = if real {
-        plan9_scenario::run(&sc)
-    } else {
-        let guard = vtime::enter();
-        let r = plan9_scenario::run(&sc);
-        drop(guard);
-        r
-    };
+    let guard = vtime::enter();
+    let report = plan9_scenario::run(&sc);
+    drop(guard);
     print!("{}", report.text);
     if report.clean() {
         println!("scenario {name}: OK");
@@ -82,6 +70,6 @@ fn read_script(path: &str) -> String {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: scenario <script-file> | --demo | --real <script-file>");
+    eprintln!("usage: scenario <script-file> | --demo");
     std::process::exit(2);
 }

@@ -21,7 +21,8 @@ cargo run --release --offline -q -p plan9-check
 # zero lock-order cycles, every static lock edge confirmed by the
 # runtime dump, and no lock receiver the resolver cannot type. The
 # method calls resolved by their receiver's type may not fall below
-# PR 25's count: a call that loses its type fans out by name again.
+# the tree's count, lowered only when code is deleted: a call that
+# loses its type fans out by name again.
 python3 - <<'EOF'
 import json, sys
 r = json.load(open("REPORT_checkflow.json"))
@@ -33,8 +34,8 @@ for field in ("functions", "call_sites", "resolved_calls", "typed_calls", "roots
         sys.exit(f"verify: REPORT graph.{field} missing or non-integer")
 if g["functions"] < 500 or g["roots"] < 5:
     sys.exit(f"verify: call graph implausibly small ({g['functions']} fns, {g['roots']} roots)")
-if g["typed_calls"] < 5413:
-    sys.exit(f"verify: {g['typed_calls']} method calls resolved by receiver type (need >= 5413)")
+if g["typed_calls"] < 5272:
+    sys.exit(f"verify: {g['typed_calls']} method calls resolved by receiver type (need >= 5272)")
 for pass_ in ("blocking_context", "panic_reach"):
     p = r[pass_]
     if p["count"] != 0 or p["findings"]:
@@ -92,135 +93,154 @@ cargo run --release --offline --example netstat -- --json | python3 -m json.tool
 # its line in scripts/loc-ratchet.txt (`loc --update` rewrites it).
 cargo run --release --offline -p plan9-bench --bin loc >/dev/null
 
-# Benchmark JSON artifacts: regenerate and validate both.
-cargo run --release --offline -p plan9-bench --bin table1 fast >/dev/null
+# The committed artifacts are outputs. Every BENCH_*.json,
+# REPORT_netmon.txt and REPORT_checkflow.json (written by plan9-check
+# above) is a function of the source tree: the binaries run on the
+# virtual clock, print their wall clock to stdout and hold it to their
+# own budgets. Regenerate them all (the 4x250 walkthrough runs once, in
+# scenariobench, with netmon on), check their content, then fail if any
+# differs from the committed file: a change that moves a modelled
+# number shows it in its diff, and a hand-edited number fails here.
+cargo run --release --offline -p plan9-bench --bin table1 >/dev/null
 cargo run --release --offline -p plan9-bench --bin ilvstcp >/dev/null
-python3 -m json.tool BENCH_table1.json >/dev/null
-python3 -m json.tool BENCH_ilvstcp.json >/dev/null
-
-# Virtual-time gate: the loss sweep must have run on the virtual clock
-# and finished in simulated-milliseconds territory. A >5s wall clock
-# means something fell back to real sleeping.
-python3 - <<'EOF'
-import json, sys
-b = json.load(open("BENCH_ilvstcp.json"))
-if b.get("vtime") is not True:
-    sys.exit("verify: BENCH_ilvstcp.json lacks \"vtime\": true")
-wall = b["virtual_sweep_wall_s"]
-if wall >= 5.0:
-    sys.exit(f"verify: virtual loss sweep took {wall}s wall clock (>= 5s budget)")
-EOF
-
-# Connection-scale gate: the cityload fabric (dial storms, accept
-# churn, pool-serviced 9P across 1k -> 10k machines) must complete its
-# virtual sweep inside a wall budget, on O(cores) service threads.
 cargo run --release --offline -p plan9-bench --bin cityload >/dev/null
-python3 -m json.tool BENCH_cityload.json >/dev/null
+cargo run --release --offline -p plan9-scenario --bin scenario -- --demo >/dev/null
+cargo run --release --offline -p plan9-bench --bin scenariobench >/dev/null
 python3 - <<'EOF'
 import json, sys
-b = json.load(open("BENCH_cityload.json"))
-if b.get("vtime") is not True:
-    sys.exit("verify: BENCH_cityload.json lacks \"vtime\": true")
-wall = b["virtual_sweep_wall_s"]
-if wall >= 120.0:
-    sys.exit(f"verify: cityload virtual sweep took {wall}s wall clock (>= 120s budget)")
-rows = b["sweep"]
-if not rows:
-    sys.exit("verify: cityload sweep is empty")
-top = max(rows, key=lambda r: r["machines"])
+def load(name):
+    b = json.load(open(name))
+    if b.get("vtime") is not True:
+        sys.exit(f"verify: {name} lacks \"vtime\": true")
+    return b
+
+# Table 1, modelled: pipes are unpaced (null cells); over the paced
+# paths both of the paper's orderings hold, and a cell more than 20 %
+# from the paper names the calibration constant that owns the miss.
+t = {r["test"]: r for r in load("BENCH_table1.json")["rows"]}
+if t["pipes"]["mbs"] is not None or t["pipes"]["ms"] is not None or not t["pipes"].get("note"):
+    sys.exit("verify: Table 1's pipes row must be null cells with a note")
+cy, il, urp = t["Cyclone"], t["IL/ether"], t["URP/Datakit"]
+if not cy["mbs"] > il["mbs"] > urp["mbs"]:
+    sys.exit("verify: Table 1 throughput ordering Cyclone > IL/ether > URP/Datakit fails")
+if not cy["ms"] < il["ms"] < urp["ms"]:
+    sys.exit("verify: Table 1 latency ordering Cyclone < IL/ether < URP/Datakit fails")
+for r in (cy, il, urp):
+    for col in ("mbs", "ms"):
+        off = abs(r[col] / r["paper_" + col] - 1) > 0.2
+        named = any(m.startswith(col + ": Profiles::") for m in r["misses"])
+        if off != named:
+            sys.exit(f"verify: Table 1 {r['test']} {col} = {r[col]}: miss {off}, owner named {named}")
+
+if not load("BENCH_ilvstcp.json")["vsweep"]:
+    sys.exit("verify: the IL/TCP loss sweep is empty")
+
+# Connection scale: a 10k-machine, 50k-conversation top row on O(cores)
+# service threads, counted: the storm drivers, the pool's shards, the
+# wheel, the row's own kproc and the main thread. One 9p-worker for a
+# conversation of a MemFs would be one too many.
+b = load("BENCH_cityload.json")
+top = max(b["sweep"], key=lambda r: r["machines"])
 if top["machines"] < 10_000 or top["conversations"] < 50_000:
     sys.exit(f"verify: top cityload row is {top['machines']} machines / "
              f"{top['conversations']} conversations (need 10k / 50k)")
-# O(cores) service threads, counted: the storm drivers, the pool's
-# shards, the wheel, the row's own kproc and the main thread. One
-# 9p-worker for a conversation of a MemFs would be one too many.
 budget = b["drivers"] + b["pool_shards"] + 1 + 2
 if not 0 < top.get("peak_kprocs", 0) <= budget:
     sys.exit(f"verify: top cityload row counted {top.get('peak_kprocs')} kprocs at its peak "
              f"(need 1..{budget}: a service model that makes a thread per conversation?)")
-for r in rows:
-    for field in ("machines", "conversations", "rpcs", "virtual_s", "rpc_per_virtual_s", "peak_kprocs"):
-        if field not in r:
-            sys.exit(f"verify: cityload row missing {field}")
+for r in b["sweep"]:
     p99 = r.get("p99_us")
     if not p99 or any(k not in p99 or p99[k] <= 0 for k in ("64", "512", "4096")):
         sys.exit(f"verify: cityload row {r['machines']} lacks per-size p99_us")
-EOF
 
-# Scenario gate: the generated internet (4 cities x 250 pooled hosts,
-# paper-scale ndb) must survive the adversarial walkthrough — flash
-# crowd, trunk flap, backbone partition + heal, gateway kill — twice
-# with byte-identical reports, clean conservation, and no leaked
-# conversations, inside a wall budget.
-cargo run --release --offline -p plan9-scenario --bin scenario -- --demo >/dev/null
-cargo run --release --offline -p plan9-bench --bin scenariobench >/dev/null
-python3 -m json.tool BENCH_scenario.json >/dev/null
-python3 - <<'EOF'
-import json, sys
-b = json.load(open("BENCH_scenario.json"))
-if b.get("vtime") is not True:
-    sys.exit("verify: BENCH_scenario.json lacks \"vtime\": true")
-if b.get("runs_byte_identical") is not True:
-    sys.exit("verify: same-seed scenario runs were not byte-identical")
-wall = b["virtual_sweep_wall_s"]
-if wall >= 120.0:
-    sys.exit(f"verify: scenario sweep took {wall}s wall clock (>= 120s budget)")
-rows = b["sweep"]
-if not rows:
-    sys.exit("verify: scenario sweep is empty")
-top = rows[0]
-if top["hosts"] < 1000:
-    sys.exit(f"verify: top scenario row holds {top['hosts']} hosts (need >= 1000)")
+# The generated internet (4 cities x 250 pooled hosts, paper-scale ndb)
+# survives the adversarial walkthrough — flash crowd, trunk flap,
+# backbone partition + heal, gateway kill — with clean conservation,
+# no leaked conversations and no failed dials.
+rows = load("BENCH_scenario.json")["sweep"]
+if rows[0]["hosts"] < 1000:
+    sys.exit(f"verify: top scenario row holds {rows[0]['hosts']} hosts (need >= 1000)")
 for r in rows:
-    if r["conservation_violations"] != 0:
-        sys.exit(f"verify: scenario row {r['name']} violated frame conservation")
-    if r["residual_conns"] != 0:
-        sys.exit(f"verify: scenario row {r['name']} leaked {r['residual_conns']} conversations")
-    if r["dials_failed"] != 0:
-        sys.exit(f"verify: scenario row {r['name']} failed {r['dials_failed']} dials")
-    p99 = r.get("p99_us")
-    if not p99 or any(v <= 0 for v in p99.values()):
+    if r["conservation_violations"] or r["residual_conns"] or r["dials_failed"]:
+        sys.exit(f"verify: scenario row {r['name']}: {r['conservation_violations']} conservation "
+                 f"violations, {r['residual_conns']} leaked conversations, {r['dials_failed']} failed dials")
+    if not r.get("p99_us") or any(v <= 0 for v in r["p99_us"].values()):
         sys.exit(f"verify: scenario row {r['name']} lacks positive p99_us")
-EOF
 
-# netmon gate: the instrumented walkthrough (netmon 250ms on the 4x250
-# fabric) must yield non-empty per-gateway series fetched across the
-# fabric, byte-identical between two same-seed runs, plus a ranked
-# copy-site table whose top three sites all moved bytes — inside a
-# wall budget.
-cargo run --release --offline -p plan9-bench --bin netdash >/dev/null
-python3 -m json.tool BENCH_netmon.json >/dev/null
-python3 - <<'EOF'
-import json, sys
-b = json.load(open("BENCH_netmon.json"))
-if b.get("vtime") is not True:
-    sys.exit("verify: BENCH_netmon.json lacks \"vtime\": true")
-if b.get("runs_byte_identical") is not True:
-    sys.exit("verify: same-seed netmon runs were not byte-identical")
-if b.get("series_byte_identical") is not True:
-    sys.exit("verify: same-seed fabric series were not byte-identical")
-wall = b["wall_s"]
-if wall >= 120.0:
-    sys.exit(f"verify: netdash took {wall}s wall clock (>= 120s budget)")
-series = b.get("series", [])
-live = [s for s in series if s["samples"] > 0 and s["bytes"] > 0]
+# netmon: per-gateway series fetched across the fabric, and a ranked
+# copy-site table whose top three sites all moved bytes.
+b = load("BENCH_netmon.json")
+live = [s for s in b["series"] if s["samples"] > 0 and s["bytes"] > 0]
 if len(live) < 3:
     sys.exit(f"verify: only {len(live)} gateways exported a non-empty series")
-if b.get("fabric_samples", 0) <= 0 or not b.get("fabric"):
+if b["fabric_samples"] <= 0 or not b["fabric"]:
     sys.exit("verify: merged fabric series is empty")
-sites = b.get("copy_sites", [])
+sites = b["copy_sites"]
 if len(sites) < 3 or any(s["bytes"] <= 0 for s in sites[:3]):
     sys.exit(f"verify: top copy sites lack positive byte totals: {sites[:3]}")
-if sites != sorted(sites, key=lambda s: -s["bytes"]):
+if sites != sorted(sites, key=lambda s: -s["bytes"]) or b["top_copy_sites"] != [s["site"] for s in sites[:3]]:
     sys.exit("verify: copy sites are not ranked by bytes")
-top3 = b.get("top_copy_sites", [])
-if len(top3) != 3 or top3 != [s["site"] for s in sites[:3]]:
-    sys.exit(f"verify: top_copy_sites disagrees with the ranked table: {top3}")
 EOF
+
+# EXPERIMENTS.md's tables are views of the artifacts: a table under
+# `<!-- from FILE KEY: FIELD ... -->` must match FILE's KEY array row
+# for row and cell for cell, to the digits the cell shows (`-` skips a
+# column, `%` scales by 100, and a JSON null reads as `—`).
+python3 - <<'EOF'
+import json, re, sys
+lines = open("EXPERIMENTS.md").read().splitlines()
+def same(cell, want):
+    if want is None:
+        return cell == "—"
+    if isinstance(want, str):
+        return cell.strip("`") == want
+    num = cell.replace(",", "").replace(" ", "")
+    scale = 100 if num.endswith("%") else 1
+    num = num.rstrip("%")
+    digits = len(num.partition(".")[2])
+    return abs(float(num) - want * scale) <= 0.5 * 10 ** -digits + 1e-9
+marked = 0
+for i, line in enumerate(lines):
+    m = re.fullmatch(r"<!-- from (\S+) (\w+): (.+) -->", line.strip())
+    if not m:
+        continue
+    marked += 1
+    name, key, fields = m.group(1), m.group(2), m.group(3).split()
+    rows = json.load(open(name))[key]
+    table = []
+    for l in lines[i + 1:]:
+        if not l.startswith("|"):
+            break
+        table.append([c.strip() for c in l.strip().strip("|").split("|")])
+    body = table[2:]
+    if len(body) != len(rows):
+        sys.exit(f"verify: EXPERIMENTS.md:{i + 1}: {len(body)} rows, {name} {key} has {len(rows)}")
+    for n, (cells, row) in enumerate(zip(body, rows)):
+        if len(cells) != len(fields):
+            sys.exit(f"verify: EXPERIMENTS.md:{i + 4 + n}: {len(cells)} cells for {len(fields)} fields")
+        for field, cell in zip(fields, cells):
+            if field != "-" and not same(cell, row[field]):
+                sys.exit(f"verify: EXPERIMENTS.md:{i + 4 + n}: {field} reads {cell!r}, "
+                         f"{name} {key}[{n}] has {row[field]!r}")
+if marked < 2:
+    sys.exit(f"verify: EXPERIMENTS.md marks {marked} tables with their source (need Table 1 and the loss sweep)")
+EOF
+
+if git rev-parse --git-dir >/dev/null 2>&1; then
+    git diff --exit-code --stat -- BENCH_*.json REPORT_netmon.txt REPORT_checkflow.json ||
+        { echo "verify: regenerated artifacts differ from the committed ones (commit them if the change is meant)" >&2; exit 1; }
+else
+    echo "verify: NOTICE: not a git checkout, artifacts not compared" >&2
+fi
 
 # The repository's benchmark (BENCHMARK.json): every workload for 0.2 s
 # trials, results checked byte for byte, and the metric names checked
 # against the contract. Numbers are not gated here; see perf/README.md.
+# A perf/ build rewrites perf/Cargo.lock, which lacks the plan9-datakit
+# -> plan9-netlog edge and may change only with the benchmark: put it
+# back as it was, so that verify leaves the tree as it found it.
+mkdir -p target && cp perf/Cargo.lock target/perf-Cargo.lock.orig
+trap 'cp target/perf-Cargo.lock.orig perf/Cargo.lock' EXIT
 bash perf/run.sh --quick >/dev/null
 
 # Four traced runs, gated on counts only: perf/README.md says these
@@ -276,4 +296,4 @@ traced_gate read8k_tcp \
 traced_gate rpc64_pipe \
     "os.ctxsw_per_op < 3" "os.threads <= 3" "alloc.calls_per_op <= 10"
 
-echo "verify: OK (checkflow + clippy + hermetic build + tests + examples + trace-off ring + LoC ratchet + bench JSON + vtime sweep gate + cityload scale gate + scenario adversity gate + netmon telemetry gate + perf --quick + traced count gates on rpc64_il, read8k_il, read8k_tcp and rpc64_pipe)"
+echo "verify: OK (checkflow + clippy + hermetic build + tests + examples + trace-off ring + LoC ratchet + modelled artifacts: Table 1, loss sweep, cityload, scenario and netmon gates, EXPERIMENTS.md tables, committed byte for byte + perf --quick + traced count gates on rpc64_il, read8k_il, read8k_tcp and rpc64_pipe)"

@@ -215,6 +215,44 @@ fn a_datakit_only_machine_has_its_net_log() {
     assert!(metrics_shown(&p, "/net/log/stats").contains(&"urp.tx".to_string()));
 }
 
+/// Figure 1 and the §2.2 listing, read through a booted machine's name
+/// space: each Ethernet conversation's `type` holds what `connect`
+/// wrote, and `ls -l /dev/eia*` shows the paper's `-rw-rw-rw-` files of
+/// device type `t`.
+#[test]
+fn figure_1_and_the_eia_listing_read_like_the_paper() {
+    let seg = EtherSegment::new(Profiles::ether_fast());
+    let (u1, _peer1) = uart_pair(9600);
+    let (u2, _peer2) = uart_pair(9600);
+    let cpu = MachineBuilder::new("cpu")
+        .ether(&seg, [8, 0, 0x69, 2, 0x22, 0xf0], IpConfig::local("135.104.9.31"))
+        .uart(u1)
+        .uart(u2)
+        .ndb("sys=cpu ip=135.104.9.31\n")
+        .build()
+        .expect("boot");
+    let p = cpu.proc();
+    let eia: Vec<String> =
+        p.ls("/dev").expect("ls /dev").iter().filter(|d| d.name.starts_with("eia")).map(Dir::ls_line).collect();
+    let names: Vec<&str> = eia.iter().filter_map(|l| l.rsplit(' ').next()).collect();
+    assert_eq!(names, ["eia1", "eia1ctl", "eia2", "eia2ctl"]);
+    for line in &eia {
+        assert!(line.starts_with("-rw-rw-rw- t "), "{line}");
+    }
+    // The ctl files stay open: a conversation lives while any of its
+    // files is referenced.
+    let mut convs = vec!["clone".to_string()];
+    for ptype in ["2048", "2054", "-1"] {
+        let ctl = p.open("/net/ether0/clone", OpenMode::RDWR).expect("clone");
+        let n = String::from_utf8(p.read(ctl, 16).expect("ctl")).expect("text");
+        p.write_str(ctl, &format!("connect {ptype}")).expect("connect");
+        assert_eq!(cat(&p, &format!("/net/ether0/{n}/type")), ptype);
+        convs.push(n);
+    }
+    let listed: Vec<String> = p.ls("/net/ether0").expect("ls").into_iter().map(|d| d.name).collect();
+    assert_eq!(listed, convs);
+}
+
 #[test]
 fn every_mounted_device_is_the_same_kind_of_tree() {
     let seg = EtherSegment::new(Profiles::ether_fast());
