@@ -27,7 +27,7 @@
 //! Usage: `cargo run -p plan9-bench --release --bin cityload`
 
 use plan9_bench::{within_budget, write_artifact};
-use plan9_inet::il::{serve_on_shard, IlIo};
+use plan9_inet::nine::{serve_on_shard, IlIo};
 use plan9_inet::ip::{IpConfig, IpStack};
 use plan9_netsim::ether::EtherSegment;
 use plan9_netsim::profile::Profiles;

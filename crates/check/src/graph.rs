@@ -240,6 +240,12 @@ impl Ty {
     }
 }
 
+/// `ty` with each generic parameter of `bounds` read as its bound.
+fn bounded(ty: Ty, bounds: &[(String, String)]) -> Ty {
+    let name = bounds.iter().find(|(p, _)| *p == ty.name).map_or(ty.name, |(_, t)| t.clone());
+    Ty { name, args: ty.args.into_iter().map(|a| bounded(a, bounds)).collect() }
+}
+
 /// The pointers and guards a method call looks through to the type it
 /// lands on.
 const WRAPPERS: &[&str] =
@@ -1194,25 +1200,37 @@ impl<'a> Parser<'a> {
         self.advance_raw(); // fn
         let Some(Tok::Ident(name)) = self.peek(0).cloned() else { return };
         self.advance_raw();
+        // A generic parameter bounded by a trait (`<C: Served>`) is read
+        // as the trait: a call on it goes to every impl, as on a trait
+        // object.
+        let mut bounds = Vec::new();
         if self.peek(0) == Some(&Tok::P('<')) {
+            for (a, _) in self.split_top(self.pos + 1, self.angle_close(self.pos)) {
+                if let (Some(Tok::Ident(p)), true, Some(Tok::Ident(t))) =
+                    (self.tok(a), self.is(a + 1, Tok::P(':')), self.tok(a + 2))
+                {
+                    bounds.push((p.clone(), t.clone()));
+                }
+            }
             self.try_skip_generics();
         }
         if self.peek(0) != Some(&Tok::P('(')) {
             return;
         }
+        let ty = |a, b| bounded(self.ty(a, b), &bounds);
         let close = self.pair[self.pos];
         // The return type and any `where` clause sit between the
         // parameter list and the body (or the `;` of a declaration).
         let body = self.find_top(close + 1, |t| matches!(t, Tok::P('{' | ';')));
         let where_at = (close + 1..body).find(|&k| self.is_ident(k, "where")).unwrap_or(body);
-        let ret = self.is(close + 1, Tok::Arrow).then(|| self.ty(close + 2, where_at));
+        let ret = self.is(close + 1, Tok::Arrow).then(|| ty(close + 2, where_at));
         let mut has_self = false;
         let mut params = Vec::new();
         for (a, b) in self.split_top(self.pos + 1, close) {
             match (a..b).find(|&k| self.is(k, Tok::P(':'))) {
                 Some(c) if c > a => match self.tok(c - 1) {
                     Some(Tok::Ident(p)) if p == "self" => has_self = true,
-                    Some(Tok::Ident(p)) => params.push((p.clone(), self.ty(c + 1, b))),
+                    Some(Tok::Ident(p)) => params.push((p.clone(), ty(c + 1, b))),
                     _ => {}
                 },
                 _ => has_self |= (a..b).any(|k| self.is_ident(k, "self")),
@@ -2047,6 +2065,19 @@ mod tests {
         let call = find(&g, "g").calls().find(|c| c.callee.name() == "go").unwrap();
         assert!(call.by_name);
         assert_eq!(targeted(&g, call).len(), 3);
+    }
+
+    #[test]
+    fn a_bounded_generic_goes_to_the_bounds_impls() {
+        let g = graph_of(
+            "struct A;\nimpl A {\n    fn go(&self) {}\n}\nstruct B;\nimpl B {\n    fn go(&self) {}\n}\n\
+             trait T {\n    fn go(&self);\n}\nimpl T for B {\n    fn go(&self) {}\n}\n\
+             fn f<C: T>(x: &Weak<C>) { x.go(); }\nfn g<C>(x: &C) { x.go(); }\n",
+        );
+        let call = find(&g, "f").calls().next().unwrap();
+        assert_eq!(targeted(&g, call), ["demo::B::go"], "a bounded parameter goes to the bound's impls");
+        let call = find(&g, "g").calls().next().unwrap();
+        assert!(targeted(&g, call).is_empty(), "an unbounded parameter is no workspace type");
     }
 
     #[test]

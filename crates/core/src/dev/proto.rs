@@ -34,8 +34,8 @@ use std::sync::Arc;
 /// This is the kernel's conversation interface: where the paper has a
 /// stream head under `data` (§2.4), the device calls the protocol and
 /// the protocol's own receive queue is the only one. A stream blocks
-/// its reader and parks its writer, and IL's conversations are read
-/// from pool shards that may do neither (DESIGN.md §10).
+/// its reader and parks its writer, and IL's and TCP's conversations
+/// are read from pool shards that may do neither (DESIGN.md §10).
 pub trait ConnOps: Send + Sync {
     /// Sends one message (delimited protocols) or chunk (TCP).
     fn send(&self, msg: &[u8]) -> Result<()>;
@@ -51,8 +51,9 @@ pub trait ConnOps: Send + Sync {
     fn close(&self);
     /// [`ProcFs::serve_nine`] of the conversation's `data` file: the
     /// protocol serves `fs` to the peer as 9P from its own input path.
-    /// Only one that can run an operation where the request arrives
-    /// (IL, on the conversation's pool shard) takes it up.
+    /// One that can run an operation where the request arrives (IL and
+    /// TCP, on the conversation's pool shard) takes it up; Datakit and
+    /// UDP decline.
     fn serve_nine(&self, _fs: &Arc<dyn ProcFs>) -> Option<Arc<NineService>> {
         None
     }

@@ -374,11 +374,8 @@ impl ConnOps for TcpConnOps {
         self.conn.write(msg).map(|_| ())
     }
     fn recv(&self) -> Result<Option<Vec<u8>>> {
-        match self.conn.read(65536) {
-            Ok(data) if data.is_empty() => Ok(None),
-            Ok(data) => Ok(Some(data)),
-            Err(e) => Err(e),
-        }
+        let data = self.conn.read(65536)?;
+        Ok((!data.is_empty()).then_some(data))
     }
     fn local(&self) -> String {
         self.conn.local_string()
@@ -391,6 +388,9 @@ impl ConnOps for TcpConnOps {
     }
     fn close(&self) {
         self.conn.close();
+    }
+    fn serve_nine(&self, fs: &Arc<dyn ProcFs>) -> Option<Arc<plan9_ninep::server::NineService>> {
+        Some(plan9_inet::nine::serve_on_shard(&self.conn, Arc::clone(fs)))
     }
 }
 
@@ -462,7 +462,7 @@ impl ConnOps for IlConnOps {
         self.conn.close();
     }
     fn serve_nine(&self, fs: &Arc<dyn ProcFs>) -> Option<Arc<plan9_ninep::server::NineService>> {
-        Some(plan9_inet::il::serve_on_shard(&self.conn, Arc::clone(fs)))
+        Some(plan9_inet::nine::serve_on_shard(&self.conn, Arc::clone(fs)))
     }
 }
 

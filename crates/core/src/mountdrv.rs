@@ -73,13 +73,9 @@ impl MsgSink for ChanIo {
 }
 
 impl MsgSource for ChanIo {
+    /// One read, one message: delimited transports preserve it.
     fn recvmsg(&mut self) -> Result<Option<Vec<u8>>> {
-        match self.src.fs.read(&self.src.node, 0, 1 << 16) {
-            Ok(data) if data.is_empty() => Ok(None),
-            Ok(data) => Ok(Some(data)),
-            Err(e) if e.0.contains("hungup") || e.0.contains("closed") => Ok(None),
-            Err(e) => Err(e),
-        }
+        self.recv_some()
     }
 }
 

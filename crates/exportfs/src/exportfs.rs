@@ -248,10 +248,12 @@ pub fn serve_export(p: &Proc, data_fd: i32, framed: bool) -> Result<()> {
 pub(crate) fn serve_ns(p: &Proc, data_fd: i32, base: &str, framed: bool) -> Result<()> {
     let fs: Arc<dyn ProcFs> = NsFs::new(p.ns.fork(), base);
     let io = p.io(data_fd)?;
-    // An IL conversation is served by the kernel under its `data` file,
-    // by the pool worker that receives each request; this process
-    // waits for the hangup, makes the clunks that may block, and — the
-    // slaves being its own (§6.1) — waits for their ends.
+    // An IL or TCP conversation of this machine's own is served by the
+    // kernel under its `data` file, by the pool worker that receives
+    // each request; this process waits for the hangup, makes the
+    // clunks that may block, and — the slaves being its own (§6.1) —
+    // waits for their ends. Datakit, a pipe and the `data` file of an
+    // imported `/net` are read here.
     if let Some(svc) = io.serve_nine(&fs) {
         svc.wait();
         return Ok(());

@@ -33,11 +33,8 @@ use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::{time, wheel};
 use plan9_ninep::NineError;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
-
-mod nine;
-pub use nine::{serve_on_shard, IlIo};
 
 /// The IP protocol number for IL.
 pub const IL_PROTO: u8 = 40;
@@ -308,7 +305,7 @@ pub struct IlConn {
     readable: Condvar,
     window_open: Condvar,
     /// Readable-readiness hook for pool-serviced conversations.
-    rx_notify: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
+    rx_notify: OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
 
 /// What [`IlConn::try_recv`] found.
@@ -510,7 +507,7 @@ impl IlConn {
             }, "inet.il.conn"),
             readable: Condvar::new(),
             window_open: Condvar::new(),
-            rx_notify: Mutex::named(None, "inet.il.rxnotify"),
+            rx_notify: OnceLock::new(),
         })
     }
 
@@ -688,9 +685,8 @@ impl IlConn {
     /// notify, only a closure to call back.
     fn rx_wake(&self) {
         self.readable.notify_all();
-        let hook = self.rx_notify.lock().clone();
-        if let Some(h) = hook {
-            h();
+        if let Some(hook) = self.rx_notify.get() {
+            hook();
         }
     }
 
@@ -701,9 +697,10 @@ impl IlConn {
     /// per conversation in [`IlConn::recv`], and with
     /// [`IlConn::can_send`] never park one in [`IlConn::send`] either.
     /// The hook must be cheap and non-blocking (the
-    /// usual move is `pool::submit` of a drain job).
+    /// usual move is `pool::submit` of a drain job). A conversation has
+    /// one reader: a hook registered after the first is dropped.
     pub fn set_rx_notify(&self, f: impl Fn() + Send + Sync + 'static) {
-        *self.rx_notify.lock() = Some(Arc::new(f));
+        let _ = self.rx_notify.set(Box::new(f));
     }
 
     /// The conversation id used to shard this connection's service

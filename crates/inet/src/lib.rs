@@ -30,6 +30,7 @@ pub mod checksum;
 mod conv;
 pub mod il;
 pub mod ip;
+pub mod nine;
 pub mod tcp;
 pub mod udp;
 

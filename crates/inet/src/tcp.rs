@@ -22,7 +22,7 @@ use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::{time, wheel};
 use plan9_ninep::NineError;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// The IP protocol number for TCP.
@@ -152,7 +152,9 @@ impl TcpHeader {
     }
 }
 
-static SEGMENT_SITE: Site = Site::new("tcp.segment");
+/// The copy in from the writer: `write`'s, or the one that made the
+/// buffer `write_bytes` is given.
+pub(crate) static SEGMENT_SITE: Site = Site::new("tcp.segment");
 static RX_SITE: Site = Site::new("tcp.rxcopy");
 
 /// What a segment carries: views of at most two of the buffers in the
@@ -162,6 +164,10 @@ type Payload = Option<[Bytes; 2]>;
 /// A segment ready to leave: made under the conversation lock,
 /// transmitted after it is dropped.
 type Outgoing = (TcpHeader, Payload);
+
+/// What a read took off the receive queue, and the window update it
+/// owes the sender.
+type Taken = (Vec<u8>, Option<TcpHeader>);
 
 fn payload_len(p: &Payload) -> usize {
     p.as_ref().map_or(0, |[a, b]| a.len() + b.len())
@@ -361,6 +367,11 @@ impl Inner {
         (RCV_BUF_MAX.saturating_sub(self.recv_q.len)).min(u16::MAX as usize) as u16
     }
 
+    /// Whether the stream still takes writes.
+    fn open(&self) -> bool {
+        matches!(self.state, TcpState::Established | TcpState::CloseWait)
+    }
+
     /// Whether `pump` has data or a FIN it has not sent once yet.
     fn unsent(&self) -> bool {
         (self.inflight() as usize) < self.send_q.len || (self.fin_queued && self.fin_seq.is_none())
@@ -372,12 +383,16 @@ pub struct TcpConn {
     stack: Weak<IpStack>,
     key: ConnKey,
     /// Shard key for the timer wheel and worker pool.
-    conv: u64,
+    pub(crate) conv: u64,
     inner: Mutex<Inner>,
     /// Signaled on state changes and arriving data.
     readable: Condvar,
     /// Signaled when send-buffer space opens.
     writable: Condvar,
+    /// The readiness hook of a conversation served from the worker
+    /// pool (`nine::Served`), fired when data, EOF or an error becomes
+    /// available, or a full send buffer has room again.
+    pub(crate) rx_notify: OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
 
 impl TcpModule {
@@ -569,6 +584,7 @@ impl TcpConn {
             }, "inet.tcp.conn"),
             readable: Condvar::new(),
             writable: Condvar::new(),
+            rx_notify: OnceLock::new(),
         })
     }
 
@@ -643,42 +659,69 @@ impl TcpConn {
     /// Writes bytes into the stream; blocks while the send buffer is
     /// full. Boundaries are NOT preserved — this is TCP.
     pub fn write(self: &Arc<Self>, data: &[u8]) -> crate::Result<usize> {
-        let cur = trace::current();
-        let w0 = cur.as_ref().map(|_| time::now());
-        let mut offered = 0usize;
-        while offered < data.len() {
-            {
-                let mut inner = self.inner.lock();
-                if cur.is_some() && offered == 0 {
-                    inner.trace = cur.clone();
-                }
-                loop {
-                    match inner.state {
-                        TcpState::Established | TcpState::CloseWait => {}
-                        _ => {
-                            return Err(NineError::new(
-                                inner.err.clone().unwrap_or_else(|| "hungup".to_string()),
-                            ))
-                        }
-                    }
-                    if inner.send_q.len < SND_BUF_MAX {
-                        break;
-                    }
-                    self.writable.wait(&mut inner);
-                }
-                let take = (SND_BUF_MAX - inner.send_q.len).min(data.len() - offered);
-                // The copy in from the writer: kept until acknowledged,
-                // and the source of every transmission till then.
-                SEGMENT_SITE.record(take);
-                inner.send_q.push(Bytes::from(data[offered..offered + take].to_vec()));
-                offered += take;
+        self.traced(|| {
+            let mut offered = 0usize;
+            while offered < data.len() {
+                let take = |room: usize| {
+                    let n = room.min(data.len() - offered);
+                    // The copy in from the writer: kept until
+                    // acknowledged, and the source of every
+                    // transmission till then.
+                    SEGMENT_SITE.record(n);
+                    Bytes::from(data[offered..offered + n].to_vec())
+                };
+                offered += self.put(take)?;
             }
-            self.pump();
-        }
-        if let (Some(h), Some(t0)) = (&cur, w0) {
-            h.span(Facility::Tcp, "tcp write", t0, time::now());
-        }
-        Ok(data.len())
+            Ok(data.len())
+        })
+    }
+
+    /// Writes a buffer made for the stream, which keeps it, uncopied,
+    /// until it is acknowledged: blocks while the send buffer is full,
+    /// and once it has room takes the buffer whole.
+    pub fn write_bytes(self: &Arc<Self>, data: Bytes) -> crate::Result<()> {
+        self.traced(|| self.put(|_| data).map(drop))
+    }
+
+    /// Runs a write under a `tcp write` span when the writer is traced.
+    fn traced<T>(&self, write: impl FnOnce() -> crate::Result<T>) -> crate::Result<T> {
+        let Some(h) = trace::current() else { return write() };
+        let t0 = time::now();
+        let done = write()?;
+        h.span(Facility::Tcp, "tcp write", t0, time::now());
+        Ok(done)
+    }
+
+    /// Waits for room in the send buffer, queues the buffer `take` makes
+    /// of the room there is, and sends what the windows allow. Returns
+    /// the bytes queued.
+    fn put(self: &Arc<Self>, take: impl FnOnce(usize) -> Bytes) -> crate::Result<usize> {
+        let queued = {
+            let mut inner = self.inner.lock();
+            if let Some(cur) = trace::current() {
+                inner.trace = Some(cur);
+            }
+            while inner.open() && inner.send_q.len >= SND_BUF_MAX {
+                self.writable.wait(&mut inner);
+            }
+            if !inner.open() {
+                let e = inner.err.clone().unwrap_or_else(|| "hungup".to_string());
+                return Err(NineError::new(e));
+            }
+            let buf = take(SND_BUF_MAX - inner.send_q.len);
+            let n = buf.len();
+            inner.send_q.push(buf);
+            n
+        };
+        self.pump();
+        Ok(queued)
+    }
+
+    /// Whether [`TcpConn::write_bytes`] would go ahead at once: the send
+    /// buffer has room, or the conversation is over and it would fail.
+    pub fn can_send(&self) -> bool {
+        let inner = self.inner.lock();
+        !inner.open() || inner.send_q.len < SND_BUF_MAX
     }
 
     /// Pushes out as many segments as the windows allow. One thread at
@@ -753,40 +796,59 @@ impl TcpConn {
     pub fn read(&self, max: usize) -> crate::Result<Vec<u8>> {
         let mut inner = self.inner.lock();
         loop {
-            if inner.recv_q.len > 0 {
-                let n = inner.recv_q.len.min(max);
-                let two_mss = 2 * inner.mss;
-                let was_shut = (inner.window_avail() as usize) < two_mss;
-                // The copy out to the reader, the only one the bytes
-                // get on this side of the wire.
-                let mut out = Vec::with_capacity(n);
-                inner.recv_q.consume(n, |run| out.extend_from_slice(run));
-                RX_SITE.record(n);
-                // A sender stopped by the window hears that it opened.
-                let update = (was_shut
-                    && inner.window_avail() as usize >= two_mss
-                    && inner.peer_fin.is_none())
-                .then(|| {
-                    let seq = inner.snd_nxt;
-                    self.header(&mut inner, ACK, seq)
-                });
+            if let Some(got) = self.poll(&mut inner, max)? {
                 drop(inner);
-                if let Some(hdr) = update {
-                    let _ = self.transmit(hdr, &None);
-                }
-                return Ok(out);
-            }
-            if inner.peer_fin.is_some() && inner.fin_taken {
-                return Ok(Vec::new()); // orderly EOF
-            }
-            if let Some(e) = &inner.err {
-                return Err(NineError::new(e.clone()));
-            }
-            if inner.state == TcpState::Closed {
-                return Ok(Vec::new());
+                return Ok(self.taken(got));
             }
             self.readable.wait(&mut inner);
         }
+    }
+
+    /// [`TcpConn::read`] for pool-serviced conversations: `None` where
+    /// that would wait.
+    pub fn try_read(&self, max: usize) -> crate::Result<Option<Vec<u8>>> {
+        let got = self.poll(&mut self.inner.lock(), max)?;
+        Ok(got.map(|got| self.taken(got)))
+    }
+
+    /// What a reader can have without waiting: up to `max` bytes, with
+    /// the window update to send once the lock is dropped, or nothing
+    /// at the orderly end of the stream; else `None`.
+    fn poll(&self, inner: &mut Inner, max: usize) -> crate::Result<Option<Taken>> {
+        if inner.recv_q.len > 0 {
+            let n = inner.recv_q.len.min(max);
+            let two_mss = 2 * inner.mss;
+            let was_shut = (inner.window_avail() as usize) < two_mss;
+            // The copy out to the reader, the only one the bytes get on
+            // this side of the wire.
+            let mut out = Vec::with_capacity(n);
+            inner.recv_q.consume(n, |run| out.extend_from_slice(run));
+            RX_SITE.record(n);
+            // A sender stopped by the window hears that it opened.
+            let update = (was_shut
+                && inner.window_avail() as usize >= two_mss
+                && inner.peer_fin.is_none())
+            .then(|| {
+                let seq = inner.snd_nxt;
+                self.header(inner, ACK, seq)
+            });
+            return Ok(Some((out, update)));
+        }
+        if inner.peer_fin.is_some() && inner.fin_taken {
+            return Ok(Some((Vec::new(), None))); // orderly EOF
+        }
+        if let Some(e) = &inner.err {
+            return Err(NineError::new(e.clone()));
+        }
+        Ok((inner.state == TcpState::Closed).then(|| (Vec::new(), None)))
+    }
+
+    /// What [`TcpConn::poll`] took, its window update sent.
+    fn taken(&self, (data, update): Taken) -> Vec<u8> {
+        if let Some(hdr) = update {
+            let _ = self.transmit(hdr, &None);
+        }
+        data
     }
 
     /// Half-closes the connection: no more writes, reads drain.
@@ -836,6 +898,14 @@ impl TcpConn {
         self.teardown();
         self.readable.notify_all();
         self.writable.notify_all();
+    }
+
+    /// Calls the readiness hook, if a service registered one: it has no
+    /// parked thread to notify.
+    fn rx_ready(&self) {
+        if let Some(hook) = self.rx_notify.get() {
+            hook();
+        }
     }
 
     fn teardown(&self) {
@@ -967,6 +1037,7 @@ impl TcpConn {
             }
         }
         if dead {
+            self.rx_ready();
             self.teardown();
         }
     }
@@ -975,6 +1046,9 @@ impl TcpConn {
         let mut ack_now = false;
         let mut notify_read = false;
         let mut notify_write = false;
+        // An ack made room in a send buffer that was full: a service
+        // that stopped reading for want of it has no thread to wake.
+        let mut reopened = false;
         let mut deliver_to_listener = false;
         let mut rexmit = None;
         // The one hold of the conversation lock a segment costs: what
@@ -987,6 +1061,7 @@ impl TcpConn {
                 drop(inner);
                 self.readable.notify_all();
                 self.writable.notify_all();
+                self.rx_ready();
                 self.teardown();
                 return;
             }
@@ -1051,7 +1126,9 @@ impl TcpConn {
                             .unwrap_or(false);
                         let data_acked = if fin_acked { acked - 1 } else { acked };
                         let gone = data_acked.min(inner.send_q.len);
+                        let full = inner.send_q.len >= SND_BUF_MAX;
                         inner.send_q.consume(gone, |_| ());
+                        reopened = full && inner.send_q.len < SND_BUF_MAX;
                         inner.snd_una = seg.ack;
                         inner.retries = 0;
                         if let Some((probe_seq, at)) = inner.rtt_probe {
@@ -1120,6 +1197,9 @@ impl TcpConn {
         }
         if notify_write {
             self.writable.notify_all();
+        }
+        if notify_read || reopened {
+            self.rx_ready();
         }
         // An ack made room in the windows, or the peer opened its own.
         if pump {

@@ -20,11 +20,12 @@
 //!   made it.
 //! * [`serve`] feeds it from a thread that reads a transport until the
 //!   peer hangs up, then hangs up and joins the workers. A readiness
-//!   callback on a worker-pool shard (`inet::il::serve_on_shard`) feeds
-//!   it with no thread at all: a `MemFs` served that way never makes a
-//!   worker, so its conversations can be counted in tens of thousands.
-//!   A server with workers to wait for — exportfs over IL — parks its
-//!   process in [`NineService::wait`] instead of in the transport.
+//!   callback on a worker-pool shard (`inet::nine::serve_on_shard`, for
+//!   IL and TCP) feeds it with no thread at all: a `MemFs` served that
+//!   way never makes a worker, so its conversations can be counted in
+//!   tens of thousands. A server with workers to wait for — exportfs
+//!   over IL or TCP — parks its process in [`NineService::wait`]
+//!   instead of in the transport.
 
 use crate::codec::{decode_tmsg, encode_rmsg};
 use crate::fcall::{Fid, Rmsg, Tag, Tmsg, CHAL_LEN, MAX_FDATA};

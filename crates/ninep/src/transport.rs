@@ -106,65 +106,6 @@ impl MsgSource for MsgPipeSource {
     }
 }
 
-/// One end of an in-memory *byte-stream* duplex pipe that deliberately
-/// destroys message boundaries, for testing the marshaling layer.
-pub struct BytePipeEnd {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
-    /// If nonzero, incoming chunks are re-sliced to at most this size, to
-    /// exercise reassembly.
-    pub max_chunk: usize,
-    pending: Vec<u8>,
-}
-
-impl BytePipeEnd {
-    /// Creates a connected pair of byte-pipe ends.
-    pub fn pair() -> (BytePipeEnd, BytePipeEnd) {
-        let (atx, arx) = unbounded();
-        let (btx, brx) = unbounded();
-        (
-            BytePipeEnd {
-                tx: atx,
-                rx: brx,
-                max_chunk: 0,
-                pending: Vec::new(),
-            },
-            BytePipeEnd {
-                tx: btx,
-                rx: arx,
-                max_chunk: 0,
-                pending: Vec::new(),
-            },
-        )
-    }
-}
-
-impl ByteSink for BytePipeEnd {
-    fn send_bytes(&mut self, bytes: &[u8]) -> Result<()> {
-        self.tx
-            .send(bytes.to_vec())
-            .map_err(|_| NineError::new(crate::errstr::EHUNGUP))
-    }
-}
-
-impl ByteSource for BytePipeEnd {
-    fn recv_some(&mut self) -> Result<Option<Vec<u8>>> {
-        if self.pending.is_empty() {
-            match self.rx.recv() {
-                Ok(chunk) => self.pending = chunk,
-                Err(_) => return Ok(None),
-            }
-        }
-        let n = if self.max_chunk > 0 {
-            self.pending.len().min(self.max_chunk)
-        } else {
-            self.pending.len()
-        };
-        let head: Vec<u8> = self.pending.drain(..n).collect();
-        Ok(Some(head))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,15 +124,5 @@ mod tests {
         let (a, mut b) = MsgPipeEnd::pair();
         drop(a);
         assert_eq!(b.recvmsg().unwrap(), None);
-    }
-
-    #[test]
-    fn byte_pipe_rechunks() {
-        let (mut a, mut b) = BytePipeEnd::pair();
-        b.max_chunk = 2;
-        a.send_bytes(b"hello").unwrap();
-        assert_eq!(b.recv_some().unwrap().unwrap(), b"he");
-        assert_eq!(b.recv_some().unwrap().unwrap(), b"ll");
-        assert_eq!(b.recv_some().unwrap().unwrap(), b"o");
     }
 }

@@ -23,7 +23,7 @@ use crate::topology::{Topology, EXPORT_PORT, SERVE_PORT};
 use plan9_core::machine::Machine;
 use plan9_core::namespace::MAFTER;
 use plan9_exportfs::{exportfs_service, import, ExportService};
-use plan9_inet::il::{serve_on_shard, IlIo};
+use plan9_inet::nine::{serve_on_shard, IlIo};
 use plan9_inet::ip::IpStack;
 use plan9_inet::IpAddr;
 use plan9_core::proc::Proc;

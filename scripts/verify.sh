@@ -34,8 +34,8 @@ for field in ("functions", "call_sites", "resolved_calls", "typed_calls", "roots
         sys.exit(f"verify: REPORT graph.{field} missing or non-integer")
 if g["functions"] < 500 or g["roots"] < 5:
     sys.exit(f"verify: call graph implausibly small ({g['functions']} fns, {g['roots']} roots)")
-if g["typed_calls"] < 5272:
-    sys.exit(f"verify: {g['typed_calls']} method calls resolved by receiver type (need >= 5272)")
+if g["typed_calls"] < 5319:
+    sys.exit(f"verify: {g['typed_calls']} method calls resolved by receiver type (need >= 5319)")
 for pass_ in ("blocking_context", "panic_reach"):
     p = r[pass_]
     if p["count"] != 0 or p["findings"]:
@@ -247,15 +247,15 @@ bash perf/run.sh --quick >/dev/null
 # repeat exactly from run to run, so noise cannot trip the gate. A
 # machine has one Ethernet station and no thread waiting on the wire
 # for /net/ether0; a pool shard is a queue, not a thread, and the
-# worker that delivers a request frame over IL runs the file operation
-# (exportfs's IL conversation is fed by il::serve_on_shard) and
-# delivers the reply frame too. So a 64-byte RPC over IL costs two
-# frames and two context switches, caller to pool worker and back, as
-# it does over a pipe, on seven threads at most: a thread per shard or
-# an exportfs kproc reading the conversation again shows as four
-# switches and nine threads, a second reader thread as seven, a worker
-# per read as five and three. A message is copied in from its writer,
-# into the frames that carry it,
+# worker that delivers a request frame over IL or TCP runs the file
+# operation (exportfs's IL and TCP conversations are fed by
+# inet::nine::serve_on_shard) and delivers the reply frames too. So a
+# 64-byte RPC over IL costs two frames and two context switches, caller
+# to pool worker and back, as it does over a pipe, on seven threads at
+# most: a thread per shard or an exportfs kproc reading the
+# conversation again shows as four switches and nine threads, a second
+# reader thread as seven, a worker per read as five and three. A
+# message is copied in from its writer, into the frames that carry it,
 # once more if those were fragments, and out to its reader, and nowhere
 # else between IlConn::send and IlConn::recv: a copy or a buffer put
 # back on that path shows in the bytes copied and allocated per byte
@@ -263,9 +263,17 @@ bash perf/run.sh --quick >/dev/null
 # drain job boxed per message shows as a 21st allocation.
 # Over TCP the same read is a request, six segments and two
 # acknowledgments — one for every second segment, the last one's riding
-# on the next request — copied in from the writer, into the frames and
-# out to the reader: an ack per segment again shows as 14 frames and 7
-# context switches, a byte queue that copies again in the bytes.
+# on the next request — on the same two switches: the exportfs kproc
+# parked in TCP's data file again shows as four, a readiness hook fired
+# on every ack as an eleventh pool job. The reply is framed once, into
+# the buffer TCP keeps (the copy in, tcp.segment), then into the
+# frames, out to the client's reader, and once more where its deframer
+# hands the client a message of its own (marshal.deframe): 4.07 bytes
+# copied a payload byte, counting the marshaling copies 3.3 did not
+# (they read 6.08 uncut). A second framing copy on the server, or a
+# deframer that copies a chunk it could take over, shows as 5 and more;
+# an ack per segment as 14 frames, a byte queue that copies again in
+# the bytes.
 traced_gate() {
     bash perf/run.sh --workload "$1" --seed 1 --seconds 2 --trace 1 | tail -n 1 | python3 -c '
 import json, sys
@@ -291,8 +299,9 @@ traced_gate read8k_il \
     "netsim.ether.frames_per_op == 7" "inet.ip.frags_per_op == 6"
 traced_gate read8k_tcp \
     "netsim.ether.frames_per_op <= 10" "inet.tcp.segs_per_op <= 10" \
-    "inet.tcp.rexmit_per_kop == 0" "os.ctxsw_per_op < 6" \
-    "alloc.calls_per_op <= 50" "copy.bytes_per_payload_byte <= 3.3"
+    "inet.tcp.rexmit_per_kop == 0" "os.ctxsw_per_op < 3" "os.threads <= 7" \
+    "support.pool.jobs_per_op <= 10.05" "alloc.calls_per_op <= 43" \
+    "copy.bytes_per_payload_byte <= 4.1"
 traced_gate rpc64_pipe \
     "os.ctxsw_per_op < 3" "os.threads <= 3" "alloc.calls_per_op <= 10"
 

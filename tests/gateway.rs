@@ -345,14 +345,14 @@ fn exportfs_keeps_its_slaves_for_the_files_that_may_block() {
 }
 
 /// Which process runs an importer's read of a file in memory is the
-/// transport's to say, never a setting. Only the IL device takes up
-/// `serve_nine` and runs it on the pool worker that received the
-/// request; a TCP or Datakit conversation, a pipe, and an IL
-/// conversation whose `data` file is itself imported (gnot has no IL but
-/// helix's) are read and served by the parked `exportfs` kproc, as
-/// every export conversation was.
+/// transport's to say, never a setting. The IL and TCP devices take up
+/// `serve_nine` and run it on the pool worker that received the
+/// request; a Datakit conversation, a pipe, and an IL or TCP
+/// conversation whose `data` file is itself imported (gnot has no IP
+/// but helix's) are read and served by the parked `exportfs` kproc, as
+/// every export conversation once was.
 #[test]
-fn only_an_il_conversation_is_served_where_its_requests_arrive() {
+fn a_conversation_is_served_where_its_requests_arrive() {
     let (helix, musca, gnot) = world();
     let mem = MemFs::new("probe", "bootes");
     mem.put_file("/f", b"data at hand").unwrap();
@@ -379,7 +379,7 @@ fn only_an_il_conversation_is_served_where_its_requests_arrive() {
         readers(&p)
     };
     assert_eq!(imported(&musca, "il!helix!exportfs"), ["pool-worker"]);
-    assert_eq!(imported(&musca, "tcp!helix!exportfs"), ["exportfs"]);
+    assert_eq!(imported(&musca, "tcp!helix!exportfs"), ["pool-worker"]);
     assert_eq!(imported(&gnot, "dk!nj/astro/helix!exportfs"), ["exportfs"]);
 
     // The import command's initial protocol, spoken over a pipe.
@@ -392,12 +392,16 @@ fn only_an_il_conversation_is_served_where_its_requests_arrive() {
     p.mount_fd(mnt_fd, "", "/n/x", MREPL, false).unwrap();
     assert_eq!(readers(&p), ["exportfs"]);
 
-    // gnot announces on helix's IL, through its import of helix's /net.
+    // gnot announces on helix's IL and TCP, through its import of
+    // helix's /net.
     let gp = with_probe(gnot.proc());
     import(&gp, "dk!nj/astro/helix!exportfs", "/net", "/net", MAFTER).expect("import /net");
-    exportfs_listener(gp, "il!*!17099", usize::MAX).unwrap();
+    for addr in ["il!*!17099", "tcp!*!17099"] {
+        exportfs_listener(gp.fork(), addr, usize::MAX).unwrap();
+    }
     std::thread::sleep(std::time::Duration::from_millis(100));
     assert_eq!(imported(&musca, "il!helix!17099"), ["exportfs"]);
+    assert_eq!(imported(&musca, "tcp!helix!17099"), ["exportfs"]);
 }
 
 /// An importer that goes away with a read parked in an exported `data`

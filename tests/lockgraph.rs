@@ -1,7 +1,7 @@
 //! Runtime lock-order capture: drive the kernel across its concurrency
 //! surface — a scenario fabric with a flash crowd and netmon collector,
 //! then a two-machine segment doing IL and TCP dials, ether clone
-//! opens, pipes and an import mounted over an import — and snapshot
+//! opens, pipes, an import mounted over an import and one over TCP — and snapshot
 //! the lock-order graph lockdep observed along the way.
 //!
 //! With `LOCKGRAPH_UPDATE=1` the snapshot is written to
@@ -17,7 +17,8 @@
 
 use plan9::core::dial::{accept, announce, dial, listen};
 use plan9::core::machine::MachineBuilder;
-use plan9::core::namespace::MREPL;
+use plan9::core::mountdrv::MountDriver;
+use plan9::core::namespace::{Source, MREPL};
 use plan9::exportfs::exportfs::exportfs_listener;
 use plan9::exportfs::import::import;
 use plan9::inet::ip::IpConfig;
@@ -25,8 +26,10 @@ use plan9::netsim::ether::EtherSegment;
 use plan9::netsim::fabric::DatakitSwitch;
 use plan9::netsim::profile::Profiles;
 use plan9::netsim::uart_pair;
-use plan9::ninep::procfs::OpenMode;
+use plan9::ninep::procfs::{MemFs, OpenMode, ProcFs, ServeNode};
+use plan9::ninep::qid::Qid;
 use plan9_support::vtime;
+use std::sync::Arc;
 use std::time::Duration;
 
 const SCRIPT: &str = "\
@@ -37,8 +40,9 @@ netmon 50ms
 end 700ms
 ";
 
-/// Echoes one connection at a time until the announce fd dies.
-fn echo_service(p: plan9::core::proc::Proc, addr: &'static str) {
+/// Echoes one connection at a time until the announce fd dies; with
+/// `once`, hangs a connection up on its first message instead.
+fn echo_service(p: plan9::core::proc::Proc, addr: &'static str, once: bool) {
     let (_afd, adir) = announce(&p, addr).expect("announce");
     std::thread::spawn(move || loop {
         let Ok((lcfd, ldir)) = listen(&p, &adir) else {
@@ -48,7 +52,7 @@ fn echo_service(p: plan9::core::proc::Proc, addr: &'static str) {
             return;
         };
         while let Ok(msg) = p.read(dfd, 8192) {
-            if msg.is_empty() {
+            if msg.is_empty() || once {
                 break;
             }
             let _ = p.write(dfd, &msg);
@@ -102,10 +106,12 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/gnot proto=il proto=tcp
         .ndb(ndb)
         .build()
         .expect("boot gnot");
-    echo_service(helix.proc(), "il!*!echo");
-    echo_service(helix.proc(), "tcp!*!7");
-    echo_service(helix.proc(), "dk!*!echo");
+    echo_service(helix.proc(), "il!*!echo", false);
+    echo_service(helix.proc(), "tcp!*!7", false);
+    echo_service(helix.proc(), "tcp!*!9", true);
+    echo_service(helix.proc(), "dk!*!echo", false);
     exportfs_listener(helix.proc(), "dk!*!exportfs", usize::MAX).expect("exportfs");
+    exportfs_listener(helix.proc(), "tcp!*!exportfs", usize::MAX).expect("exportfs");
     std::thread::sleep(Duration::from_millis(100));
 
     let p = gnot.proc();
@@ -160,12 +166,31 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/gnot proto=il proto=tcp
     p.close(w);
     p.close(r);
 
+    // The first framed 9P message in the process goes out where a mount
+    // that replaces another clunks the tree it hides, under the name
+    // space lock: the hidden tree is a mount driver, never attached, on
+    // a TCP call that is hung up on its first message, its Tclunk. The
+    // framing copy site registers there, under the name space lock and
+    // the driver's sink, as a first-ever framed message anywhere would
+    // take them.
+    let echo = dial(&p, "tcp!135.104.9.31!9").expect("tcp dial");
+    let hidden: Arc<dyn ProcFs> = MountDriver::over_bytes(p.io(echo.data_fd).unwrap()).unwrap();
+    let root = ServeNode::new(Qid::dir(0, 0), 1);
+    p.ns.mount(Source { fs: hidden, node: root }, "/n/echo", MREPL).expect("mount echo");
+    let mem: Arc<dyn ProcFs> = MemFs::new("lockgraph", "bootes");
+    p.mount_fs(&mem, "", "/n/echo", MREPL).expect("mount over echo");
+    p.close(echo.data_fd);
+    p.close(echo.ctl_fd);
+
     // An import mounted over an import: replacing the mount point
     // clunks the old tree's root, a 9P RPC, under the name space lock.
     for _ in 0..2 {
         import(&p, "dk!nj/astro/helix!exportfs", "/net", "/n/helix", MREPL).expect("import");
     }
     assert!(p.ls("/n/helix").expect("ls /n/helix").iter().any(|d| d.name == "dk"));
+    // An import over TCP, which helix serves from a pool shard.
+    import(&p, "tcp!helix!exportfs", "/net", "/n/helixtcp", MREPL).expect("tcp import");
+    assert!(p.ls("/n/helixtcp").expect("ls /n/helixtcp").iter().any(|d| d.name == "tcp"));
 
     // The serial line: bytes both ways through /dev/eia1.
     let eia = p.open("/dev/eia1", OpenMode::RDWR).expect("open eia1");

@@ -8,7 +8,7 @@ use plan9::core::machine::{Machine, MachineBuilder};
 use plan9::core::namespace::MREPL;
 use plan9::exportfs::exportfs::exportfs_listener;
 use plan9::exportfs::import::import;
-use plan9::inet::il::IlIo;
+use plan9::inet::nine::IlIo;
 use plan9::inet::ip::{IpConfig, IpStack};
 use plan9::netlog::trace::{self, RootSpan, Tracer};
 use plan9::netsim::ether::EtherSegment;

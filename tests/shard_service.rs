@@ -1,20 +1,24 @@
-//! `inet::il::serve_on_shard` under the virtual clock, where a kproc
+//! `inet::nine::serve_on_shard` under the virtual clock, where a kproc
 //! shows in the census the moment it is made: a conversation fed from
 //! its worker-pool shard costs a thread only for an operation that may
 //! block. In a binary of its own: a virtual run is process-wide.
 
-use plan9_inet::il::{serve_on_shard, IlConn, IlIo};
+use plan9_inet::il::IlConn;
 use plan9_inet::ip::{IpConfig, IpStack};
+use plan9_inet::nine::{serve_on_shard, IlIo, Served};
+use plan9_inet::tcp::{TcpConn, TcpListener, TcpState};
 use plan9_netsim::ether::EtherSegment;
 use plan9_netsim::profile::{LinkProfile, Profiles};
 use plan9_ninep::client::NineClient;
 use plan9_ninep::codec::{decode_rmsg, encode_tmsg};
+use plan9_ninep::marshal::{frame, Deframer, FramedSink, FramedSource};
 use plan9_ninep::procfs::{MemFs, OpenMode, ProcFs, ServeNode};
-use plan9_ninep::{Dir, Result, Rmsg, Tmsg};
+use plan9_ninep::transport::{ByteSink, ByteSource};
+use plan9_ninep::{Dir, Result, Rmsg, Tmsg, MAX_FDATA};
 use plan9_support::chan::{unbounded, Receiver, Sender};
 use plan9_support::{pool, time, vtime};
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const PORT: u16 = 17008;
@@ -49,8 +53,14 @@ fn conversation(net: u8) -> (Arc<IlConn>, Arc<IlConn>, [Arc<IpStack>; 2]) {
 /// moment that depends on the real time between the two.
 fn hang_up(conn: &Arc<IlConn>, stacks: &[Arc<IpStack>; 2]) {
     conn.close();
+    emptied(stacks);
+}
+
+/// Waits for both stacks' IL and TCP tables to empty.
+fn emptied(stacks: &[Arc<IpStack>; 2]) {
     let deadline = time::now() + Duration::from_secs(60);
-    while stacks.iter().any(|s| s.il_module().conn_count() > 0) {
+    let convs = |s: &Arc<IpStack>| s.il_module().conn_count() + s.tcp_module().conn_count();
+    while stacks.iter().any(|s| convs(s) > 0) {
         assert!(time::now() < deadline, "a closed conversation is still in its table");
         time::sleep(Duration::from_millis(1));
     }
@@ -61,10 +71,14 @@ fn client_of(conn: &Arc<IlConn>) -> NineClient {
     NineClient::new(Box::new(io.clone()), Box::new(io))
 }
 
+/// What `/big` holds: one read's worth.
+const BIG: [u8; MAX_FDATA] = [0x5a; MAX_FDATA];
+
 fn tree() -> Arc<MemFs> {
     let mem = MemFs::new("ram", "bootes");
     mem.put_file("/f", b"data").unwrap();
     mem.put_file("/gate", b"late").unwrap();
+    mem.put_file("/big", &BIG).unwrap();
     mem
 }
 
@@ -92,13 +106,19 @@ fn a_memfs_served_from_a_shard_makes_no_kproc() {
 }
 
 /// [`tree`], with reads of `/gate` waiting for the test's word as reads
-/// of a `listen` file wait for a call; `/gate` alone may block.
+/// of a `listen` file wait for a call; `/gate` alone may block. Every
+/// read notes the thread it ran on.
 struct GateFs {
     mem: Arc<MemFs>,
     open: Receiver<()>,
+    readers: Mutex<HashSet<String>>,
 }
 
 impl GateFs {
+    fn new(open: Receiver<()>) -> Arc<GateFs> {
+        Arc::new(GateFs { mem: tree(), open, readers: Mutex::default() })
+    }
+
     fn is_gate(&self, n: &ServeNode) -> bool {
         self.mem.stat(n).map_or(true, |d| d.name == "gate")
     }
@@ -121,6 +141,8 @@ impl ProcFs for GateFs {
         self.mem.open(n, mode)
     }
     fn read(&self, n: &ServeNode, offset: u64, count: usize) -> Result<Vec<u8>> {
+        let thread = std::thread::current().name().unwrap_or("").to_string();
+        self.readers.lock().unwrap().insert(thread);
         if self.is_gate(n) {
             self.open.recv().expect("the test holds the gate");
         }
@@ -152,7 +174,7 @@ fn a_parked_read_takes_a_kproc_and_the_shard_answers_on() {
     let vt = vtime::enter();
     let (conn, srv, stacks) = conversation(2);
     let (gate_open, open): (Sender<()>, _) = unbounded();
-    let _svc = serve_on_shard(&srv, Arc::new(GateFs { mem: tree(), open }));
+    let _svc = serve_on_shard(&srv, GateFs::new(open));
     let c = client_of(&conn);
     let f = open_file(&c, "f");
     let before = vt.clock().census().0;
@@ -240,4 +262,151 @@ fn a_full_window_stops_the_feeder_and_not_its_shard() {
         time::sleep(Duration::from_millis(100));
     }
     case.join().unwrap();
+}
+
+/// A TCP conversation from `lport` of the first of `stacks` to the
+/// `listener` on the second: the dialing end and the accepted end.
+fn tcp_dial(
+    stacks: &[Arc<IpStack>; 2],
+    listener: &TcpListener,
+    lport: u16,
+) -> (Arc<TcpConn>, Arc<TcpConn>) {
+    let [client, server] = stacks;
+    let conn = client.tcp_module().connect_from(client, lport, server.addr(), PORT).expect("dial");
+    let srv = listener.accept_timeout(Duration::from_secs(30)).expect("accept");
+    (conn, srv)
+}
+
+fn tcp_listen(stacks: &[Arc<IpStack>; 2]) -> TcpListener {
+    stacks[1].tcp_module().listen(&stacks[1], PORT).expect("listen")
+}
+
+/// A TCP conversation as the byte stream under a framed 9P client.
+#[derive(Clone)]
+struct TcpBytes(Arc<TcpConn>);
+
+impl ByteSink for TcpBytes {
+    fn send_bytes(&mut self, bytes: &[u8]) -> Result<()> {
+        self.0.write(bytes).map(drop)
+    }
+}
+
+impl ByteSource for TcpBytes {
+    fn recv_some(&mut self) -> Result<Option<Vec<u8>>> {
+        let got = self.0.read(1 << 16)?;
+        Ok((!got.is_empty()).then_some(got))
+    }
+}
+
+fn tcp_client_of(conn: &Arc<TcpConn>) -> NineClient {
+    let io = TcpBytes(Arc::clone(conn));
+    NineClient::new(Box::new(FramedSink::new(io.clone())), Box::new(FramedSource::new(io)))
+}
+
+/// Closes both ends of a TCP conversation, which a served end does not
+/// do by itself, and waits for them to leave their tables.
+fn tcp_hang_up(conn: &Arc<TcpConn>, srv: &Arc<TcpConn>, stacks: &[Arc<IpStack>; 2]) {
+    conn.close();
+    srv.close();
+    emptied(stacks);
+}
+
+/// Sixty-four reads of `/big` written down `conn` before any reply is
+/// read: half a megabyte of replies for the service at `srv` to send,
+/// eight send buffers' worth. Returns the threads that ran the reads.
+fn pipelined_big_reads(conn: &Arc<TcpConn>, srv: &Arc<TcpConn>) -> HashSet<String> {
+    let (_gate, open) = unbounded();
+    let fs = GateFs::new(open);
+    let _svc = serve_on_shard(srv, fs.clone());
+    let fid = open_file(&tcp_client_of(conn), "big");
+    let tags = 1000..1064u16;
+    for tag in tags.clone() {
+        let t = encode_tmsg(tag, &Tmsg::Read { fid, offset: 0, count: MAX_FDATA as u16 });
+        conn.write(&frame(&t).unwrap()).unwrap();
+    }
+    let (mut de, mut answered) = (Deframer::default(), HashSet::new());
+    for _ in tags.clone() {
+        while de.whole().unwrap().is_none() {
+            let chunk = conn.read(1 << 16).unwrap();
+            assert!(!chunk.is_empty(), "the end of the conversation, not a reply");
+            de.push(chunk);
+        }
+        match decode_rmsg(&de.take().unwrap().unwrap()).unwrap() {
+            (tag, Rmsg::Read { data, .. }) if data == BIG => assert!(answered.insert(tag)),
+            other => panic!("got {other:?}"),
+        }
+    }
+    assert_eq!(answered, tags.collect());
+    let readers = fs.readers.lock().unwrap().clone();
+    readers
+}
+
+/// The TCP twin of the test above: a worker that parked in
+/// `TcpConn::write_bytes` on a full send buffer would hold up its shard,
+/// where the conversation's retransmission timer fires. The feeder
+/// reads a request only while `TcpConn::can_send`, so every read runs
+/// on a pool worker; one that did not would hand the reads the buffer
+/// has no room for to `9p-worker`s, or park.
+#[test]
+fn a_full_send_buffer_stops_the_feeder_and_not_its_shard() {
+    let _vt = vtime::enter();
+    let case = vtime::kproc("case", || {
+        let stacks = stacks(4, Profiles::ether_fast().with_loss(0.1).with_seed(29));
+        let listener = tcp_listen(&stacks);
+        let mut shards = HashSet::new();
+        for lport in 6000.. {
+            if shards.len() == pool::NSHARDS {
+                break;
+            }
+            let (conn, srv) = tcp_dial(&stacks, &listener, lport);
+            if shards.insert(pool::shard_of(srv.conv_id())) {
+                let readers = pipelined_big_reads(&conn, &srv);
+                assert_eq!(readers, HashSet::from(["pool-worker".to_string()]));
+            }
+            tcp_hang_up(&conn, &srv, &stacks);
+        }
+    })
+    .unwrap();
+    let deadline = time::now() + Duration::from_secs(600);
+    while !case.is_finished() {
+        assert!(time::now() < deadline, "wedged: a shard is parked on a full send buffer");
+        time::sleep(Duration::from_millis(100));
+    }
+    case.join().unwrap();
+}
+
+/// A peer that writes an absurd frame length has lost the framing of its
+/// stream: its conversation is closed, and the service hangs up, which
+/// ends the `9p-worker` a parked read had taken once that read is done.
+#[test]
+fn an_absurd_frame_length_hangs_the_conversation_up() {
+    let vt = vtime::enter();
+    let stacks = stacks(5, Profiles::ether_fast());
+    let listener = tcp_listen(&stacks);
+    let (conn, srv) = tcp_dial(&stacks, &listener, 0);
+    let before = vt.clock().census().0;
+    let (gate_open, open): (Sender<()>, _) = unbounded();
+    let svc = serve_on_shard(&srv, GateFs::new(open));
+    let c = tcp_client_of(&conn);
+    let parked = {
+        let c = c.clone();
+        vtime::kproc("caller", move || c.read(open_file(&c, "gate"), 0, 8)).unwrap()
+    };
+    // The caller, and the `9p-worker` its read is parked on.
+    let deadline = time::now() + Duration::from_secs(60);
+    while vt.clock().census().0 != before + 2 {
+        assert!(time::now() < deadline, "the read never parked");
+        time::sleep(Duration::from_millis(1));
+    }
+    conn.write(&u32::MAX.to_le_bytes()).unwrap();
+    while srv.state() == TcpState::Established {
+        assert!(time::now() < deadline, "the served end is still established");
+        time::sleep(Duration::from_millis(1));
+    }
+    gate_open.send(()).unwrap();
+    assert!(parked.join().unwrap().is_err(), "a reply came over a closed conversation");
+    svc.wait();
+    conn.close();
+    emptied(&stacks);
+    assert_eq!(vt.clock().census().0, before);
 }

@@ -4,7 +4,7 @@
 //! the nanosecond. This is the property that makes a failure seed a
 //! bug report: whatever happened, it happens again.
 
-use plan9_inet::il::IlIo;
+use plan9_inet::nine::IlIo;
 use plan9_inet::ip::{IpConfig, IpStack};
 use plan9_netlog::trace;
 use plan9_netsim::ether::EtherSegment;
