@@ -13,7 +13,7 @@ use crate::addr::IpAddr;
 use crate::ip::IpStack;
 use plan9_ninep::NineError;
 use plan9_support::chan::{bounded, Receiver, Sender};
-use plan9_support::sync::Mutex;
+use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::{time, wheel};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Weak};
@@ -220,6 +220,8 @@ pub(crate) struct ConvTable<C> {
     /// an answered call sits on its listener's port, which is the
     /// listener's to release.
     conns: Mutex<HashMap<ConnKey, (Arc<C>, bool)>>,
+    /// Signalled each time a conversation leaves `conns`.
+    retired: Condvar,
     /// The sending end of each listener's backlog.
     listeners: Mutex<HashMap<u16, Sender<Arc<C>>>>,
     ports: PortSpace,
@@ -229,6 +231,7 @@ impl<C> ConvTable<C> {
     pub(crate) fn new() -> Arc<ConvTable<C>> {
         Arc::new(ConvTable {
             conns: Mutex::named(HashMap::new(), "inet.conv.conns"),
+            retired: Condvar::new(),
             listeners: Mutex::named(HashMap::new(), "inet.conv.listeners"),
             ports: PortSpace::new(),
         })
@@ -282,14 +285,27 @@ impl<C> ConvTable<C> {
     }
 
     pub(crate) fn retire(&self, key: &ConnKey) {
-        let gone = self.conns.lock().remove(key);
-        if gone.is_some_and(|(_, owns_port)| owns_port) {
+        let Some((_, owns_port)) = self.conns.lock().remove(key) else { return };
+        if owns_port {
             self.ports.release(key.lport);
         }
+        self.retired.notify_all();
     }
 
     pub(crate) fn len(&self) -> usize {
         self.conns.lock().len()
+    }
+
+    /// Waits on the current clock until no conversation is left, or
+    /// until `horizon` passes with none leaving; returns how many are.
+    pub(crate) fn settle(&self, horizon: Duration) -> usize {
+        let mut conns = self.conns.lock();
+        let mut deadline = time::now() + horizon;
+        // Each wake is a departure, which starts the horizon again.
+        while !conns.is_empty() && !self.retired.wait_until(&mut conns, deadline).timed_out() {
+            deadline = time::now() + horizon;
+        }
+        conns.len()
     }
 
     pub(crate) fn conns(&self) -> Vec<Arc<C>> {

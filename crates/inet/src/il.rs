@@ -59,6 +59,9 @@ const ACK_BATCH: u32 = 8;
 /// another query round (keeps repair traffic proportional to real loss).
 const REPAIR_BURST: usize = 3;
 const MAX_RETRIES: u32 = 10;
+/// The longest a conversation can go on with none leaving the table:
+/// every retry at the longest timeout, and then the give-up.
+pub const HORIZON: Duration = RTO_MAX.saturating_mul(MAX_RETRIES + 1);
 
 /// IL message types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,7 +245,7 @@ impl IlStats {
 
 /// The per-stack IL state.
 pub struct IlModule {
-    table: Arc<ConvTable<IlConn>>,
+    pub(crate) table: Arc<ConvTable<IlConn>>,
     /// Aggregate counters.
     pub stats: IlStats,
     /// The stack's instrumentation block, for query/repair events.
@@ -1357,11 +1360,7 @@ mod tests {
         let srv = listener.accept().unwrap();
         conn.close();
         srv.close();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while b.il_module().conn_count() > 0 {
-            assert!(Instant::now() < deadline, "conversation never torn down");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        assert_eq!(b.settle(), 0, "conversations never torn down");
         // The port is still the listener's...
         let err = b.il_module().listen(&b, 17008).err().expect("port is held");
         assert!(err.0.contains("in use"), "{err}");

@@ -235,6 +235,14 @@ impl IpStack {
         self.station.payload_mtu() - IP_HDR
     }
 
+    /// Waits, on the current clock, for the stack's IL and TCP
+    /// conversations to leave their tables, and returns how many did
+    /// not: a table stops waiting once its protocol's give-up horizon
+    /// passes with none leaving. The stack goes on serving.
+    pub fn settle(&self) -> usize {
+        self.il.table.settle(il::HORIZON) + self.tcp.table.settle(tcp::HORIZON)
+    }
+
     /// Stops servicing frames. Existing connections will fail.
     pub fn shutdown(&self) {
         self.closed.store(true, Ordering::SeqCst);

@@ -56,10 +56,14 @@ const RTO_MIN: Duration = Duration::from_millis(20);
 const RTO_MAX: Duration = Duration::from_secs(3);
 
 /// How long a closed connection lingers in TIME-WAIT.
-const TIME_WAIT: Duration = Duration::from_millis(200);
+pub const TIME_WAIT: Duration = Duration::from_millis(200);
 
 /// Handshake / teardown attempt bound.
 const MAX_RETRIES: u32 = 8;
+
+/// The longest a connection can go on with none leaving the table:
+/// every retry at the longest timeout, the give-up, then TIME-WAIT.
+pub const HORIZON: Duration = RTO_MAX.saturating_mul(MAX_RETRIES + 1).saturating_add(TIME_WAIT);
 
 /// Connection states, readable in `/net/tcp/n/status`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,7 +287,7 @@ impl TcpStats {
 
 /// The per-stack TCP state.
 pub struct TcpModule {
-    table: Arc<ConvTable<TcpConn>>,
+    pub(crate) table: Arc<ConvTable<TcpConn>>,
     /// Aggregate counters.
     pub stats: TcpStats,
     /// The stack's instrumentation block, for retransmission events.
@@ -1609,11 +1613,7 @@ mod tests {
         conn.close();
         srv.close();
         // Past FIN/ACK both ways and the closer's TIME-WAIT.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while b.tcp_module().conn_count() > 0 {
-            assert!(Instant::now() < deadline, "connection never torn down");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        assert_eq!(b.settle(), 0, "connections never torn down");
         // The port is still the listener's...
         let err = b.tcp_module().listen(&b, 564).err().expect("port is held");
         assert!(err.0.contains("in use"), "{err}");

@@ -505,12 +505,9 @@ fn direct(sc: Scenario) -> Report {
 
     // Quiesce: wait for close handshakes to clear the conversation
     // tables, then drain the wheel and the pool.
+    let residual_conns = topo.settle();
     let drain_deadline = time::now() + Duration::from_secs(120);
-    while topo.conn_count() > 0 && time::now() < drain_deadline {
-        time::sleep(Duration::from_millis(20));
-    }
-    let residual_conns = topo.conn_count();
-    // The wheel/pool drain is bounded by the same deadline: a timer
+    // The wheel/pool drain is bounded by a deadline: a timer
     // that never clears must surface as a residual in the report, not
     // hang the run. (An unstopped netmon sampler would do exactly that
     // — it re-arms forever — which is why the series stop above is

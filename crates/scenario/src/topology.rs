@@ -38,7 +38,7 @@ use plan9_netsim::ether::{
 use plan9_netsim::profile::{LinkProfile, Profiles};
 use plan9_netsim::wire::{Medium, RecvOutcome};
 use plan9_support::chan::{unbounded, RecvTimeoutError};
-use plan9_support::{time, vtime};
+use plan9_support::vtime;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -370,12 +370,10 @@ impl Topology {
         out
     }
 
-    /// Open IL conversations across the whole fabric.
-    pub fn conn_count(&self) -> usize {
-        self.stacks()
-            .iter()
-            .map(|s| s.il_module().conn_count())
-            .sum()
+    /// Waits for every stack to settle; returns the conversations left
+    /// across the whole fabric.
+    pub fn settle(&self) -> usize {
+        self.stacks().iter().map(|s| s.settle()).sum()
     }
 
     /// The fabric-wide frame-conservation check.
@@ -401,8 +399,8 @@ impl Topology {
         Conservation { media }
     }
 
-    /// Tears the fabric down: stops the bridges, shuts every stack
-    /// down, and gives thread-mode receive loops a beat to notice.
+    /// Tears the fabric down: stops the bridges and shuts every stack
+    /// down.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         for c in &self.cities {
@@ -416,7 +414,6 @@ impl Topology {
         for p in self.bridge_procs.drain(..) {
             let _ = p.join();
         }
-        time::sleep(Duration::from_millis(120));
     }
 }
 

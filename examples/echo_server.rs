@@ -83,5 +83,10 @@ fn main() {
         c.join().expect("client");
     }
     srv.join().expect("server thread");
+    // Every call hung up: past the FINs and TIME-WAIT, neither machine
+    // holds a conversation.
+    let left = [&server, &term].map(|m| m.ip.as_ref().expect("ip stack").settle());
+    assert_eq!(left, [0, 0], "conversations left on server and term");
+    println!("conversations left: 0");
     println!("echo_server: OK");
 }

@@ -42,7 +42,6 @@ fn main() {
     Arc::clone(&ftpd)
         .serve(server.proc(), 4)
         .expect("start ftpd");
-    std::thread::sleep(std::time::Duration::from_millis(150));
 
     // ftpfs: dial, login, mount on /n/ftp.
     let p = term.proc();

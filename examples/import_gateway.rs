@@ -79,7 +79,6 @@ sys=philw-gnot dk=nj/astro/philw-gnot
 
     // helix runs the exportfs listener on its Datakit line.
     exportfs_listener(helix.proc(), "dk!*!exportfs", usize::MAX).expect("exportfs listener");
-    std::thread::sleep(std::time::Duration::from_millis(150));
 
     let p = gnot.proc();
     ls_net(&p, "philw-gnot");

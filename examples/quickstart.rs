@@ -85,5 +85,11 @@ sys=gnot ip=135.104.9.40 proto=il proto=tcp
     p.close(st);
     p.close(conn.data_fd);
     p.close(conn.ctl_fd);
+
+    // Hung up: the close handshake takes the conversation out of both
+    // machines' tables.
+    let left = [&helix, &gnot].map(|m| m.ip.as_ref().expect("ip stack").settle());
+    assert_eq!(left, [0, 0], "conversations left on helix and gnot");
+    println!("conversations left: 0");
     println!("\nquickstart: OK");
 }

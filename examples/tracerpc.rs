@@ -140,7 +140,6 @@ fn main() {
         .put_file("/lib/blob", &vec![0x42u8; 1024])
         .expect("seed file");
     exportfs_listener(helix.proc(), "il!*!exportfs", usize::MAX).expect("exportfs listener");
-    std::thread::sleep(std::time::Duration::from_millis(100));
 
     let p = gnot.proc();
     let tracer = trace::global();

@@ -43,7 +43,6 @@ fn remote_job_reads_and_writes_the_terminals_namespace() {
         p.close(fd);
     });
     cpu_listener(server.proc(), "il!*!cpu", job, 1).expect("cpu listener");
-    std::thread::sleep(std::time::Duration::from_millis(100));
 
     // The terminal runs cpu, serving its whole name space.
     let tp = term.proc();

@@ -28,7 +28,6 @@ fn world() -> (Arc<Machine>, Arc<Machine>, Arc<FtpServer>) {
     ftpd.tree.put_file("/pub/README", b"hello ftp").unwrap();
     ftpd.tree.put_file("/pub/deep/leaf.txt", b"leaf").unwrap();
     Arc::clone(&ftpd).serve(site.proc(), 8).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(100));
     (site, term, ftpd)
 }
 
@@ -116,18 +115,11 @@ fn wrong_password_refused() {
 #[test]
 fn an_ended_login_leaves_no_conversation() {
     let (site, term, _ftpd) = world();
-    let convs = || {
-        let count = |m: &Arc<Machine>| m.ip.as_ref().unwrap().tcp_module().conn_count();
-        (count(&site), count(&term))
-    };
-    let before = convs();
+    let machines = [&site, &term];
     let fs = FtpFs::dial_and_login(term.proc(), "tcp!site!ftp", "philw", "guest").expect("login");
-    let during = convs();
-    assert!(during.0 > before.0 && during.1 > before.1);
+    let during = machines.map(|m| m.ip.as_ref().unwrap().tcp_module().conn_count());
+    assert!(during.iter().all(|&n| n > 0), "{during:?}");
     drop(fs);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while convs() != before && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert_eq!(convs(), before);
+    let left = machines.map(|m| m.ip.as_ref().unwrap().settle());
+    assert_eq!(left, [0, 0], "conversations left on site and term");
 }

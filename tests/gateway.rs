@@ -50,7 +50,6 @@ fn world() -> (Arc<Machine>, Arc<Machine>, Arc<Machine>) {
 fn union_shows_local_before_remote_and_adds_unique() {
     let (helix, _musca, gnot) = world();
     exportfs_listener(helix.proc(), "dk!*!exportfs", usize::MAX).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(100));
     let p = gnot.proc();
     let before: Vec<String> = p.ls("/net").unwrap().iter().map(|d| d.name.clone()).collect();
     assert!(before.contains(&"dk".to_string()));
@@ -83,7 +82,6 @@ fn gatewayed_dial_reaches_ether_only_host() {
         }
     });
     exportfs_listener(helix.proc(), "dk!*!exportfs", usize::MAX).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(150));
     let p = gnot.proc();
     import(&p, "dk!nj/astro/helix!exportfs", "/net", "/net", MAFTER).expect("import");
     // The dial goes through gnot's (dk-only) cs, falls back to the raw
@@ -98,7 +96,6 @@ fn gatewayed_dial_reaches_ether_only_host() {
 fn remote_status_files_visible_through_gateway() {
     let (helix, _musca, gnot) = world();
     exportfs_listener(helix.proc(), "dk!*!exportfs", usize::MAX).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(100));
     let p = gnot.proc();
     import(&p, "dk!nj/astro/helix!exportfs", "/net", "/net", MAFTER).expect("import");
     // Reading helix's ether stats across the gateway.
@@ -127,7 +124,6 @@ fn import_subtree_other_than_net() {
         .put_file("/lib/ndb/global", b"# the AT&T-wide file\n")
         .unwrap();
     exportfs_listener(helix.proc(), "dk!*!exportfs", usize::MAX).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(100));
     let p = gnot.proc();
     import(
         &p,
@@ -147,7 +143,6 @@ fn import_subtree_other_than_net() {
 fn import_missing_tree_reports_error() {
     let (helix, _musca, gnot) = world();
     exportfs_listener(helix.proc(), "dk!*!exportfs", usize::MAX).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(100));
     let p = gnot.proc();
     let err = import(
         &p,
@@ -160,12 +155,6 @@ fn import_missing_tree_reports_error() {
     assert!(err.0.contains("NO"), "{err}");
 }
 
-/// Both machines' TCP conversation counts.
-fn tcp_convs(a: &Arc<Machine>, b: &Arc<Machine>) -> (usize, usize) {
-    let convs = |m: &Arc<Machine>| m.ip.as_ref().unwrap().tcp_module().conn_count();
-    (convs(a), convs(b))
-}
-
 /// Polls until `done`, or five seconds have gone.
 fn settled(done: impl Fn() -> bool) -> bool {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
@@ -175,10 +164,9 @@ fn settled(done: impl Fn() -> bool) -> bool {
     done()
 }
 
-/// Waits for the counts to come back to `before`, and reports them.
-fn settled_tcp_convs(a: &Arc<Machine>, b: &Arc<Machine>, before: (usize, usize)) -> (usize, usize) {
-    settled(|| tcp_convs(a, b) == before);
-    tcp_convs(a, b)
+/// The conversations each machine's stack is left with once it settles.
+fn left_on(machines: [&Arc<Machine>; 2]) -> [usize; 2] {
+    machines.map(|m| m.ip.as_ref().unwrap().settle())
 }
 
 /// A TCP call `exportfs_listener` served must leave no conversation
@@ -188,9 +176,7 @@ fn settled_tcp_convs(a: &Arc<Machine>, b: &Arc<Machine>, before: (usize, usize))
 #[test]
 fn tcp_import_leaves_no_conversation_after_unmount() {
     let (helix, musca, _gnot) = world();
-    let before = tcp_convs(&helix, &musca);
     exportfs_listener(helix.proc(), "tcp!*!exportfs", usize::MAX).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(100));
     let p = musca.proc();
     import(
         &p,
@@ -201,13 +187,13 @@ fn tcp_import_leaves_no_conversation_after_unmount() {
     )
     .expect("import over tcp");
     assert!(!p.ls("/n/helixndb").unwrap().is_empty());
-    let during = tcp_convs(&helix, &musca);
-    assert!(during.0 > before.0 && during.1 > before.1);
+    let during = [&helix, &musca].map(|m| m.ip.as_ref().unwrap().tcp_module().conn_count());
+    assert!(during.iter().all(|&n| n > 0), "{during:?}");
     p.ns.unmount("/n/helixndb").expect("unmount");
     // `import` leaves the data file open in the importing process; the
     // conversation ends with it.
     drop(p);
-    assert_eq!(settled_tcp_convs(&helix, &musca, before), before);
+    assert_eq!(left_on([&helix, &musca]), [0, 0]);
 }
 
 /// The same of a call `cpu_listener` served, once the job has run and
@@ -215,16 +201,14 @@ fn tcp_import_leaves_no_conversation_after_unmount() {
 #[test]
 fn tcp_cpu_session_leaves_no_conversation() {
     let (helix, musca, _gnot) = world();
-    let before = tcp_convs(&helix, &musca);
     let job: CpuJob = Arc::new(|p| {
         assert!(!p.ls("/mnt/term/lib/ndb").unwrap().is_empty());
     });
     cpu_listener(helix.proc(), "tcp!*!cpu", job, usize::MAX).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(100));
     let p = musca.proc();
     cpu(&p, "tcp!helix!cpu", "/").expect("cpu session");
     drop(p);
-    assert_eq!(settled_tcp_convs(&helix, &musca, before), before);
+    assert_eq!(left_on([&helix, &musca]), [0, 0]);
 }
 
 /// A file server of data at hand (it says so) that notes the thread
@@ -313,7 +297,6 @@ fn exportfs_keeps_its_slaves_for_the_files_that_may_block() {
     let fs: Arc<dyn ProcFs> = probe.clone();
     hp.mount_fs(&fs, "", "/n/probe", MREPL).unwrap();
     exportfs_listener(hp, "dk!*!exportfs", usize::MAX).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(100));
     let p = gnot.proc();
     import(&p, "dk!nj/astro/helix!exportfs", "/", "/n/helix", MREPL).expect("import /");
 
@@ -365,7 +348,6 @@ fn a_conversation_is_served_where_its_requests_arrive() {
     for addr in ["il!*!exportfs", "tcp!*!exportfs", "dk!*!exportfs"] {
         exportfs_listener(with_probe(helix.proc()), addr, usize::MAX).unwrap();
     }
-    std::thread::sleep(std::time::Duration::from_millis(100));
     // The threads that ran ten reads of `/n/x/f`.
     let readers = |p: &Proc| -> Vec<String> {
         probe.reads.lock().unwrap().clear();
@@ -399,7 +381,6 @@ fn a_conversation_is_served_where_its_requests_arrive() {
     for addr in ["il!*!17099", "tcp!*!17099"] {
         exportfs_listener(gp.fork(), addr, usize::MAX).unwrap();
     }
-    std::thread::sleep(std::time::Duration::from_millis(100));
     assert_eq!(imported(&musca, "il!helix!17099"), ["exportfs"]);
     assert_eq!(imported(&musca, "tcp!helix!17099"), ["exportfs"]);
 }
@@ -418,7 +399,6 @@ fn a_hangup_with_a_read_parked_leaves_nothing_on_the_gateway() {
     let hp = helix.proc();
     hp.mount_fs(&probe, "", "/n/probe", MREPL).unwrap();
     exportfs_listener(hp, "il!*!exportfs", usize::MAX).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(100));
     let held = Arc::strong_count(&probe);
     let udp_convs = || -> Vec<String> {
         let convs = helix.proc().ls("/net/udp").unwrap();

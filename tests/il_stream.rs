@@ -18,7 +18,7 @@ use plan9::netsim::ether::{EtherSegment, MacAddr};
 use plan9::netsim::profile::Profiles;
 use plan9_support::check::Gen;
 use plan9_support::{time, vtime};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -32,6 +32,10 @@ const PORT: u16 = 17008;
 const WEDGED: Duration = Duration::from_secs(600);
 
 const ACCEPT: Duration = Duration::from_secs(30);
+
+/// The longest virtual time a case of this run has spent in `settle`,
+/// in nanoseconds: how long teardown takes, against `il::HORIZON`.
+static LONGEST_SETTLE: AtomicU64 = AtomicU64::new(0);
 
 /// What one end of a case is to do.
 struct End {
@@ -204,16 +208,14 @@ fn case(seed: u64) -> Result<(), String> {
 
     // Both ends closed: past the handshake, or the timers of an end
     // whose peer's Close was lost, neither table holds the conversation.
-    let deadline = time::now() + Duration::from_secs(120);
-    while a.il_module().conn_count() + b.il_module().conn_count() > 0 {
-        if time::now() >= deadline {
-            return Err(format!(
-                "({wire}): {} conversations left on a, {} on b",
-                a.il_module().conn_count(),
-                b.il_module().conn_count()
-            ));
-        }
-        time::sleep(Duration::from_millis(50));
+    let t0 = time::now();
+    let left = [a.settle(), b.settle()];
+    let took = (time::now() - t0).as_nanos() as u64;
+    if LONGEST_SETTLE.fetch_max(took, Ordering::Relaxed) < took {
+        eprintln!("il_stream: seed {seed} settled in {:?}, the longest yet", Duration::from_nanos(took));
+    }
+    if left != [0, 0] {
+        return Err(format!("({wire}): {} conversations left on a, {} on b", left[0], left[1]));
     }
     Ok(())
 }

@@ -112,7 +112,6 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/gnot proto=il proto=tcp
     echo_service(helix.proc(), "dk!*!echo", false);
     exportfs_listener(helix.proc(), "dk!*!exportfs", usize::MAX).expect("exportfs");
     exportfs_listener(helix.proc(), "tcp!*!exportfs", usize::MAX).expect("exportfs");
-    std::thread::sleep(Duration::from_millis(100));
 
     let p = gnot.proc();
     // The first pipe in the process is opened and closed unused: its

@@ -64,12 +64,8 @@ plan9_support::props! {
         // the counters once two reads agree.
         p.close(conn.data_fd);
         p.close(conn.ctl_fd);
-        let convs = || [&a, &b].map(|m| m.ip.as_ref().unwrap().il_module().conn_count());
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(15);
-        while convs() != [0, 0] && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        assert_eq!(convs(), [0, 0], "conversation outlived its hangup");
+        let left = [&a, &b].map(|m| m.ip.as_ref().unwrap().settle());
+        assert_eq!(left, [0, 0], "conversations outlived their hangup");
         let stats = seg.medium().stats();
         let read = || [&stats.sent, &stats.delivered, &stats.dropped, &stats.duplicated].map(|c| c.get());
         let mut settled = read();

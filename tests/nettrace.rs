@@ -148,7 +148,6 @@ fn queue_spans_nest_inside_rpc_roots() {
     let (helix, gnot) = boot_pair();
     helix.rootfs.put_file("/lib/blob", &[0x33u8; 900]).unwrap();
     exportfs_listener(helix.proc(), "il!*!exportfs", usize::MAX).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
 
     let p = gnot.proc();
     tracer.ctl("trace on").unwrap();

@@ -58,12 +58,8 @@ fn hang_up(conn: &Arc<IlConn>, stacks: &[Arc<IpStack>; 2]) {
 
 /// Waits for both stacks' IL and TCP tables to empty.
 fn emptied(stacks: &[Arc<IpStack>; 2]) {
-    let deadline = time::now() + Duration::from_secs(60);
-    let convs = |s: &Arc<IpStack>| s.il_module().conn_count() + s.tcp_module().conn_count();
-    while stacks.iter().any(|s| convs(s) > 0) {
-        assert!(time::now() < deadline, "a closed conversation is still in its table");
-        time::sleep(Duration::from_millis(1));
-    }
+    let left = stacks.each_ref().map(|s| s.settle());
+    assert_eq!(left, [0, 0], "closed conversations still in their tables");
 }
 
 fn client_of(conn: &Arc<IlConn>) -> NineClient {

@@ -13,7 +13,7 @@ use plan9::netsim::ether::{EtherSegment, MacAddr};
 use plan9::netsim::profile::Profiles;
 use plan9_support::check::Gen;
 use plan9_support::{time, vtime};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -27,6 +27,10 @@ const PORT: u16 = 564;
 const WEDGED: Duration = Duration::from_secs(600);
 
 const ACCEPT: Duration = Duration::from_secs(30);
+
+/// The longest virtual time a case of this run has spent in `settle`,
+/// in nanoseconds: how long teardown takes, against `tcp::HORIZON`.
+static LONGEST_SETTLE: AtomicU64 = AtomicU64::new(0);
 
 /// The largest single write: past `SND_BUF_MAX`'s free space often
 /// enough that writers block, and never a multiple of a segment.
@@ -199,16 +203,14 @@ fn case(seed: u64) -> Result<(), String> {
 
     // Both halves closed: past the FINs, their acknowledgments and the
     // first closer's TIME-WAIT, neither table holds the conversation.
-    let deadline = time::now() + Duration::from_secs(60);
-    while a.tcp_module().conn_count() + b.tcp_module().conn_count() > 0 {
-        if time::now() >= deadline {
-            return Err(format!(
-                "({wire}): {} conversations left on a, {} on b",
-                a.tcp_module().conn_count(),
-                b.tcp_module().conn_count()
-            ));
-        }
-        time::sleep(Duration::from_millis(50));
+    let t0 = time::now();
+    let left = [a.settle(), b.settle()];
+    let took = (time::now() - t0).as_nanos() as u64;
+    if LONGEST_SETTLE.fetch_max(took, Ordering::Relaxed) < took {
+        eprintln!("tcp_stream: seed {seed} settled in {:?}, the longest yet", Duration::from_nanos(took));
+    }
+    if left != [0, 0] {
+        return Err(format!("({wire}): {} conversations left on a, {} on b", left[0], left[1]));
     }
     Ok(())
 }
