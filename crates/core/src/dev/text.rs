@@ -207,8 +207,8 @@ mod tests {
         let (fs, netlog) = netlog_dev();
         let ctl = walk_open(&fs, &["log", "ctl"], OpenMode::RDWR);
         fs.write(&ctl, 0, b"set il").unwrap();
-        netlog.events.log(Facility::Il, || "rexmit id 7".to_string());
-        netlog.events.log(Facility::Tcp, || "never recorded".to_string());
+        netlog.events.log(Facility::Il, None, || "rexmit id 7".to_string());
+        netlog.events.log(Facility::Tcp, None, || "never recorded".to_string());
         let data = walk_open(&fs, &["log", "data"], OpenMode::READ);
         assert_eq!(text(&fs, &data), "il: rexmit id 7\n");
     }
@@ -218,7 +218,7 @@ mod tests {
         let (fs, netlog) = netlog_dev();
         let ctl = walk_open(&fs, &["log", "ctl"], OpenMode::RDWR);
         fs.write(&ctl, 0, b"set arp").unwrap();
-        netlog.events.log(Facility::Arp, || "who-has".to_string());
+        netlog.events.log(Facility::Arp, None, || "who-has".to_string());
         fs.write(&ctl, 0, b"clear").unwrap();
         assert!(!netlog.events.enabled(Facility::Arp));
         let data = walk_open(&fs, &["log", "data"], OpenMode::READ);
@@ -287,7 +287,8 @@ mod tests {
 
     fn trace_dev() -> (Arc<TextDev>, Arc<Tracer>) {
         let tracer = Tracer::new(16);
-        (TextDev::new("nettrace", "network", Some("trace"), trace_files(&tracer)), tracer)
+        let files = trace_files(&tracer, NetLog::new());
+        (TextDev::new("nettrace", "network", Some("trace"), files), tracer)
     }
 
     #[test]

@@ -61,13 +61,14 @@ pub(crate) fn log_files(netlog: &Arc<NetLog>) -> Vec<TextFile> {
 
 /// `/net/trace`: the flight recorder. `ctl` takes `trace on`, `filter
 /// il 9p`, `dump`, `clear` and reads back as replayable requests;
-/// `data` is the completed root spans with their trees.
-pub(crate) fn trace_files(tracer: &Arc<Tracer>) -> Vec<TextFile> {
+/// `data` is the completed root spans with their trees, each followed
+/// by the events of this machine's `/net/log` ring that name it.
+pub(crate) fn trace_files(tracer: &Arc<Tracer>, netlog: Arc<NetLog>) -> Vec<TextFile> {
     let [status, ctl, data] = [(); 3].map(|()| Arc::clone(tracer));
     vec![
         TextFile::new("ctl", 2, 0o660, move || status.status_line())
             .on_write(move |req| ctl.ctl(req).map_err(NineError::new)),
-        TextFile::new("data", 3, 0o444, move || data.render()),
+        TextFile::new("data", 3, 0o444, move || data.render(&netlog.events)),
     ]
 }
 
@@ -255,10 +256,11 @@ impl MachineBuilder {
         // The netlog device, /net/log, over the machine's metric table
         // and event ring, and the nettrace device, /net/trace, over the
         // process-wide flight recorder, so a trace that crosses
-        // machines reads the same from any of them.
+        // machines shows the same spans from any of them, each with
+        // this machine's events.
         let log = log_files(&netlog);
         mount_text(TextDev::new("netlog", "network", Some("log"), log), "/net")?;
-        let trace = trace_files(plan9_netlog::trace::global());
+        let trace = trace_files(plan9_netlog::trace::global(), Arc::clone(&netlog));
         mount_text(TextDev::new("nettrace", "network", Some("trace"), trace), "/net")?;
         // DNS, then CS over it.
         let dns = self.internet.as_ref().map(|net| DnsServer::new(Arc::clone(net)));

@@ -348,7 +348,7 @@ impl IlModule {
         let conn = self.table.open(lport, dst, dport, |key| {
             IlConn::fresh(stack, key, IlState::Syncer, iss)
         })?;
-        self.netlog.events.log(Facility::Il, || {
+        self.netlog.events.log(Facility::Il, None, || {
             format!("sync id {iss} to {dst}!{dport}")
         });
         // Any setup failure — the Sync transmit or arming the shared
@@ -424,7 +424,7 @@ impl IlModule {
                 conn
             });
             if let Some(conn) = answered {
-                stack.il.netlog.events.log(Facility::Il, || {
+                stack.il.netlog.events.log(Facility::Il, None, || {
                     format!("sync id {iss} from {src} port {}", pkt.src)
                 });
                 let _ = conn.transmit(IlType::Sync, iss, pkt.id, &[]);
@@ -819,12 +819,9 @@ impl IlConn {
             Action::SendQuery(id, ack, tr) => {
                 if let Some(stack) = self.stack.upgrade() {
                     stack.il.stats.queries.inc();
-                    stack.il.netlog.events.log(Facility::Il, || {
+                    stack.il.netlog.events.log(Facility::Il, tr.as_ref(), || {
                         format!("query id {id} ack {ack}")
                     });
-                }
-                if let Some(h) = tr {
-                    h.event(Facility::Il, || format!("query id {id} ack {ack}"));
                 }
                 let _ = self.transmit(IlType::Query, id, ack, &[]);
             }
@@ -1004,23 +1001,12 @@ impl IlConn {
                 stack.il.stats.retransmit_bytes.add(bytes as u64);
                 // One event per repaired message, so the event log is a
                 // ground truth the retransmit counter can be checked
-                // against.
-                for (id, payload, _) in &retransmit {
+                // against, each naming the RPC whose message it was.
+                for (id, payload, tr) in &retransmit {
                     let len = payload.len();
-                    stack
-                        .il
-                        .netlog
-                        .events
-                        .log(Facility::Il, || format!("rexmit id {id} len {len}"));
-                }
-            }
-            // The same event, on the root span of the RPC whose message
-            // was repaired — the netlog line and the span event pair up
-            // one to one.
-            for (id, payload, tr) in &retransmit {
-                if let Some(h) = tr {
-                    let len = payload.len();
-                    h.event(Facility::Il, || format!("rexmit id {id} len {len}"));
+                    stack.il.netlog.events.log(Facility::Il, tr.as_ref(), || {
+                        format!("rexmit id {id} len {len}")
+                    });
                 }
             }
             let ack = self.inner.lock().rcv_id;

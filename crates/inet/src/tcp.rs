@@ -1027,14 +1027,9 @@ impl TcpConn {
                 stack.tcp.stats.retransmit_segments.add(actions.len() as u64);
                 stack.tcp.stats.retransmit_bytes.add(bytes as u64);
                 let n = actions.len();
-                stack.tcp.netlog.events.log(Facility::Tcp, || {
+                stack.tcp.netlog.events.log(Facility::Tcp, rexmit_trace.as_ref(), || {
                     format!("timeout rexmit {n} segments {bytes} bytes")
                 });
-                if let Some(h) = &rexmit_trace {
-                    h.event(Facility::Tcp, || {
-                        format!("timeout rexmit {n} segments {bytes} bytes")
-                    });
-                }
             }
             for (hdr, payload) in actions {
                 let _ = self.transmit(hdr, &payload);
@@ -1113,7 +1108,9 @@ impl TcpConn {
                             inner.cwnd = inner.ssthresh + 3 * inner.mss as u32;
                             inner.rtt_probe = None;
                             let in_flight = inner.inflight() as usize;
-                            rexmit = self.segment(&mut inner, 0, in_flight);
+                            rexmit = self
+                                .segment(&mut inner, 0, in_flight)
+                                .map(|seg| (seg, inner.trace.clone()));
                         }
                     }
                     if seg.flags & ACK != 0 && seq_lt(inner.snd_una, seg.ack)
@@ -1178,12 +1175,12 @@ impl TcpConn {
             let _ = self.rearm(&mut inner);
             (ack, inner.unsent(), inner.state == TcpState::Closed)
         };
-        if let (Some((hdr, payload)), Some(stack)) = (rexmit, self.stack.upgrade()) {
+        if let (Some(((hdr, payload), tr)), Some(stack)) = (rexmit, self.stack.upgrade()) {
             let (seq, len) = (hdr.seq, payload_len(&payload));
             stack.tcp.stats.fast_retransmits.inc();
             stack.tcp.stats.retransmit_segments.inc();
             stack.tcp.stats.retransmit_bytes.add(len as u64);
-            stack.tcp.netlog.events.log(Facility::Tcp, || {
+            stack.tcp.netlog.events.log(Facility::Tcp, tr.as_ref(), || {
                 format!("fast rexmit seq {seq} len {len}")
             });
             let _ = self.transmit(hdr, &payload);

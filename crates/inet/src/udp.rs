@@ -73,7 +73,7 @@ impl UdpModule {
                 .udp
                 .netlog
                 .events
-                .log(Facility::Udp, || format!("csum error from {src}"));
+                .log(Facility::Udp, None, || format!("csum error from {src}"));
             return;
         };
         let binds = stack.udp.binds.lock();
@@ -86,7 +86,7 @@ impl UdpModule {
             }
             None => {
                 stack.udp.unreachable.inc();
-                stack.udp.netlog.events.log(Facility::Udp, || {
+                stack.udp.netlog.events.log(Facility::Udp, None, || {
                     format!("unreachable port {dport} from {src}")
                 });
             }

@@ -19,7 +19,9 @@
 //!   scenario report's pool block is `name value` lines of it.
 //! * [`Facility`] / [`EventLog`] — a bounded ring of protocol events
 //!   guarded by an atomic per-facility enable mask; disabled facilities
-//!   cost one relaxed load per event site.
+//!   cost one relaxed load per event site. The ring is the one record
+//!   of an event: a traced one carries its root's id, and
+//!   [`trace::Tracer::render`] lists it under that root.
 //!
 //! Nothing here performs I/O; the file-system surface (`/net/log`,
 //! `stats` files) lives in `plan9-core`, which simply renders these
@@ -35,6 +37,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
+use trace::TraceHandle;
 
 /// A named monotonically increasing counter. Clones share the cell.
 #[derive(Clone)]
@@ -444,13 +448,18 @@ impl Facility {
     }
 }
 
-/// One logged event.
+/// One logged event: the only record of it. A traced request's events
+/// carry its root's id, and `/net/trace/data` reads them from here.
 #[derive(Clone, Debug)]
 pub struct Event {
     /// Which facility produced the event.
     pub facility: Facility,
     /// The event text (one line, no trailing newline).
     pub msg: String,
+    /// The id of the trace root the event happened for, if any.
+    pub trace: Option<u64>,
+    /// When it happened, on the kernel's clock.
+    pub at: Instant,
 }
 
 /// Default ring capacity: enough to hold a burst of recovery traffic
@@ -498,20 +507,24 @@ impl EventLog {
         self.mask.load(Ordering::Relaxed) & f.bit() != 0
     }
 
-    /// Logs one event if `f` is enabled. The closure only runs when it
-    /// is, so disabled facilities pay one atomic load and nothing else.
-    pub fn log<F: FnOnce() -> String>(&self, f: Facility, msg: F) {
+    /// Logs one event if `f` is enabled, tagged with the trace root it
+    /// belongs to. The closure only runs when it is, so disabled
+    /// facilities pay one atomic load and nothing else.
+    pub fn log<F: FnOnce() -> String>(&self, f: Facility, trace: Option<&TraceHandle>, msg: F) {
         if !self.enabled(f) {
             return;
         }
+        let ev = Event {
+            facility: f,
+            msg: msg(),
+            trace: trace.map(TraceHandle::id),
+            at: plan9_support::time::now(),
+        };
         let mut ring = self.ring.lock();
         if ring.len() >= self.cap {
             ring.pop_front();
         }
-        ring.push_back(Event {
-            facility: f,
-            msg: msg(),
-        });
+        ring.push_back(ev);
     }
 
     /// Handles one ctl write (`set fac...`, `clear [fac...]`).
@@ -585,12 +598,17 @@ impl EventLog {
     }
 
     /// Renders the buffered events as `facility: message` lines, the
-    /// format `/net/log/data` serves.
+    /// format `/net/log/data` serves; a traced event ends `(trace <id>)`,
+    /// the root it is listed under in `/net/trace/data`.
     pub fn render(&self) -> String {
         let ring = self.ring.lock();
         let mut out = String::new();
         for ev in ring.iter() {
-            out.push_str(&format!("{}: {}\n", ev.facility.name(), ev.msg));
+            out.push_str(&format!("{}: {}", ev.facility.name(), ev.msg));
+            if let Some(id) = ev.trace {
+                out.push_str(&format!(" (trace {id})"));
+            }
+            out.push('\n');
         }
         out
     }
@@ -734,7 +752,7 @@ mod tests {
     fn eventlog_masks_facilities() {
         let log = EventLog::new(16);
         let mut built = false;
-        log.log(Facility::Il, || {
+        log.log(Facility::Il, None, || {
             built = true;
             "dropped".to_string()
         });
@@ -745,8 +763,8 @@ mod tests {
         assert!(log.enabled(Facility::Il));
         assert!(log.enabled(Facility::Tcp));
         assert!(!log.enabled(Facility::Udp));
-        log.log(Facility::Il, || "q 7".to_string());
-        log.log(Facility::Udp, || "unseen".to_string());
+        log.log(Facility::Il, None, || "q 7".to_string());
+        log.log(Facility::Udp, None, || "unseen".to_string());
         let text = log.render();
         assert_eq!(text, "il: q 7\n");
     }
@@ -755,7 +773,7 @@ mod tests {
     fn eventlog_clear_facility_and_flush() {
         let log = EventLog::new(16);
         log.ctl("set il tcp").unwrap();
-        log.log(Facility::Tcp, || "rexmit".to_string());
+        log.log(Facility::Tcp, None, || "rexmit".to_string());
         log.ctl("clear tcp").unwrap();
         assert!(!log.enabled(Facility::Tcp));
         assert!(log.enabled(Facility::Il));
@@ -770,7 +788,7 @@ mod tests {
         let log = EventLog::new(4);
         log.ctl("set ether").unwrap();
         for i in 0..10 {
-            log.log(Facility::Ether, || format!("frame {i}"));
+            log.log(Facility::Ether, None, || format!("frame {i}"));
         }
         assert_eq!(log.len(), 4);
         let events = log.events();

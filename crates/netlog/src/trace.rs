@@ -1,13 +1,19 @@
 //! nettrace: a span-based flight recorder for following one request
 //! across layers.
 //!
-//! The netlog ring (`/net/log`) answers "how many, how fast on
-//! average"; this module answers "where did *this* 9P RPC spend its
-//! time". Each client RPC opens a *root span*; as the request crosses
-//! layer boundaries — mount-driver marshal, stream queue residency,
-//! protocol device handling, IL send→ack, wire delivery — the layers
-//! attach *child spans* (an interval) or *span events* (a point, e.g.
-//! one retransmission) to the root they belong to.
+//! The netlog ring (`/net/log`) answers "what happened"; this module
+//! answers "where did *this* 9P RPC spend its time". Each client RPC
+//! opens a *root span*; as the request crosses layer boundaries —
+//! mount-driver marshal, stream queue residency, protocol device
+//! handling, IL send→ack, wire delivery — the layers attach *child
+//! spans* (intervals) to the root they belong to.
+//!
+//! A point event (one retransmission, one query) is not kept here: it
+//! lives once, in the machine's event ring, tagged with its root's id
+//! ([`EventLog::log`]), and `set <fac>` on `/net/log/ctl` is the one
+//! switch that keeps it. [`Tracer::render`] lists under each root the
+//! ring entries that name it, so a machine's `/net/trace/data` shows
+//! that machine's own events beside the shared spans.
 //!
 //! Attribution crosses threads the way the kernel's own state does:
 //! the thread driving an RPC installs its handle in a thread-local
@@ -24,13 +30,13 @@
 //! share a process, and a trace must follow an RPC from one machine's
 //! mount driver through the wire into another machine's server, so one
 //! flight recorder spanning all of them is exactly what is wanted.
-//! `/net/trace` on every machine serves the same ring, like a shared
-//! analyzer plugged into the lab bus.
+//! `/net/trace` on every machine serves the same ring of roots, like a
+//! shared analyzer plugged into the lab bus.
 
-use crate::Facility;
+use crate::{Event, EventLog, Facility};
 use plan9_support::sync::Mutex;
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -41,9 +47,6 @@ pub const DEFAULT_ROOT_CAP: usize = 2048;
 
 /// Child spans kept per root; later spans are dropped.
 const MAX_SPANS: usize = 512;
-
-/// Span events kept per root; later events are dropped.
-const MAX_EVENTS: usize = 512;
 
 /// One timed interval inside a root span: time spent in one layer.
 #[derive(Debug, Clone)]
@@ -56,17 +59,6 @@ pub struct Span {
     pub start_ns: u64,
     /// End, in nanoseconds since the tracer's epoch.
     pub end_ns: u64,
-}
-
-/// A point event inside a root span, e.g. one retransmission.
-#[derive(Debug, Clone)]
-pub struct SpanEvent {
-    /// The layer that recorded the event.
-    pub facility: Facility,
-    /// The event text, matching the netlog line for the same event.
-    pub msg: String,
-    /// When, in nanoseconds since the tracer's epoch.
-    pub at_ns: u64,
 }
 
 /// One traced request: the root interval plus its children.
@@ -85,8 +77,6 @@ pub struct RootSpan {
     pub open: bool,
     /// Child intervals, in the order they completed.
     pub spans: Vec<Span>,
-    /// Point events, in the order they happened.
-    pub events: Vec<SpanEvent>,
 }
 
 impl RootSpan {
@@ -106,7 +96,7 @@ struct TraceState {
 
 /// The flight recorder. One mutex guards both the active set and the
 /// completed ring so that finishing a root is atomic against a late
-/// event racing to attach to it.
+/// span racing to attach to it.
 pub struct Tracer {
     on: AtomicBool,
     filter: AtomicU64,
@@ -153,7 +143,9 @@ impl Tracer {
         self.enabled() && self.filter.load(Ordering::Relaxed) & f.bit() != 0
     }
 
-    fn ns(&self, t: Instant) -> u64 {
+    /// Nanoseconds from the tracer's epoch to `t`: the clock every
+    /// root's and span's times are in.
+    pub fn ns(&self, t: Instant) -> u64 {
         t.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
@@ -186,7 +178,6 @@ impl Tracer {
             end_ns: now,
             open: true,
             spans: Vec::new(),
-            events: Vec::new(),
         });
         drop(st);
         Some(TraceHandle {
@@ -239,30 +230,11 @@ impl Tracer {
         }
     }
 
-    /// Attaches a point event to root `id`. The closure only runs when
-    /// the event will actually be recorded.
-    pub fn event<F: FnOnce() -> String>(&self, id: u64, fac: Facility, f: F) {
-        if !self.enabled_for(fac) {
-            return;
-        }
-        let at = self.ns(plan9_support::time::now());
-        let msg = f();
-        let mut st = self.state.lock();
-        if let Some(root) = find_mut(&mut st, id) {
-            if root.events.len() < MAX_EVENTS {
-                root.events.push(SpanEvent {
-                    facility: fac,
-                    msg,
-                    at_ns: at,
-                });
-            }
-        }
-    }
-
     /// Interprets a `/net/trace/ctl` request:
     ///
     /// * `trace on` / `trace off` — master switch
-    /// * `filter [fac...]` — record only these facilities (none = all)
+    /// * `filter [fac...]` — record only these facilities' spans (none =
+    ///   all); events have their own switch, `/net/log/ctl`
     /// * `sample <n>` — trace 1-in-`n` root spans (1 = every root)
     /// * `dump` — force still-open roots into the ring, marked open
     /// * `clear` — flush the completed ring
@@ -362,7 +334,9 @@ impl Tracer {
         self.state.lock().active.len()
     }
 
-    /// Renders the ring as ASCII lines for `/net/trace/data`:
+    /// Renders the ring as ASCII lines for `/net/trace/data`, each
+    /// root followed by its spans and then by the entries of `log` (a
+    /// machine's event ring) that carry its id:
     ///
     /// ```text
     /// trace 3 Twalk tag 1 421us
@@ -371,12 +345,45 @@ impl Tracer {
     ///   event il rexmit id 7 len 61 @250us
     /// ```
     ///
-    /// Child offsets are microseconds relative to the root's start.
-    pub fn render(&self) -> String {
-        let st = self.state.lock();
+    /// Child offsets are microseconds relative to the root's start. The
+    /// roots are copied out under the tracer's lock and the events
+    /// under the ring's, one after the other: neither lock is held
+    /// while taking the other.
+    pub fn render(&self, log: &EventLog) -> String {
+        let roots = self.roots();
+        let mut events: HashMap<u64, Vec<Event>> = HashMap::new();
+        for ev in log.events() {
+            if let Some(id) = ev.trace {
+                events.entry(id).or_default().push(ev);
+            }
+        }
+        let us = |ns: u64| ns / 1_000;
         let mut out = String::new();
-        for root in &st.done {
-            render_root(&mut out, root);
+        for root in &roots {
+            out.push_str(&format!(
+                "trace {} {} {}us{}\n",
+                root.id,
+                root.label,
+                us(root.dur_ns()),
+                if root.open { " open" } else { "" }
+            ));
+            for s in &root.spans {
+                out.push_str(&format!(
+                    "  span {} {} {}+{}us\n",
+                    s.facility.name(),
+                    s.name,
+                    us(s.start_ns.saturating_sub(root.start_ns)),
+                    us(s.end_ns.saturating_sub(s.start_ns)),
+                ));
+            }
+            for e in events.get(&root.id).into_iter().flatten() {
+                out.push_str(&format!(
+                    "  event {} {} @{}us\n",
+                    e.facility.name(),
+                    e.msg,
+                    us(self.ns(e.at).saturating_sub(root.start_ns)),
+                ));
+            }
         }
         out
     }
@@ -388,34 +395,6 @@ fn find_mut(st: &mut TraceState, id: u64) -> Option<&mut RootSpan> {
     }
     // Late attachment: newest completed roots are the likely targets.
     st.done.iter_mut().rev().find(|r| r.id == id)
-}
-
-fn render_root(out: &mut String, root: &RootSpan) {
-    let us = |ns: u64| ns / 1_000;
-    out.push_str(&format!(
-        "trace {} {} {}us{}\n",
-        root.id,
-        root.label,
-        us(root.dur_ns()),
-        if root.open { " open" } else { "" }
-    ));
-    for s in &root.spans {
-        out.push_str(&format!(
-            "  span {} {} {}+{}us\n",
-            s.facility.name(),
-            s.name,
-            us(s.start_ns.saturating_sub(root.start_ns)),
-            us(s.end_ns.saturating_sub(s.start_ns)),
-        ));
-    }
-    for e in &root.events {
-        out.push_str(&format!(
-            "  event {} {} @{}us\n",
-            e.facility.name(),
-            e.msg,
-            us(e.at_ns.saturating_sub(root.start_ns)),
-        ));
-    }
 }
 
 /// A reference to one root span: the annotation currency the layers
@@ -435,11 +414,6 @@ impl TraceHandle {
     /// Attaches a child interval to this handle's root.
     pub fn span(&self, fac: Facility, name: &str, start: Instant, end: Instant) {
         self.tracer.span(self.id, fac, name, start, end);
-    }
-
-    /// Attaches a point event to this handle's root.
-    pub fn event<F: FnOnce() -> String>(&self, fac: Facility, f: F) {
-        self.tracer.event(self.id, fac, f);
     }
 
     /// Closes this handle's root.
@@ -521,39 +495,74 @@ mod tests {
         assert!(roots[0].dur_ns() >= 1_000_000, "{}", roots[0].dur_ns());
     }
 
+    /// A ring with `facs` set, as `/net/log/ctl` leaves it.
+    fn ring(facs: &str) -> EventLog {
+        let log = EventLog::new(16);
+        log.ctl(&format!("set {facs}")).unwrap();
+        log
+    }
+
     #[test]
-    fn spans_and_events_attach_to_their_root() {
+    fn spans_and_events_list_under_their_root() {
         let t = Tracer::new(8);
         t.ctl("trace on").unwrap();
+        let log = ring("il");
         let a = t.begin("a").unwrap();
         let b = t.begin("b").unwrap();
         let now = Instant::now();
         a.span(Facility::NineP, "marshal", now, now);
-        b.event(Facility::Il, || "rexmit id 9 len 5".to_string());
+        log.log(Facility::Il, Some(&b), || "rexmit id 9 len 5".to_string());
         a.finish();
         b.finish();
         let roots = t.roots();
         assert_eq!(roots[0].spans.len(), 1);
         assert_eq!(roots[0].spans[0].name, "marshal");
-        assert!(roots[0].events.is_empty());
-        assert_eq!(roots[1].events.len(), 1);
         assert!(roots[1].spans.is_empty());
+        let text = t.render(&log);
+        let (under_a, under_b) = text.split_once("trace 2 b ").expect(&text);
+        assert!(!under_a.contains("event"), "{text}");
+        assert!(under_b.contains("  event il rexmit id 9 len 5 @"), "{text}");
     }
 
     #[test]
-    fn late_event_attaches_to_completed_root() {
+    fn late_span_attaches_to_completed_root() {
         let t = Tracer::new(8);
         t.ctl("trace on").unwrap();
+        let log = ring("il");
         let h = t.begin("Tread tag 2").unwrap();
         h.finish();
         // The ack arrived after the RPC returned; the span must still
-        // land on the (completed) root.
+        // land on the (completed) root, and the event list under it.
         let now = Instant::now();
         h.span(Facility::Il, "il send id 4", now, now);
-        h.event(Facility::Il, || "query id 4 ack 3".to_string());
-        let roots = t.roots();
-        assert_eq!(roots[0].spans.len(), 1);
-        assert_eq!(roots[0].events.len(), 1);
+        log.log(Facility::Il, Some(&h), || "query id 4 ack 3".to_string());
+        assert_eq!(t.roots()[0].spans.len(), 1);
+        assert!(t.render(&log).contains("  event il query id 4 ack 3 @"));
+    }
+
+    /// An event is one ring entry: with its facility set it reads once
+    /// in `/net/log/data`, naming its root, and once under that root in
+    /// `/net/trace/data`; with the facility clear it is in neither,
+    /// traced or not.
+    #[test]
+    fn an_event_is_kept_once_iff_its_facility_is_set() {
+        let t = Tracer::new(8);
+        t.ctl("trace on").unwrap();
+        let log = ring("il");
+        let h = t.begin("Tread tag 5").unwrap();
+        log.log(Facility::Il, Some(&h), || "rexmit id 3 len 61".to_string());
+        log.log(Facility::Il, None, || "sync id 1 to 10.0.0.2!17008".to_string());
+        log.log(Facility::Tcp, Some(&h), || "timeout rexmit 1 segments 9 bytes".to_string());
+        log.log(Facility::Tcp, None, || "fast rexmit seq 7 len 9".to_string());
+        h.finish();
+        assert_eq!(
+            log.render(),
+            "il: rexmit id 3 len 61 (trace 1)\nil: sync id 1 to 10.0.0.2!17008\n"
+        );
+        let text = t.render(&log);
+        let events: Vec<&str> = text.lines().filter(|l| l.starts_with("  event ")).collect();
+        assert_eq!(events.len(), 1, "{text}");
+        assert!(events[0].starts_with("  event il rexmit id 3 len 61 @"), "{text}");
     }
 
     #[test]
@@ -565,12 +574,14 @@ mod tests {
         let now = Instant::now();
         h.span(Facility::Tcp, "tcp write", now, now);
         h.span(Facility::Il, "il send id 1", now, now);
-        h.event(Facility::Ether, || "dropped".to_string());
         h.finish();
         let root = &t.roots()[0];
         assert_eq!(root.spans.len(), 1);
         assert_eq!(root.spans[0].facility, Facility::Il);
-        assert!(root.events.is_empty());
+        // Events have one switch, the ring's: the filter is for spans.
+        let log = ring("tcp");
+        log.log(Facility::Tcp, Some(&h), || "timeout rexmit 1 segments 9 bytes".to_string());
+        assert!(t.render(&log).contains("  event tcp timeout rexmit"));
         // Bare `filter` resets to everything.
         t.ctl("filter").unwrap();
         assert!(t.enabled_for(Facility::Tcp));
@@ -610,7 +621,7 @@ mod tests {
         let roots = t.roots();
         assert_eq!(roots.len(), 1);
         assert!(roots[0].open);
-        assert!(t.render().contains("open"));
+        assert!(t.render(&EventLog::default()).contains("open"));
         t.ctl("clear").unwrap();
         assert!(t.is_empty());
     }
@@ -638,12 +649,13 @@ mod tests {
     fn render_format() {
         let t = Tracer::new(8);
         t.ctl("trace on").unwrap();
+        let log = ring("il");
         let h = t.begin("Tread tag 7").unwrap();
         let now = Instant::now();
         h.span(Facility::NineP, "marshal", now, now);
-        h.event(Facility::Il, || "rexmit id 2 len 61".to_string());
+        log.log(Facility::Il, Some(&h), || "rexmit id 2 len 61".to_string());
         h.finish();
-        let text = t.render();
+        let text = t.render(&log);
         assert!(text.contains("trace 1 Tread tag 7 "), "{text}");
         // `<offset from the root's start>+<duration>`: the offset is
         // however long `begin` took, a microsecond on a slow day.

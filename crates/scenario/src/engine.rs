@@ -302,7 +302,7 @@ fn direct(sc: Scenario) -> Report {
         .collect();
 
     // Gateway exports, then the standing import flows between
-    // neighbors. A short settle lets every announce land first.
+    // neighbors: an export has announced by the time it returns.
     let mut exports: Vec<Option<ExportService>> = topo
         .cities
         .iter()
@@ -316,7 +316,6 @@ fn direct(sc: Scenario) -> Report {
             )
         })
         .collect();
-    time::sleep(Duration::from_millis(50));
     let importers: Vec<_> = (1..sc.cities)
         .map(|c| {
             let peer = &topo.ndb.gateways[c - 1];

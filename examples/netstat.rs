@@ -122,10 +122,11 @@ sys=gnot ip=135.104.9.40 proto=il proto=tcp
     let ctl = p.open("/net/log/ctl", OpenMode::RDWR).expect("open log ctl");
     p.write_str(ctl, "set il").expect("set il");
 
-    // An echo service on helix.
+    // An echo service on helix, announced before its listener starts so
+    // the dial below finds it.
     let hp = helix.proc();
+    let (_afd, adir) = announce(&hp, "il!*!echo").expect("announce");
     std::thread::spawn(move || {
-        let (_afd, adir) = announce(&hp, "il!*!echo").expect("announce");
         loop {
             let Ok((lcfd, ldir)) = listen(&hp, &adir) else { return };
             let Ok(dfd) = accept(&hp, lcfd, &ldir) else { return };
@@ -139,7 +140,6 @@ sys=gnot ip=135.104.9.40 proto=il proto=tcp
             hp.close(lcfd);
         }
     });
-    std::thread::sleep(std::time::Duration::from_millis(100));
 
     // Dial and push enough traffic through the lossy wire for IL's
     // recovery machinery to earn its keep.

@@ -5,13 +5,16 @@
 //! RPC carried by the full stack. Tracing is switched on the Plan 9
 //! way — `echo trace on > /net/trace/ctl` — and the flight recorder
 //! then captures, for each RPC, the marshal/transmit/reply partition
-//! in the mount driver, the protocol device write, the IL send with
-//! its retransmissions and queries, the IP and wire transmissions, and
-//! (on the pipe-mounted second phase) the stream queue residency.
+//! in the mount driver, the protocol device write, the IL send, the IP
+//! and wire transmissions, and (on the pipe-mounted second phase) the
+//! stream queue residency. IL's retransmissions and queries are
+//! netlog events, kept by `echo set il > /net/log/ctl` on each machine;
+//! each names its RPC's root, and `/net/trace/data` lists it there.
 //!
 //! The example prints a per-layer latency breakdown (p50/p99) and the
-//! trace of a retransmitted RPC, whose inflated tail is the whole
-//! point of causal tracing: the retransmit explains the outlier.
+//! trace of a retransmitted RPC as `/net/trace/data` serves it, whose
+//! inflated tail is the whole point of causal tracing: the retransmit
+//! explains the outlier.
 //!
 //! Run with `cargo run --example tracerpc`; with `-- off` it runs the
 //! same workload with tracing off and asserts the span ring stays
@@ -27,6 +30,7 @@ use plan9::netlog::trace::{self, RootSpan};
 use plan9::netsim::ether::EtherSegment;
 use plan9::netsim::profile::Profiles;
 use plan9::ninep::procfs::{OpenMode, ProcFs};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The layers a span name maps to, in stack order.
@@ -72,31 +76,34 @@ fn is_client(root: &RootSpan) -> bool {
     !root.label.starts_with("serve")
 }
 
-fn has_recovery(root: &RootSpan) -> bool {
-    root.events
-        .iter()
-        .any(|e| e.msg.starts_with("rexmit") || e.msg.starts_with("query"))
+/// `/net/trace/data` as `p`'s machine serves it, cut into one block
+/// per root (its `trace` line, its spans, and this machine's events
+/// that name it), by root id.
+fn trace_data(p: &Proc) -> HashMap<u64, String> {
+    let fd = p.open("/net/trace/data", OpenMode::READ).expect("open trace data");
+    let text = p.read_string(fd).expect("read trace data");
+    p.close(fd);
+    let mut blocks: HashMap<u64, String> = HashMap::new();
+    let mut id = None;
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("trace ") {
+            id = rest.split(' ').next().and_then(|w| w.parse().ok());
+        }
+        if let Some(id) = id {
+            let block = blocks.entry(id).or_default();
+            block.push_str(line);
+            block.push('\n');
+        }
+    }
+    blocks
 }
 
-fn print_root(root: &RootSpan) {
-    println!("trace {} {} {}us", root.id, root.label, root.dur_ns() / 1_000);
-    for s in &root.spans {
-        println!(
-            "  span {} {} {}+{}us",
-            s.facility.name(),
-            s.name,
-            (s.start_ns.saturating_sub(root.start_ns)) / 1_000,
-            (s.end_ns.saturating_sub(s.start_ns)) / 1_000,
-        );
-    }
-    for e in &root.events {
-        println!(
-            "  event {} {} @{}us",
-            e.facility.name(),
-            e.msg,
-            (e.at_ns.saturating_sub(root.start_ns)) / 1_000,
-        );
-    }
+fn set_il(m: &Machine) {
+    println!("{}% echo set il > /net/log/ctl", m.name);
+    let p = m.proc();
+    let ctl = p.open("/net/log/ctl", OpenMode::RDWR).expect("open log ctl");
+    p.write_str(ctl, "set il").expect("set il");
+    p.close(ctl);
 }
 
 fn boot() -> (Arc<Machine>, Arc<Machine>) {
@@ -156,7 +163,9 @@ fn main() {
         return;
     }
 
-    // Phase 1: RPCs over lossy IL.
+    // Phase 1: RPCs over lossy IL, with IL's events kept on both ends.
+    set_il(&gnot);
+    set_il(&helix);
     println!("gnot% echo trace on > /net/trace/ctl");
     let ctl = p.open("/net/trace/ctl", OpenMode::RDWR).expect("open trace ctl");
     p.write_str(ctl, "trace on").expect("trace on");
@@ -218,7 +227,10 @@ fn main() {
         worst * 100.0
     );
 
-    // The retransmit-inflated tail, explained by its trace.
+    // The retransmit-inflated tail, explained by its trace: the roots
+    // gnot's `/net/trace/data` lists an IL event under.
+    let data = trace_data(&p);
+    let has_recovery = |r: &RootSpan| data.get(&r.id).is_some_and(|b| b.contains("\n  event il "));
     let recovered: Vec<&&RootSpan> = client.iter().filter(|r| has_recovery(r)).collect();
     assert!(
         !recovered.is_empty(),
@@ -241,8 +253,8 @@ fn main() {
         mean(&recovered),
         mean(&clean),
     );
-    println!("\na retransmitted RPC, end to end:");
-    print_root(recovered.iter().max_by_key(|r| r.dur_ns()).unwrap());
+    println!("\na retransmitted RPC, end to end (gnot% cat /net/trace/data):");
+    print!("{}", data[&recovered.iter().max_by_key(|r| r.dur_ns()).unwrap().id]);
 
     // Phase 2: the same file tree mounted over a local pipe, so the
     // stream queues carry the 9P messages and their residency shows up
@@ -266,7 +278,7 @@ fn main() {
         .find(|r| r.spans.iter().any(|s| s.name == "queue"))
         .expect("no client RPC carried a queue-residency span over the pipe mount");
     println!("\nthe same RPC over a pipe mount, stream queues visible:");
-    print_root(queued);
+    print!("{}", trace_data(&p)[&queued.id]);
 
     println!("\ngnot% echo trace off > /net/trace/ctl");
     p.write_str(ctl, "trace off").expect("trace off");

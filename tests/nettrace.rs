@@ -1,5 +1,6 @@
 //! nettrace end-to-end properties: causal attribution survives a lossy,
-//! duplicating wire.
+//! duplicating wire. An event is one entry of a machine's `/net/log`
+//! ring, naming the root it happened for; a root is in the tracer's.
 //!
 //! The tracer is process-global, so these tests serialize on a lock and
 //! reset it between runs.
@@ -10,11 +11,13 @@ use plan9::exportfs::exportfs::exportfs_listener;
 use plan9::exportfs::import::import;
 use plan9::inet::nine::IlIo;
 use plan9::inet::ip::{IpConfig, IpStack};
-use plan9::netlog::trace::{self, RootSpan, Tracer};
+use plan9::netlog::trace::{self, Tracer};
+use plan9::netlog::Event;
 use plan9::netsim::ether::EtherSegment;
 use plan9::netsim::profile::Profiles;
 use plan9::ninep::client::NineClient;
 use plan9::ninep::procfs::{MemFs, OpenMode, ProcFs};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -44,27 +47,28 @@ fn lossy_stacks(salt: u8) -> (Arc<IpStack>, Arc<IpStack>) {
     (a, b)
 }
 
-fn count_rexmit_log_lines(stack: &Arc<IpStack>) -> usize {
-    stack
-        .netlog()
-        .events
-        .render()
-        .lines()
-        .filter(|l| l.contains("rexmit id"))
-        .count()
+/// The entries of `stack`'s ring whose text contains `what`.
+fn entries(stack: &IpStack, what: &str) -> Vec<Event> {
+    let events = stack.netlog().events.events();
+    events.into_iter().filter(|e| e.msg.contains(what)).collect()
 }
 
-fn count_rexmit_span_events(roots: &[RootSpan]) -> usize {
-    roots
-        .iter()
-        .flat_map(|r| r.events.iter())
-        .filter(|e| e.msg.starts_with("rexmit id"))
-        .count()
+/// Asserts that every entry names a root the tracer's ring holds.
+fn all_name_a_root(tracer: &Tracer, entries: &[Event]) {
+    let roots: HashSet<u64> = tracer.roots().iter().map(|r| r.id).collect();
+    for e in entries {
+        assert!(
+            e.trace.is_some_and(|id| roots.contains(&id)),
+            "`{}` names trace {:?}, which is not a root in the ring",
+            e.msg,
+            e.trace
+        );
+    }
 }
 
-/// Every `rexmit id ...` line the netlog records must reappear as a span
-/// event on exactly one root span — attribution loses nothing and
-/// duplicates nothing, even while the wire loses and duplicates frames.
+/// Every `rexmit id ...` entry the two rings record names a root in
+/// the tracer's ring: attribution loses nothing, even while the wire
+/// loses and duplicates frames.
 #[test]
 fn rexmit_events_attach_to_exactly_one_root() {
     let _g = lock();
@@ -97,28 +101,22 @@ fn rexmit_events_attach_to_exactly_one_root() {
         assert_eq!(client.read(fid, 0, 700).unwrap().len(), 700);
     }
     let _ = client.clunk(fid);
-    // Stop both endpoints, then let in-flight recovery drain before
-    // snapshotting either record.
+    // Stop both endpoints; once their conversations are gone no
+    // recovery can follow, so the record is final.
     conn.close();
     let _ = server.join();
-    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!([a.settle(), b.settle()], [0, 0]);
 
-    let logged = count_rexmit_log_lines(&a) + count_rexmit_log_lines(&b);
-    let roots = tracer.roots();
-    let attached = count_rexmit_span_events(&roots);
-    assert!(
-        logged >= 1,
-        "6% loss over 150 RPCs produced no retransmissions"
-    );
-    assert_eq!(
-        attached, logged,
-        "every netlog rexmit must appear as a span event on exactly one root"
-    );
+    let rexmits = [&a, &b].map(|s| entries(s, "rexmit id")).concat();
+    assert!(!rexmits.is_empty(), "6% loss over 150 RPCs produced no retransmissions");
+    all_name_a_root(tracer, &rexmits);
     reset(tracer);
 }
 
-fn boot_pair() -> (Arc<Machine>, Arc<Machine>) {
-    let seg = EtherSegment::new(Profiles::ether_fast().with_loss(0.05).with_dup(0.03));
+fn boot_pair(seed: u64) -> (Arc<Machine>, Arc<Machine>) {
+    let seg = EtherSegment::new(
+        Profiles::ether_fast().with_loss(0.05).with_dup(0.03).with_seed(seed),
+    );
     let ndb = "\
 sys=helix dom=helix.research.bell-labs.com ip=135.104.9.31 proto=il proto=tcp
 sys=gnot ip=135.104.9.40 proto=il proto=tcp
@@ -145,7 +143,7 @@ fn queue_spans_nest_inside_rpc_roots() {
     let tracer = trace::global();
     reset(tracer);
 
-    let (helix, gnot) = boot_pair();
+    let (helix, gnot) = boot_pair(1);
     helix.rootfs.put_file("/lib/blob", &[0x33u8; 900]).unwrap();
     exportfs_listener(helix.proc(), "il!*!exportfs", usize::MAX).unwrap();
 
@@ -197,6 +195,46 @@ fn queue_spans_nest_inside_rpc_roots() {
         queue_spans >= 20,
         "expected queue residency on the pipe-mounted RPCs, saw {queue_spans}"
     );
+    reset(tracer);
+}
+
+/// TCP's retransmissions, by timeout or by three duplicate acks, name
+/// the root of the RPC whose bytes they repair: its last traced writer.
+/// A TCP import reads 8 KiB files over the lossy pair with `set tcp` on
+/// both machines; the wire's seed makes at least one fast retransmit.
+#[test]
+fn tcp_rexmits_name_their_writers_root() {
+    let _g = lock();
+    let tracer = trace::global();
+    reset(tracer);
+
+    let (helix, gnot) = boot_pair(7);
+    helix.rootfs.put_file("/lib/blob", &[0x5au8; 8192]).unwrap();
+    exportfs_listener(helix.proc(), "tcp!*!exportfs", usize::MAX).unwrap();
+    let p = gnot.proc();
+    tracer.ctl("trace on").unwrap();
+    import(&p, "tcp!helix!exportfs", "/lib", "/n/helix", MREPL).unwrap();
+    // Every writer on the conversation has been traced by now: the
+    // facility goes on once both ends have a root to name.
+    for m in [&helix, &gnot] {
+        m.netlog.events.ctl("set tcp").unwrap();
+    }
+    for _ in 0..60 {
+        let fd = p.open("/n/helix/blob", OpenMode::READ).unwrap();
+        assert_eq!(p.read(fd, 8192).unwrap().len(), 8192);
+        p.close(fd);
+    }
+    p.ns.unmount("/n/helix").unwrap();
+    drop(p);
+    let stacks = [&helix, &gnot].map(|m| Arc::clone(m.ip.as_ref().unwrap()));
+    assert_eq!(stacks.each_ref().map(|s| s.settle()), [0, 0]);
+
+    let rexmits = stacks.each_ref().map(|s| entries(s, "rexmit")).concat();
+    assert!(
+        rexmits.iter().any(|e| e.msg.starts_with("fast rexmit")),
+        "no fast retransmit over 60 lossy 8 KiB reads: {rexmits:?}"
+    );
+    all_name_a_root(tracer, &rexmits);
     reset(tracer);
 }
 

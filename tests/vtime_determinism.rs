@@ -1,12 +1,13 @@
 //! Replayability on the virtual clock: two runs of the same lossy
 //! 9P-over-IL scenario, from the same impairment seed, must be
-//! byte-identical — same IL stats, same nettrace span layout, down to
-//! the nanosecond. This is the property that makes a failure seed a
-//! bug report: whatever happened, it happens again.
+//! byte-identical — same IL stats, same nettrace span layout, same
+//! `/net/log` entries with the roots they name, down to the
+//! nanosecond. This is the property that makes a failure seed a bug
+//! report: whatever happened, it happens again.
 
 use plan9_inet::nine::IlIo;
 use plan9_inet::ip::{IpConfig, IpStack};
-use plan9_netlog::trace;
+use plan9_netlog::{trace, Event};
 use plan9_netsim::ether::EtherSegment;
 use plan9_netsim::profile::Profiles;
 use plan9_ninep::client::NineClient;
@@ -18,13 +19,17 @@ use std::sync::Arc;
 const RPCS: usize = 200;
 const LOSS: f64 = 0.10;
 
-/// The scenario body: a 9P read loop over a 10%-loss Ethernet. Runs
-/// entirely in registered kernel processes so the quiescence census
-/// sees every actor. Returns the IL stats render.
-fn scenario(seed: u64) -> String {
+/// The scenario body: a 9P read loop over a 10%-loss Ethernet, with
+/// `set il` on both stacks. Runs entirely in registered kernel
+/// processes so the quiescence census sees every actor. Returns the IL
+/// stats render and the two stacks' event rings.
+fn scenario(seed: u64) -> (String, [Vec<Event>; 2]) {
     let seg = EtherSegment::new(Profiles::ether_fast().with_loss(LOSS).with_seed(seed));
     let a = IpStack::new_pooled(seg.attach([8, 0, 0, 0xd, 0, 1]), IpConfig::local("10.50.0.1"));
     let b = IpStack::new_pooled(seg.attach([8, 0, 0, 0xd, 0, 2]), IpConfig::local("10.50.0.2"));
+    for stack in [&a, &b] {
+        stack.netlog().events.ctl("set il").expect("set il");
+    }
     let listener = b.il_module().listen(&b, 17012).expect("listen");
     let server = vtime::kproc("det-server", move || {
         let conn = listener.accept().expect("accept");
@@ -67,26 +72,37 @@ fn scenario(seed: u64) -> String {
         )
         .expect("write stats");
     }
-    out
+    (out, [&a, &b].map(|s| s.netlog().events.events()))
 }
 
 /// One full run under a fresh virtual clock: stats render plus the
-/// normalized trace span layout. Normalized means relative to the
-/// run's earliest root, so only virtual-time deltas remain — the real
-/// instant the clock was installed at cancels out.
+/// normalized trace span layout and event rings. Normalized means
+/// relative to the run's earliest root — times to its start, trace ids
+/// to its id — so only virtual-time deltas remain: the real instant
+/// the clock was installed at, and the roots earlier tests opened,
+/// cancel out.
 fn one_run(seed: u64) -> String {
     let guard = vtime::enter();
     let tracer = trace::global();
     tracer.ctl("clear").expect("clear");
     tracer.ctl("trace on").expect("trace on");
     let h = vtime::kproc("det-scenario", move || scenario(seed)).expect("spawn scenario");
-    let mut out = h.join().expect("scenario");
+    let (mut out, rings) = h.join().expect("scenario");
     tracer.ctl("trace off").expect("trace off");
     let roots = tracer.roots();
     tracer.ctl("clear").expect("clear");
     drop(guard);
 
     let base = roots.iter().map(|r| r.start_ns).min().unwrap_or(0);
+    let first = roots.iter().map(|r| r.id).min().unwrap_or(0);
+    for (side, ring) in ["a", "b"].iter().zip(&rings) {
+        for e in ring {
+            let root = e.trace.map(|id| id.wrapping_sub(first) as i64);
+            let at = tracer.ns(e.at).wrapping_sub(base) as i64;
+            writeln!(out, "{side} {}: {} root {root:?} @{at}", e.facility.name(), e.msg)
+                .expect("write event");
+        }
+    }
     writeln!(out, "roots={}", roots.len()).expect("write roots");
     for r in &roots {
         writeln!(
