@@ -169,8 +169,11 @@ pub fn serve_on_shard<C: Served>(conn: &Arc<C>, fs: Arc<dyn ProcFs>) -> Arc<Nine
             let _ = pool::submit_shared(key, Arc::clone(&job));
         }
     });
-    // Catch what landed before the hook was registered.
-    let _ = pool::submit(key, move || drain(&first.0, &first.1, &mut first.2.lock()));
+    // Catch what landed before the hook was registered: late rather than
+    // lost, and on a worker. Run here, a drain that nearly always finds
+    // nothing would reorder the same-instant events of every modelled
+    // run that serves a conversation.
+    pool::submit_or_run(key, move || drain(&first.0, &first.1, &mut first.2.lock()));
     svc
 }
 

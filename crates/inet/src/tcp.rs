@@ -1162,6 +1162,9 @@ impl TcpConn {
                             notify_read = true;
                         }
                     }
+                    // The peer's SYN again: the ack that finished its
+                    // handshake was lost, and nothing else will carry one.
+                    ack_now |= seg.flags & SYN != 0;
                     self.process_data(&mut inner, seg, &mut ack_now, &mut notify_read);
                 }
             }
@@ -1355,6 +1358,24 @@ mod tests {
         assert_eq!(got, b"hello tcp");
         conn.close();
         server.join().unwrap();
+    }
+
+    /// The ack that finishes a handshake can be lost. The listener's end
+    /// then sends its SYN again, and until an ack of it comes back the
+    /// connection is never accepted.
+    #[test]
+    fn a_syn_again_is_acked_again() {
+        let (a, b) = two_hosts();
+        let _listener = b.tcp_module().listen(&b, 564).unwrap();
+        let conn = a.tcp_module().connect(&a, b.addr(), 564).unwrap();
+        let (seq, ack) = {
+            let inner = conn.inner.lock();
+            (inner.rcv_nxt.wrapping_sub(1), inner.snd_nxt)
+        };
+        let synack = TcpHeader { sport: 564, dport: conn.key.lport, seq, ack, flags: SYN | ACK, window: 8192 };
+        let sent = a.tcp_module().stats.tx_segments.get();
+        conn.handle(&decode_segment(encoded(&synack, &[]).into()).unwrap());
+        assert_eq!(a.tcp_module().stats.tx_segments.get(), sent + 1);
     }
 
     #[test]

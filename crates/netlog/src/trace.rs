@@ -450,6 +450,12 @@ pub fn current() -> Option<TraceHandle> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
+/// Leaves the calling thread with no current trace until the guard
+/// drops; the previous handle is restored.
+pub fn clear_current() -> CurrentGuard {
+    CurrentGuard { prev: CURRENT.with(|c| c.borrow_mut().take()) }
+}
+
 /// Restores the previous thread-local handle on drop.
 pub struct CurrentGuard {
     prev: Option<TraceHandle>,

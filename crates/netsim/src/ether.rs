@@ -113,6 +113,7 @@ struct InFlight {
 /// A push-mode receive callback; see [`EtherStation::set_rx_handler`].
 pub type RxHandler = Arc<dyn Fn(EtherFrame) + Send + Sync>;
 
+#[derive(Clone)]
 struct StationSlot {
     id: u64,
     addr: MacAddr,
@@ -131,7 +132,10 @@ struct StationSlot {
 /// A shared Ethernet segment: attach stations, then send and receive.
 pub struct EtherSegment {
     medium: Arc<Medium>,
-    stations: Mutex<Vec<StationSlot>>,
+    /// Copied on write: a transmitter takes the table and lets go of
+    /// the lock before it delivers, so that a delivery it runs itself
+    /// (see [`pool`]) runs under no lock of its.
+    stations: Mutex<Arc<Vec<StationSlot>>>,
 }
 
 impl EtherSegment {
@@ -139,7 +143,7 @@ impl EtherSegment {
     pub fn new(profile: LinkProfile) -> Arc<EtherSegment> {
         Arc::new(EtherSegment {
             medium: Medium::new(profile),
-            stations: Mutex::named(Vec::new(), "netsim.ether.stations"),
+            stations: Mutex::named(Arc::default(), "netsim.ether.stations"),
         })
     }
 
@@ -147,9 +151,9 @@ impl EtherSegment {
     pub fn attach(self: &Arc<Self>, addr: MacAddr) -> EtherStation {
         let (tx, rx) = unbounded();
         let mut stations = self.stations.lock();
+        let stations = Arc::make_mut(&mut stations);
         let id = stations.len() as u64;
         stations.push(StationSlot { id, addr, tx, handler: None, filtered: false });
-        drop(stations);
         EtherStation {
             addr,
             id,
@@ -216,7 +220,7 @@ impl EtherSegment {
         // controllers' hardware filters.
         let dst: MacAddr = std::array::from_fn(|i| shared[i]);
         let bcast = dst == BROADCAST;
-        let stations = self.stations.lock();
+        let stations = Arc::clone(&self.stations.lock());
         for s in stations.iter() {
             if s.addr == from {
                 continue;
@@ -231,8 +235,9 @@ impl EtherSegment {
                     // decoded frame to the station's pool shard, which
                     // serializes per-station deliveries. A frame that
                     // is already due (an unpaced medium) skips the
-                    // wheel and goes straight to the shard: one thread
-                    // handoff per frame, not two. A failed schedule or
+                    // wheel and goes straight to the shard, which a
+                    // transmitter holding no lock drains itself: no
+                    // thread handoff at all. A failed schedule or
                     // submit (thread exhaustion at worker spawn) drops
                     // the frame — something this lossy medium is
                     // allowed to do anyway.
@@ -263,9 +268,11 @@ impl EtherSegment {
     }
 }
 
-/// One push-mode arrival: hands `h` its view of the shared wire bytes.
+/// One push-mode arrival: hands `h` its view of the shared wire bytes,
+/// with no current trace, whether a worker runs it or the transmitter.
 fn deliver(h: &RxHandler, wire: Bytes) {
     if let Some(fr) = EtherFrame::from_wire(wire) {
+        let _untraced = plan9_netlog::trace::clear_current();
         h(fr);
     }
 }
@@ -322,7 +329,7 @@ impl EtherStation {
     /// traffic instead of the whole bus's.
     pub fn set_address_filter(&self, on: bool) {
         let mut stations = self.segment.stations.lock();
-        if let Some(slot) = stations.iter_mut().find(|s| s.id == self.id) {
+        if let Some(slot) = Arc::make_mut(&mut stations).iter_mut().find(|s| s.id == self.id) {
             slot.filtered = on;
         }
     }
@@ -334,15 +341,15 @@ impl EtherStation {
     /// the worker-pool shard for `key`. No receiver thread is needed,
     /// so a fabric of thousands of stations runs on O(cores) threads.
     /// Deliveries to one station are serialized by the shared shard
-    /// key; the handler must not block on virtual time (it runs on a
-    /// pool worker).
+    /// key; the handler must not block on virtual time (it runs as a
+    /// pool job, on a worker or on the transmitting thread).
     pub fn set_rx_handler(
         &self,
         key: u64,
         handler: impl Fn(EtherFrame) + Send + Sync + 'static,
     ) {
         let mut stations = self.segment.stations.lock();
-        if let Some(slot) = stations.iter_mut().find(|s| s.id == self.id) {
+        if let Some(slot) = Arc::make_mut(&mut stations).iter_mut().find(|s| s.id == self.id) {
             slot.handler = Some((key, Arc::new(handler)));
         }
     }

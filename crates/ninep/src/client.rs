@@ -12,7 +12,7 @@ use crate::codec::{decode_rmsg, encode_tmsg};
 use crate::fcall::{Fid, Rmsg, Tag, Tmsg, CHAL_LEN, MAX_FDATA, NOTAG};
 use crate::procfs::OpenMode;
 use crate::qid::Qid;
-use crate::transport::{MsgSink, MsgSource};
+use crate::transport::{MsgSink, MsgSource, SinkSlot};
 use crate::{errstr, Dir, NineError, Result};
 use plan9_netlog::trace;
 use plan9_netlog::Facility;
@@ -27,12 +27,6 @@ struct Slot {
     reply: Option<Rmsg>,
     /// For a Tflush, the tag it aborts.
     flushes: Option<Tag>,
-}
-
-fn failed(ename: &str) -> Rmsg {
-    Rmsg::Error {
-        ename: ename.to_string(),
-    }
 }
 
 #[derive(Default)]
@@ -50,7 +44,7 @@ struct ClientShared {
     arrived: Condvar,
     /// Locked only by the caller that holds the reading role.
     source: Mutex<Box<dyn MsgSource>>,
-    sink: Mutex<Box<dyn MsgSink>>,
+    sink: SinkSlot,
     next_fid: AtomicU16,
     hungup: AtomicBool,
 }
@@ -72,7 +66,7 @@ impl NineClient {
                 pending: Mutex::named(Pending::default(), "ninep.client.pending"),
                 arrived: Condvar::new(),
                 source: Mutex::named(source, "ninep.client.source"),
-                sink: Mutex::named(sink, "ninep.client.sink"),
+                sink: SinkSlot::new(sink),
                 next_fid: AtomicU16::new(0),
                 hungup: AtomicBool::new(false),
             }),
@@ -119,7 +113,9 @@ impl NineClient {
     /// When nettrace is on, the RPC opens a root span keyed by its tag;
     /// three children partition it — `marshal` (packing the T-message),
     /// `txwait` (the transmit path down to the wire, which runs on this
-    /// thread), `reply` (waiting for the R-message) — and the handle is
+    /// thread, as do, on an unpaced wire, the frame's delivery and what
+    /// it readies: the peer's service and the reply's delivery), `reply`
+    /// (waiting for the R-message) — and the handle is
     /// installed as the thread's current trace so the layers underneath
     /// attribute their own spans to this RPC.
     pub fn rpc(&self, t: &Tmsg) -> Result<Rmsg> {
@@ -137,12 +133,12 @@ impl NineClient {
         } else {
             None
         };
-        let _cur = root.as_ref().map(|h| h.set_current());
         // The three child spans share their boundary timestamps so they
         // tile the root: nothing the RPC waits on falls in a gap. The
         // clock is read for a span and for nothing else: an untraced
         // RPC does not read it.
         let mut edge = root.as_ref().map(|h| (h, time::now()));
+        let _cur = root.as_ref().map(|h| h.set_current());
         let mut span = |name: &str| {
             if let Some((h, from)) = edge {
                 let now = time::now();
@@ -152,11 +148,7 @@ impl NineClient {
         };
         let buf = encode_tmsg(tag, t);
         span("marshal");
-        // Bind the send result first: an `if let` on the guard-chained
-        // call keeps the sink locked through the whole error arm, and
-        // the pending cleanup below must not run with sink held.
-        let sent = self.shared.sink.lock().sendmsg(&buf);
-        if let Err(e) = sent {
+        if let Err(e) = self.shared.sink.send(|| Some(buf)) {
             self.shared.pending.lock().slots.remove(&tag);
             if let Some(h) = &root {
                 h.finish();
@@ -196,7 +188,7 @@ impl NineClient {
             }
             if sh.hungup.load(Ordering::SeqCst) {
                 p.slots.remove(&tag);
-                return failed(errstr::EHUNGUP);
+                return Rmsg::error(errstr::EHUNGUP);
             }
             p.reading = true;
             drop(p);
@@ -214,13 +206,13 @@ impl NineClient {
                     let flushed = slot.flushes.filter(|_| matches!(r, Rmsg::Flush));
                     slot.reply = Some(r);
                     if let Some(old) = flushed.and_then(|old| p.slots.get_mut(&old)) {
-                        old.reply.get_or_insert_with(|| failed(errstr::EFLUSHED));
+                        old.reply.get_or_insert_with(|| Rmsg::error(errstr::EFLUSHED));
                     }
                 }
                 Ok(None) | Err(_) => {
                     sh.hungup.store(true, Ordering::SeqCst);
                     for slot in p.slots.values_mut() {
-                        slot.reply.get_or_insert_with(|| failed(errstr::EHUNGUP));
+                        slot.reply.get_or_insert_with(|| Rmsg::error(errstr::EHUNGUP));
                     }
                 }
             }

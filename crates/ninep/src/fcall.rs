@@ -457,6 +457,11 @@ pub enum Rmsg {
 }
 
 impl Rmsg {
+    /// An `Rerror` carrying `ename`.
+    pub fn error(ename: &str) -> Rmsg {
+        Rmsg::Error { ename: ename.to_string() }
+    }
+
     /// The wire type byte for this reply.
     pub fn msg_type(&self) -> MsgType {
         match self {

@@ -30,12 +30,12 @@
 use crate::codec::{decode_tmsg, encode_rmsg};
 use crate::fcall::{Fid, Rmsg, Tag, Tmsg, CHAL_LEN, MAX_FDATA};
 use crate::procfs::{OpenMode, ProcFs, ServeNode};
-use crate::transport::{MsgSink, MsgSource};
+use crate::transport::{MsgSink, MsgSource, SinkSlot};
 use crate::{errstr, NineError, Result};
 use plan9_netlog::trace::{self, TraceHandle};
 use plan9_netlog::Facility;
 use plan9_support::chan::{unbounded, Receiver, Sender};
-use plan9_support::sync::{Condvar, Mutex};
+use plan9_support::sync::{self, Condvar, Mutex};
 use plan9_support::vtime::{self, KprocHandle};
 use plan9_support::time;
 use std::collections::HashMap;
@@ -89,13 +89,7 @@ struct ServerShared {
     /// flushing it changes nothing; nor is an operation run where its
     /// message was read, since no Tflush can be read while it runs.
     inflight: Mutex<HashMap<Tag, u64>>,
-    /// `None` while a reply is being sent. The sender has the sink
-    /// out and holds no lock, since a send may wait for the peer (a
-    /// full IL window): whoever has the next reply parks in
-    /// `sink_free`, where the virtual clock can see it, and not on a
-    /// mutex, where it would stop the one thread the clock lets run.
-    sink: Mutex<Option<Box<dyn MsgSink>>>,
-    sink_free: Condvar,
+    sink: SinkSlot,
     workers: Mutex<Workers>,
     /// The job channel has closed.
     hungup: Condvar,
@@ -107,19 +101,11 @@ impl ServerShared {
     /// Sends the reply `make` comes back with, if any, having the sink
     /// to itself from before `make` decides until the message is out.
     fn send(&self, make: impl FnOnce() -> Option<Vec<u8>>) {
-        let mut slot = self.sink.lock();
-        let mut sink = loop {
-            match slot.take() {
-                Some(sink) => break sink,
-                None => self.sink_free.wait(&mut slot),
-            }
-        };
-        drop(slot);
-        if let Some(buf) = make() {
-            let _ = sink.sendmsg(&buf);
-        }
-        *self.sink.lock() = Some(sink);
-        self.sink_free.notify_one();
+        // A feed on a pool shard may wait for the sink while it is out:
+        // held like a lock, so that no such feed runs on this thread
+        // under it (`pool::submit` drains only at `sync::held() == 0`).
+        let _out = sync::hold();
+        let _ = self.sink.send(make);
     }
 
     fn reply(&self, tag: Tag, r: &Rmsg) {
@@ -151,8 +137,7 @@ impl ServerShared {
             (_, Some(s)) => !s.blocks,
             (_, None) => true,
         };
-        // A sink busy with a worker's reply is free again in a moment.
-        at_hand && self.sink.lock().as_ref().is_none_or(|s| s.ready())
+        at_hand && self.sink.ready()
     }
 
     /// What the fid table holds for the fid the operation names.
@@ -170,8 +155,7 @@ impl ServerShared {
         let mut w = self.workers.lock();
         let Some(jobs) = w.jobs.clone() else {
             drop(w);
-            let ename = errstr::EHUNGUP.to_string();
-            return self.reply(tag, &Rmsg::Error { ename });
+            return self.reply(tag, &Rmsg::error(errstr::EHUNGUP));
         };
         self.inflight.lock().insert(tag, w.started);
         let op = Op { tag, serial: w.started, t, root };
@@ -272,8 +256,7 @@ impl NineService {
                 fs,
                 fids: Mutex::named(HashMap::new(), "ninep.server.fids"),
                 inflight: Mutex::named(HashMap::new(), "ninep.server.inflight"),
-                sink: Mutex::named(Some(sink), "ninep.server.sink"),
-                sink_free: Condvar::new(),
+                sink: SinkSlot::new(sink),
                 workers: Mutex::named(workers, "ninep.server.workers"),
                 hungup: Condvar::new(),
                 idle: AtomicUsize::new(0),
@@ -319,12 +302,7 @@ impl NineService {
         };
         match t {
             Tmsg::Nop => shared.reply(tag, &Rmsg::Nop),
-            Tmsg::Osession { .. } => shared.reply(
-                tag,
-                &Rmsg::Error {
-                    ename: errstr::EOBSOLETE.to_string(),
-                },
-            ),
+            Tmsg::Osession { .. } => shared.reply(tag, &Rmsg::error(errstr::EOBSOLETE)),
             Tmsg::Session { .. } => {
                 // A session resets the fid space.
                 cleanup(shared);

@@ -13,17 +13,27 @@
 //!
 //! # Run to completion
 //!
-//! A `submit` from outside the pool that readies an idle shard wakes a
-//! parked worker (or makes one). A `submit` made *from inside a pool
-//! job* to an idle shard wakes nobody: the submitting worker keeps that
-//! one shard as its next and drains it as soon as its current shard is
-//! empty, so a frame's delivery, the conversation service it readies
-//! and the reply frame's delivery run back to back on one thread, as
-//! protocol input runs behind one software interrupt. A second shard
-//! readied by the same job goes on the ready list and wakes a worker,
-//! so a broadcast still fans out. This is a rule, not a setting: the
-//! worker is about to go idle, and waking another to do what it can do
-//! next is a context switch that buys nothing.
+//! One rule for every submitter: whoever readies an idle shard and can
+//! run it next, does. A [`submit`] made *from inside a pool job* to an
+//! idle shard wakes nobody: the thread keeps that one shard as its next
+//! and drains it as soon as its current shard is empty, so a frame's
+//! delivery, the conversation service it readies and the reply frame's
+//! delivery run back to back on one thread, as protocol input runs
+//! behind one software interrupt. A second shard readied by the same
+//! job goes on the ready list and wakes a worker, so a broadcast still
+//! fans out. A [`submit`] from a thread outside the pool that holds no
+//! lock ([`sync::held`](crate::sync::held) is 0) drains the shard it
+//! readied before it returns, and then the shards those jobs kept, by
+//! the same loop as a worker: so a process writing a frame onto an
+//! unpaced wire delivers it, as a Plan 9 process runs a stream's put
+//! routines down to the device. That thread is then in the state a
+//! worker is in between jobs, so the jobs take no lock under one of its
+//! own. A thread holding a lock readies the shard and wakes a worker,
+//! and [`submit_or_run`] (the timer wheel's) always does. This is a
+//! rule, not a setting: the submitter would otherwise wait for the
+//! worker it woke, and waking another to do what it can do next is a
+//! context switch that buys nothing. What it costs is that a shard the
+//! submitter drains is held, for its other keys too, for that long.
 //!
 //! # Clock eras
 //!
@@ -35,7 +45,8 @@
 //! never services jobs inside a deterministic run (it would be an alien
 //! thread the single-runner census cannot serialize) and a census
 //! worker never outlives its clock. Jobs queued across a transition
-//! stay queued and are drained by the next era's workers, in order.
+//! stay queued and are drained by the next era's workers, in order; a
+//! submitter whose drain the era changed under readies them again.
 //!
 //! # Lock order
 //!
@@ -56,7 +67,7 @@
 //! next. Protocol service routines — drain a queue, send an ack,
 //! retransmit — all fit.
 
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{self, Condvar, Mutex};
 use crate::vtime;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -79,7 +90,7 @@ enum Job {
 
 struct ShardState {
     jobs: VecDeque<Job>,
-    /// On the ready list, kept by a worker as its next, or being
+    /// On the ready list, kept by a thread as its next, or being
     /// drained: whoever queues the first job of a shard that is none
     /// of these readies it.
     running: bool,
@@ -113,8 +124,8 @@ static SCHED: Sched =
     Sched { ready: Mutex::named(EMPTY, "support.pool.ready"), wake: Condvar::new() };
 
 thread_local! {
-    /// On a worker: the shard it readied from inside a job and keeps
-    /// to drain next, if any. `None` off the pool.
+    /// On a thread running pool jobs: the shard it readied from inside
+    /// a job and keeps to drain next, if any. `None` off the pool.
     static NEXT: Cell<Option<Option<usize>>> = const { Cell::new(None) };
 }
 
@@ -155,26 +166,35 @@ pub fn stats() -> PoolStats {
     s
 }
 
+/// Workers of the current era, at work or parked (diagnostics: how
+/// many there are is the pool's to decide).
+pub fn workers() -> usize {
+    let era = vtime::era();
+    SCHED.ready.lock().workers.iter().filter(|w| w.0 == era).count()
+}
+
 /// Enqueues `job` on the shard for `key`, readying the shard if it was
-/// idle. Jobs with the same key run FIFO, one at a time. Fails only if
-/// there is no worker and none can be spawned — the caller (e.g. a dial
-/// path) should surface that as an error rather than panic.
+/// idle: a thread outside the pool that holds no lock drains it before
+/// returning (see "Run to completion"). Jobs with the same key run
+/// FIFO, one at a time. Fails only if there is no worker and none can
+/// be spawned — the caller (e.g. a dial path) should surface that as an
+/// error rather than panic.
 pub fn submit(key: u64, job: impl FnOnce() + Send + 'static) -> io::Result<()> {
-    enqueue(shard_of(key), Job::Once(Box::new(job))).map_err(|(e, _)| e)
+    enqueue(shard_of(key), Job::Once(Box::new(job)), may_drain()).map_err(|(e, _)| e)
 }
 
 /// [`submit`] for a job its owner submits over and over: queueing it
 /// costs no allocation.
 pub fn submit_shared(key: u64, job: Arc<dyn Fn() + Send + Sync>) -> io::Result<()> {
-    enqueue(shard_of(key), Job::Shared(job)).map_err(|(e, _)| e)
+    enqueue(shard_of(key), Job::Shared(job), may_drain()).map_err(|(e, _)| e)
 }
 
-/// Like [`submit`], but on worker-spawn failure runs `job` inline on
-/// the calling thread instead of dropping it. For callers (the timer
-/// wheel) where a late callback beats a lost one.
+/// Like [`submit`], but never drains on the calling thread, and on
+/// worker-spawn failure runs `job` inline there instead of dropping it.
+/// For callers (the timer wheel) where a late callback beats a lost one.
 pub fn submit_or_run(key: u64, job: impl FnOnce() + Send + 'static) {
     let idx = shard_of(key);
-    if let Err((_, job)) = enqueue(idx, Job::Once(Box::new(job))) {
+    if let Err((_, job)) = enqueue(idx, Job::Once(Box::new(job)), false) {
         INLINE_RUN[idx].fetch_add(1, Ordering::Relaxed);
         run(job);
     }
@@ -187,17 +207,39 @@ fn run(job: Job) {
     }
 }
 
-fn enqueue(idx: usize, job: Job) -> Result<(), (io::Error, Job)> {
+/// Whether a submit on this thread may drain the shard it readies: the
+/// thread runs no pool job and holds no lock. Asked before the shard's
+/// lock is taken, which would count.
+fn may_drain() -> bool {
+    NEXT.get().is_none() && sync::held() == 0
+}
+
+fn enqueue(idx: usize, job: Job, drain_here: bool) -> Result<(), (io::Error, Job)> {
     let mut sh = SHARDS[idx].state.lock();
-    if !sh.running {
+    let readied = !sh.running;
+    if readied && !drain_here {
         if let Err(e) = ready(idx) {
             return Err((e, job));
         }
-        sh.running = true;
     }
+    sh.running = true;
     sh.jobs.push_back(job);
     drop(sh);
     SUBMITTED[idx].fetch_add(1, Ordering::Relaxed);
+    if readied && drain_here {
+        // Lockdep's own record of the named locks held, to check `held`.
+        #[cfg(debug_assertions)]
+        assert_eq!(crate::lockdep::held_names(), Vec::<&str>::new(), "pool: a job run under locks");
+        let era = vtime::era();
+        NEXT.set(Some(None));
+        drain(idx, era);
+        NEXT.set(None);
+        // Should the era change under the drain, nobody else will ready
+        // what it leaves.
+        if vtime::era() != era {
+            ready_left();
+        }
+    }
     Ok(())
 }
 
@@ -206,7 +248,7 @@ pub fn backlog() -> usize {
     SHARDS.iter().map(|s| s.state.lock().jobs.len()).sum()
 }
 
-/// Finds shard `idx`, idle until now, a worker. A worker readying it
+/// Finds shard `idx`, idle until now, a worker. A thread readying it
 /// from inside a job keeps it for itself, once; any other caller puts
 /// it on the ready list and wakes a parked worker, or if none is parked
 /// and fewer than [`NSHARDS`] of this era are live, may spawn one.
@@ -247,25 +289,36 @@ fn ready(idx: usize) -> io::Result<()> {
 fn worker_loop(my_era: u64) {
     NEXT.set(Some(None));
     while let Some(idx) = take(my_era) {
+        drain(idx, my_era);
+    }
+}
+
+/// Runs shard `idx`'s jobs, then those of the shard they kept for this
+/// thread, and so on until a shard empties with none kept: the one loop
+/// of a worker and of a submitter draining what it readied.
+fn drain(mut idx: usize, era: u64) {
+    loop {
         let mut sh = SHARDS[idx].state.lock();
         // Once the era has changed, what is queued is the next era's.
-        while vtime::era() == my_era {
+        while vtime::era() == era {
             let Some(job) = sh.jobs.pop_front() else { break };
             drop(sh);
             run(job);
             sh = SHARDS[idx].state.lock();
         }
         sh.running = false;
+        drop(sh);
+        match NEXT.replace(Some(None)).flatten() {
+            Some(next) => idx = next,
+            None => return,
+        }
     }
 }
 
-/// The next shard for a worker to drain: the one it kept, else the
-/// ready list's first, parking until there is one. `None` once the era
-/// has changed and nothing is left that counts on this worker.
+/// The next shard for a worker to drain: the ready list's first,
+/// parking until there is one. `None` once the era has changed and
+/// nothing is left that counts on this worker.
 fn take(my_era: u64) -> Option<usize> {
-    if let Some(idx) = NEXT.replace(Some(None)).flatten() {
-        return Some(idx);
-    }
     let mut s = SCHED.ready.lock();
     loop {
         if let Some(idx) = s.list.pop_front() {
@@ -292,6 +345,12 @@ pub(crate) fn retire() {
     for (_, h) in old {
         let _ = h.join();
     }
+    ready_left();
+}
+
+/// Readies again every idle shard with jobs queued: what the workers of
+/// an era gone, or a submitter's drain, left at the era's change.
+fn ready_left() {
     for (idx, shard) in SHARDS.iter().enumerate() {
         let mut sh = shard.state.lock();
         if !sh.running && !sh.jobs.is_empty() {

@@ -15,9 +15,16 @@
 //! participate in [`lockdep`](crate::lockdep) order checking in debug
 //! builds; in release builds `named` is exactly `new` and the checking
 //! machinery does not exist in the binary.
+//!
+//! Every lock, named or not, is counted while held: [`held`] is how many
+//! the calling thread holds, one thread-local add per acquire and per
+//! release, and a condition wait gives its lock back to the count while
+//! it sleeps.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
+use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
@@ -26,6 +33,42 @@ use crate::vtime::{self, Parker, VirtualClock};
 
 #[cfg(debug_assertions)]
 use crate::lockdep::{self, ClassId, LockClass};
+
+thread_local! {
+    static HELD: Cell<usize> = const { Cell::new(0) };
+}
+
+/// How many locks of this module (and [`Hold`]s) the calling thread
+/// holds. The worker pool runs a job on the thread that submits it only
+/// when this is 0, so that the job takes no lock under one of the
+/// submitter's.
+#[inline]
+pub fn held() -> usize {
+    HELD.with(Cell::get)
+}
+
+#[inline]
+fn count(by: isize) {
+    HELD.with(|h| h.set(h.get().wrapping_add_signed(by)));
+}
+
+/// Something that is not a lock but is waited for like one — a resource
+/// taken out of its slot, which the next user parks for — counted by
+/// [`held`] from [`hold`] until this drops.
+pub struct Hold(PhantomData<*const ()>);
+
+/// Counts the calling thread as holding one more lock until the
+/// returned [`Hold`] drops.
+pub fn hold() -> Hold {
+    count(1);
+    Hold(PhantomData)
+}
+
+impl Drop for Hold {
+    fn drop(&mut self) {
+        count(-1);
+    }
+}
 
 /// A mutual-exclusion lock whose guard is returned without a poison
 /// `Result`.
@@ -81,6 +124,7 @@ impl<T: ?Sized> Mutex<T> {
         if let Some(c) = class {
             lockdep::acquire(c);
         }
+        count(1);
         MutexGuard {
             inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
             raw: &self.inner,
@@ -96,6 +140,7 @@ impl<T: ?Sized> Mutex<T> {
             Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
             Err(std::sync::TryLockError::WouldBlock) => return None,
         };
+        count(1);
         #[cfg(debug_assertions)]
         let class = self.class();
         #[cfg(debug_assertions)]
@@ -144,12 +189,30 @@ pub struct MutexGuard<'a, T: ?Sized> {
     class: Option<ClassId>,
 }
 
-#[cfg(debug_assertions)]
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
+impl<T: ?Sized> MutexGuard<'_, T> {
+    /// The lock is let go, by the guard's drop or a condition wait:
+    /// [`held`] and lockdep see it released.
+    fn released(&self) {
+        count(-1);
+        #[cfg(debug_assertions)]
         if let Some(c) = self.class {
             lockdep::release(c);
         }
+    }
+
+    /// A condition wait takes the lock again.
+    fn retaken(&self) {
+        count(1);
+        #[cfg(debug_assertions)]
+        if let Some(c) = self.class {
+            lockdep::acquire(c);
+        }
+    }
+}
+
+impl<T: ?Sized> Drop for MutexGuard<'_, T> {
+    fn drop(&mut self) {
+        self.released();
     }
 }
 
@@ -223,6 +286,7 @@ impl<T: ?Sized> RwLock<T> {
         if let Some(c) = class {
             lockdep::acquire(c);
         }
+        count(1);
         RwLockReadGuard {
             inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
             #[cfg(debug_assertions)]
@@ -238,6 +302,7 @@ impl<T: ?Sized> RwLock<T> {
         if let Some(c) = class {
             lockdep::acquire(c);
         }
+        count(1);
         RwLockWriteGuard {
             inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
             #[cfg(debug_assertions)]
@@ -259,9 +324,10 @@ pub struct RwLockReadGuard<'a, T: ?Sized> {
     class: Option<ClassId>,
 }
 
-#[cfg(debug_assertions)]
 impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
     fn drop(&mut self) {
+        count(-1);
+        #[cfg(debug_assertions)]
         if let Some(c) = self.class {
             lockdep::release(c);
         }
@@ -282,9 +348,10 @@ pub struct RwLockWriteGuard<'a, T: ?Sized> {
     class: Option<ClassId>,
 }
 
-#[cfg(debug_assertions)]
 impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
+        count(-1);
+        #[cfg(debug_assertions)]
         if let Some(c) = self.class {
             lockdep::release(c);
         }
@@ -366,10 +433,7 @@ impl Condvar {
         let raw = guard.raw;
         // checked: a live guard always carries its lock outside a wait
         let g = guard.inner.take().expect("guard stolen during wait");
-        #[cfg(debug_assertions)]
-        if let Some(c) = guard.class {
-            lockdep::release(c);
-        }
+        guard.released();
         drop(g);
         let timed_out = clock.park_wait(&parker);
         {
@@ -380,10 +444,7 @@ impl Condvar {
                 q.remove(pos);
             }
         }
-        #[cfg(debug_assertions)]
-        if let Some(c) = guard.class {
-            lockdep::acquire(c);
-        }
+        guard.retaken();
         guard.inner = Some(raw.lock().unwrap_or_else(PoisonError::into_inner));
         timed_out
     }
@@ -400,15 +461,9 @@ impl Condvar {
         // The lock is parked while asleep: lockdep must see it released
         // here and re-acquired on wakeup, or held-stack accounting and
         // ordering both go wrong.
-        #[cfg(debug_assertions)]
-        if let Some(c) = guard.class {
-            lockdep::release(c);
-        }
+        guard.released();
         let g = self.inner.wait(g).unwrap_or_else(PoisonError::into_inner);
-        #[cfg(debug_assertions)]
-        if let Some(c) = guard.class {
-            lockdep::acquire(c);
-        }
+        guard.retaken();
         guard.inner = Some(g);
     }
 
@@ -461,18 +516,12 @@ impl Condvar {
     ) -> WaitTimeoutResult {
         // checked: a live guard always carries its lock outside a wait
         let g = guard.inner.take().expect("guard stolen during wait");
-        #[cfg(debug_assertions)]
-        if let Some(c) = guard.class {
-            lockdep::release(c);
-        }
+        guard.released();
         let (g, r) = self
             .inner
             .wait_timeout(g, timeout)
             .unwrap_or_else(PoisonError::into_inner);
-        #[cfg(debug_assertions)]
-        if let Some(c) = guard.class {
-            lockdep::acquire(c);
-        }
+        guard.retaken();
         guard.inner = Some(g);
         WaitTimeoutResult {
             timed_out: r.timed_out(),
@@ -578,6 +627,50 @@ mod tests {
         *m.lock() = true;
         cv.notify_all();
         assert!(h.join().unwrap());
+    }
+
+    #[test]
+    fn held_counts_the_guards_alive() {
+        let (m, l) = (Mutex::new(()), RwLock::new(()));
+        assert_eq!(held(), 0);
+        let g = m.lock();
+        assert_eq!(held(), 1);
+        assert!(m.try_lock().is_none());
+        assert_eq!(held(), 1, "a failed try_lock holds nothing");
+        let (r1, r2) = (l.read(), l.read());
+        assert_eq!(held(), 3);
+        drop((g, r1, r2));
+        assert_eq!(held(), 0);
+        let (t, w, h) = (m.try_lock().unwrap(), l.write(), hold());
+        assert_eq!(held(), 3);
+        drop((t, w, h));
+        assert_eq!(held(), 0);
+    }
+
+    #[test]
+    fn a_condition_wait_gives_its_lock_back_to_the_count() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let p2 = Arc::clone(&pair);
+        let waiter = std::thread::spawn(move || {
+            let (m, cv) = &*p2;
+            let outer = Mutex::new(());
+            let _outer = outer.lock();
+            let mut ready = m.lock();
+            let r = cv.wait_until(&mut ready, Instant::now() + Duration::from_millis(1));
+            let after_timed = held();
+            while !*ready {
+                cv.wait(&mut ready);
+            }
+            let after = held();
+            drop(ready);
+            (r.timed_out(), after_timed, after, held())
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        let (m, cv) = &*pair;
+        *m.lock() = true;
+        cv.notify_all();
+        assert_eq!(waiter.join().unwrap(), (true, 2, 2, 1));
+        assert_eq!(held(), 0);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! once, a key's jobs run in the order they were submitted, no two jobs
 //! of a shard run at once, and nothing is left queued. And the one rule
 //! the scheduler adds to a FIFO per shard: an idle shard readied from
-//! inside a job is drained by the worker that readied it, a second one
-//! by another.
+//! inside a job is drained by the thread that readied it, a second one
+//! by another; one readied by a thread outside the pool that holds no
+//! lock is drained by that thread before its submit returns, and by a
+//! worker when it holds one.
 //!
 //! One test, in a binary of its own: the pool is the process's, a
 //! virtual run retires its workers and the timer wheel's, and the model
@@ -24,6 +26,10 @@ use std::time::Duration;
 
 const KEYS: usize = 12;
 
+/// Keys below this are the test thread's, submitted from outside the
+/// pool; the rest are its jobs'. The two share shards 0 to 3.
+const OUTSIDE: usize = KEYS / 2;
+
 /// A job to submit, and the jobs it submits from inside the pool.
 struct Plan {
     key: usize,
@@ -34,13 +40,16 @@ struct Plan {
 
 fn plan(g: &mut Gen, depth: usize) -> Plan {
     let inner = if depth < 2 { g.vec(0..4 - depth, |g| plan(g, depth + 1)) } else { Vec::new() };
-    Plan { key: g.usize_in(0..KEYS), or_run: g.bool(), inner }
+    let key = if depth == 0 { g.usize_in(0..OUTSIDE) } else { g.usize_in(OUTSIDE..KEYS) };
+    Plan { key, or_run: g.bool(), inner }
 }
 
 #[derive(Default)]
 struct Model {
-    /// Per key, how many jobs have been submitted: the lock is held
-    /// across the submit, so the count is the job's place in the order.
+    /// Per key, how many jobs have been submitted: the count is the
+    /// job's place in the order. A key of the jobs' has its lock held
+    /// across the submit; one of the test thread's has no other
+    /// submitter, and is submitted holding no lock.
     submitted: [Mutex<usize>; KEYS],
     /// Per key, the places of the jobs that have run, as they ran.
     ran: [Mutex<Vec<usize>>; KEYS],
@@ -57,6 +66,9 @@ impl Model {
         let mut place = self.submitted[p.key].lock();
         let (m, key, seq) = (Arc::clone(self), p.key, *place);
         *place += 1;
+        if key < OUTSIDE {
+            drop(place);
+        }
         *self.outstanding.lock() += 1;
         let or_run = p.or_run;
         let job = move || m.run(key, seq, p.inner);
@@ -132,10 +144,92 @@ fn kept_and_handed_on() -> [ThreadId; 3] {
     [submitter, first, second]
 }
 
+/// Where a job ran: on the submitting thread or not, and the name of
+/// the thread.
+type Runner = (bool, String);
+
+/// Waits for `slot` to be filled by a job.
+fn ran<T: Clone>(slot: &Mutex<Option<T>>) -> T {
+    let deadline = time::now() + Duration::from_secs(60);
+    loop {
+        if let Some(v) = slot.lock().clone() {
+            return v;
+        }
+        assert!(time::now() < deadline, "a submitted job never ran");
+        time::sleep(Duration::from_millis(1));
+    }
+}
+
+fn runner(me: ThreadId) -> Runner {
+    let t = std::thread::current();
+    (t.id() == me, t.name().unwrap_or("").to_string())
+}
+
+/// Submits a job to `key` from this thread, holding a lock or not.
+/// Returns where it ran, and whether it had when the submit returned.
+fn submitted_from_here(key: u64, holding: bool) -> (Runner, bool) {
+    let (lock, slot) = (Mutex::new(()), Arc::new(Mutex::new(None)));
+    let held = holding.then(|| lock.lock());
+    let (s, me) = (Arc::clone(&slot), std::thread::current().id());
+    pool::submit(key, move || *s.lock() = Some(runner(me))).unwrap();
+    let at_once = slot.lock().is_some();
+    drop(held);
+    (ran(&slot), at_once)
+}
+
+/// A job run by its submitter submits another to an idle shard, which
+/// runs on the same thread, once the first has returned: the list of
+/// who ran, in order, as the submit returned.
+fn kept_by_the_submitter() -> Vec<(&'static str, Runner)> {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let (l, me) = (Arc::clone(&log), std::thread::current().id());
+    pool::submit(4, move || {
+        let inner = Arc::clone(&l);
+        pool::submit(5, move || inner.lock().push(("inner", runner(me)))).unwrap();
+        l.lock().push(("outer", runner(me)));
+    })
+    .unwrap();
+    let got = log.lock().clone();
+    got
+}
+
+/// A job run by its submitter changes the clock's era, as a virtual run
+/// beginning and ending does, with a second job queued behind it on its
+/// shard. The submitter's drain stops at the change; the second job is
+/// readied again and runs on a worker of the new era. `None` when the
+/// first job found its shard busy and ran on a worker.
+fn readied_again_after_an_era_change() -> Option<Runner> {
+    let (slot, on_me) = (Arc::new(Mutex::new(None)), Arc::new(Mutex::new(false)));
+    let (s, o, me) = (Arc::clone(&slot), Arc::clone(&on_me), std::thread::current().id());
+    pool::submit(6, move || {
+        pool::submit(6, move || *s.lock() = Some(runner(me))).unwrap();
+        // A worker would join itself in the era's change.
+        if runner(me).0 {
+            *o.lock() = true;
+            drop(vtime::enter());
+        }
+    })
+    .unwrap();
+    let second = ran(&slot);
+    let mine = *on_me.lock();
+    mine.then_some(second)
+}
+
+/// Gives the workers of the model's run a moment to let go of their
+/// shards, and `check` a few tries: only the pool sees a worker between
+/// a shard's last job and letting go of it, which on the real clock is
+/// where one may still be when the last job has been counted.
+fn within_tries(mut check: impl FnMut() -> bool) -> bool {
+    (0..3).any(|_| {
+        time::sleep(Duration::from_millis(5));
+        check()
+    })
+}
+
 fn case(g: &mut Gen) {
     // On a virtual clock the submitter holds the processor until it
-    // waits, so everything it submits is still queued at a transition;
-    // on the real clock the workers run beside it.
+    // waits, so everything its jobs hand on is still queued at a
+    // transition; on the real clock the workers run beside it.
     let mut clock = g.bool().then(vtime::enter);
     let transition = g.bool();
     let m = Arc::new(Model::default());
@@ -159,18 +253,32 @@ fn case(g: &mut Gen) {
     }
     assert_eq!(m.overlaps.load(Ordering::SeqCst), 0, "two jobs of one shard ran at once");
     assert_eq!(pool::stats().depth, [0; NSHARDS]);
-    // Only the pool sees a worker between a shard's last job and letting
-    // go of the shard, which on the real clock is where one may still be
-    // when the last job has been counted: give it a moment, and the
-    // model another try.
-    let kept = (0..3).any(|_| {
-        time::sleep(Duration::from_millis(5));
+    let kept = within_tries(|| {
         let [submitter, first, second] = kept_and_handed_on();
         assert_ne!(second, submitter, "the second shard a job readies is another worker's");
         first == submitter
     });
     assert!(kept, "the first shard a job readies is its worker's next");
+    let here = within_tries(|| submitted_from_here(3, false) == ((true, here_name()), true));
+    assert!(here, "a submitter holding no lock runs what it readied before the submit returns");
+    let ((on_me, name), _) = submitted_from_here(3, true);
+    assert!(!on_me && name == "pool-worker", "a submitter holding a lock ran a job on {name}");
+    let here = (true, here_name());
+    let kept = within_tries(|| kept_by_the_submitter() == [("outer", here.clone()), ("inner", here.clone())]);
+    assert!(kept, "a submit inside a job run by its submitter is kept for after the job");
+    drop(clock);
+    let again = within_tries(|| {
+        readied_again_after_an_era_change().inspect(|(on_me, name)| {
+            assert!(!on_me && name == "pool-worker", "what was left at the era's change ran on {name}");
+        })
+        .is_some()
+    });
+    assert!(again, "the submitter never drained its own shard");
     assert_eq!(pool::stats().depth, [0; NSHARDS]);
+}
+
+fn here_name() -> String {
+    std::thread::current().name().unwrap_or("").to_string()
 }
 
 plan9_support::props! {

@@ -6,7 +6,7 @@
 use std::sync::{Arc, Mutex as StdMutex};
 use std::time::Duration;
 
-use plan9_support::sync::{Condvar, Mutex};
+use plan9_support::sync::{self, Condvar, Mutex};
 use plan9_support::{chan, time, vtime};
 
 #[test]
@@ -81,6 +81,33 @@ fn condvar_timed_wait_becomes_virtual_timer() {
     assert!(r.timed_out());
     assert_eq!(time::now() - before, Duration::from_millis(250));
     drop(g);
+    drop(vt);
+}
+
+#[test]
+fn a_virtual_condition_wait_gives_its_lock_back_to_the_count() {
+    let vt = vtime::enter();
+    let pair = Arc::new((Mutex::new(false), Condvar::new()));
+    let p2 = Arc::clone(&pair);
+    let waiter = vtime::kproc("waiter", move || {
+        let (m, cv) = &*p2;
+        let mut ready = m.lock();
+        let timed_out = cv.wait_until(&mut ready, time::now() + Duration::from_millis(5)).timed_out();
+        let after_timed = sync::held();
+        while !*ready {
+            cv.wait(&mut ready);
+        }
+        let after = sync::held();
+        drop(ready);
+        (timed_out, after_timed, after, sync::held())
+    })
+    .unwrap();
+    time::sleep(Duration::from_millis(10));
+    let (m, cv) = &*pair;
+    *m.lock() = true;
+    cv.notify_all();
+    assert_eq!(waiter.join().unwrap(), (true, 1, 1, 0));
+    assert_eq!(sync::held(), 0);
     drop(vt);
 }
 

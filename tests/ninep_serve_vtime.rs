@@ -6,7 +6,7 @@ use plan9_ninep::client::NineClient;
 use plan9_ninep::codec::{decode_rmsg, encode_tmsg};
 use plan9_ninep::procfs::{MemFs, OpenMode, ProcFs, ServeNode};
 use plan9_ninep::server::{serve, NineService};
-use plan9_ninep::transport::{MsgPipeEnd, MsgSink};
+use plan9_ninep::transport::{MsgPipeEnd, MsgPipeSink, MsgSink};
 use plan9_ninep::{Dir, Result, Rmsg, Tmsg};
 use plan9_support::{time, vtime};
 use std::sync::{mpsc, Arc, Mutex};
@@ -86,15 +86,60 @@ impl ProcFs for MayBlock {
 }
 
 /// A sink that waits before a message is out, as an IL conversation
-/// with a full window does, and keeps what it sent.
-struct SlowSink(Arc<Mutex<Vec<Vec<u8>>>>);
+/// with a full window does, and keeps what it sent, passing it on to
+/// the sink it wraps if there is one.
+struct SlowSink(Arc<Mutex<Vec<Vec<u8>>>>, Option<MsgPipeSink>);
 
 impl MsgSink for SlowSink {
     fn sendmsg(&mut self, msg: &[u8]) -> Result<()> {
         time::sleep(Duration::from_millis(5));
         self.0.lock().unwrap().push(msg.to_vec());
-        Ok(())
+        self.1.as_mut().map_or(Ok(()), |to| to.sendmsg(msg))
     }
+}
+
+/// Aborts the process unless `done` is sent on within 30 s of real
+/// time: the virtual clock stops for good when the one thread it lets
+/// run blocks where it cannot see.
+fn watchdog(what: &'static str) -> mpsc::Sender<()> {
+    let (done, wedged) = mpsc::channel::<()>();
+    std::thread::spawn(move || {
+        if wedged.recv_timeout(Duration::from_secs(30)) == Err(mpsc::RecvTimeoutError::Timeout) {
+            eprintln!("{what} wedged the virtual clock");
+            std::process::abort();
+        }
+    });
+    done
+}
+
+/// Two callers on one client, and a sink in which the first one's
+/// request waits: the second must park where the virtual clock can see
+/// it, and not on an OS mutex held across the first one's send.
+#[test]
+fn a_request_waiting_in_the_sink_does_not_stop_the_next_callers_request() {
+    let done = watchdog("a caller waiting for the client's sink");
+    let vt = vtime::enter();
+    let fs = MemFs::new("ram", "bootes");
+    let (client_end, server_end) = MsgPipeEnd::pair();
+    let (ssink, ssource) = server_end.split();
+    let server = vtime::kproc("serve", move || serve(fs, Box::new(ssource), Box::new(ssink))).unwrap();
+    let (csink, csource) = client_end.split();
+    let sent = Arc::new(Mutex::new(Vec::new()));
+    let c = NineClient::new(Box::new(SlowSink(Arc::clone(&sent), Some(csink))), Box::new(csource));
+    let callers: Vec<_> = (0..2)
+        .map(|_| {
+            let c = c.clone();
+            vtime::kproc("caller", move || c.attach("u", "").map(drop)).unwrap()
+        })
+        .collect();
+    for h in callers {
+        h.join().unwrap().unwrap();
+    }
+    assert_eq!(sent.lock().unwrap().len(), 2);
+    drop(c);
+    server.join().unwrap().unwrap();
+    assert_eq!(vt.clock().census(), (1, 0));
+    done.send(()).unwrap();
 }
 
 /// Two workers with a reply each, and a sink in which the first one's
@@ -104,18 +149,12 @@ impl MsgSink for SlowSink {
 /// is a real-time one, virtual time having stopped.
 #[test]
 fn a_reply_waiting_in_the_sink_does_not_stop_the_next_workers_reply() {
-    let (done, wedged) = mpsc::channel::<()>();
-    std::thread::spawn(move || {
-        if wedged.recv_timeout(Duration::from_secs(30)) == Err(mpsc::RecvTimeoutError::Timeout) {
-            eprintln!("a 9p-worker waiting for the reply sink wedged the virtual clock");
-            std::process::abort();
-        }
-    });
+    let done = watchdog("a 9p-worker waiting for the reply sink");
     let vt = vtime::enter();
     let mem = MemFs::new("ram", "bootes");
     mem.put_file("/f", b"data").unwrap();
     let sent = Arc::new(Mutex::new(Vec::new()));
-    let svc = NineService::new(Arc::new(MayBlock(mem)), Box::new(SlowSink(Arc::clone(&sent))));
+    let svc = NineService::new(Arc::new(MayBlock(mem)), Box::new(SlowSink(Arc::clone(&sent), None)));
     let attach = Tmsg::Attach { fid: 1, uname: "u".into(), aname: String::new(), ticket: Vec::new() };
     let setup = [attach, Tmsg::Walk { fid: 1, name: "f".into() }, Tmsg::Open { fid: 1, mode: OpenMode::READ.0 }];
     for (tag, t) in setup.iter().enumerate() {

@@ -62,6 +62,13 @@ fn emptied(stacks: &[Arc<IpStack>; 2]) {
     assert_eq!(left, [0, 0], "closed conversations still in their tables");
 }
 
+/// The processes on the clock other than pool workers, whose number is
+/// the pool's to decide: a caller that delivers its own frames leaves a
+/// worker to be made later, if at all, than one used to be.
+fn kprocs(vt: &vtime::VtGuard) -> usize {
+    vt.clock().census().0 - pool::workers()
+}
+
 fn client_of(conn: &Arc<IlConn>) -> NineClient {
     let io = IlIo(Arc::clone(conn));
     NineClient::new(Box::new(io.clone()), Box::new(io))
@@ -103,20 +110,29 @@ fn a_memfs_served_from_a_shard_makes_no_kproc() {
 
 /// [`tree`], with reads of `/gate` waiting for the test's word as reads
 /// of a `listen` file wait for a call; `/gate` alone may block. Every
-/// read notes the thread it ran on.
+/// read notes the thread it ran on, and one of `/gate` says when it is
+/// in.
 struct GateFs {
     mem: Arc<MemFs>,
     open: Receiver<()>,
+    at_gate: (Sender<()>, Receiver<()>),
     readers: Mutex<HashSet<String>>,
 }
 
 impl GateFs {
     fn new(open: Receiver<()>) -> Arc<GateFs> {
-        Arc::new(GateFs { mem: tree(), open, readers: Mutex::default() })
+        Arc::new(GateFs { mem: tree(), open, at_gate: unbounded(), readers: Mutex::default() })
     }
 
     fn is_gate(&self, n: &ServeNode) -> bool {
         self.mem.stat(n).map_or(true, |d| d.name == "gate")
+    }
+
+    /// Waits, parked, until a read has come to the gate. Under the
+    /// virtual clock a caller that delivers its own frames never parks
+    /// between its RPCs, so a process it made has not run until it does.
+    fn wait_at_gate(&self) {
+        self.at_gate.1.recv().expect("the gate's sender is the file server's own");
     }
 }
 
@@ -140,6 +156,7 @@ impl ProcFs for GateFs {
         let thread = std::thread::current().name().unwrap_or("").to_string();
         self.readers.lock().unwrap().insert(thread);
         if self.is_gate(n) {
+            let _ = self.at_gate.0.send(());
             self.open.recv().expect("the test holds the gate");
         }
         self.mem.read(n, offset, count)
@@ -170,33 +187,35 @@ fn a_parked_read_takes_a_kproc_and_the_shard_answers_on() {
     let vt = vtime::enter();
     let (conn, srv, stacks) = conversation(2);
     let (gate_open, open): (Sender<()>, _) = unbounded();
-    let _svc = serve_on_shard(&srv, GateFs::new(open));
+    let fs = GateFs::new(open);
+    let _svc = serve_on_shard(&srv, fs.clone());
     let c = client_of(&conn);
     let f = open_file(&c, "f");
-    let before = vt.clock().census().0;
+    let before = kprocs(&vt);
     let parked = {
         let c = c.clone();
         // The open of `/gate` is the first operation that may block.
         vtime::kproc("caller", move || c.read(open_file(&c, "gate"), 0, 8)).unwrap()
     };
+    fs.wait_at_gate();
     // While that read waits, the shard is free for the file at hand.
     for _ in 0..50 {
         assert_eq!(c.read(f, 0, 8).unwrap(), b"data");
     }
     assert!(!parked.is_finished());
     // The caller, and the one `9p-worker` its read is parked on.
-    assert_eq!(vt.clock().census().0, before + 2);
+    assert_eq!(kprocs(&vt), before + 2);
     gate_open.send(()).unwrap();
     assert_eq!(parked.join().unwrap().unwrap(), b"late");
     // Kept until the hangup, as `serve` keeps its own.
-    assert_eq!(vt.clock().census().0, before + 1);
+    assert_eq!(kprocs(&vt), before + 1);
     hang_up(&conn, &stacks);
     // The hangup reaches the shard; the worker ends with its channel.
     // A minute of virtual time is thousands of times what that takes.
     let deadline = time::now() + Duration::from_secs(60);
-    while vt.clock().census().0 != before {
+    while kprocs(&vt) != before {
         let census = vt.clock().census();
-        assert!(time::now() < deadline, "(registered, parked) = {census:?}, was {before} registered");
+        assert!(time::now() < deadline, "(registered, parked) = {census:?}, was {before} besides the pool");
         time::sleep(Duration::from_millis(1));
     }
 }
@@ -341,7 +360,9 @@ fn pipelined_big_reads(conn: &Arc<TcpConn>, srv: &Arc<TcpConn>) -> HashSet<Strin
 /// `TcpConn::write_bytes` on a full send buffer would hold up its shard,
 /// where the conversation's retransmission timer fires. The feeder
 /// reads a request only while `TcpConn::can_send`, so every read runs
-/// on a pool worker; one that did not would hand the reads the buffer
+/// where a frame was delivered: by the `case` process, which writes the
+/// requests and so delivers them, or by a pool worker, delivering what
+/// a timer sent; one that did not would hand the reads the buffer
 /// has no room for to `9p-worker`s, or park.
 #[test]
 fn a_full_send_buffer_stops_the_feeder_and_not_its_shard() {
@@ -357,7 +378,7 @@ fn a_full_send_buffer_stops_the_feeder_and_not_its_shard() {
             let (conn, srv) = tcp_dial(&stacks, &listener, lport);
             if shards.insert(pool::shard_of(srv.conv_id())) {
                 let readers = pipelined_big_reads(&conn, &srv);
-                assert_eq!(readers, HashSet::from(["pool-worker".to_string()]));
+                assert_eq!(readers, HashSet::from(["case".to_string(), "pool-worker".to_string()]));
             }
             tcp_hang_up(&conn, &srv, &stacks);
         }
@@ -380,20 +401,19 @@ fn an_absurd_frame_length_hangs_the_conversation_up() {
     let stacks = stacks(5, Profiles::ether_fast());
     let listener = tcp_listen(&stacks);
     let (conn, srv) = tcp_dial(&stacks, &listener, 0);
-    let before = vt.clock().census().0;
+    let before = kprocs(&vt);
     let (gate_open, open): (Sender<()>, _) = unbounded();
-    let svc = serve_on_shard(&srv, GateFs::new(open));
+    let fs = GateFs::new(open);
+    let svc = serve_on_shard(&srv, fs.clone());
     let c = tcp_client_of(&conn);
     let parked = {
         let c = c.clone();
         vtime::kproc("caller", move || c.read(open_file(&c, "gate"), 0, 8)).unwrap()
     };
+    fs.wait_at_gate();
     // The caller, and the `9p-worker` its read is parked on.
+    assert_eq!(kprocs(&vt), before + 2);
     let deadline = time::now() + Duration::from_secs(60);
-    while vt.clock().census().0 != before + 2 {
-        assert!(time::now() < deadline, "the read never parked");
-        time::sleep(Duration::from_millis(1));
-    }
     conn.write(&u32::MAX.to_le_bytes()).unwrap();
     while srv.state() == TcpState::Established {
         assert!(time::now() < deadline, "the served end is still established");
@@ -404,5 +424,5 @@ fn an_absurd_frame_length_hangs_the_conversation_up() {
     svc.wait();
     conn.close();
     emptied(&stacks);
-    assert_eq!(vt.clock().census().0, before);
+    assert_eq!(kprocs(&vt), before);
 }
