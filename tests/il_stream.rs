@@ -12,13 +12,15 @@
 //! case runs under the virtual clock (so this file is a binary of its
 //! own: a virtual run is process-wide) and is a function of its seed.
 
+mod oracle;
+
 use plan9::inet::il::IlConn;
 use plan9::inet::ip::{IpConfig, IpStack};
 use plan9::netsim::ether::{EtherSegment, MacAddr};
 use plan9::netsim::profile::Profiles;
 use plan9_support::check::Gen;
 use plan9_support::{time, vtime};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -26,16 +28,7 @@ const A_MAC: MacAddr = [8, 0, 0x69, 0x23, 0, 1];
 const B_MAC: MacAddr = [8, 0, 0x69, 0x23, 0, 2];
 const PORT: u16 = 17008;
 
-/// Virtual time after which a case that has not read both ends of the
-/// conversation is wedged: a clean case takes a fraction of a second of
-/// it, and one that backs off again and again some tens.
-const WEDGED: Duration = Duration::from_secs(600);
-
 const ACCEPT: Duration = Duration::from_secs(30);
-
-/// The longest virtual time a case of this run has spent in `settle`,
-/// in nanoseconds: how long teardown takes, against `il::HORIZON`.
-static LONGEST_SETTLE: AtomicU64 = AtomicU64::new(0);
 
 /// What one end of a case is to do.
 struct End {
@@ -52,7 +45,7 @@ struct End {
 struct Case {
     conns: Mutex<Vec<Arc<IlConn>>>,
     read_all: AtomicUsize,
-    done: AtomicBool,
+    done: Arc<AtomicBool>,
 }
 
 /// Writes `msgs`, one `send` each. A peer that has hung up ends it.
@@ -118,29 +111,6 @@ fn both_ways(conn: Arc<IlConn>, case: &Arc<Case>, end: End) -> Result<(), String
     read.map(|_| ())
 }
 
-/// A wedged conversation may have no timer armed, and a virtual clock
-/// with every process parked and no timer never moves: the watchdog is
-/// the timer that turns that hang into a failure that names its seed.
-/// IL has no abort, and a `close` of a conversation that is wedged
-/// closing wakes nobody, so the failure is the process's: it says what
-/// it saw and exits.
-fn watchdog(case: Arc<Case>, seed: u64, wire: String) {
-    let deadline = time::now() + WEDGED;
-    while !case.done.load(Ordering::Acquire) {
-        if time::now() >= deadline {
-            let conns = case.conns.lock().unwrap();
-            let status: Vec<String> =
-                conns.iter().map(|c| format!("{c:?} {}", c.status_string())).collect();
-            eprintln!(
-                "il_stream: ({wire}) still open after {WEDGED:?}: {}; replay with P9_IL_CASE={seed}",
-                status.join("; ")
-            );
-            std::process::exit(1);
-        }
-        time::sleep(Duration::from_millis(500));
-    }
-}
-
 fn case(seed: u64) -> Result<(), String> {
     let mut g = Gen::from_seed(seed);
     let mut profile = Profiles::ether_calibrated().with_seed(g.u64());
@@ -173,9 +143,12 @@ fn case(seed: u64) -> Result<(), String> {
     );
 
     let shared = Arc::new(Case::default());
-    let wcase = Arc::clone(&shared);
-    let wwire = wire.clone();
-    let dog = vtime::kproc("stream-watchdog", move || watchdog(wcase, seed, wwire)).expect("spawn");
+    let (wcase, wwire) = (Arc::clone(&shared), wire.clone());
+    let dog = oracle::watchdog("il", seed, &shared.done, move || {
+        let conns = wcase.conns.lock().unwrap();
+        let status: Vec<String> = conns.iter().map(|c| format!("{c:?} {}", c.status_string())).collect();
+        format!("({wwire}) {}", status.join("; "))
+    });
     let listener = b.il_module().listen(&b, PORT).map_err(|e| format!("listen: {e}"))?;
     let (scase, b_end) = (Arc::clone(&shared), End { mine: Arc::clone(&b_to_a), theirs: Arc::clone(&a_to_b), hasty: hasty_b });
     let server = vtime::kproc("stream-server", move || {
@@ -208,26 +181,7 @@ fn case(seed: u64) -> Result<(), String> {
 
     // Both ends closed: past the handshake, or the timers of an end
     // whose peer's Close was lost, neither table holds the conversation.
-    let t0 = time::now();
-    let left = [a.settle(), b.settle()];
-    let took = (time::now() - t0).as_nanos() as u64;
-    if LONGEST_SETTLE.fetch_max(took, Ordering::Relaxed) < took {
-        eprintln!("il_stream: seed {seed} settled in {:?}, the longest yet", Duration::from_nanos(took));
-    }
-    if left != [0, 0] {
-        return Err(format!("({wire}): {} conversations left on a, {} on b", left[0], left[1]));
-    }
-    Ok(())
-}
-
-/// One case, in a virtual run of its own.
-fn run(seed: u64) {
-    let guard = vtime::enter();
-    let out = vtime::kproc("il-stream", move || case(seed)).expect("spawn case").join();
-    drop(guard);
-    if let Err(e) = out.expect("case panicked") {
-        panic!("{e}");
-    }
+    oracle::settled("il", seed, &wire, || a.settle() + b.settle())
 }
 
 plan9_support::props! {
@@ -235,8 +189,7 @@ plan9_support::props! {
     /// with `P9_CHECK_SEED`, a wedged one by the watchdog and replays
     /// with `P9_IL_CASE`.
     fn prop_what_is_written_is_read_in_order_once_with_its_boundaries(g, cases = 200) {
-        let replay = std::env::var("P9_IL_CASE").ok().and_then(|s| s.parse().ok());
-        run(replay.unwrap_or_else(|| g.u64()));
+        oracle::run(oracle::next_seed("il", g), case);
     }
 }
 
@@ -247,5 +200,5 @@ plan9_support::props! {
 /// reader with it.
 #[test]
 fn a_close_whose_answer_is_lost_is_sent_again() {
-    run(8832669866552219877);
+    oracle::run(8832669866552219877, case);
 }

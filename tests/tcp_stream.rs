@@ -7,13 +7,15 @@
 //! runs under the virtual clock (so this file is a binary of its own:
 //! a virtual run is process-wide) and is a function of its seed.
 
+mod oracle;
+
 use plan9::inet::ip::{IpConfig, IpStack};
 use plan9::inet::tcp::TcpConn;
 use plan9::netsim::ether::{EtherSegment, MacAddr};
 use plan9::netsim::profile::Profiles;
 use plan9_support::check::Gen;
-use plan9_support::{time, vtime};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use plan9_support::vtime;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -21,16 +23,7 @@ const A_MAC: MacAddr = [8, 0, 0x69, 0x22, 0, 1];
 const B_MAC: MacAddr = [8, 0, 0x69, 0x22, 0, 2];
 const PORT: u16 = 564;
 
-/// Virtual time after which a case that has not read both ends of file
-/// is wedged: a clean case takes a fraction of a second of it, and one
-/// that backs off to `RTO_MAX` again and again some tens.
-const WEDGED: Duration = Duration::from_secs(600);
-
 const ACCEPT: Duration = Duration::from_secs(30);
-
-/// The longest virtual time a case of this run has spent in `settle`,
-/// in nanoseconds: how long teardown takes, against `tcp::HORIZON`.
-static LONGEST_SETTLE: AtomicU64 = AtomicU64::new(0);
 
 /// The largest single write: past `SND_BUF_MAX`'s free space often
 /// enough that writers block, and never a multiple of a segment.
@@ -92,7 +85,7 @@ fn read_all(conn: &Arc<TcpConn>, expect: &[u8], g: &mut Gen) -> Result<(), Strin
     }
 }
 
-/// The connections of a case, for the watchdog to describe and abort.
+/// The connections of a case, for the watchdog to describe.
 type Conns = Arc<Mutex<Vec<Arc<TcpConn>>>>;
 
 /// One end of a case: a writer and a reader of the same connection, as
@@ -121,24 +114,6 @@ fn both_ways(
     }
     let w = writer.join().expect("writer panicked");
     r.and(w)
-}
-
-/// A wedged connection has no timer armed, and a virtual clock with
-/// every process parked and no timer never moves: the watchdog is the
-/// timer that turns that hang into a failure that names its seed.
-fn watchdog(conns: Conns, done: Arc<AtomicBool>) -> Result<(), String> {
-    let deadline = time::now() + WEDGED;
-    while !done.load(Ordering::Acquire) {
-        if time::now() >= deadline {
-            let conns = conns.lock().unwrap();
-            let status: Vec<String> =
-                conns.iter().map(|c| format!("{c:?} {}", c.status_string())).collect();
-            conns.iter().for_each(|c| c.abort());
-            return Err(format!("still open after {WEDGED:?}: {}", status.join("; ")));
-        }
-        time::sleep(Duration::from_millis(500));
-    }
-    Ok(())
 }
 
 fn case(seed: u64) -> Result<(), String> {
@@ -179,8 +154,12 @@ fn case(seed: u64) -> Result<(), String> {
 
     let conns = Conns::default();
     let done = Arc::new(AtomicBool::new(false));
-    let (wconns, wdone) = (Arc::clone(&conns), Arc::clone(&done));
-    let dog = vtime::kproc("stream-watchdog", move || watchdog(wconns, wdone)).expect("spawn");
+    let (wconns, wwire) = (Arc::clone(&conns), wire.clone());
+    let dog = oracle::watchdog("tcp", seed, &done, move || {
+        let conns = wconns.lock().unwrap();
+        let status: Vec<String> = conns.iter().map(|c| format!("{c:?} {}", c.status_string())).collect();
+        format!("({wwire}) {}", status.join("; "))
+    });
     let listener = b.tcp_module().listen(&b, PORT).map_err(|e| format!("listen: {e}"))?;
     let (to_b, from_b, sconns) = (Arc::clone(&a_to_b), Arc::clone(&b_to_a), Arc::clone(&conns));
     let server = vtime::kproc("stream-server", move || {
@@ -197,34 +176,20 @@ fn case(seed: u64) -> Result<(), String> {
         .and_then(|conn| both_ways(conn, &conns, a_to_b, b_to_a, seed_a));
     let served = server.join().expect("server panicked");
     done.store(true, Ordering::Release);
-    dog.join().expect("watchdog panicked").map_err(|e| format!("({wire}) {e}"))?;
+    dog.join().expect("watchdog panicked");
     client.map_err(|e| format!("a ({wire}): {e}"))?;
     served.map_err(|e| format!("b ({wire}): {e}"))?;
 
     // Both halves closed: past the FINs, their acknowledgments and the
     // first closer's TIME-WAIT, neither table holds the conversation.
-    let t0 = time::now();
-    let left = [a.settle(), b.settle()];
-    let took = (time::now() - t0).as_nanos() as u64;
-    if LONGEST_SETTLE.fetch_max(took, Ordering::Relaxed) < took {
-        eprintln!("tcp_stream: seed {seed} settled in {:?}, the longest yet", Duration::from_nanos(took));
-    }
-    if left != [0, 0] {
-        return Err(format!("({wire}): {} conversations left on a, {} on b", left[0], left[1]));
-    }
-    Ok(())
+    oracle::settled("tcp", seed, &wire, || a.settle() + b.settle())
 }
 
 plan9_support::props! {
     /// 200 seeds; a failing one is printed by the runner and replays
-    /// with `P9_CHECK_SEED`.
+    /// with `P9_CHECK_SEED`, a wedged one by the watchdog and replays
+    /// with `P9_TCP_CASE`.
     fn prop_what_is_written_is_read_in_order_once_then_eof(g, cases = 200) {
-        let seed = g.u64();
-        let guard = vtime::enter();
-        let out = vtime::kproc("tcp-stream", move || case(seed)).expect("spawn case").join();
-        drop(guard);
-        if let Err(e) = out.expect("case panicked") {
-            panic!("{e}");
-        }
+        oracle::run(oracle::next_seed("tcp", g), case);
     }
 }
