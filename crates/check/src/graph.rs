@@ -35,7 +35,7 @@
 //! - **Closures** are attributed to their enclosing item, *except* the
 //!   closure argument of a non-blocking-context registration —
 //!   `pool::submit`, `pool::submit_or_run`, `wheel::schedule` (or
-//!   `conv::rearm`, which passes its closure to it), `.set_rx_handler(..)`
+//!   `wheel::rearm`, which passes its closure to it), `.set_rx_handler(..)`
 //!   and `.set_rx_tap(..)` — which becomes its own synthetic root node
 //!   so the flow passes can start exactly at the code that runs on a
 //!   shard, wheel, or rx path; a `vtime::kproc` body is a node of its
@@ -1711,9 +1711,8 @@ impl<'a> Parser<'a> {
         // real call spelling (`pool::submit(…)`, `wheel::schedule(…)`).
         let root = match (segs.len() >= 2).then(|| segs[segs.len() - 2].as_str()) {
             Some("pool") if name == "submit" || name == "submit_or_run" => Some(RootKind::PoolJob),
-            // `conv::rearm` hands its closure on to `wheel::schedule`.
-            Some("wheel") if name == "schedule" => Some(RootKind::WheelCallback),
-            Some("conv") if name == "rearm" => Some(RootKind::WheelCallback),
+            // `wheel::rearm` hands its closure on to `wheel::schedule`.
+            Some("wheel") if name == "schedule" || name == "rearm" => Some(RootKind::WheelCallback),
             Some("vtime") if name == "kproc" => Some(RootKind::Kproc),
             _ => None,
         };
@@ -2121,7 +2120,7 @@ mod tests {
     #[test]
     fn wheel_schedule_and_rx_handler_roots() {
         let g = graph_of(
-            "fn arm(at: Instant) {\n    wheel::schedule(1, at, move || fire())?;\n    station.set_rx_handler(key, move |frame| handle(frame));\n    conv::rearm(&mut t, 1, Some(at), move || fire())?;\n    stack.set_rx_tap(move |frame| handle(frame));\n}\nfn fire() {}\nfn handle(_f: u8) {}\n",
+            "fn arm(at: Instant) {\n    wheel::schedule(1, at, move || fire())?;\n    station.set_rx_handler(key, move |frame| handle(frame));\n    wheel::rearm(&mut t, 1, Some(at), move || fire())?;\n    stack.set_rx_tap(move |frame| handle(frame));\n}\nfn fire() {}\nfn handle(_f: u8) {}\n",
         );
         let kinds: Vec<RootKind> = g.roots().map(|(_, f)| f.root.unwrap()).collect();
         use RootKind::{RxHandler, WheelCallback};

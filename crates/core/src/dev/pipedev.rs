@@ -74,13 +74,17 @@ impl Dev for PipeFs {
     }
 
     fn clunk_node(&self, n: &ServeNode) {
-        if let Some(end) = self.refs.lock().remove(&n.handle) {
+        // Out of the tables first: the last close of an end hangs up the
+        // peer, never under `refs` or `open`.
+        let end = self.refs.lock().remove(&n.handle);
+        let Some(end) = end else { return };
+        let last = {
             let mut counts = self.open_count.lock();
             counts[end] = counts[end].saturating_sub(1);
-            if counts[end] == 0 {
-                // The last close of this end hangs up the peer.
-                self.ends[end].destroy();
-            }
+            counts[end] == 0
+        };
+        if last {
+            self.ends[end].destroy();
         }
     }
 }
@@ -89,6 +93,36 @@ impl Dev for PipeFs {
 mod tests {
     use super::*;
     use plan9_ninep::procfs::ProcFs;
+
+    /// A module that keeps how many locks are held when its stream is
+    /// destroyed.
+    struct DestroyProbe(std::sync::Mutex<Vec<usize>>);
+
+    impl plan9_streams::StreamModule for DestroyProbe {
+        fn name(&self) -> &str {
+            "probe"
+        }
+        fn put_down(&self, ctx: &plan9_streams::ModuleCtx, b: plan9_streams::Block) -> Result<()> {
+            ctx.send_down(b)
+        }
+        fn put_up(&self, ctx: &plan9_streams::ModuleCtx, b: plan9_streams::Block) -> Result<()> {
+            ctx.send_up(b)
+        }
+        fn close(&self, _ctx: &plan9_streams::ModuleCtx) {
+            self.0.lock().unwrap().push(plan9_support::sync::held());
+        }
+    }
+
+    #[test]
+    fn the_last_clunk_destroys_its_end_outside_the_tables() {
+        let fs = PipeFs::new();
+        let probe = Arc::new(DestroyProbe(std::sync::Mutex::default()));
+        fs.ends[0].push_module(probe.clone());
+        let root = fs.attach("u", "").unwrap();
+        let a = fs.open(&fs.walk(&root, "data").unwrap(), OpenMode::RDWR).unwrap();
+        fs.clunk(&a);
+        assert_eq!(*probe.0.lock().unwrap(), [0], "the end was destroyed under a lock");
+    }
 
     #[test]
     fn two_ends_converse() {

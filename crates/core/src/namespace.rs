@@ -128,16 +128,19 @@ impl Namespace {
         };
         let mut table = self.table.write();
         if let Some(mp) = table.iter_mut().find(|mp| mp.path == path) {
-            match flags {
-                MBEFORE => mp.union.insert(0, src),
-                MAFTER => mp.union.push(src),
-                _ => {
-                    for old in mp.union.drain(..) {
-                        old.clunk();
-                    }
-                    mp.union.push(src);
-                }
+            let replaced = match flags {
+                MBEFORE | MAFTER => Vec::new(),
+                _ => std::mem::take(&mut mp.union),
+            };
+            if flags == MBEFORE {
+                mp.union.insert(0, src);
+            } else {
+                mp.union.push(src);
             }
+            // A clunk may be a hangup or a remote Tclunk: never under
+            // the table's lock.
+            drop(table);
+            replaced.iter().for_each(Source::clunk);
             return Ok(());
         }
         let union = match (flags, prior) {
@@ -251,6 +254,62 @@ fn walk_all(member: &Source, comps: &[String]) -> Result<Source> {
     Ok(cur)
 }
 
+/// A file server that keeps, at each clunk, how many locks its caller
+/// holds: a clunk may be a hangup or a remote Tclunk, and a table's lock
+/// must not be held across one.
+#[cfg(test)]
+pub(crate) mod probe {
+    use plan9_ninep::procfs::{MemFs, OpenMode, ProcFs, ServeNode};
+    use plan9_ninep::{Dir, Result};
+    use std::sync::{Arc, Mutex};
+
+    pub(crate) struct ClunkProbe {
+        fs: Arc<MemFs>,
+        /// `support::sync::held()` at each clunk, in order.
+        pub(crate) held: Mutex<Vec<usize>>,
+    }
+
+    impl ClunkProbe {
+        /// A probe serving one empty file, `/f`.
+        pub(crate) fn new() -> Arc<ClunkProbe> {
+            let fs = MemFs::new("probe", "u");
+            fs.put_file("/f", b"").unwrap();
+            Arc::new(ClunkProbe { fs, held: Mutex::default() })
+        }
+    }
+
+    impl ProcFs for ClunkProbe {
+        fn fsname(&self) -> String {
+            self.fs.fsname()
+        }
+        fn attach(&self, uname: &str, aname: &str) -> Result<ServeNode> {
+            self.fs.attach(uname, aname)
+        }
+        fn clone_node(&self, n: &ServeNode) -> Result<ServeNode> {
+            self.fs.clone_node(n)
+        }
+        fn walk(&self, n: &ServeNode, name: &str) -> Result<ServeNode> {
+            self.fs.walk(n, name)
+        }
+        fn open(&self, n: &ServeNode, mode: OpenMode) -> Result<ServeNode> {
+            self.fs.open(n, mode)
+        }
+        fn read(&self, n: &ServeNode, offset: u64, count: usize) -> Result<Vec<u8>> {
+            self.fs.read(n, offset, count)
+        }
+        fn write(&self, n: &ServeNode, offset: u64, data: &[u8]) -> Result<usize> {
+            self.fs.write(n, offset, data)
+        }
+        fn clunk(&self, n: &ServeNode) {
+            self.held.lock().unwrap().push(plan9_support::sync::held());
+            self.fs.clunk(n)
+        }
+        fn stat(&self, n: &ServeNode) -> Result<Dir> {
+            self.fs.stat(n)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,6 +357,17 @@ mod tests {
         ns.mount(Source::attach(&fs, "u", "").unwrap(), "/mnt", MREPL)
             .unwrap();
         assert_eq!(read_file(&ns, "/mnt/hello").unwrap(), b"from other");
+    }
+
+    #[test]
+    fn a_replaced_mount_is_clunked_outside_the_table_lock() {
+        let (ns, _root) = ns_with_root();
+        let probe = probe::ClunkProbe::new();
+        let fs: Arc<dyn ProcFs> = probe.clone();
+        ns.mount(Source::attach(&fs, "u", "").unwrap(), "/mnt", MREPL).unwrap();
+        let other: Arc<dyn ProcFs> = MemFs::new("other", "u");
+        ns.mount(Source::attach(&other, "u", "").unwrap(), "/mnt", MREPL).unwrap();
+        assert_eq!(*probe.held.lock().unwrap(), [0], "the replaced root's clunk ran under a lock");
     }
 
     #[test]

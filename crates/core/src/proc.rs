@@ -207,10 +207,11 @@ impl Proc {
 
     /// Closes a descriptor.
     pub fn close(&self, fd: i32) {
-        if let Some(f) = self.fds.lock().remove(&fd) {
-            if let FdKind::File(src) = f.kind {
-                src.clunk();
-            }
+        // Out of the table first: a clunk may be a hangup or a remote
+        // Tclunk, and is never made under `fds`.
+        let f = self.fds.lock().remove(&fd);
+        if let Some(Fd { kind: FdKind::File(src), .. }) = f {
+            src.clunk();
         }
     }
 
@@ -392,6 +393,18 @@ mod tests {
         let fs: Arc<dyn ProcFs> = root;
         let ns = Namespace::new(Source::attach(&fs, "philw", "").unwrap());
         Proc::new(ns, "philw")
+    }
+
+    #[test]
+    fn close_clunks_outside_the_descriptor_table() {
+        let p = proc_with_root();
+        let probe = crate::namespace::probe::ClunkProbe::new();
+        let fs: Arc<dyn ProcFs> = probe.clone();
+        p.mount_fs(&fs, "", "/n/probe", crate::namespace::MREPL).unwrap();
+        let fd = p.open("/n/probe/f", OpenMode::READ).unwrap();
+        probe.held.lock().unwrap().clear();
+        p.close(fd);
+        assert_eq!(*probe.held.lock().unwrap(), [0], "the descriptor's clunk ran under a lock");
     }
 
     #[test]

@@ -20,16 +20,23 @@
 //! line (`Cell::left`): an ECHO rewinds only to a cell that left
 //! before its ENQ, a REJ only to a cell that has left the line, and an
 //! ACK never. The prober sends what a rewind resends, so the input
-//! process that judges loss never waits on the line.
+//! that judges loss never waits on the line.
+//!
+//! A conversation costs no kernel process. Its input,
+//! [`UrpConn::input`], is the circuit's handler: it runs on whichever
+//! thread delivers the cell, at the cell's arrival (§2.4: a protocol's
+//! input runs in whoever delivers the data). The prober is one timer
+//! wheel entry, on a pool key of its own: a rewind resends up to a
+//! window of full cells, and that must not hold up the input. `send`,
+//! `drain` and `probe_and_wait` run on the caller's thread.
 
 use plan9_support::sync::{Condvar, Mutex};
-use plan9_support::{time, vtime};
+use plan9_support::{time, wheel};
 use plan9_netsim::fabric::{Circuit, DatakitLine, IncomingCall};
-use plan9_netsim::wire::RecvOutcome;
 use plan9_netlog::{Counter, Registry};
 use plan9_ninep::NineError;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Outstanding-cell window; 7 so sequence arithmetic mod 8 stays
@@ -50,6 +57,8 @@ const SEQ_MASK: u8 = 0x07;
 /// How long cells may sit unacknowledged, with no acknowledgment
 /// arriving, before the sender probes.
 const ENQ_TIMEOUT: Duration = Duration::from_millis(40);
+/// The repair interval: at most one REJ, and one rewind, per interval.
+const REPAIR: Duration = Duration::from_millis(15);
 const MAX_PROBES: u32 = 200;
 /// The receiver volunteers an ACK after this many data cells, so the
 /// sender's window drains during bulk transfers without an ENQ.
@@ -103,6 +112,11 @@ struct SendState {
     /// When we last rewound, to damp retransmission storms.
     last_rewind: Option<Instant>,
     closed: bool,
+    /// Since when there has been no news — an acknowledgment, a rewind,
+    /// a cell sent into an empty window — to put off a probe.
+    quiet_since: Instant,
+    /// The prober's entry on the timer wheel.
+    timer: Option<wheel::TimerId>,
 }
 
 impl SendState {
@@ -139,7 +153,12 @@ struct RecvState {
 
 /// One end of a URP conversation.
 pub struct UrpConn {
-    circuit: Arc<Circuit>,
+    /// The conversation itself, for its handler and its timer to hold:
+    /// weakly, so one its owner lets go of hangs up.
+    me: Weak<UrpConn>,
+    circuit: Circuit,
+    /// The prober's pool key: the shard after the input's.
+    probe_key: u64,
     send: Mutex<SendState>,
     echo_cv: Condvar,
     recv: Mutex<RecvState>,
@@ -151,8 +170,8 @@ pub struct UrpConn {
 }
 
 impl UrpConn {
-    /// Wraps an established circuit in URP and starts the receive
-    /// process.
+    /// Wraps an established circuit in URP: its cells go to
+    /// [`UrpConn::input`] as they arrive.
     pub fn new(circuit: Circuit) -> Arc<UrpConn> {
         UrpConn::with_stats(circuit, Arc::new(UrpStats::new(&Registry::new())))
     }
@@ -161,8 +180,10 @@ impl UrpConn {
     /// shares among the conversations of one line.
     pub fn with_stats(circuit: Circuit, stats: Arc<UrpStats>) -> Arc<UrpConn> {
         let cell_payload = circuit.mtu().saturating_sub(1).max(16);
-        let conn = Arc::new(UrpConn {
-            circuit: Arc::new(circuit),
+        let conn = Arc::new_cyclic(|me| UrpConn {
+            me: me.clone(),
+            probe_key: circuit.rx_key().wrapping_add(1),
+            circuit,
             send: Mutex::new(SendState {
                 next_seq: 0,
                 unacked: VecDeque::new(),
@@ -171,6 +192,8 @@ impl UrpConn {
                 rewind: None,
                 last_rewind: None,
                 closed: false,
+                quiet_since: time::now(),
+                timer: None,
             }),
             echo_cv: Condvar::new(),
             recv: Mutex::new(RecvState {
@@ -185,54 +208,80 @@ impl UrpConn {
             stats,
             cell_payload,
         });
-        let rx = Arc::clone(&conn);
-        vtime::kproc("urp-rx", move || rx.input_loop()).expect("spawn urp rx");
-        let prober = Arc::clone(&conn);
-        vtime::kproc("urp-probe", move || prober.probe_loop()).expect("spawn urp prober");
+        let input = conn.me.clone();
+        conn.circuit.set_rx_handler(move |cell| {
+            if let Some(conn) = input.upgrade() {
+                conn.input(cell)
+            }
+        });
         conn
     }
 
-    /// The enquiry kernel process: if cells sit unacknowledged for
-    /// [`ENQ_TIMEOUT`] with no acknowledgment arriving, probe with ENQ;
-    /// the ECHO reply repairs. It is also what resends a rewound window,
-    /// so the input process, which judges loss, never waits on the line
-    /// and judges on news as fresh as the circuit brings it. With nothing
-    /// outstanding it sleeps until a cell is sent.
-    fn probe_loop(self: Arc<Self>) {
-        let mut send = self.send.lock();
-        while !send.closed {
-            if let Some(seq) = send.rewind {
-                let cells: Vec<(u8, Vec<u8>)> = send
-                    .unacked
-                    .iter_mut()
-                    .skip_while(|c| c.seq != seq)
-                    .map(|c| {
-                        c.left = None;
-                        (c.seq, c.bytes.clone())
-                    })
-                    .collect();
-                self.stats.retransmit_cells.add(cells.len() as u64);
-                drop(send);
-                for (seq, c) in cells {
-                    let _ = self.circuit.send(&c);
-                    self.send.lock().left_line(seq);
-                }
-                send = self.send.lock();
-                send.rewind = None;
-                self.echo_cv.notify_all();
-            } else if send.unacked.is_empty() {
-                self.echo_cv.wait(&mut send);
-            } else if self
-                .echo_cv
-                .wait_until(&mut send, time::now() + ENQ_TIMEOUT)
-                .timed_out()
-                && !send.unacked.is_empty()
-            {
-                drop(send);
-                let _ = self.enquire();
-                send = self.send.lock();
+    /// News that puts off the next probe: wakes the waiters on the send
+    /// state and re-aims the prober.
+    fn news(&self, send: &mut SendState) {
+        send.quiet_since = time::now();
+        self.echo_cv.notify_all();
+        self.arm(send);
+    }
+
+    /// Aims the prober's entry: now for a rewind, [`ENQ_TIMEOUT`] into
+    /// the quiet while cells are unacknowledged, never once closed.
+    fn arm(&self, send: &mut SendState) {
+        let want = if send.closed {
+            None
+        } else if send.rewind.is_some() {
+            Some(time::now())
+        } else {
+            (!send.unacked.is_empty()).then_some(send.quiet_since + ENQ_TIMEOUT)
+        };
+        let conn = self.me.clone();
+        // Fails only when the wheel's thread cannot start.
+        let _ = wheel::rearm(&mut send.timer, self.probe_key, want, move || {
+            if let Some(conn) = conn.upgrade() {
+                conn.probe()
             }
+        });
+    }
+
+    /// The prober: if cells sit unacknowledged for [`ENQ_TIMEOUT`] with
+    /// no acknowledgment arriving, probe with ENQ; the ECHO reply
+    /// repairs. It is also what resends a rewound window, so the input,
+    /// which judges loss, never waits on the line and judges on news as
+    /// fresh as the circuit brings it.
+    fn probe(&self) {
+        let mut send = self.send.lock();
+        send.timer = None;
+        if send.closed {
+            return;
         }
+        if let Some(seq) = send.rewind {
+            let cells: Vec<(u8, Vec<u8>)> = send
+                .unacked
+                .iter_mut()
+                .skip_while(|c| c.seq != seq)
+                .map(|c| {
+                    c.left = None;
+                    (c.seq, c.bytes.clone())
+                })
+                .collect();
+            self.stats.retransmit_cells.add(cells.len() as u64);
+            drop(send);
+            for (seq, c) in cells {
+                let _ = self.circuit.send(&c);
+                self.send.lock().left_line(seq);
+            }
+            send = self.send.lock();
+            send.rewind = None;
+            return self.news(&mut send);
+        }
+        if !send.unacked.is_empty() && time::now() >= send.quiet_since + ENQ_TIMEOUT {
+            drop(send);
+            let _ = self.enquire();
+            send = self.send.lock();
+            send.quiet_since = time::now();
+        }
+        self.arm(&mut send);
     }
 
     /// Sends an ENQ on behalf of every cell that has left the line: the
@@ -261,60 +310,50 @@ impl UrpConn {
     pub fn status_string(&self) -> String {
         let send = self.send.lock();
         let state = if send.closed { "Hungup" } else { "Established" };
-        format!(
-            "{} unacked {} window {}",
-            state,
-            send.unacked.len(),
-            URP_WINDOW
-        )
+        format!("{state} unacked {} window {URP_WINDOW}", send.unacked.len())
     }
 
-    /// The receive kernel process: dispatches cells from the circuit.
-    fn input_loop(self: Arc<Self>) {
-        loop {
-            let cell = match self.circuit.recv_timeout(Duration::from_millis(50)) {
-                RecvOutcome::Frame(f) => f,
-                RecvOutcome::TimedOut => {
-                    if self.send.lock().closed && self.recv.lock().hungup {
-                        return;
-                    }
-                    continue;
-                }
-                RecvOutcome::Hangup => return self.shut(),
-            };
-            let Some(&ctl) = cell.first() else { continue };
-            let seq = ctl & SEQ_MASK;
-            match ctl & TYPE_MASK {
-                T_DATA | T_DATA_EOM => self.accept_data(seq, ctl & TYPE_MASK == T_DATA_EOM, &cell[1..]),
-                T_ENQ => {
-                    // Tell the sender what we expect next.
-                    let expected = self.recv.lock().expected;
-                    let _ = self.circuit.send(&[T_ECHO | expected]);
-                }
-                T_ACK | T_ECHO => {
-                    let lost = {
-                        let mut send = self.send.lock();
-                        send.echo_seen = Some(seq);
-                        send.ack_upto(seq);
-                        // An ECHO answers the last ENQ: a cell that left
-                        // the line before it and is still missing was
-                        // lost. An ACK only acknowledges.
-                        let enqs = send.enqs;
-                        let before = |c: &Cell| c.seq == seq && c.left.is_some_and(|n| n < enqs);
-                        self.echo_cv.notify_all();
-                        ctl & TYPE_MASK == T_ECHO && send.unacked.front().is_some_and(before)
-                    };
-                    if lost {
-                        self.rewind_from(seq);
-                    }
-                }
-                T_REJ => {
-                    // Receiver is missing from `seq`: rewind.
+    /// The conversation's input: one cell, or `None` when the circuit
+    /// hangs up. Run by whichever thread delivers the cell; it never
+    /// waits, though an answer it sends is paced onto the line. A shut
+    /// conversation takes nothing more.
+    pub fn input(&self, cell: Option<Vec<u8>>) {
+        if self.send.lock().closed {
+            return;
+        }
+        let Some(cell) = cell else { return self.shut() };
+        let Some(&ctl) = cell.first() else { return };
+        let seq = ctl & SEQ_MASK;
+        match ctl & TYPE_MASK {
+            T_DATA | T_DATA_EOM => self.accept_data(seq, ctl & TYPE_MASK == T_DATA_EOM, &cell[1..]),
+            T_ENQ => {
+                // Tell the sender what we expect next.
+                let expected = self.recv.lock().expected;
+                let _ = self.circuit.send(&[T_ECHO | expected]);
+            }
+            T_ACK | T_ECHO => {
+                let lost = {
+                    let mut send = self.send.lock();
+                    send.echo_seen = Some(seq);
+                    send.ack_upto(seq);
+                    // An ECHO answers the last ENQ: a cell that left
+                    // the line before it and is still missing was
+                    // lost. An ACK only acknowledges.
+                    let enqs = send.enqs;
+                    let before = |c: &Cell| c.seq == seq && c.left.is_some_and(|n| n < enqs);
+                    self.news(&mut send);
+                    ctl & TYPE_MASK == T_ECHO && send.unacked.front().is_some_and(before)
+                };
+                if lost {
                     self.rewind_from(seq);
                 }
-                T_CLOSE => return self.shut(),
-                _ => {}
             }
+            T_REJ => {
+                // Receiver is missing from `seq`: rewind.
+                self.rewind_from(seq);
+            }
+            T_CLOSE => self.shut(),
+            _ => {}
         }
     }
 
@@ -324,11 +363,7 @@ impl UrpConn {
             // Out of sequence: ask for a rewind (Datakit circuits do not
             // reorder, so this means loss) — but at most one REJ per
             // repair interval, or duplicates breed duplicates.
-            let damped = recv
-                .last_rej
-                .map(|at| time::now().saturating_duration_since(at) < Duration::from_millis(15))
-                .unwrap_or(false);
-            if !damped {
+            if recv.last_rej.is_none_or(|at| time::now().saturating_duration_since(at) >= REPAIR) {
                 recv.last_rej = Some(time::now());
                 self.stats.rejs.inc();
                 let expected = recv.expected;
@@ -371,14 +406,12 @@ impl UrpConn {
         }
         // Damping: one rewind per repair interval. A storm of REJs must
         // not multiply duplicates — that is the §3 congestion lesson.
-        if let Some(at) = send.last_rewind {
-            if time::now().saturating_duration_since(at) < Duration::from_millis(15) {
-                return;
-            }
+        if send.last_rewind.is_some_and(|at| time::now().saturating_duration_since(at) < REPAIR) {
+            return;
         }
         send.last_rewind = Some(time::now());
         send.rewind = Some(seq);
-        self.echo_cv.notify_all();
+        self.news(&mut send);
     }
 
     /// Sends one message, splitting it into cells and recovering from
@@ -421,8 +454,8 @@ impl UrpConn {
                 cell.extend_from_slice(chunk);
                 send.unacked.push_back(Cell { seq, bytes: cell.clone(), left: None });
                 if send.unacked.len() == 1 {
-                    // Wake the prober: something is outstanding.
-                    self.echo_cv.notify_all();
+                    // Arm the prober: something is outstanding.
+                    self.news(&mut send);
                 }
                 self.stats.tx_cells.inc();
                 drop(send);
@@ -430,7 +463,7 @@ impl UrpConn {
                 self.send.lock().left_line(seq);
             }
         }
-        // The message is on the wire; the probe process and the
+        // The message is on the wire; the prober and the
         // receiver's volunteered ACKs finish the acknowledgment
         // asynchronously, so back-to-back sends pipeline.
         Ok(())
@@ -521,10 +554,14 @@ impl UrpConn {
         self.shut();
     }
 
-    /// Marks both directions closed and wakes every waiter.
+    /// Marks both directions closed, disarms the prober and wakes every
+    /// waiter.
     fn shut(&self) {
         self.recv.lock().hungup = true;
-        self.send.lock().closed = true;
+        let mut send = self.send.lock();
+        send.closed = true;
+        self.arm(&mut send);
+        drop(send);
         self.recv_cv.notify_all();
         self.echo_cv.notify_all();
     }
@@ -551,11 +588,7 @@ impl UrpListener {
     /// Blocks for an incoming call; returns the conversation, caller's
     /// address and requested service.
     pub fn accept(&self) -> Option<(Arc<UrpConn>, String, String)> {
-        let IncomingCall {
-            from,
-            service,
-            circuit,
-        } = self.line.listen()?;
+        let IncomingCall { from, service, circuit } = self.line.listen()?;
         Some((UrpConn::new(circuit), from, service))
     }
 }

@@ -1,6 +1,7 @@
 //! URP on the calibrated Datakit line under the virtual clock: Table 1's
 //! 1 MiB transfer must finish at the line's rate with nothing resent,
-//! and through loss with a resend per lost cell, not per cell.
+//! and through loss with a resend per lost cell, not per cell. And a
+//! conversation costs no kernel process.
 //!
 //! A URP end that resends cells still crossing the line keeps the
 //! virtual clock busy with duplicates, so nothing inside the run can
@@ -11,7 +12,7 @@
 use plan9_datakit::urp::{urp_dial, UrpListener};
 use plan9_netsim::fabric::DatakitSwitch;
 use plan9_netsim::profile::{LinkProfile, Profiles};
-use plan9_support::{time, vtime};
+use plan9_support::{pool, time, vtime, wheel};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -86,4 +87,34 @@ fn calibrated_megabyte_survives_loss_under_vtime() {
         assert!(resent < CELLS / 3, "seed {seed}: {resent} of {CELLS} cells resent");
         assert!(secs < 6.0, "seed {seed}: 1 MiB took {secs:.3} virtual s at 5 % loss");
     }
+}
+
+/// A URP conversation's input runs where its cells land and its prober
+/// is a timer: from the dial to the close at both ends, the kernel
+/// processes on the clock (less the pool's workers, whose number is the
+/// pool's to decide) stay as they were.
+#[test]
+fn a_conversation_costs_no_kproc() {
+    let vt = vtime::enter();
+    // The timer wheel's thread is the clock's, made by its first timer.
+    wheel::cancel(wheel::schedule(0, time::now() + Duration::from_secs(1), || {}).expect("arm"));
+    let kprocs = || vt.clock().census().0 - pool::workers();
+    let before = kprocs();
+    let sw = DatakitSwitch::new(Profiles::datakit_fast());
+    let a = sw.attach("nj/astro/a").expect("attach a");
+    let listener = UrpListener::new(sw.attach("nj/astro/b").expect("attach b"));
+    let near = urp_dial(&a, "nj/astro/b!census").expect("dial");
+    let (far, _, _) = listener.accept().expect("accept");
+    assert_eq!(kprocs(), before, "a dial and an accept");
+    for i in 0..100u8 {
+        near.send(&[i]).expect("send");
+        assert_eq!(far.recv().expect("request"), [i]);
+        far.send(&[!i]).expect("reply");
+        assert_eq!(near.recv().expect("reply"), [!i]);
+        assert_eq!(kprocs(), before, "round trip {i}");
+    }
+    near.close();
+    far.close();
+    assert_eq!(far.recv(), None);
+    assert_eq!(kprocs(), before, "a close at both ends");
 }

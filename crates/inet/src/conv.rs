@@ -5,19 +5,20 @@
 //! against congestion control — and each keeps that to itself. What a
 //! conversation *is* they share, and it lives here once: the key that
 //! names one, the id that shards its work, sequence-space arithmetic,
-//! the round-trip estimator behind the adaptive timeout (§3), the one
-//! wheel timer a conversation keeps armed, local ports, and the table
-//! of conversations and listeners a packet is demultiplexed through.
+//! the round-trip estimator behind the adaptive timeout (§3), local
+//! ports, and the table of conversations and listeners a packet is
+//! demultiplexed through. The one wheel timer a conversation keeps
+//! armed is `support::wheel::rearm`'s, which URP shares.
 
 use crate::addr::IpAddr;
 use crate::ip::IpStack;
 use plan9_ninep::NineError;
 use plan9_support::chan::{bounded, Receiver, Sender};
 use plan9_support::sync::{Condvar, Mutex};
-use plan9_support::{time, wheel};
+use plan9_support::time;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// First ephemeral port handed out to unbound local ends.
 pub(crate) const EPHEMERAL_BASE: u16 = 5000;
@@ -185,33 +186,6 @@ impl Rtt {
             .map(|d| format!("{}us", d.as_micros()))
             .unwrap_or_else(|| "-".to_string())
     }
-}
-
-/// Aims a conversation's one entry on the shared timer wheel at `want`
-/// ("a helper kernel process awakens periodically to perform any
-/// necessary retransmissions" — §2.4, as one wheel for every
-/// conversation). Never extends an armed timer: it may already be in
-/// flight, an early fire just re-evaluates and re-arms, and a missing
-/// one would wedge the conversation. `None` cancels. `fire` runs on the
-/// shard of `conv`. The spawn error (the wheel or pool thread could not
-/// start) propagates so dial and announce fail loudly.
-pub(crate) fn rearm(
-    timer: &mut Option<wheel::TimerId>,
-    conv: u64,
-    want: Option<Instant>,
-    fire: impl FnOnce() + Send + 'static,
-) -> std::io::Result<()> {
-    if let Some(id) = *timer {
-        if want.is_some_and(|w| id.deadline() <= w) {
-            return Ok(());
-        }
-        wheel::cancel(id);
-        *timer = None;
-    }
-    if let Some(want) = want {
-        *timer = Some(wheel::schedule(conv, want, fire)?);
-    }
-    Ok(())
 }
 
 /// One protocol's conversations, listeners and local ports on one host.
@@ -417,37 +391,6 @@ mod tests {
         let mut fresh = Rtt::new(50 * MS, 20 * MS, 100 * MS);
         fresh.settle();
         assert_eq!(fresh.rto, 50 * MS);
-    }
-
-    #[test]
-    fn an_armed_timer_is_never_extended() {
-        let far = time::now() + Duration::from_secs(3600);
-        let mut timer = None;
-        rearm(&mut timer, 7, Some(far), || {}).unwrap();
-        let armed = timer.expect("armed");
-        assert_eq!(armed.deadline(), far);
-        // Later or equal: the armed entry stays as it is.
-        rearm(&mut timer, 7, Some(far + Duration::from_secs(1)), || {}).unwrap();
-        rearm(&mut timer, 7, Some(far), || {}).unwrap();
-        assert_eq!(timer, Some(armed));
-        // Earlier: the old entry is cancelled and a new one scheduled.
-        let near = far - Duration::from_secs(1);
-        rearm(&mut timer, 7, Some(near), || {}).unwrap();
-        assert_eq!(timer.expect("re-armed").deadline(), near);
-        assert!(!wheel::cancel(armed), "the old entry was already cancelled");
-        rearm(&mut timer, 7, None, || {}).unwrap();
-    }
-
-    #[test]
-    fn wanting_nothing_cancels_the_timer() {
-        let mut timer = None;
-        rearm(&mut timer, 7, None, || {}).unwrap();
-        assert_eq!(timer, None);
-        rearm(&mut timer, 7, Some(time::now() + Duration::from_secs(3600)), || {}).unwrap();
-        let armed = timer.expect("armed");
-        rearm(&mut timer, 7, None, || {}).unwrap();
-        assert_eq!(timer, None);
-        assert!(!wheel::cancel(armed), "the entry was already cancelled");
     }
 
     #[test]

@@ -723,7 +723,7 @@ impl IlConn {
     }
 
     /// Re-aims the conversation's wheel timer at the earliest of the
-    /// delayed-ack and retransmit deadlines; see [`conv::rearm`].
+    /// delayed-ack and retransmit deadlines; see [`wheel::rearm`].
     fn rearm(self: &Arc<Self>, inner: &mut Inner) -> std::io::Result<()> {
         let want = if inner.state == IlState::Closed {
             None
@@ -734,7 +734,7 @@ impl IlConn {
             }
         };
         let conn = Arc::clone(self);
-        conv::rearm(&mut inner.timer, self.conv, want, move || conn.timer_fire())
+        wheel::rearm(&mut inner.timer, self.conv, want, move || conn.timer_fire())
     }
 
     /// One timer expiry, dispatched from the wheel onto this

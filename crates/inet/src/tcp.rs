@@ -924,7 +924,7 @@ impl TcpConn {
 
     /// Re-aims the wheel timer at the earliest pending deadline — the
     /// delayed ack, and retransmission or TIME-WAIT expiry; see
-    /// [`conv::rearm`]. Must be called whenever one of them changes.
+    /// [`wheel::rearm`]. Must be called whenever one of them changes.
     fn rearm(self: &Arc<Self>, inner: &mut Inner) -> std::io::Result<()> {
         let deadline = match inner.state {
             TcpState::TimeWait => inner.time_wait_until,
@@ -936,7 +936,7 @@ impl TcpConn {
             (a, d) => a.or(d),
         };
         let conn = Arc::clone(self);
-        conv::rearm(&mut inner.timer, self.conv, want, move || conn.timer_fire())
+        wheel::rearm(&mut inner.timer, self.conv, want, move || conn.timer_fire())
     }
 
     /// The wheel callback: one timer expiry, run on this

@@ -8,15 +8,14 @@
 //! VME-copy-limited effective throughput the paper measured (3.2 MB/s).
 
 use crate::profile::LinkProfile;
-use crate::wire::{wire_pair, Medium, RecvOutcome, WireRx, WireTx};
-use plan9_support::sync::Mutex;
+use crate::wire::{wire_on_medium, Medium, RecvOutcome, WireRx, WireTx};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// One end of a Cyclone link.
 pub struct CycloneEnd {
     tx: WireTx,
-    rx: Mutex<WireRx>,
+    rx: WireRx,
 }
 
 impl CycloneEnd {
@@ -27,12 +26,12 @@ impl CycloneEnd {
 
     /// Blocks for the next message; `None` means the far end is gone.
     pub fn recv(&self) -> Option<Vec<u8>> {
-        self.rx.lock().recv()
+        self.rx.recv()
     }
 
     /// Waits for a message until the timeout elapses.
     pub fn recv_timeout(&self, d: Duration) -> RecvOutcome {
-        self.rx.lock().recv_timeout(d)
+        self.rx.recv_timeout(d)
     }
 
     /// The largest message the link carries.
@@ -48,20 +47,13 @@ impl CycloneEnd {
     }
 }
 
-/// Creates a full-duplex Cyclone link (two fibers, one per direction).
+/// Creates a full-duplex Cyclone link (two fibers, one per direction),
+/// whose arrivals run on the pool keys `profile.seed` and the one after.
 pub fn cyclone_link(profile: LinkProfile) -> (CycloneEnd, CycloneEnd) {
-    let (a2b_tx, a2b_rx) = wire_pair(profile.clone());
-    let (b2a_tx, b2a_rx) = wire_pair(profile);
-    (
-        CycloneEnd {
-            tx: a2b_tx,
-            rx: Mutex::named(b2a_rx, "netsim.cyclone.rx"),
-        },
-        CycloneEnd {
-            tx: b2a_tx,
-            rx: Mutex::named(a2b_rx, "netsim.cyclone.rx"),
-        },
-    )
+    let key = profile.seed;
+    let (a2b_tx, a2b_rx) = wire_on_medium(Medium::new(profile.clone()), key);
+    let (b2a_tx, b2a_rx) = wire_on_medium(Medium::new(profile), key.wrapping_add(1));
+    (CycloneEnd { tx: a2b_tx, rx: b2a_rx }, CycloneEnd { tx: b2a_tx, rx: a2b_rx })
 }
 
 #[cfg(test)]

@@ -11,14 +11,13 @@
 //! it releases the address filter again.
 
 use crate::profile::LinkProfile;
-use crate::wire::Medium;
+use crate::wire::{arrive, Medium};
 use plan9_support::buf::Bytes;
-use plan9_support::chan::{unbounded, Receiver, Sender};
+use plan9_support::chan::{unbounded, Receiver};
 use plan9_support::sync::Mutex;
-use plan9_support::{pool, wheel};
-use std::sync::Arc;
 use plan9_support::time;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// A six-byte station address.
 pub type MacAddr = [u8; 6];
@@ -105,22 +104,21 @@ impl EtherFrame {
     }
 }
 
-struct InFlight {
-    deliver_at: Instant,
-    frame: Bytes,
-}
+/// What a station's controller hands each frame it accepts; see
+/// [`EtherStation::set_rx_handler`].
+type RxHandler = Arc<dyn Fn(EtherFrame) + Send + Sync>;
 
-/// A push-mode receive callback; see [`EtherStation::set_rx_handler`].
-pub type RxHandler = Arc<dyn Fn(EtherFrame) + Send + Sync>;
+/// The pool key a station's frames arrive on until it registers a
+/// handler: they only queue there for a blocking receive.
+const QUEUE_KEY: u64 = 0;
 
 #[derive(Clone)]
 struct StationSlot {
     id: u64,
     addr: MacAddr,
-    tx: Sender<InFlight>,
-    /// Push-mode delivery: the pool shard key and the handler. When
-    /// set, frames bypass the pull queue entirely.
-    handler: Option<(u64, RxHandler)>,
+    /// The pool shard key and the handler: at first the station's
+    /// queue, which [`EtherStation::recv`] reads.
+    handler: (u64, RxHandler),
     /// Hardware address filter: when set, the controller only accepts
     /// frames addressed to this station or to the broadcast address.
     /// Default is promiscuous (bridges and wire sniffers need every
@@ -150,10 +148,14 @@ impl EtherSegment {
     /// Attaches a station with the given address.
     pub fn attach(self: &Arc<Self>, addr: MacAddr) -> EtherStation {
         let (tx, rx) = unbounded();
+        // try_send: the queue is unbounded and won't make a pool job wait.
+        let queue: RxHandler = Arc::new(move |f| {
+            let _ = tx.try_send(f);
+        });
         let mut stations = self.stations.lock();
         let stations = Arc::make_mut(&mut stations);
         let id = stations.len() as u64;
-        stations.push(StationSlot { id, addr, tx, handler: None, filtered: false });
+        stations.push(StationSlot { id, addr, handler: (QUEUE_KEY, queue), filtered: false });
         EtherStation {
             addr,
             id,
@@ -195,9 +197,6 @@ impl EtherSegment {
         let cur = plan9_netlog::trace::current();
         let t0 = cur.as_ref().map(|_| time::now());
         // Seize the bus for the transmission time.
-        // blocking-ok: the transmitter is busy while its frame is on
-        // the line: one frame's serialization time, bounded by the MTU,
-        // and none at all on an unpaced medium
         let done = self.medium.transmit(frame.len());
         if let (Some(h), Some(t0)) = (&cur, t0) {
             h.span(
@@ -228,52 +227,22 @@ impl EtherSegment {
             if s.filtered && !bcast && dst != s.addr {
                 continue;
             }
-            match &s.handler {
-                Some((key, h)) => {
-                    // Push mode: arrival is a timer-wheel event at the
-                    // propagation deadline; the wheel dispatches the
-                    // decoded frame to the station's pool shard, which
-                    // serializes per-station deliveries. A frame that
-                    // is already due (an unpaced medium) skips the
-                    // wheel and goes straight to the shard, which a
-                    // transmitter holding no lock drains itself: no
-                    // thread handoff at all. A failed schedule or
-                    // submit (thread exhaustion at worker spawn) drops
-                    // the frame — something this lossy medium is
-                    // allowed to do anyway.
-                    for _ in 0..copies {
-                        let h = Arc::clone(h);
-                        let frame = shared.clone();
-                        if deliver_at <= time::now() {
-                            let _ = pool::submit(*key, move || deliver(&h, frame));
-                        } else {
-                            let _ = wheel::schedule(*key, deliver_at, move || deliver(&h, frame));
-                        }
+            // Arrival is the due-frame rule's: a wheel entry at the
+            // propagation deadline, or a job on the station's shard now
+            // if the frame is already due (an unpaced medium), which a
+            // transmitter holding no lock runs itself: no thread handoff
+            // at all. The shard serializes a station's deliveries.
+            let (key, h) = &s.handler;
+            for _ in 0..copies {
+                let (h, wire) = (Arc::clone(h), shared.clone());
+                arrive(*key, deliver_at, move || {
+                    if let Some(f) = EtherFrame::from_wire(wire) {
+                        h(f)
                     }
-                }
-                None => {
-                    // try_send: transmitters run on pool shards and
-                    // must not wait; the queue is unbounded and won't
-                    // make them.
-                    for _ in 0..copies {
-                        let _ = s.tx.try_send(InFlight {
-                            deliver_at,
-                            frame: shared.clone(),
-                        });
-                    }
-                }
+                });
             }
         }
         Ok(())
-    }
-}
-
-/// One push-mode arrival: hands `h` its view of the shared wire bytes,
-/// with no current trace, whether a worker runs it or the transmitter.
-fn deliver(h: &RxHandler, wire: Bytes) {
-    if let Some(fr) = EtherFrame::from_wire(wire) {
-        let _untraced = plan9_netlog::trace::clear_current();
-        h(fr);
     }
 }
 
@@ -283,7 +252,7 @@ pub struct EtherStation {
     pub addr: MacAddr,
     id: u64,
     segment: Arc<EtherSegment>,
-    rx: Receiver<InFlight>,
+    rx: Receiver<EtherFrame>,
 }
 
 impl EtherStation {
@@ -305,20 +274,15 @@ impl EtherStation {
         self.send_frame(frame.to_vec())
     }
 
-    /// Blocks for the next frame on the wire (unfiltered).
+    /// Blocks for the next frame on the wire (unfiltered), until the
+    /// station registers a handler.
     pub fn recv(&self) -> Option<EtherFrame> {
-        let inflight = self.rx.recv().ok()?;
-        wait_until(inflight.deliver_at);
-        EtherFrame::from_wire(inflight.frame)
+        self.rx.recv().ok()
     }
 
     /// Waits for a frame until the timeout elapses.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<EtherFrame> {
-        let inflight = self.rx.recv_timeout(timeout).ok()?;
-        // Honor propagation, even a little past the caller's timeout:
-        // frames are small and the delay is tens of microseconds.
-        wait_until(inflight.deliver_at);
-        EtherFrame::from_wire(inflight.frame)
+        self.rx.recv_timeout(timeout).ok()
     }
 
     /// Engages (or releases) the controller's hardware address filter:
@@ -334,12 +298,10 @@ impl EtherStation {
         }
     }
 
-    /// Switches the station to push mode: instead of queueing frames
-    /// for [`recv`](EtherStation::recv), each arrival becomes a timer
-    /// event at its propagation deadline — or, when that has already
-    /// passed, a job right away — dispatched (decoded) to `handler` on
-    /// the worker-pool shard for `key`. No receiver thread is needed,
-    /// so a fabric of thousands of stations runs on O(cores) threads.
+    /// Hands each frame, decoded, to `handler` on the worker-pool shard
+    /// for `key` instead of queueing it for
+    /// [`recv`](EtherStation::recv). No receiver thread is needed, so a
+    /// fabric of thousands of stations runs on O(cores) threads.
     /// Deliveries to one station are serialized by the shared shard
     /// key; the handler must not block on virtual time (it runs as a
     /// pool job, on a worker or on the transmitting thread).
@@ -350,7 +312,7 @@ impl EtherStation {
     ) {
         let mut stations = self.segment.stations.lock();
         if let Some(slot) = Arc::make_mut(&mut stations).iter_mut().find(|s| s.id == self.id) {
-            slot.handler = Some((key, Arc::new(handler)));
+            slot.handler = (key, Arc::new(handler));
         }
     }
 
@@ -365,17 +327,11 @@ impl EtherStation {
     }
 }
 
-fn wait_until(t: Instant) {
-    let now = time::now();
-    if t > now {
-        time::sleep(t - now);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::profile::Profiles;
+    use std::time::Instant;
 
     fn mac(n: u8) -> MacAddr {
         [0x08, 0x00, 0x69, 0x02, 0x22, n]

@@ -19,7 +19,7 @@
 //! [`seed`](crate::profile::LinkProfile::seed).
 
 use crate::profile::LinkProfile;
-use crate::wire::{wire_pair, RecvOutcome, WireRx, WireTx};
+use crate::wire::{wire_on_medium, Medium, WireRx, WireTx};
 use plan9_support::chan::{unbounded, Receiver, Sender};
 use plan9_support::sync::Mutex;
 use std::collections::HashMap;
@@ -112,21 +112,24 @@ impl DatakitLine {
         };
         // Two wires, one per direction, each paced independently
         // (Datakit lines are full duplex).
-        let (a2b_tx, a2b_rx) = wire_pair(self.inner.profile.clone());
-        let (b2a_tx, b2a_rx) = wire_pair(self.inner.profile.clone());
+        let wire = |from: &str, to: &str| {
+            wire_on_medium(Medium::new(self.inner.profile.clone()), circuit_key(from, to))
+        };
+        let (a2b_tx, a2b_rx) = wire(&self.addr, addr);
+        let (b2a_tx, b2a_rx) = wire(addr, &self.addr);
         let near = Circuit {
             local: self.addr.clone(),
             remote: addr.to_string(),
             tx: a2b_tx,
-            rx: Mutex::named(b2a_rx, "netsim.fabric.rx"),
-            reject_reason: Mutex::named(None, "netsim.fabric.reject"),
+            rx: b2a_rx,
+            reject_reason: Arc::new(Mutex::named(None, "netsim.fabric.reject")),
         };
         let far = Circuit {
             local: addr.to_string(),
             remote: self.addr.clone(),
             tx: b2a_tx,
-            rx: Mutex::named(a2b_rx, "netsim.fabric.rx"),
-            reject_reason: Mutex::named(None, "netsim.fabric.reject"),
+            rx: a2b_rx,
+            reject_reason: Arc::new(Mutex::named(None, "netsim.fabric.reject")),
         };
         peer_tx
             .send(IncomingCall {
@@ -156,13 +159,20 @@ impl DatakitLine {
     }
 }
 
+/// The pool key a circuit's frames from `from` to `to` arrive on: an
+/// FNV-1a hash of the two addresses, so a seeded run replays.
+fn circuit_key(from: &str, to: &str) -> u64 {
+    let bytes = from.bytes().chain([0]).chain(to.bytes());
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
 /// One end of an established circuit.
 pub struct Circuit {
     local: String,
     remote: String,
     tx: WireTx,
-    rx: Mutex<WireRx>,
-    reject_reason: Mutex<Option<String>>,
+    rx: WireRx,
+    reject_reason: Arc<Mutex<Option<String>>>,
 }
 
 impl std::fmt::Debug for Circuit {
@@ -193,32 +203,20 @@ impl Circuit {
     /// Blocks for the next frame; `None` means the peer hung up (check
     /// [`Circuit::reject_reason`] for a Datakit rejection).
     pub fn recv(&self) -> Option<Vec<u8>> {
-        let frame = self.rx.lock().recv()?;
-        self.classify(frame)
+        classify(&self.reject_reason, self.rx.recv()?)
     }
 
-    /// Waits for a frame until the timeout elapses.
-    pub fn recv_timeout(&self, d: Duration) -> RecvOutcome {
-        let out = self.rx.lock().recv_timeout(d);
-        match out {
-            RecvOutcome::Frame(frame) => match self.classify(frame) {
-                Some(f) => RecvOutcome::Frame(f),
-                None => RecvOutcome::Hangup,
-            },
-            other => other,
-        }
+    /// Hands each frame to `handler` instead, at its arrival, and then
+    /// `None` once for the hangup (a rejection is one too); see
+    /// [`WireRx::set_rx_handler`].
+    pub fn set_rx_handler(&self, handler: impl Fn(Option<Vec<u8>>) + Send + Sync + 'static) {
+        let reason = Arc::clone(&self.reject_reason);
+        self.rx.set_rx_handler(move |frame| handler(frame.and_then(|f| classify(&reason, f))));
     }
 
-    fn classify(&self, frame: Vec<u8>) -> Option<Vec<u8>> {
-        match frame.first() {
-            Some(&TAG_DATA) => Some(frame[1..].to_vec()),
-            Some(&TAG_REJECT) => {
-                let reason = String::from_utf8_lossy(&frame[1..]).to_string();
-                *self.reject_reason.lock() = Some(reason);
-                None
-            }
-            _ => None,
-        }
+    /// The pool key this end's arrivals run on.
+    pub fn rx_key(&self) -> u64 {
+        self.rx.key()
     }
 
     /// Rejects the call with a reason and hangs up.
@@ -237,6 +235,19 @@ impl Circuit {
     /// The largest frame the circuit carries.
     pub fn mtu(&self) -> usize {
         self.tx.medium().profile().mtu.saturating_sub(1)
+    }
+}
+
+/// A frame's data without its tag; `None` for a rejection, whose reason
+/// is kept in `reason`.
+fn classify(reason: &Mutex<Option<String>>, frame: Vec<u8>) -> Option<Vec<u8>> {
+    match frame.first() {
+        Some(&TAG_DATA) => Some(frame[1..].to_vec()),
+        Some(&TAG_REJECT) => {
+            *reason.lock() = Some(String::from_utf8_lossy(&frame[1..]).to_string());
+            None
+        }
+        _ => None,
     }
 }
 
@@ -316,16 +327,16 @@ mod tests {
     }
 
     #[test]
-    fn hangup_detected_by_timeout_recv() {
+    fn hangup_follows_the_last_frame() {
         let sw = DatakitSwitch::new(Profiles::datakit_fast());
         let a = sw.attach("a").unwrap();
         let b = sw.attach("b").unwrap();
         let c = a.dial("b").unwrap();
         let call = b.listen().unwrap();
+        c.send(b"bye").unwrap();
         drop(c);
-        assert_eq!(
-            call.circuit.recv_timeout(Duration::from_millis(50)),
-            RecvOutcome::Hangup
-        );
+        assert_eq!(call.circuit.recv().unwrap(), b"bye");
+        assert_eq!(call.circuit.recv(), None);
+        assert_eq!(call.circuit.recv(), None, "the hangup stays");
     }
 }

@@ -38,7 +38,7 @@ pub use ether::{EtherSegment, EtherStation, MacAddr, ETHER_HDR, ETHER_MTU};
 pub use fabric::{Circuit, DatakitLine, DatakitSwitch, IncomingCall};
 pub use profile::{LinkProfile, Profiles};
 pub use uart::{uart_pair, UartEnd};
-pub use wire::{wire_pair, Medium, RecvOutcome, WireRx, WireStats, WireTx};
+pub use wire::{wire_on_medium, Medium, RecvOutcome, WireRx, WireStats, WireTx};
 
 /// Errors from the simulation layer.
 pub type SimError = String;

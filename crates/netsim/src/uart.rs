@@ -47,19 +47,6 @@ impl UartEnd {
         Some(buf)
     }
 
-    /// Waits for bytes with a timeout.
-    pub fn recv_timeout(&self, d: Duration) -> Option<Vec<u8>> {
-        let first = self.rx.recv_timeout(d).ok()?;
-        let mut buf = vec![first];
-        while let Ok(b) = self.rx.try_recv() {
-            buf.push(b);
-            if buf.len() >= 256 {
-                break;
-            }
-        }
-        Some(buf)
-    }
-
     /// Changes the line speed (`b1200` → `set_baud(1200)`).
     pub fn set_baud(&self, baud: u32) {
         self.baud.store(baud.max(1), Ordering::Relaxed);

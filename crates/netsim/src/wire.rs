@@ -5,21 +5,43 @@
 //! line), the frame is delivered after the propagation delay, and the
 //! configured impairments (loss, duplication, corruption, reordering)
 //! are applied in flight.
+//!
+//! Every medium delivers by one rule, [`arrive`]: a frame goes to its
+//! receiver's handler at its deadline, as a timer-wheel entry while the
+//! deadline is ahead and as a pool job once it is due. A wire's
+//! receiver is a [`WireRx`]: a handler registered on it
+//! ([`WireRx::set_rx_handler`]) is handed each frame, and until there
+//! is one the frames queue for a blocking receive ([`WireRx::recv`]).
 
 use crate::profile::LinkProfile;
 use plan9_netlog::Counter;
-use plan9_support::chan::{unbounded, Receiver, RecvTimeoutError, Sender};
-use plan9_support::sync::Mutex;
 use plan9_support::rng::SmallRng;
+use plan9_support::sync::{Condvar, Mutex};
+use plan9_support::{pool, time, wheel};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use plan9_support::time;
 use std::time::{Duration, Instant};
 
-/// A frame in flight with its delivery time.
-struct InFlight {
-    deliver_at: Instant,
-    frame: Vec<u8>,
+/// The due-frame rule, for every medium: runs `hand` — which hands a
+/// frame to its receiver's handler — on the pool shard for `key` at
+/// `at`: as a timer-wheel entry if `at` is still ahead (a paced medium,
+/// or one with propagation delay), and as a job right away if it is
+/// due, which a sender holding no lock runs itself (see [`pool`]). It
+/// runs with no current trace, on whichever thread runs it. A failed
+/// schedule or submit (no thread for the wheel or a worker) loses the
+/// frame, as a lossy medium may.
+pub(crate) fn arrive(key: u64, at: Instant, hand: impl FnOnce() + Send + 'static) {
+    if at <= time::now() {
+        let _ = pool::submit(key, move || untraced(hand));
+    } else {
+        let _ = wheel::schedule(key, at, move || untraced(hand));
+    }
+}
+
+fn untraced(hand: impl FnOnce()) {
+    let _untraced = plan9_netlog::trace::clear_current();
+    hand()
 }
 
 /// Ground-truth frame accounting for one medium, maintained inside
@@ -111,7 +133,9 @@ impl Medium {
 
     /// Acquires the line for `len` payload bytes and returns the instant
     /// transmission completes. Blocks the caller for the duration — the
-    /// medium is busy and so is the transmitting "hardware".
+    /// medium is busy and so is the transmitting "hardware". A
+    /// transmitter may be a pool job (a protocol's acknowledgment or
+    /// resend): this is where it waits, for every medium.
     pub fn transmit(&self, len: usize) -> Instant {
         let tx = self.profile.tx_time(len);
         let done = {
@@ -124,6 +148,9 @@ impl Medium {
         // enough; we re-check because sleep may undershoot.
         let mut now = time::now();
         while now < done {
+            // blocking-ok: the transmitter is busy while its frame is on
+            // the line: one frame's serialization time, bounded by the
+            // MTU, and none at all on an unpaced medium
             time::sleep(done - now);
             now = time::now();
         }
@@ -192,10 +219,76 @@ impl Medium {
     }
 }
 
-/// The sending half of a wire.
+/// A wire receiver's handler: each frame, then `None` once, when the
+/// sender hangs up, after the last frame it sent.
+type WireHandler = Arc<dyn Fn(Option<Vec<u8>>) + Send + Sync>;
+
+/// A wire's receiving end, as its sender reaches it.
+struct Port {
+    /// The pool key every arrival of the wire runs on, queued or
+    /// handled: one at a time, in order.
+    key: u64,
+    state: Mutex<PortState>,
+    /// Signalled when an arrival is queued for a blocking receive.
+    arrived: Condvar,
+}
+
+struct PortState {
+    handler: Option<WireHandler>,
+    /// Arrivals not yet taken: by a blocking receive, or by a handler
+    /// registered since they came. The hangup, `None`, stays at the end.
+    queue: VecDeque<Option<Vec<u8>>>,
+    /// The latest deadline of a frame sent, which the hangup follows.
+    last: Instant,
+}
+
+impl Port {
+    fn new(key: u64) -> Arc<Port> {
+        let state = PortState { handler: None, queue: VecDeque::new(), last: time::now() };
+        Arc::new(Port { key, state: Mutex::named(state, "netsim.wire.port"), arrived: Condvar::new() })
+    }
+
+    /// An arrival, on the wire's key: the handler's, unless what came
+    /// before it is still queued for it; else the queue's.
+    fn take(&self, item: Option<Vec<u8>>) {
+        let mut st = self.state.lock();
+        match &st.handler {
+            Some(h) if st.queue.is_empty() => {
+                let h = Arc::clone(h);
+                drop(st);
+                h(item)
+            }
+            _ => {
+                st.queue.push_back(item);
+                self.arrived.notify_all();
+            }
+        }
+    }
+
+    /// Hands `h` what is queued, in order: a job on the wire's key, so
+    /// no later arrival is taken before it is done.
+    fn hand_queued(&self, h: &WireHandler) {
+        loop {
+            let Some(item) = self.state.lock().queue.pop_front() else { return };
+            h(item);
+        }
+    }
+
+    /// Sends `item` toward the receiver, to arrive at `at`.
+    fn post(self: &Arc<Self>, at: Instant, item: Option<Vec<u8>>) {
+        let mut st = self.state.lock();
+        st.last = st.last.max(at);
+        drop(st);
+        let port = Arc::clone(self);
+        arrive(self.key, at, move || port.take(item));
+    }
+}
+
+/// The sending half of a wire. Dropping it hangs up: the receiver gets
+/// `None` after the last frame.
 pub struct WireTx {
     medium: Arc<Medium>,
-    tx: Sender<InFlight>,
+    port: Arc<Port>,
 }
 
 impl WireTx {
@@ -218,13 +311,11 @@ impl WireTx {
         let mut f = frame.to_vec();
         let (copies, extra) = self.medium.impair(&mut f);
         let deliver_at = done + self.medium.profile.propagation + extra;
-        for _ in 0..copies {
-            self.tx
-                .send(InFlight {
-                    deliver_at,
-                    frame: f.clone(),
-                })
-                .map_err(|_| "wire: peer gone".to_string())?;
+        if copies == 2 {
+            self.port.post(deliver_at, Some(f.clone()));
+        }
+        if copies > 0 {
+            self.port.post(deliver_at, Some(f));
         }
         if let (Some(h), Some(t0)) = (cur, t0) {
             // Line acquisition plus serialization: where a paced or
@@ -245,6 +336,13 @@ impl WireTx {
     }
 }
 
+impl Drop for WireTx {
+    fn drop(&mut self) {
+        let at = self.port.state.lock().last.max(time::now());
+        self.port.post(at, None);
+    }
+}
+
 /// What a receive attempt produced.
 #[derive(Debug, PartialEq, Eq)]
 pub enum RecvOutcome {
@@ -258,90 +356,64 @@ pub enum RecvOutcome {
 
 /// The receiving half of a wire.
 pub struct WireRx {
-    rx: Receiver<InFlight>,
-    /// A frame that arrived while waiting but is not yet due (reordering
-    /// support keeps at most one).
-    held: Option<InFlight>,
+    port: Arc<Port>,
 }
 
 impl WireRx {
     /// Blocks for the next frame; `None` means the sender hung up.
-    pub fn recv(&mut self) -> Option<Vec<u8>> {
-        match self.recv_deadline(None) {
+    pub fn recv(&self) -> Option<Vec<u8>> {
+        match self.wait(None) {
             RecvOutcome::Frame(f) => Some(f),
             _ => None,
         }
     }
 
     /// Waits for a frame until `timeout` elapses.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> RecvOutcome {
-        self.recv_deadline(Some(time::now() + timeout))
+    pub fn recv_timeout(&self, timeout: Duration) -> RecvOutcome {
+        self.wait(Some(time::now() + timeout))
     }
 
-    fn recv_deadline(&mut self, deadline: Option<Instant>) -> RecvOutcome {
-        let inflight = match self.held.take() {
-            Some(f) => f,
-            None => match deadline {
-                None => match self.rx.recv() {
-                    Ok(f) => f,
-                    Err(_) => return RecvOutcome::Hangup,
-                },
-                Some(d) => {
-                    let now = time::now();
-                    if d <= now {
-                        match self.rx.try_recv() {
-                            Ok(f) => f,
-                            Err(_) => return RecvOutcome::TimedOut,
-                        }
-                    } else {
-                        match self.rx.recv_timeout(d - now) {
-                            Ok(f) => f,
-                            Err(RecvTimeoutError::Timeout) => return RecvOutcome::TimedOut,
-                            Err(RecvTimeoutError::Disconnected) => return RecvOutcome::Hangup,
-                        }
-                    }
+    /// Takes the next queued arrival, waiting for one until `deadline`.
+    fn wait(&self, deadline: Option<Instant>) -> RecvOutcome {
+        let mut st = self.port.state.lock();
+        loop {
+            match (st.queue.front(), deadline) {
+                (Some(None), _) => return RecvOutcome::Hangup,
+                (Some(Some(_)), _) => {
+                    return st.queue.pop_front().flatten().map_or(RecvOutcome::Hangup, RecvOutcome::Frame)
                 }
-            },
-        };
-        // Honor the in-flight propagation delay.
-        let now = time::now();
-        if inflight.deliver_at > now {
-            if let Some(d) = deadline {
-                if inflight.deliver_at > d {
-                    // Not due before the caller's deadline: hold it.
-                    let wait = d - now;
-                    time::sleep(wait);
-                    self.held = Some(inflight);
-                    return RecvOutcome::TimedOut;
+                (None, None) => self.port.arrived.wait(&mut st),
+                (None, Some(d)) if d <= time::now() => return RecvOutcome::TimedOut,
+                (None, Some(d)) => {
+                    let _ = self.port.arrived.wait_until(&mut st, d);
                 }
             }
-            time::sleep(inflight.deliver_at - now);
-        }
-        RecvOutcome::Frame(inflight.frame)
-    }
-
-    /// Non-blocking poll.
-    pub fn try_recv(&mut self) -> Option<Vec<u8>> {
-        // blocking-ok: zero timeout — the wait deadline is already
-        // past, so this returns without sleeping
-        match self.recv_timeout(Duration::ZERO) {
-            RecvOutcome::Frame(f) => Some(f),
-            _ => None,
         }
     }
-}
 
-/// Creates a unidirectional wire with its own medium.
-pub fn wire_pair(profile: LinkProfile) -> (WireTx, WireRx) {
-    let medium = Medium::new(profile);
-    wire_on_medium(medium)
+    /// Hands every arrival to `handler` instead of queueing it, each on
+    /// the wire's pool key (see [`WireRx::key`]): first what arrived
+    /// before, in order, then each frame at its deadline, then the
+    /// hangup. The handler must not wait (it runs as a pool job, on a
+    /// worker or on the sending thread); it may transmit.
+    pub fn set_rx_handler(&self, handler: impl Fn(Option<Vec<u8>>) + Send + Sync + 'static) {
+        let h: WireHandler = Arc::new(handler);
+        self.port.state.lock().handler = Some(Arc::clone(&h));
+        let port = Arc::clone(&self.port);
+        let _ = pool::submit(self.port.key, move || port.hand_queued(&h));
+    }
+
+    /// The pool key this wire's arrivals run on.
+    pub fn key(&self) -> u64 {
+        self.port.key
+    }
 }
 
 /// Creates a unidirectional wire transmitting on an existing medium
-/// (used by shared-bus media).
-pub fn wire_on_medium(medium: Arc<Medium>) -> (WireTx, WireRx) {
-    let (tx, rx) = unbounded();
-    (WireTx { medium, tx }, WireRx { rx, held: None })
+/// (used by shared-bus media), whose arrivals run on pool key `key`.
+pub fn wire_on_medium(medium: Arc<Medium>, key: u64) -> (WireTx, WireRx) {
+    let port = Port::new(key);
+    (WireTx { medium, port: Arc::clone(&port) }, WireRx { port })
 }
 
 #[cfg(test)]
@@ -349,9 +421,13 @@ mod tests {
     use super::*;
     use crate::profile::{LinkProfile, Profiles};
 
+    fn wire_pair(profile: LinkProfile) -> (WireTx, WireRx) {
+        wire_on_medium(Medium::new(profile), 0)
+    }
+
     #[test]
     fn frames_arrive_in_order() {
-        let (tx, mut rx) = wire_pair(Profiles::ether_fast());
+        let (tx, rx) = wire_pair(Profiles::ether_fast());
         tx.send(b"one").unwrap();
         tx.send(b"two").unwrap();
         assert_eq!(rx.recv().unwrap(), b"one");
@@ -360,11 +436,32 @@ mod tests {
 
     #[test]
     fn hangup_when_sender_dropped() {
-        let (tx, mut rx) = wire_pair(Profiles::ether_fast());
+        let (tx, rx) = wire_pair(Profiles::ether_fast());
         tx.send(b"last").unwrap();
         drop(tx);
         assert_eq!(rx.recv().unwrap(), b"last");
         assert_eq!(rx.recv(), None);
+    }
+
+    /// What a handler registered after `early` was sent is handed, in
+    /// order, over a wire with `propagation`.
+    fn handled_in_order(propagation: Duration) -> Vec<Option<Vec<u8>>> {
+        let (tx, rx) = wire_pair(LinkProfile { propagation, ..LinkProfile::fast("lagged", 1500) });
+        tx.send(b"early").unwrap();
+        let (seen_tx, seen) = std::sync::mpsc::channel();
+        rx.set_rx_handler(move |f| seen_tx.send(f).unwrap());
+        tx.send(b"late").unwrap();
+        drop(tx);
+        (0..3).map(|_| seen.recv_timeout(Duration::from_secs(5)).unwrap()).collect()
+    }
+
+    #[test]
+    fn a_handler_is_handed_the_earlier_frames_first_and_the_hangup_last() {
+        let want = vec![Some(b"early".to_vec()), Some(b"late".to_vec()), None];
+        // Unpaced, "early" is queued before the handler comes; with a
+        // propagation delay it is still in flight.
+        assert_eq!(handled_in_order(Duration::ZERO), want);
+        assert_eq!(handled_in_order(Duration::from_millis(5)), want);
     }
 
     #[test]
@@ -380,7 +477,7 @@ mod tests {
             bandwidth_bps: 1_000_000,
             ..LinkProfile::fast("slow", 1500)
         };
-        let (tx, mut rx) = wire_pair(profile);
+        let (tx, rx) = wire_pair(profile);
         let start = Instant::now();
         let h = std::thread::spawn(move || {
             for _ in 0..10 {
@@ -404,7 +501,7 @@ mod tests {
             propagation: Duration::from_millis(20),
             ..LinkProfile::fast("lagged", 1500)
         };
-        let (tx, mut rx) = wire_pair(profile);
+        let (tx, rx) = wire_pair(profile);
         let start = Instant::now();
         tx.send(b"x").unwrap();
         rx.recv().unwrap();
@@ -413,14 +510,14 @@ mod tests {
 
     #[test]
     fn loss_drops_frames() {
-        let (tx, mut rx) = wire_pair(Profiles::ether_fast().with_loss(1.0));
+        let (tx, rx) = wire_pair(Profiles::ether_fast().with_loss(1.0));
         tx.send(b"gone").unwrap();
         assert_eq!(rx.recv_timeout(Duration::from_millis(20)), RecvOutcome::TimedOut);
     }
 
     #[test]
     fn dup_delivers_twice() {
-        let (tx, mut rx) = wire_pair(Profiles::ether_fast().with_dup(1.0));
+        let (tx, rx) = wire_pair(Profiles::ether_fast().with_dup(1.0));
         tx.send(b"twin").unwrap();
         assert_eq!(rx.recv().unwrap(), b"twin");
         assert_eq!(rx.recv().unwrap(), b"twin");
@@ -428,7 +525,7 @@ mod tests {
 
     #[test]
     fn corrupt_flips_bytes() {
-        let (tx, mut rx) = wire_pair(Profiles::ether_fast().with_corrupt(1.0));
+        let (tx, rx) = wire_pair(Profiles::ether_fast().with_corrupt(1.0));
         tx.send(b"fragile").unwrap();
         let got = rx.recv().unwrap();
         assert_eq!(got.len(), 7);
@@ -438,7 +535,7 @@ mod tests {
     #[test]
     fn stats_identity_holds_per_wire() {
         let profile = Profiles::ether_fast().with_loss(0.3).with_dup(0.2);
-        let (tx, mut rx) = wire_pair(profile);
+        let (tx, rx) = wire_pair(profile);
         for _ in 0..200 {
             tx.send(b"frame").unwrap();
         }
@@ -451,7 +548,7 @@ mod tests {
         );
         // Every delivered copy is sitting in the channel.
         let mut got = 0u64;
-        while rx.try_recv().is_some() {
+        while rx.recv_timeout(Duration::ZERO) != RecvOutcome::TimedOut {
             got += 1;
         }
         assert_eq!(got, s.delivered.get());
@@ -534,7 +631,7 @@ mod tests {
 
     #[test]
     fn timeout_returns_timedout() {
-        let (_tx, mut rx) = wire_pair(Profiles::ether_fast());
+        let (_tx, rx) = wire_pair(Profiles::ether_fast());
         let start = Instant::now();
         assert_eq!(
             rx.recv_timeout(Duration::from_millis(25)),

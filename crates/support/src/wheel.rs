@@ -116,6 +116,33 @@ pub fn cancel(id: TimerId) -> bool {
     hit
 }
 
+/// Aims an owner's one entry on the wheel at `want` ("a helper kernel
+/// process awakens periodically to perform any necessary
+/// retransmissions" — §2.4, as one wheel for every conversation). Never
+/// extends an armed timer: it may already be in flight, an early fire
+/// just re-evaluates and re-arms, and a missing one would wedge its
+/// owner. `None` cancels. `fire` runs on the shard of `key`. The spawn
+/// error (the wheel or pool thread could not start) propagates so dial
+/// and announce fail loudly.
+pub fn rearm(
+    timer: &mut Option<TimerId>,
+    key: u64,
+    want: Option<Instant>,
+    fire: impl FnOnce() + Send + 'static,
+) -> io::Result<()> {
+    if let Some(id) = *timer {
+        if want.is_some_and(|w| id.deadline() <= w) {
+            return Ok(());
+        }
+        cancel(id);
+        *timer = None;
+    }
+    if let Some(want) = want {
+        *timer = Some(schedule(key, want, fire)?);
+    }
+    Ok(())
+}
+
 /// Number of armed timers (diagnostics).
 pub fn armed() -> usize {
     wheel().state.lock().timers.len()
@@ -269,6 +296,37 @@ mod tests {
         assert!(!cancel(id), "second cancel reports gone");
         std::thread::sleep(Duration::from_millis(120));
         assert_eq!(hits.load(Ordering::SeqCst), 0, "cancelled timer must not fire");
+    }
+
+    #[test]
+    fn an_armed_timer_is_never_extended() {
+        let far = time::now() + Duration::from_secs(3600);
+        let mut timer = None;
+        rearm(&mut timer, 7, Some(far), || {}).unwrap();
+        let armed = timer.expect("armed");
+        assert_eq!(armed.deadline(), far);
+        // Later or equal: the armed entry stays as it is.
+        rearm(&mut timer, 7, Some(far + Duration::from_secs(1)), || {}).unwrap();
+        rearm(&mut timer, 7, Some(far), || {}).unwrap();
+        assert_eq!(timer, Some(armed));
+        // Earlier: the old entry is cancelled and a new one scheduled.
+        let near = far - Duration::from_secs(1);
+        rearm(&mut timer, 7, Some(near), || {}).unwrap();
+        assert_eq!(timer.expect("re-armed").deadline(), near);
+        assert!(!cancel(armed), "the old entry was already cancelled");
+        rearm(&mut timer, 7, None, || {}).unwrap();
+    }
+
+    #[test]
+    fn wanting_nothing_cancels_the_timer() {
+        let mut timer = None;
+        rearm(&mut timer, 7, None, || {}).unwrap();
+        assert_eq!(timer, None);
+        rearm(&mut timer, 7, Some(time::now() + Duration::from_secs(3600)), || {}).unwrap();
+        let armed = timer.expect("armed");
+        rearm(&mut timer, 7, None, || {}).unwrap();
+        assert_eq!(timer, None);
+        assert!(!cancel(armed), "the entry was already cancelled");
     }
 
     #[test]

@@ -22,9 +22,8 @@ cargo run --release --offline -q -p plan9-check
 # runtime dump, and no lock receiver the resolver cannot type. The
 # method calls resolved by their receiver's type may not fall below
 # the tree's count, lowered only when code is deleted: a call that
-# loses its type fans out by name again. (5341 since a submitter runs
-# the pool shard it readies: the drain shared with the workers, the
-# lock count and the one sink slot of ninep's client and server.)
+# loses its type fans out by name again. (5355 since every medium
+# delivers by one rule and URP's input runs where its cells land.)
 python3 - <<'EOF'
 import json, sys
 r = json.load(open("REPORT_checkflow.json"))
@@ -36,8 +35,8 @@ for field in ("functions", "call_sites", "resolved_calls", "typed_calls", "roots
         sys.exit(f"verify: REPORT graph.{field} missing or non-integer")
 if g["functions"] < 500 or g["roots"] < 5:
     sys.exit(f"verify: call graph implausibly small ({g['functions']} fns, {g['roots']} roots)")
-if g["typed_calls"] < 5341:
-    sys.exit(f"verify: {g['typed_calls']} method calls resolved by receiver type (need >= 5341)")
+if g["typed_calls"] < 5355:
+    sys.exit(f"verify: {g['typed_calls']} method calls resolved by receiver type (need >= 5355)")
 for pass_ in ("blocking_context", "panic_reach"):
     p = r[pass_]
     if p["count"] != 0 or p["findings"]:
@@ -87,6 +86,23 @@ for root in ("src", "tests", "examples", "crates"):
                 in_start = in_start and not after_start
 if bad:
     sys.exit("verify: " + "\nverify: ".join(bad))
+EOF
+
+# A Datakit conversation costs no kernel process: URP's input is the
+# circuit's handler and its prober a timer-wheel entry, so no non-test
+# code under crates/datakit/src spawns one.
+python3 - <<'EOF'
+import os, sys
+bad = []
+for d, _, files in os.walk("crates/datakit/src"):
+    for path in sorted(os.path.join(d, f) for f in files if f.endswith(".rs")):
+        for n, line in enumerate(open(path), 1):
+            if line.strip().startswith("#[cfg(test)]"):
+                break
+            if "kproc(" in line:
+                bad.append(f"{path}:{n}")
+if bad:
+    sys.exit("verify: a kproc spawned by Datakit code: " + ", ".join(bad))
 EOF
 
 # Clippy, when the toolchain ships it; warnings are errors so the tree

@@ -116,8 +116,8 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/gnot proto=il proto=tcp
     let p = gnot.proc();
     // The first pipe in the process is opened and closed unused: its
     // hangup is the first block any stream queue takes, so the copy
-    // site that counts queued bytes registers under the pipe device's
-    // and the pipe's locks — the order a first-ever put takes anywhere.
+    // site that counts queued bytes registers under the pipe's locks —
+    // the order a first-ever put takes anywhere.
     let (r, w) = p.pipe().expect("pipe");
     p.close(w);
     p.close(r);
@@ -166,12 +166,11 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/gnot proto=il proto=tcp
     p.close(r);
 
     // The first framed 9P message in the process goes out where a mount
-    // that replaces another clunks the tree it hides, under the name
-    // space lock: the hidden tree is a mount driver, never attached, on
-    // a TCP call that is hung up on its first message, its Tclunk. The
-    // framing copy site registers there, under the name space lock and
-    // the driver's sink, as a first-ever framed message anywhere would
-    // take them.
+    // that replaces another clunks the tree it hides: the hidden tree is
+    // a mount driver, never attached, on a TCP call that is hung up on
+    // its first message, its Tclunk. The framing copy site registers
+    // there, under the driver's locks, as a first-ever framed message
+    // anywhere would take them.
     let echo = dial(&p, "tcp!135.104.9.31!9").expect("tcp dial");
     let hidden: Arc<dyn ProcFs> = MountDriver::over_bytes(p.io(echo.data_fd).unwrap()).unwrap();
     let root = ServeNode::new(Qid::dir(0, 0), 1);
@@ -182,7 +181,8 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/gnot proto=il proto=tcp
     p.close(echo.ctl_fd);
 
     // An import mounted over an import: replacing the mount point
-    // clunks the old tree's root, a 9P RPC, under the name space lock.
+    // clunks the old tree's root, a 9P RPC, once the name space lock is
+    // let go.
     for _ in 0..2 {
         import(&p, "dk!nj/astro/helix!exportfs", "/net", "/n/helix", MREPL).expect("import");
     }
@@ -206,7 +206,6 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/gnot proto=il proto=tcp
     let dump = plan9_support::lockgraph_dump();
     for must in [
         "edge core.proc.nextfd -> core.proc.fds",
-        "edge core.proc.fds -> ninep.convtable",
         "edge core.ether.promiscuous -> netsim.ether.stations",
         "class support.wheel acquires=",
     ] {
