@@ -5,16 +5,18 @@ use plan9::core::machine::{Machine, MachineBuilder};
 use plan9::core::namespace::{MAFTER, MREPL};
 use plan9::core::proc::Proc;
 use plan9::exportfs::cpu::{cpu, cpu_listener, CpuJob};
-use plan9::exportfs::exportfs::{exportfs_listener, serve_export};
+use plan9::exportfs::exportfs::exportfs_listener;
 use plan9::exportfs::import::import;
 use plan9::inet::ip::IpConfig;
 use plan9::netsim::ether::EtherSegment;
 use plan9::netsim::fabric::DatakitSwitch;
 use plan9::netsim::profile::Profiles;
-use plan9::ninep::procfs::{MemFs, OpenMode, ProcFs, ServeNode};
-use plan9::ninep::{Dir, Result};
+use plan9::ninep::procfs::{MemFs, OpenMode, ProcFs};
+use probe::Probe;
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+mod probe;
 
 const NDB: &str = "\
 sys=helix ip=10.21.0.1 dk=nj/astro/helix proto=il proto=tcp
@@ -211,56 +213,6 @@ fn tcp_cpu_session_leaves_no_conversation() {
     assert_eq!(left_on([&helix, &musca]), [0, 0]);
 }
 
-/// A file server of data at hand (it says so) that notes the thread
-/// each read ran on, and whether the read was of a directory.
-struct Probe {
-    mem: Arc<MemFs>,
-    reads: Mutex<Vec<(bool, String)>>,
-}
-
-impl Probe {
-    /// The names of the threads that read a directory, or a file.
-    fn readers(&self, dir: bool) -> HashSet<String> {
-        let reads = self.reads.lock().unwrap();
-        reads.iter().filter(|r| r.0 == dir).map(|r| r.1.clone()).collect()
-    }
-}
-
-impl ProcFs for Probe {
-    fn fsname(&self) -> String {
-        self.mem.fsname()
-    }
-    fn attach(&self, uname: &str, aname: &str) -> Result<ServeNode> {
-        self.mem.attach(uname, aname)
-    }
-    fn clone_node(&self, n: &ServeNode) -> Result<ServeNode> {
-        self.mem.clone_node(n)
-    }
-    fn walk(&self, n: &ServeNode, name: &str) -> Result<ServeNode> {
-        self.mem.walk(n, name)
-    }
-    fn open(&self, n: &ServeNode, mode: OpenMode) -> Result<ServeNode> {
-        self.mem.open(n, mode)
-    }
-    fn read(&self, n: &ServeNode, offset: u64, count: usize) -> Result<Vec<u8>> {
-        let thread = std::thread::current().name().unwrap_or("").to_string();
-        self.reads.lock().unwrap().push((n.qid.is_dir(), thread));
-        self.mem.read(n, offset, count)
-    }
-    fn write(&self, n: &ServeNode, offset: u64, data: &[u8]) -> Result<usize> {
-        self.mem.write(n, offset, data)
-    }
-    fn clunk(&self, n: &ServeNode) {
-        self.mem.clunk(n)
-    }
-    fn stat(&self, n: &ServeNode) -> Result<Dir> {
-        self.mem.stat(n)
-    }
-    fn may_block(&self, n: Option<&ServeNode>) -> bool {
-        self.mem.may_block(n)
-    }
-}
-
 /// A UDP conversation on helix, made through an import of its `/` at
 /// `/n/helix`: the conversation's number and its open `data` file,
 /// which has nothing to read until musca sends.
@@ -290,9 +242,7 @@ fn finished_within<T>(h: std::thread::ScopedJoinHandle<'_, T>, secs: u64, what: 
 #[test]
 fn exportfs_keeps_its_slaves_for_the_files_that_may_block() {
     let (helix, musca, gnot) = world();
-    let mem = MemFs::new("probe", "bootes");
-    mem.put_file("/f", b"data at hand").unwrap();
-    let probe = Arc::new(Probe { mem, reads: Mutex::new(Vec::new()) });
+    let probe = Probe::new();
     let hp = helix.proc();
     let fs: Arc<dyn ProcFs> = probe.clone();
     hp.mount_fs(&fs, "", "/n/probe", MREPL).unwrap();
@@ -325,72 +275,6 @@ fn exportfs_keeps_its_slaves_for_the_files_that_may_block() {
     // are `9p-worker`s.
     assert_eq!(probe.readers(false), HashSet::from(["exportfs".to_string()]));
     assert_eq!(probe.readers(true), HashSet::from(["9p-worker".to_string()]));
-}
-
-/// Which process runs an importer's read of a file in memory is the
-/// transport's to say, never a setting. The IL and TCP devices take up
-/// `serve_nine` and run it on the thread that delivered the request:
-/// on this unpaced Ethernet the importer's own, which holds no lock as
-/// it writes the frame. When helix's station shard was busy, whoever
-/// was draining it delivered: a pool worker, or a process of another
-/// test in this binary writing frames of its own. Never a process of
-/// the export's. A Datakit conversation, a pipe, and an IL or TCP
-/// conversation whose `data` file is itself imported (gnot has no IP
-/// but helix's) are read and served by the parked `exportfs` kproc, as
-/// every export conversation once was.
-#[test]
-fn a_conversation_is_served_where_its_requests_arrive() {
-    let (helix, musca, gnot) = world();
-    let mem = MemFs::new("probe", "bootes");
-    mem.put_file("/f", b"data at hand").unwrap();
-    let probe = Arc::new(Probe { mem, reads: Mutex::new(Vec::new()) });
-    let fs: Arc<dyn ProcFs> = probe.clone();
-    let with_probe = |p: Proc| {
-        p.mount_fs(&fs, "", "/n/probe", MREPL).unwrap();
-        p
-    };
-    for addr in ["il!*!exportfs", "tcp!*!exportfs", "dk!*!exportfs"] {
-        exportfs_listener(with_probe(helix.proc()), addr, usize::MAX).unwrap();
-    }
-    // The threads that ran ten reads of `/n/x/f`.
-    let readers = |p: &Proc| -> Vec<String> {
-        probe.reads.lock().unwrap().clear();
-        let f = p.open("/n/x/f", OpenMode::READ).expect("open f");
-        assert!((0..10).all(|_| p.pread(f, 0, 64).unwrap() == b"data at hand"));
-        probe.readers(false).into_iter().collect()
-    };
-    let imported = |m: &Arc<Machine>, addr: &str| {
-        let p = m.proc();
-        import(&p, addr, "/n/probe", "/n/x", MREPL).expect(addr);
-        readers(&p)
-    };
-    let me = std::thread::current().name().unwrap_or("").to_string();
-    for addr in ["il!helix!exportfs", "tcp!helix!exportfs"] {
-        let readers = imported(&musca, addr);
-        assert!(readers.contains(&me), "{addr}: the importer delivered none of its reads: {readers:?}");
-        assert!(!readers.iter().any(|r| r == "exportfs" || r == "9p-worker"), "{addr}: {readers:?}");
-    }
-    assert_eq!(imported(&gnot, "dk!nj/astro/helix!exportfs"), ["exportfs"]);
-
-    // The import command's initial protocol, spoken over a pipe.
-    let p = with_probe(helix.proc());
-    let (srv_fd, mnt_fd) = p.pipe().unwrap();
-    let (srv, srv_fd) = p.fork_with_fd(srv_fd);
-    plan9_support::vtime::kproc("exportfs", move || serve_export(&srv, srv_fd, false)).unwrap();
-    p.write(mnt_fd, b"/n/probe").unwrap();
-    assert_eq!(p.read(mnt_fd, 64).unwrap(), b"OK");
-    p.mount_fd(mnt_fd, "", "/n/x", MREPL, false).unwrap();
-    assert_eq!(readers(&p), ["exportfs"]);
-
-    // gnot announces on helix's IL and TCP, through its import of
-    // helix's /net.
-    let gp = with_probe(gnot.proc());
-    import(&gp, "dk!nj/astro/helix!exportfs", "/net", "/net", MAFTER).expect("import /net");
-    for addr in ["il!*!17099", "tcp!*!17099"] {
-        exportfs_listener(gp.fork(), addr, usize::MAX).unwrap();
-    }
-    assert_eq!(imported(&musca, "il!helix!17099"), ["exportfs"]);
-    assert_eq!(imported(&musca, "tcp!helix!17099"), ["exportfs"]);
 }
 
 /// An importer that goes away with a read parked in an exported `data`
