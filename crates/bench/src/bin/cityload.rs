@@ -27,7 +27,8 @@
 //! Usage: `cargo run -p plan9-bench --release --bin cityload`
 
 use plan9_bench::{within_budget, write_artifact};
-use plan9_inet::nine::{serve_on_shard, IlIo};
+use plan9_inet::nine::IlIo;
+use plan9_ninep::server::serve_on_shard;
 use plan9_inet::ip::{IpConfig, IpStack};
 use plan9_netsim::ether::EtherSegment;
 use plan9_netsim::profile::Profiles;

@@ -4,13 +4,16 @@
 //! here one [`PipeFs`] instance is one pipe, with `data` and `data1` as
 //! its two ends. "The first process to open either file creates the
 //! stream automatically. The last close destroys it" (§2.4.1) — the
-//! stream pair lives exactly as long as open references to it.
+//! stream pair lives exactly as long as open references to it. 9P served
+//! on an end is served where its requests arrive: by the writer of the
+//! other end ([`PipeConn`]).
 
 use plan9_support::sync::Mutex;
-use plan9_ninep::procfs::{Dev, OpenMode, ServeNode, ROOT};
+use plan9_ninep::procfs::{Dev, OpenMode, ProcFs, ServeNode, ROOT};
 use plan9_ninep::qid::Qid;
+use plan9_ninep::server::{serve_on_shard, NineService};
 use plan9_ninep::{errstr, Dir, NineError, Result};
-use plan9_streams::{stream_pipe, Stream};
+use plan9_streams::{stream_pipe, PipeConn, Stream};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -71,6 +74,12 @@ impl Dev for PipeFs {
 
     fn write_file(&self, n: &ServeNode, _offset: u64, data: &[u8]) -> Result<usize> {
         self.ends[self.end_of(n.qid)?].write(data)
+    }
+
+    fn serve_nine_file(&self, n: &ServeNode, fs: &Arc<dyn ProcFs>) -> Option<Arc<NineService>> {
+        let end = self.end_of(n.qid).ok()?;
+        let conn = PipeConn::new(&self.ends[end], &self.ends[1 - end]);
+        Some(serve_on_shard(&conn, Arc::clone(fs)))
     }
 
     fn clunk_node(&self, n: &ServeNode) {

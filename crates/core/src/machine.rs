@@ -392,7 +392,7 @@ impl ConnOps for TcpConnOps {
         self.conn.close();
     }
     fn serve_nine(&self, fs: &Arc<dyn ProcFs>) -> Option<Arc<plan9_ninep::server::NineService>> {
-        Some(plan9_inet::nine::serve_on_shard(&self.conn, Arc::clone(fs)))
+        Some(plan9_ninep::server::serve_on_shard(&self.conn, Arc::clone(fs)))
     }
 }
 
@@ -464,7 +464,7 @@ impl ConnOps for IlConnOps {
         self.conn.close();
     }
     fn serve_nine(&self, fs: &Arc<dyn ProcFs>) -> Option<Arc<plan9_ninep::server::NineService>> {
-        Some(plan9_inet::nine::serve_on_shard(&self.conn, Arc::clone(fs)))
+        Some(plan9_ninep::server::serve_on_shard(&self.conn, Arc::clone(fs)))
     }
 }
 
@@ -639,6 +639,9 @@ impl ConnOps for DkConnOps {
     }
     fn close(&self) {
         self.conn.close();
+    }
+    fn serve_nine(&self, fs: &Arc<dyn ProcFs>) -> Option<Arc<plan9_ninep::server::NineService>> {
+        Some(plan9_ninep::server::serve_on_shard(&self.conn, Arc::clone(fs)))
     }
 }
 

@@ -8,6 +8,7 @@
 //! of raw circuits: windowed, sequenced, error-recovering transmission
 //! with message delimiters, which is what 9P needs from a transport.
 
+mod nine;
 pub mod urp;
 
 pub use urp::{urp_dial, UrpConn, UrpListener, URP_WINDOW};

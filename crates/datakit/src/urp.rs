@@ -28,7 +28,10 @@
 //! input runs in whoever delivers the data). The prober is one timer
 //! wheel entry, on a pool key of its own: a rewind resends up to a
 //! window of full cells, and that must not hold up the input. `send`,
-//! `drain` and `probe_and_wait` run on the caller's thread.
+//! `drain` and `probe_and_wait` run on the caller's thread. A reader
+//! that does not wait (9P served where its requests arrive) takes
+//! messages with [`UrpConn::try_recv`] when the readiness hook fires: a
+//! message queued, the hangup, or the window opening.
 
 use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::{time, wheel};
@@ -36,7 +39,7 @@ use plan9_netsim::fabric::{Circuit, DatakitLine, IncomingCall};
 use plan9_netlog::{Counter, Registry};
 use plan9_ninep::NineError;
 use std::collections::VecDeque;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// Outstanding-cell window; 7 so sequence arithmetic mod 8 stays
@@ -120,6 +123,13 @@ struct SendState {
 }
 
 impl SendState {
+    /// Whether a send of `cells` cells would not wait: they fit in the
+    /// window and no rewind is pending, or the conversation is shut and
+    /// the send fails at once.
+    fn open(&self, cells: usize) -> bool {
+        self.closed || (self.rewind.is_none() && self.unacked.len() + cells <= URP_WINDOW)
+    }
+
     /// Applies a cumulative acknowledgment: the receiver expects `e`
     /// next, so every queued cell strictly before `e` (in queue order) is
     /// done. An `e` that is neither in the queue nor equal to the next
@@ -167,6 +177,8 @@ pub struct UrpConn {
     pub stats: Arc<UrpStats>,
     /// Per-cell payload capacity on this circuit.
     cell_payload: usize,
+    /// The readiness hook, if a reader that does not wait registered one.
+    rx_notify: OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
 
 impl UrpConn {
@@ -207,6 +219,7 @@ impl UrpConn {
             recv_cv: Condvar::new(),
             stats,
             cell_payload,
+            rx_notify: OnceLock::new(),
         });
         let input = conn.me.clone();
         conn.circuit.set_rx_handler(move |cell| {
@@ -273,7 +286,13 @@ impl UrpConn {
             }
             send = self.send.lock();
             send.rewind = None;
-            return self.news(&mut send);
+            self.news(&mut send);
+            let open = send.open(1);
+            drop(send);
+            if open {
+                self.notify();
+            }
+            return;
         }
         if !send.unacked.is_empty() && time::now() >= send.quiet_since + ENQ_TIMEOUT {
             drop(send);
@@ -332,8 +351,9 @@ impl UrpConn {
                 let _ = self.circuit.send(&[T_ECHO | expected]);
             }
             T_ACK | T_ECHO => {
-                let lost = {
+                let (lost, opened) = {
                     let mut send = self.send.lock();
+                    let was_open = send.open(1);
                     send.echo_seen = Some(seq);
                     send.ack_upto(seq);
                     // An ECHO answers the last ENQ: a cell that left
@@ -342,8 +362,12 @@ impl UrpConn {
                     let enqs = send.enqs;
                     let before = |c: &Cell| c.seq == seq && c.left.is_some_and(|n| n < enqs);
                     self.news(&mut send);
-                    ctl & TYPE_MASK == T_ECHO && send.unacked.front().is_some_and(before)
+                    let lost = ctl & TYPE_MASK == T_ECHO && send.unacked.front().is_some_and(before);
+                    (lost, !was_open && send.open(1))
                 };
+                if opened {
+                    self.notify();
+                }
                 if lost {
                     self.rewind_from(seq);
                 }
@@ -392,6 +416,9 @@ impl UrpConn {
         drop(recv);
         if volunteer {
             let _ = self.circuit.send(&[T_ACK | expected]);
+        }
+        if eom {
+            self.notify();
         }
     }
 
@@ -533,6 +560,40 @@ impl UrpConn {
         Err(NineError::new("urp: too many retries"))
     }
 
+    /// The next message if one is at hand, `None` if not; an error at
+    /// the end of the conversation.
+    pub fn try_recv(&self) -> crate::Result<Option<Vec<u8>>> {
+        let mut recv = self.recv.lock();
+        match recv.messages.pop_front() {
+            None if recv.hungup => Err(NineError::new("hungup")),
+            msg => Ok(msg),
+        }
+    }
+
+    /// Registers the readiness hook, fired with no lock held when a
+    /// message is queued, at the hangup, and when the window opens. A
+    /// conversation has one reader: a second hook is dropped.
+    pub fn set_rx_notify(&self, hook: impl Fn() + Send + Sync + 'static) {
+        let _ = self.rx_notify.set(Box::new(hook));
+    }
+
+    fn notify(&self) {
+        if let Some(hook) = self.rx_notify.get() {
+            hook();
+        }
+    }
+
+    /// Whether a message of `len` bytes would be sent without waiting:
+    /// every cell of it (one, for an empty message) fits in the window.
+    pub fn can_send(&self, len: usize) -> bool {
+        self.send.lock().open(len.div_ceil(self.cell_payload).max(1))
+    }
+
+    /// The pool key the circuit delivers this conversation's cells on.
+    pub fn rx_key(&self) -> u64 {
+        self.circuit.rx_key()
+    }
+
     /// Blocks for the next message; `None` is EOF/hangup.
     pub fn recv(&self) -> Option<Vec<u8>> {
         let mut recv = self.recv.lock();
@@ -550,6 +611,11 @@ impl UrpConn {
     /// Closes the conversation, after draining outstanding cells.
     pub fn close(&self) {
         let _ = self.drain();
+        self.hangup();
+    }
+
+    /// Closes the conversation at once, whatever is unacknowledged.
+    pub fn hangup(&self) {
         let _ = self.circuit.send(&[T_CLOSE]);
         self.shut();
     }
@@ -564,6 +630,7 @@ impl UrpConn {
         drop(send);
         self.recv_cv.notify_all();
         self.echo_cv.notify_all();
+        self.notify();
     }
 }
 

@@ -186,7 +186,10 @@ impl ProcFs for NsFs {
     }
 
     fn clunk(&self, n: &ServeNode) {
-        if let Some(chan) = self.chans.lock().remove(&n.handle) {
+        // Out of the table first: through an imported mount the clunk is
+        // an RPC, never made under `chans`.
+        let chan = self.chans.lock().remove(&n.handle);
+        if let Some(chan) = chan {
             chan.src.clunk();
         }
     }
@@ -244,16 +247,18 @@ pub fn serve_export(p: &Proc, data_fd: i32, framed: bool) -> Result<()> {
 /// data descriptor until the peer hangs up. A byte-stream transport
 /// (`framed`, i.e. TCP) gets the marshaling layer; IL, URP and pipes
 /// keep delimiters themselves. Which process reads the descriptor is
-/// the transport's to say ([`ProcFs::serve_nine`]), not the caller's.
+/// the transport's to say ([`ProcFs::serve_nine`]), not the caller's:
+/// every transport of the machine's own serves its requests where they
+/// arrive, and this process only waits.
 pub(crate) fn serve_ns(p: &Proc, data_fd: i32, base: &str, framed: bool) -> Result<()> {
     let fs: Arc<dyn ProcFs> = NsFs::new(p.ns.fork(), base);
     let io = p.io(data_fd)?;
-    // An IL or TCP conversation of this machine's own is served by the
-    // kernel under its `data` file, by the pool worker that receives
+    // A conversation of this machine's own — IL, TCP, URP or a pipe — is
+    // served by the kernel under its `data` file, by whoever delivers
     // each request; this process waits for the hangup, makes the
     // clunks that may block, and — the slaves being its own (§6.1) —
-    // waits for their ends. Datakit, a pipe and the `data` file of an
-    // imported `/net` are read here.
+    // waits for their ends. Only the `data` file of an imported `/net`
+    // is read here.
     if let Some(svc) = io.serve_nine(&fs) {
         svc.wait();
         return Ok(());

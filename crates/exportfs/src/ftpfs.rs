@@ -112,7 +112,8 @@ impl FtpFs {
 
     /// Fetches (or serves from cache) the listing of a directory.
     fn list_dir(&self, path: &str) -> Result<Vec<(String, bool, u64)>> {
-        if let Some(CacheEntry::Dir(entries)) = self.cache.lock().get(path).cloned() {
+        let cached = self.cache.lock().get(path).cloned();
+        if let Some(CacheEntry::Dir(entries)) = cached {
             return Ok(entries);
         }
         self.round_trips.inc();
@@ -156,7 +157,8 @@ impl FtpFs {
         if let Some(data) = self.dirty.lock().get(path) {
             return Ok(data.clone());
         }
-        if let Some(CacheEntry::File(data)) = self.cache.lock().get(path).cloned() {
+        let cached = self.cache.lock().get(path).cloned();
+        if let Some(CacheEntry::File(data)) = cached {
             return Ok(data);
         }
         self.round_trips.inc();

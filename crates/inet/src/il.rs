@@ -675,7 +675,9 @@ impl IlConn {
     }
 
     fn teardown(&self) {
-        if let Some(id) = self.inner.lock().timer.take() {
+        // Taken, then cancelled with `inet.il.conn` dropped.
+        let timer = self.inner.lock().timer.take();
+        if let Some(id) = timer {
             wheel::cancel(id);
         }
         if let Some(stack) = self.stack.upgrade() {
@@ -944,9 +946,8 @@ impl IlConn {
                             // a peer that will never hear us.
                             send_state = true;
                         }
-                        IlType::Ack => {}
-                        // checked: Close is diverted before this match
-                        IlType::Close => unreachable!("handled above"),
+                        // A Close is taken by the arm above.
+                        IlType::Ack | IlType::Close => {}
                     }
                     if inner.state == IlState::Closing
                         && inner.peer_closed

@@ -394,7 +394,7 @@ pub struct TcpConn {
     /// Signaled when send-buffer space opens.
     writable: Condvar,
     /// The readiness hook of a conversation served from the worker
-    /// pool (`nine::Served`), fired when data, EOF or an error becomes
+    /// pool (`ninep::server::Served`), fired when data, EOF or an error becomes
     /// available, or a full send buffer has room again.
     pub(crate) rx_notify: OnceLock<Box<dyn Fn() + Send + Sync>>,
 }

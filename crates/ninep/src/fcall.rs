@@ -352,6 +352,15 @@ impl Tmsg {
             _ => None,
         }
     }
+
+    /// The most bytes the reply can take: a header, and a read's data.
+    pub fn reply_bound(&self) -> usize {
+        let data = match self {
+            Tmsg::Read { count, .. } => (*count as usize).min(MAX_FDATA),
+            _ => 0,
+        };
+        MAX_MSG - MAX_FDATA + data
+    }
 }
 
 /// A reply (R-message) from server to client.

@@ -9,7 +9,8 @@
 //! by the one [`Deframer`], which takes the stream in chunks cut
 //! anywhere and hands back whole messages. [`FramedSink`] and
 //! [`FramedSource`] put the two on a byte transport; a TCP conversation
-//! served from its pool shard uses them directly (`inet::nine`).
+//! served from its pool shard uses them directly (`inet::nine`'s `Served`
+//! impl).
 
 use crate::transport::{ByteSink, ByteSource, MsgSink, MsgSource};
 use crate::{errstr, NineError, Result};

@@ -163,7 +163,7 @@ pub trait ProcFs: Send + Sync {
     }
 
     /// Asks the server under the node — an open conversation's `data`
-    /// file — to serve `fs` to the conversation's peer as 9P itself,
+    /// file, or a pipe end — to serve `fs` to the conversation's peer as 9P itself,
     /// with no process reading the file: `mount`'s dual. `None`
     /// declines, and the caller reads and serves the file as any other;
     /// only a server whose input path can run a file operation to

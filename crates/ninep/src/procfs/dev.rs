@@ -89,8 +89,8 @@ pub trait Dev: Send + Sync {
     /// The node is being discarded.
     fn clunk_node(&self, _n: &ServeNode) {}
 
-    /// [`ProcFs::serve_nine`] of a file; no device but a protocol's
-    /// takes it up.
+    /// [`ProcFs::serve_nine`] of a file; only a conversation's `data`
+    /// file and a pipe end take it up.
     fn serve_nine_file(&self, _n: &ServeNode, _fs: &Arc<dyn ProcFs>) -> Option<Arc<NineService>> {
         None
     }

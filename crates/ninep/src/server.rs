@@ -20,12 +20,14 @@
 //!   made it.
 //! * [`serve`] feeds it from a thread that reads a transport until the
 //!   peer hangs up, then hangs up and joins the workers. A readiness
-//!   callback on a worker-pool shard (`inet::nine::serve_on_shard`, for
-//!   IL and TCP) feeds it with no thread at all: a `MemFs` served that
-//!   way never makes a worker, so its conversations can be counted in
-//!   tens of thousands. A server with workers to wait for — exportfs
-//!   over IL or TCP — parks its process in [`NineService::wait`]
-//!   instead of in the transport.
+//!   callback on a worker-pool shard ([`serve_on_shard`], for every
+//!   transport of the machine's own: IL, TCP, URP and the pipe, each
+//!   through the [`Served`] trait) feeds it with no thread at all: a
+//!   request is served by whoever delivers it, and a `MemFs` served
+//!   that way never makes a worker, so its conversations can be counted
+//!   in tens of thousands. A server with workers to wait for — exportfs
+//!   — parks its process in [`NineService::wait`] instead of in the
+//!   transport.
 
 use crate::codec::{decode_tmsg, encode_rmsg};
 use crate::fcall::{Fid, Rmsg, Tag, Tmsg, CHAL_LEN, MAX_FDATA};
@@ -35,12 +37,13 @@ use crate::{errstr, NineError, Result};
 use plan9_netlog::trace::{self, TraceHandle};
 use plan9_netlog::Facility;
 use plan9_support::chan::{unbounded, Receiver, Sender};
+use plan9_support::pool;
 use plan9_support::sync::{self, Condvar, Mutex};
 use plan9_support::vtime::{self, KprocHandle};
 use plan9_support::time;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Weak};
 
 #[derive(Clone, Copy)]
 struct FidState {
@@ -137,7 +140,7 @@ impl ServerShared {
             (_, Some(s)) => !s.blocks,
             (_, None) => true,
         };
-        at_hand && self.sink.ready()
+        at_hand && self.sink.ready(t.reply_bound())
     }
 
     /// What the fid table holds for the fid the operation names.
@@ -224,6 +227,100 @@ fn serve_on(svc: &NineService, mut source: Box<dyn MsgSource>) -> Result<()> {
     svc.hangup();
     svc.wait();
     res
+}
+
+/// What the feeder needs of a conversation: the interface is 9P's, not
+/// the transports'.
+pub trait Served: Send + Sync + 'static {
+    /// What the feeder keeps of the conversation's input between runs.
+    type Held: Default + Send + 'static;
+    /// The conversation as its service's reply sink.
+    fn sink(self: &Arc<Self>) -> Box<dyn MsgSink>;
+    /// The next whole request, if one is at hand; an error at the end of
+    /// the conversation.
+    fn next<'a>(self: &Arc<Self>, held: &'a mut Self::Held) -> Result<Option<&'a [u8]>>;
+    /// The conversation's pool shard key.
+    fn conv_id(&self) -> u64;
+    /// Registers the hook that input, the end, or room to send fires.
+    /// It must be cheap and must not block: it may fire under the
+    /// conversation's lock. A conversation has one reader, so a hook
+    /// registered after the first is dropped.
+    fn set_rx_notify(&self, hook: impl Fn() + Send + Sync + 'static);
+    /// Whether a reply would go out at once. Where that depends on the
+    /// reply's length (URP's window counts cells), whether the shortest
+    /// would: the sink's [`MsgSink::ready`] judges each reply.
+    fn can_send(&self) -> bool;
+    /// Hangs the conversation up.
+    fn close(self: &Arc<Self>);
+}
+
+/// Serves `fs` to the peer of `conn` on the conversation's worker-pool
+/// shard: no thread is parked in a read of it; the readiness hook
+/// submits a job that feeds what has arrived to a [`NineService`],
+/// which runs on the shard what `fs` says is data at hand and gives a
+/// kproc to what may block. The caller keeps the returned service for
+/// as long as the conversation should be answered.
+pub fn serve_on_shard<C: Served>(conn: &Arc<C>, fs: Arc<dyn ProcFs>) -> Arc<NineService> {
+    let svc = Arc::new(NineService::new(fs, conn.sink()));
+    // Weak both ways: the service's sink holds the conversation, and
+    // the conversation holds this hook.
+    let (wsvc, wconn) = (Arc::downgrade(&svc), Arc::downgrade(conn));
+    // What the feeds keep of the input: they are one shard's, one at a
+    // time, so its lock is never waited for.
+    let held = Arc::new(Mutex::new(C::Held::default()));
+    // One job, submitted again for each arrival and not while it is
+    // already queued: a message costs no allocation here.
+    let queued = Arc::new(AtomicBool::new(false));
+    let (taken, first) = (Arc::clone(&queued), (wsvc.clone(), wconn.clone(), Arc::clone(&held)));
+    let job: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
+        taken.store(false, Ordering::Release);
+        drain(&wsvc, &wconn, &mut held.lock());
+    });
+    let key = conn.conv_id();
+    // The hook may fire under the conversation's lock: enqueue only.
+    conn.set_rx_notify(move || {
+        if !queued.swap(true, Ordering::AcqRel) {
+            let _ = pool::submit_shared(key, Arc::clone(&job));
+        }
+    });
+    // Catch what landed before the hook was registered: late rather than
+    // lost, and on a worker. Run here, a drain that nearly always finds
+    // nothing would reorder the same-instant events of every modelled
+    // run that serves a conversation.
+    pool::submit_or_run(key, move || drain(&first.0, &first.1, &mut first.2.lock()));
+    svc
+}
+
+/// Feeds the requests queued on the conversation to its 9P service, one
+/// at a time and only while the reply can go out at once: a pool worker
+/// parked in a send on a full window, send buffer or pipe would hold up
+/// its shard, and if that is the one that delivers what makes room,
+/// that too. Room made runs this again.
+fn drain<C: Served>(svc: &Weak<NineService>, conn: &Weak<C>, held: &mut C::Held) {
+    let (Some(svc), Some(conn)) = (svc.upgrade(), conn.upgrade()) else {
+        return;
+    };
+    while conn.can_send() {
+        match conn.next(held) {
+            Ok(Some(m)) => {
+                // blocking-ok: placed by `may_block` — only data at
+                // hand whose reply can go out at once runs here, the
+                // rest on a kproc of its own
+                if svc.input(m).is_err() {
+                    conn.close();
+                    return;
+                }
+            }
+            Ok(None) => return,
+            Err(_) => {
+                // blocking-ok: no worker is waited for here, and the
+                // clunks, which are what wake them, are the waiting
+                // process's to make if there is one
+                svc.hangup();
+                return;
+            }
+        }
+    }
 }
 
 /// One connection's 9P server state: the fid table, the operations in

@@ -52,10 +52,10 @@ impl SinkSlot {
         sent
     }
 
-    /// Whether a message would go out at once. A sink out with another
-    /// sender is free again in a moment.
-    pub(crate) fn ready(&self) -> bool {
-        self.sink.lock().0.as_ref().is_none_or(|s| s.ready())
+    /// Whether a message of `len` bytes would go out at once. A sink out
+    /// with another sender is free again in a moment.
+    pub(crate) fn ready(&self, len: usize) -> bool {
+        self.sink.lock().0.as_ref().is_none_or(|s| s.ready(len))
     }
 }
 
@@ -65,10 +65,10 @@ pub trait MsgSink: Send {
     /// unit.
     fn sendmsg(&mut self, msg: &[u8]) -> Result<()>;
 
-    /// Whether a message would go out at once: `sendmsg` would not
-    /// wait for the peer to make room. A sink that never waits keeps
-    /// the default.
-    fn ready(&self) -> bool {
+    /// Whether a message of up to `len` bytes would go out at once:
+    /// `sendmsg` would not wait for the peer to make room. A sink that
+    /// never waits keeps the default.
+    fn ready(&self, _len: usize) -> bool {
         true
     }
 }

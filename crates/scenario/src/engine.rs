@@ -23,12 +23,13 @@ use crate::topology::{Topology, EXPORT_PORT, SERVE_PORT};
 use plan9_core::machine::Machine;
 use plan9_core::namespace::MAFTER;
 use plan9_exportfs::{exportfs_service, import, ExportService};
-use plan9_inet::nine::{serve_on_shard, IlIo};
+use plan9_inet::nine::IlIo;
 use plan9_inet::ip::IpStack;
 use plan9_inet::IpAddr;
 use plan9_core::proc::Proc;
 use plan9_netlog::{series, Registry};
 use plan9_ninep::client::NineClient;
+use plan9_ninep::server::serve_on_shard;
 use plan9_ninep::procfs::{MemFs, OpenMode, ProcFs};
 use plan9_ninep::server::NineService;
 use plan9_support::chan::unbounded;

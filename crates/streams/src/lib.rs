@@ -34,7 +34,7 @@ pub mod stream;
 pub use block::{Block, BlockKind};
 pub use module::{ModuleCtx, StreamModule};
 pub use queue::Queue;
-pub use spipe::stream_pipe;
+pub use spipe::{stream_pipe, PipeConn};
 pub use stream::{ModuleRegistry, Stream, MAX_ATOMIC_WRITE};
 
 /// Errors produced by stream operations; string-based like the rest of

@@ -7,13 +7,20 @@
 //! A queue is a bounded FIFO of [`Block`]s. The bound is in bytes and
 //! provides the stream's flow control: `put` blocks when the queue is
 //! full, which exerts backpressure on the writer — the same role queue
-//! limits play in the Plan 9 kernel.
+//! limits play in the Plan 9 kernel. A reader or writer that waits is
+//! counted, and only a counted waiter is notified: an operation that
+//! finds nobody waiting makes no system call. A queue may also carry two
+//! hooks for a reader that does not wait (a 9P service fed where its
+//! requests arrive), fired with the queue's lock dropped: one when a
+//! block, a hangup or the close arrives, one when a dequeue takes the
+//! queue back under its limit.
 
 use crate::block::{Block, BlockKind};
 use plan9_netlog::Counter;
 use plan9_support::copysite::Site;
 use plan9_support::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
+use std::sync::{Arc, OnceLock};
 
 /// Bytes entering stream queues. Not a memcpy itself, but every block
 /// queued here was allocated to cross the queue — the figure the
@@ -29,6 +36,22 @@ struct QueueInner {
     bytes: usize,
     closed: bool,
     hungup: bool,
+    /// Readers and writers waiting: a notify is made only for them.
+    readers: usize,
+    writers: usize,
+}
+
+/// A readiness hook: cheap, and it must not block.
+pub type Hook = Arc<dyn Fn() + Send + Sync>;
+
+/// What a dequeue found.
+pub(crate) enum Polled {
+    /// The block taken off the queue.
+    Block(Block),
+    /// Nothing queued, and more may come.
+    Empty,
+    /// Nothing queued, and nothing more will come: hung up or closed.
+    Ended,
 }
 
 /// A bounded, blocking FIFO of blocks.
@@ -37,6 +60,11 @@ pub struct Queue {
     readable: Condvar,
     writable: Condvar,
     limit: usize,
+    /// Fired when a block, a hangup or the close arrives.
+    on_input: OnceLock<Hook>,
+    /// Fired when a dequeue takes the queue back under its limit, and at
+    /// the close.
+    on_room: OnceLock<Hook>,
     /// Blocks ever queued through `put`.
     puts: Counter,
     /// Times a `put` had to wait on flow control.
@@ -60,10 +88,14 @@ impl Queue {
                 bytes: 0,
                 closed: false,
                 hungup: false,
+                readers: 0,
+                writers: 0,
             }, "streams.queue"),
             readable: Condvar::new(),
             writable: Condvar::new(),
             limit,
+            on_input: OnceLock::new(),
+            on_room: OnceLock::new(),
             puts: Counter::new("queue.puts"),
             stalls: Counter::new("queue.stalls"),
             writer_wakes: Counter::new("queue.writer_wakes"),
@@ -100,10 +132,12 @@ impl Queue {
         let mut inner = self.inner.lock();
         if is_data && inner.bytes >= self.limit && !inner.closed {
             self.stalls.inc();
+            inner.writers += 1;
             while inner.bytes >= self.limit && !inner.closed {
                 self.writable.wait(&mut inner);
                 self.writer_wakes.inc();
             }
+            inner.writers -= 1;
         }
         if inner.closed {
             return Err(plan9_ninep::NineError::new(plan9_ninep::errstr::EHUNGUP));
@@ -115,24 +149,54 @@ impl Queue {
         QPUT_SITE.record(b.len());
         inner.bytes += b.len();
         inner.blocks.push_back(b);
-        self.readable.notify_all();
-        if is_data && inner.bytes < self.limit {
+        if inner.readers > 0 {
+            self.readable.notify_all();
+        }
+        if is_data && inner.bytes < self.limit && inner.writers > 0 {
             // Admission is one-at-a-time (dequeues wake a single
             // writer); if this put left room, pass the baton to the
             // next blocked writer rather than strand it.
             self.writable.notify_one();
         }
+        drop(inner);
+        fire(&self.on_input);
         Ok(())
     }
 
-    /// Writer wake-up policy, shared by every dequeue path: only a
-    /// dequeue that crosses the buffered byte count from at-or-over
-    /// the limit to under it can admit a flow-controlled putter, so
-    /// only that crossing notifies — and it notifies *one* writer
-    /// (admission chains through `put`), not all of them.
-    fn admit_writers(&self, inner: &QueueInner, was: usize) {
-        if was >= self.limit && inner.bytes < self.limit {
-            self.writable.notify_one();
+    /// Removes the next block, waiting for one if `wait` is set and the
+    /// queue has not ended. Writer wake-up policy: only a dequeue that
+    /// crosses the buffered byte count from at-or-over the limit to
+    /// under it can admit a flow-controlled putter, so only that
+    /// crossing notifies — and it notifies *one* writer (admission
+    /// chains through `put`), not all of them — and fires the room hook.
+    pub(crate) fn poll(&self, wait: bool) -> Polled {
+        let mut inner = self.inner.lock();
+        loop {
+            if let Some(mut b) = inner.blocks.pop_front() {
+                let was = inner.bytes;
+                inner.bytes -= b.len();
+                let room = was >= self.limit && inner.bytes < self.limit;
+                if room && inner.writers > 0 {
+                    self.writable.notify_one();
+                }
+                drop(inner);
+                if room {
+                    fire(&self.on_room);
+                }
+                if let Some(t) = b.trace.as_mut() {
+                    t.note_dequeued();
+                }
+                return Polled::Block(b);
+            }
+            if inner.closed || inner.hungup {
+                return Polled::Ended;
+            }
+            if !wait {
+                return Polled::Empty;
+            }
+            inner.readers += 1;
+            self.readable.wait(&mut inner);
+            inner.readers -= 1;
         }
     }
 
@@ -141,35 +205,10 @@ impl Queue {
     /// Returns `None` once the queue is drained *and* has been hung up or
     /// closed — the reader's end-of-file.
     pub fn get(&self) -> Option<Block> {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(mut b) = inner.blocks.pop_front() {
-                let was = inner.bytes;
-                inner.bytes -= b.len();
-                self.admit_writers(&inner, was);
-                if let Some(t) = b.trace.as_mut() {
-                    t.note_dequeued();
-                }
-                return Some(b);
-            }
-            if inner.closed || inner.hungup {
-                return None;
-            }
-            self.readable.wait(&mut inner);
+        match self.poll(true) {
+            Polled::Block(b) => Some(b),
+            _ => None,
         }
-    }
-
-    /// Removes the next block without blocking.
-    pub fn try_get(&self) -> Option<Block> {
-        let mut inner = self.inner.lock();
-        let mut b = inner.blocks.pop_front()?;
-        let was = inner.bytes;
-        inner.bytes -= b.len();
-        self.admit_writers(&inner, was);
-        if let Some(t) = b.trace.as_mut() {
-            t.note_dequeued();
-        }
-        Some(b)
     }
 
     /// Marks the queue closed: pending data may still be read, further
@@ -177,8 +216,10 @@ impl Queue {
     pub fn close(&self) {
         let mut inner = self.inner.lock();
         inner.closed = true;
-        self.readable.notify_all();
-        self.writable.notify_all();
+        self.wake(&inner);
+        drop(inner);
+        fire(&self.on_input);
+        fire(&self.on_room);
     }
 
     /// Marks the queue hung up (reads drain then see end-of-file) while
@@ -187,7 +228,37 @@ impl Queue {
     pub fn hangup(&self) {
         let mut inner = self.inner.lock();
         inner.hungup = true;
-        self.readable.notify_all();
+        self.wake(&inner);
+        drop(inner);
+        fire(&self.on_input);
+    }
+
+    /// Wakes every waiter there is.
+    fn wake(&self, inner: &QueueInner) {
+        if inner.readers > 0 {
+            self.readable.notify_all();
+        }
+        if inner.writers > 0 {
+            self.writable.notify_all();
+        }
+    }
+
+    /// Registers the hook fired when a block, a hangup or the close
+    /// arrives. A queue has one reader: a second hook is dropped.
+    pub(crate) fn set_input_hook(&self, hook: Hook) {
+        let _ = self.on_input.set(hook);
+    }
+
+    /// Registers the hook fired when a dequeue makes room, and at the
+    /// close. A second hook is dropped.
+    pub(crate) fn set_room_hook(&self, hook: Hook) {
+        let _ = self.on_room.set(hook);
+    }
+
+    /// Whether a block put now would go in without waiting.
+    pub(crate) fn has_room(&self) -> bool {
+        let inner = self.inner.lock();
+        inner.closed || inner.bytes < self.limit
     }
 
     /// Whether the queue has been closed.
@@ -204,6 +275,12 @@ impl Queue {
     /// Bytes currently buffered.
     pub fn buffered_bytes(&self) -> usize {
         self.inner.lock().bytes
+    }
+}
+
+fn fire(hook: &OnceLock<Hook>) {
+    if let Some(hook) = hook.get() {
+        hook();
     }
 }
 

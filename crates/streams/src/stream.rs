@@ -3,7 +3,7 @@
 
 use crate::block::{Block, BlockKind};
 use crate::module::{Direction, ModuleCtx, StreamModule};
-use crate::queue::Queue;
+use crate::queue::{Hook, Polled, Queue};
 use crate::Result;
 use plan9_support::sync::{Mutex, RwLock};
 use plan9_ninep::{errstr, NineError};
@@ -327,33 +327,38 @@ impl Stream {
     /// guarantees that the bytes read were contiguous bytes from the
     /// stream." An empty return means end-of-file (hangup).
     pub fn read(&self, count: usize) -> Result<Vec<u8>> {
+        Ok(self.take(count, true)?.unwrap_or_default())
+    }
+
+    /// [`Stream::read`] for a reader that does not wait: `None` while
+    /// nothing is at hand.
+    pub fn try_read(&self, count: usize) -> Result<Option<Vec<u8>>> {
+        self.take(count, false)
+    }
+
+    /// The block assembly of [`Stream::read`], waiting for the first
+    /// block only if `wait` is set.
+    fn take(&self, count: usize, wait: bool) -> Result<Option<Vec<u8>>> {
         let mut state = self.read_state.lock();
         let mut out = Vec::new();
         loop {
             // Continue a partially-consumed block first.
             let (block, off) = match state.partial.take() {
                 Some(p) => p,
-                None => {
-                    if !out.is_empty() {
-                        // Only block for *more* data when nothing has been
-                        // collected yet; otherwise return what we have.
-                        match self.inner.read_q.try_get() {
-                            Some(b) => (b, 0),
-                            None => return Ok(out),
-                        }
-                    } else {
-                        match self.inner.read_q.get() {
-                            Some(b) => (b, 0),
-                            None => return Ok(out), // EOF
-                        }
-                    }
-                }
+                // Only wait for *more* data when nothing has been
+                // collected yet; otherwise return what we have.
+                None => match self.inner.read_q.poll(wait && out.is_empty()) {
+                    Polled::Block(b) => (b, 0),
+                    Polled::Empty if out.is_empty() => return Ok(None),
+                    // At the end, an empty return is end-of-file.
+                    Polled::Empty | Polled::Ended => return Ok(Some(out)),
+                },
             };
             match block.kind {
                 BlockKind::Hangup => {
                     // Deliver what we have; subsequent reads return empty.
                     self.inner.read_q.hangup();
-                    return Ok(out);
+                    return Ok(Some(out));
                 }
                 BlockKind::Control => {
                     // Control blocks reaching the top are not user data.
@@ -365,16 +370,29 @@ impl Stream {
                     if rest.len() <= want {
                         out.extend_from_slice(rest);
                         if block.delim || out.len() == count {
-                            return Ok(out);
+                            return Ok(Some(out));
                         }
                     } else {
                         out.extend_from_slice(&rest[..want]);
                         state.partial = Some((block, off + want));
-                        return Ok(out);
+                        return Ok(Some(out));
                     }
                 }
             }
         }
+    }
+
+    /// Registers the stream's readiness hook, fired when its read queue
+    /// takes a block or a hangup, or closes. A stream has one reader:
+    /// a second hook is dropped.
+    pub fn set_rx_notify(&self, hook: Hook) {
+        self.inner.read_q.set_input_hook(hook);
+    }
+
+    /// The read queue, for the device that feeds it (a pipe's other
+    /// end) to watch for room.
+    pub(crate) fn read_q(&self) -> &Queue {
+        &self.inner.read_q
     }
 
     /// Whether the stream has seen a hangup.

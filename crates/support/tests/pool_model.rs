@@ -152,7 +152,8 @@ type Runner = (bool, String);
 fn ran<T: Clone>(slot: &Mutex<Option<T>>) -> T {
     let deadline = time::now() + Duration::from_secs(60);
     loop {
-        if let Some(v) = slot.lock().clone() {
+        let filled = slot.lock().clone();
+        if let Some(v) = filled {
             return v;
         }
         assert!(time::now() < deadline, "a submitted job never ran");

@@ -22,8 +22,8 @@ cargo run --release --offline -q -p plan9-check
 # runtime dump, and no lock receiver the resolver cannot type. The
 # method calls resolved by their receiver's type may not fall below
 # the tree's count, lowered only when code is deleted: a call that
-# loses its type fans out by name again. (5355 since every medium
-# delivers by one rule and URP's input runs where its cells land.)
+# loses its type fans out by name again. (5392 since the pipe and URP
+# are served where their requests arrive.)
 python3 - <<'EOF'
 import json, sys
 r = json.load(open("REPORT_checkflow.json"))
@@ -35,8 +35,8 @@ for field in ("functions", "call_sites", "resolved_calls", "typed_calls", "roots
         sys.exit(f"verify: REPORT graph.{field} missing or non-integer")
 if g["functions"] < 500 or g["roots"] < 5:
     sys.exit(f"verify: call graph implausibly small ({g['functions']} fns, {g['roots']} roots)")
-if g["typed_calls"] < 5355:
-    sys.exit(f"verify: {g['typed_calls']} method calls resolved by receiver type (need >= 5355)")
+if g["typed_calls"] < 5392:
+    sys.exit(f"verify: {g['typed_calls']} method calls resolved by receiver type (need >= 5392)")
 for pass_ in ("blocking_context", "panic_reach"):
     p = r[pass_]
     if p["count"] != 0 or p["findings"]:
@@ -106,9 +106,12 @@ if bad:
 EOF
 
 # Clippy, when the toolchain ships it; warnings are errors so the tree
-# stays warning-free.
+# stays warning-free. A guard in an `if let`/`match` scrutinee lives to
+# the end of the block, so a table lock would be held across whatever
+# the block does with the entry (a clunk, a hangup, a timer cancel):
+# take, drop the guard, then act.
 if cargo clippy --version >/dev/null 2>&1; then
-    cargo clippy -q --offline --workspace --all-targets -- -D warnings
+    cargo clippy -q --offline --workspace --all-targets -- -D warnings -D clippy::significant_drop_in_scrutinee
 else
     echo "verify: NOTICE: cargo clippy not installed, skipping lint" >&2
 fi
@@ -305,8 +308,8 @@ bash perf/run.sh --quick >/dev/null
 # that readies an idle one while it holds no lock drains it itself. So
 # the client process that writes a request frame onto the unpaced wire
 # delivers it, runs the file operation on the server's shard
-# (exportfs's IL and TCP conversations are fed by
-# inet::nine::serve_on_shard) and delivers the reply frames too, and
+# (exportfs's conversations are fed by ninep::server::serve_on_shard)
+# and delivers the reply frames too, and
 # finds the reply waiting when it comes to read it. A 64-byte RPC over
 # IL costs two frames and no context switch (under 0.1 a call: the
 # timer wheel's jobs still go to a worker), on seven threads at most: a
@@ -332,9 +335,13 @@ bash perf/run.sh --quick >/dev/null
 # (they read 6.08 uncut). A second framing copy on the server, or a
 # deframer that copies a chunk it could take over, shows as 5 and more;
 # an ack per segment as 14 frames, a byte queue that copies again in
-# the bytes. A pipe has no wire to deliver on: rpc64_pipe's server
-# process is woken by the request and wakes the caller with the reply,
-# two switches a call.
+# the bytes. A pipe is served the same way: the caller's write of a
+# request onto it runs exportfs's service and writes the reply, so
+# rpc64_pipe makes no switch either, one pool job a call (the readiness
+# hook's), nine allocations, and four threads (serve_on_shard's
+# catch-up feed readies a pool worker once). The exportfs kproc reading
+# the pipe again shows as two switches a call, and a hook fired by the
+# reply's own put as a second job.
 traced_gate() {
     bash perf/run.sh --workload "$1" --seed 1 --seconds 2 --trace 1 | tail -n 1 | python3 -c '
 import json, sys
@@ -364,6 +371,7 @@ traced_gate read8k_tcp \
     "support.pool.jobs_per_op <= 10.05" "alloc.calls_per_op <= 43" \
     "copy.bytes_per_payload_byte <= 4.1"
 traced_gate rpc64_pipe \
-    "os.ctxsw_per_op < 3" "os.threads <= 3" "alloc.calls_per_op <= 10"
+    "os.ctxsw_per_op < 0.1" "os.threads <= 4" "support.pool.jobs_per_op <= 1.01" \
+    "alloc.calls_per_op <= 9.01"
 
 echo "verify: OK (checkflow + clippy + hermetic build + tests + examples + trace-off ring + LoC ratchet + modelled artifacts: Table 1, loss sweep, cityload, scenario and netmon gates, EXPERIMENTS.md tables, committed byte for byte + perf --quick + traced count gates on rpc64_il, read8k_il, read8k_tcp and rpc64_pipe)"

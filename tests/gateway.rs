@@ -237,8 +237,10 @@ fn finished_within<T>(h: std::thread::ScopedJoinHandle<'_, T>, secs: u64, what: 
 /// §6.1 gives exportfs slave processes because a read may block. Over
 /// one export conversation: a read parked in a `data` file of the
 /// exported `/net` holds a slave and delays nobody; a file in memory
-/// is read by the process that reads the conversation; a directory,
-/// whose union read crosses mounts, still gets a slave.
+/// is read where its request arrives, by whichever thread delivers the
+/// cell (on the real clock the importer, a pool worker, or another
+/// test's thread draining the same shard); a directory, whose union
+/// read crosses mounts, still gets a slave.
 #[test]
 fn exportfs_keeps_its_slaves_for_the_files_that_may_block() {
     let (helix, musca, gnot) = world();
@@ -271,9 +273,10 @@ fn exportfs_keeps_its_slaves_for_the_files_that_may_block() {
         mp.write(conn.data_fd, b"late").unwrap();
         assert_eq!(finished_within(parked, 20, "the parked read never returned").unwrap(), b"late");
     });
-    // The conversation's reader is the `exportfs` kproc; its slaves
-    // are `9p-worker`s.
-    assert_eq!(probe.readers(false), HashSet::from(["exportfs".to_string()]));
+    // Nobody reads the conversation, so neither the `exportfs` kproc
+    // nor one of its slaves, which are `9p-worker`s, reads the file.
+    let readers = probe.readers(false);
+    assert!(!readers.is_empty() && !readers.contains("exportfs") && !readers.contains("9p-worker"), "{readers:?}");
     assert_eq!(probe.readers(true), HashSet::from(["9p-worker".to_string()]));
 }
 

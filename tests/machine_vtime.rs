@@ -116,17 +116,19 @@ fn a_datakit_listener_ends_with_its_machine() {
 }
 
 /// Which process runs an importer's read of a file in memory is the
-/// transport's to say, never a setting. The IL and TCP devices take up
-/// `serve_nine` and run it on the thread that delivered the request:
-/// on this unpaced Ethernet the importer's own, which holds no lock as
-/// it writes the frame. Never a process of the export's. A Datakit
-/// conversation, a pipe, and an IL or TCP conversation whose `data`
-/// file is itself imported (gnot has no IP but helix's) are read and
-/// served by the parked `exportfs` kproc, as every export conversation
-/// once was. On the virtual clock, because on the real one a pool
-/// worker still draining helix's station shard, from the reply before,
-/// when the importer writes its next request delivers that request
-/// too, and can go on doing so for every request after it.
+/// transport's to say, never a setting. The IL, TCP and Datakit devices
+/// and the pipe take up `serve_nine` and run it on the thread that
+/// delivered the request: on this unpaced Ethernet and over a pipe the
+/// importer's own, which holds no lock as it writes. A Datakit cell is
+/// delivered by the importer or, when it lands on a circuit shard a
+/// worker is draining, by that pool worker. Never a process of the
+/// export's. An IL or TCP conversation whose `data` file is itself
+/// imported (gnot has no IP but helix's) is read and served by the
+/// parked `exportfs` kproc, as every export conversation once was. On
+/// the virtual clock, because on the real one a pool worker still
+/// draining helix's station shard, from the reply before, when the
+/// importer writes its next request delivers that request too, and can
+/// go on doing so for every request after it.
 #[test]
 fn a_conversation_is_served_where_its_requests_arrive() {
     let _vt = vtime::enter();
@@ -161,7 +163,11 @@ fn a_conversation_is_served_where_its_requests_arrive() {
     for addr in ["il!helix!exportfs", "tcp!helix!exportfs"] {
         assert_eq!(imported(&musca, addr), [me.as_str()], "{addr}: the importer did not deliver its reads");
     }
-    assert_eq!(imported(&gnot, "dk!nj/astro/helix!exportfs"), ["exportfs"]);
+    let dk = imported(&gnot, "dk!nj/astro/helix!exportfs");
+    assert!(
+        !dk.is_empty() && dk.iter().all(|t| *t == me || t == "pool-worker"),
+        "dk: read on {dk:?}, not by the importer or a pool worker"
+    );
 
     // The import command's initial protocol, spoken over a pipe.
     let p = with_probe(helix.proc());
@@ -171,7 +177,7 @@ fn a_conversation_is_served_where_its_requests_arrive() {
     p.write(mnt_fd, b"/n/probe").unwrap();
     assert_eq!(p.read(mnt_fd, 64).unwrap(), b"OK");
     p.mount_fd(mnt_fd, "", "/n/x", MREPL, false).unwrap();
-    assert_eq!(readers(&p), ["exportfs"]);
+    assert_eq!(readers(&p), [me.as_str()], "pipe: the importer did not serve its reads");
     drop(p);
     let _ = piped.join();
 

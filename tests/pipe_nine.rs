@@ -6,10 +6,11 @@
 //! reply is read, whose replies take the pipe's queue past its limit.
 //! It ends with an orderly close, or a hasty one from either end. Every
 //! unflushed operation is answered exactly once with its own bytes,
-//! nothing answers a flushed one after its Rflush, and once both ends
-//! are closed the `exportfs` process has ended, no `9p-worker` is left
-//! and the pipe is gone. The oracle knows nothing of which process
-//! serves the pipe. Every case runs under the virtual clock (so this
+//! nothing answers a flushed one after its Rflush, a read of the gate
+//! runs on a `9p-worker` (where `may_block` puts it, whoever feeds the
+//! service), and once both ends are closed the `exportfs` process has
+//! ended, no `9p-worker` is left and the pipe is gone. The oracle knows
+//! nothing of which process reads the pipe. Every case runs under the virtual clock (so this
 //! file is a binary of its own: a virtual run is process-wide) and is a
 //! function of its seed.
 
@@ -57,6 +58,8 @@ struct GateFs {
     /// taken.
     gate: Mutex<(usize, usize)>,
     changed: Condvar,
+    /// The threads that read the gate, by name.
+    gate_readers: Mutex<Vec<String>>,
 }
 
 impl GateFs {
@@ -66,7 +69,8 @@ impl GateFs {
         mem.put_file("/w", b"").unwrap();
         mem.put_file("/gate", gate).unwrap();
         mem.put_file("/n/pipe/.keep", b"").unwrap();
-        Arc::new(GateFs { mem, gate: Mutex::new((0, 0)), changed: Condvar::new() })
+        let (gate, gate_readers) = (Mutex::new((0, 0)), Mutex::new(Vec::new()));
+        Arc::new(GateFs { mem, gate, changed: Condvar::new(), gate_readers })
     }
 
     fn is_gate(&self, n: &ServeNode) -> bool {
@@ -110,6 +114,8 @@ impl ProcFs for GateFs {
     }
     fn read(&self, n: &ServeNode, offset: u64, count: usize) -> NineResult<Vec<u8>> {
         if self.is_gate(n) {
+            let thread = std::thread::current().name().unwrap_or("").to_string();
+            self.gate_readers.lock().push(thread);
             let mut g = self.gate.lock();
             g.0 += 1;
             self.changed.notify_all();
@@ -407,6 +413,10 @@ fn case(seed: u64) -> Result<(), String> {
     done.store(true, std::sync::atomic::Ordering::Release);
     dog.join().expect("watchdog panicked");
     let what = run?;
+    let readers = c.fs.gate_readers.lock().clone();
+    if let Some(t) = readers.iter().find(|t| *t != "9p-worker") {
+        return Err(format!("({what}): a read of the gate ran on {t:?}"));
+    }
     drop((srv, p));
     oracle::settled("pipe", seed, &what, || kprocs().saturating_sub(before))?;
     if gone.upgrade().is_some() {

@@ -1,11 +1,11 @@
-//! `inet::nine::serve_on_shard` under the virtual clock, where a kproc
+//! `ninep::server::serve_on_shard` under the virtual clock, where a kproc
 //! shows in the census the moment it is made: a conversation fed from
 //! its worker-pool shard costs a thread only for an operation that may
 //! block. In a binary of its own: a virtual run is process-wide.
 
 use plan9_inet::il::IlConn;
 use plan9_inet::ip::{IpConfig, IpStack};
-use plan9_inet::nine::{serve_on_shard, IlIo, Served};
+use plan9_inet::nine::IlIo;
 use plan9_inet::tcp::{TcpConn, TcpListener, TcpState};
 use plan9_netsim::ether::EtherSegment;
 use plan9_netsim::profile::{LinkProfile, Profiles};
@@ -13,6 +13,7 @@ use plan9_ninep::client::NineClient;
 use plan9_ninep::codec::{decode_rmsg, encode_tmsg};
 use plan9_ninep::marshal::{frame, Deframer, FramedSink, FramedSource};
 use plan9_ninep::procfs::{MemFs, OpenMode, ProcFs, ServeNode};
+use plan9_ninep::server::{serve_on_shard, Served};
 use plan9_ninep::transport::{ByteSink, ByteSource};
 use plan9_ninep::{Dir, Result, Rmsg, Tmsg, MAX_FDATA};
 use plan9_support::chan::{unbounded, Receiver, Sender};
