@@ -65,6 +65,10 @@ pub trait AnnounceOps: Send + Sync {
     fn listen(&self) -> Result<Arc<dyn ConnOps>>;
     /// The announced local address.
     fn local(&self) -> String;
+    /// Ends the announcement: the address is free to announce again
+    /// once the announcement is dropped, a `listen` waiting or to come
+    /// fails, and a call still queued is hung up.
+    fn close(&self);
 }
 
 /// A protocol: how to place and receive calls.
@@ -111,12 +115,15 @@ impl Conn {
         }
     }
 
-    /// Back to `Idle`, hanging up an established conversation. The
-    /// close runs after the state lock is dropped: a close transmits.
+    /// Back to `Idle`, hanging up an established conversation or
+    /// ending an announcement. The close runs after the state lock is
+    /// dropped: a close transmits.
     fn hangup(&self) {
         let old = std::mem::replace(&mut *self.state.lock(), ConnState::Idle);
-        if let ConnState::Connected(c) = old {
-            c.close();
+        match old {
+            ConnState::Connected(c) => c.close(),
+            ConnState::Announced(a) => a.close(),
+            ConnState::Idle => {}
         }
     }
 }
@@ -399,6 +406,7 @@ mod tests {
         fn local(&self) -> String {
             self.addr.clone()
         }
+        fn close(&self) {}
     }
 
     impl ProtoOps for ToyProto {
@@ -644,16 +652,35 @@ mod tests {
         }
     }
 
+    impl AnnounceOps for CloseProbe {
+        fn listen(&self) -> Result<Arc<dyn ConnOps>> {
+            Err(NineError::new("no calls"))
+        }
+        fn local(&self) -> String {
+            String::new()
+        }
+        fn close(&self) {
+            ConnOps::close(self);
+        }
+    }
+
     #[test]
     fn hangup_closes_outside_the_state_lock() {
         let conn = Arc::new(Conn::new(ConnState::Idle));
-        let probe = Arc::new(CloseProbe {
-            conn: Arc::downgrade(&conn),
-            closed: std::sync::atomic::AtomicBool::new(false),
-        });
-        *conn.state.lock() = ConnState::Connected(Arc::clone(&probe) as Arc<dyn ConnOps>);
+        let probe = || {
+            Arc::new(CloseProbe {
+                conn: Arc::downgrade(&conn),
+                closed: std::sync::atomic::AtomicBool::new(false),
+            })
+        };
+        let (call, announcement) = (probe(), probe());
+        *conn.state.lock() = ConnState::Connected(Arc::clone(&call) as Arc<dyn ConnOps>);
         conn.hangup();
-        assert!(probe.closed.load(std::sync::atomic::Ordering::SeqCst));
+        *conn.state.lock() = ConnState::Announced(Arc::clone(&announcement) as Arc<dyn AnnounceOps>);
+        conn.hangup();
+        for probe in [call, announcement] {
+            assert!(probe.closed.load(std::sync::atomic::Ordering::SeqCst));
+        }
         assert!(matches!(*conn.state.lock(), ConnState::Idle));
     }
 

@@ -220,25 +220,51 @@ pub fn framed(dir: &str) -> bool {
     dir.contains("/tcp/")
 }
 
+/// A service [`serve_calls`] started: its listener, and a hold on its
+/// announcement's `ctl` file to end it by.
+pub struct Service {
+    ctl: Proc,
+    ctl_fd: i32,
+    listener: KprocHandle<()>,
+}
+
+impl Service {
+    /// Ends the service as any process may, by writing `hangup` to its
+    /// announcement's `ctl` file, and waits for the listener to return.
+    /// Calls already accepted go on.
+    pub fn hangup(self) {
+        let _ = self.ctl.write_str(self.ctl_fd, "hangup");
+        let _ = self.listener.join();
+    }
+
+    /// Waits for the listener to return, after `max_calls` calls.
+    pub fn join(self) -> std::thread::Result<()> {
+        self.listener.join()
+    }
+}
+
 /// The §5.2 listing, written once for every service (the Plan 9
 /// equivalent of `inetd`): announces `addr` and, in a kproc named
 /// `{name}-listener`, takes `max_calls` calls, each served by
 /// `serve(process, data fd, framed)` in a kproc named `name`.
 ///
 /// The listener returns after `max_calls` conversations have been
-/// *accepted* (so tests can bound it); pass `usize::MAX` to serve
-/// forever. The announcement lasts as long as the listener.
+/// *accepted* (so tests can bound it), or once the service is hung up;
+/// pass `usize::MAX` to serve until then. The announcement lasts while
+/// the listener or the [`Service`] holds it.
 pub fn serve_calls(
     p: Proc,
     addr: &str,
     max_calls: usize,
     name: &str,
     serve: impl Fn(Proc, i32, bool) + Send + Sync + 'static,
-) -> Result<KprocHandle<()>> {
+) -> Result<Service> {
     let (_afd, adir) = announce(&p, addr)?;
+    let ctl = p.fork();
+    let ctl_fd = ctl.open(&format!("{adir}/ctl"), OpenMode::RDWR)?;
     let framed = framed(&adir);
     let (name, serve) = (name.to_string(), Arc::new(serve));
-    vtime::kproc(&format!("{name}-listener"), move || {
+    let listener = vtime::kproc(&format!("{name}-listener"), move || {
         for _ in 0..max_calls {
             let Ok((lcfd, ldir)) = listen(&p, &adir) else { return };
             let accepted = accept(&p, lcfd, &ldir);
@@ -259,5 +285,6 @@ pub fn serve_calls(
                 .expect("spawn service process");
         }
     })
-    .map_err(|e| NineError::new(format!("spawn {addr} listener: {e}")))
+    .map_err(|e| NineError::new(format!("spawn {addr} listener: {e}")))?;
+    Ok(Service { ctl, ctl_fd, listener })
 }

@@ -11,20 +11,19 @@ use crate::dev::proto::{AnnounceOps, ConnOps, ProtoDev, ProtoOps};
 use crate::dev::{EiaDev, EtherDev, TextDev, TextFile};
 use crate::namespace::{Namespace, Source, MAFTER, MREPL};
 use crate::proc::Proc;
-use plan9_support::sync::Mutex;
 use plan9_cs::{CsConfig, CsServer, DnsServer, NetworkDecl, SimInternet};
 use plan9_datakit::urp::{UrpConn, UrpStats};
 use plan9_inet::ip::{IpConfig, IpStack};
+use plan9_inet::Listener;
 use plan9_inet::IpAddr;
 use plan9_ndb::Db;
 use plan9_netlog::trace::Tracer;
 use plan9_netlog::NetLog;
 use plan9_netsim::ether::{EtherSegment, MacAddr};
-use plan9_netsim::fabric::{DatakitLine, DatakitSwitch};
+use plan9_netsim::fabric::{Announcement, DatakitLine, DatakitSwitch};
 use plan9_netsim::uart::UartEnd;
 use plan9_ninep::procfs::{MemFs, ProcFs};
 use plan9_ninep::{NineError, Result};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// `/net/log`: netlog's facility mask on `ctl` (which also takes the
@@ -207,18 +206,16 @@ impl MachineBuilder {
         // is all there is.
         let netlog = ip.as_ref().map_or_else(NetLog::new, |stack| Arc::clone(stack.netlog()));
         // Datakit + URP.
-        let mut dk = None;
         if let Some((switch, addr)) = &self.datakit {
-            let line = switch.attach(addr).map_err(NineError::new)?;
-            let dispatcher = DkDispatcher::start(line, &netlog);
             let dev = ProtoDev::new(Box::new(DkProto {
-                dispatcher: Arc::clone(&dispatcher),
+                line: switch.attach(addr).map_err(NineError::new)?,
+                stats: Arc::new(UrpStats::new(&netlog.registry)),
+                netlog: Arc::clone(&netlog),
             }));
             rootfs.put_dir("/net/dk")?;
             let dev_dyn: Arc<dyn ProcFs> = dev;
             ns.mount(Source::attach(&dev_dyn, "bootes", "")?, "/net/dk", MREPL)?;
             networks.push(NetworkDecl::datakit("dk"));
-            dk = Some(dispatcher);
         }
         // UARTs.
         if !self.uarts.is_empty() {
@@ -287,7 +284,6 @@ impl MachineBuilder {
             base_ns: ns,
             ip,
             ether_dev,
-            dk,
             netlog,
             db,
             dns,
@@ -307,8 +303,6 @@ pub struct Machine {
     pub ip: Option<Arc<IpStack>>,
     /// The Ethernet device (Figure 1), if present.
     pub ether_dev: Option<Arc<EtherDev>>,
-    /// The Datakit dispatcher, if the machine has a line.
-    pub dk: Option<Arc<DkDispatcher>>,
     /// The machine's instrumentation block: every counter a file under
     /// `/net` shows is in its registry, and `/net/log` serves it.
     pub netlog: Arc<NetLog>,
@@ -397,19 +391,30 @@ impl ConnOps for TcpConnOps {
 }
 
 /// An announced IL or TCP port. Their listeners are one type (the
-/// conversation table's); `accept` takes the next call off one and
+/// conversation table's); `listen` takes the next call off one and
 /// dresses it in its protocol's [`ConnOps`].
-struct IpAnnounceOps {
-    accept: Box<dyn Fn() -> Result<Arc<dyn ConnOps>> + Send + Sync>,
+struct IpAnnounceOps<C> {
+    listener: Listener<C>,
+    dress: fn(Arc<C>) -> Arc<dyn ConnOps>,
     local: String,
 }
 
-impl AnnounceOps for IpAnnounceOps {
+impl<C> IpAnnounceOps<C> {
+    fn new(stack: &IpStack, listener: Listener<C>, dress: fn(Arc<C>) -> Arc<dyn ConnOps>) -> Self {
+        let local = format!("{} {}", stack.addr(), listener.port());
+        IpAnnounceOps { listener, dress, local }
+    }
+}
+
+impl<C: Send + Sync> AnnounceOps for IpAnnounceOps<C> {
     fn listen(&self) -> Result<Arc<dyn ConnOps>> {
-        (self.accept)()
+        Ok((self.dress)(self.listener.accept()?))
     }
     fn local(&self) -> String {
         self.local.clone()
+    }
+    fn close(&self) {
+        self.listener.close();
     }
 }
 
@@ -425,10 +430,7 @@ impl ProtoOps for TcpProto {
     fn announce(&self, addr: &str) -> Result<Arc<dyn AnnounceOps>> {
         let port = parse_announce_port(&self.db, "tcp", addr)?;
         let listener = self.stack.tcp_module().listen(&self.stack, port)?;
-        Ok(Arc::new(IpAnnounceOps {
-            local: format!("{} {}", self.stack.addr(), listener.port()),
-            accept: Box::new(move || Ok(Arc::new(TcpConnOps { conn: listener.accept()? }))),
-        }))
+        Ok(Arc::new(IpAnnounceOps::new(&self.stack, listener, |conn| Arc::new(TcpConnOps { conn }))))
     }
     fn stats_text(&self) -> String {
         self.stack.netlog().registry.render(&["tcp.", "ip."])
@@ -480,10 +482,7 @@ impl ProtoOps for IlProto {
     fn announce(&self, addr: &str) -> Result<Arc<dyn AnnounceOps>> {
         let port = parse_announce_port(&self.db, "il", addr)?;
         let listener = self.stack.il_module().listen(&self.stack, port)?;
-        Ok(Arc::new(IpAnnounceOps {
-            local: format!("{} {}", self.stack.addr(), listener.port()),
-            accept: Box::new(move || Ok(Arc::new(IlConnOps { conn: listener.accept()? }))),
-        }))
+        Ok(Arc::new(IpAnnounceOps::new(&self.stack, listener, |conn| Arc::new(IlConnOps { conn }))))
     }
     fn stats_text(&self) -> String {
         self.stack.netlog().registry.render(&["il.", "ip."])
@@ -547,74 +546,16 @@ impl ProtoOps for UdpProto {
 }
 
 // ---------------------------------------------------------------------------
-// Datakit: one line, many services — a dispatcher routes incoming calls
-// by the service named in the dial string.
+// Datakit: one line, many services — the switch routes each call to the
+// announcement of the service named in the dial string.
 // ---------------------------------------------------------------------------
 
-/// Routes incoming Datakit calls to per-service announcements.
-pub struct DkDispatcher {
-    addr: String,
-    line: Arc<DatakitLine>,
-    services: Mutex<HashMap<String, IncomingCallTx>>,
+struct DkProto {
+    line: DatakitLine,
     /// Counted into by every conversation dialed or accepted on the
     /// line: the `urp.*` cells of the machine's registry.
     stats: Arc<UrpStats>,
     netlog: Arc<NetLog>,
-}
-
-/// Hands an accepted call (its connection and calling address) to the
-/// service that announced the channel.
-type IncomingCallTx = plan9_support::chan::Sender<(Arc<UrpConn>, String)>;
-
-impl DkDispatcher {
-    fn start(line: DatakitLine, netlog: &Arc<NetLog>) -> Arc<DkDispatcher> {
-        let line = Arc::new(line);
-        let d = Arc::new(DkDispatcher {
-            addr: line.addr().to_string(),
-            line: Arc::clone(&line),
-            services: Mutex::named(HashMap::new(), "core.machine.services"),
-            stats: Arc::new(UrpStats::new(&netlog.registry)),
-            netlog: Arc::clone(netlog),
-        });
-        // Held weakly: the listener ends with the dispatcher, whose
-        // drop unplugs the line it is parked in.
-        let disp = Arc::downgrade(&d);
-        plan9_support::vtime::kproc("dk-listener", move || {
-            while let Some(call) = line.listen() {
-                let Some(disp) = disp.upgrade() else { return };
-                let tx = disp.services.lock().get(&call.service).cloned();
-                match tx {
-                    Some(tx) => {
-                        let conn = UrpConn::with_stats(call.circuit, Arc::clone(&disp.stats));
-                        let _ = tx.send((conn, call.from));
-                    }
-                    None => {
-                        // "Some networks such as Datakit accept a reason for
-                        // a rejection."
-                        call.circuit.reject(&format!("unknown service: {}", call.service));
-                    }
-                }
-            }
-        })
-        // checked: spawn fails only on OS thread exhaustion at setup, not on a data path
-        .expect("spawn dk listener");
-        d
-    }
-
-    /// This line's Datakit address.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-}
-
-impl Drop for DkDispatcher {
-    fn drop(&mut self) {
-        self.line.unplug();
-    }
-}
-
-struct DkProto {
-    dispatcher: Arc<DkDispatcher>,
 }
 
 struct DkConnOps {
@@ -646,21 +587,22 @@ impl ConnOps for DkConnOps {
 }
 
 struct DkAnnounceOps {
-    service: String,
+    calls: Announcement,
     local: String,
-    rx: plan9_support::chan::Receiver<(Arc<UrpConn>, String)>,
+    stats: Arc<UrpStats>,
 }
 
 impl AnnounceOps for DkAnnounceOps {
     fn listen(&self) -> Result<Arc<dyn ConnOps>> {
-        let (conn, _from) = self
-            .rx
-            .recv()
-            .map_err(|_| NineError::new("announce closed"))?;
+        let call = self.calls.accept().ok_or_else(|| NineError::new("announce closed"))?;
+        let conn = UrpConn::with_stats(call.circuit, Arc::clone(&self.stats));
         Ok(Arc::new(DkConnOps { conn }))
     }
     fn local(&self) -> String {
-        format!("{}!{}", self.local, self.service)
+        self.local.clone()
+    }
+    fn close(&self) {
+        self.calls.close();
     }
 }
 
@@ -669,8 +611,8 @@ impl ProtoOps for DkProto {
         "dk".to_string()
     }
     fn connect(&self, addr: &str) -> Result<Arc<dyn ConnOps>> {
-        let circuit = self.dispatcher.line.dial(addr).map_err(NineError::new)?;
-        let conn = UrpConn::with_stats(circuit, Arc::clone(&self.dispatcher.stats));
+        let circuit = self.line.dial(addr).map_err(NineError::new)?;
+        let conn = UrpConn::with_stats(circuit, Arc::clone(&self.stats));
         // Datakit rejections surface on the first receive; probe early
         // failures are left to the caller, as on real hardware.
         Ok(Arc::new(DkConnOps { conn }))
@@ -678,20 +620,14 @@ impl ProtoOps for DkProto {
     fn announce(&self, addr: &str) -> Result<Arc<dyn AnnounceOps>> {
         // `*!9fs` or `9fs`.
         let service = addr.rsplit_once('!').map(|(_, s)| s).unwrap_or(addr);
-        let (tx, rx) = plan9_support::chan::bounded(32);
-        let mut services = self.dispatcher.services.lock();
-        if services.contains_key(service) {
-            return Err(NineError::new(format!("service in use: {service}")));
-        }
-        services.insert(service.to_string(), tx);
         Ok(Arc::new(DkAnnounceOps {
-            service: service.to_string(),
-            local: self.dispatcher.addr.clone(),
-            rx,
+            calls: self.line.announce(service).map_err(NineError::new)?,
+            local: format!("{}!{service}", self.line.addr()),
+            stats: Arc::clone(&self.stats),
         }))
     }
     fn stats_text(&self) -> String {
-        self.dispatcher.netlog.registry.render(&["urp."])
+        self.netlog.registry.render(&["urp."])
     }
 }
 
@@ -1010,7 +946,7 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/philw-gnot proto=il proto=tcp
     #[test]
     fn unknown_service_rejected_with_reason_on_datakit() {
         let (helix, gnot) = helix_and_gnot();
-        let _keep = helix; // dispatcher must be alive to reject
+        let _keep = helix; // its line must be in the switch to reject
         let gp = gnot.proc();
         let conn = dial(&gp, "dk!nj/astro/helix!nonesuch").unwrap();
         // The rejection surfaces as EOF on the data file.

@@ -35,7 +35,7 @@
 
 use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::{time, wheel};
-use plan9_netsim::fabric::{Circuit, DatakitLine, IncomingCall};
+use plan9_netsim::fabric::{Announcement, Circuit, DatakitLine, IncomingCall};
 use plan9_netlog::{Counter, Registry};
 use plan9_ninep::NineError;
 use std::collections::VecDeque;
@@ -641,21 +641,24 @@ pub fn urp_dial(line: &DatakitLine, dest: &str) -> crate::Result<Arc<UrpConn>> {
     Ok(UrpConn::new(circuit))
 }
 
-/// A URP listener on a Datakit line.
+/// A URP listener on a Datakit line: it takes the line's catch-all, so
+/// every call to the line that no announcement names.
 pub struct UrpListener {
-    line: DatakitLine,
+    /// `None` if the line's catch-all was announced already.
+    calls: Option<Announcement>,
+    _line: DatakitLine,
 }
 
 impl UrpListener {
     /// Wraps a line for accepting calls.
     pub fn new(line: DatakitLine) -> UrpListener {
-        UrpListener { line }
+        UrpListener { calls: line.announce("*").ok(), _line: line }
     }
 
     /// Blocks for an incoming call; returns the conversation, caller's
     /// address and requested service.
     pub fn accept(&self) -> Option<(Arc<UrpConn>, String, String)> {
-        let IncomingCall { from, service, circuit } = self.line.listen()?;
+        let IncomingCall { from, service, circuit } = self.calls.as_ref()?.accept()?;
         Some((UrpConn::new(circuit), from, service))
     }
 }
@@ -750,8 +753,9 @@ mod tests {
         let sw = DatakitSwitch::new(Profiles::datakit_fast());
         let srv = sw.attach("nj/astro/srv").unwrap();
         let cli = sw.attach("nj/astro/cli").unwrap();
+        let bogus = srv.announce("bogus").unwrap();
         let t = std::thread::spawn(move || {
-            let call = srv.listen_timeout(Duration::from_secs(2)).expect("a call");
+            let call = bogus.accept().expect("a call");
             call.circuit.reject("no such service");
         });
         let circuit = cli.dial("nj/astro/srv!bogus").unwrap();

@@ -18,7 +18,7 @@
 //!    Plan 9's cpu does with `/mnt/term/dev/cons`.
 
 use crate::exportfs::serve_ns;
-use plan9_core::dial::{dial, framed, serve_calls};
+use plan9_core::dial::{dial, framed, serve_calls, Service};
 use plan9_core::namespace::MREPL;
 use plan9_core::proc::Proc;
 use plan9_ninep::{NineError, Result};
@@ -35,7 +35,7 @@ pub fn cpu_listener(
     addr: &str,
     job: CpuJob,
     max_sessions: usize,
-) -> Result<plan9_support::vtime::KprocHandle<()>> {
+) -> Result<Service> {
     serve_calls(p, addr, max_sessions, "cpu", move |p, fd, framed| {
         let _ = cpu_session(&p, fd, framed, &job);
     })

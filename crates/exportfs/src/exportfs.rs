@@ -14,11 +14,10 @@
 //! is data at hand ([`ProcFs::may_block`], which `NsFs` answers from
 //! the server the channel resolved to).
 
-use plan9_core::dial::serve_calls;
+use plan9_core::dial::{serve_calls, Service};
 use plan9_core::namespace::{clean_path, Namespace, Source};
 use plan9_core::proc::Proc;
 use plan9_support::sync::Mutex;
-use plan9_support::vtime::KprocHandle;
 use plan9_ninep::procfs::{fresh_handle, read_dir_slice, OpenMode, Perm, ProcFs, ServeNode};
 use plan9_ninep::{errstr, Dir, NineError, Result};
 use std::collections::HashMap;
@@ -277,45 +276,10 @@ pub(crate) fn serve_ns(p: &Proc, data_fd: i32, base: &str, framed: bool) -> Resu
 /// [`serve_export`] as the service.
 ///
 /// Returns after `max_calls` conversations have been *accepted* (so
-/// tests can bound it); pass `usize::MAX` to serve forever.
-pub fn exportfs_listener(p: Proc, addr: &str, max_calls: usize) -> Result<KprocHandle<()>> {
+/// tests can bound it), or once it is hung up; pass `usize::MAX` to
+/// serve until then.
+pub fn exportfs_listener(p: Proc, addr: &str, max_calls: usize) -> Result<Service> {
     serve_calls(p, addr, max_calls, "exportfs", |p, fd, framed| {
         let _ = serve_export(&p, fd, framed);
-    })
-}
-
-/// A running exportfs listener that can be torn down from outside —
-/// the `kill gateway` path. The accept loop is parked deep inside a
-/// protocol-device listen open; `unlisten` is the caller-supplied hook
-/// that poisons the transport listener underneath it (e.g.
-/// `IlModule::unlisten`), which errors the open, which returns the
-/// loop. exportfs itself stays transport-agnostic.
-pub struct ExportService {
-    handle: KprocHandle<()>,
-    unlisten: Box<dyn FnOnce() + Send>,
-}
-
-impl ExportService {
-    /// Stops accepting new calls and joins the listener thread. Does
-    /// not touch conversations already being served; hang those up at
-    /// the transport layer and their workers exit on read error.
-    pub fn shutdown(self) {
-        (self.unlisten)();
-        let _ = self.handle.join();
-    }
-}
-
-/// Like [`exportfs_listener`] serving forever, but returns a
-/// shutdown-capable [`ExportService`]. `unlisten` must make the
-/// blocked listen open fail when called (see [`ExportService`]).
-pub fn exportfs_service(
-    p: Proc,
-    addr: &str,
-    unlisten: impl FnOnce() + Send + 'static,
-) -> Result<ExportService> {
-    let handle = exportfs_listener(p, addr, usize::MAX)?;
-    Ok(ExportService {
-        handle,
-        unlisten: Box::new(unlisten),
     })
 }

@@ -8,7 +8,7 @@
 //! but keeps the command/response shape: `USER`/`PASS` login, `TYPE I`
 //! image mode, `LIST`, `RETR`, `STOR`, `DELE`, `QUIT`.
 
-use plan9_core::dial::serve_calls;
+use plan9_core::dial::{serve_calls, Service};
 use plan9_core::proc::Proc;
 use plan9_ninep::procfs::{MemFs, OpenMode, ProcFs};
 use plan9_ninep::{NineError, Result};
@@ -105,7 +105,7 @@ impl FtpServer {
         self: Arc<Self>,
         p: Proc,
         max_sessions: usize,
-    ) -> Result<plan9_support::vtime::KprocHandle<()>> {
+    ) -> Result<Service> {
         serve_calls(p, "tcp!*!ftp", max_sessions, "ftpd", move |p, fd, _framed| {
             let _ = self.session(&p, fd);
         })

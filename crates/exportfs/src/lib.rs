@@ -16,7 +16,7 @@ pub mod ftpfs;
 pub mod import;
 
 pub use cpu::{cpu, cpu_listener, CpuJob};
-pub use exportfs::{exportfs_listener, exportfs_service, serve_export, ExportService, NsFs};
+pub use exportfs::{exportfs_listener, serve_export, NsFs};
 pub use ftpd::FtpServer;
 pub use ftpfs::FtpFs;
 pub use import::import;

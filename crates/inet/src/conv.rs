@@ -13,7 +13,7 @@
 use crate::addr::IpAddr;
 use crate::ip::IpStack;
 use plan9_ninep::NineError;
-use plan9_support::chan::{bounded, Receiver, Sender};
+use plan9_support::chan::{bounded, Receiver, Sender, TrySendError};
 use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::time;
 use std::collections::{HashMap, HashSet};
@@ -29,8 +29,8 @@ pub(crate) const EPHEMERAL_BASE: u16 = 5000;
 /// retransmission timeout.
 pub(crate) const ACK_DELAY: Duration = Duration::from_millis(5);
 
-/// Established calls a listener holds for `accept`; later ones are
-/// dropped and the caller's handshake retransmission tries again.
+/// Established calls a listener holds for `accept`; later ones are hung
+/// up.
 const BACKLOG: usize = 64;
 
 /// Tracks which local ports of one protocol are in use and hands out
@@ -199,15 +199,18 @@ pub(crate) struct ConvTable<C> {
     /// The sending end of each listener's backlog.
     listeners: Mutex<HashMap<u16, Sender<Arc<C>>>>,
     ports: PortSpace,
+    /// The protocol's close, for a call no listener takes.
+    close: fn(&Arc<C>),
 }
 
 impl<C> ConvTable<C> {
-    pub(crate) fn new() -> Arc<ConvTable<C>> {
+    pub(crate) fn new(close: fn(&Arc<C>)) -> Arc<ConvTable<C>> {
         Arc::new(ConvTable {
             conns: Mutex::named(HashMap::new(), "inet.conv.conns"),
             retired: Condvar::new(),
             listeners: Mutex::named(HashMap::new(), "inet.conv.listeners"),
             ports: PortSpace::new(),
+            close,
         })
     }
 
@@ -250,11 +253,21 @@ impl<C> ConvTable<C> {
     }
 
     /// Hands an answered call, its handshake complete, to whoever
-    /// listens on its port now. A full backlog drops it.
+    /// listens on its port now. One that no listener takes (the
+    /// backlog is full, or the listener has gone) is hung up.
     pub(crate) fn established(&self, key: &ConnKey) {
         let Some(conn) = self.lookup(key) else { return };
-        if let Some(backlog) = self.listeners.lock().get(&key.lport) {
-            let _ = backlog.try_send(conn);
+        let listeners = self.listeners.lock();
+        let refused = match listeners.get(&key.lport) {
+            Some(backlog) => match backlog.try_send(conn) {
+                Ok(()) => None,
+                Err(TrySendError::Full(conn) | TrySendError::Disconnected(conn)) => Some(conn),
+            },
+            None => Some(conn),
+        };
+        drop(listeners);
+        if let Some(conn) = refused {
+            (self.close)(&conn);
         }
     }
 
@@ -293,17 +306,6 @@ impl<C> ConvTable<C> {
         self.listeners.lock().insert(port, tx);
         Ok(Listener { table: Arc::downgrade(self), port, backlog })
     }
-
-    /// Closes the listener on `port` out from under its owner (a
-    /// gateway being killed). The map entry goes, so new calls are
-    /// refused, and the backlog's only sender with it, so a blocked
-    /// `accept()` — and the protocol-device open parked inside it —
-    /// errors with "listener closed" instead of waiting forever. The
-    /// port itself is released by the [`Listener`]'s own drop, as
-    /// usual. Returns false if no listener was on `port`.
-    pub(crate) fn unlisten(&self, port: u16) -> bool {
-        self.listeners.lock().remove(&port).is_some()
-    }
 }
 
 /// A passive listener for conversations of type `C`.
@@ -328,12 +330,24 @@ impl<C> Listener<C> {
     pub fn accept_timeout(&self, d: Duration) -> crate::Result<Arc<C>> {
         self.backlog.recv_timeout(d).map_err(|_| NineError::new("timed out"))
     }
+
+    /// Stops taking calls: new ones are refused, the backlog's sender
+    /// goes, so an `accept` waiting or to come fails with "listener
+    /// closed", and every call still queued is hung up. The port stays
+    /// the listener's until it is dropped.
+    pub fn close(&self) {
+        let Some(table) = self.table.upgrade() else { return };
+        table.listeners.lock().remove(&self.port);
+        while let Ok(conn) = self.backlog.try_recv() {
+            (table.close)(&conn);
+        }
+    }
 }
 
 impl<C> Drop for Listener<C> {
     fn drop(&mut self) {
+        self.close();
         if let Some(table) = self.table.upgrade() {
-            table.listeners.lock().remove(&self.port);
             table.ports.release(self.port);
         }
     }

@@ -325,7 +325,7 @@ pub enum TryRecv {
 impl IlModule {
     pub(crate) fn new(netlog: &Arc<NetLog>) -> IlModule {
         IlModule {
-            table: ConvTable::new(),
+            table: ConvTable::new(|conn| conn.close()),
             stats: IlStats::new(netlog),
             netlog: Arc::clone(netlog),
         }
@@ -453,15 +453,6 @@ impl IlModule {
             };
             let _ = stack.send(src, IL_PROTO, &[&reply.encode(&[])]);
         }
-    }
-
-    /// Closes the listener on `port` out from under its owner (a
-    /// gateway being killed): new Syncs get a Close, and a blocked
-    /// `accept()` — with the protocol-device listen open parked inside
-    /// it — errors with "listener closed". Returns false if no listener
-    /// was on `port`.
-    pub fn unlisten(&self, port: u16) -> bool {
-        self.table.unlisten(port)
     }
 
     /// Starts a close on every live conversation. The close handshake
@@ -1357,16 +1348,22 @@ mod tests {
     }
 
     #[test]
-    fn unlisten_fails_a_blocked_accept() {
+    fn close_fails_a_blocked_accept() {
         let (_a, b) = two_hosts();
-        let listener = b.il_module().listen(&b, 17008).unwrap();
-        // Whether `accept` parks before or after the poisoning, it must
+        let listener = std::sync::Arc::new(b.il_module().listen(&b, 17008).unwrap());
+        // Whether `accept` parks before or after the close, it must
         // come back with the same error.
-        let blocked = std::thread::spawn(move || listener.accept().unwrap_err());
-        assert!(b.il_module().unlisten(17008));
+        let blocked = {
+            let listener = std::sync::Arc::clone(&listener);
+            std::thread::spawn(move || listener.accept().unwrap_err())
+        };
+        listener.close();
         let err = blocked.join().unwrap();
         assert!(err.0.contains("listener closed"), "{err}");
-        assert!(!b.il_module().unlisten(17008), "nothing left to close");
+        // The port is the listener's until it is dropped.
+        assert!(b.il_module().listen(&b, 17008).is_err());
+        drop(listener);
+        assert!(b.il_module().listen(&b, 17008).is_ok());
     }
 
     #[test]

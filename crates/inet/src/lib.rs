@@ -35,6 +35,7 @@ pub mod tcp;
 pub mod udp;
 
 pub use addr::IpAddr;
+pub use conv::Listener;
 pub use il::{IlConn, IlListener, IL_PROTO};
 pub use ip::{IpConfig, IpStack};
 pub use tcp::{TcpConn, TcpListener, TCP_PROTO};

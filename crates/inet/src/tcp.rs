@@ -402,7 +402,7 @@ pub struct TcpConn {
 impl TcpModule {
     pub(crate) fn new(netlog: &Arc<NetLog>) -> TcpModule {
         TcpModule {
-            table: ConvTable::new(),
+            table: ConvTable::new(|conn| conn.close()),
             stats: TcpStats::new(netlog),
             netlog: Arc::clone(netlog),
         }

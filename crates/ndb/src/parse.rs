@@ -176,15 +176,16 @@ pub fn parse_entry_at(text: &str, offset: u64) -> Option<Entry> {
     };
     for (i, line) in rest.split_inclusive('\n').enumerate() {
         let stripped = line.trim_end_matches('\n');
-        let indented = stripped.starts_with(' ') || stripped.starts_with('\t');
-        if i > 0 && !indented {
-            break;
-        }
+        // Blank and comment lines end no entry, as in `parse_entries`.
         if stripped.trim().is_empty() || stripped.trim_start().starts_with('#') {
             if i == 0 {
                 return None;
             }
             continue;
+        }
+        let indented = stripped.starts_with(' ') || stripped.starts_with('\t');
+        if i > 0 && !indented {
+            break;
         }
         parse_line(stripped, &mut entry.pairs);
     }

@@ -2,10 +2,12 @@
 //!
 //! Datakit [Fra80] is a circuit network: a host dials an address string
 //! like `nj/astro/helix` and the switch establishes a full-duplex
-//! circuit. The dial string may carry a service (`nj/astro/helix!9fs`),
-//! delivered to the callee during call setup; the callee accepts or
-//! rejects with a reason — the paper notes "some networks such as Datakit
-//! accept a reason for a rejection" (§5.2).
+//! circuit. The dial string may carry a service (`nj/astro/helix!9fs`):
+//! the switch routes the call, on the dialer's thread, to the callee
+//! line's announcement of that service, which accepts it or rejects it
+//! with a reason — the paper notes "some networks such as Datakit accept
+//! a reason for a rejection" (§5.2). A call no announcement takes is
+//! rejected with `unknown service: S`.
 //!
 //! Circuits deliver frames in order; reliability and flow control are the
 //! business of URP, the protocol the `plan9-datakit` crate pushes on top.
@@ -20,11 +22,11 @@
 
 use crate::profile::LinkProfile;
 use crate::wire::{wire_on_medium, Medium, WireRx, WireTx};
-use plan9_support::chan::{unbounded, Receiver, Sender};
+use plan9_support::chan::{unbounded, Receiver, SendError, Sender};
 use plan9_support::sync::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Tag bytes prefixed to circuit frames, so hangup reasons travel
 /// in-band the way Datakit supervisory messages did.
@@ -32,8 +34,17 @@ const TAG_DATA: u8 = 0;
 const TAG_REJECT: u8 = 1;
 
 struct SwitchInner {
-    lines: Mutex<HashMap<String, Sender<IncomingCall>>>,
+    lines: Mutex<HashMap<String, Services>>,
     profile: LinkProfile,
+}
+
+/// A line's announced services, each the queue its calls wait on; `*`
+/// is the catch-all, which takes a call to any service not announced.
+type Services = HashMap<String, Sender<IncomingCall>>;
+
+/// What the switch answers a call no announcement takes.
+fn unknown(service: &str) -> String {
+    format!("unknown service: {service}")
 }
 
 /// The switch: a name table of attached lines.
@@ -52,18 +63,17 @@ impl DatakitSwitch {
         })
     }
 
-    /// Attaches a host line under a Datakit address (`nj/astro/helix`).
+    /// Attaches a host line under a Datakit address (`nj/astro/helix`),
+    /// which is the line's until it is dropped.
     pub fn attach(&self, addr: &str) -> crate::Result<DatakitLine> {
-        let (tx, rx) = unbounded();
         let mut lines = self.inner.lines.lock();
         if lines.contains_key(addr) {
             return Err(format!("datakit address in use: {addr}"));
         }
-        lines.insert(addr.to_string(), tx);
+        lines.insert(addr.to_string(), Services::new());
         Ok(DatakitLine {
             addr: addr.to_string(),
             inner: Arc::clone(&self.inner),
-            incoming: rx,
         })
     }
 
@@ -77,10 +87,9 @@ impl DatakitSwitch {
 pub struct DatakitLine {
     addr: String,
     inner: Arc<SwitchInner>,
-    incoming: Receiver<IncomingCall>,
 }
 
-/// A call presented to a listening line.
+/// A call presented to an announcement.
 pub struct IncomingCall {
     /// The caller's Datakit address.
     pub from: String,
@@ -96,19 +105,35 @@ impl DatakitLine {
         &self.addr
     }
 
+    /// Announces `service` on this line (`*`: the catch-all). Calls
+    /// naming it queue on the [`Announcement`] until it is closed.
+    pub fn announce(&self, service: &str) -> crate::Result<Announcement> {
+        let (tx, calls) = unbounded();
+        let mut lines = self.inner.lines.lock();
+        let services = lines.get_mut(&self.addr).ok_or_else(|| format!("line down: {}", self.addr))?;
+        if services.contains_key(service) {
+            return Err(format!("service in use: {service}"));
+        }
+        services.insert(service.to_string(), tx);
+        Ok(Announcement {
+            line: self.addr.clone(),
+            service: service.to_string(),
+            inner: Arc::clone(&self.inner),
+            calls,
+            closed: AtomicBool::new(false),
+        })
+    }
+
     /// Dials `dest` (an address, optionally `addr!service`) and returns
-    /// the local end of the circuit.
+    /// the local end of the circuit. The call queues on the service's
+    /// announcement, else on the line's catch-all, else is rejected;
+    /// the switch never waits.
     pub fn dial(&self, dest: &str) -> crate::Result<Circuit> {
-        let (addr, service) = match dest.split_once('!') {
-            Some((a, s)) => (a, s),
-            None => (dest, ""),
-        };
-        let peer_tx = {
+        let (addr, service) = dest.split_once('!').unwrap_or((dest, ""));
+        let route = {
             let lines = self.inner.lines.lock();
-            lines
-                .get(addr)
-                .cloned()
-                .ok_or_else(|| format!("no route to {addr}"))?
+            let services = lines.get(addr).ok_or_else(|| format!("no route to {addr}"))?;
+            services.get(service).or_else(|| services.get("*")).cloned()
         };
         // Two wires, one per direction, each paced independently
         // (Datakit lines are full duplex).
@@ -131,31 +156,77 @@ impl DatakitLine {
             rx: a2b_rx,
             reject_reason: Arc::new(Mutex::named(None, "netsim.fabric.reject")),
         };
-        peer_tx
-            .send(IncomingCall {
-                from: self.addr.clone(),
-                service: service.to_string(),
-                circuit: far,
-            })
-            .map_err(|_| format!("line down: {addr}"))?;
+        let call = IncomingCall {
+            from: self.addr.clone(),
+            service: service.to_string(),
+            circuit: far,
+        };
+        let unrouted = match route {
+            Some(calls) => calls.send(call).err().map(|SendError(call)| call),
+            None => Some(call),
+        };
+        if let Some(call) = unrouted {
+            call.circuit.reject(&unknown(service));
+        }
         Ok(near)
     }
+}
 
-    /// Blocks for the next incoming call; `None` once the line is
-    /// unplugged and the calls already placed have been taken.
-    pub fn listen(&self) -> Option<IncomingCall> {
-        self.incoming.recv().ok()
+impl Drop for DatakitLine {
+    /// Takes the line out of the switch: its address is free again, and
+    /// its announcements take no further call.
+    fn drop(&mut self) {
+        let services = self.inner.lines.lock().remove(&self.addr);
+        drop(services);
+    }
+}
+
+/// A service announced on a line: the queue its calls wait on until it
+/// is closed. Dropping it closes it.
+pub struct Announcement {
+    line: String,
+    service: String,
+    inner: Arc<SwitchInner>,
+    calls: Receiver<IncomingCall>,
+    closed: AtomicBool,
+}
+
+impl Announcement {
+    /// Blocks for the next call; `None` once the announcement is closed
+    /// or its line is gone.
+    pub fn accept(&self) -> Option<IncomingCall> {
+        loop {
+            let call = self.calls.recv().ok()?;
+            // A dial routed here before a close may queue its call after
+            // it: that call is rejected, never accepted.
+            if !self.closed.load(Ordering::Acquire) {
+                return Some(call);
+            }
+            call.circuit.reject(&unknown(&self.service));
+        }
     }
 
-    /// Takes the line out of the switch: its address is free again and
-    /// no further call reaches it.
-    pub fn unplug(&self) {
-        self.inner.lines.lock().remove(&self.addr);
+    /// Ends the announcement: the service is free again, a waiting
+    /// `accept` returns `None`, and every call queued is rejected.
+    pub fn close(&self) {
+        if !self.closed.swap(true, Ordering::AcqRel) {
+            let mut lines = self.inner.lines.lock();
+            let ours = lines
+                .get_mut(&self.line)
+                .filter(|services| services.get(&self.service).is_some_and(|tx| self.calls.is_fed_by(tx)));
+            let sender = ours.and_then(|services| services.remove(&self.service));
+            drop(lines);
+            drop(sender);
+        }
+        while let Ok(call) = self.calls.try_recv() {
+            call.circuit.reject(&unknown(&self.service));
+        }
     }
+}
 
-    /// Waits for an incoming call with a timeout.
-    pub fn listen_timeout(&self, d: Duration) -> Option<IncomingCall> {
-        self.incoming.recv_timeout(d).ok()
+impl Drop for Announcement {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -261,8 +332,9 @@ mod tests {
         let sw = DatakitSwitch::new(Profiles::datakit_fast());
         let helix = sw.attach("nj/astro/helix").unwrap();
         let gnot = sw.attach("nj/astro/philw-gnot").unwrap();
+        let fs = helix.announce("9fs").unwrap();
         let listener = std::thread::spawn(move || {
-            let call = helix.listen().unwrap();
+            let call = fs.accept().unwrap();
             assert_eq!(call.from, "nj/astro/philw-gnot");
             assert_eq!(call.service, "9fs");
             let msg = call.circuit.recv().unwrap();
@@ -296,8 +368,9 @@ mod tests {
         let sw = DatakitSwitch::new(Profiles::datakit_fast());
         let srv = sw.attach("nj/astro/srv").unwrap();
         let cli = sw.attach("nj/astro/cli").unwrap();
+        let nope = srv.announce("nope").unwrap();
         std::thread::spawn(move || {
-            let call = srv.listen().unwrap();
+            let call = nope.accept().unwrap();
             call.circuit.reject("service not available");
         });
         let c = cli.dial("nj/astro/srv!nope").unwrap();
@@ -306,12 +379,45 @@ mod tests {
     }
 
     #[test]
+    fn a_call_no_announcement_takes_is_rejected() {
+        let sw = DatakitSwitch::new(Profiles::datakit_fast());
+        let srv = sw.attach("nj/astro/srv").unwrap();
+        let cli = sw.attach("nj/astro/cli").unwrap();
+        let rejected = |dest: &str| {
+            let c = cli.dial(dest).unwrap();
+            assert_eq!(c.recv(), None);
+            c.reject_reason().unwrap()
+        };
+        assert_eq!(rejected("nj/astro/srv!echo"), "unknown service: echo");
+        // Announced, a call queues; closed, the queued call is rejected
+        // and the service is free to announce again.
+        let echo = srv.announce("echo").unwrap();
+        assert_eq!(srv.announce("echo").err().unwrap(), "service in use: echo");
+        let queued = cli.dial("nj/astro/srv!echo").unwrap();
+        echo.close();
+        assert!(echo.accept().is_none());
+        assert_eq!(queued.recv(), None);
+        assert_eq!(queued.reject_reason().unwrap(), "unknown service: echo");
+        drop(echo);
+        let _again = srv.announce("echo").unwrap();
+        // The catch-all takes what no announcement names.
+        let all = srv.announce("*").unwrap();
+        let _c = cli.dial("nj/astro/srv!other").unwrap();
+        assert_eq!(all.accept().unwrap().service, "other");
+        // A dropped line frees its address.
+        drop(srv);
+        assert!(cli.dial("nj/astro/srv!echo").unwrap_err().contains("no route"));
+        assert!(sw.attach("nj/astro/srv").is_ok());
+    }
+
+    #[test]
     fn frames_stay_ordered() {
         let sw = DatakitSwitch::new(Profiles::datakit_fast());
         let a = sw.attach("a").unwrap();
         let b = sw.attach("b").unwrap();
+        let all = b.announce("*").unwrap();
         let t = std::thread::spawn(move || {
-            let call = b.listen().unwrap();
+            let call = all.accept().unwrap();
             let mut got = Vec::new();
             for _ in 0..50 {
                 got.push(call.circuit.recv().unwrap()[0]);
@@ -331,8 +437,9 @@ mod tests {
         let sw = DatakitSwitch::new(Profiles::datakit_fast());
         let a = sw.attach("a").unwrap();
         let b = sw.attach("b").unwrap();
+        let all = b.announce("*").unwrap();
         let c = a.dial("b").unwrap();
-        let call = b.listen().unwrap();
+        let call = all.accept().unwrap();
         c.send(b"bye").unwrap();
         drop(c);
         assert_eq!(call.circuit.recv().unwrap(), b"bye");

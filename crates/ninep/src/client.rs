@@ -271,19 +271,6 @@ impl NineClient {
         }
     }
 
-    /// Clone-and-walk in one round trip.
-    pub fn clwalk(&self, fid: Fid, name: &str) -> Result<(Fid, Qid)> {
-        let new_fid = self.alloc_fid();
-        match self.rpc(&Tmsg::Clwalk {
-            fid,
-            new_fid,
-            name: name.to_string(),
-        })? {
-            Rmsg::Clwalk { qid, .. } => Ok((new_fid, qid)),
-            _ => Err(NineError::new(errstr::EBADMSG)),
-        }
-    }
-
     /// Opens `fid` for I/O.
     pub fn open(&self, fid: Fid, mode: OpenMode) -> Result<Qid> {
         match self.rpc(&Tmsg::Open { fid, mode: mode.0 })? {

@@ -19,13 +19,13 @@
 //! text.
 
 use crate::dsl::{Event, Scenario};
-use crate::topology::{Topology, EXPORT_PORT, SERVE_PORT};
+use crate::topology::{Topology, SERVE_PORT};
 use plan9_core::machine::Machine;
 use plan9_core::namespace::MAFTER;
-use plan9_exportfs::{exportfs_service, import, ExportService};
+use plan9_exportfs::{exportfs_listener, import};
 use plan9_inet::nine::IlIo;
 use plan9_inet::ip::IpStack;
-use plan9_inet::IpAddr;
+use plan9_inet::{IlListener, IpAddr};
 use plan9_core::proc::Proc;
 use plan9_netlog::{series, Registry};
 use plan9_ninep::client::NineClient;
@@ -105,18 +105,22 @@ pub fn run(sc: &Scenario) -> Report {
 const SIZES: [usize; 3] = [64, 512, 4096];
 
 struct CityServer {
+    listener: Arc<IlListener>,
     handle: vtime::KprocHandle<usize>,
 }
 
 /// A persistent IL listener on a city's `hosts[0]` stack. Accepted
 /// conversations are pool-serviced (no thread per conversation); the
 /// acceptor exits, reporting how many calls it served, when the
-/// listener is poisoned by `unlisten` at scenario end.
+/// listener is closed at scenario end.
 fn spawn_city_server(stack: &Arc<IpStack>) -> CityServer {
-    let listener = stack
-        .il_module()
-        .listen(stack, SERVE_PORT)
-        .expect("city server listen");
+    let listener = Arc::new(
+        stack
+            .il_module()
+            .listen(stack, SERVE_PORT)
+            .expect("city server listen"),
+    );
+    let accepting = Arc::clone(&listener);
     let fs = MemFs::new("city", "bootes");
     for size in SIZES {
         fs.put_file(&format!("/b{size}"), &vec![0x5au8; size])
@@ -126,7 +130,7 @@ fn spawn_city_server(stack: &Arc<IpStack>) -> CityServer {
         let fs: Arc<dyn ProcFs> = fs;
         let mut kept: Vec<Arc<NineService>> = Vec::new();
         loop {
-            let conn = match listener.accept() {
+            let conn = match accepting.accept() {
                 Ok(c) => c,
                 Err(_) => return kept.len(),
             };
@@ -134,7 +138,7 @@ fn spawn_city_server(stack: &Arc<IpStack>) -> CityServer {
         }
     })
     .expect("spawn city server");
-    CityServer { handle }
+    CityServer { listener, handle }
 }
 
 // ---------------------------------------------------------------------------
@@ -304,17 +308,12 @@ fn direct(sc: Scenario) -> Report {
 
     // Gateway exports, then the standing import flows between
     // neighbors: an export has announced by the time it returns.
-    let mut exports: Vec<Option<ExportService>> = topo
+    let mut exports: Vec<_> = topo
         .cities
         .iter()
         .map(|c| {
-            let stack = Arc::clone(c.gateway.ip.as_ref().expect("gateway has a stack"));
-            Some(
-                exportfs_service(c.gateway.proc(), "il!*!exportfs", move || {
-                    stack.il_module().unlisten(EXPORT_PORT);
-                })
-                .expect("gateway exportfs"),
-            )
+            let svc = exportfs_listener(c.gateway.proc(), "il!*!exportfs", usize::MAX);
+            Some(svc.expect("gateway exportfs"))
         })
         .collect();
     let importers: Vec<_> = (1..sc.cities)
@@ -410,7 +409,7 @@ fn direct(sc: Scenario) -> Report {
             }
             Event::KillGateway { city } => {
                 if let Some(svc) = exports[*city].take() {
-                    svc.shutdown();
+                    svc.hangup();
                 }
                 let stack = topo.cities[*city]
                     .gateway
@@ -478,16 +477,14 @@ fn direct(sc: Scenario) -> Report {
     }
 
     // Teardown, in an order that can't deadlock: stop flag first, then
-    // poison every listener, then hang up all conversations (which
+    // close every listener, then hang up all conversations (which
     // errors any importer read still stalled), then join everything.
     stop.store(true, Ordering::Relaxed);
-    for c in &topo.cities {
-        c.hosts[0].il_module().unlisten(SERVE_PORT);
+    for s in &servers {
+        s.listener.close();
     }
-    for e in exports.iter_mut() {
-        if let Some(svc) = e.take() {
-            svc.shutdown();
-        }
+    for svc in exports.into_iter().flatten() {
+        svc.hangup();
     }
     for s in topo.stacks() {
         s.il_module().hangup_all();

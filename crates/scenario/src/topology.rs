@@ -44,16 +44,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// The paper's global-file scale: "Our global file ... has 43,000
-/// lines" (§4.1). [`Topology::grid`] pads its generated ndb to this.
+/// lines" (§4.1). [`Topology::grid_with`] pads its generated ndb to
+/// this many lines when asked to.
 pub const PAPER_NDB_LINES: usize = 43_000;
 
 /// The IL port every city server listens on (`il=9fs` in the service
 /// map).
 pub const SERVE_PORT: u16 = 17008;
-
-/// The IL port the gateways' exportfs listeners announce
-/// (`il=exportfs`).
-pub const EXPORT_PORT: u16 = 17009;
 
 /// One city: a shared segment, its border gateway, and the pooled
 /// host stacks. `hosts[0]` doubles as the city's file server in the
@@ -246,13 +243,9 @@ fn parse_mac(ether: &str) -> MacAddr {
 }
 
 impl Topology {
-    /// Builds an N-city line at the paper's 43,000-line database scale.
-    pub fn grid(n_cities: usize, hosts_per_city: usize, seed: u64) -> Topology {
-        Self::grid_with(n_cities, hosts_per_city, PAPER_NDB_LINES, seed)
-    }
-
-    /// Like [`grid`](Topology::grid) with an explicit database size,
-    /// for tests that don't want to parse 43k lines per machine.
+    /// Builds an N-city line whose generated database has `ndb_lines`
+    /// lines ([`PAPER_NDB_LINES`] for the paper's scale; tests take
+    /// fewer than 43k lines a machine).
     pub fn grid_with(
         n_cities: usize,
         hosts_per_city: usize,

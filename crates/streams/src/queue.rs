@@ -271,11 +271,6 @@ impl Queue {
         let inner = self.inner.lock();
         inner.hungup || inner.closed
     }
-
-    /// Bytes currently buffered.
-    pub fn buffered_bytes(&self) -> usize {
-        self.inner.lock().bytes
-    }
 }
 
 fn fire(hook: &OnceLock<Hook>) {

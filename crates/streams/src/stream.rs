@@ -400,11 +400,6 @@ impl Stream {
         self.inner.read_q.is_hungup() || self.inner.is_closed()
     }
 
-    /// Bytes waiting in the read queue.
-    pub fn readable_bytes(&self) -> usize {
-        self.inner.read_q.buffered_bytes()
-    }
-
     /// Destroys the stream: closes every module (device end last) and the
     /// read queue. "The last close destroys it."
     pub fn destroy(&self) {

@@ -258,6 +258,11 @@ impl<T> Receiver<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Whether `tx` sends to this receiver's channel.
+    pub fn is_fed_by(&self, tx: &Sender<T>) -> bool {
+        Arc::ptr_eq(&self.shared, &tx.shared)
+    }
 }
 
 impl<T> Clone for Receiver<T> {

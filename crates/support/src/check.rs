@@ -39,11 +39,6 @@ impl Gen {
         }
     }
 
-    /// The underlying RNG, for draws these combinators don't cover.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-
     /// An arbitrary `u64`.
     pub fn u64(&mut self) -> u64 {
         self.rng.next_u64()

@@ -243,11 +243,6 @@ pub fn held_names() -> Vec<&'static str> {
     held.iter().map(|&c| g.name(c)).collect()
 }
 
-/// Number of distinct acquisition-order edges recorded so far.
-pub fn edge_count() -> usize {
-    graph().edges.len()
-}
-
 /// Renders the whole runtime graph in the `/net/log/lockgraph` format
 /// checkflow's lock-order cross-check parses:
 ///
@@ -385,8 +380,8 @@ mod tests {
     fn try_acquire_records_no_edge_but_holds() {
         let a = LockClass::new("lockdep.unit.try1").id();
         let b = LockClass::new("lockdep.unit.try2").id();
-        // By name, not by `edge_count`: the graph is the process's,
-        // and the tests beside this one add edges of their own.
+        // By name: the graph is the process's, and the tests beside
+        // this one add edges of their own.
         let edges = |to: &str| graph_dump().matches(&format!("-> lockdep.unit.{to} ")).count();
         acquire(b);
         release(b);

@@ -114,6 +114,9 @@ fn next_on(cp: &Arc<Proc>, call: &Dialed) -> Result<Option<Vec<u8>>, ()> {
     rx.recv_timeout(PATIENCE).map_err(|_| ())
 }
 
+/// What a listen returned: the call's ctl descriptor and directory.
+type Listened = Result<(i32, String), String>;
+
 /// One name's state, as the model has it and as the system gave it.
 struct Name {
     name: String,
@@ -123,7 +126,7 @@ struct Name {
     dead: Vec<i32>,
     /// Listens parked, whose results come back on `results`.
     parked: usize,
-    results: (Sender<Result<(i32, String), String>>, Receiver<Result<(i32, String), String>>),
+    results: (Sender<Listened>, Receiver<Listened>),
     /// Calls placed that no listen has taken, in the order placed.
     queued: VecDeque<usize>,
     /// Calls a listen took, and the listens' results not yet accepted.
@@ -208,7 +211,8 @@ impl World {
         let name = self.names[n].name.clone();
         let dialed = match self.proto {
             Proto::Dk => {
-                let circuit = self.line.dial(&format!("nj/astro/helix!{name}")).map_err(|e| format!("{ctx}: {e}"))?;
+                let dest = format!("nj/astro/helix!{name}");
+                let circuit = self.line.dial(&dest).map_err(|e| format!("{ctx}: {e}"))?;
                 if !announced {
                     let reason = (circuit.recv(), circuit.reject_reason());
                     let want = format!("unknown service: {name}");
@@ -235,7 +239,7 @@ impl World {
                     }
                     (Err(e), true) => return Err(format!("{ctx}: a dial to an announced name failed: {e}")),
                     (Err(e), false) if e.to_string().contains("refused") => return Ok(()),
-                    (Err(e), false) => return Err(format!("{ctx}: a dial to a free name failed with {e}, not refused")),
+                    (Err(e), false) => return Err(format!("{ctx}: a dial to a free name: {e}, not refused")),
                 }
             }
         };
@@ -297,11 +301,12 @@ impl World {
             self.sp.close(afd);
         }
         let how = if hangup { "hung up" } else { "closed" };
+        let parked = format!("{ctx}: a listen parked on an announcement {how}");
         while self.names[n].parked > 0 {
             match self.names[n].results.1.recv_timeout(PATIENCE) {
                 Ok(Err(_)) => self.names[n].parked -= 1,
-                Ok(Ok((_, ldir))) => return Err(format!("{ctx}: a listen on an announcement {how} returned call {ldir}")),
-                Err(_) => return Err(format!("{ctx}: a listen parked on an announcement {how} is still parked {PATIENCE:?} later")),
+                Ok(Ok((_, ldir))) => return Err(format!("{parked} returned call {ldir}")),
+                Err(_) => return Err(format!("{parked} is still parked {PATIENCE:?} later")),
             }
         }
         while let Some(call) = self.names[n].queued.pop_front() {
@@ -458,15 +463,15 @@ fn steps(proto: Proto, seed: u64) -> Result<(Arc<Machine>, Arc<Machine>), String
 }
 
 plan9_support::props! {
-    fn prop_an_il_announcement_lives_until_it_is_hung_up(g, cases = 40) {
+    fn prop_an_il_announcement_lives_until_it_is_hung_up(g, cases = 200) {
         oracle::run(oracle::next_seed("lifecycle", g), |seed| case(Proto::Il, seed));
     }
 
-    fn prop_a_tcp_announcement_lives_until_it_is_hung_up(g, cases = 40) {
+    fn prop_a_tcp_announcement_lives_until_it_is_hung_up(g, cases = 200) {
         oracle::run(oracle::next_seed("lifecycle", g), |seed| case(Proto::Tcp, seed));
     }
 
-    fn prop_a_datakit_announcement_lives_until_it_is_hung_up(g, cases = 40) {
+    fn prop_a_datakit_announcement_lives_until_it_is_hung_up(g, cases = 200) {
         oracle::run(oracle::next_seed("lifecycle", g), |seed| case(Proto::Dk, seed));
     }
 }

@@ -149,7 +149,7 @@ fn rejected_datakit_call_reports_eof() {
     let (helix, gnot) = machines();
     let _keep = helix;
     let p = gnot.proc();
-    // Nothing announced "bogus": the dispatcher rejects with a reason.
+    // Nothing announced "bogus": the switch rejects it with a reason.
     let conn = dial(&p, "dk!nj/astro/helix!bogus").expect("circuit opens");
     assert_eq!(p.read(conn.data_fd, 100).unwrap(), b"");
 }

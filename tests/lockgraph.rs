@@ -81,7 +81,7 @@ fn capture_runtime_lock_order_graph() {
 
     // 2. A two-machine segment on the real clock: IL and TCP dials
     // (conversation alloc + clunk on both protocol directories), a
-    // Datakit line through the switch (dispatcher, fabric circuits), a
+    // Datakit line through the switch (its service table, circuits), a
     // UDP send big enough to fragment, an ether clone open/close, a
     // serial line, and a pipe — the device and protocol classes the
     // scenario's gateways don't touch. The wire is slightly lossy so
@@ -132,7 +132,7 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/gnot proto=il proto=tcp
         p.close(conn.data_fd);
         p.close(conn.ctl_fd);
     }
-    // A Datakit call nobody serves: the dispatcher rejects it with a
+    // A Datakit call nobody serves: the switch rejects it with a
     // reason, which is its own lock class. The rejection is
     // asynchronous, so the dial may succeed and die on first use.
     if let Ok(conn) = dial(&p, "dk!nj/astro/helix!nosuch") {
