@@ -5,13 +5,14 @@
 //! blocking primitive", which takes a call graph. This module parses
 //! every `crates/*/src/**/*.rs` file into function nodes and call
 //! edges with no dependencies and no type checker, reading only the
-//! types the source writes down:
+//! types the source writes down. It lexes nothing itself: it walks the
+//! tokens [`SourceFile::new`] made, the ones the line rules read, from
+//! which the test-only items are gone (test code may block and panic at
+//! will).
 //!
 //! - **Items**: `fn` items with their crate, module path (file path +
 //!   inline `mod`), enclosing `impl`/`trait`, parameters and return
 //!   type; `struct` fields, `enum`s, `trait`s and `static`s.
-//!   `#[cfg(test)]`/`#[test]` regions are skipped entirely (test code
-//!   may block and panic at will).
 //! - **Receivers**: a method call's receiver is kept as the chain the
 //!   source writes (`self.station`, `conn.inner.lock()`) and typed once
 //!   every file is in: `self` is the impl type; a local is its
@@ -52,151 +53,10 @@
 //! annotation in the comment block directly above a line blesses it
 //! (`SourceFile::ann_at`, the one waiver parser for every rule).
 
-use crate::{transitive, LineAnn, SourceFile, Workspace};
+use crate::{transitive, LineAnn, SourceFile, Tok, Token, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
-
-// ---------------------------------------------------------------------------
-// Tokens.
-
-/// One token of comment-free, test-free source.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
-    Ident(String),
-    /// A string literal's contents (single-line literals only; a
-    /// multi-line literal tokenizes with empty contents).
-    Str(String),
-    /// Any numeric literal.
-    Num,
-    /// `::`
-    PathSep,
-    /// `->`
-    Arrow,
-    /// `=>`
-    FatArrow,
-    /// A lifetime such as `'a` (contents discarded).
-    Lifetime,
-    /// Any other single punctuation character.
-    P(char),
-}
-
-#[derive(Debug, Clone)]
-struct SpannedTok {
-    tok: Tok,
-    line: usize, // 1-based
-}
-
-fn is_ident_start(c: char) -> bool {
-    c.is_alphabetic() || c == '_'
-}
-
-fn is_ident_char(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
-}
-
-/// Tokenizes a file's lexed code lines. The raw text supplies true
-/// string-literal contents (the lexer blanks them, column-preserving),
-/// and test-region lines are dropped wholesale.
-fn tokenize(src: &SourceFile) -> Vec<SpannedTok> {
-    let raw_lines: Vec<&str> = src.text.lines().collect();
-    let mut out = Vec::new();
-    for (idx, line) in src.lines.iter().enumerate() {
-        if src.test[idx] {
-            continue;
-        }
-        let lineno = idx + 1;
-        let b: Vec<char> = line.code.chars().collect();
-        let mut i = 0;
-        while i < b.len() {
-            let c = b[i];
-            if c.is_whitespace() {
-                i += 1;
-            } else if is_ident_start(c) {
-                let start = i;
-                while i < b.len() && is_ident_char(b[i]) {
-                    i += 1;
-                }
-                let ident: String = b[start..i].iter().collect();
-                // A raw/byte-string prefix immediately followed by its
-                // quote was kept by the lexer (`r#"…"#`): the ident is
-                // the prefix, the quote handling below sees the rest.
-                out.push(SpannedTok { tok: Tok::Ident(ident), line: lineno });
-            } else if c.is_ascii_digit() {
-                while i < b.len() && (is_ident_char(b[i]) || b[i] == '.') {
-                    // Consumes `1.5e3`, `0xff`, `1_000u64`; a trailing
-                    // range `1..n` is left to punctuation by the
-                    // second-dot check.
-                    if b[i] == '.' && b.get(i + 1) == Some(&'.') {
-                        break;
-                    }
-                    i += 1;
-                }
-                out.push(SpannedTok { tok: Tok::Num, line: lineno });
-            } else if c == '"' {
-                // The lexer blanked the contents but kept columns, so
-                // the raw line carries the true text at the same span.
-                let start = i + 1;
-                let mut j = start;
-                while j < b.len() && b[j] != '"' && b[j] != '#' {
-                    j += 1;
-                }
-                let content = raw_lines
-                    .get(idx)
-                    .and_then(|raw| {
-                        let chars: Vec<char> = raw.chars().collect();
-                        if j <= chars.len() && b.get(j) == Some(&'"') {
-                            Some(chars[start..j].iter().collect::<String>())
-                        } else {
-                            None // multi-line or raw-hash literal
-                        }
-                    })
-                    .unwrap_or_default();
-                out.push(SpannedTok { tok: Tok::Str(content), line: lineno });
-                if j < b.len() && b[j] == '"' {
-                    i = j + 1;
-                } else {
-                    // Multi-line string: the rest of the literal is
-                    // blanks on later lines; skip this line's tail.
-                    i = b.len();
-                }
-                // Trailing raw-string hashes.
-                while i < b.len() && b[i] == '#' {
-                    i += 1;
-                }
-            } else if c == '\'' {
-                // Lifetime (`'a`) or a blanked char literal (`' '`).
-                if b.get(i + 1).copied().is_some_and(is_ident_start) && b.get(i + 2) != Some(&'\'') {
-                    i += 1;
-                    while i < b.len() && is_ident_char(b[i]) {
-                        i += 1;
-                    }
-                    out.push(SpannedTok { tok: Tok::Lifetime, line: lineno });
-                } else {
-                    let mut j = i + 1;
-                    while j < b.len() && b[j] != '\'' {
-                        j += 1;
-                    }
-                    i = (j + 1).min(b.len());
-                    out.push(SpannedTok { tok: Tok::Num, line: lineno });
-                }
-            } else if c == ':' && b.get(i + 1) == Some(&':') {
-                out.push(SpannedTok { tok: Tok::PathSep, line: lineno });
-                i += 2;
-            } else if c == '-' && b.get(i + 1) == Some(&'>') {
-                out.push(SpannedTok { tok: Tok::Arrow, line: lineno });
-                i += 2;
-            } else if c == '=' && b.get(i + 1) == Some(&'>') {
-                out.push(SpannedTok { tok: Tok::FatArrow, line: lineno });
-                i += 2;
-            } else {
-                out.push(SpannedTok { tok: Tok::P(c), line: lineno });
-                i += 1;
-            }
-        }
-    }
-    out
-}
 
 // ---------------------------------------------------------------------------
 // Graph data model.
@@ -860,7 +720,7 @@ struct Local {
 }
 
 struct Parser<'a> {
-    toks: &'a [SpannedTok],
+    toks: &'a [Token],
     /// Per bracket token: the index of its partner.
     pair: Vec<usize>,
     pos: usize,
@@ -1895,7 +1755,7 @@ impl<'a> Parser<'a> {
 
 /// Parses one source file into graph nodes.
 pub fn scan_file(graph: &mut CallGraph, src: &SourceFile) {
-    let toks = tokenize(src);
+    let toks = &src.toks;
     let mut pair = vec![toks.len(); toks.len()];
     let mut open = Vec::new();
     for (i, t) in toks.iter().enumerate() {
@@ -1910,7 +1770,7 @@ pub fn scan_file(graph: &mut CallGraph, src: &SourceFile) {
         }
     }
     let mut p = Parser {
-        toks: &toks,
+        toks,
         pair,
         pos: 0,
         brace_depth: 0,
@@ -2203,5 +2063,15 @@ mod tests {
         for call in find(&g, "service").calls() {
             assert_eq!(targeted(&g, call), ["support::pool::submit"], "{:?}", call.callee);
         }
+    }
+
+    #[test]
+    fn an_escaped_char_literal_keeps_the_braces_after_it() {
+        let g = graph_of(
+            "struct A;\nimpl A {\n    fn f(&self, c: u8, d: char) {\n        if c == b'\\n' {\n            self.g();\n        }\n        if d == '\\\\' {\n            self.g();\n        }\n    }\n    fn g(&self) {}\n}\n",
+        );
+        let calls: Vec<(usize, Vec<String>)> = find(&g, "f").calls().map(|c| (c.line, targeted(&g, c))).collect();
+        assert_eq!(calls, [(5, vec!["demo::A::g".to_string()]), (8, vec!["demo::A::g".to_string()])]);
+        assert_eq!(find(&g, "g").qualified(), "demo::A::g");
     }
 }

@@ -24,16 +24,17 @@
 //! `netsim`) is a panic-reach finding whether or not a root reaches it:
 //! a panic inside a `put` routine takes down the whole stream.
 //!
-//! The scanner is a line-level lexer, not a parser: it understands
-//! strings (including raw strings), `//` and nested `/* */` comments,
-//! char literals vs lifetimes, and `#[cfg(test)]`/`#[test]` regions —
-//! enough to make the line rules precise without a syntax tree, and
-//! with zero dependencies so it builds before anything else.
-//!
-//! There is one front end: [`Workspace::read`] walks `crates/*` once
-//! and [`SourceFile::new`] lexes each file once, marks its test-only
-//! lines and parses its waivers; the line rules here and [`graph`]'s
-//! call-graph parser both read that.
+//! There is one front end and one lexer: [`Workspace::read`] walks
+//! `crates/*` once and [`SourceFile::new`] lexes each file once, in one
+//! pass over its text. The pass yields the file's tokens ([`Tok`]: a
+//! string literal with its contents, a char or byte literal whole, a
+//! lifetime told from a char), each line's comment text (`//` and
+//! nested `/* */`), for the waivers, and drops the test-only items:
+//! from a line-leading `#[cfg(test)]` or `#[test]` to the item's closing
+//! brace or its `;`. The line rules here match token sequences, and
+//! [`graph`]'s call-graph parser reads the same tokens. It is a lexer,
+//! not a parser, with zero dependencies so it builds before anything
+//! else.
 //!
 //! There is no tolerated count: any violation fails the gate.
 
@@ -138,244 +139,189 @@ impl fmt::Display for Violation {
 }
 
 // ---------------------------------------------------------------------------
-// Lexing: split each source line into code and comment, blanking string
-// contents, so the rules can match tokens without false hits inside
-// literals or prose.
+// The lexer: one pass over a file yields the tokens every rule and the
+// call-graph parser read, and the comments the waivers ride on.
 
-/// One source line after lexing.
-pub(crate) struct LexedLine {
-    /// Code with string/char contents replaced by spaces (delimiting
-    /// quotes kept) and comments removed.
-    pub(crate) code: String,
-    /// The text of any comments on the line (both `//` and `/* */`).
-    pub(crate) comment: String,
+/// One token of source. Comments are no tokens.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Tok {
+    Ident(String),
+    /// A string literal's contents as written, escapes unexpanded: a
+    /// plain, byte or raw string, on one line or several.
+    Str(String),
+    /// A numeric, char or byte literal.
+    Num,
+    /// `::`
+    PathSep,
+    /// `->`
+    Arrow,
+    /// `=>`
+    FatArrow,
+    /// A lifetime such as `'a` (contents discarded).
+    Lifetime,
+    /// Any other single punctuation character.
+    P(char),
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum LexState {
-    Code,
-    Block(u32),
-    Str,
-    RawStr(u32),
+/// A token and the 1-based line it starts on.
+#[derive(Debug, Clone)]
+pub(crate) struct Token {
+    pub(crate) tok: Tok,
+    pub(crate) line: usize,
 }
 
-/// Lexes full source text into per-line code/comment views. The state
-/// machine carries block comments and multi-line strings across lines.
-/// String contents are blanked column-preserving, so [`graph`]'s
-/// tokenizer finds them again at the same span of the raw line.
-fn lex(source: &str) -> Vec<LexedLine> {
-    let mut out = Vec::new();
-    let mut state = LexState::Code;
-    for raw in source.lines() {
-        let b: Vec<char> = raw.chars().collect();
-        let mut code = String::new();
-        let mut comment = String::new();
-        let mut i = 0;
-        while i < b.len() {
-            match state {
-                LexState::Block(depth) => {
-                    if b[i] == '*' && b.get(i + 1) == Some(&'/') {
-                        state = if depth == 1 {
-                            LexState::Code
-                        } else {
-                            LexState::Block(depth - 1)
-                        };
-                        i += 2;
-                    } else if b[i] == '/' && b.get(i + 1) == Some(&'*') {
-                        state = LexState::Block(depth + 1);
-                        i += 2;
-                    } else {
-                        comment.push(b[i]);
+fn is_ident_start(c: char) -> bool {
+    c.is_alphabetic() || c == '_'
+}
+
+fn is_ident_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// Where the raw string starting at `i` (`r"`, `r#"`, `br#"`, …) has
+/// its opening quote, and how many `#`s close it.
+fn raw_open(b: &[char], i: usize) -> Option<(usize, usize)> {
+    let r = i + usize::from(b[i] == 'b');
+    let hashes = b.get(r + 1..)?.iter().take_while(|&&c| c == '#').count();
+    (b.get(r) == Some(&'r') && b.get(r + 1 + hashes) == Some(&'"')).then_some((r + 1 + hashes, hashes))
+}
+
+/// The index of the `"` closing the string opened at `open`: the next
+/// unescaped one or, for a raw string, the next followed by its `#`s.
+fn string_end(b: &[char], open: usize, raw: Option<usize>) -> usize {
+    let mut j = open + 1;
+    while j < b.len() {
+        match (b[j], raw) {
+            ('\\', None) => j += 1,
+            ('"', None) => return j,
+            ('"', Some(n)) if b[j + 1..].iter().take(n).filter(|&&c| c == '#').count() == n => return j,
+            _ => {}
+        }
+        j += 1;
+    }
+    b.len()
+}
+
+/// Lexes a whole file: its tokens and, per line, the text of its
+/// comments and whether any token covers it.
+fn lex(text: &str) -> (Vec<Token>, Vec<(String, bool)>) {
+    let b: Vec<char> = text.chars().collect();
+    let mut toks = Vec::new();
+    // One spare line, for a literal left open at the end.
+    let mut lines = vec![(String::new(), false); text.lines().count() + 1];
+    let (mut i, mut line) = (0, 1);
+    while i < b.len() {
+        let (c, next, start) = (b[i], b.get(i + 1).copied(), i);
+        let tok = if c == '/' && next == Some('/') {
+            while i < b.len() && b[i] != '\n' {
+                lines[line - 1].0.push(b[i]);
+                i += 1;
+            }
+            continue;
+        } else if c == '/' && next == Some('*') {
+            let mut depth = 0;
+            while i < b.len() {
+                match (b[i], b.get(i + 1)) {
+                    ('/', Some('*')) => (depth, i) = (depth + 1, i + 2),
+                    ('*', Some('/')) => (depth, i) = (depth - 1, i + 2),
+                    ('\n', _) => (line, i) = (line + 1, i + 1),
+                    (c, _) => {
+                        lines[line - 1].0.push(c);
                         i += 1;
                     }
                 }
-                LexState::Str => {
-                    if b[i] == '\\' {
-                        code.push(' ');
-                        if i + 1 < b.len() {
-                            code.push(' ');
-                        }
-                        i += 2;
-                    } else if b[i] == '"' {
-                        code.push('"');
-                        state = LexState::Code;
-                        i += 1;
-                    } else {
-                        code.push(' ');
-                        i += 1;
-                    }
-                }
-                LexState::RawStr(hashes) => {
-                    // Ends at `"` followed by exactly `hashes` #s.
-                    if b[i] == '"'
-                        && b[i + 1..].iter().take(hashes as usize).filter(|&&c| c == '#').count()
-                            == hashes as usize
-                        && b[i + 1..].len() >= hashes as usize
-                    {
-                        code.push('"');
-                        for _ in 0..hashes {
-                            code.push('#');
-                        }
-                        i += 1 + hashes as usize;
-                        state = LexState::Code;
-                    } else {
-                        code.push(' ');
-                        i += 1;
-                    }
-                }
-                LexState::Code => {
-                    let c = b[i];
-                    if c == '/' && b.get(i + 1) == Some(&'/') {
-                        comment.push_str(&raw[raw.char_indices().nth(i).map(|(p, _)| p).unwrap_or(0)..]);
-                        break;
-                    } else if c == '/' && b.get(i + 1) == Some(&'*') {
-                        state = LexState::Block(1);
-                        i += 2;
-                    } else if c == 'r' || c == 'b' {
-                        // Possible raw/byte string start: r", r#", br#"…
-                        let mut j = i + 1;
-                        if c == 'b' && b.get(j) == Some(&'r') {
-                            j += 1;
-                        }
-                        let mut hashes = 0u32;
-                        while b.get(j) == Some(&'#') {
-                            hashes += 1;
-                            j += 1;
-                        }
-                        let is_raw = (c == 'r' || (c == 'b' && b.get(i + 1) == Some(&'r')))
-                            && b.get(j) == Some(&'"')
-                            && (c != 'b' || b.get(i + 1) == Some(&'r') || hashes == 0);
-                        if is_raw && (j > i + 1 || b.get(j) == Some(&'"')) && b.get(j) == Some(&'"')
-                        {
-                            code.extend(&b[i..=j]);
-                            i = j + 1;
-                            state = LexState::RawStr(hashes);
-                        } else if c == 'b' && b.get(i + 1) == Some(&'"') {
-                            code.push('b');
-                            code.push('"');
-                            i += 2;
-                            state = LexState::Str;
-                        } else {
-                            code.push(c);
-                            i += 1;
-                        }
-                    } else if c == '"' {
-                        code.push('"');
-                        i += 1;
-                        state = LexState::Str;
-                    } else if c == '\'' {
-                        // Char literal vs lifetime: 'x' or '\n' is a
-                        // literal; 'static is a lifetime.
-                        if b.get(i + 1) == Some(&'\\') {
-                            // Escaped char literal: skip to closing quote.
-                            code.push('\'');
-                            let mut j = i + 2;
-                            while j < b.len() && b[j] != '\'' {
-                                j += 1;
-                            }
-                            for _ in i + 1..=j.min(b.len() - 1) {
-                                code.push(' ');
-                            }
-                            i = j + 1;
-                        } else if b.get(i + 2) == Some(&'\'') {
-                            code.push('\'');
-                            code.push(' ');
-                            code.push('\'');
-                            i += 3;
-                        } else {
-                            code.push('\'');
-                            i += 1;
-                        }
-                    } else {
-                        code.push(c);
-                        i += 1;
-                    }
+                if depth == 0 {
+                    break;
                 }
             }
+            continue;
+        } else if c.is_whitespace() || (c == 'b' && matches!(next, Some('"' | '\''))) {
+            // A byte string or byte char lexes as the literal after its `b`.
+            (line, i) = (line + usize::from(c == '\n'), i + 1);
+            continue;
+        } else if let Some((open, hashes)) = raw_open(&b, i) {
+            let end = string_end(&b, open, Some(hashes));
+            i = end + 1 + hashes;
+            Tok::Str(b[open + 1..end].iter().collect())
+        } else if c == '"' {
+            let end = string_end(&b, i, None);
+            i = end + 1;
+            Tok::Str(b[start + 1..end].iter().collect())
+        } else if c == '\'' && next == Some('\\') {
+            // An escaped char literal: `'\n'`, `'\''`, `'\\'`, `'\u{7f}'`.
+            i = (i + 3..b.len()).find(|&j| b[j] == '\'').map_or(b.len(), |j| j + 1);
+            Tok::Num
+        } else if c == '\'' && b.get(i + 2) == Some(&'\'') {
+            i += 3;
+            Tok::Num
+        } else if c == '\'' {
+            i += 1;
+            while i < b.len() && is_ident_char(b[i]) {
+                i += 1;
+            }
+            Tok::Lifetime
+        } else if is_ident_start(c) {
+            while i < b.len() && is_ident_char(b[i]) {
+                i += 1;
+            }
+            Tok::Ident(b[start..i].iter().collect())
+        } else if c.is_ascii_digit() {
+            // `1.5e3`, `0xff`, `1_000u64`; the dots of a range `1..n`
+            // are punctuation.
+            while i < b.len() && (is_ident_char(b[i]) || (b[i] == '.' && b.get(i + 1) != Some(&'.'))) {
+                i += 1;
+            }
+            Tok::Num
+        } else {
+            let (tok, len) = match (c, next) {
+                (':', Some(':')) => (Tok::PathSep, 2),
+                ('-', Some('>')) => (Tok::Arrow, 2),
+                ('=', Some('>')) => (Tok::FatArrow, 2),
+                _ => (Tok::P(c), 1),
+            };
+            i += len;
+            tok
+        };
+        let first = line;
+        line += b[start..i.min(b.len())].iter().filter(|&&c| c == '\n').count();
+        lines[first - 1..line].iter_mut().for_each(|l| l.1 = true);
+        toks.push(Token { tok, line: first });
+    }
+    (toks, lines)
+}
+
+/// `toks` without its test-only items: each from a line-leading
+/// `#[cfg(test)]` or `#[test]` to the item's closing brace, or to its
+/// `;` if it has no body.
+fn without_tests(toks: Vec<Token>) -> Vec<Token> {
+    let id = |s: &str| Tok::Ident(s.to_string());
+    let cfg_test = [Tok::P('#'), Tok::P('['), id("cfg"), Tok::P('('), id("test"), Tok::P(')'), Tok::P(']')];
+    let test = [Tok::P('#'), Tok::P('['), id("test"), Tok::P(']')];
+    let mut out = Vec::with_capacity(toks.len());
+    let mut i = 0;
+    while i < toks.len() {
+        let starts = |attr: &[Tok]| toks[i..].iter().map(|t| &t.tok).take(attr.len()).eq(attr);
+        let leads = i == 0 || toks[i - 1].line < toks[i].line;
+        if !(leads && (starts(&cfg_test) || starts(&test))) {
+            out.push(toks[i].clone());
+            i += 1;
+            continue;
         }
-        out.push(LexedLine { code, comment });
+        let (mut nest, mut braces) = (0i32, 0i32);
+        while let Some(t) = toks.get(i) {
+            i += 1;
+            match t.tok {
+                Tok::P('(' | '[') => nest += 1,
+                Tok::P(')' | ']') => nest -= 1,
+                Tok::P('{') => braces += 1,
+                Tok::P('}') if braces == 1 => break,
+                Tok::P('}') => braces -= 1,
+                Tok::P(';') if braces == 0 && nest == 0 => break,
+                _ => {}
+            }
+        }
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Source scanning.
-
-/// Tracks `#[cfg(test)]` / `#[test]` regions: from the attribute to the
-/// close of the following brace-delimited item (or its terminating `;`
-/// for brace-less items).
-pub(crate) struct TestRegion {
-    /// Attribute seen, waiting for the item's opening brace.
-    pending: bool,
-    /// Brace depth inside the skipped item; `None` when not skipping.
-    depth: Option<i32>,
-}
-
-impl TestRegion {
-    pub(crate) fn new() -> TestRegion {
-        TestRegion {
-            pending: false,
-            depth: None,
-        }
-    }
-
-    /// Feeds one code line; returns true if the line is test-only.
-    pub(crate) fn feed(&mut self, code: &str) -> bool {
-        let trimmed = code.trim();
-        if self.depth.is_none()
-            && !self.pending
-            && (trimmed.starts_with("#[cfg(test)]") || trimmed.starts_with("#[test]"))
-        {
-            // Fall through: the item (and its braces) may share the line
-            // with the attribute.
-            self.pending = true;
-        }
-        if self.pending {
-            let mut depth = 0i32;
-            let mut opened = false;
-            let mut nesting = 0i32; // () and [] around a `;` that isn't a statement end
-            for c in code.chars() {
-                match c {
-                    '{' => {
-                        opened = true;
-                        depth += 1;
-                    }
-                    '}' => depth -= 1,
-                    '(' | '[' => nesting += 1,
-                    ')' | ']' => nesting -= 1,
-                    ';' if !opened && nesting == 0 => {
-                        // Brace-less item (`#[cfg(test)] use …;`): the
-                        // region is just this statement.
-                        self.pending = false;
-                        return true;
-                    }
-                    _ => {}
-                }
-            }
-            if opened {
-                self.pending = false;
-                if depth > 0 {
-                    self.depth = Some(depth);
-                }
-                // depth <= 0: the item opened and closed on this line.
-            }
-            return true;
-        }
-        if let Some(depth) = self.depth.as_mut() {
-            for c in code.chars() {
-                match c {
-                    '{' => *depth += 1,
-                    '}' => *depth -= 1,
-                    _ => {}
-                }
-            }
-            if *depth <= 0 {
-                self.depth = None;
-            }
-            return true;
-        }
-        false
-    }
 }
 
 /// The waivers found on one line.
@@ -388,23 +334,8 @@ pub(crate) struct LineAnn {
     bare_comment: bool,
 }
 
-fn annotations(lines: &[LexedLine]) -> Vec<LineAnn> {
-    let reason = |c: &str, key: &str| {
-        let (_, r) = c.split_once(key)?;
-        Some(r.trim().to_string()).filter(|r| !r.is_empty())
-    };
-    lines
-        .iter()
-        .map(|l| LineAnn {
-            blocking_ok: reason(&l.comment, "blocking-ok:"),
-            checked: reason(&l.comment, "checked:").is_some(),
-            bare_comment: l.code.trim().is_empty() && !l.comment.trim().is_empty(),
-        })
-        .collect()
-}
-
 /// One source file through the front end every pass shares: lexed
-/// once, its test-only lines marked, its waivers parsed.
+/// once, its test-only items dropped, its waivers parsed.
 pub struct SourceFile {
     /// The directory name under `crates/`.
     pub(crate) crate_name: String,
@@ -413,24 +344,30 @@ pub struct SourceFile {
     /// Module path, from the file's place under `src/`.
     pub(crate) module: Vec<String>,
     pub(crate) text: String,
-    pub(crate) lines: Vec<LexedLine>,
-    /// Per line: inside a `#[cfg(test)]`/`#[test]` item.
-    pub(crate) test: Vec<bool>,
+    /// The tokens outside `#[cfg(test)]`/`#[test]` items.
+    pub(crate) toks: Vec<Token>,
     ann: Vec<LineAnn>,
 }
 
 impl SourceFile {
     pub fn new(crate_name: &str, file: &str, module: &[String], text: &str) -> SourceFile {
-        let lines = lex(text);
-        let mut region = TestRegion::new();
+        let (toks, lines) = lex(text);
+        let reason = |c: &str, key: &str| {
+            let (_, r) = c.split_once(key)?;
+            Some(r.trim().to_string()).filter(|r| !r.is_empty())
+        };
+        let ann = lines.iter().map(|(comment, code)| LineAnn {
+            blocking_ok: reason(comment, "blocking-ok:"),
+            checked: reason(comment, "checked:").is_some(),
+            bare_comment: !code && !comment.trim().is_empty(),
+        });
         SourceFile {
             crate_name: crate_name.to_string(),
             file: file.to_string(),
             module: module.to_vec(),
             text: text.to_string(),
-            test: lines.iter().map(|l| region.feed(&l.code)).collect(),
-            ann: annotations(&lines),
-            lines,
+            toks: without_tests(toks),
+            ann: ann.collect(),
         }
     }
 
@@ -459,49 +396,47 @@ impl SourceFile {
 /// The `std::sync` primitives that must stay behind `plan9_support`.
 const RAW_SYNC: &[&str] = &["Mutex", "RwLock", "Condvar"];
 
-/// Runs the line rules over one source file. They guard the boundary
-/// crate's privileges, so they never apply inside it.
+/// Runs the line rules over one source file, at most one finding per
+/// rule and line. They guard the boundary crate's privileges, so they
+/// never apply inside it.
 pub fn scan_source(src: &SourceFile) -> Vec<Violation> {
-    let mut out = Vec::new();
     if src.crate_name == BOUNDARY_CRATE {
-        return out;
+        return Vec::new();
     }
-    let mut in_sync_use = false;
-    for (idx, line) in src.lines.iter().enumerate() {
-        if src.test[idx] {
-            in_sync_use = false;
-            continue;
-        }
-        let code = &line.code;
-        // Direct paths: std::sync::Mutex etc.
-        let direct = RAW_SYNC.iter().any(|p| code.contains(&format!("std::sync::{p}")));
-        // Grouped imports: `use std::sync::{Arc, Mutex};`, possibly
-        // spanning lines until the closing `;`.
-        in_sync_use |= code.contains("std::sync::{");
-        let grouped = in_sync_use
-            && RAW_SYNC.iter().any(|p| code.split(|c: char| !c.is_alphanumeric() && c != '_').any(|tok| tok == *p));
-        if code.contains(';') {
-            in_sync_use = false;
-        }
-        let rules = [
-            (Rule::RawSync, direct || grouped),
-            (Rule::WallClock, code.contains("SystemTime") || code.contains("UNIX_EPOCH")),
+    let at = |k: usize| src.toks.get(k).map(|t| &t.tok);
+    // Whether `q::` ends just before token `k`, `q` an identifier `f` accepts.
+    let qual = |k: usize, f: &dyn Fn(&str) -> bool| {
+        k >= 2 && at(k - 1) == Some(&Tok::PathSep) && matches!(at(k - 2), Some(Tok::Ident(q)) if f(q))
+    };
+    let std_sync = |k: usize| qual(k, &|q| q == "sync") && qual(k - 2, &|q| q == "std");
+    let mut hits = BTreeSet::new();
+    // Inside a `std::sync::{…}` group, up to its `;`.
+    let mut group = false;
+    for (k, t) in src.toks.iter().enumerate() {
+        group = (group || (t.tok == Tok::P('{') && std_sync(k))) && t.tok != Tok::P(';');
+        let Tok::Ident(x) = &t.tok else { continue };
+        let call = |name: &str, of: &str| x == name && at(k + 1) == Some(&Tok::P('(')) && qual(k, &|q| q.ends_with(of));
+        let rule = if RAW_SYNC.iter().any(|p| x.starts_with(p)) && (group || std_sync(k)) {
+            Rule::RawSync
+        } else if x.contains("SystemTime") || x.contains("UNIX_EPOCH") {
+            Rule::WallClock
+        } else if call("now", "Instant") || call("sleep", "thread") {
             // The monotonic clock is a boundary too: a raw read or a
             // raw sleep stalls a virtual-time run on the host clock.
-            (Rule::MonoClock, code.contains("Instant::now(") || code.contains("thread::sleep(")),
-        ];
-        for (rule, _) in rules.into_iter().filter(|&(_, hit)| hit) {
-            if !src.ann_at(idx + 1).checked {
-                out.push(Violation {
-                    rule,
-                    file: src.file.clone(),
-                    line: idx + 1,
-                    excerpt: src.text.lines().nth(idx).unwrap_or("").trim().to_string(),
-                });
-            }
-        }
+            Rule::MonoClock
+        } else {
+            continue;
+        };
+        hits.insert((t.line, rule));
     }
-    out
+    let unwaived = hits.into_iter().filter(|&(line, _)| !src.ann_at(line).checked);
+    unwaived.map(|(line, rule)| Violation {
+        rule,
+        file: src.file.clone(),
+        line,
+        excerpt: src.text.lines().nth(line - 1).unwrap_or("").trim().to_string(),
+    })
+    .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -706,6 +641,22 @@ mod tests {
     }
 
     #[test]
+    fn a_literal_is_one_token() {
+        let text = "let a = [b'\\n', '\\\\', '\\''];\n'l: loop { f(r#\"x\"}\"#, \"q\\\"{\n\") }\n\
+                    #[cfg(test)]\nuse std::time::SystemTime;\nfn g() {} // done\n";
+        let src = SourceFile::new("inet", "f.rs", &[], text);
+        let toks: Vec<(usize, &Tok)> = src.toks.iter().map(|t| (t.line, &t.tok)).collect();
+        let id = |s: &str| Tok::Ident(s.to_string());
+        assert_eq!(toks.iter().filter(|(_, t)| *t == &Tok::Num).count(), 3);
+        assert!(toks.contains(&(2, &Tok::Lifetime)));
+        assert!(toks.contains(&(2, &Tok::Str("x\"}".to_string()))));
+        assert!(toks.contains(&(2, &Tok::Str("q\\\"{\n".to_string()))));
+        assert!(toks.contains(&(3, &Tok::P(')'))), "a string's newline is counted");
+        assert!(!toks.iter().any(|(_, t)| *t == &id("SystemTime")), "a test item is dropped");
+        assert_eq!(toks[toks.len() - 6..].first(), Some(&(6, &id("fn"))));
+    }
+
+    #[test]
     fn cfg_test_region_and_literals_skipped() {
         let src = "fn live() { SystemTime::now(); }\n\
                    #[cfg(test)]\nmod tests {\n    fn helper() { SystemTime::now(); }\n}\n\
@@ -729,6 +680,9 @@ mod tests {
         // Multi-line grouped import.
         let src = "use std::sync::{\n    Arc,\n    RwLock,\n};\n";
         assert_eq!(lines(&scan_source("streams", "f.rs", src)), vec![(Rule::RawSync, 3)]);
+        // A guard type is raw too; one finding per rule and line.
+        let src = "fn f(g: std::sync::MutexGuard<'_, u8>, m: std::sync::Mutex<u8>) {}\nuse std::sync::Arc;\nstruct Mutex;\n";
+        assert_eq!(lines(&scan_source("streams", "f.rs", src)), vec![(Rule::RawSync, 1)]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! # The single-runner rule
 //!
 //! The clock keeps a census of kernel processes: threads register at
-//! spawn (via [`kproc`] or an explicit [`pre_register`] token) and
+//! spawn (through [`kproc`], the only way in) and
 //! unregister when they exit. The clock is also a cooperative
 //! scheduler over that census: **at most one registered thread
 //! executes at a time**. Every other registered thread is either
@@ -36,9 +36,8 @@
 //!
 //! Joining a kproc is a virtual event too: [`KprocHandle::join`] parks
 //! on the clock until the kproc's body signals completion, so the
-//! joiner re-enters the sequence at a deterministic point. Only a raw
-//! OS join is invisible to the scheduler — wrap those (and any other
-//! unobservable blocking) in [`block_external`].
+//! joiner re-enters the sequence at a deterministic point. A raw OS
+//! join is invisible to the scheduler.
 //!
 //! # Lock ordering
 //!
@@ -52,9 +51,12 @@
 //!
 //! # Escape hatches
 //!
-//! [`block_external`] temporarily removes the calling thread from the
-//! census around operations the clock cannot see (joining a non-kproc
-//! OS thread, real I/O), re-entering through the gate on the way out.
+//! There is no way out of the census and one way in: a thread is
+//! counted from [`enter`] or its [`kproc`] spawn until it exits, and
+//! reaches the ready queue only by parking and being woken, or through
+//! the gate once, at its spawn. Blocking the clock cannot see (a raw
+//! OS join, real I/O) holds the CPU and stalls virtual time, so a
+//! virtual run joins a kproc through its [`KprocHandle`].
 //! [`time::real_now`](crate::time::real_now) reads the real monotonic
 //! clock for wall-time measurements in bench harnesses.
 
@@ -186,7 +188,7 @@ struct ClockState {
     /// state; the counters saturate rather than assert so teardown
     /// races stay harmless).
     running: usize,
-    /// Census slots reserved by `pre_register` whose threads have yet
+    /// Census slots reserved by [`kproc`] whose threads have yet
     /// to arrive at the gate. Grants and timer jumps are held while any
     /// are outstanding.
     pending: usize,
@@ -195,9 +197,8 @@ struct ClockState {
     next_id: u64,
     /// Woken census threads awaiting their grant, in wake order.
     ready: VecDeque<Arc<Parker>>,
-    /// Gate arrivals (new kprocs, `block_external` returns) not yet
-    /// admitted to `ready`; flushed in spawn-sequence order once no
-    /// slots are pending.
+    /// Gate arrivals (new kprocs) not yet admitted to `ready`; flushed
+    /// in spawn-sequence order once no slots are pending.
     arrivals: Vec<Arc<Parker>>,
     timers: BinaryHeap<TimerEntry>,
     /// Every currently-parked parker, by id, so teardown can wake them.
@@ -424,8 +425,8 @@ impl VirtualClock {
         seq
     }
 
-    /// Releases a reserved slot whose thread never arrived (failed
-    /// spawn, unadopted token).
+    /// Releases a reserved slot whose thread never arrived (a failed
+    /// spawn).
     fn release_slot(&self) {
         let mut st = plock(&self.state);
         st.registered = st.registered.saturating_sub(1);
@@ -442,15 +443,13 @@ impl VirtualClock {
         self.dispatch(&mut st);
     }
 
-    /// Queues the calling thread at the gate under sequence `seq` and
-    /// blocks until the scheduler grants it the CPU. `from_pending`
-    /// marks arrivals that consume a reserved slot.
-    fn gate_in(self: &Arc<Self>, seq: u64, from_pending: bool) {
+    /// Queues the calling thread, new in its reserved slot, at the gate
+    /// under sequence `seq` and blocks until the scheduler grants it the
+    /// CPU.
+    fn gate_in(self: &Arc<Self>, seq: u64) {
         let parker = {
             let mut st = plock(&self.state);
-            if from_pending {
-                st.pending = st.pending.saturating_sub(1);
-            }
+            st.pending = st.pending.saturating_sub(1);
             if st.defunct {
                 return;
             }
@@ -517,65 +516,6 @@ impl Drop for ThreadReg {
     }
 }
 
-/// A census slot reserved by the spawning thread, to be adopted by the
-/// child. Reserving *before* the spawn closes the gap where the parent
-/// continues (and possibly quiesces the system) while the child has not
-/// yet registered itself — and fixes the child's admission order at the
-/// gate. If the token is dropped unadopted (spawn failed), the slot is
-/// released.
-pub struct KprocToken {
-    clock: Option<Arc<VirtualClock>>,
-    seq: u64,
-}
-
-/// Reserves a census slot for a thread about to be spawned. Returns an
-/// inert token in real-time mode.
-pub fn pre_register() -> KprocToken {
-    match active() {
-        Some(c) => {
-            let seq = c.reserve();
-            KprocToken { clock: Some(c), seq }
-        }
-        None => KprocToken { clock: None, seq: 0 },
-    }
-}
-
-impl KprocToken {
-    /// Adopts the reserved slot for the calling thread (call first
-    /// thing in the spawned closure) and blocks until the scheduler
-    /// admits it.
-    pub fn adopt(mut self) {
-        if let Some(c) = self.clock.take() {
-            let seq = self.seq;
-            let duplicate = REG.with(|r| {
-                let mut r = r.borrow_mut();
-                if r.as_ref().is_some_and(|t| Arc::ptr_eq(&t.clock, &c)) {
-                    true
-                } else {
-                    // Replacing a registration on an older clock drops
-                    // it (unregistering there) first.
-                    *r = Some(ThreadReg { clock: Arc::clone(&c) });
-                    false
-                }
-            });
-            if duplicate {
-                // Already registered: release the duplicate slot.
-                c.release_slot();
-            } else {
-                c.gate_in(seq, true);
-            }
-        }
-    }
-}
-
-impl Drop for KprocToken {
-    fn drop(&mut self) {
-        if let Some(c) = self.clock.take() {
-            c.release_slot();
-        }
-    }
-}
-
 /// The completion flag a kproc raises as its body returns; kept apart
 /// from the OS `JoinHandle` so joins can wait on the virtual clock.
 type DoneFlag = Arc<(crate::sync::Mutex<bool>, crate::sync::Condvar)>;
@@ -622,10 +562,15 @@ where
     F: FnOnce() -> T + Send + 'static,
     T: Send + 'static,
 {
-    let token = pre_register();
+    // The census slot is reserved before the spawn: the parent cannot
+    // go on (and perhaps quiesce the system) while the child is not yet
+    // counted, and the slot's sequence fixes the child's admission
+    // order at the gate.
+    let slot = active().map(|c| (c.reserve(), c));
+    let clock = slot.as_ref().map(|(_, c)| Arc::clone(c));
     let done: DoneFlag = Arc::new((crate::sync::Mutex::new(false), crate::sync::Condvar::new()));
     let done2 = Arc::clone(&done);
-    let inner = std::thread::Builder::new().name(name.to_string()).spawn(move || {
+    let spawned = std::thread::Builder::new().name(name.to_string()).spawn(move || {
         // Raised on every exit path — a panicking kproc must still wake
         // joiners parked on the virtual clock. The guard drops before
         // TLS destructors, so the census sees: signal, then unregister.
@@ -636,48 +581,16 @@ where
                 self.0 .1.notify_all();
             }
         }
-        token.adopt();
+        if let Some((seq, c)) = slot {
+            REG.with(|r| *r.borrow_mut() = Some(ThreadReg { clock: Arc::clone(&c) }));
+            c.gate_in(seq);
+        }
         let _signal = Signal(done2);
         f()
-    })?;
+    });
+    // A failed spawn gives back the slot it reserved.
+    let inner = spawned.inspect_err(|_| clock.iter().for_each(|c| c.release_slot()))?;
     Ok(KprocHandle { inner, done })
-}
-
-/// Runs `f` with the calling thread removed from the census: use around
-/// operations the clock cannot observe (joining a non-kproc OS thread,
-/// blocking I/O), which would otherwise stall virtual time by holding
-/// the CPU forever. Re-enters through the scheduler gate on the way
-/// out, panic-safe. A no-op when the thread is unregistered or the
-/// clock is real.
-///
-/// Note the re-entry point in the virtual sequence depends on when `f`
-/// returns in *real* time; inside a deterministic scenario, prefer
-/// [`KprocHandle::join`], which needs no escape hatch.
-pub fn block_external<R>(f: impl FnOnce() -> R) -> R {
-    struct Rereg(Option<Arc<VirtualClock>>);
-    impl Drop for Rereg {
-        fn drop(&mut self) {
-            if let Some(c) = self.0.take() {
-                let seq = {
-                    let mut st = plock(&c.state);
-                    st.registered += 1;
-                    let seq = st.next_id;
-                    st.next_id += 1;
-                    seq
-                };
-                REG.with(|r| *r.borrow_mut() = Some(ThreadReg { clock: Arc::clone(&c) }));
-                c.gate_in(seq, false);
-            }
-        }
-    }
-    let guard = Rereg(REG.with(|r| r.borrow_mut().take()).map(|t| {
-        let c = Arc::clone(&t.clock);
-        drop(t); // unregisters (and may advance the clock)
-        c
-    }));
-    let out = f();
-    drop(guard);
-    out
 }
 
 /// A guard for an installed virtual clock; dropping it uninstalls the
@@ -822,18 +735,5 @@ mod tests {
             .map(|e| (e.deadline_ns, e.seq))
             .collect();
         assert_eq!(order, vec![(10, 3), (10, 5), (50, 1), (50, 2)]);
-    }
-
-    #[test]
-    fn unadopted_token_releases_its_slot() {
-        // With no clock installed the token is inert.
-        let t = pre_register();
-        drop(t);
-        assert!(active().is_none());
-    }
-
-    #[test]
-    fn block_external_is_noop_when_unregistered() {
-        assert_eq!(block_external(|| 7), 7);
     }
 }

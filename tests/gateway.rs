@@ -1,52 +1,16 @@
 //! Integration: §6.1 — exportfs/import gatewaying between networks.
 
+use gateway_world::{finished_within, imported_udp_conv, world};
 use plan9::core::dial::{accept, announce, dial, listen};
-use plan9::core::machine::{Machine, MachineBuilder};
+use plan9::core::machine::Machine;
 use plan9::core::namespace::{MAFTER, MREPL};
-use plan9::core::proc::Proc;
 use plan9::exportfs::cpu::{cpu, cpu_listener, CpuJob};
 use plan9::exportfs::exportfs::exportfs_listener;
 use plan9::exportfs::import::import;
-use plan9::inet::ip::IpConfig;
-use plan9::netsim::ether::EtherSegment;
-use plan9::netsim::fabric::DatakitSwitch;
-use plan9::netsim::profile::Profiles;
-use plan9::ninep::procfs::{MemFs, OpenMode, ProcFs};
-use probe::Probe;
-use std::collections::HashSet;
+use plan9::ninep::procfs::{MemFs, ProcFs};
 use std::sync::Arc;
 
-mod probe;
-
-const NDB: &str = "\
-sys=helix ip=10.21.0.1 dk=nj/astro/helix proto=il proto=tcp
-sys=musca ip=10.21.0.9 proto=tcp
-sys=gnot dk=nj/astro/gnot
-tcp=cpu port=17013
-";
-
-/// helix has ether+dk; musca is ether-only; gnot is dk-only.
-fn world() -> (Arc<Machine>, Arc<Machine>, Arc<Machine>) {
-    let seg = EtherSegment::new(Profiles::ether_fast());
-    let switch = DatakitSwitch::new(Profiles::datakit_fast());
-    let helix = MachineBuilder::new("helix")
-        .ether(&seg, [8, 0, 0, 21, 0, 1], IpConfig::local("10.21.0.1"))
-        .datakit(&switch, "nj/astro/helix")
-        .ndb(NDB)
-        .build()
-        .unwrap();
-    let musca = MachineBuilder::new("musca")
-        .ether(&seg, [8, 0, 0, 21, 0, 9], IpConfig::local("10.21.0.9"))
-        .ndb(NDB)
-        .build()
-        .unwrap();
-    let gnot = MachineBuilder::new("gnot")
-        .datakit(&switch, "nj/astro/gnot")
-        .ndb(NDB)
-        .build()
-        .unwrap();
-    (helix, musca, gnot)
-}
+mod gateway_world;
 
 #[test]
 fn union_shows_local_before_remote_and_adds_unique() {
@@ -211,73 +175,6 @@ fn tcp_cpu_session_leaves_no_conversation() {
     cpu(&p, "tcp!helix!cpu", "/").expect("cpu session");
     drop(p);
     assert_eq!(left_on([&helix, &musca]), [0, 0]);
-}
-
-/// A UDP conversation on helix, made through an import of its `/` at
-/// `/n/helix`: the conversation's number and its open `data` file,
-/// which has nothing to read until musca sends.
-fn imported_udp_conv(p: &Proc) -> (String, i32) {
-    let ctl = p.open("/n/helix/net/udp/clone", OpenMode::RDWR).expect("clone");
-    let n = String::from_utf8(p.read(ctl, 16).unwrap()).unwrap();
-    p.write_str(ctl, "connect 10.21.0.9!4000").expect("connect");
-    let data = p.open(&format!("/n/helix/net/udp/{n}/data"), OpenMode::RDWR).expect("data");
-    (n, data)
-}
-
-/// Waits for a thread that must not be stuck.
-fn finished_within<T>(h: std::thread::ScopedJoinHandle<'_, T>, secs: u64, what: &str) -> T {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
-    while !h.is_finished() {
-        assert!(std::time::Instant::now() < deadline, "{what}");
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    h.join().unwrap()
-}
-
-/// §6.1 gives exportfs slave processes because a read may block. Over
-/// one export conversation: a read parked in a `data` file of the
-/// exported `/net` holds a slave and delays nobody; a file in memory
-/// is read where its request arrives, by whichever thread delivers the
-/// cell (on the real clock the importer, a pool worker, or another
-/// test's thread draining the same shard); a directory, whose union
-/// read crosses mounts, still gets a slave.
-#[test]
-fn exportfs_keeps_its_slaves_for_the_files_that_may_block() {
-    let (helix, musca, gnot) = world();
-    let probe = Probe::new();
-    let hp = helix.proc();
-    let fs: Arc<dyn ProcFs> = probe.clone();
-    hp.mount_fs(&fs, "", "/n/probe", MREPL).unwrap();
-    exportfs_listener(hp, "dk!*!exportfs", usize::MAX).unwrap();
-    let p = gnot.proc();
-    import(&p, "dk!nj/astro/helix!exportfs", "/", "/n/helix", MREPL).expect("import /");
-
-    let (n, data) = imported_udp_conv(&p);
-    let local = p.open(&format!("/n/helix/net/udp/{n}/local"), OpenMode::READ).expect("local");
-    let local = p.read_string(local).unwrap();
-    let port = local.split_whitespace().nth(1).expect("local port");
-    let f = p.open("/n/helix/n/probe/f", OpenMode::READ).expect("open f");
-
-    std::thread::scope(|s| {
-        let parked = s.spawn(|| p.read(data, 64));
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        assert!(!parked.is_finished());
-        // Answered one after another while that read waits.
-        let reads = s.spawn(|| (0..100).all(|_| p.pread(f, 0, 64).unwrap() == b"data at hand"));
-        assert!(finished_within(reads, 20, "reads of a file in memory waited for the parked read"));
-        let names: Vec<String> = p.ls("/n/helix/n/probe").unwrap().into_iter().map(|d| d.name).collect();
-        assert_eq!(names, ["f"]);
-        assert!(!parked.is_finished());
-        let mp = musca.proc();
-        let conn = dial(&mp, &format!("udp!10.21.0.1!{port}")).expect("udp dial");
-        mp.write(conn.data_fd, b"late").unwrap();
-        assert_eq!(finished_within(parked, 20, "the parked read never returned").unwrap(), b"late");
-    });
-    // Nobody reads the conversation, so neither the `exportfs` kproc
-    // nor one of its slaves, which are `9p-worker`s, reads the file.
-    let readers = probe.readers(false);
-    assert!(!readers.is_empty() && !readers.contains("exportfs") && !readers.contains("9p-worker"), "{readers:?}");
-    assert_eq!(probe.readers(true), HashSet::from(["9p-worker".to_string()]));
 }
 
 /// An importer that goes away with a read parked in an exported `data`
