@@ -5,8 +5,9 @@
 //! what counts as a sink and which comment annotation waives a site:
 //!
 //! - **blocking-context**: sinks are the blocking primitives (condvar
-//!   `wait*`, channel `recv*`, `sleep`, a zero-argument `.join()`, ARP
-//!   `resolve`). Roots are `pool::submit` jobs, `wheel::schedule`
+//!   `wait*`, channel `recv*`, `sleep`, a zero-argument `.join()`,
+//!   `resolve`: a name-space walk through mounted servers, or a DNS
+//!   lookup). Roots are `pool::submit` jobs, `wheel::schedule`
 //!   callbacks, and ether `set_rx_handler` frame handlers — the
 //!   contexts PR 7 documents as "must be short and must not block".
 //!   `// blocking-ok: <reason>` waives a call site.

@@ -20,8 +20,8 @@
 //!   (`T::new(..)`, `T { .. }`, looking through `&`, `Arc`, `Box` and
 //!   `Weak`), or what the value it is bound from holds (`Some(x) = e`,
 //!   `for x in e`, `(a, b) = e`, `e.map(|x| ..)`); a field is its
-//!   declared type, a call its return type, a `Mutex<T>` or `RwLock<T>`
-//!   guard stands for its `T`, and a `std` method hands back what it
+//!   declared type, a call its return type, a `Mutex<T>` guard stands
+//!   for its `T`, and a `std` method hands back what it
 //!   does (`get` an `Option` of the element, `iter` its elements, …).
 //! - **Calls**: `.m(..)` on a receiver of known type `T` goes to `T`'s
 //!   own `m`, to every impl's `m` (and the trait's default body) when
@@ -41,11 +41,11 @@
 //!   so the flow passes can start exactly at the code that runs on a
 //!   shard, wheel, or rx path; a `vtime::kproc` body is a node of its
 //!   own too, code on a thread of its own.
-//! - **Locks**: a `Mutex::named(_, "c")`/`RwLock::named` initializing
-//!   field `f` in `T { f: .. }` (or `Self { .. }`, or a `static`) names
-//!   the class of `T`'s `f`, and each `.lock()`/`.read()`/`.write()`/
-//!   `.try_lock()` keeps its receiver, so `lockgraph` rebuilds the
-//!   acquired-while-held graph by the same types.
+//! - **Locks**: a `Mutex::named(_, "c")` initializing field `f` in
+//!   `T { f: .. }` (or `Self { .. }`, or a `static`) names the class of
+//!   `T`'s `f`, and each `.lock()`/`.try_lock()` keeps its receiver,
+//!   so `lockgraph` rebuilds the acquired-while-held graph by the same
+//!   types.
 //!
 //! Escape hatches ride on comments: a call site on a line annotated
 //! `// blocking-ok: <reason>` is exempt from the blocking-context pass,
@@ -108,8 +108,7 @@ fn bounded(ty: Ty, bounds: &[(String, String)]) -> Ty {
 
 /// The pointers and guards a method call looks through to the type it
 /// lands on.
-const WRAPPERS: &[&str] =
-    &["Arc", "Rc", "Box", "Weak", "MutexGuard", "RwLockReadGuard", "RwLockWriteGuard", "Ref", "RefMut"];
+const WRAPPERS: &[&str] = &["Arc", "Rc", "Box", "Weak", "MutexGuard", "Ref", "RefMut"];
 
 /// A receiver as the source writes it, kept unevaluated until every
 /// file's declarations are in: `self.station` is
@@ -140,8 +139,6 @@ pub enum Expr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AcqOp {
     Lock,
-    Read,
-    Write,
     /// `try_lock` — held for scope purposes, but never an order edge
     /// (matching runtime lockdep).
     TryLock,
@@ -271,7 +268,7 @@ impl FnNode {
     }
 }
 
-/// A `Mutex::named`/`RwLock::named` construction site: the class of
+/// A `Mutex::named` construction site: the class of
 /// field `field` of `owner`, or of the `static` named `field`.
 #[derive(Debug, Clone)]
 pub struct NamedClassSite {
@@ -456,9 +453,9 @@ impl CallGraph {
     /// lock's guard standing for what it guards, or what the `std`
     /// method of that name hands back.
     fn method_value(&self, at: usize, b: RTy, m: &str) -> Option<RTy> {
-        if matches!(b.name.as_str(), "Mutex" | "RwLock") {
+        if b.name == "Mutex" {
             match m {
-                "lock" | "read" | "write" => return b.args.first().cloned(),
+                "lock" => return b.args.first().cloned(),
                 "try_lock" => return Some(RTy::std("Option", b.args)),
                 _ => {}
             }
@@ -559,7 +556,7 @@ impl CallGraph {
                     let f = &self.fns[i];
                     // Qualifier must suffix-match the node's module
                     // path, optionally ending on the impl type:
-                    // `pool::submit`, `Queue::get`, `arp::Cache::wait_for`.
+                    // `pool::submit`, `Queue::get`, `arp::ArpCache::hold`.
                     let full = [&f.crate_name].into_iter().chain(&f.module).chain(f.impl_ty.iter().map(|t| &t.name));
                     let full: Vec<&String> = full.collect();
                     self.may_call(caller, i)
@@ -1562,7 +1559,7 @@ impl<'a> Parser<'a> {
         }
 
         // Named lock classes: `Mutex::named(value, "class")`.
-        if name == "named" && segs.len() >= 2 && matches!(segs[segs.len() - 2].as_str(), "Mutex" | "RwLock") {
+        if name == "named" && segs.len() >= 2 && segs[segs.len() - 2] == "Mutex" {
             self.record_named_class(start, call_line);
         }
 
@@ -1732,8 +1729,6 @@ impl<'a> Parser<'a> {
         self.advance_to(self.pos + k);
         let op = match name.as_str() {
             "lock" => Some(AcqOp::Lock),
-            "read" => Some(AcqOp::Read),
-            "write" => Some(AcqOp::Write),
             "try_lock" => Some(AcqOp::TryLock),
             _ => None,
         };
@@ -2000,7 +1995,7 @@ mod tests {
     fn named_class_sites_capture_field_and_string() {
         let g = graph_of(
             "struct S { state: Mutex<u8> }\nimpl S {\n    fn new() -> Self {\n        Self { state: Mutex::named(0, \"demo.state\") }\n    }\n}\n\
-             static FREE: RwLock<()> = RwLock::named((), \"demo.free\");\n",
+             static FREE: Mutex<()> = Mutex::named((), \"demo.free\");\n",
         );
         let sites: Vec<_> =
             g.classes.iter().map(|c| (c.class.as_str(), c.owner.as_deref(), c.field.as_str())).collect();

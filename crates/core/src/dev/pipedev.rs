@@ -20,9 +20,9 @@ use std::sync::Arc;
 /// One pipe as a file server.
 pub struct PipeFs {
     ends: [Arc<Stream>; 2],
-    /// Open references per end, for last-close destruction.
+    /// The end each open handle is on: an end whose last handle is
+    /// clunked is destroyed.
     refs: Mutex<HashMap<u64, usize>>,
-    open_count: Mutex<[usize; 2]>,
 }
 
 impl PipeFs {
@@ -32,7 +32,6 @@ impl PipeFs {
         Arc::new(PipeFs {
             ends: [a, b],
             refs: Mutex::named(HashMap::new(), "core.pipedev.refs"),
-            open_count: Mutex::named([0, 0], "core.pipedev.open"),
         })
     }
 
@@ -63,7 +62,6 @@ impl Dev for PipeFs {
         if !n.qid.is_dir() {
             let end = self.end_of(n.qid)?;
             self.refs.lock().insert(n.handle, end);
-            self.open_count.lock()[end] += 1;
         }
         Ok(*n)
     }
@@ -83,16 +81,14 @@ impl Dev for PipeFs {
     }
 
     fn clunk_node(&self, n: &ServeNode) {
-        // Out of the tables first: the last close of an end hangs up the
-        // peer, never under `refs` or `open`.
-        let end = self.refs.lock().remove(&n.handle);
-        let Some(end) = end else { return };
+        // Out of the table first: the last close of an end hangs up the
+        // peer, never under `refs`.
         let last = {
-            let mut counts = self.open_count.lock();
-            counts[end] = counts[end].saturating_sub(1);
-            counts[end] == 0
+            let mut refs = self.refs.lock();
+            let Some(end) = refs.remove(&n.handle) else { return };
+            (!refs.values().any(|&e| e == end)).then_some(end)
         };
-        if last {
+        if let Some(end) = last {
             self.ends[end].destroy();
         }
     }

@@ -52,8 +52,8 @@ pub trait ConnOps: Send + Sync {
     /// [`ProcFs::serve_nine`] of the conversation's `data` file: the
     /// protocol serves `fs` to the peer as 9P from its own input path.
     /// One that can run an operation where the request arrives (IL and
-    /// TCP, on the conversation's pool shard) takes it up; Datakit and
-    /// UDP decline.
+    /// TCP on the conversation's pool shard, Datakit on its circuit's
+    /// input) takes it up; UDP declines.
     fn serve_nine(&self, _fs: &Arc<dyn ProcFs>) -> Option<Arc<NineService>> {
         None
     }

@@ -8,7 +8,7 @@
 //! union of all members, and earlier entries supersede later ones of the
 //! same name.
 
-use plan9_support::sync::RwLock;
+use plan9_support::sync::Mutex;
 use plan9_ninep::procfs::{ProcFs, ServeNode};
 use plan9_ninep::{errstr, NineError, Result};
 use std::sync::Arc;
@@ -58,7 +58,7 @@ struct MountPoint {
 
 /// A mount table: the process's view of the world.
 pub struct Namespace {
-    table: RwLock<Vec<MountPoint>>,
+    table: Mutex<Vec<MountPoint>>,
 }
 
 /// Normalizes a path lexically: leading `/`, `.` and `..` resolved.
@@ -87,7 +87,7 @@ impl Namespace {
     /// Creates a name space rooted at the given source.
     pub fn new(root: Source) -> Arc<Namespace> {
         Arc::new(Namespace {
-            table: RwLock::named(vec![MountPoint {
+            table: Mutex::named(vec![MountPoint {
                 path: "/".to_string(),
                 union: vec![root],
             }], "core.namespace"),
@@ -98,9 +98,9 @@ impl Namespace {
     /// (sharing the mounted servers), so later changes are private —
     /// Plan 9's per-process name space semantics.
     pub fn fork(&self) -> Arc<Namespace> {
-        let table = self.table.read();
+        let table = self.table.lock();
         Arc::new(Namespace {
-            table: RwLock::named(
+            table: Mutex::named(
                 table
                     .iter()
                     .map(|mp| MountPoint {
@@ -120,13 +120,13 @@ impl Namespace {
     pub fn mount(&self, src: Source, path: &str, flags: u32) -> Result<()> {
         let path = clean_path(path);
         // What is at the path now (for union flags)?
-        let existing_here = self.table.read().iter().any(|mp| mp.path == path);
+        let existing_here = self.table.lock().iter().any(|mp| mp.path == path);
         let prior = if !existing_here && flags != MREPL {
             self.resolve(&path).ok()
         } else {
             None
         };
-        let mut table = self.table.write();
+        let mut table = self.table.lock();
         if let Some(mp) = table.iter_mut().find(|mp| mp.path == path) {
             let replaced = match flags {
                 MBEFORE | MAFTER => Vec::new(),
@@ -164,7 +164,7 @@ impl Namespace {
     /// Removes the mount point at `path` (all union members).
     pub fn unmount(&self, path: &str) -> Result<()> {
         let path = clean_path(path);
-        let mut table = self.table.write();
+        let mut table = self.table.lock();
         let before = table.len();
         table.retain(|mp| mp.path != path);
         if table.len() == before {
@@ -175,7 +175,7 @@ impl Namespace {
 
     /// The mount table rendered like `/proc/n/ns`.
     pub fn render(&self) -> String {
-        let table = self.table.read();
+        let table = self.table.lock();
         let mut out = String::new();
         for mp in table.iter().rev() {
             for s in &mp.union {
@@ -188,7 +188,7 @@ impl Namespace {
     /// Finds the deepest mount point that prefixes `path`, returning the
     /// union and the remaining components.
     fn lookup(&self, path: &str) -> Option<(Vec<Source>, Vec<String>)> {
-        let table = self.table.read();
+        let table = self.table.lock();
         for mp in table.iter() {
             let rest = if mp.path == "/" {
                 Some(path.trim_start_matches('/'))

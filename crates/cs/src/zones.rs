@@ -6,7 +6,7 @@
 //! real recursive walk — root zone, then down one delegation at a time —
 //! so caching and query counting behave like the paper's DNS.
 
-use plan9_support::sync::RwLock;
+use plan9_support::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,7 +25,7 @@ struct Zone {
 
 /// The simulated global DNS: zones by suffix (`""` is the root).
 pub struct SimInternet {
-    zones: RwLock<HashMap<String, Zone>>,
+    zones: Mutex<HashMap<String, Zone>>,
     /// How many zone queries resolvers have issued (each is one
     /// simulated network round trip).
     pub zone_queries: AtomicU64,
@@ -37,7 +37,7 @@ impl SimInternet {
         let mut zones = HashMap::new();
         zones.insert(String::new(), Zone::default());
         Arc::new(SimInternet {
-            zones: RwLock::new(zones),
+            zones: Mutex::new(zones),
             zone_queries: AtomicU64::new(0),
         })
     }
@@ -45,7 +45,7 @@ impl SimInternet {
     /// Creates a zone for `suffix` (e.g. `"com"`, `"bell-labs.com"`),
     /// delegating it from its nearest existing ancestor.
     pub fn add_zone(&self, suffix: &str) {
-        let mut zones = self.zones.write();
+        let mut zones = self.zones.lock();
         if zones.contains_key(suffix) {
             return;
         }
@@ -67,7 +67,7 @@ impl SimInternet {
     /// Registers a record in the zone authoritative for `name`.
     pub fn register(&self, name: &str, rtype: &str, value: &str) {
         let zone_key = self.authoritative_zone(name);
-        let mut zones = self.zones.write();
+        let mut zones = self.zones.lock();
         zones
             .get_mut(&zone_key)
             .expect("zone exists")
@@ -79,7 +79,7 @@ impl SimInternet {
 
     /// The suffix of the zone authoritative for `name`.
     pub fn authoritative_zone(&self, name: &str) -> String {
-        let zones = self.zones.read();
+        let zones = self.zones.lock();
         let mut best = String::new();
         for (z, _) in zones.iter() {
             if suffix_contains(z, name) && z.len() >= best.len() && !z.is_empty() {
@@ -100,7 +100,7 @@ impl SimInternet {
         name: &str,
     ) -> std::result::Result<Vec<Record>, String> {
         self.zone_queries.fetch_add(1, Ordering::Relaxed);
-        let zones = self.zones.read();
+        let zones = self.zones.lock();
         let Some(zone) = zones.get(zone_suffix) else {
             return Ok(Vec::new());
         };

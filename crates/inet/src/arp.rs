@@ -5,11 +5,9 @@
 //! of that facility, with a cache and request/reply handling.
 
 use crate::addr::IpAddr;
-use plan9_support::sync::{Condvar, Mutex};
-use plan9_support::time;
+use plan9_support::sync::Mutex;
 use plan9_netsim::ether::MacAddr;
 use std::collections::HashMap;
-use std::time::Duration;
 
 /// The Ethernet packet type for ARP.
 pub const ARP_ETHERTYPE: u16 = 0x0806;
@@ -94,7 +92,6 @@ pub const HOLD_HOSTS: usize = 32;
 pub struct ArpCache {
     entries: Mutex<HashMap<IpAddr, MacAddr>>,
     pending: Mutex<HashMap<IpAddr, Vec<Vec<u8>>>>,
-    learned: Condvar,
 }
 
 impl Default for ArpCache {
@@ -109,7 +106,6 @@ impl ArpCache {
         ArpCache {
             entries: Mutex::named(HashMap::new(), "inet.arp"),
             pending: Mutex::named(HashMap::new(), "inet.arp.pending"),
-            learned: Condvar::new(),
         }
     }
 
@@ -145,29 +141,15 @@ impl ArpCache {
         self.pending.lock().values().map(Vec::len).sum()
     }
 
-    /// Inserts or refreshes a mapping and wakes any waiting senders.
+    /// Inserts or refreshes a mapping. What waits for it is parked in
+    /// the hold queue, which the caller flushes.
     pub fn learn(&self, ip: IpAddr, mac: MacAddr) {
         self.entries.lock().insert(ip, mac);
-        self.learned.notify_all();
     }
 
     /// Non-blocking lookup.
     pub fn lookup(&self, ip: IpAddr) -> Option<MacAddr> {
         self.entries.lock().get(&ip).copied()
-    }
-
-    /// Waits until a mapping for `ip` appears or the deadline passes.
-    pub fn wait_for(&self, ip: IpAddr, timeout: Duration) -> Option<MacAddr> {
-        let deadline = time::now() + timeout;
-        let mut entries = self.entries.lock();
-        loop {
-            if let Some(mac) = entries.get(&ip) {
-                return Some(*mac);
-            }
-            if self.learned.wait_until(&mut entries, deadline).timed_out() {
-                return entries.get(&ip).copied();
-            }
-        }
     }
 
     /// A snapshot of the cache for the `/net/arp` diagnostic file.
@@ -218,28 +200,5 @@ mod tests {
         .encode();
         ok[4] = 8; // wrong hlen
         assert!(ArpPacket::decode(&ok).is_none());
-    }
-
-    #[test]
-    fn cache_learn_and_wait() {
-        let cache = std::sync::Arc::new(ArpCache::new());
-        let ip = IpAddr::new(10, 0, 0, 1);
-        assert!(cache.lookup(ip).is_none());
-        let c2 = std::sync::Arc::clone(&cache);
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            c2.learn(ip, [9; 6]);
-        });
-        assert_eq!(cache.wait_for(ip, Duration::from_secs(1)).unwrap(), [9; 6]);
-    }
-
-    #[test]
-    fn wait_times_out() {
-        let cache = ArpCache::new();
-        let t = std::time::Instant::now();
-        assert!(cache
-            .wait_for(IpAddr::new(1, 1, 1, 1), Duration::from_millis(30))
-            .is_none());
-        assert!(t.elapsed() >= Duration::from_millis(25));
     }
 }

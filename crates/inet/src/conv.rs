@@ -431,4 +431,151 @@ mod tests {
         p.claim(EPHEMERAL_BASE).unwrap();
         assert_ne!(p.claim(0).unwrap(), EPHEMERAL_BASE);
     }
+
+    /// Who owns a local port, in the model of a conversation table.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Owner {
+        Listener,
+        Conv(ConnKey),
+    }
+
+    /// What the table should hold: each claimed port's owner, each
+    /// conversation and whether it owns its port, and the ephemeral
+    /// cursor.
+    struct Model {
+        owner: HashMap<u16, Owner>,
+        conns: HashMap<ConnKey, bool>,
+        cursor: u16,
+    }
+
+    impl Model {
+        /// The ephemeral port a claim of port 0 gets: the first free one
+        /// from the cursor on, wrapping from 65535 back to 5000.
+        fn ephemeral(&mut self) -> u16 {
+            loop {
+                let port = self.cursor;
+                self.cursor = if port == u16::MAX { EPHEMERAL_BASE } else { port + 1 };
+                if !self.owner.contains_key(&port) {
+                    return port;
+                }
+            }
+        }
+
+        /// Claims `port` (0 = ephemeral) for `owner` when it is free.
+        fn claim(&mut self, port: u16) -> Option<u16> {
+            let port = if port == 0 { self.ephemeral() } else { port };
+            (!self.owner.contains_key(&port)).then_some(port)
+        }
+    }
+
+    /// Fixed ports a case draws from: two at each end of the ephemeral
+    /// range, so fixed and ephemeral claims collide, and one below it.
+    const FIXED: [u16; 5] = [564, EPHEMERAL_BASE, EPHEMERAL_BASE + 1, u16::MAX - 1, u16::MAX];
+
+    fn fixed(g: &mut Gen) -> u16 {
+        FIXED[g.usize_in(0..FIXED.len())]
+    }
+
+    /// A fixed port, or now and then 0.
+    fn port(g: &mut Gen) -> u16 {
+        if g.usize_in(0..3) == 0 {
+            0
+        } else {
+            fixed(g)
+        }
+    }
+
+    /// A key on a port `lport` draws, from one of two hosts' two ports.
+    fn key(g: &mut Gen, lport: fn(&mut Gen) -> u16) -> ConnKey {
+        ConnKey { lport: lport(g), raddr: IpAddr::new(10, 0, 0, g.u8() % 2 + 1), rport: g.u16_in(1..3) }
+    }
+
+    /// A live conversation's key, or (always when there is none, else
+    /// one time in `odds`) a key drawn afresh.
+    fn live_or_new(g: &mut Gen, m: &Model, odds: usize) -> ConnKey {
+        let live: Vec<ConnKey> = m.conns.keys().copied().collect();
+        if live.is_empty() || g.usize_in(0..odds) == 0 {
+            key(g, port)
+        } else {
+            live[g.usize_in(0..live.len())]
+        }
+    }
+
+    use plan9_support::check::Gen;
+
+    plan9_support::props! {
+        /// `listen` and its drop, `open` on a fixed or an ephemeral port,
+        /// `answer` and `retire`, against a model of who owns each port.
+        fn prop_the_table_gives_each_port_one_owner(g, cases = 300) {
+            let table: Arc<ConvTable<ConnKey>> = ConvTable::new(|_| {});
+            let cursor = if g.bool() { g.u16_in(u16::MAX - 4..u16::MAX) } else { EPHEMERAL_BASE };
+            table.ports.used.lock().1 = cursor;
+            let mut m = Model { owner: HashMap::new(), conns: HashMap::new(), cursor };
+            let mut listeners: Vec<Listener<ConnKey>> = Vec::new();
+            for step in 0..60 {
+                match g.usize_in(0..6) {
+                    0 => {
+                        let want = port(g);
+                        let got = table.listen(want).map(|l| {
+                            let p = l.port();
+                            listeners.push(l);
+                            p
+                        });
+                        let model = m.claim(want);
+                        assert_eq!(got.ok(), model, "step {step}: listen({want})");
+                        if let Some(p) = model {
+                            m.owner.insert(p, Owner::Listener);
+                        }
+                    }
+                    1 if !listeners.is_empty() => {
+                        let l = listeners.remove(g.usize_in(0..listeners.len()));
+                        assert_eq!(m.owner.remove(&l.port()), Some(Owner::Listener));
+                    }
+                    2 | 3 => {
+                        // Half the time the key of a live conversation:
+                        // an answered call's must fail while it lives.
+                        let want = live_or_new(g, &m, 2);
+                        let got = table.open(want.lport, want.raddr, want.rport, Arc::new).ok();
+                        let model = m.claim(want.lport).map(|lport| ConnKey { lport, ..want });
+                        let model = model.filter(|k| !m.conns.contains_key(k));
+                        assert_eq!(got.as_deref(), model.as_ref(), "step {step}: open({want:?})");
+                        if let Some(k) = model {
+                            assert!(!m.owner.contains_key(&k.lport), "an owned port was claimed");
+                            m.owner.insert(k.lport, Owner::Conv(k));
+                            m.conns.insert(k, true);
+                        }
+                    }
+                    4 => {
+                        // As a protocol answers: only a call it does not
+                        // already have.
+                        let key = key(g, fixed);
+                        if table.lookup(&key).is_none() {
+                            let got = table.answer(key, || Arc::new(key));
+                            let listening = m.owner.get(&key.lport) == Some(&Owner::Listener);
+                            assert_eq!(got.is_some(), listening, "step {step}: answer({key:?})");
+                            if listening {
+                                m.conns.insert(key, false);
+                            }
+                        }
+                    }
+                    _ => {
+                        let key = live_or_new(g, &m, 4);
+                        table.retire(&key);
+                        if m.conns.remove(&key) == Some(true) {
+                            assert_eq!(m.owner.remove(&key.lport), Some(Owner::Conv(key)));
+                        }
+                    }
+                }
+                let mut claimed: Vec<u16> = table.ports.used.lock().0.iter().copied().collect();
+                let mut owned: Vec<u16> = m.owner.keys().copied().collect();
+                claimed.sort_unstable();
+                owned.sort_unstable();
+                assert_eq!(claimed, owned, "step {step}: the ports claimed");
+                assert_eq!(table.len(), m.conns.len(), "step {step}: the conversations");
+                for k in m.conns.keys() {
+                    assert_eq!(table.lookup(k).as_deref(), Some(k), "step {step}: {k:?} outlived");
+                }
+            }
+        }
+    }
 }

@@ -15,18 +15,18 @@ use plan9_support::sync::{Condvar, Mutex};
 /// and holds no lock while it sends, since a send may wait for the peer
 /// (a full IL window): whoever sends next parks in `free`, where the
 /// virtual clock can see it, and not on a mutex, where it would stop
-/// the one thread the clock lets run.
+/// the one thread the clock lets run. The slot keeps no count of those
+/// waiting: a [`Condvar`] notify with nobody waiting costs no system call.
 pub(crate) struct SinkSlot {
-    /// The sink, `None` while a sender has it out, and how many senders
-    /// wait for it: a notify is a system call, made only for them.
-    sink: Mutex<(Option<Box<dyn MsgSink>>, usize)>,
+    /// The sink, `None` while a sender has it out.
+    sink: Mutex<Option<Box<dyn MsgSink>>>,
     free: Condvar,
 }
 
 impl SinkSlot {
     /// A slot holding `sink`.
     pub(crate) fn new(sink: Box<dyn MsgSink>) -> SinkSlot {
-        SinkSlot { sink: Mutex::named((Some(sink), 0), "ninep.sink"), free: Condvar::new() }
+        SinkSlot { sink: Mutex::named(Some(sink), "ninep.sink"), free: Condvar::new() }
     }
 
     /// Sends the message `make` comes back with, if any, having the
@@ -35,27 +35,22 @@ impl SinkSlot {
     pub(crate) fn send(&self, make: impl FnOnce() -> Option<Vec<u8>>) -> Result<()> {
         let mut slot = self.sink.lock();
         let mut sink = loop {
-            if let Some(sink) = slot.0.take() {
+            if let Some(sink) = slot.take() {
                 break sink;
             }
-            slot.1 += 1;
             self.free.wait(&mut slot);
-            slot.1 -= 1;
         };
         drop(slot);
         let sent = make().map_or(Ok(()), |buf| sink.sendmsg(&buf));
-        let mut slot = self.sink.lock();
-        slot.0 = Some(sink);
-        if slot.1 > 0 {
-            self.free.notify_one();
-        }
+        *self.sink.lock() = Some(sink);
+        self.free.notify_one();
         sent
     }
 
     /// Whether a message of `len` bytes would go out at once. A sink out
     /// with another sender is free again in a moment.
     pub(crate) fn ready(&self, len: usize) -> bool {
-        self.sink.lock().0.as_ref().is_none_or(|s| s.ready(len))
+        self.sink.lock().as_ref().is_none_or(|s| s.ready(len))
     }
 }
 

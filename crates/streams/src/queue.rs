@@ -7,9 +7,10 @@
 //! A queue is a bounded FIFO of [`Block`]s. The bound is in bytes and
 //! provides the stream's flow control: `put` blocks when the queue is
 //! full, which exerts backpressure on the writer — the same role queue
-//! limits play in the Plan 9 kernel. A reader or writer that waits is
-//! counted, and only a counted waiter is notified: an operation that
-//! finds nobody waiting makes no system call. A queue may also carry two
+//! limits play in the Plan 9 kernel. The queue keeps no count of its
+//! waiters: a put or a dequeue notifies whenever its change could let
+//! a waiter on, and [`Condvar`] makes the system call only when one
+//! waits. A queue may also carry two
 //! hooks for a reader that does not wait (a 9P service fed where its
 //! requests arrive), fired with the queue's lock dropped: one when a
 //! block, a hangup or the close arrives, one when a dequeue takes the
@@ -36,9 +37,6 @@ struct QueueInner {
     bytes: usize,
     closed: bool,
     hungup: bool,
-    /// Readers and writers waiting: a notify is made only for them.
-    readers: usize,
-    writers: usize,
 }
 
 /// A readiness hook: cheap, and it must not block.
@@ -88,8 +86,6 @@ impl Queue {
                 bytes: 0,
                 closed: false,
                 hungup: false,
-                readers: 0,
-                writers: 0,
             }, "streams.queue"),
             readable: Condvar::new(),
             writable: Condvar::new(),
@@ -132,12 +128,10 @@ impl Queue {
         let mut inner = self.inner.lock();
         if is_data && inner.bytes >= self.limit && !inner.closed {
             self.stalls.inc();
-            inner.writers += 1;
             while inner.bytes >= self.limit && !inner.closed {
                 self.writable.wait(&mut inner);
                 self.writer_wakes.inc();
             }
-            inner.writers -= 1;
         }
         if inner.closed {
             return Err(plan9_ninep::NineError::new(plan9_ninep::errstr::EHUNGUP));
@@ -149,10 +143,8 @@ impl Queue {
         QPUT_SITE.record(b.len());
         inner.bytes += b.len();
         inner.blocks.push_back(b);
-        if inner.readers > 0 {
-            self.readable.notify_all();
-        }
-        if is_data && inner.bytes < self.limit && inner.writers > 0 {
+        self.readable.notify_all();
+        if is_data && inner.bytes < self.limit {
             // Admission is one-at-a-time (dequeues wake a single
             // writer); if this put left room, pass the baton to the
             // next blocked writer rather than strand it.
@@ -176,7 +168,7 @@ impl Queue {
                 let was = inner.bytes;
                 inner.bytes -= b.len();
                 let room = was >= self.limit && inner.bytes < self.limit;
-                if room && inner.writers > 0 {
+                if room {
                     self.writable.notify_one();
                 }
                 drop(inner);
@@ -194,9 +186,7 @@ impl Queue {
             if !wait {
                 return Polled::Empty;
             }
-            inner.readers += 1;
             self.readable.wait(&mut inner);
-            inner.readers -= 1;
         }
     }
 
@@ -216,7 +206,7 @@ impl Queue {
     pub fn close(&self) {
         let mut inner = self.inner.lock();
         inner.closed = true;
-        self.wake(&inner);
+        self.wake();
         drop(inner);
         fire(&self.on_input);
         fire(&self.on_room);
@@ -228,19 +218,15 @@ impl Queue {
     pub fn hangup(&self) {
         let mut inner = self.inner.lock();
         inner.hungup = true;
-        self.wake(&inner);
+        self.wake();
         drop(inner);
         fire(&self.on_input);
     }
 
     /// Wakes every waiter there is.
-    fn wake(&self, inner: &QueueInner) {
-        if inner.readers > 0 {
-            self.readable.notify_all();
-        }
-        if inner.writers > 0 {
-            self.writable.notify_all();
-        }
+    fn wake(&self) {
+        self.readable.notify_all();
+        self.writable.notify_all();
     }
 
     /// Registers the hook fired when a block, a hangup or the close

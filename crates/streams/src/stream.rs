@@ -5,7 +5,7 @@ use crate::block::{Block, BlockKind};
 use crate::module::{Direction, ModuleCtx, StreamModule};
 use crate::queue::{Hook, Polled, Queue};
 use crate::Result;
-use plan9_support::sync::{Mutex, RwLock};
+use plan9_support::sync::Mutex;
 use plan9_ninep::{errstr, NineError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -19,7 +19,7 @@ pub const MAX_ATOMIC_WRITE: usize = 32 * 1024;
 /// kernel's compiled-in table of stream modules.
 #[derive(Default)]
 pub struct ModuleRegistry {
-    makers: RwLock<HashMap<String, ModuleMaker>>,
+    makers: Mutex<HashMap<String, ModuleMaker>>,
 }
 
 /// A registered module factory, invoked on each `push`.
@@ -37,13 +37,13 @@ impl ModuleRegistry {
         F: Fn() -> Arc<dyn StreamModule> + Send + Sync + 'static,
     {
         self.makers
-            .write()
+            .lock()
             .insert(name.to_string(), Box::new(maker));
     }
 
     /// Instantiates the module registered under `name`.
     pub fn make(&self, name: &str) -> Result<Arc<dyn StreamModule>> {
-        let makers = self.makers.read();
+        let makers = self.makers.lock();
         match makers.get(name) {
             Some(maker) => Ok(maker()),
             None => Err(NineError::new(format!("unknown stream module: {name}"))),
@@ -60,7 +60,7 @@ struct Slot {
 pub struct StreamInner {
     /// `modules[0]` is the top (just below the user process); the last
     /// entry is the device end.
-    modules: RwLock<Vec<Slot>>,
+    modules: Mutex<Vec<Slot>>,
     read_q: Arc<Queue>,
     closed: AtomicBool,
     next_id: AtomicU64,
@@ -73,12 +73,12 @@ impl StreamInner {
     }
 
     fn position_of(&self, id: u64) -> Option<usize> {
-        self.modules.read().iter().position(|s| s.id == id)
+        self.modules.lock().iter().position(|s| s.id == id)
     }
 
     fn slot_at(&self, idx: usize) -> Option<(u64, Arc<dyn StreamModule>)> {
         self.modules
-            .read()
+            .lock()
             .get(idx)
             .map(|s| (s.id, Arc::clone(&s.module)))
     }
@@ -149,7 +149,7 @@ impl Stream {
     pub fn new(registry: Arc<ModuleRegistry>) -> Arc<Stream> {
         Arc::new(Stream {
             inner: Arc::new(StreamInner {
-                modules: RwLock::named(Vec::new(), "streams.stream.modules"),
+                modules: Mutex::named(Vec::new(), "streams.stream.modules"),
                 read_q: Arc::new(Queue::default()),
                 closed: AtomicBool::new(false),
                 next_id: AtomicU64::new(1),
@@ -166,7 +166,7 @@ impl Stream {
 
     fn add_slot(&self, module: Arc<dyn StreamModule>, top: bool) -> u64 {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut mods = self.inner.modules.write();
+        let mut mods = self.inner.modules.lock();
         let slot = Slot { id, module };
         if top {
             mods.insert(0, slot);
@@ -199,7 +199,7 @@ impl Stream {
     /// Pops the top module; fails if only the device end remains.
     pub fn pop_module(&self) -> Result<()> {
         let slot = {
-            let mut mods = self.inner.modules.write();
+            let mut mods = self.inner.modules.lock();
             if mods.len() <= 1 {
                 return Err(NineError::new("no module to pop"));
             }
@@ -217,7 +217,7 @@ impl Stream {
     pub fn module_names(&self) -> Vec<String> {
         self.inner
             .modules
-            .read()
+            .lock()
             .iter()
             .map(|s| s.module.name().to_string())
             .collect()
@@ -297,7 +297,7 @@ impl Stream {
     /// Devices without helper-process contexts (simple simulated wires)
     /// use this as their "interrupt side".
     pub fn feed_up(&self, b: Block) -> Result<()> {
-        let n = self.inner.modules.read().len();
+        let n = self.inner.modules.lock().len();
         if n == 0 {
             // No modules at all: straight into the read queue.
             if b.kind == BlockKind::Hangup {
@@ -409,7 +409,7 @@ impl Stream {
         let slots: Vec<(u64, Arc<dyn StreamModule>)> = self
             .inner
             .modules
-            .read()
+            .lock()
             .iter()
             .map(|s| (s.id, Arc::clone(&s.module)))
             .collect();

@@ -9,7 +9,7 @@
 //!
 //! | module    | replaces          | surface                                  |
 //! |-----------|-------------------|------------------------------------------|
-//! | [`sync`]  | `parking_lot`     | no-poison `Mutex`/`RwLock`/`Condvar`     |
+//! | [`sync`]  | `parking_lot`     | no-poison `Mutex` and `Condvar`          |
 //! | [`chan`]  | `crossbeam`       | bounded/unbounded mpmc channels          |
 //! | [`rng`]   | `rand`            | seedable `SmallRng` (splitmix64)         |
 //! | [`buf`]   | `bytes`           | shared `Bytes` views of one allocation   |

@@ -9,9 +9,8 @@
 //!
 //! How it works, mirroring the Linux kernel's lockdep at toy scale:
 //!
-//! - Every [`sync::Mutex`](crate::sync::Mutex) or
-//!   [`sync::RwLock`](crate::sync::RwLock) built with `named()` belongs
-//!   to a **class**, keyed by the construction-site name (many
+//! - Every [`sync::Mutex`](crate::sync::Mutex) built with `named()`
+//!   belongs to a **class**, keyed by the construction-site name (many
 //!   instances — every stream queue, say — share one class). Classes
 //!   are assigned lazily on first acquisition.
 //! - Each thread keeps a stack of the classes it currently holds.
@@ -49,7 +48,7 @@ pub type ClassId = u32;
 
 /// The per-lock handle: a construction-site name plus the lazily
 /// assigned class id (0 = not yet registered). Embedded in every named
-/// `sync::Mutex`/`sync::RwLock`; absent entirely in release builds.
+/// `sync::Mutex`; absent entirely in release builds.
 pub struct LockClass {
     name: &'static str,
     id: AtomicU32,

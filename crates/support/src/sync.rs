@@ -3,18 +3,18 @@
 //! The kernel-style code in this workspace treats a panic while holding
 //! a lock as fatal to the invariants anyway, so poisoning is noise:
 //! `lock()` returns the guard directly, recovering the inner state if a
-//! previous holder panicked. The API mirrors `parking_lot`, which the
-//! workspace used before the build went hermetic:
+//! previous holder panicked. Two types, as the kernel uses them:
 //!
 //! - [`Mutex::lock`] → guard, no `Result`
-//! - [`RwLock::read`]/[`RwLock::write`] → guards, no `Result`
 //! - [`Condvar::wait`] takes `&mut MutexGuard` instead of consuming it
 //! - [`Condvar::wait_until`] returns a [`WaitTimeoutResult`]
 //!
-//! Locks built with [`Mutex::named`]/[`RwLock::named`] additionally
-//! participate in [`lockdep`](crate::lockdep) order checking in debug
-//! builds; in release builds `named` is exactly `new` and the checking
-//! machinery does not exist in the binary.
+//! A notify is a system call only when a thread waits: see [`Condvar`].
+//!
+//! Locks built with [`Mutex::named`] additionally participate in
+//! [`lockdep`](crate::lockdep) order checking in debug builds; in
+//! release builds `named` is exactly `new` and the checking machinery
+//! does not exist in the binary.
 //!
 //! Every lock, named or not, is counted while held: [`held`] is how many
 //! the calling thread holds, one thread-local add per acquire and per
@@ -26,6 +26,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -101,13 +102,6 @@ impl<T> Mutex<T> {
             inner: std::sync::Mutex::new(value),
         }
     }
-
-    /// Consumes the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -153,11 +147,6 @@ impl<T: ?Sized> Mutex<T> {
             #[cfg(debug_assertions)]
             class,
         })
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -233,144 +222,6 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// A reader-writer lock whose guards are returned without poison
-/// `Result`s.
-pub struct RwLock<T: ?Sized> {
-    #[cfg(debug_assertions)]
-    dep: Option<LockClass>,
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new lock protecting `value`.
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock {
-            #[cfg(debug_assertions)]
-            dep: None,
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Creates a lock belonging to the lockdep class `name`; see
-    /// [`Mutex::named`]. Read and write acquisitions count the same for
-    /// ordering purposes.
-    pub const fn named(value: T, name: &'static str) -> RwLock<T> {
-        #[cfg(not(debug_assertions))]
-        let _ = name;
-        RwLock {
-            #[cfg(debug_assertions)]
-            dep: Some(LockClass::new(name)),
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    #[cfg(debug_assertions)]
-    fn class(&self) -> Option<ClassId> {
-        self.dep.as_ref().map(LockClass::id)
-    }
-
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        let class = self.class();
-        #[cfg(debug_assertions)]
-        if let Some(c) = class {
-            lockdep::acquire(c);
-        }
-        count(1);
-        RwLockReadGuard {
-            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
-            #[cfg(debug_assertions)]
-            class,
-        }
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        let class = self.class();
-        #[cfg(debug_assertions)]
-        if let Some(c) = class {
-            lockdep::acquire(c);
-        }
-        count(1);
-        RwLockWriteGuard {
-            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
-            #[cfg(debug_assertions)]
-            class,
-        }
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
-    }
-}
-
-/// The guard returned by [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-    #[cfg(debug_assertions)]
-    class: Option<ClassId>,
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        count(-1);
-        #[cfg(debug_assertions)]
-        if let Some(c) = self.class {
-            lockdep::release(c);
-        }
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-/// The guard returned by [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-    #[cfg(debug_assertions)]
-    class: Option<ClassId>,
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        count(-1);
-        #[cfg(debug_assertions)]
-        if let Some(c) = self.class {
-            lockdep::release(c);
-        }
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
 /// Whether a timed condition wait gave up before being notified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitTimeoutResult {
@@ -387,14 +238,26 @@ impl WaitTimeoutResult {
 /// A condition variable paired with [`Mutex`] guards by `&mut`
 /// reference, so waiting does not consume the guard binding.
 ///
+/// A notify makes the OS call only when a thread is in an OS wait on
+/// this condition variable: a waiter counts itself while it still holds
+/// the caller's mutex and uncounts itself once it has the mutex back, so
+/// a notify that finds the count at zero has nobody to wake. That holds
+/// under one invariant, which every caller keeps: **a notifier changes
+/// the condition under the mutex its waiters hold** (or takes that mutex
+/// after the change, before it notifies). The notify itself may come
+/// before or after the guard drops. A waiter then either saw the change
+/// when it tested the condition, or was counted before the notifier took
+/// the mutex.
+///
 /// Under an installed [`vtime`] clock, waits park on the virtual clock
 /// instead of the OS condvar: the waiter queues a [`Parker`] (still
 /// holding the user lock, so a racing notify cannot miss it), drops the
-/// lock, and blocks until a notify or a virtual-timer wake. The
-/// real-time path is untouched apart from one atomic load; the parker
+/// lock, and blocks until a notify or a virtual-timer wake. The parker
 /// queue is not even allocated until the first virtual wait.
 pub struct Condvar {
     inner: std::sync::Condvar,
+    /// Threads in an OS wait on `inner`.
+    waiters: AtomicUsize,
     /// Virtual waiters, in arrival order. `OnceLock` keeps `new` const
     /// and the real-time footprint at one pointer.
     vq: OnceLock<std::sync::Mutex<VecDeque<Arc<Parker>>>>,
@@ -405,6 +268,7 @@ impl Condvar {
     pub const fn new() -> Condvar {
         Condvar {
             inner: std::sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
             vq: OnceLock::new(),
         }
     }
@@ -449,22 +313,40 @@ impl Condvar {
         timed_out
     }
 
+    /// Waits on the OS condvar, for at most `timeout` if one is given,
+    /// counted in `waiters` from before the lock is given back until it
+    /// is retaken. Returns whether the wait timed out.
+    fn os_wait<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Option<Duration>) -> bool {
+        // checked: a live guard always carries its lock outside a wait
+        let g = guard.inner.take().expect("guard stolen during wait");
+        // Relaxed is enough: the increment is ordered before the lock's
+        // release, and a notifier reads the count after taking the lock.
+        self.waiters.fetch_add(1, Ordering::Relaxed);
+        // The lock is parked while asleep: lockdep must see it released
+        // here and re-acquired on wakeup, or held-stack accounting and
+        // ordering both go wrong.
+        guard.released();
+        let (g, timed_out) = match timeout {
+            None => (self.inner.wait(g).unwrap_or_else(PoisonError::into_inner), false),
+            Some(t) => {
+                let (g, r) = self.inner.wait_timeout(g, t).unwrap_or_else(PoisonError::into_inner);
+                (g, r.timed_out())
+            }
+        };
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
+        guard.retaken();
+        guard.inner = Some(g);
+        timed_out
+    }
+
     /// Blocks until notified, releasing the guard's lock while asleep.
     /// Spurious wakeups are possible; callers loop on their condition.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         if let Some(clock) = vtime::active() {
             self.vwait(guard, &clock, None);
-            return;
+        } else {
+            self.os_wait(guard, None);
         }
-        // checked: a live guard always carries its lock outside a wait
-        let g = guard.inner.take().expect("guard stolen during wait");
-        // The lock is parked while asleep: lockdep must see it released
-        // here and re-acquired on wakeup, or held-stack accounting and
-        // ordering both go wrong.
-        guard.released();
-        let g = self.inner.wait(g).unwrap_or_else(PoisonError::into_inner);
-        guard.retaken();
-        guard.inner = Some(g);
     }
 
     /// Blocks until notified or `deadline` passes; reports which. A
@@ -476,56 +358,20 @@ impl Condvar {
         guard: &mut MutexGuard<'_, T>,
         deadline: Instant,
     ) -> WaitTimeoutResult {
-        if let Some(clock) = vtime::active() {
-            if deadline <= clock.now() {
-                return WaitTimeoutResult { timed_out: true };
+        let timed_out = match vtime::active() {
+            Some(clock) if deadline <= clock.now() => true,
+            Some(clock) => self.vwait(guard, &clock, Some(deadline)),
+            None => {
+                let now = Instant::now();
+                deadline <= now || self.os_wait(guard, Some(deadline - now))
             }
-            return WaitTimeoutResult {
-                timed_out: self.vwait(guard, &clock, Some(deadline)),
-            };
-        }
-        let now = Instant::now();
-        if deadline <= now {
-            return WaitTimeoutResult { timed_out: true };
-        }
-        self.os_wait_for(guard, deadline - now)
+        };
+        WaitTimeoutResult { timed_out }
     }
 
-    /// Blocks until notified or `timeout` elapses; reports which.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        if timeout.is_zero() {
-            return WaitTimeoutResult { timed_out: true };
-        }
-        if let Some(clock) = vtime::active() {
-            let deadline = clock.now() + timeout;
-            return WaitTimeoutResult {
-                timed_out: self.vwait(guard, &clock, Some(deadline)),
-            };
-        }
-        self.os_wait_for(guard, timeout)
-    }
-
-    fn os_wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        // checked: a live guard always carries its lock outside a wait
-        let g = guard.inner.take().expect("guard stolen during wait");
-        guard.released();
-        let (g, r) = self
-            .inner
-            .wait_timeout(g, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.retaken();
-        guard.inner = Some(g);
-        WaitTimeoutResult {
-            timed_out: r.timed_out(),
-        }
+    /// Whether a thread is in an OS wait on this condition variable.
+    fn has_os_waiter(&self) -> bool {
+        self.waiters.load(Ordering::Relaxed) > 0
     }
 
     /// Wakes one waiter.
@@ -545,7 +391,9 @@ impl Condvar {
                 }
             }
         }
-        self.inner.notify_one();
+        if self.has_os_waiter() {
+            self.inner.notify_one();
+        }
     }
 
     /// Wakes every waiter.
@@ -560,7 +408,9 @@ impl Condvar {
                 let _ = VirtualClock::wake_notified(&p);
             }
         }
-        self.inner.notify_all();
+        if self.has_os_waiter() {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -581,19 +431,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn rwlock_many_readers_one_writer() {
-        let l = Arc::new(RwLock::new(0u32));
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!(*a + *b, 0);
-        }
-        *l.write() = 9;
-        assert_eq!(*l.read(), 9);
     }
 
     #[test]
@@ -631,19 +468,19 @@ mod tests {
 
     #[test]
     fn held_counts_the_guards_alive() {
-        let (m, l) = (Mutex::new(()), RwLock::new(()));
+        let (m, n) = (Mutex::new(()), Mutex::new(()));
         assert_eq!(held(), 0);
         let g = m.lock();
         assert_eq!(held(), 1);
         assert!(m.try_lock().is_none());
         assert_eq!(held(), 1, "a failed try_lock holds nothing");
-        let (r1, r2) = (l.read(), l.read());
-        assert_eq!(held(), 3);
-        drop((g, r1, r2));
+        let o = n.lock();
+        assert_eq!(held(), 2);
+        drop((g, o));
         assert_eq!(held(), 0);
-        let (t, w, h) = (m.try_lock().unwrap(), l.write(), hold());
+        let (t, o, h) = (m.try_lock().unwrap(), n.lock(), hold());
         assert_eq!(held(), 3);
-        drop((t, w, h));
+        drop((t, o, h));
         assert_eq!(held(), 0);
     }
 

@@ -99,7 +99,7 @@ impl Model {
         while *left > 0 {
             let depth = pool::stats().depth;
             assert!(time::now() < deadline, "{} jobs never ran; queued {depth:?}", *left);
-            self.done.wait_for(&mut left, Duration::from_millis(200));
+            self.done.wait_until(&mut left, time::now() + Duration::from_millis(200));
         }
     }
 }

@@ -3,9 +3,12 @@
 //! The clock is process-global: `vtime::enter` serializes the tests,
 //! and nothing here may assume the real clock outside a guard.
 
+mod pingpong;
+
 use std::sync::{Arc, Mutex as StdMutex};
 use std::time::Duration;
 
+use pingpong::{Table, ROUNDS};
 use plan9_support::sync::{self, Condvar, Mutex};
 use plan9_support::{chan, time, vtime};
 
@@ -160,6 +163,19 @@ fn notify_beats_timer_and_leaves_time_still() {
     }
     let timed_out = h.join().unwrap();
     assert!(!timed_out);
+    assert_eq!(vt.clock().elapsed(), Duration::ZERO);
+    drop(vt);
+}
+
+#[test]
+fn a_ping_pong_on_the_virtual_clock_takes_no_time() {
+    let vt = vtime::enter();
+    let table = Table::new();
+    let t2 = Arc::clone(&table);
+    let pong = vtime::kproc("pong", move || t2.play(1, ROUNDS)).unwrap();
+    table.play(0, ROUNDS);
+    pong.join().unwrap();
+    assert_eq!(table.strokes(), 2 * ROUNDS);
     assert_eq!(vt.clock().elapsed(), Duration::ZERO);
     drop(vt);
 }
