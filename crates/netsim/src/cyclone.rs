@@ -8,9 +8,8 @@
 //! VME-copy-limited effective throughput the paper measured (3.2 MB/s).
 
 use crate::profile::LinkProfile;
-use crate::wire::{wire_on_medium, Medium, RecvOutcome, WireRx, WireTx};
+use crate::wire::{wire_on_medium, Medium, WireRx, WireTx};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One end of a Cyclone link.
 pub struct CycloneEnd {
@@ -29,9 +28,11 @@ impl CycloneEnd {
         self.rx.recv()
     }
 
-    /// Waits for a message until the timeout elapses.
-    pub fn recv_timeout(&self, d: Duration) -> RecvOutcome {
-        self.rx.recv_timeout(d)
+    /// Hands each message to `handler` instead of queueing it for
+    /// [`recv`](CycloneEnd::recv), then `None` once the far end is gone
+    /// (see [`WireRx::set_rx_handler`]).
+    pub fn set_rx_handler(&self, handler: impl Fn(Option<Vec<u8>>) + Send + Sync + 'static) {
+        self.rx.set_rx_handler(handler)
     }
 
     /// The largest message the link carries.

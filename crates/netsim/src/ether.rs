@@ -196,7 +196,8 @@ impl EtherSegment {
         // attributed to whatever RPC is transmitting on this thread.
         let cur = plan9_netlog::trace::current();
         let t0 = cur.as_ref().map(|_| time::now());
-        // Seize the bus for the transmission time.
+        // Book the bus for the transmission time: a sender with a
+        // thread of its own waits it out, a pool job does not.
         let done = self.medium.transmit(frame.len());
         if let (Some(h), Some(t0)) = (&cur, t0) {
             h.span(

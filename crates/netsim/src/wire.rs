@@ -1,10 +1,12 @@
 //! The pacing engine: a unidirectional frame wire.
 //!
-//! A wire carries whole frames from one sender to one receiver. The
-//! sender is blocked for the frame's transmission time (serializing the
-//! line), the frame is delivered after the propagation delay, and the
-//! configured impairments (loss, duplication, corruption, reordering)
-//! are applied in flight.
+//! A wire carries whole frames from one sender to one receiver. A send
+//! books the line for the frame's transmission time (serializing the
+//! line): a sender with a thread of its own waits until the frame is
+//! off, a pool job does not (see [`Medium::transmit`]). The frame is
+//! delivered after the propagation delay, and the configured
+//! impairments (loss, duplication, corruption, reordering) are applied
+//! in flight.
 //!
 //! Every medium delivers by one rule, [`arrive`]: a frame goes to its
 //! receiver's handler at its deadline, as a timer-wheel entry while the
@@ -131,11 +133,14 @@ impl Medium {
         &self.stats
     }
 
-    /// Acquires the line for `len` payload bytes and returns the instant
-    /// transmission completes. Blocks the caller for the duration — the
-    /// medium is busy and so is the transmitting "hardware". A
-    /// transmitter may be a pool job (a protocol's acknowledgment or
-    /// resend): this is where it waits, for every medium.
+    /// Books the line for `len` payload bytes, from when it is next
+    /// free, and returns the instant transmission completes. A sender
+    /// with a thread of its own waits until then — the medium is busy
+    /// and so is the transmitting "hardware" — which is its
+    /// back-pressure. A pool job (an acknowledgment, a resend, a
+    /// served reply, a bridge's forward) returns at once, as a driver
+    /// queues a frame and returns: the frame leaves when the line is
+    /// free, and the job keeps the pool's rule not to wait.
     pub fn transmit(&self, len: usize) -> Instant {
         let tx = self.profile.tx_time(len);
         let done = {
@@ -144,12 +149,11 @@ impl Medium {
             *busy = start + tx;
             *busy
         };
-        // Pace the sender. For sub-millisecond waits a sleep is accurate
-        // enough; we re-check because sleep may undershoot.
+        // Re-checked because a sleep may undershoot.
         let mut now = time::now();
-        while now < done {
-            // blocking-ok: the transmitter is busy while its frame is on
-            // the line: one frame's serialization time, bounded by the
+        while now < done && !pool::in_job() {
+            // blocking-ok: never in a pool job; a thread of its own
+            // waits out one frame's serialization time, bounded by the
             // MTU, and none at all on an unpaced medium
             time::sleep(done - now);
             now = time::now();
@@ -292,7 +296,7 @@ pub struct WireTx {
 }
 
 impl WireTx {
-    /// Sends one frame, blocking for the transmission time.
+    /// Sends one frame, after the line's booking ([`Medium::transmit`]).
     ///
     /// Frames larger than the medium's MTU are refused — fragmentation is
     /// the business of the protocol layer above.
@@ -343,17 +347,6 @@ impl Drop for WireTx {
     }
 }
 
-/// What a receive attempt produced.
-#[derive(Debug, PartialEq, Eq)]
-pub enum RecvOutcome {
-    /// A frame arrived.
-    Frame(Vec<u8>),
-    /// The sender is gone; no more frames will ever arrive.
-    Hangup,
-    /// The timeout elapsed first.
-    TimedOut,
-}
-
 /// The receiving half of a wire.
 pub struct WireRx {
     port: Arc<Port>,
@@ -362,31 +355,12 @@ pub struct WireRx {
 impl WireRx {
     /// Blocks for the next frame; `None` means the sender hung up.
     pub fn recv(&self) -> Option<Vec<u8>> {
-        match self.wait(None) {
-            RecvOutcome::Frame(f) => Some(f),
-            _ => None,
-        }
-    }
-
-    /// Waits for a frame until `timeout` elapses.
-    pub fn recv_timeout(&self, timeout: Duration) -> RecvOutcome {
-        self.wait(Some(time::now() + timeout))
-    }
-
-    /// Takes the next queued arrival, waiting for one until `deadline`.
-    fn wait(&self, deadline: Option<Instant>) -> RecvOutcome {
         let mut st = self.port.state.lock();
         loop {
-            match (st.queue.front(), deadline) {
-                (Some(None), _) => return RecvOutcome::Hangup,
-                (Some(Some(_)), _) => {
-                    return st.queue.pop_front().flatten().map_or(RecvOutcome::Hangup, RecvOutcome::Frame)
-                }
-                (None, None) => self.port.arrived.wait(&mut st),
-                (None, Some(d)) if d <= time::now() => return RecvOutcome::TimedOut,
-                (None, Some(d)) => {
-                    let _ = self.port.arrived.wait_until(&mut st, d);
-                }
+            match st.queue.front() {
+                Some(None) => return None,
+                Some(Some(_)) => return st.queue.pop_front().flatten(),
+                None => self.port.arrived.wait(&mut st),
             }
         }
     }
@@ -512,7 +486,8 @@ mod tests {
     fn loss_drops_frames() {
         let (tx, rx) = wire_pair(Profiles::ether_fast().with_loss(1.0));
         tx.send(b"gone").unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(20)), RecvOutcome::TimedOut);
+        drop(tx);
+        assert_eq!(rx.recv(), None);
     }
 
     #[test]
@@ -546,12 +521,14 @@ mod tests {
             s.sent.get() - s.dropped.get() + s.duplicated.get(),
             "delivered == sent - dropped + duplicated"
         );
-        // Every delivered copy is sitting in the channel.
+        let delivered = s.delivered.get();
+        // Every delivered copy comes before the hangup.
+        drop(tx);
         let mut got = 0u64;
-        while rx.recv_timeout(Duration::ZERO) != RecvOutcome::TimedOut {
+        while rx.recv().is_some() {
             got += 1;
         }
-        assert_eq!(got, s.delivered.get());
+        assert_eq!(got, delivered);
     }
 
     #[test]
@@ -627,16 +604,5 @@ mod tests {
                 "frame {fi}: the flap consumed impairment draws"
             );
         }
-    }
-
-    #[test]
-    fn timeout_returns_timedout() {
-        let (_tx, rx) = wire_pair(Profiles::ether_fast());
-        let start = Instant::now();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(25)),
-            RecvOutcome::TimedOut
-        );
-        assert!(start.elapsed() >= Duration::from_millis(20));
     }
 }

@@ -340,20 +340,20 @@ fn direct(sc: Scenario) -> Report {
     }
 
     // Arm the script. One shard, deadlines in script time: the wheel
-    // fires them in (deadline, arming) order, so dispatch is fixed.
+    // fires them in (deadline, arming) order, so dispatch is fixed. The
+    // callbacks are pool jobs: `try_send` on an unbounded channel never
+    // waits.
     let t0 = time::now();
     let (etx, erx) = unbounded::<usize>();
     for (i, te) in sc.events.iter().enumerate() {
         let tx = etx.clone();
         wheel::schedule(DIRECTOR_KEY, t0 + te.at, move || {
-            // blocking-ok: unbounded channel send never waits
-            let _ = tx.send(i);
+            let _ = tx.try_send(i);
         })
         .expect("arm event");
     }
     wheel::schedule(DIRECTOR_KEY, t0 + sc.end, move || {
-        // blocking-ok: unbounded channel send never waits
-        let _ = etx.send(END_MARK);
+        let _ = etx.try_send(END_MARK);
     })
     .expect("arm end");
 

@@ -7,7 +7,9 @@
 //! host stacks (no threads — frame delivery and protocol timers ride
 //! the worker pool). Cities form a line; trunk *t* is a full-duplex
 //! Cyclone link between city *t* and city *t+1*, spliced into both
-//! segments by transparent bridges.
+//! segments by transparent bridges. A bridge is no thread either: it is
+//! two handlers on the pool, one each way, and a pool job's send books
+//! the line without waiting for it.
 //!
 //! Bridging exploits the addressing plan from
 //! [`plan9_ndb::gen::topo_addr`]: byte 3 of every station address *is*
@@ -36,10 +38,7 @@ use plan9_netsim::ether::{
     mac_from_string, EtherFrame, EtherSegment, EtherStation, MacAddr, BROADCAST,
 };
 use plan9_netsim::profile::{LinkProfile, Profiles};
-use plan9_netsim::wire::{Medium, RecvOutcome};
-use plan9_support::chan::{unbounded, RecvTimeoutError};
-use plan9_support::vtime;
-use std::sync::atomic::{AtomicBool, Ordering};
+use plan9_netsim::wire::Medium;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -142,8 +141,9 @@ pub struct Topology {
     pub ndb: TopoNdb,
     /// The DNS world every gateway resolves against.
     pub internet: Arc<SimInternet>,
-    stop: Arc<AtomicBool>,
-    bridge_procs: Vec<vtime::KprocHandle<()>>,
+    /// Both ends of every trunk: the bridges' stations hold them only
+    /// weakly, so dropping them here ends the bridges.
+    ends: Vec<Arc<CycloneEnd>>,
 }
 
 /// Fabric-wide frame accounting for one medium.
@@ -276,12 +276,12 @@ impl Topology {
             .collect();
 
         // Trunks and their bridges.
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut bridge_procs = Vec::new();
+        let mut ends = Vec::new();
         let mut trunks = Vec::new();
         for t in 0..n_cities.saturating_sub(1) {
             let (near, far) =
                 cyclone_link(trunk_cyclone().with_seed(seed ^ (0x7071 + t as u64)));
+            let (near, far) = (Arc::new(near), Arc::new(far));
             let media = [Arc::clone(near.medium()), Arc::clone(far.medium())];
             trunks.push(Arc::new(Trunk { a: t, b: t + 1, media }));
             // 0x0a in the OUI keeps bridge addresses clear of host
@@ -289,22 +289,10 @@ impl Topology {
             // filtering stays consistent if anyone ever unicasts one.
             let hi_mac: MacAddr = [0x08, 0x00, 0x0a, t as u8, 0x01, t as u8];
             let lo_mac: MacAddr = [0x08, 0x00, 0x0a, (t + 1) as u8, 0x00, t as u8];
-            bridge_procs.extend(bridge(
-                &segments[t],
-                hi_mac,
-                near,
-                Facing::Higher(t),
-                0xb21d_6e00 + 2 * t as u64,
-                &stop,
-            ));
-            bridge_procs.extend(bridge(
-                &segments[t + 1],
-                lo_mac,
-                far,
-                Facing::Lower(t + 1),
-                0xb21d_6e01 + 2 * t as u64,
-                &stop,
-            ));
+            let key = 0xb21d_6e00 + 2 * t as u64;
+            bridge(segments[t].attach(hi_mac), &near, Facing::Higher(t), key);
+            bridge(segments[t + 1].attach(lo_mac), &far, Facing::Lower(t + 1), key + 1);
+            ends.extend([near, far]);
         }
 
         // Cities: one gateway machine plus M pooled stacks each.
@@ -339,8 +327,7 @@ impl Topology {
             trunks,
             ndb,
             internet,
-            stop,
-            bridge_procs,
+            ends,
         }
     }
 
@@ -392,10 +379,9 @@ impl Topology {
         Conservation { media }
     }
 
-    /// Tears the fabric down: stops the bridges and shuts every stack
-    /// down.
+    /// Tears the fabric down: shuts every stack down and drops the
+    /// trunk ends, which ends the bridges.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
         for c in &self.cities {
             for h in &c.hosts {
                 h.shutdown();
@@ -404,73 +390,33 @@ impl Topology {
                 ip.shutdown();
             }
         }
-        for p in self.bridge_procs.drain(..) {
-            let _ = p.join();
-        }
+        self.ends.clear();
     }
 }
 
-/// Splices one end of a trunk into a segment. Two kprocs per bridge:
-/// the forwarder drains a channel fed by the station's push-mode rx
-/// hook (the hook itself must not block on virtual time, and a trunk
-/// send paces on the fiber), and the pump relays trunk arrivals back
-/// onto the bus. Frames are forwarded raw, source address intact —
-/// the bridge is transparent.
-fn bridge(
-    segment: &Arc<EtherSegment>,
-    mac: MacAddr,
-    end: CycloneEnd,
-    facing: Facing,
-    shard_key: u64,
-    stop: &Arc<AtomicBool>,
-) -> Vec<vtime::KprocHandle<()>> {
-    let station: EtherStation = segment.attach(mac);
-    let end = Arc::new(end);
-    let (ftx, frx) = unbounded::<Vec<u8>>();
+/// Splices one end of a trunk into `station`'s segment, as two
+/// handlers: the station's forwards onto the trunk what `facing` lets
+/// through, and the trunk end's puts what arrives onto the bus. Frames
+/// are forwarded raw, source address intact — the bridge is
+/// transparent. The station holds its end through a `Weak`, so the
+/// segment and the trunk do not hold each other.
+fn bridge(station: EtherStation, end: &Arc<CycloneEnd>, facing: Facing, shard_key: u64) {
+    let trunk = Arc::downgrade(end);
     station.set_rx_handler(shard_key, move |frame| {
-        if forwards(facing, &frame) {
-            // blocking-ok: unbounded channel send never waits
-            let _ = ftx.send(frame.encode());
+        if !forwards(facing, &frame) {
+            return;
+        }
+        // A downed trunk drops this on the floor inside the medium —
+        // exactly what a flap should do.
+        if let Some(end) = trunk.upgrade() {
+            let _ = end.send(&frame.encode());
         }
     });
-    let fwd = {
-        let end = Arc::clone(&end);
-        let stop = Arc::clone(stop);
-        vtime::kproc("bridge-fwd", move || loop {
-            match frx.recv_timeout(Duration::from_millis(50)) {
-                Ok(bytes) => {
-                    // A downed trunk drops this on the floor inside
-                    // the medium — exactly what a flap should do.
-                    let _ = end.send(&bytes);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        })
-        .expect("spawn bridge forwarder")
-    };
-    let pump = {
-        let stop = Arc::clone(stop);
-        vtime::kproc("bridge-pump", move || loop {
-            match end.recv_timeout(Duration::from_millis(50)) {
-                RecvOutcome::Frame(bytes) => {
-                    let _ = station.send_raw(&bytes);
-                }
-                RecvOutcome::TimedOut => {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                }
-                RecvOutcome::Hangup => return,
-            }
-        })
-        .expect("spawn bridge pump")
-    };
-    vec![fwd, pump]
+    end.set_rx_handler(move |bytes| {
+        if let Some(bytes) = bytes {
+            let _ = station.send_raw(&bytes);
+        }
+    });
 }
 
 #[cfg(test)]

@@ -65,7 +65,8 @@
 //! (defunct or not-yet-installed) clock would wedge the transition —
 //! and a parked worker holds up its shard and the one it kept as its
 //! next. Protocol service routines — drain a queue, send an ack,
-//! retransmit — all fit.
+//! retransmit, forward a frame — all fit: a paced medium asks
+//! [`in_job`] and books the line for a job instead of sleeping.
 
 use crate::sync::{self, Condvar, Mutex};
 use crate::vtime;
@@ -127,6 +128,12 @@ thread_local! {
     /// On a thread running pool jobs: the shard it readied from inside
     /// a job and keeps to drain next, if any. `None` off the pool.
     static NEXT: Cell<Option<Option<usize>>> = const { Cell::new(None) };
+}
+
+/// Whether this thread is running pool jobs: a worker, or a submitter
+/// draining what it readied. It must not wait on virtual time.
+pub fn in_job() -> bool {
+    NEXT.get().is_some()
 }
 
 /// Map a conversation/station key to its shard index.
@@ -211,7 +218,7 @@ fn run(job: Job) {
 /// thread runs no pool job and holds no lock. Asked before the shard's
 /// lock is taken, which would count.
 fn may_drain() -> bool {
-    NEXT.get().is_none() && sync::held() == 0
+    !in_job() && sync::held() == 0
 }
 
 fn enqueue(idx: usize, job: Job, drain_here: bool) -> Result<(), (io::Error, Job)> {
