@@ -556,7 +556,7 @@ impl CallGraph {
                     let f = &self.fns[i];
                     // Qualifier must suffix-match the node's module
                     // path, optionally ending on the impl type:
-                    // `pool::submit`, `Queue::get`, `arp::ArpCache::hold`.
+                    // `pool::submit`, `Queue::get`, `arp::ArpCache::learn`.
                     let full = [&f.crate_name].into_iter().chain(&f.module).chain(f.impl_ty.iter().map(|t| &t.name));
                     let full: Vec<&String> = full.collect();
                     self.may_call(caller, i)

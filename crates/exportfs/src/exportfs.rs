@@ -17,10 +17,10 @@
 use plan9_core::dial::{serve_calls, Service};
 use plan9_core::namespace::{clean_path, Namespace, Source};
 use plan9_core::proc::Proc;
+use plan9_support::fnv::FnvMap;
 use plan9_support::sync::Mutex;
 use plan9_ninep::procfs::{fresh_handle, read_dir_slice, OpenMode, Perm, ProcFs, ServeNode};
 use plan9_ninep::{errstr, Dir, NineError, Result};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A channel into the exported name space: the path (for mount-point
@@ -34,7 +34,7 @@ struct NsChan {
 pub struct NsFs {
     ns: Arc<Namespace>,
     base: String,
-    chans: Mutex<HashMap<u64, NsChan>>,
+    chans: Mutex<FnvMap<u64, NsChan>>,
 }
 
 impl NsFs {
@@ -43,7 +43,7 @@ impl NsFs {
         Arc::new(NsFs {
             ns,
             base: clean_path(base),
-            chans: Mutex::new(HashMap::new()),
+            chans: Mutex::new(FnvMap::default()),
         })
     }
 

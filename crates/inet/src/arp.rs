@@ -5,9 +5,9 @@
 //! of that facility, with a cache and request/reply handling.
 
 use crate::addr::IpAddr;
+use plan9_support::fnv::FnvMap;
 use plan9_support::sync::Mutex;
 use plan9_netsim::ether::MacAddr;
-use std::collections::HashMap;
 
 /// The Ethernet packet type for ARP.
 pub const ARP_ETHERTYPE: u16 = 0x0806;
@@ -82,16 +82,34 @@ pub const HOLD_PER_HOST: usize = 8;
 pub const HOLD_HOSTS: usize = 32;
 
 /// The ARP cache, shared between the sender path (lookups) and the
-/// receiver kernel process (learning).
+/// receive path (learning).
 ///
 /// The cache also carries the *hold queue*: the transmit path runs on
 /// pool shards and wheel callbacks where sleeping is forbidden, so an
-/// unresolved send parks its packet here ([`ArpCache::hold`]) and the
-/// receive path flushes it when the mapping is learned
-/// ([`ArpCache::take_held`]).
+/// unresolved send parks its frame here ([`ArpCache::send_or_hold`])
+/// and the receive path takes it when the mapping is learned
+/// ([`ArpCache::learn`], [`ArpCache::heard`]). Both live under one
+/// lock, so a frame is never parked after the mapping it waits for has
+/// come, and a frame costs the cache one acquisition on each side.
 pub struct ArpCache {
-    entries: Mutex<HashMap<IpAddr, MacAddr>>,
-    pending: Mutex<HashMap<IpAddr, Vec<Vec<u8>>>>,
+    table: Mutex<Table>,
+}
+
+struct Table {
+    entries: FnvMap<IpAddr, MacAddr>,
+    /// Frames parked for a next hop whose mapping is unknown, in the
+    /// order they were sent.
+    held: FnvMap<IpAddr, Vec<Vec<u8>>>,
+}
+
+/// What [`ArpCache::send_or_hold`] did with a frame.
+#[derive(Debug)]
+pub enum Resolved {
+    /// The mapping is known: the frame goes to this station.
+    Known(MacAddr, Vec<u8>),
+    /// The frame is parked until the mapping is learned; `false` when a
+    /// frame was lost to make room (see [`ArpCache::send_or_hold`]).
+    Held(bool),
 }
 
 impl Default for ArpCache {
@@ -103,71 +121,83 @@ impl Default for ArpCache {
 impl ArpCache {
     /// Creates an empty cache.
     pub fn new() -> ArpCache {
-        ArpCache {
-            entries: Mutex::named(HashMap::new(), "inet.arp"),
-            pending: Mutex::named(HashMap::new(), "inet.arp.pending"),
-        }
+        let table = Table { entries: FnvMap::default(), held: FnvMap::default() };
+        ArpCache { table: Mutex::named(table, "inet.arp") }
     }
 
-    /// Parks a built frame — complete but for the station address it
-    /// is waiting to learn — until `ip` resolves. Returns `false`
-    /// when a packet was lost to make room: either the host table is
-    /// full (the new packet is dropped) or the per-host queue is full
-    /// (the oldest parked packet is evicted — the newest is the live
-    /// one). Senders count that, they don't retry here. Bounded in
-    /// both dimensions ([`HOLD_PER_HOST`], [`HOLD_HOSTS`]) so a flood
-    /// of sends to a silent host cannot grow memory.
-    pub fn hold(&self, ip: IpAddr, frame: Vec<u8>) -> bool {
-        let mut pending = self.pending.lock();
-        if !pending.contains_key(&ip) && pending.len() >= HOLD_HOSTS {
-            return false;
+    /// Where a built frame for next hop `ip` goes: to the known
+    /// mapping, or — complete but for the station address it is
+    /// waiting to learn — onto the hold queue until `ip` resolves.
+    /// Parking loses a frame when the host table is full (the new
+    /// frame is dropped) or the per-host queue is (the oldest parked
+    /// frame is evicted — the newest is the live one). Senders count
+    /// that, they don't retry here. Bounded in both dimensions
+    /// ([`HOLD_PER_HOST`], [`HOLD_HOSTS`]) so a flood of sends to a
+    /// silent host cannot grow memory.
+    pub fn send_or_hold(&self, ip: IpAddr, frame: Vec<u8>) -> Resolved {
+        let mut t = self.table.lock();
+        if let Some(&mac) = t.entries.get(&ip) {
+            return Resolved::Known(mac, frame);
         }
-        let q = pending.entry(ip).or_default();
+        if !t.held.contains_key(&ip) && t.held.len() >= HOLD_HOSTS {
+            return Resolved::Held(false);
+        }
+        let q = t.held.entry(ip).or_default();
         let evicted = q.len() >= HOLD_PER_HOST;
         if evicted {
             q.remove(0);
         }
         q.push(frame);
-        !evicted
+        Resolved::Held(!evicted)
     }
 
-    /// Takes every frame parked for `ip`, in arrival order.
-    pub fn take_held(&self, ip: IpAddr) -> Vec<Vec<u8>> {
-        self.pending.lock().remove(&ip).unwrap_or_default()
+    /// Inserts or refreshes a mapping (an ARP packet's sender), and
+    /// takes the frames held for `ip`, in the order they were sent, for
+    /// the caller to send to `mac`.
+    pub fn learn(&self, ip: IpAddr, mac: MacAddr) -> Vec<Vec<u8>> {
+        let mut t = self.table.lock();
+        t.entries.insert(ip, mac);
+        t.held.remove(&ip).unwrap_or_default()
     }
 
-    /// Packets currently parked across all hosts.
+    /// A frame from `ip` came from station `mac`, which *is* a mapping:
+    /// learns it if none is known, but never overwrites a known one
+    /// (a frame's source is weaker evidence than an ARP reply). Returns
+    /// the mapping in force and the frames held for `ip`, in the order
+    /// they were sent, for the caller to send to it. With nothing held
+    /// this allocates nothing.
+    pub fn heard(&self, ip: IpAddr, mac: MacAddr) -> (MacAddr, Vec<Vec<u8>>) {
+        let mut t = self.table.lock();
+        let mac = *t.entries.entry(ip).or_insert(mac);
+        (mac, t.held.remove(&ip).unwrap_or_default())
+    }
+
+    /// Frames currently parked across all hosts.
     pub fn held_len(&self) -> usize {
-        self.pending.lock().values().map(Vec::len).sum()
-    }
-
-    /// Inserts or refreshes a mapping. What waits for it is parked in
-    /// the hold queue, which the caller flushes.
-    pub fn learn(&self, ip: IpAddr, mac: MacAddr) {
-        self.entries.lock().insert(ip, mac);
+        self.table.lock().held.values().map(Vec::len).sum()
     }
 
     /// Non-blocking lookup.
     pub fn lookup(&self, ip: IpAddr) -> Option<MacAddr> {
-        self.entries.lock().get(&ip).copied()
+        self.table.lock().entries.get(&ip).copied()
     }
 
     /// A snapshot of the cache for the `/net/arp` diagnostic file.
     pub fn entries(&self) -> Vec<(IpAddr, MacAddr)> {
         let mut out: Vec<(IpAddr, MacAddr)> =
-            self.entries.lock().iter().map(|(k, v)| (*k, *v)).collect();
+            self.table.lock().entries.iter().map(|(k, v)| (*k, *v)).collect();
         out.sort_by_key(|(ip, _)| ip.0);
         out
     }
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.table.lock().entries.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        self.table.lock().entries.is_empty()
     }
 }
 

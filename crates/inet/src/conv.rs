@@ -14,6 +14,7 @@ use crate::addr::IpAddr;
 use crate::ip::IpStack;
 use plan9_ninep::NineError;
 use plan9_support::chan::{bounded, Receiver, Sender, TrySendError};
+use plan9_support::fnv::{self, FnvMap};
 use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::time;
 use std::collections::{HashMap, HashSet};
@@ -84,18 +85,6 @@ pub(crate) struct ConnKey {
     pub(crate) rport: u16,
 }
 
-/// The FNV-1a hash behind every pool/wheel shard key. A hash of what
-/// names the thing — not a global counter — so a seeded vtime replay
-/// shards identically run after run.
-pub(crate) fn shard_key(name: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in name {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 impl ConnKey {
     /// The conversation id that keys this conversation's timer fires
     /// and readiness service onto one worker-pool shard, so all of its
@@ -103,7 +92,7 @@ impl ConnKey {
     /// the same ports apart.
     pub(crate) fn conv_id(&self, salt: &[u8]) -> u64 {
         let ports = self.lport.to_be_bytes().into_iter().chain(self.rport.to_be_bytes());
-        shard_key(salt.iter().copied().chain(self.raddr.0.to_be_bytes()).chain(ports))
+        fnv::hash(salt.iter().copied().chain(self.raddr.0.to_be_bytes()).chain(ports))
     }
 
     /// The `local` file string: `ip port`.
@@ -193,7 +182,7 @@ pub(crate) struct ConvTable<C> {
     /// Each conversation, and whether it claimed its local port itself:
     /// an answered call sits on its listener's port, which is the
     /// listener's to release.
-    conns: Mutex<HashMap<ConnKey, (Arc<C>, bool)>>,
+    conns: Mutex<FnvMap<ConnKey, (Arc<C>, bool)>>,
     /// Signalled each time a conversation leaves `conns`.
     retired: Condvar,
     /// The sending end of each listener's backlog.
@@ -206,7 +195,7 @@ pub(crate) struct ConvTable<C> {
 impl<C> ConvTable<C> {
     pub(crate) fn new(close: fn(&Arc<C>)) -> Arc<ConvTable<C>> {
         Arc::new(ConvTable {
-            conns: Mutex::named(HashMap::new(), "inet.conv.conns"),
+            conns: Mutex::named(FnvMap::default(), "inet.conv.conns"),
             retired: Condvar::new(),
             listeners: Mutex::named(HashMap::new(), "inet.conv.listeners"),
             ports: PortSpace::new(),

@@ -574,17 +574,18 @@ impl IlConn {
             }
             inner.snd_id = inner.snd_id.wrapping_add(1);
             let id = inner.snd_id;
+            let now = time::now();
             inner.unacked.insert(
                 id,
                 Sent {
                     payload: msg.clone(),
-                    at: time::now(),
+                    at: now,
                     rexmit: false,
                     trace: trace::current(),
                 },
             );
             if inner.rtx_deadline.is_none() {
-                inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
+                inner.rtx_deadline = Some(now + inner.rtt.rto);
             }
             inner.ack_due = None; // the data message carries our ack
             inner.rx_since_ack = 0;
@@ -1036,43 +1037,32 @@ impl IlConn {
     }
 
     fn accept_ack(&self, inner: &mut Inner, ack: u32) {
-        let acked: Vec<u32> = inner
-            .unacked
-            .keys()
-            .copied()
-            .filter(|&id| seq_le(id, ack))
-            .collect();
-        if acked.is_empty() {
+        // Ids wrap, so what is acked is what `seq_le` says, not a range
+        // of the map's order.
+        if !inner.unacked.keys().any(|&id| seq_le(id, ack)) {
             return;
         }
+        let now = time::now();
         let was_full = inner.unacked.len() as u32 >= IL_WINDOW;
-        for id in &acked {
-            if let Some(sent) = inner.unacked.remove(id) {
-                // The send→ack interval, on the root span of the RPC
-                // that sent the message. A retransmitted message's span
-                // stretches accordingly: the retransmit-inflated tail.
-                if let Some(h) = &sent.trace {
-                    h.span(
-                        Facility::Il,
-                        &format!("il send id {id}"),
-                        sent.at,
-                        time::now(),
-                    );
-                }
-                // Round-trip sample from the newest acked message —
-                // unless it was retransmitted or sent before a repair
-                // round, whose queuing delay would inflate the estimate
-                // (Karn's rule).
-                let karn_clean = !sent.rexmit
-                    && inner.last_rexmit.map(|t| sent.at > t).unwrap_or(true);
-                if *id == ack && karn_clean {
-                    let sample = time::now().saturating_duration_since(sent.at);
-                    inner.rtt.sample(sample);
-                    // The same sample feeds the adaptive-RTT histogram
-                    // shown in the protocol's stats file.
-                    if let Some(stack) = self.stack.upgrade() {
-                        stack.il.stats.rtt.record(sample);
-                    }
+        let Inner { unacked, rtt, last_rexmit, .. } = &mut *inner;
+        for (id, sent) in unacked.extract_if(.., |&id, _| seq_le(id, ack)) {
+            // The send→ack interval, on the root span of the RPC that
+            // sent the message. A retransmitted message's span
+            // stretches accordingly: the retransmit-inflated tail.
+            if let Some(h) = &sent.trace {
+                h.span(Facility::Il, &format!("il send id {id}"), sent.at, now);
+            }
+            // Round-trip sample from the newest acked message — unless
+            // it was retransmitted or sent before a repair round, whose
+            // queuing delay would inflate the estimate (Karn's rule).
+            let karn_clean = !sent.rexmit && last_rexmit.map(|t| sent.at > t).unwrap_or(true);
+            if id == ack && karn_clean {
+                let sample = now.saturating_duration_since(sent.at);
+                rtt.sample(sample);
+                // The same sample feeds the adaptive-RTT histogram
+                // shown in the protocol's stats file.
+                if let Some(stack) = self.stack.upgrade() {
+                    stack.il.stats.rtt.record(sample);
                 }
             }
         }
@@ -1082,7 +1072,7 @@ impl IlConn {
         inner.rtx_deadline = if inner.unacked.is_empty() && inner.state != IlState::Closing {
             None
         } else {
-            Some(time::now() + inner.rtt.rto)
+            Some(now + inner.rtt.rto)
         };
         self.window_open.notify_all();
         if was_full {

@@ -10,13 +10,15 @@
 //! conversations read the same frames through [`IpStack::set_rx_tap`].
 
 use crate::addr::IpAddr;
-use crate::arp::{ArpCache, ArpPacket, ARP_ETHERTYPE, ARP_REPLY, ARP_REQUEST, IP_ETHERTYPE};
+use crate::arp::{
+    ArpCache, ArpPacket, Resolved, ARP_ETHERTYPE, ARP_REPLY, ARP_REQUEST, IP_ETHERTYPE,
+};
 use crate::checksum::internet_checksum;
-use crate::conv::shard_key;
 use crate::{il, tcp, udp};
 use plan9_netlog::{Counter, NetLog, Registry};
 use plan9_support::buf::Bytes;
 use plan9_support::copysite::Site;
+use plan9_support::fnv::{self, FnvMap};
 use plan9_support::sync::Mutex;
 use plan9_support::{pool, time};
 
@@ -26,7 +28,7 @@ use plan9_netsim::ether::{
     frame_with_header, EtherFrame, EtherStation, MacAddr, BROADCAST, ETHER_HDR,
 };
 use plan9_ninep::NineError;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
@@ -137,7 +139,7 @@ pub struct IpStack {
     tap: OnceLock<RxTap>,
     /// The ARP cache (public for diagnostics and tests).
     pub arp: ArpCache,
-    frag: Mutex<HashMap<(u32, u16), FragBuf>>,
+    frag: Mutex<FnvMap<(u32, u16), FragBuf>>,
     ip_id: AtomicU16,
     closed: AtomicBool,
     /// Traffic counters.
@@ -164,7 +166,7 @@ impl IpStack {
     /// retransmission timer is safe on a shard.
     pub fn new_pooled(station: EtherStation, cfg: IpConfig) -> Arc<IpStack> {
         // Named by the MAC plus the interface address.
-        let shard = shard_key(station.addr.into_iter().chain(cfg.addr.0.to_be_bytes()));
+        let shard = fnv::hash(station.addr.into_iter().chain(cfg.addr.0.to_be_bytes()));
         // An IP host only consumes its own unicasts and broadcasts;
         // let the controller filter the rest off the bus.
         station.set_address_filter(true);
@@ -180,7 +182,7 @@ impl IpStack {
             shard,
             tap: OnceLock::new(),
             arp: ArpCache::new(),
-            frag: Mutex::named(HashMap::new(), "inet.ip.frag"),
+            frag: Mutex::named(FnvMap::default(), "inet.ip.frag"),
             ip_id: AtomicU16::new(1),
             closed: AtomicBool::new(false),
             stats: IpStats::new(&netlog.registry),
@@ -279,8 +281,8 @@ impl IpStack {
         };
         // Learn the sender unconditionally; hosts that talk to us are
         // hosts we will talk back to.
-        self.arp.learn(pkt.sender_ip, pkt.sender_mac);
-        self.flush_held(pkt.sender_ip, pkt.sender_mac);
+        let held = self.arp.learn(pkt.sender_ip, pkt.sender_mac);
+        self.flush_held(pkt.sender_mac, held);
         if pkt.op == ARP_REQUEST && pkt.target_ip == self.cfg.addr {
             let reply = ArpPacket {
                 op: ARP_REPLY,
@@ -315,10 +317,8 @@ impl IpStack {
         // Transparent bridges preserve the original source address, so
         // the mapping is correct across segments too.
         if let Some(mac) = src_mac {
-            if self.arp.lookup(hdr.src).is_none() {
-                self.arp.learn(hdr.src, mac);
-            }
-            self.flush_held(hdr.src, mac);
+            let (mac, held) = self.arp.heard(hdr.src, mac);
+            self.flush_held(mac, held);
         }
         let assembled = if hdr.frag_offset == 0 && !hdr.more_frags {
             Some(payload)
@@ -341,14 +341,15 @@ impl IpStack {
     /// whole, which is the only time the fragments' bytes are copied.
     fn reassemble(&self, hdr: &IpHeader, payload: Bytes) -> Option<Bytes> {
         let mut frags = self.frag.lock();
-        // Purge stale entries while we are here.
+        // Purge stale entries while we are here: a late fragment must
+        // find its datagram expired.
         let now = time::now();
         frags.retain(|_, f| now.saturating_duration_since(f.created) < FRAG_TTL);
         let key = (hdr.src.0, hdr.id);
         let buf = frags.entry(key).or_insert_with(|| FragBuf {
             parts: BTreeMap::new(),
             total: None,
-            created: time::now(),
+            created: now,
         });
         if !hdr.more_frags {
             buf.total = Some(hdr.frag_offset as usize * 8 + payload.len());
@@ -473,20 +474,17 @@ impl IpStack {
             return self.transmit(BROADCAST, frame);
         }
         let next_hop = self.next_hop(dst)?;
-        if let Some(mac) = self.arp.lookup(next_hop) {
-            return self.transmit(mac, frame);
-        }
-        // ARP miss. The transmit path runs on pool shards and wheel
-        // callbacks where sleeping on virtual time deadlocks the
-        // kernel, so there is no waiting here at all: park the packet
-        // on the cache's hold queue, solicit, and let the receive path
-        // flush it when the reply (or any frame from the peer) teaches
-        // us the mapping. An unreachable host costs a bounded hold
-        // queue, not a stalled shard.
-        if self.arp.hold(next_hop, frame) {
-            self.stats.arp_held.inc();
-        } else {
-            self.stats.arp_dropped.inc();
+        // On an ARP miss the packet is parked. The transmit path runs
+        // on pool shards and wheel callbacks where sleeping on virtual
+        // time deadlocks the kernel, so there is no waiting here at
+        // all: solicit, and let the receive path flush the hold queue
+        // when the reply (or any frame from the peer) teaches us the
+        // mapping. An unreachable host costs a bounded hold queue, not
+        // a stalled shard.
+        match self.arp.send_or_hold(next_hop, frame) {
+            Resolved::Known(mac, frame) => return self.transmit(mac, frame),
+            Resolved::Held(true) => self.stats.arp_held.inc(),
+            Resolved::Held(false) => self.stats.arp_dropped.inc(),
         }
         let req = ArpPacket {
             op: ARP_REQUEST,
@@ -497,13 +495,7 @@ impl IpStack {
         };
         self.station
             .send(BROADCAST, ARP_ETHERTYPE, &req.encode())
-            .map_err(NineError::new)?;
-        // The reply may have raced the hold: flush immediately if the
-        // mapping is already in.
-        if let Some(mac) = self.arp.lookup(next_hop) {
-            self.flush_held(next_hop, mac);
-        }
-        Ok(())
+            .map_err(NineError::new)
     }
 
     /// Routes `dst` to the on-link next hop.
@@ -523,9 +515,10 @@ impl IpStack {
         self.station.send_frame(frame).map_err(NineError::new)
     }
 
-    /// Sends every frame parked for `ip` now that its MAC is known.
-    fn flush_held(&self, ip: IpAddr, mac: MacAddr) {
-        for frame in self.arp.take_held(ip) {
+    /// Sends the frames that were parked for a next hop, now that its
+    /// station address `mac` is known.
+    fn flush_held(&self, mac: MacAddr, held: Vec<Vec<u8>>) {
+        for frame in held {
             let _ = self.transmit(mac, frame);
         }
     }

@@ -196,9 +196,9 @@ impl EtherSegment {
         // attributed to whatever RPC is transmitting on this thread.
         let cur = plan9_netlog::trace::current();
         let t0 = cur.as_ref().map(|_| time::now());
-        // Book the bus for the transmission time: a sender with a
+        // Book a paced bus for the transmission time: a sender with a
         // thread of its own waits it out, a pool job does not.
-        let done = self.medium.transmit(frame.len());
+        let off = self.medium.put(frame.len());
         if let (Some(h), Some(t0)) = (&cur, t0) {
             h.span(
                 plan9_netlog::Facility::Ether,
@@ -211,7 +211,7 @@ impl EtherSegment {
         if copies == 0 {
             return Ok(());
         }
-        let deliver_at = done + self.medium.profile().propagation + extra;
+        let at = self.medium.due(off, extra);
         // The one buffer the sender filled feeds every station's timer
         // event: a broadcast on a 250-host city segment costs no
         // memcpy at all, and each handler's frame is a view of it.
@@ -232,11 +232,12 @@ impl EtherSegment {
             // propagation deadline, or a job on the station's shard now
             // if the frame is already due (an unpaced medium), which a
             // transmitter holding no lock runs itself: no thread handoff
-            // at all. The shard serializes a station's deliveries.
+            // and no clock read at all. The shard serializes a
+            // station's deliveries.
             let (key, h) = &s.handler;
             for _ in 0..copies {
                 let (h, wire) = (Arc::clone(h), shared.clone());
-                arrive(*key, deliver_at, move || {
+                arrive(*key, at, move || {
                     if let Some(f) = EtherFrame::from_wire(wire) {
                         h(f)
                     }

@@ -23,6 +23,7 @@
 use crate::profile::LinkProfile;
 use crate::wire::{wire_on_medium, Medium, WireRx, WireTx};
 use plan9_support::chan::{unbounded, Receiver, SendError, Sender};
+use plan9_support::fnv;
 use plan9_support::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -233,8 +234,7 @@ impl Drop for Announcement {
 /// The pool key a circuit's frames from `from` to `to` arrive on: an
 /// FNV-1a hash of the two addresses, so a seeded run replays.
 fn circuit_key(from: &str, to: &str) -> u64 {
-    let bytes = from.bytes().chain([0]).chain(to.bytes());
-    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    fnv::hash(from.bytes().chain([0]).chain(to.bytes()))
 }
 
 /// One end of an established circuit.

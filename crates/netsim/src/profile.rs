@@ -102,6 +102,12 @@ impl LinkProfile {
         self
     }
 
+    /// Whether the line takes time to send a frame: it has a finite
+    /// rate or a per-frame cost. An unpaced line is off as it is sent.
+    pub fn paced(&self) -> bool {
+        self.bandwidth_bps > 0 || self.per_frame > Duration::ZERO
+    }
+
     /// The time the line is busy transmitting `len` payload bytes.
     pub fn tx_time(&self, len: usize) -> Duration {
         let mut t = self.per_frame;

@@ -1,12 +1,13 @@
 //! The pacing engine: a unidirectional frame wire.
 //!
-//! A wire carries whole frames from one sender to one receiver. A send
-//! books the line for the frame's transmission time (serializing the
-//! line): a sender with a thread of its own waits until the frame is
-//! off, a pool job does not (see [`Medium::transmit`]). The frame is
-//! delivered after the propagation delay, and the configured
-//! impairments (loss, duplication, corruption, reordering) are applied
-//! in flight.
+//! A wire carries whole frames from one sender to one receiver. On a
+//! paced line a send books the line for the frame's transmission time
+//! (serializing the line): a sender with a thread of its own waits
+//! until the frame is off, a pool job does not (see
+//! [`Medium::transmit`]). On an unpaced line a frame is off as it is
+//! sent, and books nothing. The frame is delivered after the
+//! propagation delay, and the configured impairments (loss,
+//! duplication, corruption, reordering) are applied in flight.
 //!
 //! Every medium delivers by one rule, [`arrive`]: a frame goes to its
 //! receiver's handler at its deadline, as a timer-wheel entry while the
@@ -27,17 +28,21 @@ use std::time::{Duration, Instant};
 
 /// The due-frame rule, for every medium: runs `hand` — which hands a
 /// frame to its receiver's handler — on the pool shard for `key` at
-/// `at`: as a timer-wheel entry if `at` is still ahead (a paced medium,
-/// or one with propagation delay), and as a job right away if it is
-/// due, which a sender holding no lock runs itself (see [`pool`]). It
-/// runs with no current trace, on whichever thread runs it. A failed
-/// schedule or submit (no thread for the wheel or a worker) loses the
-/// frame, as a lossy medium may.
-pub(crate) fn arrive(key: u64, at: Instant, hand: impl FnOnce() + Send + 'static) {
-    if at <= time::now() {
-        let _ = pool::submit(key, move || untraced(hand));
-    } else {
-        let _ = wheel::schedule(key, at, move || untraced(hand));
+/// `at` ([`Medium::due`]): as a timer-wheel entry if `at` is still
+/// ahead (a paced medium, or one with propagation delay), and as a job
+/// right away if it is due, which a sender holding no lock runs itself
+/// (see [`pool`]). `None` is due as it is sent (an unpaced medium with
+/// no delay), and reads no clock. It runs with no current trace, on
+/// whichever thread runs it. A failed schedule or submit (no thread for
+/// the wheel or a worker) loses the frame, as a lossy medium may.
+pub(crate) fn arrive(key: u64, at: Option<Instant>, hand: impl FnOnce() + Send + 'static) {
+    match at {
+        Some(at) if at > time::now() => {
+            let _ = wheel::schedule(key, at, move || untraced(hand));
+        }
+        _ => {
+            let _ = pool::submit(key, move || untraced(hand));
+        }
     }
 }
 
@@ -86,7 +91,8 @@ impl WireStats {
 
 /// The shared line state (the "medium"): who is transmitting and until
 /// when. Several senders may share one medium (an Ethernet segment); the
-/// lock serializes them exactly as a bus does.
+/// lock serializes them exactly as a bus does. An unpaced medium takes
+/// no time to send a frame, so it keeps no booking.
 pub struct Medium {
     profile: LinkProfile,
     busy_until: Mutex<Instant>,
@@ -133,6 +139,26 @@ impl Medium {
         &self.stats
     }
 
+    /// Puts a frame of `len` payload bytes on the line and returns when
+    /// it is off: on a paced medium after booking the line
+    /// ([`Medium::transmit`]); on an unpaced one `None`, as it is sent,
+    /// with no booking and no clock read.
+    pub(crate) fn put(&self, len: usize) -> Option<Instant> {
+        self.profile.paced().then(|| self.transmit(len))
+    }
+
+    /// When a frame off the line at `off` (from [`Medium::put`]) is
+    /// due at its receivers, after the propagation delay and `extra`:
+    /// `None` if it is due as it is sent.
+    pub(crate) fn due(&self, off: Option<Instant>, extra: Duration) -> Option<Instant> {
+        let delay = self.profile.propagation + extra;
+        match off {
+            Some(off) => Some(off + delay),
+            None if delay.is_zero() => None,
+            None => Some(time::now() + delay),
+        }
+    }
+
     /// Books the line for `len` payload bytes, from when it is next
     /// free, and returns the instant transmission completes. A sender
     /// with a thread of its own waits until then — the medium is busy
@@ -154,7 +180,7 @@ impl Medium {
         while now < done && !pool::in_job() {
             // blocking-ok: never in a pool job; a thread of its own
             // waits out one frame's serialization time, bounded by the
-            // MTU, and none at all on an unpaced medium
+            // MTU, and an unpaced medium books nothing
             time::sleep(done - now);
             now = time::now();
         }
@@ -278,11 +304,13 @@ impl Port {
         }
     }
 
-    /// Sends `item` toward the receiver, to arrive at `at`.
-    fn post(self: &Arc<Self>, at: Instant, item: Option<Vec<u8>>) {
-        let mut st = self.state.lock();
-        st.last = st.last.max(at);
-        drop(st);
+    /// Sends `item` toward the receiver, to arrive at `at` (`None`: as
+    /// it is sent).
+    fn post(self: &Arc<Self>, at: Option<Instant>, item: Option<Vec<u8>>) {
+        if let Some(at) = at {
+            let mut st = self.state.lock();
+            st.last = st.last.max(at);
+        }
         let port = Arc::clone(self);
         arrive(self.key, at, move || port.take(item));
     }
@@ -296,7 +324,8 @@ pub struct WireTx {
 }
 
 impl WireTx {
-    /// Sends one frame, after the line's booking ([`Medium::transmit`]).
+    /// Sends one frame, after the line's booking on a paced medium
+    /// ([`Medium::transmit`]).
     ///
     /// Frames larger than the medium's MTU are refused — fragmentation is
     /// the business of the protocol layer above.
@@ -311,15 +340,15 @@ impl WireTx {
         }
         let cur = plan9_netlog::trace::current();
         let t0 = cur.as_ref().map(|_| time::now());
-        let done = self.medium.transmit(frame.len());
+        let off = self.medium.put(frame.len());
         let mut f = frame.to_vec();
         let (copies, extra) = self.medium.impair(&mut f);
-        let deliver_at = done + self.medium.profile.propagation + extra;
-        if copies == 2 {
-            self.port.post(deliver_at, Some(f.clone()));
-        }
         if copies > 0 {
-            self.port.post(deliver_at, Some(f));
+            let at = self.medium.due(off, extra);
+            if copies == 2 {
+                self.port.post(at, Some(f.clone()));
+            }
+            self.port.post(at, Some(f));
         }
         if let (Some(h), Some(t0)) = (cur, t0) {
             // Line acquisition plus serialization: where a paced or
@@ -343,7 +372,7 @@ impl WireTx {
 impl Drop for WireTx {
     fn drop(&mut self) {
         let at = self.port.state.lock().last.max(time::now());
-        self.port.post(at, None);
+        self.port.post(Some(at), None);
     }
 }
 

@@ -16,9 +16,10 @@ use crate::transport::{MsgSink, MsgSource, SinkSlot};
 use crate::{errstr, Dir, NineError, Result};
 use plan9_netlog::trace;
 use plan9_netlog::Facility;
+use plan9_support::fnv::FnvMap;
 use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::time;
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
 use std::sync::Arc;
 
@@ -31,7 +32,7 @@ struct Slot {
 
 #[derive(Default)]
 struct Pending {
-    slots: HashMap<Tag, Slot>,
+    slots: FnvMap<Tag, Slot>,
     /// Where the search for the next request's tag starts.
     next_tag: Tag,
     /// One of the waiting callers is in `recvmsg`, reading for all.

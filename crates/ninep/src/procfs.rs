@@ -11,8 +11,8 @@ use crate::dir::{Dir, DIR_LEN};
 use crate::qid::Qid;
 use crate::server::NineService;
 use crate::{errstr, NineError, Result};
+use plan9_support::fnv::FnvMap;
 use plan9_support::sync::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 mod dev;
@@ -215,7 +215,7 @@ struct MemNode {
 }
 
 struct MemInner {
-    nodes: HashMap<u32, MemNode>,
+    nodes: FnvMap<u32, MemNode>,
     next_path: u32,
 }
 
@@ -233,7 +233,7 @@ pub struct MemFs {
 impl MemFs {
     /// Creates an empty tree owned by `owner`.
     pub fn new(name: &str, owner: &str) -> Arc<MemFs> {
-        let mut nodes = HashMap::new();
+        let mut nodes = FnvMap::default();
         nodes.insert(
             0,
             MemNode {

@@ -23,7 +23,7 @@ use crate::server::NineService;
 use crate::{errstr, NineError, Result};
 use plan9_support::sync::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The root directory of every device.
@@ -248,6 +248,11 @@ fn conv_file(number: usize, &(name, typ, mode): &ConvFile) -> Dir {
 /// table's lock.
 pub struct ConvTable<C> {
     convs: Mutex<Convs<C>>,
+    /// How many conversations are live, kept where they are allocated
+    /// and freed: a receive path that would walk an empty table (the
+    /// Ethernet device's, per frame) reads it instead of the lock. It
+    /// publishes nothing; the table itself is read under the lock.
+    live: AtomicUsize,
     top: &'static [ConvFile],
     files: &'static [ConvFile],
 }
@@ -260,6 +265,7 @@ impl<C> ConvTable<C> {
                 Convs { next: first, live: Vec::new(), holds: HashMap::new() },
                 "ninep.convtable",
             ),
+            live: AtomicUsize::new(0),
             top,
             files,
         }
@@ -273,6 +279,7 @@ impl<C> ConvTable<C> {
         t.next += 1;
         t.live.push(Conv { number, refs: 1, state: Arc::new(state) });
         t.holds.insert(handle, number);
+        self.live.fetch_add(1, Ordering::Relaxed);
         number
     }
 
@@ -300,16 +307,24 @@ impl<C> ConvTable<C> {
         let number = t.holds.remove(&handle)?;
         let i = t.find(number).ok()?;
         t.live[i].refs -= 1;
-        (t.live[i].refs == 0).then(|| t.live.remove(i).state)
+        if t.live[i].refs > 0 {
+            return None;
+        }
+        self.live.fetch_sub(1, Ordering::Relaxed);
+        Some(t.live.remove(i).state)
     }
 
     /// The number of live conversations.
     pub fn conn_count(&self) -> usize {
-        self.convs.lock().live.len()
+        self.live.load(Ordering::Relaxed)
     }
 
-    /// Calls `f` on every live conversation, under the table's lock.
+    /// Calls `f` on every live conversation, under the table's lock,
+    /// which an empty table does not take.
     pub fn for_each(&self, mut f: impl FnMut(&C)) {
+        if self.conn_count() == 0 {
+            return;
+        }
         self.convs.lock().live.iter().for_each(|c| f(&c.state));
     }
 

@@ -37,11 +37,11 @@ use crate::{errstr, NineError, Result};
 use plan9_netlog::trace::{self, TraceHandle};
 use plan9_netlog::Facility;
 use plan9_support::chan::{unbounded, Receiver, Sender};
+use plan9_support::fnv::FnvMap;
 use plan9_support::pool;
 use plan9_support::sync::{self, Condvar, Mutex};
 use plan9_support::vtime::{self, KprocHandle};
 use plan9_support::time;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -83,7 +83,7 @@ struct Workers {
 
 struct ServerShared {
     fs: Arc<dyn ProcFs>,
-    fids: Mutex<HashMap<Fid, FidState>>,
+    fids: Mutex<FnvMap<Fid, FidState>>,
     /// File operations running on workers: each tag's current
     /// operation, by the serial number it was started under. A Tflush
     /// removes the entry, so the operation finds on finishing that the
@@ -91,7 +91,7 @@ struct ServerShared {
     /// tag has been used again. An answered tag is not in the map, so
     /// flushing it changes nothing; nor is an operation run where its
     /// message was read, since no Tflush can be read while it runs.
-    inflight: Mutex<HashMap<Tag, u64>>,
+    inflight: Mutex<FnvMap<Tag, u64>>,
     sink: SinkSlot,
     workers: Mutex<Workers>,
     /// The job channel has closed.
@@ -351,8 +351,8 @@ impl NineService {
         NineService {
             shared: Arc::new(ServerShared {
                 fs,
-                fids: Mutex::named(HashMap::new(), "ninep.server.fids"),
-                inflight: Mutex::named(HashMap::new(), "ninep.server.inflight"),
+                fids: Mutex::named(FnvMap::default(), "ninep.server.fids"),
+                inflight: Mutex::named(FnvMap::default(), "ninep.server.inflight"),
                 sink: SinkSlot::new(sink),
                 workers: Mutex::named(workers, "ninep.server.workers"),
                 hungup: Condvar::new(),
@@ -621,7 +621,7 @@ pub(crate) mod tests {
     use crate::transport::MsgPipeEnd;
     use plan9_support::sync::Condvar;
     use std::cell::RefCell;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
     use std::thread::{JoinHandle, ThreadId};
 
     fn start_server(fs: Arc<dyn ProcFs>) -> MsgPipeEnd {

@@ -6,9 +6,10 @@
 //!
 //! A [`Site`] is a `static` cell declared next to the copy it measures
 //! (`static ENC: Site = Site::new("il.encode");`). Recording is two
-//! relaxed atomic adds — cheap enough for the hot path. Sites register
-//! themselves in a process-global table on first use, so the rendered
-//! report only ever names sites that actually copied bytes.
+//! relaxed atomic adds and a relaxed load — cheap enough for the hot
+//! path. Sites register themselves in a process-global table on first
+//! use (the load finds the flag unset, and a swap claims it), so the
+//! rendered report only ever names sites that actually copied bytes.
 //!
 //! Like the pool/wheel counters, sites are process-global and
 //! accumulate across every run in the process; deterministic reports
@@ -48,7 +49,7 @@ impl Site {
     pub fn record(&'static self, n: usize) {
         self.bytes.fetch_add(n as u64, Ordering::Relaxed);
         self.calls.fetch_add(1, Ordering::Relaxed);
-        if !self.registered.swap(true, Ordering::Relaxed) {
+        if !self.registered.load(Ordering::Relaxed) && !self.registered.swap(true, Ordering::Relaxed) {
             TABLE.lock().push(self);
         }
     }

@@ -16,6 +16,9 @@
 //! | [`check`] | `proptest`        | property-test runner + [`props!`] macro  |
 //! | [`json`]  | `serde_json`      | string quoting for hand-rolled emitters  |
 //!
+//! [`fnv`] is the kernel's one hash, for shard keys and the tables on
+//! the frame and RPC paths.
+//!
 //! Three modules are boundaries rather than replacements: [`time`] is
 //! the workspace's only legal clock read (wall *and* monotonic),
 //! [`vtime`] is the pluggable discrete-event virtual clock behind it,
@@ -29,6 +32,7 @@ pub mod buf;
 pub mod chan;
 pub mod check;
 pub mod copysite;
+pub mod fnv;
 pub mod json;
 #[cfg(debug_assertions)]
 pub mod lockdep;

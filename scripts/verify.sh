@@ -22,14 +22,14 @@ cargo run --release --offline -q -p plan9-check
 # runtime dump, and no lock receiver the resolver cannot type. The
 # method calls resolved by their receiver's type may not fall below
 # the tree's count, lowered only when code is deleted: a call that
-# loses its type fans out by name again. (5338 since a pool job's send
-# books the line instead of sleeping and each scenario trunk bridge
-# became two handlers: 5348 before, and the deleted code held 10 more
-# than the code that replaced it: 7 in the bridge's two kprocs
-# (bridge-fwd, bridge-pump), their channel, their 50 ms polls, the stop
-# flag and the join loop; 3 in the wire's timed receive
-# (WireRx::recv_timeout, CycloneEnd::recv_timeout and the deadline arm
-# of WireRx::wait).)
+# loses its type fans out by name again. (5341 since a frame pays only
+# for what its medium models: 5338 before, and the one-lock ARP cache,
+# the unpaced wire's deadline (`Medium::put`, `Medium::due`), the IL
+# ack's in-place removal and `support::fnv` hold three more typed
+# calls than the code they replaced. 5338 had come when a pool job's send booked the line
+# instead of sleeping and each scenario trunk bridge became two
+# handlers, from 5348: the deleted code held 10 more than the code
+# that replaced it.)
 python3 - <<'EOF'
 import json, sys
 r = json.load(open("REPORT_checkflow.json"))
@@ -41,8 +41,8 @@ for field in ("functions", "call_sites", "resolved_calls", "typed_calls", "roots
         sys.exit(f"verify: REPORT graph.{field} missing or non-integer")
 if g["functions"] < 500 or g["roots"] < 5:
     sys.exit(f"verify: call graph implausibly small ({g['functions']} fns, {g['roots']} roots)")
-if g["typed_calls"] < 5338:
-    sys.exit(f"verify: {g['typed_calls']} method calls resolved by receiver type (need >= 5338)")
+if g["typed_calls"] < 5341:
+    sys.exit(f"verify: {g['typed_calls']} method calls resolved by receiver type (need >= 5341)")
 for pass_ in ("blocking_context", "panic_reach"):
     p = r[pass_]
     if p["count"] != 0 or p["findings"]:
@@ -336,7 +336,9 @@ bash perf/run.sh --quick >/dev/null
 # else between IlConn::send and IlConn::recv: a copy or a buffer put
 # back on that path shows in the bytes copied and allocated per byte
 # delivered, on the small RPC and on the 8 KiB read that fragments; a
-# drain job boxed per message shows as a 21st allocation.
+# drain job boxed per message, or an IL ack that collects the ids it
+# acknowledges again, shows as an 18th allocation on the small RPC
+# (17.01) and a 36th on the 8 KiB read (35.05).
 # Over TCP the same read is a request, six segments and two
 # acknowledgments — one for every second segment, the last one's riding
 # on the next request — on no switch either: the exportfs kproc parked
@@ -374,10 +376,11 @@ for gate in gates:
 traced_gate rpc64_il \
     "os.ctxsw_per_op < 0.1" "os.threads <= 7" \
     "inet.il.pkts_per_op == 2" "netsim.ether.frames_per_op == 2" \
-    "copy.bytes_per_payload_byte <= 6.0" "alloc.calls_per_op <= 20"
+    "copy.bytes_per_payload_byte <= 6.0" "alloc.calls_per_op <= 18"
 traced_gate read8k_il \
     "os.ctxsw_per_op < 0.1" \
     "copy.bytes_per_payload_byte <= 4.2" "alloc.bytes_per_op <= 64000" \
+    "alloc.calls_per_op <= 36" \
     "netsim.ether.frames_per_op == 7" "inet.ip.frags_per_op == 6"
 traced_gate read8k_tcp \
     "netsim.ether.frames_per_op <= 10" "inet.tcp.segs_per_op <= 10" \
