@@ -5,8 +5,9 @@
 //!   protocol related" — the fraction of the workspace that is network
 //!   and protocol code.
 //! * §3: "The entire protocol [IL] is 847 lines of code, compared to
-//!   2200 lines for TCP" — the relative sizes of our `il.rs` and
-//!   `tcp.rs`.
+//!   2200 lines for TCP" — the relative sizes of our IL and TCP, each
+//!   its shell (`il.rs`, `tcp.rs`) and its core (`il/fsm.rs`,
+//!   `tcp/fsm.rs`).
 //!
 //! It is also the ratchet on the north star's "non-test LoC per crate
 //! is a tracked number": `scripts/loc-ratchet.txt` holds each crate's
@@ -68,21 +69,18 @@ fn main() {
         frac * 100.0
     );
 
-    // §3: IL vs TCP.
-    let il = count_file(&root.join("crates/inet/src/il.rs")).expect("il.rs");
-    let tcp = count_file(&root.join("crates/inet/src/tcp.rs")).expect("tcp.rs");
+    // §3: IL vs TCP, each its shell and its core (the state machine).
+    let lines = |f: &str| count_file(&root.join("crates/inet/src").join(f)).expect(f).non_test_code;
+    let (il, tcp) = (lines("il.rs") + lines("il/fsm.rs"), lines("tcp.rs") + lines("tcp/fsm.rs"));
     println!();
-    println!("IL  (il.rs):  {:>5} non-test code lines", il.non_test_code);
-    println!("TCP (tcp.rs): {:>5} non-test code lines", tcp.non_test_code);
+    println!("IL  (il.rs + il/fsm.rs):   {il:>5} non-test code lines");
+    println!("TCP (tcp.rs + tcp/fsm.rs): {tcp:>5} non-test code lines");
     println!(
         "TCP/IL ratio: {:.2}x (paper: 2200/847 = {:.2}x)",
-        tcp.non_test_code as f64 / il.non_test_code as f64,
+        tcp as f64 / il as f64,
         2200.0 / 847.0
     );
-    assert!(
-        il.non_test_code < tcp.non_test_code,
-        "IL must stay smaller than TCP, as in the paper"
-    );
+    assert!(il < tcp, "IL must stay smaller than TCP, as in the paper");
 
     rows.push(("workspace".to_string(), all.non_test_code));
     let ratchet = root.join("scripts/loc-ratchet.txt");

@@ -23,7 +23,7 @@
 
 use crate::addr::IpAddr;
 use crate::checksum::{internet_checksum, internet_checksum_gather};
-use crate::conv::{self, initial_seq, seq_le, seq_lt, ConnKey, ConvTable, Rtt, ACK_DELAY};
+use crate::conv::{self, initial_seq, ConnKey, ConvTable};
 use crate::ip::IpStack;
 use plan9_netlog::trace;
 use plan9_netlog::{Counter, Facility, Histogram, NetLog};
@@ -32,9 +32,11 @@ use plan9_support::copysite::Site;
 use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::{time, wheel};
 use plan9_ninep::NineError;
-use std::collections::{BTreeMap, VecDeque};
+use fsm::{Actions, Input, Now, Seg, State};
 use std::sync::{Arc, OnceLock, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+pub mod fsm;
 
 /// The IP protocol number for IL.
 pub const IL_PROTO: u8 = 40;
@@ -255,49 +257,17 @@ pub struct IlModule {
 /// A passive IL listener.
 pub type IlListener = conv::Listener<IlConn>;
 
-struct Sent {
-    /// The message: the one copy of it this end holds, from which it
-    /// is first sent and, if the peer asks, sent again.
-    payload: Bytes,
-    at: Instant,
-    /// Set once the message has been retransmitted (Karn's rule: no RTT
-    /// sample from it).
-    rexmit: bool,
-    /// The sender's nettrace root, captured at `send`: the ack (on the
-    /// input thread), a repair (input thread) and a query (timer
-    /// thread) all attribute back to the RPC that sent the message.
-    trace: Option<trace::TraceHandle>,
-}
-
+/// What the conversation lock guards: the core's state, and the one
+/// timer-wheel entry aimed at its earliest deadline.
 struct Inner {
-    state: IlState,
-    /// Id of the last message we sent.
-    snd_id: u32,
-    /// Unacked messages, kept until the peer's ack covers them.
-    unacked: BTreeMap<u32, Sent>,
-    /// Last in-sequence id received from the peer.
-    rcv_id: u32,
-    /// Out-of-window... within-window out-of-order messages.
-    ooo: BTreeMap<u32, Bytes>,
-    /// In-sequence messages awaiting the reader: views of the frames
-    /// (or reassembled datagrams) they arrived in.
-    rcv_q: VecDeque<Bytes>,
-    peer_closed: bool,
-    ack_due: Option<Instant>,
-    /// Data messages received since our last ack left.
-    rx_since_ack: u32,
-    /// When we last retransmitted anything (Karn window).
-    last_rexmit: Option<Instant>,
-    rtx_deadline: Option<Instant>,
-    retries: u32,
-    rtt: Rtt,
-    err: Option<String>,
-    /// The armed timer-wheel entry covering the earliest of `ack_due`
-    /// and `rtx_deadline`, if any.
+    st: State,
     timer: Option<wheel::TimerId>,
 }
 
-/// One IL connection.
+/// One IL connection: the shell around [`fsm`]. Each input is one hold
+/// of the lock, in which the core steps and the timer is aimed (the
+/// entry's id is part of what the lock guards); what the step asks for
+/// is done after the lock is dropped.
 pub struct IlConn {
     stack: Weak<IpStack>,
     key: ConnKey,
@@ -345,9 +315,9 @@ impl IlModule {
         dport: u16,
     ) -> crate::Result<Arc<IlConn>> {
         let iss = initial_seq();
-        let conn = self.table.open(lport, dst, dport, |key| {
-            IlConn::fresh(stack, key, IlState::Syncer, iss)
-        })?;
+        let st = State::new(iss, None);
+        let sync = st.sync();
+        let conn = self.table.open(lport, dst, dport, |key| IlConn::fresh(stack, key, st))?;
         self.netlog.events.log(Facility::Il, None, || {
             format!("sync id {iss} to {dst}!{dport}")
         });
@@ -355,35 +325,31 @@ impl IlModule {
         // timer (whose wheel/pool threads spawn lazily and can fail
         // under thread exhaustion) — must undo the conns entry and
         // release the port, not leak the table slot or panic.
-        let setup = conn.transmit(IlType::Sync, iss, 0, &[]).and_then(|()| {
-            let mut inner = conn.inner.lock();
-            inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
-            conn.rearm(&mut inner)
-                .map_err(|e| NineError::new(format!("il timer: {e}")))
+        let setup = conn.transmit(stack, &sync).and_then(|()| {
+            let (_, armed) = conn.step_in(&mut conn.inner.lock(), Input::Open);
+            armed.map_err(|e| NineError::new(format!("il timer: {e}")))
         });
         if let Err(e) = setup {
-            conn.teardown();
+            conn.abandon();
             return Err(e);
         }
         let mut inner = conn.inner.lock();
         let deadline = time::now() + Duration::from_secs(10);
-        while inner.state == IlState::Syncer {
-            if conn.readable.wait_until(&mut inner, deadline).timed_out() {
-                inner.err = Some("connection timed out".to_string());
-                inner.state = IlState::Closed;
-                break;
-            }
+        let mut timed_out = false;
+        while !timed_out && inner.st.state == IlState::Syncer {
+            timed_out = conn.readable.wait_until(&mut inner, deadline).timed_out();
         }
-        let verdict = match (&inner.err, inner.state) {
+        let verdict = match (&inner.st.err, inner.st.state) {
             (Some(e), _) => Err(e.clone()),
             (None, IlState::Established) => Ok(()),
+            (None, IlState::Syncer) => Err("connection timed out".to_string()),
             (None, _) => Err("connection refused".to_string()),
         };
         drop(inner);
         match verdict {
             Ok(()) => Ok(conn),
             Err(e) => {
-                conn.teardown();
+                conn.abandon();
                 Err(NineError::new(e))
             }
         }
@@ -409,34 +375,25 @@ impl IlModule {
             rport: pkt.src,
         };
         if let Some(conn) = stack.il.table.lookup(&key) {
-            conn.handle(&pkt, data.slice(IL_HDR..len));
+            let seg = Seg { typ: pkt.typ, id: pkt.id, ack: pkt.ack, payload: Some(data.slice(IL_HDR..len)) };
+            conn.run(Input::Segment(seg));
             return;
         }
         if pkt.typ == IlType::Sync {
             let iss = initial_seq();
-            let answered = stack.il.table.answer(key, || {
-                let conn = IlConn::fresh(stack, key, IlState::Syncee, iss);
-                {
-                    let mut inner = conn.inner.lock();
-                    inner.rcv_id = pkt.id; // Sync consumes one id
-                    inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
-                }
-                conn
-            });
-            if let Some(conn) = answered {
+            let st = State::new(iss, Some(pkt.id));
+            let sync = st.sync();
+            if let Some(conn) = stack.il.table.answer(key, || IlConn::fresh(stack, key, st)) {
                 stack.il.netlog.events.log(Facility::Il, None, || {
                     format!("sync id {iss} from {src} port {}", pkt.src)
                 });
-                let _ = conn.transmit(IlType::Sync, iss, pkt.id, &[]);
-                let armed = {
-                    let mut inner = conn.inner.lock();
-                    conn.rearm(&mut inner)
-                };
+                let _ = conn.transmit(stack, &sync);
+                let (_, armed) = conn.step_in(&mut conn.inner.lock(), Input::Open);
                 if armed.is_err() {
                     // No timer means a wedged half-open conversation:
                     // drop it (freeing the table slot) and let the
                     // peer's re-Sync try again.
-                    conn.teardown();
+                    conn.abandon();
                 }
                 return;
             }
@@ -477,28 +434,12 @@ impl std::fmt::Debug for IlConn {
 }
 
 impl IlConn {
-    fn fresh(stack: &Arc<IpStack>, key: ConnKey, state: IlState, iss: u32) -> Arc<IlConn> {
+    fn fresh(stack: &Arc<IpStack>, key: ConnKey, st: State) -> Arc<IlConn> {
         Arc::new(IlConn {
             stack: Arc::downgrade(stack),
             key,
             conv: key.conv_id(&[]),
-            inner: Mutex::named(Inner {
-                state,
-                snd_id: iss,
-                unacked: BTreeMap::new(),
-                rcv_id: 0,
-                ooo: BTreeMap::new(),
-                rcv_q: VecDeque::new(),
-                peer_closed: false,
-                ack_due: None,
-                rx_since_ack: 0,
-                last_rexmit: None,
-                rtx_deadline: None,
-                retries: 0,
-                rtt: Rtt::new(RTO_INITIAL, RTO_MIN, RTO_MAX),
-                err: None,
-                timer: None,
-            }, "inet.il.conn"),
+            inner: Mutex::named(Inner { st, timer: None }, "inet.il.conn"),
             readable: Condvar::new(),
             window_open: Condvar::new(),
             rx_notify: OnceLock::new(),
@@ -517,33 +458,117 @@ impl IlConn {
 
     /// The connection state.
     pub fn state(&self) -> IlState {
-        self.inner.lock().state
+        self.inner.lock().st.state
     }
 
     /// The `status` file line.
     pub fn status_string(&self) -> String {
         let inner = self.inner.lock();
-        format!(
-            "{} rtt {} unacked {} window {}",
-            inner.state.name(),
-            inner.rtt.srtt_string(),
-            inner.unacked.len(),
-            IL_WINDOW,
-        )
+        let st = &inner.st;
+        format!("{} rtt {} unacked {} window {}", st.state.name(), st.rtt.srtt_string(), st.unacked.len(), IL_WINDOW)
     }
 
-    fn transmit(&self, typ: IlType, id: u32, ack: u32, payload: &[u8]) -> crate::Result<()> {
-        let stack = self
-            .stack
-            .upgrade()
-            .ok_or_else(|| NineError::new("stack is down"))?;
-        let hdr = IlHeader {
-            typ,
-            src: self.key.lport,
-            dst: self.key.rport,
-            id,
-            ack,
+    /// One input, in the caller's hold of the lock: the core steps, and
+    /// the timer is aimed where it says before the lock drops.
+    fn step_in(self: &Arc<Self>, inner: &mut Inner, input: Input) -> (Actions, std::io::Result<()>) {
+        if matches!(input, Input::Timer) {
+            inner.timer = None;
+        }
+        let acts = fsm::step(&mut inner.st, input, Now::Clock(time::now));
+        if !acts.aim {
+            return (acts, Ok(()));
+        }
+        let conn = Arc::clone(self);
+        let armed = wheel::rearm(&mut inner.timer, self.conv, acts.deadline, move || conn.timer_fire());
+        (acts, armed)
+    }
+
+    /// One input in a hold of its own, and what it asks for done.
+    fn run(self: &Arc<Self>, input: Input) {
+        let (acts, _) = self.step_in(&mut self.inner.lock(), input);
+        let _ = self.perform(acts);
+    }
+
+    /// Does what a step asked, the lock dropped, in the order the
+    /// core's fields give: the wake-ups, the counters and events, the
+    /// segments, the listener, the table. Returns the first transmit's
+    /// failure.
+    fn perform(&self, acts: Actions) -> crate::Result<()> {
+        if acts.room {
+            self.window_open.notify_all();
+        }
+        if acts.readable {
+            self.readable.notify_all();
+        }
+        if acts.hook {
+            if let Some(hook) = self.rx_notify.get() {
+                hook();
+            }
+        }
+        if acts.writable {
+            self.window_open.notify_all();
+        }
+        let stack = self.stack.upgrade();
+        let mut sent = match (&stack, acts.segs.is_empty()) {
+            (None, false) => Err(NineError::new("stack is down")),
+            _ => Ok(()),
         };
+        if let Some(stack) = &stack {
+            let stats = &stack.il.stats;
+            if acts.sent {
+                stats.tx_msgs.inc();
+            }
+            if acts.delivered {
+                stats.rx_msgs.inc();
+            }
+            if let Some(sample) = acts.rtt {
+                stats.rtt.record(sample);
+            }
+            for (h, id, sent, acked) in &acts.spans {
+                h.span(Facility::Il, &format!("il send id {id}"), *sent, *acked);
+            }
+            for (seg, tr) in acts.segs.iter() {
+                let (id, ack) = (seg.id, seg.ack);
+                match seg.typ {
+                    IlType::Ack => stats.acks.inc(),
+                    IlType::Query => {
+                        stats.queries.inc();
+                        stack.il.netlog.events.log(Facility::Il, tr.as_ref(), || format!("query id {id} ack {ack}"));
+                    }
+                    IlType::Data if !acts.sent => {
+                        // One event per repaired message, so the event
+                        // log is a ground truth the retransmit counter
+                        // can be checked against, each naming its RPC.
+                        let len = seg.payload.as_ref().map_or(0, |p| p.len());
+                        stats.retransmit_msgs.inc();
+                        stats.retransmit_bytes.add(len as u64);
+                        stack.il.netlog.events.log(Facility::Il, tr.as_ref(), || format!("rexmit id {id} len {len}"));
+                    }
+                    _ => {}
+                }
+            }
+            for (seg, _) in acts.segs.iter() {
+                sent = sent.and(self.transmit(stack, seg));
+            }
+        }
+        if acts.hangup {
+            self.readable.notify_all();
+            self.window_open.notify_all();
+        }
+        if let Some(stack) = &stack {
+            if acts.established {
+                stack.il.table.established(&self.key);
+            }
+            if acts.free {
+                stack.il.table.retire(&self.key);
+            }
+        }
+        sent
+    }
+
+    fn transmit(&self, stack: &IpStack, seg: &Seg) -> crate::Result<()> {
+        let hdr = IlHeader { typ: seg.typ, src: self.key.lport, dst: self.key.rport, id: seg.id, ack: seg.ack };
+        let payload = seg.payload.as_deref().unwrap_or(&[]);
         stack.send(self.key.raddr, IL_PROTO, &[&hdr.encode(payload), payload])
     }
 
@@ -556,135 +581,42 @@ impl IlConn {
         // source of every transmission till then.
         SEGMENT_SITE.record(msg.len());
         let msg = Bytes::from(msg.to_vec());
-        let (id, ack) = {
-            let mut inner = self.inner.lock();
-            loop {
-                match inner.state {
-                    IlState::Established => {}
-                    _ => {
-                        return Err(NineError::new(
-                            inner.err.clone().unwrap_or_else(|| "hungup".to_string()),
-                        ))
-                    }
-                }
-                if (inner.unacked.len() as u32) < IL_WINDOW {
-                    break;
-                }
-                self.window_open.wait(&mut inner);
-            }
-            inner.snd_id = inner.snd_id.wrapping_add(1);
-            let id = inner.snd_id;
-            let now = time::now();
-            inner.unacked.insert(
-                id,
-                Sent {
-                    payload: msg.clone(),
-                    at: now,
-                    rexmit: false,
-                    trace: trace::current(),
-                },
-            );
-            if inner.rtx_deadline.is_none() {
-                inner.rtx_deadline = Some(now + inner.rtt.rto);
-            }
-            inner.ack_due = None; // the data message carries our ack
-            inner.rx_since_ack = 0;
-            self.rearm(&mut inner)
-                .map_err(|e| NineError::new(format!("il timer: {e}")))?;
-            (id, inner.rcv_id)
-        };
-        if let Some(stack) = self.stack.upgrade() {
-            stack.il.stats.tx_msgs.inc();
+        let mut inner = self.inner.lock();
+        while !inner.st.can_send().map_err(NineError::new)? {
+            self.window_open.wait(&mut inner);
         }
-        self.transmit(IlType::Data, id, ack, &msg)
+        let (acts, armed) = self.step_in(&mut inner, Input::Send(msg, trace::current()));
+        drop(inner);
+        armed.map_err(|e| NineError::new(format!("il timer: {e}")))?;
+        self.perform(acts)
     }
 
     /// Whether [`IlConn::send`] would go ahead at once: the window has
     /// room, or the conversation is over and it would fail.
     pub fn can_send(&self) -> bool {
-        let inner = self.inner.lock();
-        inner.state != IlState::Established || (inner.unacked.len() as u32) < IL_WINDOW
+        self.inner.lock().st.can_send() != Ok(false)
     }
 
     /// Blocks for the next message; `None` is orderly EOF.
     pub fn recv(&self) -> crate::Result<Option<Vec<u8>>> {
-        self.recv_until(None)
-    }
-
-    /// Waits for a message until the timeout elapses; `Err("timed out")`.
-    pub fn recv_timeout(&self, d: Duration) -> crate::Result<Option<Vec<u8>>> {
-        self.recv_until(Some(time::now() + d))
-    }
-
-    /// What a reader can have without waiting: a message, or `None` at
-    /// the orderly end of the conversation; else nothing yet.
-    fn poll(inner: &mut Inner) -> crate::Result<Option<Option<Bytes>>> {
-        if let Some(msg) = inner.rcv_q.pop_front() {
-            return Ok(Some(Some(msg)));
-        }
-        if inner.peer_closed || inner.state == IlState::Closed {
-            return Ok(Some(None));
-        }
-        inner.err.as_ref().map_or(Ok(None), |e| Err(NineError::new(e.clone())))
-    }
-
-    fn recv_until(&self, deadline: Option<Instant>) -> crate::Result<Option<Vec<u8>>> {
         let mut inner = self.inner.lock();
         loop {
-            if let Some(got) = Self::poll(&mut inner)? {
+            if let Some(got) = inner.st.read() {
                 drop(inner);
-                return Ok(got.map(|msg| copy_out(&msg)));
+                return got.map(|msg| msg.map(|m| copy_out(&m))).map_err(NineError::new);
             }
-            match deadline {
-                None => self.readable.wait(&mut inner),
-                Some(d) if self.readable.wait_until(&mut inner, d).timed_out() => {
-                    return Err(NineError::new("timed out"));
-                }
-                Some(_) => {}
-            }
+            self.readable.wait(&mut inner);
         }
     }
 
     /// Closes the connection.
     pub fn close(self: &Arc<Self>) {
-        let (id, ack, send_close) = {
-            let mut inner = self.inner.lock();
-            match inner.state {
-                IlState::Established | IlState::Syncee | IlState::Syncer => {
-                    inner.state = IlState::Closing;
-                    inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
-                    let _ = self.rearm(&mut inner);
-                    (inner.snd_id, inner.rcv_id, true)
-                }
-                _ => (0, 0, false),
-            }
-        };
-        if send_close {
-            let _ = self.transmit(IlType::Close, id, ack, &[]);
-        }
-        self.readable.notify_all();
-        self.window_open.notify_all();
+        self.run(Input::Close);
     }
 
-    fn teardown(&self) {
-        // Taken, then cancelled with `inet.il.conn` dropped.
-        let timer = self.inner.lock().timer.take();
-        if let Some(id) = timer {
-            wheel::cancel(id);
-        }
-        if let Some(stack) = self.stack.upgrade() {
-            stack.il.table.retire(&self.key);
-        }
-    }
-
-    /// Wakes blocked readers *and* fires the registered readiness
-    /// hook: a pool-serviced conversation has no parked thread to
-    /// notify, only a closure to call back.
-    fn rx_wake(&self) {
-        self.readable.notify_all();
-        if let Some(hook) = self.rx_notify.get() {
-            hook();
-        }
+    /// Frees a conversation that failed to start: its timer, its slot.
+    fn abandon(self: &Arc<Self>) {
+        self.run(Input::Abandon);
     }
 
     /// Registers a readable-readiness hook, called whenever a message,
@@ -708,409 +640,18 @@ impl IlConn {
 
     /// Non-blocking receive, for pool-serviced conversations.
     pub fn try_recv(&self) -> crate::Result<TryRecv> {
-        let got = Self::poll(&mut self.inner.lock())?;
-        Ok(match got {
+        let got = self.inner.lock().st.read();
+        Ok(match got.transpose().map_err(NineError::new)? {
             Some(Some(msg)) => TryRecv::Msg(copy_out(&msg)),
             Some(None) => TryRecv::Eof,
             None => TryRecv::Empty,
         })
     }
 
-    /// Re-aims the conversation's wheel timer at the earliest of the
-    /// delayed-ack and retransmit deadlines; see [`wheel::rearm`].
-    fn rearm(self: &Arc<Self>, inner: &mut Inner) -> std::io::Result<()> {
-        let want = if inner.state == IlState::Closed {
-            None
-        } else {
-            match (inner.ack_due, inner.rtx_deadline) {
-                (Some(a), Some(r)) => Some(a.min(r)),
-                (a, r) => a.or(r),
-            }
-        };
-        let conn = Arc::clone(self);
-        wheel::rearm(&mut inner.timer, self.conv, want, move || conn.timer_fire())
-    }
-
     /// One timer expiry, dispatched from the wheel onto this
     /// conversation's pool shard.
     fn timer_fire(self: Arc<Self>) {
-        enum Action {
-            None,
-            SendAck(u32, u32),
-            SendQuery(u32, u32, Option<trace::TraceHandle>),
-            Resync(u32, u32, bool),
-            ReClose(u32, u32),
-            Die,
-        }
-        let action = {
-            let mut inner = self.inner.lock();
-            inner.timer = None;
-            if inner.state == IlState::Closed {
-                Action::Die
-            } else if inner
-                .ack_due
-                .map(|t| time::now() >= t)
-                .unwrap_or(false)
-            {
-                inner.ack_due = None;
-                Action::SendAck(inner.snd_id, inner.rcv_id)
-            } else if inner
-                .rtx_deadline
-                .map(|t| time::now() >= t)
-                .unwrap_or(false)
-            {
-                inner.retries += 1;
-                if inner.retries > MAX_RETRIES {
-                    inner.err = Some("connection timed out".to_string());
-                    inner.state = IlState::Closed;
-                    self.rx_wake();
-                    self.window_open.notify_all();
-                    Action::Die
-                } else {
-                    inner.rtt.backoff(3, 2);
-                    inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
-                    match inner.state {
-                        IlState::Syncer => Action::Resync(inner.snd_id, 0, true),
-                        IlState::Syncee => {
-                            Action::Resync(inner.snd_id, inner.rcv_id, false)
-                        }
-                        IlState::Closing => Action::ReClose(inner.snd_id, inner.rcv_id),
-                        _ => {
-                            if inner.unacked.is_empty() {
-                                inner.rtx_deadline = None;
-                                inner.retries = 0;
-                                Action::None
-                            } else {
-                                // The IL way: ask, don't blast. The
-                                // query is about the oldest unacked
-                                // message; its trace owns the event.
-                                let tr = inner
-                                    .unacked
-                                    .values()
-                                    .next()
-                                    .and_then(|s| s.trace.clone());
-                                Action::SendQuery(inner.snd_id, inner.rcv_id, tr)
-                            }
-                        }
-                    }
-                }
-            } else {
-                Action::None
-            }
-        };
-        match action {
-            Action::Die => {
-                self.teardown();
-                return;
-            }
-            Action::None => {}
-            Action::SendAck(id, ack) => {
-                if let Some(stack) = self.stack.upgrade() {
-                    stack.il.stats.acks.inc();
-                }
-                let _ = self.transmit(IlType::Ack, id, ack, &[]);
-            }
-            Action::SendQuery(id, ack, tr) => {
-                if let Some(stack) = self.stack.upgrade() {
-                    stack.il.stats.queries.inc();
-                    stack.il.netlog.events.log(Facility::Il, tr.as_ref(), || {
-                        format!("query id {id} ack {ack}")
-                    });
-                }
-                let _ = self.transmit(IlType::Query, id, ack, &[]);
-            }
-            Action::Resync(id, ack, syncer) => {
-                let _ = self.transmit(IlType::Sync, id, if syncer { 0 } else { ack }, &[]);
-            }
-            Action::ReClose(id, ack) => {
-                let _ = self.transmit(IlType::Close, id, ack, &[]);
-            }
-        }
-        let mut inner = self.inner.lock();
-        let _ = self.rearm(&mut inner);
-    }
-
-    fn handle(self: &Arc<Self>, pkt: &IlHeader, payload: Bytes) {
-        let mut send_ack = false;
-        let mut send_state = false;
-        let mut retransmit: Vec<(u32, Bytes, Option<trace::TraceHandle>)> = Vec::new();
-        let mut deliver_to_listener = false;
-        let mut reply_close = false;
-        {
-            let mut inner = self.inner.lock();
-            match (inner.state, pkt.typ) {
-                (IlState::Syncer, IlType::Sync) if pkt.ack == inner.snd_id => {
-                    inner.rcv_id = pkt.id;
-                    inner.state = IlState::Established;
-                    inner.rtx_deadline = None;
-                    inner.retries = 0;
-                    send_ack = true;
-                    self.readable.notify_all();
-                }
-                (IlState::Syncee, IlType::Ack)
-                | (IlState::Syncee, IlType::Data)
-                | (IlState::Syncee, IlType::Query)
-                | (IlState::Syncee, IlType::State)
-                    if pkt.ack == inner.snd_id =>
-                {
-                    // Any packet acking our Sync proves the peer got it,
-                    // so it completes the handshake. Queries must count:
-                    // if the completing Ack and the first Data are both
-                    // lost, the peer's recovery probe is the only
-                    // traffic we will ever see.
-                    inner.state = IlState::Established;
-                    inner.rtx_deadline = None;
-                    inner.retries = 0;
-                    deliver_to_listener = true;
-                    match pkt.typ {
-                        IlType::Data => {
-                            self.accept_data(&mut inner, pkt.id, payload, &mut send_ack)
-                        }
-                        IlType::Query => send_state = true,
-                        _ => {}
-                    }
-                }
-                (IlState::Syncee, IlType::Sync) => {
-                    // Duplicate Sync: repeat our reply.
-                    let (id, ack) = (inner.snd_id, inner.rcv_id);
-                    drop(inner);
-                    let _ = self.transmit(IlType::Sync, id, ack, &[]);
-                    return;
-                }
-                (_, IlType::Close) => {
-                    inner.peer_closed = true;
-                    match inner.state {
-                        IlState::Closing | IlState::Closed => {
-                            inner.state = IlState::Closed;
-                        }
-                        _ => {
-                            inner.state = IlState::Closing;
-                            reply_close = true;
-                        }
-                    }
-                    self.rx_wake();
-                    self.window_open.notify_all();
-                }
-                (IlState::Established, typ) | (IlState::Closing, typ) => {
-                    // Any packet carries a cumulative ack.
-                    self.accept_ack(&mut inner, pkt.ack);
-                    match typ {
-                        IlType::Data => {
-                            self.accept_data(&mut inner, pkt.id, payload, &mut send_ack);
-                        }
-                        IlType::Query => {
-                            // "The receiver responds to a query" with its
-                            // state; the sender then repairs.
-                            send_state = true;
-                        }
-                        IlType::State => {
-                            // Everything the peer has not seen beyond its
-                            // cumulative ack *may* be lost; repair the
-                            // oldest few and let the next round handle
-                            // deeper holes, so repair traffic stays
-                            // proportional to actual loss.
-                            self.accept_ack(&mut inner, pkt.ack);
-                            for (&id, sent) in inner.unacked.iter_mut() {
-                                if seq_lt(pkt.ack, id) && retransmit.len() < REPAIR_BURST {
-                                    sent.rexmit = true;
-                                    retransmit.push((
-                                        id,
-                                        sent.payload.clone(),
-                                        sent.trace.clone(),
-                                    ));
-                                }
-                            }
-                            if !retransmit.is_empty() {
-                                inner.last_rexmit = Some(time::now());
-                                // A State reply proves the path is alive:
-                                // the exponential backoff applies to
-                                // silence, not to repair rounds.
-                                inner.retries = 0;
-                                inner.rtt.settle();
-                                inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
-                            }
-                        }
-                        IlType::Sync => {
-                            // The peer is still resyncing: our
-                            // handshake-completing ack was lost. Answer
-                            // with our state so it can establish and
-                            // solicit repair, instead of querying into
-                            // a peer that will never hear us.
-                            send_state = true;
-                        }
-                        // A Close is taken by the arm above.
-                        IlType::Ack | IlType::Close => {}
-                    }
-                    if inner.state == IlState::Closing
-                        && inner.peer_closed
-                        && inner.unacked.is_empty()
-                    {
-                        inner.state = IlState::Closed;
-                    }
-                }
-                _ => {}
-            }
-        }
-        if send_ack {
-            // Delay slightly so an RPC reply can piggyback its ack, but
-            // ack a bulk burst immediately so the sender's window keeps
-            // moving.
-            let immediate = {
-                let mut inner = self.inner.lock();
-                inner.rx_since_ack += 1;
-                if inner.rx_since_ack >= ACK_BATCH {
-                    inner.rx_since_ack = 0;
-                    inner.ack_due = None;
-                    true
-                } else {
-                    if inner.ack_due.is_none() {
-                        inner.ack_due = Some(time::now() + ACK_DELAY);
-                    }
-                    false
-                }
-            };
-            if immediate {
-                let (id, ack) = {
-                    let inner = self.inner.lock();
-                    (inner.snd_id, inner.rcv_id)
-                };
-                if let Some(stack) = self.stack.upgrade() {
-                    stack.il.stats.acks.inc();
-                }
-                let _ = self.transmit(IlType::Ack, id, ack, &[]);
-            }
-        }
-        if send_state {
-            let (id, ack) = {
-                let inner = self.inner.lock();
-                (inner.snd_id, inner.rcv_id)
-            };
-            let _ = self.transmit(IlType::State, id, ack, &[]);
-        }
-        if !retransmit.is_empty() {
-            if let Some(stack) = self.stack.upgrade() {
-                let bytes: usize = retransmit.iter().map(|(_, p, _)| p.len()).sum();
-                stack.il.stats.retransmit_msgs.add(retransmit.len() as u64);
-                stack.il.stats.retransmit_bytes.add(bytes as u64);
-                // One event per repaired message, so the event log is a
-                // ground truth the retransmit counter can be checked
-                // against, each naming the RPC whose message it was.
-                for (id, payload, tr) in &retransmit {
-                    let len = payload.len();
-                    stack.il.netlog.events.log(Facility::Il, tr.as_ref(), || {
-                        format!("rexmit id {id} len {len}")
-                    });
-                }
-            }
-            let ack = self.inner.lock().rcv_id;
-            for (id, payload, _) in retransmit {
-                let _ = self.transmit(IlType::Data, id, ack, &payload);
-            }
-        }
-        if reply_close {
-            let (id, ack) = {
-                let inner = self.inner.lock();
-                (inner.snd_id, inner.rcv_id)
-            };
-            let _ = self.transmit(IlType::Close, id, ack, &[]);
-            // Both directions are done.
-            let mut inner = self.inner.lock();
-            inner.state = IlState::Closed;
-            drop(inner);
-            self.teardown();
-        }
-        if deliver_to_listener {
-            if let Some(stack) = self.stack.upgrade() {
-                stack.il.table.established(&self.key);
-            }
-        }
-        // Every branch above may have moved ack_due/rtx_deadline; one
-        // re-arm covers them all (and cancels if the conn closed).
-        let closed = {
-            let mut inner = self.inner.lock();
-            let _ = self.rearm(&mut inner);
-            inner.state == IlState::Closed
-        };
-        if closed {
-            self.teardown();
-        }
-    }
-
-    fn accept_ack(&self, inner: &mut Inner, ack: u32) {
-        // Ids wrap, so what is acked is what `seq_le` says, not a range
-        // of the map's order.
-        if !inner.unacked.keys().any(|&id| seq_le(id, ack)) {
-            return;
-        }
-        let now = time::now();
-        let was_full = inner.unacked.len() as u32 >= IL_WINDOW;
-        let Inner { unacked, rtt, last_rexmit, .. } = &mut *inner;
-        for (id, sent) in unacked.extract_if(.., |&id, _| seq_le(id, ack)) {
-            // The send→ack interval, on the root span of the RPC that
-            // sent the message. A retransmitted message's span
-            // stretches accordingly: the retransmit-inflated tail.
-            if let Some(h) = &sent.trace {
-                h.span(Facility::Il, &format!("il send id {id}"), sent.at, now);
-            }
-            // Round-trip sample from the newest acked message — unless
-            // it was retransmitted or sent before a repair round, whose
-            // queuing delay would inflate the estimate (Karn's rule).
-            let karn_clean = !sent.rexmit && last_rexmit.map(|t| sent.at > t).unwrap_or(true);
-            if id == ack && karn_clean {
-                let sample = now.saturating_duration_since(sent.at);
-                rtt.sample(sample);
-                // The same sample feeds the adaptive-RTT histogram
-                // shown in the protocol's stats file.
-                if let Some(stack) = self.stack.upgrade() {
-                    stack.il.stats.rtt.record(sample);
-                }
-            }
-        }
-        inner.retries = 0;
-        // A Close has no acknowledgment but the peer's own: the timer
-        // that sends it again stays armed until that comes.
-        inner.rtx_deadline = if inner.unacked.is_empty() && inner.state != IlState::Closing {
-            None
-        } else {
-            Some(now + inner.rtt.rto)
-        };
-        self.window_open.notify_all();
-        if was_full {
-            // A service that stopped reading for want of room for its
-            // replies has no thread in `send` to wake.
-            self.rx_wake();
-        }
-    }
-
-    fn accept_data(&self, inner: &mut Inner, id: u32, payload: Bytes, send_ack: &mut bool) {
-        *send_ack = true;
-        let expected = inner.rcv_id.wrapping_add(1);
-        if id == expected {
-            inner.rcv_id = id;
-            inner.rcv_q.push_back(payload);
-            // Resequence: drain consecutive out-of-order messages.
-            loop {
-                let next = inner.rcv_id.wrapping_add(1);
-                match inner.ooo.remove(&next) {
-                    Some(msg) => {
-                        inner.rcv_id = next;
-                        inner.rcv_q.push_back(msg);
-                    }
-                    None => break,
-                }
-            }
-            if let Some(stack) = self.stack.upgrade() {
-                stack.il.stats.rx_msgs.inc();
-            }
-            self.rx_wake();
-        } else if seq_lt(inner.rcv_id, id) {
-            // Ahead of us: keep it only if within the window; "messages
-            // outside the window are discarded and must be retransmitted."
-            if id.wrapping_sub(inner.rcv_id) <= IL_WINDOW {
-                inner.ooo.insert(id, payload);
-            }
-        }
-        // Behind us: duplicate; the ack we send repairs the peer.
+        self.run(Input::Timer);
     }
 }
 
@@ -1249,7 +790,7 @@ mod tests {
         );
         // What was sent again is what was sent: a repair is read from
         // the bytes `send` retained, the first transmission's own.
-        let first_id = conn.inner.lock().snd_id.wrapping_sub(n_msgs as u32 - 1);
+        let first_id = conn.inner.lock().st.snd_id.wrapping_sub(n_msgs as u32 - 1);
         let events = a.netlog().events.events();
         let repaired: Vec<(usize, usize)> = events
             .iter()
@@ -1312,7 +853,7 @@ mod tests {
         let conn = a.il_module().connect(&a, b.addr(), 17008).unwrap();
         for _ in 0..100 {
             conn.send(b"burst").unwrap();
-            let unacked = conn.inner.lock().unacked.len() as u32;
+            let unacked = conn.inner.lock().st.unacked.len() as u32;
             assert!(unacked <= IL_WINDOW, "window exceeded: {unacked}");
         }
         std::thread::sleep(Duration::from_millis(100));

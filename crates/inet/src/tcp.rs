@@ -12,7 +12,7 @@
 
 use crate::addr::IpAddr;
 use crate::checksum::{internet_checksum, internet_checksum_gather};
-use crate::conv::{self, initial_seq, seq_le, seq_lt, ConnKey, ConvTable, Rtt, ACK_DELAY};
+use crate::conv::{self, initial_seq, ConnKey, ConvTable};
 use crate::ip::IpStack;
 use plan9_netlog::trace;
 use plan9_netlog::{Counter, Facility, NetLog};
@@ -21,9 +21,11 @@ use plan9_support::copysite::Site;
 use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::{time, wheel};
 use plan9_ninep::NineError;
-use std::collections::{BTreeMap, VecDeque};
+use fsm::{Actions, Input, Now, Seg, State};
 use std::sync::{Arc, OnceLock, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+pub mod fsm;
 
 /// The IP protocol number for TCP.
 pub const TCP_PROTO: u8 = 6;
@@ -161,74 +163,6 @@ impl TcpHeader {
 pub(crate) static SEGMENT_SITE: Site = Site::new("tcp.segment");
 static RX_SITE: Site = Site::new("tcp.rxcopy");
 
-/// What a segment carries: views of at most two of the buffers in the
-/// send queue, or nothing.
-type Payload = Option<[Bytes; 2]>;
-
-/// A segment ready to leave: made under the conversation lock,
-/// transmitted after it is dropped.
-type Outgoing = (TcpHeader, Payload);
-
-/// What a read took off the receive queue, and the window update it
-/// owes the sender.
-type Taken = (Vec<u8>, Option<TcpHeader>);
-
-fn payload_len(p: &Payload) -> usize {
-    p.as_ref().map_or(0, |[a, b]| a.len() + b.len())
-}
-
-/// A byte queue that holds the buffers put in it, not copies of their
-/// bytes: the writers' retained buffers on the way out, the payload
-/// views of the frames that arrived on the way in.
-#[derive(Default)]
-struct ByteQueue {
-    bufs: VecDeque<Bytes>,
-    len: usize,
-}
-
-impl ByteQueue {
-    fn push(&mut self, b: Bytes) {
-        self.len += b.len();
-        self.bufs.push_back(b);
-    }
-
-    /// Takes `n` bytes, at most `len`, off the front and shows each run
-    /// of them to `each`: buffers used up are dropped, the last one
-    /// touched is advanced.
-    fn consume(&mut self, mut n: usize, mut each: impl FnMut(&[u8])) {
-        self.len -= n;
-        while let Some(front) = self.bufs.front_mut().filter(|_| n > 0) {
-            let take = n.min(front.len());
-            each(&front[..take]);
-            n -= take;
-            if take == front.len() {
-                self.bufs.pop_front();
-            } else {
-                *front = front.slice(take..front.len());
-            }
-        }
-    }
-
-    /// Views of the bytes from `off`: up to `n` of them, fewer where
-    /// they would reach into a third buffer. `None` past the end.
-    fn views(&self, mut off: usize, n: usize) -> Payload {
-        let mut bufs = self.bufs.iter();
-        let first = loop {
-            let b = bufs.next()?;
-            if off < b.len() {
-                break b;
-            }
-            off -= b.len();
-        };
-        let a = first.slice(off..first.len().min(off + n));
-        let b = match bufs.next() {
-            Some(next) if a.len() < n => next.slice(0..next.len().min(n - a.len())),
-            _ => a.slice(0..0),
-        };
-        Some([a, b])
-    }
-}
-
 /// Parses and checksum-verifies a segment; its payload is a view of `b`.
 pub fn decode_segment(b: Bytes) -> Option<Segment> {
     if b.len() < TCP_HDR {
@@ -297,92 +231,18 @@ pub struct TcpModule {
 /// A passive listener.
 pub type TcpListener = conv::Listener<TcpConn>;
 
+/// What the conversation lock guards: the core's state, and the one
+/// timer-wheel entry aimed at its earliest pending deadline (delayed
+/// ack, retransmission or TIME-WAIT expiry).
 struct Inner {
-    state: TcpState,
-    // Send side.
-    snd_una: u32,
-    snd_nxt: u32,
-    snd_wnd: u32,
-    /// Bytes from `snd_una` onward: unacknowledged, then unsent.
-    send_q: ByteQueue,
-    /// A thread is in `pump`'s loop: segments leave in sequence order
-    /// because no second thread sends new ones beside it.
-    pumping: bool,
-    fin_queued: bool,
-    fin_seq: Option<u32>,
-    // Receive side.
-    rcv_nxt: u32,
-    /// `rcv_nxt` as the last segment that carried ACK told it.
-    rcv_acked: u32,
-    recv_q: ByteQueue,
-    ooo: BTreeMap<u32, Bytes>,
-    peer_fin: Option<u32>,
-    fin_taken: bool,
-    // Timing.
-    rtt: Rtt,
-    rtt_probe: Option<(u32, Instant)>,
-    rtx_deadline: Option<Instant>,
-    /// When a delayed acknowledgment must leave by itself, if no
-    /// segment of ours has carried it by then.
-    ack_due: Option<Instant>,
-    retries: u32,
-    time_wait_until: Option<Instant>,
-    /// The wheel timer armed at the earliest pending deadline (delayed
-    /// ack, retransmission or TIME-WAIT expiry), if any.
+    st: State,
     timer: Option<wheel::TimerId>,
-    err: Option<String>,
-    // Congestion control (Tahoe/Reno-style; §3's "TCP has a high
-    // overhead" includes all of this machinery).
-    mss: usize,
-    cwnd: u32,
-    ssthresh: u32,
-    dup_acks: u32,
-    /// The last writer's nettrace root: byte streams have no message
-    /// identity, so a retransmission is attributed to the most recent
-    /// traced writer.
-    trace: Option<trace::TraceHandle>,
 }
 
-impl Inner {
-    fn inflight(&self) -> u32 {
-        self.snd_nxt.wrapping_sub(self.snd_una)
-    }
-
-    /// Congestion events halve the pipe estimate.
-    fn enter_recovery(&mut self) {
-        self.ssthresh = (self.inflight() / 2).max(2 * self.mss as u32);
-    }
-
-    /// Opens the congestion window for `acked` newly acknowledged bytes:
-    /// exponentially in slow start, linearly in congestion avoidance.
-    fn grow_cwnd(&mut self, acked: u32) {
-        if self.cwnd < self.ssthresh {
-            self.cwnd = self.cwnd.saturating_add(acked).min(self.ssthresh.max(self.cwnd + acked));
-        } else {
-            let mss = self.mss as u32;
-            self.cwnd = self
-                .cwnd
-                .saturating_add((mss.saturating_mul(mss) / self.cwnd.max(1)).max(1));
-        }
-        self.cwnd = self.cwnd.min(SND_BUF_MAX as u32);
-    }
-
-    fn window_avail(&self) -> u16 {
-        (RCV_BUF_MAX.saturating_sub(self.recv_q.len)).min(u16::MAX as usize) as u16
-    }
-
-    /// Whether the stream still takes writes.
-    fn open(&self) -> bool {
-        matches!(self.state, TcpState::Established | TcpState::CloseWait)
-    }
-
-    /// Whether `pump` has data or a FIN it has not sent once yet.
-    fn unsent(&self) -> bool {
-        (self.inflight() as usize) < self.send_q.len || (self.fin_queued && self.fin_seq.is_none())
-    }
-}
-
-/// One TCP connection.
+/// One TCP connection: the shell around [`fsm`]. Each input is one hold
+/// of the lock, in which the core steps and the timer is aimed (the
+/// entry's id is part of what the lock guards); what the step asks for
+/// is done after the lock is dropped.
 pub struct TcpConn {
     stack: Weak<IpStack>,
     key: ConnKey,
@@ -427,44 +287,34 @@ impl TcpModule {
         dport: u16,
     ) -> crate::Result<Arc<TcpConn>> {
         let iss = initial_seq();
-        let conn = self.table.open(lport, dst, dport, |key| {
-            TcpConn::fresh(stack, key, TcpState::SynSent, iss, 0)
-        })?;
+        let conn = self.table.open(lport, dst, dport, |key| TcpConn::fresh(stack, key, iss, None))?;
         // A failed timer arm or transmit must not leak the conn in the
         // conns table: tear it down and surface the error to the
         // dialer.
-        let syn = {
-            let mut inner = conn.inner.lock();
-            inner.snd_nxt = iss.wrapping_add(1);
-            inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
-            conn.rearm(&mut inner)
-                .map(|()| conn.header(&mut inner, SYN, iss))
-                .map_err(|e| NineError::new(format!("tcp timer: {e}")))
-        };
-        if let Err(e) = syn.and_then(|syn| conn.transmit(syn, &None)) {
-            conn.teardown();
+        let (acts, armed) = conn.step_in(&mut conn.inner.lock(), Input::Open);
+        let setup = armed.map_err(|e| NineError::new(format!("tcp timer: {e}")));
+        if let Err(e) = setup.and_then(|()| conn.perform(acts)) {
+            conn.abandon();
             return Err(e);
         }
         // Wait for the handshake to finish.
         let mut inner = conn.inner.lock();
         let deadline = time::now() + Duration::from_secs(10);
-        while inner.state == TcpState::SynSent || inner.state == TcpState::SynRcvd {
-            if conn.readable.wait_until(&mut inner, deadline).timed_out() {
-                inner.err = Some("connection timed out".to_string());
-                inner.state = TcpState::Closed;
-                break;
-            }
+        let mut timed_out = false;
+        while !timed_out && matches!(inner.st.state, TcpState::SynSent | TcpState::SynRcvd) {
+            timed_out = conn.readable.wait_until(&mut inner, deadline).timed_out();
         }
-        match &inner.err {
+        let err = match (&inner.st.err, inner.st.state) {
+            (Some(e), _) => Some(e.clone()),
+            (None, TcpState::SynSent | TcpState::SynRcvd) => Some("connection timed out".to_string()),
+            (None, _) => None,
+        };
+        drop(inner);
+        match err {
+            None => Ok(conn),
             Some(e) => {
-                let e = e.clone();
-                drop(inner);
-                conn.teardown();
+                conn.abandon();
                 Err(NineError::new(e))
-            }
-            None => {
-                drop(inner);
-                Ok(conn)
             }
         }
     }
@@ -491,28 +341,15 @@ impl TcpModule {
         // No connection: maybe a listener?
         if seg.flags & SYN != 0 && seg.flags & ACK == 0 {
             let iss = initial_seq();
-            let ack = seg.seq.wrapping_add(1);
-            let answered = stack.tcp.table.answer(key, || {
-                let conn = TcpConn::fresh(stack, key, TcpState::SynRcvd, iss, ack);
-                {
-                    let mut inner = conn.inner.lock();
-                    inner.snd_wnd = seg.window as u32;
-                    inner.snd_nxt = iss.wrapping_add(1);
-                    inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
-                }
-                conn
-            });
-            if let Some(conn) = answered {
-                let (synack, armed) = {
-                    let mut inner = conn.inner.lock();
-                    (conn.header(&mut inner, SYN | ACK, iss), conn.rearm(&mut inner))
-                };
-                let _ = conn.transmit(synack, &None);
+            let peer = Some((seg.seq, seg.window));
+            if let Some(conn) = stack.tcp.table.answer(key, || TcpConn::fresh(stack, key, iss, peer)) {
+                let (acts, armed) = conn.step_in(&mut conn.inner.lock(), Input::Open);
+                let _ = conn.perform(acts);
                 if armed.is_err() {
                     // No timer means the handshake can never be
                     // retried; drop the embryonic conn rather than
                     // leak it. The peer will retransmit its SYN.
-                    conn.teardown();
+                    conn.abandon();
                 }
                 return;
             }
@@ -544,48 +381,13 @@ impl std::fmt::Debug for TcpConn {
 }
 
 impl TcpConn {
-    fn fresh(
-        stack: &Arc<IpStack>,
-        key: ConnKey,
-        state: TcpState,
-        iss: u32,
-        rcv_nxt: u32,
-    ) -> Arc<TcpConn> {
-        let mss = stack.mtu() - TCP_HDR;
+    fn fresh(stack: &Arc<IpStack>, key: ConnKey, iss: u32, peer: Option<(u32, u16)>) -> Arc<TcpConn> {
+        let st = State::new(iss, stack.mtu() - TCP_HDR, peer);
         Arc::new(TcpConn {
             stack: Arc::downgrade(stack),
             key,
             conv: key.conv_id(&[TCP_PROTO]),
-            inner: Mutex::named(Inner {
-                state,
-                snd_una: iss,
-                snd_nxt: iss,
-                snd_wnd: RCV_BUF_MAX as u32,
-                send_q: ByteQueue::default(),
-                pumping: false,
-                fin_queued: false,
-                fin_seq: None,
-                rcv_nxt,
-                rcv_acked: rcv_nxt,
-                recv_q: ByteQueue::default(),
-                ooo: BTreeMap::new(),
-                peer_fin: None,
-                fin_taken: false,
-                rtt: Rtt::new(RTO_INITIAL, RTO_MIN, RTO_MAX),
-                rtt_probe: None,
-                rtx_deadline: None,
-                ack_due: None,
-                retries: 0,
-                time_wait_until: None,
-                timer: None,
-                err: None,
-                mss,
-                // Classic initial window: a couple of segments.
-                cwnd: 2 * mss as u32,
-                ssthresh: RCV_BUF_MAX as u32,
-                dup_acks: 0,
-                trace: None,
-            }, "inet.tcp.conn"),
+            inner: Mutex::named(Inner { st, timer: None }, "inet.tcp.conn"),
             readable: Condvar::new(),
             writable: Condvar::new(),
             rx_notify: OnceLock::new(),
@@ -604,60 +406,125 @@ impl TcpConn {
 
     /// The connection state.
     pub fn state(&self) -> TcpState {
-        self.inner.lock().state
+        self.inner.lock().st.state
     }
 
     /// The status line for the `status` file.
     pub fn status_string(&self) -> String {
         let inner = self.inner.lock();
-        format!(
-            "{} srtt {} unacked {} cwnd {} ssthresh {}",
-            inner.state.name(),
-            inner.rtt.srtt_string(),
-            inner.snd_nxt.wrapping_sub(inner.snd_una),
-            inner.cwnd,
-            inner.ssthresh,
-        )
+        let st = &inner.st;
+        let unacked = st.snd_nxt.wrapping_sub(st.snd_una);
+        format!("{} srtt {} unacked {unacked} cwnd {} ssthresh {}", st.state.name(), st.rtt.srtt_string(), st.cwnd, st.ssthresh)
     }
 
-    /// The header of a segment that leaves now, made under the
-    /// conversation lock: its ack and window are the receive side as it
-    /// stands, and one that carries ACK settles the delayed one.
-    fn header(&self, inner: &mut Inner, flags: u16, seq: u32) -> TcpHeader {
-        if flags & ACK != 0 {
-            inner.ack_due = None;
-            inner.rcv_acked = inner.rcv_nxt;
+    /// One input, in the caller's hold of the lock: the core steps, and
+    /// the timer is aimed where it says before the lock drops.
+    fn step_in(self: &Arc<Self>, inner: &mut Inner, input: Input) -> (Actions, std::io::Result<()>) {
+        if matches!(input, Input::Timer) {
+            inner.timer = None;
         }
-        TcpHeader {
-            sport: self.key.lport,
-            dport: self.key.rport,
-            seq,
-            ack: inner.rcv_nxt,
-            flags,
-            window: inner.window_avail(),
+        let acts = fsm::step(&mut inner.st, input, Now::Clock(time::now));
+        if !acts.aim {
+            return (acts, Ok(()));
+        }
+        let conn = Arc::clone(self);
+        let armed = wheel::rearm(&mut inner.timer, self.conv, acts.deadline, move || conn.timer_fire());
+        (acts, armed)
+    }
+
+    /// One input in a hold of its own.
+    fn step(self: &Arc<Self>, input: Input) -> Actions {
+        self.step_in(&mut self.inner.lock(), input).0
+    }
+
+    /// One input, and what it asks for done.
+    fn run(self: &Arc<Self>, input: Input) {
+        let acts = self.step(input);
+        let _ = self.perform(acts);
+    }
+
+    /// Does what a step asked, the lock dropped: the counters and
+    /// events, the segments in order, the listener, the wake-ups, the
+    /// readiness hook, the pump, the table. Returns the first
+    /// transmit's failure.
+    fn perform(self: &Arc<Self>, acts: Actions) -> crate::Result<()> {
+        if acts.wake_first {
+            self.wake(&acts);
+        }
+        // A segment taken in silence (its ack delayed) needs no stack.
+        let wants_stack = !acts.segs.is_empty() || acts.ooo || acts.established || acts.free;
+        let stack = if wants_stack { self.stack.upgrade() } else { None };
+        let mut sent = match (&stack, acts.segs.is_empty()) {
+            (None, false) => Err(NineError::new("stack is down")),
+            _ => Ok(()),
+        };
+        if let Some(stack) = &stack {
+            let stats = &stack.tcp.stats;
+            if acts.ooo {
+                stats.ooo.inc();
+            }
+            let tr = acts.trace.as_ref();
+            if let Some(seg) = acts.segs.iter().next().filter(|_| acts.fast) {
+                let (seq, len) = (seg.seq, seg.payload_len());
+                stats.fast_retransmits.inc();
+                stats.retransmit_segments.inc();
+                stats.retransmit_bytes.add(len as u64);
+                stack.tcp.netlog.events.log(Facility::Tcp, tr, || format!("fast rexmit seq {seq} len {len}"));
+            }
+            if acts.timeout > 0 {
+                let n = acts.timeout;
+                let bytes: usize = acts.segs.iter().skip(acts.segs.iter().count() - n).map(Seg::payload_len).sum();
+                stats.retransmit_segments.add(n as u64);
+                stats.retransmit_bytes.add(bytes as u64);
+                stack.tcp.netlog.events.log(Facility::Tcp, tr, || format!("timeout rexmit {n} segments {bytes} bytes"));
+            }
+            for seg in acts.segs.iter() {
+                sent = sent.and(self.transmit(stack, seg));
+            }
+            if acts.established {
+                stack.tcp.table.established(&self.key);
+            }
+        }
+        if !acts.wake_first {
+            self.wake(&acts);
+        }
+        if acts.hook {
+            if let Some(hook) = self.rx_notify.get() {
+                hook();
+            }
+        }
+        // An ack made room in the windows, or the peer opened its own.
+        if acts.pump {
+            self.pump();
+        }
+        if let Some(stack) = stack.filter(|_| acts.free) {
+            stack.tcp.table.retire(&self.key);
+        }
+        sent
+    }
+
+    fn wake(&self, acts: &Actions) {
+        if acts.readable {
+            self.readable.notify_all();
+        }
+        if acts.writable {
+            self.writable.notify_all();
         }
     }
 
-    /// The data segment that starts `off` bytes past `snd_una`, of up
-    /// to `max` bytes and one MSS: views of the writers' buffers, for
-    /// first transmission and every retransmission alike.
-    fn segment(&self, inner: &mut Inner, off: usize, max: usize) -> Option<Outgoing> {
-        let payload = inner.send_q.views(off, max.min(inner.mss))?;
-        let seq = inner.snd_una.wrapping_add(off as u32);
-        Some((self.header(inner, ACK | PSH, seq), Some(payload)))
-    }
-
-    fn transmit(&self, hdr: TcpHeader, payload: &Payload) -> crate::Result<()> {
-        let stack = self
-            .stack
-            .upgrade()
-            .ok_or_else(|| NineError::new("stack is down"))?;
-        let [a, b]: [&[u8]; 2] = match payload {
+    fn transmit(&self, stack: &IpStack, seg: &Seg) -> crate::Result<()> {
+        let [a, b]: [&[u8]; 2] = match &seg.payload {
             Some([a, b]) => [a, b],
             None => [&[], &[]],
         };
+        let (sport, dport) = (self.key.lport, self.key.rport);
+        let hdr = TcpHeader { sport, dport, seq: seg.seq, ack: seg.ack, flags: seg.flags, window: seg.window };
         stack.tcp.stats.tx_segments.inc();
         stack.send(self.key.raddr, TCP_PROTO, &[&hdr.encode([a, b]), a, b])
+    }
+
+    fn handle(self: &Arc<Self>, seg: &Segment) {
+        self.run(Input::Segment(seg));
     }
 
     /// Writes bytes into the stream; blocks while the send buffer is
@@ -700,99 +567,41 @@ impl TcpConn {
     /// of the room there is, and sends what the windows allow. Returns
     /// the bytes queued.
     fn put(self: &Arc<Self>, take: impl FnOnce(usize) -> Bytes) -> crate::Result<usize> {
-        let queued = {
-            let mut inner = self.inner.lock();
-            if let Some(cur) = trace::current() {
-                inner.trace = Some(cur);
+        let mut inner = self.inner.lock();
+        let room = loop {
+            match inner.st.room().map_err(NineError::new)? {
+                0 => self.writable.wait(&mut inner),
+                room => break room,
             }
-            while inner.open() && inner.send_q.len >= SND_BUF_MAX {
-                self.writable.wait(&mut inner);
-            }
-            if !inner.open() {
-                let e = inner.err.clone().unwrap_or_else(|| "hungup".to_string());
-                return Err(NineError::new(e));
-            }
-            let buf = take(SND_BUF_MAX - inner.send_q.len);
-            let n = buf.len();
-            inner.send_q.push(buf);
-            n
         };
-        self.pump();
-        Ok(queued)
+        let buf = take(room);
+        let n = buf.len();
+        let (acts, _) = self.step_in(&mut inner, Input::Write(buf, trace::current()));
+        drop(inner);
+        let _ = self.perform(acts);
+        Ok(n)
     }
 
     /// Whether [`TcpConn::write_bytes`] would go ahead at once: the send
     /// buffer has room, or the conversation is over and it would fail.
     pub fn can_send(&self) -> bool {
-        let inner = self.inner.lock();
-        !inner.open() || inner.send_q.len < SND_BUF_MAX
+        self.inner.lock().st.room() != Ok(0)
     }
 
-    /// Pushes out as many segments as the windows allow. One thread at
-    /// a time: a writer and the shard that took an ack would otherwise
-    /// each take a segment under the lock and transmit it after, in
-    /// either order. A second caller returns at once — what it queued
-    /// or opened is in `inner`, which the first looks at again, under
-    /// the lock, before it gives `pumping` up.
+    /// Pushes out as many segments as the windows allow, one hold of
+    /// the lock each, one thread at a time (the core's `Pump`): a second
+    /// caller returns at once, and the first looks again, under the
+    /// lock, before it gives the pump up.
     fn pump(self: &Arc<Self>) {
         let mut mine = false;
         loop {
-            let next = {
-                let mut inner = self.inner.lock();
-                if inner.pumping != mine {
-                    return;
-                }
-                let next = self.next_segment(&mut inner);
-                mine = next.is_some();
-                inner.pumping = mine;
-                next
-            };
-            let Some((hdr, payload)) = next else { return };
-            let _ = self.transmit(hdr, &payload);
-        }
-    }
-
-    /// Takes the next unsent segment — data while the windows allow,
-    /// then the FIN — and accounts for it as sent.
-    fn next_segment(self: &Arc<Self>, inner: &mut Inner) -> Option<Outgoing> {
-        if !matches!(
-            inner.state,
-            TcpState::Established
-                | TcpState::CloseWait
-                | TcpState::FinWait1
-                | TcpState::Closing
-                | TcpState::LastAck
-        ) {
-            return None;
-        }
-        let in_flight = inner.inflight() as usize;
-        let out = if in_flight < inner.send_q.len {
-            // Effective window: the receiver's advertisement capped by
-            // the congestion window. A closed one is probed a byte at
-            // a time, at the pace of the receiver's delayed ack.
-            let wnd = inner.snd_wnd.min(inner.cwnd).max(1) as usize;
-            if in_flight >= wnd {
-                return None;
+            let acts = self.step(Input::Pump(mine));
+            mine = !acts.segs.is_empty();
+            if !mine {
+                return;
             }
-            let out = self.segment(inner, in_flight, wnd - in_flight)?;
-            inner.snd_nxt = inner.snd_nxt.wrapping_add(payload_len(&out.1) as u32);
-            if inner.rtt_probe.is_none() {
-                inner.rtt_probe = Some((inner.snd_nxt, time::now()));
-            }
-            out
-        } else if inner.fin_queued && inner.fin_seq.is_none() {
-            let seq = inner.snd_nxt;
-            inner.fin_seq = Some(seq);
-            inner.snd_nxt = seq.wrapping_add(1);
-            (self.header(inner, FIN | ACK, seq), None)
-        } else {
-            return None;
-        };
-        if inner.rtx_deadline.is_none() {
-            inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
+            let _ = self.perform(acts);
         }
-        let _ = self.rearm(inner);
-        Some(out)
     }
 
     /// Reads up to `max` bytes; blocks until data, EOF (`Ok(empty)`) or
@@ -800,9 +609,10 @@ impl TcpConn {
     pub fn read(&self, max: usize) -> crate::Result<Vec<u8>> {
         let mut inner = self.inner.lock();
         loop {
-            if let Some(got) = self.poll(&mut inner, max)? {
+            let acts = fsm::step(&mut inner.st, Input::Read(max), Now::Clock(time::now));
+            if acts.got.is_some() {
                 drop(inner);
-                return Ok(self.taken(got));
+                return self.taken(acts);
             }
             self.readable.wait(&mut inner);
         }
@@ -811,481 +621,45 @@ impl TcpConn {
     /// [`TcpConn::read`] for pool-serviced conversations: `None` where
     /// that would wait.
     pub fn try_read(&self, max: usize) -> crate::Result<Option<Vec<u8>>> {
-        let got = self.poll(&mut self.inner.lock(), max)?;
-        Ok(got.map(|got| self.taken(got)))
+        let acts = fsm::step(&mut self.inner.lock().st, Input::Read(max), Now::Clock(time::now));
+        acts.got.is_some().then(|| self.taken(acts)).transpose()
     }
 
-    /// What a reader can have without waiting: up to `max` bytes, with
-    /// the window update to send once the lock is dropped, or nothing
-    /// at the orderly end of the stream; else `None`.
-    fn poll(&self, inner: &mut Inner, max: usize) -> crate::Result<Option<Taken>> {
-        if inner.recv_q.len > 0 {
-            let n = inner.recv_q.len.min(max);
-            let two_mss = 2 * inner.mss;
-            let was_shut = (inner.window_avail() as usize) < two_mss;
+    /// What a read took, its window update sent.
+    fn taken(&self, acts: Actions) -> crate::Result<Vec<u8>> {
+        if let Some(stack) = self.stack.upgrade() {
+            for seg in acts.segs.iter() {
+                let _ = self.transmit(&stack, seg);
+            }
+        }
+        let data = acts.got.unwrap_or_else(|| Ok(Vec::new())).map_err(NineError::new)?;
+        if !data.is_empty() {
             // The copy out to the reader, the only one the bytes get on
             // this side of the wire.
-            let mut out = Vec::with_capacity(n);
-            inner.recv_q.consume(n, |run| out.extend_from_slice(run));
-            RX_SITE.record(n);
-            // A sender stopped by the window hears that it opened.
-            let update = (was_shut
-                && inner.window_avail() as usize >= two_mss
-                && inner.peer_fin.is_none())
-            .then(|| {
-                let seq = inner.snd_nxt;
-                self.header(inner, ACK, seq)
-            });
-            return Ok(Some((out, update)));
+            RX_SITE.record(data.len());
         }
-        if inner.peer_fin.is_some() && inner.fin_taken {
-            return Ok(Some((Vec::new(), None))); // orderly EOF
-        }
-        if let Some(e) = &inner.err {
-            return Err(NineError::new(e.clone()));
-        }
-        Ok((inner.state == TcpState::Closed).then(|| (Vec::new(), None)))
-    }
-
-    /// What [`TcpConn::poll`] took, its window update sent.
-    fn taken(&self, (data, update): Taken) -> Vec<u8> {
-        if let Some(hdr) = update {
-            let _ = self.transmit(hdr, &None);
-        }
-        data
+        Ok(data)
     }
 
     /// Half-closes the connection: no more writes, reads drain.
     pub fn close(self: &Arc<Self>) {
-        let transition = {
-            let mut inner = self.inner.lock();
-            match inner.state {
-                TcpState::Established => {
-                    inner.state = TcpState::FinWait1;
-                    inner.fin_queued = true;
-                    true
-                }
-                TcpState::CloseWait => {
-                    inner.state = TcpState::LastAck;
-                    inner.fin_queued = true;
-                    true
-                }
-                TcpState::SynSent | TcpState::SynRcvd => {
-                    inner.state = TcpState::Closed;
-                    false
-                }
-                _ => false,
-            }
-        };
-        if transition {
-            self.pump();
-        }
-        // A close from SynSent/SynRcvd goes straight to Closed with
-        // nothing in flight; reap it (and its timer) immediately.
-        if self.inner.lock().state == TcpState::Closed {
-            self.teardown();
-        }
-        self.readable.notify_all();
-        self.writable.notify_all();
+        self.run(Input::Close);
     }
 
     /// Aborts the connection with a RST.
-    pub fn abort(&self) {
-        let rst = {
-            let mut inner = self.inner.lock();
-            inner.state = TcpState::Closed;
-            inner.err = Some("connection aborted".to_string());
-            let seq = inner.snd_nxt;
-            self.header(&mut inner, RST | ACK, seq)
-        };
-        let _ = self.transmit(rst, &None);
-        self.teardown();
-        self.readable.notify_all();
-        self.writable.notify_all();
+    pub fn abort(self: &Arc<Self>) {
+        self.run(Input::Abort);
     }
 
-    /// Calls the readiness hook, if a service registered one: it has no
-    /// parked thread to notify.
-    fn rx_ready(&self) {
-        if let Some(hook) = self.rx_notify.get() {
-            hook();
-        }
-    }
-
-    fn teardown(&self) {
-        let timer = self.inner.lock().timer.take();
-        if let Some(id) = timer {
-            wheel::cancel(id);
-        }
-        if let Some(stack) = self.stack.upgrade() {
-            stack.tcp.table.retire(&self.key);
-        }
-    }
-
-    /// Re-aims the wheel timer at the earliest pending deadline — the
-    /// delayed ack, and retransmission or TIME-WAIT expiry; see
-    /// [`wheel::rearm`]. Must be called whenever one of them changes.
-    fn rearm(self: &Arc<Self>, inner: &mut Inner) -> std::io::Result<()> {
-        let deadline = match inner.state {
-            TcpState::TimeWait => inner.time_wait_until,
-            _ => inner.rtx_deadline,
-        };
-        let want = match (inner.ack_due, deadline) {
-            _ if inner.state == TcpState::Closed => None,
-            (Some(a), Some(d)) => Some(a.min(d)),
-            (a, d) => a.or(d),
-        };
-        let conn = Arc::clone(self);
-        wheel::rearm(&mut inner.timer, self.conv, want, move || conn.timer_fire())
+    /// Frees a conversation that failed to start: its timer, its slot.
+    fn abandon(self: &Arc<Self>) {
+        self.run(Input::Abandon);
     }
 
     /// The wheel callback: one timer expiry, run on this
-    /// conversation's pool shard. Sends the delayed ack if it is due,
-    /// handles TIME-WAIT expiry and the retransmission timeout (blind
-    /// go-back-N from `snd_una`), then re-arms for the next deadline.
+    /// conversation's pool shard.
     fn timer_fire(self: Arc<Self>) {
-        let mut ack = None;
-        let mut actions: Vec<Outgoing> = Vec::new();
-        let mut rexmit_trace: Option<trace::TraceHandle> = None;
-        let dead = {
-            let mut inner = self.inner.lock();
-            inner.timer = None;
-            let now = time::now();
-            if inner.state != TcpState::Closed && inner.ack_due.is_some_and(|d| now >= d) {
-                let seq = inner.snd_nxt;
-                ack = Some(self.header(&mut inner, ACK, seq));
-            }
-            match inner.state {
-                TcpState::Closed => {}
-                TcpState::TimeWait => {
-                    if inner.time_wait_until.is_some_and(|until| now >= until) {
-                        inner.state = TcpState::Closed;
-                    }
-                }
-                // A deadline that moved later since this timer was
-                // armed is aimed at again below.
-                _ if inner.rtx_deadline.is_none_or(|d| now < d) => {}
-                _ if inner.retries >= MAX_RETRIES => {
-                    inner.err = Some("connection timed out".to_string());
-                    inner.state = TcpState::Closed;
-                    self.readable.notify_all();
-                    self.writable.notify_all();
-                }
-                _ => {
-                    // Timeout: retransmit blindly from snd_una
-                    // (go-back-N).
-                    inner.retries += 1;
-                    inner.rtt.backoff(2, 1);
-                    inner.rtx_deadline = Some(now + inner.rtt.rto);
-                    inner.rtt_probe = None; // Karn's rule
-                    // A timeout collapses the congestion window
-                    // (Tahoe).
-                    inner.enter_recovery();
-                    inner.cwnd = inner.mss as u32;
-                    inner.dup_acks = 0;
-                    rexmit_trace = inner.trace.clone();
-                    let una = inner.snd_una;
-                    match inner.state {
-                        TcpState::SynSent => actions.push((self.header(&mut inner, SYN, una), None)),
-                        TcpState::SynRcvd => {
-                            actions.push((self.header(&mut inner, SYN | ACK, una), None))
-                        }
-                        _ => {
-                            let unacked = inner.inflight() as usize;
-                            let fin_in_flight = inner.fin_seq.is_some() && unacked > 0;
-                            let data_len = (unacked - fin_in_flight as usize).min(inner.send_q.len);
-                            let mut off = 0usize;
-                            while off < data_len {
-                                let Some(seg) = self.segment(&mut inner, off, data_len - off)
-                                else {
-                                    break;
-                                };
-                                off += payload_len(&seg.1);
-                                actions.push(seg);
-                            }
-                            if let Some(fin_seq) = inner.fin_seq.filter(|&f| seq_le(una, f)) {
-                                actions.push((self.header(&mut inner, FIN | ACK, fin_seq), None));
-                            }
-                            if actions.is_empty() {
-                                // Nothing outstanding after all.
-                                inner.rtx_deadline = None;
-                                inner.retries = 0;
-                            }
-                        }
-                    }
-                }
-            }
-            let _ = self.rearm(&mut inner);
-            inner.state == TcpState::Closed
-        };
-        if let Some(hdr) = ack {
-            let _ = self.transmit(hdr, &None);
-        }
-        if !actions.is_empty() {
-            if let Some(stack) = self.stack.upgrade() {
-                let bytes: usize = actions.iter().map(|a| payload_len(&a.1)).sum();
-                stack.tcp.stats.retransmit_segments.add(actions.len() as u64);
-                stack.tcp.stats.retransmit_bytes.add(bytes as u64);
-                let n = actions.len();
-                stack.tcp.netlog.events.log(Facility::Tcp, rexmit_trace.as_ref(), || {
-                    format!("timeout rexmit {n} segments {bytes} bytes")
-                });
-            }
-            for (hdr, payload) in actions {
-                let _ = self.transmit(hdr, &payload);
-            }
-        }
-        if dead {
-            self.rx_ready();
-            self.teardown();
-        }
-    }
-
-    fn handle(self: &Arc<Self>, seg: &Segment) {
-        let mut ack_now = false;
-        let mut notify_read = false;
-        let mut notify_write = false;
-        // An ack made room in a send buffer that was full: a service
-        // that stopped reading for want of it has no thread to wake.
-        let mut reopened = false;
-        let mut deliver_to_listener = false;
-        let mut rexmit = None;
-        // The one hold of the conversation lock a segment costs: what
-        // leaves in answer is made in it and transmitted after it.
-        let (ack, pump, closed) = {
-            let mut inner = self.inner.lock();
-            if seg.flags & RST != 0 {
-                inner.err = Some("connection refused".to_string());
-                inner.state = TcpState::Closed;
-                drop(inner);
-                self.readable.notify_all();
-                self.writable.notify_all();
-                self.rx_ready();
-                self.teardown();
-                return;
-            }
-            inner.snd_wnd = seg.window as u32;
-            match inner.state {
-                TcpState::SynSent => {
-                    if seg.flags & (SYN | ACK) == (SYN | ACK)
-                        && seg.ack == inner.snd_nxt
-                    {
-                        inner.rcv_nxt = seg.seq.wrapping_add(1);
-                        inner.snd_una = seg.ack;
-                        inner.state = TcpState::Established;
-                        inner.rtx_deadline = None;
-                        inner.retries = 0;
-                        ack_now = true;
-                        notify_read = true;
-                    }
-                }
-                TcpState::SynRcvd => {
-                    if seg.flags & ACK != 0 && seg.ack == inner.snd_nxt {
-                        inner.snd_una = seg.ack;
-                        inner.state = TcpState::Established;
-                        inner.rtx_deadline = None;
-                        inner.retries = 0;
-                        deliver_to_listener = true;
-                        notify_read = true;
-                        // Fall through to process any piggybacked data.
-                        self.process_data(&mut inner, seg, &mut ack_now, &mut notify_read);
-                    }
-                }
-                _ => {
-                    // ACK processing.
-                    if seg.flags & ACK != 0
-                        && seg.ack == inner.snd_una
-                        && inner.snd_una != inner.snd_nxt
-                        && seg.payload.is_empty()
-                        && seg.flags & (SYN | FIN) == 0
-                    {
-                        // A duplicate ack: the peer is missing the segment
-                        // at snd_una. Three of them trigger fast
-                        // retransmit (Reno).
-                        inner.dup_acks += 1;
-                        if inner.dup_acks == 3 {
-                            inner.enter_recovery();
-                            inner.cwnd = inner.ssthresh + 3 * inner.mss as u32;
-                            inner.rtt_probe = None;
-                            let in_flight = inner.inflight() as usize;
-                            rexmit = self
-                                .segment(&mut inner, 0, in_flight)
-                                .map(|seg| (seg, inner.trace.clone()));
-                        }
-                    }
-                    if seg.flags & ACK != 0 && seq_lt(inner.snd_una, seg.ack)
-                        && seq_le(seg.ack, inner.snd_nxt)
-                    {
-                        let acked = seg.ack.wrapping_sub(inner.snd_una) as usize;
-                        inner.dup_acks = 0;
-                        inner.grow_cwnd(acked as u32);
-                        // Drop acked payload bytes (the FIN octet is not
-                        // in the queue).
-                        let fin_acked = inner
-                            .fin_seq
-                            .map(|f| seq_lt(f, seg.ack))
-                            .unwrap_or(false);
-                        let data_acked = if fin_acked { acked - 1 } else { acked };
-                        let gone = data_acked.min(inner.send_q.len);
-                        let full = inner.send_q.len >= SND_BUF_MAX;
-                        inner.send_q.consume(gone, |_| ());
-                        reopened = full && inner.send_q.len < SND_BUF_MAX;
-                        inner.snd_una = seg.ack;
-                        inner.retries = 0;
-                        if let Some((probe_seq, at)) = inner.rtt_probe {
-                            if seq_le(probe_seq, seg.ack) {
-                                let sample = time::now().saturating_duration_since(at);
-                                inner.rtt.sample(sample);
-                                inner.rtt_probe = None;
-                            }
-                        }
-                        if inner.snd_una == inner.snd_nxt {
-                            inner.rtx_deadline = None;
-                        } else {
-                            inner.rtx_deadline = Some(time::now() + inner.rtt.rto);
-                        }
-                        notify_write = true;
-                        // FIN-related transitions on our side.
-                        if fin_acked {
-                            match inner.state {
-                                TcpState::FinWait1 => inner.state = TcpState::FinWait2,
-                                TcpState::Closing => {
-                                    inner.state = TcpState::TimeWait;
-                                    inner.time_wait_until =
-                                        Some(time::now() + TIME_WAIT);
-                                }
-                                TcpState::LastAck => {
-                                    inner.state = TcpState::Closed;
-                                }
-                                _ => {}
-                            }
-                            notify_read = true;
-                        }
-                    }
-                    // The peer's SYN again: the ack that finished its
-                    // handshake was lost, and nothing else will carry one.
-                    ack_now |= seg.flags & SYN != 0;
-                    self.process_data(&mut inner, seg, &mut ack_now, &mut notify_read);
-                }
-            }
-            let ack = ack_now.then(|| {
-                let seq = inner.snd_nxt;
-                self.header(&mut inner, ACK, seq)
-            });
-            // Deadlines may have moved (acks clear or reset the rtx
-            // deadline, data sets the delayed ack's, FIN transitions
-            // start TIME-WAIT): re-aim the wheel timer.
-            let _ = self.rearm(&mut inner);
-            (ack, inner.unsent(), inner.state == TcpState::Closed)
-        };
-        if let (Some(((hdr, payload), tr)), Some(stack)) = (rexmit, self.stack.upgrade()) {
-            let (seq, len) = (hdr.seq, payload_len(&payload));
-            stack.tcp.stats.fast_retransmits.inc();
-            stack.tcp.stats.retransmit_segments.inc();
-            stack.tcp.stats.retransmit_bytes.add(len as u64);
-            stack.tcp.netlog.events.log(Facility::Tcp, tr.as_ref(), || {
-                format!("fast rexmit seq {seq} len {len}")
-            });
-            let _ = self.transmit(hdr, &payload);
-        }
-        if let Some(hdr) = ack {
-            let _ = self.transmit(hdr, &None);
-        }
-        if deliver_to_listener {
-            if let Some(stack) = self.stack.upgrade() {
-                stack.tcp.table.established(&self.key);
-            }
-        }
-        if notify_read {
-            self.readable.notify_all();
-        }
-        if notify_write {
-            self.writable.notify_all();
-        }
-        if notify_read || reopened {
-            self.rx_ready();
-        }
-        // An ack made room in the windows, or the peer opened its own.
-        if pump {
-            self.pump();
-        }
-        // Remove fully closed connections.
-        if closed {
-            self.teardown();
-        }
-    }
-
-    fn process_data(
-        &self,
-        inner: &mut Inner,
-        seg: &Segment,
-        ack_now: &mut bool,
-        notify_read: &mut bool,
-    ) {
-        if !seg.payload.is_empty() {
-            if seg.seq == inner.rcv_nxt {
-                inner.rcv_nxt = inner.rcv_nxt.wrapping_add(seg.payload.len() as u32);
-                inner.recv_q.push(seg.payload.clone());
-                // Drain any out-of-order segments that now fit.
-                let mut filled_a_gap = false;
-                while let Some((&s, _)) = inner.ooo.iter().next() {
-                    if s != inner.rcv_nxt && !seq_lt(s, inner.rcv_nxt) {
-                        break;
-                    }
-                    let Some(data) = inner.ooo.remove(&s) else {
-                        break; // key observed under this same lock
-                    };
-                    if s == inner.rcv_nxt {
-                        inner.rcv_nxt = inner.rcv_nxt.wrapping_add(data.len() as u32);
-                        inner.recv_q.push(data);
-                        filled_a_gap = true;
-                    }
-                }
-                // The ack waits for a segment of ours to carry it, for
-                // two segments' worth to tell of, or for the timer; a
-                // sender repairing a loss hears at once.
-                let unacked = inner.rcv_nxt.wrapping_sub(inner.rcv_acked) as usize;
-                if filled_a_gap || unacked >= 2 * inner.mss {
-                    *ack_now = true;
-                } else if inner.ack_due.is_none() {
-                    inner.ack_due = Some(time::now() + ACK_DELAY);
-                }
-                *notify_read = true;
-            } else {
-                // An old duplicate is acknowledged again; a segment
-                // beyond `rcv_nxt` is held (bounded) and the ack acts
-                // as a duplicate ack, cueing the sender's fast
-                // retransmit.
-                *ack_now = true;
-                if seq_lt(inner.rcv_nxt, seg.seq) {
-                    if let Some(stack) = self.stack.upgrade() {
-                        stack.tcp.stats.ooo.inc();
-                    }
-                    if inner.ooo.len() < 256 {
-                        inner.ooo.insert(seg.seq, seg.payload.clone());
-                    }
-                }
-            }
-        }
-        if seg.flags & FIN != 0 {
-            *ack_now = true;
-            let fin_seq = seg.seq.wrapping_add(seg.payload.len() as u32);
-            if fin_seq == inner.rcv_nxt {
-                inner.peer_fin = Some(fin_seq);
-                inner.fin_taken = true;
-                inner.rcv_nxt = inner.rcv_nxt.wrapping_add(1);
-                match inner.state {
-                    TcpState::Established => inner.state = TcpState::CloseWait,
-                    TcpState::FinWait1 => inner.state = TcpState::Closing,
-                    TcpState::FinWait2 => {
-                        inner.state = TcpState::TimeWait;
-                        inner.time_wait_until = Some(time::now() + TIME_WAIT);
-                    }
-                    _ => {}
-                }
-                *notify_read = true;
-            }
-        }
+        self.run(Input::Timer);
     }
 }
 
@@ -1295,6 +669,7 @@ mod tests {
     use crate::ip::tests::{two_hosts, two_hosts_on};
     use plan9_netsim::ether::EtherSegment;
     use plan9_netsim::profile::Profiles;
+    use std::time::Instant;
 
     /// A segment as it crosses the wire: header, then payload.
     fn encoded(hdr: &TcpHeader, payload: &[u8]) -> Vec<u8> {
@@ -1370,7 +745,7 @@ mod tests {
         let conn = a.tcp_module().connect(&a, b.addr(), 564).unwrap();
         let (seq, ack) = {
             let inner = conn.inner.lock();
-            (inner.rcv_nxt.wrapping_sub(1), inner.snd_nxt)
+            (inner.st.rcv_nxt.wrapping_sub(1), inner.st.snd_nxt)
         };
         let synack = TcpHeader { sport: 564, dport: conn.key.lport, seq, ack, flags: SYN | ACK, window: 8192 };
         let sent = a.tcp_module().stats.tx_segments.get();
@@ -1532,7 +907,7 @@ mod tests {
         conn.write(&vec![7u8; TOTAL]).unwrap();
         let draining = server.join().unwrap();
         let sent = a.tcp_module().stats.tx_segments.get() as usize;
-        let needed = TOTAL.div_ceil(conn.inner.lock().mss);
+        let needed = TOTAL.div_ceil(conn.inner.lock().st.mss);
         assert!(sent < 2 * needed, "{sent} segments sent for {needed} of data");
         assert!(draining < Duration::from_millis(200), "took {draining:?} once the reader read");
         conn.close();
@@ -1554,10 +929,10 @@ mod tests {
             }
         });
         let conn = a.tcp_module().connect(&a, b.addr(), 7010).unwrap();
-        let initial = conn.inner.lock().cwnd;
+        let initial = conn.inner.lock().st.cwnd;
         conn.write(&vec![0u8; 100_000]).unwrap();
         std::thread::sleep(Duration::from_millis(100));
-        let after = conn.inner.lock().cwnd;
+        let after = conn.inner.lock().st.cwnd;
         assert!(
             after > initial,
             "cwnd should grow during a clean transfer: {initial} -> {after}"
@@ -1579,7 +954,7 @@ mod tests {
         conn.write(b"0123456789").unwrap();
         let (una, rcv) = {
             let inner = conn.inner.lock();
-            (inner.snd_una, inner.rcv_nxt)
+            (inner.st.snd_una, inner.st.rcv_nxt)
         };
         // Forge three duplicate acks for the in-flight data.
         for _ in 0..3 {
@@ -1599,7 +974,7 @@ mod tests {
         );
         // The congestion window collapsed to ssthresh + 3 MSS.
         let inner = conn.inner.lock();
-        assert!(inner.cwnd <= inner.ssthresh + 3 * inner.mss as u32 + 1);
+        assert!(inner.st.cwnd <= inner.st.ssthresh + 3 * inner.st.mss as u32 + 1);
         drop(inner);
         seg.medium().set_up(true);
         conn.close();
@@ -1618,7 +993,7 @@ mod tests {
         conn.write(b"into the void").unwrap();
         std::thread::sleep(Duration::from_millis(600));
         let inner = conn.inner.lock();
-        assert_eq!(inner.cwnd, inner.mss as u32, "timeout resets to 1 MSS");
+        assert_eq!(inner.st.cwnd, inner.st.mss as u32, "timeout resets to 1 MSS");
         assert!(a.tcp_module().stats.retransmit_segments.get() > 0);
     }
 

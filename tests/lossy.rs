@@ -1,5 +1,8 @@
 //! Integration: end-to-end behavior over impaired media — the failures
-//! IL, TCP and URP exist to mask.
+//! IL, TCP and URP exist to mask. Every case runs on the virtual clock
+//! (so this file is a binary of its own: a virtual run is process-wide),
+//! its servers are kernel processes, and a dial follows the announce
+//! that has returned rather than a sleep.
 
 use plan9::core::dial::{accept, announce, dial, listen};
 use plan9::core::machine::{Machine, MachineBuilder};
@@ -7,6 +10,7 @@ use plan9::inet::ip::IpConfig;
 use plan9::netsim::ether::EtherSegment;
 use plan9::netsim::fabric::DatakitSwitch;
 use plan9::netsim::profile::{LinkProfile, Profiles};
+use plan9_support::vtime::{self, KprocHandle};
 use std::sync::Arc;
 
 fn machines_on(profile: LinkProfile) -> (Arc<Machine>, Arc<Machine>) {
@@ -31,10 +35,12 @@ sys=b ip=10.31.0.2 dk=nj/x/b proto=il proto=tcp
     (a, b)
 }
 
-fn sink_server(m: &Arc<Machine>, addr: &'static str, expect_total: usize) -> std::thread::JoinHandle<Vec<u8>> {
+/// Announces `addr` (so a dial may follow at once), then reads a call's
+/// bytes in a kproc of its own until `expect_total` have come.
+fn sink_server(m: &Arc<Machine>, addr: &'static str, expect_total: usize) -> KprocHandle<Vec<u8>> {
     let p = m.proc();
-    std::thread::spawn(move || {
-        let (_afd, adir) = announce(&p, addr).expect("announce");
+    let (_afd, adir) = announce(&p, addr).expect("announce");
+    vtime::kproc("sink", move || {
         let (lcfd, ldir) = listen(&p, &adir).expect("listen");
         let dfd = accept(&p, lcfd, &ldir).expect("accept");
         let mut got = Vec::new();
@@ -45,6 +51,7 @@ fn sink_server(m: &Arc<Machine>, addr: &'static str, expect_total: usize) -> std
         }
         got
     })
+    .expect("spawn sink")
 }
 
 #[test]
@@ -53,10 +60,10 @@ fn il_bulk_integrity_under_loss_dup_reorder() {
         .with_loss(0.05)
         .with_dup(0.02)
         .with_reorder(0.02);
+    let _vt = vtime::enter();
     let (a, b) = machines_on(profile);
     let payload: Vec<u8> = (0..120_000u32).map(|i| (i * 31 % 251) as u8).collect();
     let server = sink_server(&b, "il!*!9fs", payload.len());
-    std::thread::sleep(std::time::Duration::from_millis(100));
     let p = a.proc();
     let conn = dial(&p, "il!b!9fs").expect("dial");
     for chunk in payload.chunks(4000) {
@@ -70,10 +77,10 @@ fn tcp_bulk_integrity_under_corruption() {
     // Corrupted frames must be caught by checksums and repaired by
     // retransmission, never delivered wrong.
     let profile = Profiles::ether_fast().with_corrupt(0.03);
+    let _vt = vtime::enter();
     let (a, b) = machines_on(profile);
     let payload: Vec<u8> = (0..100_000u32).map(|i| (i * 7 % 253) as u8).collect();
     let server = sink_server(&b, "tcp!*!9fs", payload.len());
-    std::thread::sleep(std::time::Duration::from_millis(100));
     let p = a.proc();
     let conn = dial(&p, "tcp!b!9fs").expect("dial");
     for chunk in payload.chunks(8000) {
@@ -84,10 +91,10 @@ fn tcp_bulk_integrity_under_corruption() {
 
 #[test]
 fn urp_bulk_integrity_over_lossy_circuit() {
+    let _vt = vtime::enter();
     let (a, b) = machines_on(Profiles::ether_fast());
     let payload: Vec<u8> = (0..60_000u32).map(|i| (i % 241) as u8).collect();
     let server = sink_server(&b, "dk!*!bulk", payload.len());
-    std::thread::sleep(std::time::Duration::from_millis(100));
     let p = a.proc();
     let conn = dial(&p, "dk!nj/x/b!bulk").expect("dial");
     for chunk in payload.chunks(5000) {
@@ -102,11 +109,12 @@ plan9_support::props! {
     fn prop_il_messages_survive_loss(g, cases = 4) {
         let msgs = g.vec(1..20, |g| g.bytes(0..3000));
         let loss = g.f64_in(0.0..0.08);
+        let _vt = vtime::enter();
         let (a, b) = machines_on(Profiles::ether_fast().with_loss(loss));
         let n = msgs.len();
         let p = b.proc();
-        let server = std::thread::spawn(move || {
-            let (_afd, adir) = announce(&p, "il!*!9fs").expect("announce");
+        let (_afd, adir) = announce(&p, "il!*!9fs").expect("announce");
+        let server = vtime::kproc("reader", move || {
             let (lcfd, ldir) = listen(&p, &adir).expect("listen");
             let dfd = accept(&p, lcfd, &ldir).expect("accept");
             let mut got = Vec::new();
@@ -114,8 +122,8 @@ plan9_support::props! {
                 got.push(p.read(dfd, 65536).expect("read"));
             }
             got
-        });
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        })
+        .expect("spawn reader");
         let p = a.proc();
         let conn = dial(&p, "il!b!9fs").expect("dial");
         for m in &msgs {
