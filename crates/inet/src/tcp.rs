@@ -753,6 +753,44 @@ mod tests {
         assert_eq!(a.tcp_module().stats.tx_segments.get(), sent + 1);
     }
 
+    /// A segment from the peer to the core, on a connection whose ISS
+    /// is 1.
+    fn from_peer(seq: u32, flags: u16, payload: &[u8]) -> Segment {
+        Segment { sport: 564, dport: 5012, seq, ack: 2, flags, window: 8192, payload: Bytes::from(payload.to_vec()) }
+    }
+
+    /// The listener's core, answering a SYN at `peer_iss`: (state, now).
+    fn syn_rcvd(peer_iss: u32) -> (State, Instant) {
+        let now = Instant::now();
+        let mut st = State::new(1, 1460, Some((peer_iss, 8192)));
+        fsm::step(&mut st, Input::Open, Now::At(now));
+        (st, now)
+    }
+
+    #[test]
+    fn held_segments_drain_across_the_sequence_wrap() {
+        let (mut st, now) = syn_rcvd(0xFFFF_FFFD);
+        fsm::step(&mut st, Input::Segment(&from_peer(0xFFFF_FFFE, ACK, &[])), Now::At(now));
+        assert_eq!(st.state(), TcpState::Established);
+        for (seq, byte) in [(0xFFFF_FFFF, b'b'), (0, b'c')] {
+            assert!(fsm::step(&mut st, Input::Segment(&from_peer(seq, ACK, &[byte])), Now::At(now)).ooo);
+        }
+        let a = fsm::step(&mut st, Input::Segment(&from_peer(0xFFFF_FFFE, ACK, b"a")), Now::At(now));
+        let acks: Vec<u32> = a.segs.iter().filter(|s| s.flags & ACK != 0).map(|s| s.ack).collect();
+        assert_eq!(acks, [1], "the filled gap is acked at once");
+        let got = fsm::step(&mut st, Input::Read(100), Now::At(now)).got;
+        assert_eq!(got, Some(Ok(b"abc".to_vec())));
+    }
+
+    #[test]
+    fn a_syn_again_is_answered_from_syn_rcvd() {
+        let (mut st, now) = syn_rcvd(41);
+        let a = fsm::step(&mut st, Input::Segment(&from_peer(41, SYN, &[])), Now::At(now));
+        let out: Vec<(u16, u32, u32)> = a.segs.iter().map(|s| (s.flags, s.seq, s.ack)).collect();
+        assert_eq!(out, [(SYN | ACK, 1, 42)]);
+        assert_eq!(st.state(), TcpState::SynRcvd);
+    }
+
     #[test]
     fn connection_refused() {
         let (a, b) = two_hosts();

@@ -523,6 +523,12 @@ fn segment(st: &mut State, seg: &Segment, now: &mut Now, a: &mut Actions) {
                 a.readable = true;
             }
         }
+        // The peer's SYN again: our SYN+ACK was lost, and the peer
+        // hears one now rather than at our retransmit.
+        TcpState::SynRcvd if seg.flags & SYN != 0 => {
+            let iss = st.snd_una;
+            a.segs.push(st.header(SYN | ACK, iss));
+        }
         TcpState::SynRcvd => {
             if seg.flags & ACK != 0 && seg.ack == st.snd_nxt {
                 st.snd_una = seg.ack;
@@ -616,16 +622,16 @@ fn data(st: &mut State, seg: &Segment, now: &mut Now, ack_now: &mut bool, a: &mu
         if seg.seq == st.rcv_nxt {
             st.rcv_nxt = st.rcv_nxt.wrapping_add(seg.payload.len() as u32);
             st.recv_q.push(seg.payload.clone());
-            // Drain any out-of-order segments that now fit.
+            // Drain, in sequence order from `rcv_nxt`, the out-of-order
+            // segments that now fit, and drop those it has passed.
             let mut filled_a_gap = false;
-            while let Some(entry) = st.ooo.first_entry().filter(|e| !seq_lt(st.rcv_nxt, *e.key())) {
-                let (s, data) = entry.remove_entry();
-                if s == st.rcv_nxt {
-                    st.rcv_nxt = st.rcv_nxt.wrapping_add(data.len() as u32);
-                    st.recv_q.push(data);
-                    filled_a_gap = true;
-                }
+            while let Some(data) = st.ooo.remove(&st.rcv_nxt) {
+                st.rcv_nxt = st.rcv_nxt.wrapping_add(data.len() as u32);
+                st.recv_q.push(data);
+                filled_a_gap = true;
             }
+            let nxt = st.rcv_nxt;
+            st.ooo.retain(|&s, _| seq_lt(nxt, s));
             // The ack waits for a segment of ours to carry it, for two
             // segments' worth to tell of, or for the timer; a sender
             // repairing a loss hears at once.

@@ -12,7 +12,7 @@ use crate::qid::Qid;
 use crate::server::NineService;
 use crate::{errstr, NineError, Result};
 use plan9_support::fnv::FnvMap;
-use plan9_support::sync::Mutex;
+use plan9_support::sync::{Mutex, MutexGuard};
 use std::sync::Arc;
 
 mod dev;
@@ -323,11 +323,12 @@ impl MemFs {
         q.path_bits()
     }
 
-    fn node_for(&self, n: &ServeNode) -> Result<u32> {
+    /// Takes the lock, once per operation, and finds `n` in the live tree.
+    fn node_for(&self, n: &ServeNode) -> Result<(MutexGuard<'_, MemInner>, u32)> {
         let id = self.qid_to_id(n.qid);
         let inner = self.inner.lock();
         match inner.nodes.get(&id) {
-            Some(node) if !node.removed => Ok(id),
+            Some(node) if !node.removed => Ok((inner, id)),
             _ => Err(NineError::new(errstr::ENOTEXIST)),
         }
     }
@@ -349,8 +350,7 @@ impl ProcFs for MemFs {
     }
 
     fn walk(&self, n: &ServeNode, name: &str) -> Result<ServeNode> {
-        let id = self.node_for(n)?;
-        let inner = self.inner.lock();
+        let (inner, id) = self.node_for(n)?;
         let node = &inner.nodes[&id];
         if !node.dir.is_dir() {
             return Err(NineError::new(errstr::ENOTDIR));
@@ -369,8 +369,7 @@ impl ProcFs for MemFs {
     }
 
     fn open(&self, n: &ServeNode, mode: OpenMode) -> Result<ServeNode> {
-        let id = self.node_for(n)?;
-        let mut inner = self.inner.lock();
+        let (mut inner, id) = self.node_for(n)?;
         // checked: node_for validated `id` against the live tree
         let node = inner.nodes.get_mut(&id).unwrap();
         if node.dir.is_dir() && mode.access() != OREAD {
@@ -385,8 +384,7 @@ impl ProcFs for MemFs {
     }
 
     fn create(&self, n: &ServeNode, name: &str, perm: Perm, _mode: OpenMode) -> Result<ServeNode> {
-        let id = self.node_for(n)?;
-        let mut inner = self.inner.lock();
+        let (mut inner, id) = self.node_for(n)?;
         if !inner.nodes[&id].dir.is_dir() {
             return Err(NineError::new(errstr::ENOTDIR));
         }
@@ -425,8 +423,7 @@ impl ProcFs for MemFs {
     }
 
     fn read(&self, n: &ServeNode, offset: u64, count: usize) -> Result<Vec<u8>> {
-        let id = self.node_for(n)?;
-        let inner = self.inner.lock();
+        let (inner, id) = self.node_for(n)?;
         let node = &inner.nodes[&id];
         if node.dir.is_dir() {
             let entries: Vec<Dir> = node
@@ -446,8 +443,7 @@ impl ProcFs for MemFs {
     }
 
     fn write(&self, n: &ServeNode, offset: u64, data: &[u8]) -> Result<usize> {
-        let id = self.node_for(n)?;
-        let mut inner = self.inner.lock();
+        let (mut inner, id) = self.node_for(n)?;
         // checked: node_for validated `id` against the live tree
         let node = inner.nodes.get_mut(&id).unwrap();
         if node.dir.is_dir() {
@@ -466,11 +462,10 @@ impl ProcFs for MemFs {
     fn clunk(&self, _n: &ServeNode) {}
 
     fn remove(&self, n: &ServeNode) -> Result<()> {
-        let id = self.node_for(n)?;
+        let (mut inner, id) = self.node_for(n)?;
         if id == 0 {
             return Err(NineError::new(errstr::EPERM));
         }
-        let mut inner = self.inner.lock();
         if !inner.nodes[&id].children.is_empty() {
             return Err(NineError::new("directory not empty"));
         }
@@ -485,14 +480,12 @@ impl ProcFs for MemFs {
     }
 
     fn stat(&self, n: &ServeNode) -> Result<Dir> {
-        let id = self.node_for(n)?;
-        let inner = self.inner.lock();
+        let (inner, id) = self.node_for(n)?;
         Ok(inner.nodes[&id].dir.clone())
     }
 
     fn wstat(&self, n: &ServeNode, d: &Dir) -> Result<()> {
-        let id = self.node_for(n)?;
-        let mut inner = self.inner.lock();
+        let (mut inner, id) = self.node_for(n)?;
         // Renames must not collide with a sibling.
         let parent = inner.nodes[&id].parent;
         if d.name != inner.nodes[&id].dir.name {

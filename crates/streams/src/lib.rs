@@ -14,8 +14,12 @@
 //! * A write of less than 32 KiB is contained in (and delivered as) a
 //!   single block, which makes sub-32 KiB writes atomic.
 //! * Reading terminates when the read count is reached or at the end of a
-//!   delimited block; a per-stream **read lock** ensures one reader at a
-//!   time sees contiguous bytes.
+//!   delimited block; a per-stream **read lock** (the read queue's own)
+//!   ensures one reader at a time sees contiguous bytes, and a reader
+//!   that finds a whole delimited block takes its buffer as it is.
+//! * A block goes to the next pushed module in its direction, else down
+//!   to the device end or up to the read queue: a stream with nothing
+//!   pushed reaches its device and its reader directly.
 //! * Streams are dynamically configurable: the stream system intercepts
 //!   `push name`, `pop` and `hangup` control blocks; all other control
 //!   blocks are interpreted by the modules they pass through.

@@ -7,10 +7,12 @@
 //! A queue is a bounded FIFO of [`Block`]s. The bound is in bytes and
 //! provides the stream's flow control: `put` blocks when the queue is
 //! full, which exerts backpressure on the writer — the same role queue
-//! limits play in the Plan 9 kernel. The queue keeps no count of its
-//! waiters: a put or a dequeue notifies whenever its change could let
-//! a waiter on, and [`Condvar`] makes the system call only when one
-//! waits. A queue may also carry two
+//! limits play in the Plan 9 kernel. A stream's read queue is also its
+//! read lock: a read assembles its bytes in one hold of the queue's
+//! lock, so one reader at a time sees contiguous bytes. The queue keeps
+//! no count of its waiters: a put or a dequeue notifies whenever its
+//! change could let a waiter on, and [`Condvar`] makes the system call
+//! only when one waits. A queue may also carry two
 //! hooks for a reader that does not wait (a 9P service fed where its
 //! requests arrive), fired with the queue's lock dropped: one when a
 //! block, a hangup or the close arrives, one when a dequeue takes the
@@ -21,6 +23,7 @@ use plan9_netlog::Counter;
 use plan9_support::copysite::Site;
 use plan9_support::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Bytes entering stream queues. Not a memcpy itself, but every block
@@ -37,20 +40,13 @@ struct QueueInner {
     bytes: usize,
     closed: bool,
     hungup: bool,
+    /// A block a read took part of, and how far into it that read got:
+    /// the next read continues there. Off the queue, so not in `bytes`.
+    partial: Option<(Block, usize)>,
 }
 
 /// A readiness hook: cheap, and it must not block.
 pub type Hook = Arc<dyn Fn() + Send + Sync>;
-
-/// What a dequeue found.
-pub(crate) enum Polled {
-    /// The block taken off the queue.
-    Block(Block),
-    /// Nothing queued, and more may come.
-    Empty,
-    /// Nothing queued, and nothing more will come: hung up or closed.
-    Ended,
-}
 
 /// A bounded, blocking FIFO of blocks.
 pub struct Queue {
@@ -58,6 +54,9 @@ pub struct Queue {
     readable: Condvar,
     writable: Condvar,
     limit: usize,
+    /// Whether a put now would go in without waiting: closed, or under
+    /// the limit. Set under the lock, read without it.
+    room: AtomicBool,
     /// Fired when a block, a hangup or the close arrives.
     on_input: OnceLock<Hook>,
     /// Fired when a dequeue takes the queue back under its limit, and at
@@ -86,10 +85,12 @@ impl Queue {
                 bytes: 0,
                 closed: false,
                 hungup: false,
+                partial: None,
             }, "streams.queue"),
             readable: Condvar::new(),
             writable: Condvar::new(),
             limit,
+            room: AtomicBool::new(limit > 0),
             on_input: OnceLock::new(),
             on_room: OnceLock::new(),
             puts: Counter::new("queue.puts"),
@@ -143,6 +144,7 @@ impl Queue {
         QPUT_SITE.record(b.len());
         inner.bytes += b.len();
         inner.blocks.push_back(b);
+        self.room.store(inner.bytes < self.limit, Ordering::Release);
         self.readable.notify_all();
         if is_data && inner.bytes < self.limit {
             // Admission is one-at-a-time (dequeues wake a single
@@ -155,39 +157,105 @@ impl Queue {
         Ok(())
     }
 
-    /// Removes the next block, waiting for one if `wait` is set and the
-    /// queue has not ended. Writer wake-up policy: only a dequeue that
-    /// crosses the buffered byte count from at-or-over the limit to
-    /// under it can admit a flow-controlled putter, so only that
-    /// crossing notifies — and it notifies *one* writer (admission
-    /// chains through `put`), not all of them — and fires the room hook.
-    pub(crate) fn poll(&self, wait: bool) -> Polled {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(mut b) = inner.blocks.pop_front() {
-                let was = inner.bytes;
-                inner.bytes -= b.len();
-                let room = was >= self.limit && inner.bytes < self.limit;
-                if room {
-                    self.writable.notify_one();
-                }
-                drop(inner);
-                if room {
-                    fire(&self.on_room);
-                }
-                if let Some(t) = b.trace.as_mut() {
-                    t.note_dequeued();
-                }
-                return Polled::Block(b);
-            }
-            if inner.closed || inner.hungup {
-                return Polled::Ended;
-            }
-            if !wait {
-                return Polled::Empty;
-            }
-            self.readable.wait(&mut inner);
+    /// Takes the front block off, under the lock. Writer wake-up
+    /// policy: only a dequeue that crosses the buffered byte count from
+    /// at-or-over the limit to under it can admit a flow-controlled
+    /// putter, so only that crossing notifies — and it notifies *one*
+    /// writer (admission chains through `put`), not all of them — and
+    /// sets `room`, for the caller to fire the room hook once the lock
+    /// is dropped.
+    fn pop(&self, inner: &mut QueueInner, room: &mut bool) -> Option<Block> {
+        let b = inner.blocks.pop_front()?;
+        let was = inner.bytes;
+        inner.bytes -= b.len();
+        if was >= self.limit && inner.bytes < self.limit {
+            self.room.store(true, Ordering::Release);
+            self.writable.notify_one();
+            *room = true;
         }
+        Some(b)
+    }
+
+    /// Reads up to `count` bytes, in one hold of the lock: "the read
+    /// terminates when the read count is reached or when the end of a
+    /// delimited block is encountered". A block that is read whole and
+    /// first is handed over, not copied. Waits for the first block only
+    /// if `wait` is set; `None` while nothing is at hand, and an empty
+    /// read once the queue has ended (a hangup is end-of-file).
+    pub(crate) fn read(&self, count: usize, wait: bool) -> Option<Vec<u8>> {
+        let mut inner = self.inner.lock();
+        let (mut out, mut room, mut hungup) = (Vec::new(), false, false);
+        // The trace annotations of the blocks taken, noted once the lock
+        // is dropped; no allocation while untraced.
+        let mut traces = Vec::new();
+        let read = loop {
+            // Continue a partially-consumed block first.
+            let taken = inner.partial.take().or_else(|| {
+                let mut b = self.pop(&mut inner, &mut room)?;
+                traces.extend(b.trace.take());
+                Some((b, 0))
+            });
+            let Some((mut block, off)) = taken else {
+                if !out.is_empty() || inner.closed || inner.hungup {
+                    break Some(out);
+                }
+                if !wait {
+                    break None;
+                }
+                // Only wait for *more* data when nothing has been
+                // collected yet; room made meanwhile is told first.
+                if room {
+                    drop(inner);
+                    fire(&self.on_room);
+                    room = false;
+                    inner = self.inner.lock();
+                } else {
+                    self.readable.wait(&mut inner);
+                }
+                continue;
+            };
+            match block.kind {
+                BlockKind::Hangup => {
+                    // Deliver what we have; subsequent reads return empty.
+                    inner.hungup = true;
+                    hungup = true;
+                    break Some(out);
+                }
+                // Control blocks reaching the top are not user data.
+                BlockKind::Control => continue,
+                BlockKind::Data => {
+                    let want = count - out.len();
+                    let rest = block.data.len() - off;
+                    if rest > want {
+                        out.extend_from_slice(&block.data[off..off + want]);
+                        inner.partial = Some((block, off + want));
+                        break Some(out);
+                    }
+                    if out.is_empty() && off == 0 {
+                        out = std::mem::take(&mut block.data);
+                    } else {
+                        out.extend_from_slice(&block.data[off..]);
+                    }
+                    if block.delim || out.len() == count {
+                        break Some(out);
+                    }
+                }
+            }
+        };
+        if hungup {
+            self.wake();
+        }
+        drop(inner);
+        if hungup {
+            fire(&self.on_input);
+        }
+        if room {
+            fire(&self.on_room);
+        }
+        for mut t in traces {
+            t.note_dequeued();
+        }
+        read
     }
 
     /// Removes the next block, blocking until one is available.
@@ -195,10 +263,25 @@ impl Queue {
     /// Returns `None` once the queue is drained *and* has been hung up or
     /// closed — the reader's end-of-file.
     pub fn get(&self) -> Option<Block> {
-        match self.poll(true) {
-            Polled::Block(b) => Some(b),
-            _ => None,
+        let mut inner = self.inner.lock();
+        let mut room = false;
+        let mut got = loop {
+            if let Some(b) = self.pop(&mut inner, &mut room) {
+                break Some(b);
+            }
+            if inner.closed || inner.hungup {
+                break None;
+            }
+            self.readable.wait(&mut inner);
+        };
+        drop(inner);
+        if room {
+            fire(&self.on_room);
         }
+        if let Some(t) = got.as_mut().and_then(|b| b.trace.as_mut()) {
+            t.note_dequeued();
+        }
+        got
     }
 
     /// Marks the queue closed: pending data may still be read, further
@@ -206,6 +289,7 @@ impl Queue {
     pub fn close(&self) {
         let mut inner = self.inner.lock();
         inner.closed = true;
+        self.room.store(true, Ordering::Release);
         self.wake();
         drop(inner);
         fire(&self.on_input);
@@ -243,8 +327,7 @@ impl Queue {
 
     /// Whether a block put now would go in without waiting.
     pub(crate) fn has_room(&self) -> bool {
-        let inner = self.inner.lock();
-        inner.closed || inner.bytes < self.limit
+        self.room.load(Ordering::Acquire)
     }
 
     /// Whether the queue has been closed.

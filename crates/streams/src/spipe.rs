@@ -15,14 +15,13 @@ use plan9_ninep::fcall::MAX_MSG;
 use plan9_ninep::server::Served;
 use plan9_ninep::transport::MsgSink;
 use plan9_ninep::{errstr, NineError};
-use plan9_support::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 /// The device end of one side of a pipe: everything put down is fed up
-/// the peer stream.
+/// the peer stream, fixed when the pipe is made.
 struct PipeDev {
-    peer: Mutex<Weak<Stream>>,
+    peer: Weak<Stream>,
 }
 
 impl StreamModule for PipeDev {
@@ -31,8 +30,7 @@ impl StreamModule for PipeDev {
     }
 
     fn put_down(&self, _ctx: &ModuleCtx, b: Block) -> Result<()> {
-        let peer = self.peer.lock().upgrade();
-        match peer {
+        match self.peer.upgrade() {
             Some(peer) => match b.kind {
                 BlockKind::Data | BlockKind::Hangup => peer.feed_up(b),
                 // Control directives die at the device end, as on a real
@@ -48,10 +46,8 @@ impl StreamModule for PipeDev {
     }
 
     fn close(&self, _ctx: &ModuleCtx) {
-        // The last close hangs up the peer, which may serve it, never
-        // under `peer`.
-        let peer = self.peer.lock().upgrade();
-        if let Some(peer) = peer {
+        // The last close hangs up the peer.
+        if let Some(peer) = self.peer.upgrade() {
             peer.hangup_from_device();
         }
     }
@@ -65,14 +61,8 @@ impl StreamModule for PipeDev {
 pub fn stream_pipe() -> (Arc<Stream>, Arc<Stream>) {
     let a = Stream::bare();
     let b = Stream::bare();
-    let a_dev = Arc::new(PipeDev {
-        peer: Mutex::named(Arc::downgrade(&b), "streams.spipe.peer"),
-    });
-    let b_dev = Arc::new(PipeDev {
-        peer: Mutex::named(Arc::downgrade(&a), "streams.spipe.peer"),
-    });
-    a.set_device(a_dev);
-    b.set_device(b_dev);
+    a.set_device(Arc::new(PipeDev { peer: Arc::downgrade(&b) }));
+    b.set_device(Arc::new(PipeDev { peer: Arc::downgrade(&a) }));
     (a, b)
 }
 

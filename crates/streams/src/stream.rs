@@ -3,13 +3,13 @@
 
 use crate::block::{Block, BlockKind};
 use crate::module::{Direction, ModuleCtx, StreamModule};
-use crate::queue::{Hook, Polled, Queue};
+use crate::queue::{Hook, Queue};
 use crate::Result;
 use plan9_support::sync::Mutex;
 use plan9_ninep::{errstr, NineError};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A write of less than this many bytes is guaranteed to be contained by
 /// a single block, making it atomic with respect to concurrent writers.
@@ -56,12 +56,24 @@ struct Slot {
     module: Arc<dyn StreamModule>,
 }
 
+/// The device end's id; pushed modules count from 1.
+const DEVICE: u64 = 0;
+/// Where the user process writes from: above the top module.
+const USER: u64 = u64::MAX;
+
 /// Shared stream state; [`Stream`] and every [`ModuleCtx`] hold an `Arc`.
+///
+/// One routing rule: a block goes to the next pushed module in its
+/// direction, else down to the device or up to the read queue.
 pub struct StreamInner {
-    /// `modules[0]` is the top (just below the user process); the last
-    /// entry is the device end.
+    /// The pushed modules, top first; the device end is not among them.
     modules: Mutex<Vec<Slot>>,
-    read_q: Arc<Queue>,
+    /// How many modules are pushed: changed under `modules`' lock, read
+    /// without it, so that a stream with none reads no list.
+    pushed: AtomicUsize,
+    /// The device end, below every pushed module; set once.
+    device: OnceLock<Arc<dyn StreamModule>>,
+    read_q: Queue,
     closed: AtomicBool,
     next_id: AtomicU64,
     registry: Arc<ModuleRegistry>,
@@ -72,75 +84,61 @@ impl StreamInner {
         self.closed.load(Ordering::SeqCst)
     }
 
-    fn position_of(&self, id: u64) -> Option<usize> {
-        self.modules.lock().iter().position(|s| s.id == id)
+    fn ctx(self: &Arc<Self>, my_id: u64) -> ModuleCtx {
+        ModuleCtx { inner: Arc::clone(self), my_id }
     }
 
-    fn slot_at(&self, idx: usize) -> Option<(u64, Arc<dyn StreamModule>)> {
-        self.modules
-            .lock()
-            .get(idx)
-            .map(|s| (s.id, Arc::clone(&s.module)))
+    /// The pushed module one hop from `from` in `dir`, or `None` for the
+    /// stream's end that way.
+    fn next(&self, from: u64, dir: Direction) -> Result<Option<(u64, Arc<dyn StreamModule>)>> {
+        if from == DEVICE && dir == Direction::Down {
+            return Err(NineError::new("no device on stream"));
+        }
+        if matches!(from, USER | DEVICE) && self.pushed.load(Ordering::Acquire) == 0 {
+            return Ok(None);
+        }
+        let mods = self.modules.lock();
+        let pos = match from {
+            USER => -1,
+            DEVICE => mods.len() as isize,
+            id => mods
+                .iter()
+                .position(|s| s.id == id)
+                .ok_or_else(|| NineError::new("module no longer on stream"))? as isize,
+        };
+        let next = if dir == Direction::Down { pos + 1 } else { pos - 1 };
+        Ok(usize::try_from(next).ok().and_then(|i| mods.get(i)).map(|s| (s.id, Arc::clone(&s.module))))
     }
 
-    /// Routes a block from the module `from_id` one hop in `dir`.
-    pub(crate) fn put_from(self: &Arc<Self>, from_id: u64, b: Block, dir: Direction) -> Result<()> {
+    /// Routes a block from the module `from` one hop in `dir`.
+    pub(crate) fn put_from(self: &Arc<Self>, from: u64, b: Block, dir: Direction) -> Result<()> {
         if self.is_closed() && b.kind == BlockKind::Data {
             return Err(NineError::new(errstr::EHUNGUP));
         }
-        let pos = self
-            .position_of(from_id)
-            .ok_or_else(|| NineError::new("module no longer on stream"))?;
-        match dir {
-            Direction::Down => match self.slot_at(pos + 1) {
-                Some((id, module)) => {
-                    let ctx = ModuleCtx {
-                        inner: Arc::clone(self),
-                        my_id: id,
-                    };
-                    module.put_down(&ctx, b)
-                }
+        match (self.next(from, dir)?, dir) {
+            (Some((id, module)), Direction::Down) => module.put_down(&self.ctx(id), b),
+            (Some((id, module)), Direction::Up) => module.put_up(&self.ctx(id), b),
+            (None, Direction::Down) => match self.device.get() {
+                Some(device) => device.put_down(&self.ctx(DEVICE), b),
                 None => Err(NineError::new("no device on stream")),
             },
-            Direction::Up => {
-                if pos == 0 {
-                    // Top of the stream: data lands in the read queue for
-                    // the user process.
-                    if b.kind == BlockKind::Hangup {
-                        self.read_q.put(b)?;
-                        self.read_q.hangup();
-                        return Ok(());
-                    }
-                    return self.read_q.put(b);
+            // Top of the stream: data lands in the read queue for the
+            // user process.
+            (None, Direction::Up) => {
+                let hangup = b.kind == BlockKind::Hangup;
+                self.read_q.put(b)?;
+                if hangup {
+                    self.read_q.hangup();
                 }
-                // The module list can change between the caller finding
-                // `pos` and this lookup (a concurrent pop), so a missing
-                // slot is a real runtime condition, not a bug.
-                let Some((id, module)) = self.slot_at(pos - 1) else {
-                    return Err(NineError::new("stream module vanished"));
-                };
-                let ctx = ModuleCtx {
-                    inner: Arc::clone(self),
-                    my_id: id,
-                };
-                module.put_up(&ctx, b)
+                Ok(())
             }
         }
     }
 }
 
-/// A partially-consumed block and how far into it the last read got,
-/// kept under the read lock so a subsequent read continues where that
-/// one stopped.
-#[derive(Default)]
-struct ReadState {
-    partial: Option<(Block, usize)>,
-}
-
 /// A bidirectional channel connecting a device to user processes.
 pub struct Stream {
     inner: Arc<StreamInner>,
-    read_state: Mutex<ReadState>,
 }
 
 impl Stream {
@@ -150,12 +148,13 @@ impl Stream {
         Arc::new(Stream {
             inner: Arc::new(StreamInner {
                 modules: Mutex::named(Vec::new(), "streams.stream.modules"),
-                read_q: Arc::new(Queue::default()),
+                pushed: AtomicUsize::new(0),
+                device: OnceLock::new(),
+                read_q: Queue::default(),
                 closed: AtomicBool::new(false),
                 next_id: AtomicU64::new(1),
                 registry,
             }),
-            read_state: Mutex::named(ReadState::default(), "streams.stream.read"),
         })
     }
 
@@ -164,63 +163,46 @@ impl Stream {
         Stream::new(ModuleRegistry::new())
     }
 
-    fn add_slot(&self, module: Arc<dyn StreamModule>, top: bool) -> u64 {
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut mods = self.inner.modules.lock();
-        let slot = Slot { id, module };
-        if top {
-            mods.insert(0, slot);
-        } else {
-            mods.push(slot);
-        }
-        id
-    }
-
     /// Installs the device-end module at the bottom of the stream and
-    /// returns the context its helper processes should use.
+    /// returns the context its helper processes should use. A stream has
+    /// one device: a second is dropped.
     pub fn set_device(&self, module: Arc<dyn StreamModule>) -> ModuleCtx {
-        let id = self.add_slot(module, false);
-        ModuleCtx {
-            inner: Arc::clone(&self.inner),
-            my_id: id,
-        }
+        let _ = self.inner.device.set(module);
+        self.inner.ctx(DEVICE)
     }
 
     /// Pushes a module instance onto the top of the stream and returns
     /// its context.
     pub fn push_module(&self, module: Arc<dyn StreamModule>) -> ModuleCtx {
-        let id = self.add_slot(module, true);
-        ModuleCtx {
-            inner: Arc::clone(&self.inner),
-            my_id: id,
-        }
+        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
+        let mut mods = self.inner.modules.lock();
+        mods.insert(0, Slot { id, module });
+        self.inner.pushed.store(mods.len(), Ordering::Release);
+        drop(mods);
+        self.inner.ctx(id)
     }
 
     /// Pops the top module; fails if only the device end remains.
     pub fn pop_module(&self) -> Result<()> {
         let slot = {
             let mut mods = self.inner.modules.lock();
-            if mods.len() <= 1 {
+            if mods.is_empty() {
                 return Err(NineError::new("no module to pop"));
             }
-            mods.remove(0)
+            let slot = mods.remove(0);
+            self.inner.pushed.store(mods.len(), Ordering::Release);
+            slot
         };
-        let ctx = ModuleCtx {
-            inner: Arc::clone(&self.inner),
-            my_id: slot.id,
-        };
-        slot.module.close(&ctx);
+        slot.module.close(&self.inner.ctx(slot.id));
         Ok(())
     }
 
-    /// Names of the modules currently on the stream, top first.
+    /// Names of the modules currently on the stream, top first, the
+    /// device end last.
     pub fn module_names(&self) -> Vec<String> {
-        self.inner
-            .modules
-            .lock()
-            .iter()
-            .map(|s| s.module.name().to_string())
-            .collect()
+        let mods = self.inner.modules.lock();
+        let device = self.inner.device.get();
+        mods.iter().map(|s| &s.module).chain(device).map(|m| m.name().to_string()).collect()
     }
 
     /// Writes user data into the stream.
@@ -253,15 +235,7 @@ impl Stream {
         if self.inner.is_closed() {
             return Err(NineError::new(errstr::EHUNGUP));
         }
-        let (id, module) = self
-            .inner
-            .slot_at(0)
-            .ok_or_else(|| NineError::new("no device on stream"))?;
-        let ctx = ModuleCtx {
-            inner: Arc::clone(&self.inner),
-            my_id: id,
-        };
-        module.put_down(&ctx, b)
+        self.inner.put_from(USER, b, Direction::Down)
     }
 
     /// Writes a control message.
@@ -297,26 +271,7 @@ impl Stream {
     /// Devices without helper-process contexts (simple simulated wires)
     /// use this as their "interrupt side".
     pub fn feed_up(&self, b: Block) -> Result<()> {
-        let n = self.inner.modules.lock().len();
-        if n == 0 {
-            // No modules at all: straight into the read queue.
-            if b.kind == BlockKind::Hangup {
-                self.inner.read_q.put(b)?;
-                self.inner.read_q.hangup();
-                return Ok(());
-            }
-            return self.inner.read_q.put(b);
-        }
-        // A module may have been popped since `n` was read; fall back to
-        // the read queue rather than panicking mid-delivery.
-        let Some((id, _)) = self.inner.slot_at(n - 1) else {
-            return self.inner.read_q.put(b);
-        };
-        let ctx = ModuleCtx {
-            inner: Arc::clone(&self.inner),
-            my_id: id,
-        };
-        ctx.send_up(b)
+        self.inner.put_from(DEVICE, b, Direction::Up)
     }
 
     /// Reads user data from the top of the stream.
@@ -325,61 +280,16 @@ impl Stream {
     /// end of a delimited block is encountered. A per stream read lock
     /// ensures only one process can read from a stream at a time and
     /// guarantees that the bytes read were contiguous bytes from the
-    /// stream." An empty return means end-of-file (hangup).
+    /// stream." The read queue's lock is that read lock: a read is one
+    /// hold of it. An empty return means end-of-file (hangup).
     pub fn read(&self, count: usize) -> Result<Vec<u8>> {
-        Ok(self.take(count, true)?.unwrap_or_default())
+        Ok(self.inner.read_q.read(count, true).unwrap_or_default())
     }
 
     /// [`Stream::read`] for a reader that does not wait: `None` while
     /// nothing is at hand.
     pub fn try_read(&self, count: usize) -> Result<Option<Vec<u8>>> {
-        self.take(count, false)
-    }
-
-    /// The block assembly of [`Stream::read`], waiting for the first
-    /// block only if `wait` is set.
-    fn take(&self, count: usize, wait: bool) -> Result<Option<Vec<u8>>> {
-        let mut state = self.read_state.lock();
-        let mut out = Vec::new();
-        loop {
-            // Continue a partially-consumed block first.
-            let (block, off) = match state.partial.take() {
-                Some(p) => p,
-                // Only wait for *more* data when nothing has been
-                // collected yet; otherwise return what we have.
-                None => match self.inner.read_q.poll(wait && out.is_empty()) {
-                    Polled::Block(b) => (b, 0),
-                    Polled::Empty if out.is_empty() => return Ok(None),
-                    // At the end, an empty return is end-of-file.
-                    Polled::Empty | Polled::Ended => return Ok(Some(out)),
-                },
-            };
-            match block.kind {
-                BlockKind::Hangup => {
-                    // Deliver what we have; subsequent reads return empty.
-                    self.inner.read_q.hangup();
-                    return Ok(Some(out));
-                }
-                BlockKind::Control => {
-                    // Control blocks reaching the top are not user data.
-                    continue;
-                }
-                BlockKind::Data => {
-                    let want = count - out.len();
-                    let rest = &block.data[off..];
-                    if rest.len() <= want {
-                        out.extend_from_slice(rest);
-                        if block.delim || out.len() == count {
-                            return Ok(Some(out));
-                        }
-                    } else {
-                        out.extend_from_slice(&rest[..want]);
-                        state.partial = Some((block, off + want));
-                        return Ok(Some(out));
-                    }
-                }
-            }
-        }
+        Ok(self.inner.read_q.read(count, false))
     }
 
     /// Registers the stream's readiness hook, fired when its read queue
@@ -406,19 +316,11 @@ impl Stream {
         if self.inner.closed.swap(true, Ordering::SeqCst) {
             return;
         }
-        let slots: Vec<(u64, Arc<dyn StreamModule>)> = self
-            .inner
-            .modules
-            .lock()
-            .iter()
-            .map(|s| (s.id, Arc::clone(&s.module)))
-            .collect();
-        for (id, module) in slots {
-            let ctx = ModuleCtx {
-                inner: Arc::clone(&self.inner),
-                my_id: id,
-            };
-            module.close(&ctx);
+        let slots: Vec<(u64, Arc<dyn StreamModule>)> =
+            self.inner.modules.lock().iter().map(|s| (s.id, Arc::clone(&s.module))).collect();
+        let device = self.inner.device.get().map(|d| (DEVICE, Arc::clone(d)));
+        for (id, module) in slots.into_iter().chain(device) {
+            module.close(&self.inner.ctx(id));
         }
         self.inner.read_q.close();
     }

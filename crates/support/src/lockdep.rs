@@ -29,8 +29,11 @@
 //!   the class graph cannot tell instances apart.
 //! - **`try_lock`** pushes the held stack but records no edge: a
 //!   non-blocking acquisition cannot be the waiting half of a deadlock.
-//! - **Unnamed locks** (plain `new()`) have no class and are invisible
-//!   here; name a lock to put it under surveillance.
+//! - **Unnamed locks** (plain `new()`) have no class and take no part
+//!   in the order graph; name a lock to put it under surveillance. Their
+//!   acquisitions are still counted, by the source line that locks
+//!   ([`site_counts`]), so a count of every lock a path takes misses
+//!   none.
 //!
 //! The whole module — graph, held stacks, per-lock class fields — is
 //! compiled only under `debug_assertions`. Release builds carry zero
@@ -40,6 +43,7 @@
 use std::backtrace::Backtrace;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::panic::Location;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -96,6 +100,8 @@ struct Graph {
     edges: HashMap<(ClassId, ClassId), EdgeSite>,
     /// Adjacency lists over the same edges, for reachability walks.
     adj: HashMap<ClassId, Vec<ClassId>>,
+    /// Acquisitions of unnamed locks, by the line that locks.
+    sites: HashMap<&'static Location<'static>, u64>,
 }
 
 impl Graph {
@@ -221,6 +227,20 @@ pub fn acquire(c: ClassId) {
 pub fn acquire_try(c: ClassId) {
     graph().acquires[(c - 1) as usize] += 1;
     HELD.with(|s| s.borrow_mut().push(c));
+}
+
+/// Records an acquisition of an unnamed lock at `site`.
+pub fn acquire_site(site: &'static Location<'static>) {
+    *graph().sites.entry(site).or_default() += 1;
+}
+
+/// Acquisitions of unnamed locks so far, as `(file:line, count)` sorted
+/// by site.
+pub fn site_counts() -> Vec<(String, u64)> {
+    let mut sites: Vec<(String, u64)> =
+        graph().sites.iter().map(|(l, &n)| (format!("{}:{}", l.file(), l.line()), n)).collect();
+    sites.sort_unstable();
+    sites
 }
 
 /// Records the release of `c` (guard drop, or a condvar wait parking

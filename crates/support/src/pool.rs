@@ -24,9 +24,10 @@
 //! fans out. A [`submit`] from a thread outside the pool that holds no
 //! lock ([`sync::held`](crate::sync::held) is 0) drains the shard it
 //! readied before it returns, and then the shards those jobs kept, by
-//! the same loop as a worker: so a process writing a frame onto an
-//! unpaced wire delivers it, as a Plan 9 process runs a stream's put
-//! routines down to the device. That thread is then in the state a
+//! the same loop as a worker (its own job first, not queued, when the
+//! shard had none): so a process writing a frame onto an unpaced wire
+//! delivers it, as a Plan 9 process runs a stream's put routines down
+//! to the device. That thread is then in the state a
 //! worker is in between jobs, so the jobs take no lock under one of its
 //! own. A thread holding a lock readies the shard and wakes a worker,
 //! and [`submit_or_run`] (the timer wheel's) always does. This is a
@@ -230,7 +231,15 @@ fn enqueue(idx: usize, job: Job, drain_here: bool) -> Result<(), (io::Error, Job
         }
     }
     sh.running = true;
-    sh.jobs.push_back(job);
+    // A submitter that drains an idle shard with nothing queued runs its
+    // own job first without queueing it: that is the order it would
+    // have run in.
+    let first = if readied && drain_here && sh.jobs.is_empty() {
+        Some(job)
+    } else {
+        sh.jobs.push_back(job);
+        None
+    };
     drop(sh);
     SUBMITTED[idx].fetch_add(1, Ordering::Relaxed);
     if readied && drain_here {
@@ -239,6 +248,9 @@ fn enqueue(idx: usize, job: Job, drain_here: bool) -> Result<(), (io::Error, Job
         assert_eq!(crate::lockdep::held_names(), Vec::<&str>::new(), "pool: a job run under locks");
         let era = vtime::era();
         NEXT.set(Some(None));
+        if let Some(job) = first {
+            run(job);
+        }
         drain(idx, era);
         NEXT.set(None);
         // Should the era change under the drain, nobody else will ready

@@ -34,6 +34,8 @@ use crate::vtime::{self, Parker, VirtualClock};
 
 #[cfg(debug_assertions)]
 use crate::lockdep::{self, ClassId, LockClass};
+#[cfg(debug_assertions)]
+use std::panic::Location;
 
 thread_local! {
     static HELD: Cell<usize> = const { Cell::new(0) };
@@ -105,29 +107,34 @@ impl<T> Mutex<T> {
 }
 
 impl<T: ?Sized> Mutex<T> {
+    /// Counts an acquisition made at `site`: under the lock's class, or
+    /// at the site if it has none.
     #[cfg(debug_assertions)]
-    fn class(&self) -> Option<ClassId> {
-        self.dep.as_ref().map(LockClass::id)
+    fn dep(&self, site: &'static Location<'static>) -> Dep {
+        match &self.dep {
+            Some(class) => Dep::Class(class.id()),
+            None => Dep::Site(site),
+        }
     }
 
     /// Acquires the lock, blocking until it is free.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn lock(&self) -> MutexGuard<'_, T> {
         #[cfg(debug_assertions)]
-        let class = self.class();
+        let dep = self.dep(Location::caller());
         #[cfg(debug_assertions)]
-        if let Some(c) = class {
-            lockdep::acquire(c);
-        }
+        dep.acquire();
         count(1);
         MutexGuard {
             inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
             raw: &self.inner,
             #[cfg(debug_assertions)]
-            class,
+            dep,
         }
     }
 
     /// Attempts to acquire the lock without blocking.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         let inner = match self.inner.try_lock() {
             Ok(g) => g,
@@ -136,17 +143,38 @@ impl<T: ?Sized> Mutex<T> {
         };
         count(1);
         #[cfg(debug_assertions)]
-        let class = self.class();
+        let dep = self.dep(Location::caller());
         #[cfg(debug_assertions)]
-        if let Some(c) = class {
-            lockdep::acquire_try(c);
+        match dep {
+            Dep::Class(c) => lockdep::acquire_try(c),
+            Dep::Site(site) => lockdep::acquire_site(site),
         }
         Some(MutexGuard {
             inner: Some(inner),
             raw: &self.inner,
             #[cfg(debug_assertions)]
-            class,
+            dep,
         })
+    }
+}
+
+/// What lockdep knows a held lock by: its class, or for an unnamed lock
+/// the line that took it.
+#[cfg(debug_assertions)]
+#[derive(Clone, Copy)]
+enum Dep {
+    Class(ClassId),
+    Site(&'static Location<'static>),
+}
+
+#[cfg(debug_assertions)]
+impl Dep {
+    /// A blocking acquisition, or a condition wait taking the lock again.
+    fn acquire(self) {
+        match self {
+            Dep::Class(c) => lockdep::acquire(c),
+            Dep::Site(site) => lockdep::acquire_site(site),
+        }
     }
 }
 
@@ -175,7 +203,7 @@ pub struct MutexGuard<'a, T: ?Sized> {
     inner: Option<std::sync::MutexGuard<'a, T>>,
     raw: &'a std::sync::Mutex<T>,
     #[cfg(debug_assertions)]
-    class: Option<ClassId>,
+    dep: Dep,
 }
 
 impl<T: ?Sized> MutexGuard<'_, T> {
@@ -184,7 +212,7 @@ impl<T: ?Sized> MutexGuard<'_, T> {
     fn released(&self) {
         count(-1);
         #[cfg(debug_assertions)]
-        if let Some(c) = self.class {
+        if let Dep::Class(c) = self.dep {
             lockdep::release(c);
         }
     }
@@ -193,9 +221,7 @@ impl<T: ?Sized> MutexGuard<'_, T> {
     fn retaken(&self) {
         count(1);
         #[cfg(debug_assertions)]
-        if let Some(c) = self.class {
-            lockdep::acquire(c);
-        }
+        self.dep.acquire();
     }
 }
 

@@ -22,8 +22,14 @@ cargo run --release --offline -q -p plan9-check
 # runtime dump, and no lock receiver the resolver cannot type. The
 # method calls resolved by their receiver's type may not fall below
 # the tree's count, lowered only when code is deleted: a call that
-# loses its type fans out by name again. (5315 since IL and TCP each
-# change state in one pure step: the shells' eight-odd functions per
+# loses its type fans out by name again. (5319 since a stream reached
+# its device and read queue directly: the read's block assembly moved
+# into the queue (+18 there, -11 in stream.rs), the pipe's peer lost
+# its lock (-3), `MemFs` locks once an operation (-8), lockdep counts
+# unnamed locks by site (+5, sync.rs -1), TCP drains in sequence order
+# (+4) and the pool runs a drainer's own job (+1), each measured by
+# reverting the one file on a copy. 5315 had come when IL and TCP each
+# changed state in one pure step: the shells' eight-odd functions per
 # protocol, each calling methods on the conversation's guard, held 26
 # more typed calls than the cores and the one-hold shells that replaced
 # them. 5341 had come when a frame paid only
@@ -45,8 +51,8 @@ for field in ("functions", "call_sites", "resolved_calls", "typed_calls", "roots
         sys.exit(f"verify: REPORT graph.{field} missing or non-integer")
 if g["functions"] < 500 or g["roots"] < 5:
     sys.exit(f"verify: call graph implausibly small ({g['functions']} fns, {g['roots']} roots)")
-if g["typed_calls"] < 5315:
-    sys.exit(f"verify: {g['typed_calls']} method calls resolved by receiver type (need >= 5315)")
+if g["typed_calls"] < 5319:
+    sys.exit(f"verify: {g['typed_calls']} method calls resolved by receiver type (need >= 5319)")
 for pass_ in ("blocking_context", "panic_reach"):
     p = r[pass_]
     if p["count"] != 0 or p["findings"]:
@@ -386,10 +392,12 @@ bash perf/run.sh --quick >/dev/null
 # the bytes. A pipe is served the same way: the caller's write of a
 # request onto it runs exportfs's service and writes the reply, so
 # rpc64_pipe makes no switch either, one pool job a call (the readiness
-# hook's), nine allocations, and four threads (serve_on_shard's
+# hook's), seven allocations, and four threads (serve_on_shard's
 # catch-up feed readies a pool worker once). The exportfs kproc reading
-# the pipe again shows as two switches a call, and a hook fired by the
-# reply's own put as a second job.
+# the pipe again shows as two switches a call, a hook fired by the
+# reply's own put as a second job, and a reader that copies a whole
+# delimited block instead of taking its buffer as an eighth and ninth
+# allocation (one for the request, one for the reply).
 traced_gate() {
     bash perf/run.sh --workload "$1" --seed 1 --seconds 2 --trace 1 | tail -n 1 | python3 -c '
 import json, sys
@@ -421,6 +429,6 @@ traced_gate read8k_tcp \
     "copy.bytes_per_payload_byte <= 4.1"
 traced_gate rpc64_pipe \
     "os.ctxsw_per_op < 0.1" "os.threads <= 4" "support.pool.jobs_per_op <= 1.01" \
-    "alloc.calls_per_op <= 9.01"
+    "alloc.calls_per_op <= 7.01"
 
 echo "verify: OK (checkflow + core purity + clippy + hermetic build + tests + protocol checker + examples + trace-off ring + LoC ratchet + modelled artifacts: Table 1, loss sweep, cityload, scenario and netmon gates, EXPERIMENTS.md tables, committed byte for byte + perf --quick + traced count gates on rpc64_il, read8k_il, read8k_tcp and rpc64_pipe)"

@@ -18,7 +18,7 @@
 //! - *teardown*: once both users have closed, a lossless settle takes
 //!   both ends to Closed;
 //! - and on every delivery, that a repeated Sync or SYN reaching an end
-//!   past its handshake is answered.
+//!   past its handshake, or a TCP end in SynRcvd, is answered.
 //!
 //! Breadth-first, a violation's trace is a shortest one; it is printed
 //! transition by transition, with the settle that failed. No lock,
@@ -264,7 +264,7 @@ impl Core for Tcp {
         st.room().is_ok_and(|room| room > 0)
     }
     fn must_answer(st: &tcp::State, seg: &Segment) -> bool {
-        seg.flags & SYN != 0 && !matches!(st.state(), TcpState::SynSent | TcpState::SynRcvd | TcpState::Closed)
+        seg.flags & SYN != 0 && !matches!(st.state(), TcpState::SynSent | TcpState::Closed)
     }
     fn no_conv(seg: &Segment) -> Option<Segment> {
         (seg.flags & RST == 0).then(|| Segment {
