@@ -621,7 +621,7 @@ pub(crate) mod tests {
     use crate::transport::MsgPipeEnd;
     use plan9_support::sync::Condvar;
     use std::cell::RefCell;
-    use std::collections::{HashMap, HashSet};
+    use std::collections::HashSet;
     use std::thread::{JoinHandle, ThreadId};
 
     fn start_server(fs: Arc<dyn ProcFs>) -> MsgPipeEnd {
@@ -768,30 +768,23 @@ pub(crate) mod tests {
     const ROOT: Fid = 2;
 
     /// A `NineService` over a `GateFs`, with [`GATE`] and [`F`] open on
-    /// its two files and [`ROOT`] left at the root. It is fed by
-    /// `serve_on` from the other end of a pipe, or by the test's own
-    /// calls of `input`; either way the replies come down the pipe.
+    /// its two files and [`ROOT`] left at the root, fed by `serve_on`
+    /// from the other end of a pipe.
     struct Served {
         fs: Arc<GateFs>,
         svc: Arc<NineService>,
         end: MsgPipeEnd,
-        /// `None`: nothing reads a transport, the test calls `input`.
-        server: Option<JoinHandle<Result<()>>>,
+        server: JoinHandle<Result<()>>,
     }
 
     impl Served {
         fn start() -> Served {
-            Served::start_fed(true)
-        }
-
-        fn start_fed(by_serve: bool) -> Served {
             let fs = GateFs::new();
             let (end, server_end) = MsgPipeEnd::pair();
             let (ssink, ssource) = server_end.split();
             let svc = Arc::new(NineService::new(fs.clone(), Box::new(ssink)));
             let svc2 = Arc::clone(&svc);
-            let server = by_serve
-                .then(|| std::thread::spawn(move || serve_on(&svc2, Box::new(ssource))));
+            let server = std::thread::spawn(move || serve_on(&svc2, Box::new(ssource)));
             let mut s = Served { fs, svc, end, server };
             let attach = Tmsg::Attach {
                 fid: GATE,
@@ -812,13 +805,9 @@ pub(crate) mod tests {
             s
         }
 
-        /// Puts a T-message to the service, down the pipe or by hand.
+        /// Puts a T-message down the pipe to the service.
         fn send(&mut self, tag: Tag, t: &Tmsg) {
-            let raw = encode_tmsg(tag, t);
-            match self.server {
-                Some(_) => self.end.sendmsg(&raw).unwrap(),
-                None => self.svc.input(&raw).unwrap(),
-            }
+            self.end.sendmsg(&encode_tmsg(tag, t)).unwrap();
         }
 
         fn rpc(&mut self, tag: Tag, t: &Tmsg) -> Rmsg {
@@ -860,42 +849,17 @@ pub(crate) mod tests {
 
         /// The thread `serve_on` reads the transport on.
         fn reader(&self) -> HashSet<ThreadId> {
-            HashSet::from([self.server.as_ref().unwrap().thread().id()])
+            HashSet::from([self.server.thread().id()])
         }
 
-        /// Hangs up with nothing parked; see [`Served::hangup_parked`].
+        /// Hangs up, waits for `serve_on` to return, and hands back
+        /// what the server had still sent. No worker is left: each holds
+        /// the service's state while it lives.
         fn hangup(self) -> Vec<Vec<u8>> {
-            self.hangup_parked(0)
-        }
-
-        /// Hangs up with `parked` reads inside the gate and lets them
-        /// through only once the service has hung up: a hangup waits
-        /// for nothing. Then waits for `serve_on`, if that is the
-        /// feeder, to return, and hands back what the server had still
-        /// sent. No worker is left, joined or not: each holds the
-        /// service's state while it lives.
-        fn hangup_parked(mut self, parked: usize) -> Vec<Vec<u8>> {
             let (sink, mut source) = self.end.split();
             drop(sink);
-            if self.server.is_none() {
-                self.svc.hangup();
-            }
-            while self.svc.shared.workers.lock().jobs.is_some() {
-                std::thread::yield_now();
-            }
-            for _ in 0..parked {
-                self.fs.release();
-            }
-            match self.server.take() {
-                Some(server) => {
-                    assert!(server.join().unwrap().is_ok());
-                    assert_eq!(Arc::strong_count(&self.svc.shared), 1);
-                }
-                // Nobody waits for the workers; each still ends.
-                None => while Arc::strong_count(&self.svc.shared) != 1 {
-                    std::thread::yield_now();
-                },
-            }
+            assert!(self.server.join().unwrap().is_ok());
+            assert_eq!(Arc::strong_count(&self.svc.shared), 1);
             drop(self.svc);
             std::iter::from_fn(|| source.recvmsg().unwrap()).collect()
         }
@@ -946,7 +910,7 @@ pub(crate) mod tests {
         // when that worker has finished too.
         drop(s.end);
         s.fs.release();
-        assert!(s.server.take().unwrap().join().unwrap().is_ok());
+        assert!(s.server.join().unwrap().is_ok());
         assert_eq!(s.fs.threads(true).union(&s.fs.threads(false)).count(), 2);
         assert_eq!(s.fs.exited(), 2);
         assert_eq!(Arc::strong_count(&s.svc.shared), 1);
@@ -958,7 +922,7 @@ pub(crate) mod tests {
         s.fs.release();
         assert_eq!(s.read(2, GATE), b"late");
         s.end.sendmsg(&[0xff, 0xff, 0xff]).unwrap();
-        let err = s.server.take().unwrap().join().unwrap().unwrap_err();
+        let err = s.server.join().unwrap().unwrap_err();
         assert_eq!(err.0, errstr::EBADMSG);
         assert_eq!(s.fs.exited(), 1);
         assert_eq!(Arc::strong_count(&s.svc.shared), 1);
@@ -982,132 +946,6 @@ pub(crate) mod tests {
         // Hang up and let `serve` join the workers: the late reply was
         // never sent.
         assert!(s.hangup().is_empty());
-    }
-
-    /// What the tag-space model expects of the server.
-    struct TagModel {
-        s: Served,
-        /// Unflushed, unanswered operations: the bytes each is owed.
-        live: HashMap<Tag, Vec<u8>>,
-        /// Reads inside the gate, flushed ones among them.
-        parked: usize,
-        /// The offset of each tag's last read, so that the next read
-        /// under the tag is owed other bytes.
-        last: HashMap<Tag, u64>,
-    }
-
-    /// A reply belongs to the live operation on its tag, and none of
-    /// the model's operations fails.
-    fn settle(live: &mut HashMap<Tag, Vec<u8>>, raw: &[u8]) -> Tag {
-        let (tag, r) = decode_rmsg(raw).unwrap();
-        match r {
-            Rmsg::Read { data, .. } => {
-                assert_eq!(Some(data), live.remove(&tag), "reply under tag {tag}")
-            }
-            Rmsg::Error { ename } => panic!("tag {tag}: {ename}"),
-            _ => {}
-        }
-        tag
-    }
-
-    impl TagModel {
-        /// Takes replies until the one under `tag`.
-        fn await_tag(&mut self, tag: Tag) {
-            while settle(&mut self.live, &self.s.end.recvmsg().unwrap().unwrap()) != tag {}
-        }
-
-        fn read(&mut self, tag: Tag, gate: bool) {
-            let (fid, contents) = if gate { (GATE, b"late") } else { (F, b"data") };
-            let offset = self.last.get(&tag).map_or(0, |o| o + 1) % 4;
-            self.last.insert(tag, offset);
-            self.live.insert(tag, contents[offset as usize..].to_vec());
-            self.s.send(tag, &Served::tread(fid, offset));
-            if gate {
-                self.parked += 1;
-                self.s.fs.wait_parked(self.parked);
-            } else {
-                self.await_tag(tag);
-            }
-        }
-
-        fn flush(&mut self, tag: Tag, old_tag: Tag) {
-            self.s.send(tag, &Tmsg::Flush { old_tag });
-            self.await_tag(tag);
-            // Unanswered by now, the old operation never will be.
-            self.live.remove(&old_tag);
-        }
-
-        /// Walks a new fid from the root to one of the files, opens it
-        /// and clunks it: for `/gate` each of the three takes a worker,
-        /// whatever is parked in the others.
-        fn open_and_clunk(&mut self, tag: Tag, gate: bool) {
-            let (fid, name) = (ROOT + 1, if gate { "gate" } else { "f" }.to_string());
-            let ops = [
-                Tmsg::Clwalk { fid: ROOT, new_fid: fid, name },
-                Tmsg::Open { fid, mode: 0 },
-                Tmsg::Clunk { fid },
-            ];
-            for t in ops {
-                self.s.send(tag, &t);
-                self.await_tag(tag);
-            }
-        }
-
-        fn release(&mut self, n: usize) {
-            for _ in 0..n {
-                self.s.fs.release();
-            }
-            self.parked -= n;
-            self.s.fs.wait_parked(self.parked);
-        }
-    }
-
-    plan9_support::props! {
-        /// The server's tag space against a sequential model, over a
-        /// few tags so that they are reused, fed through `serve` or by
-        /// calls of `input`: reads that run where they are read, reads
-        /// that park on a worker, walks and opens of both kinds of
-        /// file, flushes of live, answered and never-used tags, a tag
-        /// used again straight after its Rflush, gate releases, and a
-        /// hangup with or without reads still parked. Every unflushed
-        /// operation is answered once with its own bytes, nothing
-        /// follows an Rflush under the flushed operation's tag but the
-        /// next operation's reply, and no worker outlives the hangup
-        /// by more than its operation.
-        fn prop_tag_space_matches_sequential_model(g, cases = 60) {
-            let mut m = TagModel {
-                s: Served::start_fed(g.bool()),
-                live: HashMap::new(),
-                parked: 0,
-                last: HashMap::new(),
-            };
-            for _ in 0..g.usize_in(0..40) {
-                let tag = g.u16_in(0..6);
-                let free = !m.live.contains_key(&tag);
-                match g.usize_in(0..5) {
-                    0 | 1 if free => m.read(tag, g.bool()),
-                    2 if free => {
-                        let old_tag = g.u16_in(0..8);
-                        let was_live = m.live.contains_key(&old_tag);
-                        m.flush(tag, old_tag);
-                        if was_live && g.bool() {
-                            m.read(old_tag, g.bool());
-                        }
-                    }
-                    3 if free => m.open_and_clunk(tag, g.bool()),
-                    _ if m.parked > 0 => m.release(1),
-                    _ => {}
-                }
-            }
-            if g.bool() {
-                m.release(m.parked);
-            }
-            let TagModel { s, mut live, parked, .. } = m;
-            for raw in s.hangup_parked(parked) {
-                settle(&mut live, &raw);
-            }
-            assert!(live.is_empty(), "never answered: {live:?}");
-        }
     }
 
     #[test]

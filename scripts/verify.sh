@@ -82,11 +82,28 @@ EOF
 # loop. And a service answers once `serve_calls` (under
 # exportfs_listener, cpu_listener and FtpServer::serve) returns, since
 # it announces before it spawns its listener: no sleep may follow one.
+# A test waits for an event, never for the OS clock: nothing under
+# tests/ sleeps a thread or reads `Instant::now` (a budget reads
+# `time::real_now`), and every root test file runs on the virtual clock
+# (`vtime::enter`, or `oracle::run`) but the two named real-clock
+# witnesses: ninep_transports.rs, a smoke test per transport on the OS
+# clock, and protocol_checker.rs, which runs no kernel at all.
 python3 - <<'EOF'
 import os, re, sys
 drain = re.compile(r"\bwhile\b.*conn_count\(\)")
 start = re.compile(r"(\b(serve_calls|exportfs_listener|cpu_listener)|\.serve)\(")
+witnesses = {"tests/ninep_transports.rs", "tests/protocol_checker.rs"}
 bad = []
+for d, _, files in os.walk("tests"):
+    for path in sorted(os.path.join(d, f) for f in files if f.endswith(".rs")):
+        text = open(path).read()
+        for n, line in enumerate(text.splitlines(), 1):
+            for word in ("thread::sleep(", "Instant::now("):
+                if word in line:
+                    bad.append(f"{path}:{n}: {word} in a test; wait for the event")
+        root = d == "tests"
+        if root and path not in witnesses and "vtime::enter" not in text and "oracle::run" not in text:
+            bad.append(f"{path}: a root test file off the virtual clock")
 for root in ("src", "tests", "examples", "crates"):
     for d, dirs, files in os.walk(root):
         dirs[:] = [x for x in dirs if x != "target"]

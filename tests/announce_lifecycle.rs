@@ -31,7 +31,7 @@ use plan9::netsim::fabric::{DatakitLine, DatakitSwitch};
 use plan9::netsim::profile::Profiles;
 use plan9_support::chan::{unbounded, Receiver, Sender};
 use plan9_support::check::Gen;
-use plan9_support::{pool, time, vtime, wheel};
+use plan9_support::{time, vtime, wheel};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -365,12 +365,6 @@ impl World {
     }
 }
 
-/// Kernel processes on the clock, less the pool's workers, whose number
-/// is the pool's to decide.
-fn kprocs() -> usize {
-    vtime::active().expect("a virtual clock").census().0 - pool::workers()
-}
-
 fn world(proto: Proto) -> Result<World, String> {
     let seg = EtherSegment::new(Profiles::ether_fast());
     let switch = DatakitSwitch::new(Profiles::datakit_fast());
@@ -419,7 +413,7 @@ fn case(proto: Proto, seed: u64) -> Result<(), String> {
     // The timer wheel's thread is the clock's, made by its first timer:
     // make it before counting the case's processes.
     wheel::cancel(wheel::schedule(0, time::now() + PATIENCE, || {}).expect("arm the wheel"));
-    let before = kprocs();
+    let before = oracle::kprocs();
     let done = Arc::new(AtomicBool::new(false));
     let dog = oracle::watchdog("lifecycle", seed, &done, move || proto.net().to_string());
     let run = steps(proto, seed);
@@ -430,10 +424,10 @@ fn case(proto: Proto, seed: u64) -> Result<(), String> {
     oracle::settled("lifecycle", seed, proto.net(), || stacks.iter().map(|s| s.settle()).sum())?;
     drop((helix, musca, stacks));
     let deadline = time::now() + PATIENCE;
-    while kprocs() > before && time::now() < deadline {
+    while oracle::kprocs() > before && time::now() < deadline {
         time::sleep(Duration::from_millis(1));
     }
-    match kprocs() {
+    match oracle::kprocs() {
         k if k == before => Ok(()),
         k => Err(format!("{}: {k} kernel processes at the end, {before} at the start", proto.net())),
     }

@@ -16,6 +16,9 @@
 //! lock put back on that path shows here, and which one it was.
 #![cfg(debug_assertions)] // lockdep counts only in debug builds
 
+mod oracle;
+
+use oracle::world::ether_hosts;
 use plan9::core::machine::MachineBuilder;
 use plan9::core::namespace::MREPL;
 use plan9::exportfs::exportfs::{exportfs_listener, serve_export};
@@ -200,16 +203,7 @@ fn an_imported_read_takes_its_locks_by_count() {
     let _vt = vtime::enter();
     let seg = EtherSegment::new(Profiles::ether_fast());
     let ndb = "sys=helix ip=10.43.0.1 proto=il proto=tcp\nsys=musca ip=10.43.0.9 proto=il proto=tcp\n";
-    let helix = MachineBuilder::new("helix")
-        .ether(&seg, [8, 0, 0, 43, 0, 1], IpConfig::local("10.43.0.1"))
-        .ndb(ndb)
-        .build()
-        .expect("boot helix");
-    let musca = MachineBuilder::new("musca")
-        .ether(&seg, [8, 0, 0, 43, 0, 9], IpConfig::local("10.43.0.9"))
-        .ndb(ndb)
-        .build()
-        .expect("boot musca");
+    let [helix, musca] = ether_hosts(&seg, 43, [("helix", 1), ("musca", 9)], ndb);
     helix.rootfs.put_file("/lib/perf/blob", &[0x5a; 1 << 20]).expect("seed blob");
     for (proto, size, want) in [("il", 64, 43.0), ("il", 8192, 76.0), ("tcp", 8192, 105.0)] {
         let listener = exportfs_listener(helix.proc(), &format!("{proto}!*!exportfs"), 1).expect(proto);

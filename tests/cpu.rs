@@ -1,28 +1,23 @@
 //! Integration: the `cpu` service (§6) — a remote process whose name
-//! space includes the terminal's, served back over the same wire.
+//! space includes the terminal's, served back over the same wire. Under
+//! the virtual clock.
 
-use plan9::core::machine::MachineBuilder;
+mod oracle;
+
+use oracle::world::ether_hosts;
 use plan9::exportfs::cpu::{cpu, cpu_listener};
-use plan9::inet::ip::IpConfig;
 use plan9::netsim::ether::EtherSegment;
 use plan9::netsim::profile::Profiles;
 use plan9::ninep::procfs::OpenMode;
+use plan9_support::vtime;
 use std::sync::Arc;
 
 #[test]
 fn remote_job_reads_and_writes_the_terminals_namespace() {
+    let _vt = vtime::enter();
     let seg = EtherSegment::new(Profiles::ether_fast());
     let ndb = "sys=server ip=10.51.0.1 proto=il\nsys=term ip=10.51.0.2 proto=il\nil=cpu port=17005\n";
-    let server = MachineBuilder::new("server")
-        .ether(&seg, [8, 0, 0, 51, 0, 1], IpConfig::local("10.51.0.1"))
-        .ndb(ndb)
-        .build()
-        .unwrap();
-    let term = MachineBuilder::new("term")
-        .ether(&seg, [8, 0, 0, 51, 0, 2], IpConfig::local("10.51.0.2"))
-        .ndb(ndb)
-        .build()
-        .unwrap();
+    let [server, term] = ether_hosts(&seg, 51, [("server", 1), ("term", 2)], ndb);
     // The terminal has a window-local file the job will read.
     term.rootfs
         .put_file("/tmp/question", b"what is 6 x 7?")
@@ -42,11 +37,12 @@ fn remote_job_reads_and_writes_the_terminals_namespace() {
         p.write(fd, b"42").expect("write answer");
         p.close(fd);
     });
-    cpu_listener(server.proc(), "il!*!cpu", job, 1).expect("cpu listener");
+    let listener = cpu_listener(server.proc(), "il!*!cpu", job, 1).expect("cpu listener");
 
     // The terminal runs cpu, serving its whole name space.
     let tp = term.proc();
     cpu(&tp, "il!server!cpu", "/").expect("cpu session");
+    listener.join().expect("cpu listener");
 
     // The job's output landed in the terminal's own /tmp.
     let fd = tp.open("/tmp/answer", OpenMode::READ).expect("open answer");

@@ -7,11 +7,15 @@
 //! and `stat` agree entry by entry; `..` leads to the parent and the
 //! root is its own; `walk` from a file is "not a directory" and an
 //! unknown name "file does not exist"; a directory cannot be opened for
-//! writing, nor can a file whose entry has no write bits.
+//! writing, nor can a file whose entry has no write bits. Under the
+//! virtual clock.
 
+mod oracle;
+
+use oracle::world::{echo_once, hosts_on};
 use plan9::core::dev::PipeFs;
-use plan9::core::dial::{accept, announce, dial, listen};
-use plan9::core::machine::{Machine, MachineBuilder};
+use plan9::core::dial::dial;
+use plan9::core::machine::MachineBuilder;
 use plan9::core::namespace::Source;
 use plan9::core::proc::Proc;
 use plan9::inet::ip::IpConfig;
@@ -22,7 +26,9 @@ use plan9::netsim::uart::uart_pair;
 use plan9::ninep::dir::DIR_LEN;
 use plan9::ninep::procfs::{OpenMode, ProcFs, ServeNode};
 use plan9::ninep::{errstr, Dir, Qid};
+use plan9_support::{time, vtime};
 use std::sync::Arc;
+use std::time::Duration;
 
 type Fs = Arc<dyn ProcFs>;
 
@@ -115,38 +121,17 @@ fn metrics_shown(p: &Proc, path: &str) -> Vec<String> {
     .collect()
 }
 
-/// Answers one call to `addr` on `m`, echoing until the caller hangs up.
-fn echo_once(m: &Arc<Machine>, addr: &'static str) {
-    let p = m.proc();
-    std::thread::spawn(move || {
-        let (_afd, adir) = announce(&p, addr).expect("announce");
-        let (lcfd, ldir) = listen(&p, &adir).expect("listen");
-        let dfd = accept(&p, lcfd, &ldir).expect("accept");
-        while let Ok(msg) = p.read(dfd, 65536) {
-            if msg.is_empty() || p.write(dfd, &msg).is_err() {
-                break;
-            }
-        }
-    });
-}
-
 /// Every counter a file under `/net` shows is a row of the machine's
 /// registry, printed by its one renderer, and every row is sampled:
 /// what the Ethernet device, the wire and URP count reaches
 /// `/net/log/series` like what IL counts.
 #[test]
 fn the_stats_tree_conforms_to_the_registry() {
+    let _vt = vtime::enter();
     let seg = EtherSegment::new(Profiles::ether_fast());
     let switch = DatakitSwitch::new(Profiles::datakit_fast());
     let ndb = "sys=helix ip=10.17.0.1 dk=nj/astro/helix\nsys=gnot ip=10.17.0.2 dk=nj/astro/gnot\n";
-    let [helix, gnot] = [("helix", 1u8), ("gnot", 2)].map(|(name, n)| {
-        MachineBuilder::new(name)
-            .ether(&seg, [8, 0, 0, 17, 0, n], IpConfig::local(&format!("10.17.0.{n}")))
-            .datakit(&switch, &format!("nj/astro/{name}"))
-            .ndb(ndb)
-            .build()
-            .expect("boot")
-    });
+    let [helix, gnot] = hosts_on(&seg, Some((&switch, "nj/astro")), 17, [("helix", 1), ("gnot", 2)], ndb);
     let p = gnot.proc();
     let ctl = p.open("/net/log/ctl", OpenMode::RDWR).expect("log ctl");
     p.write_str(ctl, "series interval 20ms").expect("interval");
@@ -158,14 +143,19 @@ fn the_stats_tree_conforms_to_the_registry() {
     ];
     for (served, called) in calls {
         echo_once(&helix, served);
-        std::thread::sleep(std::time::Duration::from_millis(100));
         let conn = dial(&p, called).unwrap_or_else(|e| panic!("{called}: {e}"));
         p.write(conn.data_fd, b"ping").expect("write");
         assert_eq!(p.read(conn.data_fd, 4096).expect("read"), b"ping", "{called}");
         p.close(conn.data_fd);
         p.close(conn.ctl_fd);
     }
-    std::thread::sleep(std::time::Duration::from_millis(50));
+    // The calls took no virtual time on these unpaced media: the
+    // sampler's first tick is the first sample to hold them.
+    let deadline = time::now() + Duration::from_secs(5);
+    while !cat(&p, "/net/log/series").contains("\nsample ") {
+        assert!(time::now() < deadline, "no sample in /net/log/series after 5 s at a 20 ms interval");
+        time::sleep(Duration::from_millis(20));
+    }
     p.write_str(ctl, "series stop").expect("stop");
 
     // An Ethernet conversation, so that its `stats` exists.
@@ -202,6 +192,7 @@ fn the_stats_tree_conforms_to_the_registry() {
 /// The `NetLog` is the machine's, not its IP stack's.
 #[test]
 fn a_datakit_only_machine_has_its_net_log() {
+    let _vt = vtime::enter();
     let switch = DatakitSwitch::new(Profiles::datakit_fast());
     let lone = MachineBuilder::new("lone")
         .datakit(&switch, "nj/astro/lone")
@@ -221,6 +212,7 @@ fn a_datakit_only_machine_has_its_net_log() {
 /// device type `t`.
 #[test]
 fn figure_1_and_the_eia_listing_read_like_the_paper() {
+    let _vt = vtime::enter();
     let seg = EtherSegment::new(Profiles::ether_fast());
     let (u1, _peer1) = uart_pair(9600);
     let (u2, _peer2) = uart_pair(9600);
@@ -255,6 +247,7 @@ fn figure_1_and_the_eia_listing_read_like_the_paper() {
 
 #[test]
 fn every_mounted_device_is_the_same_kind_of_tree() {
+    let _vt = vtime::enter();
     let seg = EtherSegment::new(Profiles::ether_fast());
     let switch = DatakitSwitch::new(Profiles::datakit_fast());
     let net = plan9::cs::SimInternet::new();

@@ -1,13 +1,18 @@
 //! Integration: dial/announce/listen over every protocol device, and
-//! the delimiter contrast that motivates IL (§3).
+//! the delimiter contrast that motivates IL (§3). Under the virtual
+//! clock: each server announces before its listener kproc is made, so
+//! a dial in the next statement finds it.
 
+mod oracle;
+
+use oracle::world::{answer_once, echo_once, hosts_on};
 use plan9::core::dial::{accept, announce, dial, listen, netmkaddr};
-use plan9::core::machine::{Machine, MachineBuilder};
-use plan9::inet::ip::IpConfig;
+use plan9::core::machine::Machine;
 use plan9::netsim::ether::EtherSegment;
 use plan9::netsim::fabric::DatakitSwitch;
 use plan9::netsim::profile::Profiles;
 use plan9::ninep::procfs::OpenMode;
+use plan9_support::vtime;
 use std::sync::Arc;
 
 fn machines() -> (Arc<Machine>, Arc<Machine>) {
@@ -17,41 +22,13 @@ fn machines() -> (Arc<Machine>, Arc<Machine>) {
 sys=helix ip=10.9.0.1 dk=nj/astro/helix proto=il proto=tcp
 sys=gnot ip=10.9.0.2 dk=nj/astro/gnot proto=il proto=tcp
 ";
-    let a = MachineBuilder::new("helix")
-        .ether(&seg, [8, 0, 0, 9, 0, 1], IpConfig::local("10.9.0.1"))
-        .datakit(&switch, "nj/astro/helix")
-        .ndb(ndb)
-        .build()
-        .unwrap();
-    let b = MachineBuilder::new("gnot")
-        .ether(&seg, [8, 0, 0, 9, 0, 2], IpConfig::local("10.9.0.2"))
-        .datakit(&switch, "nj/astro/gnot")
-        .ndb(ndb)
-        .build()
-        .unwrap();
+    let [a, b] = hosts_on(&seg, Some((&switch, "nj/astro")), 9, [("helix", 1), ("gnot", 2)], ndb);
     (a, b)
-}
-
-/// Starts an echo server for `addr` on machine `m`, serving one call.
-fn echo_once(m: &Arc<Machine>, addr: &'static str) {
-    let p = m.proc();
-    std::thread::spawn(move || {
-        let (_afd, adir) = announce(&p, addr).expect("announce");
-        let (lcfd, ldir) = listen(&p, &adir).expect("listen");
-        let dfd = accept(&p, lcfd, &ldir).expect("accept");
-        while let Ok(msg) = p.read(dfd, 65536) {
-            if msg.is_empty() {
-                break;
-            }
-            if p.write(dfd, &msg).is_err() {
-                break;
-            }
-        }
-    });
 }
 
 #[test]
 fn dial_each_protocol_explicitly() {
+    let _vt = vtime::enter();
     let (helix, gnot) = machines();
     for (announce_addr, dial_addr) in [
         ("il!*!echo", "il!helix!echo"),
@@ -59,7 +36,6 @@ fn dial_each_protocol_explicitly() {
         ("dk!*!echo", "dk!nj/astro/helix!echo"),
     ] {
         echo_once(&helix, announce_addr);
-        std::thread::sleep(std::time::Duration::from_millis(100));
         let p = gnot.proc();
         let conn = dial(&p, dial_addr).unwrap_or_else(|e| panic!("{dial_addr}: {e}"));
         p.write(conn.data_fd, b"ping").expect("write");
@@ -81,9 +57,9 @@ fn dial_each_protocol_explicitly() {
 
 #[test]
 fn dial_net_metaname_picks_common_network() {
+    let _vt = vtime::enter();
     let (helix, gnot) = machines();
     echo_once(&helix, "il!*!echo");
-    std::thread::sleep(std::time::Duration::from_millis(100));
     let p = gnot.proc();
     let conn = dial(&p, "net!helix!echo").expect("dial net!helix!echo");
     // IL is first in preference order and helix supports it.
@@ -94,15 +70,11 @@ fn dial_net_metaname_picks_common_network() {
 
 #[test]
 fn il_preserves_write_boundaries_tcp_does_not() {
+    let _vt = vtime::enter();
     let (helix, gnot) = machines();
     // Servers that report the size of each read they see.
-    for proto in ["il", "tcp"] {
-        let p = helix.proc();
-        let addr: &'static str = if proto == "il" { "il!*!discard" } else { "tcp!*!discard" };
-        std::thread::spawn(move || {
-            let (_afd, adir) = announce(&p, addr).expect("announce");
-            let (lcfd, ldir) = listen(&p, &adir).expect("listen");
-            let dfd = accept(&p, lcfd, &ldir).expect("accept");
+    for addr in ["il!*!discard", "tcp!*!discard"] {
+        answer_once(&helix, addr, "discard", |p, dfd| {
             // Report each read's length back on the same connection.
             while let Ok(msg) = p.read(dfd, 65536) {
                 if msg.is_empty() {
@@ -112,7 +84,6 @@ fn il_preserves_write_boundaries_tcp_does_not() {
             }
         });
     }
-    std::thread::sleep(std::time::Duration::from_millis(100));
     let p = gnot.proc();
     // IL: three writes arrive as exactly three messages.
     let conn = dial(&p, "il!helix!discard").expect("dial il");
@@ -146,6 +117,7 @@ fn netmkaddr_normalizes() {
 
 #[test]
 fn rejected_datakit_call_reports_eof() {
+    let _vt = vtime::enter();
     let (helix, gnot) = machines();
     let _keep = helix;
     let p = gnot.proc();
@@ -156,10 +128,11 @@ fn rejected_datakit_call_reports_eof() {
 
 #[test]
 fn announce_stays_in_force_until_closed() {
+    let _vt = vtime::enter();
     let (helix, gnot) = machines();
     let hp = helix.proc();
     let (afd, adir) = announce(&hp, "tcp!*!daytime").expect("announce");
-    let server = std::thread::spawn(move || {
+    let server = vtime::kproc("daytime", move || {
         for _ in 0..2 {
             let Ok((lcfd, ldir)) = listen(&hp, &adir) else { return };
             let Ok(dfd) = accept(&hp, lcfd, &ldir) else { return };
@@ -168,8 +141,8 @@ fn announce_stays_in_force_until_closed() {
             hp.close(lcfd);
         }
         hp.close(afd);
-    });
-    std::thread::sleep(std::time::Duration::from_millis(100));
+    })
+    .expect("spawn daytime");
     let p = gnot.proc();
     for _ in 0..2 {
         let conn = dial(&p, "tcp!helix!daytime").expect("dial");

@@ -1,29 +1,23 @@
 //! Integration: ftpfs (§6.2) — FTP as a mounted file system with a
-//! cache.
+//! cache. Under the virtual clock.
 
-use plan9::core::machine::{Machine, MachineBuilder};
+mod oracle;
+
+use oracle::world::ether_hosts;
+use plan9::core::machine::Machine;
 use plan9::core::namespace::MREPL;
 use plan9::exportfs::ftpd::FtpServer;
 use plan9::exportfs::ftpfs::FtpFs;
-use plan9::inet::ip::IpConfig;
 use plan9::netsim::ether::EtherSegment;
 use plan9::netsim::profile::Profiles;
 use plan9::ninep::procfs::{OpenMode, ProcFs};
+use plan9_support::vtime;
 use std::sync::Arc;
 
 fn world() -> (Arc<Machine>, Arc<Machine>, Arc<FtpServer>) {
     let seg = EtherSegment::new(Profiles::ether_fast());
     let ndb = "sys=site ip=10.41.0.1 proto=tcp\nsys=term ip=10.41.0.2 proto=tcp\n";
-    let site = MachineBuilder::new("site")
-        .ether(&seg, [8, 0, 0, 41, 0, 1], IpConfig::local("10.41.0.1"))
-        .ndb(ndb)
-        .build()
-        .unwrap();
-    let term = MachineBuilder::new("term")
-        .ether(&seg, [8, 0, 0, 41, 0, 2], IpConfig::local("10.41.0.2"))
-        .ndb(ndb)
-        .build()
-        .unwrap();
+    let [site, term] = ether_hosts(&seg, 41, [("site", 1), ("term", 2)], ndb);
     let ftpd = Arc::new(FtpServer::new("guest"));
     ftpd.tree.put_file("/pub/README", b"hello ftp").unwrap();
     ftpd.tree.put_file("/pub/deep/leaf.txt", b"leaf").unwrap();
@@ -41,6 +35,7 @@ fn mounted_term(term: &Arc<Machine>) -> (plan9::core::proc::Proc, Arc<FtpFs>) {
 
 #[test]
 fn list_read_and_walk_deep() {
+    let _vt = vtime::enter();
     let (_site, term, _ftpd) = world();
     let (p, _fs) = mounted_term(&term);
     let names: Vec<String> = p
@@ -57,6 +52,7 @@ fn list_read_and_walk_deep() {
 
 #[test]
 fn reads_are_cached() {
+    let _vt = vtime::enter();
     let (_site, term, _ftpd) = world();
     let (p, fs) = mounted_term(&term);
     let fd = p.open("/n/ftp/pub/README", OpenMode::READ).unwrap();
@@ -73,6 +69,7 @@ fn reads_are_cached() {
 
 #[test]
 fn create_updates_cache_and_server() {
+    let _vt = vtime::enter();
     let (_site, term, ftpd) = world();
     let (p, _fs) = mounted_term(&term);
     let fd = p
@@ -93,6 +90,7 @@ fn create_updates_cache_and_server() {
 
 #[test]
 fn remove_propagates() {
+    let _vt = vtime::enter();
     let (_site, term, ftpd) = world();
     let (p, _fs) = mounted_term(&term);
     p.remove("/n/ftp/pub/README").expect("remove");
@@ -102,6 +100,7 @@ fn remove_propagates() {
 
 #[test]
 fn wrong_password_refused() {
+    let _vt = vtime::enter();
     let (_site, term, _ftpd) = world();
     let err =
         FtpFs::dial_and_login(term.proc(), "tcp!site!ftp", "philw", "wrong").unwrap_err();
@@ -114,6 +113,7 @@ fn wrong_password_refused() {
 /// serving end in Close_wait after the client goes.
 #[test]
 fn an_ended_login_leaves_no_conversation() {
+    let _vt = vtime::enter();
     let (site, term, _ftpd) = world();
     let machines = [&site, &term];
     let fs = FtpFs::dial_and_login(term.proc(), "tcp!site!ftp", "philw", "guest").expect("login");

@@ -2,7 +2,8 @@
 //! surface — a scenario fabric with a flash crowd and netmon collector,
 //! then a two-machine segment doing IL and TCP dials, ether clone
 //! opens, pipes, an import mounted over an import and one over TCP — and snapshot
-//! the lock-order graph lockdep observed along the way.
+//! the lock-order graph lockdep observed along the way. Both halves run
+//! under the virtual clock, so the capture is the same on every run.
 //!
 //! With `LOCKGRAPH_UPDATE=1` the snapshot is written to
 //! `scripts/lockgraph-observed.txt`, the dump `plan9-check`
@@ -30,7 +31,6 @@ use plan9::ninep::procfs::{MemFs, OpenMode, ProcFs, ServeNode};
 use plan9::ninep::qid::Qid;
 use plan9_support::vtime;
 use std::sync::Arc;
-use std::time::Duration;
 
 const SCRIPT: &str = "\
 seed 4093
@@ -40,11 +40,12 @@ netmon 50ms
 end 700ms
 ";
 
-/// Echoes one connection at a time until the announce fd dies; with
-/// `once`, hangs a connection up on its first message instead.
+/// Announces `addr` and, in a kproc, echoes one connection at a time
+/// until the announce fd dies; with `once`, hangs a connection up on
+/// its first message instead.
 fn echo_service(p: plan9::core::proc::Proc, addr: &'static str, once: bool) {
     let (_afd, adir) = announce(&p, addr).expect("announce");
-    std::thread::spawn(move || loop {
+    let echo = move || loop {
         let Ok((lcfd, ldir)) = listen(&p, &adir) else {
             return;
         };
@@ -59,7 +60,8 @@ fn echo_service(p: plan9::core::proc::Proc, addr: &'static str, once: bool) {
         }
         p.close(dfd);
         p.close(lcfd);
-    });
+    };
+    vtime::kproc("echo", echo).expect("spawn echo");
 }
 
 #[test]
@@ -79,13 +81,14 @@ fn capture_runtime_lock_order_graph() {
     drop(guard);
     assert!(report.clean(), "scenario run dirty:\n{}", report.text);
 
-    // 2. A two-machine segment on the real clock: IL and TCP dials
-    // (conversation alloc + clunk on both protocol directories), a
+    // 2. A two-machine segment, on a virtual clock of its own: IL and
+    // TCP dials (conversation alloc + clunk on both protocol directories), a
     // Datakit line through the switch (its service table, circuits), a
     // UDP send big enough to fragment, an ether clone open/close, a
     // serial line, and a pipe — the device and protocol classes the
     // scenario's gateways don't touch. The wire is slightly lossy so
     // the loss lottery (and its lock) runs.
+    let _vt = vtime::enter();
     let seg = EtherSegment::new(Profiles::ether_fast().with_loss(0.01));
     let switch = DatakitSwitch::new(Profiles::datakit_fast());
     let (uart_a, uart_b) = uart_pair(1_000_000);
@@ -134,9 +137,9 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/gnot proto=il proto=tcp
     }
     // A Datakit call nobody serves: the switch rejects it with a
     // reason, which is its own lock class. The rejection is
-    // asynchronous, so the dial may succeed and die on first use.
+    // asynchronous, so the dial may succeed and die on first use: a
+    // read waits for it.
     if let Ok(conn) = dial(&p, "dk!nj/astro/helix!nosuch") {
-        std::thread::sleep(Duration::from_millis(50));
         let dead = p.write(conn.data_fd, b"x").is_err()
             || p.read(conn.data_fd, 16).map_or(true, |v| v.is_empty());
         assert!(dead, "rejected circuit still carries data");
@@ -145,10 +148,14 @@ sys=gnot ip=135.104.9.40 dk=nj/astro/gnot proto=il proto=tcp
     }
 
     // A UDP datagram bigger than the Ethernet MTU: the bind table on
-    // this side, fragment reassembly on the far side.
+    // this side, fragment reassembly on the far side, where a socket
+    // bound to the echo port reads it whole.
+    let helix_ip = helix.ip.as_ref().expect("helix's stack");
+    let echo = helix_ip.udp_module().bind(helix_ip, 7).expect("udp bind");
     let udp = dial(&p, "udp!helix!echo").expect("udp dial");
     p.write(udp.data_fd, &vec![0x42u8; 4000]).expect("udp send");
-    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(echo.recv().expect("udp recv").2.len(), 4000);
+    echo.close();
     p.close(udp.data_fd);
     p.close(udp.ctl_fd);
 

@@ -4,9 +4,11 @@
 //! its servers are kernel processes, and a dial follows the announce
 //! that has returned rather than a sleep.
 
-use plan9::core::dial::{accept, announce, dial, listen};
-use plan9::core::machine::{Machine, MachineBuilder};
-use plan9::inet::ip::IpConfig;
+mod oracle;
+
+use oracle::world::{answer_once, hosts_on};
+use plan9::core::dial::dial;
+use plan9::core::machine::Machine;
 use plan9::netsim::ether::EtherSegment;
 use plan9::netsim::fabric::DatakitSwitch;
 use plan9::netsim::profile::{LinkProfile, Profiles};
@@ -20,29 +22,14 @@ fn machines_on(profile: LinkProfile) -> (Arc<Machine>, Arc<Machine>) {
 sys=a ip=10.31.0.1 dk=nj/x/a proto=il proto=tcp
 sys=b ip=10.31.0.2 dk=nj/x/b proto=il proto=tcp
 ";
-    let a = MachineBuilder::new("a")
-        .ether(&seg, [8, 0, 0, 31, 0, 1], IpConfig::local("10.31.0.1"))
-        .datakit(&switch, "nj/x/a")
-        .ndb(ndb)
-        .build()
-        .unwrap();
-    let b = MachineBuilder::new("b")
-        .ether(&seg, [8, 0, 0, 31, 0, 2], IpConfig::local("10.31.0.2"))
-        .datakit(&switch, "nj/x/b")
-        .ndb(ndb)
-        .build()
-        .unwrap();
+    let [a, b] = hosts_on(&seg, Some((&switch, "nj/x")), 31, [("a", 1), ("b", 2)], ndb);
     (a, b)
 }
 
-/// Announces `addr` (so a dial may follow at once), then reads a call's
-/// bytes in a kproc of its own until `expect_total` have come.
+/// Answers one call at `addr`, reading its bytes until `expect_total`
+/// have come.
 fn sink_server(m: &Arc<Machine>, addr: &'static str, expect_total: usize) -> KprocHandle<Vec<u8>> {
-    let p = m.proc();
-    let (_afd, adir) = announce(&p, addr).expect("announce");
-    vtime::kproc("sink", move || {
-        let (lcfd, ldir) = listen(&p, &adir).expect("listen");
-        let dfd = accept(&p, lcfd, &ldir).expect("accept");
+    answer_once(m, addr, "sink", move |p, dfd| {
         let mut got = Vec::new();
         while got.len() < expect_total {
             let chunk = p.read(dfd, 65536).expect("read");
@@ -51,7 +38,6 @@ fn sink_server(m: &Arc<Machine>, addr: &'static str, expect_total: usize) -> Kpr
         }
         got
     })
-    .expect("spawn sink")
 }
 
 #[test]
@@ -112,18 +98,9 @@ plan9_support::props! {
         let _vt = vtime::enter();
         let (a, b) = machines_on(Profiles::ether_fast().with_loss(loss));
         let n = msgs.len();
-        let p = b.proc();
-        let (_afd, adir) = announce(&p, "il!*!9fs").expect("announce");
-        let server = vtime::kproc("reader", move || {
-            let (lcfd, ldir) = listen(&p, &adir).expect("listen");
-            let dfd = accept(&p, lcfd, &ldir).expect("accept");
-            let mut got = Vec::new();
-            for _ in 0..n {
-                got.push(p.read(dfd, 65536).expect("read"));
-            }
-            got
-        })
-        .expect("spawn reader");
+        let server = answer_once(&b, "il!*!9fs", "reader", move |p, dfd| {
+            (0..n).map(|_| p.read(dfd, 65536).expect("read")).collect::<Vec<_>>()
+        });
         let p = a.proc();
         let conn = dial(&p, "il!b!9fs").expect("dial");
         for m in &msgs {

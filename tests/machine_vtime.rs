@@ -3,6 +3,8 @@
 //! virtual run is process-wide, and `core`'s unit tests run on the real
 //! clock.
 
+use oracle::fs::Probe;
+use oracle::world::helix_musca_gnot;
 use plan9::core::machine::{Machine, MachineBuilder};
 use plan9::core::namespace::{MAFTER, MREPL};
 use plan9::core::proc::Proc;
@@ -14,39 +16,15 @@ use plan9::netsim::fabric::DatakitSwitch;
 use plan9::netsim::profile::Profiles;
 use plan9::ninep::procfs::{OpenMode, ProcFs};
 use plan9_support::vtime;
-use probe::Probe;
 use std::sync::Arc;
 
-mod probe;
+mod oracle;
 
-/// helix has Ethernet and Datakit; musca is on the Ethernet only, gnot
-/// on Datakit only.
-fn world() -> (Arc<Machine>, Arc<Machine>, Arc<Machine>) {
-    let seg = EtherSegment::new(Profiles::ether_fast());
-    let switch = DatakitSwitch::new(Profiles::datakit_fast());
-    let ndb = "\
+const NDB: &str = "\
 sys=helix ip=10.21.0.1 dk=nj/astro/helix proto=il proto=tcp
 sys=musca ip=10.21.0.9 proto=il proto=tcp
 sys=gnot dk=nj/astro/gnot
 ";
-    let helix = MachineBuilder::new("helix")
-        .ether(&seg, [8, 0, 0, 21, 0, 1], IpConfig::local("10.21.0.1"))
-        .datakit(&switch, "nj/astro/helix")
-        .ndb(ndb)
-        .build()
-        .expect("boot helix");
-    let musca = MachineBuilder::new("musca")
-        .ether(&seg, [8, 0, 0, 21, 0, 9], IpConfig::local("10.21.0.9"))
-        .ndb(ndb)
-        .build()
-        .expect("boot musca");
-    let gnot = MachineBuilder::new("gnot")
-        .datakit(&switch, "nj/astro/gnot")
-        .ndb(ndb)
-        .build()
-        .expect("boot gnot");
-    (helix, musca, gnot)
-}
 
 /// A service answers from the moment `serve_calls` returns: it has
 /// announced before it makes the listener kproc, and under the virtual
@@ -56,7 +34,7 @@ sys=gnot dk=nj/astro/gnot
 #[test]
 fn a_service_answers_once_it_is_started() {
     let _vt = vtime::enter();
-    let (helix, musca, gnot) = world();
+    let (helix, musca, gnot) = helix_musca_gnot(NDB);
     for (proto, importer, dest) in [
         ("il", &musca, "il!helix!exportfs"),
         ("tcp", &musca, "tcp!helix!exportfs"),
@@ -123,7 +101,7 @@ fn a_datakit_line_adds_no_kproc() {
 #[test]
 fn a_conversation_is_served_where_its_requests_arrive() {
     let _vt = vtime::enter();
-    let (helix, musca, gnot) = world();
+    let (helix, musca, gnot) = helix_musca_gnot(NDB);
     let probe = Probe::new();
     let fs: Arc<dyn ProcFs> = probe.clone();
     let with_probe = |p: Proc| {

@@ -4,12 +4,16 @@
 //! own frame accounting must balance exactly, and IL's retransmission
 //! counter must agree with the event trace — the counters and the log
 //! are two views of the same recovery machinery, so they may not drift.
+//! Each case runs under a virtual clock of its own.
 
-use plan9::core::dial::{accept, announce, dial, listen};
-use plan9::core::machine::{Machine, MachineBuilder};
-use plan9::inet::ip::IpConfig;
+mod oracle;
+
+use oracle::world::{answer_once, ether_hosts};
+use plan9::core::dial::dial;
+use plan9::core::machine::Machine;
 use plan9::netsim::ether::EtherSegment;
 use plan9::netsim::profile::{LinkProfile, Profiles};
+use plan9_support::vtime;
 use std::sync::Arc;
 
 fn machines_on(profile: LinkProfile) -> (Arc<EtherSegment>, Arc<Machine>, Arc<Machine>) {
@@ -18,17 +22,17 @@ fn machines_on(profile: LinkProfile) -> (Arc<EtherSegment>, Arc<Machine>, Arc<Ma
 sys=a ip=10.31.0.1 proto=il proto=tcp
 sys=b ip=10.31.0.2 proto=il proto=tcp
 ";
-    let a = MachineBuilder::new("a")
-        .ether(&seg, [8, 0, 0, 31, 0, 1], IpConfig::local("10.31.0.1"))
-        .ndb(ndb)
-        .build()
-        .unwrap();
-    let b = MachineBuilder::new("b")
-        .ether(&seg, [8, 0, 0, 31, 0, 2], IpConfig::local("10.31.0.2"))
-        .ndb(ndb)
-        .build()
-        .unwrap();
+    let [a, b] = ether_hosts(&seg, 31, [("a", 1), ("b", 2)], ndb);
     (seg, a, b)
+}
+
+/// Answers one call at `il!*!9fs` on `m`, reading `n` messages.
+fn reader(m: &Arc<Machine>, n: usize) -> vtime::KprocHandle<()> {
+    answer_once(m, "il!*!9fs", "reader", move |p, dfd| {
+        for _ in 0..n {
+            p.read(dfd, 65536).expect("read");
+        }
+    })
 }
 
 plan9_support::props! {
@@ -38,46 +42,28 @@ plan9_support::props! {
         let loss = g.f64_in(0.0..0.10);
         let dup = g.f64_in(0.0..0.05);
         let msgs = g.vec(5..20, |g| g.bytes(1..3000));
+        let _vt = vtime::enter();
         let (seg, a, b) = machines_on(
             Profiles::ether_fast().with_loss(loss).with_dup(dup),
         );
-        let n = msgs.len();
-        let p = b.proc();
-        let server = std::thread::spawn(move || {
-            let (_afd, adir) = announce(&p, "il!*!9fs").expect("announce");
-            let (lcfd, ldir) = listen(&p, &adir).expect("listen");
-            let dfd = accept(&p, lcfd, &ldir).expect("accept");
-            for _ in 0..n {
-                p.read(dfd, 65536).expect("read");
-            }
-        });
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        let server = reader(&b, msgs.len());
         let p = a.proc();
         let conn = dial(&p, "il!b!9fs").expect("dial");
         for m in &msgs {
             p.write(conn.data_fd, m).expect("write");
         }
         server.join().unwrap();
-        // An ack timer may be inside the medium right now, `sent`
-        // bumped and `delivered` not yet. Hang up, wait for both ends
-        // to forget the conversation (its timers go with it), and read
-        // the counters once two reads agree.
+        // Hang up and wait for both ends to forget the conversation
+        // (its timers go with it). The medium counts a frame's copies
+        // as it sends it, and no other process runs while this one
+        // reads the counters.
         p.close(conn.data_fd);
         p.close(conn.ctl_fd);
         let left = [&a, &b].map(|m| m.ip.as_ref().unwrap().settle());
         assert_eq!(left, [0, 0], "conversations outlived their hangup");
         let stats = seg.medium().stats();
-        let read = || [&stats.sent, &stats.delivered, &stats.dropped, &stats.duplicated].map(|c| c.get());
-        let mut settled = read();
-        loop {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            let again = read();
-            if again == settled {
-                break;
-            }
-            settled = again;
-        }
-        let [sent, delivered, dropped, duplicated] = settled;
+        let [sent, delivered, dropped, duplicated] =
+            [&stats.sent, &stats.delivered, &stats.dropped, &stats.duplicated].map(|c| c.get());
         assert!(sent > 0, "no traffic reached the wire");
         assert_eq!(
             delivered,
@@ -92,20 +78,11 @@ plan9_support::props! {
     fn prop_il_rexmit_counter_matches_event_log(g, cases = 4) {
         let loss = g.f64_in(0.02..0.10);
         let msgs = g.vec(10..25, |g| g.bytes(500..3000));
+        let _vt = vtime::enter();
         let (_seg, a, b) = machines_on(Profiles::ether_fast().with_loss(loss));
         let sender = a.ip.as_ref().unwrap();
         sender.netlog().events.ctl("set il").unwrap();
-        let n = msgs.len();
-        let p = b.proc();
-        let server = std::thread::spawn(move || {
-            let (_afd, adir) = announce(&p, "il!*!9fs").expect("announce");
-            let (lcfd, ldir) = listen(&p, &adir).expect("listen");
-            let dfd = accept(&p, lcfd, &ldir).expect("accept");
-            for _ in 0..n {
-                p.read(dfd, 65536).expect("read");
-            }
-        });
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        let server = reader(&b, msgs.len());
         let p = a.proc();
         let conn = dial(&p, "il!b!9fs").expect("dial");
         for m in &msgs {

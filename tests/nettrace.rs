@@ -2,8 +2,9 @@
 //! duplicating wire. An event is one entry of a machine's `/net/log`
 //! ring, naming the root it happened for; a root is in the tracer's.
 //!
-//! The tracer is process-global, so these tests serialize on a lock and
-//! reset it between runs.
+//! The tracer is process-global: each test resets it, and runs under a
+//! virtual clock of its own, which `vtime::enter` gives one test at a
+//! time.
 
 use plan9::core::machine::{Machine, MachineBuilder};
 use plan9::core::namespace::MREPL;
@@ -17,16 +18,9 @@ use plan9::netsim::ether::EtherSegment;
 use plan9::netsim::profile::Profiles;
 use plan9::ninep::client::NineClient;
 use plan9::ninep::procfs::{MemFs, OpenMode, ProcFs};
+use plan9_support::vtime;
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::Arc;
 
 fn reset(tracer: &Arc<Tracer>) {
     tracer.ctl("trace off").unwrap();
@@ -71,20 +65,21 @@ fn all_name_a_root(tracer: &Tracer, entries: &[Event]) {
 /// loses and duplicates frames.
 #[test]
 fn rexmit_events_attach_to_exactly_one_root() {
-    let _g = lock();
+    let _vt = vtime::enter();
     let tracer = trace::global();
     reset(tracer);
 
     let (a, b) = lossy_stacks(1);
     let listener = b.il_module().listen(&b, 17011).unwrap();
-    let server = std::thread::spawn(move || {
+    let server = vtime::kproc("server", move || {
         let conn = listener.accept().unwrap();
         let fs = MemFs::new("ram", "bootes");
         fs.put_file("/blob", &[0x7au8; 700]).unwrap();
         let fs: Arc<dyn ProcFs> = fs;
         let io = IlIo(conn);
         let _ = plan9::ninep::server::serve(fs, Box::new(io.clone()), Box::new(io));
-    });
+    })
+    .unwrap();
     let conn = a.il_module().connect(&a, b.addr(), 17011).unwrap();
     // Count only traffic sent while both recorders watch: the handshake
     // is acked by the time connect returns.
@@ -139,7 +134,7 @@ sys=gnot ip=135.104.9.40 proto=il proto=tcp
 /// import churns the same recorder.
 #[test]
 fn queue_spans_nest_inside_rpc_roots() {
-    let _g = lock();
+    let _vt = vtime::enter();
     let tracer = trace::global();
     reset(tracer);
 
@@ -164,16 +159,21 @@ fn queue_spans_nest_inside_rpc_roots() {
     let io = p.io(sfd).unwrap();
     let sink = io.clone();
     let fs: Arc<dyn ProcFs> = gnot.rootfs.clone();
-    std::thread::spawn(move || {
+    let server = vtime::kproc("server", move || {
         let _ = plan9::ninep::server::serve(fs, Box::new(io), Box::new(sink));
-    });
+    })
+    .unwrap();
     p.mount_fd(mfd, "", "/n/self", MREPL, false).unwrap();
     for _ in 0..20 {
         let fd = p.open("/n/self/lib/ndb/local", OpenMode::READ).unwrap();
         assert!(!p.read(fd, 4096).unwrap().is_empty());
         p.close(fd);
     }
-    std::thread::sleep(Duration::from_millis(200));
+    // Every root and span is closed once the server has seen the
+    // hangup and returned.
+    p.ns.unmount("/n/self").unwrap();
+    p.close(sfd);
+    server.join().unwrap();
 
     let roots = tracer.roots();
     let mut queue_spans = 0usize;
@@ -204,7 +204,7 @@ fn queue_spans_nest_inside_rpc_roots() {
 /// both machines; the wire's seed makes at least one fast retransmit.
 #[test]
 fn tcp_rexmits_name_their_writers_root() {
-    let _g = lock();
+    let _vt = vtime::enter();
     let tracer = trace::global();
     reset(tracer);
 
@@ -242,21 +242,22 @@ fn tcp_rexmits_name_their_writers_root() {
 /// the span ring: the recorder is pay-for-use.
 #[test]
 fn tracing_off_leaves_ring_untouched() {
-    let _g = lock();
+    let _vt = vtime::enter();
     let tracer = trace::global();
     reset(tracer);
     let before = (tracer.len(), tracer.active_len());
 
     let (a, b) = lossy_stacks(40);
     let listener = b.il_module().listen(&b, 17012).unwrap();
-    let server = std::thread::spawn(move || {
+    let server = vtime::kproc("server", move || {
         let conn = listener.accept().unwrap();
         let fs = MemFs::new("ram", "bootes");
         fs.put_file("/blob", &[0x11u8; 256]).unwrap();
         let fs: Arc<dyn ProcFs> = fs;
         let io = IlIo(conn);
         let _ = plan9::ninep::server::serve(fs, Box::new(io.clone()), Box::new(io));
-    });
+    })
+    .unwrap();
     let conn = a.il_module().connect(&a, b.addr(), 17012).unwrap();
     let io = IlIo(Arc::clone(&conn));
     let client = NineClient::new(Box::new(io.clone()), Box::new(io));

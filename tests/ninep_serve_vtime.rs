@@ -2,12 +2,15 @@
 //! crate's unit tests: a virtual run is process-wide, and those run on
 //! the real clock.
 
+mod oracle;
+
+use oracle::fs::{Hooked, Hooks};
 use plan9_ninep::client::NineClient;
 use plan9_ninep::codec::{decode_rmsg, encode_tmsg};
-use plan9_ninep::procfs::{MemFs, OpenMode, ProcFs, ServeNode};
+use plan9_ninep::procfs::{MemFs, OpenMode, ServeNode};
 use plan9_ninep::server::{serve, NineService};
 use plan9_ninep::transport::{MsgPipeEnd, MsgPipeSink, MsgSink};
-use plan9_ninep::{Dir, Result, Rmsg, Tmsg};
+use plan9_ninep::{Result, Rmsg, Tmsg};
 use plan9_support::{time, vtime};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
@@ -55,33 +58,12 @@ fn hangup_leaves_an_empty_kproc_census() {
 /// operation on it takes a `9p-worker`, as one on a `listen` file does.
 struct MayBlock(Arc<MemFs>);
 
-impl ProcFs for MayBlock {
-    fn fsname(&self) -> String {
-        self.0.fsname()
+impl Hooks for MayBlock {
+    fn mem(&self) -> &MemFs {
+        &self.0
     }
-    fn attach(&self, uname: &str, aname: &str) -> Result<ServeNode> {
-        self.0.attach(uname, aname)
-    }
-    fn clone_node(&self, n: &ServeNode) -> Result<ServeNode> {
-        self.0.clone_node(n)
-    }
-    fn walk(&self, n: &ServeNode, name: &str) -> Result<ServeNode> {
-        self.0.walk(n, name)
-    }
-    fn open(&self, n: &ServeNode, mode: OpenMode) -> Result<ServeNode> {
-        self.0.open(n, mode)
-    }
-    fn read(&self, n: &ServeNode, offset: u64, count: usize) -> Result<Vec<u8>> {
-        self.0.read(n, offset, count)
-    }
-    fn write(&self, n: &ServeNode, offset: u64, data: &[u8]) -> Result<usize> {
-        self.0.write(n, offset, data)
-    }
-    fn clunk(&self, n: &ServeNode) {
-        self.0.clunk(n)
-    }
-    fn stat(&self, n: &ServeNode) -> Result<Dir> {
-        self.0.stat(n)
+    fn may_block(&self, _n: Option<&ServeNode>) -> bool {
+        true
     }
 }
 
@@ -154,7 +136,7 @@ fn a_reply_waiting_in_the_sink_does_not_stop_the_next_workers_reply() {
     let mem = MemFs::new("ram", "bootes");
     mem.put_file("/f", b"data").unwrap();
     let sent = Arc::new(Mutex::new(Vec::new()));
-    let svc = NineService::new(Arc::new(MayBlock(mem)), Box::new(SlowSink(Arc::clone(&sent), None)));
+    let svc = NineService::new(Arc::new(Hooked(MayBlock(mem))), Box::new(SlowSink(Arc::clone(&sent), None)));
     let attach = Tmsg::Attach { fid: 1, uname: "u".into(), aname: String::new(), ticket: Vec::new() };
     let setup = [attach, Tmsg::Walk { fid: 1, name: "f".into() }, Tmsg::Open { fid: 1, mode: OpenMode::READ.0 }];
     for (tag, t) in setup.iter().enumerate() {

@@ -4,13 +4,16 @@
 //! (§2.1). These tests mount a remote RAM file server over a pipe, over
 //! IL (delimiters preserved natively), and over TCP (delimiters restored
 //! by the marshaling layer), then exercise the full file API through the
-//! mount.
+//! mount. On the OS clock: one of the two named real-clock witnesses
+//! (the other, `protocol_checker.rs`, needs no clock at all), one smoke
+//! test per transport shows the kernel works off the virtual clock too.
 
+mod oracle;
+
+use oracle::world::ether_hosts;
 use plan9::core::dial::{accept, announce, dial, listen};
-use plan9::core::machine::MachineBuilder;
 use plan9::core::namespace::MREPL;
 use plan9::core::proc::Proc;
-use plan9::inet::ip::IpConfig;
 use plan9::netsim::ether::EtherSegment;
 use plan9::netsim::profile::Profiles;
 use plan9::ninep::procfs::{MemFs, OpenMode, ProcFs};
@@ -19,24 +22,16 @@ use std::sync::Arc;
 fn two_machines() -> (Arc<plan9::core::machine::Machine>, Arc<plan9::core::machine::Machine>) {
     let seg = EtherSegment::new(Profiles::ether_fast());
     let ndb = "sys=fsrv ip=10.7.0.1 proto=il proto=tcp\nsys=term ip=10.7.0.2 proto=il proto=tcp\n";
-    let fsrv = MachineBuilder::new("fsrv")
-        .ether(&seg, [8, 0, 0, 7, 0, 1], IpConfig::local("10.7.0.1"))
-        .ndb(ndb)
-        .build()
-        .unwrap();
-    let term = MachineBuilder::new("term")
-        .ether(&seg, [8, 0, 0, 7, 0, 2], IpConfig::local("10.7.0.2"))
-        .ndb(ndb)
-        .build()
-        .unwrap();
+    let [fsrv, term] = ether_hosts(&seg, 7, [("fsrv", 1), ("term", 2)], ndb);
     (fsrv, term)
 }
 
-/// Serves `fs` over the next call accepted at `addr` on machine proc
-/// `sp`, using framing when the transport is a byte stream.
+/// Announces `addr` on machine proc `sp` and serves `fs` over the next
+/// call accepted there, using framing when the transport is a byte
+/// stream.
 fn serve_one(sp: Proc, addr: &'static str, fs: Arc<MemFs>) {
+    let (_afd, adir) = announce(&sp, addr).expect("announce");
     std::thread::spawn(move || {
-        let (_afd, adir) = announce(&sp, addr).expect("announce");
         let (lcfd, ldir) = listen(&sp, &adir).expect("listen");
         let dfd = accept(&sp, lcfd, &ldir).expect("accept");
         let io = sp.io(dfd).expect("io");
@@ -113,7 +108,6 @@ fn remote_tree() -> Arc<MemFs> {
 fn ninep_over_il_preserves_delimiters_natively() {
     let (fsrv, term) = two_machines();
     serve_one(fsrv.proc(), "il!*!9fs", remote_tree());
-    std::thread::sleep(std::time::Duration::from_millis(100));
     let p = term.proc();
     let conn = dial(&p, "il!10.7.0.1!9fs").expect("dial");
     p.mount_fd(conn.data_fd, "", "/n/remote", MREPL, false)
@@ -125,7 +119,6 @@ fn ninep_over_il_preserves_delimiters_natively() {
 fn ninep_over_tcp_needs_marshaling() {
     let (fsrv, term) = two_machines();
     serve_one(fsrv.proc(), "tcp!*!9fs", remote_tree());
-    std::thread::sleep(std::time::Duration::from_millis(100));
     let p = term.proc();
     let conn = dial(&p, "tcp!10.7.0.1!9fs").expect("dial");
     // framed = true engages the length-prefix marshal layer (§2.1).

@@ -1,10 +1,17 @@
-//! What the stream oracles share: a case runs on a virtual clock of its
-//! own, a watchdog turns a wedge into a failure that names its seed,
-//! and teardown is timed and must leave nothing behind. The oracles
-//! differ only in how they dial, move data and close.
+//! What the oracles share: a case runs on a virtual clock of its own, a
+//! watchdog turns a wedge into a failure that names its seed, and
+//! teardown is timed and must leave nothing behind. The stream oracles
+//! differ only in how they dial, move data and close; `nine` is the 9P
+//! tag-space oracle, the same case whoever feeds the server. Each test
+//! binary uses the part it needs.
+#![allow(dead_code)]
+
+pub mod fs;
+pub mod world;
+pub mod nine;
 
 use plan9_support::check::Gen;
-use plan9_support::{time, vtime};
+use plan9_support::{pool, time, vtime};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,6 +73,12 @@ pub fn watchdog(
         }
     };
     vtime::kproc("stream-watchdog", watch).expect("spawn watchdog")
+}
+
+/// Kernel processes on the clock, less the pool's workers, whose number
+/// is the pool's to decide.
+pub fn kprocs() -> usize {
+    vtime::active().expect("a virtual clock").census().0 - pool::workers()
 }
 
 /// The longest virtual time a case of this run has spent settling, in

@@ -22,7 +22,9 @@
 //!
 //! Breadth-first, a violation's trace is a shortest one; it is printed
 //! transition by transition, with the settle that failed. No lock,
-//! thread or clock is involved: the cores are pure.
+//! thread or clock is involved: the cores are pure. The search's budget
+//! is timed on the real clock, `time::real_now`, and needs no virtual
+//! one.
 
 use plan9_inet::il::fsm as il;
 use plan9_inet::il::fsm::Now;
@@ -31,6 +33,7 @@ use plan9_inet::tcp::fsm as tcp;
 use plan9_inet::tcp::{Segment, TcpState, ACK, FIN, RST, SYN};
 use plan9_support::buf::Bytes;
 use plan9_support::fnv::Fnv;
+use plan9_support::time;
 use std::collections::{HashMap, HashSet};
 use std::fmt::{self, Debug, Write as _};
 use std::hash::Hasher;
@@ -579,7 +582,7 @@ struct Outcome {
 }
 
 fn explore<C: Core>(depth: usize) -> Outcome {
-    let t0 = Instant::now();
+    let t0 = time::real_now();
     let start = World::<C>::start(t0);
     // Each state's parent and the transition from it, for the trace.
     let mut seen: HashMap<u64, (u64, String)> = HashMap::new();
@@ -634,7 +637,7 @@ fn explore<C: Core>(depth: usize) -> Outcome {
 }
 
 fn check<C: Core>() {
-    let t = Instant::now();
+    let t = time::real_now();
     let out = explore::<C>(DEPTH);
     let took = t.elapsed();
     println!("{}: {} states to depth {DEPTH}, {FAULTS} fault, in {took:.2?}", C::NAME, out.states);

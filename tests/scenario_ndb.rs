@@ -4,11 +4,13 @@
 //! text — resolve a sampled host from every city. The filler
 //! population (padding the file toward the paper's 43k-line scale)
 //! deliberately belongs to no DNS zone, so one of its names must
-//! come back as a resolution error, not an answer.
+//! come back as a resolution error, not an answer. Under the virtual
+//! clock.
 
 use plan9_ndb::db::Db;
 use plan9_ninep::procfs::OpenMode;
 use plan9_scenario::Topology;
+use plan9_support::vtime;
 
 /// Reads a query file to exhaustion, one answer line per read.
 fn drain(p: &plan9_core::proc::Proc, fd: i32) -> Vec<String> {
@@ -25,6 +27,7 @@ fn drain(p: &plan9_core::proc::Proc, fd: i32) -> Vec<String> {
 
 #[test]
 fn generated_ndb_round_trips_through_cs_and_dns() {
+    let _vt = vtime::enter();
     let hosts_per_city = 3;
     let mut topo = Topology::grid_with(3, hosts_per_city, 2_000, 0x9db);
 

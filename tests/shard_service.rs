@@ -3,6 +3,9 @@
 //! its worker-pool shard costs a thread only for an operation that may
 //! block. In a binary of its own: a virtual run is process-wide.
 
+mod oracle;
+
+use oracle::fs::{thread_name, Hooked, Hooks};
 use plan9_inet::il::IlConn;
 use plan9_inet::ip::{IpConfig, IpStack};
 use plan9_inet::nine::IlIo;
@@ -15,7 +18,7 @@ use plan9_ninep::marshal::{frame, Deframer, FramedSink, FramedSource};
 use plan9_ninep::procfs::{MemFs, OpenMode, ProcFs, ServeNode};
 use plan9_ninep::server::{serve_on_shard, Served};
 use plan9_ninep::transport::{ByteSink, ByteSource};
-use plan9_ninep::{Dir, Result, Rmsg, Tmsg, MAX_FDATA};
+use plan9_ninep::{Result, Rmsg, Tmsg, MAX_FDATA};
 use plan9_support::chan::{unbounded, Receiver, Sender};
 use plan9_support::{pool, time, vtime};
 use std::collections::HashSet;
@@ -61,13 +64,6 @@ fn hang_up(conn: &Arc<IlConn>, stacks: &[Arc<IpStack>; 2]) {
 fn emptied(stacks: &[Arc<IpStack>; 2]) {
     let left = stacks.each_ref().map(|s| s.settle());
     assert_eq!(left, [0, 0], "closed conversations still in their tables");
-}
-
-/// The processes on the clock other than pool workers, whose number is
-/// the pool's to decide: a caller that delivers its own frames leaves a
-/// worker to be made later, if at all, than one used to be.
-fn kprocs(vt: &vtime::VtGuard) -> usize {
-    vt.clock().census().0 - pool::workers()
 }
 
 fn client_of(conn: &Arc<IlConn>) -> NineClient {
@@ -121,8 +117,8 @@ struct GateFs {
 }
 
 impl GateFs {
-    fn new(open: Receiver<()>) -> Arc<GateFs> {
-        Arc::new(GateFs { mem: tree(), open, at_gate: unbounded(), readers: Mutex::default() })
+    fn new(open: Receiver<()>) -> Arc<Hooked<GateFs>> {
+        Arc::new(Hooked(GateFs { mem: tree(), open, at_gate: unbounded(), readers: Mutex::default() }))
     }
 
     fn is_gate(&self, n: &ServeNode) -> bool {
@@ -137,39 +133,16 @@ impl GateFs {
     }
 }
 
-impl ProcFs for GateFs {
-    fn fsname(&self) -> String {
-        self.mem.fsname()
+impl Hooks for GateFs {
+    fn mem(&self) -> &MemFs {
+        &self.mem
     }
-    fn attach(&self, uname: &str, aname: &str) -> Result<ServeNode> {
-        self.mem.attach(uname, aname)
-    }
-    fn clone_node(&self, n: &ServeNode) -> Result<ServeNode> {
-        self.mem.clone_node(n)
-    }
-    fn walk(&self, n: &ServeNode, name: &str) -> Result<ServeNode> {
-        self.mem.walk(n, name)
-    }
-    fn open(&self, n: &ServeNode, mode: OpenMode) -> Result<ServeNode> {
-        self.mem.open(n, mode)
-    }
-    fn read(&self, n: &ServeNode, offset: u64, count: usize) -> Result<Vec<u8>> {
-        let thread = std::thread::current().name().unwrap_or("").to_string();
-        self.readers.lock().unwrap().insert(thread);
+    fn before_read(&self, n: &ServeNode) {
+        self.readers.lock().unwrap().insert(thread_name());
         if self.is_gate(n) {
             let _ = self.at_gate.0.send(());
             self.open.recv().expect("the test holds the gate");
         }
-        self.mem.read(n, offset, count)
-    }
-    fn write(&self, n: &ServeNode, offset: u64, data: &[u8]) -> Result<usize> {
-        self.mem.write(n, offset, data)
-    }
-    fn clunk(&self, n: &ServeNode) {
-        self.mem.clunk(n)
-    }
-    fn stat(&self, n: &ServeNode) -> Result<Dir> {
-        self.mem.stat(n)
     }
     fn may_block(&self, n: Option<&ServeNode>) -> bool {
         n.is_some_and(|n| self.is_gate(n))
@@ -192,7 +165,7 @@ fn a_parked_read_takes_a_kproc_and_the_shard_answers_on() {
     let _svc = serve_on_shard(&srv, fs.clone());
     let c = client_of(&conn);
     let f = open_file(&c, "f");
-    let before = kprocs(&vt);
+    let before = oracle::kprocs();
     let parked = {
         let c = c.clone();
         // The open of `/gate` is the first operation that may block.
@@ -205,16 +178,16 @@ fn a_parked_read_takes_a_kproc_and_the_shard_answers_on() {
     }
     assert!(!parked.is_finished());
     // The caller, and the one `9p-worker` its read is parked on.
-    assert_eq!(kprocs(&vt), before + 2);
+    assert_eq!(oracle::kprocs(), before + 2);
     gate_open.send(()).unwrap();
     assert_eq!(parked.join().unwrap().unwrap(), b"late");
     // Kept until the hangup, as `serve` keeps its own.
-    assert_eq!(kprocs(&vt), before + 1);
+    assert_eq!(oracle::kprocs(), before + 1);
     hang_up(&conn, &stacks);
     // The hangup reaches the shard; the worker ends with its channel.
     // A minute of virtual time is thousands of times what that takes.
     let deadline = time::now() + Duration::from_secs(60);
-    while kprocs(&vt) != before {
+    while oracle::kprocs() != before {
         let census = vt.clock().census();
         assert!(time::now() < deadline, "(registered, parked) = {census:?}, was {before} besides the pool");
         time::sleep(Duration::from_millis(1));
@@ -398,11 +371,11 @@ fn a_full_send_buffer_stops_the_feeder_and_not_its_shard() {
 /// ends the `9p-worker` a parked read had taken once that read is done.
 #[test]
 fn an_absurd_frame_length_hangs_the_conversation_up() {
-    let vt = vtime::enter();
+    let _vt = vtime::enter();
     let stacks = stacks(5, Profiles::ether_fast());
     let listener = tcp_listen(&stacks);
     let (conn, srv) = tcp_dial(&stacks, &listener, 0);
-    let before = kprocs(&vt);
+    let before = oracle::kprocs();
     let (gate_open, open): (Sender<()>, _) = unbounded();
     let fs = GateFs::new(open);
     let svc = serve_on_shard(&srv, fs.clone());
@@ -413,7 +386,7 @@ fn an_absurd_frame_length_hangs_the_conversation_up() {
     };
     fs.wait_at_gate();
     // The caller, and the `9p-worker` its read is parked on.
-    assert_eq!(kprocs(&vt), before + 2);
+    assert_eq!(oracle::kprocs(), before + 2);
     let deadline = time::now() + Duration::from_secs(60);
     conn.write(&u32::MAX.to_le_bytes()).unwrap();
     while srv.state() == TcpState::Established {
@@ -425,5 +398,5 @@ fn an_absurd_frame_length_hangs_the_conversation_up() {
     svc.wait();
     conn.close();
     emptied(&stacks);
-    assert_eq!(kprocs(&vt), before);
+    assert_eq!(oracle::kprocs(), before);
 }

@@ -18,7 +18,7 @@ use plan9::datakit::urp::{urp_dial, UrpConn, UrpListener};
 use plan9::netsim::fabric::DatakitSwitch;
 use plan9::netsim::profile::Profiles;
 use plan9_support::check::Gen;
-use plan9_support::{pool, time, vtime, wheel};
+use plan9_support::{time, vtime, wheel};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
@@ -43,12 +43,6 @@ struct Case {
     conns: Mutex<Vec<Weak<UrpConn>>>,
     read_all: AtomicUsize,
     done: Arc<AtomicBool>,
-}
-
-/// Kernel processes on the clock, less the pool's workers, whose number
-/// is the pool's to decide.
-fn kprocs() -> usize {
-    vtime::active().expect("a virtual clock").census().0 - pool::workers()
 }
 
 /// Writes `msgs`, one `send` each. A peer that has hung up ends it.
@@ -115,7 +109,7 @@ fn case(seed: u64) -> Result<(), String> {
     // The timer wheel's thread is the clock's, made by its first timer:
     // make it before counting the case's processes.
     wheel::cancel(wheel::schedule(0, time::now() + SETTLE, || {}).expect("arm the wheel"));
-    let before = kprocs();
+    let before = oracle::kprocs();
     let mut g = Gen::from_seed(seed);
     let mut profile = Profiles::datakit_calibrated().with_seed(g.u64());
     // One case in eight on a clean line; the rest draw each impairment
@@ -181,10 +175,10 @@ fn case(seed: u64) -> Result<(), String> {
     // Both ends closed: no process is left on either's behalf.
     oracle::settled("urp", seed, &wire, || {
         let deadline = time::now() + SETTLE;
-        while kprocs() > before && time::now() < deadline {
+        while oracle::kprocs() > before && time::now() < deadline {
             time::sleep(Duration::from_millis(1));
         }
-        kprocs().saturating_sub(before)
+        oracle::kprocs().saturating_sub(before)
     })
 }
 
