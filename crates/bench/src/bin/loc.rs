@@ -7,7 +7,8 @@
 //! * §3: "The entire protocol [IL] is 847 lines of code, compared to
 //!   2200 lines for TCP" — the relative sizes of our IL and TCP, each
 //!   its shell (`il.rs`, `tcp.rs`) and its core (`il/fsm.rs`,
-//!   `tcp/fsm.rs`).
+//!   `tcp/fsm.rs`); URP, the third reliable protocol, is listed beside
+//!   them the same way (`urp.rs`, `urp/fsm.rs`).
 //!
 //! It is also the ratchet on the north star's "non-test LoC per crate
 //! is a tracked number": `scripts/loc-ratchet.txt` holds each crate's
@@ -69,12 +70,15 @@ fn main() {
         frac * 100.0
     );
 
-    // §3: IL vs TCP, each its shell and its core (the state machine).
-    let lines = |f: &str| count_file(&root.join("crates/inet/src").join(f)).expect(f).non_test_code;
-    let (il, tcp) = (lines("il.rs") + lines("il/fsm.rs"), lines("tcp.rs") + lines("tcp/fsm.rs"));
+    // §3: IL vs TCP, each its shell and its core (the state machine),
+    // and URP beside them.
+    let lines = |f: &str| count_file(&root.join("crates").join(f)).expect(f).non_test_code;
+    let shell_and_core = |dir: &str, p: &str| lines(&format!("{dir}/src/{p}.rs")) + lines(&format!("{dir}/src/{p}/fsm.rs"));
+    let (il, tcp, urp) = (shell_and_core("inet", "il"), shell_and_core("inet", "tcp"), shell_and_core("datakit", "urp"));
     println!();
     println!("IL  (il.rs + il/fsm.rs):   {il:>5} non-test code lines");
     println!("TCP (tcp.rs + tcp/fsm.rs): {tcp:>5} non-test code lines");
+    println!("URP (urp.rs + urp/fsm.rs): {urp:>5} non-test code lines");
     println!(
         "TCP/IL ratio: {:.2}x (paper: 2200/847 = {:.2}x)",
         tcp as f64 / il as f64,

@@ -22,50 +22,39 @@
 //! ACK never. The prober sends what a rewind resends, so the input
 //! that judges loss never waits on the line.
 //!
+//! URP is a core and a shell, as IL and TCP are. The core, [`fsm`], is
+//! `step(&mut State, Input, now) -> Actions`, and nothing else changes a
+//! conversation's state. The shell, [`UrpConn`], takes the
+//! conversation's one lock per input, steps, aims the prober's timer in
+//! that hold, and sends cells, wakes waiters and fires the readiness
+//! hook after dropping it.
+//!
 //! A conversation costs no kernel process. Its input,
 //! [`UrpConn::input`], is the circuit's handler: it runs on whichever
 //! thread delivers the cell, at the cell's arrival (§2.4: a protocol's
 //! input runs in whoever delivers the data). The prober is one timer
 //! wheel entry, on a pool key of its own: a rewind resends up to a
-//! window of full cells, and that must not hold up the input. `send`,
-//! `drain` and `probe_and_wait` run on the caller's thread. A reader
-//! that does not wait (9P served where its requests arrive) takes
-//! messages with [`UrpConn::try_recv`] when the readiness hook fires: a
-//! message queued, the hangup, or the window opening.
+//! window of full cells, and that must not hold up the input. It is the
+//! only sender of an ENQ or of a rewind, and it gives a silent peer up,
+//! whether or not anyone waits on the conversation. A writer waits for
+//! room in the window, and `close` for the last acknowledgment, on the
+//! conversation lock. A reader that does not wait (9P served where its
+//! requests arrive) takes messages with [`UrpConn::try_recv`] when the
+//! readiness hook fires: a message queued, the hangup, or the window
+//! opening.
 
 use plan9_support::sync::{Condvar, Mutex};
 use plan9_support::{time, wheel};
 use plan9_netsim::fabric::{Announcement, Circuit, DatakitLine, IncomingCall};
 use plan9_netlog::{Counter, Registry};
 use plan9_ninep::NineError;
-use std::collections::VecDeque;
+use fsm::{Actions, Input, State, SEQ_MASK, TYPE_MASK, T_ENQ, T_REJ};
+use plan9_support::step::Now;
 use std::sync::{Arc, OnceLock, Weak};
-use std::time::{Duration, Instant};
 
-/// Outstanding-cell window; 7 so sequence arithmetic mod 8 stays
-/// unambiguous.
-pub const URP_WINDOW: usize = 7;
+pub mod fsm;
 
-/// Cell control-byte layout: low 3 bits sequence, high bits type.
-const T_DATA: u8 = 0x00;
-const T_DATA_EOM: u8 = 0x08;
-const T_ENQ: u8 = 0x10;
-const T_ACK: u8 = 0x18;
-const T_ECHO: u8 = 0x20;
-const T_REJ: u8 = 0x30;
-const T_CLOSE: u8 = 0x40;
-const TYPE_MASK: u8 = 0x78;
-const SEQ_MASK: u8 = 0x07;
-
-/// How long cells may sit unacknowledged, with no acknowledgment
-/// arriving, before the sender probes.
-const ENQ_TIMEOUT: Duration = Duration::from_millis(40);
-/// The repair interval: at most one REJ, and one rewind, per interval.
-const REPAIR: Duration = Duration::from_millis(15);
-const MAX_PROBES: u32 = 200;
-/// The receiver volunteers an ACK after this many data cells, so the
-/// sender's window drains during bulk transfers without an ENQ.
-const ACK_EVERY: u8 = 4;
+pub use fsm::URP_WINDOW;
 
 /// Traffic counters: a conversation's own, or one set shared by every
 /// conversation of a Datakit line (`/net/dk/stats`).
@@ -92,73 +81,10 @@ impl UrpStats {
     }
 }
 
-/// One unacked cell.
-struct Cell {
-    seq: u8,
-    bytes: Vec<u8>,
-    /// How many ENQs had been sent when the cell last left the line;
-    /// `None` while it is queued for or crossing the line.
-    left: Option<u64>,
-}
-
-struct SendState {
-    /// Next sequence number to assign.
-    next_seq: u8,
-    /// Unacked cells, oldest first.
-    unacked: VecDeque<Cell>,
-    /// Set when an ACK or ECHO arrives.
-    echo_seen: Option<u8>,
-    /// ENQs sent: an ECHO answers the last of them.
-    enqs: u64,
-    /// Where the prober is to resend from, until it has.
-    rewind: Option<u8>,
-    /// When we last rewound, to damp retransmission storms.
-    last_rewind: Option<Instant>,
-    closed: bool,
-    /// Since when there has been no news — an acknowledgment, a rewind,
-    /// a cell sent into an empty window — to put off a probe.
-    quiet_since: Instant,
-    /// The prober's entry on the timer wheel.
+/// The conversation's state and its prober's timer, under one lock.
+struct Conv {
+    st: State,
     timer: Option<wheel::TimerId>,
-}
-
-impl SendState {
-    /// Whether a send of `cells` cells would not wait: they fit in the
-    /// window and no rewind is pending, or the conversation is shut and
-    /// the send fails at once.
-    fn open(&self, cells: usize) -> bool {
-        self.closed || (self.rewind.is_none() && self.unacked.len() + cells <= URP_WINDOW)
-    }
-
-    /// Applies a cumulative acknowledgment: the receiver expects `e`
-    /// next, so every queued cell strictly before `e` (in queue order) is
-    /// done. An `e` that is neither in the queue nor equal to the next
-    /// sequence to be assigned is stale and ignored.
-    fn ack_upto(&mut self, e: u8) {
-        if let Some(k) = self.unacked.iter().position(|c| c.seq == e) {
-            self.unacked.drain(..k);
-        } else if e == self.next_seq {
-            self.unacked.clear();
-        }
-    }
-
-    /// Records that cell `seq`, if still unacked, has left the line.
-    fn left_line(&mut self, seq: u8) {
-        let enqs = self.enqs;
-        if let Some(c) = self.unacked.iter_mut().find(|c| c.seq == seq) {
-            c.left = Some(enqs);
-        }
-    }
-}
-
-struct RecvState {
-    expected: u8,
-    assembly: Vec<u8>,
-    messages: VecDeque<Vec<u8>>,
-    hungup: bool,
-    cells_since_ack: u8,
-    /// When we last rejected, to damp REJ storms.
-    last_rej: Option<Instant>,
 }
 
 /// One end of a URP conversation.
@@ -169,10 +95,12 @@ pub struct UrpConn {
     circuit: Circuit,
     /// The prober's pool key: the shard after the input's.
     probe_key: u64,
-    send: Mutex<SendState>,
-    echo_cv: Condvar,
-    recv: Mutex<RecvState>,
-    recv_cv: Condvar,
+    conv: Mutex<Conv>,
+    /// Writers wait here for room in the window, and `close` for the
+    /// last acknowledgment.
+    room: Condvar,
+    /// Readers wait here for a message or the end.
+    readable: Condvar,
     /// Traffic counters.
     pub stats: Arc<UrpStats>,
     /// Per-cell payload capacity on this circuit.
@@ -196,27 +124,9 @@ impl UrpConn {
             me: me.clone(),
             probe_key: circuit.rx_key().wrapping_add(1),
             circuit,
-            send: Mutex::new(SendState {
-                next_seq: 0,
-                unacked: VecDeque::new(),
-                echo_seen: None,
-                enqs: 0,
-                rewind: None,
-                last_rewind: None,
-                closed: false,
-                quiet_since: time::now(),
-                timer: None,
-            }),
-            echo_cv: Condvar::new(),
-            recv: Mutex::new(RecvState {
-                expected: 0,
-                assembly: Vec::new(),
-                messages: VecDeque::new(),
-                hungup: false,
-                cells_since_ack: 0,
-                last_rej: None,
-            }),
-            recv_cv: Condvar::new(),
+            conv: Mutex::named(Conv { st: State::new(time::now()), timer: None }, "datakit.urp.conn"),
+            room: Condvar::new(),
+            readable: Condvar::new(),
             stats,
             cell_payload,
             rx_notify: OnceLock::new(),
@@ -230,89 +140,66 @@ impl UrpConn {
         conn
     }
 
-    /// News that puts off the next probe: wakes the waiters on the send
-    /// state and re-aims the prober.
-    fn news(&self, send: &mut SendState) {
-        send.quiet_since = time::now();
-        self.echo_cv.notify_all();
-        self.arm(send);
-    }
-
-    /// Aims the prober's entry: now for a rewind, [`ENQ_TIMEOUT`] into
-    /// the quiet while cells are unacknowledged, never once closed.
-    fn arm(&self, send: &mut SendState) {
-        let want = if send.closed {
-            None
-        } else if send.rewind.is_some() {
-            Some(time::now())
-        } else {
-            (!send.unacked.is_empty()).then_some(send.quiet_since + ENQ_TIMEOUT)
-        };
+    /// One input, in the caller's hold of the lock: the core steps, and
+    /// the prober's timer is aimed where it says before the lock drops.
+    fn step(&self, conv: &mut Conv, input: Input) -> Actions {
+        if matches!(input, Input::Timer) {
+            conv.timer = None;
+        }
+        let acts = fsm::step(&mut conv.st, input, Now::Clock(time::now));
         let conn = self.me.clone();
         // Fails only when the wheel's thread cannot start.
-        let _ = wheel::rearm(&mut send.timer, self.probe_key, want, move || {
+        let _ = wheel::rearm(&mut conv.timer, self.probe_key, acts.deadline, move || {
             if let Some(conn) = conn.upgrade() {
-                conn.probe()
+                let _ = conn.run(Input::Timer);
             }
         });
+        acts
     }
 
-    /// The prober: if cells sit unacknowledged for [`ENQ_TIMEOUT`] with
-    /// no acknowledgment arriving, probe with ENQ; the ECHO reply
-    /// repairs. It is also what resends a rewound window, so the input,
-    /// which judges loss, never waits on the line and judges on news as
-    /// fresh as the circuit brings it.
-    fn probe(&self) {
-        let mut send = self.send.lock();
-        send.timer = None;
-        if send.closed {
-            return;
-        }
-        if let Some(seq) = send.rewind {
-            let cells: Vec<(u8, Vec<u8>)> = send
-                .unacked
-                .iter_mut()
-                .skip_while(|c| c.seq != seq)
-                .map(|c| {
-                    c.left = None;
-                    (c.seq, c.bytes.clone())
-                })
-                .collect();
-            self.stats.retransmit_cells.add(cells.len() as u64);
-            drop(send);
-            for (seq, c) in cells {
-                let _ = self.circuit.send(&c);
-                self.send.lock().left_line(seq);
-            }
-            send = self.send.lock();
-            send.rewind = None;
-            self.news(&mut send);
-            let open = send.open(1);
-            drop(send);
-            if open {
-                self.notify();
-            }
-            return;
-        }
-        if !send.unacked.is_empty() && time::now() >= send.quiet_since + ENQ_TIMEOUT {
-            drop(send);
-            let _ = self.enquire();
-            send = self.send.lock();
-            send.quiet_since = time::now();
-        }
-        self.arm(&mut send);
+    /// One input in a hold of its own, and what it asks for done.
+    fn run(&self, input: Input) -> crate::Result<()> {
+        let acts = self.step(&mut self.conv.lock(), input);
+        self.perform(acts)
     }
 
-    /// Sends an ENQ on behalf of every cell that has left the line: the
-    /// ECHO that answers it rewinds to the first of them still missing.
-    fn enquire(&self) -> crate::Result<()> {
-        let next = {
-            let mut send = self.send.lock();
-            send.enqs += 1;
-            send.next_seq
-        };
-        self.stats.enqs.inc();
-        self.circuit.send(&[T_ENQ | next]).map_err(NineError::new)
+    /// Does what a step asked, the lock dropped: wakes readers and
+    /// writers, sends the cells (a data cell's leaving the line is an
+    /// input of its own, and so is a rewind's end), fires the hook.
+    /// Returns the first send's failure.
+    fn perform(&self, acts: Actions) -> crate::Result<()> {
+        if acts.readable {
+            self.readable.notify_all();
+        }
+        if acts.room {
+            self.room.notify_all();
+        }
+        let mut sent = Ok(());
+        for cell in acts.cells {
+            let (ctl, data) = (cell[0], fsm::is_data(cell[0]));
+            match ctl & TYPE_MASK {
+                T_ENQ => self.stats.enqs.inc(),
+                T_REJ => self.stats.rejs.inc(),
+                _ if data && acts.resend => self.stats.retransmit_cells.inc(),
+                _ if data => self.stats.tx_cells.inc(),
+                _ => {}
+            }
+            match self.circuit.send(&cell) {
+                // A cell leaving the line asks nothing of the shell.
+                Ok(()) if data => drop(self.step(&mut self.conv.lock(), Input::Left(ctl & SEQ_MASK))),
+                Ok(()) => {}
+                Err(e) => sent = sent.and(Err(NineError::new(e))),
+            }
+        }
+        if acts.resend {
+            sent = sent.and(self.run(Input::Resent));
+        }
+        if acts.hook {
+            if let Some(hook) = self.rx_notify.get() {
+                hook();
+            }
+        }
+        sent
     }
 
     /// The local Datakit address.
@@ -327,246 +214,52 @@ impl UrpConn {
 
     /// A status line for the `status` file.
     pub fn status_string(&self) -> String {
-        let send = self.send.lock();
-        let state = if send.closed { "Hungup" } else { "Established" };
-        format!("{state} unacked {} window {URP_WINDOW}", send.unacked.len())
+        let conv = self.conv.lock();
+        let state = if conv.st.closed() { "Hungup" } else { "Established" };
+        format!("{state} unacked {} window {URP_WINDOW}", conv.st.unacked())
     }
 
     /// The conversation's input: one cell, or `None` when the circuit
     /// hangs up. Run by whichever thread delivers the cell; it never
-    /// waits, though an answer it sends is paced onto the line. A shut
-    /// conversation takes nothing more.
+    /// waits, though an answer it sends is paced onto the line.
     pub fn input(&self, cell: Option<Vec<u8>>) {
-        if self.send.lock().closed {
-            return;
-        }
-        let Some(cell) = cell else { return self.shut() };
-        let Some(&ctl) = cell.first() else { return };
-        let seq = ctl & SEQ_MASK;
-        match ctl & TYPE_MASK {
-            T_DATA | T_DATA_EOM => self.accept_data(seq, ctl & TYPE_MASK == T_DATA_EOM, &cell[1..]),
-            T_ENQ => {
-                // Tell the sender what we expect next.
-                let expected = self.recv.lock().expected;
-                let _ = self.circuit.send(&[T_ECHO | expected]);
-            }
-            T_ACK | T_ECHO => {
-                let (lost, opened) = {
-                    let mut send = self.send.lock();
-                    let was_open = send.open(1);
-                    send.echo_seen = Some(seq);
-                    send.ack_upto(seq);
-                    // An ECHO answers the last ENQ: a cell that left
-                    // the line before it and is still missing was
-                    // lost. An ACK only acknowledges.
-                    let enqs = send.enqs;
-                    let before = |c: &Cell| c.seq == seq && c.left.is_some_and(|n| n < enqs);
-                    self.news(&mut send);
-                    let lost = ctl & TYPE_MASK == T_ECHO && send.unacked.front().is_some_and(before);
-                    (lost, !was_open && send.open(1))
-                };
-                if opened {
-                    self.notify();
-                }
-                if lost {
-                    self.rewind_from(seq);
-                }
-            }
-            T_REJ => {
-                // Receiver is missing from `seq`: rewind.
-                self.rewind_from(seq);
-            }
-            T_CLOSE => self.shut(),
-            _ => {}
-        }
+        let _ = self.run(match &cell {
+            Some(cell) => Input::Cell(cell),
+            None => Input::Hangup,
+        });
     }
 
-    fn accept_data(&self, seq: u8, eom: bool, payload: &[u8]) {
-        let mut recv = self.recv.lock();
-        if seq != recv.expected {
-            // Out of sequence: ask for a rewind (Datakit circuits do not
-            // reorder, so this means loss) — but at most one REJ per
-            // repair interval, or duplicates breed duplicates.
-            if recv.last_rej.is_none_or(|at| time::now().saturating_duration_since(at) >= REPAIR) {
-                recv.last_rej = Some(time::now());
-                self.stats.rejs.inc();
-                let expected = recv.expected;
-                drop(recv);
-                let _ = self.circuit.send(&[T_REJ | expected]);
-            }
-            return;
-        }
-        recv.expected = (recv.expected + 1) & SEQ_MASK;
-        recv.assembly.extend_from_slice(payload);
-        recv.cells_since_ack += 1;
-        // Volunteer an ACK every few cells so bulk windows drain, but
-        // not on every message end — a lone ACK ahead of the reply data
-        // would serialize on the line and inflate round trips. Straggler
-        // acknowledgments are the prober's job.
-        let volunteer = recv.cells_since_ack >= ACK_EVERY;
-        if volunteer {
-            recv.cells_since_ack = 0;
-        }
-        let expected = recv.expected;
-        if eom {
-            let msg = std::mem::take(&mut recv.assembly);
-            recv.messages.push_back(msg);
-            self.recv_cv.notify_all();
-        }
-        drop(recv);
-        if volunteer {
-            let _ = self.circuit.send(&[T_ACK | expected]);
-        }
-        if eom {
-            self.notify();
-        }
-    }
-
-    fn rewind_from(&self, seq: u8) {
-        let mut send = self.send.lock();
-        // Ignore the request unless `seq` is outstanding and has left
-        // the line: echoes and REJs arrive late when the gap was already
-        // repaired, mod-8 arithmetic cannot order a stale value, and a
-        // cell still crossing cannot have been lost.
-        if !send.unacked.iter().any(|c| c.seq == seq && c.left.is_some()) {
-            return;
-        }
-        // Damping: one rewind per repair interval. A storm of REJs must
-        // not multiply duplicates — that is the §3 congestion lesson.
-        if send.last_rewind.is_some_and(|at| time::now().saturating_duration_since(at) < REPAIR) {
-            return;
-        }
-        send.last_rewind = Some(time::now());
-        send.rewind = Some(seq);
-        self.news(&mut send);
-    }
-
-    /// Sends one message, splitting it into cells and recovering from
-    /// loss; blocks until the whole message is acknowledged.
+    /// Sends one message, cell by cell, each once the window has room
+    /// for it and no rewind is going out (a new cell between resent ones
+    /// is out of sequence). It returns when the last cell is on the
+    /// line: the prober and the receiver's ACKs see to the
+    /// acknowledgment, so back-to-back sends pipeline.
     pub fn send(&self, msg: &[u8]) -> crate::Result<()> {
-        // Empty messages still need one (empty) EOM cell.
-        let chunks: Vec<&[u8]> = if msg.is_empty() {
-            vec![&msg[0..0]]
-        } else {
-            msg.chunks(self.cell_payload).collect()
-        };
-        let n = chunks.len();
-        for (i, chunk) in chunks.into_iter().enumerate() {
-            let eom = i + 1 == n;
-            // Wait for a window slot, and for the prober to finish a
-            // rewind: a new cell between resent ones is out of sequence.
-            {
-                let mut send = self.send.lock();
-                loop {
-                    if send.closed {
-                        break;
-                    } else if send.rewind.is_some() {
-                        self.echo_cv.wait(&mut send);
-                    } else if send.unacked.len() >= URP_WINDOW {
-                        // Probe and wait: the window opens when an ACK lands.
-                        drop(send);
-                        self.probe_and_wait(false)?;
-                        send = self.send.lock();
-                    } else {
-                        break;
-                    }
-                }
-                if send.closed {
-                    return Err(NineError::new("hungup"));
-                }
-                let seq = send.next_seq;
-                send.next_seq = (send.next_seq + 1) & SEQ_MASK;
-                let mut cell = Vec::with_capacity(1 + chunk.len());
-                cell.push(if eom { T_DATA_EOM } else { T_DATA } | seq);
-                cell.extend_from_slice(chunk);
-                send.unacked.push_back(Cell { seq, bytes: cell.clone(), left: None });
-                if send.unacked.len() == 1 {
-                    // Arm the prober: something is outstanding.
-                    self.news(&mut send);
-                }
-                self.stats.tx_cells.inc();
-                drop(send);
-                self.circuit.send(&cell).map_err(NineError::new)?;
-                self.send.lock().left_line(seq);
+        // An empty message is still one (empty) EOM cell.
+        let last = msg.len().div_ceil(self.cell_payload).max(1) - 1;
+        let cells = msg.chunks(self.cell_payload).chain(msg.is_empty().then_some(msg));
+        for (i, chunk) in cells.enumerate() {
+            let mut conv = self.conv.lock();
+            while !conv.st.open(1) {
+                self.room.wait(&mut conv);
             }
+            if conv.st.closed() {
+                return Err(NineError::new("hungup"));
+            }
+            let acts = self.step(&mut conv, Input::Send(chunk, i == last));
+            drop(conv);
+            self.perform(acts)?;
         }
-        // The message is on the wire; the prober and the
-        // receiver's volunteered ACKs finish the acknowledgment
-        // asynchronously, so back-to-back sends pipeline.
         Ok(())
-    }
-
-    /// Blocks until every sent cell has been acknowledged (used by
-    /// close and by tests that need a quiescent line).
-    pub fn drain(&self) -> crate::Result<()> {
-        for _ in 0..MAX_PROBES {
-            {
-                let send = self.send.lock();
-                if send.unacked.is_empty() {
-                    return Ok(());
-                }
-                if send.closed {
-                    return Err(NineError::new("hungup"));
-                }
-            }
-            self.probe_and_wait(true)?;
-        }
-        Err(NineError::new("urp: drain failed"))
-    }
-
-    /// Probes with ENQ until there is progress: room in the window, or
-    /// a fully drained queue when `until_empty` is set. Only consecutive
-    /// *silent* rounds count against the retry bound.
-    fn probe_and_wait(&self, until_empty: bool) -> crate::Result<()> {
-        let done = |send: &SendState| {
-            if until_empty {
-                send.unacked.is_empty()
-            } else {
-                send.unacked.len() < URP_WINDOW
-            }
-        };
-        let mut silent_rounds = 0u32;
-        while silent_rounds < MAX_PROBES {
-            {
-                let send = self.send.lock();
-                if send.closed {
-                    return Err(NineError::new("hungup"));
-                }
-                if done(&send) {
-                    return Ok(());
-                }
-            }
-            self.enquire()?;
-            let deadline = time::now() + ENQ_TIMEOUT * (1 + silent_rounds / 8);
-            let mut send = self.send.lock();
-            send.echo_seen = None;
-            loop {
-                if send.closed || done(&send) {
-                    return Ok(());
-                }
-                if let Some(_echo) = send.echo_seen.take() {
-                    // Progress or repair is the input process's business
-                    // (the rewind lives in the ECHO handler); any ACK or
-                    // ECHO resets the silence counter.
-                    silent_rounds = 0;
-                    break;
-                }
-                if self.echo_cv.wait_until(&mut send, deadline).timed_out() {
-                    silent_rounds += 1;
-                    break;
-                }
-            }
-        }
-        Err(NineError::new("urp: too many retries"))
     }
 
     /// The next message if one is at hand, `None` if not; an error at
     /// the end of the conversation.
     pub fn try_recv(&self) -> crate::Result<Option<Vec<u8>>> {
-        let mut recv = self.recv.lock();
-        match recv.messages.pop_front() {
-            None if recv.hungup => Err(NineError::new("hungup")),
-            msg => Ok(msg),
+        let got = self.conv.lock().st.read();
+        match got {
+            Some(None) => Err(NineError::new("hungup")),
+            got => Ok(got.flatten()),
         }
     }
 
@@ -577,16 +270,10 @@ impl UrpConn {
         let _ = self.rx_notify.set(Box::new(hook));
     }
 
-    fn notify(&self) {
-        if let Some(hook) = self.rx_notify.get() {
-            hook();
-        }
-    }
-
     /// Whether a message of `len` bytes would be sent without waiting:
     /// every cell of it (one, for an empty message) fits in the window.
     pub fn can_send(&self, len: usize) -> bool {
-        self.send.lock().open(len.div_ceil(self.cell_payload).max(1))
+        self.conv.lock().st.open(len.div_ceil(self.cell_payload).max(1))
     }
 
     /// The pool key the circuit delivers this conversation's cells on.
@@ -596,41 +283,30 @@ impl UrpConn {
 
     /// Blocks for the next message; `None` is EOF/hangup.
     pub fn recv(&self) -> Option<Vec<u8>> {
-        let mut recv = self.recv.lock();
+        let mut conv = self.conv.lock();
         loop {
-            if let Some(msg) = recv.messages.pop_front() {
-                return Some(msg);
+            if let Some(got) = conv.st.read() {
+                return got;
             }
-            if recv.hungup {
-                return None;
-            }
-            self.recv_cv.wait(&mut recv);
+            self.readable.wait(&mut conv);
         }
     }
 
-    /// Closes the conversation, after draining outstanding cells.
+    /// Closes the conversation once every cell sent is acknowledged, or
+    /// the prober has given the peer up.
     pub fn close(&self) {
-        let _ = self.drain();
-        self.hangup();
+        let mut conv = self.conv.lock();
+        while conv.st.unacked() > 0 && !conv.st.closed() {
+            self.room.wait(&mut conv);
+        }
+        let acts = self.step(&mut conv, Input::Close);
+        drop(conv);
+        let _ = self.perform(acts);
     }
 
     /// Closes the conversation at once, whatever is unacknowledged.
     pub fn hangup(&self) {
-        let _ = self.circuit.send(&[T_CLOSE]);
-        self.shut();
-    }
-
-    /// Marks both directions closed, disarms the prober and wakes every
-    /// waiter.
-    fn shut(&self) {
-        self.recv.lock().hungup = true;
-        let mut send = self.send.lock();
-        send.closed = true;
-        self.arm(&mut send);
-        drop(send);
-        self.recv_cv.notify_all();
-        self.echo_cv.notify_all();
-        self.notify();
+        let _ = self.run(Input::Close);
     }
 }
 
@@ -668,6 +344,7 @@ mod tests {
     use super::*;
     use plan9_netsim::fabric::DatakitSwitch;
     use plan9_netsim::profile::Profiles;
+    use std::time::Duration;
 
     fn pair() -> (Arc<UrpConn>, Arc<UrpConn>) {
         pair_with(Profiles::datakit_fast())

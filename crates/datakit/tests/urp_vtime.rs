@@ -70,6 +70,7 @@ fn watched(profile: LinkProfile) -> (f64, u64, u64) {
 #[test]
 fn calibrated_megabyte_moves_at_line_rate_under_vtime() {
     let (secs, resent, advances) = watched(Profiles::datakit_calibrated());
+    println!("lossless: {secs:.3} virtual s, {resent} cells resent, {advances} clock advances");
     // A full cell is a 2,048-byte frame at 2.2 Mbit/s plus 480 us,
     // 7.96 ms: 4.12 s of line.
     assert_eq!(resent, 0, "a lossless line resent {resent} cells");
@@ -82,6 +83,7 @@ fn calibrated_megabyte_survives_loss_under_vtime() {
     for seed in 0..4 {
         let profile = Profiles::datakit_calibrated().with_loss(0.05).with_seed(seed);
         let (secs, resent, _) = watched(profile);
+        println!("seed {seed} at 5 % loss: {secs:.3} virtual s, {resent} cells resent");
         // About 29 cells are lost; a go-back from each resends what
         // followed it, a window at most.
         assert!(resent < CELLS / 3, "seed {seed}: {resent} of {CELLS} cells resent");
@@ -117,4 +119,41 @@ fn a_conversation_costs_no_kproc() {
     far.close();
     assert_eq!(far.recv(), None);
     assert_eq!(kprocs(), before, "a close at both ends");
+}
+
+/// A peer that hears nothing is given up. Every cell is lost, so the
+/// one message sent is never acknowledged and no ENQ is answered: the
+/// prober backs off and, after its last silent probe (about 104 virtual
+/// seconds), shuts the conversation, though no writer waits on it. The
+/// end is hung up, its reader sees the end, a send fails, and nothing of
+/// it is left on the wheel.
+#[test]
+fn a_silent_peer_is_given_up() {
+    let _vt = vtime::enter();
+    let armed = wheel::armed();
+    let sw = DatakitSwitch::new(Profiles::datakit_fast().with_loss(1.0));
+    let a = sw.attach("nj/astro/a").expect("attach a");
+    let listener = UrpListener::new(sw.attach("nj/astro/b").expect("attach b"));
+    // Call setup does not cross the medium: the dial succeeds.
+    let near = urp_dial(&a, "nj/astro/b!silence").expect("dial");
+    let (_far, _, _) = listener.accept().expect("accept");
+    // The readiness hook fires at the hangup (and at a window opening,
+    // which nothing here acknowledges).
+    let (hung, gave_up) = mpsc::channel();
+    near.set_rx_notify(move || {
+        let _ = hung.send(time::now());
+    });
+    let t0 = time::now();
+    near.send(b"anyone there?").expect("send");
+    time::sleep(Duration::from_secs(120));
+    let status = near.status_string();
+    assert!(status.starts_with("Hungup"), "after 120 virtual s of silence: {status}");
+    let secs = gave_up.try_recv().expect("the hook fired").saturating_duration_since(t0).as_secs_f64();
+    let enqs = near.stats.enqs.get();
+    println!("given up after {secs:.3} virtual s and {enqs} ENQs");
+    assert!((100.0..110.0).contains(&secs), "given up after {secs:.3} virtual s");
+    assert_eq!(enqs, 200, "ENQs sent before giving up");
+    assert_eq!(near.recv(), None);
+    assert!(near.send(b"still there?").is_err());
+    assert_eq!(wheel::armed(), armed, "timers left armed");
 }

@@ -38,6 +38,7 @@ pub mod json;
 pub mod lockdep;
 pub mod pool;
 pub mod rng;
+pub mod step;
 pub mod sync;
 pub mod time;
 pub mod vtime;

@@ -4,12 +4,13 @@
 //! tests are a binary of their own, and under the virtual clock they
 //! repeat exactly: the totals are asserted as they stand.
 //!
-//! A fixed IL exchange and a fixed TCP exchange count their
-//! conversation's lock. Each shell takes the lock once per input — a
-//! segment, a timer firing, a send, a read, a close — and does what the
-//! step asked after dropping it (DESIGN.md, the inet section); a second
-//! hold per input put back shows here. EXPERIMENTS.md has the same run's
-//! totals before the cores were split out.
+//! A fixed IL, TCP and URP exchange each count their conversation's
+//! lock. Each shell takes the lock once per input — a segment or cell,
+//! a timer firing, a send, a cell leaving the line, a read, a close —
+//! and does what the step asked after dropping it (DESIGN.md, the inet
+//! and Datakit sections); a second hold per input put back shows here.
+//! EXPERIMENTS.md has the same run's totals before the cores were split
+//! out.
 //!
 //! A 64-byte pread through a pipe that `serve_export` serves (the
 //! benchmark's `rpc64_pipe`) counts every lock, by class and by site: a
@@ -21,10 +22,12 @@ mod oracle;
 use oracle::world::ether_hosts;
 use plan9::core::machine::MachineBuilder;
 use plan9::core::namespace::MREPL;
+use plan9::datakit::urp::{urp_dial, UrpListener};
 use plan9::exportfs::exportfs::{exportfs_listener, serve_export};
 use plan9::exportfs::import::import;
 use plan9::inet::ip::{IpConfig, IpStack};
 use plan9::netsim::ether::EtherSegment;
+use plan9::netsim::fabric::DatakitSwitch;
 use plan9::netsim::profile::Profiles;
 use plan9::ninep::procfs::OpenMode;
 use plan9_support::{lockdep, vtime};
@@ -102,6 +105,33 @@ fn tcp_exchange() {
     assert_eq!([a.settle(), b.settle()], [0, 0], "connections left");
 }
 
+/// The same rounds over URP on an unpaced Datakit line, then the
+/// dialer closes and the echo server sees the end and closes too. Its
+/// 215 holds: three a data cell (sent, leaving the line, arriving: 120),
+/// one an ACK or CLOSE cell or the circuit's hangup arriving (12), one a
+/// read (41) and one a wake a read waited for (40), one a close (2). Two
+/// locks took 272 before URP's core was split out.
+fn urp_exchange() {
+    let switch = DatakitSwitch::new(Profiles::datakit_fast());
+    let near = switch.attach("nj/astro/near").expect("attach near");
+    let listener = UrpListener::new(switch.attach("nj/astro/far").expect("attach far"));
+    let server = vtime::kproc("urp-echo", move || {
+        let (conn, _, _) = listener.accept().expect("accept");
+        while let Some(msg) = conn.recv() {
+            conn.send(&msg).expect("echo");
+        }
+        conn.close();
+    })
+    .expect("spawn urp echo");
+    let conn = urp_dial(&near, "nj/astro/far!echo").expect("dial");
+    for i in 0..ROUNDS {
+        conn.send(&[i; 64]).expect("send");
+        assert_eq!(conn.recv(), Some(vec![i; 64]));
+    }
+    conn.close();
+    server.join().expect("urp echo");
+}
+
 #[test]
 fn each_input_takes_the_conversation_lock_once() {
     let _vt = vtime::enter();
@@ -111,7 +141,14 @@ fn each_input_takes_the_conversation_lock_once() {
     let tcp = acquires("inet.tcp.conn");
     tcp_exchange();
     let tcp = acquires("inet.tcp.conn") - tcp;
-    assert_eq!((il, tcp), (169, 257), "inet.il.conn and inet.tcp.conn acquisitions");
+    let urp = acquires("datakit.urp.conn");
+    urp_exchange();
+    let urp = acquires("datakit.urp.conn") - urp;
+    assert_eq!(
+        (il, tcp, urp),
+        (169, 257, 215),
+        "inet.il.conn, inet.tcp.conn and datakit.urp.conn acquisitions"
+    );
 }
 
 /// Every lock acquisition so far: each named class's, and each unnamed

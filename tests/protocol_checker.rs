@@ -1,24 +1,29 @@
-//! An explicit-state checker over the IL and TCP cores
-//! (`plan9_inet::il::fsm`, `plan9_inet::tcp::fsm`): two ends of one
-//! conversation, a channel that can deliver any segment in flight, lose
-//! it or deliver it twice, and timers that advance a synthetic clock to
-//! an end's deadline. Each end runs a short script — it writes a few
-//! messages (IL) or bytes (TCP), and may close at any point once it has
-//! its conversation — and the checker searches every interleaving
+//! An explicit-state checker over the IL, TCP and URP cores
+//! (`plan9_inet::il::fsm`, `plan9_inet::tcp::fsm`,
+//! `plan9_datakit::urp::fsm`): two ends of one conversation, a channel
+//! that can deliver any segment in flight, lose it or deliver it twice,
+//! and timers that advance a synthetic clock to an end's deadline. A
+//! Datakit circuit loses and duplicates cells but never reorders them,
+//! so URP's channel delivers, loses or repeats only the oldest cell in
+//! flight each way. Each end runs a short script — it writes a few
+//! messages (IL, URP) or bytes (TCP), and may close at any point once it
+//! has its conversation — and the checker searches every interleaving
 //! breadth-first to one depth, deduplicating states by their FNV hash.
 //! The dialer's initial sequence number sits just below `u32::MAX`, so
-//! the ids wrap within the script.
+//! IL's and TCP's ids wrap within the script; URP's script writes nine
+//! one-byte cells, so its mod-8 sequence numbers wrap inside the window.
 //!
 //! It checks, in every state it reaches:
 //! - *safety*: each end has read a prefix of what the other wrote, once
-//!   and in order (IL with each message's boundaries);
+//!   and in order (IL and URP with each message's boundaries);
 //! - *delivery*: while neither user has closed, a lossless settle (every
 //!   segment in flight delivered, and timers fired when none is) brings
 //!   each end everything the other wrote;
 //! - *teardown*: once both users have closed, a lossless settle takes
 //!   both ends to Closed;
 //! - and on every delivery, that a repeated Sync or SYN reaching an end
-//!   past its handshake, or a TCP end in SynRcvd, is answered.
+//!   past its handshake, or a TCP end in SynRcvd, is answered, and that
+//!   an ENQ reaching a URP end is answered with an ECHO.
 //!
 //! Breadth-first, a violation's trace is a shortest one; it is printed
 //! transition by transition, with the settle that failed. No lock,
@@ -26,6 +31,7 @@
 //! is timed on the real clock, `time::real_now`, and needs no virtual
 //! one.
 
+use plan9_datakit::urp::fsm as urp;
 use plan9_inet::il::fsm as il;
 use plan9_inet::il::fsm::Now;
 use plan9_inet::il::{IlState, IlType};
@@ -76,21 +82,35 @@ trait Core {
     type State: Clone + Debug;
     type Seg: Clone + Debug;
     const NAME: &'static str;
+    /// The channel never reorders: each way, only the oldest segment in
+    /// flight is delivered, lost or repeated.
+    const IN_ORDER: bool = false;
     /// The writes of each end's script.
     fn script(end: usize) -> &'static [&'static [u8]];
     /// The dialer, and what its opening sent.
     fn dial(iss: u32, now: Instant) -> (Self::State, Did<Self::Seg>);
     /// The listener's answer to a segment that opens a conversation.
     fn answer(iss: u32, seg: &Self::Seg, now: Instant) -> Option<(Self::State, Did<Self::Seg>)>;
+    /// The listener's conversation from the start, for a protocol whose
+    /// call is set up out of band.
+    fn called(_now: Instant) -> Option<Self::State> {
+        None
+    }
     fn deliver(st: &mut Self::State, seg: Self::Seg, now: Instant) -> Did<Self::Seg>;
     fn timer(st: &mut Self::State, now: Instant) -> Did<Self::Seg>;
     fn write(st: &mut Self::State, data: &[u8], now: Instant) -> Did<Self::Seg>;
     fn close(st: &mut Self::State, now: Instant) -> Did<Self::Seg>;
     /// The user has the conversation: its handshake is done.
     fn ready(st: &Self::State) -> bool;
-    fn writable(st: &Self::State) -> bool;
-    /// A repeated Sync or SYN reaching an end that must answer it.
+    /// Whether the user may write `data` now.
+    fn writable(st: &Self::State, data: &[u8]) -> bool;
+    /// A repeated Sync or SYN, or an ENQ, reaching an end that must
+    /// answer it.
     fn must_answer(st: &Self::State, seg: &Self::Seg) -> bool;
+    /// Whether `reply` is an answer to such a segment.
+    fn answers(_reply: &Self::Seg) -> bool {
+        true
+    }
     /// What a stack with no conversation for a segment sends back.
     fn no_conv(seg: &Self::Seg) -> Option<Self::Seg>;
     /// Whether what an end read is a prefix of what the other wrote.
@@ -168,7 +188,7 @@ impl Core for Il {
     fn ready(st: &il::State) -> bool {
         !matches!(st.state(), IlState::Syncer | IlState::Syncee)
     }
-    fn writable(st: &il::State) -> bool {
+    fn writable(st: &il::State, _data: &[u8]) -> bool {
         st.can_send() == Ok(true)
     }
     fn must_answer(st: &il::State, seg: &il::Seg) -> bool {
@@ -263,7 +283,7 @@ impl Core for Tcp {
     fn ready(st: &tcp::State) -> bool {
         !matches!(st.state(), TcpState::SynSent | TcpState::SynRcvd)
     }
-    fn writable(st: &tcp::State) -> bool {
+    fn writable(st: &tcp::State, _data: &[u8]) -> bool {
         st.room().is_ok_and(|room| room > 0)
     }
     fn must_answer(st: &tcp::State, seg: &Segment) -> bool {
@@ -288,6 +308,113 @@ impl Core for Tcp {
         let names = [(SYN, "SYN"), (FIN, "FIN"), (RST, "RST"), (ACK, "ACK")];
         let flags: Vec<&str> = names.iter().filter(|(f, _)| seg.flags & f != 0).map(|(_, n)| *n).collect();
         format!("{} seq {} ack {} len {}", flags.join("|"), seg.seq, seg.ack, seg.payload.len())
+    }
+}
+
+struct Urp;
+
+impl Urp {
+    /// A step as the shell makes it: each data cell sent leaves the line
+    /// at once, a rewind's end follows its cells, and the reader takes
+    /// everything there is.
+    fn run(st: &mut urp::State, did: &mut Did<Vec<u8>>, input: urp::Input, now: Instant) {
+        let acts = urp::step(st, input, Now::At(now));
+        did.aim = Some(acts.deadline);
+        for cell in acts.cells {
+            if urp::is_data(cell[0]) {
+                let left = urp::step(st, urp::Input::Left(cell[0] & urp::SEQ_MASK), Now::At(now));
+                did.aim = Some(left.deadline);
+            }
+            did.segs.push(cell);
+        }
+        if acts.resend {
+            Urp::run(st, did, urp::Input::Resent, now);
+        }
+        while let Some(got) = st.read() {
+            match got {
+                Some(msg) => did.got.push(msg),
+                None => {
+                    did.eof = true;
+                    break;
+                }
+            }
+        }
+        did.free = st.closed();
+    }
+
+    fn once(st: &mut urp::State, input: urp::Input, now: Instant) -> Did<Vec<u8>> {
+        let mut did = Did::default();
+        Urp::run(st, &mut did, input, now);
+        did
+    }
+}
+
+impl Core for Urp {
+    type State = urp::State;
+    type Seg = Vec<u8>;
+    const NAME: &'static str = "urp";
+    const IN_ORDER: bool = true;
+
+    /// One cell a byte: nine from the dialer.
+    fn script(end: usize) -> &'static [&'static [u8]] {
+        const SCRIPT: [&[&[u8]]; 2] = [&[b"abc", b"defg", b"hi"], &[b"x"]];
+        SCRIPT[end]
+    }
+    fn dial(_iss: u32, now: Instant) -> (urp::State, Did<Vec<u8>>) {
+        (urp::State::new(now), Did::default())
+    }
+    fn answer(_iss: u32, _seg: &Vec<u8>, _now: Instant) -> Option<(urp::State, Did<Vec<u8>>)> {
+        None
+    }
+    fn called(now: Instant) -> Option<urp::State> {
+        Some(urp::State::new(now))
+    }
+    fn deliver(st: &mut urp::State, seg: Vec<u8>, now: Instant) -> Did<Vec<u8>> {
+        Urp::once(st, urp::Input::Cell(&seg), now)
+    }
+    fn timer(st: &mut urp::State, now: Instant) -> Did<Vec<u8>> {
+        Urp::once(st, urp::Input::Timer, now)
+    }
+    fn write(st: &mut urp::State, data: &[u8], now: Instant) -> Did<Vec<u8>> {
+        let mut did = Did::default();
+        for (i, cell) in data.chunks(1).enumerate() {
+            Urp::run(st, &mut did, urp::Input::Send(cell, i + 1 == data.len()), now);
+        }
+        did
+    }
+    fn close(st: &mut urp::State, now: Instant) -> Did<Vec<u8>> {
+        Urp::once(st, urp::Input::Close, now)
+    }
+    fn ready(_st: &urp::State) -> bool {
+        true
+    }
+    fn writable(st: &urp::State, data: &[u8]) -> bool {
+        st.open(data.len())
+    }
+    fn must_answer(_st: &urp::State, seg: &Vec<u8>) -> bool {
+        seg.first().is_some_and(|ctl| ctl & urp::TYPE_MASK == urp::T_ENQ)
+    }
+    fn answers(reply: &Vec<u8>) -> bool {
+        reply[0] & urp::TYPE_MASK == urp::T_ECHO
+    }
+    fn no_conv(_seg: &Vec<u8>) -> Option<Vec<u8>> {
+        None
+    }
+    fn prefix(wrote: &[&[u8]], got: &[Vec<u8>]) -> bool {
+        got.len() <= wrote.len() && got.iter().zip(wrote).all(|(g, w)| g == w)
+    }
+    fn show(seg: &Vec<u8>) -> String {
+        let names = [
+            (urp::T_DATA, "DATA"),
+            (urp::T_DATA_EOM, "EOM"),
+            (urp::T_ENQ, "ENQ"),
+            (urp::T_ACK, "ACK"),
+            (urp::T_ECHO, "ECHO"),
+            (urp::T_REJ, "REJ"),
+            (urp::T_CLOSE, "CLOSE"),
+        ];
+        let name = names.iter().find(|(t, _)| *t == seg[0] & urp::TYPE_MASK).map_or("?", |(_, n)| *n);
+        format!("{name} seq {} len {}", seg[0] & urp::SEQ_MASK, seg.len() - 1)
     }
 }
 
@@ -364,7 +491,7 @@ impl<C: Core> World<C> {
     fn start(t0: Instant) -> World<C> {
         let (st, did) = C::dial(DIALER_ISS, t0);
         let end = |conv| End { conv, freed: false, timer: None, wrote: 0, closed: false, got: Vec::new(), eof: false };
-        let mut w = World { ends: [end(Some(st)), end(None)], net: Vec::new(), now: t0, faults: 0 };
+        let mut w = World { ends: [end(Some(st)), end(C::called(t0))], net: Vec::new(), now: t0, faults: 0 };
         w.apply(0, did);
         w
     }
@@ -399,9 +526,14 @@ impl<C: Core> World<C> {
         }
     }
 
+    /// Puts a segment in flight: in sending order on an in-order
+    /// channel, else in the canonical order of a multiset.
     fn send(&mut self, to: usize, seg: C::Seg) {
         let entry = (to, hash_of(&seg), seg);
-        let at = self.net.partition_point(|(t, h, _)| (*t, *h) < (entry.0, entry.1));
+        let at = match C::IN_ORDER {
+            true => self.net.len(),
+            false => self.net.partition_point(|(t, h, _)| (*t, *h) < (entry.0, entry.1)),
+        };
         self.net.insert(at, entry);
     }
 
@@ -415,7 +547,7 @@ impl<C: Core> World<C> {
                 let owed = C::must_answer(st, &seg);
                 let shown = C::show(&seg);
                 let did = C::deliver(st, seg, now);
-                if owed && did.segs.is_empty() {
+                if owed && !did.segs.iter().any(C::answers) {
                     return Err(format!("{} did not answer the repeated {shown}", side(to)));
                 }
                 self.apply(to, did);
@@ -455,8 +587,14 @@ impl<C: Core> World<C> {
     fn successors(&self, t0: Instant) -> Vec<(String, Result<World<C>, String>)> {
         let mut out = Vec::new();
         for i in 0..self.net.len() {
-            if i > 0 && self.net[i].1 == self.net[i - 1].1 && self.net[i].0 == self.net[i - 1].0 {
-                continue; // the same segment twice in flight: one choice
+            let skip = match C::IN_ORDER {
+                // Not the oldest in flight to its end.
+                true => self.net[..i].iter().any(|(t, _, _)| *t == self.net[i].0),
+                // The same segment twice in flight: one choice.
+                false => i > 0 && self.net[i].1 == self.net[i - 1].1 && self.net[i].0 == self.net[i - 1].0,
+            };
+            if skip {
+                continue;
             }
             let (to, _, seg) = &self.net[i];
             let what = format!("{}→{} {}", side(1 - to), side(*to), C::show(seg));
@@ -483,7 +621,7 @@ impl<C: Core> World<C> {
             let end = &self.ends[e];
             let Some(st) = end.conv.as_ref().filter(|st| C::ready(st)) else { continue };
             let script = C::script(e);
-            if end.wrote < script.len() && !end.closed && C::writable(st) {
+            if end.wrote < script.len() && !end.closed && C::writable(st, script[end.wrote]) {
                 let mut w = self.clone();
                 let now = w.now;
                 let end = &mut w.ends[e];
@@ -668,4 +806,9 @@ fn il_cores_keep_their_promises() {
 #[test]
 fn tcp_cores_keep_their_promises() {
     check::<Tcp>();
+}
+
+#[test]
+fn urp_cores_keep_their_promises() {
+    check::<Urp>();
 }
