@@ -28,7 +28,9 @@
 //!   `T` is a trait object, and to nothing when `T` is no workspace type
 //!   (`HashMap`, `Vec`, `Option`, a generic parameter, …). Only a
 //!   receiver the parser cannot type fans out to every workspace method
-//!   named `m`. Every candidate lies in a crate the caller's depends on.
+//!   named `m`. Every candidate lies in a crate the caller's depends on,
+//!   but for a call through a generic parameter bounded by a trait,
+//!   which reaches the trait's impls in whatever crate they lie.
 //!   `path::to::f(..)` resolves against module-path and impl-type
 //!   suffixes; bare `f(..)` same-module, then same-crate, then
 //!   workspace-wide. Macro calls are kept (for panic sinks) but never
@@ -36,7 +38,7 @@
 //! - **Closures** are attributed to their enclosing item, *except* the
 //!   closure argument of a non-blocking-context registration —
 //!   `pool::submit`, `pool::submit_or_run`, `wheel::schedule` (or
-//!   `wheel::rearm`, which passes its closure to it), `.set_rx_handler(..)`
+//!   `wheel::rearm`, whose closure makes the one it passes to it), `.set_rx_handler(..)`
 //!   and `.set_rx_tap(..)` — which becomes its own synthetic root node
 //!   so the flow passes can start exactly at the code that runs on a
 //!   shard, wheel, or rx path; a `vtime::kproc` body is a node of its
@@ -45,7 +47,9 @@
 //!   `T { f: .. }` (or `Self { .. }`, or a `static`) names the class of
 //!   `T`'s `f`, and each `.lock()`/`.try_lock()` keeps its receiver,
 //!   so `lockgraph` rebuilds the acquired-while-held graph by the same
-//!   types.
+//!   types. A generic `T<C>` whose class is `C::NAME` has one class an
+//!   instantiation: each `const NAME: &str = "c"` names one, and an
+//!   acquisition of its field holds them all.
 //!
 //! Escape hatches ride on comments: a call site on a line annotated
 //! `// blocking-ok: <reason>` is exempt from the blocking-context pass,
@@ -160,8 +164,9 @@ pub enum BodyEvent {
         /// closes back below it). Statement-temporary guards die at the
         /// next `EndStmt`.
         depth: usize,
-        /// The lockdep class of the field `recv` names, once indexed.
-        class: Option<String>,
+        /// The lockdep classes of the field `recv` names, once indexed:
+        /// one, or each instantiation's of a generic type's.
+        classes: Vec<String>,
     },
     /// `drop(g)` of a named guard.
     DropGuard {
@@ -242,6 +247,8 @@ pub struct FnNode {
     pub ret: Option<Ty>,
     /// `Some` iff this is a synthetic root-closure node.
     pub root: Option<RootKind>,
+    /// The traits its generic parameters are bounded by.
+    pub bounds: Vec<String>,
     pub body: Vec<BodyEvent>,
     /// `impl_ty` and `impl_trait` as workspace types, once indexed.
     self_ids: Vec<usize>,
@@ -274,6 +281,9 @@ impl FnNode {
 pub struct NamedClassSite {
     /// The lockdep class string.
     pub class: String,
+    /// Named by a type parameter's const: one of the field's classes,
+    /// each another instantiation's.
+    pub generic: bool,
     /// `T` of the struct literal `T { field: Mutex::named(..) }`;
     /// `None` for a `static field: Mutex<_> = Mutex::named(..)`.
     pub owner: Option<String>,
@@ -335,6 +345,11 @@ impl RTy {
 pub struct CallGraph {
     pub fns: Vec<FnNode>,
     pub classes: Vec<NamedClassSite>,
+    /// Sites whose class is a type parameter's const (`C::CLASS`), the
+    /// const's name as their class, until `index` reads the consts.
+    const_classes: Vec<NamedClassSite>,
+    /// `const NAME: &str = "value"` items.
+    str_consts: Vec<(String, String)>,
     types: Vec<TypeDef>,
     globals: Vec<Decl>,
     by_name: BTreeMap<String, Vec<usize>>,
@@ -504,20 +519,21 @@ impl CallGraph {
 
     /// The methods named `m` a call from `at` reaches on a receiver of
     /// type `recv`: that type's own, or — for a trait — every impl's and
-    /// the trait's default bodies. A receiver of unknown type fans out
-    /// to every method so named.
+    /// the trait's default bodies, in the crates `at`'s depends on, and
+    /// through a parameter bounded by the trait (`<O: Conv>`) in any
+    /// crate: a crate below calls into the impls of the crates above
+    /// (`support::step::Shell` into each protocol's). A receiver of
+    /// unknown type fans out to every method so named.
     fn methods(&self, at: usize, recv: Option<&RTy>, m: &str) -> Vec<usize> {
-        let named = self.by_name.get(m).into_iter().flatten().copied();
-        let named = named.filter(|&i| self.fns[i].has_self && self.may_call(at, i));
-        let Some(t) = recv else { return named.collect() };
-        let on = |f: &FnNode, id: &usize| {
-            if self.types[*id].is_trait {
-                f.trait_ids.contains(id)
-            } else {
-                f.self_ids.contains(id)
+        let named = self.by_name.get(m).into_iter().flatten().copied().filter(|&i| self.fns[i].has_self);
+        let Some(t) = recv else { return named.filter(|&i| self.may_call(at, i)).collect() };
+        let on = |i: usize, id: &usize| match &self.types[*id] {
+            ty if ty.is_trait => {
+                self.fns[i].trait_ids.contains(id) && (self.may_call(at, i) || self.fns[at].bounds.contains(&ty.name))
             }
+            _ => self.fns[i].self_ids.contains(id) && self.may_call(at, i),
         };
-        named.filter(|&i| t.ids.iter().any(|id| on(&self.fns[i], id))).collect()
+        named.filter(|&i| t.ids.iter().any(|id| on(i, id))).collect()
     }
 
     /// Node indices a path or bare call from `caller` may reach: bare
@@ -575,16 +591,22 @@ impl CallGraph {
         &self,
         at: usize,
         recv: &Expr,
-        fields: &BTreeMap<(usize, &str), BTreeSet<&str>>,
-    ) -> Result<Option<String>, ()> {
-        let one = |s: BTreeSet<&str>| if s.len() > 1 { Err(()) } else { Ok(s.into_iter().next().map(String::from)) };
+        fields: &BTreeMap<(usize, &str), (BTreeSet<&str>, bool)>,
+    ) -> Result<Vec<String>, ()> {
+        // More than one class for a field is ambiguous, but for a generic
+        // type's, which holds them all.
+        let one = |s: BTreeSet<&str>, all: bool| match s.len() > 1 && !all {
+            true => Err(()),
+            false => Ok(s.into_iter().map(String::from).collect()),
+        };
         match recv {
             Expr::Field(base, f) => {
                 if !self.classes.iter().any(|c| c.owner.is_some() && c.field == *f) {
-                    return Ok(None);
+                    return Ok(Vec::new());
                 }
                 let b = self.ty_of(base, at).ok_or(())?;
-                one(b.ids.iter().flat_map(|&id| fields.get(&(id, f.as_str())).into_iter().flatten().copied()).collect())
+                let sites: Vec<_> = b.ids.iter().filter_map(|&id| fields.get(&(id, f.as_str()))).collect();
+                one(sites.iter().flat_map(|(c, _)| c.iter().copied()).collect(), sites.iter().all(|(_, generic)| *generic))
             }
             Expr::Global(name) => {
                 let me = &self.fns[at].crate_name;
@@ -592,9 +614,9 @@ impl CallGraph {
                     .classes
                     .iter()
                     .filter(|c| c.owner.is_none() && c.field == *name && self.sees(me, &c.crate_name));
-                one(c.map(|c| c.class.as_str()).collect())
+                one(c.map(|c| c.class.as_str()).collect(), false)
             }
-            _ => Ok(None),
+            _ => Ok(Vec::new()),
         }
     }
 
@@ -629,10 +651,16 @@ impl CallGraph {
             (f.self_ids, f.trait_ids) = (s, t);
         }
 
-        let mut fields: BTreeMap<(usize, &str), BTreeSet<&str>> = BTreeMap::new();
+        for c in std::mem::take(&mut self.const_classes) {
+            let named = self.str_consts.iter().filter(|(name, _)| *name == c.class);
+            self.classes.extend(named.map(|(_, class)| NamedClassSite { class: class.clone(), ..c.clone() }));
+        }
+        let mut fields: BTreeMap<(usize, &str), (BTreeSet<&str>, bool)> = BTreeMap::new();
         for c in &self.classes {
             for id in c.owner.iter().flat_map(|o| self.type_ids(o, &c.crate_name, &c.module)) {
-                fields.entry((id, c.field.as_str())).or_default().insert(c.class.as_str());
+                let (classes, generic) = fields.entry((id, c.field.as_str())).or_insert((BTreeSet::new(), true));
+                classes.insert(c.class.as_str());
+                *generic &= c.generic;
             }
         }
         let (mut resolved, mut unresolved, mut typed, mut ambiguous) = (0, 0, 0, 0);
@@ -653,10 +681,10 @@ impl CallGraph {
                             *if c.targets.is_empty() { &mut unresolved } else { &mut resolved } += 1;
                         }
                     }
-                    BodyEvent::Acquire { recv, class, .. } => {
-                        *class = self.class_of(i, recv, &fields).unwrap_or_else(|()| {
+                    BodyEvent::Acquire { recv, classes, .. } => {
+                        *classes = self.class_of(i, recv, &fields).unwrap_or_else(|()| {
                             ambiguous += 1;
-                            None
+                            Vec::new()
                         });
                     }
                     _ => {}
@@ -828,6 +856,7 @@ impl<'a> Parser<'a> {
             has_self,
             ret,
             root,
+            bounds: Vec::new(),
             body: Vec::new(),
             self_ids: Vec::new(),
             trait_ids: Vec::new(),
@@ -1098,6 +1127,7 @@ impl<'a> Parser<'a> {
             return;
         }
         let node = self.push_node(name, line, has_self, ret, None);
+        self.graph.fns[node].bounds = bounds.into_iter().map(|(_, t)| t).collect();
         self.advance_raw(); // {
         let depth = self.brace_depth;
         self.scopes.push(ScopeFrame { kind: ScopeKind::Body(node), inner_depth: depth });
@@ -1167,11 +1197,16 @@ impl<'a> Parser<'a> {
         self.push_type(name, fields, false);
     }
 
-    /// Records `static NAME: T` / `const NAME: T`; `const fn`,
-    /// `const { .. }` and `*const T` are no items.
+    /// Records `static NAME: T` / `const NAME: T`, and the value of a
+    /// `const NAME: &str = "value"`; `const fn`, `const { .. }` and
+    /// `*const T` are no items.
     fn parse_global(&mut self) {
         if let (Some(Tok::Ident(name)), Some(Tok::P(':'))) = (self.peek(1).cloned(), self.peek(2)) {
             let end = (self.pos + 3..self.toks.len()).find(|&k| matches!(self.tok(k), Some(Tok::P('=' | ';'))));
+            let value = end.filter(|&e| self.is(e, Tok::P('=')) && self.is(e + 2, Tok::P(';')));
+            if let Some(Tok::Str(value)) = value.and_then(|e| self.tok(e + 1)) {
+                self.graph.str_consts.push((name.clone(), value.clone()));
+            }
             let ty = self.ty(self.pos + 3, end.unwrap_or(self.toks.len()));
             let (crate_name, module) = (self.src.crate_name.clone(), self.module_path());
             self.graph.globals.push(Decl { name, ty, crate_name, module });
@@ -1568,7 +1603,7 @@ impl<'a> Parser<'a> {
         // real call spelling (`pool::submit(…)`, `wheel::schedule(…)`).
         let root = match (segs.len() >= 2).then(|| segs[segs.len() - 2].as_str()) {
             Some("pool") if name == "submit" || name == "submit_or_run" => Some(RootKind::PoolJob),
-            // `wheel::rearm` hands its closure on to `wheel::schedule`.
+            // `wheel::rearm`'s closure makes the one it hands to `wheel::schedule`.
             Some("wheel") if name == "schedule" || name == "rearm" => Some(RootKind::WheelCallback),
             Some("vtime") if name == "kproc" => Some(RootKind::Kproc),
             _ => None,
@@ -1624,7 +1659,7 @@ impl<'a> Parser<'a> {
         // one block deeper than the current depth.
         let head = self.stmt_head();
         let depth = self.brace_depth + usize::from(["if", "while", "match"].iter().any(|k| self.is_ident(head, k)));
-        self.push_event(BodyEvent::Acquire { recv, op, line, guard, depth, class: None });
+        self.push_event(BodyEvent::Acquire { recv, op, line, guard, depth, classes: Vec::new() });
     }
 
     /// Records a `Mutex::named(value, "class")` site starting at token
@@ -1637,8 +1672,10 @@ impl<'a> Parser<'a> {
             return;
         }
         let close = self.pair[self.pos];
-        let Some(class) = (self.pos + 1..close).rev().find_map(|k| match self.tok(k) {
-            Some(Tok::Str(s)) if !s.is_empty() => Some(s.clone()),
+        // The last literal, or the last argument's `C::NAME`.
+        let Some((class, generic)) = (self.pos + 1..close).rev().find_map(|k| match self.tok(k) {
+            Some(Tok::Str(s)) if !s.is_empty() => Some((s.clone(), false)),
+            Some(Tok::Ident(n)) if k + 1 == close && self.is(k - 1, Tok::PathSep) => Some((n.clone(), true)),
             _ => None,
         }) else {
             return;
@@ -1667,15 +1704,9 @@ impl<'a> Parser<'a> {
             }
             _ => return,
         };
-        self.graph.classes.push(NamedClassSite {
-            class,
-            owner,
-            field,
-            crate_name: self.src.crate_name.clone(),
-            module: self.module_path(),
-            file: self.src.file.clone(),
-            line,
-        });
+        let (crate_name, module, file) = (self.src.crate_name.clone(), self.module_path(), self.src.file.clone());
+        let sites = if generic { &mut self.graph.const_classes } else { &mut self.graph.classes };
+        sites.push(NamedClassSite { class, generic, owner, field, crate_name, module, file, line });
     }
 
     fn run(&mut self) {
@@ -1932,6 +1963,25 @@ mod tests {
         assert_eq!(targeted(&g, call), ["demo::B::go"], "a bounded parameter goes to the bound's impls");
         let call = find(&g, "g").calls().next().unwrap();
         assert!(targeted(&g, call).is_empty(), "an unbounded parameter is no workspace type");
+    }
+
+    /// A trait declared in a lower crate is implemented in a higher one:
+    /// through a generic bound the call reaches that impl; through a
+    /// trait object it still stays within the crates below.
+    #[test]
+    fn a_bounded_generic_reaches_impls_in_the_crates_above() {
+        let mut g = CallGraph::default();
+        let low = "pub trait T {\n    fn go(&self);\n}\n\
+            fn f<C: T>(x: &C) { x.go(); }\nfn d(x: &dyn T) { x.go(); }\n";
+        let high = "struct H;\nimpl T for H {\n    fn go(&self) {}\n}\n";
+        scan_file(&mut g, &SourceFile::new("low", "low/src/lib.rs", &[], low));
+        scan_file(&mut g, &SourceFile::new("high", "high/src/lib.rs", &[], high));
+        g.deps = [("low".to_string(), BTreeSet::new()), ("high".to_string(), ["low".to_string()].into())].into();
+        g.index();
+        let call = find(&g, "f").calls().next().unwrap();
+        assert_eq!(targeted(&g, call), ["high::H::go"]);
+        let call = find(&g, "d").calls().next().unwrap();
+        assert!(targeted(&g, call).is_empty());
     }
 
     #[test]

@@ -125,9 +125,9 @@ pub fn analyze(g: &CallGraph, observed: Option<&str>) -> LockReport {
     for (i, f) in g.fns.iter().enumerate() {
         for ev in &f.body {
             // try_lock is edge-free, matching runtime lockdep.
-            if let BodyEvent::Acquire { class: Some(c), op, .. } = ev {
+            if let BodyEvent::Acquire { classes, op, .. } = ev {
                 if *op != AcqOp::TryLock {
-                    acq[i].insert(c.clone());
+                    acq[i].extend(classes.iter().cloned());
                 }
             }
         }
@@ -177,19 +177,17 @@ pub fn analyze(g: &CallGraph, observed: Option<&str>) -> LockReport {
         };
         for ev in &f.body {
             match ev {
-                BodyEvent::Acquire { class, op, line, guard, depth, .. } => {
-                    if let Some(class) = class.clone() {
-                        if *op != AcqOp::TryLock {
-                            let to: BTreeSet<String> = [class.clone()].into_iter().collect();
-                            record(&held, &to, *line);
-                        }
-                        held.push(Held {
-                            classes: vec![class],
-                            guard: guard.clone(),
-                            depth: *depth,
-                        });
+                BodyEvent::Acquire { classes, op, line, guard, depth, .. } if !classes.is_empty() => {
+                    if *op != AcqOp::TryLock {
+                        record(&held, &classes.iter().cloned().collect(), *line);
                     }
+                    held.push(Held {
+                        classes: classes.clone(),
+                        guard: guard.clone(),
+                        depth: *depth,
+                    });
                 }
+                BodyEvent::Acquire { .. } => {}
                 BodyEvent::DropGuard { name, .. } => {
                     if let Some(pos) = held
                         .iter()
@@ -414,6 +412,27 @@ mod tests {
         let g = graph_of(&[("demo/src/lib.rs", src)]);
         let r = analyze(&g, None);
         assert!(r.edges.is_empty(), "{:?}", r.edges);
+    }
+
+    /// A generic type's lock, named by its parameter's const, is each
+    /// instantiation's class: what is taken under it is taken under all.
+    #[test]
+    fn a_generic_lock_holds_each_instantiations_class() {
+        let src = "trait K { const CLASS: &'static str; }\n\
+            struct A;\nimpl K for A { const CLASS: &'static str = \"demo.a\"; }\n\
+            struct B;\nimpl K for B { const CLASS: &'static str = \"demo.b\"; }\n\
+            struct G<C: K> { m: Mutex<u8> }\n\
+            impl<C: K> G<C> {\n\
+            fn new() -> Self { G { m: Mutex::named(0, C::CLASS) } }\n\
+            fn f(&self) {\n    let g = self.m.lock();\n    let t = TICK.lock();\n    drop(t);\n    drop(g);\n}\n\
+            }\n\
+            static TICK: Mutex<u8> = Mutex::named(0, \"demo.tick\");\n";
+        let g = graph_of(&[("demo/src/lib.rs", src)]);
+        assert_eq!(g.ambiguous_receivers, 0);
+        let r = analyze(&g, None);
+        let edges: Vec<(&str, &str)> = r.edges.iter().map(|e| (e.from.as_str(), e.to.as_str())).collect();
+        assert_eq!(edges, [("demo.a", "demo.tick"), ("demo.b", "demo.tick")]);
+        assert_eq!(r.static_classes, 3);
     }
 
     #[test]

@@ -35,10 +35,10 @@ impl Served for UrpConn {
         Ok(Some(held))
     }
     fn conv_id(&self) -> u64 {
-        self.rx_key()
+        self.shell.key()
     }
     fn set_rx_notify(&self, hook: impl Fn() + Send + Sync + 'static) {
-        UrpConn::set_rx_notify(self, hook)
+        self.shell.set_hook(hook)
     }
     /// A one-cell reply would go out: a longer one is placed by the
     /// sink's `ready`.

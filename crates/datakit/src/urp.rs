@@ -23,11 +23,14 @@
 //! that judges loss never waits on the line.
 //!
 //! URP is a core and a shell, as IL and TCP are. The core, [`fsm`], is
-//! `step(&mut State, Input, now) -> Actions`, and nothing else changes a
-//! conversation's state. The shell, [`UrpConn`], takes the
-//! conversation's one lock per input, steps, aims the prober's timer in
-//! that hold, and sends cells, wakes waiters and fires the readiness
-//! hook after dropping it.
+//! `State::step(&mut self, Input, Now) -> Actions`, and nothing else
+//! changes a conversation's state. The shell is the one that drives all
+//! three cores, `support::step::Shell`: it takes the conversation's one
+//! lock per input, steps, aims the prober's timer in that hold, and
+//! wakes readers and writers and fires the readiness hook after
+//! dropping it, before the cells leave. What is URP's own is the cells:
+//! a data cell's leaving the line is an input of its own (`Left`), and
+//! so is a rewind's end (`Resent`).
 //!
 //! A conversation costs no kernel process. Its input,
 //! [`UrpConn::input`], is the circuit's handler: it runs on whichever
@@ -43,14 +46,13 @@
 //! readiness hook fires: a message queued, the hangup, or the window
 //! opening.
 
-use plan9_support::sync::{Condvar, Mutex};
-use plan9_support::{time, wheel};
+use plan9_support::step::{Conv, On, Shell};
+use plan9_support::time;
 use plan9_netsim::fabric::{Announcement, Circuit, DatakitLine, IncomingCall};
 use plan9_netlog::{Counter, Registry};
 use plan9_ninep::NineError;
 use fsm::{Actions, Input, State, SEQ_MASK, TYPE_MASK, T_ENQ, T_REJ};
-use plan9_support::step::Now;
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::Arc;
 
 pub mod fsm;
 
@@ -81,32 +83,15 @@ impl UrpStats {
     }
 }
 
-/// The conversation's state and its prober's timer, under one lock.
-struct Conv {
-    st: State,
-    timer: Option<wheel::TimerId>,
-}
-
-/// One end of a URP conversation.
+/// One end of a URP conversation: the [`Shell`] that drives [`fsm`],
+/// and the circuit its cells cross.
 pub struct UrpConn {
-    /// The conversation itself, for its handler and its timer to hold:
-    /// weakly, so one its owner lets go of hangs up.
-    me: Weak<UrpConn>,
     circuit: Circuit,
-    /// The prober's pool key: the shard after the input's.
-    probe_key: u64,
-    conv: Mutex<Conv>,
-    /// Writers wait here for room in the window, and `close` for the
-    /// last acknowledgment.
-    room: Condvar,
-    /// Readers wait here for a message or the end.
-    readable: Condvar,
+    pub(crate) shell: Shell<State>,
     /// Traffic counters.
     pub stats: Arc<UrpStats>,
     /// Per-cell payload capacity on this circuit.
     cell_payload: usize,
-    /// The readiness hook, if a reader that does not wait registered one.
-    rx_notify: OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
 
 impl UrpConn {
@@ -120,86 +105,16 @@ impl UrpConn {
     /// shares among the conversations of one line.
     pub fn with_stats(circuit: Circuit, stats: Arc<UrpStats>) -> Arc<UrpConn> {
         let cell_payload = circuit.mtu().saturating_sub(1).max(16);
-        let conn = Arc::new_cyclic(|me| UrpConn {
-            me: me.clone(),
-            probe_key: circuit.rx_key().wrapping_add(1),
-            circuit,
-            conv: Mutex::named(Conv { st: State::new(time::now()), timer: None }, "datakit.urp.conn"),
-            room: Condvar::new(),
-            readable: Condvar::new(),
-            stats,
-            cell_payload,
-            rx_notify: OnceLock::new(),
-        });
-        let input = conn.me.clone();
+        let shell = Shell::new(State::new(time::now()), circuit.rx_key());
+        let conn = Arc::new(UrpConn { circuit, shell, stats, cell_payload });
+        // Held weakly, so a conversation its owner lets go of hangs up.
+        let input = Arc::downgrade(&conn);
         conn.circuit.set_rx_handler(move |cell| {
             if let Some(conn) = input.upgrade() {
                 conn.input(cell)
             }
         });
         conn
-    }
-
-    /// One input, in the caller's hold of the lock: the core steps, and
-    /// the prober's timer is aimed where it says before the lock drops.
-    fn step(&self, conv: &mut Conv, input: Input) -> Actions {
-        if matches!(input, Input::Timer) {
-            conv.timer = None;
-        }
-        let acts = fsm::step(&mut conv.st, input, Now::Clock(time::now));
-        let conn = self.me.clone();
-        // Fails only when the wheel's thread cannot start.
-        let _ = wheel::rearm(&mut conv.timer, self.probe_key, acts.deadline, move || {
-            if let Some(conn) = conn.upgrade() {
-                let _ = conn.run(Input::Timer);
-            }
-        });
-        acts
-    }
-
-    /// One input in a hold of its own, and what it asks for done.
-    fn run(&self, input: Input) -> crate::Result<()> {
-        let acts = self.step(&mut self.conv.lock(), input);
-        self.perform(acts)
-    }
-
-    /// Does what a step asked, the lock dropped: wakes readers and
-    /// writers, sends the cells (a data cell's leaving the line is an
-    /// input of its own, and so is a rewind's end), fires the hook.
-    /// Returns the first send's failure.
-    fn perform(&self, acts: Actions) -> crate::Result<()> {
-        if acts.readable {
-            self.readable.notify_all();
-        }
-        if acts.room {
-            self.room.notify_all();
-        }
-        let mut sent = Ok(());
-        for cell in acts.cells {
-            let (ctl, data) = (cell[0], fsm::is_data(cell[0]));
-            match ctl & TYPE_MASK {
-                T_ENQ => self.stats.enqs.inc(),
-                T_REJ => self.stats.rejs.inc(),
-                _ if data && acts.resend => self.stats.retransmit_cells.inc(),
-                _ if data => self.stats.tx_cells.inc(),
-                _ => {}
-            }
-            match self.circuit.send(&cell) {
-                // A cell leaving the line asks nothing of the shell.
-                Ok(()) if data => drop(self.step(&mut self.conv.lock(), Input::Left(ctl & SEQ_MASK))),
-                Ok(()) => {}
-                Err(e) => sent = sent.and(Err(NineError::new(e))),
-            }
-        }
-        if acts.resend {
-            sent = sent.and(self.run(Input::Resent));
-        }
-        if acts.hook {
-            if let Some(hook) = self.rx_notify.get() {
-                hook();
-            }
-        }
-        sent
     }
 
     /// The local Datakit address.
@@ -214,16 +129,16 @@ impl UrpConn {
 
     /// A status line for the `status` file.
     pub fn status_string(&self) -> String {
-        let conv = self.conv.lock();
-        let state = if conv.st.closed() { "Hungup" } else { "Established" };
-        format!("{state} unacked {} window {URP_WINDOW}", conv.st.unacked())
+        let held = self.shell.lock();
+        let state = if held.st.closed() { "Hungup" } else { "Established" };
+        format!("{state} unacked {} window {URP_WINDOW}", held.st.unacked())
     }
 
     /// The conversation's input: one cell, or `None` when the circuit
     /// hangs up. Run by whichever thread delivers the cell; it never
     /// waits, though an answer it sends is paced onto the line.
-    pub fn input(&self, cell: Option<Vec<u8>>) {
-        let _ = self.run(match &cell {
+    pub fn input(self: &Arc<Self>, cell: Option<Vec<u8>>) {
+        let _ = self.shell.run(self, match &cell {
             Some(cell) => Input::Cell(cell),
             None => Input::Hangup,
         });
@@ -234,20 +149,16 @@ impl UrpConn {
     /// is out of sequence). It returns when the last cell is on the
     /// line: the prober and the receiver's ACKs see to the
     /// acknowledgment, so back-to-back sends pipeline.
-    pub fn send(&self, msg: &[u8]) -> crate::Result<()> {
+    pub fn send(self: &Arc<Self>, msg: &[u8]) -> crate::Result<()> {
         // An empty message is still one (empty) EOM cell.
         let last = msg.len().div_ceil(self.cell_payload).max(1) - 1;
         let cells = msg.chunks(self.cell_payload).chain(msg.is_empty().then_some(msg));
         for (i, chunk) in cells.enumerate() {
-            let mut conv = self.conv.lock();
-            while !conv.st.open(1) {
-                self.room.wait(&mut conv);
-            }
-            if conv.st.closed() {
-                return Err(NineError::new("hungup"));
-            }
-            let acts = self.step(&mut conv, Input::Send(chunk, i == last));
-            drop(conv);
+            let acts = self.shell.wait(On::Writable, None, |held| match (held.st.open(1), held.st.closed()) {
+                (false, _) => None,
+                (true, true) => Some(Err(NineError::new("hungup"))),
+                (true, false) => Some(Ok(self.shell.step(self, held, Input::Send(chunk, i == last)).0)),
+            })?;
             self.perform(acts)?;
         }
         Ok(())
@@ -256,57 +167,76 @@ impl UrpConn {
     /// The next message if one is at hand, `None` if not; an error at
     /// the end of the conversation.
     pub fn try_recv(&self) -> crate::Result<Option<Vec<u8>>> {
-        let got = self.conv.lock().st.read();
+        let got = self.shell.lock().st.read();
         match got {
             Some(None) => Err(NineError::new("hungup")),
             got => Ok(got.flatten()),
         }
     }
 
-    /// Registers the readiness hook, fired with no lock held when a
-    /// message is queued, at the hangup, and when the window opens. A
-    /// conversation has one reader: a second hook is dropped.
-    pub fn set_rx_notify(&self, hook: impl Fn() + Send + Sync + 'static) {
-        let _ = self.rx_notify.set(Box::new(hook));
-    }
-
     /// Whether a message of `len` bytes would be sent without waiting:
     /// every cell of it (one, for an empty message) fits in the window.
     pub fn can_send(&self, len: usize) -> bool {
-        self.conv.lock().st.open(len.div_ceil(self.cell_payload).max(1))
-    }
-
-    /// The pool key the circuit delivers this conversation's cells on.
-    pub fn rx_key(&self) -> u64 {
-        self.circuit.rx_key()
+        self.shell.lock().st.open(len.div_ceil(self.cell_payload).max(1))
     }
 
     /// Blocks for the next message; `None` is EOF/hangup.
     pub fn recv(&self) -> Option<Vec<u8>> {
-        let mut conv = self.conv.lock();
-        loop {
-            if let Some(got) = conv.st.read() {
-                return got;
-            }
-            self.readable.wait(&mut conv);
-        }
+        self.shell.wait(On::Readable, None, |held| held.st.read())
     }
 
     /// Closes the conversation once every cell sent is acknowledged, or
     /// the prober has given the peer up.
-    pub fn close(&self) {
-        let mut conv = self.conv.lock();
-        while conv.st.unacked() > 0 && !conv.st.closed() {
-            self.room.wait(&mut conv);
-        }
-        let acts = self.step(&mut conv, Input::Close);
-        drop(conv);
+    pub fn close(self: &Arc<Self>) {
+        let acts = self.shell.wait(On::Writable, None, |held| {
+            let done = held.st.unacked() == 0 || held.st.closed();
+            done.then(|| self.shell.step(self, held, Input::Close).0)
+        });
         let _ = self.perform(acts);
     }
 
     /// Closes the conversation at once, whatever is unacknowledged.
-    pub fn hangup(&self) {
-        let _ = self.run(Input::Close);
+    pub fn hangup(self: &Arc<Self>) {
+        let _ = self.shell.run(self, Input::Close);
+    }
+}
+
+impl Conv for UrpConn {
+    type Core = State;
+    type Done = crate::Result<()>;
+
+    fn shell(&self) -> &Shell<State> {
+        &self.shell
+    }
+
+    /// Does what a step asked, the lock dropped: wakes readers and
+    /// writers and fires the hook, then sends the cells (a data cell's
+    /// leaving the line is an input of its own, and so is a rewind's
+    /// end). Returns the first send's failure.
+    fn perform(self: &Arc<Self>, acts: Actions) -> crate::Result<()> {
+        self.shell.perform(&acts, || {
+            let mut sent = Ok(());
+            for cell in acts.cells.iter() {
+                let (ctl, data) = (cell[0], fsm::is_data(cell[0]));
+                match ctl & TYPE_MASK {
+                    T_ENQ => self.stats.enqs.inc(),
+                    T_REJ => self.stats.rejs.inc(),
+                    _ if data && acts.resend => self.stats.retransmit_cells.inc(),
+                    _ if data => self.stats.tx_cells.inc(),
+                    _ => {}
+                }
+                match self.circuit.send(cell) {
+                    // A cell leaving the line asks nothing of the shell.
+                    Ok(()) if data => drop(self.shell.step(self, &mut self.shell.lock(), Input::Left(ctl & SEQ_MASK))),
+                    Ok(()) => {}
+                    Err(e) => sent = sent.and(Err(NineError::new(e))),
+                }
+            }
+            if acts.resend {
+                sent = sent.and(self.shell.run(self, Input::Resent));
+            }
+            sent
+        })
     }
 }
 
@@ -344,7 +274,6 @@ mod tests {
     use super::*;
     use plan9_netsim::fabric::DatakitSwitch;
     use plan9_netsim::profile::Profiles;
-    use std::time::Duration;
 
     fn pair() -> (Arc<UrpConn>, Arc<UrpConn>) {
         pair_with(Profiles::datakit_fast())
@@ -418,7 +347,6 @@ mod tests {
     fn close_gives_eof() {
         let (a, b) = pair();
         a.send(b"last words").unwrap();
-        std::thread::sleep(Duration::from_millis(50));
         a.close();
         assert_eq!(b.recv().unwrap(), b"last words");
         assert_eq!(b.recv(), None);

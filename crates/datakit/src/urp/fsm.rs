@@ -1,14 +1,15 @@
 //! URP's core: the protocol as a state machine. Every change to a
-//! conversation's state is one call of [`step`], which holds no lock,
-//! reads no clock of its own (it is handed the time, or the shell's
-//! clock to read once) and sends nothing. It returns what the change
-//! asks of the world — cells to send, where the prober's timer is to be,
-//! whom to wake — and the shell, [`UrpConn`](super::UrpConn), does that
+//! conversation's state is one call of [`State::step`](Core::step),
+//! which holds no lock, reads no clock of its own (it is handed the
+//! time, or the shell's clock to read once) and sends nothing. It
+//! returns what the change asks of the world — cells to send, where the
+//! prober's timer is to be, whom to wake — and the one shell
+//! (`support::step::Shell`, in [`UrpConn`](super::UrpConn)) does that
 //! once it has dropped the conversation lock. So the two ends of a
 //! conversation can be explored with no circuit, wheel or clock
 //! (`tests/protocol_checker.rs`).
 
-use plan9_support::step::{Duration, Instant, Now, Out};
+use plan9_support::step::{Core, Duration, Instant, Now, Out, Wake};
 use std::collections::VecDeque;
 
 /// Outstanding-cell window; 7 so sequence arithmetic mod 8 stays
@@ -114,19 +115,17 @@ pub enum Input<'a> {
 /// What a step asks of the shell, in the order the shell does it.
 #[derive(Debug, Default)]
 pub struct Actions {
-    /// Wake readers: a message is queued, or the conversation is over.
-    pub readable: bool,
-    /// Wake writers and drainers: cells were acknowledged, a rewind has
-    /// gone out, or the conversation is over.
-    pub room: bool,
+    /// Wake readers (a message is queued, or the conversation is over),
+    /// writers (cells were acknowledged, a rewind has gone out, or the
+    /// conversation is over) and the readiness hook, before the cells
+    /// leave.
+    pub wake: Wake,
     /// Cells to send; each data cell's leaving the line is an input of
     /// its own (`Left`).
     pub cells: Out<Vec<u8>>,
     /// The data cells among `cells` are a rewind's: `Resent` follows
     /// them.
     pub resend: bool,
-    /// Fire the readiness hook.
-    pub hook: bool,
     /// Where the prober's timer is to be (`None` disarms it).
     pub deadline: Option<Instant>,
 }
@@ -193,61 +192,81 @@ impl State {
     }
 }
 
-/// Applies one input at the time `now` gives, read once if at all. A
-/// conversation that is over takes nothing more.
-pub fn step(st: &mut State, input: Input, mut now: Now) -> Actions {
-    let mut a = Actions::default();
-    if st.closed {
-        return a;
-    }
-    match input {
-        Input::Cell(cell) => cell_in(st, cell, &mut now, &mut a),
-        Input::Hangup => shut(st, &mut a),
-        Input::Send(chunk, eom) => {
-            let seq = st.next_seq;
-            st.next_seq = (seq + 1) & SEQ_MASK;
-            let mut cell = Vec::with_capacity(1 + chunk.len());
-            cell.push(if eom { T_DATA_EOM } else { T_DATA } | seq);
-            cell.extend_from_slice(chunk);
-            st.unacked.push_back(Cell { seq, bytes: cell.clone(), left: None });
-            if st.unacked.len() == 1 {
-                // Something is outstanding: the quiet starts now.
+/// URP's core, as its shell, [`UrpConn`](super::UrpConn), drives it.
+impl Core for State {
+    type Input<'a> = Input<'a>;
+    type Actions = Actions;
+    const CLASS: &'static str = "datakit.urp.conn";
+    const TIMER: Input<'static> = Input::Timer;
+    /// The prober's shard is the one after the input's: a rewind
+    /// resends up to a window of full cells, which must not hold up the
+    /// input.
+    const TIMER_SHARD: u64 = 1;
+
+    /// A conversation that is over takes nothing more.
+    fn step(&mut self, input: Input, mut now: Now) -> Actions {
+        let st = self;
+        let mut a = Actions::default();
+        if st.closed {
+            return a;
+        }
+        match input {
+            Input::Cell(cell) => cell_in(st, cell, &mut now, &mut a),
+            Input::Hangup => shut(st, &mut a),
+            Input::Send(chunk, eom) => {
+                let seq = st.next_seq;
+                st.next_seq = (seq + 1) & SEQ_MASK;
+                let mut cell = Vec::with_capacity(1 + chunk.len());
+                cell.push(if eom { T_DATA_EOM } else { T_DATA } | seq);
+                cell.extend_from_slice(chunk);
+                st.unacked.push_back(Cell { seq, bytes: cell.clone(), left: None });
+                if st.unacked.len() == 1 {
+                    // Something is outstanding: the quiet starts now.
+                    st.news(now.get());
+                }
+                a.cells.push(cell);
+            }
+            Input::Left(seq) => {
+                let enqs = st.enqs;
+                if let Some(c) = st.unacked.iter_mut().find(|c| c.seq == seq) {
+                    c.left = Some(enqs);
+                }
+            }
+            Input::Resent => {
+                st.resending = false;
                 st.news(now.get());
+                a.wake.writable = true;
+                a.wake.hook = st.open(1);
             }
-            a.cells.push(cell);
-        }
-        Input::Left(seq) => {
-            let enqs = st.enqs;
-            if let Some(c) = st.unacked.iter_mut().find(|c| c.seq == seq) {
-                c.left = Some(enqs);
+            Input::Timer => timer(st, &mut now, &mut a),
+            Input::Close => {
+                a.cells.push(vec![T_CLOSE]);
+                shut(st, &mut a);
             }
         }
-        Input::Resent => {
-            st.resending = false;
-            st.news(now.get());
-            a.room = true;
-            a.hook = st.open(1);
-        }
-        Input::Timer => timer(st, &mut now, &mut a),
-        Input::Close => {
-            a.cells.push(vec![T_CLOSE]);
-            shut(st, &mut a);
-        }
+        a.deadline = if st.closed || st.resending {
+            None
+        } else if st.rewind.is_some() {
+            Some(now.get())
+        } else {
+            (!st.unacked.is_empty()).then(|| st.probe_due())
+        };
+        a
     }
-    a.deadline = if st.closed || st.resending {
-        None
-    } else if st.rewind.is_some() {
-        Some(now.get())
-    } else {
-        (!st.unacked.is_empty()).then(|| st.probe_due())
-    };
-    a
+
+    fn aim(a: &Actions) -> Option<Option<Instant>> {
+        Some(a.deadline)
+    }
+
+    fn wake(a: &Actions) -> Wake {
+        a.wake
+    }
 }
 
 /// Marks both directions over and wakes everyone.
 fn shut(st: &mut State, a: &mut Actions) {
     st.closed = true;
-    (a.readable, a.room, a.hook) = (true, true, true);
+    (a.wake.readable, a.wake.writable, a.wake.hook) = (true, true, true);
 }
 
 /// The prober: it resends a rewound window, so the input, which judges
@@ -315,8 +334,8 @@ fn acked(st: &mut State, seq: u8, echo: bool, now: Instant, a: &mut Actions) {
     if lost {
         rewind_from(st, seq, now);
     }
-    a.room = st.unacked.len() < unacked;
-    a.hook = !was_open && st.open(1);
+    a.wake.writable = st.unacked.len() < unacked;
+    a.wake.hook = !was_open && st.open(1);
 }
 
 /// Has the prober resend from `seq` — unless `seq` is not outstanding or
@@ -364,6 +383,6 @@ fn data(st: &mut State, seq: u8, eom: bool, payload: &[u8], now: &mut Now, a: &m
     }
     if eom {
         st.messages.push_back(std::mem::take(&mut st.assembly));
-        (a.readable, a.hook) = (true, true);
+        (a.wake.readable, a.wake.hook) = (true, true);
     }
 }

@@ -3,13 +3,16 @@
 //! and rejections of cells long acknowledged. A URP end fed such cells
 //! over a raw circuit, then a CLOSE, never panics, and its reader gets
 //! only whole messages — those a receiver taking each cell in sequence
-//! assembles — and then the hangup.
+//! assembles — and then the hangup. Each case runs on the virtual clock,
+//! and a hangup that never comes fails it at a virtual deadline.
 
 use plan9_datakit::urp::{UrpConn, UrpListener};
 use plan9_netsim::fabric::{Circuit, DatakitSwitch};
 use plan9_netsim::profile::Profiles;
+use plan9_support::chan::{unbounded, RecvTimeoutError};
 use plan9_support::check::Gen;
-use std::sync::{mpsc, Arc};
+use plan9_support::vtime;
+use std::sync::Arc;
 use std::time::Duration;
 
 const T_DATA: u8 = 0x00;
@@ -67,6 +70,7 @@ fn whole_messages(cells: &[Vec<u8>]) -> Vec<Vec<u8>> {
 
 plan9_support::props! {
     fn prop_hostile_cells_leave_whole_messages_then_the_hangup(g, cases = 200) {
+        let _vt = vtime::enter();
         let (raw, conn) = raw_call();
         // The end has a cell of its own out, which the raw side takes,
         // acknowledges and then rejects.
@@ -78,20 +82,22 @@ plan9_support::props! {
             raw.send(c).expect("raw send");
         }
         raw.send(&[T_CLOSE]).expect("raw close");
-        let (got_tx, got) = mpsc::channel();
-        std::thread::spawn(move || {
+        let (got_tx, got) = unbounded();
+        let reader = vtime::kproc("urp-hostile-read", move || {
             while let Some(m) = conn.recv() {
                 got_tx.send(m).expect("the test waits");
             }
-        });
+        })
+        .expect("spawn reader");
         let mut read = Vec::new();
         loop {
             match got.recv_timeout(Duration::from_secs(10)) {
                 Ok(m) => read.push(m),
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                Err(mpsc::RecvTimeoutError::Timeout) => panic!("no hangup after the CLOSE: {cells:?}"),
+                Err(RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Timeout) => panic!("no hangup after the CLOSE: {cells:?}"),
             }
         }
+        reader.join().expect("reader");
         assert_eq!(read, whole_messages(&cells), "cells {cells:?}");
     }
 }

@@ -12,6 +12,7 @@
 use plan9_datakit::urp::{urp_dial, UrpListener};
 use plan9_netsim::fabric::DatakitSwitch;
 use plan9_netsim::profile::{LinkProfile, Profiles};
+use plan9_ninep::server::Served;
 use plan9_support::{pool, time, vtime, wheel};
 use std::sync::mpsc;
 use std::time::Duration;

@@ -20,6 +20,14 @@
 //!   blind retransmission would cause further congestion."
 //! * **Adaptive timeouts** from a round-trip timer, so acknowledge and
 //!   retransmission times track the network speed.
+//!
+//! IL is a core and a shell. The core, [`fsm`], is `State::step(&mut
+//! self, Input, Now) -> Actions`; the shell is the one that drives IL's,
+//! TCP's and URP's cores alike, `support::step::Shell` (lock → step →
+//! aim → drop → perform). What [`IlConn`] does itself is IL's: the codec,
+//! the counters and events, the segments, the listener and the table;
+//! and it wakes readers and writers before its segments leave, but after
+//! its Close has left on a user's close.
 
 use crate::addr::IpAddr;
 use crate::checksum::{internet_checksum, internet_checksum_gather};
@@ -29,11 +37,11 @@ use plan9_netlog::trace;
 use plan9_netlog::{Counter, Facility, Histogram, NetLog};
 use plan9_support::buf::Bytes;
 use plan9_support::copysite::Site;
-use plan9_support::sync::{Condvar, Mutex};
-use plan9_support::{time, wheel};
+use plan9_support::step::{Conv, On, Shell};
+use plan9_support::time;
 use plan9_ninep::NineError;
-use fsm::{Actions, Input, Now, Seg, State};
-use std::sync::{Arc, OnceLock, Weak};
+use fsm::{Actions, Input, Seg, State};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 pub mod fsm;
@@ -257,28 +265,13 @@ pub struct IlModule {
 /// A passive IL listener.
 pub type IlListener = conv::Listener<IlConn>;
 
-/// What the conversation lock guards: the core's state, and the one
-/// timer-wheel entry aimed at its earliest deadline.
-struct Inner {
-    st: State,
-    timer: Option<wheel::TimerId>,
-}
-
-/// One IL connection: the shell around [`fsm`]. Each input is one hold
-/// of the lock, in which the core steps and the timer is aimed (the
-/// entry's id is part of what the lock guards); what the step asks for
-/// is done after the lock is dropped.
+/// One IL connection: the [`Shell`] that drives [`fsm`], and what IL
+/// does with a step itself — the segments, its counters and events, the
+/// listener and the table.
 pub struct IlConn {
     stack: Weak<IpStack>,
     key: ConnKey,
-    /// Conversation id: the shard key for timer fires and readiness
-    /// service, so all of this conversation's work serializes.
-    conv: u64,
-    inner: Mutex<Inner>,
-    readable: Condvar,
-    window_open: Condvar,
-    /// Readable-readiness hook for pool-serviced conversations.
-    rx_notify: OnceLock<Box<dyn Fn() + Send + Sync>>,
+    pub(crate) shell: Shell<State>,
 }
 
 /// What [`IlConn::try_recv`] found.
@@ -326,26 +319,21 @@ impl IlModule {
         // under thread exhaustion) — must undo the conns entry and
         // release the port, not leak the table slot or panic.
         let setup = conn.transmit(stack, &sync).and_then(|()| {
-            let (_, armed) = conn.step_in(&mut conn.inner.lock(), Input::Open);
+            let (_, armed) = conn.shell.step(&conn, &mut conn.shell.lock(), Input::Open);
             armed.map_err(|e| NineError::new(format!("il timer: {e}")))
         });
         if let Err(e) = setup {
             conn.abandon();
             return Err(e);
         }
-        let mut inner = conn.inner.lock();
         let deadline = time::now() + Duration::from_secs(10);
-        let mut timed_out = false;
-        while !timed_out && inner.st.state == IlState::Syncer {
-            timed_out = conn.readable.wait_until(&mut inner, deadline).timed_out();
-        }
-        let verdict = match (&inner.st.err, inner.st.state) {
-            (Some(e), _) => Err(e.clone()),
-            (None, IlState::Established) => Ok(()),
-            (None, IlState::Syncer) => Err("connection timed out".to_string()),
-            (None, _) => Err("connection refused".to_string()),
-        };
-        drop(inner);
+        let verdict = conn.shell.wait(On::Readable, Some(deadline), |held| match (&held.st.err, held.st.state) {
+            (Some(e), _) => Some(Err(e.clone())),
+            (None, IlState::Syncer) if time::now() < deadline => None,
+            (None, IlState::Syncer) => Some(Err("connection timed out".to_string())),
+            (None, IlState::Established) => Some(Ok(())),
+            (None, _) => Some(Err("connection refused".to_string())),
+        });
         match verdict {
             Ok(()) => Ok(conn),
             Err(e) => {
@@ -376,7 +364,7 @@ impl IlModule {
         };
         if let Some(conn) = stack.il.table.lookup(&key) {
             let seg = Seg { typ: pkt.typ, id: pkt.id, ack: pkt.ack, payload: Some(data.slice(IL_HDR..len)) };
-            conn.run(Input::Segment(seg));
+            let _ = conn.shell.run(&conn, Input::Segment(seg));
             return;
         }
         if pkt.typ == IlType::Sync {
@@ -388,7 +376,7 @@ impl IlModule {
                     format!("sync id {iss} from {src} port {}", pkt.src)
                 });
                 let _ = conn.transmit(stack, &sync);
-                let (_, armed) = conn.step_in(&mut conn.inner.lock(), Input::Open);
+                let (_, armed) = conn.shell.step(&conn, &mut conn.shell.lock(), Input::Open);
                 if armed.is_err() {
                     // No timer means a wedged half-open conversation:
                     // drop it (freeing the table slot) and let the
@@ -435,15 +423,7 @@ impl std::fmt::Debug for IlConn {
 
 impl IlConn {
     fn fresh(stack: &Arc<IpStack>, key: ConnKey, st: State) -> Arc<IlConn> {
-        Arc::new(IlConn {
-            stack: Arc::downgrade(stack),
-            key,
-            conv: key.conv_id(&[]),
-            inner: Mutex::named(Inner { st, timer: None }, "inet.il.conn"),
-            readable: Condvar::new(),
-            window_open: Condvar::new(),
-            rx_notify: OnceLock::new(),
-        })
+        Arc::new(IlConn { stack: Arc::downgrade(stack), key, shell: Shell::new(st, key.conv_id(&[])) })
     }
 
     /// The `local` file string.
@@ -458,62 +438,110 @@ impl IlConn {
 
     /// The connection state.
     pub fn state(&self) -> IlState {
-        self.inner.lock().st.state
+        self.shell.lock().st.state
     }
 
     /// The `status` file line.
     pub fn status_string(&self) -> String {
-        let inner = self.inner.lock();
-        let st = &inner.st;
+        let held = self.shell.lock();
+        let st = &held.st;
         format!("{} rtt {} unacked {} window {}", st.state.name(), st.rtt.srtt_string(), st.unacked.len(), IL_WINDOW)
     }
 
-    /// One input, in the caller's hold of the lock: the core steps, and
-    /// the timer is aimed where it says before the lock drops.
-    fn step_in(self: &Arc<Self>, inner: &mut Inner, input: Input) -> (Actions, std::io::Result<()>) {
-        if matches!(input, Input::Timer) {
-            inner.timer = None;
-        }
-        let acts = fsm::step(&mut inner.st, input, Now::Clock(time::now));
-        if !acts.aim {
-            return (acts, Ok(()));
-        }
-        let conn = Arc::clone(self);
-        let armed = wheel::rearm(&mut inner.timer, self.conv, acts.deadline, move || conn.timer_fire());
-        (acts, armed)
+    fn transmit(&self, stack: &IpStack, seg: &Seg) -> crate::Result<()> {
+        let hdr = IlHeader { typ: seg.typ, src: self.key.lport, dst: self.key.rport, id: seg.id, ack: seg.ack };
+        let payload = seg.payload.as_deref().unwrap_or(&[]);
+        stack.send(self.key.raddr, IL_PROTO, &[&hdr.encode(payload), payload])
     }
 
-    /// One input in a hold of its own, and what it asks for done.
-    fn run(self: &Arc<Self>, input: Input) {
-        let (acts, _) = self.step_in(&mut self.inner.lock(), input);
-        let _ = self.perform(acts);
+    /// Sends one message, blocking while the outstanding window is full.
+    pub fn send(self: &Arc<Self>, msg: &[u8]) -> crate::Result<()> {
+        if msg.len() > IL_MAX_MSG {
+            return Err(NineError::new("message too large for il"));
+        }
+        // The copy in from the writer: kept until acknowledged, and the
+        // source of every transmission till then.
+        SEGMENT_SITE.record(msg.len());
+        let mut msg = Some(Bytes::from(msg.to_vec()));
+        let (acts, armed) = self.shell.wait(On::Writable, None, |held| match held.st.can_send() {
+            Ok(false) => None,
+            Ok(true) => Some(Ok(self.shell.step(self, held, Input::Send(msg.take()?, trace::current())))),
+            Err(e) => Some(Err(NineError::new(e))),
+        })?;
+        armed.map_err(|e| NineError::new(format!("il timer: {e}")))?;
+        self.perform(acts)
     }
 
-    /// Does what a step asked, the lock dropped, in the order the
-    /// core's fields give: the wake-ups, the counters and events, the
-    /// segments, the listener, the table. Returns the first transmit's
-    /// failure.
-    fn perform(&self, acts: Actions) -> crate::Result<()> {
-        if acts.room {
-            self.window_open.notify_all();
-        }
-        if acts.readable {
-            self.readable.notify_all();
-        }
-        if acts.hook {
-            if let Some(hook) = self.rx_notify.get() {
-                hook();
-            }
-        }
-        if acts.writable {
-            self.window_open.notify_all();
-        }
+    /// Whether [`IlConn::send`] would go ahead at once: the window has
+    /// room, or the conversation is over and it would fail.
+    pub fn can_send(&self) -> bool {
+        self.shell.lock().st.can_send() != Ok(false)
+    }
+
+    /// Blocks for the next message; `None` is orderly EOF.
+    pub fn recv(&self) -> crate::Result<Option<Vec<u8>>> {
+        let got = self.shell.wait(On::Readable, None, |held| held.st.read());
+        got.map(|msg| msg.map(|m| copy_out(&m))).map_err(NineError::new)
+    }
+
+    /// Closes the connection.
+    pub fn close(self: &Arc<Self>) {
+        let _ = self.shell.run(self, Input::Close);
+    }
+
+    /// Frees a conversation that failed to start: its timer, its slot.
+    fn abandon(self: &Arc<Self>) {
+        let _ = self.shell.run(self, Input::Abandon);
+    }
+
+    /// Registers a readable-readiness hook, called whenever a message,
+    /// EOF, or error becomes available, or a full window reopens. With
+    /// [`IlConn::try_recv`] this lets a server drain thousands of
+    /// conversations from the worker pool instead of parking a thread
+    /// per conversation in [`IlConn::recv`], and with
+    /// [`IlConn::can_send`] never park one in [`IlConn::send`] either.
+    /// The hook must be cheap and non-blocking (the
+    /// usual move is `pool::submit` of a drain job). A conversation has
+    /// one reader: a hook registered after the first is dropped.
+    pub fn set_rx_notify(&self, f: impl Fn() + Send + Sync + 'static) {
+        self.shell.set_hook(f)
+    }
+
+    /// The conversation id used to shard this connection's service
+    /// work on the worker pool.
+    pub fn conv_id(&self) -> u64 {
+        self.shell.key()
+    }
+
+    /// Non-blocking receive, for pool-serviced conversations.
+    pub fn try_recv(&self) -> crate::Result<TryRecv> {
+        let got = self.shell.lock().st.read();
+        Ok(match got.transpose().map_err(NineError::new)? {
+            Some(Some(msg)) => TryRecv::Msg(copy_out(&msg)),
+            Some(None) => TryRecv::Eof,
+            None => TryRecv::Empty,
+        })
+    }
+}
+
+impl Conv for IlConn {
+    type Core = State;
+    type Done = crate::Result<()>;
+
+    fn shell(&self) -> &Shell<State> {
+        &self.shell
+    }
+
+    /// Does what a step asked, the lock dropped: the wakes (before the
+    /// segments leave, but a user's close's once its Close has), the
+    /// counters and events, the segments, the listener, the table.
+    /// Returns the first transmit's failure.
+    fn perform(self: &Arc<Self>, acts: Actions) -> crate::Result<()> {
         let stack = self.stack.upgrade();
-        let mut sent = match (&stack, acts.segs.is_empty()) {
-            (None, false) => Err(NineError::new("stack is down")),
-            _ => Ok(()),
-        };
-        if let Some(stack) = &stack {
+        let sent = self.shell.perform(&acts, || {
+            let Some(stack) = &stack else {
+                return if acts.segs.is_empty() { Ok(()) } else { Err(NineError::new("stack is down")) };
+            };
             let stats = &stack.il.stats;
             if acts.sent {
                 stats.tx_msgs.inc();
@@ -547,14 +575,12 @@ impl IlConn {
                     _ => {}
                 }
             }
+            let mut sent = Ok(());
             for (seg, _) in acts.segs.iter() {
                 sent = sent.and(self.transmit(stack, seg));
             }
-        }
-        if acts.hangup {
-            self.readable.notify_all();
-            self.window_open.notify_all();
-        }
+            sent
+        });
         if let Some(stack) = &stack {
             if acts.established {
                 stack.il.table.established(&self.key);
@@ -564,94 +590,6 @@ impl IlConn {
             }
         }
         sent
-    }
-
-    fn transmit(&self, stack: &IpStack, seg: &Seg) -> crate::Result<()> {
-        let hdr = IlHeader { typ: seg.typ, src: self.key.lport, dst: self.key.rport, id: seg.id, ack: seg.ack };
-        let payload = seg.payload.as_deref().unwrap_or(&[]);
-        stack.send(self.key.raddr, IL_PROTO, &[&hdr.encode(payload), payload])
-    }
-
-    /// Sends one message, blocking while the outstanding window is full.
-    pub fn send(self: &Arc<Self>, msg: &[u8]) -> crate::Result<()> {
-        if msg.len() > IL_MAX_MSG {
-            return Err(NineError::new("message too large for il"));
-        }
-        // The copy in from the writer: kept until acknowledged, and the
-        // source of every transmission till then.
-        SEGMENT_SITE.record(msg.len());
-        let msg = Bytes::from(msg.to_vec());
-        let mut inner = self.inner.lock();
-        while !inner.st.can_send().map_err(NineError::new)? {
-            self.window_open.wait(&mut inner);
-        }
-        let (acts, armed) = self.step_in(&mut inner, Input::Send(msg, trace::current()));
-        drop(inner);
-        armed.map_err(|e| NineError::new(format!("il timer: {e}")))?;
-        self.perform(acts)
-    }
-
-    /// Whether [`IlConn::send`] would go ahead at once: the window has
-    /// room, or the conversation is over and it would fail.
-    pub fn can_send(&self) -> bool {
-        self.inner.lock().st.can_send() != Ok(false)
-    }
-
-    /// Blocks for the next message; `None` is orderly EOF.
-    pub fn recv(&self) -> crate::Result<Option<Vec<u8>>> {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(got) = inner.st.read() {
-                drop(inner);
-                return got.map(|msg| msg.map(|m| copy_out(&m))).map_err(NineError::new);
-            }
-            self.readable.wait(&mut inner);
-        }
-    }
-
-    /// Closes the connection.
-    pub fn close(self: &Arc<Self>) {
-        self.run(Input::Close);
-    }
-
-    /// Frees a conversation that failed to start: its timer, its slot.
-    fn abandon(self: &Arc<Self>) {
-        self.run(Input::Abandon);
-    }
-
-    /// Registers a readable-readiness hook, called whenever a message,
-    /// EOF, or error becomes available, or a full window reopens. With
-    /// [`IlConn::try_recv`] this lets a server drain thousands of
-    /// conversations from the worker pool instead of parking a thread
-    /// per conversation in [`IlConn::recv`], and with
-    /// [`IlConn::can_send`] never park one in [`IlConn::send`] either.
-    /// The hook must be cheap and non-blocking (the
-    /// usual move is `pool::submit` of a drain job). A conversation has
-    /// one reader: a hook registered after the first is dropped.
-    pub fn set_rx_notify(&self, f: impl Fn() + Send + Sync + 'static) {
-        let _ = self.rx_notify.set(Box::new(f));
-    }
-
-    /// The conversation id used to shard this connection's service
-    /// work on the worker pool.
-    pub fn conv_id(&self) -> u64 {
-        self.conv
-    }
-
-    /// Non-blocking receive, for pool-serviced conversations.
-    pub fn try_recv(&self) -> crate::Result<TryRecv> {
-        let got = self.inner.lock().st.read();
-        Ok(match got.transpose().map_err(NineError::new)? {
-            Some(Some(msg)) => TryRecv::Msg(copy_out(&msg)),
-            Some(None) => TryRecv::Eof,
-            None => TryRecv::Empty,
-        })
-    }
-
-    /// One timer expiry, dispatched from the wheel onto this
-    /// conversation's pool shard.
-    fn timer_fire(self: Arc<Self>) {
-        self.run(Input::Timer);
     }
 }
 
@@ -790,7 +728,7 @@ mod tests {
         );
         // What was sent again is what was sent: a repair is read from
         // the bytes `send` retained, the first transmission's own.
-        let first_id = conn.inner.lock().st.snd_id.wrapping_sub(n_msgs as u32 - 1);
+        let first_id = conn.shell.lock().st.snd_id.wrapping_sub(n_msgs as u32 - 1);
         let events = a.netlog().events.events();
         let repaired: Vec<(usize, usize)> = events
             .iter()
@@ -853,7 +791,7 @@ mod tests {
         let conn = a.il_module().connect(&a, b.addr(), 17008).unwrap();
         for _ in 0..100 {
             conn.send(b"burst").unwrap();
-            let unacked = conn.inner.lock().st.unacked.len() as u32;
+            let unacked = conn.shell.lock().st.unacked.len() as u32;
             assert!(unacked <= IL_WINDOW, "window exceeded: {unacked}");
         }
         std::thread::sleep(Duration::from_millis(100));

@@ -1,9 +1,10 @@
 //! IL's core: the protocol as a state machine. Every change a
-//! conversation's state goes through is one call of [`step`], which
-//! holds no lock, reads no clock of its own (it is handed the time, or
-//! the shell's clock to read once) and sends nothing. It returns what the
-//! change asks of the world — segments to send, where the timer is to
-//! be, whom to wake — and the shell, [`IlConn`](super::IlConn), does
+//! conversation's state goes through is one call of
+//! [`State::step`](Core::step), which holds no lock, reads no clock of
+//! its own (it is handed the time, or the shell's clock to read once)
+//! and sends nothing. It returns what the change asks of the world —
+//! segments to send, where the timer is to be, whom to wake — and the
+//! one shell (`support::step::Shell`, in [`IlConn`](super::IlConn)) does
 //! that once it has dropped the conversation lock. So a change can be
 //! tested, and the two ends of a conversation explored, with no wire,
 //! pool or clock (`tests/protocol_checker.rs`).
@@ -13,6 +14,7 @@ use crate::conv::{seq_le, seq_lt, Duration, Instant, Out, Rtt, ACK_DELAY};
 pub use crate::conv::Now;
 use plan9_netlog::trace::TraceHandle;
 use plan9_support::buf::Bytes;
+use plan9_support::step::{Core, Wake};
 use std::collections::{BTreeMap, VecDeque};
 
 /// A segment as the core takes and sends it: the header fields that are
@@ -92,13 +94,10 @@ pub enum Input {
 /// What a step asks of the shell, in the order the shell does it.
 #[derive(Debug, Default)]
 pub struct Actions {
-    /// Wake senders waiting for the window (an ack opened it), readers,
-    /// the readiness hook, and senders to see the end: in this order,
-    /// before the segments leave.
-    pub room: bool,
-    pub readable: bool,
-    pub hook: bool,
-    pub writable: bool,
+    /// Wake readers, senders (the window opened, or they are to see the
+    /// end) and the readiness hook before the segments leave; a user's
+    /// close wakes readers and senders once its Close has left.
+    pub wake: Wake,
     /// Segments to send, each with the root its event (a query's or a
     /// repair's) names.
     pub segs: Out<(Seg, Option<TraceHandle>)>,
@@ -112,14 +111,11 @@ pub struct Actions {
     /// The traced messages an ack covered: root, id, when sent, when
     /// acknowledged.
     pub spans: Vec<(TraceHandle, u32, Instant, Instant)>,
-    /// The user closed: wake readers and senders once its Close has left.
-    pub hangup: bool,
     /// Hand the conversation to its listener.
     pub established: bool,
     /// Take the conversation out of its table.
     pub free: bool,
-    /// Aim the timer at `deadline` (`None` disarms it).
-    pub aim: bool,
+    /// Where the timer is to be (`None` disarms it).
     pub deadline: Option<Instant>,
 }
 
@@ -183,43 +179,59 @@ impl State {
     }
 }
 
-/// Applies one input at the time `now` gives, read once if at all.
-pub fn step(st: &mut State, input: Input, mut now: Now) -> Actions {
-    let mut a = Actions { aim: true, ..Actions::default() };
-    match input {
-        Input::Open => st.rtx_deadline = Some(now.get() + st.rtt.rto),
-        Input::Segment(seg) => segment(st, seg, &mut now, &mut a),
-        Input::Timer => timer(st, now.get(), &mut a),
-        Input::Send(msg, trace) => {
-            st.snd_id = st.snd_id.wrapping_add(1);
-            let at = now.get();
-            let sent = Sent { payload: msg.clone(), at, rexmit: false, trace };
-            st.unacked.insert(st.snd_id, sent);
-            st.rtx_deadline.get_or_insert(at + st.rtt.rto);
-            st.ack_due = None; // the data message carries our ack
-            st.rx_since_ack = 0;
-            a.sent = true;
-            a.segs.push((Seg { typ: IlType::Data, id: st.snd_id, ack: st.rcv_id, payload: Some(msg) }, None));
-        }
-        Input::Close => {
-            if matches!(st.state, IlState::Established | IlState::Syncee | IlState::Syncer) {
-                st.state = IlState::Closing;
-                st.rtx_deadline = Some(now.get() + st.rtt.rto);
-                a.send(st, IlType::Close);
+/// IL's core, as its shell, [`IlConn`](super::IlConn), drives it.
+impl Core for State {
+    type Input<'a> = Input;
+    type Actions = Actions;
+    const CLASS: &'static str = "inet.il.conn";
+    const TIMER: Input = Input::Timer;
+
+    fn step(&mut self, input: Input, mut now: Now) -> Actions {
+        let st = self;
+        let mut a = Actions::default();
+        match input {
+            Input::Open => st.rtx_deadline = Some(now.get() + st.rtt.rto),
+            Input::Segment(seg) => segment(st, seg, &mut now, &mut a),
+            Input::Timer => timer(st, now.get(), &mut a),
+            Input::Send(msg, trace) => {
+                st.snd_id = st.snd_id.wrapping_add(1);
+                let at = now.get();
+                let sent = Sent { payload: msg.clone(), at, rexmit: false, trace };
+                st.unacked.insert(st.snd_id, sent);
+                st.rtx_deadline.get_or_insert(at + st.rtt.rto);
+                st.ack_due = None; // the data message carries our ack
+                st.rx_since_ack = 0;
+                a.sent = true;
+                a.segs.push((Seg { typ: IlType::Data, id: st.snd_id, ack: st.rcv_id, payload: Some(msg) }, None));
             }
-            a.hangup = true;
+            Input::Close => {
+                if matches!(st.state, IlState::Established | IlState::Syncee | IlState::Syncer) {
+                    st.state = IlState::Closing;
+                    st.rtx_deadline = Some(now.get() + st.rtt.rto);
+                    a.send(st, IlType::Close);
+                }
+                (a.wake.readable, a.wake.writable, a.wake.after) = (true, true, true);
+            }
+            Input::Abandon => {
+                st.state = IlState::Closed;
+                a.free = true;
+            }
         }
-        Input::Abandon => {
-            st.state = IlState::Closed;
-            a.free = true;
-        }
+        a.deadline = match (st.state, st.ack_due, st.rtx_deadline) {
+            (IlState::Closed, _, _) => None,
+            (_, Some(t), Some(r)) => Some(t.min(r)),
+            (_, t, r) => t.or(r),
+        };
+        a
     }
-    a.deadline = match (st.state, st.ack_due, st.rtx_deadline) {
-        (IlState::Closed, _, _) => None,
-        (_, Some(t), Some(r)) => Some(t.min(r)),
-        (_, t, r) => t.or(r),
-    };
-    a
+
+    fn aim(a: &Actions) -> Option<Option<Instant>> {
+        Some(a.deadline)
+    }
+
+    fn wake(a: &Actions) -> Wake {
+        a.wake
+    }
 }
 
 /// One timer expiry: the delayed ack, else the retransmit deadline —
@@ -235,7 +247,7 @@ fn timer(st: &mut State, now: Instant, a: &mut Actions) {
         _ if st.retries >= MAX_RETRIES => {
             st.err = Some("connection timed out".to_string());
             st.state = IlState::Closed;
-            (a.readable, a.hook, a.writable) = (true, true, true);
+            (a.wake.readable, a.wake.hook, a.wake.writable) = (true, true, true);
         }
         state => {
             st.retries += 1;
@@ -276,7 +288,7 @@ fn segment(st: &mut State, seg: Seg, now: &mut Now, a: &mut Actions) {
             st.rtx_deadline = None;
             st.retries = 0;
             send_ack = true;
-            a.readable = true;
+            a.wake.readable = true;
         }
         (IlState::Syncee, IlType::Ack | IlType::Data | IlType::Query | IlType::State) if seg.ack == st.snd_id => {
             // Any packet acking our Sync proves the peer got it, so it
@@ -304,7 +316,7 @@ fn segment(st: &mut State, seg: Seg, now: &mut Now, a: &mut Actions) {
                     reply_close = true;
                 }
             }
-            (a.readable, a.hook, a.writable) = (true, true, true);
+            (a.wake.readable, a.wake.hook, a.wake.writable) = (true, true, true);
         }
         (IlState::Established | IlState::Closing, typ) => {
             // Any packet carries a cumulative ack.
@@ -407,11 +419,11 @@ fn accept_ack(st: &mut State, ack: u32, now: &mut Now, a: &mut Actions) {
     // A Close has no acknowledgment but the peer's own: the timer that
     // sends it again stays armed until that comes.
     st.rtx_deadline = (!st.unacked.is_empty() || st.state == IlState::Closing).then(|| now + st.rtt.rto);
-    a.room = true;
+    a.wake.writable = true;
     if was_full {
         // A service that stopped reading for want of room for its
         // replies has no thread in `send` to wake.
-        (a.readable, a.hook) = (true, true);
+        (a.wake.readable, a.wake.hook) = (true, true);
     }
 }
 
@@ -426,7 +438,7 @@ fn accept_data(st: &mut State, seg: Seg, a: &mut Actions) -> bool {
             st.rcv_id = st.rcv_id.wrapping_add(1);
             st.rcv_q.push_back(msg);
         }
-        (a.delivered, a.readable, a.hook) = (true, true, true);
+        (a.delivered, a.wake.readable, a.wake.hook) = (true, true, true);
     } else if seq_lt(st.rcv_id, id) && id.wrapping_sub(st.rcv_id) <= IL_WINDOW {
         // Ahead of us and within the window; "messages outside the
         // window are discarded and must be retransmitted."
@@ -449,12 +461,12 @@ mod tests {
         let mut st = State::new(0xFFFF_FFFD, None);
         st.state = IlState::Established;
         for i in 0..5u8 {
-            step(&mut st, Input::Send(Bytes::from(vec![i]), None), Now::At(t0));
+            st.step(Input::Send(Bytes::from(vec![i]), None), Now::At(t0));
         }
         let ids: Vec<u32> = st.unacked.keys().copied().collect();
         assert_eq!(ids, [0, 1, 2, 0xFFFF_FFFE, 0xFFFF_FFFF]);
         let state = Seg { typ: IlType::State, id: 7, ack: 0xFFFF_FFFD, payload: None };
-        let a = step(&mut st, Input::Segment(state), Now::At(t0));
+        let a = st.step(Input::Segment(state), Now::At(t0));
         let resent: Vec<u32> = a.segs.iter().map(|(s, _)| s.id).collect();
         assert_eq!(resent, [0xFFFF_FFFE, 0xFFFF_FFFF, 0]);
     }

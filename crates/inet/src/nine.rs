@@ -68,10 +68,10 @@ impl Served for IlConn {
         Ok(Some(held))
     }
     fn conv_id(&self) -> u64 {
-        IlConn::conv_id(self)
+        self.shell.key()
     }
     fn set_rx_notify(&self, hook: impl Fn() + Send + Sync + 'static) {
-        IlConn::set_rx_notify(self, hook)
+        self.shell.set_hook(hook)
     }
     fn can_send(&self) -> bool {
         IlConn::can_send(self)
@@ -100,10 +100,10 @@ impl Served for TcpConn {
         de.view()
     }
     fn conv_id(&self) -> u64 {
-        self.conv
+        self.shell.key()
     }
     fn set_rx_notify(&self, hook: impl Fn() + Send + Sync + 'static) {
-        let _ = self.rx_notify.set(Box::new(hook));
+        self.shell.set_hook(hook)
     }
     fn can_send(&self) -> bool {
         TcpConn::can_send(self)

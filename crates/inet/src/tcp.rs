@@ -9,6 +9,15 @@
 //! real, if compact, TCP: three-way handshake, sequence and cumulative
 //! acknowledgment numbers, sliding window with peer-advertised window,
 //! adaptive RTO from an RTT estimator, FIN/RST teardown, TIME-WAIT.
+//!
+//! TCP is a core and a shell, as IL is. The core, [`fsm`], is
+//! `State::step(&mut self, Input, Now) -> Actions`; the shell is the one
+//! that drives IL's, TCP's and URP's cores alike, `support::step::Shell`
+//! (lock → step → aim → drop → perform). What [`TcpConn`] does itself is
+//! TCP's: the codec, the counters and events, the segments, the
+//! listener, the table, and the pump, one hold per segment so that
+//! segments leave in sequence order; and it wakes readers and writers
+//! after its segments leave, but before them on a timeout's give-up.
 
 use crate::addr::IpAddr;
 use crate::checksum::{internet_checksum, internet_checksum_gather};
@@ -18,11 +27,11 @@ use plan9_netlog::trace;
 use plan9_netlog::{Counter, Facility, NetLog};
 use plan9_support::buf::Bytes;
 use plan9_support::copysite::Site;
-use plan9_support::sync::{Condvar, Mutex};
-use plan9_support::{time, wheel};
+use plan9_support::step::{Conv, On, Shell};
+use plan9_support::time;
 use plan9_ninep::NineError;
-use fsm::{Actions, Input, Now, Seg, State};
-use std::sync::{Arc, OnceLock, Weak};
+use fsm::{Actions, Input, Seg, State};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 pub mod fsm;
@@ -231,32 +240,13 @@ pub struct TcpModule {
 /// A passive listener.
 pub type TcpListener = conv::Listener<TcpConn>;
 
-/// What the conversation lock guards: the core's state, and the one
-/// timer-wheel entry aimed at its earliest pending deadline (delayed
-/// ack, retransmission or TIME-WAIT expiry).
-struct Inner {
-    st: State,
-    timer: Option<wheel::TimerId>,
-}
-
-/// One TCP connection: the shell around [`fsm`]. Each input is one hold
-/// of the lock, in which the core steps and the timer is aimed (the
-/// entry's id is part of what the lock guards); what the step asks for
-/// is done after the lock is dropped.
+/// One TCP connection: the [`Shell`] that drives [`fsm`], and what TCP
+/// does with a step itself — the segments, its counters and events, the
+/// listener, the pump and the table.
 pub struct TcpConn {
     stack: Weak<IpStack>,
     key: ConnKey,
-    /// Shard key for the timer wheel and worker pool.
-    pub(crate) conv: u64,
-    inner: Mutex<Inner>,
-    /// Signaled on state changes and arriving data.
-    readable: Condvar,
-    /// Signaled when send-buffer space opens.
-    writable: Condvar,
-    /// The readiness hook of a conversation served from the worker
-    /// pool (`ninep::server::Served`), fired when data, EOF or an error becomes
-    /// available, or a full send buffer has room again.
-    pub(crate) rx_notify: OnceLock<Box<dyn Fn() + Send + Sync>>,
+    pub(crate) shell: Shell<State>,
 }
 
 impl TcpModule {
@@ -291,25 +281,20 @@ impl TcpModule {
         // A failed timer arm or transmit must not leak the conn in the
         // conns table: tear it down and surface the error to the
         // dialer.
-        let (acts, armed) = conn.step_in(&mut conn.inner.lock(), Input::Open);
+        let (acts, armed) = conn.shell.step(&conn, &mut conn.shell.lock(), Input::Open);
         let setup = armed.map_err(|e| NineError::new(format!("tcp timer: {e}")));
         if let Err(e) = setup.and_then(|()| conn.perform(acts)) {
             conn.abandon();
             return Err(e);
         }
         // Wait for the handshake to finish.
-        let mut inner = conn.inner.lock();
         let deadline = time::now() + Duration::from_secs(10);
-        let mut timed_out = false;
-        while !timed_out && matches!(inner.st.state, TcpState::SynSent | TcpState::SynRcvd) {
-            timed_out = conn.readable.wait_until(&mut inner, deadline).timed_out();
-        }
-        let err = match (&inner.st.err, inner.st.state) {
-            (Some(e), _) => Some(e.clone()),
-            (None, TcpState::SynSent | TcpState::SynRcvd) => Some("connection timed out".to_string()),
-            (None, _) => None,
-        };
-        drop(inner);
+        let err = conn.shell.wait(On::Readable, Some(deadline), |held| match (&held.st.err, held.st.state) {
+            (Some(e), _) => Some(Some(e.clone())),
+            (None, TcpState::SynSent | TcpState::SynRcvd) if time::now() < deadline => None,
+            (None, TcpState::SynSent | TcpState::SynRcvd) => Some(Some("connection timed out".to_string())),
+            (None, _) => Some(None),
+        });
         match err {
             None => Ok(conn),
             Some(e) => {
@@ -335,7 +320,7 @@ impl TcpModule {
             rport: seg.sport,
         };
         if let Some(conn) = stack.tcp.table.lookup(&key) {
-            conn.handle(&seg);
+            let _ = conn.shell.run(&conn, Input::Segment(&seg));
             return;
         }
         // No connection: maybe a listener?
@@ -343,7 +328,7 @@ impl TcpModule {
             let iss = initial_seq();
             let peer = Some((seg.seq, seg.window));
             if let Some(conn) = stack.tcp.table.answer(key, || TcpConn::fresh(stack, key, iss, peer)) {
-                let (acts, armed) = conn.step_in(&mut conn.inner.lock(), Input::Open);
+                let (acts, armed) = conn.shell.step(&conn, &mut conn.shell.lock(), Input::Open);
                 let _ = conn.perform(acts);
                 if armed.is_err() {
                     // No timer means the handshake can never be
@@ -383,15 +368,7 @@ impl std::fmt::Debug for TcpConn {
 impl TcpConn {
     fn fresh(stack: &Arc<IpStack>, key: ConnKey, iss: u32, peer: Option<(u32, u16)>) -> Arc<TcpConn> {
         let st = State::new(iss, stack.mtu() - TCP_HDR, peer);
-        Arc::new(TcpConn {
-            stack: Arc::downgrade(stack),
-            key,
-            conv: key.conv_id(&[TCP_PROTO]),
-            inner: Mutex::named(Inner { st, timer: None }, "inet.tcp.conn"),
-            readable: Condvar::new(),
-            writable: Condvar::new(),
-            rx_notify: OnceLock::new(),
-        })
+        Arc::new(TcpConn { stack: Arc::downgrade(stack), key, shell: Shell::new(st, key.conv_id(&[TCP_PROTO])) })
     }
 
     /// The local address string for the `local` file: `ip port`.
@@ -406,110 +383,15 @@ impl TcpConn {
 
     /// The connection state.
     pub fn state(&self) -> TcpState {
-        self.inner.lock().st.state
+        self.shell.lock().st.state
     }
 
     /// The status line for the `status` file.
     pub fn status_string(&self) -> String {
-        let inner = self.inner.lock();
-        let st = &inner.st;
+        let held = self.shell.lock();
+        let st = &held.st;
         let unacked = st.snd_nxt.wrapping_sub(st.snd_una);
         format!("{} srtt {} unacked {unacked} cwnd {} ssthresh {}", st.state.name(), st.rtt.srtt_string(), st.cwnd, st.ssthresh)
-    }
-
-    /// One input, in the caller's hold of the lock: the core steps, and
-    /// the timer is aimed where it says before the lock drops.
-    fn step_in(self: &Arc<Self>, inner: &mut Inner, input: Input) -> (Actions, std::io::Result<()>) {
-        if matches!(input, Input::Timer) {
-            inner.timer = None;
-        }
-        let acts = fsm::step(&mut inner.st, input, Now::Clock(time::now));
-        if !acts.aim {
-            return (acts, Ok(()));
-        }
-        let conn = Arc::clone(self);
-        let armed = wheel::rearm(&mut inner.timer, self.conv, acts.deadline, move || conn.timer_fire());
-        (acts, armed)
-    }
-
-    /// One input in a hold of its own.
-    fn step(self: &Arc<Self>, input: Input) -> Actions {
-        self.step_in(&mut self.inner.lock(), input).0
-    }
-
-    /// One input, and what it asks for done.
-    fn run(self: &Arc<Self>, input: Input) {
-        let acts = self.step(input);
-        let _ = self.perform(acts);
-    }
-
-    /// Does what a step asked, the lock dropped: the counters and
-    /// events, the segments in order, the listener, the wake-ups, the
-    /// readiness hook, the pump, the table. Returns the first
-    /// transmit's failure.
-    fn perform(self: &Arc<Self>, acts: Actions) -> crate::Result<()> {
-        if acts.wake_first {
-            self.wake(&acts);
-        }
-        // A segment taken in silence (its ack delayed) needs no stack.
-        let wants_stack = !acts.segs.is_empty() || acts.ooo || acts.established || acts.free;
-        let stack = if wants_stack { self.stack.upgrade() } else { None };
-        let mut sent = match (&stack, acts.segs.is_empty()) {
-            (None, false) => Err(NineError::new("stack is down")),
-            _ => Ok(()),
-        };
-        if let Some(stack) = &stack {
-            let stats = &stack.tcp.stats;
-            if acts.ooo {
-                stats.ooo.inc();
-            }
-            let tr = acts.trace.as_ref();
-            if let Some(seg) = acts.segs.iter().next().filter(|_| acts.fast) {
-                let (seq, len) = (seg.seq, seg.payload_len());
-                stats.fast_retransmits.inc();
-                stats.retransmit_segments.inc();
-                stats.retransmit_bytes.add(len as u64);
-                stack.tcp.netlog.events.log(Facility::Tcp, tr, || format!("fast rexmit seq {seq} len {len}"));
-            }
-            if acts.timeout > 0 {
-                let n = acts.timeout;
-                let bytes: usize = acts.segs.iter().skip(acts.segs.iter().count() - n).map(Seg::payload_len).sum();
-                stats.retransmit_segments.add(n as u64);
-                stats.retransmit_bytes.add(bytes as u64);
-                stack.tcp.netlog.events.log(Facility::Tcp, tr, || format!("timeout rexmit {n} segments {bytes} bytes"));
-            }
-            for seg in acts.segs.iter() {
-                sent = sent.and(self.transmit(stack, seg));
-            }
-            if acts.established {
-                stack.tcp.table.established(&self.key);
-            }
-        }
-        if !acts.wake_first {
-            self.wake(&acts);
-        }
-        if acts.hook {
-            if let Some(hook) = self.rx_notify.get() {
-                hook();
-            }
-        }
-        // An ack made room in the windows, or the peer opened its own.
-        if acts.pump {
-            self.pump();
-        }
-        if let Some(stack) = stack.filter(|_| acts.free) {
-            stack.tcp.table.retire(&self.key);
-        }
-        sent
-    }
-
-    fn wake(&self, acts: &Actions) {
-        if acts.readable {
-            self.readable.notify_all();
-        }
-        if acts.writable {
-            self.writable.notify_all();
-        }
     }
 
     fn transmit(&self, stack: &IpStack, seg: &Seg) -> crate::Result<()> {
@@ -521,10 +403,6 @@ impl TcpConn {
         let hdr = TcpHeader { sport, dport, seq: seg.seq, ack: seg.ack, flags: seg.flags, window: seg.window };
         stack.tcp.stats.tx_segments.inc();
         stack.send(self.key.raddr, TCP_PROTO, &[&hdr.encode([a, b]), a, b])
-    }
-
-    fn handle(self: &Arc<Self>, seg: &Segment) {
-        self.run(Input::Segment(seg));
     }
 
     /// Writes bytes into the stream; blocks while the send buffer is
@@ -567,17 +445,16 @@ impl TcpConn {
     /// of the room there is, and sends what the windows allow. Returns
     /// the bytes queued.
     fn put(self: &Arc<Self>, take: impl FnOnce(usize) -> Bytes) -> crate::Result<usize> {
-        let mut inner = self.inner.lock();
-        let room = loop {
-            match inner.st.room().map_err(NineError::new)? {
-                0 => self.writable.wait(&mut inner),
-                room => break room,
+        let mut take = Some(take);
+        let (acts, n) = self.shell.wait(On::Writable, None, |held| match held.st.room() {
+            Ok(0) => None,
+            Ok(room) => {
+                let buf = take.take()?(room);
+                let n = buf.len();
+                Some(Ok((self.shell.step(self, held, Input::Write(buf, trace::current())).0, n)))
             }
-        };
-        let buf = take(room);
-        let n = buf.len();
-        let (acts, _) = self.step_in(&mut inner, Input::Write(buf, trace::current()));
-        drop(inner);
+            Err(e) => Some(Err(NineError::new(e))),
+        })?;
         let _ = self.perform(acts);
         Ok(n)
     }
@@ -585,7 +462,7 @@ impl TcpConn {
     /// Whether [`TcpConn::write_bytes`] would go ahead at once: the send
     /// buffer has room, or the conversation is over and it would fail.
     pub fn can_send(&self) -> bool {
-        self.inner.lock().st.room() != Ok(0)
+        self.shell.lock().st.room() != Ok(0)
     }
 
     /// Pushes out as many segments as the windows allow, one hold of
@@ -595,7 +472,7 @@ impl TcpConn {
     fn pump(self: &Arc<Self>) {
         let mut mine = false;
         loop {
-            let acts = self.step(Input::Pump(mine));
+            let acts = self.shell.step(self, &mut self.shell.lock(), Input::Pump(mine)).0;
             mine = !acts.segs.is_empty();
             if !mine {
                 return;
@@ -606,22 +483,18 @@ impl TcpConn {
 
     /// Reads up to `max` bytes; blocks until data, EOF (`Ok(empty)`) or
     /// error.
-    pub fn read(&self, max: usize) -> crate::Result<Vec<u8>> {
-        let mut inner = self.inner.lock();
-        loop {
-            let acts = fsm::step(&mut inner.st, Input::Read(max), Now::Clock(time::now));
-            if acts.got.is_some() {
-                drop(inner);
-                return self.taken(acts);
-            }
-            self.readable.wait(&mut inner);
-        }
+    pub fn read(self: &Arc<Self>, max: usize) -> crate::Result<Vec<u8>> {
+        let acts = self.shell.wait(On::Readable, None, |held| {
+            let acts = self.shell.step(self, held, Input::Read(max)).0;
+            acts.got.is_some().then_some(acts)
+        });
+        self.taken(acts)
     }
 
     /// [`TcpConn::read`] for pool-serviced conversations: `None` where
     /// that would wait.
-    pub fn try_read(&self, max: usize) -> crate::Result<Option<Vec<u8>>> {
-        let acts = fsm::step(&mut self.inner.lock().st, Input::Read(max), Now::Clock(time::now));
+    pub fn try_read(self: &Arc<Self>, max: usize) -> crate::Result<Option<Vec<u8>>> {
+        let acts = self.shell.step(self, &mut self.shell.lock(), Input::Read(max)).0;
         acts.got.is_some().then(|| self.taken(acts)).transpose()
     }
 
@@ -643,23 +516,76 @@ impl TcpConn {
 
     /// Half-closes the connection: no more writes, reads drain.
     pub fn close(self: &Arc<Self>) {
-        self.run(Input::Close);
+        let _ = self.shell.run(self, Input::Close);
     }
 
     /// Aborts the connection with a RST.
     pub fn abort(self: &Arc<Self>) {
-        self.run(Input::Abort);
+        let _ = self.shell.run(self, Input::Abort);
     }
 
     /// Frees a conversation that failed to start: its timer, its slot.
     fn abandon(self: &Arc<Self>) {
-        self.run(Input::Abandon);
+        let _ = self.shell.run(self, Input::Abandon);
+    }
+}
+
+impl Conv for TcpConn {
+    type Core = State;
+    type Done = crate::Result<()>;
+
+    fn shell(&self) -> &Shell<State> {
+        &self.shell
     }
 
-    /// The wheel callback: one timer expiry, run on this
-    /// conversation's pool shard.
-    fn timer_fire(self: Arc<Self>) {
-        self.run(Input::Timer);
+    /// Does what a step asked, the lock dropped: the counters and
+    /// events, the segments in order, the listener, the wakes and the
+    /// readiness hook (before the segments, for a timeout's give-up),
+    /// the pump, the table. Returns the first transmit's failure.
+    fn perform(self: &Arc<Self>, acts: Actions) -> crate::Result<()> {
+        // A segment taken in silence (its ack delayed) needs no stack.
+        let wants_stack = !acts.segs.is_empty() || acts.ooo || acts.established || acts.free;
+        let stack = if wants_stack { self.stack.upgrade() } else { None };
+        let sent = self.shell.perform(&acts, || {
+            let Some(stack) = &stack else {
+                return if acts.segs.is_empty() { Ok(()) } else { Err(NineError::new("stack is down")) };
+            };
+            let stats = &stack.tcp.stats;
+            if acts.ooo {
+                stats.ooo.inc();
+            }
+            let tr = acts.trace.as_ref();
+            if let Some(seg) = acts.segs.iter().next().filter(|_| acts.fast) {
+                let (seq, len) = (seg.seq, seg.payload_len());
+                stats.fast_retransmits.inc();
+                stats.retransmit_segments.inc();
+                stats.retransmit_bytes.add(len as u64);
+                stack.tcp.netlog.events.log(Facility::Tcp, tr, || format!("fast rexmit seq {seq} len {len}"));
+            }
+            if acts.timeout > 0 {
+                let n = acts.timeout;
+                let bytes: usize = acts.segs.iter().skip(acts.segs.iter().count() - n).map(Seg::payload_len).sum();
+                stats.retransmit_segments.add(n as u64);
+                stats.retransmit_bytes.add(bytes as u64);
+                stack.tcp.netlog.events.log(Facility::Tcp, tr, || format!("timeout rexmit {n} segments {bytes} bytes"));
+            }
+            let mut sent = Ok(());
+            for seg in acts.segs.iter() {
+                sent = sent.and(self.transmit(stack, seg));
+            }
+            if acts.established {
+                stack.tcp.table.established(&self.key);
+            }
+            sent
+        });
+        // An ack made room in the windows, or the peer opened its own.
+        if acts.pump {
+            self.pump();
+        }
+        if let Some(stack) = stack.filter(|_| acts.free) {
+            stack.tcp.table.retire(&self.key);
+        }
+        sent
     }
 }
 
@@ -669,7 +595,6 @@ mod tests {
     use crate::ip::tests::{two_hosts, two_hosts_on};
     use plan9_netsim::ether::EtherSegment;
     use plan9_netsim::profile::Profiles;
-    use std::time::Instant;
 
     /// A segment as it crosses the wire: header, then payload.
     fn encoded(hdr: &TcpHeader, payload: &[u8]) -> Vec<u8> {
@@ -744,51 +669,13 @@ mod tests {
         let _listener = b.tcp_module().listen(&b, 564).unwrap();
         let conn = a.tcp_module().connect(&a, b.addr(), 564).unwrap();
         let (seq, ack) = {
-            let inner = conn.inner.lock();
+            let inner = conn.shell.lock();
             (inner.st.rcv_nxt.wrapping_sub(1), inner.st.snd_nxt)
         };
         let synack = TcpHeader { sport: 564, dport: conn.key.lport, seq, ack, flags: SYN | ACK, window: 8192 };
         let sent = a.tcp_module().stats.tx_segments.get();
-        conn.handle(&decode_segment(encoded(&synack, &[]).into()).unwrap());
+        let _ = conn.shell.run(&conn, Input::Segment(&decode_segment(encoded(&synack, &[]).into()).unwrap()));
         assert_eq!(a.tcp_module().stats.tx_segments.get(), sent + 1);
-    }
-
-    /// A segment from the peer to the core, on a connection whose ISS
-    /// is 1.
-    fn from_peer(seq: u32, flags: u16, payload: &[u8]) -> Segment {
-        Segment { sport: 564, dport: 5012, seq, ack: 2, flags, window: 8192, payload: Bytes::from(payload.to_vec()) }
-    }
-
-    /// The listener's core, answering a SYN at `peer_iss`: (state, now).
-    fn syn_rcvd(peer_iss: u32) -> (State, Instant) {
-        let now = Instant::now();
-        let mut st = State::new(1, 1460, Some((peer_iss, 8192)));
-        fsm::step(&mut st, Input::Open, Now::At(now));
-        (st, now)
-    }
-
-    #[test]
-    fn held_segments_drain_across_the_sequence_wrap() {
-        let (mut st, now) = syn_rcvd(0xFFFF_FFFD);
-        fsm::step(&mut st, Input::Segment(&from_peer(0xFFFF_FFFE, ACK, &[])), Now::At(now));
-        assert_eq!(st.state(), TcpState::Established);
-        for (seq, byte) in [(0xFFFF_FFFF, b'b'), (0, b'c')] {
-            assert!(fsm::step(&mut st, Input::Segment(&from_peer(seq, ACK, &[byte])), Now::At(now)).ooo);
-        }
-        let a = fsm::step(&mut st, Input::Segment(&from_peer(0xFFFF_FFFE, ACK, b"a")), Now::At(now));
-        let acks: Vec<u32> = a.segs.iter().filter(|s| s.flags & ACK != 0).map(|s| s.ack).collect();
-        assert_eq!(acks, [1], "the filled gap is acked at once");
-        let got = fsm::step(&mut st, Input::Read(100), Now::At(now)).got;
-        assert_eq!(got, Some(Ok(b"abc".to_vec())));
-    }
-
-    #[test]
-    fn a_syn_again_is_answered_from_syn_rcvd() {
-        let (mut st, now) = syn_rcvd(41);
-        let a = fsm::step(&mut st, Input::Segment(&from_peer(41, SYN, &[])), Now::At(now));
-        let out: Vec<(u16, u32, u32)> = a.segs.iter().map(|s| (s.flags, s.seq, s.ack)).collect();
-        assert_eq!(out, [(SYN | ACK, 1, 42)]);
-        assert_eq!(st.state(), TcpState::SynRcvd);
     }
 
     #[test]
@@ -891,7 +778,7 @@ mod tests {
     }
 
     /// Reads until `total` bytes have come.
-    fn read_exactly(conn: &TcpConn, total: usize) {
+    fn read_exactly(conn: &Arc<TcpConn>, total: usize) {
         let mut got = 0;
         while got < total {
             let d = conn.read(65536).unwrap();
@@ -925,32 +812,6 @@ mod tests {
         conn.close();
     }
 
-    /// A reader that is not reading closes the window. The writer may
-    /// probe it, at the pace of the delayed ack and not of the wire,
-    /// and hears from `read` when it opens — not from its own
-    /// retransmission timer.
-    #[test]
-    fn a_closed_window_is_probed_slowly_and_reopens_at_once() {
-        const TOTAL: usize = 1 << 20;
-        let (a, b) = two_hosts();
-        let listener = b.tcp_module().listen(&b, 7021).unwrap();
-        let server = std::thread::spawn(move || {
-            let conn = listener.accept().unwrap();
-            std::thread::sleep(Duration::from_millis(300));
-            let first_read = Instant::now();
-            read_exactly(&conn, TOTAL);
-            first_read.elapsed()
-        });
-        let conn = a.tcp_module().connect(&a, b.addr(), 7021).unwrap();
-        conn.write(&vec![7u8; TOTAL]).unwrap();
-        let draining = server.join().unwrap();
-        let sent = a.tcp_module().stats.tx_segments.get() as usize;
-        let needed = TOTAL.div_ceil(conn.inner.lock().st.mss);
-        assert!(sent < 2 * needed, "{sent} segments sent for {needed} of data");
-        assert!(draining < Duration::from_millis(200), "took {draining:?} once the reader read");
-        conn.close();
-    }
-
     #[test]
     fn slow_start_grows_cwnd() {
         let (a, b) = two_hosts();
@@ -967,10 +828,10 @@ mod tests {
             }
         });
         let conn = a.tcp_module().connect(&a, b.addr(), 7010).unwrap();
-        let initial = conn.inner.lock().st.cwnd;
+        let initial = conn.shell.lock().st.cwnd;
         conn.write(&vec![0u8; 100_000]).unwrap();
         std::thread::sleep(Duration::from_millis(100));
-        let after = conn.inner.lock().st.cwnd;
+        let after = conn.shell.lock().st.cwnd;
         assert!(
             after > initial,
             "cwnd should grow during a clean transfer: {initial} -> {after}"
@@ -991,48 +852,24 @@ mod tests {
         seg.medium().set_up(false);
         conn.write(b"0123456789").unwrap();
         let (una, rcv) = {
-            let inner = conn.inner.lock();
+            let inner = conn.shell.lock();
             (inner.st.snd_una, inner.st.rcv_nxt)
         };
         // Forge three duplicate acks for the in-flight data.
         for _ in 0..3 {
-            conn.handle(&Segment {
-                sport: 7011,
-                dport: conn.key.lport,
-                seq: rcv,
-                ack: una,
-                flags: ACK,
-                window: 65000,
-                payload: Bytes::default(),
-            });
+            let dup = Segment { sport: 7011, dport: conn.key.lport, seq: rcv, ack: una, flags: ACK, window: 65000, payload: Bytes::default() };
+            let _ = conn.shell.run(&conn, Input::Segment(&dup));
         }
         assert_eq!(
             a.tcp_module().stats.fast_retransmits.get(),
             1
         );
         // The congestion window collapsed to ssthresh + 3 MSS.
-        let inner = conn.inner.lock();
+        let inner = conn.shell.lock();
         assert!(inner.st.cwnd <= inner.st.ssthresh + 3 * inner.st.mss as u32 + 1);
         drop(inner);
         seg.medium().set_up(true);
         conn.close();
-    }
-
-    #[test]
-    fn timeout_collapses_to_one_mss() {
-        let (a, b) = two_hosts();
-        let listener = b.tcp_module().listen(&b, 7012).unwrap();
-        let conn = a.tcp_module().connect(&a, b.addr(), 7012).unwrap();
-        let _srv = listener.accept().unwrap();
-        // Silence the peer entirely (its receiver processes stop), then
-        // write: the timer must fire and collapse the window.
-        b.shutdown();
-        std::thread::sleep(Duration::from_millis(100));
-        conn.write(b"into the void").unwrap();
-        std::thread::sleep(Duration::from_millis(600));
-        let inner = conn.inner.lock();
-        assert_eq!(inner.st.cwnd, inner.st.mss as u32, "timeout resets to 1 MSS");
-        assert!(a.tcp_module().stats.retransmit_segments.get() > 0);
     }
 
     #[test]

@@ -1,18 +1,20 @@
 //! TCP's core: the protocol as a state machine. Every change a
-//! connection's state goes through is one call of [`step`], which holds
-//! no lock, reads no clock of its own (it is handed the time, or the
-//! shell's clock to read once) and sends nothing. It returns what the change
-//! asks of the world — segments to send, where the timer is to be, whom
-//! to wake — and the shell, [`TcpConn`](super::TcpConn), does that once
-//! it has dropped the conversation lock. So a change can be tested, and
-//! the two ends of a connection explored, with no wire, pool or clock
-//! (`tests/protocol_checker.rs`).
+//! connection's state goes through is one call of
+//! [`State::step`](Core::step), which holds no lock, reads no clock of
+//! its own (it is handed the time, or the shell's clock to read once)
+//! and sends nothing. It returns what the change asks of the world —
+//! segments to send, where the timer is to be, whom to wake — and the
+//! one shell (`support::step::Shell`, in [`TcpConn`](super::TcpConn))
+//! does that once it has dropped the conversation lock. So a change can
+//! be tested, and the two ends of a connection explored, with no wire,
+//! pool or clock (`tests/protocol_checker.rs`).
 
 use super::{Segment, TcpState, ACK, FIN, MAX_RETRIES, PSH, RCV_BUF_MAX, RST, RTO_INITIAL, RTO_MAX, RTO_MIN, SND_BUF_MAX, SYN, TIME_WAIT};
 use crate::conv::{seq_le, seq_lt, Instant, Out, Rtt, ACK_DELAY};
 pub use crate::conv::Now;
 use plan9_netlog::trace::TraceHandle;
 use plan9_support::buf::Bytes;
+use plan9_support::step::{Core, Wake};
 use std::collections::{BTreeMap, VecDeque};
 
 /// What a segment carries: views of at most two of the buffers in the
@@ -177,13 +179,9 @@ pub struct Actions {
     pub trace: Option<TraceHandle>,
     /// Hand the connection to its listener.
     pub established: bool,
-    /// Wake readers (and the dialer), and writers: before the segments
-    /// leave if `wake_first` (a timeout's give-up), else after them.
-    pub readable: bool,
-    pub writable: bool,
-    pub wake_first: bool,
-    /// Call the readiness hook.
-    pub hook: bool,
+    /// Wake readers (and the dialer), writers and the readiness hook:
+    /// after the segments leave, but before them for a timeout's give-up.
+    pub wake: Wake,
     /// Data or a FIN waits to be sent: run the pump.
     pub pump: bool,
     /// Take the connection out of its table.
@@ -330,84 +328,100 @@ impl State {
     }
 }
 
-/// Applies one input at the time `now` gives, read once if at all.
-pub fn step(st: &mut State, input: Input, mut now: Now) -> Actions {
-    let mut a = Actions::default();
-    // What may close a connection frees it, and disarms its timer.
-    let ends = !matches!(input, Input::Open | Input::Write(..) | Input::Pump(_) | Input::Read(_));
-    match input {
-        Input::Open => {
-            a.aim = true;
-            st.snd_nxt = st.snd_una.wrapping_add(1);
-            st.rtx_deadline = Some(now.get() + st.rtt.rto);
-            let flags = if st.state == TcpState::SynRcvd { SYN | ACK } else { SYN };
-            let iss = st.snd_una;
-            a.segs.push(st.header(flags, iss));
-        }
-        Input::Segment(seg) => {
-            a.aim = true;
-            segment(st, seg, &mut now, &mut a);
-        }
-        Input::Timer => {
-            a.aim = true;
-            timer(st, now.get(), &mut a);
-        }
-        Input::Write(buf, trace) => {
-            if trace.is_some() {
-                st.trace = trace;
+/// TCP's core, as its shell, [`TcpConn`](super::TcpConn), drives it.
+impl Core for State {
+    type Input<'a> = Input<'a>;
+    type Actions = Actions;
+    const CLASS: &'static str = "inet.tcp.conn";
+    const TIMER: Input<'static> = Input::Timer;
+
+    fn step(&mut self, input: Input, mut now: Now) -> Actions {
+        let st = self;
+        let mut a = Actions { wake: Wake { after: true, ..Wake::default() }, ..Actions::default() };
+        // What may close a connection frees it, and disarms its timer.
+        let ends = !matches!(input, Input::Open | Input::Write(..) | Input::Pump(_) | Input::Read(_));
+        match input {
+            Input::Open => {
+                a.aim = true;
+                st.snd_nxt = st.snd_una.wrapping_add(1);
+                st.rtx_deadline = Some(now.get() + st.rtt.rto);
+                let flags = if st.state == TcpState::SynRcvd { SYN | ACK } else { SYN };
+                let iss = st.snd_una;
+                a.segs.push(st.header(flags, iss));
             }
-            st.send_q.push(buf);
-            a.pump = true;
-        }
-        // One sender at a time: a writer and the shard that took an ack
-        // would otherwise each take a segment and transmit it after, in
-        // either order. A second caller gets nothing — what it queued
-        // or opened is here, where the first looks again before it
-        // gives `pumping` up.
-        Input::Pump(mine) if st.pumping == mine => {
-            let next = st.next_segment(&mut now);
-            st.pumping = next.is_some();
-            a.aim = st.pumping;
-            if let Some(seg) = next {
-                a.segs.push(seg);
+            Input::Segment(seg) => {
+                a.aim = true;
+                segment(st, seg, &mut now, &mut a);
             }
-        }
-        Input::Pump(_) => {}
-        Input::Read(max) => a.got = read(st, max, &mut a.segs),
-        Input::Close => {
-            match st.state {
-                TcpState::Established | TcpState::CloseWait => {
-                    let closed_first = st.state == TcpState::Established;
-                    st.state = if closed_first { TcpState::FinWait1 } else { TcpState::LastAck };
-                    st.fin_queued = true;
-                    a.pump = true;
+            Input::Timer => {
+                a.aim = true;
+                timer(st, now.get(), &mut a);
+            }
+            Input::Write(buf, trace) => {
+                if trace.is_some() {
+                    st.trace = trace;
                 }
-                // Nothing in flight yet: straight to Closed.
-                TcpState::SynSent | TcpState::SynRcvd => st.state = TcpState::Closed,
-                _ => {}
+                st.send_q.push(buf);
+                a.pump = true;
             }
-            (a.readable, a.writable) = (true, true);
+            // One sender at a time: a writer and the shard that took an ack
+            // would otherwise each take a segment and transmit it after, in
+            // either order. A second caller gets nothing — what it queued
+            // or opened is here, where the first looks again before it
+            // gives `pumping` up.
+            Input::Pump(mine) if st.pumping == mine => {
+                let next = st.next_segment(&mut now);
+                st.pumping = next.is_some();
+                a.aim = st.pumping;
+                if let Some(seg) = next {
+                    a.segs.push(seg);
+                }
+            }
+            Input::Pump(_) => {}
+            Input::Read(max) => a.got = read(st, max, &mut a.segs),
+            Input::Close => {
+                match st.state {
+                    TcpState::Established | TcpState::CloseWait => {
+                        let closed_first = st.state == TcpState::Established;
+                        st.state = if closed_first { TcpState::FinWait1 } else { TcpState::LastAck };
+                        st.fin_queued = true;
+                        a.pump = true;
+                    }
+                    // Nothing in flight yet: straight to Closed.
+                    TcpState::SynSent | TcpState::SynRcvd => st.state = TcpState::Closed,
+                    _ => {}
+                }
+                (a.wake.readable, a.wake.writable) = (true, true);
+            }
+            Input::Abort => {
+                st.state = TcpState::Closed;
+                st.err = Some("connection aborted".to_string());
+                let seq = st.snd_nxt;
+                a.segs.push(st.header(RST | ACK, seq));
+                (a.wake.readable, a.wake.writable) = (true, true);
+            }
+            Input::Abandon => st.state = TcpState::Closed,
         }
-        Input::Abort => {
-            st.state = TcpState::Closed;
-            st.err = Some("connection aborted".to_string());
-            let seq = st.snd_nxt;
-            a.segs.push(st.header(RST | ACK, seq));
-            (a.readable, a.writable) = (true, true);
+        if ends && st.state == TcpState::Closed {
+            (a.free, a.aim) = (true, true);
         }
-        Input::Abandon => st.state = TcpState::Closed,
+        a.deadline = match (st.state, st.ack_due, st.rtx_deadline, st.time_wait_until) {
+            (TcpState::Closed, ..) => None,
+            (TcpState::TimeWait, t, _, d) | (_, t, d, _) => match (t, d) {
+                (Some(t), Some(d)) => Some(t.min(d)),
+                (t, d) => t.or(d),
+            },
+        };
+        a
     }
-    if ends && st.state == TcpState::Closed {
-        (a.free, a.aim) = (true, true);
+
+    fn aim(a: &Actions) -> Option<Option<Instant>> {
+        a.aim.then_some(a.deadline)
     }
-    a.deadline = match (st.state, st.ack_due, st.rtx_deadline, st.time_wait_until) {
-        (TcpState::Closed, ..) => None,
-        (TcpState::TimeWait, t, _, d) | (_, t, d, _) => match (t, d) {
-            (Some(t), Some(d)) => Some(t.min(d)),
-            (t, d) => t.or(d),
-        },
-    };
-    a
+
+    fn wake(a: &Actions) -> Wake {
+        a.wake
+    }
 }
 
 /// What a read can have without waiting: up to `max` bytes, with a
@@ -458,7 +472,7 @@ fn timer(st: &mut State, now: Instant, a: &mut Actions) {
         _ if st.retries >= MAX_RETRIES => {
             st.err = Some("connection timed out".to_string());
             st.state = TcpState::Closed;
-            (a.readable, a.writable, a.wake_first) = (true, true, true);
+            (a.wake.readable, a.wake.writable, a.wake.after) = (true, true, false);
         }
         _ => {
             st.retries += 1;
@@ -498,7 +512,7 @@ fn timer(st: &mut State, now: Instant, a: &mut Actions) {
             }
         }
     }
-    a.hook = st.state == TcpState::Closed;
+    a.wake.hook = st.state == TcpState::Closed;
 }
 
 /// One segment from the peer.
@@ -506,7 +520,7 @@ fn segment(st: &mut State, seg: &Segment, now: &mut Now, a: &mut Actions) {
     if seg.flags & RST != 0 {
         st.err = Some("connection refused".to_string());
         st.state = TcpState::Closed;
-        (a.readable, a.writable, a.hook) = (true, true, true);
+        (a.wake.readable, a.wake.writable, a.wake.hook) = (true, true, true);
         return;
     }
     st.snd_wnd = seg.window as u32;
@@ -520,7 +534,7 @@ fn segment(st: &mut State, seg: &Segment, now: &mut Now, a: &mut Actions) {
                 st.rtx_deadline = None;
                 st.retries = 0;
                 ack_now = true;
-                a.readable = true;
+                a.wake.readable = true;
             }
         }
         // The peer's SYN again: our SYN+ACK was lost, and the peer
@@ -536,7 +550,7 @@ fn segment(st: &mut State, seg: &Segment, now: &mut Now, a: &mut Actions) {
                 st.rtx_deadline = None;
                 st.retries = 0;
                 a.established = true;
-                a.readable = true;
+                a.wake.readable = true;
                 // Fall through to process any piggybacked data.
                 data(st, seg, now, &mut ack_now, a);
             }
@@ -577,7 +591,7 @@ fn segment(st: &mut State, seg: &Segment, now: &mut Now, a: &mut Actions) {
         a.segs.push(st.header(ACK, seq));
     }
     a.pump = st.unsent();
-    a.hook |= a.readable;
+    a.wake.hook |= a.wake.readable;
 }
 
 /// An ack of new data: the send queue gives it up, the windows open.
@@ -592,7 +606,7 @@ fn ack(st: &mut State, ack: u32, now: &mut Now, a: &mut Actions) {
     st.send_q.consume(gone, |_| ());
     // An ack made room in a send buffer that was full: a service that
     // stopped reading for want of it has no thread to wake.
-    a.hook = full && st.send_q.len < SND_BUF_MAX;
+    a.wake.hook = full && st.send_q.len < SND_BUF_MAX;
     st.snd_una = ack;
     st.retries = 0;
     if let Some((_, at)) = st.rtt_probe.filter(|&(probe, _)| seq_le(probe, ack)) {
@@ -600,7 +614,7 @@ fn ack(st: &mut State, ack: u32, now: &mut Now, a: &mut Actions) {
         st.rtt_probe = None;
     }
     st.rtx_deadline = (st.snd_una != st.snd_nxt).then(|| now.get() + st.rtt.rto);
-    a.writable = true;
+    a.wake.writable = true;
     // FIN-related transitions on our side.
     if fin_acked {
         match st.state {
@@ -612,7 +626,7 @@ fn ack(st: &mut State, ack: u32, now: &mut Now, a: &mut Actions) {
             TcpState::LastAck => st.state = TcpState::Closed,
             _ => {}
         }
-        a.readable = true;
+        a.wake.readable = true;
     }
 }
 
@@ -641,7 +655,7 @@ fn data(st: &mut State, seg: &Segment, now: &mut Now, ack_now: &mut bool, a: &mu
             } else {
                 st.ack_due.get_or_insert_with(|| now.get() + ACK_DELAY);
             }
-            a.readable = true;
+            a.wake.readable = true;
         } else {
             // An old duplicate is acknowledged again; a segment beyond
             // `rcv_nxt` is held (bounded) and the ack acts as a
@@ -671,7 +685,51 @@ fn data(st: &mut State, seg: &Segment, now: &mut Now, ack_now: &mut bool, a: &mu
                 }
                 _ => {}
             }
-            a.readable = true;
+            a.wake.readable = true;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use plan9_support::buf::Bytes;
+
+    /// A segment from the peer to the core, on a connection whose ISS
+    /// is 1.
+    fn from_peer(seq: u32, flags: u16, payload: &[u8]) -> Segment {
+        Segment { sport: 564, dport: 5012, seq, ack: 2, flags, window: 8192, payload: Bytes::from(payload.to_vec()) }
+    }
+
+    /// The listener's core, answering a SYN at `peer_iss`: (state, now).
+    fn syn_rcvd(peer_iss: u32) -> (State, Instant) {
+        let now = Instant::now();
+        let mut st = State::new(1, 1460, Some((peer_iss, 8192)));
+        st.step(Input::Open, Now::At(now));
+        (st, now)
+    }
+
+    #[test]
+    fn held_segments_drain_across_the_sequence_wrap() {
+        let (mut st, now) = syn_rcvd(0xFFFF_FFFD);
+        st.step(Input::Segment(&from_peer(0xFFFF_FFFE, ACK, &[])), Now::At(now));
+        assert_eq!(st.state(), TcpState::Established);
+        for (seq, byte) in [(0xFFFF_FFFF, b'b'), (0, b'c')] {
+            assert!(st.step(Input::Segment(&from_peer(seq, ACK, &[byte])), Now::At(now)).ooo);
+        }
+        let a = st.step(Input::Segment(&from_peer(0xFFFF_FFFE, ACK, b"a")), Now::At(now));
+        let acks: Vec<u32> = a.segs.iter().filter(|s| s.flags & ACK != 0).map(|s| s.ack).collect();
+        assert_eq!(acks, [1], "the filled gap is acked at once");
+        let got = st.step(Input::Read(100), Now::At(now)).got;
+        assert_eq!(got, Some(Ok(b"abc".to_vec())));
+    }
+
+    #[test]
+    fn a_syn_again_is_answered_from_syn_rcvd() {
+        let (mut st, now) = syn_rcvd(41);
+        let a = st.step(Input::Segment(&from_peer(41, SYN, &[])), Now::At(now));
+        let out: Vec<(u16, u32, u32)> = a.segs.iter().map(|s| (s.flags, s.seq, s.ack)).collect();
+        assert_eq!(out, [(SYN | ACK, 1, 42)]);
+        assert_eq!(st.state(), TcpState::SynRcvd);
     }
 }

@@ -262,6 +262,7 @@ impl Stream {
 
     /// Sends a hangup message up the stream from the device end.
     pub fn hangup_from_device(&self) {
+        // blocking-ok: flow control waits for room for data, never a hangup
         let _ = self.feed_up(Block::hangup());
     }
 
@@ -289,6 +290,7 @@ impl Stream {
     /// [`Stream::read`] for a reader that does not wait: `None` while
     /// nothing is at hand.
     pub fn try_read(&self, count: usize) -> Result<Option<Vec<u8>>> {
+        // blocking-ok: a read told not to wait returns at an empty queue
         Ok(self.inner.read_q.read(count, false))
     }
 

@@ -22,8 +22,13 @@ cargo run --release --offline -q -p plan9-check
 # runtime dump, and no lock receiver the resolver cannot type. The
 # method calls resolved by their receiver's type may not fall below
 # the tree's count, lowered only when code is deleted: a call that
-# loses its type fans out by name again. (5303 since URP changed state
-# in one pure step: its two-lock shell, with `probe_and_wait` and the
+# loses its type fans out by name again. (5290 since one shell drives
+# IL, TCP and URP (`support::step::Shell`), measured by reverting one
+# file at a time on a copy: the old shells in il.rs, tcp.rs and urp.rs
+# held 16, 15 and 17 typed calls more than what replaced them there,
+# the one shell holds 34, and `plan9-check`'s reading of a generic
+# type's lock class and of calls through a generic bound 14. 5303 had
+# come when URP changed state in one pure step: its two-lock shell, with `probe_and_wait` and the
 # drop-and-retake sequences, held 16 more typed calls than the core and
 # the one-lock shell that replaced it, measured by reverting urp.rs on a
 # copy. 5319 had come when a stream reached
@@ -55,8 +60,8 @@ for field in ("functions", "call_sites", "resolved_calls", "typed_calls", "roots
         sys.exit(f"verify: REPORT graph.{field} missing or non-integer")
 if g["functions"] < 500 or g["roots"] < 5:
     sys.exit(f"verify: call graph implausibly small ({g['functions']} fns, {g['roots']} roots)")
-if g["typed_calls"] < 5303:
-    sys.exit(f"verify: {g['typed_calls']} method calls resolved by receiver type (need >= 5303)")
+if g["typed_calls"] < 5290:
+    sys.exit(f"verify: {g['typed_calls']} method calls resolved by receiver type (need >= 5290)")
 for pass_ in ("blocking_context", "panic_reach"):
     p = r[pass_]
     if p["count"] != 0 or p["findings"]:
@@ -154,7 +159,11 @@ EOF
 # `tcp/fsm.rs`, `urp/fsm.rs`): a core holds no lock, reads no clock and
 # touches no wheel, pool, condition variable or copy site — its shell
 # does all of that around the step. A core file that names one has let
-# an effect back in.
+# an effect back in. And one shell drives all three cores
+# (`support::step::Shell`): it steps the core, aims the timer wheel and
+# holds the waiters. A protocol's own file (`il.rs`, `tcp.rs`, `urp.rs`)
+# that names the wheel or a condition variable, or hands its core the
+# time itself (`Now::`, or the old `fsm::step(`), drives its core again.
 python3 - <<'EOF'
 import sys
 bad = []
@@ -165,6 +174,13 @@ for path in ("crates/inet/src/il/fsm.rs", "crates/inet/src/tcp/fsm.rs", "crates/
                 bad.append(f"{path}:{n}: {word}")
 if bad:
     sys.exit("verify: an effect in a protocol core: " + ", ".join(bad))
+for path in ("crates/inet/src/il.rs", "crates/inet/src/tcp.rs", "crates/datakit/src/urp.rs"):
+    for n, line in enumerate(open(path), 1):
+        for word in ("wheel::", "Condvar", "Now::", "fsm::step("):
+            if word in line:
+                bad.append(f"{path}:{n}: {word}")
+if bad:
+    sys.exit("verify: a protocol shell drives its core itself: " + ", ".join(bad))
 EOF
 
 # Clippy, when the toolchain ships it; warnings are errors so the tree

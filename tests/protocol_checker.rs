@@ -33,12 +33,12 @@
 
 use plan9_datakit::urp::fsm as urp;
 use plan9_inet::il::fsm as il;
-use plan9_inet::il::fsm::Now;
 use plan9_inet::il::{IlState, IlType};
 use plan9_inet::tcp::fsm as tcp;
 use plan9_inet::tcp::{Segment, TcpState, ACK, FIN, RST, SYN};
 use plan9_support::buf::Bytes;
 use plan9_support::fnv::Fnv;
+use plan9_support::step::{Core, Now};
 use plan9_support::time;
 use std::collections::{HashMap, HashSet};
 use std::fmt::{self, Debug, Write as _};
@@ -76,37 +76,45 @@ impl<S> Default for Did<S> {
     }
 }
 
-/// What the checker needs of a protocol's core. (A test's own
-/// abstraction: the kernel keeps no trait over the two.)
-trait Core {
-    type State: Clone + Debug;
+/// A core as the checker runs it: the crate's [`Core`], with a script
+/// for each end, the segments it sends as the channel carries them, the
+/// inputs a user's write or close and a segment's arrival are, and what
+/// its shell does with a step beside sending and aiming.
+trait Model: Core + Clone + Debug {
     type Seg: Clone + Debug;
     const NAME: &'static str;
     /// The channel never reorders: each way, only the oldest segment in
     /// flight is delivered, lost or repeated.
     const IN_ORDER: bool = false;
+    /// The user's close.
+    const CLOSE: Self::Input<'static>;
     /// The writes of each end's script.
     fn script(end: usize) -> &'static [&'static [u8]];
     /// The dialer, and what its opening sent.
-    fn dial(iss: u32, now: Instant) -> (Self::State, Did<Self::Seg>);
+    fn dial(iss: u32, now: Instant) -> (Self, Did<Self::Seg>);
     /// The listener's answer to a segment that opens a conversation.
-    fn answer(iss: u32, seg: &Self::Seg, now: Instant) -> Option<(Self::State, Did<Self::Seg>)>;
+    fn answer(iss: u32, seg: &Self::Seg, now: Instant) -> Option<(Self, Did<Self::Seg>)>;
     /// The listener's conversation from the start, for a protocol whose
     /// call is set up out of band.
-    fn called(_now: Instant) -> Option<Self::State> {
+    fn called(_now: Instant) -> Option<Self> {
         None
     }
-    fn deliver(st: &mut Self::State, seg: Self::Seg, now: Instant) -> Did<Self::Seg>;
-    fn timer(st: &mut Self::State, now: Instant) -> Did<Self::Seg>;
-    fn write(st: &mut Self::State, data: &[u8], now: Instant) -> Did<Self::Seg>;
-    fn close(st: &mut Self::State, now: Instant) -> Did<Self::Seg>;
+    /// A segment's arrival.
+    fn arrives(seg: &Self::Seg) -> Self::Input<'_>;
+    /// The user's write of `data`, input by input.
+    fn writes(data: &[u8]) -> Vec<Self::Input<'_>>;
+    /// What the shell does with a step's actions: its segments, and the
+    /// inputs of its own that follow them.
+    fn perform(st: &mut Self, acts: Self::Actions, now: Instant, did: &mut Did<Self::Seg>);
+    /// The reader takes everything there is.
+    fn take(st: &mut Self, now: Instant, did: &mut Did<Self::Seg>);
     /// The user has the conversation: its handshake is done.
-    fn ready(st: &Self::State) -> bool;
+    fn ready(st: &Self) -> bool;
     /// Whether the user may write `data` now.
-    fn writable(st: &Self::State, data: &[u8]) -> bool;
+    fn writable(st: &Self, data: &[u8]) -> bool;
     /// A repeated Sync or SYN, or an ENQ, reaching an end that must
     /// answer it.
-    fn must_answer(st: &Self::State, seg: &Self::Seg) -> bool;
+    fn must_answer(st: &Self, seg: &Self::Seg) -> bool;
     /// Whether `reply` is an answer to such a segment.
     fn answers(_reply: &Self::Seg) -> bool {
         true
@@ -118,17 +126,62 @@ trait Core {
     fn show(seg: &Self::Seg) -> String;
 }
 
-struct Il;
+/// One input as the shell takes it: the core steps, the timer is aimed
+/// where it says, and the shell does what the step asked.
+fn run<C: Model>(st: &mut C, input: C::Input<'_>, now: Instant, did: &mut Did<C::Seg>) {
+    let acts = st.step(input, Now::At(now));
+    if let Some(aim) = C::aim(&acts) {
+        did.aim = Some(aim);
+    }
+    C::perform(st, acts, now, did);
+}
 
-impl Il {
-    fn did(st: &mut il::State, acts: il::Actions) -> Did<il::Seg> {
-        let mut did = Did {
-            segs: acts.segs.into_iter().map(|(s, _)| s).collect(),
-            aim: acts.aim.then_some(acts.deadline),
-            free: acts.free,
-            ..Did::default()
-        };
-        // The reader takes everything there is at once.
+/// A transition of one end: its inputs in turn, then the reader's take.
+fn inputs<'a, C: Model>(st: &mut C, inputs: Vec<C::Input<'a>>, now: Instant) -> Did<C::Seg> {
+    let mut did = Did::default();
+    for input in inputs {
+        run::<C>(st, input, now, &mut did);
+    }
+    C::take(st, now, &mut did);
+    did
+}
+
+impl Model for il::State {
+    type Seg = il::Seg;
+    const NAME: &'static str = "il";
+    const CLOSE: il::Input = il::Input::Close;
+
+    fn script(end: usize) -> &'static [&'static [u8]] {
+        const SCRIPT: [&[&[u8]]; 2] = [&[b"a", b"b", b"c", b"d"], &[b"x"]];
+        SCRIPT[end]
+    }
+    fn dial(iss: u32, now: Instant) -> (il::State, Did<il::Seg>) {
+        let mut st = il::State::new(iss, None);
+        let mut did = Did { segs: vec![st.sync()], ..Did::default() };
+        run::<Self>(&mut st, il::Input::Open, now, &mut did);
+        Self::take(&mut st, now, &mut did);
+        (st, did)
+    }
+    fn answer(iss: u32, seg: &il::Seg, now: Instant) -> Option<(il::State, Did<il::Seg>)> {
+        (seg.typ == IlType::Sync).then(|| {
+            let mut st = il::State::new(iss, Some(seg.id));
+            let mut did = Did { segs: vec![st.sync()], ..Did::default() };
+            run::<Self>(&mut st, il::Input::Open, now, &mut did);
+            Self::take(&mut st, now, &mut did);
+            (st, did)
+        })
+    }
+    fn arrives(seg: &il::Seg) -> il::Input {
+        il::Input::Segment(seg.clone())
+    }
+    fn writes(data: &[u8]) -> Vec<il::Input> {
+        vec![il::Input::Send(Bytes::from(data.to_vec()), None)]
+    }
+    fn perform(_st: &mut il::State, acts: il::Actions, _now: Instant, did: &mut Did<il::Seg>) {
+        did.segs.extend(acts.segs.into_iter().map(|(s, _)| s));
+        did.free |= acts.free;
+    }
+    fn take(st: &mut il::State, _now: Instant, did: &mut Did<il::Seg>) {
         while let Some(got) = st.read() {
             match got {
                 Ok(Some(msg)) => did.got.push(msg.to_vec()),
@@ -138,52 +191,6 @@ impl Il {
                 }
             }
         }
-        did
-    }
-}
-
-impl Core for Il {
-    type State = il::State;
-    type Seg = il::Seg;
-    const NAME: &'static str = "il";
-
-    fn script(end: usize) -> &'static [&'static [u8]] {
-        const SCRIPT: [&[&[u8]]; 2] = [&[b"a", b"b", b"c", b"d"], &[b"x"]];
-        SCRIPT[end]
-    }
-    fn dial(iss: u32, now: Instant) -> (il::State, Did<il::Seg>) {
-        let mut st = il::State::new(iss, None);
-        let sync = st.sync();
-        let acts = il::step(&mut st, il::Input::Open, Now::At(now));
-        let mut did = Il::did(&mut st, acts);
-        did.segs.insert(0, sync);
-        (st, did)
-    }
-    fn answer(iss: u32, seg: &il::Seg, now: Instant) -> Option<(il::State, Did<il::Seg>)> {
-        (seg.typ == IlType::Sync).then(|| {
-            let mut st = il::State::new(iss, Some(seg.id));
-            let sync = st.sync();
-            let acts = il::step(&mut st, il::Input::Open, Now::At(now));
-            let mut did = Il::did(&mut st, acts);
-            did.segs.insert(0, sync);
-            (st, did)
-        })
-    }
-    fn deliver(st: &mut il::State, seg: il::Seg, now: Instant) -> Did<il::Seg> {
-        let acts = il::step(st, il::Input::Segment(seg), Now::At(now));
-        Il::did(st, acts)
-    }
-    fn timer(st: &mut il::State, now: Instant) -> Did<il::Seg> {
-        let acts = il::step(st, il::Input::Timer, Now::At(now));
-        Il::did(st, acts)
-    }
-    fn write(st: &mut il::State, data: &[u8], now: Instant) -> Did<il::Seg> {
-        let acts = il::step(st, il::Input::Send(Bytes::from(data.to_vec()), None), Now::At(now));
-        Il::did(st, acts)
-    }
-    fn close(st: &mut il::State, now: Instant) -> Did<il::Seg> {
-        let acts = il::step(st, il::Input::Close, Now::At(now));
-        Il::did(st, acts)
     }
     fn ready(st: &il::State) -> bool {
         !matches!(st.state(), IlState::Syncer | IlState::Syncee)
@@ -206,24 +213,52 @@ impl Core for Il {
     }
 }
 
-struct Tcp;
+impl Model for tcp::State {
+    type Seg = Segment;
+    const NAME: &'static str = "tcp";
+    const CLOSE: tcp::Input<'static> = tcp::Input::Close;
 
-impl Tcp {
-    /// A step as the shell makes it: the pump run after it, and the
-    /// reader's take.
-    fn run(st: &mut tcp::State, input: tcp::Input, now: Instant) -> Did<Segment> {
-        let acts = tcp::step(st, input, Now::At(now));
-        let (mut pump, mut did) = (acts.pump, Did::default());
-        did.free = acts.free;
-        Tcp::take(&mut did, acts);
-        let mut mine = false;
-        while pump {
-            let acts = tcp::step(st, tcp::Input::Pump(mine), Now::At(now));
-            mine = !acts.segs.is_empty();
-            pump = mine;
-            Tcp::take(&mut did, acts);
+    fn script(end: usize) -> &'static [&'static [u8]] {
+        const SCRIPT: [&[&[u8]]; 2] = [&[b"abc"], &[b"x"]];
+        SCRIPT[end]
+    }
+    fn dial(iss: u32, now: Instant) -> (tcp::State, Did<Segment>) {
+        let mut st = tcp::State::new(iss, MSS, None);
+        let did = inputs::<Self>(&mut st, vec![tcp::Input::Open], now);
+        (st, did)
+    }
+    fn answer(iss: u32, seg: &Segment, now: Instant) -> Option<(tcp::State, Did<Segment>)> {
+        (seg.flags & (SYN | ACK) == SYN).then(|| {
+            let mut st = tcp::State::new(iss, MSS, Some((seg.seq, seg.window)));
+            let did = inputs::<Self>(&mut st, vec![tcp::Input::Open], now);
+            (st, did)
+        })
+    }
+    fn arrives(seg: &Segment) -> tcp::Input<'_> {
+        tcp::Input::Segment(seg)
+    }
+    fn writes(data: &[u8]) -> Vec<tcp::Input<'_>> {
+        vec![tcp::Input::Write(Bytes::from(data.to_vec()), None)]
+    }
+    /// The segments, and the pump, one segment a step, as the shell
+    /// runs it.
+    fn perform(st: &mut tcp::State, acts: tcp::Actions, now: Instant, did: &mut Did<Segment>) {
+        did.free |= acts.free;
+        for s in acts.segs {
+            let payload: Vec<u8> = s.payload.iter().flatten().flat_map(|b| b.to_vec()).collect();
+            let (seq, ack, flags, window) = (s.seq, s.ack, s.flags, s.window);
+            did.segs.push(Segment { sport: 1, dport: 2, seq, ack, flags, window, payload: Bytes::from(payload) });
         }
-        while let Some(got) = tcp::step(st, tcp::Input::Read(usize::MAX), Now::At(now)).got {
+        let (mut pump, mut mine) = (acts.pump, false);
+        while pump {
+            let sent = did.segs.len();
+            run::<Self>(st, tcp::Input::Pump(mine), now, did);
+            mine = did.segs.len() > sent;
+            pump = mine;
+        }
+    }
+    fn take(st: &mut tcp::State, now: Instant, did: &mut Did<Segment>) {
+        while let Some(got) = st.step(tcp::Input::Read(usize::MAX), Now::At(now)).got {
             match got {
                 Ok(data) if !data.is_empty() => did.got.push(data),
                 _ => {
@@ -232,53 +267,6 @@ impl Tcp {
                 }
             }
         }
-        did
-    }
-
-    fn take(did: &mut Did<Segment>, acts: tcp::Actions) {
-        if acts.aim {
-            did.aim = Some(acts.deadline);
-        }
-        for s in acts.segs {
-            let payload: Vec<u8> = s.payload.iter().flatten().flat_map(|b| b.to_vec()).collect();
-            let (seq, ack, flags, window) = (s.seq, s.ack, s.flags, s.window);
-            did.segs.push(Segment { sport: 1, dport: 2, seq, ack, flags, window, payload: Bytes::from(payload) });
-        }
-    }
-}
-
-impl Core for Tcp {
-    type State = tcp::State;
-    type Seg = Segment;
-    const NAME: &'static str = "tcp";
-
-    fn script(end: usize) -> &'static [&'static [u8]] {
-        const SCRIPT: [&[&[u8]]; 2] = [&[b"abc"], &[b"x"]];
-        SCRIPT[end]
-    }
-    fn dial(iss: u32, now: Instant) -> (tcp::State, Did<Segment>) {
-        let mut st = tcp::State::new(iss, MSS, None);
-        let did = Tcp::run(&mut st, tcp::Input::Open, now);
-        (st, did)
-    }
-    fn answer(iss: u32, seg: &Segment, now: Instant) -> Option<(tcp::State, Did<Segment>)> {
-        (seg.flags & (SYN | ACK) == SYN).then(|| {
-            let mut st = tcp::State::new(iss, MSS, Some((seg.seq, seg.window)));
-            let did = Tcp::run(&mut st, tcp::Input::Open, now);
-            (st, did)
-        })
-    }
-    fn deliver(st: &mut tcp::State, seg: Segment, now: Instant) -> Did<Segment> {
-        Tcp::run(st, tcp::Input::Segment(&seg), now)
-    }
-    fn timer(st: &mut tcp::State, now: Instant) -> Did<Segment> {
-        Tcp::run(st, tcp::Input::Timer, now)
-    }
-    fn write(st: &mut tcp::State, data: &[u8], now: Instant) -> Did<Segment> {
-        Tcp::run(st, tcp::Input::Write(Bytes::from(data.to_vec()), None), now)
-    }
-    fn close(st: &mut tcp::State, now: Instant) -> Did<Segment> {
-        Tcp::run(st, tcp::Input::Close, now)
     }
     fn ready(st: &tcp::State) -> bool {
         !matches!(st.state(), TcpState::SynSent | TcpState::SynRcvd)
@@ -311,49 +299,11 @@ impl Core for Tcp {
     }
 }
 
-struct Urp;
-
-impl Urp {
-    /// A step as the shell makes it: each data cell sent leaves the line
-    /// at once, a rewind's end follows its cells, and the reader takes
-    /// everything there is.
-    fn run(st: &mut urp::State, did: &mut Did<Vec<u8>>, input: urp::Input, now: Instant) {
-        let acts = urp::step(st, input, Now::At(now));
-        did.aim = Some(acts.deadline);
-        for cell in acts.cells {
-            if urp::is_data(cell[0]) {
-                let left = urp::step(st, urp::Input::Left(cell[0] & urp::SEQ_MASK), Now::At(now));
-                did.aim = Some(left.deadline);
-            }
-            did.segs.push(cell);
-        }
-        if acts.resend {
-            Urp::run(st, did, urp::Input::Resent, now);
-        }
-        while let Some(got) = st.read() {
-            match got {
-                Some(msg) => did.got.push(msg),
-                None => {
-                    did.eof = true;
-                    break;
-                }
-            }
-        }
-        did.free = st.closed();
-    }
-
-    fn once(st: &mut urp::State, input: urp::Input, now: Instant) -> Did<Vec<u8>> {
-        let mut did = Did::default();
-        Urp::run(st, &mut did, input, now);
-        did
-    }
-}
-
-impl Core for Urp {
-    type State = urp::State;
+impl Model for urp::State {
     type Seg = Vec<u8>;
     const NAME: &'static str = "urp";
     const IN_ORDER: bool = true;
+    const CLOSE: urp::Input<'static> = urp::Input::Close;
 
     /// One cell a byte: nine from the dialer.
     fn script(end: usize) -> &'static [&'static [u8]] {
@@ -369,21 +319,36 @@ impl Core for Urp {
     fn called(now: Instant) -> Option<urp::State> {
         Some(urp::State::new(now))
     }
-    fn deliver(st: &mut urp::State, seg: Vec<u8>, now: Instant) -> Did<Vec<u8>> {
-        Urp::once(st, urp::Input::Cell(&seg), now)
+    fn arrives(seg: &Vec<u8>) -> urp::Input<'_> {
+        urp::Input::Cell(seg)
     }
-    fn timer(st: &mut urp::State, now: Instant) -> Did<Vec<u8>> {
-        Urp::once(st, urp::Input::Timer, now)
+    fn writes(data: &[u8]) -> Vec<urp::Input<'_>> {
+        data.chunks(1).enumerate().map(|(i, cell)| urp::Input::Send(cell, i + 1 == data.len())).collect()
     }
-    fn write(st: &mut urp::State, data: &[u8], now: Instant) -> Did<Vec<u8>> {
-        let mut did = Did::default();
-        for (i, cell) in data.chunks(1).enumerate() {
-            Urp::run(st, &mut did, urp::Input::Send(cell, i + 1 == data.len()), now);
+    /// The cells, each data cell leaving the line at once, and a
+    /// rewind's end after its cells.
+    fn perform(st: &mut urp::State, acts: urp::Actions, now: Instant, did: &mut Did<Vec<u8>>) {
+        for cell in acts.cells {
+            if urp::is_data(cell[0]) {
+                run::<Self>(st, urp::Input::Left(cell[0] & urp::SEQ_MASK), now, did);
+            }
+            did.segs.push(cell);
         }
-        did
+        if acts.resend {
+            run::<Self>(st, urp::Input::Resent, now, did);
+        }
+        did.free = st.closed();
     }
-    fn close(st: &mut urp::State, now: Instant) -> Did<Vec<u8>> {
-        Urp::once(st, urp::Input::Close, now)
+    fn take(st: &mut urp::State, _now: Instant, did: &mut Did<Vec<u8>>) {
+        while let Some(got) = st.read() {
+            match got {
+                Some(msg) => did.got.push(msg),
+                None => {
+                    did.eof = true;
+                    break;
+                }
+            }
+        }
     }
     fn ready(_st: &urp::State) -> bool {
         true
@@ -420,8 +385,8 @@ impl Core for Urp {
 
 /// One end: its conversation (none before the listener answers, or once
 /// it is freed), its timer, and its user's progress through the script.
-struct End<C: Core> {
-    conv: Option<C::State>,
+struct End<C: Model> {
+    conv: Option<C>,
     freed: bool,
     timer: Option<Instant>,
     wrote: usize,
@@ -430,7 +395,7 @@ struct End<C: Core> {
     eof: bool,
 }
 
-impl<C: Core> Clone for End<C> {
+impl<C: Model> Clone for End<C> {
     fn clone(&self) -> Self {
         End {
             conv: self.conv.clone(),
@@ -444,7 +409,7 @@ impl<C: Core> Clone for End<C> {
     }
 }
 
-impl<C: Core> End<C> {
+impl<C: Model> End<C> {
     /// Gone, or never made: Closed as far as teardown goes.
     fn finished(&self) -> bool {
         self.freed || self.conv.is_none()
@@ -454,14 +419,14 @@ impl<C: Core> End<C> {
 /// Both ends, the segments in flight (to whom, what, and the segment's
 /// hash, kept sorted so that the same multiset is one state), the
 /// synthetic clock and the faults spent.
-struct World<C: Core> {
+struct World<C: Model> {
     ends: [End<C>; 2],
     net: Vec<(usize, u64, C::Seg)>,
     now: Instant,
     faults: u32,
 }
 
-impl<C: Core> Clone for World<C> {
+impl<C: Model> Clone for World<C> {
     fn clone(&self) -> Self {
         World { ends: self.ends.clone(), net: self.net.clone(), now: self.now, faults: self.faults }
     }
@@ -487,7 +452,7 @@ fn hash_of(value: impl Debug) -> u64 {
 /// it, if one did.
 type Violation = (String, Vec<String>);
 
-impl<C: Core> World<C> {
+impl<C: Model> World<C> {
     fn start(t0: Instant) -> World<C> {
         let (st, did) = C::dial(DIALER_ISS, t0);
         let end = |conv| End { conv, freed: false, timer: None, wrote: 0, closed: false, got: Vec::new(), eof: false };
@@ -546,7 +511,7 @@ impl<C: Core> World<C> {
             Some(st) => {
                 let owed = C::must_answer(st, &seg);
                 let shown = C::show(&seg);
-                let did = C::deliver(st, seg, now);
+                let did = inputs::<C>(st, vec![C::arrives(&seg)], now);
                 if owed && !did.segs.iter().any(C::answers) {
                     return Err(format!("{} did not answer the repeated {shown}", side(to)));
                 }
@@ -577,7 +542,7 @@ impl<C: Core> World<C> {
         self.ends[e].timer = None;
         let now = self.now;
         if let Some(st) = self.ends[e].conv.as_mut() {
-            let did = C::timer(st, now);
+            let did = inputs::<C>(st, vec![C::TIMER], now);
             self.apply(e, did);
         }
     }
@@ -625,7 +590,7 @@ impl<C: Core> World<C> {
                 let mut w = self.clone();
                 let now = w.now;
                 let end = &mut w.ends[e];
-                let did = C::write(end.conv.as_mut().expect("ready end"), script[end.wrote], now);
+                let did = inputs::<C>(end.conv.as_mut().expect("ready end"), C::writes(script[end.wrote]), now);
                 end.wrote += 1;
                 w.apply(e, did);
                 out.push((format!("{} writes {:?}", side(e), String::from_utf8_lossy(script[self.ends[e].wrote])), Ok(w)));
@@ -635,7 +600,7 @@ impl<C: Core> World<C> {
                 let now = w.now;
                 let end = &mut w.ends[e];
                 end.closed = true;
-                let did = C::close(end.conv.as_mut().expect("ready end"), now);
+                let did = inputs::<C>(end.conv.as_mut().expect("ready end"), vec![C::CLOSE], now);
                 w.apply(e, did);
                 out.push((format!("{} closes", side(e)), Ok(w)));
             }
@@ -689,7 +654,7 @@ fn side(e: usize) -> &'static str {
 /// A settle, from `w`, to `done`: the states it passed through, or the
 /// violation with its transitions. States known to settle are not
 /// settled again.
-fn settle<C: Core>(
+fn settle<C: Model>(
     w: &World<C>,
     t0: Instant,
     done: fn(&World<C>) -> bool,
@@ -719,7 +684,7 @@ struct Outcome {
     violation: Option<(Vec<String>, Violation)>,
 }
 
-fn explore<C: Core>(depth: usize) -> Outcome {
+fn explore<C: Model>(depth: usize) -> Outcome {
     let t0 = time::real_now();
     let start = World::<C>::start(t0);
     // Each state's parent and the transition from it, for the trace.
@@ -774,7 +739,7 @@ fn explore<C: Core>(depth: usize) -> Outcome {
     Outcome { states: seen.len(), violation: None }
 }
 
-fn check<C: Core>() {
+fn check<C: Model>() {
     let t = time::real_now();
     let out = explore::<C>(DEPTH);
     let took = t.elapsed();
@@ -800,15 +765,15 @@ fn check<C: Core>() {
 
 #[test]
 fn il_cores_keep_their_promises() {
-    check::<Il>();
+    check::<il::State>();
 }
 
 #[test]
 fn tcp_cores_keep_their_promises() {
-    check::<Tcp>();
+    check::<tcp::State>();
 }
 
 #[test]
 fn urp_cores_keep_their_promises() {
-    check::<Urp>();
+    check::<urp::State>();
 }

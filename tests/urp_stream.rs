@@ -46,7 +46,7 @@ struct Case {
 }
 
 /// Writes `msgs`, one `send` each. A peer that has hung up ends it.
-fn write_all(conn: &UrpConn, msgs: &[Vec<u8>]) {
+fn write_all(conn: &Arc<UrpConn>, msgs: &[Vec<u8>]) {
     for m in msgs {
         if conn.send(m).is_err() {
             return;
